@@ -18,7 +18,7 @@ label.  Three codes:
 - ``RL601`` a charge whose API family has **no matching release
   anywhere in the module** — charged and never freed.  A release in a
   different function of the same module is a *handoff* (the
-  ``_publish_directory`` → ``_finish_memory`` idiom) and does not fire.
+  ``_publish_directory`` → ``_finish_source`` idiom) and does not fire.
 - ``RL602`` a charge released on the normal path of the **same
   function**, but leaked if an exception fires between the charge and
   the release: no enclosing ``finally``/handler releases it and no

@@ -33,7 +33,7 @@ class LeafMap:
         self.column_cache = column_cache
         self._tables: dict[str, Table] = {}
         #: The in-progress lazy restore, when one is serving this map.
-        #: Set by :class:`~repro.core.lazyrestore.LazyRestore` at
+        #: Set by :class:`~repro.core.lazyrestore.RestoreDriver` at
         #: directory-publish time and cleared when every block is in (or
         #: the restore fell back to disk); ``execute_on_leaf`` checks it
         #: to fault in the blocks a query touches.

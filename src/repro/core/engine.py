@@ -75,7 +75,6 @@ from repro.errors import (
     CorruptionError,
     LayoutVersionError,
     RecoveryError,
-    ReproError,
     ShmError,
 )
 from repro.shm.layout import (
@@ -157,6 +156,33 @@ class RestartReport:
     blocks_total: int = 0
     queries_served_during_restore: int = 0
     bytes_restored_at_first_query: int | None = None
+
+    def fall(self, rung: RecoveryMethod, exc: BaseException) -> None:
+        """``rung`` died mid-attempt; the ladder steps down from it.
+
+        What the attempt managed moves to the rung's ``*_attempt_*``
+        fields, the live counters restart from zero for the rung below,
+        the rung's flag goes up, and the *first* fall's reason is kept —
+        it is the one that says why the leaf is not on its best rung.
+        Everything else on the report (the serve-while-restoring totals,
+        earlier falls) stays.
+        """
+        if rung is RecoveryMethod.SHARED_MEMORY:
+            self.fell_back_to_disk = True
+            self.memory_attempt_tables = self.tables
+            self.memory_attempt_row_blocks = self.row_blocks
+            self.memory_attempt_bytes = self.bytes_copied
+            self.memory_attempt_rows = self.rows
+        elif rung is RecoveryMethod.REPLICA:
+            self.fell_back_from_replica = True
+            self.replica_attempt_row_blocks = self.row_blocks
+            self.replica_attempt_bytes = self.bytes_copied
+        else:
+            self.fell_back_to_legacy = True
+        self.tables = self.row_blocks = self.rbc_copies = 0
+        self.bytes_copied = self.rows = 0
+        if self.failure_reason is None:
+            self.failure_reason = f"{type(exc).__name__}: {exc}"
 
 
 def _exact_size(table_name: str, blocks: list) -> int:
@@ -283,15 +309,40 @@ class RestartEngine:
 
     def shm_state_valid(self) -> bool:
         """Whether shared memory recovery would be attempted."""
-        if not self.shm_state_exists():
+        meta = self._attach_valid_shm(discard_invalid=False)
+        if meta is None:
             return False
+        meta.close()
+        return True
+
+    def _attach_valid_shm(self, discard_invalid: bool = True) -> LeafMetadata | None:
+        """Attach this leaf's metadata iff memory recovery may trust it.
+
+        Trusted means the valid bit is set and the stored layout version
+        is this build's; metadata too corrupt to say counts as invalid.
+        An untrusted state is closed — or, with ``discard_invalid``,
+        deleted through the tracker: Figure 7's "if valid bit is false:
+        delete shared memory segments, recover from disk" — and ``None``
+        comes back.  The mapping never outlives an unexpected failure
+        here: shared memory is not reclaimed by process exit.
+        """
+        if not self.shm_state_exists():
+            return None
         meta = LeafMetadata.attach(self.namespace, self.leaf_id)
         try:
-            return meta.valid and meta.layout_version == self.layout_version
-        except (CorruptionError, LayoutVersionError):
-            return False
-        finally:
+            try:
+                valid = meta.valid and meta.layout_version == self.layout_version
+            except (CorruptionError, LayoutVersionError):
+                valid = False
+            if valid:
+                return meta
+            if discard_invalid:
+                self._discard_shm_tracked(meta)
+        except Exception:
             meta.close()
+            raise
+        meta.close()
+        return None
 
     def discard_shm(self) -> bool:
         """Unlink any shared memory state this leaf left behind."""
@@ -523,75 +574,37 @@ class RestartEngine:
         leaf = LeafRestoreMachine()
         report = RestartReport(method=None)
         self._fault("restore:start")
-        meta: LeafMetadata | None = None
-        use_memory = memory_recovery_enabled and self.shm_state_exists()
-        if use_memory:
-            meta = LeafMetadata.attach(self.namespace, self.leaf_id)
+        meta = self._attach_valid_shm() if memory_recovery_enabled else None
+        if meta is not None:
+            leaf.transition(LeafRestoreState.MEMORY_RECOVERY)
             try:
-                try:
-                    valid = (
-                        meta.valid and meta.layout_version == self.layout_version
-                    )
-                except (CorruptionError, LayoutVersionError):
-                    valid = False
-                if not valid:
-                    # "if valid bit is false: delete shared memory segments,
-                    # recover from disk"
-                    self._discard_shm_tracked(meta)
-                    meta = None
-                    use_memory = False
-            except Exception:
-                # The metadata mapping must not outlive an unexpected
-                # failure here — shared memory is never reclaimed by
-                # process exit.
-                meta.close()
-                raise
-        if not use_memory:
-            # Covers the race where the valid bit dropped between the
+                meta.set_valid(False)  # an interrupted restore must go to disk
+                self._fault("restore:after_invalidate")
+                self._restore_from_segments(
+                    meta, leafmap, report, preserve_shm=preserve_shm
+                )
+                self._fault("restore:before_finish")
+                if preserve_shm:
+                    # Verified end to end: re-arm the state for the adopter.
+                    meta.set_valid(True)
+                    meta.close()
+                else:
+                    meta.unlink()
+                report.method = RecoveryMethod.SHARED_MEMORY
+            except Exception as exc:
+                # Figure 5(b): MEMORY RECOVERY --exception--> DISK RECOVERY.
+                # Any failure mid-copy (corruption, truncated segment, even a
+                # programming error in the decode path) must route to disk.
+                # Both the surviving segments and the partially-restored heap
+                # tables leave through the tracker, so the footprint numbers
+                # (and the shared machine-wide regions) return to baseline.
+                self._discard_shm_tracked(meta)
+                self._drop_restored_tables(leafmap)
+                report.fall(RecoveryMethod.SHARED_MEMORY, exc)
+        if report.method is None:
+            # Also covers the race where the valid bit dropped between the
             # caller's shm_state_valid() check and this attach: the leaf
             # predicted a memory recovery but gets a disk one.
-            if on_disk_fallback is not None:
-                on_disk_fallback()
-            self._recover_from_disk(leafmap, report, leaf)
-            leaf.transition(LeafRestoreState.ALIVE)
-            return self._finish_report(report, leaf, start)
-        assert meta is not None
-        leaf.transition(LeafRestoreState.MEMORY_RECOVERY)
-        try:
-            meta.set_valid(False)  # an interrupted restore must go to disk
-            self._fault("restore:after_invalidate")
-            self._restore_from_segments(
-                meta, leafmap, report, preserve_shm=preserve_shm
-            )
-            self._fault("restore:before_finish")
-            if preserve_shm:
-                # Verified end to end: re-arm the state for the adopter.
-                meta.set_valid(True)
-                meta.close()
-            else:
-                meta.unlink()
-            report.method = RecoveryMethod.SHARED_MEMORY
-        except Exception as exc:
-            # Figure 5(b): MEMORY RECOVERY --exception--> DISK RECOVERY.
-            # Any failure mid-copy (corruption, truncated segment, even a
-            # programming error in the decode path) must route to disk.
-            # Both the surviving segments and the partially-restored heap
-            # tables leave through the tracker, so the footprint numbers
-            # (and the shared machine-wide regions) return to baseline.
-            self._discard_shm_tracked(meta)
-            self._drop_restored_tables(leafmap)
-            # The disk rungs restart the per-method counters from zero,
-            # but what the memory attempt did (and why it died) stays on
-            # the final report.
-            report = RestartReport(
-                method=None,
-                fell_back_to_disk=True,
-                failure_reason=f"{type(exc).__name__}: {exc}",
-                memory_attempt_tables=report.tables,
-                memory_attempt_row_blocks=report.row_blocks,
-                memory_attempt_bytes=report.bytes_copied,
-                memory_attempt_rows=report.rows,
-            )
             if on_disk_fallback is not None:
                 on_disk_fallback()
             self._recover_from_disk(leafmap, report, leaf)
@@ -785,14 +798,7 @@ class RestartEngine:
                 # through the tracker first, so a half-trusted snapshot
                 # can never co-mingle with replayed state.
                 self._drop_restored_tables(leafmap)
-                if report.failure_reason is None:
-                    report.failure_reason = f"{type(exc).__name__}: {exc}"
-                report.tables = 0
-                report.row_blocks = 0
-                report.rbc_copies = 0
-                report.bytes_copied = 0
-                report.rows = 0
-                report.fell_back_to_legacy = True
+                report.fall(RecoveryMethod.DISK_SNAPSHOT, exc)
         leaf.transition(LeafRestoreState.DISK_RECOVERY)
         if self.replay_workers > 1:
             report.rows = replay_leafmap(
@@ -822,36 +828,36 @@ class RestartEngine:
         to the report's ``replica_attempt_*`` fields, and the caller
         proceeds to the disk rungs with balances intact.
         """
-        source = self.replica_source
-        if source is None:
-            return False
         session = None
         try:
-            self._fault("replica:handshake")
-            session = source()
+            session = self._open_replica_session()
             if session is None:
                 return False
-            session.fault = self._fault
             leaf.transition(LeafRestoreState.REPLICA_RECOVERY)
             self._restore_from_replica(session, leafmap, report)
             report.method = RecoveryMethod.REPLICA
             return True
         except Exception as exc:
             self._drop_restored_tables(leafmap)
-            if report.failure_reason is None:
-                report.failure_reason = f"{type(exc).__name__}: {exc}"
-            report.replica_attempt_row_blocks = report.row_blocks
-            report.replica_attempt_bytes = report.bytes_copied
-            report.tables = 0
-            report.row_blocks = 0
-            report.rbc_copies = 0
-            report.bytes_copied = 0
-            report.rows = 0
-            report.fell_back_from_replica = True
+            report.fall(RecoveryMethod.REPLICA, exc)
             return False
         finally:
             if session is not None:
                 session.close()
+
+    def _open_replica_session(self):
+        """HELLO/CATALOG with this leaf's standby, fault hook wired in.
+
+        ``None`` when no replica is configured or none is alive; a
+        handshake that fails raises, and the caller picks the rung below.
+        """
+        if self.replica_source is None:
+            return None
+        self._fault("replica:handshake")
+        session = self.replica_source()
+        if session is not None:
+            session.fault = self._fault
+        return session
 
     def _restore_from_replica(
         self, session, leafmap: LeafMap, report: RestartReport

@@ -1,4 +1,4 @@
-"""Serve-while-restoring: lazy, prioritized shared memory restore.
+"""Serve-while-restoring: lazy, prioritized restore — one driver, two sources.
 
 The blocking restore (Figure 7) keeps the leaf unavailable while every
 block is copied out of shared memory — seconds per leaf, and at scale
@@ -17,41 +17,49 @@ after a media failure*, PAPERS.md) transplanted onto the shm tier:
    :class:`FootprintBudget` exactly like a blocking restore's copy
    window.
 3. **Sweep the remainder by heat.**  A background thread (owned by the
-   leaf server) calls :meth:`LazyRestore.sweep_one` until nothing is
+   leaf server) calls :meth:`RestoreDriver.sweep_one` until nothing is
    pending, hottest tables first — heat is the decoded-column cache's
    per-column lookup counters, which deliberately survive the restart's
    cache clear.
 
+That protocol is :class:`RestoreDriver`, and it exists once.  A rung
+supplies only where a pending block's bytes are: :class:`LazyRestore`
+(this module) reads them out of the leaf's own shm segments,
+:class:`~repro.core.replicarestore.ReplicaRestore` fetches them from a
+standby over the wire.
+
 Crash safety is the blocking protocol's, unchanged: the valid bit goes
-down *before* the directory is published, so a process that dies with
-blocks still pending leaves invalid shm behind and the next boot walks
-the disk ladder.  Any fault mid-fault-in routes the whole leaf down the
-same ladder with tracker balances intact — adopted blocks leave the heap
-region, surviving segments leave the shm region — while rows added
-*during* the serving window are carried across the fallback.
+down *before* the directory is published (and the wire rung only runs
+when shm was already untrusted), so nothing the next boot could trust
+exists while a restore is serving: a process that dies with blocks still
+pending — or a second failure inside the fallback — leaves invalid shm
+behind and the next boot walks the disk ladder.  Any fault mid-fault-in
+routes the whole leaf down the same ladder with tracker balances intact
+— adopted blocks leave the heap region, surviving segments leave the shm
+region — while rows added *during* the serving window are carried across
+the fallback.
 """
 
 from __future__ import annotations
 
 import threading
+import traceback
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
+from repro.core.engine import RecoveryMethod, RestartEngine, RestartReport
 from repro.core.states import (
     LeafRestoreMachine,
     LeafRestoreState,
     TableRestoreMachine,
     TableRestoreState,
 )
-from repro.errors import CorruptionError, LayoutVersionError, RecoveryError
+from repro.errors import RecoveryError
 from repro.shm.layout import read_block_headers
 from repro.shm.metadata import LeafMetadata
 from repro.shm.segment import ShmSegment
-
-if TYPE_CHECKING:
-    from repro.core.engine import RestartEngine, RestartReport
 
 
 @dataclass(frozen=True)
@@ -98,23 +106,21 @@ class RestoreProgress:
 class _TableState:
     """Per-table bookkeeping: the directory slice plus adoption slots."""
 
-    def __init__(self, record, segment, view, extents) -> None:
-        self.record = record
-        self.segment: ShmSegment = segment
-        self.view = view  # memoryview over the segment's used bytes
+    def __init__(self, name: str, descriptors, entered: TableRestoreState) -> None:
+        self.name = name
         self.machine = TableRestoreMachine()
-        self.machine.transition(TableRestoreState.MEMORY_RECOVERY)
-        self.pending: dict[int, BlockDescriptor] = {}
-        self.slots: list[RowBlock | None] = [None] * len(extents)
+        self.machine.transition(entered)
+        #: Directory index -> descriptor (:class:`BlockDescriptor`, or the
+        #: wire catalog's ``WireBlock``) of every block not yet faulted in.
+        self.pending = {desc.index: desc for desc in descriptors}
+        self.slots: list[RowBlock | None] = [None] * len(self.pending)
         #: Directory indexes gone for good (expired while pending, or
         #: adopted and then expired) — never faulted, never reinstalled.
         self.dropped: set[int] = set()
         #: Uids this restorer last installed into the table; an installed
         #: uid missing from the table means the block left (expiry).
         self.installed: set[int] = set()
-        self.columns: set[str] = set()
-        for extent in extents:
-            self.columns.update(extent.columns)
+        self.columns = {column for desc in descriptors for column in desc.columns}
 
     @property
     def complete(self) -> bool:
@@ -128,34 +134,47 @@ class _TableState:
         ]
 
 
-class LazyRestore:
+class RestoreDriver:
     """One leaf's in-progress serve-while-restoring restore.
 
     Create through :meth:`RestartEngine.begin_lazy_restore`.  All public
     methods are safe to call under the leaf server's lock; internal state
     is additionally guarded by ``self._lock`` so engine-level tests can
     drive a restorer without a leaf around it.
+
+    A source subclass sets the labels below and implements
+    :meth:`_publish_directory`, :meth:`_read_block` and
+    :meth:`_close_source` (plus :meth:`_finish_source` /
+    :meth:`_discard_source` when consuming or discarding the source is
+    more than closing it).  Every hook but the publish runs with the
+    lock held.
     """
 
     #: Where pending blocks fault in from; the leaf server picks its
-    #: serving status off this (``repro.core.replicarestore`` says
-    #: ``"replica"``).
-    source = "shm"
+    #: serving status off this.
+    source: str
+    #: The rung: what a finished restore reports, and which
+    #: ``*_attempt_*`` fields :meth:`RestartReport.fall` fills on a fault.
+    method: RecoveryMethod
+    #: The state each table's machine enters when the directory goes up.
+    table_state: TableRestoreState
+    #: Whether the ladder below may still try the replica rung after a
+    #: fault here (a burned wire session is never retried).
+    try_replica = True
+    #: Fault point fired each time a table's last block is adopted.
+    adopt_fault: str | None = None
 
     def __init__(
         self,
-        engine: "RestartEngine",
+        engine: RestartEngine,
         leafmap: LeafMap,
-        preserve_shm: bool,
         on_disk_fallback: Callable[[], None] | None,
     ) -> None:
         self._engine = engine
         self._leafmap = leafmap
-        self._preserve_shm = preserve_shm
         self._on_disk_fallback = on_disk_fallback
         self._lock = threading.RLock()
         self._machine = LeafRestoreMachine()
-        self._meta: LeafMetadata | None = None
         self._tables: dict[str, _TableState] = {}
         self._order: list[str] = []  # publish order, the heat tie-break
         self._budget = engine.budget
@@ -163,143 +182,81 @@ class LazyRestore:
         self._expire_cutoff: int | None = None
         self.done = False
         self.error: BaseException | None = None
-        from repro.core.engine import RestartReport
-
-        self.report: "RestartReport" = RestartReport(method=None, lazy=True)
-        # Progress counters (all guarded by self._lock).
-        self._bytes_total = 0
+        #: Live while serving: totals, first-query reading and query count
+        #: are kept on the report itself; a fall keeps them (and the
+        #: object) and only restarts the per-rung counters.
+        self.report = RestartReport(method=None, lazy=True)
+        # Packed bytes / blocks faulted in so far (guarded by self._lock).
         self._bytes_restored = 0
-        self._blocks_total = 0
         self._blocks_restored = 0
-        self._queries_served = 0
-        self._bytes_at_first_query: int | None = None
 
     # ------------------------------------------------------------------
-    # Begin: attach, invalidate, publish the directory
+    # What a source supplies
     # ------------------------------------------------------------------
-
-    @classmethod
-    def begin(
-        cls,
-        engine: "RestartEngine",
-        leafmap: LeafMap,
-        memory_recovery_enabled: bool = True,
-        preserve_shm: bool = False,
-        on_disk_fallback: Callable[[], None] | None = None,
-    ) -> "LazyRestore":
-        """Start a lazy restore; returns a handle that may already be done.
-
-        When shared memory is unusable (disabled, absent, invalid) the
-        disk ladder runs *blocking* inside this call — serve-while-
-        restoring only applies to the shm tier — and the returned handle
-        is already ``done`` with the final report.
-        """
-        if len(leafmap):
-            raise RecoveryError("restore requires an empty leaf map")
-        leafmap.drop_column_cache()  # heat counters survive the clear
-        self = cls(engine, leafmap, preserve_shm, on_disk_fallback)
-        engine._fault("restore:start")
-        meta: LeafMetadata | None = None
-        use_memory = memory_recovery_enabled and engine.shm_state_exists()
-        if use_memory:
-            meta = LeafMetadata.attach(engine.namespace, engine.leaf_id)
-            try:
-                try:
-                    valid = (
-                        meta.valid
-                        and meta.layout_version == engine.layout_version
-                    )
-                except (CorruptionError, LayoutVersionError):
-                    valid = False
-                if not valid:
-                    engine._discard_shm_tracked(meta)
-                    meta = None
-                    use_memory = False
-            except Exception:
-                meta.close()
-                raise
-        if not use_memory:
-            self._recover_blocking_disk()
-            return self
-        assert meta is not None
-        with self._lock:
-            self._meta = meta
-            self._machine.transition(LeafRestoreState.MEMORY_RECOVERY)
-            try:
-                meta.set_valid(False)  # interrupted restores must go to disk
-                engine._fault("restore:after_invalidate")
-                self._publish_directory()
-                engine._fault("restore:publish_directory")
-            except Exception as exc:
-                self._fallback(exc)
-                return self
-            self._machine.transition(LeafRestoreState.MEMORY_SERVING)
-            leafmap.restorer = self
-            if all(state.complete for state in self._tables.values()):
-                self._finish_memory()
-        return self
 
     def _publish_directory(self) -> None:
-        """Attach every table segment and index its blocks by header.
+        """Enter the rung and :meth:`_add_table` every table, moving no
+        payload; fire ``restore:publish_directory`` when it is up."""
+        raise NotImplementedError
 
-        The expensive part of Figure 7 — decode and copy — is deferred;
-        this only maps the segments and reads packed headers, so the
-        leaf can start serving in directory-scan time.
+    def _read_block(self, desc):
+        """The packed bytes of one pending block (bytes or memoryview)."""
+        raise NotImplementedError
+
+    def _close_source(self) -> None:
+        """Drop the handles on the source, consuming nothing."""
+        raise NotImplementedError
+
+    def _finish_source(self) -> None:
+        """Every block is home: consume (or re-arm) the source."""
+        self._close_source()
+
+    def _discard_source(self) -> None:
+        """A fault burned the source: nothing of it may be trusted again."""
+        self._close_source()
+
+    # ------------------------------------------------------------------
+    # Begin: publish the directory, start serving
+    # ------------------------------------------------------------------
+
+    def _serve(self) -> "RestoreDriver":
+        """Publish the directory and hand the leaf map its restorer.
+
+        Anything odd before the directory is up — the source's own
+        fault, or a surprise on the way to it — discards the source and
+        walks the ladder below *inside* this call; the handle then comes
+        back already done.  The publish itself (segment attaches, for
+        shm) takes no lock: nobody else holds this handle yet.
         """
+        try:
+            self._publish_directory()
+        except Exception as exc:
+            self._fallback(exc)
+            return self
         with self._lock:
-            engine = self._engine
-            assert self._meta is not None
-            records = self._meta.records
-            # A fresh process's tracker has no "shm" region yet; charge the
-            # segments the fault-ins are about to consume (same rule as the
-            # blocking restore) so the footprint sums hold.  The charge
-            # rides the directory attach below — one attach per segment,
-            # not a separate probe pass.  A failure mid-loop leaves some
-            # segments uncharged, which _discard_shm_tracked's min() guard
-            # absorbs on the fallback.
-            charge_shm = engine.tracker.in_region("shm") == 0
-            for record in records:
-                segment = ShmSegment.attach(record.segment_name)
-                try:
-                    if charge_shm:
-                        engine.tracker.allocate(
-                            "shm", segment.size, at=engine.clock.now()
-                        )
-                    view = segment.read_at(0, record.used_bytes)
-                except Exception:
-                    segment.close()
-                    raise
-                try:
-                    table_name, extents = read_block_headers(view)
-                except Exception:
-                    view.release()
-                    segment.close()
-                    raise
-                state = _TableState(record, segment, view, extents)
-                for extent in extents:
-                    desc = BlockDescriptor(
-                        table=record.table_name,
-                        index=len(state.pending),
-                        offset=extent.offset,
-                        size=extent.size,
-                        row_count=extent.row_count,
-                        min_time=extent.min_time,
-                        max_time=extent.max_time,
-                        columns=extent.columns,
-                    )
-                    state.pending[desc.index] = desc
-                    self._bytes_total += desc.size
-                    self._blocks_total += 1
-                self._tables[record.table_name] = state
-                self._order.append(record.table_name)
-                table = self._leafmap.create_table(record.table_name)
-                table.total_rows_ingested = record.rows_ingested
-                table.total_rows_expired = record.rows_expired
-                if state.complete:  # an empty table is restored by definition
-                    state.machine.transition(TableRestoreState.ALIVE)
-                    self.report.tables += 1
-            self.report.bytes_total = self._bytes_total
-            self.report.blocks_total = self._blocks_total
+            self._leafmap.restorer = self
+            self._maybe_finish()  # an empty leaf is restored by definition
+        return self
+
+    def _add_table(
+        self, name: str, descriptors, rows_ingested: int, rows_expired: int
+    ) -> None:
+        """Index one table's blocks and create it (empty) in the leaf map."""
+        with self._lock:
+            state = _TableState(name, descriptors, self.table_state)
+            self._tables[name] = state
+            self._order.append(name)
+            self.report.bytes_total += sum(desc.size for desc in descriptors)
+            self.report.blocks_total += len(state.slots)
+            table = self._leafmap.create_table(name)
+            table.total_rows_ingested = rows_ingested
+            table.total_rows_expired = rows_expired
+            if state.complete:  # an empty table is restored by definition
+                self._table_done(state)
+
+    def _table_done(self, state: _TableState) -> None:
+        state.machine.transition(TableRestoreState.ALIVE)
+        self.report.tables += 1
 
     # ------------------------------------------------------------------
     # Fault-in
@@ -319,8 +276,7 @@ class LazyRestore:
         with self._lock:
             if self.done:
                 return 0
-            self._queries_served += 1
-            self.report.queries_served_during_restore = self._queries_served
+            self.report.queries_served_during_restore += 1
             faulted = 0
             state = self._tables.get(table)
             if state is not None:
@@ -339,11 +295,8 @@ class LazyRestore:
                         faulted += 1
                 self._reconcile(state)
                 self._maybe_finish()
-            if self._bytes_at_first_query is None:
-                self._bytes_at_first_query = self._bytes_restored
-                self.report.bytes_restored_at_first_query = (
-                    self._bytes_restored
-                )
+            if self.report.bytes_restored_at_first_query is None:
+                self.report.bytes_restored_at_first_query = self._bytes_restored
             return faulted
 
     def sweep_one(self) -> bool:
@@ -394,46 +347,48 @@ class LazyRestore:
         return best
 
     def _fault_block(self, state: _TableState, index: int) -> None:
-        """Decode, verify, and adopt one block (lock held).
+        """Read, decode, verify, and adopt one block (lock held).
 
-        The block's copy window — segment bytes and fresh heap copy
+        The block's copy window — source bytes and fresh heap copy
         coexisting — is reserved against the machine-wide budget for the
-        duration of the decode, the same invariant the blocking restore
-        holds per table.  Any failure routes the leaf down the disk
-        ladder via :meth:`_fallback` and re-raises.
+        duration of the decode, the same invariant the blocking rungs
+        hold per table (shm) or per stream (wire); it is taken only once
+        the bytes are here, never across a wire round trip.  Any failure
+        routes the leaf down the ladder via :meth:`_fallback` and
+        re-raises.
         """
         desc = state.pending[index]
         engine = self._engine
         held = 0
         try:
-            engine._fault("restore:fault_block")
+            payload = self._read_block(desc)
+            nbytes = len(payload)
             if self._budget is not None:
-                self._budget.acquire(desc.size)
-                held = desc.size
+                self._budget.acquire(nbytes)
+                held = nbytes
             try:
-                block = RowBlock.unpack(
-                    state.view[desc.offset : desc.offset + desc.size],
-                    copy=True,
-                )
+                block = RowBlock.unpack(payload, copy=True)
                 block.verify()
             finally:
-                if self._budget is not None and held:
+                del payload  # a live slice would pin the source's mapping
+                if held:
                     self._budget.release(held)
+            engine._track_heap_alloc(block.nbytes)
+            del state.pending[index]
+            state.slots[index] = block
+            self._bytes_restored += desc.size
+            self._blocks_restored += 1
+            self.report.row_blocks += 1
+            self.report.rbc_copies += len(block.schema)
+            self.report.bytes_copied += block.nbytes
+            self.report.rows += block.row_count
+            if state.complete:
+                self._table_done(state)
+                if self.adopt_fault is not None:
+                    engine._fault(self.adopt_fault)
         except Exception as exc:
             self._fallback(exc)
             raise
-        engine._track_heap_alloc(block.nbytes)
-        del state.pending[index]
-        state.slots[index] = block
-        self._bytes_restored += desc.size
-        self._blocks_restored += 1
-        self.report.row_blocks += 1
-        self.report.rbc_copies += len(block.schema)
-        self.report.bytes_copied += block.nbytes
-        self.report.rows += block.row_count
-        if state.complete:
-            state.machine.transition(TableRestoreState.ALIVE)
-            self.report.tables += 1
 
     def _reconcile(self, state: _TableState) -> None:
         """Reinstall the restored prefix into the live table (lock held).
@@ -445,7 +400,7 @@ class LazyRestore:
         that have since left the table (expiry, size limits) are
         detected here and never resurrected.
         """
-        table = self._leafmap.get_table(state.record.table_name)
+        table = self._leafmap.get_table(state.name)
         present = {block.uid for block in table.blocks}
         for index, block in enumerate(state.slots):
             if block is None or index in state.dropped:
@@ -458,10 +413,12 @@ class LazyRestore:
         state.installed = {block.uid for block in restored}
 
     def _maybe_finish(self) -> None:
-        if not self.done and all(
-            state.complete for state in self._tables.values()
-        ):
-            self._finish_memory()
+        """Every block is in: settle the source, go ALIVE (lock held)."""
+        if self.done or any(state.pending for state in self._tables.values()):
+            return
+        self._finish_source()
+        self.report.method = self.method
+        self._go_alive()
 
     # ------------------------------------------------------------------
     # Expiry during the serving window
@@ -472,9 +429,10 @@ class LazyRestore:
 
         The adopted half of each table expires through the normal
         ``Table.expire_before``; this handles the not-yet-faulted half
-        (their rows count as expired without ever touching the heap) and
-        remembers the cutoff so a later disk fallback re-applies it to
-        replayed data.  Returns rows dropped from pending blocks.
+        (their rows count as expired without ever touching the heap, or
+        the wire) and remembers the cutoff so a later disk fallback
+        re-applies it to replayed data.  Returns rows dropped from
+        pending blocks.
         """
         with self._lock:
             if self.done:
@@ -489,19 +447,16 @@ class LazyRestore:
                     if desc.max_time < cutoff_time
                 ]
                 if expired:
-                    table = self._leafmap.get_table(state.record.table_name)
+                    table = self._leafmap.get_table(state.name)
                     for index in expired:
                         desc = state.pending.pop(index)
                         state.dropped.add(index)
-                        self._bytes_total -= desc.size
-                        self._blocks_total -= 1
+                        self.report.bytes_total -= desc.size
+                        self.report.blocks_total -= 1
                         dropped_rows += desc.row_count
                         table.total_rows_expired += desc.row_count
-                    self.report.bytes_total = self._bytes_total
-                    self.report.blocks_total = self._blocks_total
                     if state.complete:
-                        state.machine.transition(TableRestoreState.ALIVE)
-                        self.report.tables += 1
+                        self._table_done(state)
                 self._reconcile(state)
             self._maybe_finish()
             return dropped_rows
@@ -510,9 +465,7 @@ class LazyRestore:
     # Introspection
     # ------------------------------------------------------------------
 
-    def iter_pending(
-        self, table: str | None = None
-    ) -> Iterator[BlockDescriptor]:
+    def iter_pending(self, table: str | None = None) -> Iterator:
         """Yield (a snapshot of) the descriptors not yet faulted in."""
         with self._lock:
             names = [table] if table is not None else list(self._order)
@@ -526,178 +479,243 @@ class LazyRestore:
 
     def progress(self) -> RestoreProgress:
         with self._lock:
+            report = self.report
             return RestoreProgress(
-                bytes_total=self._bytes_total,
+                bytes_total=report.bytes_total,
                 bytes_restored=self._bytes_restored,
-                blocks_total=self._blocks_total,
+                blocks_total=report.blocks_total,
                 blocks_restored=self._blocks_restored,
-                queries_served=self._queries_served,
-                bytes_restored_at_first_query=self._bytes_at_first_query,
+                queries_served=report.queries_served_during_restore,
+                bytes_restored_at_first_query=report.bytes_restored_at_first_query,
                 done=self.done,
-                fell_back_to_disk=self.report.fell_back_to_disk,
+                fell_back_to_disk=report.fell_back_to_disk,
             )
 
     # ------------------------------------------------------------------
-    # Completion, fallback, abandonment
+    # The ladder below: no source, fallback, abandonment
     # ------------------------------------------------------------------
 
-    def _close_segments(self) -> None:
-        for state in self._tables.values():
-            if state.view is not None:
-                state.view.release()
-                state.view = None
-            if state.segment is not None:
-                state.segment.close()
-                state.segment = None
+    def _recover_blocking_disk(self) -> None:
+        """No usable source: run the ordinary ladder below, blocking."""
+        with self._lock:
+            self._run_ladder(self._leafmap)
+            self._go_alive()
 
-    def _finish_memory(self) -> None:
-        """Every block is in: consume (or re-arm) the shm state (lock held)."""
-        engine = self._engine
-        for state in self._tables.values():
-            state.view.release()
-            state.view = None
-            if self._preserve_shm:
-                state.segment.close()
-            else:
-                engine.tracker.free(
-                    "shm", state.segment.size, at=engine.clock.now()
-                )
-                state.segment.unlink()
-            state.segment = None
-        assert self._meta is not None
-        if self._preserve_shm:
-            # Verified end to end: re-arm the state for the adopter.
-            self._meta.set_valid(True)
-            self._meta.close()
-        else:
-            self._meta.unlink()
-        self._meta = None
-        from repro.core.engine import RecoveryMethod
+    def _run_ladder(self, into: LeafMap) -> None:
+        """Flip the leaf to its disk status and recover ``into`` from the
+        rungs below; their failure is final (``error`` set, re-raised)."""
+        if self._on_disk_fallback is not None:
+            self._on_disk_fallback()
+        try:
+            self._engine._recover_from_disk(
+                into, self.report, self._machine, try_replica=self.try_replica
+            )
+        except Exception as exc:
+            self.error = exc
+            self.done = True
+            raise
 
-        self.report.method = RecoveryMethod.SHARED_MEMORY
+    def _go_alive(self) -> None:
         self._machine.transition(LeafRestoreState.ALIVE)
-        engine._finish_report(self.report, self._machine, self._start)
+        self._engine._finish_report(self.report, self._machine, self._start)
         self._leafmap.restorer = None
         self.done = True
 
-    def _recover_blocking_disk(self) -> None:
-        """No usable shm: run the ordinary disk ladder, blocking."""
-        with self._lock:
-            engine = self._engine
-            if self._on_disk_fallback is not None:
-                self._on_disk_fallback()
-            try:
-                engine._recover_from_disk(
-                    self._leafmap, self.report, self._machine
-                )
-            except Exception as exc:
-                self.error = exc
-                self.done = True
-                raise
-            self._machine.transition(LeafRestoreState.ALIVE)
-            engine._finish_report(self.report, self._machine, self._start)
-            self.done = True
-
     def _fallback(self, exc: BaseException) -> None:
-        """Route the leaf down the disk ladder after a mid-restore fault.
+        """Route the leaf down the ladder after a mid-restore fault.
 
-        The crash-safety argument is the blocking restore's: the valid
-        bit has been down since before the directory was published, so
-        whatever this method manages to do, a *second* failure (or a
-        kill) still leaves a state the next boot refuses to trust.
-        Tracker balances are restored — adopted heap bytes freed,
-        surviving segments discharged — and rows added during the
+        All-or-nothing: every adopted block leaves the heap through the
+        tracker, the source is discarded, the attempt's counters move
+        to the rung's ``*_attempt_*`` fields, and rows added during the
         serving window are carried across into the replayed tables.
         """
-        from repro.core.engine import RestartReport
-
         engine = self._engine
         leafmap = self._leafmap
         with self._lock:
             if self.done:
                 return
-            # Partial-attempt accounting survives on the final report.
-            attempt = self.report
-            report = RestartReport(
-                method=None,
-                lazy=True,
-                fell_back_to_disk=True,
-                memory_attempt_tables=attempt.tables,
-                memory_attempt_row_blocks=attempt.row_blocks,
-                memory_attempt_bytes=attempt.bytes_copied,
-                memory_attempt_rows=attempt.rows,
-                failure_reason=f"{type(exc).__name__}: {exc}",
-                bytes_total=self._bytes_total,
-                queries_served_during_restore=self._queries_served,
-                bytes_restored_at_first_query=self._bytes_at_first_query,
-            )
-            self.report = report
+            # The failed decode's dead frames may hold slices of the
+            # source's mapping, which would pin it past the close below.
+            traceback.clear_frames(exc.__traceback__)
+            self.report.fall(self.method, exc)
+            self.report.fell_back_to_disk = True
             # Pull adopted blocks back out of the live tables, keeping
             # the data that arrived during the serving window: blocks
             # sealed from new adds and the open write buffers stay.
             for state in self._tables.values():
-                table_name = state.record.table_name
-                if table_name not in leafmap:
+                if state.name not in leafmap:
                     continue
-                table = leafmap.get_table(table_name)
-                adopted_uids = {
-                    block.uid for block in state.slots if block is not None
-                }
-                adopted_bytes = sum(
-                    block.nbytes for block in state.slots if block is not None
+                table = leafmap.get_table(state.name)
+                adopted = [block for block in state.slots if block is not None]
+                adopted_uids = {block.uid for block in adopted}
+                table.replace_blocks(
+                    [b for b in table.blocks if b.uid not in adopted_uids]
                 )
-                tail = [
-                    block
-                    for block in table.blocks
-                    if block.uid not in adopted_uids
-                ]
-                table.replace_blocks(tail)
-                if adopted_bytes:
-                    engine._track_heap_free(adopted_bytes)
+                if adopted:
+                    engine._track_heap_free(sum(b.nbytes for b in adopted))
                 state.slots = [None] * len(state.slots)
                 state.installed = set()
-            self._close_segments()
-            if self._meta is not None:
-                engine._discard_shm_tracked(self._meta)
-                self._meta = None
+            self._discard_source()
             leafmap.restorer = None
-            if self._on_disk_fallback is not None:
-                self._on_disk_fallback()
             # Replay into a scratch map, then graft the replayed blocks
             # *under* each live table's new data — the replayed rows are
             # strictly older, so directory order is preserved.
             scratch = LeafMap(clock=engine.clock)
-            try:
-                engine._recover_from_disk(scratch, report, self._machine)
-            except Exception as ladder_exc:
-                self.error = ladder_exc
-                self.done = True
-                raise
+            self._run_ladder(scratch)
             for recovered in scratch:
                 table = leafmap.get_or_create(recovered.name)
                 table.install_restored_blocks(recovered.blocks)
                 if self._expire_cutoff is not None:
                     table.expire_before(self._expire_cutoff)
-            self._machine.transition(LeafRestoreState.ALIVE)
-            engine._finish_report(report, self._machine, self._start)
-            self.done = True
+            self._go_alive()
 
     def abandon(self) -> None:
-        """Drop the mappings without consuming anything (crash path).
+        """Drop the source without consuming anything (crash path).
 
-        The valid bit is already down, so the segments left behind are
-        exactly what an interrupted blocking restore leaves: invalid shm
-        the next boot discards before walking the disk ladder.
+        What stays is exactly what an interrupted blocking restore
+        leaves: invalid shm the next boot discards before walking the
+        ladder (a wire session pinned only the standby's snapshot).
         """
         with self._lock:
             if self.done:
                 return
-            self._close_segments()
-            if self._meta is not None:
-                self._meta.close()
-                self._meta = None
+            self._close_source()
             self._leafmap.restorer = None
             self.done = True
 
 
-__all__ = ["BlockDescriptor", "LazyRestore", "RestoreProgress"]
+class LazyRestore(RestoreDriver):
+    """The shared-memory source: this leaf's own segments."""
+
+    source = "shm"
+    method = RecoveryMethod.SHARED_MEMORY
+    table_state = TableRestoreState.MEMORY_RECOVERY
+
+    # benchmarks/ledger/layers.py wraps these two through vars(LazyRestore)
+    # so that a wire restore's spans read zero here: keep them in this
+    # class's own namespace.
+    fault_in_query = RestoreDriver.fault_in_query
+    sweep_one = RestoreDriver.sweep_one
+
+    def __init__(self, engine, leafmap, on_disk_fallback, preserve_shm: bool) -> None:
+        super().__init__(engine, leafmap, on_disk_fallback)
+        self._preserve_shm = preserve_shm
+        self._meta: LeafMetadata | None = None
+        self._segments: dict[str, ShmSegment] = {}
+        self._views: dict[str, memoryview] = {}  # each segment's used bytes
+
+    @classmethod
+    def begin(
+        cls,
+        engine: RestartEngine,
+        leafmap: LeafMap,
+        memory_recovery_enabled: bool = True,
+        preserve_shm: bool = False,
+        on_disk_fallback: Callable[[], None] | None = None,
+    ) -> "LazyRestore":
+        """Start a lazy restore; returns a handle that may already be done.
+
+        When shared memory is unusable (disabled, absent, invalid) the
+        ladder below runs *blocking* inside this call and the returned
+        handle is already ``done`` with the final report.
+        """
+        if len(leafmap):
+            raise RecoveryError("restore requires an empty leaf map")
+        leafmap.drop_column_cache()  # heat counters survive the clear
+        self = cls(engine, leafmap, on_disk_fallback, preserve_shm)
+        engine._fault("restore:start")
+        if memory_recovery_enabled:
+            self._meta = engine._attach_valid_shm()
+        if self._meta is None:
+            self._recover_blocking_disk()
+            return self
+        return self._serve()
+
+    def _publish_directory(self) -> None:
+        """Attach every table segment and index its blocks by header.
+
+        The expensive part of Figure 7 — decode and copy — is deferred;
+        this only maps the segments and reads packed headers, so the
+        leaf can start serving in directory-scan time.  Crash safety is
+        the blocking protocol's: the valid bit goes down *first*.
+        """
+        engine = self._engine
+        assert self._meta is not None
+        self._machine.transition(LeafRestoreState.MEMORY_RECOVERY)
+        self._meta.set_valid(False)  # interrupted restores must go to disk
+        engine._fault("restore:after_invalidate")
+        # A fresh process's tracker has no "shm" region yet; charge the
+        # segments the fault-ins are about to consume (same rule as the
+        # blocking restore) so the footprint sums hold.  The charge
+        # rides the directory attach below — one attach per segment,
+        # not a separate probe pass.  A failure mid-loop leaves some
+        # segments uncharged, which _discard_shm_tracked's min() guard
+        # absorbs on the fallback (which also closes what is mapped).
+        charge_shm = engine.tracker.in_region("shm") == 0
+        for record in self._meta.records:
+            segment = ShmSegment.attach(record.segment_name)
+            self._segments[record.table_name] = segment
+            if charge_shm:
+                engine.tracker.allocate("shm", segment.size, at=engine.clock.now())
+            view = segment.read_at(0, record.used_bytes)
+            self._views[record.table_name] = view
+            _, extents = read_block_headers(view)
+            self._add_table(
+                record.table_name,
+                [
+                    BlockDescriptor(
+                        table=record.table_name,
+                        index=index,
+                        offset=extent.offset,
+                        size=extent.size,
+                        row_count=extent.row_count,
+                        min_time=extent.min_time,
+                        max_time=extent.max_time,
+                        columns=extent.columns,
+                    )
+                    for index, extent in enumerate(extents)
+                ],
+                record.rows_ingested,
+                record.rows_expired,
+            )
+        engine._fault("restore:publish_directory")
+        self._machine.transition(LeafRestoreState.MEMORY_SERVING)
+
+    def _read_block(self, desc: BlockDescriptor) -> memoryview:
+        self._engine._fault("restore:fault_block")
+        return self._views[desc.table][desc.offset : desc.offset + desc.size]
+
+    def _close_source(self) -> None:
+        """Unmap everything; the (invalid) segments themselves stay."""
+        for view in self._views.values():
+            view.release()
+        for segment in self._segments.values():
+            segment.close()
+        if self._meta is not None:
+            self._meta.close()
+            self._meta = None
+
+    def _finish_source(self) -> None:
+        """Consume the shm state — or, for a forked worker, re-arm it."""
+        engine = self._engine
+        meta, self._meta = self._meta, None
+        assert meta is not None
+        self._close_source()  # first: an exported view pins the mmap
+        if self._preserve_shm:
+            # Verified end to end: re-arm the state for the adopter.
+            meta.set_valid(True)
+            meta.close()
+            return
+        for segment in self._segments.values():
+            engine.tracker.free("shm", segment.size, at=engine.clock.now())
+            segment.unlink()
+        meta.unlink()
+
+    def _discard_source(self) -> None:
+        """Delete the shm state through the tracker: it is untrusted."""
+        meta, self._meta = self._meta, None
+        self._close_source()
+        self._engine._discard_shm_tracked(meta)
+
+
+__all__ = ["BlockDescriptor", "LazyRestore", "RestoreDriver", "RestoreProgress"]

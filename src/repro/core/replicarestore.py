@@ -1,159 +1,92 @@
 """Serve-while-restoring over the wire: the replica recovery rung, lazily.
 
-:class:`~repro.core.lazyrestore.LazyRestore` publishes a block directory
-out of shared memory and faults blocks in on demand.  This module is the
-same protocol with the *replica's wire catalog* as the directory and a
-:class:`~repro.cluster.replication.ReplicaFetchSession` as the byte
-source: the restarting leaf starts serving after one HELLO/CATALOG
-round-trip, and each fault-in is a GET/BLOCK exchange + decode + verify
-+ adopt, charged to the :class:`MemoryTracker` and bounded by the
-machine-wide :class:`FootprintBudget` exactly like the blocking replica
-rung's in-flight window.
+The protocol is :class:`~repro.core.lazyrestore.RestoreDriver`'s; this
+module is its second source.  The *replica's wire catalog* is the block
+directory and a :class:`~repro.cluster.replication.ReplicaFetchSession`
+is where a pending block's bytes are: the restarting leaf starts serving
+after one HELLO/CATALOG round-trip, and each fault-in is a GET/BLOCK
+exchange followed by the driver's decode + verify + adopt.
 
 The ladder position is between the shm tier and the disk rungs: the
 engine routes here only when shared memory is unusable, and any wire
 fault mid-serving routes the whole leaf down the *local disk* rungs —
-``try_replica=False``, a burned session is not retried — with tracker
-balances intact and rows added during the serving window carried across.
-Crash safety needs no valid-bit dance: this leaf's shm was already
-invalid (or absent), and the replica's sealed blocks are pinned by its
-session snapshot, so a kill mid-restore leaves nothing half-trusted.
+``try_replica = False``, a burned session is not retried.  Crash safety
+needs no valid-bit dance: this leaf's shm was already invalid (or
+absent), and the replica's sealed blocks are pinned by its session
+snapshot, so a kill mid-restore leaves nothing half-trusted.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.columnstore.leafmap import LeafMap
-from repro.columnstore.rowblock import RowBlock
-from repro.core.lazyrestore import RestoreProgress
-from repro.core.states import (
-    LeafRestoreMachine,
-    LeafRestoreState,
-    TableRestoreMachine,
-    TableRestoreState,
-)
-from repro.errors import RecoveryError, ReplicaWireError
+from repro.core.engine import RecoveryMethod, RestartEngine
+from repro.core.lazyrestore import RestoreDriver
+from repro.core.states import LeafRestoreState, TableRestoreState
+from repro.errors import RecoveryError
 from repro.shm.metadata import LeafMetadata
 
 if TYPE_CHECKING:
-    from repro.cluster.replication import ReplicaFetchSession, WireBlock, WireTable
-    from repro.core.engine import RestartEngine, RestartReport
+    from repro.cluster.replication import ReplicaFetchSession, WireBlock
 
 
-class _WireTableState:
-    """Per-table bookkeeping: the wire catalog slice plus adoption slots."""
+class ReplicaRestore(RestoreDriver):
+    """The wire source: a standby leaf's sealed blocks, one session."""
 
-    def __init__(self, wire: "WireTable") -> None:
-        self.wire = wire
-        self.machine = TableRestoreMachine()
-        self.machine.transition(TableRestoreState.REPLICA_RECOVERY)
-        self.pending: dict[int, "WireBlock"] = {
-            desc.index: desc for desc in wire.blocks
-        }
-        self.slots: list[RowBlock | None] = [None] * len(wire.blocks)
-        #: Catalog indexes gone for good (expired while pending, or
-        #: adopted and then expired) — never fetched, never reinstalled.
-        self.dropped: set[int] = set()
-        #: Uids this restorer last installed into the table; an installed
-        #: uid missing from the table means the block left (expiry).
-        self.installed: set[int] = set()
-        self.columns: set[str] = set()
-        for desc in wire.blocks:
-            self.columns.update(desc.columns)
-
-    @property
-    def complete(self) -> bool:
-        return not self.pending
-
-    def restored_blocks(self) -> list[RowBlock]:
-        return [
-            block
-            for index, block in enumerate(self.slots)
-            if block is not None and index not in self.dropped
-        ]
-
-
-class ReplicaRestore:
-    """One leaf's in-progress serve-while-restoring *wire* restore.
-
-    Create through :meth:`RestartEngine.begin_lazy_restore`; duck-types
-    :class:`~repro.core.lazyrestore.LazyRestore` so the leaf server,
-    query executor, and sweeper drive both identically.
-    """
-
-    #: The leaf server picks its serving status off this.
     source = "replica"
+    method = RecoveryMethod.REPLICA
+    table_state = TableRestoreState.REPLICA_RECOVERY
+    try_replica = False
+    adopt_fault = "replica:adopt"
+
+    # benchmarks/ledger/layers.py wraps these two through
+    # vars(ReplicaRestore) so that a shm restore's spans read zero here:
+    # keep them in this class's own namespace.
+    fault_in_query = RestoreDriver.fault_in_query
+    sweep_one = RestoreDriver.sweep_one
 
     def __init__(
-        self,
-        engine: "RestartEngine",
-        leafmap: LeafMap,
-        session: "ReplicaFetchSession",
-        on_disk_fallback: Callable[[], None] | None,
+        self, engine, leafmap, on_disk_fallback, session: "ReplicaFetchSession"
     ) -> None:
-        self._engine = engine
-        self._leafmap = leafmap
-        self._session: "ReplicaFetchSession | None" = session
-        self._on_disk_fallback = on_disk_fallback
-        self._lock = threading.RLock()
-        self._machine = LeafRestoreMachine()
-        self._tables: dict[str, _WireTableState] = {}
-        self._order: list[str] = []  # catalog order, the heat tie-break
-        self._budget = engine.budget
-        self._start = engine.clock.now()
-        self._expire_cutoff: int | None = None
-        self.done = False
-        self.error: BaseException | None = None
-        from repro.core.engine import RestartReport
-
-        self.report: "RestartReport" = RestartReport(method=None, lazy=True)
-        # Progress counters (all guarded by self._lock).
-        self._bytes_total = 0
-        self._bytes_restored = 0
-        self._blocks_total = 0
-        self._blocks_restored = 0
-        self._queries_served = 0
-        self._bytes_at_first_query: int | None = None
-
-    # ------------------------------------------------------------------
-    # Begin: handshake, publish the wire catalog as the directory
-    # ------------------------------------------------------------------
+        super().__init__(engine, leafmap, on_disk_fallback)
+        self._session = session
 
     @classmethod
     def begin(
         cls,
-        engine: "RestartEngine",
+        engine: RestartEngine,
         leafmap: LeafMap,
         on_disk_fallback: Callable[[], None] | None = None,
     ) -> "ReplicaRestore | None":
         """Open a replica session and start serving off its catalog.
 
         Returns ``None`` when no replica is configured or the handshake
-        fails — the caller then falls through to
-        :meth:`LazyRestore.begin`, whose blocking ladder retries the
-        replica rung (a fresh handshake) before the disk rungs, so a
+        fails *in any way* (dead peer, version-skewed or malformed
+        catalog: anything odd means "no replica") — the caller then
+        falls through to :meth:`LazyRestore.begin`, whose blocking
+        ladder retries the replica rung (a fresh handshake) before the
+        disk rungs and records the reroute on the final report, so a
         flaky-but-alive replica still gets its blocking shot.
         """
-        source = engine.replica_source
-        if source is None:
-            return None
         if len(leafmap):
             raise RecoveryError("restore requires an empty leaf map")
         try:
-            engine._fault("replica:handshake")
-            session = source()
-        except (ReplicaWireError, OSError):
-            # Handshake failed; the caller falls through to the blocking
-            # ladder, which retries the replica rung and records the
-            # reroute on the final report.
+            session = engine._open_replica_session()
+        except Exception:
             return None
         if session is None:
             return None
-        session.fault = engine._fault
         leafmap.drop_column_cache()  # heat counters survive the clear
-        self = cls(engine, leafmap, session, on_disk_fallback)
+        return cls(engine, leafmap, on_disk_fallback, session)._serve()
+
+    def _publish_directory(self) -> None:
+        """Index the session catalog and create the (empty) tables.
+
+        No payload moves here — the catalog rode the HELLO reply — so
+        the leaf starts serving in one wire round-trip.
+        """
+        engine = self._engine
         # This leaf's own shm state, if any, is stale or invalid —
         # begin_lazy_restore only routes here when it is unusable.
         # Discard it through the tracker before serving off the wire.
@@ -164,376 +97,18 @@ class ReplicaRestore:
             except Exception:
                 meta.close()
                 raise
-        with self._lock:
-            self._machine.transition(LeafRestoreState.REPLICA_RECOVERY)
-            try:
-                self._publish_directory()
-                engine._fault("restore:publish_directory")
-            except Exception as exc:
-                self._fallback(exc)
-                return self
-            leafmap.restorer = self
-            if all(state.complete for state in self._tables.values()):
-                self._finish_replica()
-        return self
-
-    def _publish_directory(self) -> None:
-        """Index the session catalog and create the (empty) tables.
-
-        No payload moves here — the catalog rode the HELLO reply — so
-        the leaf starts serving in one wire round-trip.
-        """
-        with self._lock:
-            assert self._session is not None
-            for wire in self._session.tables:
-                state = _WireTableState(wire)
-                for desc in wire.blocks:
-                    self._bytes_total += desc.size
-                    self._blocks_total += 1
-                self._tables[wire.name] = state
-                self._order.append(wire.name)
-                table = self._leafmap.create_table(wire.name)
-                table.total_rows_ingested = wire.rows_ingested
-                table.total_rows_expired = wire.rows_expired
-                if state.complete:  # an empty table is restored by definition
-                    state.machine.transition(TableRestoreState.ALIVE)
-                    self.report.tables += 1
-            self.report.bytes_total = self._bytes_total
-            self.report.blocks_total = self._blocks_total
-
-    # ------------------------------------------------------------------
-    # Fault-in
-    # ------------------------------------------------------------------
-
-    def fault_in_query(
-        self, table: str, start: int | None, end: int | None
-    ) -> int:
-        """Fault in the pending blocks a query's scan would touch."""
-        with self._lock:
-            if self.done:
-                return 0
-            self._queries_served += 1
-            self.report.queries_served_during_restore = self._queries_served
-            faulted = 0
-            state = self._tables.get(table)
-            if state is not None:
-                for index in sorted(state.pending):
-                    if state.pending[index].overlaps(start, end):
-                        try:
-                            self._fault_block(state, index)
-                        except Exception:
-                            if self.done and self.error is None:
-                                # The wire fault routed this leaf down
-                                # the disk ladder and the ladder
-                                # succeeded: the data is fully resident,
-                                # so the query proceeds against it.
-                                return faulted
-                            raise
-                        faulted += 1
-                self._reconcile(state)
-                self._maybe_finish()
-            if self._bytes_at_first_query is None:
-                self._bytes_at_first_query = self._bytes_restored
-                self.report.bytes_restored_at_first_query = (
-                    self._bytes_restored
-                )
-            return faulted
-
-    def sweep_one(self) -> bool:
-        """Fetch one pending block over the wire, hottest table first."""
-        with self._lock:
-            if self.done:
-                return False
-            state = self._hottest_pending()
-            if state is None:
-                self._maybe_finish()
-                return False
-            index = min(state.pending)  # oldest block first within a table
-            try:
-                self._fault_block(state, index)
-            except Exception:
-                if self.done and self.error is None:
-                    return False  # fell back to disk; nothing left to sweep
-                raise
-            self._reconcile(state)
-            self._maybe_finish()
-            return True
-
-    def drain(self) -> None:
-        """Fetch everything still pending (a blocking finish)."""
-        while self.sweep_one():
-            pass
-
-    def _hottest_pending(self) -> _WireTableState | None:
-        cache = self._leafmap.column_cache
-        heat = cache.column_heat() if cache is not None else {}
-        best: _WireTableState | None = None
-        best_key: tuple[int, int] | None = None
-        for position, name in enumerate(self._order):
-            state = self._tables[name]
-            if state.complete:
-                continue
-            score = sum(heat.get(column, 0) for column in state.columns)
-            key = (-score, position)
-            if best_key is None or key < best_key:
-                best, best_key = state, key
-        return best
-
-    def _fault_block(self, state: _WireTableState, index: int) -> None:
-        """Fetch, decode, verify, and adopt one block (lock held).
-
-        The in-flight window — wire payload and decoded heap copy
-        coexisting — is reserved against the machine-wide budget, the
-        same invariant the blocking replica rung holds per stream.  Any
-        failure (connection drop, torn frame, CRC, decode) routes the
-        leaf down the *local disk* ladder via :meth:`_fallback` and
-        re-raises; the session is burned, not retried.
-        """
-        desc = state.pending[index]
-        engine = self._engine
-        held = 0
-        try:
-            assert self._session is not None
-            payload = self._session.fetch(desc.table, desc.index)
-            nbytes = len(payload)
-            if self._budget is not None:
-                self._budget.acquire(nbytes)
-                held = nbytes
-            try:
-                block = RowBlock.unpack(payload, copy=True)
-                block.verify()
-            finally:
-                if self._budget is not None and held:
-                    self._budget.release(held)
-        except Exception as exc:
-            self._fallback(exc)
-            raise
-        engine._track_heap_alloc(block.nbytes)
-        del state.pending[index]
-        state.slots[index] = block
-        self._bytes_restored += desc.size
-        self._blocks_restored += 1
-        self.report.row_blocks += 1
-        self.report.rbc_copies += len(block.schema)
-        self.report.bytes_copied += block.nbytes
-        self.report.rows += block.row_count
-        if state.complete:
-            state.machine.transition(TableRestoreState.ALIVE)
-            self.report.tables += 1
-            try:
-                engine._fault("replica:adopt")
-            except Exception as exc:
-                self._fallback(exc)
-                raise
-
-    def _reconcile(self, state: _WireTableState) -> None:
-        """Reinstall the restored prefix into the live table (lock held).
-
-        Keeps the replica's catalog block order — directory order first,
-        then blocks sealed from rows added during the serving window —
-        so results stay digest-identical to a blocking replica restore.
-        """
-        table = self._leafmap.get_table(state.wire.name)
-        present = {block.uid for block in table.blocks}
-        for index, block in enumerate(state.slots):
-            if block is None or index in state.dropped:
-                continue
-            if block.uid in state.installed and block.uid not in present:
-                state.dropped.add(index)
-                state.slots[index] = None
-        restored = state.restored_blocks()
-        table.install_restored_blocks(restored)
-        state.installed = {block.uid for block in restored}
-
-    def _maybe_finish(self) -> None:
-        if not self.done and all(
-            state.complete for state in self._tables.values()
-        ):
-            self._finish_replica()
-
-    # ------------------------------------------------------------------
-    # Expiry during the serving window
-    # ------------------------------------------------------------------
-
-    def expire_before(self, cutoff_time: int) -> int:
-        """Drop pending blocks entirely older than ``cutoff_time``.
-
-        Never-fetched blocks expire without ever crossing the wire;
-        the cutoff is remembered so a later disk fallback re-applies it
-        to replayed data.  Returns rows dropped from pending blocks.
-        """
-        with self._lock:
-            if self.done:
-                return 0
-            if self._expire_cutoff is None or cutoff_time > self._expire_cutoff:
-                self._expire_cutoff = cutoff_time
-            dropped_rows = 0
-            for state in self._tables.values():
-                expired = [
-                    index
-                    for index, desc in state.pending.items()
-                    if desc.max_time < cutoff_time
-                ]
-                if expired:
-                    table = self._leafmap.get_table(state.wire.name)
-                    for index in expired:
-                        desc = state.pending.pop(index)
-                        state.dropped.add(index)
-                        self._bytes_total -= desc.size
-                        self._blocks_total -= 1
-                        dropped_rows += desc.row_count
-                        table.total_rows_expired += desc.row_count
-                    self.report.bytes_total = self._bytes_total
-                    self.report.blocks_total = self._blocks_total
-                    if state.complete:
-                        state.machine.transition(TableRestoreState.ALIVE)
-                        self.report.tables += 1
-                self._reconcile(state)
-            self._maybe_finish()
-            return dropped_rows
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def iter_pending(self, table: str | None = None) -> Iterator["WireBlock"]:
-        """Yield (a snapshot of) the descriptors not yet fetched."""
-        with self._lock:
-            names = [table] if table is not None else list(self._order)
-            snapshot = [
-                state.pending[index]
-                for name in names
-                if (state := self._tables.get(name)) is not None
-                for index in sorted(state.pending)
-            ]
-        return iter(snapshot)
-
-    def progress(self) -> RestoreProgress:
-        with self._lock:
-            return RestoreProgress(
-                bytes_total=self._bytes_total,
-                bytes_restored=self._bytes_restored,
-                blocks_total=self._blocks_total,
-                blocks_restored=self._blocks_restored,
-                queries_served=self._queries_served,
-                bytes_restored_at_first_query=self._bytes_at_first_query,
-                done=self.done,
-                fell_back_to_disk=self.report.fell_back_to_disk,
+        self._machine.transition(LeafRestoreState.REPLICA_RECOVERY)
+        for wire in self._session.tables:
+            self._add_table(
+                wire.name, wire.blocks, wire.rows_ingested, wire.rows_expired
             )
+        engine._fault("restore:publish_directory")
 
-    # ------------------------------------------------------------------
-    # Completion, fallback, abandonment
-    # ------------------------------------------------------------------
+    def _read_block(self, desc: "WireBlock") -> bytes:
+        return self._session.fetch(desc.table, desc.index)
 
-    def _close_session(self) -> None:
-        if self._session is not None:
-            self._session.close()
-            self._session = None
-
-    def _finish_replica(self) -> None:
-        """Every block is home: close the session, go ALIVE (lock held)."""
-        engine = self._engine
-        self._close_session()
-        from repro.core.engine import RecoveryMethod
-
-        self.report.method = RecoveryMethod.REPLICA
-        self._machine.transition(LeafRestoreState.ALIVE)
-        engine._finish_report(self.report, self._machine, self._start)
-        self._leafmap.restorer = None
-        self.done = True
-
-    def _fallback(self, exc: BaseException) -> None:
-        """Route the leaf down the local disk ladder after a wire fault.
-
-        All-or-nothing, the blocking replica rung's rule: every adopted
-        block leaves the heap through the tracker, the attempt counters
-        move to ``replica_attempt_*``, and the disk rungs replay into a
-        scratch map that is grafted *under* rows added during the
-        serving window.  ``try_replica=False`` — a burned session is
-        never retried.
-        """
-        from repro.core.engine import RestartReport
-
-        engine = self._engine
-        leafmap = self._leafmap
-        with self._lock:
-            if self.done:
-                return
-            self._close_session()
-            # Partial-attempt accounting survives on the final report.
-            attempt = self.report
-            report = RestartReport(
-                method=None,
-                lazy=True,
-                fell_back_to_disk=True,
-                fell_back_from_replica=True,
-                replica_attempt_row_blocks=attempt.row_blocks,
-                replica_attempt_bytes=attempt.bytes_copied,
-                failure_reason=f"{type(exc).__name__}: {exc}",
-                bytes_total=self._bytes_total,
-                queries_served_during_restore=self._queries_served,
-                bytes_restored_at_first_query=self._bytes_at_first_query,
-            )
-            self.report = report
-            # Pull adopted blocks back out of the live tables, keeping
-            # the data that arrived during the serving window: blocks
-            # sealed from new adds and the open write buffers stay.
-            for state in self._tables.values():
-                if state.wire.name not in leafmap:
-                    continue
-                table = leafmap.get_table(state.wire.name)
-                adopted_uids = {
-                    block.uid for block in state.slots if block is not None
-                }
-                adopted_bytes = sum(
-                    block.nbytes for block in state.slots if block is not None
-                )
-                tail = [
-                    block
-                    for block in table.blocks
-                    if block.uid not in adopted_uids
-                ]
-                table.replace_blocks(tail)
-                if adopted_bytes:
-                    engine._track_heap_free(adopted_bytes)
-                state.slots = [None] * len(state.slots)
-                state.installed = set()
-            leafmap.restorer = None
-            if self._on_disk_fallback is not None:
-                self._on_disk_fallback()
-            # Replay into a scratch map, then graft the replayed blocks
-            # *under* each live table's new data — the replayed rows are
-            # strictly older, so directory order is preserved.
-            scratch = LeafMap(clock=engine.clock)
-            try:
-                engine._recover_from_disk(
-                    scratch, report, self._machine, try_replica=False
-                )
-            except Exception as ladder_exc:
-                self.error = ladder_exc
-                self.done = True
-                raise
-            for recovered in scratch:
-                table = leafmap.get_or_create(recovered.name)
-                table.install_restored_blocks(recovered.blocks)
-                if self._expire_cutoff is not None:
-                    table.expire_before(self._expire_cutoff)
-            self._machine.transition(LeafRestoreState.ALIVE)
-            engine._finish_report(report, self._machine, self._start)
-            self.done = True
-
-    def abandon(self) -> None:
-        """Drop the session without consuming anything (crash path).
-
-        Nothing half-trusted is left behind: this leaf had no valid shm
-        to begin with, so the next boot walks the ladder from the top.
-        """
-        with self._lock:
-            if self.done:
-                return
-            self._close_session()
-            self._leafmap.restorer = None
-            self.done = True
+    def _close_source(self) -> None:
+        self._session.close()
 
 
 __all__ = ["ReplicaRestore"]

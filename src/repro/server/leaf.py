@@ -350,10 +350,12 @@ class LeafServer:
                 self.status = LeafStatus.DOWN
                 raise
         else:
-            # Disk-only shutdown discards the heap wholesale; cached
-            # decodes of the discarded blocks must not stay charged.
+            # Disk-only shutdown discards the heap wholesale; neither
+            # cached decodes of the discarded blocks nor the engine's
+            # heap charge may stay on the (machine-shared) tracker.
             self.column_cache.clear()
             self.leafmap = self._new_leafmap()
+            self.engine.forget_heap()
         self.status = LeafStatus.DOWN
         return report
 
@@ -373,6 +375,9 @@ class LeafServer:
                 restorer.abandon()
             self.column_cache.clear()
             self.leafmap = self._new_leafmap()
+            # A dead process takes its heap with it: the engine's charge
+            # must not stay on the (machine-shared) tracker.
+            self.engine.forget_heap()
             self.status = LeafStatus.DOWN
 
     def absorb_process_shutdown(

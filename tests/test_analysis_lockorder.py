@@ -43,6 +43,7 @@ class TestGoodFixture:
 class TestRealTree:
     CONCURRENCY_FILES = (
         "src/repro/core/lazyrestore.py",
+        "src/repro/core/replicarestore.py",
         "src/repro/core/parallel.py",
         "src/repro/core/sharedbudget.py",
         "src/repro/core/engine.py",
@@ -57,19 +58,21 @@ class TestRealTree:
         )
 
     def test_lock_graph_is_acyclic(self, repo_root):
-        """LeafServer._lock -> LazyRestore._lock -> budget is the only
-        nesting direction; no RL701 anywhere in the concurrency layers."""
+        """LeafServer._lock -> RestoreDriver._lock -> budget is the only
+        nesting direction; no RL701 anywhere in the concurrency layers
+        (one driver class means one restorer lock — the wire source used
+        to add a second one, and a name-aliased cycle with it)."""
         findings = self._check(repo_root, *self.CONCURRENCY_FILES)
         assert [f for f in findings if f.code == "RL701"] == []
 
-    def test_only_the_two_designed_blocking_calls_remain(self, repo_root):
-        """The directory attach and the fault-in budget wait are the
-        paper's designed backpressure points (baselined); nothing else
-        blocks under a lock."""
+    def test_only_the_designed_blocking_call_remains(self, repo_root):
+        """The fault-in budget wait is the paper's designed backpressure
+        point (baselined, once, for every source); nothing else blocks
+        under a lock.  The directory attach no longer does: a source
+        publishes before its handle is shared, without the lock."""
         findings = self._check(repo_root, *self.CONCURRENCY_FILES)
         assert {f.symbol for f in findings if f.code == "RL702"} == {
-            "LazyRestore._publish_directory:ShmSegment.attach",
-            "LazyRestore._fault_block:self._budget.acquire",
+            "RestoreDriver._fault_block:self._budget.acquire",
         }
 
     def test_aggregator_handles_the_gate_race(self, repo_root):

@@ -186,7 +186,7 @@ class TestCrossCheck:
         }
         checked = cross_check(report, modules)
         assert checked["runtime_edges"] == [
-            "LeafServer._lock -> LazyRestore._lock"
+            "LeafServer._lock -> RestoreDriver._lock"
         ]
         assert checked["ok"]
         assert checked["cycles"] == []
@@ -214,7 +214,7 @@ class TestCrossCheck:
         }
         checked = cross_check(report, modules)
         assert checked["inversions"] == [
-            "LazyRestore._lock -> LeafServer._lock"
+            "RestoreDriver._lock -> LeafServer._lock"
         ]
         assert not checked["ok"]
 

@@ -29,7 +29,6 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.replication import (
     FRAME_BLOCK,
     ReplicaBlockServer,
-    ReplicaCatalog,
     ReplicaFetchSession,
     recv_frame,
     send_frame,
@@ -43,6 +42,7 @@ from repro.errors import CorruptionError, ReplicaWireError
 from repro.query.query import Aggregation, Query
 from repro.server.leaf import LeafServer, LeafStatus
 from repro.shm.layout import packed_block_chunks
+from repro.shm.metadata import LeafMetadata
 from repro.util.checksum import rows_digest
 from repro.util.clock import ManualClock
 from repro.util.memtrack import MemoryTracker
@@ -344,6 +344,95 @@ class TestReplicaFaultSweep:
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
         assert rows_digest(primary.leafmap.snapshot_rows()) == baseline
         assert primary.status is LeafStatus.ALIVE
+
+
+    @pytest.mark.parametrize("serve_while_restoring", [False, True])
+    def test_malformed_catalog_means_no_replica_on_every_path(
+        self, serve_while_restoring, shm_namespace, tmp_path, clock
+    ):
+        """Anything odd -> disk: a version-skewed catalog surfaces as a
+        KeyError out of the handshake, not a wire error; neither the
+        blocking rung nor the serving one may let it fail the start."""
+        primary = LeafServer(
+            "p0",
+            backup=DiskBackup(tmp_path / "p0"),
+            namespace=shm_namespace,
+            rows_per_block=32,
+        )
+        primary.start()
+        primary.add_rows("service_requests", list(service_requests(600)))
+        primary.leafmap.seal_all()
+        primary.sync_to_disk()
+        baseline = rows_digest(primary.leafmap.snapshot_rows())
+
+        def skewed_source():
+            raise KeyError("rows_ingested")
+
+        primary.engine.replica_source = skewed_source
+        primary.crash()
+        primary.start(serve_while_restoring=serve_while_restoring, sweep=False)
+        report = primary.wait_restored()
+        assert primary.status is LeafStatus.ALIVE
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert report.fell_back_from_replica
+        assert report.failure_reason == "KeyError: 'rows_ingested'"
+        assert rows_digest(primary.leafmap.snapshot_rows()) == baseline
+
+    def test_session_is_closed_when_the_directory_never_goes_up(
+        self, dirty_shm_namespace, tmp_path, clock
+    ):
+        """Between a live session and a published directory sits the
+        discard of this leaf's stale shm; if that raises, the session
+        (sockets + the standby's pinned snapshot) must not leak — the
+        leaf lands on disk with the tracker balanced."""
+        source, backup, server = synced_state(tmp_path, clock)
+        server.close()  # the stub below stands in for the wire
+        tracker = MemoryTracker()
+        engine = RestartEngine(
+            "7",
+            namespace=dirty_shm_namespace,
+            backup=backup,
+            tracker=tracker,
+            clock=clock,
+        )
+        # Stale local shm: backed up, then distrusted (valid bit down).
+        stale = LeafMap(clock=clock, rows_per_block=32)
+        stale.get_or_create("events").add_rows([{"time": 1, "host": "old"}])
+        RestartEngine("7", namespace=dirty_shm_namespace, clock=clock).backup_to_shm(
+            stale
+        )
+        meta = LeafMetadata.attach(dirty_shm_namespace, "7")
+        meta.set_valid(False)
+        meta.close()
+
+        class StubSession:
+            tables = ()
+            closed = 0
+
+            def close(self):
+                self.closed += 1
+
+        session = StubSession()
+        engine.replica_source = lambda: session
+
+        def refuse(meta):
+            raise OSError("injected: cannot unlink the stale segments")
+
+        engine._discard_shm_tracked = refuse
+        restored = LeafMap(clock=clock, rows_per_block=32)
+        try:
+            handle = engine.begin_lazy_restore(restored)
+        finally:
+            del engine._discard_shm_tracked
+            engine.discard_shm()
+        assert session.closed == 1
+        assert handle.done and handle.error is None
+        assert handle.report.fell_back_from_replica
+        assert handle.report.failure_reason.startswith("OSError: injected")
+        assert handle.report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert restored.snapshot_rows() == source.snapshot_rows()
+        assert tracker.in_region("shm") == 0
+        assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
 
 
 def build_cluster(tmp_path, namespace: str) -> Cluster:

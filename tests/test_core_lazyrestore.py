@@ -1,16 +1,22 @@
-"""Serve-while-restoring at the engine level: the LazyRestore handle.
+"""Serve-while-restoring at the engine level: the restore handle.
 
 The blocking restore's guarantees — valid-bit crash safety, tracker
 balance, digest-identical recovered data — must all hold when the
 restore is incremental: directory published first, blocks faulted in by
 queries, remainder swept hottest table first, faults routed down the
 disk ladder mid-flight.
+
+The protocol exists once (``RestoreDriver``) over two byte sources, so
+the scenario classes below are one contract suite run against both:
+``source="shm"`` (the leaf's own segments, ``LazyRestore``) and
+``source="replica"`` (a standby's wire session, ``ReplicaRestore``).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster.replication import ReplicaBlockServer, snapshot_leafmap
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
@@ -18,9 +24,13 @@ from repro.core.parallel import FootprintBudget
 from repro.errors import CorruptionError, RecoveryError
 from repro.query.execute import execute_on_leaf
 from repro.query.query import Aggregation, Query
+from repro.shm.layout import read_block_headers
+from repro.shm.metadata import LeafMetadata
+from repro.shm.segment import ShmSegment
 from repro.util.memtrack import MemoryTracker
 
 from tests.conftest import make_leafmap
+from tests.test_cluster_replication import make_engine
 
 
 def engine_for(namespace, backup, clock, **kwargs):
@@ -49,6 +59,95 @@ def count_query(start=None, end=None):
         end_time=end,
         aggregations=[Aggregation("count", None)],
     )
+
+
+class Rig:
+    """One seeded byte source, and how to open a restart engine on it.
+
+    ``seed`` leaves the leaf as a restart would find it: the backup
+    synced, and the sealed blocks either in this leaf's shared memory
+    (``shm``) or on a standby's block server with no local shm at all
+    (``replica``).  The labels are what differs in the assertions.
+    """
+
+    def __init__(self, source, namespace, backup, clock):
+        self.source = source
+        self.namespace = namespace
+        self.backup = backup
+        self.clock = clock
+        self.server = None
+        self.sessions = []  # every wire session an engine opened
+        shm = source == "shm"
+        self.method = (
+            RecoveryMethod.SHARED_MEMORY if shm else RecoveryMethod.REPLICA
+        )
+        self.leaf_states = (
+            ["init", "memory_recovery", "memory_serving", "alive"]
+            if shm
+            else ["init", "replica_recovery", "alive"]
+        )
+        #: The fault point inside one block's fault-in.
+        self.block_fault = "restore:fault_block" if shm else "replica:block"
+
+    def seed(self, leafmap=None, tables=("events",), rows=120, tracker=None):
+        """Populate the source; returns the rows a restore must yield."""
+        if leafmap is None:
+            leafmap = make_leafmap(self.clock, tables=tables, rows=rows)
+        leafmap.seal_all()
+        snapshot = leafmap.snapshot_rows()
+        if self.source == "shm":
+            self.engine(tracker=tracker).backup_to_shm(leafmap)
+        else:
+            if self.backup is not None:
+                self.backup.sync_leafmap(leafmap)
+            self.server = ReplicaBlockServer(lambda: snapshot_leafmap(leafmap))
+        return snapshot
+
+    def engine(self, tracker=None, budget=None, fault_hook=None):
+        if self.source == "shm":
+            return engine_for(
+                self.namespace,
+                self.backup,
+                self.clock,
+                tracker=tracker,
+                budget=budget,
+                fault_hook=fault_hook,
+            )
+        engine = make_engine(
+            self.namespace, self.backup, self.server, self.clock, tracker
+        )
+        open_session = engine.replica_source
+
+        def recording_source():
+            self.sessions.append(open_session())
+            return self.sessions[-1]
+
+        engine.replica_source = recording_source
+        engine.budget = budget
+        if fault_hook is not None:
+            engine._fault = fault_hook
+        return engine
+
+    def attempt_row_blocks(self, report) -> int:
+        """How far the failed rung got, from the rung's own fields."""
+        if self.source == "shm":
+            return report.memory_attempt_row_blocks
+        assert report.fell_back_from_replica
+        return report.replica_attempt_row_blocks
+
+    def close(self):
+        if self.server is not None:
+            self.server.close()
+        # However a restore ended — finished, fell back, abandoned — its
+        # wire session (sockets + the standby's pinned snapshot) is closed.
+        assert all(session._closed for session in self.sessions)
+
+
+@pytest.fixture(params=["shm", "replica"])
+def rig(request, shm_namespace, backup, clock):
+    rig = Rig(request.param, shm_namespace, backup, clock)
+    yield rig
+    rig.close()
 
 
 class TestDirectoryPublish:
@@ -103,16 +202,39 @@ class TestDirectoryPublish:
         assert restored.fully_resident
         assert restored.snapshot_rows() == snapshot
 
-
-class TestFaultIn:
-    def test_query_faults_only_the_blocks_it_touches(
+    def test_corrupt_block_header_falls_back_with_the_decoders_reason(
         self, shm_namespace, backup, clock
     ):
-        seed_shm(shm_namespace, backup, clock)
+        """Real hostile bytes, not an injected raise: the failed header
+        decode must not pin the mapping past the fallback's close (it
+        used to surface as a BufferError instead of the reason)."""
+        snapshot = seed_shm(shm_namespace, backup, clock)
+        meta = LeafMetadata.attach(shm_namespace, "0")
+        record = meta.records[0]
+        meta.close()
+        with ShmSegment.attach(record.segment_name) as segment:
+            view = segment.read_at(0, record.used_bytes)
+            _, extents = read_block_headers(view)
+            view.release()
+            segment.write_at(extents[-1].offset, b"\xff" * 8)
+        tracker = MemoryTracker()
         restored = fresh_map(clock)
-        handle = engine_for(shm_namespace, backup, clock).begin_lazy_restore(
-            restored
-        )
+        handle = engine_for(
+            shm_namespace, backup, clock, tracker=tracker
+        ).begin_lazy_restore(restored)
+        assert handle.done and handle.error is None
+        assert handle.report.fell_back_to_disk
+        assert handle.report.failure_reason.startswith("CorruptionError")
+        assert restored.snapshot_rows() == snapshot
+        assert tracker.in_region("shm") == 0
+
+
+class TestFaultIn:
+    def test_query_faults_only_the_blocks_it_touches(self, rig, clock):
+        rig.seed()
+        restored = fresh_map(clock)
+        handle = rig.engine().begin_lazy_restore(restored)
+        assert handle.source == rig.source
         # Block boundaries: [1000, 1049], [1050, 1099], [1100, 1119].
         execution = execute_on_leaf(restored, count_query(1000, 1050))
         assert execution.rows_matched == 50
@@ -124,48 +246,37 @@ class TestFaultIn:
         assert len(list(handle.iter_pending("events"))) == 2
         handle.drain()
 
-    def test_fault_in_query_counts_and_is_idempotent(
-        self, shm_namespace, backup, clock
-    ):
-        seed_shm(shm_namespace, backup, clock)
+    def test_fault_in_query_counts_and_is_idempotent(self, rig, clock):
+        rig.seed()
         restored = fresh_map(clock)
-        handle = engine_for(shm_namespace, backup, clock).begin_lazy_restore(
-            restored
-        )
+        handle = rig.engine().begin_lazy_restore(restored)
         assert handle.fault_in_query("events", 1050, 1100) == 1
         assert handle.fault_in_query("events", 1050, 1100) == 0
         assert handle.fault_in_query("missing_table", None, None) == 0
         assert handle.fault_in_query("events", None, None) == 2
         assert handle.done  # everything is in; the handle self-finishes
 
-    def test_drain_matches_blocking_restore_and_consumes_shm(
-        self, shm_namespace, backup, clock
+    def test_drain_matches_blocking_restore_and_consumes_the_source(
+        self, rig, clock
     ):
-        snapshot = seed_shm(
-            shm_namespace, backup, clock, tables=("events", "metrics")
-        )
-        engine = engine_for(shm_namespace, backup, clock)
+        snapshot = rig.seed(tables=("events", "metrics"))
+        engine = rig.engine()
         restored = fresh_map(clock)
         handle = engine.begin_lazy_restore(restored)
         handle.drain()
         assert handle.done
         report = handle.report
-        assert report.method is RecoveryMethod.SHARED_MEMORY
+        assert report.method is rig.method
         assert report.tables == 2
         assert report.row_blocks == 6
         assert report.rows == 240
-        assert report.leaf_states == [
-            "init",
-            "memory_recovery",
-            "memory_serving",
-            "alive",
-        ]
+        assert report.leaf_states == rig.leaf_states
         assert restored.snapshot_rows() == snapshot
         assert restored.restorer is None
         assert restored.fully_resident
         assert not engine.shm_state_exists()
 
-    def test_sweep_prefers_the_hot_table(self, shm_namespace, backup, clock):
+    def test_sweep_prefers_the_hot_table(self, rig, clock):
         # Two tables with disjoint value columns, "cold" published first.
         leafmap = fresh_map(clock)
         leafmap.get_or_create("cold").add_rows(
@@ -174,15 +285,11 @@ class TestFaultIn:
         leafmap.get_or_create("hot").add_rows(
             {"time": 1000 + i, "h": i} for i in range(100)
         )
-        leafmap.seal_all()
-        snapshot = leafmap.snapshot_rows()
-        engine_for(shm_namespace, backup, clock).backup_to_shm(leafmap)
+        snapshot = rig.seed(leafmap=leafmap)
 
         cache = DecodedColumnCache(1 << 20)
         restored = fresh_map(clock, cache=cache)
-        handle = engine_for(shm_namespace, backup, clock).begin_lazy_restore(
-            restored
-        )
+        handle = rig.engine().begin_lazy_restore(restored)
         # Heat the "h" column: the cache's lifetime lookup counters are
         # the sweep's priority signal (a probe block's uid is irrelevant
         # — heat is keyed by column name alone).
@@ -201,22 +308,18 @@ class TestFaultIn:
 
 
 class TestAccounting:
-    def test_tracker_balances_through_a_lazy_restore(
-        self, shm_namespace, backup, clock
-    ):
+    def test_tracker_balances_through_a_lazy_restore(self, rig, clock):
         tracker = MemoryTracker()
-        leafmap = make_leafmap(clock)
-        leafmap.seal_all()
-        engine = engine_for(shm_namespace, backup, clock, tracker=tracker)
-        engine.backup_to_shm(leafmap)
+        rig.seed(tracker=tracker)
         assert tracker.in_region("heap") == 0
-        shm_bytes = tracker.in_region("shm")
-        assert shm_bytes > 0
+        # Only the shm source occupies this machine's shared memory.
+        source_bytes = tracker.in_region("shm")
+        assert (source_bytes > 0) == (rig.source == "shm")
 
         restored = fresh_map(clock)
-        handle = engine.begin_lazy_restore(restored)
-        # Publishing copies nothing: shm still charged, heap still empty.
-        assert tracker.in_region("shm") == shm_bytes
+        handle = rig.engine(tracker=tracker).begin_lazy_restore(restored)
+        # Publishing copies nothing: source still charged, heap still empty.
+        assert tracker.in_region("shm") == source_bytes
         assert tracker.in_region("heap") == 0
         handle.fault_in_query("events", 1000, 1050)
         assert tracker.in_region("heap") > 0
@@ -224,62 +327,55 @@ class TestAccounting:
         assert tracker.in_region("shm") == 0
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
 
-    def test_budget_bounds_each_fault_in_window(
-        self, shm_namespace, backup, clock
-    ):
-        seed_shm(shm_namespace, backup, clock)
+    def test_budget_bounds_each_fault_in_window(self, rig, clock):
+        rig.seed()
         budget = FootprintBudget(1 << 30)
-        engine = engine_for(shm_namespace, backup, clock, budget=budget)
         restored = fresh_map(clock)
-        handle = engine.begin_lazy_restore(restored)
+        handle = rig.engine(budget=budget).begin_lazy_restore(restored)
         handle.drain()
         # Each block's copy window was reserved and released one at a
-        # time — the peak is one block, not the whole leaf.
+        # time — the peak is one block, not the whole leaf — and nothing
+        # is left held.
         assert 0 < budget.peak_in_flight < handle.progress().bytes_total
+        assert budget.in_flight == 0
 
 
 class TestFallback:
-    def test_fault_at_publish_runs_the_ladder_inside_begin(
-        self, shm_namespace, backup, clock
-    ):
-        snapshot = seed_shm(shm_namespace, backup, clock)
+    def test_fault_at_publish_runs_the_ladder_inside_begin(self, rig, clock):
+        snapshot = rig.seed()
         tracker = MemoryTracker()
 
         def explode(point):
             if point == "restore:publish_directory":
                 raise CorruptionError("injected publish fault")
 
-        engine = engine_for(
-            shm_namespace, backup, clock, tracker=tracker, fault_hook=explode
-        )
+        engine = rig.engine(tracker=tracker, fault_hook=explode)
         restored = fresh_map(clock)
         handle = engine.begin_lazy_restore(restored)
         assert handle.done
         report = handle.report
         assert report.fell_back_to_disk
+        assert report.fell_back_from_replica == (rig.source == "replica")
         assert report.failure_reason == "CorruptionError: injected publish fault"
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
         assert restored.snapshot_rows() == snapshot
         assert tracker.in_region("shm") == 0
+        assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
         assert not engine.shm_state_exists()
 
-    def test_fault_mid_fault_in_routes_down_the_ladder(
-        self, shm_namespace, backup, clock
-    ):
-        snapshot = seed_shm(shm_namespace, backup, clock)
+    def test_fault_mid_fault_in_routes_down_the_ladder(self, rig, clock):
+        snapshot = rig.seed()
         tracker = MemoryTracker()
         fired = []
 
         def explode(point):
-            if point == "restore:fault_block" and len(fired) == 1:
+            if point == rig.block_fault and len(fired) == 1:
                 fired.append(point)
                 raise CorruptionError("injected block fault")
-            if point == "restore:fault_block":
+            if point == rig.block_fault:
                 fired.append(point)
 
-        engine = engine_for(
-            shm_namespace, backup, clock, tracker=tracker, fault_hook=explode
-        )
+        engine = rig.engine(tracker=tracker, fault_hook=explode)
         restored = fresh_map(clock)
         handle = engine.begin_lazy_restore(restored)
         # One block faults in cleanly, the second one dies mid-decode.
@@ -289,30 +385,33 @@ class TestFallback:
         report = handle.report
         assert report.fell_back_to_disk
         assert report.failure_reason == "CorruptionError: injected block fault"
-        assert report.method in (
-            RecoveryMethod.DISK_SNAPSHOT,
-            RecoveryMethod.DISK,
-        )
-        # The memory attempt's partial progress survives on the report.
-        assert report.memory_attempt_row_blocks == 1
-        assert report.memory_attempt_rows == 50
+        # A burned source is not retried: the disk rungs finish the job
+        # (try_replica=False — one wire session was ever opened).
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert len(rig.sessions) == (rig.source == "replica")
+        # The attempt's partial progress survives on the report, and so
+        # do the serving-window totals.
+        assert rig.attempt_row_blocks(report) == 1
+        if rig.source == "shm":
+            assert report.memory_attempt_rows == 50
         assert report.queries_served_during_restore == 2
+        assert report.blocks_total == 3
+        assert report.bytes_total == handle.progress().bytes_total > 0
         assert restored.snapshot_rows() == snapshot
         assert restored.restorer is None
         assert tracker.in_region("shm") == 0
+        assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
 
-    def test_serving_window_adds_survive_the_fallback(
-        self, shm_namespace, backup, clock
-    ):
-        seed_shm(shm_namespace, backup, clock)
+    def test_serving_window_adds_survive_the_fallback(self, rig, clock):
+        rig.seed()
 
         def explode(point):
-            if point == "restore:fault_block":
+            if point == rig.block_fault:
                 raise CorruptionError("injected block fault")
 
-        engine = engine_for(shm_namespace, backup, clock, fault_hook=explode)
         restored = fresh_map(clock)
-        handle = engine.begin_lazy_restore(restored)
+        handle = rig.engine(fault_hook=explode).begin_lazy_restore(restored)
+        assert not handle.done
         # Rows that arrive while the leaf is serving must not be lost
         # when the restore falls back to replaying the backup.
         restored.get_table("events").add_rows(
@@ -328,45 +427,42 @@ class TestFallback:
         times = [row["time"] for row in rows]
         assert times == sorted(times)
 
-    def test_ladder_failure_surfaces_and_marks_the_handle(
-        self, shm_namespace, clock
-    ):
+    def test_ladder_failure_surfaces_and_marks_the_handle(self, rig, clock):
         # No backup configured: when the lazy restore faults, the disk
         # ladder has nowhere to go and the error must surface.
-        engine = RestartEngine("0", namespace=shm_namespace, clock=clock)
-        leafmap = make_leafmap(clock)
-        leafmap.seal_all()
-        engine.backup_to_shm(leafmap)
+        rig.backup = None
+        rig.seed()
 
         def explode(point):
-            if point == "restore:fault_block":
+            if point == rig.block_fault:
                 raise CorruptionError("injected block fault")
 
-        engine._fault = explode
         restored = fresh_map(clock)
-        handle = engine.begin_lazy_restore(restored)
+        handle = rig.engine(fault_hook=explode).begin_lazy_restore(restored)
         with pytest.raises(RecoveryError):
             handle.fault_in_query("events", None, None)
         assert handle.done
         assert handle.error is not None
+        assert restored.restorer is None
 
 
 class TestExpiry:
     def test_expire_drops_pending_blocks_without_faulting_them(
-        self, shm_namespace, backup, clock, tmp_path
+        self, rig, clock, tmp_path
     ):
-        seed_shm(shm_namespace, backup, clock)
+        rig.seed()
         restored = fresh_map(clock)
-        handle = engine_for(shm_namespace, backup, clock).begin_lazy_restore(
-            restored
-        )
+        handle = rig.engine().begin_lazy_restore(restored)
         before = handle.progress()
         dropped = handle.expire_before(1050)  # block [1000, 1049] entirely
         assert dropped == 50
         after = handle.progress()
         assert after.blocks_total == before.blocks_total - 1
-        assert after.blocks_restored == 0  # expired, never decoded
+        assert after.bytes_total < before.bytes_total
+        assert after.blocks_restored == 0  # expired, never read or decoded
         handle.drain()
+        assert handle.report.method is rig.method
+        assert handle.report.row_blocks == 2
 
         # Control: blocking restore, then the same expiry.
         from repro.disk.backup import DiskBackup
@@ -375,7 +471,7 @@ class TestExpiry:
         control_map.seal_all()
         control_engine = RestartEngine(
             "ctl",
-            namespace=shm_namespace,
+            namespace=rig.namespace,
             backup=DiskBackup(tmp_path / "control"),
             clock=clock,
         )
@@ -391,21 +487,23 @@ class TestExpiry:
 
 
 class TestAbandon:
-    def test_abandon_leaves_invalid_shm_for_the_next_boot(
-        self, shm_namespace, backup, clock
-    ):
-        snapshot = seed_shm(shm_namespace, backup, clock)
-        engine = engine_for(shm_namespace, backup, clock)
+    def test_abandon_leaves_nothing_the_next_boot_trusts(self, rig, clock):
+        snapshot = rig.seed()
+        tracker = MemoryTracker()
         restored = fresh_map(clock)
-        handle = engine.begin_lazy_restore(restored)
+        handle = rig.engine(tracker=tracker).begin_lazy_restore(restored)
         handle.fault_in_query("events", 1000, 1050)
         handle.abandon()
         assert handle.done
         assert restored.restorer is None
-        # The valid bit is down: the next boot distrusts the leftovers,
-        # discards them, and walks the disk ladder to the same data.
+        assert handle.sweep_one() is False  # nothing moves after abandon
+        # The valid bit is down (shm) or there never was local state
+        # (replica): the next boot distrusts whatever is left, discards
+        # it, and walks the disk ladder to the same data.
+        engine = engine_for(rig.namespace, rig.backup, clock)
+        assert not engine.shm_state_valid()
         reborn = fresh_map(clock)
-        report = engine_for(shm_namespace, backup, clock).restore(reborn)
+        report = engine.restore(reborn)
         assert report.method in (
             RecoveryMethod.DISK_SNAPSHOT,
             RecoveryMethod.DISK,

@@ -7,6 +7,7 @@ from repro.disk.backup import DiskBackup
 from repro.errors import StateError
 from repro.query.query import Aggregation, Query
 from repro.server.leaf import LeafServer, LeafStatus
+from repro.util.memtrack import MemoryTracker
 
 
 def make_leaf(shm_namespace, tmp_path, clock, leaf_id="0", **kwargs):
@@ -74,6 +75,30 @@ class TestLifecycle:
         # trusted; either disk rung would lose the same unsynced tail.
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
         assert reborn.leafmap.row_count == 100  # the tail is gone
+
+    @pytest.mark.parametrize("go_down", ["crash", "disk_only_shutdown"])
+    def test_heap_charge_leaves_a_shared_tracker_with_the_process(
+        self, go_down, shm_namespace, tmp_path, clock
+    ):
+        """The heap dies with the process: neither a crash nor a
+        disk-only shutdown may leave this leaf's charge on the
+        machine-wide tracker, or every restart after it double-counts."""
+        tracker = MemoryTracker()
+        leaf = make_leaf(shm_namespace, tmp_path, clock, tracker=tracker)
+        leaf.start()
+        leaf.add_rows("events", ROWS)
+        leaf.leafmap.seal_all()
+        leaf.sync_to_disk()
+        for _ in range(3):  # the first restore is what charges the heap
+            if go_down == "crash":
+                leaf.crash()
+            else:
+                leaf.shutdown(use_shm=False)
+            assert tracker.in_region("heap") == 0
+            leaf.start()
+            assert tracker.in_region("heap") == leaf.used_bytes > 0
+        leaf.crash()
+        assert tracker.total == 0
 
     def test_shutdown_requires_alive(self, shm_namespace, tmp_path, clock):
         leaf = make_leaf(shm_namespace, tmp_path, clock)
