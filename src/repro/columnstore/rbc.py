@@ -168,7 +168,7 @@ class RowBlockColumn:
 
     @property
     def stored_checksum(self) -> int:
-        return _FOOTER.unpack(self._buf[self._footer_offset :])[0]
+        return rbc_stored_crc(self._buf)
 
     def verify(self) -> None:
         """Check end magic and checksum; raise on any mismatch."""
@@ -212,6 +212,16 @@ class RowBlockColumn:
     def copy_bytes(self) -> bytes:
         """A detached copy of the buffer (e.g. heap copy of an shm view)."""
         return bytes(self._buf)
+
+
+def rbc_stored_crc(buf: bytes | memoryview) -> int:
+    """The payload CRC an RBC buffer's footer stores, read without
+    touching (or re-checksumming) the payload."""
+    if len(buf) < HEADER_SIZE + FOOTER_SIZE:
+        raise CorruptionError(
+            f"buffer of {len(buf)} bytes is smaller than an empty RBC"
+        )
+    return _FOOTER.unpack_from(buf, len(buf) - FOOTER_SIZE)[0]
 
 
 def rbc_extent(view: memoryview, offset: int) -> int:

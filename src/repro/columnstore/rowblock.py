@@ -14,11 +14,17 @@ experiment E12.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import struct
 from typing import Iterable, Mapping
 
-from repro.columnstore.rbc import RowBlockColumn, build_rbc, rbc_extent
+from repro.columnstore.rbc import (
+    RowBlockColumn,
+    build_rbc,
+    rbc_extent,
+    rbc_stored_crc,
+)
 from repro.columnstore.schema import Schema
 from repro.compression.decoded import DecodedColumn
 from repro.errors import CapacityError, CorruptionError, LayoutVersionError, SchemaError
@@ -35,6 +41,9 @@ ROWBLOCK_MAGIC = 0x4B4C4252  # "RBLK"
 ROWBLOCK_VERSION = 1
 
 PACK_HEADER = struct.Struct("<IHHQQqqd")  # magic, ver, pad, total, rows, min, max, created
+
+_KEY_HEADER = struct.Struct("<Qqqd")  # rows, min, max, created
+_KEY_COLUMN = struct.Struct("<QI")  # RBC length, stored footer CRC
 
 #: Process-unique row block ids, handed out at construction.  The
 #: decoded-column cache keys on them: a uid is never reused, so a cache
@@ -128,6 +137,29 @@ class RowBlock:
         """(name, buffer) pairs in schema order — the shutdown copy loop."""
         for name in self.schema.names:
             yield name, self._rbcs[name]
+
+    def content_key(self) -> str:
+        """A restart-stable identity for this block's sealed bytes.
+
+        Built only from what the block already stores — the header
+        fields and, per column, the RBC's name, length and the payload
+        CRC its footer carries — so it costs O(columns) and never a pass
+        over payload bytes.  Any route that hands back the same sealed
+        bytes (shared memory, a replica, a disk snapshot) reproduces the
+        key; a legacy replay re-seals with a new ``created_at`` and so
+        does not.  The incremental snapshot chain matches blocks by it,
+        where ``uid`` would change with every process.
+        """
+        digest = hashlib.blake2b(
+            _KEY_HEADER.pack(
+                self.row_count, self.min_time, self.max_time, self.created_at
+            ),
+            digest_size=16,
+        )
+        for name, buf in self.rbc_buffers():
+            digest.update(name.encode("utf-8"))
+            digest.update(_KEY_COLUMN.pack(len(buf), rbc_stored_crc(buf)))
+        return digest.hexdigest()
 
     def column_values(self, name: str) -> list[ColumnValue]:
         """Decode one column back to Python values."""

@@ -284,6 +284,25 @@ class RestartEngine:
         self.tracker.free("heap", nbytes, at=self.clock.now())
         self._engine_heap = max(0, self._engine_heap - nbytes)
 
+    def _reconcile_heap(self, resident: int) -> None:
+        """Make this engine's heap charge exactly ``resident`` bytes.
+
+        Ingest and expiry between restarts are not reported to the
+        tracker, so the charge drifts both ways: rows sealed since the
+        last restore are a deficit, blocks expired since then a surplus
+        that the copy loop would otherwise leave on the region for good.
+        The comparison is against this engine's own contribution, not
+        the whole region: with a machine-wide shared tracker the region
+        also holds the other leaves' bytes.
+        """
+        drift = resident - self._engine_heap
+        if drift > 0:
+            # Released by whoever frees the resident blocks later (the
+            # shutdown copy loop, forget_heap), not by the branch below.
+            self._track_heap_alloc(drift)  # reprolint: handoff
+        elif drift < 0:
+            self._track_heap_free(-drift)
+
     def forget_heap(self) -> None:
         """Drop this engine's heap charge from the (possibly shared)
         tracker without copying anything — the accounting counterpart of
@@ -390,18 +409,11 @@ class RestartEngine:
         # would inflate the footprint the Section 4.4 invariant bounds.
         leafmap.drop_column_cache()
         # Seal every write buffer up front (shutdown already rejects new
-        # data) and make sure the tracker accounts for the heap bytes the
-        # copy loop is about to free — callers that did not pre-seed the
-        # tracker still get consistent footprint numbers.
+        # data) and make sure the tracker accounts for exactly the heap
+        # bytes the copy loop is about to free — callers that did not
+        # pre-seed the tracker still get consistent footprint numbers.
         leafmap.seal_all()
-        total_heap = sum(table.sealed_nbytes for table in leafmap)
-        # Compare against this engine's own contribution, not the whole
-        # region: with a machine-wide shared tracker the region also
-        # holds the other leaves' bytes, and measuring the deficit
-        # against it would let this leaf's data go uncharged.
-        deficit = total_heap - self._engine_heap
-        if deficit > 0:
-            self._track_heap_alloc(deficit)
+        self._reconcile_heap(sum(table.sealed_nbytes for table in leafmap))
         if self.shm_state_exists():
             self.discard_shm()  # stale state from an unlinked predecessor
         meta = LeafMetadata.create(self.namespace, self.leaf_id, self.layout_version)

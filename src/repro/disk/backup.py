@@ -39,6 +39,24 @@ crosses ``compact_churn``, the next snapshot *compacts*: it folds the
 chain back into a single fresh base and deletes the obsolete delta
 files.  A sync point whose generation already matches the chain tip
 writes nothing at all.
+
+What is already in the chain is decided by **content keys**, not by
+anything a process holds in memory: every link records, under
+``"keys"``, the :meth:`RowBlock.content_key` of each block it appended,
+and a snapshot point aligns the manifest's live ``(sequence, key)`` list
+against the table's blocks in order.  The keys are made of what a sealed
+block stores (header fields, per-column length and footer CRC), so any
+restart that hands back the same sealed bytes — shared memory, a
+replica, the snapshot chain itself, a forked worker's shutdown — and a
+reopened or :meth:`DiskBackup.reload`-ed manager all *extend* the chain
+they find, writing only blocks it does not hold.  A legacy replay
+re-seals every row into new blocks, shares nothing with the chain, and
+honestly costs one fresh base; so does a manifest written before keys
+existed.
+
+The row-format side is delta-proportional too: a sync point decodes only
+the blocks that hold rows past the watermark
+(:meth:`Table.rows_from`), never the resident table.
 """
 
 from __future__ import annotations
@@ -56,6 +74,7 @@ from repro.disk.shmformat import (
     SNAPSHOT_FLAG_DELTA,
     delta_filename,
     fsync_directory,
+    safe_table_stem,
     snapshot_filename,
     write_table_shm_format,
 )
@@ -100,12 +119,45 @@ class SnapshotStats:
         return self.snapshot_bytes_written / self.live_bytes_at_sync
 
 
-def _table_filename(name: str) -> str:
-    """A filesystem-safe file name for a table (hex-escapes odd chars)."""
-    safe = "".join(
-        ch if ch.isalnum() or ch in "-_." else f"%{ord(ch):02x}" for ch in name
-    )
-    return f"{safe}.scuba"
+def _live_chain_keys(chain: list[dict]) -> list[tuple[int, str]] | None:
+    """The chain's surviving blocks as ``(sequence, content key)``, oldest
+    first; ``None`` when a link does not say (a manifest written before
+    links recorded keys), which the caller answers with a fresh base."""
+    live: dict[int, str] = {}
+    for link in chain:
+        keys = link.get("keys")
+        if keys is None or len(keys) != link.get("blocks"):
+            return None
+        for seq in link.get("dropped", ()):
+            live.pop(seq, None)
+        live.update(enumerate(keys, start=link.get("start_seq", 0)))
+    # Sequences only grow along the chain, so insertion order is theirs.
+    return list(live.items())
+
+
+def _chain_delta(
+    live: list[tuple[int, str]], keys: list[str]
+) -> tuple[int, list[int]]:
+    """Align the chain's live blocks with the table's: ``(kept, dropped)``.
+
+    A table only ever drops sealed blocks and appends new ones at the
+    tail, so its block list is a subsequence of the chain's live list
+    followed by blocks the chain has not seen.  One ordered pass finds
+    it: ``keys[:kept]`` matched chain blocks in order, every unmatched
+    chain block's sequence is in ``dropped``, and ``keys[kept:]`` is
+    what the next link must append.  The match is by position, not by
+    lookup, so blocks with equal content stay distinct; and whatever
+    the input, survivors followed by the appended tail *is* the table's
+    block list — a surprising order can cost bytes, never correctness.
+    """
+    kept = 0
+    dropped: list[int] = []
+    for seq, key in live:
+        if kept < len(keys) and keys[kept] == key:
+            kept += 1
+        else:
+            dropped.append(seq)
+    return kept, dropped
 
 
 class DiskBackup:
@@ -135,11 +187,6 @@ class DiskBackup:
         self.compact_churn = compact_churn
         self.stats = SnapshotStats()
         self._manifest: dict[str, dict] = {}
-        #: Per-table map of live block uid -> chain sequence number, for
-        #: blocks this process knows to be in the persisted chain.  Block
-        #: uids are process-unique, so the map cannot survive a restart:
-        #: a fresh manager writes one full base, then extends it.
-        self._chain_uids: dict[str, dict[int, int]] = {}
         self._load_manifest()
 
     # ------------------------------------------------------------------
@@ -183,12 +230,10 @@ class DiskBackup:
         Needed when another process advanced this leaf's backup — e.g. a
         forked restart worker whose shutdown synced tables and bumped
         generations that this process's cached manifest predates.  The
-        uid->sequence chain map is dropped too: it described blocks of
-        this process's tables against a chain another process has since
-        rewritten, so the next snapshot starts over with a fresh base.
+        manifest is all the chain state there is, so the next snapshot
+        extends whatever chain the other process left.
         """
         self._manifest = {}
-        self._chain_uids = {}
         self._load_manifest()
 
     def _entry(self, table_name: str) -> dict:
@@ -198,7 +243,7 @@ class DiskBackup:
         )
 
     def table_file(self, table_name: str) -> Path:
-        return self.directory / _table_filename(table_name)
+        return self.directory / f"{safe_table_stem(table_name)}.scuba"
 
     @property
     def snapshot_dir(self) -> Path:
@@ -363,8 +408,9 @@ class DiskBackup:
                 entry["sync_gen"] = entry.get("sync_gen", 0) + 1
                 changed = True
         else:
-            all_rows = table.to_rows()
-            new_rows = all_rows[start - expired :]
+            # Position 0 of the resident table is ingest position
+            # ``expired``; only blocks holding unsynced rows are decoded.
+            new_rows = table.rows_from(start - expired)
             path = self.table_file(table.name)
             is_new = not path.exists()
             with open(path, "ab") as fh:
@@ -409,11 +455,9 @@ class DiskBackup:
     def _write_snapshot(self, table: Table, entry: dict) -> list[Path]:
         """Advance the table's snapshot chain to the current generation.
 
-        Appends a delta link when the chain can be extended (this
-        process wrote the chain tip and the surviving blocks kept their
-        order), otherwise — fresh manager, reordered blocks, chain too
-        long, or churn past the compaction threshold — folds everything
-        into a new base.  Files land (atomically, fsynced) *before* the
+        Appends a delta link when the chain can be extended
+        (:meth:`_chain_extension`), otherwise folds everything into a
+        new base.  Files land (atomically, fsynced) *before* the
         manifest records their generation: a crash between the two
         leaves files whose generation the manifest does not vouch for,
         which the validity check routes down — never a trusted-but-wrong
@@ -428,36 +472,25 @@ class DiskBackup:
             entry["sync_gen"] = gen
         name = table.name
         blocks = table.blocks
+        keys = [block.content_key() for block in blocks]
         rows_ingested = table.total_rows_ingested - table.buffered_row_count
         rows_expired = table.total_rows_expired
         self.stats.snapshot_points += 1
         self.stats.live_bytes_at_sync += table.sealed_nbytes
-        chain = entry.get("chain")
-        known = self._chain_uids.get(name)
-        appended: list[RowBlock] | None = None
-        dropped: list[int] = []
-        if (
-            self.incremental
-            and chain
-            and known is not None
-            and entry.get("snapshot_gen", 0) == chain[-1].get("gen")
-        ):
-            appended, dropped = self._chain_delta(blocks, known)
-        if appended is not None and self._should_compact(
-            entry, chain or [], appended, dropped
-        ):
-            self.stats.compactions += 1
-            appended = None
-        if appended is None:
+        extension = self._chain_extension(name, entry, keys, gen)
+        if extension is None:
             return self._write_base(
-                name, entry, blocks, gen, rows_ingested, rows_expired
+                name, entry, blocks, keys, gen, rows_ingested, rows_expired
             )
+        kept, dropped = extension
+        appended = blocks[kept:]
         link = {
             "gen": gen,
             "file": None,
             "kind": "delta",
             "start_seq": entry.get("next_seq", 0),
             "blocks": len(appended),
+            "keys": keys[kept:],
             "dropped": dropped,
             "rows_ingested": rows_ingested,
             "rows_expired": rows_expired,
@@ -479,51 +512,57 @@ class DiskBackup:
         else:
             # Pure-expiry generation: the drop list alone describes it.
             self.stats.manifest_only_links += 1
-        assert known is not None
-        for seq, block in enumerate(appended, start=link["start_seq"]):
-            known[block.uid] = seq
-        current = {block.uid for block in blocks}
-        for uid in [uid for uid in known if uid not in current]:
-            del known[uid]
         entry["next_seq"] = link["start_seq"] + len(appended)
-        entry.setdefault("chain", []).append(link)
+        entry["chain"].append(link)
         entry["snapshot_gen"] = gen
         return []
 
-    def _chain_delta(
-        self, blocks: list[RowBlock], known: dict[int, int]
-    ) -> tuple[list[RowBlock] | None, list[int]]:
-        """Diff the table's blocks against the chain: (appended, dropped).
+    def _chain_extension(
+        self, name: str, entry: dict, keys: list[str], gen: int
+    ) -> tuple[int, list[int]] | None:
+        """How the chain on disk extends to a table whose blocks have
+        ``keys``: ``(kept, dropped)`` as :func:`_chain_delta` aligns
+        them, or ``None`` when a fresh base is due instead.
 
-        Returns ``(None, [])`` when the chain cannot represent the
-        table's current state as an append + drop — survivors reordered,
-        or new blocks interleaved before surviving ones — in which case
-        the caller rewrites a base.  (Tables only ever append sealed
-        blocks and drop expired ones, so this is a defensive escape
-        hatch, not an expected path.)
+        The chain extends when the manifest vouches for its tip at an
+        older generation, every link records content keys, every file is
+        present, and the table still shares blocks with it.  A base is
+        due on the first snapshot, for a manifest from before keys
+        existed, for a table legacy replay re-sealed (nothing resident
+        is in the chain, so a delta would carry the whole table behind a
+        chain of dead files), and — counted as a compaction — when the
+        chain is too long or churn is past the threshold.
         """
-        current = {block.uid for block in blocks}
-        appended = [block for block in blocks if block.uid not in known]
-        survivor_seqs = [known[b.uid] for b in blocks if b.uid in known]
-        if survivor_seqs != sorted(survivor_seqs):
-            return None, []
-        tail = blocks[len(blocks) - len(appended) :] if appended else []
-        if [b.uid for b in tail] != [b.uid for b in appended]:
-            return None, []
-        dropped = sorted(seq for uid, seq in known.items() if uid not in current)
-        return appended, dropped
+        chain = entry.get("chain")
+        if not (
+            self.incremental
+            and chain
+            and entry.get("snapshot_gen", 0) == chain[-1].get("gen") < gen
+            and all(path.exists() for path in self.chain_files(name))
+        ):
+            return None
+        live = _live_chain_keys(chain)
+        if live is None:
+            return None
+        kept, dropped = _chain_delta(live, keys)
+        if live and keys and not kept:
+            return None
+        if self._should_compact(entry, chain, len(keys) - kept, dropped):
+            self.stats.compactions += 1
+            return None
+        return kept, dropped
 
     def _should_compact(
         self,
         entry: dict,
         chain: list[dict],
-        appended: list[RowBlock],
+        n_appended: int,
         dropped: list[int],
     ) -> bool:
         """Whether the next link should instead fold the chain."""
         if len(chain) + 1 > self.max_chain_links:
             return True
-        total_seqs = entry.get("next_seq", 0) + len(appended)
+        total_seqs = entry.get("next_seq", 0) + n_appended
         dropped_total = len(dropped) + sum(
             len(link.get("dropped", ())) for link in chain
         )
@@ -534,6 +573,7 @@ class DiskBackup:
         name: str,
         entry: dict,
         blocks: list[RowBlock],
+        keys: list[str],
         gen: int,
         rows_ingested: int,
         rows_expired: int,
@@ -557,6 +597,7 @@ class DiskBackup:
                 "kind": "base",
                 "start_seq": 0,
                 "blocks": len(blocks),
+                "keys": keys,
                 "dropped": [],
                 "rows_ingested": rows_ingested,
                 "rows_expired": rows_expired,
@@ -564,9 +605,6 @@ class DiskBackup:
         ]
         entry["next_seq"] = len(blocks)
         entry["snapshot_gen"] = gen
-        self._chain_uids[name] = {
-            block.uid: seq for seq, block in enumerate(blocks)
-        }
         return [old for old in old_files if old != path]
 
     def write_snapshot(self, table: Table) -> Path:
@@ -628,7 +666,6 @@ class DiskBackup:
         chain = self.chain_files(table_name)
         snapshot = self.snapshot_path(table_name)
         self._manifest.pop(table_name, None)
-        self._chain_uids.pop(table_name, None)
         self._save_manifest()
         path = self.table_file(table_name)
         if path.exists():

@@ -33,7 +33,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping
 
 from repro.errors import CorruptionError
 from repro.types import ColumnType, ColumnValue
-from repro.util.binary import BufferReader, BufferWriter
+from repro.util.binary import F64, I64, BufferReader, BufferWriter, encode_varint
 from repro.util.checksum import crc32_of
 
 DISK_MAGIC = 0x4B534453  # "SDSK"
@@ -113,14 +113,79 @@ def _decode_row(reader: BufferReader) -> dict[str, ColumnValue]:
     return row
 
 
+def _len_prefixed(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return encode_varint(len(raw)) + raw
+
+
+def encode_chunk_rows(rows: Iterable[Mapping[str, ColumnValue]]) -> tuple[int, bytes]:
+    """Encode rows as one chunk payload; returns ``(row count, payload)``.
+
+    Byte for byte what :func:`_encode_row` writes row after row (the
+    tests hold the two together), built faster: a chunk repeats a
+    handful of column names on every row and, in real tables, a small
+    set of string values, so each distinct name prefix (name + type
+    code) and each distinct string is encoded once per chunk, and the
+    payload is one join of the pieces.  The caches only ever hold
+    non-empty byte strings, which is what lets ``get(...) or`` stand for
+    "missing".
+    """
+    pieces: list[bytes] = []
+    append = pieces.append
+    # Per column type: column name -> encoded name + type byte.
+    ints: dict[str, bytes] = {}
+    floats: dict[str, bytes] = {}
+    strs: dict[str, bytes] = {}
+    vectors: dict[str, bytes] = {}
+    strings: dict[str, bytes] = {}
+    counts: dict[int, bytes] = {}
+
+    def name_prefix(cache: dict[str, bytes], ctype: ColumnType, name: str) -> bytes:
+        prefix = cache[name] = _len_prefixed(name) + bytes((int(ctype),))
+        return prefix
+
+    def string(text: str) -> bytes:
+        encoded = strings[text] = _len_prefixed(text)
+        return encoded
+
+    def count(n: int) -> bytes:
+        encoded = counts[n] = encode_varint(n)
+        return encoded
+
+    n_rows = 0
+    for row in rows:
+        n_rows += 1
+        append(counts.get(len(row)) or count(len(row)))
+        for name, value in row.items():
+            if isinstance(value, bool):
+                raise CorruptionError("boolean values cannot be persisted")
+            if isinstance(value, int):
+                append(ints.get(name) or name_prefix(ints, ColumnType.INT64, name))
+                append(I64.pack(value))
+            elif isinstance(value, float):
+                append(floats.get(name) or name_prefix(floats, ColumnType.FLOAT64, name))
+                append(F64.pack(value))
+            elif isinstance(value, str):
+                append(strs.get(name) or name_prefix(strs, ColumnType.STRING, name))
+                append(strings.get(value) or string(value))
+            elif isinstance(value, list):
+                append(
+                    vectors.get(name)
+                    or name_prefix(vectors, ColumnType.STRING_VECTOR, name)
+                )
+                append(counts.get(len(value)) or count(len(value)))
+                for item in value:
+                    append(strings.get(item) or string(item))
+            else:
+                raise CorruptionError(
+                    f"unsupported value type {type(value).__name__} for column '{name}'"
+                )
+    return n_rows, b"".join(pieces)
+
+
 def write_chunk(fh: BinaryIO, rows: Iterable[Mapping[str, ColumnValue]]) -> int:
     """Append one sync chunk; returns the number of rows written."""
-    writer = BufferWriter()
-    count = 0
-    for row in rows:
-        _encode_row(writer, row)
-        count += 1
-    payload = writer.getvalue()
+    count, payload = encode_chunk_rows(rows)
     fh.write(_CHUNK_HEADER.pack(CHUNK_MAGIC, count, len(payload), crc32_of(payload)))
     fh.write(payload)
     return count

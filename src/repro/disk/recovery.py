@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
+from repro.columnstore.rowblock import RowBlock
 from repro.disk.backup import DiskBackup
 from repro.disk.format import read_table_chunks
 from repro.disk.shmformat import ShmSnapshot, read_table_snapshot
@@ -77,6 +78,13 @@ def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
     :class:`LayoutVersionError` for torn, inconsistent, or incompatible
     content — and the caller routes the whole leaf down to legacy
     replay.
+
+    The manifest alone says which blocks a later link drops, so that set
+    is resolved first and those blocks are never unpacked: a long chain
+    costs its file reads and CRCs, not a decode of blocks that are
+    already dead.  The links' content keys are the *write* side's
+    business and are not re-derived here — the file CRC and the
+    generation / kind / count checks already vouch for the bytes.
     """
     expected = backup.snapshot_generation(table_name)
     if expected <= 0 or expected != backup.sync_generation(table_name):
@@ -92,7 +100,18 @@ def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
             f"table '{table_name}': chain tip generation "
             f"{chain[-1].get('gen')}; manifest expects {expected}"
         )
-    live: dict[int, "object"] = {}
+    doomed = {
+        seq
+        for link in chain
+        for seq in link.get("dropped", ())
+        if isinstance(seq, int)
+    }
+    #: sequence -> block; ``None`` stands for a doomed block that was
+    #: not unpacked.  Sequences never repeat (checked per link below) and
+    #: a drop must find its block here, so each ``None`` is deleted by
+    #: the link that dooms it — or that link raises.
+    live: dict[int, RowBlock | None] = {}
+    next_seq = 0
     prev_gen = 0
     tip: ShmSnapshot | None = None
     for index, link in enumerate(chain):
@@ -129,7 +148,13 @@ def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
             raise SnapshotStaleError(
                 f"table '{table_name}': chain file '{filename}' missing"
             )
-        snap = read_table_snapshot(path)
+        start = link.get("start_seq", 0)
+        if not isinstance(start, int) or start < next_seq:
+            raise CorruptionError(
+                f"table '{table_name}': chain link {index} reuses block "
+                f"sequence {start}"
+            )
+        snap = read_table_snapshot(path, skip={seq - start for seq in doomed})
         if snap.generation != gen:
             raise SnapshotStaleError(
                 f"table '{table_name}': chain file '{filename}' carries "
@@ -152,14 +177,8 @@ def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
                 f"table '{table_name}': chain file '{filename}' holds "
                 f"{len(snap.blocks)} blocks; chain link says {declared}"
             )
-        start = link.get("start_seq", 0)
-        for offset, block in enumerate(snap.blocks):
-            seq = start + offset
-            if seq in live:
-                raise CorruptionError(
-                    f"table '{table_name}': chain reuses block sequence {seq}"
-                )
-            live[seq] = block
+        live.update(enumerate(snap.blocks, start=start))
+        next_seq = start + len(snap.blocks)
         tip = snap
     last = chain[-1]
     rows_ingested = last.get("rows_ingested")

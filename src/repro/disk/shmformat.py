@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +67,11 @@ _KNOWN_FLAGS = SNAPSHOT_FLAG_DELTA
 
 @dataclass(frozen=True)
 class ShmSnapshot:
-    """One table's shm-format disk snapshot (or delta), fully decoded."""
+    """One table's shm-format disk snapshot (or delta), fully decoded.
+
+    ``blocks`` holds ``None`` at exactly the positions the reader was
+    told to ``skip`` (see :func:`read_table_snapshot`).
+    """
 
     table_name: str
     blocks: list[RowBlock]
@@ -84,23 +89,21 @@ class ShmSnapshot:
         return sum(block.row_count for block in self.blocks)
 
 
-def _table_filename(name: str) -> str:
-    safe = "".join(
+def safe_table_stem(name: str) -> str:
+    """A filesystem-safe file stem for a table (hex-escapes odd chars)."""
+    return "".join(
         ch if ch.isalnum() or ch in "-_." else f"%{ord(ch):02x}" for ch in name
     )
-    return f"{safe}.shmdisk"
 
 
 def snapshot_filename(name: str) -> str:
     """The filesystem-safe snapshot file name for a table."""
-    return _table_filename(name)
+    return f"{safe_table_stem(name)}.shmdisk"
 
 
 def delta_filename(name: str, generation: int) -> str:
     """The filesystem-safe delta file name for one chain generation."""
-    base = _table_filename(name)
-    stem, suffix = base.rsplit(".", 1)
-    return f"{stem}.d{generation}.{suffix}"
+    return f"{safe_table_stem(name)}.d{generation}.shmdisk"
 
 
 def fsync_directory(directory: str | Path) -> None:
@@ -159,7 +162,7 @@ def write_table_shm_format(
     if rows_ingested is None:
         rows_ingested = rows_expired + sum(block.row_count for block in blocks)
     body = _pack_table(table_name, blocks)
-    path = directory / (filename or _table_filename(table_name))
+    path = directory / (filename or snapshot_filename(table_name))
     tmp = path.with_suffix(".tmp")
     with open(tmp, "wb") as fh:
         fh.write(
@@ -204,12 +207,19 @@ def write_leafmap_shm_format(
     ]
 
 
-def read_table_snapshot(path: str | Path) -> ShmSnapshot:
+def read_table_snapshot(
+    path: str | Path, skip: Collection[int] = ()
+) -> ShmSnapshot:
     """Read and validate one shm-format file (CRC, versions, bounds).
 
     Raises :class:`CorruptionError` for torn/truncated files and
     :class:`LayoutVersionError` when either the file envelope or the
     embedded segment layout was written by an incompatible build.
+
+    ``skip`` names block positions in the file the caller already knows
+    to be dead (a later chain link dropped them): the whole file is
+    still read and checksummed, but those blocks are not unpacked and
+    come back as ``None``.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _FILE_HEADER.size:
@@ -243,7 +253,10 @@ def read_table_snapshot(path: str | Path) -> ShmSnapshot:
     # preamble parser defines every offset — including the empty-table
     # case — and validates the embedded layout version for free.
     table_name, pairs = read_segment_header(body)
-    blocks = [RowBlock.unpack(body[offset : offset + size]) for offset, size in pairs]
+    blocks = [
+        None if index in skip else RowBlock.unpack(body[offset : offset + size])
+        for index, (offset, size) in enumerate(pairs)
+    ]
     return ShmSnapshot(
         table_name=table_name,
         blocks=blocks,

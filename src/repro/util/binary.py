@@ -18,8 +18,9 @@ _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
+#: Public: the row-format chunk encoder packs these two directly.
+I64 = struct.Struct("<q")
+F64 = struct.Struct("<d")
 
 
 def encode_varint(value: int) -> bytes:
@@ -105,10 +106,10 @@ class BufferWriter:
         self._buf += _U64.pack(value)
 
     def write_i64(self, value: int) -> None:
-        self._buf += _I64.pack(value)
+        self._buf += I64.pack(value)
 
     def write_f64(self, value: float) -> None:
-        self._buf += _F64.pack(value)
+        self._buf += F64.pack(value)
 
     def write_varint(self, value: int) -> None:
         self._buf += encode_varint(value)
@@ -199,10 +200,10 @@ class BufferReader:
         return _U64.unpack(self._take(8))[0]
 
     def read_i64(self) -> int:
-        return _I64.unpack(self._take(8))[0]
+        return I64.unpack(self._take(8))[0]
 
     def read_f64(self) -> float:
-        return _F64.unpack(self._take(8))[0]
+        return F64.unpack(self._take(8))[0]
 
     def read_varint(self) -> int:
         value, self._pos = decode_varint(self._buf, self._pos)

@@ -138,3 +138,68 @@ def make_leafmap(clock, rows_per_block=50, tables=("events",), rows=120):
 @pytest.fixture
 def small_leafmap(clock):
     return make_leafmap(clock)
+
+
+def sealed_sync(backup, leafmap):
+    """A sync point with nothing buffered: the snapshot side runs too."""
+    leafmap.seal_all()
+    backup.sync_leafmap(leafmap)
+
+
+def grow_table(leafmap, n, start, table="events"):
+    """Append ``n`` rows shaped like :func:`make_leafmap`'s (the legacy
+    chunk writer pads rows to the table-wide schema, so differently
+    shaped rows would round-trip differently through the two disk
+    tiers); returns the next free timestamp."""
+    leafmap.get_table(table).add_rows(
+        {
+            "time": start + i,
+            "host": f"h{i % 5}",
+            "latency_ms": float(i),
+            "tags": ["prod"],
+        }
+        for i in range(n)
+    )
+    return start + n
+
+
+def restart_spanning_chain(directory, clock, tables=("events",)):
+    """A backup whose chains are six links long and written by two
+    processes: base + two deltas, then a crash, a ``DISK_SNAPSHOT``
+    restore into a new leaf map under a reopened manager, and three more
+    deltas from that one (the first of them drops two base blocks).
+
+    Returns ``(backup, leafmap)``, both the second process's.
+    """
+    from repro.disk.recovery import recover_leafmap_snapshots
+
+    backup = DiskBackup(directory)
+    leafmap = make_leafmap(clock, tables=tables)  # per table: 3 blocks
+    sealed_sync(backup, leafmap)
+    start = 5000
+    for _ in range(2):
+        for t_index, name in enumerate(tables):
+            grow_table(leafmap, 60, start + t_index * 10_000, table=name)
+        start += 1000
+        sealed_sync(backup, leafmap)
+
+    backup = DiskBackup(directory)  # the next process
+    reborn = LeafMap(clock=clock, rows_per_block=50)
+    recover_leafmap_snapshots(backup, reborn)
+    assert reborn.snapshot_rows() == leafmap.snapshot_rows()
+    for round_index in range(3):
+        for t_index, name in enumerate(tables):
+            if round_index == 0:
+                cutoff = 1100 + t_index * 10_000  # the first two blocks
+                reborn.get_table(name).expire_before(cutoff)
+                backup.record_expiry(name, cutoff)
+            grow_table(reborn, 60, start + t_index * 10_000, table=name)
+        start += 1000
+        sealed_sync(backup, reborn)
+    for name in tables:
+        chain = backup.snapshot_chain(name)
+        assert [link["kind"] for link in chain] == ["base"] + ["delta"] * 5
+        assert chain[3]["dropped"] == [0, 1]
+    assert backup.stats.bases_written == 0, "the restart must not cost a base"
+    assert backup.snapshots_ready()
+    return backup, reborn

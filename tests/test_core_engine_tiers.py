@@ -20,7 +20,7 @@ from repro.disk.shmformat import write_table_shm_format
 from repro.errors import CorruptionError
 from repro.shm.layout import SHM_LAYOUT_VERSION
 from repro.util.memtrack import MemoryTracker
-from tests.conftest import make_leafmap
+from tests.conftest import make_leafmap, restart_spanning_chain
 
 
 def synced_backup(tmp_path, clock, tables=("events",)):
@@ -255,6 +255,57 @@ class TestFallbackAccounting:
         assert fired
         assert report.method is RecoveryMethod.DISK
         assert report.fell_back_to_legacy
+        assert restored.snapshot_rows() == snapshot
+        assert tracker.in_region("shm") == 0
+        assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
+
+    @pytest.mark.parametrize("fault", [None, "restore:snapshot_table"])
+    def test_six_link_chain_spanning_a_restart(
+        self, fault, shm_namespace, tmp_path, clock, monkeypatch
+    ):
+        """The snapshot tier over chains two processes wrote: unfaulted
+        it unpacks only the blocks still alive (the manifest says which
+        are dead before any file is read); faulted after its first table
+        it frees that table and lands on legacy replay — tracker
+        balanced either way."""
+        from repro.columnstore.rowblock import RowBlock
+
+        backup, leafmap = restart_spanning_chain(
+            tmp_path / "backup", clock, tables=("events", "metrics")
+        )
+        snapshot = leafmap.snapshot_rows()
+        unpacked = []
+        real = RowBlock.unpack.__func__
+        monkeypatch.setattr(
+            RowBlock,
+            "unpack",
+            classmethod(lambda cls, buf, copy=True: (unpacked.append(1), real(cls, buf, copy))[1]),
+        )
+        tracker = MemoryTracker()
+        fired = []
+
+        def explode(p: str) -> None:
+            if p == fault and not fired:
+                fired.append(p)
+                raise CorruptionError("injected snapshot-tier fault")
+
+        restored = LeafMap(clock=clock, rows_per_block=50)
+        report = RestartEngine(
+            "7",
+            namespace=shm_namespace,
+            backup=DiskBackup(backup.directory),
+            tracker=tracker,
+            clock=clock,
+            fault_hook=explode,
+        ).restore(restored)
+        if fault is None:
+            assert report.method is RecoveryMethod.DISK_SNAPSHOT
+            # 13 blocks per table sit in the chain files, 2 of them dead.
+            assert len(unpacked) == sum(t.block_count for t in restored) == 22
+        else:
+            assert fired
+            assert report.method is RecoveryMethod.DISK
+            assert report.fell_back_to_legacy
         assert restored.snapshot_rows() == snapshot
         assert tracker.in_region("shm") == 0
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)

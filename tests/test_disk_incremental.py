@@ -23,28 +23,8 @@ from repro.disk.backup import DiskBackup
 from repro.disk.recovery import materialize_chain, recover_leafmap_snapshots
 from repro.errors import CorruptionError, SnapshotStaleError
 from repro.util.memtrack import MemoryTracker
-from tests.conftest import make_leafmap
-
-
-def sealed_sync(backup, leafmap):
-    leafmap.seal_all()
-    backup.sync_leafmap(leafmap)
-
-
-def grow(leafmap, n, start):
-    # Same column set as make_leafmap's rows: the legacy chunk writer
-    # pads rows to the table-wide schema, so differently-shaped rows
-    # would round-trip differently through the two disk tiers.
-    leafmap.get_table("events").add_rows(
-        {
-            "time": start + i,
-            "host": f"h{i % 5}",
-            "latency_ms": float(i),
-            "tags": ["prod"],
-        }
-        for i in range(n)
-    )
-    return start + n
+from tests.conftest import grow_table as grow
+from tests.conftest import make_leafmap, restart_spanning_chain, sealed_sync
 
 
 class TestDeltaChain:
@@ -153,25 +133,46 @@ class TestDeltaChain:
         after = [(p.name, p.stat().st_mtime_ns) for p in backup.snapshot_dir.iterdir()]
         assert after == stamp
 
-    def test_fresh_manager_rewrites_base(self, backup, clock):
-        """Block uids are process-local, so a reopened manager cannot
-        extend the chain it finds: its first snapshot is a fresh base."""
+    @pytest.mark.parametrize("how", ["reopened", "reloaded"])
+    def test_fresh_manager_extends_chain(self, backup, clock, how):
+        """The chain is keyed on content keys the manifest holds, so a
+        manager with no memory of writing it — reopened on the
+        directory, or ``reload()``-ed after another process advanced it
+        — extends the chain it finds: no base, one delta of exactly the
+        new blocks."""
         leafmap = make_leafmap(clock)
         sealed_sync(backup, leafmap)
         grow(leafmap, 60, 5000)
         sealed_sync(backup, leafmap)
         assert len(backup.snapshot_chain("events")) == 2
-        reopened = DiskBackup(backup.directory)
+        if how == "reopened":
+            manager = DiskBackup(backup.directory)
+        else:
+            manager = backup
+            manager.reload()
+        bases = manager.stats.bases_written
+        deltas = manager.stats.deltas_written
+        written = manager.stats.snapshot_bytes_written
+        before = len(leafmap.get_table("events").blocks)
         grow(leafmap, 60, 6000)
         leafmap.seal_all()
-        reopened.sync_leafmap(leafmap)
-        assert reopened.stats.bases_written == 1
-        assert reopened.stats.deltas_written == 0
-        chain = reopened.snapshot_chain("events")
-        assert [link["kind"] for link in chain] == ["base"]
-        # And the old delta files were cleaned up with the fold.
-        on_disk = {p.name for p in reopened.snapshot_dir.iterdir()}
-        assert on_disk == {chain[0]["file"]}
+        fresh = leafmap.get_table("events").blocks[before:]
+        manager.sync_leafmap(leafmap)
+        assert manager.stats.bases_written == bases
+        assert manager.stats.deltas_written == deltas + 1
+        chain = manager.snapshot_chain("events")
+        assert [link["kind"] for link in chain] == ["base", "delta", "delta"]
+        assert chain[-1]["blocks"] == len(fresh) == 2
+        assert chain[-1]["keys"] == [block.content_key() for block in fresh]
+        delta = shmformat.read_table_snapshot(manager.snapshot_dir / chain[-1]["file"])
+        assert [b.pack() for b in delta.blocks] == [b.pack() for b in fresh]
+        assert (
+            manager.stats.snapshot_bytes_written - written
+            == (manager.snapshot_dir / chain[-1]["file"]).stat().st_size
+        )
+        recovered = LeafMap(clock=clock, rows_per_block=50)
+        recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
+        assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
     def test_incremental_disabled_always_rewrites(self, tmp_path, clock):
         backup = DiskBackup(tmp_path / "b", incremental=False)
@@ -249,6 +250,164 @@ class TestDeltaChain:
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
 
+class TestContentKeyedChain:
+    """The chain is re-joined by content key, positionally."""
+
+    def test_manifest_without_keys_recovers_and_costs_one_base(
+        self, backup, clock
+    ):
+        """Version skew: a manifest written before links recorded keys
+        reads back unchanged, and since nothing says what its blocks
+        are, the next snapshot is one fresh base — with keys."""
+        leafmap = make_leafmap(clock)
+        sealed_sync(backup, leafmap)
+        grow(leafmap, 60, 5000)
+        sealed_sync(backup, leafmap)
+        manifest_path = backup.directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for link in manifest["events"]["chain"]:
+            del link["keys"]
+        manifest_path.write_text(json.dumps(manifest))
+
+        old = DiskBackup(backup.directory)
+        assert old.snapshot_valid("events")
+        recovered = LeafMap(clock=clock, rows_per_block=50)
+        recover_leafmap_snapshots(old, recovered)
+        assert recovered.snapshot_rows() == leafmap.snapshot_rows()
+
+        grow(recovered, 60, 6000)
+        recovered.seal_all()
+        old.sync_leafmap(recovered)
+        assert (old.stats.bases_written, old.stats.deltas_written) == (1, 0)
+        assert old.stats.compactions == 0
+        chain = old.snapshot_chain("events")
+        assert [link["kind"] for link in chain] == ["base"]
+        assert chain[0]["keys"] == [
+            block.content_key() for block in recovered.get_table("events").blocks
+        ]
+        assert {p.name for p in old.snapshot_dir.iterdir()} == {chain[0]["file"]}
+        # From here on the chain extends again.
+        grow(recovered, 60, 7000)
+        recovered.seal_all()
+        old.sync_leafmap(recovered)
+        assert (old.stats.bases_written, old.stats.deltas_written) == (1, 1)
+
+    def test_legacy_replay_rewrites_exactly_one_base(
+        self, shm_namespace, backup, clock
+    ):
+        """Replay re-seals every row into new blocks (new creation
+        time), which share nothing with the chain on disk: one honest
+        base, the dead chain files gone, rows identical on every route."""
+        leafmap = make_leafmap(clock)
+        sealed_sync(backup, leafmap)
+        grow(leafmap, 60, 5000)
+        sealed_sync(backup, leafmap)
+        grow(leafmap, 7, 6000)  # buffered at the sync: snapshot stale
+        backup.sync_leafmap(leafmap)
+        expected = leafmap.snapshot_rows()
+        assert not backup.snapshot_valid("events")
+
+        clock.advance(30.0)
+        manager = DiskBackup(backup.directory)
+        replayed = LeafMap(clock=clock, rows_per_block=50)
+        report = RestartEngine(
+            "0", namespace=shm_namespace, backup=manager, clock=clock
+        ).restore(replayed)
+        assert report.method is RecoveryMethod.DISK
+        assert replayed.snapshot_rows() == expected
+        manager.sync_leafmap(replayed)
+        assert (manager.stats.bases_written, manager.stats.deltas_written) == (1, 0)
+        chain = manager.snapshot_chain("events")
+        assert [link["kind"] for link in chain] == ["base"]
+        assert {p.name for p in manager.snapshot_dir.iterdir()} == {chain[0]["file"]}
+        again = LeafMap(clock=clock, rows_per_block=50)
+        report = RestartEngine(
+            "0", namespace=shm_namespace, backup=DiskBackup(backup.directory), clock=clock
+        ).restore(again)
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert again.snapshot_rows() == expected
+
+    def test_equal_content_blocks_align_by_position(self, tmp_path, clock):
+        """Two blocks holding the same rows sealed at the same instant
+        have one key.  Dropping the older twin must leave a chain that
+        still materializes to the table, whichever twin it keeps."""
+        backup = DiskBackup(tmp_path / "b", compact_churn=1.0)
+        leafmap = LeafMap(clock=clock, rows_per_block=10)
+        table = leafmap.get_or_create("events")
+        twin = [{"time": 100 + i, "host": "a"} for i in range(10)]
+        table.add_rows(twin)
+        table.add_rows({"time": 200 + i, "host": "b"} for i in range(10))
+        table.add_rows(twin)
+        keys = [block.content_key() for block in table.blocks]
+        assert keys[0] == keys[2] != keys[1]
+        backup.sync_leafmap(leafmap)
+
+        table.enforce_size_limit(table.sealed_nbytes - table.blocks[0].nbytes)
+        table.add_rows(twin)
+        manager = DiskBackup(backup.directory, compact_churn=1.0)
+        manager.sync_leafmap(leafmap)
+        chain = manager.snapshot_chain("events")
+        assert [link["kind"] for link in chain] == ["base", "delta"]
+        # [A, B, A] -> [B, A, A]: the older twin goes, the younger one
+        # is matched where it stands, and only the new block is written.
+        assert chain[1]["dropped"] == [0]
+        assert chain[1]["keys"] == [keys[0]]
+        recovered = LeafMap(clock=clock, rows_per_block=10)
+        recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
+        assert recovered.snapshot_rows() == leafmap.snapshot_rows()
+
+    @pytest.mark.parametrize(
+        "live, keys, kept, dropped",
+        [
+            ([], [], 0, []),
+            ([], ["a"], 0, []),
+            ([(0, "a"), (1, "b")], ["a", "b"], 2, []),
+            ([(0, "a"), (1, "b")], ["a", "b", "c"], 2, []),
+            ([(0, "a"), (1, "b"), (2, "c")], ["b", "c", "d"], 2, [0]),
+            ([(0, "a"), (1, "b"), (2, "c")], ["a", "c"], 2, [1]),
+            ([(0, "a"), (1, "b")], [], 0, [0, 1]),
+            ([(0, "a"), (1, "b")], ["x", "y"], 0, [0, 1]),
+            # Equal keys: matched in order, never twice.
+            ([(4, "a"), (5, "a"), (6, "b")], ["a", "b"], 2, [5]),
+            ([(4, "a"), (5, "a")], ["a", "a", "a"], 2, []),
+            ([(4, "a"), (5, "b"), (6, "a")], ["a", "a"], 2, [5]),
+        ],
+    )
+    def test_chain_delta_alignment(self, live, keys, kept, dropped):
+        from repro.disk.backup import _chain_delta
+
+        assert _chain_delta(live, keys) == (kept, dropped)
+        # Whatever the alignment, survivors + appended is the table.
+        survivors = [key for seq, key in live if seq not in dropped]
+        assert survivors + keys[kept:] == keys
+
+    def test_second_sync_decodes_only_the_new_block(
+        self, backup, clock, monkeypatch
+    ):
+        """The row-format log needs the rows added since the last sync;
+        nothing sealed before it is decoded again."""
+        from repro.columnstore.rowblock import RowBlock
+
+        leafmap = make_leafmap(clock, tables=("events", "metrics"))
+        sealed_sync(backup, leafmap)
+        decoded = []
+        real = RowBlock.to_rows
+        monkeypatch.setattr(
+            RowBlock, "to_rows", lambda block: (decoded.append(block), real(block))[1]
+        )
+        for name in ("events", "metrics"):
+            grow(leafmap, 50, 5000, table=name)
+        assert all(table.block_count == 4 for table in leafmap)
+        backup.sync_leafmap(leafmap)
+        assert decoded == [table.blocks[-1] for table in leafmap]
+        # With rows still buffered: the one straddled block, no more.
+        del decoded[:]
+        grow(leafmap, 70, 6000)
+        backup.sync_leafmap(leafmap)
+        assert decoded == [leafmap.get_table("events").blocks[-1]]
+        assert backup.synced_rows("events") == 120 + 50 + 70
+
+
 class TestDirectoryFsync:
     """Satellite fix: ``os.replace`` is atomic but not durable — the
     containing directory must be fsynced or a crash can roll back a
@@ -311,6 +470,46 @@ class TestDirectoryFsync:
         assert restored.snapshot_rows() == leafmap.snapshot_rows()
 
 
+    def test_dir_fsync_fault_on_a_delta_after_restart(
+        self, shm_namespace, tmp_path, clock, monkeypatch
+    ):
+        """The same ordering for a delta appended by the process that
+        re-joined the chain: the rename's directory fsync fails, so the
+        manifest on disk still vouches for the chain exactly as the
+        previous process left it, and the retried sync lands one delta."""
+        backup, leafmap = restart_spanning_chain(tmp_path / "backup", clock)
+        before = (backup.directory / "manifest.json").read_bytes()
+        vouched = LeafMap(clock=clock, rows_per_block=50)
+        recover_leafmap_snapshots(DiskBackup(backup.directory), vouched)
+        grow(leafmap, 60, 9000)
+        leafmap.seal_all()
+
+        def explode(directory):
+            raise OSError("injected: directory fsync failed")
+
+        monkeypatch.setattr(shmformat, "fsync_directory", explode)
+        with pytest.raises(OSError, match="injected"):
+            backup.sync_leafmap(leafmap)
+        monkeypatch.undo()
+
+        assert (backup.directory / "manifest.json").read_bytes() == before
+        reopened = DiskBackup(backup.directory)
+        assert reopened.snapshots_ready()
+        restored = LeafMap(clock=clock, rows_per_block=50)
+        report = RestartEngine(
+            "0", namespace=shm_namespace, backup=reopened, clock=clock
+        ).restore(restored)
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert restored.snapshot_rows() == vouched.snapshot_rows()
+
+        reopened.sync_leafmap(leafmap)
+        assert (reopened.stats.bases_written, reopened.stats.deltas_written) == (0, 1)
+        assert len(reopened.snapshot_chain("events")) == 7
+        final = LeafMap(clock=clock, rows_per_block=50)
+        recover_leafmap_snapshots(DiskBackup(backup.directory), final)
+        assert final.snapshot_rows() == leafmap.snapshot_rows()
+
+
 def chained_backup(tmp_path, clock):
     """A backup whose 'events' chain is base + delta + delta with drops."""
     backup = DiskBackup(tmp_path / "backup")
@@ -326,6 +525,13 @@ def chained_backup(tmp_path, clock):
     assert [link["kind"] for link in chain] == ["base", "delta", "delta"]
     assert chain[-1]["dropped"], "sweep needs a link with drops"
     assert backup.snapshots_ready()
+    return backup, leafmap.snapshot_rows()
+
+
+def restarted_chain(tmp_path, clock):
+    """The same shape six links long and written by two processes: the
+    second one re-joined the first one's chain after a crash."""
+    backup, leafmap = restart_spanning_chain(tmp_path / "backup", clock)
     return backup, leafmap.snapshot_rows()
 
 
@@ -352,6 +558,18 @@ class TestChainReadFaultSweep:
         if case == "torn_delta":
             path = backup.snapshot_dir / chain[1]["file"]
             path.write_bytes(path.read_bytes()[:40])
+            return backup
+        if case == "torn_tip_delta":
+            # Across a restart this is a delta the *second* process
+            # appended to the chain it found.
+            path = backup.snapshot_dir / chain[-1]["file"]
+            path.write_bytes(path.read_bytes()[:-7])
+            return backup
+        if case == "stale_tip_delta":
+            # The tip file is the previous generation's bytes: a rename
+            # that never became durable under a manifest that did.
+            path = backup.snapshot_dir / chain[-1]["file"]
+            path.write_bytes((backup.snapshot_dir / chain[-2]["file"]).read_bytes())
             return backup
         if case == "tip_gen_mismatch":
             return _patch_manifest(
@@ -393,6 +611,8 @@ class TestChainReadFaultSweep:
     # entered and the whole leaf falls back.
     FAULTED = (
         "torn_delta",
+        "torn_tip_delta",
+        "stale_tip_delta",
         "nonmonotone_gens",
         "kind_out_of_position",
         "unknown_dropped_seq",
@@ -406,7 +626,17 @@ class TestChainReadFaultSweep:
     def test_chain_fault_falls_back_to_legacy(
         self, case, shm_namespace, tmp_path, clock
     ):
-        backup, snapshot = chained_backup(tmp_path, clock)
+        self.falls_back_to_legacy(chained_backup, case, shm_namespace, tmp_path, clock)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_restarted_chain_fault_falls_back_to_legacy(
+        self, case, shm_namespace, tmp_path, clock
+    ):
+        """The same sweep over a six-link chain two processes wrote."""
+        self.falls_back_to_legacy(restarted_chain, case, shm_namespace, tmp_path, clock)
+
+    def falls_back_to_legacy(self, build, case, shm_namespace, tmp_path, clock):
+        backup, snapshot = build(tmp_path, clock)
         backup = self.corruption(backup, case)
         with pytest.raises((SnapshotStaleError, CorruptionError)):
             materialize_chain(backup, "events")
@@ -437,7 +667,16 @@ class TestChainReadFaultSweep:
     ):
         """The same sweep with the legacy rung running parallel replay:
         identical rows, balanced tracker, on both fan-out backends."""
-        backup, snapshot = chained_backup(tmp_path, clock)
+        self.parallel_replay_matches(chained_backup, case, shm_namespace, tmp_path, clock)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_restarted_chain_fault_parallel_replay_matches(
+        self, case, shm_namespace, tmp_path, clock
+    ):
+        self.parallel_replay_matches(restarted_chain, case, shm_namespace, tmp_path, clock)
+
+    def parallel_replay_matches(self, build, case, shm_namespace, tmp_path, clock):
+        backup, snapshot = build(tmp_path, clock)
         backup = self.corruption(backup, case)
         tracker = MemoryTracker()
         restored = LeafMap(clock=clock, rows_per_block=50)

@@ -100,6 +100,49 @@ class TestLifecycle:
         leaf.crash()
         assert tracker.total == 0
 
+    @pytest.mark.parametrize("serving", [False, True], ids=["blocking", "serving"])
+    def test_heap_charge_is_exact_across_expiring_restarts(
+        self, serving, shm_namespace, tmp_path, clock
+    ):
+        """Ingest and expiry between restarts are not reported to the
+        tracker; the shutdown reconciles the engine's charge with what is
+        resident in *both* directions, so a leaf that expired more than
+        it ingested does not carry the surplus on the heap region for
+        the rest of its life (it used to: only a deficit was charged)."""
+        tracker = MemoryTracker()
+        leaf = make_leaf(shm_namespace, tmp_path, clock, tracker=tracker)
+        leaf.start()
+        t0 = int(clock.now())
+        sealed_history = []
+        for slot in range(10):
+            # Uneven slots, so the resident bytes both grow and shrink
+            # from one restart to the next.
+            n_rows = 150 if slot % 3 == 0 else 50
+            leaf.add_rows(
+                "events",
+                [
+                    {"time": t0 + slot * 100 + i % 100, "host": f"h{i % 7}", "v": i / 3}
+                    for i in range(n_rows)
+                ],
+            )
+            clock.set(t0 + (slot + 1) * 100)
+            leaf.expire(200)  # keeps the two newest slots
+            leaf.shutdown(use_shm=True)
+            assert tracker.in_region("heap") == 0
+            if serving:
+                leaf.start(serve_while_restoring=True)
+                leaf.wait_restored()
+            else:
+                leaf.start()
+            sealed = sum(table.sealed_nbytes for table in leaf.leafmap)
+            assert tracker.in_region("heap") == sealed > 0
+            assert tracker.in_region("shm") == 0
+            sealed_history.append(sealed)
+        grew = [b > a for a, b in zip(sealed_history, sealed_history[1:])]
+        assert True in grew and False in grew, "the test must drift both ways"
+        leaf.crash()
+        assert tracker.total == 0
+
     def test_shutdown_requires_alive(self, shm_namespace, tmp_path, clock):
         leaf = make_leaf(shm_namespace, tmp_path, clock)
         with pytest.raises(StateError):
