@@ -312,6 +312,61 @@ class TestE17IncrementalSnapshots:
                 "host (GIL/fork-bound); the >= 2x floor needs >= 4 cores"
             )
 
+    def test_replay_cost_follows_survivors(self, tmp_path, record_result):
+        """The log is append-only and expiry is a count in the manifest,
+        so an old leaf's log is mostly dead rows.  Replay reads every
+        chunk header and CRC but decodes only the chunks that still hold
+        live rows: with a quarter of the log alive it must cost under
+        half of replaying all of it (decoding every chunk first, it cost
+        about three quarters)."""
+        clock = ManualClock(0.0)
+        backup = DiskBackup(tmp_path / "legacy", snapshots=False)
+        leafmap = LeafMap(clock=clock, rows_per_block=256)
+        table = leafmap.get_or_create("service_requests")
+        rows = service_requests(BASE_ROWS + ROUNDS * ROWS_PER_ROUND)
+        for batch in (*([ROWS_PER_ROUND] * ROUNDS), BASE_ROWS):
+            table.add_rows(islice(rows, batch))
+            leafmap.seal_all()
+            backup.sync_leafmap(leafmap)
+        log_rows = table.row_count
+
+        def serial_replay() -> tuple[float, int]:
+            expected = rows_digest(leafmap.snapshot_rows())
+            best = float("inf")
+            for _ in range(3):
+                restored = LeafMap(clock=clock, rows_per_block=256)
+                started = time.perf_counter()
+                count = recover_leafmap(backup, restored)
+                best = min(best, time.perf_counter() - started)
+                assert rows_digest(restored.snapshot_rows()) == expected
+            return best, count
+
+        full_s, full_count = serial_replay()
+        assert full_count == log_rows
+        # Size-limit drops, oldest block first, down to a quarter.
+        table.enforce_size_limit(table.sealed_nbytes // 4)
+        backup.sync_leafmap(leafmap)
+        trimmed_s, live_rows = serial_replay()
+        live_fraction = live_rows / log_rows
+        assert 0.15 < live_fraction < 0.30
+        record_result(
+            "E17",
+            f"serial legacy replay, {live_fraction:.0%} of the log alive vs all of it",
+            "< 0.5x the time",
+            f"{trimmed_s * 1000:.0f} ms ({live_rows / trimmed_s:,.0f} rows/s) vs "
+            f"{full_s * 1000:.0f} ms ({log_rows / full_s:,.0f} rows/s), "
+            f"{trimmed_s / full_s:.2f}x",
+        )
+        RESULTS["serial_replay_rows_per_s"] = log_rows / full_s
+        RESULTS["log_live_fraction"] = live_fraction
+        RESULTS["trimmed_replay"] = {
+            "seconds": trimmed_s,
+            "rows_per_s": live_rows / trimmed_s,
+            "time_vs_full_log": trimmed_s / full_s,
+        }
+        _dump_artifact()
+        assert trimmed_s < 0.5 * full_s
+
     def test_simulator_backs_both_floors(self, record_result):
         """The hardware model's claims hold regardless of host cores:
         the paper-profile chain cuts sync bytes ~5.7x and 4 process

@@ -36,6 +36,11 @@ def infer_column_type(value: ColumnValue) -> ColumnType:
     raise SchemaError(f"unsupported column value type: {type(value).__name__}")
 
 
+#: The exact Python type of an ordinary value of each scalar column
+#: type.  Subclasses, bools and lists take the general, per-value path.
+_EXACT_TYPES = {int: ColumnType.INT64, float: ColumnType.FLOAT64, str: ColumnType.STRING}
+
+
 class Schema:
     """An ordered, immutable name→type mapping with wire serialization."""
 
@@ -59,7 +64,7 @@ class Schema:
         columns: dict[str, ColumnType] = {}
         for row in rows:
             for name, value in row.items():
-                ctype = infer_column_type(value)
+                ctype = _EXACT_TYPES.get(type(value)) or infer_column_type(value)
                 known = columns.get(name)
                 if known is None:
                     columns[name] = ctype
@@ -114,15 +119,16 @@ class Schema:
         default value (rows need not all carry every column)."""
         ctype = self.type_of(name)
         default = ctype.default()
-        out: list[ColumnValue] = []
-        for row in rows:
-            value = row.get(name, default)
+        out: list[ColumnValue] = [row.get(name, default) for row in rows]
+        if all(_EXACT_TYPES.get(kind) is ctype for kind in set(map(type, out))):
+            return out  # nothing to copy, convert or reject
+        for index, value in enumerate(out):
             if isinstance(value, list):
                 value = list(value)  # never alias caller-owned lists
             ctype.validate(value)
             if ctype is ColumnType.FLOAT64 and isinstance(value, int):
                 value = float(value)
-            out.append(value)
+            out[index] = value
         return out
 
     def serialize(self, writer: BufferWriter) -> None:

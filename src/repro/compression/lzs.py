@@ -19,6 +19,8 @@ output to input size and fall back to RAW when compression does not pay.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import CorruptionError
 from repro.util.binary import decode_varint, encode_varint
 
@@ -27,66 +29,92 @@ _MAX_CHAIN = 16  # how many hash-bucket candidates the encoder probes
 _WINDOW = 1 << 16  # maximum back-reference distance
 
 
-def _hash4(data: bytes, pos: int) -> int:
-    """Hash of the 4 bytes at ``pos`` (Fibonacci hashing, as in lz4)."""
-    word = data[pos] | data[pos + 1] << 8 | data[pos + 2] << 16 | data[pos + 3] << 24
-    return (word * 2654435761) >> 18 & 0x3FFF
-
-
 def lz_compress(data: bytes | memoryview) -> bytes:
-    """Compress ``data``; the empty input compresses to the empty output."""
+    """Compress ``data``; the empty input compresses to the empty output.
+
+    The parse is greedy: the newest ``_MAX_CHAIN`` earlier positions in
+    the same hash bucket (Fibonacci hash of the 4-byte word, as in lz4)
+    are tried newest first, and the strictly longest match within
+    ``_WINDOW`` wins.  Sealed blocks, content keys and snapshot chains
+    are made of these exact bytes, so the shortcuts only skip work that
+    cannot change the parse (the tests hold a byte-at-a-time reference
+    against it): words and hashes come from numpy once; ``bytes.find``
+    hops over positions whose hash nothing shares, which can neither
+    find nor be a candidate; a candidate whose word differs matches
+    fewer than ``_MIN_MATCH`` bytes, and one that differs at offset
+    ``best_len`` cannot be strictly longer; matches are extended by
+    XOR-ing slices of doubling width.
+    """
     data = bytes(data)
     n = len(data)
-    if n == 0:
-        return b""
+    if n < _MIN_MATCH:
+        return bytes((n,)) + data + b"\x00\x00" if n else b""
+    octets = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
+    word_at = octets[:-3] | octets[1:-2] << 8 | octets[2:-1] << 16 | octets[3:] << 24
+    hash_at = ((word_at * 2654435761) >> 18 & 0x3FFF).astype(np.intp)
+    shared = (np.bincount(hash_at)[hash_at] > 1).tobytes()
+    words = word_at.tolist()
+    hashes = hash_at.tolist()
     out = bytearray()
+
+    def put_varint(value: int) -> None:
+        if value < 0x80:
+            out.append(value)
+        else:
+            out.extend(encode_varint(value))
+
     table: dict[int, list[int]] = {}
     pos = 0
     literal_start = 0
-    while pos + _MIN_MATCH <= n:
-        key = _hash4(data, pos)
-        candidates = table.get(key)
-        best_len = 0
-        best_dist = 0
-        if candidates:
-            for cand in reversed(candidates[-_MAX_CHAIN:]):
-                dist = pos - cand
-                if dist > _WINDOW:
+    while (pos := shared.find(1, pos)) >= 0:
+        bucket = table.setdefault(hashes[pos], [])
+        best_len = best_dist = 0
+        word = words[pos]
+        limit = n - pos
+        for cand in bucket[: -_MAX_CHAIN - 1 : -1]:
+            if pos - cand > _WINDOW:
+                break
+            if words[cand] != word or (
+                best_len
+                and (best_len == limit or data[cand + best_len] != data[pos + best_len])
+            ):
+                continue
+            match_len = _MIN_MATCH
+            width = 8
+            while match_len < limit:
+                diff = int.from_bytes(
+                    data[cand + match_len : cand + match_len + width], "little"
+                ) ^ int.from_bytes(data[pos + match_len : pos + match_len + width], "little")
+                if diff:
+                    # Lowest set bit -> first differing byte.  The end of
+                    # the input may cut the slice at ``pos`` short; what
+                    # the other holds past it is clamped away below.
+                    match_len += ((diff & -diff).bit_length() - 1) >> 3
                     break
-                # Verify and extend the match.
-                match_len = 0
-                limit = n - pos
-                while (
-                    match_len < limit
-                    and data[cand + match_len] == data[pos + match_len]
-                ):
-                    match_len += 1
-                if match_len > best_len:
-                    best_len = match_len
-                    best_dist = dist
-        table.setdefault(key, []).append(pos)
-        if best_len >= _MIN_MATCH:
-            out += encode_varint(pos - literal_start)
-            out += data[literal_start:pos]
-            out += encode_varint(best_len)
-            out += encode_varint(best_dist)
-            # Index a sparse sample of positions inside the match so later
-            # matches can still find this region without O(n) inserts.
-            end = pos + best_len
-            step = max(1, best_len // 8)
-            probe = pos + 1
-            while probe + _MIN_MATCH <= min(end, n - _MIN_MATCH + 1):
-                table.setdefault(_hash4(data, probe), []).append(probe)
-                probe += step
-            pos = end
-            literal_start = pos
-        else:
+                match_len += width
+                width <<= 1
+            match_len = min(match_len, limit)
+            if match_len > best_len:
+                best_len = match_len
+                best_dist = pos - cand
+        bucket.append(pos)
+        if not best_len:
             pos += 1
+            continue
+        put_varint(pos - literal_start)
+        out += data[literal_start:pos]
+        put_varint(best_len)
+        put_varint(best_dist)
+        # Index a sparse sample of positions inside the match so later
+        # matches can still find this region without O(n) inserts.
+        end = pos + best_len
+        for probe in range(pos + 1, min(end, n - 3) - 3, max(1, best_len // 8)):
+            table.setdefault(hashes[probe], []).append(probe)
+        pos = literal_start = end
     # Final token: trailing literals with match_len 0.
-    out += encode_varint(n - literal_start)
+    put_varint(n - literal_start)
     out += data[literal_start:]
-    out += encode_varint(0)
-    out += encode_varint(0)
+    out += b"\x00\x00"
     return bytes(out)
 
 

@@ -422,17 +422,25 @@ class DiskBackup:
             entry["synced_rows"] = total
             entry["sync_gen"] = entry.get("sync_gen", 0) + 1
             changed = True
-        # Keep the replay trim count in step with the live table.  The
-        # count alone never bumps the sync generation or invalidates the
-        # snapshot — it only tells legacy replay how many leading ingest
-        # positions the live table had already dropped.
+        # Keep the replay trim count in step with the live table: it
+        # tells legacy replay how many leading ingest positions the live
+        # table had already dropped.
         known_expired = entry.get("rows_expired")
         if known_expired is None or expired > known_expired:
             entry["rows_expired"] = expired
             changed = True
         stale: list[Path] = []
         if snapshot and table.buffered_row_count == 0:
-            if self.snapshot_valid(table.name):
+            valid = self.snapshot_valid(table.name)
+            tip_expired = self.snapshot_chain(table.name)[-1].get("rows_expired") if valid else None
+            if tip_expired is not None and expired > tip_expired:
+                # Blocks left the table since the tip link and nothing else
+                # moved.  A size-limit drop leaves no cutoff for a restore
+                # to re-apply, so trusting the tip would resurrect them:
+                # a new generation, whose manifest-only link drops them.
+                entry["sync_gen"] += 1
+                valid = False
+            if valid:
                 # The chain tip already carries this sync generation:
                 # nothing changed, so a no-op sync point writes nothing.
                 self.stats.skipped_unchanged += 1

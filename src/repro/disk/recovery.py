@@ -10,15 +10,49 @@ restore is real in this implementation, not simulated.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
 from repro.disk.backup import DiskBackup
-from repro.disk.format import read_table_chunks
+from repro.disk.format import decode_chunk_rows, read_chunk_payloads, read_table_chunks
 from repro.disk.shmformat import ShmSnapshot, read_table_snapshot
 from repro.errors import CorruptionError, RecoveryError, SnapshotStaleError
 from repro.types import TIME_COLUMN, ColumnValue
+
+
+def surviving_chunks(
+    backup: DiskBackup, table_name: str
+) -> tuple[list[tuple[int, bytes]], int]:
+    """The log chunks that still hold live rows, as ``(chunks, skip)``.
+
+    The log is append-only and expiry only moves a count in the
+    manifest, so on a long-running leaf most chunks hold only dead rows.
+    The trailing ``synced_rows - rows_expired`` rows of the intact chunk
+    stream survive; chunk headers carry row counts, so the walk keeps the
+    newest chunks that cover them and drops the rest undecoded.
+    ``chunks`` are raw ``(row count, payload)`` pairs, oldest first; the
+    first ``skip`` rows of ``chunks[0]`` are dead.  A dead chunk is still
+    read and CRC-checked (:func:`read_chunk_payloads`: the file's
+    validity does not depend on what survives), but whether its rows
+    would decode is never asked.  A manifest from before the count was
+    tracked keeps every chunk; its replay filters rows by timestamp.
+    """
+    path = backup.table_file(table_name)
+    expired = backup.rows_expired(table_name)
+    keep = None if expired is None else max(0, backup.synced_rows(table_name) - expired)
+    if keep == 0 or not path.exists():
+        return [], 0
+    window: deque[tuple[int, bytes]] = deque()
+    held = 0
+    with open(path, "rb") as fh:
+        for chunk in read_chunk_payloads(fh):
+            window.append(chunk)
+            held += chunk[0]
+            while keep is not None and held - window[0][0] >= keep:
+                held -= window.popleft()[0]
+    return list(window), (0 if keep is None else max(0, held - keep))
 
 
 def recover_table_rows(
@@ -30,31 +64,27 @@ def recover_table_rows(
     expiry is re-applied by *count*: the trailing ``synced_rows -
     rows_expired`` log rows survive, which reproduces the live table's
     block-granular expiry exactly — including rows below the cutoff
-    that the live table kept inside a straddling block.  Manifests from
-    before the count was tracked fall back to filtering rows by the
-    timestamp cutoff.
+    that the live table kept inside a straddling block — and only the
+    chunks holding them are decoded (:func:`surviving_chunks`).
+    Manifests from before the count was tracked fall back to filtering
+    rows by the timestamp cutoff.
     """
-    path = backup.table_file(table_name)
-    if not path.exists():
-        return
-    rows_expired = backup.rows_expired(table_name)
-    if rows_expired is not None:
-        keep = max(0, backup.synced_rows(table_name) - rows_expired)
-        if keep == 0:
-            return
-        tail: list[dict[str, ColumnValue]] = []
-        with open(path, "rb") as fh:
-            for chunk_rows in read_table_chunks(fh):
-                tail.extend(chunk_rows)
-                if len(tail) > keep:
-                    del tail[: len(tail) - keep]
+    if backup.rows_expired(table_name) is not None:
+        chunks, skip = surviving_chunks(backup, table_name)
         # A deletion intent recorded but never run live is made here,
         # on top of the count trim, exactly as the paper's Figure 5
         # caption requires.
         intent = backup.unapplied_expire_cutoff(table_name)
-        for row in tail:
-            if row.get(TIME_COLUMN, 0) >= intent:
-                yield row
+        for n_rows, payload in chunks:
+            rows = decode_chunk_rows(payload, n_rows)
+            del rows[:skip]
+            skip = 0
+            for row in rows:
+                if row.get(TIME_COLUMN, 0) >= intent:
+                    yield row
+        return
+    path = backup.table_file(table_name)
+    if not path.exists():
         return
     cutoff = backup.expire_cutoff(table_name)
     with open(path, "rb") as fh:

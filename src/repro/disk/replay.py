@@ -20,8 +20,9 @@ that assumption against its actual rows; if the byte cap would have
 sealed a group early anywhere, the whole table is redone through the
 exact single-stream grouping (:func:`iter_seal_groups`) with only the
 sealing fanned out — slower, never wrong.  The same exact path handles
-tables with an expiry cutoff, where chunk-header row counts overstate
-the surviving stream.
+tables with a timestamp cutoff still to apply, where chunk-header row
+counts overstate the surviving stream; expiry the live table already
+ran is a count, and only moves where the stream starts.
 
 The process backend exists because of the GIL: threads time-slice the
 same interpreter, processes do not.  Chunks cross into workers as raw
@@ -48,8 +49,8 @@ from repro.columnstore.rowblock import RowBlock
 from repro.columnstore.table import Table, estimate_row_bytes
 from repro.core.parallel import FootprintBudget
 from repro.disk.backup import DiskBackup
-from repro.disk.format import decode_chunk_rows, read_chunk_payloads
-from repro.disk.recovery import recover_table_rows
+from repro.disk.format import decode_chunk_rows
+from repro.disk.recovery import recover_table_rows, surviving_chunks
 from repro.errors import RecoveryError, SchemaError
 from repro.types import TIME_COLUMN, ColumnValue
 from repro.util.clock import Clock, SystemClock
@@ -287,21 +288,17 @@ def _replay_table_partitioned(
     which case nothing was installed and the caller must rerun the
     table through :func:`_replay_table_exact`.
     """
-    path = backup.table_file(table.name)
-    if not path.exists():
-        table.replace_blocks([])
-        return 0
-    with open(path, "rb") as fh:
-        chunks = list(read_chunk_payloads(fh))
+    chunks, skip = surviving_chunks(backup, table.name)
     counts = [n_rows for n_rows, _ in chunks]
-    total = sum(counts)
+    stream_end = sum(counts)
+    total = stream_end - skip
     if total == 0:
         table.replace_blocks([])
         return 0
     rpb = table.rows_per_block
     n_groups = -(-total // rpb)
     per_part = max(1, -(-n_groups // (workers * _PARTITIONS_PER_WORKER))) * rpb
-    # Chunk index of each global row: starts[i] = first row of chunk i.
+    # Chunk index of each stream row: starts[i] = first row of chunk i.
     starts: list[int] = []
     acc = 0
     for n in counts:
@@ -313,8 +310,8 @@ def _replay_table_partitioned(
     results: list = []
     try:
         chunk_idx = 0
-        for begin in range(0, total, per_part):
-            end = min(begin + per_part, total)
+        for begin in range(skip, stream_end, per_part):
+            end = min(begin + per_part, stream_end)
             while starts[chunk_idx] + counts[chunk_idx] <= begin:
                 chunk_idx += 1
             last = chunk_idx
@@ -375,13 +372,12 @@ def replay_leafmap(
         for table_name in backup.table_names:
             table = leafmap.create_table(table_name)
             count: int | None = None
-            rows_expired = backup.rows_expired(table_name)
-            trimmed = (
-                (rows_expired > 0 or backup.unapplied_expire_cutoff(table_name) != 0)
-                if rows_expired is not None
-                else backup.expire_cutoff(table_name) != 0
+            # A count trim cuts the chunk stream at its head only.
+            thinned = backup.unapplied_expire_cutoff(table_name) != 0 or (
+                backup.rows_expired(table_name) is None
+                and backup.expire_cutoff(table_name) != 0
             )
-            if not trimmed:
+            if not thinned:
                 count = _replay_table_partitioned(
                     backup, table, executor, backend, budget, clock, workers
                 )

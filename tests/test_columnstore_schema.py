@@ -82,6 +82,32 @@ class TestSchema:
         with pytest.raises(TypeError):
             schema.column_values("host", [{"time": 1, "host": 5}])
 
+    def test_only_exactly_typed_columns_skip_the_per_value_checks(self):
+        """A column whose values are all exactly int / float / str is
+        taken as it stands; anything else in it (a bool, an int in a
+        float column, an int subclass) still meets the per-value path."""
+        import enum
+
+        class Level(enum.IntEnum):
+            HIGH = 7
+
+        schema = Schema(
+            {"time": ColumnType.INT64, "n": ColumnType.INT64, "v": ColumnType.FLOAT64}
+        )
+        rows = [{"time": 1, "n": 3, "v": 1.5}, {"time": 2, "n": Level.HIGH, "v": 2}]
+        assert schema.column_values("time", rows) == [1, 2]
+        assert schema.column_values("n", rows) == [3, 7]
+        values = schema.column_values("v", rows)
+        assert values == [1.5, 2.0] and all(type(v) is float for v in values)
+        for column, bad in (("n", True), ("v", False), ("n", 1.0), ("v", "1.0")):
+            with pytest.raises(TypeError):
+                schema.column_values(column, rows + [{"time": 3, column: bad}])
+        with pytest.raises(SchemaError, match="boolean"):
+            Schema.from_rows(rows[:1] + [{"time": 3, "n": True}])
+        with pytest.raises(SchemaError, match="both FLOAT64 and INT64"):
+            Schema.from_rows(rows)
+        assert Schema.from_rows(rows[:1] + [{"time": Level.HIGH}]).type_of("time") is ColumnType.INT64
+
     def test_serialize_roundtrip(self):
         schema = Schema(
             {"time": ColumnType.INT64, "host": ColumnType.STRING,

@@ -3,10 +3,21 @@
 import pytest
 
 from repro.columnstore.leafmap import LeafMap
+from repro.disk import recovery
 from repro.disk.backup import DiskBackup
-from repro.disk.recovery import recover_leafmap, recover_table_rows
-from repro.errors import RecoveryError
+from repro.disk.format import (
+    _CHUNK_HEADER,
+    CHUNK_MAGIC,
+    read_table_chunks,
+    write_chunk,
+    write_file_header,
+)
+from repro.disk.recovery import recover_leafmap, recover_table_rows, surviving_chunks
+from repro.errors import CorruptionError, RecoveryError
+from repro.types import TIME_COLUMN
+from repro.util.checksum import crc32_of
 from repro.util.clock import ManualClock
+from tests.conftest import restart_spanning_chain
 
 
 def make_map(rows=30):
@@ -87,6 +98,124 @@ class TestRecovery:
         recovered = LeafMap(clock=ManualClock(0.0))
         assert recover_leafmap(backup, recovered) == 0
         assert len(recovered) == 0
+
+
+def chunked_log(backup, chunks=20, rows_per_chunk=10):
+    """A log of ``chunks`` sync chunks; seal boundaries (7) fall mid-chunk."""
+    leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=7)
+    table = leafmap.get_or_create("events")
+    for c in range(chunks):
+        table.add_rows(
+            {"time": 100 + c * rows_per_chunk + i, "host": f"h{i % 3}", "tags": ["a"] * (i % 2)}
+            for i in range(rows_per_chunk)
+        )
+        backup.sync_leafmap(leafmap)
+    return leafmap
+
+
+def decode_everything_then_trim(backup, name):
+    """What recovery did before it skipped dead chunks: every chunk
+    decoded, the trailing ``synced - expired`` rows kept, the unapplied
+    intent filtered on top."""
+    keep = max(0, backup.synced_rows(name) - backup.rows_expired(name))
+    with open(backup.table_file(name), "rb") as fh:
+        rows = [row for chunk in read_table_chunks(fh) for row in chunk]
+    del rows[: max(0, len(rows) - keep)]
+    intent = backup.unapplied_expire_cutoff(name)
+    return [row for row in rows if row.get(TIME_COLUMN, 0) >= intent]
+
+
+def count_decodes(monkeypatch):
+    calls = []
+    real = recovery.decode_chunk_rows
+    monkeypatch.setattr(
+        recovery, "decode_chunk_rows", lambda payload, n: (calls.append(n), real(payload, n))[1]
+    )
+    return calls
+
+
+class TestSurvivingTail:
+    """Replay reads every chunk header and CRC, and decodes only the
+    chunks that still hold live rows."""
+
+    def test_dead_chunks_are_not_decoded(self, backup, monkeypatch):
+        chunked_log(backup)
+        backup.record_expiry("events", 0, rows_expired=180)  # two chunks survive
+        calls = count_decodes(monkeypatch)
+        rows = list(recover_table_rows(backup, "events"))
+        assert len(calls) <= 3 and calls == [10, 10]
+        assert [row["time"] for row in rows] == list(range(280, 300))
+
+    @pytest.mark.parametrize("expired", [0, 1, 50, 175, 185, 190, 199, 200, 230])
+    def test_tail_equals_decoding_everything(self, backup, monkeypatch, expired):
+        """``keep`` mid-chunk, on a chunk boundary, everything, one row,
+        nothing (and an over-count, clamped to nothing)."""
+        chunked_log(backup)
+        backup.record_expiry("events", 0, rows_expired=expired)
+        keep = max(0, 200 - expired)
+        chunks, skip = surviving_chunks(backup, "events")
+        assert sum(n for n, _ in chunks) - skip == keep
+        assert len(chunks) == -(-keep // 10) and 0 <= skip < 10
+        calls = count_decodes(monkeypatch)
+        assert list(recover_table_rows(backup, "events")) == decode_everything_then_trim(
+            backup, "events"
+        )
+        assert len(calls) == len(chunks)
+
+    @pytest.mark.parametrize("expired, survivors", [(0, 190), (165, 35), (195, 5)])
+    def test_torn_final_chunk_then_trim(self, backup, expired, survivors):
+        """The kept tail is the last ``keep`` rows of the *intact* chunk
+        stream — all of it when the file now holds fewer than ``keep``."""
+        chunked_log(backup)
+        path = backup.table_file("events")
+        path.write_bytes(path.read_bytes()[:-3])
+        backup.record_expiry("events", 0, rows_expired=expired)
+        rows = list(recover_table_rows(backup, "events"))
+        assert rows == decode_everything_then_trim(backup, "events")
+        assert [row["time"] for row in rows] == list(range(290 - survivors, 290))
+
+    def test_crc_damage_in_a_dead_chunk_still_raises(self, backup):
+        chunked_log(backup)
+        backup.record_expiry("events", 0, rows_expired=180)
+        path = backup.table_file("events")
+        raw = bytearray(path.read_bytes())
+        raw[40] ^= 0xFF  # inside the first chunk's payload
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError, match="checksum"):
+            list(recover_table_rows(backup, "events"))
+        with pytest.raises(CorruptionError, match="checksum"):
+            recover_leafmap(backup, LeafMap(clock=ManualClock(0.0), rows_per_block=7))
+
+    def test_a_dead_chunk_is_not_asked_to_decode(self, backup):
+        """CRC yes, decodability no: a chunk whose checksum holds but whose
+        rows would not decode costs nothing once every row in it is dead
+        (and fails recovery while one of them is live)."""
+        garbage = b"\xff" * 64
+        path = backup.table_file("events")
+        with open(path, "wb") as fh:
+            write_file_header(fh)
+            fh.write(_CHUNK_HEADER.pack(CHUNK_MAGIC, 5, len(garbage), crc32_of(garbage)))
+            fh.write(garbage)
+            write_chunk(fh, [{"time": 100 + i} for i in range(10)])
+        entry = backup._entry("events")
+        entry.update(synced_rows=15, rows_expired=5)
+        assert [row["time"] for row in recover_table_rows(backup, "events")] == list(
+            range(100, 110)
+        )
+        entry.update(rows_expired=4)
+        with pytest.raises(CorruptionError):
+            list(recover_table_rows(backup, "events"))
+
+    def test_restart_spanning_log_recovers_the_same_rows(self, tmp_path, clock):
+        """Count trim and an unapplied intent together, on a log two
+        processes wrote."""
+        backup, leafmap = restart_spanning_chain(tmp_path / "b", clock, tables=("events", "metrics"))
+        for name in ("events", "metrics"):
+            assert backup.rows_expired(name) == 100
+            assert backup.unapplied_expire_cutoff(name) != 0
+            rows = list(recover_table_rows(backup, name))
+            assert rows == decode_everything_then_trim(backup, name)
+            assert len(rows) == leafmap.get_table(name).row_count
 
 
 class TestMaintenance:

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.disk.format import (
+    _decode_row,
     _encode_row,
+    decode_chunk_rows,
     encode_chunk_rows,
     read_file_header,
     read_table_chunks,
@@ -17,7 +19,7 @@ from repro.disk.format import (
     write_file_header,
 )
 from repro.errors import CorruptionError
-from repro.util.binary import BufferWriter
+from repro.util.binary import BufferReader, BufferWriter
 from repro.util.checksum import crc32_of
 
 
@@ -150,6 +152,77 @@ class TestEncoderIsByteIdentical:
             _encode_row(BufferWriter(), row)
         with pytest.raises(struct.error):
             encode_chunk_rows([row])
+
+
+def reference_decode(payload: bytes, n_rows: int):
+    """The chunk's rows as the per-row reference decoder reads them."""
+    reader = BufferReader(payload)
+    rows = [_decode_row(reader) for _ in range(n_rows)]
+    if reader.remaining:
+        raise CorruptionError("trailing bytes inside a chunk payload")
+    return rows
+
+
+def outcome(decode, payload: bytes, n_rows: int):
+    """``repr`` of the rows (NaN-safe, order-sensitive) or the one
+    permitted failure; anything else a decoder raises fails the test."""
+    try:
+        return repr(decode(payload, n_rows))
+    except CorruptionError:
+        return CorruptionError
+
+
+#: Lengths and counts past the single-byte varint range: a 300-byte
+#: string, a 130-item vector, 130 columns in one row, a 200-byte name.
+WIDE_ROWS = [
+    {"time": 1, "s": "x" * 300, "v": ["é"] * 130, "n" * 200: 2.5},
+    {f"c{i}": i for i in range(130)},
+    {"time": -1, "s": "", "v": [], "": ""},
+]
+
+
+class TestDecoderMatchesReference:
+    """The one-loop chunk decoder against the retained per-row reader."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=rows_strategy)
+    def test_rows_equal_reference(self, rows):
+        count, payload = encode_chunk_rows(rows)
+        decoded = outcome(decode_chunk_rows, payload, count)
+        assert decoded is not CorruptionError
+        assert decoded == outcome(reference_decode, payload, count)
+
+    def test_multi_byte_lengths_and_counts(self):
+        count, payload = encode_chunk_rows(WIDE_ROWS)
+        assert decode_chunk_rows(payload, count) == reference_decode(payload, count) == WIDE_ROWS
+
+    @pytest.mark.parametrize("rows", [rows_fixture(), WIDE_ROWS[1:]], ids=["small", "wide"])
+    def test_every_truncation_and_byte_flip_agrees(self, rows):
+        """Damage inside an intact CRC (or a wrong header row count) must
+        surface as ``CorruptionError`` exactly when the reference says
+        so — never ``IndexError`` / ``struct.error`` /
+        ``UnicodeDecodeError`` — and otherwise decode to the same rows."""
+        count, payload = encode_chunk_rows(rows)
+        cases = [(payload[:cut], count) for cut in range(len(payload))]
+        cases += [(payload, n) for n in (0, count - 1, count + 1, 1 << 40)]
+        for index in range(len(payload)):
+            for mask in (0x01, 0x04, 0x80, 0xFF):
+                damaged = bytearray(payload)
+                damaged[index] ^= mask
+                cases.append((bytes(damaged), count))
+        failures = 0
+        for damaged, n_rows in cases:
+            want = outcome(reference_decode, damaged, n_rows)
+            assert outcome(decode_chunk_rows, damaged, n_rows) == want
+            failures += want is CorruptionError
+        assert 0 < failures < len(cases)
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=st.binary(max_size=200), n_rows=st.integers(min_value=0, max_value=6))
+    def test_arbitrary_bytes_agree(self, payload, n_rows):
+        assert outcome(decode_chunk_rows, payload, n_rows) == outcome(
+            reference_decode, payload, n_rows
+        )
 
 
 class TestTornWrites:

@@ -22,6 +22,7 @@ from repro.disk import shmformat
 from repro.disk.backup import DiskBackup
 from repro.disk.recovery import materialize_chain, recover_leafmap_snapshots
 from repro.errors import CorruptionError, SnapshotStaleError
+from repro.util.checksum import rows_digest
 from repro.util.memtrack import MemoryTracker
 from tests.conftest import grow_table as grow
 from tests.conftest import make_leafmap, restart_spanning_chain, sealed_sync
@@ -406,6 +407,45 @@ class TestContentKeyedChain:
         backup.sync_leafmap(leafmap)
         assert decoded == [leafmap.get_table("events").blocks[-1]]
         assert backup.synced_rows("events") == 120 + 50 + 70
+
+
+class TestSizeDropReachesTheChain:
+    """A size-limit drop leaves no expiry cutoff behind, so with no
+    ingest after it nothing used to tell the chain: the tip stayed
+    trusted and ``DISK_SNAPSHOT`` brought the dropped blocks back."""
+
+    @pytest.mark.parametrize("snapshots", [True, False], ids=["disk_snapshot", "disk"])
+    def test_drop_then_sync_then_crash_restores_the_live_table(
+        self, tmp_path, clock, shm_namespace, snapshots
+    ):
+        backup = DiskBackup(tmp_path / "b", snapshots=snapshots, compact_churn=1.0)
+        leafmap = make_leafmap(clock)  # three blocks
+        sealed_sync(backup, leafmap)
+        table = leafmap.get_table("events")
+        dropped = table.enforce_size_limit(table.sealed_nbytes - 1)
+        assert dropped == 50 and table.block_count == 2
+        before = backup.stats.snapshot_bytes_written
+        backup.sync_leafmap(leafmap)  # no ingest since the drop
+        if snapshots:
+            tip = backup.snapshot_chain("events")[-1]
+            assert (tip["file"], tip["dropped"], tip["rows_expired"]) == (None, [0], 50)
+            assert backup.stats.manifest_only_links == 1
+            assert backup.stats.snapshot_bytes_written == before, "zero block bytes"
+            backup.sync_leafmap(leafmap)  # and now the tip is current
+            assert backup.stats.skipped_unchanged == 1
+
+        restored = LeafMap(clock=clock, rows_per_block=50)
+        report = RestartEngine(
+            "0",
+            namespace=shm_namespace,
+            backup=DiskBackup(backup.directory, snapshots=snapshots),
+            clock=clock,
+        ).restore(restored)
+        expected = RecoveryMethod.DISK_SNAPSHOT if snapshots else RecoveryMethod.DISK
+        assert report.method is expected
+        assert restored.get_table("events").row_count == table.row_count == 70
+        assert rows_digest(restored.snapshot_rows()) == rows_digest(leafmap.snapshot_rows())
+        assert restored.get_table("events").total_rows_expired == 50
 
 
 class TestDirectoryFsync:

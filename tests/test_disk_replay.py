@@ -17,7 +17,8 @@ from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.core.parallel import FootprintBudget
 from repro.disk.backup import DiskBackup
 from repro.disk.format import read_chunk_payloads
-from repro.disk.recovery import recover_leafmap
+from repro.disk import replay
+from repro.disk.recovery import recover_leafmap, surviving_chunks
 from repro.disk.replay import (
     _replay_partition,
     iter_seal_groups,
@@ -91,6 +92,35 @@ class TestDigestIdentity:
         parallel = LeafMap(clock=clock, rows_per_block=64)
         replay_leafmap(backup, parallel, workers=3, backend=backend)
         assert_equivalent(serial, parallel)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("cutoff", [1700, 2400, 4400])
+    def test_count_trimmed_table_is_partitioned_over_its_tail(
+        self, tmp_path, clock, monkeypatch, backend, cutoff
+    ):
+        """Expiry the live table ran is a count in the manifest: it cuts
+        the chunk stream at its head, mid-chunk, so the surviving tail
+        still partitions at seal boundaries and never needs the
+        serial-decode path."""
+        backup, leafmap = build_backup(tmp_path, clock)
+        table = leafmap.get_table("events")
+        table.expire_before(cutoff)
+        backup.record_expiry("events", cutoff, rows_expired=table.total_rows_expired)
+        assert 0 < table.total_rows_expired < 5 * 700
+        serial = serial_recovery(backup, clock)
+        assert serial.get_table("events").row_count == 5 * 700 - table.total_rows_expired
+        assert serial.snapshot_rows() == leafmap.snapshot_rows()
+
+        def exact_path(*args, **kwargs):
+            raise AssertionError("a count-trimmed table took the exact path")
+
+        monkeypatch.setattr(replay, "_replay_table_exact", exact_path)
+        parallel = LeafMap(clock=clock, rows_per_block=64)
+        replay_leafmap(backup, parallel, workers=3, backend=backend)
+        assert_equivalent(serial, parallel)
+        # What the workers were handed: 5 / 4 / 1 of the five chunks.
+        chunks, skip = surviving_chunks(backup, "events")
+        assert (len(chunks), skip) == {1700: (5, 640), 2400: (4, 644), 4400: (1, 592)}[cutoff]
 
     def test_multi_table_replay(self, tmp_path, clock):
         backup = DiskBackup(tmp_path / "backup", snapshots=False)

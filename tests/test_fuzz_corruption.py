@@ -132,6 +132,35 @@ class TestDiskChunkFuzz:
         except ACCEPTABLE:
             pass
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(min_size=0, max_size=300), st.integers(min_value=0, max_value=1 << 33))
+    def test_random_chunk_payload_never_crashes(self, payload, n_rows):
+        """The chunk decoder sees bytes whose CRC held: anything a writer
+        of another version (or a colliding checksum) could leave there."""
+        from repro.disk.format import decode_chunk_rows
+
+        try:
+            decode_chunk_rows(payload, n_rows)
+        except ACCEPTABLE:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_chunk_payload_never_crashes(self, data):
+        from repro.disk.format import decode_chunk_rows, encode_chunk_rows
+
+        rows = [{"time": i, "host": "wéb-01", "v": 0.5, "tags": ["a", ""]} for i in range(4)]
+        count, payload = encode_chunk_rows(rows)
+        buf = bytearray(payload)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            index = data.draw(st.integers(min_value=0, max_value=len(buf) - 1))
+            buf[index] = data.draw(st.integers(min_value=0, max_value=255))
+        cut = data.draw(st.integers(min_value=0, max_value=len(buf)))
+        try:
+            decode_chunk_rows(bytes(buf[:cut]), count)
+        except ACCEPTABLE:
+            pass
+
 
 class TestMetadataFuzz:
     @settings(
