@@ -1,115 +1,15 @@
 """E12 — future work (§6): use the shared memory layout as the disk format.
 
-Paper: "One large overhead in Scuba's disk recovery is translating from
-the disk format to the heap memory format. [...] We are planning to use
-the shared memory format described in this paper as the disk format,
-instead.  We expect that the much simpler translation to heap memory
-format will speed up disk recovery significantly."
-
-Measured for real, end to end through the restart engine's recovery
-ladder: the same synced leaf restored via (a) legacy row-format replay
-(``disk_snapshot_tier=False``) and (b) the shm-format snapshot tier, plus
-the torn-snapshot fallback path and the cost model's 120 GB projection.
+Paper: "We expect that the much simpler translation to heap memory
+format will speed up disk recovery significantly."  Defined in
+:mod:`repro.experiments.e12` (also ``repro bench-restart --disk-tier``).
 """
 
-import uuid
+import pytest
 
-from repro.columnstore.leafmap import LeafMap
-from repro.core.engine import RecoveryMethod, RestartEngine
-from repro.disk.backup import DiskBackup
-from repro.sim import paper_profile
-from repro.workloads import ads_revenue
-
-N_ROWS = 25_000
-ROWS_PER_BLOCK = 4096
-_ratio = {}
+from repro.experiments import e12 as EXPERIMENT
 
 
-def build_backup(tmp_path, clock):
-    """A sealed, fully-synced leaf whose snapshots are fresh."""
-    backup = DiskBackup(tmp_path / "backup")
-    leafmap = LeafMap(clock=clock, rows_per_block=ROWS_PER_BLOCK)
-    leafmap.get_or_create("ads_revenue").add_rows(ads_revenue(N_ROWS))
-    leafmap.seal_all()
-    backup.sync_leafmap(leafmap)
-    assert backup.snapshots_ready()
-    return backup, leafmap.snapshot_rows()
-
-
-def restore(backup, clock, **engine_kwargs):
-    restored = LeafMap(clock=clock, rows_per_block=ROWS_PER_BLOCK)
-    report = RestartEngine(
-        "e12",
-        namespace=f"reprobench-{uuid.uuid4().hex[:8]}",
-        backup=backup,
-        clock=clock,
-        **engine_kwargs,
-    ).restore(restored)
-    return restored, report
-
-
-def test_recover_legacy_row_format(benchmark, tmp_path, clock, record_result):
-    backup, _ = build_backup(tmp_path, clock)
-
-    def run():
-        restored, report = restore(backup, clock, disk_snapshot_tier=False)
-        assert report.method is RecoveryMethod.DISK
-        assert report.rows == N_ROWS
-
-    benchmark(run)
-    _ratio["legacy"] = benchmark.stats["mean"]
-    record_result("E12", "disk recovery, legacy row format (scaled)",
-                  "slow (translation-bound)", f"{benchmark.stats['mean']:.3f} s")
-
-
-def test_recover_snapshot_tier(benchmark, tmp_path, clock, record_result):
-    backup, _ = build_backup(tmp_path, clock)
-
-    def run():
-        restored, report = restore(backup, clock)
-        assert report.method is RecoveryMethod.DISK_SNAPSHOT
-        assert report.rows == N_ROWS
-
-    benchmark(run)
-    _ratio["snapshot"] = benchmark.stats["mean"]
-    if "legacy" in _ratio:
-        speedup = _ratio["legacy"] / _ratio["snapshot"]
-        assert speedup >= 3  # the E12 acceptance floor
-        record_result("E12", "snapshot-tier speedup over legacy replay",
-                      "'significantly' faster", f"{speedup:.0f}x")
-    record_result("E12", "disk recovery, shm-format snapshot tier (scaled)",
-                  "near copy speed", f"{benchmark.stats['mean']:.3f} s")
-
-
-def test_torn_snapshot_falls_back_identically(
-    benchmark, tmp_path, clock, record_result
-):
-    """A torn snapshot must cost only time: the ladder routes down to
-    legacy replay and recovers the identical rows."""
-    backup, snapshot = build_backup(tmp_path, clock)
-    path = backup.snapshot_path("ads_revenue")
-    path.write_bytes(path.read_bytes()[:128])
-
-    def run():
-        restored, report = restore(backup, clock)
-        assert report.method is RecoveryMethod.DISK
-        assert report.fell_back_to_legacy
-        assert restored.snapshot_rows() == snapshot
-
-    benchmark.pedantic(run, rounds=2)
-    record_result("E12", "torn snapshot -> legacy fallback",
-                  "identical rows", "identical")
-
-
-def test_full_scale_projection(benchmark, record_result):
-    """The cost model's projection of §6's plan at 120 GB per machine."""
-
-    def run():
-        old = paper_profile().disk_restart_seconds(1)
-        new = paper_profile().disk_snapshot_restart_seconds(1)
-        return old, new
-
-    old, new = benchmark(run)
-    assert new < old / 2
-    record_result("E12", "per-leaf disk restart, snapshot tier (sim)",
-                  "significantly faster", f"{old / 60:.1f} min -> {new / 60:.1f} min")
+@pytest.mark.parametrize("name", EXPERIMENT.GATES)
+def test_gate(payload, name, check_gate):
+    check_gate(payload, name)

@@ -1,129 +1,15 @@
 """E13 — the motivating latency gap: queries vs recovery.
 
-Paper (§1): Scuba queries "typically run in under a second over GBs of
-data", which makes 2.5-3 hour recoveries "about 4 orders of magnitude
-longer than query response time".  We measure aggregation latency on a
-populated leaf — through the vectorized executor and its decoded-column
-cache — compare it against the original row-at-a-time loop (the
-before/after of the vectorized rewrite), and relate both to the
-measured and simulated recovery times.
-
-The ``SPEEDUP_FLOOR`` assertion is the PR's acceptance gate: grouped
-aggregation over the 50k-row ``service_requests`` leaf must be at least
-5x faster vectorized than row-at-a-time.
+Paper (§1): queries "typically run in under a second over GBs of data";
+recovery is "about 4 orders of magnitude longer".  Defined in
+:mod:`repro.experiments.e13` (also ``repro bench-query``).
 """
-
-import time
 
 import pytest
 
-from repro.columnstore.colcache import DecodedColumnCache
-from repro.columnstore.leafmap import LeafMap
-from repro.query.execute import execute_on_leaf, execute_on_leaf_rows
-from repro.query.query import Aggregation, Filter, Query
-from repro.sim import paper_profile
-from repro.workloads import service_requests
-
-N_ROWS = 50_000
-ROWS_PER_BLOCK = 8192
-#: Acceptance floor: vectorized grouped aggregation vs the row path.
-SPEEDUP_FLOOR = 5.0
-
-GROUPED_QUERY = Query(
-    "service_requests",
-    aggregations=(Aggregation("count"), Aggregation("avg", "latency_ms"),
-                  Aggregation("p99", "latency_ms")),
-    group_by=("endpoint",),
-)
+from repro.experiments import e13 as EXPERIMENT
 
 
-@pytest.fixture(scope="module")
-def column_cache():
-    return DecodedColumnCache(64 << 20)
-
-
-@pytest.fixture(scope="module")
-def leafmap(column_cache):
-    from repro.util.clock import ManualClock
-
-    leafmap = LeafMap(
-        clock=ManualClock(0.0),
-        rows_per_block=ROWS_PER_BLOCK,
-        column_cache=column_cache,
-    )
-    leafmap.get_or_create("service_requests").add_rows(service_requests(N_ROWS))
-    leafmap.seal_all()
-    return leafmap
-
-
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def test_vectorized_speedup_floor(benchmark, leafmap, record_result):
-    """The tentpole's acceptance gate: >= 5x on grouped aggregation."""
-    row_seconds = _best_of(lambda: execute_on_leaf_rows(leafmap, GROUPED_QUERY))
-    execution = benchmark(execute_on_leaf, leafmap, GROUPED_QUERY)
-    assert execution.rows_scanned == N_ROWS
-    vector_seconds = benchmark.stats["mean"]
-    speedup = row_seconds / vector_seconds
-    benchmark.extra_info["row_path_ms"] = row_seconds * 1000
-    benchmark.extra_info["speedup"] = speedup
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"vectorized executor is only {speedup:.1f}x the row path "
-        f"(floor {SPEEDUP_FLOOR}x)"
-    )
-    record_result(
-        "E13", "vectorized vs row-at-a-time grouped aggregation",
-        f">= {SPEEDUP_FLOOR:.0f}x",
-        f"{speedup:.1f}x ({row_seconds * 1000:.0f} ms -> "
-        f"{vector_seconds * 1000:.0f} ms)",
-    )
-
-
-def test_grouped_aggregation_latency(benchmark, leafmap, record_result):
-    execution = benchmark(execute_on_leaf, leafmap, GROUPED_QUERY)
-    assert execution.rows_scanned == N_ROWS
-    assert benchmark.stats["mean"] < 2.0
-    record_result("E13", "grouped aggregation over 50k rows", "subsecond over GBs",
-                  f"{benchmark.stats['mean'] * 1000:.0f} ms")
-
-
-def test_time_pruned_query_is_much_cheaper(benchmark, leafmap, record_result):
-    """Nearly all queries predicate on time; min/max pruning makes a
-    narrow window touch a fraction of the blocks."""
-    narrow = Query("service_requests", start_time=1_390_000_000,
-                   end_time=1_390_000_000 + 500)
-    execution = benchmark(execute_on_leaf, leafmap, narrow)
-    assert execution.blocks_pruned >= 1
-    assert execution.rows_scanned < N_ROWS
-    record_result("E13", "blocks pruned by time predicate", "most",
-                  f"{execution.blocks_pruned} pruned, "
-                  f"{execution.rows_scanned:,} of {N_ROWS:,} rows scanned")
-
-
-def test_filtered_query_latency(benchmark, leafmap, column_cache, record_result):
-    query = Query(
-        "service_requests",
-        aggregations=(Aggregation("count"),),
-        filters=(Filter("status", "ge", 500), Filter("tags", "contains", "prod")),
-    )
-    execution = benchmark(execute_on_leaf, leafmap, query)
-    assert execution.rows_matched > 0
-    stats = column_cache.stats()
-    assert stats.hits > 0  # repeated dashboard refreshes read cached decodes
-    benchmark.extra_info["cache_hit_rate"] = stats.hit_rate
-    record_result("E13", "decoded-column cache hit rate (warm dashboard)",
-                  "high on repetitive queries", f"{stats.hit_rate:.1%}")
-
-    # The 4-orders-of-magnitude claim, from the calibrated model:
-    recovery_s = paper_profile().disk_restart_seconds(8) * 8  # whole machine
-    orders = recovery_s / 0.5  # vs a typical subsecond query
-    assert orders > 1e4
-    record_result("E13", "machine recovery / query latency", "~4 orders of magnitude",
-                  f"{orders:.1e}x (model recovery vs 0.5 s query)")
+@pytest.mark.parametrize("name", EXPERIMENT.GATES)
+def test_gate(payload, name, check_gate):
+    check_gate(payload, name)

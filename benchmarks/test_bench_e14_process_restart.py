@@ -14,12 +14,11 @@ digest must cross the swap untouched.  Set ``BENCH_E14_JSON`` to a path
 to archive the measurements (CI uploads it as ``BENCH_e14.json``).
 """
 
-import os
 import time
 
 import pytest
 
-from _payload import dump_artifact
+from repro.experiments import write_payload
 from repro.server.process_client import LeafProcess, LeafProcessConfig
 
 N_ROWS = 8_000
@@ -129,7 +128,7 @@ def test_upgrade_handoff_old_to_new_process(shm_namespace, tmp_path, record_resu
             f"{seconds:.2f} s wall (scaled), digest matched, "
             f"pid {before['pid']} -> {after['pid']}",
         )
-    dump_artifact("E14", rows=N_ROWS, handoffs=results)
+    write_payload({"experiment": "E14", "rows": N_ROWS, "handoffs": results})
 
 
 @pytest.mark.slow

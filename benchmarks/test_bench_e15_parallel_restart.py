@@ -1,179 +1,15 @@
-"""E15: parallel machine restart — worker sweep and bandwidth ceiling.
+"""E15 — parallel machine restart: worker sweep and bandwidth ceiling.
 
-The paper restarts leaves one at a time during rollover; a *machine
-event* restarts all of them at once.  E15 measures a real (scaled)
-machine restarting its leaves with 1, 2, 4, and 8 workers, and checks
-the simulator's claim that the speedup is linear in the worker count
-until the machine's memory bandwidth saturates (min(k, mem_total /
-mem_copy) — 4x with the paper profile).
-
-The wall-clock speedup assertion is gated on the host actually having
-multiple cores: pure-Python copies hold the GIL, so a single-core
-container serializes the workers no matter how many threads run.  The
-measured numbers are recorded either way.
+Defined in :mod:`repro.experiments.e15` (also ``repro bench-restart
+--workers N``).  The two wall-clock floors are skipped, with the
+measured ratio, on hosts with fewer than 4 cores.
 """
-
-from __future__ import annotations
-
-import os
-import time
 
 import pytest
 
-from repro.server.machine import Machine
-from repro.shm.layout import table_segment_size
-from repro.sim import paper_profile, simulate_machine_recovery
-from repro.workloads import service_requests
-
-LEAVES = 4
-ROWS_PER_LEAF = 8_000
-WORKER_SWEEP = (1, 2, 4, 8)
+from repro.experiments import e15 as EXPERIMENT
 
 
-def build_machine(shm_namespace, tmp_path) -> Machine:
-    machine = Machine(
-        "e15",
-        tmp_path,
-        leaves_per_machine=LEAVES,
-        namespace=shm_namespace,
-        rows_per_block=2048,
-        shared_tracker=True,
-    )
-    machine.start_all()
-    for leaf in machine.leaves:
-        leaf.add_rows("service_requests", service_requests(ROWS_PER_LEAF))
-        leaf.leafmap.seal_all()
-        leaf.sync_to_disk()  # pay the one-time backup sync outside the sweep
-    return machine
-
-
-class TestE15ParallelRestart:
-    def test_worker_sweep_on_a_real_machine(
-        self, shm_namespace, tmp_path, record_result
-    ):
-        machine = build_machine(shm_namespace, tmp_path)
-        data_mb = machine.nbytes / 1e6
-        walls: dict[int, float] = {}
-        for workers in WORKER_SWEEP:
-            started = time.perf_counter()
-            report = machine.restart_all(workers=workers)
-            walls[workers] = time.perf_counter() - started
-            assert report.failures == []
-        for workers in WORKER_SWEEP:
-            record_result(
-                "E15",
-                f"restart {LEAVES} leaves ({data_mb:.1f} MB), workers={workers}",
-                "speedup until bandwidth ceiling",
-                f"{walls[workers] * 1000:.0f} ms "
-                f"({walls[1] / walls[workers]:.2f}x vs 1 worker)",
-            )
-        speedup = walls[1] / walls[4]
-        record_result(
-            "E15", "workers=4 vs workers=1", ">= 1.5x", f"{speedup:.2f}x"
-        )
-        if (os.cpu_count() or 1) >= 2:
-            assert speedup >= 1.5, (
-                f"4 workers only {speedup:.2f}x faster than 1 on a "
-                f"{os.cpu_count()}-core host"
-            )
-        else:
-            pytest.skip(
-                f"measured {speedup:.2f}x on a single-core host (GIL-bound); "
-                "the >=1.5x floor needs >= 2 cores"
-            )
-
-    def test_process_backend_escapes_the_gil(
-        self, shm_namespace, tmp_path, record_result
-    ):
-        """The two backends on identical data: the thread pool's copies
-        serialize on the GIL, the forked workers' do not.  The speedup
-        floor only holds where the workers can actually run in parallel,
-        so the assertion is gated on core count; the shared-budget bound
-        holds everywhere."""
-        machine = build_machine(shm_namespace, tmp_path)
-        data_bytes = machine.nbytes
-        largest_segment = max(
-            table_segment_size(table.name, table.blocks)
-            for leaf in machine.leaves
-            for table in leaf.leafmap
-        )
-        # No request is oversized at this limit, so the bound is strict.
-        limit = max(largest_segment, data_bytes // 3)
-        workers = 4
-        reports = {}
-        for backend in ("thread", "process"):
-            report = machine.restart_all(
-                workers=workers, budget_bytes=limit, backend=backend
-            )
-            assert report.failures == []
-            assert report.peak_in_flight_bytes <= limit, (
-                f"{backend} backend broke the machine-wide footprint bound"
-            )
-            reports[backend] = report
-        speedup = (
-            reports["thread"].restart_window_seconds
-            / reports["process"].restart_window_seconds
-        )
-        for backend, report in reports.items():
-            record_result(
-                "E15",
-                f"restart window, {workers} workers, backend={backend}",
-                "process escapes the GIL",
-                f"{report.restart_window_seconds * 1000:.0f} ms "
-                f"(+{report.adopt_seconds * 1000:.0f} ms adopt)",
-            )
-        record_result(
-            "E15",
-            "process vs thread backend, 4 workers",
-            ">= 1.5x on >= 4 cores",
-            f"{speedup:.2f}x on {os.cpu_count() or 1} cores",
-        )
-        if (os.cpu_count() or 1) >= 4:
-            assert speedup >= 1.5, (
-                f"process backend only {speedup:.2f}x the thread backend "
-                f"on a {os.cpu_count()}-core host"
-            )
-        else:
-            pytest.skip(
-                f"measured {speedup:.2f}x on a {os.cpu_count() or 1}-core "
-                "host; the >= 1.5x floor needs >= 4 cores"
-            )
-
-    def test_simulator_scaling_saturates_at_bandwidth_ceiling(self, record_result):
-        profile = paper_profile()
-        ceiling = profile.mem_total_gbps / profile.mem_copy_gbps
-        assert ceiling == 4.0
-        for workers in WORKER_SWEEP:
-            speedup = profile.parallel_restore_speedup(workers)
-            expected = min(workers, ceiling)
-            assert speedup == pytest.approx(expected), (
-                f"{workers} workers: simulator gives {speedup:.2f}x, "
-                f"model says min(k, ceiling) = {expected:.0f}x"
-            )
-        record_result(
-            "E15",
-            "simulated machine-restore speedup, workers=1/2/4/8",
-            "N x until bandwidth ceiling (4x)",
-            "/".join(
-                f"{profile.parallel_restore_speedup(w):.0f}x" for w in WORKER_SWEEP
-            ),
-        )
-
-    def test_parallel_beats_sequential_machine_recovery(self, record_result):
-        """With the ceiling model, an 8-wide shm recovery of a paper-scale
-        machine is 4x the sequential rollover pattern, not 8x."""
-        profile = paper_profile()
-        sequential = simulate_machine_recovery(profile, "shm", "sequential")
-        all_at_once = simulate_machine_recovery(profile, "shm", "all_at_once")
-        ratio = sequential.total_seconds / all_at_once.total_seconds
-        # Copies scale 4x; the fixed per-leaf process overhead pays once
-        # per leaf sequentially but overlaps in the parallel restart, so
-        # the machine-level ratio lands between the ceiling and leaves.
-        assert profile.leaves_per_machine >= ratio >= 3.5
-        record_result(
-            "E15",
-            "paper-scale machine: sequential vs parallel shm restart",
-            "bounded by 4x copy ceiling",
-            f"{sequential.total_seconds:.0f} s vs "
-            f"{all_at_once.total_seconds:.0f} s ({ratio:.1f}x)",
-        )
+@pytest.mark.parametrize("name", EXPERIMENT.GATES)
+def test_gate(payload, name, check_gate):
+    check_gate(payload, name)

@@ -1,188 +1,15 @@
 """E16 (extension) — serve-while-restoring availability.
 
-The paper's shm restart blocks queries until the last byte is copied
-back (§4.3).  E16 measures the lazy alternative: the leaf publishes its
-block directory, flips to ``RECOVERING_MEMORY_SERVING``, and answers a
-dashboard-shaped query by faulting in only the blocks the query touches
-while the rest fills in behind it.
-
-Acceptance gates (mirrored by ``repro bench-restart
---serve-while-restoring``): on both backends the first query must be
-answered with **under 25%** of the leaf's bytes restored, and the
-fully-restored leaf must be digest-identical to a blocking restore of
-the same shared-memory image.  Set ``BENCH_E16_JSON`` to a path to
-archive the measurements (CI uploads it as ``BENCH_e16.json``).
+Defined in :mod:`repro.experiments.e16` (also ``repro bench-restart
+--serve-while-restoring``).  Set ``BENCH_E16_JSON`` to a path to archive
+the measurements (CI uploads it as ``BENCH_e16.json``).
 """
 
-from __future__ import annotations
+import pytest
 
-import os
-import time
-
-from _payload import dump_artifact
-from repro.core.parallel import ParallelRestartCoordinator
-from repro.query.query import Aggregation, Query
-from repro.server.machine import Machine
-from repro.sim import paper_profile, simulate_leaf_restart
-from repro.util.checksum import rows_digest
-from repro.workloads import service_requests
-
-LEAVES = 4
-ROWS_PER_LEAF = 1_000
-BACKENDS = ("thread", "process")
-
-# ~4 rows share each timestamp second, so the newest data sits near this
-# mark; the dashboard scans the last half minute — a couple of the
-# newest blocks out of the sixteen each leaf holds.
-NEWEST = 1_390_000_000 + ROWS_PER_LEAF // 4 + 1
-DASHBOARD = Query(
-    table="service_requests",
-    start_time=NEWEST - 30,
-    end_time=NEWEST + 1,
-    aggregations=[Aggregation("count", None)],
-)
+from repro.experiments import e16 as EXPERIMENT
 
 
-def build_machine(shm_namespace, tmp_path, backend: str) -> Machine:
-    machine = Machine(
-        "e16",
-        tmp_path / backend,
-        leaves_per_machine=LEAVES,
-        namespace=f"{shm_namespace}-{backend}",
-        rows_per_block=64,
-        shared_tracker=True,
-    )
-    machine.start_all()
-    for leaf in machine.leaves:
-        leaf.add_rows("service_requests", service_requests(ROWS_PER_LEAF))
-        leaf.leafmap.seal_all()
-    return machine
-
-
-class TestE16ServeWhileRestoring:
-    def test_first_query_beats_quarter_restored_on_both_backends(
-        self, shm_namespace, tmp_path, record_result
-    ):
-        """The E16 acceptance gate, on the thread and the process pool."""
-        results = {}
-        for backend in BACKENDS:
-            machine = build_machine(shm_namespace, tmp_path, backend)
-            data_bytes = machine.nbytes
-            coordinator = ParallelRestartCoordinator(
-                machine.leaves, backend=backend
-            )
-
-            # Baseline: the blocking restart and the digests it produces.
-            blocking = coordinator.restart_all()
-            assert blocking.failures == []
-            digests = [
-                rows_digest(leaf.leafmap.snapshot_rows())
-                for leaf in machine.leaves
-            ]
-
-            # Lazy: same shutdown, then serve before the sweep runs.
-            outcomes = coordinator.shutdown_all()
-            assert all(o.ok for o in outcomes)
-            worst_fraction = 0.0
-            first_answer_seconds = 0.0
-            for leaf, blocking_digest in zip(machine.leaves, digests):
-                started = time.perf_counter()
-                leaf.start(serve_while_restoring=True, sweep=False)
-                answer = leaf.query(DASHBOARD)
-                first_answer_seconds = max(
-                    first_answer_seconds, time.perf_counter() - started
-                )
-                assert answer.rows_matched > 0, (
-                    "the dashboard window must actually touch data for "
-                    "the fraction to mean anything"
-                )
-                progress = leaf.restore_progress()
-                assert progress.queries_served >= 1
-                worst_fraction = max(
-                    worst_fraction, progress.fraction_restored
-                )
-                leaf.wait_restored()
-                assert leaf.restore_progress().fraction_restored == 1.0
-                assert (
-                    rows_digest(leaf.leafmap.snapshot_rows())
-                    == blocking_digest
-                ), f"{backend}: lazy restore diverged from blocking restore"
-
-            assert worst_fraction < 0.25, (
-                f"{backend}: first query needed {worst_fraction:.1%} of "
-                f"bytes restored (gate: < 25%)"
-            )
-            results[backend] = {
-                "leaves": LEAVES,
-                "rows_per_leaf": ROWS_PER_LEAF,
-                "compressed_bytes": data_bytes,
-                "fraction_restored_at_first_query": worst_fraction,
-                "first_answer_seconds": first_answer_seconds,
-                "blocking_restore_seconds": blocking.restore_seconds,
-                "digests_match": True,
-            }
-            record_result(
-                "E16",
-                f"first dashboard answer, backend={backend}",
-                "< 25% of bytes restored",
-                f"{worst_fraction:.1%} restored, "
-                f"{first_answer_seconds * 1000:.1f} ms to answer "
-                f"(blocking restore {blocking.restore_seconds * 1000:.1f} ms)",
-            )
-        dump_artifact("E16", rows=LEAVES * ROWS_PER_LEAF, backends=results)
-
-    def test_background_sweep_completes_without_queries(
-        self, shm_namespace, tmp_path, record_result
-    ):
-        """With the sweep thread on, an idle leaf still reaches ALIVE and
-        the same digest — availability must not depend on query traffic."""
-        machine = build_machine(shm_namespace, tmp_path, "sweep")
-        coordinator = ParallelRestartCoordinator(machine.leaves)
-        blocking = coordinator.restart_all()
-        assert blocking.failures == []
-        digests = [
-            rows_digest(leaf.leafmap.snapshot_rows())
-            for leaf in machine.leaves
-        ]
-        assert all(o.ok for o in coordinator.shutdown_all())
-        started = time.perf_counter()
-        outcomes = coordinator.start_all(serve_while_restoring=True)
-        serving_seconds = time.perf_counter() - started
-        assert all(o.ok for o in outcomes)
-        machine_wait_started = time.perf_counter()
-        coordinator.wait_restored_all()
-        fill_seconds = time.perf_counter() - machine_wait_started
-        for leaf, blocking_digest in zip(machine.leaves, digests):
-            assert leaf.restore_progress().fraction_restored == 1.0
-            assert rows_digest(leaf.leafmap.snapshot_rows()) == blocking_digest
-        record_result(
-            "E16",
-            "time-to-serving vs blocking restore (sweep thread)",
-            "serving before the copy finishes",
-            f"serving in {serving_seconds * 1000:.1f} ms, background fill "
-            f"{fill_seconds * 1000:.1f} ms, blocking "
-            f"{blocking.restore_seconds * 1000:.1f} ms",
-        )
-
-    def test_simulator_lazy_window_beats_blocking_window(self, record_result):
-        """At paper scale the unavailability window drops from the full
-        copy-back to the directory publish."""
-        profile = paper_profile()
-        blocking = simulate_leaf_restart(profile, "shm")
-        lazy = simulate_leaf_restart(profile, "shm_lazy")
-        assert lazy.total_seconds < blocking.total_seconds
-        # The copy-back itself does not disappear — it moves behind
-        # query service.
-        assert lazy.background_fill_seconds == blocking.copy_in_seconds
-        assert (
-            blocking.total_seconds - lazy.total_seconds
-            == blocking.copy_in_seconds - profile.lazy_publish_overhead_s
-        )
-        record_result(
-            "E16",
-            "simulated paper-scale leaf: unavailability window",
-            "publish overhead only",
-            f"{lazy.total_seconds:.1f} s serving vs "
-            f"{blocking.total_seconds:.1f} s blocking "
-            f"({lazy.background_fill_seconds:.1f} s fill in background)",
-        )
+@pytest.mark.parametrize("name", EXPERIMENT.GATES)
+def test_gate(payload, name, check_gate):
+    check_gate(payload, name)

@@ -1,235 +1,15 @@
 """E18 (extension) — the replica recovery tier.
 
-The paper's ladder bottoms out at local disk, but a cluster with
-table-level standbys has a faster source: a sibling leaf's already
-sealed, already compressed blocks, pulled over a pipelined multi-stream
-wire session.  E18 measures that rung against the two disk rungs on the
-same fully-synced dataset.
-
-Acceptance gates (mirrored by ``repro bench-restart --replica-tier``):
-
-- the wire pull beats legacy replay by >= 2x, measured (it is CPU-bound
-  decode against wire-bound transfer, so the ratio holds on any host);
-- at paper-scale hardware the model's replica rung beats the disk
-  snapshot rung by >= 2x — asserted unconditionally against the
-  calibrated profile, because a local run's page-cache-backed "disk"
-  hides exactly the bottleneck the replica tier removes;
-- serve-while-restoring over the wire answers the first dashboard query
-  before 25% of the bytes transferred;
-- final digests are identical across the replica, disk-snapshot, and
-  legacy routes, with legacy replayed on both pool backends.
-
-Set ``BENCH_E18_JSON`` to a path to archive the measurements (CI
-uploads it as ``BENCH_e18.json``).
+Defined in :mod:`repro.experiments.e18` (also ``repro bench-restart
+--replica-tier``).  Set ``BENCH_E18_JSON`` to a path to archive the
+measurements (CI uploads it as ``BENCH_e18.json``).
 """
 
-from __future__ import annotations
+import pytest
 
-import time
-
-from _payload import dump_artifact
-from repro.cluster.replication import ReplicaCatalog
-from repro.core.engine import RecoveryMethod
-from repro.disk.backup import DiskBackup
-from repro.query.query import Aggregation, Query
-from repro.server.leaf import LeafServer
-from repro.sim import paper_profile
-from repro.util.checksum import rows_digest
-from repro.workloads import service_requests
-
-N_ROWS = 6_000
-BACKENDS = ("thread", "process")
-
-RESULTS: dict = {}
+from repro.experiments import e18 as EXPERIMENT
 
 
-def dashboard_query(data) -> Query:
-    """Count over the newest half minute — a couple of the newest blocks."""
-    newest = data[-1]["time"]
-    return Query(
-        table="service_requests",
-        start_time=newest - 30,
-        end_time=newest + 1,
-        aggregations=[Aggregation("count", None)],
-    )
-
-
-def build_pair(shm_namespace, tmp_path, tag: str):
-    """A fully-synced primary plus a mirrored standby and its catalog."""
-    primary = LeafServer(
-        f"p{tag}",
-        backup=DiskBackup(tmp_path / f"primary-{tag}"),
-        namespace=f"{shm_namespace}-{tag}",
-        rows_per_block=64,
-    )
-    primary.start()
-    data = list(service_requests(N_ROWS))
-    primary.add_rows("service_requests", data)
-    primary.leafmap.seal_all()
-    primary.sync_to_disk()
-    dashboard = dashboard_query(data)
-
-    replica = LeafServer(
-        f"p{tag}r",
-        backup=DiskBackup(tmp_path / f"replica-{tag}"),
-        namespace=f"{shm_namespace}-{tag}-rep",
-        rows_per_block=64,
-    )
-    replica.start()
-    catalog = ReplicaCatalog()
-    catalog.assign(primary.leaf_id, replica)
-    catalog.mirror(primary.leaf_id, "service_requests", data)
-    primary.engine.replica_source = catalog.session_source(primary.leaf_id)
-    return primary, catalog, dashboard
-
-
-def timed_route(leaf, source, *, wire: bool, snapshot_tier: bool):
-    """Crash and restart ``leaf`` through one rung; (seconds, report)."""
-    leaf.crash()
-    leaf.engine.replica_source = source if wire else None
-    leaf.engine.disk_snapshot_tier = snapshot_tier
-    started = time.perf_counter()
-    leaf.start()
-    return time.perf_counter() - started, leaf.last_restart_report
-
-
-class TestReplicaRecoveryTier:
-    def test_replica_beats_legacy_and_modeled_disk_snapshot(
-        self, shm_namespace, tmp_path, record_result
-    ):
-        primary, catalog, _ = build_pair(shm_namespace, tmp_path, "speed")
-        source = primary.engine.replica_source
-        baseline = rows_digest(primary.leafmap.snapshot_rows())
-        try:
-            replica_s, report = timed_route(
-                primary, source, wire=True, snapshot_tier=True
-            )
-            assert report.method is RecoveryMethod.REPLICA
-            assert rows_digest(primary.leafmap.snapshot_rows()) == baseline
-
-            snapshot_s, report = timed_route(
-                primary, source, wire=False, snapshot_tier=True
-            )
-            assert report.method is RecoveryMethod.DISK_SNAPSHOT
-
-            legacy_s, report = timed_route(
-                primary, source, wire=False, snapshot_tier=False
-            )
-            assert report.method is RecoveryMethod.DISK
-        finally:
-            catalog.close()
-
-        speedup_vs_legacy = legacy_s / max(replica_s, 1e-9)
-        RESULTS["restore_seconds"] = {
-            "replica": replica_s,
-            "disk_snapshot": snapshot_s,
-            "legacy": legacy_s,
-        }
-        RESULTS["speedup_vs_legacy"] = speedup_vs_legacy
-        RESULTS["speedup_vs_disk_snapshot"] = snapshot_s / max(
-            replica_s, 1e-9
-        )
-        record_result(
-            "E18",
-            "replica wire pull vs legacy replay",
-            ">= 2x",
-            f"{speedup_vs_legacy:.1f}x ({replica_s * 1000:.1f} ms vs "
-            f"{legacy_s * 1000:.1f} ms)",
-        )
-        assert speedup_vs_legacy >= 2.0, (
-            f"replica rung only {speedup_vs_legacy:.2f}x the legacy replay"
-        )
-
-        # The local disk-snapshot rung reads tmpfs — a memcpy, not a
-        # disk.  The paper-scale claim runs on the calibrated model,
-        # where the shared 200 MB/s spindle meets a 4-stream 10 GbE
-        # pull (the E17 convention for hardware-bound claims).
-        profile = paper_profile()
-        sim_speedup = profile.replica_restore_speedup(1)
-        RESULTS["sim"] = {
-            "replica_restart_seconds": profile.replica_restart_seconds(),
-            "disk_snapshot_restart_seconds": (
-                profile.disk_snapshot_restart_seconds(1)
-            ),
-            "replica_speedup_vs_disk_snapshot": sim_speedup,
-        }
-        record_result(
-            "E18",
-            "replica vs disk-snapshot rung, paper-scale hardware",
-            ">= 2x",
-            f"{sim_speedup:.1f}x "
-            f"({profile.replica_restart_seconds():.0f} s vs "
-            f"{profile.disk_snapshot_restart_seconds(1):.0f} s)",
-        )
-        assert sim_speedup >= 2.0
-        dump_artifact("E18", rows=N_ROWS, **RESULTS)
-
-    def test_first_query_answered_before_quarter_transferred(
-        self, shm_namespace, tmp_path, record_result
-    ):
-        primary, catalog, dashboard = build_pair(shm_namespace, tmp_path, "serve")
-        baseline = rows_digest(primary.leafmap.snapshot_rows())
-        try:
-            primary.crash()
-            started = time.perf_counter()
-            primary.start(serve_while_restoring=True, sweep=False)
-            result = primary.query(dashboard)
-            first_answer_s = time.perf_counter() - started
-            fraction = primary.restore_progress().fraction_restored
-            primary.wait_restored()
-        finally:
-            catalog.close()
-        assert result.rows_matched > 0, (
-            "dashboard query matched nothing mid-restore"
-        )
-        assert primary.last_restart_report.method is RecoveryMethod.REPLICA
-        assert rows_digest(primary.leafmap.snapshot_rows()) == baseline
-        RESULTS["fraction_restored_at_first_query"] = fraction
-        RESULTS["first_answer_seconds"] = first_answer_s
-        record_result(
-            "E18",
-            "first dashboard answer during wire restore",
-            "< 25% of bytes transferred",
-            f"{fraction:.1%} transferred, {first_answer_s * 1000:.1f} ms",
-        )
-        assert fraction < 0.25
-
-    def test_digests_identical_across_routes_on_both_backends(
-        self, shm_namespace, tmp_path, record_result
-    ):
-        routes: dict[str, str] = {}
-        for backend in BACKENDS:
-            primary, catalog, _ = build_pair(
-                shm_namespace, tmp_path, f"digest-{backend}"
-            )
-            source = primary.engine.replica_source
-            primary.engine.replay_backend = backend
-            primary.engine.replay_workers = 2
-            baseline = rows_digest(primary.leafmap.snapshot_rows())
-            try:
-                for name, wire, snapshot_tier, expected in (
-                    ("replica", True, True, RecoveryMethod.REPLICA),
-                    ("disk_snapshot", False, True, RecoveryMethod.DISK_SNAPSHOT),
-                    ("legacy", False, False, RecoveryMethod.DISK),
-                ):
-                    _, report = timed_route(
-                        primary, source, wire=wire, snapshot_tier=snapshot_tier
-                    )
-                    assert report.method is expected
-                    digest = rows_digest(primary.leafmap.snapshot_rows())
-                    assert digest == baseline, (
-                        f"{name} route diverged on the {backend} backend"
-                    )
-                    routes[f"{backend}:{name}"] = digest
-            finally:
-                catalog.close()
-        assert len(set(routes.values())) == 1
-        RESULTS["digest_routes"] = sorted(routes)
-        RESULTS["digests_identical"] = True
-        record_result(
-            "E18",
-            "digest identity across replica/disk-snapshot/legacy",
-            "identical",
-            f"{len(routes)} routes, one digest",
-        )
-        dump_artifact("E18", rows=N_ROWS, **RESULTS)
+@pytest.mark.parametrize("name", EXPERIMENT.GATES)
+def test_gate(payload, name, check_gate):
+    check_gate(payload, name)

@@ -2,101 +2,14 @@
 
 Paper (§1, §6): disk recovery takes 2.5-3 hours per machine; shared
 memory recovery takes 2-3 minutes per server — roughly a 60x gap.
-
-Measured here twice: (a) for real, on a scaled-down leaf (tens of MB),
-where the same code paths show the same ordering; (b) through the
-calibrated cost model at full 120 GB scale, where the absolute numbers
-land inside the paper's ranges.
+Defined in :mod:`repro.experiments.e1` (also ``repro bench-restart``).
 """
 
 import pytest
 
-from repro.columnstore.leafmap import LeafMap
-from repro.core.engine import RecoveryMethod, RestartEngine
-from repro.disk.backup import DiskBackup
-from repro.sim import paper_profile, simulate_machine_recovery
-from repro.workloads import service_requests
-
-N_ROWS = 20_000
-ROWS_PER_BLOCK = 4096
+from repro.experiments import e1 as EXPERIMENT
 
 
-def build_leafmap(clock):
-    leafmap = LeafMap(clock=clock, rows_per_block=ROWS_PER_BLOCK)
-    leafmap.get_or_create("service_requests").add_rows(service_requests(N_ROWS))
-    leafmap.seal_all()
-    return leafmap
-
-
-@pytest.fixture
-def synced_backup(tmp_path, clock):
-    backup = DiskBackup(tmp_path / "backup")
-    backup.sync_leafmap(build_leafmap(clock))
-    return backup
-
-
-def test_restart_from_disk(benchmark, synced_backup, shm_namespace, clock, record_result):
-    """The slow path: read every row and re-translate it to columns.
-
-    This is the paper's 2.5-3 h baseline, so the snapshot fast tier
-    (E12) is pinned off — legacy row-format replay only.
-    """
-
-    def run():
-        engine = RestartEngine(
-            "d",
-            namespace=shm_namespace,
-            backup=synced_backup,
-            clock=clock,
-            disk_snapshot_tier=False,
-        )
-        restored = LeafMap(clock=clock, rows_per_block=ROWS_PER_BLOCK)
-        report = engine.restore(restored)
-        assert report.method is RecoveryMethod.DISK
-        assert restored.row_count == N_ROWS
-        return report
-
-    benchmark(run)
-    record_result("E1", "disk restart (scaled, 20k rows)", "2.5-3 h @ 120 GB",
-                  f"{benchmark.stats['mean']:.3f} s")
-
-
-def test_restart_from_shared_memory(benchmark, shm_namespace, clock, record_result):
-    """The fast path: attach and copy row block columns back to heap."""
-
-    def setup():
-        leafmap = build_leafmap(clock)
-        engine = RestartEngine("s", namespace=shm_namespace, clock=clock)
-        engine.backup_to_shm(leafmap)
-        return (), {}
-
-    def run():
-        engine = RestartEngine("s", namespace=shm_namespace, clock=clock)
-        restored = LeafMap(clock=clock, rows_per_block=ROWS_PER_BLOCK)
-        report = engine.restore(restored)
-        assert report.method is RecoveryMethod.SHARED_MEMORY
-        assert restored.row_count == N_ROWS
-
-    benchmark.pedantic(run, setup=setup, rounds=10)
-    record_result("E1", "shm restart (scaled, 20k rows)", "2-3 min @ 120 GB",
-                  f"{benchmark.stats['mean']:.3f} s")
-
-
-def test_full_scale_factor_via_cost_model(benchmark, record_result):
-    """120 GB scale: the paper's machine-level numbers from the model."""
-
-    def run():
-        profile = paper_profile()
-        disk = simulate_machine_recovery(profile, "disk", "all_at_once")
-        shm = simulate_machine_recovery(profile, "shm", "sequential")
-        return disk.total_seconds, shm.total_seconds
-
-    disk_s, shm_s = benchmark(run)
-    assert 2.2 * 3600 <= disk_s <= 3.0 * 3600
-    assert shm_s <= 3 * 60
-    benchmark.extra_info["disk_hours"] = disk_s / 3600
-    benchmark.extra_info["shm_minutes"] = shm_s / 60
-    benchmark.extra_info["speedup"] = disk_s / shm_s
-    record_result("E1", "machine disk recovery (sim)", "2.5-3 h", f"{disk_s / 3600:.2f} h")
-    record_result("E1", "machine shm recovery (sim)", "2-3 min", f"{shm_s / 60:.2f} min")
-    record_result("E1", "disk/shm speedup (sim)", "~60x", f"{disk_s / shm_s:.0f}x")
+@pytest.mark.parametrize("name", EXPERIMENT.GATES)
+def test_gate(payload, name, check_gate):
+    check_gate(payload, name)

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-import uuid
-from pathlib import Path
 from dataclasses import replace
+from pathlib import Path
 
 from repro.cluster.dashboard import render_dashboard
 from repro.sim.availability import weekly_availability
@@ -73,818 +71,123 @@ def cmd_inspect_shm(args: argparse.Namespace) -> int:
     return 0 if info.metadata_exists else 1
 
 
+def finish(payload: dict, json_path: str | None = None) -> int:
+    """Print every gate of ``payload``, archive it when asked, and return
+    the exit code: 1 iff an *enforced* gate did not hold."""
+    from repro.experiments import write_payload
+
+    failed = False
+    print("gates:")
+    for gate in payload["gates"]:
+        if gate["ok"]:
+            verdict = "ok"
+        elif gate["enforced"]:
+            verdict, failed = "FAILED", True
+        else:
+            verdict = f"not enforced on {payload['cpu_count']} cores"
+        print(f"  [{verdict}] {gate['name']}: {gate['measured']} "
+              f"(claim: {gate['paper']})")
+    if json_path:
+        write_payload(payload, json_path)
+        print(f"wrote {json_path}")
+    return 1 if failed else 0
+
+
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1000:.1f} ms"
+
+
+def _print_header(p: dict) -> None:
+    print(f"{p['rows']:,} rows, {p['compressed_bytes'] / 1e6:.2f} MB compressed")
+
+
+def _print_e1(p: dict) -> None:
+    print(f"copy to shared memory: {_ms(p['copy_out_seconds'])}")
+    print(f"restore from shared memory: {_ms(p['shm_restore_seconds'])}")
+    print(f"restore from disk: {_ms(p['disk_restore_seconds'])}")
+    print(f"shared memory was {p['speedup']:.0f}x faster")
+
+
+def _print_e15(p: dict) -> None:
+    print(f"{p['leaves']} leaves, {p['workers']} workers")
+    for r in p["backends"]:
+        tag = f"[{r['backend']}]"
+        print(f"{tag} parallel shutdown: {_ms(r['shutdown_seconds'])}")
+        print(f"{tag} parallel restore:  {_ms(r['restore_seconds'])}")
+        if r["backend"] == "process":
+            print(f"{tag} adopt (harness):   {_ms(r['adopt_seconds'])}")
+        for failure in r["failures"]:
+            print(f"{tag} {failure} FAILED")
+    print(f"peak footprint:    {p['peak_footprint_bytes'] / 1e6:.2f} MB")
+
+
+def _print_e17(p: dict) -> None:
+    print(f"{p['rounds']} syncs x {p['rows_per_round']:,} appended rows")
+    for name, written in p["sync_write_bytes"].items():
+        print(f"[{name}] sync writes after base: {written / 1e6:.2f} MB "
+              f"(amplification {p['write_amplification'][name]:.3f}, "
+              f"{p['deltas_written'][name]} deltas, "
+              f"{p['compactions'][name]} compactions)")
+    serial = p["replay_seconds"]["serial"]
+    for backend, speedup in p["replay_speedup"].items():
+        print(f"legacy replay, {p['workers']} workers, {backend} backend: "
+              f"{_ms(p['replay_seconds'][backend])} ({speedup:.2f}x vs serial "
+              f"{_ms(serial)})")
+
+
 def cmd_bench_restart(args: argparse.Namespace) -> int:
-    import tempfile
+    """One experiment per mode; the definitions live in ``repro.experiments``."""
+    from repro.experiments import ExperimentError, e1, e12, e15, e16, e17, e18
 
-    from repro.columnstore.leafmap import LeafMap
-    from repro.core.engine import RestartEngine
-    from repro.disk.backup import DiskBackup
-    from repro.workloads import service_requests
-
-    namespace = f"reprocli-{uuid.uuid4().hex[:8]}"
-    if args.incremental:
-        return _bench_incremental(args)
-    if args.replica_tier:
-        return _bench_replica_tier(args, namespace)
-    if args.serve_while_restoring:
-        return _bench_serve_while_restoring(args, namespace)
-    if args.workers is not None:
-        return _bench_parallel_restart(args, namespace)
-    if args.disk_tier:
-        return _bench_disk_tier(args, namespace)
-    with tempfile.TemporaryDirectory() as tmp:
-        backup = DiskBackup(tmp)
-        leafmap = LeafMap(rows_per_block=4096)
-        leafmap.get_or_create("service_requests").add_rows(
-            service_requests(args.rows)
+    backends = ("thread", "process") if args.backend == "both" else (args.backend,)
+    if args.workers is not None and (
+        args.replica_tier or args.serve_while_restoring or args.disk_tier
+    ):
+        raise SystemExit(
+            "bench-restart: --workers selects the whole-machine restart (E15); "
+            "it combines only with --incremental"
         )
-        leafmap.seal_all()
-        data_bytes = sum(t.sealed_nbytes for t in leafmap)
-        backup.sync_leafmap(leafmap)
-        print(f"{args.rows:,} rows, {data_bytes / 1e6:.2f} MB compressed")
-
-        engine = RestartEngine("cli", namespace=namespace, backup=backup)
-        started = time.perf_counter()
-        engine.backup_to_shm(leafmap)
-        copy_out = time.perf_counter() - started
-        print(f"copy to shared memory: {copy_out * 1000:.1f} ms")
-
-        started = time.perf_counter()
-        restored = LeafMap(rows_per_block=4096)
-        RestartEngine("cli", namespace=namespace, backup=backup).restore(restored)
-        shm_restore = time.perf_counter() - started
-        print(f"restore from shared memory: {shm_restore * 1000:.1f} ms")
-
-        started = time.perf_counter()
-        restored = LeafMap(rows_per_block=4096)
-        RestartEngine(
-            "cli", namespace=namespace, backup=backup, disk_snapshot_tier=False
-        ).restore(restored)
-        disk_restore = time.perf_counter() - started
-        print(f"restore from disk: {disk_restore * 1000:.1f} ms")
-        print(f"shared memory was {disk_restore / max(shm_restore, 1e-9):.0f}x faster")
-    return 0
-
-
-def _bench_replica_tier(args: argparse.Namespace, namespace: str) -> int:
-    """``bench-restart --replica-tier``: experiment E18.
-
-    One primary leaf, fully synced and mirrored to a standby, restarts
-    through each rung — the wire pull from the replica, the local disk
-    snapshot, and legacy replay — and must produce identical digests.
-    A second replica restart serves queries mid-transfer: the first
-    dashboard answer has to land before 25% of the bytes arrived.
-    """
-    import json as json_module
-    import os
-    import tempfile
-
-    from repro.cluster.replication import ReplicaCatalog
-    from repro.core.engine import RecoveryMethod
-    from repro.disk.backup import DiskBackup
-    from repro.query.query import Aggregation, Query
-    from repro.server.leaf import LeafServer
-    from repro.util.checksum import rows_digest
-    from repro.workloads import service_requests
-
-    rows = args.rows
-    backends = (
-        ["thread", "process"] if args.backend == "both" else [args.backend]
-    )
-    results = []
-    exit_code = 0
-    for backend in backends:
-        with tempfile.TemporaryDirectory() as tmp:
-            ns = f"{namespace}-{backend}"
-            leaf = LeafServer(
-                "cli0",
-                backup=DiskBackup(Path(tmp) / "primary"),
-                namespace=ns,
-                rows_per_block=64,
-            )
-            leaf.start()
-            data = list(service_requests(rows))
-            leaf.add_rows("service_requests", data)
-            leaf.leafmap.seal_all()
-            leaf.sync_to_disk()
-            # Dashboard shape: count over the newest half minute — a
-            # couple of the newest blocks out of the many the leaf holds.
-            newest = data[-1]["time"]
-            dashboard = Query(
-                table="service_requests",
-                start_time=newest - 30,
-                end_time=newest + 1,
-                aggregations=[Aggregation("count", None)],
-            )
-            baseline = rows_digest(leaf.leafmap.snapshot_rows())
-            data_bytes = sum(t.sealed_nbytes for t in leaf.leafmap)
-
-            replica = LeafServer(
-                "cli0r",
-                backup=DiskBackup(Path(tmp) / "replica"),
-                namespace=f"{ns}-rep",
-                rows_per_block=64,
-            )
-            replica.start()
-            catalog = ReplicaCatalog()
-            catalog.assign("cli0", replica)
-            catalog.mirror("cli0", "service_requests", data)
-            source = catalog.session_source("cli0")
-            # The legacy route replays through the selected pool backend
-            # so the digest identity is checked against both.
-            leaf.engine.replay_backend = backend
-            leaf.engine.replay_workers = 2
-
-            timings: dict[str, float] = {}
-            methods: dict[str, str] = {}
-            digests_match = True
-
-            def run_route(name, expected, *, wire, snapshot_tier):
-                nonlocal digests_match
-                leaf.crash()
-                leaf.engine.replica_source = source if wire else None
-                leaf.engine.disk_snapshot_tier = snapshot_tier
-                started = time.perf_counter()
-                leaf.start()
-                timings[name] = time.perf_counter() - started
-                methods[name] = leaf.last_restart_report.method.value
-                if leaf.last_restart_report.method is not expected:
-                    digests_match = False
-                if rows_digest(leaf.leafmap.snapshot_rows()) != baseline:
-                    digests_match = False
-
-            run_route(
-                "replica", RecoveryMethod.REPLICA, wire=True, snapshot_tier=True
-            )
-            run_route(
-                "disk_snapshot",
-                RecoveryMethod.DISK_SNAPSHOT,
-                wire=False,
-                snapshot_tier=True,
-            )
-            run_route(
-                "legacy", RecoveryMethod.DISK, wire=False, snapshot_tier=False
-            )
-
-            # Serve-while-restoring over the wire: queries fault blocks
-            # in on demand ahead of the transfer (``sweep=False`` keeps
-            # the fraction reading deterministic).
-            leaf.engine.replica_source = source
-            leaf.engine.disk_snapshot_tier = True
-            leaf.crash()
-            started = time.perf_counter()
-            leaf.start(serve_while_restoring=True, sweep=False)
-            leaf.query(dashboard)
-            first_answer_seconds = time.perf_counter() - started
-            fraction = leaf.restore_progress().fraction_restored
-            leaf.wait_restored()
-            if rows_digest(leaf.leafmap.snapshot_rows()) != baseline:
-                digests_match = False
-            if leaf.last_restart_report.method is not RecoveryMethod.REPLICA:
-                digests_match = False
-            catalog.close()
-
-            vs_legacy = timings["legacy"] / max(timings["replica"], 1e-9)
-            vs_snapshot = timings["disk_snapshot"] / max(
-                timings["replica"], 1e-9
-            )
-            print(
-                f"[{backend}] {rows:,} rows ({data_bytes / 1e6:.2f} MB): "
-                f"replica wire pull {timings['replica'] * 1000:.1f} ms vs "
-                f"disk snapshot {timings['disk_snapshot'] * 1000:.1f} ms vs "
-                f"legacy replay {timings['legacy'] * 1000:.1f} ms"
-            )
-            print(
-                f"[{backend}] replica tier {vs_legacy:.1f}x the legacy "
-                f"replay; first query answered with {fraction:.1%} of bytes "
-                f"transferred ({first_answer_seconds * 1000:.1f} ms); "
-                f"digests {'identical' if digests_match else 'DIVERGED'}"
-            )
-            if fraction >= 0.25 or not digests_match or vs_legacy < 2.0:
-                exit_code = 1
-            results.append(
-                {
-                    "backend": backend,
-                    "rows": rows,
-                    "compressed_bytes": data_bytes,
-                    "restore_seconds": timings,
-                    "methods": methods,
-                    "speedup_vs_legacy": vs_legacy,
-                    "speedup_vs_disk_snapshot": vs_snapshot,
-                    "fraction_restored_at_first_query": fraction,
-                    "first_answer_seconds": first_answer_seconds,
-                    "digests_match": digests_match,
-                }
-            )
-    profile = paper_profile()
-    sim_speedup = profile.replica_restore_speedup(1)
-    print(
-        f"simulator, paper-scale leaf: replica pull "
-        f"{_fmt_duration(profile.replica_restart_seconds())} vs disk "
-        f"snapshot {_fmt_duration(profile.disk_snapshot_restart_seconds(1))} "
-        f"({sim_speedup:.1f}x; the local run hides the disk bottleneck "
-        f"behind the page cache)"
-    )
-    if sim_speedup < 2.0:
-        exit_code = 1
-    if args.json:
-        payload = {
-            "experiment": "E18",
-            "rows": rows,
-            "cpu_count": os.cpu_count() or 1,
-            "sim_replica_speedup_vs_disk_snapshot": sim_speedup,
-            "backends": results,
-        }
-        with open(args.json, "w") as fh:
-            json_module.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
-    return exit_code
-
-
-def _bench_disk_tier(args: argparse.Namespace, namespace: str) -> int:
-    """``bench-restart --disk-tier``: legacy row-format replay vs the
-    shm-format snapshot tier (experiment E12), plus a forced fallback."""
-    import tempfile
-
-    from repro.columnstore.leafmap import LeafMap
-    from repro.core.engine import RecoveryMethod, RestartEngine
-    from repro.disk.backup import DiskBackup
-    from repro.workloads import service_requests
-
-    with tempfile.TemporaryDirectory() as tmp:
-        backup = DiskBackup(tmp)
-        leafmap = LeafMap(rows_per_block=4096)
-        leafmap.get_or_create("service_requests").add_rows(
-            service_requests(args.rows)
-        )
-        leafmap.seal_all()
-        data_bytes = sum(t.sealed_nbytes for t in leafmap)
-        backup.sync_leafmap(leafmap)  # sealed buffers -> snapshots are fresh
-        rows = leafmap.snapshot_rows()
-        print(f"{args.rows:,} rows, {data_bytes / 1e6:.2f} MB compressed")
-
-        started = time.perf_counter()
-        legacy = LeafMap(rows_per_block=4096)
-        report = RestartEngine(
-            "cli", namespace=namespace, backup=backup, disk_snapshot_tier=False
-        ).restore(legacy)
-        legacy_s = time.perf_counter() - started
-        assert report.method is RecoveryMethod.DISK
-        print(f"legacy row-format replay:  {legacy_s * 1000:.1f} ms")
-
-        started = time.perf_counter()
-        fast = LeafMap(rows_per_block=4096)
-        report = RestartEngine("cli", namespace=namespace, backup=backup).restore(fast)
-        snapshot_s = time.perf_counter() - started
-        assert report.method is RecoveryMethod.DISK_SNAPSHOT
-        assert fast.snapshot_rows() == rows
-        print(f"shm-format snapshot tier:  {snapshot_s * 1000:.1f} ms")
-        print(f"snapshot tier was {legacy_s / max(snapshot_s, 1e-9):.1f}x faster")
-
-        # Tear one snapshot file: the ladder must route down to legacy
-        # replay and recover the identical rows.
-        victim = backup.snapshot_path("service_requests")
-        victim.write_bytes(victim.read_bytes()[:64])
-        torn = LeafMap(rows_per_block=4096)
-        report = RestartEngine("cli", namespace=namespace, backup=backup).restore(torn)
-        assert report.method is RecoveryMethod.DISK and report.fell_back_to_legacy
-        assert torn.snapshot_rows() == rows
-        print("torn snapshot: fell back to legacy replay, identical rows")
-
-        profile = paper_profile()
-        legacy_sim = profile.disk_restart_seconds(1)
-        snap_sim = profile.disk_snapshot_restart_seconds(1)
-        print(
-            f"simulator, paper-scale leaf: legacy {_fmt_duration(legacy_sim)} "
-            f"vs snapshot tier {_fmt_duration(snap_sim)} "
-            f"({legacy_sim / snap_sim:.1f}x)"
-        )
-    return 0
-
-
-def _bench_incremental(args: argparse.Namespace) -> int:
-    """``bench-restart --incremental``: experiment E17.
-
-    An append-mostly workload synced through three snapshot regimes —
-    full rewrite, incremental delta chain, and an aggressively-compacted
-    chain — measuring the sync write bytes each pays, then replaying the
-    legacy chunks serially and through the parallel replay pool.  Every
-    recovery route must produce the identical digest.
-    """
-    import json as json_module
-    import os
-    import tempfile
-    from itertools import islice
-
-    from repro.columnstore.leafmap import LeafMap
-    from repro.disk.backup import DiskBackup
-    from repro.disk.recovery import recover_leafmap, recover_leafmap_snapshots
-    from repro.disk.replay import replay_leafmap
-    from repro.util.checksum import rows_digest
-    from repro.workloads import service_requests
-
-    rounds = 8
-    base_rows = args.rows
-    per_round = max(256, args.rows // 16)
-    workers = max(1, args.workers) if args.workers is not None else 4
-    exit_code = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        backups = {
-            "full": DiskBackup(root / "full", incremental=False),
-            "incremental": DiskBackup(root / "incremental"),
-            "compacted": DiskBackup(root / "compacted", max_chain_links=2),
-        }
-        leafmap = LeafMap(rows_per_block=1024)
-        table = leafmap.get_or_create("service_requests")
-        gen = iter(service_requests(base_rows + rounds * per_round))
-
-        def sync_all():
-            leafmap.seal_all()
-            for backup in backups.values():
-                backup.sync_leafmap(leafmap)
-
-        table.add_rows(islice(gen, base_rows))
-        sync_all()
-        base_bytes = {
-            name: b.stats.snapshot_bytes_written for name, b in backups.items()
-        }
-        for _ in range(rounds):
-            # Append-mostly: each sync point seals only the new rows, so
-            # the delta chain writes a small fraction of the table while
-            # the full-rewrite regime pays the whole table every time.
-            table.add_rows(islice(gen, per_round))
-            sync_all()
-        data_bytes = table.sealed_nbytes
-        print(
-            f"{base_rows:,} base rows + {rounds} syncs x {per_round:,} rows, "
-            f"{data_bytes / 1e6:.2f} MB compressed live"
-        )
-
-        steady = {
-            name: b.stats.snapshot_bytes_written - base_bytes[name]
-            for name, b in backups.items()
-        }
-        reduction = steady["full"] / max(steady["incremental"], 1)
-        for name, backup in backups.items():
-            stats = backup.stats
-            print(
-                f"[{name}] sync writes after base: {steady[name] / 1e6:.2f} MB "
-                f"(amplification {stats.write_amplification:.3f}, "
-                f"{stats.deltas_written} deltas, {stats.compactions} compactions)"
-            )
-        print(f"incremental wrote {reduction:.1f}x fewer sync bytes than full rewrite")
-
-        source_digest = rows_digest(leafmap.snapshot_rows())
-        digests_identical = True
-        replay_seconds: dict[str, float] = {}
-        for name, backup in backups.items():
-            chained = LeafMap(rows_per_block=1024)
-            recover_leafmap_snapshots(backup, chained)
-            ok = rows_digest(chained.snapshot_rows()) == source_digest
-            started = time.perf_counter()
-            serial = LeafMap(rows_per_block=1024)
-            recover_leafmap(backup, serial)
-            serial_s = time.perf_counter() - started
-            ok = ok and rows_digest(serial.snapshot_rows()) == source_digest
-            for backend in ("thread", "process"):
-                started = time.perf_counter()
-                parallel = LeafMap(rows_per_block=1024)
-                replay_leafmap(backup, parallel, workers=workers, backend=backend)
-                replay_seconds[backend] = time.perf_counter() - started
-                ok = ok and rows_digest(parallel.snapshot_rows()) == source_digest
-            digests_identical = digests_identical and ok
-            if name == "incremental":
-                replay_seconds["serial"] = serial_s
-            print(
-                f"[{name}] digests {'identical' if ok else 'DIVERGED'} across "
-                f"chain / serial / parallel x thread / parallel x process"
-            )
-        if not digests_identical:
-            exit_code = 1
-        for backend in ("thread", "process"):
-            speedup = replay_seconds["serial"] / max(replay_seconds[backend], 1e-9)
-            print(
-                f"legacy replay, {workers} workers, {backend} backend: "
-                f"{replay_seconds[backend] * 1000:.1f} ms "
-                f"({speedup:.2f}x vs serial {replay_seconds['serial'] * 1000:.1f} ms)"
-            )
-
-        profile = paper_profile()
-        print(
-            f"simulator, paper-scale leaf: incremental sync writes "
-            f"{profile.incremental_sync_reduction():.1f}x fewer bytes; "
-            f"{workers}-worker process replay "
-            f"{_fmt_duration(profile.translate_seconds(profile.data_bytes_per_leaf) / profile.parallel_replay_speedup(workers, 'process'))} "
-            f"vs serial "
-            f"{_fmt_duration(profile.translate_seconds(profile.data_bytes_per_leaf))} "
-            f"({profile.parallel_replay_speedup(workers, 'process'):.1f}x)"
-        )
-        if args.json:
-            inc_stats = backups["incremental"].stats
-            payload = {
-                "experiment": "E17",
-                "rows": base_rows + rounds * per_round,
-                "rounds": rounds,
-                "compressed_bytes": data_bytes,
-                "cpu_count": os.cpu_count() or 1,
-                "workers": workers,
-                "sync_write_bytes": steady,
-                "write_reduction": reduction,
-                "write_amplification": inc_stats.write_amplification,
-                "compactions": {
-                    name: b.stats.compactions for name, b in backups.items()
-                },
-                "deltas_written": inc_stats.deltas_written,
-                "skipped_unchanged": inc_stats.skipped_unchanged,
-                "replay_seconds": replay_seconds,
-                "replay_speedup": {
-                    backend: replay_seconds["serial"]
-                    / max(replay_seconds[backend], 1e-9)
-                    for backend in ("thread", "process")
-                },
-                "digests_identical": digests_identical,
-                "sim": {
-                    "sync_write_reduction": profile.incremental_sync_reduction(),
-                    "replay_speedup_process": profile.parallel_replay_speedup(
-                        workers, "process"
-                    ),
-                    "replay_speedup_thread": profile.parallel_replay_speedup(
-                        workers, "thread"
-                    ),
-                },
-            }
-            with open(args.json, "w") as fh:
-                json_module.dump(payload, fh, indent=2)
-            print(f"wrote {args.json}")
-    return exit_code
-
-
-def _bench_serve_while_restoring(args: argparse.Namespace, namespace: str) -> int:
-    """``bench-restart --serve-while-restoring``: experiment E16.
-
-    Measures availability, not throughput: how far into the restore the
-    first (dashboard-shaped) query gets answered, on each backend, and
-    that the lazily-restored leaf is digest-identical to a blocking
-    restore of the same shared memory image.
-    """
-    import json as json_module
-    import os
-    import tempfile
-
-    from repro.core.parallel import ParallelRestartCoordinator
-    from repro.query.query import Aggregation, Query
-    from repro.server.machine import Machine
-    from repro.util.checksum import rows_digest
-    from repro.workloads import service_requests
-
-    leaves = max(1, args.leaves)
-    backends = (
-        ["thread", "process"] if args.backend == "both" else [args.backend]
-    )
-    rows_per_leaf = max(1, args.rows // leaves)
-    # ~4 rows share each second, so the newest data ends near this mark;
-    # the dashboard query scans the last half minute — a couple of the
-    # newest blocks out of the many the leaf holds.
-    newest = 1_390_000_000 + rows_per_leaf // 4 + 1
-    dashboard = Query(
-        table="service_requests",
-        start_time=newest - 30,
-        end_time=newest + 1,
-        aggregations=[Aggregation("count", None)],
-    )
-    results = []
-    exit_code = 0
-    for backend in backends:
-        with tempfile.TemporaryDirectory() as tmp:
-            machine = Machine(
-                "cli",
-                backup_root=tmp,
-                leaves_per_machine=leaves,
-                namespace=f"{namespace}-{backend}",
-                rows_per_block=64,
-                shared_tracker=True,
-            )
-            machine.start_all()
-            for leaf in machine.leaves:
-                leaf.add_rows(
-                    "service_requests", service_requests(rows_per_leaf)
-                )
-                leaf.leafmap.seal_all()
-            data_bytes = machine.nbytes
-            coordinator = ParallelRestartCoordinator(
-                machine.leaves, backend=backend
-            )
-
-            # Baseline: the blocking restart — unavailable until the
-            # last byte — and the content digests it produces.
-            blocking = coordinator.restart_all()
-            if blocking.failures:
-                for outcome in blocking.failures:
-                    print(f"[{backend}] blocking restart FAILED: "
-                          f"{outcome.error}")
-                return 1
-            digests = [
-                rows_digest(leaf.leafmap.snapshot_rows())
-                for leaf in machine.leaves
-            ]
-
-            # Serve-while-restoring: shutdown the same way, then bring
-            # each leaf to serving and query it before the sweep runs
-            # (``sweep=False`` keeps the reading deterministic).
-            outcomes = coordinator.shutdown_all()
-            if any(not o.ok for o in outcomes):
-                print(f"[{backend}] shutdown FAILED")
-                return 1
-            worst_fraction = 0.0
-            first_answer_seconds = 0.0
-            queries_served = 0
-            digests_match = True
-            for leaf, blocking_digest in zip(machine.leaves, digests):
-                started = time.perf_counter()
-                leaf.start(serve_while_restoring=True, sweep=False)
-                leaf.query(dashboard)
-                first_answer_seconds = max(
-                    first_answer_seconds, time.perf_counter() - started
-                )
-                progress = leaf.restore_progress()
-                worst_fraction = max(
-                    worst_fraction, progress.fraction_restored
-                )
-                queries_served += progress.queries_served
-                leaf.wait_restored()
-                if rows_digest(leaf.leafmap.snapshot_rows()) != blocking_digest:
-                    digests_match = False
-            print(
-                f"[{backend}] {leaves} leaves x {rows_per_leaf:,} rows "
-                f"({data_bytes / 1e6:.2f} MB): first query answered with "
-                f"{worst_fraction:.1%} of bytes restored "
-                f"(blocking restore waits for 100%)"
-            )
-            print(
-                f"[{backend}] time to first answer {first_answer_seconds * 1000:.1f} ms "
-                f"vs blocking restore {blocking.restore_seconds * 1000:.1f} ms; "
-                f"digests {'identical' if digests_match else 'DIVERGED'}"
-            )
-            if worst_fraction >= 0.25 or not digests_match:
-                exit_code = 1
-            results.append(
-                {
-                    "backend": backend,
-                    "leaves": leaves,
-                    "rows_per_leaf": rows_per_leaf,
-                    "compressed_bytes": data_bytes,
-                    "fraction_restored_at_first_query": worst_fraction,
-                    "first_answer_seconds": first_answer_seconds,
-                    "blocking_restore_seconds": blocking.restore_seconds,
-                    "queries_served_during_restore": queries_served,
-                    "digests_match": digests_match,
-                }
-            )
-    profile = paper_profile()
-    print(
-        f"simulator, paper-scale leaf: blocking window "
-        f"{_fmt_duration(profile.shm_restart_seconds(1))} vs serving at "
-        f"{_fmt_duration(profile.shm_lazy_restart_seconds(1))} "
-        f"(background fill {_fmt_duration(profile.shm_restore_seconds(1))})"
-    )
-    if args.json:
-        payload = {
-            "experiment": "E16",
-            "rows": args.rows,
-            "leaves": leaves,
-            "cpu_count": os.cpu_count() or 1,
-            "backends": results,
-        }
-        with open(args.json, "w") as fh:
-            json_module.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
-    return exit_code
-
-
-def _bench_parallel_restart(args: argparse.Namespace, namespace: str) -> int:
-    """``bench-restart --workers N``: a whole machine restarting in
-    parallel (experiment E15), plus the simulator's prediction.
-
-    ``--backend both`` runs the thread pool and the process pool on the
-    same data and reports the process/thread speedup; ``--json`` writes
-    the measurements for CI to archive (the ``BENCH_e15.json`` artifact).
-    """
-    import json as json_module
-    import os
-    import tempfile
-
-    from repro.server.machine import Machine
-    from repro.workloads import service_requests
-
-    leaves = max(1, args.leaves)
-    workers = max(1, args.workers)
-    backends = (
-        ["thread", "process"] if args.backend == "both" else [args.backend]
-    )
-    results = []
-    exit_code = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        machine = Machine(
-            "cli",
-            backup_root=tmp,
-            leaves_per_machine=leaves,
-            namespace=namespace,
-            rows_per_block=4096,
-            shared_tracker=True,
-        )
-        machine.start_all()
-        rows_per_leaf = max(1, args.rows // leaves)
-        for leaf in machine.leaves:
-            leaf.add_rows("service_requests", service_requests(rows_per_leaf))
-            leaf.leafmap.seal_all()  # measure compressed, not buffered, size
-        data_bytes = machine.nbytes
-        print(
-            f"{leaves} leaves x {rows_per_leaf:,} rows, "
-            f"{data_bytes / 1e6:.2f} MB compressed, {workers} workers"
-        )
-        budget = int(args.budget_mb * 1_000_000) if args.budget_mb else None
-        for backend in backends:
-            report = machine.restart_all(
-                workers=workers, budget_bytes=budget, backend=backend
-            )
-            failures = report.failures
-            print(f"[{backend}] parallel shutdown: "
-                  f"{report.shutdown_seconds * 1000:.1f} ms")
-            print(f"[{backend}] parallel restore:  "
-                  f"{report.restore_seconds * 1000:.1f} ms")
-            if backend == "process":
-                print(f"[{backend}] adopt (harness):   "
-                      f"{report.adopt_seconds * 1000:.1f} ms")
-            if budget:
-                print(
-                    f"[{backend}] peak in-flight:    "
-                    f"{report.peak_in_flight_bytes / 1e6:.2f} MB "
-                    f"(budget {args.budget_mb} MB)"
-                )
-            results.append(
-                {
-                    "backend": backend,
-                    "workers": workers,
-                    "leaves": leaves,
-                    "shutdown_seconds": report.shutdown_seconds,
-                    "restore_seconds": report.restore_seconds,
-                    "adopt_seconds": report.adopt_seconds,
-                    "restart_window_seconds": report.restart_window_seconds,
-                    "peak_in_flight_bytes": report.peak_in_flight_bytes,
-                    "budget_bytes": budget,
-                    "failures": len(failures),
-                }
-            )
-            for outcome in failures:
-                print(f"[{backend}] leaf {outcome.leaf_id} FAILED: "
-                      f"{outcome.error}")
-                exit_code = 1
-        if machine.tracker is not None:
-            print(f"peak footprint:    {machine.tracker.peak_total / 1e6:.2f} MB")
-        speedup = None
-        if len(results) == 2:
-            thread_window = results[0]["restart_window_seconds"]
-            process_window = results[1]["restart_window_seconds"]
-            speedup = thread_window / max(process_window, 1e-9)
-            print(
-                f"process backend was {speedup:.2f}x the thread backend "
-                f"({os.cpu_count() or 1} cores on this host)"
-            )
-        profile = paper_profile()
-        print(
-            f"simulator: {workers}-wide restore of a paper-scale machine is "
-            f"{profile.parallel_restore_speedup(workers, 'process'):.1f}x "
-            f"sequential via processes, "
-            f"{profile.parallel_restore_speedup(workers, 'thread'):.1f}x via "
-            f"threads (bandwidth ceiling "
-            f"{profile.mem_total_gbps / profile.mem_copy_gbps:.0f}x)"
-        )
-        if args.json:
-            payload = {
-                "experiment": "E15",
-                "rows": args.rows,
-                "leaves": leaves,
-                "workers": workers,
-                "compressed_bytes": data_bytes,
-                "cpu_count": os.cpu_count() or 1,
-                "backends": results,
-                "process_over_thread_speedup": speedup,
-            }
-            with open(args.json, "w") as fh:
-                json_module.dump(payload, fh, indent=2)
-            print(f"wrote {args.json}")
-    return exit_code
+    try:
+        if args.incremental:
+            workers = e17.WORKERS if args.workers is None else args.workers
+            payload = e17.run(rows=args.rows, workers=workers)
+        elif args.replica_tier:
+            payload = e18.run(rows=args.rows, backends=backends)
+        elif args.serve_while_restoring:
+            payload = e16.run(rows=args.rows, leaves=args.leaves, backends=backends)
+        elif args.disk_tier:
+            payload = e12.run(rows=args.rows)
+        elif args.workers is not None:
+            budget = int(args.budget_mb * 1_000_000) if args.budget_mb else None
+            payload = e15.run(rows=args.rows, leaves=args.leaves, workers=args.workers,
+                              backends=backends, budget_bytes=budget)
+        else:
+            payload = e1.run(rows=args.rows)
+    except ExperimentError as exc:
+        print(f"bench-restart: {exc}")
+        return 1
+    _print_header(payload)
+    details = {"E1": _print_e1, "E15": _print_e15, "E17": _print_e17}
+    if payload["experiment"] in details:
+        details[payload["experiment"]](payload)
+    return finish(payload, args.json)
 
 
 def cmd_bench_query(args: argparse.Namespace) -> int:
     """``bench-query``: the E13 before/after — row-at-a-time vs the
     vectorized executor, cold and warm through the decoded-column cache."""
-    import json
+    from repro.experiments import e13
 
-    from repro.columnstore.colcache import DecodedColumnCache
-    from repro.columnstore.leafmap import LeafMap
-    from repro.query.execute import execute_on_leaf, execute_on_leaf_rows
-    from repro.query.query import Aggregation, Filter, Query
-    from repro.util.clock import ManualClock
-    from repro.workloads import service_requests
-
-    cache = DecodedColumnCache(args.cache_mb << 20)
-    leafmap = LeafMap(
-        clock=ManualClock(0.0), rows_per_block=8192, column_cache=cache
-    )
-    leafmap.get_or_create("service_requests").add_rows(service_requests(args.rows))
-    leafmap.seal_all()
-    data_bytes = sum(t.sealed_nbytes for t in leafmap)
-    print(f"{args.rows:,} rows, {data_bytes / 1e6:.2f} MB compressed")
-
-    queries = {
-        "grouped-aggregation": Query(
-            "service_requests",
-            aggregations=(
-                Aggregation("count"),
-                Aggregation("avg", "latency_ms"),
-                Aggregation("p99", "latency_ms"),
-            ),
-            group_by=("endpoint",),
-        ),
-        "filtered-count": Query(
-            "service_requests",
-            aggregations=(Aggregation("count"),),
-            filters=(
-                Filter("status", "ge", 500),
-                Filter("tags", "contains", "prod"),
-            ),
-        ),
-        "time-window-buckets": Query(
-            "service_requests",
-            aggregations=(Aggregation("count"), Aggregation("max", "latency_ms")),
-            start_time=1_390_000_000,
-            end_time=1_390_000_000 + args.rows // 8,
-            bucket_seconds=60,
-            group_by=("datacenter",),
-        ),
-    }
-
-    def best_of(fn):
-        best = float("inf")
-        for _ in range(max(1, args.repeats)):
-            started = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    results = []
-    for name, query in queries.items():
-        row_s = best_of(lambda: execute_on_leaf_rows(leafmap, query))
-        cache.clear()
-        started = time.perf_counter()
-        execute_on_leaf(leafmap, query)
-        cold_s = time.perf_counter() - started
-        warm_s = best_of(lambda: execute_on_leaf(leafmap, query))
-        speedup = row_s / max(warm_s, 1e-9)
-        results.append(
-            {
-                "query": name,
-                "row_ms": row_s * 1000,
-                "vector_cold_ms": cold_s * 1000,
-                "vector_warm_ms": warm_s * 1000,
-                "speedup": speedup,
-            }
-        )
-        print(
-            f"{name:24s} row {row_s * 1000:8.1f} ms | vectorized cold "
-            f"{cold_s * 1000:7.1f} ms, warm {warm_s * 1000:7.1f} ms "
-            f"({speedup:.1f}x)"
-        )
-    stats = cache.stats()
-    print(
-        f"cache: {stats.entries} entries, {stats.nbytes / 1e6:.2f} MB, "
-        f"hit rate {stats.hit_rate:.1%}"
-    )
-    if args.json:
-        payload = {
-            "experiment": "E13",
-            "rows": args.rows,
-            "compressed_bytes": data_bytes,
-            "queries": results,
-            "min_speedup": min(r["speedup"] for r in results),
-            "cache": {
-                "entries": stats.entries,
-                "nbytes": stats.nbytes,
-                "hit_rate": stats.hit_rate,
-            },
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def cmd_leaf_worker(args: argparse.Namespace, extra: list[str]) -> int:
-    from repro.server.process_worker import main as worker_main
-
-    return worker_main(extra)
+    p = e13.run(rows=args.rows, cache_mb=args.cache_mb, repeats=args.repeats)
+    _print_header(p)
+    for q in p["queries"]:
+        print(f"{q['query']:24s} row {q['row_ms']:8.1f} ms | vectorized cold "
+              f"{q['vector_cold_ms']:7.1f} ms, warm {q['vector_warm_ms']:7.1f} ms "
+              f"({q['speedup']:.1f}x)")
+    cache = p["cache"]
+    print(f"cache: {cache['entries']} entries, {cache['nbytes'] / 1e6:.2f} MB, "
+          f"hit rate {cache['hit_rate']:.1%}")
+    return finish(p, args.json)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -981,34 +284,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-restart", help="real scaled disk-vs-shm restart")
     p.add_argument("--rows", type=int, default=20_000)
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="restart a whole machine's leaves N at a time "
-                   "(default: single-leaf disk-vs-shm comparison)")
+                   help="E15: restart a whole machine's leaves N at a time "
+                   "(default: single-leaf disk-vs-shm comparison, E1); with "
+                   "--incremental, the replay pool width (default 4)")
     p.add_argument("--leaves", type=int, default=4,
-                   help="leaves on the machine for --workers mode")
+                   help="leaves on the machine (--workers, --serve-while-restoring)")
     p.add_argument("--budget-mb", type=float, default=None,
                    help="machine-wide in-flight copy budget for --workers mode")
     p.add_argument("--backend", choices=("thread", "process", "both"),
                    default="thread",
-                   help="restart pool backend for --workers mode; 'both' "
-                   "runs each and reports the process/thread speedup")
+                   help="restart pool backend; 'both' runs each and, in "
+                   "--workers mode, reports the process/thread speedup")
     p.add_argument("--json", default=None, metavar="FILE",
-                   help="write --workers mode measurements as JSON "
-                   "(the BENCH_e15.json artifact)")
-    p.add_argument("--serve-while-restoring", action="store_true",
-                   help="experiment E16: answer queries mid-restore via "
-                        "on-demand block fault-in, vs the blocking restore")
-    p.add_argument("--replica-tier", action="store_true",
-                   help="experiment E18: pipelined over-the-wire restore "
-                        "from a standby replica vs the local disk rungs, "
-                        "incl. serve-while-restoring over the wire")
-    p.add_argument("--disk-tier", action="store_true",
-                   help="compare legacy row-format replay against the "
-                   "shm-format snapshot tier (E12), incl. torn-file fallback")
-    p.add_argument("--incremental", action="store_true",
-                   help="experiment E17: incremental delta-chain sync "
-                   "write bytes vs full rewrite, plus serial vs parallel "
-                   "legacy replay (--workers, default 4; --json writes "
-                   "the BENCH_e17.json artifact)")
+                   help="write the mode's measurements and gates as JSON "
+                   "(the BENCH_eNN.json artifact)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--serve-while-restoring", action="store_true",
+                      help="experiment E16: answer queries mid-restore via "
+                      "on-demand block fault-in, vs the blocking restore")
+    mode.add_argument("--replica-tier", action="store_true",
+                      help="experiment E18: pipelined over-the-wire restore "
+                      "from a standby replica vs the local disk rungs, "
+                      "incl. serve-while-restoring over the wire")
+    mode.add_argument("--disk-tier", action="store_true",
+                      help="experiment E12: legacy row-format replay vs the "
+                      "shm-format snapshot tier, incl. torn-file fallback")
+    mode.add_argument("--incremental", action="store_true",
+                      help="experiment E17: incremental delta-chain sync "
+                      "write bytes vs full rewrite, across a restart, plus "
+                      "serial vs parallel and survivor-proportional replay")
     p.set_defaults(func=cmd_bench_restart)
 
     p = sub.add_parser(
@@ -1020,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3,
                    help="timing repeats (best-of)")
     p.add_argument("--json", default=None, metavar="FILE",
-                   help="also write the measurements as JSON")
+                   help="also write the measurements and gates as JSON")
     p.set_defaults(func=cmd_bench_query)
 
     sub.add_parser(
