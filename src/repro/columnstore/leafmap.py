@@ -49,6 +49,11 @@ class LeafMap:
         return len(self._tables)
 
     @property
+    def rows_per_block(self) -> int | None:
+        """The block size this map's tables seal at (``None`` = default)."""
+        return self._rows_per_block
+
+    @property
     def table_names(self) -> list[str]:
         return list(self._tables)
 

@@ -138,8 +138,22 @@ class Schema:
             writer.write_str(name)
             writer.write_u8(int(ctype))
 
+    #: ``(wire bytes, schema)`` of the last schema parsed.  A table's row
+    #: blocks nearly always repeat their neighbour's schema, so a restore
+    #: parses each distinct schema once and byte-compares the rest.  The
+    #: wire form is self-delimiting: bytes equal to a parsed schema's
+    #: parse to that schema, and any flipped byte misses and is parsed
+    #: (and rejected) as before.  One tuple, swapped whole: thread-safe.
+    _last_parsed: "tuple[bytes, Schema] | None" = None
+
     @classmethod
     def deserialize(cls, reader: BufferReader) -> "Schema":
+        start = reader.offset
+        last = cls._last_parsed
+        if last is not None and reader.remaining >= len(last[0]):
+            if reader.read_view(len(last[0])) == last[0]:
+                return last[1]
+            reader.seek(start)
         count = reader.read_varint()
         columns: dict[str, ColumnType] = {}
         for _ in range(count):
@@ -151,4 +165,8 @@ class Schema:
                 raise CorruptionError(
                     f"unknown column type code {code} for column '{name}'"
                 ) from exc
-        return cls(columns)
+        schema = cls(columns)
+        end = reader.offset
+        reader.seek(start)
+        cls._last_parsed = (reader.read_bytes(end - start), schema)
+        return schema

@@ -39,6 +39,12 @@ protocol.  Every heap free and shared memory allocation is reported to a
 :class:`~repro.util.memtrack.MemoryTracker` so the Section 4.4 footprint
 claim is checkable (experiment E8).
 
+The restore loop itself lives once, in
+:class:`~repro.core.lazyrestore.RestoreDriver`: ``restore`` puts the
+driver on the best usable source (this leaf's segments, else a standby
+over the wire) and drains it.  This module keeps the entry points, the
+shm validity check and discard, and the ladder below the driver.
+
 "Recover from disk" is itself a two-rung ladder (paper, Section 6): if
 every backed-up table has a trusted shm-format snapshot — generation
 matching the manifest watermark, CRC intact, layout version readable —
@@ -55,7 +61,6 @@ from enum import Enum
 from typing import Callable
 
 from repro.columnstore.leafmap import LeafMap
-from repro.columnstore.rowblock import RowBlock
 from repro.core.parallel import FootprintBudget
 from repro.core.states import (
     LeafBackupMachine,
@@ -77,12 +82,7 @@ from repro.errors import (
     RecoveryError,
     ShmError,
 )
-from repro.shm.layout import (
-    SHM_LAYOUT_VERSION,
-    TableSegmentWriter,
-    iter_blocks_from_segment,
-    table_segment_size,
-)
+from repro.shm.layout import SHM_LAYOUT_VERSION, TableSegmentWriter, table_segment_size
 from repro.shm.metadata import LeafMetadata, TableSegmentRecord
 from repro.shm.segment import ShmSegment, segment_exists
 from repro.util.clock import Clock, SystemClock
@@ -100,10 +100,11 @@ FAULT_POINTS = (
     "restore:table",
     "restore:snapshot_table",
     "restore:before_finish",
-    # Serve-while-restoring boundaries (lazy restore only):
+    # The restore driver's boundaries, blocking or serving (the shm
+    # source fires both, the wire source the first):
     "restore:publish_directory",
     "restore:fault_block",
-    # Replica-rung protocol phases (wire restore only):
+    # Replica-rung protocol phases (the wire source, blocking or serving):
     "replica:handshake",
     "replica:stream",
     "replica:block",
@@ -185,10 +186,6 @@ class RestartReport:
             self.failure_reason = f"{type(exc).__name__}: {exc}"
 
 
-def _exact_size(table_name: str, blocks: list) -> int:
-    return table_segment_size(table_name, blocks)
-
-
 class RestartEngine:
     """Shutdown-to-shared-memory and restore-from-shared-memory for one
     leaf server's data.
@@ -267,14 +264,13 @@ class RestartEngine:
         self.tracker = tracker or MemoryTracker()
         self.clock = clock or SystemClock()
         self.budget = budget
-        self._size_estimator = size_estimator or _exact_size
+        self._size_estimator = size_estimator or table_segment_size
         self._fault = fault_hook or (lambda point: None)
         #: Heap bytes this engine has reported to the (possibly shared)
         #: tracker.  ``tracker.in_region("heap")`` is machine-wide when
         #: leaves share a tracker; the backup deficit seeding below must
         #: compare against *this leaf's* contribution only.
         self._engine_heap = 0
-        self._reset_counters()
 
     def _track_heap_alloc(self, nbytes: int) -> None:
         self.tracker.allocate("heap", nbytes, at=self.clock.now())
@@ -310,13 +306,6 @@ class RestartEngine:
         if self._engine_heap:
             self.tracker.free("heap", self._engine_heap, at=self.clock.now())
             self._engine_heap = 0
-
-    def _reset_counters(self) -> None:
-        self._rbc_copies = 0
-        self._bytes_copied = 0
-        self._rows_copied = 0
-        self._blocks_copied = 0
-        self._block_rows: list[int] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -363,6 +352,14 @@ class RestartEngine:
         meta.close()
         return None
 
+    def _discard_untrusted_shm(self) -> None:
+        """Figure 7's "if valid bit is false: delete shared memory
+        segments" — what a restore does before recovering from anywhere
+        else; a state that is still trusted stays for a later boot."""
+        meta = self._attach_valid_shm()
+        if meta is not None:
+            meta.close()
+
     def discard_shm(self) -> bool:
         """Unlink any shared memory state this leaf left behind."""
         if not self.shm_state_exists():
@@ -402,7 +399,6 @@ class RestartEngine:
         leaf = LeafBackupMachine()
         leaf.transition(LeafBackupState.COPY_TO_SHM)
         report = RestartReport(method=RecoveryMethod.SHARED_MEMORY)
-        self._reset_counters()
         self._fault("backup:start")
         # Drop cached decoded columns first: they are derived data the
         # shutdown never copies, and holding them through the copy loop
@@ -432,10 +428,8 @@ class RestartEngine:
                 if self.backup is not None:
                     self.backup.sync_table(table)
                 machine.transition(TableBackupState.COPY_TO_SHM)
-                record, grows = self._copy_table_out(table, index, deadline)
-                records.append(record)
+                records.append(self._copy_table_out(table, index, deadline, report))
                 meta.set_records(records)
-                report.segment_grows += grows
                 report.tables += 1
                 leafmap.drop_table(table_name)
                 machine.transition(TableBackupState.DONE)
@@ -446,10 +440,6 @@ class RestartEngine:
             meta.close()
         leaf.transition(LeafBackupState.EXIT)
         report.leaf_states = [state.value for state in leaf.history]
-        report.rbc_copies = self._rbc_copies
-        report.bytes_copied = self._bytes_copied
-        report.rows = self._rows_copied
-        report.row_blocks = self._blocks_copied
         report.duration_seconds = self.clock.now() - start
         report.peak_tracked_bytes = self.tracker.peak_total
         return report
@@ -459,63 +449,58 @@ class RestartEngine:
         table,
         table_index: int,
         deadline: CooperativeDeadline | None,
-    ) -> tuple[TableSegmentRecord, int]:
-        """Copy one table into its segment; returns (record, grow count)."""
+        report: RestartReport,
+    ) -> TableSegmentRecord:
+        """Copy one table into its segment, counting the copies (and any
+        segment regrow) on ``report``."""
         blocks = table.take_blocks()
-        self._block_rows = [block.row_count for block in blocks]
-        estimate = max(64, self._size_estimator(table.name, blocks))
+        name = self._segment_base_name(table_index)
+        size = max(64, self._size_estimator(table.name, blocks))
         grows = 0
-        base = self._segment_base_name(table_index)
-        # A previous backup of this leaf that was killed mid-copy can
-        # leave an orphan segment that its (never-written) metadata
-        # record does not reference; the name is ours, so reclaim it.
-        if segment_exists(base):
-            ShmSegment.attach(base).unlink()
-        # This table's copy window — the span where segment and heap
-        # coexist — is in flight against the machine-wide budget until
-        # the copy loop has drained the heap side.
         held = 0
-        if self.budget is not None:
-            self.budget.acquire(estimate)
-            held = estimate
         try:
-            segment = ShmSegment.create(base, estimate)
-            self.tracker.allocate("shm", segment.size, at=self.clock.now())
-            writer = TableSegmentWriter(segment, table.name, blocks)
             while True:
+                # A previous backup of this leaf that was killed mid-copy
+                # can leave an orphan segment that its (never-written)
+                # metadata record does not reference; the name is ours,
+                # so reclaim it.
+                if segment_exists(name):
+                    ShmSegment.attach(name).unlink()
+                # This table's copy window — the span where segment and
+                # heap coexist — is in flight against the machine-wide
+                # budget until the copy loop has drained the heap side.
+                if self.budget is not None:
+                    self.budget.acquire(size)
+                    held = size
+                segment = ShmSegment.create(name, size)
+                self.tracker.allocate("shm", segment.size, at=self.clock.now())
+                writer = TableSegmentWriter(segment, table.name, blocks)
                 try:
                     events = writer.copy_events()
                     # copy_events validates capacity before the first write,
                     # so a too-small estimate fails here with nothing copied.
                     first_event = next(events, None)
+                    break
                 except ShmError:
                     # "grow the table segment in size if needed": POSIX
-                    # segments cannot grow in place, so allocate a larger one
-                    # and retire the small one.  Nothing was copied yet.
-                    needed = table_segment_size(table.name, blocks)
+                    # segments cannot grow in place, so retire the small
+                    # one and go round with the exact size.  Its
+                    # reservation goes first, so an oversized regrow can
+                    # use the whole-budget admission instead of
+                    # deadlocking on itself.
                     self.tracker.free("shm", segment.size, at=self.clock.now())
                     segment.unlink()
-                    grows += 1
-                    if self.budget is not None:
-                        # Swap the reservation: release before re-acquiring
-                        # so an oversized regrow can use the whole-budget
-                        # admission instead of deadlocking on itself.
+                    if held:
                         self.budget.release(held)
                         held = 0
-                        self.budget.acquire(needed)
-                        held = needed
-                    grown_name = f"{base}-g{grows}"
-                    if segment_exists(grown_name):
-                        ShmSegment.attach(grown_name).unlink()
-                    segment = ShmSegment.create(grown_name, needed)
-                    self.tracker.allocate("shm", segment.size, at=self.clock.now())
-                    writer = TableSegmentWriter(segment, table.name, blocks)
-                    continue
-                break
+                    grows += 1
+                    report.segment_grows += 1
+                    name = f"{self._segment_base_name(table_index)}-g{grows}"
+                    size = table_segment_size(table.name, blocks)
             if first_event is not None:
-                self._apply_copy_event(blocks, first_event, deadline)
+                self._apply_copy_event(blocks, first_event, deadline, report)
             for event in events:
-                self._apply_copy_event(blocks, event, deadline)
+                self._apply_copy_event(blocks, event, deadline, report)
             record = TableSegmentRecord(
                 table_name=table.name,
                 segment_name=segment.name,
@@ -524,23 +509,23 @@ class RestartEngine:
                 rows_expired=table.total_rows_expired,
             )
             segment.close()
-            return record, grows
+            return record
         finally:
-            if self.budget is not None and held:
+            if held:
                 self.budget.release(held)
 
-    def _apply_copy_event(self, blocks, event, deadline) -> None:
+    def _apply_copy_event(self, blocks, event, deadline, report) -> None:
         if deadline is not None:
             deadline.check()
         block = blocks[event.block_index]
         freed = block.release_column(event.column_name)
         self._track_heap_free(freed)
-        self._rbc_copies += 1
-        self._bytes_copied += event.nbytes
+        report.rbc_copies += 1
+        report.bytes_copied += event.nbytes
         if event.last_in_block:
             # "delete row block from heap"
-            self._rows_copied += self._block_rows[event.block_index]
-            self._blocks_copied += 1
+            report.rows += block.row_count
+            report.row_blocks += 1
             blocks[event.block_index] = None
 
     # ------------------------------------------------------------------
@@ -558,7 +543,7 @@ class RestartEngine:
 
         Attempts shared memory recovery when it is enabled and the valid
         bit is set; otherwise — or on any exception mid-copy — falls back
-        to disk recovery, per Figure 5(b).
+        down the ladder, per Figure 5(b): the restore driver, drained.
 
         ``on_disk_fallback`` is invoked at the fallback boundary, before
         any disk rung runs.  The leaf server hooks its status flip here:
@@ -576,52 +561,11 @@ class RestartEngine:
         so a worker killed mid-restore leaves the valid bit down and the
         next attempt walks the disk ladder — crash safety is identical.
         """
-        if len(leafmap):
-            raise RecoveryError("restore requires an empty leaf map")
-        # A leaf restarting after a crash may hand over a fresh leaf map
-        # that shares the previous incarnation's cache object; whatever
-        # it still holds describes dead blocks.  Restores start cold.
-        leafmap.drop_column_cache()
-        start = self.clock.now()
-        leaf = LeafRestoreMachine()
-        report = RestartReport(method=None)
-        self._fault("restore:start")
-        meta = self._attach_valid_shm() if memory_recovery_enabled else None
-        if meta is not None:
-            leaf.transition(LeafRestoreState.MEMORY_RECOVERY)
-            try:
-                meta.set_valid(False)  # an interrupted restore must go to disk
-                self._fault("restore:after_invalidate")
-                self._restore_from_segments(
-                    meta, leafmap, report, preserve_shm=preserve_shm
-                )
-                self._fault("restore:before_finish")
-                if preserve_shm:
-                    # Verified end to end: re-arm the state for the adopter.
-                    meta.set_valid(True)
-                    meta.close()
-                else:
-                    meta.unlink()
-                report.method = RecoveryMethod.SHARED_MEMORY
-            except Exception as exc:
-                # Figure 5(b): MEMORY RECOVERY --exception--> DISK RECOVERY.
-                # Any failure mid-copy (corruption, truncated segment, even a
-                # programming error in the decode path) must route to disk.
-                # Both the surviving segments and the partially-restored heap
-                # tables leave through the tracker, so the footprint numbers
-                # (and the shared machine-wide regions) return to baseline.
-                self._discard_shm_tracked(meta)
-                self._drop_restored_tables(leafmap)
-                report.fall(RecoveryMethod.SHARED_MEMORY, exc)
-        if report.method is None:
-            # Also covers the race where the valid bit dropped between the
-            # caller's shm_state_valid() check and this attach: the leaf
-            # predicted a memory recovery but gets a disk one.
-            if on_disk_fallback is not None:
-                on_disk_fallback()
-            self._recover_from_disk(leafmap, report, leaf)
-        leaf.transition(LeafRestoreState.ALIVE)
-        return self._finish_report(report, leaf, start)
+        handle = self._begin_restore(
+            leafmap, memory_recovery_enabled, preserve_shm, on_disk_fallback, serving=False
+        )
+        handle.drain()
+        return handle.report
 
     def begin_lazy_restore(
         self,
@@ -631,7 +575,7 @@ class RestartEngine:
         on_disk_fallback: Callable[[], None] | None = None,
     ):
         """Start a serve-while-restoring restore; returns a
-        :class:`~repro.core.lazyrestore.LazyRestore` handle.
+        :class:`~repro.core.lazyrestore.RestoreDriver` handle.
 
         The handle publishes the block directory before returning, so
         the caller can begin serving immediately; blocks fault in as
@@ -640,27 +584,54 @@ class RestartEngine:
         directory comes from the replica's wire catalog instead and
         blocks fault in over the network
         (:class:`~repro.core.replicarestore.ReplicaRestore`).  With
-        neither source the disk ladder runs blocking inside this call —
-        which itself includes the blocking replica rung — and the handle
-        comes back already done.
+        neither source the disk rungs run blocking inside this call and
+        the handle comes back already done.
+        """
+        return self._begin_restore(
+            leafmap, memory_recovery_enabled, preserve_shm, on_disk_fallback, serving=True
+        )
+
+    def _begin_restore(
+        self, leafmap, memory_recovery_enabled, preserve_shm, on_disk_fallback, serving
+    ):
+        """Put a restore driver on the best usable source.
+
+        ``serving`` says which entry point was called and changes only
+        what the report must say (``lazy``, the MEMORY_SERVING state);
+        the driver, its source and every fault point are the same.
         """
         from repro.core.lazyrestore import LazyRestore
+        from repro.core.replicarestore import ReplicaRestore
 
-        if not (memory_recovery_enabled and self.shm_state_valid()):
-            from repro.core.replicarestore import ReplicaRestore
-
-            handle = ReplicaRestore.begin(
-                self, leafmap, on_disk_fallback=on_disk_fallback
-            )
-            if handle is not None:
-                return handle
-        return LazyRestore.begin(
-            self,
-            leafmap,
-            memory_recovery_enabled=memory_recovery_enabled,
-            preserve_shm=preserve_shm,
-            on_disk_fallback=on_disk_fallback,
-        )
+        if len(leafmap):
+            raise RecoveryError("restore requires an empty leaf map")
+        # A leaf restarting after a crash may hand over a fresh leaf map
+        # that shares the previous incarnation's cache object; whatever
+        # it still holds describes dead blocks.  Restores start cold
+        # (the cache's heat counters survive the clear).
+        leafmap.drop_column_cache()
+        self._fault("restore:start")
+        report = RestartReport(method=None, lazy=serving)
+        leaf = LeafRestoreMachine()
+        meta = None
+        if memory_recovery_enabled:
+            meta = self._attach_valid_shm(discard_invalid=False)
+        if meta is not None:
+            return LazyRestore(
+                self, leafmap, report, leaf, on_disk_fallback, meta, preserve_shm
+            )._serve()
+        # Also covers the race where the valid bit dropped between the
+        # caller's shm_state_valid() check and this attach: the leaf
+        # predicted a memory recovery but gets the rungs below.
+        session = self._open_replica_session(report, leaf)
+        handle = ReplicaRestore(self, leafmap, report, leaf, on_disk_fallback, session)
+        if session is not None:
+            return handle._serve()
+        # No replica, or its handshake just fell: the disk rungs run
+        # blocking (``try_replica`` is off on this class).
+        self._discard_untrusted_shm()
+        handle._recover_blocking_disk()
+        return handle
 
     def _discard_shm_tracked(self, meta: LeafMetadata) -> None:
         """Unlink a leaf's shm state *through the tracker*.
@@ -697,85 +668,6 @@ class RestartEngine:
                 self._track_heap_free(nbytes)
             leafmap.drop_table(table_name)
 
-    def _restore_from_segments(
-        self,
-        meta: LeafMetadata,
-        leafmap: LeafMap,
-        report: RestartReport,
-        preserve_shm: bool = False,
-    ) -> None:
-        records = meta.records
-        # A fresh process's tracker has no "shm" region yet; charge the
-        # segments it is about to consume so the footprint sums hold.
-        if self.tracker.in_region("shm") == 0:
-            for record in records:
-                with ShmSegment.attach(record.segment_name) as segment:
-                    self.tracker.allocate(
-                        "shm", segment.size, at=self.clock.now()
-                    )
-        for record in records:
-            machine = TableRestoreMachine()
-            machine.transition(TableRestoreState.MEMORY_RECOVERY)
-            # The restore copy window: this table exists twice (segment +
-            # fresh heap copies) until the segment is unlinked.  Reserve
-            # that double-presence against the machine-wide budget.
-            if self.budget is not None:
-                self.budget.acquire(record.used_bytes)
-            segment: ShmSegment | None = None
-            pending = 0  # heap bytes tracked but not yet installed in a table
-            try:
-                # Inside the copy window: the reservation above is held.
-                self._fault("restore:in_window")
-                segment = ShmSegment.attach(record.segment_name)
-                table = leafmap.create_table(record.table_name)
-                blocks = []
-                view = segment.read_at(0, record.used_bytes)
-                try:
-                    for _, block in iter_blocks_from_segment(view):
-                        block.verify()
-                        # "allocate memory in heap; copy data from table
-                        # segment to heap" — unpack() made fresh heap
-                        # copies, one bulk bytes() per column.
-                        self._track_heap_alloc(block.nbytes)
-                        pending += block.nbytes
-                        blocks.append(block)
-                        report.row_blocks += 1
-                        report.rbc_copies += len(block.schema)
-                        report.bytes_copied += block.nbytes
-                        report.rows += block.row_count
-                finally:
-                    # Release the view before unlinking: an exported pointer
-                    # into the mmap would make close() fail.
-                    view.release()
-                table.replace_blocks(blocks)
-                # Installed blocks are now the table's responsibility; the
-                # fallback cleanup frees them via the table's sealed bytes.
-                pending = 0
-                table.total_rows_ingested = record.rows_ingested
-                table.total_rows_expired = record.rows_expired
-                report.tables += 1
-                if preserve_shm:
-                    # The adopter consumes the segment; only drop the map.
-                    segment.close()
-                else:
-                    # "delete the table shared memory segment"
-                    self.tracker.free("shm", segment.size, at=self.clock.now())
-                    segment.unlink()
-            except Exception:
-                # Un-track blocks that were decoded but never installed,
-                # and drop the local attach so the mapping is not leaked
-                # to the fallback path.
-                if pending:
-                    self._track_heap_free(pending)
-                if segment is not None:
-                    segment.close()
-                raise
-            finally:
-                if self.budget is not None:
-                    self.budget.release(record.used_bytes)
-            machine.transition(TableRestoreState.ALIVE)
-            self._fault("restore:table")
-
     def _recover_from_disk(
         self,
         leafmap: LeafMap,
@@ -785,13 +677,23 @@ class RestartEngine:
     ) -> None:
         """The lower recovery ladder: replica, snapshot tier, then legacy.
 
-        Owns the leaf-machine transitions for these rungs so the report's
-        state history records exactly which tiers ran.  ``try_replica``
-        is cleared by callers that already burned a replica session (a
-        serve-while-restoring wire fault must not retry the wire).
+        Owns the leaf-machine transitions for these rungs — through to
+        ALIVE — so the report's state history records exactly which
+        tiers ran.  ``try_replica`` is cleared by callers that already
+        burned a replica session (a wire fault must not retry the wire).
         """
-        if try_replica and self._try_replica_restore(leafmap, report, leaf):
-            return
+        if try_replica:
+            session = self._open_replica_session(report, leaf)
+            if session is not None:
+                from repro.core.replicarestore import ReplicaRestore
+
+                # The same wire driver that serves, drained where it
+                # stands on this ladder's report and machine; a fault
+                # inside it walks the disk rungs below by itself.
+                ReplicaRestore(
+                    self, leafmap, report, leaf, None, session
+                )._serve().drain()
+                return
         if self.backup is None:
             raise RecoveryError(
                 f"leaf {self.leaf_id}: no valid shared memory state and no "
@@ -802,7 +704,6 @@ class RestartEngine:
             try:
                 self._restore_from_snapshots(leafmap, report)
                 report.method = RecoveryMethod.DISK_SNAPSHOT
-                return
             except Exception as exc:
                 # Stale generation, torn file, layout mismatch, or any
                 # decode failure: the whole leaf routes down to legacy
@@ -811,156 +712,48 @@ class RestartEngine:
                 # can never co-mingle with replayed state.
                 self._drop_restored_tables(leafmap)
                 report.fall(RecoveryMethod.DISK_SNAPSHOT, exc)
-        leaf.transition(LeafRestoreState.DISK_RECOVERY)
-        if self.replay_workers > 1:
-            report.rows = replay_leafmap(
-                self.backup,
-                leafmap,
-                workers=self.replay_workers,
-                backend=self.replay_backend,
-                budget=self.budget,
-                clock=self.clock,
-            )
-        else:
-            report.rows = recover_leafmap(self.backup, leafmap)
-        report.tables = len(leafmap)
-        report.row_blocks = sum(table.block_count for table in leafmap)
-        for table in leafmap:
-            self._track_heap_alloc(table.nbytes)
-        report.method = RecoveryMethod.DISK
+        if report.method is None:
+            leaf.transition(LeafRestoreState.DISK_RECOVERY)
+            if self.replay_workers > 1:
+                report.rows = replay_leafmap(
+                    self.backup,
+                    leafmap,
+                    workers=self.replay_workers,
+                    backend=self.replay_backend,
+                    budget=self.budget,
+                    clock=self.clock,
+                )
+            else:
+                report.rows = recover_leafmap(self.backup, leafmap)
+            report.tables = len(leafmap)
+            report.row_blocks = sum(table.block_count for table in leafmap)
+            for table in leafmap:
+                self._track_heap_alloc(table.nbytes)
+            report.method = RecoveryMethod.DISK
+        leaf.transition(LeafRestoreState.ALIVE)
 
-    def _try_replica_restore(
-        self, leafmap: LeafMap, report: RestartReport, leaf: LeafRestoreMachine
-    ) -> bool:
-        """The REPLICA_RECOVERY rung; True when the wire pull finished.
+    def _open_replica_session(self, report: RestartReport, leaf: LeafRestoreMachine):
+        """Enter the replica rung: HELLO/CATALOG with this leaf's
+        standby, fault hook wired in, ``leaf`` in REPLICA_RECOVERY.
 
-        Any failure — unreachable replica, dropped connection, torn
-        frame, decode error — is all-or-nothing: every table this rung
-        installed leaves through the tracker, the attempt counters move
-        to the report's ``replica_attempt_*`` fields, and the caller
-        proceeds to the disk rungs with balances intact.
-        """
-        session = None
-        try:
-            session = self._open_replica_session()
-            if session is None:
-                return False
-            leaf.transition(LeafRestoreState.REPLICA_RECOVERY)
-            self._restore_from_replica(session, leafmap, report)
-            report.method = RecoveryMethod.REPLICA
-            return True
-        except Exception as exc:
-            self._drop_restored_tables(leafmap)
-            report.fall(RecoveryMethod.REPLICA, exc)
-            return False
-        finally:
-            if session is not None:
-                session.close()
-
-    def _open_replica_session(self):
-        """HELLO/CATALOG with this leaf's standby, fault hook wired in.
-
-        ``None`` when no replica is configured or none is alive; a
-        handshake that fails raises, and the caller picks the rung below.
+        ``None`` when no replica is configured, none is alive, or the
+        handshake fails *in any way* (dead peer, version-skewed or
+        malformed catalog: anything odd means "no replica") — that last
+        case is a fall from the rung, recorded on ``report``; the caller
+        picks the rung below either way.
         """
         if self.replica_source is None:
             return None
-        self._fault("replica:handshake")
-        session = self.replica_source()
+        try:
+            self._fault("replica:handshake")
+            session = self.replica_source()
+        except Exception as exc:
+            report.fall(RecoveryMethod.REPLICA, exc)
+            return None
         if session is not None:
             session.fault = self._fault
+            leaf.transition(LeafRestoreState.REPLICA_RECOVERY)
         return session
-
-    def _restore_from_replica(
-        self, session, leafmap: LeafMap, report: RestartReport
-    ) -> None:
-        """Pipelined, heat-ordered pull of every sealed block.
-
-        ``session.streams`` fetch threads each run fetch → unpack →
-        verify (the CRC and decode work release the GIL, so the streams
-        genuinely overlap); tables then install all-or-nothing in
-        catalog order once every block is home.  Hot tables — by the
-        decoded-column cache's heat counters — go first, so a fault that
-        kills the session late still pulled the data queries want most.
-        """
-        from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
-        cache = leafmap.column_cache
-        heat = cache.column_heat() if cache is not None else {}
-
-        def table_heat(wire_table) -> int:
-            names = {
-                name for block in wire_table.blocks for name in block.columns
-            }
-            return sum(heat.get(name, 0) for name in names)
-
-        order = sorted(
-            range(len(session.tables)),
-            key=lambda i: (-table_heat(session.tables[i]), i),
-        )
-        descriptors = [
-            desc for i in order for desc in session.tables[i].blocks
-        ]
-
-        slots: dict[str, list] = {
-            t.name: [None] * len(t.blocks) for t in session.tables
-        }
-
-        def on_block(table: str, index: int, payload: bytes) -> None:
-            # The in-flight window: wire bytes and the decoded block
-            # coexist until the copy below lands in a table.
-            if self.budget is not None:
-                self.budget.acquire(len(payload))
-            try:
-                block = RowBlock.unpack(payload, copy=True)
-                block.verify()
-            finally:
-                if self.budget is not None:
-                    self.budget.release(len(payload))
-            slots[table][index] = block
-
-        # Strided slices keep the heat order: every stream starts on the
-        # hottest blocks of its share, and each stream amortizes the
-        # round trip over its whole run via windowed pipelining.
-        streams = max(1, session.streams)
-        shares = [
-            [(d.table, d.index) for d in descriptors[i::streams]]
-            for i in range(streams)
-        ]
-        executor = ThreadPoolExecutor(
-            max_workers=streams, thread_name_prefix="replica-fetch"
-        )
-        try:
-            futures = [
-                executor.submit(session.fetch_many, share, on_block)
-                for share in shares
-                if share
-            ]
-            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-            failed = next(
-                (f for f in done if f.exception() is not None), None
-            )
-            if failed is not None:
-                raise failed.exception()
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-        for wire_table in session.tables:
-            machine = TableRestoreMachine()
-            machine.transition(TableRestoreState.REPLICA_RECOVERY)
-            table = leafmap.create_table(wire_table.name)
-            table.replace_blocks(slots[wire_table.name])
-            table.total_rows_ingested = wire_table.rows_ingested
-            table.total_rows_expired = wire_table.rows_expired
-            self._track_heap_alloc(table.sealed_nbytes)
-            report.tables += 1
-            report.row_blocks += table.block_count
-            report.rbc_copies += sum(
-                len(block.schema) for block in table.blocks
-            )
-            report.bytes_copied += table.sealed_nbytes
-            report.rows += table.row_count
-            machine.transition(TableRestoreState.ALIVE)
-            self._fault("replica:adopt")
 
     def _snapshot_tier_usable(self) -> bool:
         """Pre-check before entering the snapshot tier at all.
@@ -1005,11 +798,3 @@ class RestartEngine:
             report.rows += table.row_count
             machine.transition(TableRestoreState.ALIVE)
             self._fault("restore:snapshot_table")
-
-    def _finish_report(
-        self, report: RestartReport, leaf: LeafRestoreMachine, start: float
-    ) -> RestartReport:
-        report.duration_seconds = self.clock.now() - start
-        report.peak_tracked_bytes = self.tracker.peak_total
-        report.leaf_states = [state.value for state in leaf.history]
-        return report

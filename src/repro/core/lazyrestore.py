@@ -1,43 +1,45 @@
-"""Serve-while-restoring: lazy, prioritized restore — one driver, two sources.
+"""The restore driver: one restore body per rung, blocking or serving.
 
-The blocking restore (Figure 7) keeps the leaf unavailable while every
-block is copied out of shared memory — seconds per leaf, and at scale
-the dominant user-visible cost of a rolling upgrade.  This module is the
-"single-pass, incremental restore on demand" idea (*Instant restore
-after a media failure*, PAPERS.md) transplanted onto the shm tier:
+Figure 7's restore is one loop — for each table segment, for each row
+block, copy to the heap, delete the segment — and "single-pass,
+incremental restore on demand" (*Instant restore after a media failure*,
+PAPERS.md) is the same pass with somebody asking.  :class:`RestoreDriver`
+is that pass, once:
 
-1. **Publish a block directory immediately.**  Attach the segments,
-   validate the envelopes, and read only each block's packed header
-   (offset, size, row count, min/max time, column names) — no payload is
-   copied.  The leaf starts serving as soon as the directory is up.
+1. **Publish a block directory.**  Attach the segments, validate the
+   envelopes, and read only each block's packed header (offset, size,
+   row count, min/max time, column names) — no payload is copied.  A
+   serving leaf starts answering as soon as the directory is up.
 2. **Fault in on demand.**  ``execute_on_leaf`` asks the restorer for
    the blocks a query's table and time range touch; each fault-in is a
    decode + verify + adopt into the live :class:`LeafMap`, charged to
    the :class:`MemoryTracker` and bounded by the machine-wide
-   :class:`FootprintBudget` exactly like a blocking restore's copy
-   window.
+   :class:`FootprintBudget`.
 3. **Sweep the remainder by heat.**  A background thread (owned by the
    leaf server) calls :meth:`RestoreDriver.sweep_one` until nothing is
    pending, hottest tables first — heat is the decoded-column cache's
    per-column lookup counters, which deliberately survive the restart's
    cache clear.
+4. **Or drain.**  :meth:`RestoreDriver.drain` faults in everything still
+   pending, one table at a time, each table's share of the source
+   released the moment it is home.  ``RestartEngine.restore`` is begin
+   + ``drain()`` and nothing else.
 
-That protocol is :class:`RestoreDriver`, and it exists once.  A rung
-supplies only where a pending block's bytes are: :class:`LazyRestore`
-(this module) reads them out of the leaf's own shm segments,
-:class:`~repro.core.replicarestore.ReplicaRestore` fetches them from a
-standby over the wire.
+A rung supplies only where a pending block's bytes are:
+:class:`LazyRestore` (this module) reads them out of the leaf's own shm
+segments, :class:`~repro.core.replicarestore.ReplicaRestore` fetches
+them from a standby over the wire.
 
-Crash safety is the blocking protocol's, unchanged: the valid bit goes
-down *before* the directory is published (and the wire rung only runs
-when shm was already untrusted), so nothing the next boot could trust
-exists while a restore is serving: a process that dies with blocks still
-pending — or a second failure inside the fallback — leaves invalid shm
-behind and the next boot walks the disk ladder.  Any fault mid-fault-in
-routes the whole leaf down the same ladder with tracker balances intact
-— adopted blocks leave the heap region, surviving segments leave the shm
-region — while rows added *during* the serving window are carried across
-the fallback.
+Crash safety is Figure 7's, unchanged: the valid bit goes down *before*
+the directory is published (and the wire rung only runs when shm was
+already untrusted), so nothing the next boot could trust exists while a
+restore is under way: a process that dies with blocks still pending —
+or a second failure inside the fallback — leaves invalid shm behind and
+the next boot walks the disk ladder.  Any fault mid-restore routes the
+whole leaf down the same ladder with tracker balances intact — adopted
+blocks leave the heap region, surviving segments leave the shm region —
+while rows added *during* a serving window are carried across the
+fallback.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from __future__ import annotations
 import threading
 import traceback
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
@@ -56,31 +60,9 @@ from repro.core.states import (
     TableRestoreMachine,
     TableRestoreState,
 )
-from repro.errors import RecoveryError
-from repro.shm.layout import read_block_headers
+from repro.shm.layout import BlockExtent, read_block_headers
 from repro.shm.metadata import LeafMetadata
 from repro.shm.segment import ShmSegment
-
-
-@dataclass(frozen=True)
-class BlockDescriptor:
-    """One sealed block the directory knows about but may not hold yet."""
-
-    table: str
-    index: int  # position in the segment's block order
-    offset: int
-    size: int  # packed bytes inside the segment
-    row_count: int
-    min_time: int
-    max_time: int
-    columns: tuple[str, ...]
-
-    def overlaps(self, start: int | None, end: int | None) -> bool:
-        if start is not None and self.max_time < start:
-            return False
-        if end is not None and self.min_time >= end:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -106,11 +88,10 @@ class RestoreProgress:
 class _TableState:
     """Per-table bookkeeping: the directory slice plus adoption slots."""
 
-    def __init__(self, name: str, descriptors, entered: TableRestoreState) -> None:
+    def __init__(self, name: str, machine: TableRestoreMachine, descriptors) -> None:
         self.name = name
-        self.machine = TableRestoreMachine()
-        self.machine.transition(entered)
-        #: Directory index -> descriptor (:class:`BlockDescriptor`, or the
+        self.machine = machine  # entered on the source's rung
+        #: Directory index -> descriptor (the segment's ``BlockExtent``, or the
         #: wire catalog's ``WireBlock``) of every block not yet faulted in.
         self.pending = {desc.index: desc for desc in descriptors}
         self.slots: list[RowBlock | None] = [None] * len(self.pending)
@@ -135,19 +116,22 @@ class _TableState:
 
 
 class RestoreDriver:
-    """One leaf's in-progress serve-while-restoring restore.
+    """One leaf's in-progress restore off a block source.
 
-    Create through :meth:`RestartEngine.begin_lazy_restore`.  All public
-    methods are safe to call under the leaf server's lock; internal state
-    is additionally guarded by ``self._lock`` so engine-level tests can
-    drive a restorer without a leaf around it.
+    Create through :meth:`RestartEngine.begin_lazy_restore` (serve while
+    the blocks come in) or :meth:`RestartEngine.restore` (the same
+    driver, drained before it returns).  All public methods are safe to
+    call under the leaf server's lock; internal state is additionally
+    guarded by ``self._lock`` so engine-level tests can drive a restorer
+    without a leaf around it.
 
     A source subclass sets the labels below and implements
     :meth:`_publish_directory`, :meth:`_read_block` and
-    :meth:`_close_source` (plus :meth:`_finish_source` /
-    :meth:`_discard_source` when consuming or discarding the source is
-    more than closing it).  Every hook but the publish runs with the
-    lock held.
+    :meth:`_close_source` (plus :meth:`_read_blocks`,
+    :meth:`_release_table`, :meth:`_finish_source` and
+    :meth:`_discard_source` where batching a drain's reads, letting go of
+    one table, or consuming or discarding the source is more than the
+    default).  Every hook but the publish runs with the lock held.
     """
 
     #: Where pending blocks fault in from; the leaf server picks its
@@ -156,36 +140,40 @@ class RestoreDriver:
     #: The rung: what a finished restore reports, and which
     #: ``*_attempt_*`` fields :meth:`RestartReport.fall` fills on a fault.
     method: RecoveryMethod
-    #: The state each table's machine enters when the directory goes up.
-    table_state: TableRestoreState
     #: Whether the ladder below may still try the replica rung after a
     #: fault here (a burned wire session is never retried).
     try_replica = True
-    #: Fault point fired each time a table's last block is adopted.
-    adopt_fault: str | None = None
+    #: Fault point fired each time a table is home.
+    adopt_fault: str
+    #: Bytes a source holds against the budget for a whole table's copy
+    #: window; a block decoded inside one reserves nothing of its own.
+    _window = 0
 
     def __init__(
         self,
         engine: RestartEngine,
         leafmap: LeafMap,
+        report: RestartReport,
+        machine: LeafRestoreMachine,
         on_disk_fallback: Callable[[], None] | None,
     ) -> None:
         self._engine = engine
         self._leafmap = leafmap
+        #: Live while restoring: totals, first-query reading and query
+        #: count are kept on the report itself; a fall keeps them (and
+        #: the object) and only restarts the per-rung counters.  Report
+        #: and machine are the ladder's: a wire driver entered below a
+        #: fallen shm one carries on with both.
+        self.report = report
+        self._machine = machine
         self._on_disk_fallback = on_disk_fallback
         self._lock = threading.RLock()
-        self._machine = LeafRestoreMachine()
-        self._tables: dict[str, _TableState] = {}
-        self._order: list[str] = []  # publish order, the heat tie-break
+        self._tables: dict[str, _TableState] = {}  # in publish order
         self._budget = engine.budget
         self._start = engine.clock.now()
         self._expire_cutoff: int | None = None
         self.done = False
         self.error: BaseException | None = None
-        #: Live while serving: totals, first-query reading and query count
-        #: are kept on the report itself; a fall keeps them (and the
-        #: object) and only restarts the per-rung counters.
-        self.report = RestartReport(method=None, lazy=True)
         # Packed bytes / blocks faulted in so far (guarded by self._lock).
         self._bytes_restored = 0
         self._blocks_restored = 0
@@ -202,6 +190,15 @@ class RestoreDriver:
     def _read_block(self, desc):
         """The packed bytes of one pending block (bytes or memoryview)."""
         raise NotImplementedError
+
+    def _read_blocks(self, descs: list) -> Iterator[tuple]:
+        """``(descriptor, decoded block)`` for everything a drain still
+        wants, tables hottest first: a source that can do better than
+        one :meth:`_read_block` at a time batches here."""
+        return self._each(descs)
+
+    def _release_table(self, state: _TableState) -> None:
+        """A table is home: let go of the source's copy of it."""
 
     def _close_source(self) -> None:
         """Drop the handles on the source, consuming nothing."""
@@ -239,13 +236,17 @@ class RestoreDriver:
         return self
 
     def _add_table(
-        self, name: str, descriptors, rows_ingested: int, rows_expired: int
+        self,
+        name: str,
+        machine: TableRestoreMachine,
+        descriptors,
+        rows_ingested: int,
+        rows_expired: int,
     ) -> None:
         """Index one table's blocks and create it (empty) in the leaf map."""
         with self._lock:
-            state = _TableState(name, descriptors, self.table_state)
+            state = _TableState(name, machine, descriptors)
             self._tables[name] = state
-            self._order.append(name)
             self.report.bytes_total += sum(desc.size for desc in descriptors)
             self.report.blocks_total += len(state.slots)
             table = self._leafmap.create_table(name)
@@ -255,8 +256,11 @@ class RestoreDriver:
                 self._table_done(state)
 
     def _table_done(self, state: _TableState) -> None:
+        """Nothing of this table is pending any more (lock held)."""
+        self._release_table(state)
         state.machine.transition(TableRestoreState.ALIVE)
         self.report.tables += 1
+        self._engine._fault(self.adopt_fault)
 
     # ------------------------------------------------------------------
     # Fault-in
@@ -280,20 +284,17 @@ class RestoreDriver:
             faulted = 0
             state = self._tables.get(table)
             if state is not None:
-                for index in sorted(state.pending):
-                    if state.pending[index].overlaps(start, end):
-                        try:
-                            self._fault_block(state, index)
-                        except Exception:
-                            if self.done and self.error is None:
-                                # The fault routed this leaf down the
-                                # disk ladder and the ladder succeeded:
-                                # the data is now fully resident, so the
-                                # query proceeds against it.
-                                return faulted
-                            raise
-                        faulted += 1
-                self._reconcile(state)
+                touched = [
+                    desc
+                    for _, desc in sorted(state.pending.items())
+                    if desc.overlaps(start, end)
+                ]
+                faulted = self._fault_in(self._each(touched))
+                if self.done:
+                    # A fault routed this leaf down the ladder and the
+                    # ladder succeeded: the data is now fully resident,
+                    # so the query proceeds against it.
+                    return faulted
                 self._maybe_finish()
             if self.report.bytes_restored_at_first_query is None:
                 self.report.bytes_restored_at_first_query = self._bytes_restored
@@ -306,99 +307,125 @@ class RestoreDriver:
         or it fell back to disk).  Heat is read live from the decoded-
         column cache on every call, so the sweep re-prioritizes as query
         traffic shifts; ties (and a cold cache) fall back to publish
-        order, which matches the blocking restore's table order.
+        order, which is the segment order of Figure 7.
         """
         with self._lock:
             if self.done:
                 return False
-            state = self._hottest_pending()
-            if state is None:
+            tables = self._pending_by_heat()
+            if not tables:
                 self._maybe_finish()
                 return False
-            index = min(state.pending)  # oldest block first within a table
-            try:
-                self._fault_block(state, index)
-            except Exception:
-                if self.done and self.error is None:
-                    return False  # fell back to disk; nothing left to sweep
-                raise
-            self._reconcile(state)
+            pending = tables[0].pending
+            # Oldest block first within a table.
+            self._fault_in(self._each([pending[min(pending)]]))
+            if self.done:
+                return False  # fell back to disk; nothing left to sweep
             self._maybe_finish()
             return True
 
     def drain(self) -> None:
-        """Fault in everything still pending (a blocking finish)."""
-        while self.sweep_one():
-            pass
+        """Fault in everything still pending, one table at a time.
 
-    def _hottest_pending(self) -> _TableState | None:
+        A blocking finish — and all a blocking restore is: Figure 7's
+        loop, for each table, for each row block, copy to the heap and
+        let the source's copy go, is this pass with nobody asking.
+        """
+        with self._lock:
+            if self.done:
+                return
+            pending = [
+                desc
+                for state in self._pending_by_heat()
+                for _, desc in sorted(state.pending.items())
+            ]
+            self._fault_in(self._read_blocks(pending))
+            self._maybe_finish()
+
+    def _pending_by_heat(self) -> list[_TableState]:
+        """Tables with blocks still pending, hottest first (lock held)."""
         cache = self._leafmap.column_cache
         heat = cache.column_heat() if cache is not None else {}
-        best: _TableState | None = None
-        best_key: tuple[int, int] | None = None
-        for position, name in enumerate(self._order):
-            state = self._tables[name]
-            if state.complete:
-                continue
-            score = sum(heat.get(column, 0) for column in state.columns)
-            key = (-score, position)
-            if best_key is None or key < best_key:
-                best, best_key = state, key
-        return best
+        pending = [state for state in self._tables.values() if not state.complete]
+        # sorted() is stable: equal heat keeps publish order.
+        return sorted(
+            pending,
+            key=lambda state: -sum(heat.get(column, 0) for column in state.columns),
+        )
 
-    def _fault_block(self, state: _TableState, index: int) -> None:
-        """Read, decode, verify, and adopt one block (lock held).
+    def _each(self, descs) -> Iterator[tuple]:
+        """``(descriptor, decoded block)``, one read at a time."""
+        for desc in descs:
+            yield desc, self._fault_block(self._read_block(desc))
+
+    def _fault_block(self, payload) -> RowBlock:
+        """Decode and verify one block's packed bytes into the heap.
 
         The block's copy window — source bytes and fresh heap copy
         coexisting — is reserved against the machine-wide budget for the
-        duration of the decode, the same invariant the blocking rungs
-        hold per table (shm) or per stream (wire); it is taken only once
-        the bytes are here, never across a wire round trip.  Any failure
-        routes the leaf down the ladder via :meth:`_fallback` and
-        re-raises.
+        duration of the decode unless the source already holds the whole
+        table's window; it is taken only once the bytes are here, never
+        across a wire round trip.  This is the one place restored bytes
+        become a :class:`RowBlock`: a query's fault-in, the sweep, a
+        drain and the wire source's fetch threads all come through it.
         """
-        desc = state.pending[index]
-        engine = self._engine
         held = 0
+        if self._budget is not None and not self._window:
+            held = len(payload)
+            self._budget.acquire(held)
         try:
-            payload = self._read_block(desc)
-            nbytes = len(payload)
-            if self._budget is not None:
-                self._budget.acquire(nbytes)
-                held = nbytes
-            try:
-                block = RowBlock.unpack(payload, copy=True)
-                block.verify()
-            finally:
-                del payload  # a live slice would pin the source's mapping
-                if held:
-                    self._budget.release(held)
-            engine._track_heap_alloc(block.nbytes)
-            del state.pending[index]
-            state.slots[index] = block
-            self._bytes_restored += desc.size
-            self._blocks_restored += 1
-            self.report.row_blocks += 1
-            self.report.rbc_copies += len(block.schema)
-            self.report.bytes_copied += block.nbytes
-            self.report.rows += block.row_count
-            if state.complete:
-                self._table_done(state)
-                if self.adopt_fault is not None:
-                    engine._fault(self.adopt_fault)
+            block = RowBlock.unpack(payload, copy=True)
+            block.verify()
+        finally:
+            del payload  # a live slice would pin the source's mapping
+            if held:
+                self._budget.release(held)
+        return block
+
+    def _fault_in(self, arrivals: Iterator[tuple]) -> int:
+        """Adopt decoded blocks as they arrive (lock held).
+
+        Each is charged to the heap and counted on the report; a table
+        whose last block this was is done — its source released — before
+        the next block is read, and every table touched is reconciled
+        once at the end.  Any failure on the way (read, decode, adopt,
+        release) routes the leaf down the ladder via :meth:`_fallback`;
+        the caller sees ``done``.  Returns the number of blocks adopted.
+        """
+        engine = self._engine
+        report = self.report
+        adopted = 0
+        touched: dict[str, _TableState] = {}
+        try:
+            for desc, block in arrivals:
+                state = touched[desc.table] = self._tables[desc.table]
+                nbytes = block.nbytes
+                engine._track_heap_alloc(nbytes)
+                del state.pending[desc.index]
+                state.slots[desc.index] = block
+                self._bytes_restored += desc.size
+                self._blocks_restored += 1
+                report.row_blocks += 1
+                report.rbc_copies += len(block.schema)
+                report.bytes_copied += nbytes
+                report.rows += block.row_count
+                adopted += 1
+                if state.complete:
+                    self._table_done(state)
+            for state in touched.values():
+                self._reconcile(state)
         except Exception as exc:
             self._fallback(exc)
-            raise
+        return adopted
 
     def _reconcile(self, state: _TableState) -> None:
         """Reinstall the restored prefix into the live table (lock held).
 
-        Keeps the blocking restore's block order — directory order first,
-        then blocks sealed from rows added during the serving window —
-        so aggregate floats merge in the same order as a blocking
-        restore and the results stay digest-identical.  Adopted blocks
-        that have since left the table (expiry, size limits) are
-        detected here and never resurrected.
+        Keeps directory order first, then blocks sealed from rows added
+        during the serving window, so aggregate floats merge in the same
+        order however the blocks arrived and the results stay
+        digest-identical.  Adopted blocks that have since left the table
+        (expiry, size limits) are detected here and never resurrected.
         """
         table = self._leafmap.get_table(state.name)
         present = {block.uid for block in table.blocks}
@@ -416,8 +443,13 @@ class RestoreDriver:
         """Every block is in: settle the source, go ALIVE (lock held)."""
         if self.done or any(state.pending for state in self._tables.values()):
             return
-        self._finish_source()
+        try:
+            self._finish_source()
+        except Exception as exc:
+            self._fallback(exc)
+            return
         self.report.method = self.method
+        self._machine.transition(LeafRestoreState.ALIVE)
         self._go_alive()
 
     # ------------------------------------------------------------------
@@ -440,13 +472,13 @@ class RestoreDriver:
             if self._expire_cutoff is None or cutoff_time > self._expire_cutoff:
                 self._expire_cutoff = cutoff_time
             dropped_rows = 0
-            for state in self._tables.values():
-                expired = [
-                    index
-                    for index, desc in state.pending.items()
-                    if desc.max_time < cutoff_time
-                ]
-                if expired:
+            try:
+                for state in self._tables.values():
+                    expired = [
+                        index
+                        for index, desc in state.pending.items()
+                        if desc.max_time < cutoff_time
+                    ]
                     table = self._leafmap.get_table(state.name)
                     for index in expired:
                         desc = state.pending.pop(index)
@@ -455,9 +487,11 @@ class RestoreDriver:
                         self.report.blocks_total -= 1
                         dropped_rows += desc.row_count
                         table.total_rows_expired += desc.row_count
-                    if state.complete:
+                    self._reconcile(state)
+                    if expired and state.complete:
                         self._table_done(state)
-                self._reconcile(state)
+            except Exception as exc:
+                self._fallback(exc)
             self._maybe_finish()
             return dropped_rows
 
@@ -468,7 +502,7 @@ class RestoreDriver:
     def iter_pending(self, table: str | None = None) -> Iterator:
         """Yield (a snapshot of) the descriptors not yet faulted in."""
         with self._lock:
-            names = [table] if table is not None else list(self._order)
+            names = [table] if table is not None else list(self._tables)
             snapshot = [
                 state.pending[index]
                 for name in names
@@ -516,8 +550,11 @@ class RestoreDriver:
             raise
 
     def _go_alive(self) -> None:
-        self._machine.transition(LeafRestoreState.ALIVE)
-        self._engine._finish_report(self.report, self._machine, self._start)
+        """The winning rung took the machine to ALIVE: close the books."""
+        engine = self._engine
+        self.report.duration_seconds = engine.clock.now() - self._start
+        self.report.peak_tracked_bytes = engine.tracker.peak_total
+        self.report.leaf_states = [state.value for state in self._machine.history]
         self._leafmap.restorer = None
         self.done = True
 
@@ -560,7 +597,7 @@ class RestoreDriver:
             # Replay into a scratch map, then graft the replayed blocks
             # *under* each live table's new data — the replayed rows are
             # strictly older, so directory order is preserved.
-            scratch = LeafMap(clock=engine.clock)
+            scratch = LeafMap(clock=engine.clock, rows_per_block=leafmap.rows_per_block)
             self._run_ladder(scratch)
             for recovered in scratch:
                 table = leafmap.get_or_create(recovered.name)
@@ -589,7 +626,7 @@ class LazyRestore(RestoreDriver):
 
     source = "shm"
     method = RecoveryMethod.SHARED_MEMORY
-    table_state = TableRestoreState.MEMORY_RECOVERY
+    adopt_fault = "restore:table"
 
     # benchmarks/ledger/layers.py wraps these two through vars(LazyRestore)
     # so that a wire restore's spans read zero here: keep them in this
@@ -597,47 +634,29 @@ class LazyRestore(RestoreDriver):
     fault_in_query = RestoreDriver.fault_in_query
     sweep_one = RestoreDriver.sweep_one
 
-    def __init__(self, engine, leafmap, on_disk_fallback, preserve_shm: bool) -> None:
-        super().__init__(engine, leafmap, on_disk_fallback)
+    def __init__(
+        self,
+        engine,
+        leafmap,
+        report,
+        machine,
+        on_disk_fallback,
+        meta: LeafMetadata,
+        preserve_shm: bool,
+    ) -> None:
+        super().__init__(engine, leafmap, report, machine, on_disk_fallback)
+        self._meta: LeafMetadata | None = meta  # attached, valid, ours to close
         self._preserve_shm = preserve_shm
-        self._meta: LeafMetadata | None = None
         self._segments: dict[str, ShmSegment] = {}
         self._views: dict[str, memoryview] = {}  # each segment's used bytes
-
-    @classmethod
-    def begin(
-        cls,
-        engine: RestartEngine,
-        leafmap: LeafMap,
-        memory_recovery_enabled: bool = True,
-        preserve_shm: bool = False,
-        on_disk_fallback: Callable[[], None] | None = None,
-    ) -> "LazyRestore":
-        """Start a lazy restore; returns a handle that may already be done.
-
-        When shared memory is unusable (disabled, absent, invalid) the
-        ladder below runs *blocking* inside this call and the returned
-        handle is already ``done`` with the final report.
-        """
-        if len(leafmap):
-            raise RecoveryError("restore requires an empty leaf map")
-        leafmap.drop_column_cache()  # heat counters survive the clear
-        self = cls(engine, leafmap, on_disk_fallback, preserve_shm)
-        engine._fault("restore:start")
-        if memory_recovery_enabled:
-            self._meta = engine._attach_valid_shm()
-        if self._meta is None:
-            self._recover_blocking_disk()
-            return self
-        return self._serve()
 
     def _publish_directory(self) -> None:
         """Attach every table segment and index its blocks by header.
 
         The expensive part of Figure 7 — decode and copy — is deferred;
-        this only maps the segments and reads packed headers, so the
-        leaf can start serving in directory-scan time.  Crash safety is
-        the blocking protocol's: the valid bit goes down *first*.
+        this only maps the segments and reads packed headers, so a
+        serving leaf can start in directory-scan time.  Crash safety is
+        Figure 7's: the valid bit goes down *first*.
         """
         engine = self._engine
         assert self._meta is not None
@@ -645,12 +664,12 @@ class LazyRestore(RestoreDriver):
         self._meta.set_valid(False)  # interrupted restores must go to disk
         engine._fault("restore:after_invalidate")
         # A fresh process's tracker has no "shm" region yet; charge the
-        # segments the fault-ins are about to consume (same rule as the
-        # blocking restore) so the footprint sums hold.  The charge
-        # rides the directory attach below — one attach per segment,
-        # not a separate probe pass.  A failure mid-loop leaves some
-        # segments uncharged, which _discard_shm_tracked's min() guard
-        # absorbs on the fallback (which also closes what is mapped).
+        # segments the fault-ins are about to consume so the footprint
+        # sums hold.  The charge rides the directory attach below — one
+        # attach per segment, not a separate probe pass.  A failure
+        # mid-loop leaves some segments uncharged, which
+        # _discard_shm_tracked's min() guard absorbs on the fallback
+        # (which also closes what is mapped).
         charge_shm = engine.tracker.in_region("shm") == 0
         for record in self._meta.records:
             segment = ShmSegment.attach(record.segment_name)
@@ -660,30 +679,58 @@ class LazyRestore(RestoreDriver):
             view = segment.read_at(0, record.used_bytes)
             self._views[record.table_name] = view
             _, extents = read_block_headers(view)
+            machine = TableRestoreMachine()
+            machine.transition(TableRestoreState.MEMORY_RECOVERY)
             self._add_table(
                 record.table_name,
-                [
-                    BlockDescriptor(
-                        table=record.table_name,
-                        index=index,
-                        offset=extent.offset,
-                        size=extent.size,
-                        row_count=extent.row_count,
-                        min_time=extent.min_time,
-                        max_time=extent.max_time,
-                        columns=extent.columns,
-                    )
-                    for index, extent in enumerate(extents)
-                ],
+                machine,
+                extents,
                 record.rows_ingested,
                 record.rows_expired,
             )
         engine._fault("restore:publish_directory")
-        self._machine.transition(LeafRestoreState.MEMORY_SERVING)
+        if self.report.lazy:
+            self._machine.transition(LeafRestoreState.MEMORY_SERVING)
 
-    def _read_block(self, desc: BlockDescriptor) -> memoryview:
+    def _read_block(self, desc: BlockExtent) -> memoryview:
         self._engine._fault("restore:fault_block")
         return self._views[desc.table][desc.offset : desc.offset + desc.size]
+
+    def _read_blocks(self, descs: list) -> Iterator[tuple]:
+        """Each table's blocks inside that table's copy window.
+
+        The table exists twice — segment plus fresh heap copies — from
+        its first block until :meth:`_release_table` unlinks the
+        segment; a drain reserves that double presence (the segment's
+        used bytes) against the machine-wide budget up front, as
+        Figure 7's per-table loop does, instead of block by block.
+        """
+        for name, blocks in groupby(descs, key=attrgetter("table")):
+            if self._budget is not None:
+                window = len(self._views[name])
+                self._budget.acquire(window)
+                self._window = window
+            self._engine._fault("restore:in_window")
+            yield from self._each(blocks)
+
+    def _release_table(self, state: _TableState) -> None:
+        """ "delete the table shared memory segment" the moment its table
+        is home, serving or blocking, so the footprint peaks at the
+        resident data plus one table rather than plus all of them."""
+        engine = self._engine
+        self._views.pop(state.name).release()  # an exported view pins the mmap
+        segment = self._segments.pop(state.name)
+        if self._preserve_shm:
+            segment.close()  # the adopter consumes the segment
+        else:
+            engine.tracker.free("shm", segment.size, at=engine.clock.now())
+            segment.unlink()
+        self._close_window()
+
+    def _close_window(self) -> None:
+        if self._window:
+            self._budget.release(self._window)
+            self._window = 0
 
     def _close_source(self) -> None:
         """Unmap everything; the (invalid) segments themselves stay."""
@@ -694,22 +741,19 @@ class LazyRestore(RestoreDriver):
         if self._meta is not None:
             self._meta.close()
             self._meta = None
+        self._close_window()
 
     def _finish_source(self) -> None:
-        """Consume the shm state — or, for a forked worker, re-arm it."""
-        engine = self._engine
-        meta, self._meta = self._meta, None
-        assert meta is not None
-        self._close_source()  # first: an exported view pins the mmap
+        """Every segment is gone with its table: consume the metadata —
+        or, for a forked worker, re-arm the state for the adopter."""
+        self._engine._fault("restore:before_finish")
+        assert self._meta is not None
         if self._preserve_shm:
-            # Verified end to end: re-arm the state for the adopter.
-            meta.set_valid(True)
-            meta.close()
-            return
-        for segment in self._segments.values():
-            engine.tracker.free("shm", segment.size, at=engine.clock.now())
-            segment.unlink()
-        meta.unlink()
+            self._meta.set_valid(True)  # verified end to end
+            self._meta.close()
+        else:
+            self._meta.unlink()
+        self._meta = None
 
     def _discard_source(self) -> None:
         """Delete the shm state through the tracker: it is untrusted."""
@@ -718,4 +762,4 @@ class LazyRestore(RestoreDriver):
         self._engine._discard_shm_tracked(meta)
 
 
-__all__ = ["BlockDescriptor", "LazyRestore", "RestoreDriver", "RestoreProgress"]
+__all__ = ["LazyRestore", "RestoreDriver", "RestoreProgress"]

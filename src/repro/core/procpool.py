@@ -96,24 +96,22 @@ def _run_one(
         return leaf.shutdown(use_shm=use_shm, deadline=deadline)
     # Restore into a scratch map: this address space is transient, the
     # point is the verified parallel copy and the re-armed valid bit.
+    # Either entry point is the same driver drained; which one was asked
+    # for only decides what the report marshalled home says (``lazy``).
     scratch = LeafMap(clock=leaf.clock, rows_per_block=leaf.rows_per_block)
-    if serve_while_restoring:
-        # Drain a lazy restore instead of the blocking block walk: same
-        # bytes, same per-block verify, but through the directory-publish
-        # + hottest-first machinery — so the lazy path (and its progress
-        # counters, marshalled home in the report) runs cross-process.
-        handle = leaf.engine.begin_lazy_restore(
+    if not serve_while_restoring:
+        return leaf.engine.restore(
             scratch,
             memory_recovery_enabled=memory_recovery_enabled,
             preserve_shm=True,
         )
-        handle.drain()
-        return handle.report
-    return leaf.engine.restore(
+    handle = leaf.engine.begin_lazy_restore(
         scratch,
         memory_recovery_enabled=memory_recovery_enabled,
         preserve_shm=True,
     )
+    handle.drain()
+    return handle.report
 
 
 def _worker_main(

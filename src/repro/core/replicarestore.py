@@ -1,15 +1,17 @@
-"""Serve-while-restoring over the wire: the replica recovery rung, lazily.
+"""The replica recovery rung: a standby's sealed blocks over the wire.
 
 The protocol is :class:`~repro.core.lazyrestore.RestoreDriver`'s; this
 module is its second source.  The *replica's wire catalog* is the block
 directory and a :class:`~repro.cluster.replication.ReplicaFetchSession`
-is where a pending block's bytes are: the restarting leaf starts serving
-after one HELLO/CATALOG round-trip, and each fault-in is a GET/BLOCK
-exchange followed by the driver's decode + verify + adopt.
+is where a pending block's bytes are: the restarting leaf can start
+serving after one HELLO/CATALOG round-trip, each fault-in is a GET/BLOCK
+exchange followed by the driver's decode + verify + adopt, and a drain —
+all a blocking restore is — pulls everything still pending through the
+session's pipelined streams.
 
 The ladder position is between the shm tier and the disk rungs: the
 engine routes here only when shared memory is unusable, and any wire
-fault mid-serving routes the whole leaf down the *local disk* rungs —
+fault routes the whole leaf down the *local disk* rungs —
 ``try_replica = False``, a burned session is not retried.  Crash safety
 needs no valid-bit dance: this leaf's shm was already invalid (or
 absent), and the replica's sealed blocks are pinned by its session
@@ -18,25 +20,23 @@ snapshot, so a kill mid-restore leaves nothing half-trusted.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from typing import TYPE_CHECKING, Iterator
 
-from repro.columnstore.leafmap import LeafMap
-from repro.core.engine import RecoveryMethod, RestartEngine
+from repro.core.engine import RecoveryMethod
 from repro.core.lazyrestore import RestoreDriver
-from repro.core.states import LeafRestoreState, TableRestoreState
-from repro.errors import RecoveryError
-from repro.shm.metadata import LeafMetadata
+from repro.core.states import TableRestoreMachine, TableRestoreState
 
 if TYPE_CHECKING:
     from repro.cluster.replication import ReplicaFetchSession, WireBlock
 
 
 class ReplicaRestore(RestoreDriver):
-    """The wire source: a standby leaf's sealed blocks, one session."""
+    """The wire source: a standby leaf's sealed blocks, one session
+    (``None``: no replica — the handle only carries the disk rungs)."""
 
     source = "replica"
     method = RecoveryMethod.REPLICA
-    table_state = TableRestoreState.REPLICA_RECOVERY
     try_replica = False
     adopt_fault = "replica:adopt"
 
@@ -47,38 +47,16 @@ class ReplicaRestore(RestoreDriver):
     sweep_one = RestoreDriver.sweep_one
 
     def __init__(
-        self, engine, leafmap, on_disk_fallback, session: "ReplicaFetchSession"
+        self,
+        engine,
+        leafmap,
+        report,
+        machine,
+        on_disk_fallback,
+        session: "ReplicaFetchSession | None",
     ) -> None:
-        super().__init__(engine, leafmap, on_disk_fallback)
+        super().__init__(engine, leafmap, report, machine, on_disk_fallback)
         self._session = session
-
-    @classmethod
-    def begin(
-        cls,
-        engine: RestartEngine,
-        leafmap: LeafMap,
-        on_disk_fallback: Callable[[], None] | None = None,
-    ) -> "ReplicaRestore | None":
-        """Open a replica session and start serving off its catalog.
-
-        Returns ``None`` when no replica is configured or the handshake
-        fails *in any way* (dead peer, version-skewed or malformed
-        catalog: anything odd means "no replica") — the caller then
-        falls through to :meth:`LazyRestore.begin`, whose blocking
-        ladder retries the replica rung (a fresh handshake) before the
-        disk rungs and records the reroute on the final report, so a
-        flaky-but-alive replica still gets its blocking shot.
-        """
-        if len(leafmap):
-            raise RecoveryError("restore requires an empty leaf map")
-        try:
-            session = engine._open_replica_session()
-        except Exception:
-            return None
-        if session is None:
-            return None
-        leafmap.drop_column_cache()  # heat counters survive the clear
-        return cls(engine, leafmap, on_disk_fallback, session)._serve()
 
     def _publish_directory(self) -> None:
         """Index the session catalog and create the (empty) tables.
@@ -87,25 +65,63 @@ class ReplicaRestore(RestoreDriver):
         the leaf starts serving in one wire round-trip.
         """
         engine = self._engine
-        # This leaf's own shm state, if any, is stale or invalid —
-        # begin_lazy_restore only routes here when it is unusable.
-        # Discard it through the tracker before serving off the wire.
-        if engine.shm_state_exists():
-            meta = LeafMetadata.attach(engine.namespace, engine.leaf_id)
-            try:
-                engine._discard_shm_tracked(meta)
-            except Exception:
-                meta.close()
-                raise
-        self._machine.transition(LeafRestoreState.REPLICA_RECOVERY)
+        # This leaf's own shm state, if any, is untrusted — the engine
+        # only routes here when it is.  Discard it through the tracker
+        # before serving off the wire.
+        engine._discard_untrusted_shm()
         for wire in self._session.tables:
+            machine = TableRestoreMachine()
+            machine.transition(TableRestoreState.REPLICA_RECOVERY)
             self._add_table(
-                wire.name, wire.blocks, wire.rows_ingested, wire.rows_expired
+                wire.name, machine, wire.blocks, wire.rows_ingested, wire.rows_expired
             )
         engine._fault("restore:publish_directory")
 
     def _read_block(self, desc: "WireBlock") -> bytes:
         return self._session.fetch(desc.table, desc.index)
+
+    def _read_blocks(self, descs: list) -> Iterator[tuple]:
+        """Pipelined pull of everything a drain still wants.
+
+        ``session.streams`` fetch threads each run fetch → unpack →
+        verify (the CRC and decode work release the GIL, so the streams
+        genuinely overlap); nothing is handed on until every block is
+        home, and then in catalog order, so tables install
+        all-or-nothing.  ``descs`` comes hottest table first, so a fault
+        that kills the session late still pulled the data queries want
+        most.
+        """
+        session = self._session
+        decoded: dict[tuple[str, int], object] = {}
+
+        def on_block(table: str, index: int, payload: bytes) -> None:
+            decoded[table, index] = self._fault_block(payload)
+
+        # Strided slices keep the heat order: every stream starts on the
+        # hottest blocks of its share, and each stream amortizes the
+        # round trip over its whole run via windowed pipelining.
+        streams = max(1, session.streams)
+        shares = [[(d.table, d.index) for d in descs[i::streams]] for i in range(streams)]
+        executor = ThreadPoolExecutor(
+            max_workers=streams, thread_name_prefix="replica-fetch"
+        )
+        try:
+            futures = [
+                executor.submit(session.fetch_many, share, on_block)
+                for share in shares
+                if share
+            ]
+            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+            # In submission order: a stream that found the session already
+            # failed started after the one whose fault is the reason.
+            failed = next((f for f in futures if f in done and f.exception() is not None), None)
+            if failed is not None:
+                raise failed.exception()
+        finally:
+            executor.shutdown(wait=True, cancel_futures=True)
+        position = {name: at for at, name in enumerate(self._tables)}
+        for desc in sorted(descs, key=lambda d: (position[d.table], d.index)):
+            yield desc, decoded.pop((desc.table, desc.index))
 
     def _close_source(self) -> None:
         self._session.close()

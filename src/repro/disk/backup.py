@@ -295,8 +295,10 @@ class DiskBackup:
         *before* the snapshot generation is already reflected in the
         snapshot's blocks; re-applying it would over-expire rows that
         were still buffered when the cutoff ran and only sealed (and
-        snapshotted) afterwards.  Manifests without an ``expire_gen``
-        predate the distinction and keep the always-re-apply behavior.
+        snapshotted) afterwards; writing a snapshot link therefore moves
+        a same-generation ``expire_gen`` below it.  Manifests without an
+        ``expire_gen`` predate the distinction and keep the
+        always-re-apply behavior.
         """
         entry = self._manifest.get(table_name)
         if not entry:
@@ -478,6 +480,14 @@ class DiskBackup:
             # chunk-worthy rows (empty table); give it a real generation.
             gen = 1
             entry["sync_gen"] = gen
+        if entry.get("expire_gen", -1) >= gen:
+            # The link about to be written holds the table as every
+            # *applied* cutoff left it.  One recorded at this same
+            # generation (rows still buffered at a sync, then the expiry
+            # run, then this seal + sync) would otherwise read as
+            # recorded "at or after" the snapshot and be re-applied to
+            # rows it had spared.
+            entry["expire_gen"] = gen - 1
         name = table.name
         blocks = table.blocks
         keys = [block.content_key() for block in blocks]

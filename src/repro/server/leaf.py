@@ -211,7 +211,7 @@ class LeafServer:
             # from (shared memory or a sibling replica's wire session).
             self.status = (
                 LeafStatus.RECOVERING_REPLICA_SERVING
-                if getattr(restorer, "source", "shm") == "replica"
+                if restorer.source == "replica"
                 else LeafStatus.RECOVERING_MEMORY_SERVING
             )
             if sweep:

@@ -256,36 +256,46 @@ def read_segment_header(view: memoryview) -> tuple[str, list[tuple[int, int]]]:
 
 @dataclass(frozen=True)
 class BlockExtent:
-    """One sealed block's location and header facts inside a segment."""
+    """One sealed block's location and header facts inside a segment:
+    what a restore's block directory holds before the block is read."""
 
+    table: str
+    index: int  # position in the segment's block order
     offset: int
-    size: int
+    size: int  # packed bytes inside the segment
     row_count: int
     min_time: int
     max_time: int
     created_at: float
     columns: tuple[str, ...]
 
+    def overlaps(self, start: int | None, end: int | None) -> bool:
+        if start is not None and self.max_time < start:
+            return False
+        if end is not None and self.min_time >= end:
+            return False
+        return True
+
 
 def read_block_headers(view: memoryview) -> tuple[str, list[BlockExtent]]:
     """Parse a segment's preamble plus each block's packed header.
 
-    The cheap directory read of serve-while-restoring: per block only
-    the ``PACK_HEADER`` struct and the serialized schema are touched —
-    no RBC payload is copied or decoded — so publishing a directory over
-    a large segment costs a header scan, not a restore.  Header
-    corruption surfaces here, before the leaf starts serving against
-    the directory; payload corruption still surfaces at fault-in time
+    The cheap directory read of a restore: per block only the
+    ``PACK_HEADER`` struct and the serialized schema are touched — no
+    RBC payload is copied or decoded — so publishing a directory over a
+    large segment costs a header scan, not a restore.  Header corruption
+    surfaces here, before the leaf starts serving against the directory;
+    payload corruption still surfaces at fault-in time
     (``RowBlock.verify``).
     """
     table_name, pairs = read_segment_header(view)
     extents: list[BlockExtent] = []
-    for offset, size in pairs:
-        region = view[offset : offset + size]
-        if len(region) < PACK_HEADER.size:
+    schema = columns = None
+    for index, (offset, size) in enumerate(pairs):
+        if size < PACK_HEADER.size:
             raise CorruptionError("row block extent smaller than its header")
         magic, version, _, total, row_count, min_time, max_time, created_at = (
-            PACK_HEADER.unpack(region[: PACK_HEADER.size])
+            PACK_HEADER.unpack_from(view, offset)
         )
         if magic != ROWBLOCK_MAGIC:
             raise CorruptionError(f"bad row block magic 0x{magic:08x}")
@@ -299,17 +309,21 @@ def read_block_headers(view: memoryview) -> tuple[str, list[BlockExtent]]:
                 f"row block header claims {total} bytes; the segment's "
                 f"offset table says {size}"
             )
-        reader = BufferReader(region, offset=PACK_HEADER.size)
-        schema = Schema.deserialize(reader)
+        reader = BufferReader(view[offset : offset + size], offset=PACK_HEADER.size)
+        parsed = Schema.deserialize(reader)
+        if parsed is not schema:  # neighbours share one parsed schema
+            schema, columns = parsed, tuple(parsed.names)
         extents.append(
             BlockExtent(
+                table=table_name,
+                index=index,
                 offset=offset,
                 size=size,
                 row_count=row_count,
                 min_time=min_time,
                 max_time=max_time,
                 created_at=created_at,
-                columns=tuple(schema.names),
+                columns=columns,
             )
         )
     return table_name, extents

@@ -43,21 +43,23 @@ class TestRealTree:
         assert lifecycle.check(modules) == []
 
     def test_reintroducing_pr2_leak_is_caught(self, repo_root):
-        """Strip the fallback handler's close() — the original PR 2 bug —
-        and the checker must flag the attach in _restore_from_segments."""
-        path = repo_root / "src/repro/core/engine.py"
+        """The original PR 2 bug was a segment attached on the restore
+        path that the fallback never closed.  The one restore-side
+        attach left is the driver's directory publish, and the fallback
+        (``_close_source``) can only close what the publish handed to
+        the driver: strip that handoff and the checker must flag the
+        attach."""
+        path = repo_root / "src/repro/core/lazyrestore.py"
         text = path.read_text()
         buggy = text.replace(
-            "                if segment is not None:\n"
-            "                    segment.close()\n",
-            "",
+            "            self._segments[record.table_name] = segment\n", ""
         )
-        assert buggy != text, "engine.py no longer matches the guarded idiom"
+        assert buggy != text, "lazyrestore.py no longer matches the handoff idiom"
         import ast
 
         module = SourceModule(
             path=path,
-            relpath="src/repro/core/engine.py",
+            relpath="src/repro/core/lazyrestore.py",
             tree=ast.parse(buggy),
             text=buggy,
         )
@@ -66,8 +68,8 @@ class TestRealTree:
         leaks = [
             f
             for f in findings
-            if f.code == "RL402"
-            and f.symbol == "_restore_from_segments:ShmSegment.attach"
+            if f.code in ("RL401", "RL402")
+            and f.symbol == "_publish_directory:ShmSegment.attach"
         ]
         assert leaks, f"PR 2 leak not caught; findings: {findings}"
 

@@ -102,7 +102,6 @@ class TestRunLint:
             "RL201",
             "RL204",
             "RL302",
-            "RL501",
             "RL502",
             "RL503",
             "RL602",
@@ -178,7 +177,7 @@ class TestCli:
         )
         assert rc == 0
         written = Baseline.load(target)
-        assert len(written.entries) == 20
+        assert len(written.entries) == 18
         assert all(e.justification == "TODO: justify or fix" for e in written.entries)
 
     def test_unknown_checker_exits_two(self, repo_root, capsys):

@@ -19,7 +19,7 @@ import pytest
 from repro.cluster.replication import ReplicaBlockServer, snapshot_leafmap
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.leafmap import LeafMap
-from repro.core.engine import RecoveryMethod, RestartEngine
+from repro.core.engine import FAULT_POINTS, RecoveryMethod, RestartEngine
 from repro.core.parallel import FootprintBudget
 from repro.errors import CorruptionError, RecoveryError
 from repro.query.execute import execute_on_leaf
@@ -332,12 +332,34 @@ class TestAccounting:
         budget = FootprintBudget(1 << 30)
         restored = fresh_map(clock)
         handle = rig.engine(budget=budget).begin_lazy_restore(restored)
-        handle.drain()
+        while handle.sweep_one():
+            pass
         # Each block's copy window was reserved and released one at a
         # time — the peak is one block, not the whole leaf — and nothing
         # is left held.
         assert 0 < budget.peak_in_flight < handle.progress().bytes_total
         assert budget.in_flight == 0
+
+    def test_drain_reserves_what_coexists(self, rig, clock):
+        """A drain is table-at-a-time: shm holds one table's copy window
+        (segment and heap copies coexist until the segment goes) for the
+        whole table, as Figure 7's loop does; wire bytes are transient,
+        so that source still reserves block by block."""
+        rig.seed(tables=("events", "metrics"))
+        windows = []
+        if rig.source == "shm":
+            meta = LeafMetadata.attach(rig.namespace, "0")
+            windows = [record.used_bytes for record in meta.records]
+            meta.close()
+        budget = FootprintBudget(1 << 30)
+        restored = fresh_map(clock)
+        handle = rig.engine(budget=budget).begin_lazy_restore(restored)
+        handle.drain()
+        assert budget.in_flight == 0
+        if rig.source == "shm":
+            assert budget.peak_in_flight == max(windows) < sum(windows)
+        else:
+            assert 0 < budget.peak_in_flight < handle.progress().bytes_total
 
 
 class TestFallback:
@@ -509,3 +531,198 @@ class TestAbandon:
             RecoveryMethod.DISK,
         )
         assert reborn.snapshot_rows() == snapshot
+
+
+ENTRIES = ("restore", "drain")
+
+
+def run_entry(entry, engine, leafmap, **kwargs):
+    """A blocking restore through either public entry point."""
+    if entry == "restore":
+        return engine.restore(leafmap, **kwargs)
+    handle = engine.begin_lazy_restore(leafmap, **kwargs)
+    handle.drain()
+    assert handle.done
+    return handle.report
+
+
+#: Which restore-side fault points a clean restore on each source passes
+#: through (docs/ARCHITECTURE.md section 11 has the same table).  They
+#: are the same for both entries: blocking is serving plus ``drain()``.
+FIRES = {
+    "shm": {
+        "restore:start",
+        "restore:after_invalidate",
+        "restore:publish_directory",
+        "restore:in_window",
+        "restore:fault_block",
+        "restore:table",
+        "restore:before_finish",
+    },
+    "replica": {
+        "restore:start",
+        "replica:handshake",
+        "restore:publish_directory",
+        "replica:stream",
+        "replica:block",
+        "replica:adopt",
+    },
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+class TestBlockingIsServingPlusDrain:
+    """``restore()`` and ``begin_lazy_restore()`` + ``drain()`` are one
+    body per source: same data, same order, same accounting, same fault
+    boundaries, same falls."""
+
+    def seed_two_tables(self, rig, clock, tracker):
+        leafmap = fresh_map(clock)
+        leafmap.get_or_create("events").add_rows(
+            {"time": 1000 + i, "host": f"web{i % 7:02d}", "ms": i / 2}
+            for i in range(170)
+        )
+        leafmap.get_or_create("metrics").add_rows(
+            {"time": 5000 + i, "count": i} for i in range(60)
+        )
+        leafmap.seal_all()
+        blocks = [block for table in leafmap for block in table.blocks]
+        reference = {
+            "order": {
+                table.name: [block.content_key() for block in table.blocks]
+                for table in leafmap
+            },
+            "tables": len(leafmap),
+            "row_blocks": len(blocks),
+            "rbc_copies": sum(len(block.schema) for block in blocks),
+            "bytes_copied": sum(block.nbytes for block in blocks),
+            "rows": sum(block.row_count for block in blocks),
+            "heap": [table.sealed_nbytes for table in leafmap],
+        }
+        reference["snapshot"] = rig.seed(leafmap=leafmap, tracker=tracker)
+        return reference
+
+    def test_same_data_order_and_accounting(self, entry, rig, clock):
+        tracker = MemoryTracker()
+        reference = self.seed_two_tables(rig, clock, tracker)
+        segments = []
+        if rig.source == "shm":
+            meta = LeafMetadata.attach(rig.namespace, "0")
+            for record in meta.records:
+                with ShmSegment.attach(record.segment_name) as segment:
+                    segments.append(segment.size)
+            meta.close()
+        tracker.reset_peak()
+        engine = rig.engine(tracker=tracker)
+        restored = fresh_map(clock)
+        report = run_entry(entry, engine, restored)
+        assert report.method is rig.method
+        assert report.lazy == (entry == "drain")
+        assert ("memory_serving" in report.leaf_states) == (
+            entry == "drain" and rig.source == "shm"
+        )
+        assert restored.snapshot_rows() == reference["snapshot"]
+        assert {
+            table.name: [block.content_key() for block in table.blocks]
+            for table in restored
+        } == reference["order"]
+        for counter in ("tables", "row_blocks", "rbc_copies", "bytes_copied", "rows"):
+            assert getattr(report, counter) == reference[counter], counter
+        # Balanced, and nothing left behind (the shm_namespace fixture
+        # asserts /dev/shm holds nothing of ours at teardown).
+        assert tracker.in_region("shm") == 0
+        assert tracker.in_region("heap") == sum(reference["heap"])
+        assert not engine.shm_state_exists()
+        if rig.source == "shm":
+            # Each segment goes as its table comes home: while table k
+            # is copied, the segments from k on and the heap up to k
+            # coexist — resident data plus about one table, on both
+            # entries — never the heap plus every segment.
+            heap = reference["heap"]
+            walk = [
+                sum(segments[k:]) + sum(heap[: k + 1]) for k in range(len(heap))
+            ]
+            assert tracker.peak_total == max(walk) < sum(heap) + sum(segments)
+
+    @pytest.mark.parametrize(
+        "point", [p for p in FAULT_POINTS if not p.startswith("backup")]
+    )
+    def test_fault_at_every_point_lands_alive_on_the_rung_below(
+        self, entry, point, rig, clock
+    ):
+        snapshot = rig.seed(tables=("events", "metrics"))
+        tracker = MemoryTracker()
+        fired = []
+
+        def explode(name):
+            if name == point and not fired:
+                fired.append(name)
+                raise CorruptionError(f"injected {name} fault")
+
+        engine = rig.engine(tracker=tracker, fault_hook=explode)
+        restored = fresh_map(clock)
+        if point == "restore:start":
+            # Fires before any state change, and propagates.
+            with pytest.raises(CorruptionError):
+                run_entry(entry, engine, restored)
+            assert engine.shm_state_valid() == (rig.source == "shm")
+            engine.discard_shm()
+            return
+        report = run_entry(entry, engine, restored)
+        assert bool(fired) == (point in FIRES[rig.source])
+        assert report.leaf_states[-1] == "alive"
+        assert restored.snapshot_rows() == snapshot
+        assert restored.restorer is None
+        assert tracker.in_region("shm") == 0
+        assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
+        assert not engine.shm_state_exists()
+        if fired:
+            assert report.method is RecoveryMethod.DISK_SNAPSHOT
+            assert report.failure_reason == f"CorruptionError: injected {point} fault"
+            assert report.fell_back_from_replica == (rig.source == "replica")
+        else:
+            assert report.method is rig.method
+            assert report.failure_reason is None
+
+    def test_second_fall_keeps_the_first_reason(self, entry, rig, clock):
+        snapshot = rig.seed()
+
+        def explode(name):
+            if name in (rig.block_fault, "restore:snapshot_table"):
+                raise CorruptionError(f"injected {name} fault")
+
+        restored = fresh_map(clock)
+        report = run_entry(entry, rig.engine(fault_hook=explode), restored)
+        assert report.method is RecoveryMethod.DISK
+        assert report.fell_back_to_legacy
+        assert report.failure_reason == (
+            f"CorruptionError: injected {rig.block_fault} fault"
+        )
+        assert restored.snapshot_rows() == snapshot
+
+    def test_preserve_shm_rearms_only_a_verified_restore(
+        self, entry, shm_namespace, backup, clock
+    ):
+        """The forked-worker variant: segments and valid bit survive a
+        restore that verified every block; a fault leaves the valid bit
+        down (here: the state gone), so the adopter walks the ladder."""
+        snapshot = seed_shm(shm_namespace, backup, clock)
+        engine = engine_for(shm_namespace, backup, clock)
+        restored = fresh_map(clock)
+        report = run_entry(entry, engine, restored, preserve_shm=True)
+        assert report.method is RecoveryMethod.SHARED_MEMORY
+        assert restored.snapshot_rows() == snapshot
+        assert engine.shm_state_valid()
+
+        def explode(name):
+            if name == "restore:before_finish":
+                raise CorruptionError("injected restore:before_finish fault")
+
+        engine = engine_for(shm_namespace, backup, clock, fault_hook=explode)
+        restored = fresh_map(clock)
+        report = run_entry(entry, engine, restored, preserve_shm=True)
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert report.memory_attempt_tables == 1
+        assert restored.snapshot_rows() == snapshot
+        assert not engine.shm_state_valid()
+        assert not engine.shm_state_exists()

@@ -20,7 +20,11 @@ from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk import shmformat
 from repro.disk.backup import DiskBackup
-from repro.disk.recovery import materialize_chain, recover_leafmap_snapshots
+from repro.disk.recovery import (
+    materialize_chain,
+    recover_leafmap,
+    recover_leafmap_snapshots,
+)
 from repro.errors import CorruptionError, SnapshotStaleError
 from repro.util.checksum import rows_digest
 from repro.util.memtrack import MemoryTracker
@@ -446,6 +450,44 @@ class TestSizeDropReachesTheChain:
         assert restored.get_table("events").row_count == table.row_count == 70
         assert rows_digest(restored.snapshot_rows()) == rows_digest(leafmap.snapshot_rows())
         assert restored.get_table("events").total_rows_expired == 50
+
+
+class TestAppliedCutoffSharesTheSnapshotGeneration:
+    """A row synced while still buffered (log only, no snapshot), an
+    expiry run that spares it *because* it is buffered, then seal +
+    sync: cutoff and first snapshot link are recorded at one sync
+    generation, and the link — written after the run — already holds
+    what the run left.  Re-applying the cutoff used to expire the row
+    on the snapshot rung only."""
+
+    def test_chain_equals_legacy_equals_live(self, backup, clock):
+        leafmap = LeafMap(clock=clock, rows_per_block=16)
+        table = leafmap.get_or_create("events")
+        table.add_rows([{"time": 0, "host": "h0", "value": 0.0}])
+        backup.sync_leafmap(leafmap)
+        table.expire_before(1)
+        backup.record_expiry("events", 1, rows_expired=table.total_rows_expired)
+        sealed_sync(backup, leafmap)
+        assert table.row_count == 1 and backup.snapshot_valid("events")
+        assert backup.sync_generation("events") == 1
+        assert backup.pending_expire_cutoff("events") == 0
+
+        live = rows_digest(leafmap.snapshot_rows())
+        reopened = DiskBackup(backup.directory)
+        chained = LeafMap(clock=clock, rows_per_block=16)
+        recover_leafmap_snapshots(reopened, chained)
+        legacy = LeafMap(clock=clock, rows_per_block=16)
+        recover_leafmap(reopened, legacy)
+        assert rows_digest(chained.snapshot_rows()) == live
+        assert rows_digest(legacy.snapshot_rows()) == live
+
+        # A cutoff the live table runs *after* the link is still pending.
+        assert table.expire_before(5) == 1
+        backup.record_expiry("events", 5, rows_expired=table.total_rows_expired)
+        assert backup.pending_expire_cutoff("events") == 5
+        chained = LeafMap(clock=clock, rows_per_block=16)
+        recover_leafmap_snapshots(DiskBackup(backup.directory), chained)
+        assert chained.row_count == leafmap.row_count == 0
 
 
 class TestDirectoryFsync:

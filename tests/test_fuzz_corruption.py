@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.columnstore.rbc import RowBlockColumn, build_rbc
 from repro.columnstore.rowblock import RowBlock
+from repro.columnstore.schema import Schema
 from repro.errors import ReproError
 from repro.shm.layout import read_segment_header
 from repro.types import ColumnType
@@ -89,6 +90,34 @@ class TestPackedBlockFuzz:
             block.to_rows()
         except ACCEPTABLE:
             pass
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_a_good_block_before_never_changes_the_outcome(self, data):
+        """Schemas are parsed once and byte-compared after (a wire
+        payload following a good one, a segment's second block): for any
+        mutation, decoding behind an intact block must raise or return
+        exactly what a cold decode does."""
+        good = sample_packed_block()
+        buf = bytearray(good)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            # Header + serialized schema + offset table: where the parse
+            # the comparison stands in for happens.
+            index = data.draw(st.integers(min_value=0, max_value=120))
+            buf[index] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+
+        def outcome():
+            try:
+                block = RowBlock.unpack(bytes(buf))
+            except ACCEPTABLE as exc:
+                return type(exc), str(exc)
+            return list(block.schema.items()), block.row_count
+
+        Schema._last_parsed = None
+        cold = outcome()
+        RowBlock.unpack(good)
+        assert outcome() == cold
 
 
 class TestSegmentHeaderFuzz:

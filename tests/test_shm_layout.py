@@ -2,17 +2,24 @@
 
 import pytest
 
-from repro.columnstore.rowblock import RowBlock
+from repro.columnstore.leafmap import LeafMap
+from repro.columnstore.rowblock import PACK_HEADER, RowBlock
+from repro.columnstore.schema import Schema
+from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.errors import CorruptionError, LayoutVersionError, ShmError
 from repro.shm.layout import (
     TableSegmentWriter,
+    packed_block_chunks,
     packed_block_size,
+    read_block_headers,
     read_segment_header,
     read_table_from_segment,
     table_segment_size,
     write_table_to_segment,
 )
+from repro.shm.metadata import LeafMetadata
 from repro.shm.segment import ShmSegment
+from repro.util.binary import BufferWriter
 
 
 def make_blocks(n_blocks=3, rows=20):
@@ -146,3 +153,107 @@ class TestHeaderValidation:
                 read_segment_header(memoryview(corrupted))
         finally:
             segment.unlink()
+
+
+class TestSchemaParsedOnce:
+    """A table's blocks repeat their neighbour's schema, so it is parsed
+    once and byte-compared after.  The shortcut must never stand in for
+    bytes that differ: corruption behind an intact block surfaces
+    exactly as it does cold."""
+
+    @staticmethod
+    def schema_span(block):
+        writer = BufferWriter()
+        block.schema.serialize(writer)
+        return range(PACK_HEADER.size, PACK_HEADER.size + writer.offset)
+
+    def test_flipped_schema_byte_in_a_later_block_is_never_masked(
+        self, shm_namespace
+    ):
+        blocks = make_blocks()
+        size = table_segment_size("t", blocks)
+        segment = ShmSegment.create(f"{shm_namespace}-s1", size)
+        try:
+            write_table_to_segment(segment, "t", blocks)
+            image = bytes(segment.buf[:size])
+        finally:
+            segment.unlink()
+        intact = [("time", "host", "v")] * 3
+        _, extents = read_block_headers(memoryview(image))
+        assert [e.columns for e in extents] == intact
+        second = extents[1]
+        good_payload = b"".join(packed_block_chunks(blocks[0]))
+
+        def outcome(parse):
+            try:
+                return parse()
+            except CorruptionError as exc:
+                return str(exc)
+
+        rejected = 0
+        for at in self.schema_span(blocks[1]):
+            torn = bytearray(image)
+            torn[second.offset + at] ^= 0xFF
+            torn = bytes(torn)
+            payload = torn[second.offset : second.offset + second.size]
+
+            def scan():  # the directory scan: block 0 intact, block 1 torn
+                return [e.columns for e in read_block_headers(memoryview(torn))[1]]
+
+            def unpack():  # the wire: a torn payload
+                return list(RowBlock.unpack(payload).schema.items())
+
+            for parse in (scan, unpack):
+                Schema._last_parsed = None
+                cold = outcome(parse)
+                RowBlock.unpack(good_payload)  # ...following a good one
+                assert outcome(parse) == cold, (parse.__name__, at)
+                rejected += isinstance(cold, str)
+            assert outcome(scan) != intact, at
+        assert rejected  # type codes, lengths and UTF-8 were all hit
+
+    def test_interleaved_schemas_each_come_back_with_their_own(self):
+        left = make_blocks(3)
+        right = [
+            RowBlock.from_rows(
+                [{"time": b * 10 + i, "count": i, "tags": ["a"]} for i in range(5)],
+                created_at=float(b),
+            )
+            for b in range(3)
+        ]
+        for a, b in zip(left, right):
+            for original in (a, b):
+                restored = RowBlock.unpack(original.pack())
+                assert restored.schema == original.schema
+                assert restored.to_rows() == original.to_rows()
+
+    def test_blocking_restore_falls_to_disk_on_a_torn_second_schema(
+        self, shm_namespace, backup, clock
+    ):
+        leafmap = LeafMap(clock=clock, rows_per_block=20)
+        leafmap.get_or_create("events").add_rows(
+            {"time": i, "host": f"h{i % 3}", "v": float(i)} for i in range(60)
+        )
+        leafmap.seal_all()
+        snapshot = leafmap.snapshot_rows()
+        engine = RestartEngine("0", namespace=shm_namespace, backup=backup, clock=clock)
+        engine.backup_to_shm(leafmap)
+        meta = LeafMetadata.attach(shm_namespace, "0")
+        record = meta.records[0]
+        meta.close()
+        with ShmSegment.attach(record.segment_name) as segment:
+            view = segment.read_at(0, record.used_bytes)
+            _, extents = read_block_headers(view)
+            view.release()
+            # Second block's first column: count varint, name length,
+            # "time", then the type code.
+            segment.write_at(extents[1].offset + PACK_HEADER.size + 6, b"\xee")
+        restored = LeafMap(clock=clock, rows_per_block=20)
+        report = engine.restore(restored)
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert report.fell_back_to_disk
+        assert report.failure_reason.startswith(
+            "CorruptionError: unknown column type code 238"
+        )
+        assert restored.snapshot_rows() == snapshot
+        assert not engine.shm_state_exists()
