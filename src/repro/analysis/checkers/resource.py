@@ -3,13 +3,12 @@
 The paper's Section 4.3 footprint invariant — heap + shm must never
 exceed one copy of the data — only holds if every *logical* charge is
 eventually released: ``MemoryTracker.allocate`` balanced by ``free`` in
-the same region, ``FootprintBudget.acquire`` (and its shared-memory
-sibling) balanced by ``release``, the decoded-column cache's
-``_charge`` balanced by ``_discharge``, and the engine's
-``_track_heap_alloc`` balanced by ``_track_heap_free``.  PRs 2, 5 and 6
-each shipped (and then fixed by hand) a path where an exception escaped
-between the charge and the release; this checker encodes that class of
-bug the way RL4xx encodes segment-handle leaks.
+the same region, ``FootprintBudget.acquire`` balanced by ``release``,
+the decoded-column cache's ``_charge`` balanced by ``_discharge``, and
+the engine's ``_track_heap_alloc`` balanced by ``_track_heap_free``.
+PRs 2, 5 and 6 each shipped (and then fixed by hand) a path where an
+exception escaped between the charge and the release; this checker
+encodes that class of bug the way RL4xx encodes segment-handle leaks.
 
 A charge is *paired* with a release when both use the same API family,
 the same receiver expression, and (for the tracker) the same region

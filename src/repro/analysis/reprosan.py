@@ -275,19 +275,18 @@ class Sanitizer:
     def install(self) -> "Sanitizer":
         if self._installed:
             return self
-        from repro.core.parallel import FootprintBudget
-        from repro.core.sharedbudget import SharedFootprintBudget
         from repro.util import memtrack
+        from repro.util.budget import FootprintBudget
 
         san = self
+        orig_acquire = FootprintBudget.acquire
+        orig_release = FootprintBudget.release
         self._saved = {
             "Lock": threading.Lock,
             "RLock": threading.RLock,
             "Condition": threading.Condition,
-            "FootprintBudget.acquire": FootprintBudget.acquire,
-            "FootprintBudget.release": FootprintBudget.release,
-            "SharedFootprintBudget.acquire": SharedFootprintBudget.acquire,
-            "SharedFootprintBudget.release": SharedFootprintBudget.release,
+            "FootprintBudget.acquire": orig_acquire,
+            "FootprintBudget.release": orig_release,
         }
 
         def make_lock_factory(real, wrapper):
@@ -319,23 +318,16 @@ class Sanitizer:
         threading.RLock = make_lock_factory(real_rlock, _SanLock)
         threading.Condition = condition_factory
 
-        def wrap_budget(cls, label):
-            orig_acquire = cls.acquire
-            orig_release = cls.release
+        def acquire(obj, nbytes):
+            orig_acquire(obj, nbytes)
+            san._note_budget("FootprintBudget", id(obj), nbytes)
 
-            def acquire(obj, nbytes):
-                orig_acquire(obj, nbytes)
-                san._note_budget(label, id(obj), nbytes)
+        def release(obj, nbytes):
+            orig_release(obj, nbytes)
+            san._note_budget("FootprintBudget", id(obj), -nbytes)
 
-            def release(obj, nbytes):
-                orig_release(obj, nbytes)
-                san._note_budget(label, id(obj), -nbytes)
-
-            cls.acquire = acquire
-            cls.release = release
-
-        wrap_budget(FootprintBudget, "FootprintBudget")
-        wrap_budget(SharedFootprintBudget, "SharedFootprintBudget")
+        FootprintBudget.acquire = acquire
+        FootprintBudget.release = release
         self._saved["audit_hook"] = memtrack.set_audit_hook(self._tracker_hook)
         self._installed = True
         return self
@@ -343,17 +335,14 @@ class Sanitizer:
     def uninstall(self) -> None:
         if not self._installed:
             return
-        from repro.core.parallel import FootprintBudget
-        from repro.core.sharedbudget import SharedFootprintBudget
         from repro.util import memtrack
+        from repro.util.budget import FootprintBudget
 
         threading.Lock = self._saved["Lock"]
         threading.RLock = self._saved["RLock"]
         threading.Condition = self._saved["Condition"]
         FootprintBudget.acquire = self._saved["FootprintBudget.acquire"]
         FootprintBudget.release = self._saved["FootprintBudget.release"]
-        SharedFootprintBudget.acquire = self._saved["SharedFootprintBudget.acquire"]
-        SharedFootprintBudget.release = self._saved["SharedFootprintBudget.release"]
         memtrack.set_audit_hook(self._saved["audit_hook"])
         self._installed = False
         global _active

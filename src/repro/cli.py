@@ -110,14 +110,11 @@ def _print_e1(p: dict) -> None:
 
 def _print_e15(p: dict) -> None:
     print(f"{p['leaves']} leaves, {p['workers']} workers")
-    for r in p["backends"]:
-        tag = f"[{r['backend']}]"
-        print(f"{tag} parallel shutdown: {_ms(r['shutdown_seconds'])}")
-        print(f"{tag} parallel restore:  {_ms(r['restore_seconds'])}")
-        if r["backend"] == "process":
-            print(f"{tag} adopt (harness):   {_ms(r['adopt_seconds'])}")
-        for failure in r["failures"]:
-            print(f"{tag} {failure} FAILED")
+    r = p["budgeted_restart"]
+    print(f"parallel shutdown: {_ms(r['shutdown_seconds'])}")
+    print(f"parallel restore:  {_ms(r['restore_seconds'])}")
+    for failure in r["failures"]:
+        print(f"{failure} FAILED")
     print(f"peak footprint:    {p['peak_footprint_bytes'] / 1e6:.2f} MB")
 
 
@@ -139,7 +136,11 @@ def cmd_bench_restart(args: argparse.Namespace) -> int:
     """One experiment per mode; the definitions live in ``repro.experiments``."""
     from repro.experiments import ExperimentError, e1, e12, e15, e16, e17, e18
 
-    backends = ("thread", "process") if args.backend == "both" else (args.backend,)
+    if args.backend is not None and not (args.replica_tier or args.incremental):
+        raise SystemExit(
+            "bench-restart: --backend names the legacy replay pool; it "
+            "combines only with --replica-tier and --incremental"
+        )
     if args.workers is not None and (
         args.replica_tier or args.serve_while_restoring or args.disk_tier
     ):
@@ -152,15 +153,17 @@ def cmd_bench_restart(args: argparse.Namespace) -> int:
             workers = e17.WORKERS if args.workers is None else args.workers
             payload = e17.run(rows=args.rows, workers=workers)
         elif args.replica_tier:
+            backend = args.backend or "thread"
+            backends = ("thread", "process") if backend == "both" else (backend,)
             payload = e18.run(rows=args.rows, backends=backends)
         elif args.serve_while_restoring:
-            payload = e16.run(rows=args.rows, leaves=args.leaves, backends=backends)
+            payload = e16.run(rows=args.rows, leaves=args.leaves)
         elif args.disk_tier:
             payload = e12.run(rows=args.rows)
         elif args.workers is not None:
             budget = int(args.budget_mb * 1_000_000) if args.budget_mb else None
             payload = e15.run(rows=args.rows, leaves=args.leaves, workers=args.workers,
-                              backends=backends, budget_bytes=budget)
+                              budget_bytes=budget)
         else:
             payload = e1.run(rows=args.rows)
     except ExperimentError as exc:
@@ -292,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-mb", type=float, default=None,
                    help="machine-wide in-flight copy budget for --workers mode")
     p.add_argument("--backend", choices=("thread", "process", "both"),
-                   default="thread",
-                   help="restart pool backend; 'both' runs each and, in "
-                   "--workers mode, reports the process/thread speedup")
+                   default=None,
+                   help="legacy replay pool backend for --replica-tier "
+                   "(default thread; 'both' runs each; --incremental "
+                   "always measures both)")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write the mode's measurements and gates as JSON "
                    "(the BENCH_eNN.json artifact)")

@@ -697,8 +697,7 @@ class ReplicaCatalog:
         """A provider the primary's engine calls at ladder time.
 
         Lazy on purpose: the TCP connect happens when (and where) the
-        rung runs — including inside a forked restore worker, which
-        connects back to the coordinator process's server thread.
+        rung runs.
         """
 
         def open_session() -> ReplicaFetchSession | None:

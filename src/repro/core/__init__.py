@@ -9,13 +9,6 @@ incompatible layout.
 """
 
 from repro.core.engine import RecoveryMethod, RestartEngine, RestartReport
-from repro.core.parallel import (
-    FootprintBudget,
-    ParallelRestartCoordinator,
-    ParallelRestartReport,
-    RestartOutcome,
-)
-from repro.core.sharedbudget import SharedFootprintBudget
 from repro.core.states import (
     LeafBackupMachine,
     LeafBackupState,
@@ -31,18 +24,13 @@ from repro.core.watchdog import CooperativeDeadline, wait_or_kill
 
 __all__ = [
     "CooperativeDeadline",
-    "FootprintBudget",
     "LeafBackupMachine",
     "LeafBackupState",
     "LeafRestoreMachine",
     "LeafRestoreState",
-    "ParallelRestartCoordinator",
-    "ParallelRestartReport",
     "RecoveryMethod",
     "RestartEngine",
-    "RestartOutcome",
     "RestartReport",
-    "SharedFootprintBudget",
     "StateMachine",
     "TableBackupMachine",
     "TableBackupState",

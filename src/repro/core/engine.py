@@ -61,7 +61,6 @@ from enum import Enum
 from typing import Callable
 
 from repro.columnstore.leafmap import LeafMap
-from repro.core.parallel import FootprintBudget
 from repro.core.states import (
     LeafBackupMachine,
     LeafBackupState,
@@ -85,6 +84,7 @@ from repro.errors import (
 from repro.shm.layout import SHM_LAYOUT_VERSION, TableSegmentWriter, table_segment_size
 from repro.shm.metadata import LeafMetadata, TableSegmentRecord
 from repro.shm.segment import ShmSegment, segment_exists
+from repro.util.budget import FootprintBudget
 from repro.util.clock import Clock, SystemClock
 from repro.util.memtrack import MemoryTracker
 
@@ -212,7 +212,7 @@ class RestartEngine:
         ``f(point_name)`` called at protocol boundaries; tests raise from
         it to simulate crashes.
     budget:
-        Optional machine-wide :class:`~repro.core.parallel.FootprintBudget`.
+        Optional machine-wide :class:`~repro.util.budget.FootprintBudget`.
         When set, the engine reserves each copy window (a table segment
         during backup, a table's heap rematerialization during restore)
         against it before starting the copy, so concurrent engines on
@@ -227,11 +227,11 @@ class RestartEngine:
         (:func:`~repro.disk.replay.replay_leafmap`, thread or process
         backend) with digests identical to the single-stream replay.
     replica_source:
-        ``f() -> ReplicaFetchSession | None``, the REPLICA_RECOVERY
-        rung's discovery hook (the cluster wires a
-        :meth:`~repro.cluster.replication.ReplicaCatalog.session_source`
-        here).  Called lazily at ladder time — including inside a forked
-        restore worker — whenever shared memory is unusable; returning
+        ``f() -> ReplicaSession | None``
+        (:class:`~repro.core.replicarestore.ReplicaSession`), the
+        REPLICA_RECOVERY rung's discovery hook (the cluster wires a
+        ``ReplicaCatalog.session_source`` here).  Called lazily at
+        ladder time whenever shared memory is unusable; returning
         ``None`` (no replica alive) skips straight to the disk rungs.
     """
 
@@ -536,7 +536,6 @@ class RestartEngine:
         self,
         leafmap: LeafMap,
         memory_recovery_enabled: bool = True,
-        preserve_shm: bool = False,
         on_disk_fallback: Callable[[], None] | None = None,
     ) -> RestartReport:
         """Restore this leaf's data into an empty ``leafmap``.
@@ -551,18 +550,9 @@ class RestartEngine:
         slow disk rungs, so staying in the rejecting memory-recovery
         status for an entire legacy replay would turn a seconds-long
         outage into a minutes-long one.
-
-        ``preserve_shm`` is the process-backend variant: the restore
-        runs in a forked worker whose address space is about to vanish,
-        so instead of consuming the segments it decodes and verifies
-        every block into ``leafmap`` (paying the same copy cost), then
-        sets the valid bit back to True and *keeps* the segments for the
-        serving process to adopt.  The invalidate-first step still runs,
-        so a worker killed mid-restore leaves the valid bit down and the
-        next attempt walks the disk ladder — crash safety is identical.
         """
         handle = self._begin_restore(
-            leafmap, memory_recovery_enabled, preserve_shm, on_disk_fallback, serving=False
+            leafmap, memory_recovery_enabled, on_disk_fallback, serving=False
         )
         handle.drain()
         return handle.report
@@ -571,7 +561,6 @@ class RestartEngine:
         self,
         leafmap: LeafMap,
         memory_recovery_enabled: bool = True,
-        preserve_shm: bool = False,
         on_disk_fallback: Callable[[], None] | None = None,
     ):
         """Start a serve-while-restoring restore; returns a
@@ -588,11 +577,11 @@ class RestartEngine:
         the handle comes back already done.
         """
         return self._begin_restore(
-            leafmap, memory_recovery_enabled, preserve_shm, on_disk_fallback, serving=True
+            leafmap, memory_recovery_enabled, on_disk_fallback, serving=True
         )
 
     def _begin_restore(
-        self, leafmap, memory_recovery_enabled, preserve_shm, on_disk_fallback, serving
+        self, leafmap, memory_recovery_enabled, on_disk_fallback, serving
     ):
         """Put a restore driver on the best usable source.
 
@@ -618,7 +607,7 @@ class RestartEngine:
             meta = self._attach_valid_shm(discard_invalid=False)
         if meta is not None:
             return LazyRestore(
-                self, leafmap, report, leaf, on_disk_fallback, meta, preserve_shm
+                self, leafmap, report, leaf, on_disk_fallback, meta
             )._serve()
         # Also covers the race where the valid bit dropped between the
         # caller's shm_state_valid() check and this attach: the leaf

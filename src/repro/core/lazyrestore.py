@@ -642,11 +642,9 @@ class LazyRestore(RestoreDriver):
         machine,
         on_disk_fallback,
         meta: LeafMetadata,
-        preserve_shm: bool,
     ) -> None:
         super().__init__(engine, leafmap, report, machine, on_disk_fallback)
         self._meta: LeafMetadata | None = meta  # attached, valid, ours to close
-        self._preserve_shm = preserve_shm
         self._segments: dict[str, ShmSegment] = {}
         self._views: dict[str, memoryview] = {}  # each segment's used bytes
 
@@ -720,11 +718,8 @@ class LazyRestore(RestoreDriver):
         engine = self._engine
         self._views.pop(state.name).release()  # an exported view pins the mmap
         segment = self._segments.pop(state.name)
-        if self._preserve_shm:
-            segment.close()  # the adopter consumes the segment
-        else:
-            engine.tracker.free("shm", segment.size, at=engine.clock.now())
-            segment.unlink()
+        engine.tracker.free("shm", segment.size, at=engine.clock.now())
+        segment.unlink()
         self._close_window()
 
     def _close_window(self) -> None:
@@ -744,15 +739,10 @@ class LazyRestore(RestoreDriver):
         self._close_window()
 
     def _finish_source(self) -> None:
-        """Every segment is gone with its table: consume the metadata —
-        or, for a forked worker, re-arm the state for the adopter."""
+        """Every segment is gone with its table: consume the metadata."""
         self._engine._fault("restore:before_finish")
         assert self._meta is not None
-        if self._preserve_shm:
-            self._meta.set_valid(True)  # verified end to end
-            self._meta.close()
-        else:
-            self._meta.unlink()
+        self._meta.unlink()
         self._meta = None
 
     def _discard_source(self) -> None:

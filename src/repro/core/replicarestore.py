@@ -2,8 +2,9 @@
 
 The protocol is :class:`~repro.core.lazyrestore.RestoreDriver`'s; this
 module is its second source.  The *replica's wire catalog* is the block
-directory and a :class:`~repro.cluster.replication.ReplicaFetchSession`
-is where a pending block's bytes are: the restarting leaf can start
+directory and a :class:`ReplicaSession` (what ``RestartEngine``'s
+``replica_source`` hands back; ``repro.cluster.replication`` implements
+it) is where a pending block's bytes are: the restarting leaf can start
 serving after one HELLO/CATALOG round-trip, each fault-in is a GET/BLOCK
 exchange followed by the driver's decode + verify + adopt, and a drain —
 all a blocking restore is — pulls everything still pending through the
@@ -21,14 +22,53 @@ snapshot, so a kill mid-restore leaves nothing half-trusted.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from typing import TYPE_CHECKING, Iterator
+from typing import Callable, Iterator, Protocol, Sequence
 
 from repro.core.engine import RecoveryMethod
 from repro.core.lazyrestore import RestoreDriver
 from repro.core.states import TableRestoreMachine, TableRestoreState
 
-if TYPE_CHECKING:
-    from repro.cluster.replication import ReplicaFetchSession, WireBlock
+
+class CatalogBlock(Protocol):
+    """One sealed block of the catalog: the driver's block descriptor
+    (``size``, ``row_count``, ``min_time``, ``max_time``, ``columns``,
+    ``overlaps``), addressed by table and position."""
+
+    table: str
+    index: int
+
+
+class CatalogTable(Protocol):
+    """One table of the catalog, counters as of the handshake."""
+
+    name: str
+    rows_ingested: int
+    rows_expired: int
+    blocks: Sequence[CatalogBlock]
+
+
+class ReplicaSession(Protocol):
+    """What this rung asks of an open session to a standby."""
+
+    #: Concurrent fetch connections a drain may drive.
+    streams: int
+    #: The catalog pinned at the handshake.
+    tables: Sequence[CatalogTable]
+    #: Fault-injection hook; the engine points it at its own.
+    fault: Callable[[str], None]
+
+    def fetch(self, table: str, index: int) -> bytes:
+        """One block's packed bytes; raises on any wire fault."""
+
+    def fetch_many(
+        self,
+        requests: list[tuple[str, int]],
+        handler: Callable[[str, int, bytes], None],
+    ) -> None:
+        """Pipelined ``fetch`` of ``requests`` in order on one
+        connection, ``handler(table, index, payload)`` per block."""
+
+    def close(self) -> None: ...
 
 
 class ReplicaRestore(RestoreDriver):
@@ -53,7 +93,7 @@ class ReplicaRestore(RestoreDriver):
         report,
         machine,
         on_disk_fallback,
-        session: "ReplicaFetchSession | None",
+        session: ReplicaSession | None,
     ) -> None:
         super().__init__(engine, leafmap, report, machine, on_disk_fallback)
         self._session = session
@@ -77,7 +117,7 @@ class ReplicaRestore(RestoreDriver):
             )
         engine._fault("restore:publish_directory")
 
-    def _read_block(self, desc: "WireBlock") -> bytes:
+    def _read_block(self, desc: CatalogBlock) -> bytes:
         return self._session.fetch(desc.table, desc.index)
 
     def _read_blocks(self, descs: list) -> Iterator[tuple]:
@@ -127,4 +167,4 @@ class ReplicaRestore(RestoreDriver):
         self._session.close()
 
 
-__all__ = ["ReplicaRestore"]
+__all__ = ["ReplicaRestore", "ReplicaSession"]

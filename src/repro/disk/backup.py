@@ -47,9 +47,9 @@ and a snapshot point aligns the manifest's live ``(sequence, key)`` list
 against the table's blocks in order.  The keys are made of what a sealed
 block stores (header fields, per-column length and footer CRC), so any
 restart that hands back the same sealed bytes — shared memory, a
-replica, the snapshot chain itself, a forked worker's shutdown — and a
-reopened or :meth:`DiskBackup.reload`-ed manager all *extend* the chain
-they find, writing only blocks it does not hold.  A legacy replay
+replica, the snapshot chain itself — and a reopened or
+:meth:`DiskBackup.reload`-ed manager all *extend* the chain they find,
+writing only blocks it does not hold.  A legacy replay
 re-seals every row into new blocks, shares nothing with the chain, and
 honestly costs one fresh base; so does a manifest written before keys
 existed.
@@ -227,11 +227,11 @@ class DiskBackup:
     def reload(self) -> None:
         """Reread the manifest from disk, dropping in-memory state.
 
-        Needed when another process advanced this leaf's backup — e.g. a
-        forked restart worker whose shutdown synced tables and bumped
-        generations that this process's cached manifest predates.  The
-        manifest is all the chain state there is, so the next snapshot
-        extends whatever chain the other process left.
+        Needed when another process advanced this leaf's backup, syncing
+        tables and bumping generations that this process's cached
+        manifest predates.  The manifest is all the chain state there
+        is, so the next snapshot extends whatever chain the other
+        process left.
         """
         self._manifest = {}
         self._load_manifest()

@@ -30,7 +30,7 @@ payload bytes and blocks cross back in their packed (Figure 4) form —
 both near-memcpy for pickle — so the parent's serial share stays small.
 
 Each in-flight partition charges the payload bytes it ships against the
-machine's :class:`~repro.core.parallel.FootprintBudget` (when given),
+machine's :class:`~repro.util.budget.FootprintBudget` (when given),
 so parallel replay's transient footprint queues against concurrent
 restarts instead of stacking on top of them.  Releases ride the
 future's done-callback — never the parent thread — so a parent blocked
@@ -47,12 +47,12 @@ from typing import Callable, Iterable, Iterator, Mapping
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
 from repro.columnstore.table import Table, estimate_row_bytes
-from repro.core.parallel import FootprintBudget
 from repro.disk.backup import DiskBackup
 from repro.disk.format import decode_chunk_rows
 from repro.disk.recovery import recover_table_rows, surviving_chunks
 from repro.errors import RecoveryError, SchemaError
 from repro.types import TIME_COLUMN, ColumnValue
+from repro.util.budget import FootprintBudget
 from repro.util.clock import Clock, SystemClock
 
 REPLAY_BACKENDS = ("thread", "process")

@@ -83,17 +83,6 @@ class ShutdownTimeout(ReproError):
     """
 
 
-class WorkerCrashedError(ReproError):
-    """A restart worker process died before finishing its leaves.
-
-    Raised (as a per-leaf outcome, never across the pool) by the
-    process-pool restart backend when a forked worker exits abnormally —
-    killed, segfaulted, or OOMed — with leaves still assigned.  The
-    affected leaves' shared memory valid bits are down, so their next
-    start walks the disk recovery ladder.
-    """
-
-
 class ShmError(ReproError):
     """Shared memory segment creation, attach, or bookkeeping failed."""
 

@@ -3,24 +3,22 @@
 The paper restarts leaves one at a time during rollover; a *machine
 event* restarts all of them at once.  E15 measures a real (scaled)
 machine restarting its leaves with 1, 2, 4 and 8 thread workers, then
-the thread pool against the forked process pool on identical data under
-a machine-wide in-flight budget, and checks the simulator's claim that
-the speedup is linear in the worker count until the machine's memory
-bandwidth saturates (min(k, mem_total / mem_copy) — 4x with the paper
-profile).
+once more under a machine-wide in-flight budget, and checks the
+simulator's claim that the speedup is linear in the worker count until
+the machine's memory bandwidth saturates (min(k, mem_total / mem_copy)
+— 4x with the paper profile).
 
-Both wall-clock floors need workers that actually run in parallel:
+The wall-clock floor needs workers that actually run in parallel:
 pure-Python copies hold the GIL and a small container serializes the
 workers no matter how many run (*Fast Failure Recovery for Main-Memory
 DBMSs on Multicores* reports recovery per core count for this reason),
-so they are enforced from ``MULTICORE`` cores up and recorded below it.
+so it is enforced from ``MULTICORE`` cores up and recorded below it.
 The footprint bound holds everywhere.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from repro.experiments import (
     Gate,
@@ -39,17 +37,15 @@ from repro.workloads import service_requests
 ROWS = 32_000
 LEAVES = 4
 WORKERS = 4
-BACKENDS = ("thread", "process")
 ROWS_PER_BLOCK = 2048
 WORKER_SWEEP = (1, 2, 4, 8)
-#: Both multi-core floors: 4 workers over 1, and process over thread.
+#: The multi-core floor: 4 workers over 1.
 SPEEDUP_FLOOR = 1.5
 
 GATES = (
     "worker sweep 1/2/4/8, thread backend",
     "workers=4 vs workers=1, thread backend",
-    *(f"restart window under the footprint budget, backend={b}" for b in BACKENDS),
-    "process vs thread backend",
+    "restart window under the footprint budget",
     "simulated machine-restore speedup, workers=1/2/4/8",
     "paper-scale machine: sequential vs parallel shm restart",
 )
@@ -59,7 +55,6 @@ def run(
     rows: int = ROWS,
     leaves: int = LEAVES,
     workers: int = WORKERS,
-    backends: Sequence[str] = BACKENDS,
     budget_bytes: int | None = None,
 ) -> dict:
     leaves = max(1, leaves)
@@ -101,27 +96,15 @@ def run(
         # request runs alone and the bound is that request.
         budget = budget_bytes or max(largest_segment, data_bytes // 3)
         bound = max(budget, largest_segment)
-        results = []
-        for backend in backends:
-            report = machine.restart_all(
-                workers=workers, budget_bytes=budget, backend=backend
-            )
-            results.append(
-                {
-                    "backend": backend,
-                    "workers": workers,
-                    "leaves": leaves,
-                    "shutdown_seconds": report.shutdown_seconds,
-                    "restore_seconds": report.restore_seconds,
-                    "adopt_seconds": report.adopt_seconds,
-                    "restart_window_seconds": report.restart_window_seconds,
-                    "peak_in_flight_bytes": report.peak_in_flight_bytes,
-                    "budget_bytes": budget,
-                    "failures": [
-                        f"leaf {o.leaf_id}: {o.error}" for o in report.failures
-                    ],
-                }
-            )
+        report = machine.restart_all(workers=workers, budget_bytes=budget)
+        budgeted = {
+            "shutdown_seconds": report.shutdown_seconds,
+            "restore_seconds": report.restore_seconds,
+            "restart_window_seconds": report.restart_window_seconds,
+            "peak_in_flight_bytes": report.peak_in_flight_bytes,
+            "budget_bytes": budget,
+            "failures": [f"leaf {o.leaf_id}: {o.error}" for o in report.failures],
+        }
         peak_footprint = machine.tracker.peak_total
 
     gates = [
@@ -143,34 +126,16 @@ def run(
             enforced=multicore(),
         )
     )
-    for result in results:
-        gates.append(
-            Gate(
-                "restart window under the footprint budget, "
-                f"backend={result['backend']}",
-                "no failed leaf, peak in-flight <= machine-wide bound",
-                f"{workers} workers: "
-                f"{result['restart_window_seconds'] * 1000:.0f} ms "
-                f"(+{result['adopt_seconds'] * 1000:.0f} ms adopt), peak "
-                f"{result['peak_in_flight_bytes']:,} B of {bound:,} B",
-                not result["failures"]
-                and result["peak_in_flight_bytes"] <= bound,
-            )
+    gates.append(
+        Gate(
+            "restart window under the footprint budget",
+            "no failed leaf, peak in-flight <= machine-wide bound",
+            f"{workers} workers: "
+            f"{budgeted['restart_window_seconds'] * 1000:.0f} ms, peak "
+            f"{budgeted['peak_in_flight_bytes']:,} B of {bound:,} B",
+            not budgeted["failures"] and budgeted["peak_in_flight_bytes"] <= bound,
         )
-    windows = {r["backend"]: r["restart_window_seconds"] for r in results}
-    process_speedup = None
-    if set(BACKENDS) <= set(windows):
-        process_speedup = ratio(windows["thread"], windows["process"])
-        gates.append(
-            Gate(
-                "process vs thread backend",
-                f">= {SPEEDUP_FLOOR}x with 4 workers on >= 4 cores",
-                f"{process_speedup:.2f}x with {workers} workers on "
-                f"{cpu_count()} cores",
-                process_speedup >= SPEEDUP_FLOOR,
-                enforced=multicore(workers),
-            )
-        )
+    )
 
     profile = paper_profile()
     ceiling = profile.mem_total_gbps / profile.mem_copy_gbps
@@ -212,7 +177,6 @@ def run(
         workers=workers,
         compressed_bytes=data_bytes,
         worker_sweep_seconds={str(w): s for w, s in sweep.items()},
-        backends=results,
-        process_over_thread_speedup=process_speedup,
+        budgeted_restart=budgeted,
         peak_footprint_bytes=peak_footprint,
     )

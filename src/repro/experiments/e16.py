@@ -6,20 +6,17 @@ block directory, flips to ``RECOVERING_MEMORY_SERVING``, and answers a
 dashboard-shaped query by faulting in only the blocks the query touches
 while the rest fills in behind it.
 
-It measures availability, not throughput.  On each backend the first
-query must be answered with **under 25%** of the leaf's bytes restored
-— and must actually match rows, so a window that touches no data cannot
-pass vacuously — and the fully-restored leaf must be digest-identical to
-a blocking restore of the same shared-memory image.  A third leg turns
+It measures availability, not throughput.  The first query must be
+answered with **under 25%** of the leaf's bytes restored — and must
+actually match rows, so a window that touches no data cannot pass
+vacuously — and the fully-restored leaf must be digest-identical to a
+blocking restore of the same shared-memory image.  A second leg turns
 the background sweep on and sends no queries: an idle leaf must still
 reach ALIVE with the same digest.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from repro.core.parallel import ParallelRestartCoordinator
 from repro.experiments import (
     Gate,
     build_payload,
@@ -30,26 +27,20 @@ from repro.experiments import (
     workspace,
 )
 from repro.server.machine import Machine
+from repro.server.parallel import ParallelRestartCoordinator
 from repro.sim import paper_profile, simulate_leaf_restart
 from repro.workloads import service_requests
 
 ROWS = 4_000
 LEAVES = 4
-BACKENDS = ("thread", "process")
 ROWS_PER_BLOCK = 64
 #: First answer must land with less than this share of bytes restored
 #: (shared with E18, which asks the same of the wire).
 FRACTION_CEILING = 0.25
 
 GATES = (
-    *(
-        name
-        for b in BACKENDS
-        for name in (
-            f"first dashboard answer, backend={b}",
-            f"lazy vs blocking restore digests, backend={b}",
-        )
-    ),
+    "first dashboard answer",
+    "lazy vs blocking restore digests",
     "time-to-serving vs blocking restore (sweep thread, no queries)",
     "simulated paper-scale leaf: unavailability window",
 )
@@ -59,10 +50,10 @@ def _digests(machine: Machine) -> list[str]:
     return [digest(leaf.leafmap) for leaf in machine.leaves]
 
 
-def _blocking_baseline(machine: Machine, backend: str, label: str):
+def _blocking_baseline(machine: Machine, label: str):
     """Blocking restart (unavailable until the last byte), the digests it
     produces, and the leaves shut down again the same way."""
-    coordinator = ParallelRestartCoordinator(machine.leaves, backend=backend)
+    coordinator = ParallelRestartCoordinator(machine.leaves)
     blocking = coordinator.restart_all()
     require(
         not blocking.failures,
@@ -76,17 +67,12 @@ def _blocking_baseline(machine: Machine, backend: str, label: str):
     return coordinator, blocking, digests
 
 
-def run(
-    rows: int = ROWS,
-    leaves: int = LEAVES,
-    backends: Sequence[str] = BACKENDS,
-) -> dict:
+def run(rows: int = ROWS, leaves: int = LEAVES) -> dict:
     leaves = max(1, leaves)
     rows_per_leaf = max(1, rows // leaves)
     data = list(service_requests(rows_per_leaf))
     dashboard = dashboard_query(data)
     gates: list[Gate] = []
-    results = []
 
     def build(tmp, namespace, tag: str) -> Machine:
         machine = Machine(
@@ -104,75 +90,69 @@ def run(
         return machine
 
     with workspace() as (tmp, namespace):
-        for backend in backends:
-            machine = build(tmp, namespace, backend)
-            data_bytes = machine.nbytes
-            _, blocking, digests = _blocking_baseline(machine, backend, backend)
+        machine = build(tmp, namespace, "query")
+        data_bytes = machine.nbytes
+        _, blocking, digests = _blocking_baseline(machine, "query")
 
-            # Bring each leaf to serving and query it before the sweep
-            # runs (``sweep=False`` keeps the reading deterministic).
-            worst_fraction = 0.0
-            first_answer_s = 0.0
-            queries_served = 0
-            matched = []
-            for leaf in machine.leaves:
+        # Bring each leaf to serving and query it before the sweep runs
+        # (``sweep=False`` keeps the reading deterministic).
+        worst_fraction = 0.0
+        first_answer_s = 0.0
+        queries_served = 0
+        matched = []
+        for leaf in machine.leaves:
 
-                def first_answer(leaf=leaf):
-                    leaf.start(serve_while_restoring=True, sweep=False)
-                    return leaf.query(dashboard)
+            def serve_and_ask(leaf=leaf):
+                leaf.start(serve_while_restoring=True, sweep=False)
+                return leaf.query(dashboard)
 
-                seconds, answer = timed(first_answer)
-                first_answer_s = max(first_answer_s, seconds)
-                progress = leaf.restore_progress()
-                worst_fraction = max(worst_fraction, progress.fraction_restored)
-                queries_served += progress.queries_served
-                matched.append(answer.rows_matched)
-                leaf.wait_restored()
-            rows_matched = min(matched)
-            fully_restored = all(
-                leaf.restore_progress().fraction_restored == 1.0
-                for leaf in machine.leaves
+            seconds, answer = timed(serve_and_ask)
+            first_answer_s = max(first_answer_s, seconds)
+            progress = leaf.restore_progress()
+            worst_fraction = max(worst_fraction, progress.fraction_restored)
+            queries_served += progress.queries_served
+            matched.append(answer.rows_matched)
+            leaf.wait_restored()
+        rows_matched = min(matched)
+        fully_restored = all(
+            leaf.restore_progress().fraction_restored == 1.0
+            for leaf in machine.leaves
+        )
+        digests_match = _digests(machine) == digests
+        gates.append(
+            Gate(
+                "first dashboard answer",
+                f"< {FRACTION_CEILING:.0%} of bytes restored, rows matched",
+                f"{worst_fraction:.1%} restored, {rows_matched} rows "
+                f"matched, {first_answer_s * 1000:.1f} ms to answer "
+                f"(blocking restore {blocking.restore_seconds * 1000:.1f} ms)",
+                worst_fraction < FRACTION_CEILING
+                and rows_matched > 0
+                and queries_served >= leaves,
             )
-            digests_match = _digests(machine) == digests
-            gates.append(
-                Gate(
-                    f"first dashboard answer, backend={backend}",
-                    f"< {FRACTION_CEILING:.0%} of bytes restored, rows matched",
-                    f"{worst_fraction:.1%} restored, {rows_matched} rows "
-                    f"matched, {first_answer_s * 1000:.1f} ms to answer "
-                    f"(blocking restore {blocking.restore_seconds * 1000:.1f} ms)",
-                    worst_fraction < FRACTION_CEILING
-                    and rows_matched > 0
-                    and queries_served >= leaves,
-                )
+        )
+        gates.append(
+            Gate(
+                "lazy vs blocking restore digests",
+                "identical, 100% restored",
+                "identical" if digests_match else "DIVERGED",
+                digests_match and fully_restored,
             )
-            gates.append(
-                Gate(
-                    f"lazy vs blocking restore digests, backend={backend}",
-                    "identical, 100% restored",
-                    "identical" if digests_match else "DIVERGED",
-                    digests_match and fully_restored,
-                )
-            )
-            results.append(
-                {
-                    "backend": backend,
-                    "leaves": leaves,
-                    "rows_per_leaf": rows_per_leaf,
-                    "compressed_bytes": data_bytes,
-                    "fraction_restored_at_first_query": worst_fraction,
-                    "rows_matched_at_first_query": rows_matched,
-                    "first_answer_seconds": first_answer_s,
-                    "blocking_restore_seconds": blocking.restore_seconds,
-                    "queries_served_during_restore": queries_served,
-                    "digests_match": digests_match,
-                }
-            )
+        )
+        first_answer = {
+            "rows_per_leaf": rows_per_leaf,
+            "fraction_restored_at_first_query": worst_fraction,
+            "rows_matched_at_first_query": rows_matched,
+            "first_answer_seconds": first_answer_s,
+            "blocking_restore_seconds": blocking.restore_seconds,
+            "queries_served_during_restore": queries_served,
+            "digests_match": digests_match,
+        }
 
         # Availability must not depend on query traffic: sweep thread
         # on, no queries, every leaf still ends ALIVE and identical.
         machine = build(tmp, namespace, "sweep")
-        coordinator, blocking, digests = _blocking_baseline(machine, "thread", "sweep")
+        coordinator, blocking, digests = _blocking_baseline(machine, "sweep")
         serving_s, outcomes = timed(
             lambda: coordinator.start_all(serve_while_restoring=True)
         )
@@ -221,7 +201,7 @@ def run(
         rows=rows,
         leaves=leaves,
         compressed_bytes=data_bytes,
-        backends=results,
+        first_answer=first_answer,
         idle_sweep={
             "serving_seconds": serving_s,
             "background_fill_seconds": fill_s,

@@ -9,6 +9,11 @@ arrive from the leaves."
 from repro.server.aggregator import Aggregator
 from repro.server.leaf import LeafServer, LeafStatus
 from repro.server.machine import DEFAULT_LEAVES_PER_MACHINE, Machine
+from repro.server.parallel import (
+    ParallelRestartCoordinator,
+    ParallelRestartReport,
+    RestartOutcome,
+)
 from repro.server.process_client import LeafProcess, LeafProcessConfig
 from repro.server.retention import RetentionEnforcer, RetentionPolicy, RetentionReport
 
@@ -20,6 +25,9 @@ __all__ = [
     "LeafServer",
     "LeafStatus",
     "Machine",
+    "ParallelRestartCoordinator",
+    "ParallelRestartReport",
+    "RestartOutcome",
     "RetentionEnforcer",
     "RetentionPolicy",
     "RetentionReport",

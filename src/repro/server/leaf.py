@@ -380,29 +380,6 @@ class LeafServer:
             self.engine.forget_heap()
             self.status = LeafStatus.DOWN
 
-    def absorb_process_shutdown(
-        self, report: RestartReport | None = None
-    ) -> None:
-        """Fold a forked worker's shutdown of this leaf into this object.
-
-        The worker ran the real ``shutdown()`` against its copy-on-write
-        copy of the heap and exited: the old process — heap and all — is
-        gone, and the named shm segments (if the shutdown succeeded) are
-        what's left.  Here the coordinator's stand-in drops its now-dead
-        heap image, rereads the manifest the worker advanced on disk,
-        and releases the engine's heap charge from the shared tracker.
-        With no report the worker died mid-shutdown; either way the leaf
-        is DOWN and the next ``start()`` reads whatever state survived.
-        """
-        with self._lock:
-            self.column_cache.clear()
-            self.leafmap = self._new_leafmap()
-            self.engine.forget_heap()
-            self.backup.reload()
-            if report is not None:
-                self.last_restart_report = report
-            self.status = LeafStatus.DOWN
-
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------

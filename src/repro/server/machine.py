@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.parallel import (
-    ParallelRestartCoordinator,
-    ParallelRestartReport,
-)
 from repro.disk.backup import DiskBackup
 from repro.server.aggregator import Aggregator
 from repro.server.leaf import DEFAULT_CAPACITY_BYTES, LeafServer
+from repro.server.parallel import ParallelRestartCoordinator, ParallelRestartReport
 from repro.util.clock import Clock, SystemClock
 from repro.util.memtrack import MemoryTracker
 
@@ -84,8 +81,6 @@ class Machine:
         use_shm: bool = True,
         memory_recovery_enabled: bool = True,
         deadline_seconds: float | None = None,
-        backend: str = "thread",
-        adopt: bool = True,
         serve_while_restoring: bool = False,
     ) -> ParallelRestartReport:
         """Restart every leaf through shared memory, ``workers`` at a time.
@@ -94,27 +89,20 @@ class Machine:
         shut down to shared memory concurrently, then all come back
         concurrently.  ``budget_bytes`` caps the combined in-flight copy
         windows so the machine-wide footprint stays at data + budget +
-        metadata; ``workers`` defaults to one per leaf.  ``backend``
-        picks the pool: ``"thread"`` (in-process, GIL-serialized copies)
-        or ``"process"`` (forked workers, one copy stream per core, with
-        the budget shared across processes).  ``adopt`` controls whether
-        a process-backend restart folds the restored segments back into
-        this object's leaves (benchmarks that only time the restart
-        window may skip it).  ``serve_while_restoring`` brings each leaf
-        back to *serving* at directory-publish time instead of waiting
-        for the full copy; ``wait_restored_all`` drains the sweeps.
+        metadata; ``workers`` defaults to one per leaf.
+        ``serve_while_restoring`` brings each leaf back to *serving* at
+        directory-publish time instead of waiting for the full copy;
+        ``wait_restored_all`` drains the sweeps.
         """
         coordinator = ParallelRestartCoordinator(
             self.leaves,
             max_workers=workers,
             budget=budget_bytes,
-            backend=backend,
         )
         return coordinator.restart_all(
             use_shm=use_shm,
             memory_recovery_enabled=memory_recovery_enabled,
             deadline_seconds=deadline_seconds,
-            adopt=adopt,
             serve_while_restoring=serve_while_restoring,
         )
 

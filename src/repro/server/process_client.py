@@ -10,8 +10,11 @@ never set and the replacement restarts from disk.
 from __future__ import annotations
 
 import json
+import os
+import select
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,8 +89,11 @@ class LeafProcess:
 
     def __init__(self, config: LeafProcessConfig, request_timeout: float = 120.0):
         self.config = config
-        self._timeout = request_timeout
+        #: How long :meth:`request` waits for a reply before it kills the
+        #: worker — one that stopped answering must not wedge its controller.
+        self.request_timeout = request_timeout
         self._proc: subprocess.Popen | None = None
+        self._unread = b""  # reply bytes past the last line handed out
 
     # ------------------------------------------------------------------
     # Process lifecycle
@@ -116,6 +122,7 @@ class LeafProcess:
             stderr=subprocess.PIPE,
             text=True,
         )
+        self._unread = b""
         return self.request(
             {"op": "start", "memory_recovery_enabled": memory_recovery_enabled}
         )
@@ -199,7 +206,7 @@ class LeafProcess:
         assert self._proc.stdin is not None and self._proc.stdout is not None
         self._proc.stdin.write(json.dumps(payload) + "\n")
         self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
+        line = self._read_reply(payload.get("op"))
         if not line:
             stderr = ""
             if self._proc.stderr is not None:
@@ -213,6 +220,32 @@ class LeafProcess:
                 f"leaf {self.config.leaf_id}: {response.get('error', 'unknown error')}"
             )
         return response
+
+    def _read_reply(self, op) -> str:
+        """The next reply line ("" at EOF), waiting at most the request
+        timeout: past it the worker is killed and the request fails.
+
+        Reads the pipe's descriptor directly — nothing else reads the
+        worker's stdout — because a wait on a buffered reader cannot be
+        bounded.
+        """
+        assert self._proc is not None and self._proc.stdout is not None
+        fd = self._proc.stdout.fileno()
+        deadline = time.monotonic() + self.request_timeout
+        while b"\n" not in self._unread:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                self.kill()
+                raise LeafProcessError(
+                    f"leaf {self.config.leaf_id} did not answer {op!r} within "
+                    f"{self.request_timeout:g} s; the worker was killed"
+                )
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                return ""
+            self._unread += chunk
+        line, _, self._unread = self._unread.partition(b"\n")
+        return line.decode()
 
     # ------------------------------------------------------------------
     # Data plane conveniences

@@ -68,11 +68,11 @@ class HardwareProfile:
     mem_copy_gbps: float = 4.0
     mem_total_gbps: float = 16.0
     #: Effective concurrent copy streams an *in-process thread pool*
-    #: achieves.  A CPython restart backend running bulk copies in
-    #: threads holds the GIL for each memcpy slice, so no matter how
-    #: many workers are configured the machine sees roughly one stream
-    #: (the paper's C++ implementation has no such ceiling; the
-    #: process-pool backend escapes it with one interpreter per worker).
+    #: achieves.  CPython threads running bulk copies hold the GIL for
+    #: each memcpy slice, so no matter how many workers are configured
+    #: the machine sees roughly one stream (the paper's C++
+    #: implementation has no such ceiling; neither do real leaf
+    #: processes, one interpreter each).
     gil_copy_streams: float = 1.0
 
     # Incremental snapshot sync (§4.1: "only the sections of data that
@@ -179,9 +179,11 @@ class HardwareProfile:
     def effective_copy_streams(self, workers: int, backend: str = "process") -> float:
         """Truly-concurrent copy streams ``workers`` workers achieve.
 
-        ``"process"`` workers each own an interpreter, so every worker
-        is a stream; ``"thread"`` workers share one GIL, capping the
-        machine at ``gil_copy_streams`` no matter the pool width.
+        ``"process"`` streams are real leaf processes — the paper's
+        deployment, one interpreter each — so every worker is a stream;
+        ``"thread"`` workers (the in-process coordinator's pool) share
+        one GIL, capping the machine at ``gil_copy_streams`` no matter
+        the pool width.
         """
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -197,9 +199,9 @@ class HardwareProfile:
         """Machine-level speedup of restoring ``k`` leaves concurrently
         versus one at a time: linear in ``k`` until the memory-bandwidth
         ceiling, then flat at ``mem_total_gbps / mem_copy_gbps``.  For
-        the thread backend the GIL is the first ceiling — with the
-        default ``gil_copy_streams`` the curve is flat at ~1x, which is
-        why ``backend="process"`` exists at all.
+        ``"thread"`` the GIL is the first ceiling — with the default
+        ``gil_copy_streams`` the curve is flat at ~1x; ``"process"`` is
+        the paper's machine, one leaf process per stream.
         """
         if workers < 1:
             raise ValueError("need at least one worker")

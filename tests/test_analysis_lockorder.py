@@ -44,11 +44,11 @@ class TestRealTree:
     CONCURRENCY_FILES = (
         "src/repro/core/lazyrestore.py",
         "src/repro/core/replicarestore.py",
-        "src/repro/core/parallel.py",
-        "src/repro/core/sharedbudget.py",
         "src/repro/core/engine.py",
         "src/repro/server/leaf.py",
         "src/repro/server/aggregator.py",
+        "src/repro/server/parallel.py",
+        "src/repro/util/budget.py",
         "src/repro/util/memtrack.py",
     )
 

@@ -38,6 +38,6 @@ class TestRealTree:
     def test_footprint_budget_is_clean(self, repo_root):
         """Regression for the unguarded peak_in_flight read in __repr__."""
         modules = load_files(
-            [repo_root / "src/repro/core/parallel.py"], root=repo_root
+            [repo_root / "src/repro/util/budget.py"], root=repo_root
         )
         assert [f for f in locks.check(modules) if "FootprintBudget" in f.symbol] == []

@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.core.parallel import FootprintBudget
+from repro.util.budget import FootprintBudget
 from repro.disk.backup import DiskBackup
 from repro.errors import StateError
 from repro.server.leaf import LeafServer, LeafStatus

@@ -106,7 +106,7 @@ class TestLockInstrumentation:
 
 class TestResourceAudit:
     def test_budget_residue_fails_the_test(self, san):
-        from repro.core.parallel import FootprintBudget
+        from repro.util.budget import FootprintBudget
 
         san.begin_test("t::residue")
         budget = FootprintBudget(limit_bytes=1 << 20)
@@ -118,7 +118,7 @@ class TestResourceAudit:
         assert any("4096 unreleased" in p for p in record["problems"])
 
     def test_balanced_budget_is_clean(self, san):
-        from repro.core.parallel import FootprintBudget
+        from repro.util.budget import FootprintBudget
 
         san.begin_test("t::balanced")
         budget = FootprintBudget(limit_bytes=1 << 20)
@@ -155,7 +155,7 @@ class TestCrossCheck:
             [
                 repo_root / "src/repro/server/leaf.py",
                 repo_root / "src/repro/core/lazyrestore.py",
-                repo_root / "src/repro/core/parallel.py",
+                repo_root / "src/repro/util/budget.py",
                 repo_root / "src/repro/util/memtrack.py",
             ],
             root=repo_root,

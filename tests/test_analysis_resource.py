@@ -72,4 +72,4 @@ class TestRealTree:
     def test_parallel_reserve_internals_are_clean(self, repo_root):
         """FootprintBudget's own implementation (self.acquire inside
         reserve) must not be mistaken for an unbalanced charge."""
-        assert self._check(repo_root, "src/repro/core/parallel.py") == []
+        assert self._check(repo_root, "src/repro/util/budget.py") == []

@@ -177,7 +177,7 @@ class TestCli:
         )
         assert rc == 0
         written = Baseline.load(target)
-        assert len(written.entries) == 18
+        assert len(written.entries) == 17
         assert all(e.justification == "TODO: justify or fix" for e in written.entries)
 
     def test_unknown_checker_exits_two(self, repo_root, capsys):

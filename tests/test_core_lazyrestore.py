@@ -20,7 +20,7 @@ from repro.cluster.replication import ReplicaBlockServer, snapshot_leafmap
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import FAULT_POINTS, RecoveryMethod, RestartEngine
-from repro.core.parallel import FootprintBudget
+from repro.util.budget import FootprintBudget
 from repro.errors import CorruptionError, RecoveryError
 from repro.query.execute import execute_on_leaf
 from repro.query.query import Aggregation, Query
@@ -699,30 +699,3 @@ class TestBlockingIsServingPlusDrain:
             f"CorruptionError: injected {rig.block_fault} fault"
         )
         assert restored.snapshot_rows() == snapshot
-
-    def test_preserve_shm_rearms_only_a_verified_restore(
-        self, entry, shm_namespace, backup, clock
-    ):
-        """The forked-worker variant: segments and valid bit survive a
-        restore that verified every block; a fault leaves the valid bit
-        down (here: the state gone), so the adopter walks the ladder."""
-        snapshot = seed_shm(shm_namespace, backup, clock)
-        engine = engine_for(shm_namespace, backup, clock)
-        restored = fresh_map(clock)
-        report = run_entry(entry, engine, restored, preserve_shm=True)
-        assert report.method is RecoveryMethod.SHARED_MEMORY
-        assert restored.snapshot_rows() == snapshot
-        assert engine.shm_state_valid()
-
-        def explode(name):
-            if name == "restore:before_finish":
-                raise CorruptionError("injected restore:before_finish fault")
-
-        engine = engine_for(shm_namespace, backup, clock, fault_hook=explode)
-        restored = fresh_map(clock)
-        report = run_entry(entry, engine, restored, preserve_shm=True)
-        assert report.method is RecoveryMethod.DISK_SNAPSHOT
-        assert report.memory_attempt_tables == 1
-        assert restored.snapshot_rows() == snapshot
-        assert not engine.shm_state_valid()
-        assert not engine.shm_state_exists()

@@ -22,10 +22,11 @@ import time
 import pytest
 
 from repro.core.engine import RecoveryMethod
-from repro.core.parallel import FootprintBudget, ParallelRestartCoordinator
 from repro.errors import CorruptionError
 from repro.server.machine import Machine
+from repro.server.parallel import ParallelRestartCoordinator
 from repro.shm.layout import table_segment_size
+from repro.util.budget import FootprintBudget
 
 LEAVES = 8
 
@@ -163,6 +164,33 @@ class TestFootprintBudget:
         little.join()
         assert budget.in_flight == 0
         assert budget.peak_in_flight == 50
+
+    def test_abandoned_ticket_does_not_block_the_line(self):
+        """A waiter that dies inside its wait gives its ticket up: the
+        next acquire in line is admitted as soon as it fits."""
+        budget = FootprintBudget(10)
+        budget.acquire(10)
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        real_wait, budget._cond.wait = budget._cond.wait, interrupted
+        with pytest.raises(KeyboardInterrupt):
+            budget.acquire(5)
+        budget._cond.wait = real_wait
+        admitted = threading.Event()
+
+        def later():
+            budget.acquire(5)
+            admitted.set()
+
+        thread = threading.Thread(target=later)
+        thread.start()
+        assert not admitted.wait(0.05)  # still full
+        budget.release(10)
+        assert admitted.wait(2.0), "the abandoned ticket wedged the queue"
+        thread.join()
+        assert budget.in_flight == 5
 
     def test_reserve_context_manager_releases_on_error(self):
         budget = FootprintBudget(10)
@@ -307,3 +335,41 @@ class TestFailureIsolation:
             assert leaf.is_alive
             assert leaf.leafmap.snapshot_rows() == snapshot
             assert not leaf.engine.shm_state_exists()
+
+
+class TestBudgetHandback:
+    @pytest.mark.parametrize("serving", [False, True])
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_engines_get_their_budgets_back(
+        self, shm_namespace, tmp_path, clock, serving, failing
+    ):
+        """The machine-wide budget is on loan for a phase: afterwards
+        every engine holds whatever it held before — its own budget or
+        none — and nothing is left in flight, whether the restore
+        blocked or served and whether or not a leaf failed outright."""
+        machine = make_machine(shm_namespace, tmp_path, clock, leaves=4)
+        own = FootprintBudget(1 << 30)
+        machine.leaves[0].engine.budget = own
+        before = [leaf.engine.budget for leaf in machine.leaves]
+        victim = machine.leaves[2]
+
+        def explode(point: str) -> None:
+            if point == "restore:start":  # before the ladder: nothing catches it
+                raise RuntimeError("injected start failure")
+
+        if failing:
+            victim.engine._fault = explode
+        budget = FootprintBudget(max_segment_bytes(machine))
+        coordinator = ParallelRestartCoordinator(machine.leaves, budget=budget)
+        report = coordinator.restart_all(serve_while_restoring=serving)
+        coordinator.wait_restored_all(timeout=30)
+        assert [o.leaf_id for o in report.failures] == (
+            [victim.leaf_id] if failing else []
+        )
+        assert budget.peak_in_flight > 0  # the loan was really used
+        for leaf, held in zip(machine.leaves, before):
+            assert leaf.engine.budget is held
+        assert budget.in_flight == 0
+        assert own.in_flight == 0
+        if failing:  # never restored: its valid shm image is still there
+            assert victim.engine.discard_shm()

@@ -14,7 +14,7 @@ import pytest
 
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
-from repro.core.parallel import FootprintBudget
+from repro.util.budget import FootprintBudget
 from repro.disk.backup import DiskBackup
 from repro.disk.format import read_chunk_payloads
 from repro.disk import replay

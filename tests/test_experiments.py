@@ -33,11 +33,11 @@ TINY = {
         ["bench-query", "--rows", "2000", "--repeats", "1"],
     ),
     e15: (
-        {"rows": 2000, "leaves": 2, "workers": 2, "backends": THREAD},
+        {"rows": 2000, "leaves": 2, "workers": 2},
         ["bench-restart", "--rows", "2000", "--leaves", "2", "--workers", "2"],
     ),
     e16: (
-        {"rows": 2000, "leaves": 2, "backends": THREAD},
+        {"rows": 2000, "leaves": 2},
         ["bench-restart", "--rows", "2000", "--leaves", "2", "--serve-while-restoring"],
     ),
     e17: (
@@ -86,8 +86,8 @@ class TestRunShape:
         for entry in payload["gates"]:
             assert set(entry) == {f.name for f in fields(experiments.Gate)}
             assert isinstance(entry["ok"], bool) and isinstance(entry["enforced"], bool)
-        # Thread-only runs produce the benchmark's gates minus the
-        # process-backend ones, in the same order.
+        # A thread-only E18 run produces the benchmark's gates minus
+        # the process-replay ones, in the same order.
         names = [entry["name"] for entry in payload["gates"]]
         assert names == [name for name in module.GATES if name in names]
         assert set(module.GATES) - set(names) <= {
@@ -111,12 +111,6 @@ class TestRunShape:
         monkeypatch.delenv("BENCH_E1_JSON", raising=False)
         assert experiments.write_payload({"experiment": "E1"}) is None
 
-    @pytest.mark.slow
-    def test_process_backend_adds_the_process_gates(self):
-        payload = e15.run(rows=2000, leaves=2, workers=2)
-        assert [entry["name"] for entry in payload["gates"]] == list(e15.GATES)
-        assert payload["process_over_thread_speedup"] > 0
-
 
 class TestGates:
     def test_multicore_floors_follow_the_core_count(self, monkeypatch):
@@ -130,7 +124,7 @@ class TestGates:
         self, monkeypatch
     ):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        payload = e15.run(rows=2000, leaves=2, workers=2, backends=THREAD)
+        payload = e15.run(rows=2000, leaves=2, workers=2)
         sweep_gate = next(
             entry for entry in payload["gates"] if "workers=4 vs workers=1" in entry["name"]
         )
@@ -145,10 +139,10 @@ class TestGates:
             "dashboard_query",
             lambda data: Query("service_requests", start_time=1, end_time=2),
         )
-        payload = e16.run(rows=2000, leaves=2, backends=THREAD)
+        payload = e16.run(rows=2000, leaves=2)
         first = payload["gates"][0]
-        assert payload["backends"][0]["fraction_restored_at_first_query"] < 0.25
-        assert payload["backends"][0]["rows_matched_at_first_query"] == 0
+        assert payload["first_answer"]["fraction_restored_at_first_query"] < 0.25
+        assert payload["first_answer"]["rows_matched_at_first_query"] == 0
         assert first["ok"] is False and first["enforced"] is True
 
     def test_dashboard_query_reads_newest_from_the_rows(self):
@@ -191,6 +185,8 @@ class TestBenchRestartArguments:
             ["--incremental", "--replica-tier"],
             ["--disk-tier", "--serve-while-restoring"],
             ["--workers", "2", "--disk-tier"],
+            ["--workers", "2", "--backend", "process"],
+            ["--serve-while-restoring", "--backend", "both"],
         ],
     )
     def test_two_modes_are_rejected(self, flags, capsys):

@@ -74,6 +74,27 @@ class TestLeafProcess:
         assert report["rows"] == 300
         reborn.shutdown(use_shm=False)
 
+    def test_unanswered_request_times_out_and_kills_the_worker(
+        self, shm_namespace, tmp_path
+    ):
+        """A worker that stops answering must not wedge its controller:
+        the request fails after ``request_timeout``, the worker is gone,
+        and the same handle respawns it from disk."""
+        leaf = make_leaf(shm_namespace, tmp_path)
+        leaf.spawn()
+        leaf.add_rows("events", [{"time": i} for i in range(300)])
+        leaf.sync()
+        synced = leaf.digest()
+        leaf.request_timeout = 0.5
+        with pytest.raises(LeafProcessError, match=r"'hang' within 0\.5 s"):
+            leaf.request({"op": "hang"})
+        assert leaf.running is False
+        leaf.request_timeout = 60.0
+        report = leaf.spawn()
+        assert report["method"] == "disk"  # a kill never sets the valid bit
+        assert leaf.digest() == synced
+        leaf.shutdown(use_shm=False)
+
     def test_crash_op_loses_unsynced_rows(self, shm_namespace, tmp_path):
         leaf = make_leaf(shm_namespace, tmp_path)
         leaf.spawn()

@@ -4,8 +4,8 @@ Covers the ``RECOVERING_MEMORY_SERVING`` status and its data plane, the
 status-ladder regression (a leaf must advertise ``RECOVERING_MEMORY``
 right up to the disk-fallback boundary and ``RECOVERING_DISK`` after
 it), queries in every restore phase — digest-identical to a blocking
-restore, on the thread and the process backend — and expiry racing the
-fault-in path against the decoded-column cache.
+restore, one leaf or a whole machine — and expiry racing the fault-in
+path against the decoded-column cache.
 """
 
 from __future__ import annotations
@@ -276,12 +276,11 @@ class TestPhaseSweep:
         assert reborn.status is LeafStatus.ALIVE
         assert rows_digest(reborn.leafmap.snapshot_rows()) == blocking_digest
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_machine_restart_serving_digest_identical(
-        self, shm_namespace, tmp_path, clock, backend
+        self, shm_namespace, tmp_path, clock
     ):
-        """Both restart backends: every leaf's lazily-restored contents
-        equal its blocking restore's, with queries served mid-window."""
+        """Every leaf's lazily-restored contents equal its blocking
+        restore's, with queries served mid-window."""
         machine = Machine(
             "m0",
             tmp_path,
@@ -296,7 +295,7 @@ class TestPhaseSweep:
                 "events",
                 [dict(row, v=row["v"] + offset) for row in ROWS],
             )
-        report = machine.restart_all(workers=2, backend=backend)
+        report = machine.restart_all(workers=2)
         assert report.failures == []
         digests = [
             rows_digest(leaf.leafmap.snapshot_rows())
@@ -306,9 +305,7 @@ class TestPhaseSweep:
             partial_dict(leaf.query(FULL_QUERY)) for leaf in machine.leaves
         ]
 
-        report = machine.restart_all(
-            workers=2, backend=backend, serve_while_restoring=True
-        )
+        report = machine.restart_all(workers=2, serve_while_restoring=True)
         assert report.failures == []
         assert report.serve_while_restoring
         for leaf, baseline in zip(machine.leaves, baselines):

@@ -13,6 +13,7 @@ still needs, nor leave the pair unbalanced (which shows up as
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.procpool import require_fork_context
 from repro.shm.segment import ShmSegment, segment_exists
 
 pytestmark = pytest.mark.slow  # every test runs real child processes
@@ -38,7 +38,7 @@ class TestForkedChildren:
         """The core restart guarantee, one fork deep: the dying process
         writes the segment, its tracker must not reap it at exit."""
         name = f"{shm_namespace}.forked"
-        ctx = require_fork_context()
+        ctx = multiprocessing.get_context("fork")
 
         def child():
             segment = ShmSegment.create(name, 64)
@@ -60,7 +60,7 @@ class TestForkedChildren:
         name = f"{shm_namespace}.parent-owned"
         segment = ShmSegment.create(name, 64)
         segment.write_at(0, b"parent data")
-        ctx = require_fork_context()
+        ctx = multiprocessing.get_context("fork")
 
         def child():
             view = ShmSegment.attach(name)
@@ -81,7 +81,7 @@ class TestForkedChildren:
         the parent's own unlink of the same name must not blow up."""
         name = f"{shm_namespace}.child-unlinked"
         segment = ShmSegment.create(name, 64)
-        ctx = require_fork_context()
+        ctx = multiprocessing.get_context("fork")
 
         def child():
             view = ShmSegment.attach(name)
