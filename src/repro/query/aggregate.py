@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import QueryError
 from repro.query.query import Query, QueryResult, ResultRow
@@ -20,7 +21,15 @@ from repro.types import ColumnValue
 
 @dataclass
 class AggState:
-    """Mergeable partial state for one aggregation in one group."""
+    """Mergeable partial state for one aggregation in one group.
+
+    A NaN *group key* is one group everywhere (:func:`canonical`).
+    Aggregating *over* NaN values is left as it always was: a sum it
+    touches is NaN, and min/max see it as numpy does within a run of
+    blocks (NaN wins) and as Python's ``min``/``max`` do across runs,
+    leaves and the row path (the first operand wins every comparison
+    with NaN) — so those two depend on where the NaN rows sit.
+    """
 
     func: str
     count: int = 0
@@ -55,21 +64,18 @@ class AggState:
             raise QueryError(
                 f"cannot merge aggregate states '{self.func}' and '{other.func}'"
             )
-        self.count += other.count
         self.total += other.total
-        if other.minimum is not None:
-            self.minimum = (
-                other.minimum
-                if self.minimum is None
-                else min(self.minimum, other.minimum)
-            )
-        if other.maximum is not None:
-            self.maximum = (
-                other.maximum
-                if self.maximum is None
-                else max(self.maximum, other.maximum)
-            )
-        self.samples.extend(other.samples)
+        self.absorb(other.count, other.minimum, other.maximum, other.samples)
+
+    def absorb(self, count: int, minimum: float | None, maximum: float | None, samples=()) -> None:
+        """Fold in ``count`` already-reduced values — everything but the
+        total, which the caller adds in the order its rounding needs."""
+        self.count += count
+        if minimum is not None:
+            self.minimum = minimum if self.minimum is None else min(self.minimum, minimum)
+        if maximum is not None:
+            self.maximum = maximum if self.maximum is None else max(self.maximum, maximum)
+        self.samples.extend(samples)
 
     def to_dict(self) -> dict:
         """JSON-safe form (for shipping partials between processes)."""
@@ -123,6 +129,16 @@ def new_states(query: Query) -> list[AggState]:
     return [AggState(agg.func) for agg in query.aggregations]
 
 
+def canonical(element):
+    """A group-key element, with NaN mapped to the ``math.nan`` singleton.
+
+    ``GROUP BY`` puts every NaN in one group, but two NaN objects are
+    neither equal nor hash alike; one shared object is both (dicts try
+    identity first), on every executor, across leaves and over the wire.
+    """
+    return math.nan if element != element else element
+
+
 def partial_to_wire(partial: LeafPartial) -> list[dict]:
     """Serialize a leaf partial for the process RPC protocol.
 
@@ -146,7 +162,25 @@ def partial_from_wire(wire: list[dict]) -> LeafPartial:
 
 
 def _group_key(items: list) -> tuple:
-    return tuple(tuple(item) if isinstance(item, list) else item for item in items)
+    return tuple(tuple(item) if isinstance(item, list) else canonical(item) for item in items)
+
+
+def merge_partials(partials: Iterable[LeafPartial]) -> LeafPartial:
+    """Fold partials, in order, into a fresh one (the inputs stay as they
+    were): what an aggregator does with its leaves' answers."""
+    merged: LeafPartial = {}
+    for partial in partials:
+        for group, states in partial.items():
+            mine = merged.get(group)
+            if mine is None:
+                merged[group] = [
+                    AggState(s.func, s.count, s.total, s.minimum, s.maximum, list(s.samples))
+                    for s in states
+                ]
+            else:
+                for target, incoming in zip(mine, states):
+                    target.merge(incoming)
+    return merged
 
 
 def merge_leaf_results(
@@ -161,25 +195,6 @@ def merge_leaf_results(
     ``len(partials)`` is the number of leaves that responded; the result
     records it against ``leaves_total`` so callers can see partiality.
     """
-    merged: LeafPartial = {}
-    for partial in partials:
-        for group, states in partial.items():
-            mine = merged.get(group)
-            if mine is None:
-                merged[group] = [
-                    AggState(
-                        state.func,
-                        state.count,
-                        state.total,
-                        state.minimum,
-                        state.maximum,
-                        list(state.samples),
-                    )
-                    for state in states
-                ]
-            else:
-                for target, incoming in zip(mine, states):
-                    target.merge(incoming)
     rows = [
         ResultRow(
             group=group,
@@ -188,7 +203,7 @@ def merge_leaf_results(
                 for agg, state in zip(query.aggregations, states)
             },
         )
-        for group, states in merged.items()
+        for group, states in merge_partials(partials).items()
     ]
     if query.order_by is not None:
         # Top-k ordering by an aggregate value; ties and None-valued

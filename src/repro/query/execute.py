@@ -6,14 +6,18 @@ and produces mergeable partial aggregate states.
 
 Two executors share that contract:
 
-- :func:`execute_on_leaf` (the default) is **vectorized**: for each
-  surviving block it decodes only the columns the query references
-  (time ∪ filters ∪ group_by ∪ aggregation columns) into
-  :class:`DecodedColumn` arrays — through the leaf's decoded-column
-  cache when one is attached — and runs the numpy kernels of
-  ``repro.query.kernels``.  No row dicts are ever materialized for
-  sealed blocks; only the (at most one block's worth of) unsealed
-  write-buffer rows take the row path.
+- :func:`execute_on_leaf` (the default) is **vectorized**, a *run* at a
+  time: the surviving blocks are gathered into maximal runs of
+  consecutive blocks whose referenced columns (time ∪ filters ∪
+  group_by ∪ aggregation columns) have the same presence and type, each
+  (block, column) is decoded to :class:`DecodedColumn` arrays — through
+  the leaf's decoded-column cache when one is attached, block by block —
+  and the grouping and reducing kernels of ``repro.query.kernels`` run
+  once per run (predicate masks stay per block).  No row dicts are
+  ever materialized for sealed blocks; only the (at most one block's
+  worth of) unsealed write-buffer rows take the row path.  How blocks
+  fall into runs never shows in an answer: each block's sums still
+  accumulate from zero in row order and fold in block order.
 - :func:`execute_on_leaf_rows` is the original row-at-a-time loop, kept
   as the differential-testing oracle: for any query the two must
   produce equal partials, scan counts, and errors.
@@ -21,6 +25,7 @@ Two executors share that contract:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,9 +37,15 @@ from repro.columnstore.rowblock import RowBlock
 from repro.compression.decoded import DecodedColumn, DecodedKind
 from repro.errors import QueryError
 from repro.query import kernels
-from repro.query.aggregate import LeafPartial, new_states
+from repro.query.aggregate import AggState, LeafPartial, canonical, new_states
 from repro.query.query import Query
 from repro.types import TIME_COLUMN, ColumnValue
+
+
+#: No run exceeds the paper's row-block limit (§2.1), so the arrays a
+#: run concatenates are what one maximal block would need — a bounded
+#: transient that no MemoryTracker region is charged for.
+MAX_RUN_ROWS = 65_536
 
 
 @dataclass
@@ -71,14 +82,16 @@ def execute_on_leaf(
     table = leafmap.get_table(query.table)
     if cache is None:
         cache = table.cache
-    needed = _needed_columns(query)
-    for block in table.blocks:
-        if not block.overlaps(query.start_time, query.end_time):
-            execution.blocks_pruned += 1
-            continue
-        _execute_block(execution, query, block, needed, cache)
+    unpruned = [
+        block
+        for block in table.blocks
+        if block.overlaps(query.start_time, query.end_time)
+    ]
+    execution.blocks_pruned = len(table.blocks) - len(unpruned)
+    for run in _runs(unpruned, _needed_columns(query)):
+        _execute_run(execution, query, run, cache)
     # Fold the write buffer as its own partial and merge it, exactly as
-    # a sealed block's partial merges.  This keeps aggregate floats
+    # a sealed block's sums fold in.  This keeps aggregate floats
     # bit-stable across sealing: the buffer's rows accumulate from zero
     # in row order either way (``np.bincount`` adds in input order), so
     # a restart that seals the buffer does not move any rounding.
@@ -87,7 +100,9 @@ def execute_on_leaf(
         _fold_row(buffered, query, row)
     execution.rows_scanned += buffered.rows_scanned
     execution.rows_matched += buffered.rows_matched
-    _merge_partial(execution.partial, buffered.partial)
+    for key, states in buffered.partial.items():
+        for mine, theirs in zip(_states_for(execution, query, key), states):
+            mine.merge(theirs)
     return execution
 
 
@@ -146,166 +161,160 @@ def _fault_in_for_query(
 
 
 # ----------------------------------------------------------------------
-# Vectorized block execution
+# Vectorized execution, a run of blocks at a time
 # ----------------------------------------------------------------------
 
 
 def _needed_columns(query: Query) -> list[str]:
     """The columns the query actually references — the projection set."""
-    needed = {TIME_COLUMN}
-    needed.update(f.column for f in query.filters)
-    needed.update(query.group_by)
-    needed.update(
-        agg.column for agg in query.aggregations if agg.func != "count"
-    )
-    return sorted(needed)
+    aggregated = (agg.column for agg in query.aggregations if agg.func != "count")
+    filtered = (filt.column for filt in query.filters)
+    return sorted({TIME_COLUMN, *filtered, *query.group_by, *aggregated})
 
 
-def _execute_block(
+def _runs(blocks: list[RowBlock], needed: list[str]) -> Iterator[list[RowBlock]]:
+    """Maximal runs of consecutive blocks that hold every needed column
+    with the same presence and type, of at most ``MAX_RUN_ROWS`` rows
+    (a block is always a run by itself, whatever its size)."""
+    run: list[RowBlock] = []
+    run_types, run_rows = None, 0
+    for block in blocks:
+        schema = block.schema
+        types = [schema.type_of(name) if name in schema else None for name in needed]
+        if run and (types != run_types or run_rows + block.row_count > MAX_RUN_ROWS):
+            yield run
+            run, run_rows = [], 0
+        run.append(block)
+        run_types, run_rows = types, run_rows + block.row_count
+    if run:
+        yield run
+
+
+def _execute_run(
     execution: LeafExecution,
     query: Query,
-    block: RowBlock,
-    needed: list[str],
+    blocks: list[RowBlock],
     cache: DecodedColumnCache | None,
 ) -> None:
-    decoded: dict[str, DecodedColumn | None] = {}
+    @functools.cache
+    def col(i: int, name: str) -> DecodedColumn | None:
+        # Lazy decode, one cache lookup per (block, column): a block
+        # whose time mask comes up empty never pays for its filter
+        # columns, one no row of which survives never for the rest.
+        if name not in blocks[i].schema:
+            return None
+        if cache is not None:
+            return cache.get_or_decode(blocks[i], name)
+        return blocks[i].decoded_column(name)
 
-    def col(name: str) -> DecodedColumn | None:
-        # Lazy per-column decode: a block whose time mask comes up empty
-        # never pays for its filter or aggregation columns.
-        if name not in decoded:
-            if name not in block.schema:
-                decoded[name] = None
-            elif cache is not None:
-                decoded[name] = cache.get_or_decode(block, name)
-            else:
-                decoded[name] = block.decoded_column(name)
-        return decoded[name]
+    grouped_on = [agg.column for agg in query.aggregations if agg.func != "count"]
+    live: list[int] = []  # the blocks some row of which survives ...
+    sels: list[np.ndarray] = []  # ... and which rows of each
+    for i, block in enumerate(blocks):
+        # Predicates stay per-block masks (string verdicts are per
+        # dictionary).  The row path short-circuits: once no row
+        # survives, the next filter is never evaluated (and so cannot
+        # raise).  Mirror that at block granularity — filter errors here
+        # are type-level, so "evaluated for any surviving row" and
+        # "evaluated at all" raise identically, and alike for every
+        # block of a run.
+        mask = kernels.time_mask(col(i, TIME_COLUMN).values, query.start_time, query.end_time)
+        execution.rows_scanned += int(np.count_nonzero(mask))
+        for filt in query.filters:
+            if not mask.any():
+                break
+            mask &= kernels.filter_mask(filt, col(i, filt.column), block.row_count)
+        rows = np.flatnonzero(mask)
+        if rows.size:
+            live.append(i)
+            sels.append(rows)
+            # Ask for the block's other columns now, while its time and
+            # filter columns are the cache's most recent: the cache sees
+            # a query block by block, as it always has.
+            for name in (*query.group_by, *grouped_on):
+                col(i, name)
+    if not live:
+        return
+    matched = sum(rows.size for rows in sels)
+    execution.rows_matched += matched
 
-    times = col(TIME_COLUMN).values
-    mask = kernels.time_mask(times, query.start_time, query.end_time)
-    scanned = int(np.count_nonzero(mask))
-    execution.rows_scanned += scanned
-    if not scanned:
-        return
-    for filt in query.filters:
-        # The row path short-circuits: once no row survives, the next
-        # filter is never evaluated (and so cannot raise).  Mirror that
-        # at block granularity — filter errors here are type-level, so
-        # "evaluated for any surviving row" and "evaluated at all"
-        # raise identically.
-        mask &= kernels.filter_mask(filt, col(filt.column), block.row_count)
-        if not mask.any():
-            return
-    execution.rows_matched += int(np.count_nonzero(mask))
-    sel = np.flatnonzero(mask)
-    if any(
-        (c := col(name)) is not None and c.kind is DecodedKind.VECTOR
-        for name in query.group_by
-    ):
-        # Grouping by a STRING_VECTOR column makes an unhashable key;
-        # take the row path for this block so it raises the identical
-        # TypeError the row executor would.
-        rows = block.to_rows()
-        for i in sel:
-            _fold_matched_row(execution, query, rows[int(i)])
-        return
+    def gather(name: str) -> np.ndarray:
+        """A numeric column's selected values, run-wide."""
+        return np.concatenate([col(i, name).values[rows] for i, rows in zip(live, sels)])
+
     factors = []
     if query.bucket_seconds is not None:
-        bucketed = times[sel] - times[sel] % query.bucket_seconds
-        factors.append(kernels.factorize_values(bucketed))
+        selected = gather(TIME_COLUMN)
+        factors.append(kernels.factorize_values(selected - selected % query.bucket_seconds))
     for name in query.group_by:
-        factors.append(kernels.factorize_column(col(name), sel))
-    gids, keys = kernels.combine_groups(factors, sel.size)
-    n_groups = len(keys)
-    block_states = [new_states(query) for _ in keys]
-    for agg_index, agg in enumerate(query.aggregations):
+        factors.append(kernels.factorize_column([col(i, name) for i in live], sels))
+    gids, keys = kernels.combine_groups(factors, matched)
+    run_states = [_states_for(execution, query, key) for key in keys]
+    group_sizes = np.bincount(gids, minlength=len(keys))
+    counts = group_sizes.tolist()
+    valued: list[int] = []  # the aggregations that reduce a numeric column's values
+    for index, agg in enumerate(query.aggregations):
         if agg.func == "count":
-            counts = np.bincount(gids, minlength=n_groups)
-            for g in range(n_groups):
-                block_states[g][agg_index].count = int(counts[g])
+            for states, count in zip(run_states, counts):
+                states[index].count += count
             continue
-        agg_col = col(agg.column)
-        if agg_col is None:
+        first = col(live[0], agg.column)
+        if first is None:
             # Missing column: the row path updates with None, a no-op —
             # the group still exists, its state stays at count 0.
             continue
-        if agg_col.kind is not DecodedKind.NUMERIC:
-            typename = "str" if agg_col.kind is DecodedKind.DICT else "list"
+        if first.kind is not DecodedKind.NUMERIC:
+            typename = "str" if first.kind is DecodedKind.DICT else "list"
             raise QueryError(
-                f"aggregation '{agg.func}' requires numeric values, got "
-                f"{typename}"
+                f"aggregation '{agg.func}' requires numeric values, got {typename}"
             )
-        values = agg_col.values[sel].astype(np.float64)
-        counts, sums, mins, maxs, starts, sorted_values = kernels.grouped_reduce(
-            gids, n_groups, values
+        valued.append(index)
+    if not valued:
+        return  # a query that only counts needs no sort
+    block_of = np.repeat(np.arange(len(live)), [rows.size for rows in sels])
+    columns = [
+        (
+            gather(query.aggregations[index].column).astype(np.float64),
+            np.array([states[index].total for states in run_states]),
         )
-        keep_samples = agg.func.startswith("p")
-        for g in range(n_groups):
-            state = block_states[g][agg_index]
-            state.count = int(counts[g])
-            state.total = float(sums[g])
-            state.minimum = float(mins[g])
-            state.maximum = float(maxs[g])
-            if keep_samples:
-                stop = starts[g] + counts[g]
-                state.samples = [
-                    float(v) for v in sorted_values[starts[g] : stop]
-                ]
-    _merge_partial(execution.partial, dict(zip(keys, block_states)))
-
-
-def _merge_partial(target: LeafPartial, incoming: LeafPartial) -> None:
-    for key, states in incoming.items():
-        existing = target.get(key)
-        if existing is None:
-            target[key] = states
-        else:
-            for mine, theirs in zip(existing, states):
-                mine.merge(theirs)
+        for index in valued
+    ]
+    starts, reduced = kernels.grouped_reduce(gids, group_sizes, block_of, columns)
+    for index, (sums, mins, maxs, ordered) in zip(valued, reduced):
+        samples = ordered.tolist() if query.aggregations[index].func.startswith("p") else []
+        per_group = zip(counts, starts.tolist(), sums.tolist(), mins.tolist(), maxs.tolist())
+        for states, (count, start, total, low, high) in zip(run_states, per_group):
+            states[index].total = total
+            states[index].absorb(count, low, high, samples[start : start + count])
 
 
 # ----------------------------------------------------------------------
-# Row-path fold (oracle, write buffer, and vector-group-by fallback)
+# Row-path fold (oracle and write buffer)
 # ----------------------------------------------------------------------
 
 
-def _fold_row(
-    execution: LeafExecution, query: Query, row: dict[str, ColumnValue]
-) -> None:
+def _fold_row(execution: LeafExecution, query: Query, row: dict[str, ColumnValue]) -> None:
     execution.rows_scanned += 1
     if any(not f.matches(row) for f in query.filters):
         return
     execution.rows_matched += 1
-    _fold_matched_row(execution, query, row)
-
-
-def _fold_matched_row(
-    execution: LeafExecution, query: Query, row: dict[str, ColumnValue]
-) -> None:
-    group = tuple(row.get(column) for column in query.group_by)
+    group = tuple(canonical(row.get(column)) for column in query.group_by)
     if query.bucket_seconds is not None:
         timestamp = row[TIME_COLUMN]
         group = (timestamp - timestamp % query.bucket_seconds,) + group
-    states = execution.partial.get(group)
+    for agg, state in zip(query.aggregations, _states_for(execution, query, group)):
+        state.update(None if agg.func == "count" else row.get(agg.column))
+
+
+def _states_for(execution: LeafExecution, query: Query, key: tuple) -> list[AggState]:
+    states = execution.partial.get(key)
     if states is None:
-        states = new_states(query)
-        execution.partial[group] = states
-    for agg, state in zip(query.aggregations, states):
-        if agg.func == "count":
-            state.update(None)
-        else:
-            state.update(row.get(agg.column) if agg.column in row else None)
+        states = execution.partial[key] = new_states(query)
+    return states
 
 
-def _in_range(
-    timestamp: ColumnValue, start: int | None, end: int | None
-) -> bool:
-    if start is not None and timestamp < start:
-        return False
-    if end is not None and timestamp >= end:
-        return False
-    return True
+def _in_range(timestamp: ColumnValue, start: int | None, end: int | None) -> bool:
+    return (start is None or timestamp >= start) and (end is None or timestamp < end)
 
 
 __all__ = [

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import StateError
-from repro.query.aggregate import merge_leaf_results
+from repro.query.aggregate import merge_leaf_results, merge_partials
 from repro.query.execute import LeafExecution
 from repro.query.query import Query, QueryResult
 from repro.server.leaf import LeafServer
@@ -107,7 +107,6 @@ class Aggregator:
         result.leaves_responded = responded
         return result
 
-
     def query_partial(self, query: Query):
         """This aggregator's *mergeable* partial (for tree composition).
 
@@ -116,29 +115,9 @@ class Aggregator:
         shape a single leaf produces, so upper tree levels are oblivious
         to fan-in depth.
         """
-        from repro.query.aggregate import AggState, LeafPartial
-
-        merged: LeafPartial = {}
-        responded = 0
-        for leaf in self._leaves:
-            execution = self._execute_with_failover(leaf, query)
-            if execution is None:
-                continue
-            responded += 1
-            for group, states in execution.partial.items():
-                mine = merged.get(group)
-                if mine is None:
-                    merged[group] = [
-                        AggState(
-                            s.func, s.count, s.total, s.minimum, s.maximum,
-                            list(s.samples),
-                        )
-                        for s in states
-                    ]
-                else:
-                    for target, incoming in zip(mine, states):
-                        target.merge(incoming)
-        return merged, responded, len(self._leaves)
+        executions = [self._execute_with_failover(leaf, query) for leaf in self._leaves]
+        partials = [execution.partial for execution in executions if execution is not None]
+        return merge_partials(partials), len(partials), len(self._leaves)
 
 
 class AggregatorTree:

@@ -7,6 +7,10 @@ row-at-a-time loop) produce equal partials, equal scan statistics, and
 equal errors — and the cache never changes an answer, only its cost.
 """
 
+import json
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +20,14 @@ from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod
 from repro.disk.backup import DiskBackup
 from repro.errors import QueryError
-from repro.query.aggregate import merge_leaf_results
+from repro.query import execute as execute_module
+from repro.query import kernels
+from repro.query.aggregate import (
+    merge_leaf_results,
+    merge_partials,
+    partial_from_wire,
+    partial_to_wire,
+)
 from repro.query.execute import (
     execute_on_leaf,
     execute_on_leaf_rows,
@@ -28,6 +39,7 @@ from repro.util.clock import ManualClock
 from repro.util.memtrack import MemoryTracker
 
 ROWS_PER_BLOCK = 25
+BIG = 2**53
 
 
 def make_map(rows=120, rows_per_block=ROWS_PER_BLOCK, cache=None):
@@ -43,6 +55,8 @@ def make_map(rows=120, rows_per_block=ROWS_PER_BLOCK, cache=None):
             "latency": float(i % 90) + 0.25,
             "status": 200 if i % 7 else 503,
             "tags": ["prod"] + (["canary"] if i % 3 == 0 else []),
+            # Neighbours float64 cannot tell apart.
+            "big": BIG + i % 2,
         }
         for i in range(rows)
     )
@@ -183,6 +197,38 @@ class TestDifferentialExplicit:
         with pytest.raises(TypeError):
             execute_on_leaf_rows(make_map(), query)
 
+    def test_int_column_against_float_comparand_compares_exactly(self):
+        # int64 -> float64 merges 2**53 and 2**53 + 1; Python's int/float
+        # comparison (the row path) does not.
+        leafmap = make_map(8, rows_per_block=4)
+        for filt, matched in (
+            (Filter("big", "eq", float(BIG)), 4),
+            (Filter("big", "ne", float(BIG)), 4),
+            (Filter("big", "in", (float(BIG),)), 4),
+            (Filter("big", "in", (0.5, float("nan"), 2.0**70, BIG + 1)), 4),
+            (Filter("big", "gt", float(BIG)), 4),
+            (Filter("big", "le", float(BIG)), 4),
+            (Filter("big", "lt", float(BIG + 2)), 8),
+            (Filter("status", "ge", 502.5), 2),
+            (Filter("status", "lt", 502.5), 6),
+            (Filter("status", "le", 200.5), 6),
+            (Filter("status", "gt", 200.5), 2),
+            (Filter("status", "eq", 200.5), 0),
+            (Filter("status", "ne", 200.5), 8),
+            (Filter("big", "lt", 2.0**63), 8),
+            (Filter("big", "ge", -(2.0**63)), 8),
+            (Filter("big", "gt", 2**70), 0),
+            (Filter("big", "lt", float("inf")), 8),
+            (Filter("big", "ge", float("-inf")), 8),
+            (Filter("big", "ne", float("inf")), 8),
+            (Filter("big", "le", float("nan")), 0),
+            (Filter("big", "ne", float("nan")), 8),
+        ):
+            fast, _ = assert_equivalent(
+                leafmap, Query("service_requests", filters=(filt,))
+            )
+            assert fast.rows_matched == matched, filt
+
     def test_vectorized_false_routes_to_row_path(self):
         query = Query("service_requests", group_by=("endpoint",))
         by_flag = execute_on_leaf(make_map(), query, vectorized=False)
@@ -196,7 +242,23 @@ FILTER_STRATEGY = st.one_of(
         Filter,
         st.just("status"),
         st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"]),
-        st.sampled_from([200, 503, 300]),
+        st.sampled_from([200, 503, 300, 200.0, 502.5, float("inf")]),
+    ),
+    st.builds(
+        Filter,
+        st.just("big"),
+        st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"]),
+        st.sampled_from(
+            [BIG, BIG + 1, float(BIG), float(BIG + 2), 2.0**63, -1e300]
+        ),
+    ),
+    st.builds(
+        Filter,
+        st.just("big"),
+        st.just("in"),
+        st.sets(
+            st.sampled_from([BIG + 1, float(BIG), 0.5, 2.0**70, 2**70]), max_size=3
+        ).map(tuple),
     ),
     st.builds(
         Filter,
@@ -224,41 +286,405 @@ FILTER_STRATEGY = st.one_of(
 )
 
 
+QUERY_STRATEGY = dict(
+    filters=st.lists(FILTER_STRATEGY, max_size=3).map(tuple),
+    group_by=st.sets(
+        st.sampled_from(["endpoint", "status", "ghost"]), max_size=2
+    ).map(tuple),
+    start=st.one_of(st.none(), st.integers(min_value=990, max_value=1130)),
+    width=st.one_of(st.none(), st.integers(min_value=0, max_value=120)),
+    bucket=st.one_of(st.none(), st.sampled_from([7, 30, 60])),
+    agg_column=st.sampled_from(["latency", "status", "ghost"]),
+)
+
+
+def build_query(filters, group_by, start, width, bucket, agg_column):
+    end = None if (start is None or width is None) else start + width
+    return Query(
+        "service_requests",
+        aggregations=(
+            Aggregation("count"),
+            Aggregation("sum", agg_column),
+            Aggregation("min", agg_column),
+            Aggregation("max", agg_column),
+            Aggregation("p50", agg_column),
+        ),
+        group_by=group_by,
+        filters=filters,
+        start_time=start,
+        end_time=end,
+        bucket_seconds=bucket,
+    )
+
+
 class TestDifferentialProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(min_value=1, max_value=130), **QUERY_STRATEGY)
+    def test_row_and_vectorized_paths_agree(self, rows, **parts):
+        """Property: the vectorized executor is indistinguishable from
+        the row-at-a-time oracle on any query it can answer."""
+        assert_equivalent(make_map(rows), build_query(**parts))
+
+
+def one_block_map(block):
+    leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=10**6)
+    leafmap.get_or_create("service_requests").replace_blocks([block])
+    return leafmap
+
+
+def assert_partition_invariant(leafmap, query):
+    """The table's answer is each block's own answer — the block alone in
+    a one-block table, then the write buffer alone — folded with
+    ``AggState.merge`` in block order: bit for bit, whatever the runs."""
+    table = leafmap.get_table("service_requests")
+    parts = [execute_on_leaf(one_block_map(block), query) for block in table.blocks]
+    buffer_only = LeafMap(clock=ManualClock(0.0), rows_per_block=10**6)
+    buffer_only.get_or_create("service_requests").add_rows(table.iter_buffer_rows())
+    parts.append(execute_on_leaf(buffer_only, query))
+    whole = execute_on_leaf(leafmap, query)
+    assert whole.partial == merge_partials(part.partial for part in parts)
+    assert whole.rows_scanned == sum(part.rows_scanned for part in parts)
+    assert whole.rows_matched == sum(part.rows_matched for part in parts)
+    assert whole.blocks_pruned == sum(part.blocks_pruned for part in parts)
+    return whole
+
+
+def count_runs(monkeypatch):
+    """Record the block count of every run the executor forms."""
+    runs = []
+    inner = execute_module._execute_run
+
+    def recording(execution, query, blocks, cache):
+        runs.append(len(blocks))
+        inner(execution, query, blocks, cache)
+
+    monkeypatch.setattr(execute_module, "_execute_run", recording)
+    return runs
+
+
+class TestRunAtATime:
     @settings(max_examples=40, deadline=None)
     @given(
         rows=st.integers(min_value=1, max_value=130),
-        filters=st.lists(FILTER_STRATEGY, max_size=3).map(tuple),
-        group_by=st.sets(
-            st.sampled_from(["endpoint", "status", "ghost"]), max_size=2
-        ).map(tuple),
-        start=st.one_of(st.none(), st.integers(min_value=990, max_value=1130)),
-        width=st.one_of(st.none(), st.integers(min_value=0, max_value=120)),
-        bucket=st.one_of(st.none(), st.sampled_from([7, 30, 60])),
-        agg_column=st.sampled_from(["latency", "status", "ghost"]),
+        rows_per_block=st.sampled_from([1, 7, 64, 1000]),
+        **QUERY_STRATEGY,
     )
-    def test_row_and_vectorized_paths_agree(
-        self, rows, filters, group_by, start, width, bucket, agg_column
-    ):
-        """Property: the vectorized executor is indistinguishable from
-        the row-at-a-time oracle on any query it can answer."""
-        end = None if (start is None or width is None) else start + width
+    def test_partition_invariance(self, rows, rows_per_block, **parts):
+        assert_partition_invariant(
+            make_map(rows, rows_per_block=rows_per_block), build_query(**parts)
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(min_value=1, max_value=130), **QUERY_STRATEGY)
+    def test_run_cap_boundary_keeps_partition_invariance(self, rows, **parts):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(execute_module, "MAX_RUN_ROWS", 14)
+            runs = count_runs(patch)
+            whole = assert_partition_invariant(
+                make_map(rows, rows_per_block=7), build_query(**parts)
+            )
+        # (the one-block reference executions are runs of one, too)
+        unpruned = rows // 7 - whole.blocks_pruned
+        assert runs.count(2) == unpruned // 2
+        assert max(runs, default=0) <= 2
+
+    def test_float_sums_fold_block_by_block_not_run_wide(self):
+        # Values whose sum depends on the association order: one run-wide
+        # accumulation would round differently from block sums folded in
+        # block order, and move answers when a restart seals the buffer.
+        leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=5)
+        leafmap.get_or_create("service_requests").add_rows(
+            {"time": 1000 + i, "latency": 0.1 * (i % 7) + 1e-9 * i, "endpoint": "ab"[i % 2]}
+            for i in range(43)
+        )
         query = Query(
             "service_requests",
-            aggregations=(
-                Aggregation("count"),
-                Aggregation("sum", agg_column),
-                Aggregation("min", agg_column),
-                Aggregation("max", agg_column),
-                Aggregation("p50", agg_column),
-            ),
-            group_by=group_by,
-            filters=filters,
-            start_time=start,
-            end_time=end,
-            bucket_seconds=bucket,
+            aggregations=(Aggregation("sum", "latency"), Aggregation("p90", "latency")),
+            group_by=("endpoint",),
         )
-        assert_equivalent(make_map(rows), query)
+        before = assert_partition_invariant(leafmap, query)
+        leafmap.seal_all()
+        assert execute_on_leaf(leafmap, query).partial == before.partial
+
+    def make_dictionary_map(self):
+        """Three blocks of one run whose dictionaries differ and overlap:
+        {a, b}, then {b, c}, then nothing but empty values."""
+        leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=4)
+        table = leafmap.get_or_create("service_requests")
+        for block, names in enumerate(["abab", "bccb", None]):
+            table.add_rows(
+                {
+                    "time": 1000 + 4 * block + i,
+                    "endpoint": names[i] if names else "",
+                    "tags": [names[i], names[(i + 1) % 4]] if names else [],
+                    "latency": float(4 * block + i),
+                }
+                for i in range(4)
+            )
+        assert table.blocks[2].decoded_column("tags").entries == ()
+        return leafmap
+
+    def test_blocks_with_different_dictionaries_group_in_one_id_space(self, monkeypatch):
+        runs = count_runs(monkeypatch)
+        query = Query(
+            "service_requests",
+            aggregations=(Aggregation("count"), Aggregation("sum", "latency")),
+            group_by=("endpoint",),
+        )
+        fast, _ = assert_equivalent(self.make_dictionary_map(), query)
+        assert runs == [3]
+        assert {key: states[0].count for key, states in fast.partial.items()} == {
+            ("a",): 2,
+            ("b",): 4,
+            ("c",): 2,
+            ("",): 4,
+        }
+        assert fast.partial[("b",)][1].total == 1.0 + 3.0 + 4.0 + 7.0
+
+    def test_blocks_with_different_dictionaries_filter_per_block(self):
+        leafmap = self.make_dictionary_map()
+        for filt, matched in (
+            (Filter("endpoint", "eq", "b"), 4),
+            (Filter("endpoint", "in", ("a", "c")), 4),
+            (Filter("endpoint", "ge", "b"), 6),
+            (Filter("tags", "contains", "b"), 7),
+            (Filter("tags", "contains", "c"), 3),
+            (Filter("tags", "contains", "z"), 0),
+            (Filter("tags", "eq", []), 4),
+        ):
+            query = Query("service_requests", filters=(filt,), group_by=("endpoint",))
+            fast, _ = assert_equivalent(leafmap, query)
+            assert fast.rows_matched == matched, filt
+
+    def make_evolving_map(self):
+        """Five blocks of 4 rows: ``extra`` is absent in the middle block;
+        ``shape`` is an INT64 column in blocks 0-2, a STRING column in 3-4."""
+        leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=4)
+        table = leafmap.get_or_create("service_requests")
+        for block in range(5):
+            for i in range(4):
+                row = {
+                    "time": 1000 + 4 * block + i,
+                    "latency": 1.5 * i + block,
+                    "shape": (block * 4 + i) % 3 if block < 3 else "xyz"[i % 3],
+                }
+                if block != 2:
+                    row["extra"] = i % 2
+                table.add_row(row)
+        return leafmap
+
+    def test_schema_evolution_splits_runs(self, monkeypatch):
+        runs = count_runs(monkeypatch)
+        leafmap = self.make_evolving_map()
+        absent_in_the_middle = Query(
+            "service_requests",
+            aggregations=(Aggregation("count"), Aggregation("sum", "extra")),
+            group_by=("extra",),
+        )
+        fast, _ = assert_equivalent(leafmap, absent_in_the_middle)
+        assert runs == [2, 1, 2]
+        assert fast.partial[(None,)][0].count == 4
+        assert_partition_invariant(leafmap, absent_in_the_middle)
+        del runs[:]
+        retyped = Query(
+            "service_requests",
+            aggregations=(Aggregation("avg", "latency"),),
+            group_by=("shape",),
+            filters=(Filter("shape", "ne", 1),),
+        )
+        fast, _ = assert_equivalent(leafmap, retyped)
+        assert runs == [3, 2]
+        assert set(fast.partial) == {(0,), (2,), ("x",), ("y",), ("z",)}
+        del runs[:]
+        # A query that names neither column sees one schema: one run.
+        assert_equivalent(leafmap, Query("service_requests"))
+        assert runs == [5]
+
+    @pytest.mark.parametrize(
+        "query, error",
+        [
+            # shape: fine while INT64, then str < int.
+            (Query("service_requests", filters=(Filter("shape", "lt", 2),)), TypeError),
+            # ... but summing it fails first (block 0) when both are asked.
+            (
+                Query(
+                    "service_requests",
+                    aggregations=(Aggregation("sum", "shape"),),
+                    filters=(Filter("shape", "in", (0, 1, "x")),),
+                ),
+                QueryError,
+            ),
+            # No INT64 row passes the filter, so the first thing to fail is
+            # the sum over the STRING blocks.
+            (
+                Query(
+                    "service_requests",
+                    aggregations=(Aggregation("sum", "shape"),),
+                    filters=(Filter("shape", "eq", "y"),),
+                ),
+                QueryError,
+            ),
+            # The filter raises on block 3 before block 3's sum can.
+            (
+                Query(
+                    "service_requests",
+                    aggregations=(Aggregation("sum", "shape"),),
+                    filters=(Filter("time", "ge", 1012), Filter("shape", "gt", 0)),
+                ),
+                TypeError,
+            ),
+        ],
+    )
+    def test_schema_evolution_raises_what_the_row_path_raises_first(self, query, error):
+        leafmap = self.make_evolving_map()
+        with pytest.raises(error) as fast_err:
+            execute_on_leaf(leafmap, query)
+        with pytest.raises(error) as slow_err:
+            execute_on_leaf_rows(leafmap, query)
+        assert str(fast_err.value) == str(slow_err.value)
+
+    def test_cache_lookups_do_not_grow(self):
+        cache = DecodedColumnCache(1 << 20)
+        leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=4, column_cache=cache)
+        # Blocks 0-5 hold times 1000+10b .. 1003+10b; block 6 straddles a
+        # gap (1011, 1012, 1098, 1099), so a window inside the gap
+        # overlaps its min/max yet selects none of its rows.
+        times = [1000 + 10 * b + i for b in range(6) for i in range(4)]
+        times += [1011, 1012, 1098, 1099]
+        leafmap.get_or_create("service_requests").add_rows(
+            {
+                "time": t,
+                "endpoint": f"/api/{t % 3}",
+                "latency": float(t % 11),
+                "status": 200 if t % 10 else 503,
+            }
+            for t in times
+        )
+        query = Query(
+            "service_requests",
+            aggregations=(Aggregation("avg", "latency"), Aggregation("p50", "latency")),
+            group_by=("endpoint",),
+            filters=(Filter("status", "eq", 200), Filter("latency", "lt", 100.0)),
+            start_time=1020,
+            end_time=1095,
+        )
+        for _ in range(2):  # cold, then warm: same lookups either way
+            before = cache.stats().column_lookups
+            execution = execute_on_leaf(leafmap, query)
+            after = cache.stats().column_lookups
+            lookups = {name: after[name] - before.get(name, 0) for name in after}
+            assert execution.blocks_pruned == 2
+            # time: once per unpruned block (2, 3, 4, 5 and the gap block 6);
+            # everything else: once per block whose time mask is non-empty,
+            # although latency is a filter and two aggregations.
+            assert lookups == {"time": 5, "status": 4, "latency": 4, "endpoint": 4}
+        # A block no row of which survives the first filter is not asked
+        # for its other columns.
+        query = Query(
+            "service_requests",
+            aggregations=(Aggregation("sum", "latency"),),
+            filters=(Filter("status", "eq", 503),),
+            group_by=("endpoint",),
+        )
+        before = cache.stats().column_lookups
+        execution = execute_on_leaf(leafmap, query)
+        after = cache.stats().column_lookups
+        assert execution.rows_matched == 6  # 1000 .. 1050; none in the gap block
+        assert after["status"] - before["status"] == 7
+        assert after["latency"] - before["latency"] == 6
+        assert after["endpoint"] - before["endpoint"] == 6
+        # count ignores its column: naming a real one decodes nothing.
+        execute_on_leaf(
+            leafmap, Query("service_requests", aggregations=(Aggregation("count", "status"),))
+        )
+        final = cache.stats().column_lookups
+        assert {name: final[name] - after[name] for name in final} == {
+            "time": 7,
+            "status": 0,
+            "latency": 0,
+            "endpoint": 0,
+        }
+
+
+class TestCombineGroups:
+    def test_mixed_radix_ids_decode_to_the_key_tuples(self):
+        first = (np.array([1, 0, 1, 1, 0]), ["a", "b"])
+        second = (np.array([2, 2, 0, 2, 2]), [10, 20, 30])
+        gids, keys = kernels.combine_groups([first, second], 5)
+        assert keys == [("a", 30), ("b", 10), ("b", 30)]
+        assert gids.tolist() == [2, 0, 1, 2, 0]
+        assert kernels.combine_groups([], 3)[1] == [()]
+
+    def test_radix_product_beyond_int64_is_made_dense_first(self):
+        # Three columns of 2**30 possible labels each: the plain product
+        # (2**90) overflows; the ids still come out dense and right.
+        wide = range(1 << 30)
+        codes = [np.array(c) for c in ([7, 7, 5, 7], [1, 1 << 29, 1, 1], [3, 3, 3, 4])]
+        gids, keys = kernels.combine_groups([(c, wide) for c in codes], 4)
+        assert keys == [(5, 1, 3), (7, 1, 3), (7, 1, 4), (7, 1 << 29, 3)]
+        assert gids.tolist() == [1, 3, 0, 2]
+
+
+def nan_map(leaf_rows=8, rows_per_block=4, first=0):
+    leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=rows_per_block)
+    leafmap.get_or_create("service_requests").add_rows(
+        {
+            "time": 1000 + i,
+            "ratio": float("nan") if i % 2 else 1.0,
+            "latency": float(i),
+        }
+        for i in range(first, first + leaf_rows)
+    )
+    return leafmap
+
+
+class TestNanGroupKey:
+    """SQL ``GROUP BY``: every NaN key is one group — on both executors,
+    across blocks, runs, leaves and the wire."""
+
+    QUERY = Query(
+        "service_requests",
+        aggregations=(Aggregation("count"), Aggregation("sum", "latency")),
+        group_by=("ratio",),
+    )
+
+    def check(self, partial, nan_count, nan_sum):
+        assert len(partial) == 2
+        (nan_key,) = [key for key in partial if key != (1.0,)]
+        assert nan_key[0] is math.nan
+        assert partial[nan_key][0].count == nan_count
+        assert partial[nan_key][1].total == nan_sum
+        assert partial[(1.0,)][0].count == nan_count
+
+    @pytest.mark.parametrize("rows_per_block", [4, 3, 100])
+    def test_one_group_on_both_executors(self, rows_per_block):
+        # two blocks; blocks plus a write buffer; the write buffer alone
+        leafmap = nan_map(rows_per_block=rows_per_block)
+        self.check(execute_on_leaf(leafmap, self.QUERY).partial, 4, 16.0)
+        self.check(execute_on_leaf_rows(leafmap, self.QUERY).partial, 4, 16.0)
+
+    def test_one_group_across_runs(self, monkeypatch):
+        monkeypatch.setattr(execute_module, "MAX_RUN_ROWS", 4)
+        self.check(execute_on_leaf(nan_map(), self.QUERY).partial, 4, 16.0)
+
+    def test_one_group_with_a_second_key_column_and_buckets(self):
+        query = Query(
+            "service_requests", group_by=("ratio", "ghost"), bucket_seconds=100
+        )
+        fast, _ = assert_equivalent(nan_map(), query)
+        assert len(fast.partial) == 2
+
+    def test_one_group_across_leaves_and_the_wire(self):
+        leaves = [nan_map(), nan_map(first=8)]
+        partials = [execute_on_leaf(leafmap, self.QUERY).partial for leafmap in leaves]
+        self.check(merge_partials(partials), 8, 64.0)
+        wired = [
+            partial_from_wire(json.loads(json.dumps(partial_to_wire(partial))))
+            for partial in partials
+        ]
+        self.check(merge_partials(wired), 8, 64.0)
+        result = merge_leaf_results(self.QUERY, wired, 2)
+        assert [row.values["count(*)"] for row in result.rows] == [8, 8]
 
 
 class TestDecodedColumnCache:
