@@ -212,27 +212,8 @@ class Table:
 
     def to_rows(self) -> list[dict[str, ColumnValue]]:
         """Every row in the table (for equality checks in tests)."""
-        return self.rows_from(0)
-
-    def rows_from(self, offset: int) -> list[dict[str, ColumnValue]]:
-        """``to_rows()[offset:]``, decoding only the blocks that hold one.
-
-        Sealed blocks wholly below ``offset`` are skipped by their row
-        count, so the cost follows the rows returned, not the rows
-        resident — the disk backup's sync point asks for the rows added
-        since the last one.
-        """
-        if offset < 0:
-            raise ValueError("offset must be non-negative")
-        rows: list[dict[str, ColumnValue]] = []
-        skip = offset
-        for block in self._blocks:
-            if skip >= block.row_count:
-                skip -= block.row_count
-                continue
-            rows.extend(block.to_rows()[skip:])
-            skip = 0
-        rows.extend(dict(row) for row in self._buffer[skip:])
+        rows = [row for block in self._blocks for row in block.to_rows()]
+        rows.extend(dict(row) for row in self._buffer)
         return rows
 
     # ------------------------------------------------------------------

@@ -84,14 +84,17 @@ def _parse_dict_strings(encoded: EncodedColumn) -> tuple[list[str], np.ndarray]:
     return entries, ids
 
 
+def raw_string_payload(encoded: EncodedColumn) -> bytes | memoryview:
+    """A non-dictionary string column's values, len-prefixed, end to end."""
+    if CompressionFlags.LZ in encoded.flags:
+        return lz_decompress(encoded.data)
+    if encoded.flags != CompressionFlags.RAW:
+        raise CorruptionError(f"unsupported string flag combination: {encoded.flags!r}")
+    return encoded.data
+
+
 def _decode_raw_strings(encoded: EncodedColumn) -> list[str]:
-    raw = encoded.data
-    flags = encoded.flags
-    if CompressionFlags.LZ in flags:
-        raw = lz_decompress(raw)
-    elif flags != CompressionFlags.RAW:
-        raise CorruptionError(f"unsupported string flag combination: {flags!r}")
-    reader = BufferReader(raw)
+    reader = BufferReader(raw_string_payload(encoded))
     values = [reader.read_str() for _ in range(encoded.n_items)]
     if reader.remaining:
         raise CorruptionError("trailing bytes after raw string column payload")

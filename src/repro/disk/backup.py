@@ -9,8 +9,9 @@ accepts.
 
 On-disk state, inside one directory per leaf::
 
-    manifest.json           per-table watermarks (rows synced, expiry cutoff,
-                            sync/snapshot generations)
+    manifest.json           per table: ``synced_rows`` / ``log_bytes`` (rows
+                            and log bytes vouched for), expiry cutoff and
+                            count, sync/snapshot generations, ``chain``
     <table>.scuba           legacy row-format file (append-only chunks)
     snapshots/<table>.shmdisk   shm-format snapshot (Section 6 fast tier)
 
@@ -54,22 +55,31 @@ re-seals every row into new blocks, shares nothing with the chain, and
 honestly costs one fresh base; so does a manifest written before keys
 existed.
 
-The row-format side is delta-proportional too: a sync point decodes only
-the blocks that hold rows past the watermark
-(:meth:`Table.rows_from`), never the resident table.
+The row-format side is delta-proportional too: a sync point transcodes
+only the blocks that hold rows past the watermark, column by column
+(:func:`repro.disk.format.encode_chunk_block`), and builds no row dicts.
+One manifest is the commit point of a whole leaf sync, the log included.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
 from repro.columnstore.table import Table
-from repro.disk.format import write_chunk, write_file_header
+from repro.disk.format import (
+    encode_chunk_block,
+    encode_chunk_rows,
+    write_chunk_payload,
+    write_file_header,
+)
 from repro.disk.shmformat import (
     SNAPSHOT_FLAG_DELTA,
     delta_filename,
@@ -111,6 +121,7 @@ class SnapshotStats:
     compactions: int = 0
     snapshot_bytes_written: int = 0
     live_bytes_at_sync: int = 0
+    manifests_published: int = 0
 
     @property
     def write_amplification(self) -> float | None:
@@ -160,6 +171,19 @@ def _chain_delta(
     return kept, dropped
 
 
+def _unsynced_chunk(table: Table, offset: int) -> tuple[int, bytes]:
+    """``(row count, chunk payload)`` of ``table.to_rows()[offset:]``:
+    blocks wholly below ``offset`` skipped by row count, the rest
+    transcoded, and only the write buffer's tail encoded from rows."""
+    chunks = []
+    for block in table.blocks:
+        if offset < block.row_count:
+            chunks.append(encode_chunk_block(block, offset))
+        offset = max(0, offset - block.row_count)
+    chunks.append(encode_chunk_rows(islice(table.iter_buffer_rows(), offset, None)))
+    return sum(n for n, _ in chunks), b"".join(payload for _, payload in chunks)
+
+
 class DiskBackup:
     """Manages the legacy-format backup (and shm-format snapshot chains)
     of one leaf's tables.
@@ -187,6 +211,13 @@ class DiskBackup:
         self.compact_churn = compact_churn
         self.stats = SnapshotStats()
         self._manifest: dict[str, dict] = {}
+        #: What :meth:`publish_once` owes the disk, a failed publish
+        #: included: a manifest ahead of its file, chain files renamed in
+        #: but ``snapshots/`` not fsynced, files no longer named.
+        self._deferred = False
+        self._dirty = False
+        self._chain_dir_dirty = False
+        self._stale: list[Path] = []
         self._load_manifest()
 
     # ------------------------------------------------------------------
@@ -223,6 +254,31 @@ class DiskBackup:
         # fsync a crash can roll back to the previous manifest while the
         # files it described are gone (or vice versa).
         fsync_directory(self.directory)
+        self.stats.manifests_published += 1
+
+    @contextmanager
+    def publish_once(self) -> Iterator[None]:
+        """One publish for every manifest change made inside the
+        (outermost) block, at its exit — on an exception too: what is
+        already durable is worth vouching for.  The commit point of a
+        sync: one fsync of ``snapshots/`` if a chain file was renamed in,
+        one manifest, then the unlinks.  No manifest is published before
+        every byte it vouches for is durable; files leave only after it
+        stopped naming them."""
+        outer, self._deferred = self._deferred, True
+        try:
+            yield
+        finally:
+            self._deferred = outer
+            if not outer:
+                if self._chain_dir_dirty:
+                    fsync_directory(self.snapshot_dir)
+                    self._chain_dir_dirty = False
+                if self._dirty:
+                    self._save_manifest()
+                    self._dirty = False
+                while self._stale:
+                    self._stale.pop().unlink(missing_ok=True)
 
     def reload(self) -> None:
         """Reread the manifest from disk, dropping in-memory state.
@@ -258,6 +314,11 @@ class DiskBackup:
 
     def synced_rows(self, table_name: str) -> int:
         return self._manifest.get(table_name, {}).get("synced_rows", 0)
+
+    def log_bytes(self, table_name: str) -> int | None:
+        """The row log's commit mark, its length at the last published
+        append; ``None`` (older manifests) trusts the file to its end."""
+        return self._manifest.get(table_name, {}).get("log_bytes")
 
     def expire_cutoff(self, table_name: str) -> int:
         return self._manifest.get(table_name, {}).get("expire_before", 0)
@@ -379,51 +440,62 @@ class DiskBackup:
     # Sync points
     # ------------------------------------------------------------------
 
-    def sync_table(self, table: Table, snapshot: bool | None = None) -> int:
+    def sync_table(self, table: Table) -> int:
         """Append every not-yet-synced row of ``table`` as one chunk.
 
         Returns the number of rows written.  Uses the table's monotone
         ingest/expiry counters to find the delta since the last sync, so
         repeated calls are idempotent when nothing changed.
 
-        When snapshots are enabled (``snapshot=None`` defers to the
-        backup-wide setting) and the table has no buffered rows, the sync
-        point also refreshes the table's shm-format snapshot so the next
-        restart can take the fast disk tier.  A sync with buffered rows
-        leaves the snapshot stale on purpose: the snapshot holds sealed
-        blocks only, so trusting it would drop the buffered rows that the
-        legacy chunks do contain.
+        When snapshots are enabled and the table has no buffered rows,
+        the sync point also refreshes the table's shm-format snapshot so
+        the next restart can take the fast disk tier.  A sync with
+        buffered rows leaves the snapshot stale on purpose: the snapshot
+        holds sealed blocks only, so trusting it would drop the buffered
+        rows that the legacy chunks do contain.
+
+        That is one table's *write phase*, then the publish.  A fault
+        in the write phase leaves the table's manifest entry as it was:
+        what it wrote is unvouched, and a retry lands it once.
         """
-        if snapshot is None:
-            snapshot = self.snapshots_enabled
-        entry = self._entry(table.name)
+        with self.publish_once():
+            before = self._entry(table.name)
+            entry = self._manifest[table.name] = dict(before)
+            try:
+                return self._write_phase(table, entry)
+            except BaseException:
+                self._manifest[table.name] = before
+                raise
+
+    def _write_phase(self, table: Table, entry: dict) -> int:
         watermark = entry["synced_rows"]
         expired = table.total_rows_expired
         total = table.total_rows_ingested
         start = max(watermark, expired)
-        changed = False
         written = 0
-        if start >= total:
-            # Rows may have expired past the watermark without new data.
-            if expired > watermark:
-                entry["synced_rows"] = expired
-                entry["sync_gen"] = entry.get("sync_gen", 0) + 1
-                changed = True
-        else:
+        if start < total:
             # Position 0 of the resident table is ingest position
             # ``expired``; only blocks holding unsynced rows are decoded.
-            new_rows = table.rows_from(start - expired)
-            path = self.table_file(table.name)
-            is_new = not path.exists()
-            with open(path, "ab") as fh:
-                if is_new:
+            written, payload = _unsynced_chunk(table, start - expired)
+            with open(self.table_file(table.name), "ab") as fh:
+                # Bytes past the mark are a torn or unpublished append;
+                # writing after them would bury them mid-file.  (No rows
+                # synced vouches for no bytes; no mark, for the file.)
+                vouched = entry.get("log_bytes", None if watermark else 0)
+                if vouched is not None and fh.tell() > vouched:
+                    fh.truncate(vouched)
+                    fh.seek(0, os.SEEK_END)
+                if fh.tell() == 0:
                     write_file_header(fh)
-                written = write_chunk(fh, new_rows)
+                write_chunk_payload(fh, written, payload)
                 fh.flush()
                 os.fsync(fh.fileno())
-            entry["synced_rows"] = total
+                entry["log_bytes"] = fh.tell()
+        # Without new data, rows may still have expired past the watermark.
+        changed = max(total, expired) > watermark
+        if changed:
+            entry["synced_rows"] = max(total, expired)
             entry["sync_gen"] = entry.get("sync_gen", 0) + 1
-            changed = True
         # Keep the replay trim count in step with the live table: it
         # tells legacy replay how many leading ingest positions the live
         # table had already dropped.
@@ -431,8 +503,7 @@ class DiskBackup:
         if known_expired is None or expired > known_expired:
             entry["rows_expired"] = expired
             changed = True
-        stale: list[Path] = []
-        if snapshot and table.buffered_row_count == 0:
+        if self.snapshots_enabled and table.buffered_row_count == 0:
             valid = self.snapshot_valid(table.name)
             tip_expired = self.snapshot_chain(table.name)[-1].get("rows_expired") if valid else None
             if tip_expired is not None and expired > tip_expired:
@@ -447,22 +518,16 @@ class DiskBackup:
                 # nothing changed, so a no-op sync point writes nothing.
                 self.stats.skipped_unchanged += 1
             else:
-                stale = self._write_snapshot(table, entry)
+                self._write_snapshot(table, entry)
                 changed = True
-        if changed:
-            self._save_manifest()
-        # Obsolete chain files go only after the manifest stopped
-        # referencing them; a crash in between leaves unreferenced files
-        # (harmless), never a manifest that trusts a deleted one.
-        for path in stale:
-            path.unlink(missing_ok=True)
+        self._dirty |= changed
         return written
 
     # ------------------------------------------------------------------
     # Snapshot chain writes
     # ------------------------------------------------------------------
 
-    def _write_snapshot(self, table: Table, entry: dict) -> list[Path]:
+    def _write_snapshot(self, table: Table, entry: dict) -> None:
         """Advance the table's snapshot chain to the current generation.
 
         Appends a delta link when the chain can be extended
@@ -471,8 +536,8 @@ class DiskBackup:
         manifest records their generation: a crash between the two
         leaves files whose generation the manifest does not vouch for,
         which the validity check routes down — never a trusted-but-wrong
-        chain.  The caller saves the manifest and then unlinks the
-        returned obsolete chain files.
+        chain.  :meth:`publish_once` then owes the directory fsync, the
+        manifest and the unlink of the files this made obsolete.
         """
         gen = entry.get("sync_gen", 0)
         if gen == 0:
@@ -497,9 +562,8 @@ class DiskBackup:
         self.stats.live_bytes_at_sync += table.sealed_nbytes
         extension = self._chain_extension(name, entry, keys, gen)
         if extension is None:
-            return self._write_base(
-                name, entry, blocks, keys, gen, rows_ingested, rows_expired
-            )
+            self._write_base(name, entry, blocks, keys, gen, rows_ingested, rows_expired)
+            return
         kept, dropped = extension
         appended = blocks[kept:]
         link = {
@@ -523,7 +587,9 @@ class DiskBackup:
                 rows_expired=rows_expired,
                 flags=SNAPSHOT_FLAG_DELTA,
                 filename=delta_filename(name, gen),
+                fsync_dir=False,
             )
+            self._chain_dir_dirty = True
             link["file"] = path.name
             self.stats.deltas_written += 1
             self.stats.snapshot_bytes_written += path.stat().st_size
@@ -531,9 +597,10 @@ class DiskBackup:
             # Pure-expiry generation: the drop list alone describes it.
             self.stats.manifest_only_links += 1
         entry["next_seq"] = link["start_seq"] + len(appended)
-        entry["chain"].append(link)
+        # Not an append: a failed write phase discards ``entry``, a
+        # shallow copy, and must leave the old chain list as it was.
+        entry["chain"] = [*entry["chain"], link]
         entry["snapshot_gen"] = gen
-        return []
 
     def _chain_extension(
         self, name: str, entry: dict, keys: list[str], gen: int
@@ -595,8 +662,8 @@ class DiskBackup:
         gen: int,
         rows_ingested: int,
         rows_expired: int,
-    ) -> list[Path]:
-        """Write a fresh single-link base chain; returns obsolete files."""
+    ) -> None:
+        """Write a fresh single-link base chain."""
         old_files = self.chain_files(name)
         path = write_table_shm_format(
             self.snapshot_dir,
@@ -605,7 +672,9 @@ class DiskBackup:
             generation=gen,
             rows_ingested=rows_ingested,
             rows_expired=rows_expired,
+            fsync_dir=False,
         )
+        self._chain_dir_dirty = True
         self.stats.bases_written += 1
         self.stats.snapshot_bytes_written += path.stat().st_size
         entry["chain"] = [
@@ -623,20 +692,17 @@ class DiskBackup:
         ]
         entry["next_seq"] = len(blocks)
         entry["snapshot_gen"] = gen
-        return [old for old in old_files if old != path]
-
-    def write_snapshot(self, table: Table) -> Path:
-        """Force-refresh one table's snapshot (tests / manual tooling)."""
-        entry = self._entry(table.name)
-        stale = self._write_snapshot(table, entry)
-        self._save_manifest()
-        for old in stale:
-            old.unlink(missing_ok=True)
-        return self.snapshot_path(table.name)
+        self._stale += [old for old in old_files if old != path]
 
     def sync_leafmap(self, leafmap: LeafMap) -> int:
-        """Sync every table; returns total rows written."""
-        return sum(self.sync_table(table) for table in leafmap)
+        """Sync every table as one transaction; returns rows written.
+
+        Every table's write phase, then one publish: 2·tables + 3
+        fsyncs and one manifest.  A fault in table *k*'s write phase
+        still publishes the tables before *k* and then propagates.
+        """
+        with self.publish_once():
+            return sum(self.sync_table(table) for table in leafmap)
 
     def record_expiry(
         self,
@@ -673,23 +739,22 @@ class DiskBackup:
                 # current sync generation — and folded into any later
                 # one.
                 entry["expire_gen"] = entry.get("sync_gen", 0)
-        if changed:
-            self._save_manifest()
+        with self.publish_once():
+            self._dirty |= changed
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
 
     def drop_table(self, table_name: str) -> None:
-        chain = self.chain_files(table_name)
-        snapshot = self.snapshot_path(table_name)
-        self._manifest.pop(table_name, None)
-        self._save_manifest()
-        path = self.table_file(table_name)
-        if path.exists():
-            path.unlink()
-        for old in {snapshot, *chain}:
-            old.unlink(missing_ok=True)
+        self._stale += {
+            self.table_file(table_name),
+            self.snapshot_path(table_name),
+            *self.chain_files(table_name),
+        }
+        with self.publish_once():
+            self._manifest.pop(table_name, None)
+            self._dirty = True
 
     def wipe(self) -> None:
         """Delete every backup file and the manifest (tests/teardown)."""

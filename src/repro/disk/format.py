@@ -24,6 +24,10 @@ STRING_VECTOR → varint count + strings.
 A truncated or checksum-failing trailing chunk is *skipped*, not fatal:
 after a crash the last asynchronous write may be torn, and Scuba accepts
 losing a tiny amount of data in exchange for a simple recovery path.
+
+Two encoders write the same payload bytes: :func:`encode_chunk_rows` from
+row dicts and :func:`encode_chunk_block` from a sealed row block, column
+by column — a sync point's source, so it never rebuilds rows to persist them.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ from __future__ import annotations
 import struct
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
+from repro.columnstore.rbc import RowBlockColumn
+from repro.columnstore.rowblock import RowBlock
+from repro.compression.base import CompressionFlags
+from repro.compression.pipeline import raw_string_payload
 from repro.errors import CorruptionError
 from repro.types import ColumnType, ColumnValue
 from repro.util.binary import (
@@ -57,6 +65,7 @@ MAX_CHUNK_BYTES = 1 << 31
 # The type codes as plain ints, for the chunk decoder's per-field branch.
 _INT64, _FLOAT64 = int(ColumnType.INT64), int(ColumnType.FLOAT64)
 _STRING, _STRING_VECTOR = int(ColumnType.STRING), int(ColumnType.STRING_VECTOR)
+_NUMERIC_DTYPES = {ColumnType.INT64: "<i8", ColumnType.FLOAT64: "<f8"}
 
 
 def write_file_header(fh: BinaryIO) -> None:
@@ -194,16 +203,83 @@ def encode_chunk_rows(rows: Iterable[Mapping[str, ColumnValue]]) -> tuple[int, b
     return n_rows, b"".join(pieces)
 
 
-def write_chunk(fh: BinaryIO, rows: Iterable[Mapping[str, ColumnValue]]) -> int:
-    """Append one sync chunk; returns the number of rows written."""
-    count, payload = encode_chunk_rows(rows)
+def _raw_string_cells(column: RowBlockColumn) -> list[bytes]:
+    """A raw/LZ string column's values as the len-prefixed slices its
+    payload already holds, checked as ``decode_column`` checks them."""
+    raw = bytes(raw_string_payload(column.to_encoded(copy=False)))
+    cells, pos = [], 0
+    try:
+        for _ in range(column.n_items):
+            start = pos
+            _, pos = _read_str(raw, pos, len(raw))
+            cells.append(raw[start:pos])
+    except (IndexError, UnicodeDecodeError) as exc:
+        raise CorruptionError(f"raw string column damaged at offset {pos}: {exc}") from exc
+    if pos != len(raw):
+        raise CorruptionError("trailing bytes after raw string column payload")
+    return cells
+
+
+def encode_chunk_block(block: RowBlock, skip: int = 0) -> tuple[int, bytes]:
+    """Encode ``block.to_rows()[skip:]`` as one chunk payload without
+    building the rows; returns ``(row count, payload)``.
+
+    Byte for byte what :func:`encode_chunk_rows` writes for those dicts
+    (schema order, defaults included — the tests hold the two together),
+    built a *column* at a time: each column becomes a list of per-row
+    cells ``name prefix + type byte + value bytes`` and one join
+    interleaves them.  Numbers are one ``tobytes`` sliced in eights, a
+    dictionary entry is encoded once and indexed by the stored ids, raw
+    string bytes are copied as they stand.  Columns are decoded past the
+    decoded-column cache (a sync must not evict what queries keep hot).
+    """
+    cells = [[encode_varint(len(block.schema))] * max(0, block.row_count - skip)]
+    for name, ctype in block.schema.items():
+        column = RowBlockColumn(block.rbc_buffer(name))
+        if ctype is ColumnType.STRING and CompressionFlags.DICT not in column.flags:
+            values = _raw_string_cells(column)
+        elif ctype in _NUMERIC_DTYPES:
+            numbers = block.decoded_column(name).values.astype(_NUMERIC_DTYPES[ctype])
+            raw = numbers.tobytes()
+            values = [raw[i : i + 8] for i in range(0, len(raw), 8)]
+        else:
+            decoded = block.decoded_column(name)
+            entries = [_len_prefixed(entry) for entry in decoded.entries]
+            values = [entries[code] for code in decoded.codes.tolist()]
+            if decoded.offsets is not None:  # CSR: count + items per row
+                spans = decoded.offsets.tolist()
+                spans = list(zip(spans, spans[1:]))
+                counts = {n: encode_varint(n) for n in {b - a for a, b in spans}}
+                values = [counts[b - a] + b"".join(values[a:b]) for a, b in spans]
+        if len(values) != block.row_count:
+            raise CorruptionError(
+                f"column '{name}' decodes to {len(values)} values; row block "
+                f"header says {block.row_count} rows"
+            )
+        prefix = _len_prefixed(name) + bytes((int(ctype),))
+        cells.append([prefix + value for value in values[skip:]])
+    return len(cells[0]), b"".join(map(b"".join, zip(*cells)))
+
+
+def write_chunk_payload(fh: BinaryIO, count: int, payload: bytes) -> int:
+    """Append an encoded payload of ``count`` rows as one sync chunk."""
     fh.write(_CHUNK_HEADER.pack(CHUNK_MAGIC, count, len(payload), crc32_of(payload)))
     fh.write(payload)
     return count
 
 
-def read_chunk_payloads(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
+def write_chunk(fh: BinaryIO, rows: Iterable[Mapping[str, ColumnValue]]) -> int:
+    """Append one sync chunk; returns the number of rows written."""
+    return write_chunk_payload(fh, *encode_chunk_rows(rows))
+
+
+def read_chunk_payloads(
+    fh: BinaryIO, end: int | None = None
+) -> Iterator[tuple[int, bytes]]:
     """Yield each intact chunk as ``(row_count, payload)``, rows undecoded.
+
+    ``end`` is the file length the manifest vouches for (``log_bytes``):
+    chunks starting at or past it were never published and are not read.
 
     The validity rules are the file's, independent of decoding: CRC
     verified, silent stop at a torn tail, raise on mid-file corruption.
@@ -213,7 +289,7 @@ def read_chunk_payloads(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
     identical chunk set.
     """
     read_file_header(fh)
-    while True:
+    while end is None or fh.tell() < end:
         header = fh.read(_CHUNK_HEADER.size)
         if not header:
             return

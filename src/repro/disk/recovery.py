@@ -38,6 +38,7 @@ def surviving_chunks(
     validity does not depend on what survives), but whether its rows
     would decode is never asked.  A manifest from before the count was
     tracked keeps every chunk; its replay filters rows by timestamp.
+    Nothing past the manifest's ``log_bytes`` is read: no publish vouched.
     """
     path = backup.table_file(table_name)
     expired = backup.rows_expired(table_name)
@@ -47,7 +48,7 @@ def surviving_chunks(
     window: deque[tuple[int, bytes]] = deque()
     held = 0
     with open(path, "rb") as fh:
-        for chunk in read_chunk_payloads(fh):
+        for chunk in read_chunk_payloads(fh, backup.log_bytes(table_name)):
             window.append(chunk)
             held += chunk[0]
             while keep is not None and held - window[0][0] >= keep:

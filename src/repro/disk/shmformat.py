@@ -143,6 +143,7 @@ def write_table_shm_format(
     rows_expired: int = 0,
     flags: int = 0,
     filename: str | None = None,
+    fsync_dir: bool = True,
 ) -> Path:
     """Write one table's shm-format disk file; returns its path.
 
@@ -150,7 +151,8 @@ def write_table_shm_format(
     the containing directory is fsynced after the rename — a torn write
     can only ever leave the *previous* snapshot in place (which the
     generation check routes around), and a crash right after the rename
-    cannot un-land a file the manifest is about to vouch for.
+    cannot un-land a file the manifest is about to vouch for.  A caller
+    with ``fsync_dir=False`` owes that :func:`fsync_directory` before then.
 
     ``filename`` overrides the default base-snapshot name — delta files
     live in the same directory under their chain-generation names — and
@@ -181,7 +183,8 @@ def write_table_shm_format(
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    fsync_directory(directory)
+    if fsync_dir:
+        fsync_directory(directory)
     return path
 
 

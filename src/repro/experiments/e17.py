@@ -29,9 +29,11 @@ correctness spine: every route must rebuild bit-identical rows.
 from __future__ import annotations
 
 import math
+import os
 from functools import partial
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 from repro.columnstore.leafmap import LeafMap
 from repro.disk.backup import DiskBackup
@@ -81,6 +83,7 @@ GATES = (
     "incremental write amplification (bytes / live sealed bytes)",
     "compactions: 2-link chain / default chain; deltas written",
     "sync write bytes with a crash + DISK_SNAPSHOT restore mid-rounds",
+    "durable publishes per leaf sync point",
     "recovery digest identity",
     "legacy replay, process pool vs serial",
     "serial legacy replay, a quarter of the log alive vs all of it",
@@ -89,10 +92,15 @@ GATES = (
 )
 
 
-def _sync(leafmap: LeafMap, backups: dict[str, DiskBackup]) -> None:
+def _sync(leafmap: LeafMap, backups: dict[str, DiskBackup]) -> int:
+    """One sync point on every backup; the most fsyncs it cost any."""
     leafmap.seal_all()
+    most = 0
     for backup in backups.values():
-        backup.sync_leafmap(leafmap)
+        with mock.patch.object(os, "fsync", wraps=os.fsync) as fsync:
+            backup.sync_leafmap(leafmap)
+        most = max(most, fsync.call_count)
+    return most
 
 
 def _recover(recover, rows_per_block: int = ROWS_PER_BLOCK, repeats: int = 1):
@@ -116,8 +124,9 @@ def _from_chain(backup: DiskBackup):
 def _synced_rounds(root: Path, flavours, rows: int, per_round: int, restart_after=None):
     """One leaf map appended to for ``ROUNDS`` rounds, synced in lockstep to
     one backup per flavour; returns it, the backups, each flavour's
-    steady-state bytes / bases / deltas (after the base sync), and
-    whether every digest check held.
+    steady-state bytes / bases / deltas / manifests (after the base
+    sync), whether every digest check held, and the most fsyncs any
+    append-round sync point cost.
 
     With ``restart_after`` the process crashes after that many rounds:
     the table comes back through ``DISK_SNAPSHOT`` from the incremental
@@ -139,6 +148,7 @@ def _synced_rounds(root: Path, flavours, rows: int, per_round: int, restart_afte
             "bytes": -b.stats.snapshot_bytes_written,
             "bases": -b.stats.bases_written,
             "deltas": 0,
+            "manifests": -b.stats.manifests_published,
         }
         for name, b in backups.items()
     }
@@ -148,8 +158,9 @@ def _synced_rounds(root: Path, flavours, rows: int, per_round: int, restart_afte
             totals[name]["bytes"] += b.stats.snapshot_bytes_written
             totals[name]["bases"] += b.stats.bases_written
             totals[name]["deltas"] += b.stats.deltas_written
+            totals[name]["manifests"] += b.stats.manifests_published
 
-    identical = True
+    identical, fsyncs = True, 0
     for round_index in range(ROUNDS):
         if round_index == restart_after:
             settle()
@@ -163,9 +174,9 @@ def _synced_rounds(root: Path, flavours, rows: int, per_round: int, restart_afte
         # delta chain writes a small fraction of the table while the
         # full-rewrite regime pays the whole table every time.
         table.add_rows(islice(source, per_round))
-        _sync(leafmap, backups)
+        fsyncs = max(fsyncs, _sync(leafmap, backups))
     settle()
-    return leafmap, backups, totals, identical
+    return leafmap, backups, totals, identical, fsyncs
 
 
 def _replays(backup: DiskBackup, workers: int) -> dict:
@@ -196,10 +207,11 @@ def run(rows: int = ROWS, workers: int = WORKERS) -> dict:
     per_round = max(256, rows // 16)
     rounds = [per_round] * ROUNDS
     with workspace() as (tmp, _):
-        leafmap, backups, totals, _ = _synced_rounds(
+        leafmap, backups, totals, _, fsyncs = _synced_rounds(
             tmp / "lockstep", FLAVOURS, rows, per_round
         )
         steady = {name: flavour["bytes"] for name, flavour in totals.items()}
+        manifests = {flavour["manifests"] for flavour in totals.values()}
         data_bytes = leafmap.get_table("service_requests").sealed_nbytes
         stats = {name: b.stats for name, b in backups.items()}
 
@@ -216,7 +228,7 @@ def run(rows: int = ROWS, workers: int = WORKERS) -> dict:
 
         # The same rounds with a crash in the middle: what two processes
         # wrote must restore to what the second one holds.
-        restarted, restart_backups, totals, identical = _synced_rounds(
+        restarted, restart_backups, totals, identical, _ = _synced_rounds(
             tmp / "restart", ("full", "incremental"), rows, per_round, RESTART_AFTER
         )
         restart_leg = {
@@ -312,6 +324,14 @@ def run(rows: int = ROWS, workers: int = WORKERS) -> dict:
             and restart_leg["incremental_deltas"] == ROUNDS
             and restart_leg["full_bases"] == ROUNDS
             and restart_leg["digests_identical"],
+        ),
+        # Counts, so exact on any box: one table's log, chain file,
+        # ``snapshots/`` and the manifest's two fsyncs, one manifest.
+        Gate(
+            "durable publishes per leaf sync point",
+            "1 manifest, <= 2 x tables + 3 fsyncs (1 table)",
+            f"{sorted(manifests)} manifests over {ROUNDS} sync points, <= {fsyncs} fsyncs each",
+            manifests == {ROUNDS} and fsyncs <= 2 * 1 + 3,
         ),
         Gate(
             "recovery digest identity",

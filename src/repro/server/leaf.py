@@ -504,11 +504,13 @@ class LeafServer:
                 )
             cutoff = int(self.clock.now()) - retention_seconds
             dropped = 0
-            for table in self.leafmap:
-                dropped += table.expire_before(cutoff)
-                self.backup.record_expiry(
-                    table.name, cutoff, rows_expired=table.total_rows_expired
-                )
+            # One expiry run is one manifest, however many tables moved.
+            with self.backup.publish_once():
+                for table in self.leafmap:
+                    dropped += table.expire_before(cutoff)
+                    self.backup.record_expiry(
+                        table.name, cutoff, rows_expired=table.total_rows_expired
+                    )
             if self._restorer is not None:
                 # Blocks that aged out before ever faulting in are simply
                 # never decoded — expiry reaches into the pending set too.

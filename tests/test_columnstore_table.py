@@ -143,67 +143,3 @@ class TestEstimate:
         small = estimate_row_bytes({"time": 1})
         big = estimate_row_bytes({"time": 1, "s": "x" * 100, "v": ["y" * 50] * 3})
         assert big > small + 200
-
-
-class TestRowsFrom:
-    """``rows_from(k)`` is ``to_rows()[k:]`` without decoding the blocks
-    below ``k`` — the disk backup's sync point depends on both halves."""
-
-    def table(self):
-        table = make_table(rows_per_block=10)
-        table.add_rows(
-            {"time": i, "host": f"h{i % 3}", "tags": ["a", "b"][: i % 3]}
-            for i in range(37)
-        )
-        assert (table.block_count, table.buffered_row_count) == (3, 7)
-        return table
-
-    def test_every_offset(self):
-        table = self.table()
-        everything = table.to_rows()
-        assert len(everything) == 37
-        # Mid-block, block-boundary (10, 20, 30), buffer-only (31..37)
-        # and past-the-end offsets alike.
-        for offset in range(41):
-            assert table.rows_from(offset) == everything[offset:], offset
-
-    def test_offsets_count_from_the_oldest_resident_row(self):
-        table = self.table()
-        table.expire_before(10)  # drops block 0
-        everything = table.to_rows()
-        assert len(everything) == 27
-        for offset in (0, 3, 10, 20, 26, 27):
-            assert table.rows_from(offset) == everything[offset:]
-
-    def test_sealed_only_and_buffer_only_tables(self):
-        sealed = make_table(rows_per_block=5)
-        sealed.add_rows({"time": i} for i in range(10))
-        assert sealed.rows_from(5) == [{"time": i} for i in range(5, 10)]
-        assert sealed.rows_from(10) == []
-        buffered = make_table(rows_per_block=50)
-        buffered.add_rows({"time": i} for i in range(4))
-        assert buffered.rows_from(1) == [{"time": i} for i in range(1, 4)]
-
-    def test_blocks_below_the_offset_are_not_decoded(self, monkeypatch):
-        from repro.columnstore.rowblock import RowBlock
-
-        table = self.table()
-        decoded = []
-        real = RowBlock.to_rows
-        monkeypatch.setattr(
-            RowBlock, "to_rows", lambda block: (decoded.append(block), real(block))[1]
-        )
-        table.rows_from(25)
-        assert decoded == [table.blocks[2]]
-        del decoded[:]
-        table.rows_from(30)
-        assert decoded == []
-
-    def test_buffer_rows_are_copies(self):
-        table = self.table()
-        table.rows_from(30)[0]["time"] = -1
-        assert table.to_rows()[30]["time"] == 30
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ValueError):
-            self.table().rows_from(-1)

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnstore.rbc import RowBlockColumn, build_rbc_from_encoded
+from repro.columnstore.rowblock import RowBlock
+from repro.compression import CompressionFlags
 from repro.disk.format import (
     _decode_row,
     _encode_row,
     decode_chunk_rows,
+    encode_chunk_block,
     encode_chunk_rows,
     read_file_header,
     read_table_chunks,
@@ -152,6 +156,141 @@ class TestEncoderIsByteIdentical:
             _encode_row(BufferWriter(), row)
         with pytest.raises(struct.error):
             encode_chunk_rows([row])
+
+
+# One type per column (a sealed block has a schema), every column but
+# ``time`` optional so defaults get filled: ``s`` repeats (dictionary),
+# ``u`` is near-unique (raw or LZ, whichever is smaller).
+block_row_strategy = st.fixed_dictionaries(
+    {"time": st.integers(min_value=-(2**63), max_value=2**63 - 1)},
+    optional={
+        "i": st.one_of(
+            st.sampled_from([0, -1, 2**63 - 1, -(2**63)]),
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        ),
+        "f": st.one_of(
+            st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        "s": string_strategy,
+        "u": st.text(max_size=200),
+        "v": st.lists(string_strategy, max_size=4),
+    },
+)
+
+
+def string_flags(block: RowBlock, name: str) -> CompressionFlags:
+    return RowBlockColumn(block.rbc_buffer(name)).flags
+
+
+def assert_transcodes(block: RowBlock, skips) -> None:
+    rows = block.to_rows()
+    for skip in skips:
+        assert encode_chunk_block(block, skip) == encode_chunk_rows(rows[skip:]), skip
+
+
+class TestBlockTranscoderIsByteIdentical:
+    """``encode_chunk_block`` against ``encode_chunk_rows`` of the rows
+    the block decodes to — which is what a sync point used to write."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(block_row_strategy, min_size=1, max_size=24), data=st.data())
+    def test_payload_equals_the_row_encoder(self, rows, data):
+        block = RowBlock.from_rows(rows, created_at=0.0)
+        n = block.row_count
+        mid = data.draw(st.integers(min_value=0, max_value=n))
+        assert_transcodes(block, {0, mid, n - 1, n})
+
+    def test_every_string_encoding_and_every_offset(self):
+        """Dictionary, raw and LZ string columns (asserted, not hoped
+        for), multi-byte length varints, non-ASCII, empties, defaults."""
+        rows = [
+            {
+                "time": i,
+                "dict": ["web-01", "naïve ☃", ""][i % 3],
+                "raw": chr(0x100 + i * 7) + chr(0x3000 + i * 13),
+                "lz": f"request-id-{i:04d}-" + "padding " * 20,
+                "long": "é" * (100 + i),
+                "vec": [["a", "", "☃" * 50][: i % 4], []][i % 2],
+            }
+            for i in range(40)
+        ]
+        del rows[7]["dict"], rows[8]["raw"], rows[9]["lz"], rows[10]["vec"]
+        block = RowBlock.from_rows(rows, created_at=0.0)
+        assert CompressionFlags.DICT in string_flags(block, "dict")
+        assert string_flags(block, "raw") == CompressionFlags.RAW
+        assert string_flags(block, "lz") == CompressionFlags.LZ
+        assert_transcodes(block, range(41))
+        count, payload = encode_chunk_block(block, 3)
+        assert decode_chunk_rows(payload, count) == block.to_rows()[3:]
+
+    def test_one_row_block(self):
+        block = RowBlock.from_rows(
+            [{"time": 5, "f": -0.0, "s": "", "v": []}], created_at=0.0
+        )
+        assert_transcodes(block, (0, 1))
+        assert encode_chunk_block(block, 1) == (0, b"")
+
+
+def damaged_block(damage) -> RowBlock:
+    """A block whose raw string column ``u`` has been through ``damage``
+    (buffer -> buffer); the other columns are intact."""
+    rows = [{"time": i, "u": f"u{i}", "d": "same"} for i in range(12)]
+    block = RowBlock.from_rows(rows, created_at=0.0)
+    assert string_flags(block, "u") == CompressionFlags.RAW
+    rbcs = {name: bytes(buf) for name, buf in block.rbc_buffers()}
+    rbcs["u"] = damage(rbcs["u"])
+    return RowBlock(block.schema, rbcs, 12, 0, 11, 0.0)
+
+
+def reencoded(buf: bytes, **changes) -> bytes:
+    """The RBC rebuilt (fresh CRC) with some encoded fields replaced."""
+    import dataclasses
+
+    encoded = RowBlockColumn(buf).to_encoded()
+    return build_rbc_from_encoded(dataclasses.replace(encoded, **changes))
+
+
+class TestTranscoderRejectsWhatToRowsRejects:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda buf: b"XXXX" + buf[4:],
+            lambda buf: buf[:20],
+            lambda buf: reencoded(buf, n_items=11, data=RowBlockColumn(buf).data[:-4]),
+            lambda buf: reencoded(buf, data=bytes(RowBlockColumn(buf).data) + b"\x00"),
+            lambda buf: reencoded(buf, data=RowBlockColumn(buf).data[:-1]),
+            lambda buf: reencoded(
+                buf, data=bytes(RowBlockColumn(buf).data).replace(b"u3", b"\xff3")
+            ),
+            lambda buf: reencoded(buf, flags=CompressionFlags.DELTA),
+        ],
+        ids=[
+            "bad_magic",
+            "short_buffer",
+            "wrong_row_count",
+            "trailing_bytes",
+            "truncated_payload",
+            "bad_utf8",
+            "bad_flags",
+        ],
+    )
+    def test_damaged_raw_string_column(self, damage):
+        block = damaged_block(damage)
+        with pytest.raises(CorruptionError):
+            block.to_rows()
+        with pytest.raises(CorruptionError):
+            encode_chunk_block(block)
+
+    def test_wrong_row_count_on_a_decoded_column(self):
+        rows = [{"time": i, "d": "same"} for i in range(12)]
+        block = RowBlock.from_rows(rows, created_at=0.0)
+        rbcs = {name: bytes(buf) for name, buf in block.rbc_buffers()}
+        short = RowBlock(block.schema, rbcs, 13, 0, 11, 0.0)
+        with pytest.raises(CorruptionError, match="header says 13 rows"):
+            short.to_rows()
+        with pytest.raises(CorruptionError, match="header says 13 rows"):
+            encode_chunk_block(short)
 
 
 def reference_decode(payload: bytes, n_rows: int):

@@ -390,27 +390,51 @@ class TestContentKeyedChain:
         self, backup, clock, monkeypatch
     ):
         """The row-format log needs the rows added since the last sync;
-        nothing sealed before it is decoded again."""
+        nothing sealed before it is decoded again, and what is decoded
+        neither comes from nor lands in the decoded-column cache."""
+        from repro.columnstore.colcache import DecodedColumnCache
         from repro.columnstore.rowblock import RowBlock
+        from repro.query.execute import execute_on_leaf
+        from repro.query.query import Aggregation, Query
 
         leafmap = make_leafmap(clock, tables=("events", "metrics"))
+        cache = DecodedColumnCache(1 << 20)
+        for table in leafmap:
+            table.set_cache(cache)
         sealed_sync(backup, leafmap)
         decoded = []
-        real = RowBlock.to_rows
+        real = RowBlock.decoded_column
         monkeypatch.setattr(
-            RowBlock, "to_rows", lambda block: (decoded.append(block), real(block))[1]
+            RowBlock,
+            "decoded_column",
+            lambda block, name: (decoded.append((block, name)), real(block, name))[1],
+        )
+        monkeypatch.setattr(
+            RowBlock, "to_rows", lambda block: pytest.fail("a sync built row dicts")
         )
         for name in ("events", "metrics"):
             grow(leafmap, 50, 5000, table=name)
         assert all(table.block_count == 4 for table in leafmap)
+        query = Query("events", aggregations=(Aggregation("avg", "latency_ms"),))
+        execute_on_leaf(leafmap, query)  # something hot to evict
+        hot = cache.stats()
+        assert hot.entries > 0
+        del decoded[:]
         backup.sync_leafmap(leafmap)
-        assert decoded == [table.blocks[-1] for table in leafmap]
+        assert decoded == [
+            (table.blocks[-1], name)
+            for table in leafmap
+            for name in table.blocks[-1].column_names
+        ]
+        assert cache.stats() == hot
         # With rows still buffered: the one straddled block, no more.
         del decoded[:]
         grow(leafmap, 70, 6000)
         backup.sync_leafmap(leafmap)
-        assert decoded == [leafmap.get_table("events").blocks[-1]]
+        straddled = leafmap.get_table("events").blocks[-1]
+        assert {block for block, _ in decoded} == {straddled}
         assert backup.synced_rows("events") == 120 + 50 + 70
+        assert cache.stats() == hot
 
 
 class TestSizeDropReachesTheChain:
@@ -499,7 +523,8 @@ class TestDirectoryFsync:
         synced_dirs = []
         real = shmformat.fsync_directory
         monkeypatch.setattr(
-            shmformat, "fsync_directory", lambda d: (synced_dirs.append(d), real(d))
+            "repro.disk.backup.fsync_directory",
+            lambda d: (synced_dirs.append(d), real(d)),
         )
         leafmap = make_leafmap(clock)
         sealed_sync(backup, leafmap)
@@ -530,7 +555,7 @@ class TestDirectoryFsync:
         def explode(directory):
             raise OSError("injected: directory fsync failed")
 
-        monkeypatch.setattr(shmformat, "fsync_directory", explode)
+        monkeypatch.setattr("repro.disk.backup.fsync_directory", explode)
         with pytest.raises(OSError, match="injected"):
             backup.sync_leafmap(leafmap)
         monkeypatch.undo()
@@ -569,7 +594,7 @@ class TestDirectoryFsync:
         def explode(directory):
             raise OSError("injected: directory fsync failed")
 
-        monkeypatch.setattr(shmformat, "fsync_directory", explode)
+        monkeypatch.setattr("repro.disk.backup.fsync_directory", explode)
         with pytest.raises(OSError, match="injected"):
             backup.sync_leafmap(leafmap)
         monkeypatch.undo()
