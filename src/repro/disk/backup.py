@@ -456,15 +456,20 @@ class DiskBackup:
 
         That is one table's *write phase*, then the publish.  A fault
         in the write phase leaves the table's manifest entry as it was:
-        what it wrote is unvouched, and a retry lands it once.
+        what it wrote is unvouched, and a retry lands it once.  A table
+        never synced before stays unnamed, so no manifest trusts its log.
         """
         with self.publish_once():
-            before = self._entry(table.name)
-            entry = self._manifest[table.name] = dict(before)
+            before = self._manifest.get(table.name)
+            entry = dict(self._entry(table.name))
+            self._manifest[table.name] = entry
             try:
                 return self._write_phase(table, entry)
             except BaseException:
-                self._manifest[table.name] = before
+                if before is None:
+                    del self._manifest[table.name]
+                else:
+                    self._manifest[table.name] = before
                 raise
 
     def _write_phase(self, table: Table, entry: dict) -> int:
@@ -587,7 +592,6 @@ class DiskBackup:
                 rows_expired=rows_expired,
                 flags=SNAPSHOT_FLAG_DELTA,
                 filename=delta_filename(name, gen),
-                fsync_dir=False,
             )
             self._chain_dir_dirty = True
             link["file"] = path.name
@@ -672,7 +676,6 @@ class DiskBackup:
             generation=gen,
             rows_ingested=rows_ingested,
             rows_expired=rows_expired,
-            fsync_dir=False,
         )
         self._chain_dir_dirty = True
         self.stats.bases_written += 1

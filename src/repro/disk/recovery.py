@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
 from repro.disk.backup import DiskBackup
-from repro.disk.format import decode_chunk_rows, read_chunk_payloads, read_table_chunks
+from repro.disk.format import decode_chunk_rows, read_chunk_payloads
 from repro.disk.shmformat import ShmSnapshot, read_table_snapshot
 from repro.errors import CorruptionError, RecoveryError, SnapshotStaleError
 from repro.types import TIME_COLUMN, ColumnValue
@@ -38,12 +38,14 @@ def surviving_chunks(
     validity does not depend on what survives), but whether its rows
     would decode is never asked.  A manifest from before the count was
     tracked keeps every chunk; its replay filters rows by timestamp.
-    Nothing past the manifest's ``log_bytes`` is read: no publish vouched.
+    Nothing past the manifest's ``log_bytes`` is read, and nothing at all
+    when it says no rows were synced: no publish vouched.
     """
     path = backup.table_file(table_name)
+    synced = backup.synced_rows(table_name)
     expired = backup.rows_expired(table_name)
-    keep = None if expired is None else max(0, backup.synced_rows(table_name) - expired)
-    if keep == 0 or not path.exists():
+    keep = None if expired is None else max(0, synced - expired)
+    if not synced or keep == 0 or not path.exists():
         return [], 0
     window: deque[tuple[int, bytes]] = deque()
     held = 0
@@ -70,29 +72,21 @@ def recover_table_rows(
     Manifests from before the count was tracked fall back to filtering
     rows by the timestamp cutoff.
     """
+    chunks, skip = surviving_chunks(backup, table_name)
     if backup.rows_expired(table_name) is not None:
-        chunks, skip = surviving_chunks(backup, table_name)
         # A deletion intent recorded but never run live is made here,
         # on top of the count trim, exactly as the paper's Figure 5
         # caption requires.
-        intent = backup.unapplied_expire_cutoff(table_name)
-        for n_rows, payload in chunks:
-            rows = decode_chunk_rows(payload, n_rows)
-            del rows[:skip]
-            skip = 0
-            for row in rows:
-                if row.get(TIME_COLUMN, 0) >= intent:
-                    yield row
-        return
-    path = backup.table_file(table_name)
-    if not path.exists():
-        return
-    cutoff = backup.expire_cutoff(table_name)
-    with open(path, "rb") as fh:
-        for chunk_rows in read_table_chunks(fh):
-            for row in chunk_rows:
-                if row.get(TIME_COLUMN, 0) >= cutoff:
-                    yield row
+        cutoff = backup.unapplied_expire_cutoff(table_name)
+    else:
+        cutoff = backup.expire_cutoff(table_name)
+    for n_rows, payload in chunks:
+        rows = decode_chunk_rows(payload, n_rows)
+        del rows[:skip]
+        skip = 0
+        for row in rows:
+            if row.get(TIME_COLUMN, 0) >= cutoff:
+                yield row
 
 
 def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:

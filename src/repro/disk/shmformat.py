@@ -143,16 +143,14 @@ def write_table_shm_format(
     rows_expired: int = 0,
     flags: int = 0,
     filename: str | None = None,
-    fsync_dir: bool = True,
 ) -> Path:
     """Write one table's shm-format disk file; returns its path.
 
-    The write is atomic (tmp + ``os.replace``), the file is fsynced, and
-    the containing directory is fsynced after the rename — a torn write
-    can only ever leave the *previous* snapshot in place (which the
-    generation check routes around), and a crash right after the rename
-    cannot un-land a file the manifest is about to vouch for.  A caller
-    with ``fsync_dir=False`` owes that :func:`fsync_directory` before then.
+    The write is atomic (tmp + ``os.replace``) and the file is fsynced —
+    a torn write can only ever leave the *previous* snapshot in place
+    (which the generation check routes around).  The rename is not yet
+    durable: the caller owes one :func:`fsync_directory` of ``directory``
+    before anything vouches for the file, so a crash cannot un-land it.
 
     ``filename`` overrides the default base-snapshot name — delta files
     live in the same directory under their chain-generation names — and
@@ -183,8 +181,6 @@ def write_table_shm_format(
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    if fsync_dir:
-        fsync_directory(directory)
     return path
 
 
@@ -197,7 +193,7 @@ def write_leafmap_shm_format(
     excludes still-buffered rows: recovering the snapshot and re-syncing
     must not skip them.
     """
-    return [
+    paths = [
         write_table_shm_format(
             directory,
             table.name,
@@ -208,6 +204,9 @@ def write_leafmap_shm_format(
         )
         for table in leafmap
     ]
+    if paths:
+        fsync_directory(directory)
+    return paths
 
 
 def read_table_snapshot(

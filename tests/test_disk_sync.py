@@ -188,6 +188,28 @@ class TestLogCommitMark:
         assert log_chunk_sizes(old) == [120, 60]
         assert legacy_rows(backup.directory, clock) == leafmap.snapshot_rows()
 
+    def test_no_rows_synced_vouches_for_no_log_bytes(self, backup, clock, monkeypatch):
+        """A deletion intent names the table before its first sync; that
+        sync dies after the chunk's fsync.  The manifest on disk says no
+        rows were synced, so replay returns none of the file's."""
+        backup.record_expiry("events", 1)
+        leafmap = make_leafmap(clock)
+
+        def die():
+            raise KeyboardInterrupt("killed before the manifest publish")
+
+        monkeypatch.setattr(backup, "_save_manifest", die)
+        with pytest.raises(KeyboardInterrupt):
+            backup.sync_leafmap(leafmap)
+        monkeypatch.undo()
+        assert log_chunk_sizes(backup) == [120]
+        assert legacy_rows(backup.directory, clock) == {"events": []}
+
+        reopened = DiskBackup(backup.directory)
+        assert reopened.sync_leafmap(leafmap) == 120
+        assert log_chunk_sizes(reopened) == [120]
+        assert legacy_rows(backup.directory, clock) == leafmap.snapshot_rows()
+
     def test_empty_log_file_still_gets_its_header(self, backup, clock):
         """A crash between creating the log and its header reaching disk
         leaves a 0-byte file; the header used to be decided by the
@@ -391,6 +413,38 @@ class TestWritePhaseFault:
         chained = LeafMap(clock=clock, rows_per_block=50)
         recover_leafmap_snapshots(DiskBackup(backup.directory), chained)
         assert chained.snapshot_rows() == post
+
+    def test_a_first_sync_that_fails_leaves_the_table_unnamed(
+        self, tmp_path, clock, monkeypatch, shm_namespace
+    ):
+        """Table 2 has never been synced and its chain-file write fails
+        after its log chunk is durable.  The manifest published for
+        table 1 must not name table 2: a blank entry would trust the
+        whole log and cost the leaf its snapshot rung."""
+        backup = DiskBackup(tmp_path / "b")
+        leafmap = make_leafmap(clock, tables=TABLES, rows=150)
+        leafmap.seal_all()
+        post = leafmap.snapshot_rows()
+        io_calls = IoCalls(monkeypatch)
+        io_calls.fail_at = ("fsync", 4)
+        with pytest.raises(OSError, match="injected"):
+            backup.sync_leafmap(leafmap)
+        assert io_calls.calls[3:5] == [("fsync", "metrics.scuba"), ("fsync", "metrics.tmp")]
+        assert backup.table_names == ["events"]
+        assert log_chunk_sizes(backup, "metrics") == [150]
+
+        only_events = {"events": post["events"]}
+        assert DiskBackup(backup.directory).table_names == ["events"]
+        assert legacy_rows(backup.directory, clock) == only_events
+        leaf, report = restart(backup.directory, clock, shm_namespace)
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert leaf.leafmap.snapshot_rows() == only_events
+        leaf.crash()
+
+        assert backup.sync_leafmap(leafmap) == 150
+        assert log_chunk_sizes(backup, "metrics") == [150]
+        assert legacy_rows(backup.directory, clock) == post
+        assert DiskBackup(backup.directory).snapshots_ready()
 
     def test_failed_publish_is_owed_and_paid_by_the_retry(
         self, tmp_path, clock, monkeypatch
