@@ -22,6 +22,7 @@ pre-factorized.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -84,9 +85,10 @@ class DecodedColumn:
             return int(self.codes.size)
         return int(self.offsets.size) - 1
 
-    @property
+    @functools.cached_property
     def nbytes(self) -> int:
-        """Heap footprint estimate — what the decoded-column cache charges."""
+        """Heap footprint estimate — what the decoded-column cache charges
+        (computed once: the instance is immutable)."""
         total = 0
         if self.values is not None:
             total += self.values.nbytes

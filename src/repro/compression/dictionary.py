@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CorruptionError
-from repro.util.binary import BufferReader, BufferWriter
+from repro.util.binary import BufferWriter, decode_varint
 from repro.util.bits import pack_uints, required_bit_width, unpack_uints
 
 
@@ -40,12 +40,25 @@ def dictionary_encode(values: list[str]) -> tuple[bytes, bytes, int]:
 
 
 def decode_dictionary_entries(dictionary: bytes | memoryview, n_dict: int) -> list[str]:
-    """Parse the dictionary section back into its entries."""
-    reader = BufferReader(dictionary)
-    entries = [reader.read_str() for _ in range(n_dict)]
-    if reader.remaining:
+    """Parse the dictionary section back into its entries, in one pass."""
+    buf = bytes(dictionary)
+    entries, pos = [], 0
+    try:
+        for _ in range(n_dict):
+            length, pos = decode_varint(buf, pos)
+            end = pos + length
+            if end > len(buf):
+                raise CorruptionError(
+                    f"dictionary entry of {length} bytes at offset {pos} overruns "
+                    f"the {len(buf)}-byte section"
+                )
+            entries.append(buf[pos:end].decode("utf-8"))
+            pos = end
+    except UnicodeDecodeError as exc:
+        raise CorruptionError(f"invalid UTF-8 in string field: {exc}") from exc
+    if pos != len(buf):
         raise CorruptionError(
-            f"{reader.remaining} trailing bytes after {n_dict} dictionary entries"
+            f"{len(buf) - pos} trailing bytes after {n_dict} dictionary entries"
         )
     return entries
 

@@ -11,15 +11,19 @@ the simulated recovery time.
 The speedup floor is the vectorized executor's acceptance gate: grouped
 aggregation over the ``service_requests`` leaf must be at least 20x
 faster vectorized than row-at-a-time (5x before the executor ran its
-kernels once per run of blocks instead of once per block).
+kernels once per run of blocks instead of once per block) — and give the
+same finalized answer, merged and finalized as an aggregator would.
 """
 
 from __future__ import annotations
 
+import math
+
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.leafmap import LeafMap
 from repro.experiments import Gate, build_payload, ratio, timed
-from repro.query.execute import execute_on_leaf, execute_on_leaf_rows
+from repro.query.aggregate import merge_leaf_results
+from repro.query.execute import LeafExecution, execute_on_leaf, execute_on_leaf_rows
 from repro.query.query import Aggregation, Filter, Query
 from repro.sim import paper_profile
 from repro.util.clock import ManualClock
@@ -40,8 +44,10 @@ FIRST_SECOND = 1_390_000_000
 GROUPED = "grouped-aggregation"
 FILTERED = "filtered-count"
 
+SAME_ANSWERS = "vectorized and row executors: same finalized grouped answers (count/avg/p99)"
 GATES = (
     "vectorized vs row-at-a-time grouped aggregation",
+    SAME_ANSWERS,
     "grouped aggregation latency",
     "blocks pruned by time predicate",
     "decoded-column cache hit rate (warm dashboard)",
@@ -79,6 +85,12 @@ def queries(rows: int) -> dict[str, Query]:
     }
 
 
+def finalized(query: Query, execution: LeafExecution) -> list[tuple]:
+    """``(group, count, avg, p99)`` per group of a grouped answer."""
+    rows = merge_leaf_results(query, [execution.partial], 1).rows
+    return [(row.group, *row.values.values()) for row in rows]
+
+
 def run(rows: int = ROWS, cache_mb: int = CACHE_MB, repeats: int = REPEATS) -> dict:
     cache = DecodedColumnCache(cache_mb << 20)
     leafmap = LeafMap(
@@ -92,8 +104,11 @@ def run(rows: int = ROWS, cache_mb: int = CACHE_MB, repeats: int = REPEATS) -> d
 
     results = {}
     executions = {}
+    row_executions = {}
     for name, query in queries(rows).items():
-        row_s, _ = timed(lambda: execute_on_leaf_rows(leafmap, query), repeats)
+        row_s, row_executions[name] = timed(
+            lambda: execute_on_leaf_rows(leafmap, query), repeats
+        )
         cache.clear()
         cold_s, _ = timed(lambda: execute_on_leaf(leafmap, query))
         warm_s, executions[name] = timed(
@@ -126,6 +141,16 @@ def run(rows: int = ROWS, cache_mb: int = CACHE_MB, repeats: int = REPEATS) -> d
     orders = recovery_s / 0.5
 
     grouped = results[GROUPED]
+    # Counts and p99s exactly; avgs to the last bits that the per-block
+    # sums of the vectorized executor's rounding contract move.
+    fast, slow = (
+        finalized(queries(rows)[GROUPED], execution)
+        for execution in (executions[GROUPED], row_executions[GROUPED])
+    )
+    same = len(fast) == len(slow) and all(
+        (group, count, p99) == (group_, count_, p99_) and math.isclose(avg, avg_, rel_tol=1e-9)
+        for (group, count, avg, p99), (group_, count_, avg_, p99_) in zip(fast, slow)
+    )
     gates = [
         Gate(
             "vectorized vs row-at-a-time grouped aggregation",
@@ -134,6 +159,12 @@ def run(rows: int = ROWS, cache_mb: int = CACHE_MB, repeats: int = REPEATS) -> d
             f"{grouped['vector_warm_ms']:.1f} ms)",
             grouped["speedup"] >= SPEEDUP_FLOOR
             and executions[GROUPED].rows_scanned == rows,
+        ),
+        Gate(
+            SAME_ANSWERS,
+            "equal (avg to 1e-9: per-block sums)",
+            f"{len(fast)} groups, {'equal' if same else 'DIFFERENT'}",
+            same and len(fast) > 0,
         ),
         Gate(
             "grouped aggregation latency",

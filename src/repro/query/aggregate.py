@@ -6,13 +6,22 @@ represented as a *mergeable state*: count and sum are trivially additive,
 avg carries (sum, count), min/max fold, and percentiles carry their
 sample values (exact at this library's scale; a production system would
 ship a quantile sketch, which would change none of the interfaces).
+
+Samples are kept as a list of float64 *chunks* — the vectorized
+executor's per-group slices of its sorted run, the row path's single
+floats — that merging appends by reference and :meth:`AggState.finalize`
+flattens once to select the rank.  On the wire a state's samples are
+still one flat JSON list of floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 from repro.errors import QueryError
 from repro.query.query import Query, QueryResult, ResultRow
@@ -28,7 +37,11 @@ class AggState:
     touches is NaN, and min/max see it as numpy does within a run of
     blocks (NaN wins) and as Python's ``min``/``max`` do across runs,
     leaves and the row path (the first operand wins every comparison
-    with NaN) — so those two depend on where the NaN rows sit.
+    with NaN) — so those two depend on where the NaN rows sit.  A
+    percentile ranks NaN last (numpy's order) everywhere, so it does not.
+
+    ``samples`` holds float64 chunks (arrays or single floats) that are
+    shared, never mutated; ``==`` compares them flattened, in order.
     """
 
     func: str
@@ -36,7 +49,14 @@ class AggState:
     total: float = 0.0
     minimum: float | None = None
     maximum: float | None = None
-    samples: list[float] = field(default_factory=list)
+    samples: list[np.ndarray | float] = field(default_factory=list)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AggState):
+            return NotImplemented
+        return dict(vars(self), samples=None) == dict(vars(other), samples=None) and (
+            np.array_equal(self.flat_samples(), other.flat_samples(), equal_nan=True)
+        )
 
     def update(self, value: ColumnValue | None) -> None:
         """Fold one row's value into the state."""
@@ -69,7 +89,8 @@ class AggState:
 
     def absorb(self, count: int, minimum: float | None, maximum: float | None, samples=()) -> None:
         """Fold in ``count`` already-reduced values — everything but the
-        total, which the caller adds in the order its rounding needs."""
+        total, which the caller adds in the order its rounding needs —
+        and their ``samples`` chunks, by reference."""
         self.count += count
         if minimum is not None:
             self.minimum = minimum if self.minimum is None else min(self.minimum, minimum)
@@ -78,26 +99,21 @@ class AggState:
         self.samples.extend(samples)
 
     def to_dict(self) -> dict:
-        """JSON-safe form (for shipping partials between processes)."""
-        return {
-            "func": self.func,
-            "count": self.count,
-            "total": self.total,
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-            "samples": list(self.samples),
-        }
+        """JSON-safe form (for shipping partials between processes): the
+        samples travel as one flat list and come back as one chunk."""
+        return dict(vars(self), samples=self.flat_samples().tolist())
 
     @classmethod
     def from_dict(cls, data: dict) -> "AggState":
-        return cls(
-            func=data["func"],
-            count=data["count"],
-            total=data["total"],
-            minimum=data["minimum"],
-            maximum=data["maximum"],
-            samples=list(data["samples"]),
-        )
+        scalars = (data[key] for key in ("func", "count", "total", "minimum", "maximum"))
+        return cls(*scalars, [np.array(data["samples"], dtype=np.float64)])
+
+    def flat_samples(self) -> np.ndarray:
+        """The samples as one fresh float64 array, in order."""
+        parts = []
+        for scalar, run in itertools.groupby(self.samples, lambda c: isinstance(c, float)):
+            parts.extend((np.fromiter(run, np.float64),) if scalar else run)
+        return np.concatenate(parts) if parts else np.empty(0)
 
     def finalize(self) -> ColumnValue | None:
         """The user-facing value of this aggregate."""
@@ -113,20 +129,16 @@ class AggState:
             return self.minimum
         if self.func == "max":
             return self.maximum
-        # Percentiles: nearest-rank on the collected samples.
+        # Percentiles: nearest rank, selected (NaN ranks last) — not sorted.
         fraction = int(self.func[1:]) / 100.0
-        ordered = sorted(self.samples)
-        rank = max(0, min(len(ordered) - 1, math.ceil(fraction * len(ordered)) - 1))
-        return ordered[rank]
+        flat = self.flat_samples()
+        rank = max(0, min(flat.size - 1, math.ceil(fraction * flat.size) - 1))
+        return float(np.partition(flat, rank)[rank])
 
 
 #: A leaf's partial result: group key -> list of states, one per
 #: aggregation, in query order.
 LeafPartial = dict[tuple, list[AggState]]
-
-
-def new_states(query: Query) -> list[AggState]:
-    return [AggState(agg.func) for agg in query.aggregations]
 
 
 def canonical(element):

@@ -37,7 +37,7 @@ from repro.columnstore.rowblock import RowBlock
 from repro.compression.decoded import DecodedColumn, DecodedKind
 from repro.errors import QueryError
 from repro.query import kernels
-from repro.query.aggregate import AggState, LeafPartial, canonical, new_states
+from repro.query.aggregate import AggState, LeafPartial, canonical
 from repro.query.query import Query
 from repro.types import TIME_COLUMN, ColumnValue
 
@@ -281,11 +281,14 @@ def _execute_run(
     ]
     starts, reduced = kernels.grouped_reduce(gids, group_sizes, block_of, columns)
     for index, (sums, mins, maxs, ordered) in zip(valued, reduced):
-        samples = ordered.tolist() if query.aggregations[index].func.startswith("p") else []
+        # A percentile keeps its group's slice of the sorted values; any
+        # other state gets none (an empty view would pin the array).
+        sampled = query.aggregations[index].func.startswith("p")
         per_group = zip(counts, starts.tolist(), sums.tolist(), mins.tolist(), maxs.tolist())
         for states, (count, start, total, low, high) in zip(run_states, per_group):
             states[index].total = total
-            states[index].absorb(count, low, high, samples[start : start + count])
+            chunks = (ordered[start : start + count],) if sampled else ()
+            states[index].absorb(count, low, high, chunks)
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +312,7 @@ def _fold_row(execution: LeafExecution, query: Query, row: dict[str, ColumnValue
 def _states_for(execution: LeafExecution, query: Query, key: tuple) -> list[AggState]:
     states = execution.partial.get(key)
     if states is None:
-        states = execution.partial[key] = new_states(query)
+        states = execution.partial[key] = [AggState(agg.func) for agg in query.aggregations]
     return states
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.errors import QueryError
@@ -13,6 +14,12 @@ AGG_FUNCS = ("count", "sum", "avg", "min", "max", "p50", "p90", "p95", "p99")
 
 #: Supported filter operators.
 FILTER_OPS = ("eq", "ne", "lt", "le", "gt", "ge", "in", "contains")
+
+#: How each operator but ``contains`` tests ``(actual, value)``.
+_COMPARE = {
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt, "le": operator.le,
+    "gt": operator.gt, "ge": operator.ge, "in": lambda actual, value: actual in value,
+}
 
 
 @dataclass(frozen=True)
@@ -49,21 +56,8 @@ class Filter:
         if self.column not in row:
             return False
         actual = row[self.column]
-        if self.op == "eq":
-            return actual == self.value
-        if self.op == "ne":
-            return actual != self.value
-        if self.op == "lt":
-            return actual < self.value
-        if self.op == "le":
-            return actual <= self.value
-        if self.op == "gt":
-            return actual > self.value
-        if self.op == "ge":
-            return actual >= self.value
-        if self.op == "in":
-            return actual in self.value
-        # contains
+        if self.op != "contains":
+            return _COMPARE[self.op](actual, self.value)
         if not isinstance(actual, list):
             raise QueryError(
                 f"'contains' requires a STRING_VECTOR column, and "
@@ -145,34 +139,25 @@ class Query:
 
     def to_dict(self) -> dict:
         """JSON-safe form (for the process RPC protocol)."""
-        return {
-            "table": self.table,
-            "aggregations": [agg.to_dict() for agg in self.aggregations],
-            "group_by": list(self.group_by),
-            "filters": [f.to_dict() for f in self.filters],
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "limit": self.limit,
-            "bucket_seconds": self.bucket_seconds,
-            "order_by": self.order_by,
-            "descending": self.descending,
-        }
+        return dict(
+            vars(self),
+            aggregations=[agg.to_dict() for agg in self.aggregations],
+            group_by=list(self.group_by),
+            filters=[f.to_dict() for f in self.filters],
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "Query":
+        """Inverse of :meth:`to_dict`: an absent optional key takes its
+        default, an unknown key is ignored."""
+        known = {f.name: data[f.name] for f in fields(cls) if f.name in data}
         return cls(
-            table=data["table"],
-            aggregations=tuple(
-                Aggregation.from_dict(a) for a in data["aggregations"]
-            ),
-            group_by=tuple(data.get("group_by", ())),
-            filters=tuple(Filter.from_dict(f) for f in data.get("filters", ())),
-            start_time=data.get("start_time"),
-            end_time=data.get("end_time"),
-            limit=data.get("limit"),
-            bucket_seconds=data.get("bucket_seconds"),
-            order_by=data.get("order_by"),
-            descending=data.get("descending", True),
+            **dict(
+                known,
+                aggregations=tuple(Aggregation.from_dict(a) for a in data["aggregations"]),
+                group_by=tuple(data.get("group_by", ())),
+                filters=tuple(Filter.from_dict(f) for f in data.get("filters", ())),
+            )
         )
 
 

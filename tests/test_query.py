@@ -1,12 +1,17 @@
 """Tests for the query engine: descriptions, execution, and merging."""
 
+import copy
+import json
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnstore.leafmap import LeafMap
 from repro.errors import QueryError
-from repro.query.aggregate import AggState, merge_leaf_results
+from repro.query.aggregate import AggState, merge_leaf_results, merge_partials
 from repro.query.execute import execute_on_leaf
 from repro.query.query import Aggregation, Filter, Query
 from repro.util.clock import ManualClock
@@ -197,6 +202,87 @@ class TestAggStates:
                 assert b == pytest.approx(a, rel=1e-9, abs=1e-9), func
             else:
                 assert a == b, func
+
+
+def reference_percentile(values, func):
+    """Nearest rank over a Python ``sorted`` copy (finite values only)."""
+    ordered = sorted(values)
+    rank = math.ceil(int(func[1:]) / 100.0 * len(ordered)) - 1
+    return ordered[max(0, min(len(ordered) - 1, rank))]
+
+
+def chunked_state(func, pieces):
+    """A state fed ``pieces`` in order: a list is folded row by row with
+    ``update``, a tuple is absorbed as one array chunk (maybe empty)."""
+    state = AggState(func)
+    for piece in pieces:
+        if isinstance(piece, list):
+            for value in piece:
+                state.update(value)
+        else:
+            chunk = np.array(piece, dtype=np.float64)
+            low = float(chunk.min()) if chunk.size else None
+            high = float(chunk.max()) if chunk.size else None
+            state.absorb(chunk.size, low, high, (chunk,))
+    return state
+
+
+PIECES = st.lists(
+    st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8).map(tuple),
+    ),
+    max_size=6,
+)
+
+
+class TestPercentileChunks:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(PIECES, min_size=1, max_size=3), st.integers(min_value=1, max_value=99))
+    def test_selection_matches_sorted_reference(self, states, percent):
+        """However the samples are split into states, row updates, array
+        chunks and empty chunks, the answer is the sorted nearest rank."""
+        func = f"p{percent}"
+        merged = AggState(func)
+        for pieces in states:
+            merged.merge(chunked_state(func, pieces))
+        values = [v for pieces in states for piece in pieces for v in piece]
+        if not values:
+            assert merged.finalize() is None
+            return
+        assert merged.finalize() == reference_percentile(values, func)
+
+    def test_finalize_returns_a_python_float(self):
+        state = chunked_state("p50", [(3.0, 1.0, 2.0), [4.0]])
+        assert type(state.finalize()) is float
+        assert state.finalize() == 2.0
+
+    def test_merge_partials_leaves_inputs_untouched(self):
+        partials = [
+            {("a",): [chunked_state("p90", [(5.0, 1.0), [2.0]]), AggState("count", 3)]},
+            {("a",): [chunked_state("p90", [[7.0], (0.5, 9.0)]), AggState("count", 3)]},
+            {("b",): [chunked_state("p90", [(), [1.0, float("nan")]]), AggState("count", 2)]},
+        ]
+        before = copy.deepcopy(partials)
+        merged = merge_partials(partials)
+        assert partials == before
+        assert merged[("a",)][0].flat_samples().tolist() == [5.0, 1.0, 2.0, 7.0, 0.5, 9.0]
+        assert merged[("a",)][0].finalize() == 9.0
+
+    def test_wire_round_trip_keeps_the_flat_json_shape(self):
+        state = chunked_state("p50", [(3.0, 1.0), [4.0], (), (2.0,)])
+        data = json.loads(json.dumps(state.to_dict()))
+        assert data["samples"] == [3.0, 1.0, 4.0, 2.0]
+        rebuilt = AggState.from_dict(data)
+        assert rebuilt == state
+        assert len(rebuilt.samples) == 1
+        assert rebuilt.finalize() == state.finalize() == 2.0
+
+    def test_nan_ranks_last_whatever_the_order(self):
+        values = [0.0, float("nan"), 2.0, 3.0, 1.0, 5.0]
+        for order in (values, values[::-1], values[3:] + values[:3]):
+            assert chunked_state("p50", [order]).finalize() == 2.0
+            assert math.isnan(chunked_state("p99", [tuple(order)]).finalize())
 
 
 class TestMerge:

@@ -687,6 +687,34 @@ class TestNanGroupKey:
         assert [row.values["count(*)"] for row in result.rows] == [8, 8]
 
 
+class TestNanPercentile:
+    """A percentile ranks NaN last (numpy's order) on both executors, in
+    either leaf order and over the wire — not where a sort left it."""
+
+    QUERY = Query("service_requests", aggregations=(Aggregation("p50", "latency"),))
+
+    @staticmethod
+    def leaf(latencies):
+        # Two rows a block: sealed blocks plus a one-row write buffer.
+        leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=2)
+        leafmap.get_or_create("service_requests").add_rows(
+            {"time": 1000 + i, "latency": value} for i, value in enumerate(latencies)
+        )
+        return leafmap
+
+    @pytest.mark.parametrize("executor", [execute_on_leaf, execute_on_leaf_rows])
+    def test_same_p50_from_every_executor_and_leaf_order(self, executor):
+        leaves = [self.leaf([0.0, math.nan, 2.0, 3.0, 1.0]), self.leaf([5.0])]
+        partials = [executor(leafmap, self.QUERY).partial for leafmap in leaves]
+        wired = [
+            partial_from_wire(json.loads(json.dumps(partial_to_wire(partial))))
+            for partial in partials
+        ]
+        for order in (partials, partials[::-1], wired, wired[::-1]):
+            (row,) = merge_leaf_results(self.QUERY, order, 2).rows
+            assert row.values["p50(latency)"] == 2.0
+
+
 class TestDecodedColumnCache:
     def query(self):
         return Query(
