@@ -64,7 +64,9 @@ if TYPE_CHECKING:
     from repro.server.leaf import LeafServer
 
 WIRE_MAGIC = 0x50455252  # "RREP"
-WIRE_VERSION = 1
+#: 2: BLOCK frames carry ``RBC_VERSION`` 2 (raw deflate) payloads, so a
+#: standby of the other build is refused at its first frame.
+WIRE_VERSION = 2
 #: magic, version, kind, payload length, payload crc32
 _FRAME = struct.Struct("<IHHII")
 #: Sanity cap on one frame's payload — a block is at most a few MB.

@@ -10,11 +10,7 @@ between heap, shared memory, and disk with a single copy.
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rbc import RBC_VERSION, RowBlockColumn, build_rbc
-from repro.columnstore.rowblock import (
-    MAX_ROWBLOCK_BYTES,
-    ROWS_PER_BLOCK,
-    RowBlock,
-)
+from repro.columnstore.rowblock import ROWS_PER_BLOCK, RowBlock
 from repro.columnstore.schema import Schema, infer_column_type
 from repro.columnstore.stats import (
     ColumnStats,
@@ -22,6 +18,7 @@ from repro.columnstore.stats import (
     format_table_stats,
     table_stats,
 )
+from repro.compression.base import MAX_ROWBLOCK_BYTES
 
 __all__ = [
     "ColumnStats",

@@ -50,7 +50,8 @@ from repro.util.checksum import crc32_of, verify_crc32
 
 RBC_MAGIC = 0x31434252  # "RBC1" little-endian
 RBC_END_MAGIC = 0x52424331  # "1CBR" little-endian
-RBC_VERSION = 1
+#: 2: compressed sections are raw deflate (1 was a from-scratch LZ).
+RBC_VERSION = 2
 HEADER_SIZE = 56
 FOOTER_SIZE = 8
 

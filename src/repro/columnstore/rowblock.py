@@ -34,9 +34,6 @@ from repro.util.binary import BufferReader, BufferWriter
 #: Paper: "Each row block contains 65,536 rows that arrived consecutively."
 ROWS_PER_BLOCK = 65536
 
-#: Paper: "The row block is capped at 1 GB, pre-compression."
-MAX_ROWBLOCK_BYTES = 1 << 30
-
 ROWBLOCK_MAGIC = 0x4B4C4252  # "RBLK"
 ROWBLOCK_VERSION = 1
 

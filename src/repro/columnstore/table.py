@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from repro.columnstore.colcache import DecodedColumnCache
-from repro.columnstore.rowblock import MAX_ROWBLOCK_BYTES, ROWS_PER_BLOCK, RowBlock
+from repro.columnstore.rowblock import ROWS_PER_BLOCK, RowBlock
+from repro.compression.base import MAX_ROWBLOCK_BYTES
 from repro.errors import SchemaError
 from repro.types import TIME_COLUMN, ColumnValue
 from repro.util.clock import Clock, SystemClock

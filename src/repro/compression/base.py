@@ -11,6 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntFlag
 
+#: Paper: "The row block is capped at 1 GB, pre-compression."  So is any
+#: one section of it: the bound a dictionary or raw string section, whose
+#: inflated size no header records, is inflated under.
+MAX_ROWBLOCK_BYTES = 1 << 30
+
 
 class CompressionFlags(IntFlag):
     """Methods applied to a column payload, composable as a bitmask.
@@ -24,9 +29,9 @@ class CompressionFlags(IntFlag):
     DELTA = 2  # consecutive differences stored instead of absolute values
     ZIGZAG = 4  # signed->unsigned fold so small magnitudes pack small
     BITPACK = 8  # minimal-width dense bit packing
-    LZ = 16  # LZ77-style byte compression of the data section
+    LZ = 16  # raw deflate (zlib level 1) of the data section
     SHUFFLE = 32  # byte transposition (groups co-varying bytes before LZ)
-    DICT_LZ = 64  # LZ applied to the dictionary section
+    DICT_LZ = 64  # raw deflate of the dictionary section
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""Float column encoding: byte shuffle plus LZ.
+"""Float column encoding: byte shuffle plus deflate.
 
 IEEE-754 doubles from a single metric (latencies, revenue counters) share
 sign/exponent bytes; transposing the payload so all first bytes come
 first, then all second bytes, and so on, turns that redundancy into long
-runs the LZ stage can exploit.  This is the same trick Blosc and HDF5's
-shuffle filter use, and it satisfies the paper's "at least two methods
-per column" for floats (SHUFFLE + LZ).
+runs the deflate stage can exploit.  This is the same trick Blosc and
+HDF5's shuffle filter use, and it satisfies the paper's "at least two
+methods per column" for floats (SHUFFLE + LZ).  The payload inflates to
+exactly ``n_items × 8`` bytes, so that is the bound it is inflated under.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def unshuffle_bytes(shuffled: bytes | memoryview, item_size: int = 8) -> bytes:
 
 
 def encode_float64_payload(values: np.ndarray) -> tuple[CompressionFlags, bytes]:
-    """Encode a float64 array; falls back to RAW when LZ does not pay."""
+    """Encode a float64 array; falls back to RAW when deflate does not pay."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     raw = values.tobytes()
     if not raw:
@@ -59,7 +60,7 @@ def decode_float64_payload(
     if n_items == 0:
         return np.empty(0, dtype=np.float64)
     if CompressionFlags.LZ in flags:
-        raw = lz_decompress(payload)
+        raw = lz_decompress(payload, n_items * 8)
         if CompressionFlags.SHUFFLE in flags:
             raw = unshuffle_bytes(raw)
     elif flags == CompressionFlags.RAW:

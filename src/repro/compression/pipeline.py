@@ -7,9 +7,9 @@ flags, item counts).  Method selection follows Scuba's combination rules
 (paper, Section 2.1 — "at least two methods applied to each column"):
 
 - INT64    → zigzag + bitpack, with delta added when it narrows the width
-- FLOAT64  → byte shuffle + LZ, raw fallback when incompressible
-- STRING   → dictionary + bitpacked ids (LZ'd dictionary when it pays);
-             raw + LZ fallback for near-unique columns
+- FLOAT64  → byte shuffle + deflate, raw fallback when incompressible
+- STRING   → dictionary + bitpacked ids (deflated dictionary when it
+             pays); raw + deflate fallback for near-unique columns
 - VECTOR   → bitpacked per-row lengths + flattened dictionary encoding
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressionFlags, EncodedColumn
+from repro.compression.base import MAX_ROWBLOCK_BYTES, CompressionFlags, EncodedColumn
 from repro.compression.decoded import DecodedColumn
 from repro.compression.dictionary import (
     decode_dictionary_entries,
@@ -40,7 +40,7 @@ _DICT_CARDINALITY_CUTOFF = 0.9
 
 
 def _maybe_lz_dictionary(dictionary: bytes) -> tuple[CompressionFlags, bytes]:
-    """LZ the dictionary section when that actually shrinks it."""
+    """Deflate the dictionary section when that actually shrinks it."""
     if len(dictionary) < 64:
         return CompressionFlags.RAW, dictionary
     compressed = lz_compress(dictionary)
@@ -71,7 +71,7 @@ def _parse_dict_strings(encoded: EncodedColumn) -> tuple[list[str], np.ndarray]:
     """Dictionary-encoded string sections as ``(entries, ids)``."""
     dictionary = encoded.dictionary
     if CompressionFlags.DICT_LZ in encoded.flags:
-        dictionary = lz_decompress(dictionary)
+        dictionary = lz_decompress(dictionary, MAX_ROWBLOCK_BYTES)
     entries = decode_dictionary_entries(dictionary, encoded.n_dict_items)
     if encoded.n_items == 0:
         return entries, np.empty(0, dtype=np.uint64)
@@ -87,7 +87,7 @@ def _parse_dict_strings(encoded: EncodedColumn) -> tuple[list[str], np.ndarray]:
 def raw_string_payload(encoded: EncodedColumn) -> bytes | memoryview:
     """A non-dictionary string column's values, len-prefixed, end to end."""
     if CompressionFlags.LZ in encoded.flags:
-        return lz_decompress(encoded.data)
+        return lz_decompress(encoded.data, MAX_ROWBLOCK_BYTES)
     if encoded.flags != CompressionFlags.RAW:
         raise CorruptionError(f"unsupported string flag combination: {encoded.flags!r}")
     return encoded.data
@@ -132,7 +132,7 @@ def _parse_string_vectors(
     """String-vector sections as ``(entries, per-row lengths, flat ids)``."""
     dictionary = encoded.dictionary
     if CompressionFlags.DICT_LZ in encoded.flags:
-        dictionary = lz_decompress(dictionary)
+        dictionary = lz_decompress(dictionary, MAX_ROWBLOCK_BYTES)
     entries = decode_dictionary_entries(dictionary, encoded.n_dict_items)
     if encoded.n_items == 0:
         empty = np.empty(0, dtype=np.uint64)

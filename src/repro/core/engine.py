@@ -473,7 +473,6 @@ class RestartEngine:
                     self.budget.acquire(size)
                     held = size
                 segment = ShmSegment.create(name, size)
-                self.tracker.allocate("shm", segment.size, at=self.clock.now())
                 writer = TableSegmentWriter(segment, table.name, blocks)
                 try:
                     events = writer.copy_events()
@@ -488,7 +487,6 @@ class RestartEngine:
                     # reservation goes first, so an oversized regrow can
                     # use the whole-budget admission instead of
                     # deadlocking on itself.
-                    self.tracker.free("shm", segment.size, at=self.clock.now())
                     segment.unlink()
                     if held:
                         self.budget.release(held)
@@ -497,7 +495,10 @@ class RestartEngine:
                     report.segment_grows += 1
                     name = f"{self._segment_base_name(table_index)}-g{grows}"
                     size = table_segment_size(table.name, blocks)
-            if first_event is not None:
+            if first_event is None:
+                # A table without blocks is its preamble alone.
+                self.tracker.allocate("shm", writer.used_bytes, at=self.clock.now())
+            else:
                 self._apply_copy_event(blocks, first_event, deadline, report)
             for event in events:
                 self._apply_copy_event(blocks, event, deadline, report)
@@ -515,6 +516,10 @@ class RestartEngine:
                 self.budget.release(held)
 
     def _apply_copy_event(self, blocks, event, deadline, report) -> None:
+        # §4.4's "allocate, copy, free": the segment is charged as its
+        # bytes land (tmpfs backs a page only once it is written), each
+        # RBC before its heap buffer goes.
+        self.tracker.allocate("shm", event.landed, at=self.clock.now())
         if deadline is not None:
             deadline.check()
         block = blocks[event.block_index]
@@ -628,8 +633,9 @@ class RestartEngine:
         The bare ``meta.unlink_all()`` frees the segments from the OS but
         leaves the "shm" region (possibly shared machine-wide) charged
         forever.  Here each table segment that still exists is freed from
-        the region before unlinking; the min() guard covers engines whose
-        tracker never charged these segments (fresh process, region empty).
+        the region — by its used bytes, what the copy-out charged — before
+        unlinking; the min() guard covers engines whose tracker never
+        charged these segments (fresh process, region empty).
         """
         try:
             records = meta.records
@@ -640,10 +646,8 @@ class RestartEngine:
         for record in records:
             if not segment_exists(record.segment_name):
                 continue
-            with ShmSegment.attach(record.segment_name) as segment:
-                nbytes = segment.size
-                segment.unlink()
-            tracked = min(nbytes, self.tracker.in_region("shm"))
+            ShmSegment.attach(record.segment_name).unlink()
+            tracked = min(record.used_bytes, self.tracker.in_region("shm"))
             if tracked:
                 self.tracker.free("shm", tracked, at=now)
         meta.unlink()

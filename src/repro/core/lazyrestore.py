@@ -128,10 +128,11 @@ class RestoreDriver:
     A source subclass sets the labels below and implements
     :meth:`_publish_directory`, :meth:`_read_block` and
     :meth:`_close_source` (plus :meth:`_read_blocks`,
-    :meth:`_release_table`, :meth:`_finish_source` and
-    :meth:`_discard_source` where batching a drain's reads, letting go of
-    one table, or consuming or discarding the source is more than the
-    default).  Every hook but the publish runs with the lock held.
+    :meth:`_release_blocks`, :meth:`_release_table`,
+    :meth:`_finish_source` and :meth:`_discard_source` where batching a
+    drain's reads, letting go of what adopted blocks or one table held,
+    or consuming or discarding the source is more than the default).
+    Every hook but the publish runs with the lock held.
     """
 
     #: Where pending blocks fault in from; the leaf server picks its
@@ -196,6 +197,10 @@ class RestoreDriver:
         wants, tables hottest first: a source that can do better than
         one :meth:`_read_block` at a time batches here."""
         return self._each(descs)
+
+    def _release_blocks(self, state: _TableState) -> None:
+        """A block is home, its table not yet: let go of whatever of the
+        source's copy no pending block still needs."""
 
     def _release_table(self, state: _TableState) -> None:
         """A table is home: let go of the source's copy of it."""
@@ -412,6 +417,8 @@ class RestoreDriver:
                 adopted += 1
                 if state.complete:
                     self._table_done(state)
+                else:
+                    self._release_blocks(state)
             for state in touched.values():
                 self._reconcile(state)
         except Exception as exc:
@@ -647,6 +654,9 @@ class LazyRestore(RestoreDriver):
         self._meta: LeafMetadata | None = meta  # attached, valid, ours to close
         self._segments: dict[str, ShmSegment] = {}
         self._views: dict[str, memoryview] = {}  # each segment's used bytes
+        #: Each mapped segment's "shm" charge: used bytes, less released pages.
+        self._charged: dict[str, int] = {}
+        self._low: dict[str, int] = {}  # per table, nothing below is pending
 
     def _publish_directory(self) -> None:
         """Attach every table segment and index its blocks by header.
@@ -662,20 +672,22 @@ class LazyRestore(RestoreDriver):
         self._meta.set_valid(False)  # interrupted restores must go to disk
         engine._fault("restore:after_invalidate")
         # A fresh process's tracker has no "shm" region yet; charge the
-        # segments the fault-ins are about to consume so the footprint
-        # sums hold.  The charge rides the directory attach below — one
-        # attach per segment, not a separate probe pass.  A failure
-        # mid-loop leaves some segments uncharged, which
-        # _discard_shm_tracked's min() guard absorbs on the fallback
-        # (which also closes what is mapped).
+        # segments the fault-ins are about to consume (their used bytes,
+        # as the copy-out did) so the footprint sums hold.  The charge
+        # rides the directory attach below — one attach per segment, not
+        # a separate probe pass.  A failure mid-loop leaves some segments
+        # uncharged, which _discard_shm_tracked's min() guard absorbs on
+        # the fallback (which also closes what is mapped).
         charge_shm = engine.tracker.in_region("shm") == 0
         for record in self._meta.records:
             segment = ShmSegment.attach(record.segment_name)
             self._segments[record.table_name] = segment
-            if charge_shm:
-                engine.tracker.allocate("shm", segment.size, at=engine.clock.now())
             view = segment.read_at(0, record.used_bytes)
             self._views[record.table_name] = view
+            if charge_shm:
+                engine.tracker.allocate("shm", record.used_bytes, at=engine.clock.now())
+            self._charged[record.table_name] = record.used_bytes
+            self._low[record.table_name] = 0
             _, extents = read_block_headers(view)
             machine = TableRestoreMachine()
             machine.transition(TableRestoreState.MEMORY_RECOVERY)
@@ -711,16 +723,35 @@ class LazyRestore(RestoreDriver):
             self._engine._fault("restore:in_window")
             yield from self._each(blocks)
 
+    def _release_blocks(self, state: _TableState) -> None:
+        """Give back the whole pages below the lowest block still pending,
+        and exactly those bytes to the tracker.  Blocks sit in directory
+        order, so stepping past what left ``pending`` finds it (no scan);
+        a drain moves it one block at a time."""
+        name, pending = state.name, state.pending
+        low = self._low[name]
+        while low not in pending:
+            low += 1
+        self._low[name] = low
+        released = self._segments[name].release_pages(pending[low].offset)
+        if released:
+            self._charged[name] -= released
+            self._engine.tracker.free("shm", released, at=self._engine.clock.now())
+
     def _release_table(self, state: _TableState) -> None:
         """ "delete the table shared memory segment" the moment its table
-        is home, serving or blocking, so the footprint peaks at the
-        resident data plus one table rather than plus all of them."""
-        engine = self._engine
-        self._views.pop(state.name).release()  # an exported view pins the mmap
-        segment = self._segments.pop(state.name)
-        engine.tracker.free("shm", segment.size, at=engine.clock.now())
-        segment.unlink()
+        is home, serving or blocking: with :meth:`_release_blocks`, the
+        footprint peaks at the resident data plus one block (and a page)."""
+        self._unlink_segment(state.name)
         self._close_window()
+
+    def _unlink_segment(self, name: str) -> None:
+        """Unmap and delete one segment, freeing what it still charges."""
+        engine = self._engine
+        self._views.pop(name).release()  # an exported view pins the mmap
+        segment = self._segments.pop(name)
+        engine.tracker.free("shm", self._charged.pop(name), at=engine.clock.now())
+        segment.unlink()
 
     def _close_window(self) -> None:
         if self._window:
@@ -746,8 +777,12 @@ class LazyRestore(RestoreDriver):
         self._meta = None
 
     def _discard_source(self) -> None:
-        """Delete the shm state through the tracker: it is untrusted."""
+        """Delete the shm state through the tracker: it is untrusted.  What
+        this restore mapped goes by what it still charges, the rest by the
+        metadata's walk."""
         meta, self._meta = self._meta, None
+        for name in list(self._charged):
+            self._unlink_segment(name)
         self._close_source()
         self._engine._discard_shm_tracked(meta)
 

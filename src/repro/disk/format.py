@@ -12,22 +12,33 @@ File layout::
 
 Chunk layout::
 
-    u32 magic "CHNK"
+    u32 magic "CHNZ"
     u32 row count
-    u64 payload length
-    u32 crc32 of payload
+    u64 stored length
+    u32 crc32 of the stored bytes
+    u64 payload length        (the stored bytes, inflated)
+    stored bytes: the payload as one raw deflate stream
     payload: rows, each = varint n_cols + (name str, type u8, value)*
 
 Value encodings: INT64 → i64, FLOAT64 → f64, STRING → len-prefixed UTF-8,
 STRING_VECTOR → varint count + strings.
 
-A truncated or checksum-failing trailing chunk is *skipped*, not fatal:
+Files an older build wrote hold ``"CHNK"`` chunks — the same header
+without the payload length, the payload stored as is.  They are read,
+never written, and a file may hold both kinds: an upgraded leaf appends
+``CHNZ`` chunks after its predecessor's ``CHNK`` ones.
+
+The CRC covers the stored bytes, so a truncated or checksum-failing
+trailing chunk is *skipped* before anything is inflated, not fatal:
 after a crash the last asynchronous write may be torn, and Scuba accepts
 losing a tiny amount of data in exchange for a simple recovery path.
+Stored bytes whose CRC holds but which do not inflate to exactly the
+header's payload length are corruption, and raise.
 
-Two encoders write the same payload bytes: :func:`encode_chunk_rows` from
-row dicts and :func:`encode_chunk_block` from a sealed row block, column
-by column — a sync point's source, so it never rebuilds rows to persist them.
+Two encoders write the same payload bytes, compared before deflating:
+:func:`encode_chunk_rows` from row dicts and :func:`encode_chunk_block`
+from a sealed row block, column by column — a sync point's source, so it
+never rebuilds rows to persist them.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping
 from repro.columnstore.rbc import RowBlockColumn
 from repro.columnstore.rowblock import RowBlock
 from repro.compression.base import CompressionFlags
+from repro.compression.lzs import lz_compress, lz_decompress
 from repro.compression.pipeline import raw_string_payload
 from repro.errors import CorruptionError
 from repro.types import ColumnType, ColumnValue
@@ -54,12 +66,15 @@ from repro.util.checksum import crc32_of
 DISK_MAGIC = 0x4B534453  # "SDSK"
 DISK_FORMAT_VERSION = 1
 _FILE_HEADER = struct.Struct("<IHH")
-CHUNK_MAGIC = 0x4B4E4843  # "CHNK"
-_CHUNK_HEADER = struct.Struct("<IIQI")
+DEFLATED_CHUNK_MAGIC = 0x5A4E4843  # "CHNZ": the payload stored deflated
+CHUNK_MAGIC = 0x4B4E4843  # "CHNK": the payload stored as is (read, never written)
+_CHUNK_HEADER = struct.Struct("<IIQI")  # magic, rows, stored length, crc
+_PAYLOAD_LENGTH = struct.Struct("<Q")  # CHNZ only: the inflated length
 
-#: Upper bound on one sync chunk: corrupt length fields beyond this are
-#: rejected instead of driving a multi-gigabyte read (row blocks are
-#: capped at 1 GB pre-compression, so no legitimate chunk approaches it).
+#: Upper bound on one sync chunk, stored or inflated: corrupt length
+#: fields beyond this are rejected instead of driving a multi-gigabyte
+#: read or inflate (row blocks are capped at 1 GB pre-compression, so no
+#: legitimate chunk approaches it).
 MAX_CHUNK_BYTES = 1 << 31
 
 # The type codes as plain ints, for the chunk decoder's per-field branch.
@@ -263,8 +278,10 @@ def encode_chunk_block(block: RowBlock, skip: int = 0) -> tuple[int, bytes]:
 
 def write_chunk_payload(fh: BinaryIO, count: int, payload: bytes) -> int:
     """Append an encoded payload of ``count`` rows as one sync chunk."""
-    fh.write(_CHUNK_HEADER.pack(CHUNK_MAGIC, count, len(payload), crc32_of(payload)))
-    fh.write(payload)
+    stored = lz_compress(payload)
+    fh.write(_CHUNK_HEADER.pack(DEFLATED_CHUNK_MAGIC, count, len(stored), crc32_of(stored)))
+    fh.write(_PAYLOAD_LENGTH.pack(len(payload)))
+    fh.write(stored)
     return count
 
 
@@ -276,39 +293,51 @@ def write_chunk(fh: BinaryIO, rows: Iterable[Mapping[str, ColumnValue]]) -> int:
 def read_chunk_payloads(
     fh: BinaryIO, end: int | None = None
 ) -> Iterator[tuple[int, bytes]]:
-    """Yield each intact chunk as ``(row_count, payload)``, rows undecoded.
+    """Yield each intact chunk as ``(row_count, payload)``, rows undecoded
+    and the payload inflated, whichever kind of chunk stored it.
 
     ``end`` is the file length the manifest vouches for (``log_bytes``):
     chunks starting at or past it were never published and are not read.
 
     The validity rules are the file's, independent of decoding: CRC
-    verified, silent stop at a torn tail, raise on mid-file corruption.
-    Parallel replay partitions on these raw payloads — row counts come
-    from the chunk headers without paying the row decode — and the
-    serial reader below decodes the same stream, so both see an
+    verified on the stored bytes, silent stop at a torn tail, raise on
+    mid-file corruption or on stored bytes that do not inflate to their
+    header's length.  Parallel replay partitions on these payloads — row
+    counts come from the chunk headers without paying the row decode —
+    and the serial reader below decodes the same stream, so both see an
     identical chunk set.
     """
     read_file_header(fh)
     while end is None or fh.tell() < end:
         header = fh.read(_CHUNK_HEADER.size)
-        if not header:
-            return
         if len(header) < _CHUNK_HEADER.size:
-            return  # torn chunk header at EOF
-        magic, n_rows, payload_len, crc = _CHUNK_HEADER.unpack(header)
-        if magic != CHUNK_MAGIC:
+            return  # end of file, or a torn chunk header at EOF
+        magic, n_rows, stored_len, crc = _CHUNK_HEADER.unpack(header)
+        if magic == DEFLATED_CHUNK_MAGIC:
+            extra = fh.read(_PAYLOAD_LENGTH.size)
+            if len(extra) < _PAYLOAD_LENGTH.size:
+                return  # torn chunk header at EOF
+            (payload_len,) = _PAYLOAD_LENGTH.unpack(extra)
+        elif magic == CHUNK_MAGIC:
+            payload_len = stored_len
+        else:
             raise CorruptionError(f"bad chunk magic 0x{magic:08x} mid-file")
-        if payload_len > MAX_CHUNK_BYTES:
+        if max(stored_len, payload_len) > MAX_CHUNK_BYTES:
             raise CorruptionError(
-                f"chunk claims {payload_len} payload bytes (cap {MAX_CHUNK_BYTES})"
+                f"chunk claims {max(stored_len, payload_len)} bytes (cap {MAX_CHUNK_BYTES})"
             )
-        payload = fh.read(payload_len)
-        if len(payload) < payload_len:
+        stored = fh.read(stored_len)
+        if len(stored) < stored_len:
             return  # torn payload at EOF
-        if crc32_of(payload) != crc:
+        if crc32_of(stored) != crc:
             if fh.read(1):
                 raise CorruptionError("chunk checksum mismatch mid-file")
             return  # torn final chunk
+        payload = stored if magic == CHUNK_MAGIC else lz_decompress(stored, payload_len)
+        if len(payload) != payload_len:
+            raise CorruptionError(
+                f"chunk inflates to {len(payload)} bytes; its header says {payload_len}"
+            )
         yield n_rows, payload
 
 

@@ -39,8 +39,10 @@ from repro.shm.segment import ShmSegment
 from repro.util.binary import BufferReader, BufferWriter
 
 #: Version of the shared memory data layout.  Independent of the heap
-#: format: bump this only when the bytes written here change shape.
-SHM_LAYOUT_VERSION = 1
+#: format: bump this only when the bytes written here change shape —
+#: including the RBC payloads inside them (2: raw deflate, ``RBC_VERSION``
+#: 2), so an old build's segments fail the valid-bit check, not a decode.
+SHM_LAYOUT_VERSION = 2
 
 TABLE_SEGMENT_MAGIC = 0x4C425453  # "STBL"
 _SEG_FIXED = struct.Struct("<IHHQ")
@@ -150,6 +152,10 @@ class CopyEvent:
     block_index: int
     column_name: str
     nbytes: int
+    #: Bytes this step put in the segment: the RBC plus any preamble
+    #: (the table's, a block's) written just before it.  Summed over a
+    #: table's events this is its ``used_bytes``.
+    landed: int
     last_in_block: bool
 
 
@@ -163,7 +169,6 @@ class TableSegmentWriter:
         self._table_name = table_name
         self._blocks = blocks
         self.used_bytes = 0
-        self._finished = False
 
     def write_rbc(self, offset: int, rbc: bytes | bytearray | memoryview) -> int:
         """Bulk-write one row block column straight from its heap buffer.
@@ -185,16 +190,19 @@ class TableSegmentWriter:
                 f"segment '{self._segment.name}' holds {self._segment.size}"
             )
         self._segment.write_at(0, preamble)
+        yielded = 0  # bytes already reported; blocks follow the preamble back to back
         for index, (block, block_offset) in enumerate(zip(self._blocks, offsets)):
             block_preamble, rbcs = _block_preamble(block)
             cursor = self._segment.write_at(block_offset, block_preamble)
             names = block.schema.names
             for col_index, (name, rbc) in enumerate(zip(names, rbcs)):
                 cursor = self.write_rbc(cursor, rbc)
+                landed, yielded = cursor - yielded, cursor
                 yield CopyEvent(
                     block_index=index,
                     column_name=name,
                     nbytes=len(rbc),
+                    landed=landed,
                     last_in_block=col_index == len(names) - 1,
                 )
             if cursor != block_offset + sizes[index]:
@@ -202,7 +210,6 @@ class TableSegmentWriter:
                     f"block {index} of table '{self._table_name}' wrote "
                     f"{cursor - block_offset} bytes; expected {sizes[index]}"
                 )
-        self._finished = True
 
     def copy_all(self) -> int:
         """Non-streaming convenience: run the whole copy, return used bytes."""

@@ -11,9 +11,14 @@ a failed validity check), exactly as in the paper.
 
 from __future__ import annotations
 
+import mmap
 from multiprocessing import resource_tracker, shared_memory
 
 from repro.errors import ShmError
+
+#: Punches pages out of a shared mapping's backing store (Linux); where
+#: the platform has none, :meth:`ShmSegment.release_pages` frees nothing.
+_MADV_REMOVE = getattr(mmap, "MADV_REMOVE", None)
 
 
 def _untrack(name: str) -> None:
@@ -57,10 +62,10 @@ class ShmSegment:
     process exit until someone unlinks it.
     """
 
-    def __init__(self, raw: shared_memory.SharedMemory, created: bool) -> None:
+    def __init__(self, raw: shared_memory.SharedMemory) -> None:
         self._raw = raw
-        self._created = created
         self._closed = False
+        self._released = 0  # pages [0, this) given back by release_pages
 
     @classmethod
     def create(cls, name: str, size: int) -> "ShmSegment":
@@ -73,7 +78,7 @@ class ShmSegment:
         except OSError as exc:
             raise ShmError(f"cannot create segment '{name}' of {size} bytes: {exc}") from exc
         _untrack(raw.name)
-        return cls(raw, created=True)
+        return cls(raw)
 
     @classmethod
     def attach(cls, name: str) -> "ShmSegment":
@@ -82,7 +87,7 @@ class ShmSegment:
         except FileNotFoundError as exc:
             raise ShmError(f"no shared memory segment named '{name}'") from exc
         _untrack(raw.name)
-        return cls(raw, created=False)
+        return cls(raw)
 
     @property
     def name(self) -> str:
@@ -121,6 +126,26 @@ class ShmSegment:
                 f"'{self.name}' of {self.size} bytes"
             )
         return self.buf[offset : offset + length]
+
+    def release_pages(self, end: int) -> int:
+        """Give the whole pages below offset ``end`` back to the system.
+
+        ``madvise(MADV_REMOVE)`` on the stdlib's own mapping
+        (``SharedMemory._mmap``) frees their tmpfs backing and reads of
+        them return zeros from then on, so only a reader done with every
+        byte below ``end`` may call this.  Returns the bytes newly freed:
+        0, with no syscall, unless ``end`` crossed a page boundary since
+        the last call, and 0 where pages cannot be punched.
+        """
+        end = min(end, self.size) // mmap.PAGESIZE * mmap.PAGESIZE
+        if end <= self._released or _MADV_REMOVE is None:
+            return 0
+        try:
+            self._raw._mmap.madvise(_MADV_REMOVE, self._released, end - self._released)
+        except OSError:
+            return 0
+        released, self._released = end - self._released, end
+        return released
 
     def close(self) -> None:
         """Unmap from this process (the segment itself lives on)."""

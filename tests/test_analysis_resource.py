@@ -47,16 +47,13 @@ class TestRealTree:
         return resource.check(modules)
 
     def test_engine_budget_and_heap_paths_are_clean(self, repo_root):
-        """Budget charges balance via try/finally.  The only remaining
-        finding is the shutdown-side shm charge whose failure path is
-        the documented handoff to _discard_shm_tracked (baselined); the
+        """Budget charges balance via try/finally.  The shutdown-side shm
+        charges land RBC by RBC in the copy loop and hand off, whole, to
+        the restore (or, on a failed backup, to _discard_shm_tracked); the
         restore-side charge lives in the driver's directory publish
-        (``test_lazyrestore_fault_in_is_clean``), released per table by
-        ``_release_table`` or on a fall by the same discard."""
-        found = {(f.code, f.symbol) for f in self._check(repo_root, "src/repro/core/engine.py")}
-        assert found == {
-            ("RL602", "_copy_table_out:self.tracker.allocate:shm"),
-        }
+        (``test_lazyrestore_fault_in_is_clean``), released page by page
+        and per table, or on a fall by the same discard."""
+        assert self._check(repo_root, "src/repro/core/engine.py") == []
 
     def test_lazyrestore_fault_in_is_clean(self, repo_root):
         """The fault-in budget charge is released by the inner finally;

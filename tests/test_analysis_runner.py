@@ -104,7 +104,6 @@ class TestRunLint:
             "RL302",
             "RL502",
             "RL503",
-            "RL602",
             "RL702",
         }
 
@@ -177,7 +176,7 @@ class TestCli:
         )
         assert rc == 0
         written = Baseline.load(target)
-        assert len(written.entries) == 17
+        assert len(written.entries) == 16
         assert all(e.justification == "TODO: justify or fix" for e in written.entries)
 
     def test_unknown_checker_exits_two(self, repo_root, capsys):

@@ -1,8 +1,10 @@
 """Tests for the legacy row-oriented disk format."""
 
+import dataclasses
 import enum
 import io
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,11 @@ from hypothesis import strategies as st
 from repro.columnstore.rbc import RowBlockColumn, build_rbc_from_encoded
 from repro.columnstore.rowblock import RowBlock
 from repro.compression import CompressionFlags
+from repro.compression.lzs import lz_compress
+from repro.compression.pipeline import raw_string_payload
 from repro.disk.format import (
+    CHUNK_MAGIC,
+    DEFLATED_CHUNK_MAGIC,
     _decode_row,
     _encode_row,
     decode_chunk_rows,
@@ -69,6 +75,19 @@ class TestChunkRoundtrip:
         with pytest.raises(CorruptionError):
             write_chunk(buf, [{"time": 0, "flag": True}])
 
+    def test_an_older_builds_chunks_read_before_new_ones(self):
+        """``CHNK`` chunks (payload stored as is) are read, never
+        written; a log an upgraded leaf appended to holds both kinds."""
+        old = [{"time": 1, "host": "a"}, {"time": 2, "host": "b"}]
+        buf = io.BytesIO()
+        write_file_header(buf)
+        payload = reference_payload(old)
+        buf.write(struct.pack("<IIQI", CHUNK_MAGIC, 2, len(payload), crc32_of(payload)))
+        buf.write(payload)
+        write_chunk(buf, rows_fixture())
+        buf.seek(0)
+        assert list(read_table_chunks(buf)) == [old, rows_fixture()]
+
 
 def reference_payload(rows) -> bytes:
     """The chunk payload as the per-row reference encoder writes it."""
@@ -121,12 +140,18 @@ class TestEncoderIsByteIdentical:
     @settings(max_examples=50, deadline=None)
     @given(rows=rows_strategy)
     def test_chunk_bytes_and_roundtrip(self, rows):
+        """``CHNZ``: rows, stored length, CRC of the stored bytes, the
+        payload's length, then the payload as one raw deflate stream."""
         buf = io.BytesIO()
         write_file_header(buf)
         assert write_chunk(buf, iter(rows)) == len(rows)
         payload = reference_payload(rows)
-        header = struct.pack("<IIQI", 0x4B4E4843, len(rows), len(payload), crc32_of(payload))
-        assert buf.getvalue()[8:] == header + payload
+        stored = buf.getvalue()[8 + 28 :]
+        header = struct.pack(
+            "<IIQIQ", DEFLATED_CHUNK_MAGIC, len(rows), len(stored), crc32_of(stored), len(payload)
+        )
+        assert buf.getvalue()[8:] == header + stored
+        assert (zlib.decompress(stored, -15) if payload else stored) == payload
         buf.seek(0)
         (decoded,) = read_table_chunks(buf)
         assert [list(row) for row in decoded] == [list(row) for row in rows]
@@ -160,7 +185,7 @@ class TestEncoderIsByteIdentical:
 
 # One type per column (a sealed block has a schema), every column but
 # ``time`` optional so defaults get filled: ``s`` repeats (dictionary),
-# ``u`` is near-unique (raw or LZ, whichever is smaller).
+# ``u`` is near-unique (raw or deflated, whichever is smaller).
 block_row_strategy = st.fixed_dictionaries(
     {"time": st.integers(min_value=-(2**63), max_value=2**63 - 1)},
     optional={
@@ -181,6 +206,27 @@ block_row_strategy = st.fixed_dictionaries(
 
 def string_flags(block: RowBlock, name: str) -> CompressionFlags:
     return RowBlockColumn(block.rbc_buffer(name)).flags
+
+
+def with_column(block: RowBlock, name: str, rbc: bytes) -> RowBlock:
+    rbcs = {column: bytes(buf) for column, buf in block.rbc_buffers()}
+    rbcs[name] = rbc
+    return RowBlock(
+        block.schema, rbcs, block.row_count, block.min_time, block.max_time, block.created_at
+    )
+
+
+def stored_raw(block: RowBlock, name: str) -> RowBlock:
+    """``block`` with near-unique string column ``name`` stored RAW —
+    what the encoder picks only when deflate does not pay, which on a
+    column this short it nearly always does."""
+    encoded = RowBlockColumn(block.rbc_buffer(name)).to_encoded()
+    raw = bytes(raw_string_payload(encoded))
+    return with_column(
+        block,
+        name,
+        build_rbc_from_encoded(dataclasses.replace(encoded, flags=CompressionFlags.RAW, data=raw)),
+    )
 
 
 def assert_transcodes(block: RowBlock, skips) -> None:
@@ -216,7 +262,7 @@ class TestBlockTranscoderIsByteIdentical:
             for i in range(40)
         ]
         del rows[7]["dict"], rows[8]["raw"], rows[9]["lz"], rows[10]["vec"]
-        block = RowBlock.from_rows(rows, created_at=0.0)
+        block = stored_raw(RowBlock.from_rows(rows, created_at=0.0), "raw")
         assert CompressionFlags.DICT in string_flags(block, "dict")
         assert string_flags(block, "raw") == CompressionFlags.RAW
         assert string_flags(block, "lz") == CompressionFlags.LZ
@@ -232,23 +278,32 @@ class TestBlockTranscoderIsByteIdentical:
         assert encode_chunk_block(block, 1) == (0, b"")
 
 
-def damaged_block(damage) -> RowBlock:
-    """A block whose raw string column ``u`` has been through ``damage``
-    (buffer -> buffer); the other columns are intact."""
+def damaged_block(damage, flags=CompressionFlags.RAW) -> RowBlock:
+    """A block whose near-unique string column ``u``, stored under
+    ``flags``, has been through ``damage`` (buffer -> buffer); the other
+    columns are intact."""
     rows = [{"time": i, "u": f"u{i}", "d": "same"} for i in range(12)]
     block = RowBlock.from_rows(rows, created_at=0.0)
-    assert string_flags(block, "u") == CompressionFlags.RAW
-    rbcs = {name: bytes(buf) for name, buf in block.rbc_buffers()}
-    rbcs["u"] = damage(rbcs["u"])
-    return RowBlock(block.schema, rbcs, 12, 0, 11, 0.0)
+    if flags == CompressionFlags.RAW:
+        block = stored_raw(block, "u")
+    assert string_flags(block, "u") == flags
+    return with_column(block, "u", damage(bytes(block.rbc_buffer("u"))))
 
 
 def reencoded(buf: bytes, **changes) -> bytes:
     """The RBC rebuilt (fresh CRC) with some encoded fields replaced."""
-    import dataclasses
-
     encoded = RowBlockColumn(buf).to_encoded()
     return build_rbc_from_encoded(dataclasses.replace(encoded, **changes))
+
+
+def deflated(buf: bytes) -> bytes:
+    """A deflated column's stored data section."""
+    return bytes(RowBlockColumn(buf).data)
+
+
+def inflated(buf: bytes) -> bytes:
+    """A deflated column's values, len-prefixed, as they were deflated."""
+    return zlib.decompress(deflated(buf), -15)
 
 
 class TestTranscoderRejectsWhatToRowsRejects:
@@ -277,6 +332,36 @@ class TestTranscoderRejectsWhatToRowsRejects:
     )
     def test_damaged_raw_string_column(self, damage):
         block = damaged_block(damage)
+        with pytest.raises(CorruptionError):
+            block.to_rows()
+        with pytest.raises(CorruptionError):
+            encode_chunk_block(block)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda buf: reencoded(buf, data=deflated(buf)[:-2]),
+            lambda buf: reencoded(buf, data=deflated(buf) + b"\x00"),
+            lambda buf: reencoded(buf, data=b"\xff" * len(deflated(buf))),
+            lambda buf: reencoded(buf, n_items=11),
+            lambda buf: reencoded(buf, data=lz_compress(inflated(buf)[:-1])),
+            lambda buf: reencoded(
+                buf, data=lz_compress(inflated(buf).replace(b"u3", b"\xff3"))
+            ),
+        ],
+        ids=[
+            "truncated_stream",
+            "trailing_bytes",
+            "not_a_stream",
+            "wrong_row_count",
+            "truncated_payload",
+            "bad_utf8",
+        ],
+    )
+    def test_damaged_deflated_string_column(self, damage):
+        """The same column deflated: damage to the stream itself, or to
+        what it inflates to, is refused by both paths alike."""
+        block = damaged_block(damage, flags=CompressionFlags.LZ)
         with pytest.raises(CorruptionError):
             block.to_rows()
         with pytest.raises(CorruptionError):

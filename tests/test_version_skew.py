@@ -1,0 +1,192 @@
+"""Version skew, one test per rung (paper §4.2: anything odd → disk).
+
+Compressed payloads changed codec (raw deflate replaced a from-scratch
+LZ), so every format that carries them was bumped: ``RBC_VERSION``,
+``SHM_LAYOUT_VERSION`` and ``WIRE_VERSION``; the row log gained a
+deflated chunk kind and kept reading the old one.  Each test below plays
+the older build's part — its version numbers written where it wrote
+them — and checks that the new build refuses that rung at its version
+check, not at a decode, and lands on the rung below with the same rows.
+"""
+
+from __future__ import annotations
+
+import socket
+import struct
+import threading
+
+import pytest
+
+from repro.cluster.replication import (
+    FRAME_CATALOG,
+    WIRE_MAGIC,
+    WIRE_VERSION,
+    ReplicaFetchSession,
+)
+from repro.columnstore import rbc
+from repro.columnstore.leafmap import LeafMap
+from repro.core.engine import RecoveryMethod, RestartEngine
+from repro.disk import backup as backup_module
+from repro.disk.format import CHUNK_MAGIC, DEFLATED_CHUNK_MAGIC
+from repro.disk.replay import replay_leafmap
+from repro.shm import layout
+from repro.util.checksum import crc32_of, rows_digest
+from repro.util.memtrack import MemoryTracker
+
+OLD_RBC_VERSION = rbc.RBC_VERSION - 1
+OLD_LAYOUT_VERSION = layout.SHM_LAYOUT_VERSION - 1
+OLD_WIRE_VERSION = WIRE_VERSION - 1
+
+
+def ingest(leafmap: LeafMap, start: int, count: int) -> None:
+    leafmap.get_or_create("events").add_rows(
+        {"time": start + i, "host": f"web{i % 7}", "req": f"id-{start + i:06d}", "ms": i / 8}
+        for i in range(count)
+    )
+    leafmap.get_or_create("metrics").add_rows(
+        {"time": start + i, "count": i, "tags": ["a", "b"][: i % 3]} for i in range(count // 2)
+    )
+
+
+def old_leaf(clock, backup) -> tuple[LeafMap, str]:
+    """A leaf sealed and synced; returns it and its row digest."""
+    leafmap = LeafMap(clock=clock, rows_per_block=64)
+    ingest(leafmap, 1000, 320)
+    leafmap.seal_all()
+    backup.sync_leafmap(leafmap)
+    return leafmap, rows_digest(leafmap.snapshot_rows())
+
+
+def restore(namespace, backup, clock, tracker=None, **kwargs):
+    restored = LeafMap(clock=clock, rows_per_block=64)
+    engine = RestartEngine(
+        "0", namespace=namespace, backup=backup, clock=clock, tracker=tracker, **kwargs
+    )
+    report = engine.restore(restored)
+    return engine, report, rows_digest(restored.snapshot_rows())
+
+
+class TestSharedMemoryRung:
+    def test_old_layout_shm_lands_on_the_snapshot_rung(
+        self, shm_namespace, backup, clock, monkeypatch
+    ):
+        """The old build's segments say layout 1 in the metadata and in
+        every table preamble: the valid-bit check distrusts them before
+        a byte is read, discards them through the tracker, and the
+        (current) disk snapshot serves the same rows."""
+        leafmap, digest = old_leaf(clock, backup)
+        monkeypatch.setattr(layout, "SHM_LAYOUT_VERSION", OLD_LAYOUT_VERSION)
+        tracker = MemoryTracker()
+        RestartEngine(
+            "0", namespace=shm_namespace, backup=backup, clock=clock, tracker=tracker,
+            layout_version=OLD_LAYOUT_VERSION,
+        ).backup_to_shm(leafmap)
+        monkeypatch.undo()
+        assert tracker.in_region("shm") > 0
+        engine, report, restored = restore(shm_namespace, backup, clock, tracker=tracker)
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert restored == digest
+        assert not engine.shm_state_exists()
+        assert tracker.in_region("shm") == 0
+
+
+class TestSnapshotRung:
+    def test_old_rbc_version_snapshot_chain_falls_to_legacy_replay(
+        self, shm_namespace, backup, clock, monkeypatch
+    ):
+        """The old build sealed RBC version 1 into blocks and wrote them
+        into layout-1 snapshot bodies; the body's version refuses the
+        chain before any block is unpacked, and the row log replays."""
+        monkeypatch.setattr(rbc, "RBC_VERSION", OLD_RBC_VERSION)
+        monkeypatch.setattr(layout, "SHM_LAYOUT_VERSION", OLD_LAYOUT_VERSION)
+        leafmap, digest = old_leaf(clock, backup)
+        assert backup.snapshots_ready()
+        monkeypatch.undo()
+        _, report, restored = restore(shm_namespace, backup, clock)
+        assert report.method is RecoveryMethod.DISK
+        assert report.fell_back_to_legacy
+        assert f"layout version {OLD_LAYOUT_VERSION}" in report.failure_reason
+        assert restored == digest
+
+
+def write_old_chunk(fh, count: int, payload: bytes) -> int:
+    """The older build's sync chunk: ``CHNK``, the payload stored as is."""
+    fh.write(struct.pack("<IIQI", CHUNK_MAGIC, count, len(payload), crc32_of(payload)))
+    fh.write(payload)
+    return count
+
+
+class TestRowLogRung:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_old_chunks_then_new_chunks_replay_every_row(
+        self, backup, clock, monkeypatch, workers
+    ):
+        """An upgraded leaf appends ``CHNZ`` chunks to the log its
+        predecessor wrote in ``CHNK`` ones; legacy replay, serial or
+        parallel, reads the whole log back."""
+        leafmap = LeafMap(clock=clock, rows_per_block=64)
+        monkeypatch.setattr(backup_module, "write_chunk_payload", write_old_chunk)
+        ingest(leafmap, 1000, 200)
+        backup.sync_leafmap(leafmap)
+        monkeypatch.undo()
+        ingest(leafmap, 5000, 150)  # the new build, buffered rows included
+        backup.sync_leafmap(leafmap)
+        log = backup.table_file("events").read_bytes()
+        magics = {m for m in (CHUNK_MAGIC, DEFLATED_CHUNK_MAGIC) if struct.pack("<I", m) in log}
+        assert magics == {CHUNK_MAGIC, DEFLATED_CHUNK_MAGIC}
+        replayed = LeafMap(clock=clock, rows_per_block=64)
+        rows = replay_leafmap(backup, replayed, workers=workers)
+        assert rows == leafmap.row_count == 525
+        assert replayed.snapshot_rows() == leafmap.snapshot_rows()
+
+
+class OldStandby:
+    """A standby of the older build: answers every HELLO with a frame
+    stamped with its wire version, as its handshake would."""
+
+    def __init__(self) -> None:
+        self._server = socket.create_server(("127.0.0.1", 0))
+        self.address = self._server.getsockname()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._server.accept()
+            except OSError:
+                return  # closed
+            with conn:
+                conn.recv(1 << 16)  # the HELLO
+                catalog = b'{"session": "old", "tables": []}'
+                header = struct.Struct("<IHHII").pack(
+                    WIRE_MAGIC, OLD_WIRE_VERSION, FRAME_CATALOG, len(catalog), crc32_of(catalog)
+                )
+                conn.sendall(header + catalog)
+
+    def close(self) -> None:
+        self._server.close()
+        self._thread.join(timeout=5)
+
+
+class TestReplicaRung:
+    def test_old_wire_version_standby_is_refused_and_the_leaf_lands_on_disk(
+        self, shm_namespace, backup, clock
+    ):
+        _, digest = old_leaf(clock, backup)
+        standby = OldStandby()
+        try:
+            _, report, restored = restore(
+                shm_namespace,
+                backup,
+                clock,
+                replica_source=lambda: ReplicaFetchSession(standby.address, streams=1),
+            )
+        finally:
+            standby.close()
+        assert report.fell_back_from_replica
+        assert report.failure_reason == (
+            f"ReplicaWireError: unsupported wire version {OLD_WIRE_VERSION}"
+        )
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert restored == digest
