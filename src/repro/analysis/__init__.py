@@ -1,21 +1,19 @@
 """reprolint — AST-based invariant verifier for the restart pipeline.
 
-Five checkers, one per invariant family the restart protocol depends
-on:
+Three checkers, each for an invariant family no tier-1 test can fail
+on (a leaked mapping, a race, a lock held across a slow call); format
+drift, state-machine edges, ladder routing and budget balance fail a
+restart, so the tests catch them at runtime:
 
 ================  ======  ==============================================
 checker           codes   invariant
 ================  ======  ==============================================
-layout-drift      RL1xx   struct formats, magics, and offsets agree
-                          between writers and readers
-state-machine     RL2xx   every declared restart transition is reachable
-                          and every call site uses a declared edge
 guarded-by        RL3xx   lock-owning classes touch shared state only
                           under the lock
 segment-lifecycle RL4xx   shm handles are released on every path,
                           including exception edges
-fallback-routing  RL5xx   recovery tiers route failures to the next
-                          rung instead of swallowing them
+lock-order        RL7xx   one global lock order, nothing blocking under
+                          a lock, no check-then-act on a status gate
 ================  ======  ==============================================
 
 Run it as ``repro lint`` or ``python -m repro.cli lint``.

@@ -7,33 +7,12 @@ function so the runner and the CLI ``--checker`` filter share one list.
 
 from __future__ import annotations
 
-from repro.analysis.checkers import (
-    fallback,
-    layout,
-    lifecycle,
-    lockorder,
-    locks,
-    resource,
-    statemachine,
-)
+from repro.analysis.checkers import lifecycle, lockorder, locks
 
 CHECKERS = {
-    layout.CHECKER: layout.check,
-    statemachine.CHECKER: statemachine.check,
     locks.CHECKER: locks.check,
     lifecycle.CHECKER: lifecycle.check,
-    fallback.CHECKER: fallback.check,
-    resource.CHECKER: resource.check,
     lockorder.CHECKER: lockorder.check,
 }
 
-__all__ = [
-    "CHECKERS",
-    "fallback",
-    "layout",
-    "lifecycle",
-    "lockorder",
-    "locks",
-    "resource",
-    "statemachine",
-]
+__all__ = ["CHECKERS", "lifecycle", "lockorder", "locks"]

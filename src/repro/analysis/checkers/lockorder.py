@@ -26,23 +26,21 @@ The lock graph is name-resolved, not type-resolved: a call ``obj.m()``
 made under a lock adds edges to the locks acquired by *every* known
 class method named ``m``.  That over-approximates (the cost is a rare
 justified baseline entry), which is the right direction for a deadlock
-checker to be wrong in.
+checker to be wrong in.  Within a class, locks and lock-held helpers
+resolve through its scanned bases (:mod:`repro.analysis.classes`), so
+a subclass hook the base calls under its lock is a lock region.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.analysis.classes import ClassView, Method, class_views
 from repro.analysis.findings import Finding
 from repro.analysis.loader import SourceModule, dotted_name, is_self_attr
 
 CHECKER = "lock-order"
-
-#: Terminal factory names that create an in-process lock.  Matched on
-#: the last component so ``threading.RLock``, ``ctx.Lock`` (a
-#: multiprocessing context), and a bare imported ``Condition`` all hit.
-_LOCK_TERMINALS = {"Lock", "RLock", "Condition"}
 
 #: Method/function terminal names that can block for unbounded time.
 #: ``reserve`` is the budget context manager (it acquires on entry);
@@ -68,8 +66,7 @@ class _LockRegion:
     """One ``with self.<lock>:`` body (or a lock-held helper's body)."""
 
     node: str  # "Class.attr"
-    cls: ast.ClassDef
-    method: ast.FunctionDef
+    method: Method
     body: list[ast.stmt]
     lock_expr: str  # dotted receiver of the held lock, e.g. "self._cond"
 
@@ -83,196 +80,50 @@ class _Edge:
     via: str  # the call or with-statement that creates the edge
 
 
-def _factory_terminal(call: ast.Call) -> str | None:
-    name = dotted_name(call.func)
-    if name is None:
-        return None
-    return name.rsplit(".", 1)[-1]
+def _with_locks(node: ast.AST, view: ClassView) -> list[str]:
+    """The lock attrs a ``with`` statement takes on ``self``."""
+    if not isinstance(node, ast.With):
+        return []
+    return [
+        item.context_expr.attr
+        for item in node.items
+        if is_self_attr(item.context_expr) and item.context_expr.attr in view.locks
+    ]
 
 
-def _lock_attrs_of(cls: ast.ClassDef) -> set[str]:
-    locks: set[str] = set()
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            if _factory_terminal(node.value) in _LOCK_TERMINALS:
-                for target in node.targets:
-                    if is_self_attr(target):
-                        locks.add(target.attr)
-        if (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-            and isinstance(node.value, ast.Call)
-            and dotted_name(node.value.func) == "field"
-        ):
-            for kw in node.value.keywords:
-                if kw.arg != "default_factory":
-                    continue
-                value = kw.value
-                if isinstance(value, ast.Lambda) and isinstance(value.body, ast.Call):
-                    if _factory_terminal(value.body) in _LOCK_TERMINALS:
-                        locks.add(node.target.id)
-                elif (
-                    dotted_name(value) or ""
-                ).rsplit(".", 1)[-1] in _LOCK_TERMINALS:
-                    locks.add(node.target.id)
-    return locks
-
-
-@dataclass
-class _ClassInfo:
-    cls: ast.ClassDef
-    module: SourceModule
-    lock_attrs: set[str]
-    #: method name -> lock nodes ("Class.attr") it acquires, transitively
-    method_locks: dict[str, set[str]] = field(default_factory=dict)
-    #: method name -> method def
-    methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
-    #: methods whose every in-class call site holds a lock (the
-    #: ``_fault_block`` idiom) -> the lock node their callers hold
-    held_methods: dict[str, str] = field(default_factory=dict)
-
-
-def _method_of(info: _ClassInfo, node: ast.AST) -> ast.FunctionDef | None:
-    best: ast.FunctionDef | None = None
-    for ancestor in info.module.ancestors(node):
-        if isinstance(ancestor, ast.FunctionDef):
-            best = ancestor
-        if ancestor is info.cls:
-            return best
-    return None
-
-
-def _held_with_lock(node: ast.AST, info: _ClassInfo) -> str | None:
-    """The lock attr guarding ``node`` via an enclosing ``with``, if any."""
-    for ancestor in info.module.ancestors(node):
-        if ancestor is info.cls:
-            return None
-        if isinstance(ancestor, ast.With):
-            for item in ancestor.items:
-                expr = item.context_expr
-                if is_self_attr(expr) and expr.attr in info.lock_attrs:
-                    return expr.attr
-    return None
-
-
-def _direct_locks(method: ast.FunctionDef, info: _ClassInfo) -> set[str]:
-    locks = set()
-    for node in ast.walk(method):
-        if isinstance(node, ast.With):
-            for item in node.items:
-                expr = item.context_expr
-                if is_self_attr(expr) and expr.attr in info.lock_attrs:
-                    locks.add(f"{info.cls.name}.{expr.attr}")
-    return locks
-
-
-def _collect_classes(modules: list[SourceModule]) -> list[_ClassInfo]:
-    infos: list[_ClassInfo] = []
-    for module in modules:
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            lock_attrs = _lock_attrs_of(cls)
-            if not lock_attrs:
-                continue
-            info = _ClassInfo(cls=cls, module=module, lock_attrs=lock_attrs)
-            for item in cls.body:
-                if isinstance(item, ast.FunctionDef):
-                    info.methods[item.name] = item
-                    info.method_locks[item.name] = _direct_locks(item, info)
-            _close_over_self_calls(info)
-            _find_held_methods(info)
-            infos.append(info)
-    return infos
-
-
-def _close_over_self_calls(info: _ClassInfo) -> None:
-    """Propagate lock acquisition through same-class self-calls."""
+def _method_locks(view: ClassView) -> dict[str, set[str]]:
+    """Method name -> lock nodes it acquires, closed over self-calls."""
+    acquired = {
+        name: {
+            view.locks[attr]
+            for node in ast.walk(method.node)
+            for attr in _with_locks(node, view)
+        }
+        for name, method in view.methods.items()
+    }
     changed = True
     while changed:
         changed = False
-        for name, method in info.methods.items():
-            acquired = info.method_locks[name]
-            for node in ast.walk(method):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                    and node.func.attr in info.method_locks
-                ):
-                    extra = info.method_locks[node.func.attr] - acquired
-                    if extra:
-                        acquired.update(extra)
-                        changed = True
-
-
-def _find_held_methods(info: _ClassInfo) -> None:
-    """Private methods only ever called with a lock already held."""
-    sites: dict[str, list[ast.Call]] = {}
-    for node in ast.walk(info.cls):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "self"
-        ):
-            sites.setdefault(node.func.attr, []).append(node)
-    changed = True
-    while changed:
-        changed = False
-        for name in info.methods:
-            if name in info.held_methods or not name.startswith("_") or name.startswith("__"):
-                continue
-            calls = sites.get(name)
-            if not calls:
-                continue
-            locks = set()
-            ok = True
-            for call in calls:
-                attr = _held_with_lock(call, info)
-                if attr is not None:
-                    locks.add(f"{info.cls.name}.{attr}")
-                    continue
-                caller = _method_of(info, call)
-                if caller is not None and caller.name in info.held_methods:
-                    locks.add(info.held_methods[caller.name])
-                    continue
-                ok = False
-                break
-            if ok and len(locks) == 1:
-                info.held_methods[name] = locks.pop()
+        for call, caller in view.self_calls():
+            extra = acquired.get(call.func.attr, set()) - acquired[caller.name]
+            if extra:
+                acquired[caller.name] |= extra
                 changed = True
+    return acquired
 
 
-def _lock_regions(info: _ClassInfo) -> list[_LockRegion]:
+def _lock_regions(view: ClassView) -> list[_LockRegion]:
     regions: list[_LockRegion] = []
-    for name, method in info.methods.items():
-        for node in ast.walk(method):
-            if not isinstance(node, ast.With):
-                continue
-            for item in node.items:
-                expr = item.context_expr
-                if is_self_attr(expr) and expr.attr in info.lock_attrs:
-                    regions.append(
-                        _LockRegion(
-                            node=f"{info.cls.name}.{expr.attr}",
-                            cls=info.cls,
-                            method=method,
-                            body=node.body,
-                            lock_expr=f"self.{expr.attr}",
-                        )
-                    )
-        held = info.held_methods.get(name)
+    for name, method in view.methods.items():
+        for node in ast.walk(method.node):
+            for attr in _with_locks(node, view):
+                regions.append(
+                    _LockRegion(view.locks[attr], method, node.body, f"self.{attr}")
+                )
+        held = view.held.get(name)
         if held is not None:
             regions.append(
-                _LockRegion(
-                    node=held,
-                    cls=info.cls,
-                    method=method,
-                    body=method.body,
-                    lock_expr=f"self.{held.rsplit('.', 1)[-1]}",
-                )
+                _LockRegion(held, method, method.node.body, f"self.{held.rsplit('.', 1)[-1]}")
             )
     return regions
 
@@ -283,41 +134,35 @@ def _receiver_of(call: ast.Call) -> str | None:
     return None
 
 
-def _by_method(infos: list[_ClassInfo]) -> dict[str, list[tuple[_ClassInfo, set[str]]]]:
-    index: dict[str, list[tuple[_ClassInfo, set[str]]]] = {}
-    for info in infos:
-        for name, locks in info.method_locks.items():
-            if locks:
-                index.setdefault(name, []).append((info, locks))
-    return index
+def _scan(modules: list[SourceModule]) -> tuple[list[ClassView], list[Finding], list[_Edge]]:
+    """Every class view, the RL702 findings and the lock-order edges."""
+    views = [(view, _method_locks(view)) for view in class_views(modules)]
+    by_method: dict[str, list[tuple[ClassView, set[str]]]] = {}
+    for view, method_locks in views:
+        for name, acquired in method_locks.items():
+            if acquired:
+                by_method.setdefault(name, []).append((view, acquired))
+    findings: list[Finding] = []
+    edges: list[_Edge] = []
+    for view, method_locks in views:
+        for region in _lock_regions(view):
+            findings.extend(_scan_region(region, view, method_locks, by_method, edges))
+    return [view for view, _ in views], findings, edges
 
 
 def collect_edges(modules: list[SourceModule]) -> list[_Edge]:
     """The static lock-acquisition graph, for reprosan cross-checks."""
-    infos = _collect_classes(modules)
-    by_method = _by_method(infos)
-    edges: list[_Edge] = []
-    for info in infos:
-        for region in _lock_regions(info):
-            _scan_region(region, info, by_method, edges)
-    return edges
+    return _scan(modules)[2]
 
 
 def check(modules: list[SourceModule]) -> list[Finding]:
-    infos = _collect_classes(modules)
-    by_method = _by_method(infos)
-    findings: list[Finding] = []
-    edges: list[_Edge] = []
-    for info in infos:
-        for region in _lock_regions(info):
-            findings.extend(
-                _scan_region(region, info, by_method, edges)
-            )
+    views, findings, edges = _scan(modules)
     findings.extend(_find_cycles(edges))
     for module in modules:
-        findings.extend(_check_gates(module, infos))
+        findings.extend(_check_gates(module, views))
     # A method that is both a lock-held helper and takes the lock itself
-    # yields overlapping regions; collapse their duplicate findings.
+    # yields overlapping regions, and a base's methods are scanned in
+    # every subclass's view; collapse the duplicate findings.
     unique: dict[tuple, Finding] = {}
     for finding in findings:
         unique.setdefault((finding.code, finding.path, finding.symbol, finding.line), finding)
@@ -326,31 +171,25 @@ def check(modules: list[SourceModule]) -> list[Finding]:
 
 def _scan_region(
     region: _LockRegion,
-    info: _ClassInfo,
-    by_method: dict[str, list[tuple[_ClassInfo, set[str]]]],
+    view: ClassView,
+    method_locks: dict[str, set[str]],
+    by_method: dict[str, list[tuple[ClassView, set[str]]]],
     edges: list[_Edge],
 ) -> list[Finding]:
     findings: list[Finding] = []
-    lock_exprs = {f"self.{attr}" for attr in info.lock_attrs}
+    method = region.method
+    module = method.module
+    lock_exprs = {f"self.{attr}" for attr in view.locks}
     seen: set[tuple[str, str]] = set()
     for stmt in region.body:
         for node in ast.walk(stmt):
             # Nested `with self.<other_lock>:` — a direct ordering edge.
-            if isinstance(node, ast.With):
-                for item in node.items:
-                    expr = item.context_expr
-                    if is_self_attr(expr) and expr.attr in info.lock_attrs:
-                        dst = f"{info.cls.name}.{expr.attr}"
-                        if dst != region.node:
-                            edges.append(
-                                _Edge(
-                                    src=region.node,
-                                    dst=dst,
-                                    module=info.module,
-                                    line=node.lineno,
-                                    via=f"with self.{expr.attr}",
-                                )
-                            )
+            for attr in _with_locks(node, view):
+                dst = view.locks[attr]
+                if dst != region.node:
+                    edges.append(
+                        _Edge(region.node, dst, module, node.lineno, f"with self.{attr}")
+                    )
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -358,23 +197,23 @@ def _scan_region(
             receiver = _receiver_of(node)
             # Ordering edges through calls that acquire other locks.
             if name is not None:
-                if receiver == "self" and name in info.method_locks:
-                    targets = info.method_locks[name]
+                if receiver == "self" and name in method_locks:
+                    targets = method_locks[name]
                 else:
                     targets = set()
-                    for other, locks in by_method.get(name, []):
-                        if receiver == "self" and other is info:
+                    for other, acquired in by_method.get(name, []):
+                        if receiver == "self" and other is view:
                             continue  # handled above, without name aliasing
-                        targets = targets | locks
+                        targets = targets | acquired
                 for dst in targets:
                     if dst != region.node:
                         edges.append(
                             _Edge(
-                                src=region.node,
-                                dst=dst,
-                                module=info.module,
-                                line=node.lineno,
-                                via=f"{receiver or ''}.{name}".lstrip("."),
+                                region.node,
+                                dst,
+                                module,
+                                node.lineno,
+                                f"{receiver or ''}.{name}".lstrip("."),
                             )
                         )
             # Blocking calls under the lock.
@@ -383,22 +222,20 @@ def _scan_region(
                     continue  # the condition-wait idiom releases the lock
                 if receiver in lock_exprs:
                     continue  # re-acquiring our own (reentrant) lock
-                callname = f"{receiver}.{name}" if receiver else (
-                    dotted_name(func) or name
-                )
-                key = (region.method.name, callname)
+                callname = f"{receiver}.{name}" if receiver else (dotted_name(func) or name)
+                key = (method.name, callname)
                 if key in seen:
                     continue
                 seen.add(key)
                 findings.append(
                     Finding(
-                        path=info.module.relpath,
+                        path=module.relpath,
                         line=node.lineno,
                         code="RL702",
                         checker=CHECKER,
-                        symbol=f"{info.cls.name}.{region.method.name}:{callname}",
+                        symbol=f"{method.owner}.{method.name}:{callname}",
                         message=(
-                            f"{info.cls.name}.{region.method.name} calls "
+                            f"{method.owner}.{method.name} calls "
                             f"blocking {callname}() while holding "
                             f"{region.node} — every other user of the lock "
                             f"queues behind it"
@@ -434,7 +271,6 @@ def _find_cycles(edges: list[_Edge]) -> list[Finding]:
     visited: set[str] = set()
     for start in sorted(graph):
         if start in visited:
-            visited.add(start)
             continue
         visited.add(start)
         dfs(start, [start], {start})
@@ -522,8 +358,20 @@ def _act_handles_staleness(call: ast.Call, module: SourceModule) -> bool:
     return False
 
 
-def _check_gates(module: SourceModule, infos: list[_ClassInfo]) -> list[Finding]:
-    info_by_cls = {info.cls: info for info in infos}
+def _under_own_lock(node: ast.If, cls: ast.ClassDef, view: ClassView, module) -> bool:
+    """Whether ``node`` runs inside ``cls``'s lock or a lock-held helper."""
+    fn = next(
+        (a for a in module.ancestors(node) if module.parent(a) is cls),
+        None,
+    )
+    method = view.methods.get(getattr(fn, "name", None))
+    if method is None or method.node is not fn:
+        return False
+    return method.lock_at(node, view.locks) is not None or method.name in view.held
+
+
+def _check_gates(module: SourceModule, views: list[ClassView]) -> list[Finding]:
+    view_of = {view.cls: view for view in views}
     findings: list[Finding] = []
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.If):
@@ -537,13 +385,8 @@ def _check_gates(module: SourceModule, infos: list[_ClassInfo]) -> list[Finding]
             (a for a in module.ancestors(node) if isinstance(a, ast.ClassDef)),
             None,
         )
-        if cls is not None and cls in info_by_cls:
-            info = info_by_cls[cls]
-            if _held_with_lock(node, info) is not None:
-                continue
-            method = _method_of(info, node)
-            if method is not None and method.name in info.held_methods:
-                continue
+        if cls in view_of and _under_own_lock(node, cls, view_of[cls], module):
+            continue
         fn = module.enclosing_function(node)
         fn_name = getattr(fn, "name", "<module>")
         if cls is not None:

@@ -15,28 +15,25 @@ assigned outside ``__init__``/``__post_init__`` (state that changes
 after construction), plus container attributes mutated in place.
 Attributes assigned only at construction are configuration and exempt.
 
-Private helpers whose every in-class call site is lock-guarded are
-treated as lock-held (the ``_after_change`` idiom) — the discipline is
-"hold the lock when you get here", which the call-graph closure checks.
+Private helpers whose every call site is lock-guarded are treated as
+lock-held (the ``_after_change`` idiom) — the discipline is "hold the
+lock when you get here", which the call-graph closure checks.  Locks,
+shared attributes and helpers resolve through the class's scanned
+bases (:mod:`repro.analysis.classes`): a subclass hook the base calls
+under its lock is lock-held, and a subclass method touching the base's
+shared state is held to the base's lock.
 """
 
 from __future__ import annotations
 
 import ast
 
+from repro.analysis.classes import ClassView, class_views
 from repro.analysis.findings import Finding
-from repro.analysis.loader import SourceModule, call_name, dotted_name, is_self_attr
+from repro.analysis.loader import SourceModule, is_self_attr
 
 CHECKER = "guarded-by"
 
-_LOCK_FACTORIES = {
-    "threading.Lock",
-    "threading.RLock",
-    "threading.Condition",
-    "Lock",
-    "RLock",
-    "Condition",
-}
 _MUTATING_METHODS = {
     "append",
     "extend",
@@ -53,192 +50,78 @@ _MUTATING_METHODS = {
 _CONSTRUCTORS = {"__init__", "__post_init__", "__new__"}
 
 
-def _lock_attrs_of(cls: ast.ClassDef) -> set[str]:
-    locks: set[str] = set()
-    for node in ast.walk(cls):
-        # self._lock = threading.RLock()  (in __init__ or anywhere)
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            name = call_name(node.value)
-            if name in _LOCK_FACTORIES:
-                for target in node.targets:
-                    if is_self_attr(target):
-                        locks.add(target.attr)
-        # dataclass field: _lock: threading.RLock = field(default_factory=threading.RLock)
-        if (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-            and isinstance(node.value, ast.Call)
-            and call_name(node.value) == "field"
-        ):
-            for kw in node.value.keywords:
-                if kw.arg != "default_factory":
-                    continue
-                value = kw.value
-                # `lambda: threading.RLock()` defers the threading lookup
-                # to instance creation (the reprosan late-binding form).
-                if isinstance(value, ast.Lambda) and isinstance(value.body, ast.Call):
-                    if call_name(value.body) in _LOCK_FACTORIES:
-                        locks.add(node.target.id)
-                elif dotted_name(value) in _LOCK_FACTORIES:
-                    locks.add(node.target.id)
-    return locks
-
-
-def _method_of(cls: ast.ClassDef, node: ast.AST, module: SourceModule) -> ast.FunctionDef | None:
-    """The method of ``cls`` directly containing ``node``."""
-    best: ast.FunctionDef | None = None
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, ast.FunctionDef):
-            best = ancestor
-        if ancestor is cls:
-            return best
-    return None
-
-
-def _is_guarded(node: ast.AST, module: SourceModule, lock_attrs: set[str], cls: ast.ClassDef) -> bool:
-    """Whether ``node`` sits inside ``with self.<lock>:`` within ``cls``."""
-    for ancestor in module.ancestors(node):
-        if ancestor is cls:
-            return False
-        if isinstance(ancestor, ast.With):
-            for item in ancestor.items:
-                expr = item.context_expr
-                if is_self_attr(expr) and expr.attr in lock_attrs:
-                    return True
-    return False
-
-
-def _shared_attrs_of(cls: ast.ClassDef, module: SourceModule, lock_attrs: set[str]) -> set[str]:
+def _shared_attrs_of(view: ClassView) -> set[str]:
     shared: set[str] = set()
-    for node in ast.walk(cls):
-        method = _method_of(cls, node, module)
-        if method is None or method.name in _CONSTRUCTORS:
+    for method in view.methods.values():
+        if method.name in _CONSTRUCTORS:
             continue
-        # self.X = ... / self.X += ...
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if is_self_attr(target):
-                    shared.add(target.attr)
-                # self.X[k] = ...
-                if isinstance(target, ast.Subscript) and is_self_attr(target.value):
-                    shared.add(target.value.attr)
-        # self.X.append(...) and friends
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATING_METHODS
-            and is_self_attr(node.func.value)
-        ):
-            shared.add(node.func.value.attr)
-    return shared - lock_attrs
-
-
-def _lock_held_methods(cls: ast.ClassDef, module: SourceModule, lock_attrs: set[str]) -> set[str]:
-    """Private methods only ever called with the lock already held."""
-    # call sites: method name -> list of (callsite node, caller method)
-    sites: dict[str, list[ast.Call]] = {}
-    for node in ast.walk(cls):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "self"
-        ):
-            sites.setdefault(node.func.attr, []).append(node)
-    held: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for item in cls.body:
-            if not isinstance(item, ast.FunctionDef):
-                continue
-            name = item.name
-            if name in held or not name.startswith("_") or name.startswith("__"):
-                continue
-            calls = sites.get(name)
-            if not calls:
-                continue
-            if all(
-                _is_guarded(call, module, lock_attrs, cls)
-                or (_method_of(cls, call, module) or item).name in held
-                for call in calls
+        for node in ast.walk(method.node):
+            # self.X = ... / self.X += ...
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if is_self_attr(target):
+                        shared.add(target.attr)
+                    # self.X[k] = ...
+                    if isinstance(target, ast.Subscript) and is_self_attr(target.value):
+                        shared.add(target.value.attr)
+            # self.X.append(...) and friends
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATING_METHODS
+                and is_self_attr(node.func.value)
             ):
-                held.add(name)
-                changed = True
-    return held
+                shared.add(node.func.value.attr)
+    return shared - set(view.locks)
+
+
+def _is_store(node: ast.Attribute, module: SourceModule) -> bool:
+    if isinstance(node.ctx, (ast.Store, ast.Del)):
+        return True
+    parent = module.parent(node)
+    if isinstance(parent, ast.Attribute) and parent.value is node:
+        # receiver of a method call: mutating methods are writes
+        grand = module.parent(parent)
+        return (
+            isinstance(grand, ast.Call)
+            and grand.func is parent
+            and parent.attr in _MUTATING_METHODS
+        )
+    return isinstance(parent, ast.Subscript) and isinstance(parent.ctx, (ast.Store, ast.Del))
 
 
 def check(modules: list[SourceModule]) -> list[Finding]:
-    findings: list[Finding] = []
-    for module in modules:
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
+    # A base's methods are checked in every subclass's view too; the
+    # finding is the defining class's, once.
+    findings: dict[tuple, Finding] = {}
+    for view in class_views(modules):
+        shared = _shared_attrs_of(view)
+        lock = sorted(view.locks)[0]
+        for method in view.methods.values():
+            if method.name in _CONSTRUCTORS or method.name in view.held:
                 continue
-            lock_attrs = _lock_attrs_of(cls)
-            if not lock_attrs:
-                continue
-            shared = _shared_attrs_of(cls, module, lock_attrs)
-            if not shared:
-                continue
-            held = _lock_held_methods(cls, module, lock_attrs)
-            findings.extend(
-                _check_class(module, cls, lock_attrs, shared, held)
-            )
-    return findings
-
-
-def _check_class(
-    module: SourceModule,
-    cls: ast.ClassDef,
-    lock_attrs: set[str],
-    shared: set[str],
-    held: set[str],
-) -> list[Finding]:
-    findings: list[Finding] = []
-    seen: set[tuple[str, int]] = set()
-    for node in ast.walk(cls):
-        if not isinstance(node, ast.Attribute) or not is_self_attr(node):
-            continue
-        if node.attr not in shared:
-            continue
-        method = _method_of(cls, node, module)
-        if method is None or method.name in _CONSTRUCTORS or method.name in held:
-            continue
-        if _is_guarded(node, module, lock_attrs, cls):
-            continue
-        is_store = isinstance(node.ctx, (ast.Store, ast.Del))
-        parent = module.parent(node)
-        if isinstance(parent, ast.Attribute) and parent.value is node:
-            # receiver of a method call: mutating methods are writes
-            grand = module.parent(parent)
-            if (
-                isinstance(grand, ast.Call)
-                and grand.func is parent
-                and parent.attr in _MUTATING_METHODS
-            ):
-                is_store = True
-        if isinstance(parent, ast.Subscript) and isinstance(
-            parent.ctx, (ast.Store, ast.Del)
-        ):
-            is_store = True
-        code = "RL301" if is_store else "RL302"
-        key = (f"{cls.name}.{method.name}:{node.attr}:{code}", node.lineno)
-        if key in seen:
-            continue
-        seen.add(key)
-        action = "writes" if is_store else "reads"
-        findings.append(
-            Finding(
-                path=module.relpath,
-                line=node.lineno,
-                code=code,
-                checker=CHECKER,
-                symbol=f"{cls.name}.{method.name}:{node.attr}",
-                message=(
-                    f"{cls.name}.{method.name} {action} shared attribute "
-                    f"'{node.attr}' outside `with self.{sorted(lock_attrs)[0]}:`"
-                ),
-            )
-        )
-    return findings
+            for node in ast.walk(method.node):
+                if not is_self_attr(node) or node.attr not in shared:
+                    continue
+                if method.lock_at(node, view.locks) is not None:
+                    continue
+                is_store = _is_store(node, method.module)
+                code = "RL301" if is_store else "RL302"
+                symbol = f"{method.owner}.{method.name}:{node.attr}"
+                key = (code, method.module.relpath, symbol, node.lineno)
+                if key in findings:
+                    continue
+                action = "writes" if is_store else "reads"
+                findings[key] = Finding(
+                    path=method.module.relpath,
+                    line=node.lineno,
+                    code=code,
+                    checker=CHECKER,
+                    symbol=symbol,
+                    message=(
+                        f"{method.owner}.{method.name} {action} shared attribute "
+                        f"'{node.attr}' outside `with self.{lock}:`"
+                    ),
+                )
+    return list(findings.values())

@@ -8,13 +8,12 @@ function or file re-raises it for review.
 
 Codes are stable, grep-able identifiers grouped by checker:
 
-- ``RL1xx`` layout-drift (binary format structs, magics, offsets)
-- ``RL2xx`` state-machine coverage (declared vs exercised transitions)
 - ``RL3xx`` guarded-by lock discipline
 - ``RL4xx`` segment/handle lifecycle leaks
-- ``RL5xx`` fallback routing in recovery tiers
-- ``RL6xx`` resource balance (charge/release pairing across all paths)
 - ``RL7xx`` lock order, blocking-under-lock, and status atomicity
+
+(RL1xx, RL2xx, RL5xx and RL6xx were retired with their checkers; the
+codes are not reused.)
 """
 
 from __future__ import annotations

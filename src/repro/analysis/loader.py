@@ -129,11 +129,6 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def call_name(call: ast.Call) -> str | None:
-    """The dotted name a call targets, if statically nameable."""
-    return dotted_name(call.func)
-
-
 def is_self_attr(node: ast.AST, attr: str | None = None) -> bool:
     """Whether ``node`` is ``self.X`` (optionally a specific ``X``)."""
     return (
@@ -142,10 +137,3 @@ def is_self_attr(node: ast.AST, attr: str | None = None) -> bool:
         and node.value.id == "self"
         and (attr is None or node.attr == attr)
     )
-
-
-def int_value(node: ast.AST) -> int | None:
-    """The value of an integer literal (not bool), else None."""
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return node.value
-    return None

@@ -1,8 +1,9 @@
 """reprosan — runtime lock-order and resource-balance sanitizer.
 
-The RL6xx/RL7xx checkers reason about the tree statically; ``reprosan``
-watches the same invariants while the tests actually run, so the two
-can cross-check each other:
+The RL7xx checker reasons about lock order statically; ``reprosan``
+watches it, and the footprint budget's balance, while the tests
+actually run, so the two views of lock order can cross-check each
+other:
 
 - **Lock order.**  ``install()`` patches ``threading.Lock`` / ``RLock``
   / ``Condition`` with factories that hand instrumented wrappers to
@@ -16,12 +17,12 @@ can cross-check each other:
 
 - **Resource balance.**  The tracker's audit seam
   (:func:`repro.util.memtrack.set_audit_hook`) reports every
-  allocate/free, and the two footprint budgets' ``acquire``/``release``
-  are wrapped at the class.  Per test, budget bytes must balance:
-  nonzero *residue* (acquired but never released) fails the test the
-  way RL602 fails the build.  Tracker balances are recorded in the
-  report for inspection but not enforced — live data legitimately
-  stays charged at test end.
+  allocate/free, and :class:`~repro.util.budget.FootprintBudget`'s
+  ``acquire``/``release`` are wrapped at the class.  Per test, budget
+  bytes must balance: nonzero *residue* (acquired but never released)
+  fails the test.  Tracker balances are recorded in the report for
+  inspection but not enforced — live data legitimately stays charged
+  at test end.
 
 The pytest side lives in ``tests/conftest.py`` (``--reprosan``); the
 JSON report it writes feeds ``repro lint --san-report`` which
@@ -429,44 +430,17 @@ def _static_site_map(modules) -> dict[str, list[tuple[int, int, str]]]:
     """
     import ast
 
-    from repro.analysis.checkers.lockorder import _lock_attrs_of
+    from repro.analysis.classes import own_lock_sites
 
-    sites: dict[str, list[tuple[int, int, str]]] = {}
-    for module in modules:
-        spans = sites.setdefault(module.relpath, [])
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            lock_attrs = _lock_attrs_of(cls)
-            if not lock_attrs:
-                continue
-            for node in ast.walk(cls):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and target.attr in lock_attrs
-                        ):
-                            spans.append(
-                                (
-                                    node.lineno,
-                                    node.end_lineno or node.lineno,
-                                    f"{cls.name}.{target.attr}",
-                                )
-                            )
-                elif (
-                    isinstance(node, ast.AnnAssign)
-                    and isinstance(node.target, ast.Name)
-                    and node.target.id in lock_attrs
-                ):
-                    spans.append(
-                        (
-                            node.lineno,
-                            node.end_lineno or node.lineno,
-                            f"{cls.name}.{node.target.id}",
-                        )
-                    )
-    return sites
+    return {
+        module.relpath: [
+            (node.lineno, node.end_lineno or node.lineno, f"{cls.name}.{attr}")
+            for cls in ast.walk(module.tree)
+            if isinstance(cls, ast.ClassDef)
+            for attr, node in own_lock_sites(cls)
+        ]
+        for module in modules
+    }
 
 
 def _translate(site: str, site_map: dict) -> str:

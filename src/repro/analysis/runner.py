@@ -98,12 +98,8 @@ def run_lint(
 
 
 _CODE_PREFIX = {
-    "layout-drift": "RL1",
-    "state-machine": "RL2",
     "guarded-by": "RL3",
     "segment-lifecycle": "RL4",
-    "fallback-routing": "RL5",
-    "resource-balance": "RL6",
     "lock-order": "RL7",
 }
 

@@ -125,22 +125,16 @@ def _print_e17(p: dict) -> None:
               f"(amplification {p['write_amplification'][name]:.3f}, "
               f"{p['deltas_written'][name]} deltas, "
               f"{p['compactions'][name]} compactions)")
-    serial = p["replay_seconds"]["serial"]
-    for backend, speedup in p["replay_speedup"].items():
-        print(f"legacy replay, {p['workers']} workers, {backend} backend: "
-              f"{_ms(p['replay_seconds'][backend])} ({speedup:.2f}x vs serial "
-              f"{_ms(serial)})")
+    seconds = p["replay_seconds"]
+    print(f"legacy replay, {p['workers']} process workers: "
+          f"{_ms(seconds['process'])} ({p['replay_speedup']:.2f}x vs serial "
+          f"{_ms(seconds['serial'])})")
 
 
 def cmd_bench_restart(args: argparse.Namespace) -> int:
     """One experiment per mode; the definitions live in ``repro.experiments``."""
     from repro.experiments import ExperimentError, e1, e12, e15, e16, e17, e18
 
-    if args.backend is not None and not (args.replica_tier or args.incremental):
-        raise SystemExit(
-            "bench-restart: --backend names the legacy replay pool; it "
-            "combines only with --replica-tier and --incremental"
-        )
     if args.workers is not None and (
         args.replica_tier or args.serve_while_restoring or args.disk_tier
     ):
@@ -153,9 +147,7 @@ def cmd_bench_restart(args: argparse.Namespace) -> int:
             workers = e17.WORKERS if args.workers is None else args.workers
             payload = e17.run(rows=args.rows, workers=workers)
         elif args.replica_tier:
-            backend = args.backend or "thread"
-            backends = ("thread", "process") if backend == "both" else (backend,)
-            payload = e18.run(rows=args.rows, backends=backends)
+            payload = e18.run(rows=args.rows)
         elif args.serve_while_restoring:
             payload = e16.run(rows=args.rows, leaves=args.leaves)
         elif args.disk_tier:
@@ -294,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="leaves on the machine (--workers, --serve-while-restoring)")
     p.add_argument("--budget-mb", type=float, default=None,
                    help="machine-wide in-flight copy budget for --workers mode")
-    p.add_argument("--backend", choices=("thread", "process", "both"),
-                   default=None,
-                   help="legacy replay pool backend for --replica-tier "
-                   "(default thread; 'both' runs each; --incremental "
-                   "always measures both)")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write the mode's measurements and gates as JSON "
                    "(the BENCH_eNN.json artifact)")

@@ -113,10 +113,6 @@ class Cluster:
     def leaves(self) -> list[LeafServer]:
         return [leaf for machine in self.machines for leaf in machine.leaves]
 
-    @property
-    def alive_leaves(self) -> list[LeafServer]:
-        return [leaf for leaf in self.leaves if leaf.is_alive]
-
     def leaf_by_id(self, leaf_id: str) -> LeafServer:
         for leaf in self.leaves:
             if leaf.leaf_id == leaf_id:

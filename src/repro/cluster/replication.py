@@ -524,10 +524,6 @@ class ReplicaFetchSession:
         """Every block in the session catalog, in table/directory order."""
         return [block for table in self.tables for block in table.blocks]
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(b.size for t in self.tables for b in t.blocks)
-
     def fetch(self, table: str, index: int) -> bytes:
         """One GET/BLOCK exchange; returns the packed block payload."""
         self.fault("replica:stream")
@@ -676,11 +672,6 @@ class ReplicaCatalog:
     def replica_for(self, primary_id: str) -> LeafServer | None:
         with self._lock:
             return self._replicas.get(primary_id)
-
-    @property
-    def replicas(self) -> list[LeafServer]:
-        with self._lock:
-            return list(self._replicas.values())
 
     def server_for(self, primary_id: str) -> ReplicaBlockServer | None:
         with self._lock:

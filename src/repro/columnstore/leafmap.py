@@ -112,18 +112,6 @@ class LeafMap:
         """False while a lazy restore still has blocks waiting to fault in."""
         return self.restorer is None or self.restorer.done
 
-    def iter_pending_blocks(self, table: str | None = None):
-        """Yield the block descriptors a lazy restore has not yet adopted.
-
-        Tables are *partially resident* during serve-while-restoring:
-        ``table.blocks`` holds only what has faulted in so far, and this
-        iterator is the other half of the picture.  Empty when no lazy
-        restore is pending.
-        """
-        if self.restorer is None:
-            return iter(())
-        return self.restorer.iter_pending(table)
-
     @property
     def nbytes(self) -> int:
         """Total bytes across every table (sealed plus buffered)."""

@@ -167,10 +167,6 @@ class RowBlockColumn:
     def data(self) -> memoryview:
         return self._buf[self._data_offset : self._footer_offset]
 
-    @property
-    def stored_checksum(self) -> int:
-        return rbc_stored_crc(self._buf)
-
     def verify(self) -> None:
         """Check end magic and checksum; raise on any mismatch."""
         crc, end_magic = _FOOTER.unpack(self._buf[self._footer_offset :])

@@ -186,20 +186,6 @@ class RowBlock:
             )
         return decoded
 
-    def project(self, names: Iterable[str]) -> dict[str, DecodedColumn]:
-        """Decode exactly the named columns that exist in this block.
-
-        Column projection for the vectorized executor: names absent from
-        the schema are simply omitted (the caller treats them as missing
-        everywhere, matching the row path's ``row.get``), and no row
-        dicts are ever materialized.
-        """
-        return {
-            name: self.decoded_column(name)
-            for name in names
-            if name in self.schema
-        }
-
     def to_rows(self) -> list[dict[str, ColumnValue]]:
         """Materialize all rows (column defaults included — lossy only in
         that a row that omitted a column comes back with the default)."""

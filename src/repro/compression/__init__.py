@@ -17,7 +17,6 @@ from repro.compression.pipeline import (
     decode_column,
     decode_column_arrays,
     encode_column,
-    encoded_size,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "dictionary_encode",
     "encode_column",
     "encode_int64_payload",
-    "encoded_size",
     "lz_compress",
     "lz_decompress",
 ]

@@ -247,8 +247,3 @@ def decode_column_arrays(ctype: ColumnType, encoded: EncodedColumn) -> DecodedCo
         np.cumsum(lengths.astype(np.int64), out=offsets[1:])
         return DecodedColumn.vector(ids.astype(np.int64), offsets, entries)
     raise TypeError(f"unknown column type: {ctype!r}")
-
-
-def encoded_size(ctype: ColumnType, values: list[ColumnValue]) -> int:
-    """Encoded payload size in bytes — used for compression-ratio benches."""
-    return encode_column(ctype, values).payload_size

@@ -221,11 +221,11 @@ class RestartEngine:
         Whether disk recovery may take the shm-format snapshot fast path
         when every table's snapshot is trusted.  Disable to force legacy
         row-format replay (benchmark baselines, paranoia mode).
-    replay_workers / replay_backend:
+    replay_workers:
         How the legacy rung runs when it is reached: more than one
-        worker fans the row-sealing work across a pool
-        (:func:`~repro.disk.replay.replay_leafmap`, thread or process
-        backend) with digests identical to the single-stream replay.
+        worker fans the row-sealing work across a process pool
+        (:func:`~repro.disk.replay.replay_leafmap`) with digests
+        identical to the single-stream replay.
     replica_source:
         ``f() -> ReplicaSession | None``
         (:class:`~repro.core.replicarestore.ReplicaSession`), the
@@ -248,7 +248,6 @@ class RestartEngine:
         budget: FootprintBudget | None = None,
         disk_snapshot_tier: bool = True,
         replay_workers: int = 1,
-        replay_backend: str = "thread",
         replica_source: Callable[[], object] | None = None,
     ) -> None:
         if replay_workers < 1:
@@ -259,7 +258,6 @@ class RestartEngine:
         self.layout_version = layout_version
         self.disk_snapshot_tier = disk_snapshot_tier
         self.replay_workers = replay_workers
-        self.replay_backend = replay_backend
         self.replica_source = replica_source
         self.tracker = tracker or MemoryTracker()
         self.clock = clock or SystemClock()
@@ -295,7 +293,7 @@ class RestartEngine:
         if drift > 0:
             # Released by whoever frees the resident blocks later (the
             # shutdown copy loop, forget_heap), not by the branch below.
-            self._track_heap_alloc(drift)  # reprolint: handoff
+            self._track_heap_alloc(drift)
         elif drift < 0:
             self._track_heap_free(-drift)
 
@@ -712,7 +710,6 @@ class RestartEngine:
                     self.backup,
                     leafmap,
                     workers=self.replay_workers,
-                    backend=self.replay_backend,
                     budget=self.budget,
                     clock=self.clock,
                 )

@@ -142,10 +142,11 @@ class ReplicaRestore(RestoreDriver):
         # round trip over its whole run via windowed pipelining.
         streams = max(1, session.streams)
         shares = [[(d.table, d.index) for d in descs[i::streams]] for i in range(streams)]
-        executor = ThreadPoolExecutor(
+        # One thread per share, so every stream starts at once and the
+        # pool's exit (also on a fault) waits for all of them.
+        with ThreadPoolExecutor(
             max_workers=streams, thread_name_prefix="replica-fetch"
-        )
-        try:
+        ) as executor:
             futures = [
                 executor.submit(session.fetch_many, share, on_block)
                 for share in shares
@@ -157,8 +158,6 @@ class ReplicaRestore(RestoreDriver):
             failed = next((f for f in futures if f in done and f.exception() is not None), None)
             if failed is not None:
                 raise failed.exception()
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
         position = {name: at for at, name in enumerate(self._tables)}
         for desc in sorted(descs, key=lambda d: (position[d.table], d.index)):
             yield desc, decoded.pop((desc.table, desc.index))

@@ -11,7 +11,7 @@ its span's chunks, seals its groups, and returns finished blocks.  The
 parent merges partitions back in seal order, so the result is
 bit-identical to single-stream replay: the same rows grouped at the
 same boundaries into blocks in the same order, and recovery digests
-match on both the thread and the process backend.
+match.
 
 The partitioner can place boundaries without decoding rows only while
 the row-count threshold is the binding seal constraint — the normal
@@ -24,10 +24,11 @@ tables with a timestamp cutoff still to apply, where chunk-header row
 counts overstate the surviving stream; expiry the live table already
 ran is a count, and only moves where the stream starts.
 
-The process backend exists because of the GIL: threads time-slice the
-same interpreter, processes do not.  Chunks cross into workers as raw
-payload bytes and blocks cross back in their packed (Figure 4) form —
-both near-memcpy for pickle — so the parent's serial share stays small.
+The pool is of processes because of the GIL: a thread pool time-slices
+one interpreter, so it only adds hand-off cost to the serial replay.
+Chunks cross into workers as raw payload bytes and blocks cross back in
+their packed (Figure 4) form — both near-memcpy for pickle — so the
+parent's serial share stays small.
 
 Each in-flight partition charges the payload bytes it ships against the
 machine's :class:`~repro.util.budget.FootprintBudget` (when given),
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import multiprocessing
 from collections import deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.columnstore.leafmap import LeafMap
@@ -54,8 +55,6 @@ from repro.errors import RecoveryError, SchemaError
 from repro.types import TIME_COLUMN, ColumnValue
 from repro.util.budget import FootprintBudget
 from repro.util.clock import Clock, SystemClock
-
-REPLAY_BACKENDS = ("thread", "process")
 
 #: Partitions handed out per worker (per table): enough slices that a
 #: slow partition does not leave the pool idle, few enough that the
@@ -102,15 +101,11 @@ def iter_seal_groups(
 
 
 # ----------------------------------------------------------------------
-# Worker tasks (module-level: the process backend pickles references)
+# Worker tasks (module-level: the pool pickles references)
 # ----------------------------------------------------------------------
 
 
-def _seal_group(rows: list[dict[str, ColumnValue]], created_at: float) -> RowBlock:
-    return RowBlock.from_rows(rows, created_at=created_at)
-
-
-def _seal_group_packed(rows: list[dict[str, ColumnValue]], created_at: float) -> bytes:
+def _seal_group(rows: list[dict[str, ColumnValue]], created_at: float) -> bytes:
     # Blocks cross the process boundary in their contiguous packed form;
     # the parent unpacks (and re-uids) them on arrival.
     return RowBlock.from_rows(rows, created_at=created_at).pack()
@@ -123,8 +118,7 @@ def _replay_partition(
     rows_per_block: int,
     max_block_bytes: int,
     created_at: float,
-    packed: bool,
-) -> list[RowBlock] | list[bytes] | None:
+) -> list[bytes] | None:
     """Decode a span of chunks and seal its ``take`` rows into blocks.
 
     ``skip`` positions the span's first row inside its first chunk (the
@@ -141,7 +135,7 @@ def _replay_partition(
         if len(rows) >= skip + take:
             break
     rows = rows[skip : skip + take]
-    blocks: list = []
+    blocks: list[bytes] = []
     buffer: list[dict[str, ColumnValue]] = []
     buffer_bytes = 0
     for row in rows:
@@ -151,26 +145,12 @@ def _replay_partition(
         if buffer_bytes >= max_block_bytes and len(buffer) < rows_per_block:
             return None  # byte cap binds: count-based boundaries are wrong
         if len(buffer) >= rows_per_block:
-            blocks.append((_seal_group_packed if packed else _seal_group)(
-                buffer, created_at
-            ))
+            blocks.append(_seal_group(buffer, created_at))
             buffer = []
             buffer_bytes = 0
     if buffer:
-        blocks.append((_seal_group_packed if packed else _seal_group)(
-            buffer, created_at
-        ))
+        blocks.append(_seal_group(buffer, created_at))
     return blocks
-
-
-def _make_executor(backend: str, workers: int) -> Executor:
-    if backend == "thread":
-        return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="replay")
-    if backend == "process":
-        return ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
-        )
-    raise ValueError(f"unknown replay backend '{backend}' (want thread|process)")
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +211,6 @@ def _replay_table_exact(
     backup: DiskBackup,
     table: Table,
     executor: Executor,
-    backend: str,
     budget: FootprintBudget | None,
     clock: Clock,
     window: int,
@@ -244,14 +223,12 @@ def _replay_table_exact(
     fans only ``RowBlock.from_rows`` out; correct for every input, but
     the serial decode bounds its speedup.
     """
-    task = _seal_group if backend == "thread" else _seal_group_packed
     sub = _Submitter(executor, budget)
     blocks: list[RowBlock] = []
     count = 0
 
     def drain_oldest() -> None:
-        result = sub.drain_oldest()
-        blocks.append(RowBlock.unpack(result) if backend == "process" else result)
+        blocks.append(RowBlock.unpack(sub.drain_oldest()))
 
     try:
         groups = iter_seal_groups(
@@ -260,7 +237,7 @@ def _replay_table_exact(
             table.max_block_bytes,
         )
         for rows, nbytes in groups:
-            sub.submit(nbytes, task, rows, clock.now())
+            sub.submit(nbytes, _seal_group, rows, clock.now())
             count += len(rows)
             while len(sub) >= window:
                 drain_oldest()
@@ -277,7 +254,6 @@ def _replay_table_partitioned(
     backup: DiskBackup,
     table: Table,
     executor: Executor,
-    backend: str,
     budget: FootprintBudget | None,
     clock: Clock,
     workers: int,
@@ -304,7 +280,6 @@ def _replay_table_partitioned(
     for n in counts:
         starts.append(acc)
         acc += n
-    packed = backend == "process"
     sub = _Submitter(executor, budget)
     blocks: list[RowBlock] = []
     results: list = []
@@ -327,7 +302,6 @@ def _replay_table_partitioned(
                 rpb,
                 table.max_block_bytes,
                 clock.now(),
-                packed,
             )
             while len(sub) >= workers * _PARTITIONS_PER_WORKER:
                 results.append(sub.drain_oldest())
@@ -339,7 +313,7 @@ def _replay_table_partitioned(
     for result in results:
         if result is None:
             return None  # byte cap bound somewhere: redo exactly
-        blocks.extend(RowBlock.unpack(b) if packed else b for b in result)
+        blocks.extend(RowBlock.unpack(b) for b in result)
     table.replace_blocks(blocks)
     return total
 
@@ -348,7 +322,6 @@ def replay_leafmap(
     backup: DiskBackup,
     leafmap: LeafMap,
     workers: int = 4,
-    backend: str = "thread",
     budget: FootprintBudget | None = None,
     clock: Clock | None = None,
     progress: Callable[[str, int], None] | None = None,
@@ -362,13 +335,13 @@ def replay_leafmap(
     """
     if workers < 1:
         raise ValueError("replay needs at least one worker")
-    if backend not in REPLAY_BACKENDS:
-        raise ValueError(f"unknown replay backend '{backend}' (want thread|process)")
     if len(leafmap):
         raise RecoveryError("disk recovery requires an empty leaf map")
     clock = clock or SystemClock()
     total = 0
-    with _make_executor(backend, workers) as executor:
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+    ) as executor:
         for table_name in backup.table_names:
             table = leafmap.create_table(table_name)
             count: int | None = None
@@ -379,14 +352,13 @@ def replay_leafmap(
             )
             if not thinned:
                 count = _replay_table_partitioned(
-                    backup, table, executor, backend, budget, clock, workers
+                    backup, table, executor, budget, clock, workers
                 )
             if count is None:
                 count = _replay_table_exact(
                     backup,
                     table,
                     executor,
-                    backend,
                     budget,
                     clock,
                     window=workers * 2,

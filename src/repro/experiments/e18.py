@@ -17,12 +17,10 @@ replay, then once more serving queries mid-transfer.
 - Serve-while-restoring over the wire answers the first dashboard query
   (which must match rows) before 25% of the bytes transferred.
 - Final digests are identical across the replica, disk-snapshot and
-  legacy routes, with legacy replayed on each pool backend.
+  legacy routes, with legacy replayed on the process pool.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 from repro.cluster.replication import ReplicaCatalog
 from repro.core.engine import RecoveryMethod
@@ -42,7 +40,6 @@ from repro.sim import paper_profile
 from repro.workloads import service_requests
 
 ROWS = 6_000
-BACKENDS = ("thread", "process")
 ROWS_PER_BLOCK = 64
 #: Both floors: wire pull over legacy replay (measured) and replica rung
 #: over the disk-snapshot rung (modelled at paper scale).
@@ -56,14 +53,8 @@ ROUTES = {
 }
 
 GATES = (
-    *(
-        name
-        for b in BACKENDS
-        for name in (
-            f"replica wire pull vs legacy replay, backend={b}",
-            f"first dashboard answer during wire restore, backend={b}",
-        )
-    ),
+    "replica wire pull vs legacy replay",
+    "first dashboard answer during wire restore",
     "digest identity across replica/disk-snapshot/legacy",
     "replica vs disk-snapshot rung, paper-scale hardware",
 )
@@ -80,15 +71,14 @@ def _leaf_server(root, namespace: str, leaf_id: str) -> LeafServer:
     return leaf
 
 
-def _restart_through_every_route(root, namespace, backend, data, dashboard) -> dict:
+def _restart_through_every_route(root, namespace, data, dashboard) -> dict:
     """One fully-synced primary with a mirrored standby, restarted through
-    each route (legacy replaying on ``backend``'s pool, so the digest
-    identity is checked against both) and once more serving mid-transfer."""
+    each route (legacy replaying on the pool) and once more serving
+    mid-transfer."""
     leaf = _leaf_server(root, namespace, "p0")
     leaf.add_rows("service_requests", data)
     leaf.leafmap.seal_all()
     leaf.sync_to_disk()
-    leaf.engine.replay_backend = backend
     leaf.engine.replay_workers = 2
     digests = {"source": digest(leaf.leafmap)}
     data_bytes = sum(t.sealed_nbytes for t in leaf.leafmap)
@@ -100,7 +90,7 @@ def _restart_through_every_route(root, namespace, backend, data, dashboard) -> d
         method = leaf.last_restart_report.method
         methods[name] = method.value
         if method is not rung:
-            off_rung.append(f"{backend}:{name}")
+            off_rung.append(name)
         digests[name] = digest(leaf.leafmap)
 
     catalog = ReplicaCatalog()
@@ -133,7 +123,6 @@ def _restart_through_every_route(root, namespace, backend, data, dashboard) -> d
     finally:
         catalog.close()
     return {
-        "backend": backend,
         "rows": len(data),
         "compressed_bytes": data_bytes,
         "restore_seconds": timings,
@@ -150,57 +139,42 @@ def _restart_through_every_route(root, namespace, backend, data, dashboard) -> d
     }
 
 
-def run(rows: int = ROWS, backends: Sequence[str] = BACKENDS) -> dict:
+def run(rows: int = ROWS) -> dict:
     data = list(service_requests(rows))
     dashboard = dashboard_query(data)
     with workspace() as (tmp, namespace):
-        results = [
-            _restart_through_every_route(
-                tmp / backend, f"{namespace}-{backend}", backend, data, dashboard
-            )
-            for backend in backends
-        ]
+        result = _restart_through_every_route(tmp, namespace, data, dashboard)
 
-    gates: list[Gate] = []
-    for result in results:
-        backend, timings = result["backend"], result["restore_seconds"]
-        gates.append(
-            Gate(
-                f"replica wire pull vs legacy replay, backend={backend}",
-                f">= {SPEEDUP_FLOOR:.0f}x",
-                f"{result['speedup_vs_legacy']:.1f}x "
-                f"({timings['replica'] * 1000:.1f} ms wire vs "
-                f"{timings['legacy'] * 1000:.1f} ms legacy; disk snapshot "
-                f"{timings['disk_snapshot'] * 1000:.1f} ms)",
-                result["speedup_vs_legacy"] >= SPEEDUP_FLOOR,
-            )
-        )
-        gates.append(
-            Gate(
-                f"first dashboard answer during wire restore, backend={backend}",
-                f"< {FRACTION_CEILING:.0%} of bytes transferred, rows matched",
-                f"{result['fraction_restored_at_first_query']:.1%} transferred, "
-                f"{result['rows_matched_at_first_query']} rows matched, "
-                f"{result['first_answer_seconds'] * 1000:.1f} ms",
-                result["fraction_restored_at_first_query"] < FRACTION_CEILING
-                and result["rows_matched_at_first_query"] > 0,
-            )
-        )
-    off_rung = [route for r in results for route in r["off_rung"]]
-    routes = sorted(f"{r['backend']}:{name}" for r in results for name in r["methods"])
-    identical = (
-        len({d for r in results for d in r["digests"].values()}) == 1
-        and not off_rung
-    )
-    gates.append(
+    timings = result["restore_seconds"]
+    off_rung = result["off_rung"]
+    identical = len(set(result["digests"].values())) == 1 and not off_rung
+    gates = [
+        Gate(
+            "replica wire pull vs legacy replay",
+            f">= {SPEEDUP_FLOOR:.0f}x",
+            f"{result['speedup_vs_legacy']:.1f}x "
+            f"({timings['replica'] * 1000:.1f} ms wire vs "
+            f"{timings['legacy'] * 1000:.1f} ms legacy; disk snapshot "
+            f"{timings['disk_snapshot'] * 1000:.1f} ms)",
+            result["speedup_vs_legacy"] >= SPEEDUP_FLOOR,
+        ),
+        Gate(
+            "first dashboard answer during wire restore",
+            f"< {FRACTION_CEILING:.0%} of bytes transferred, rows matched",
+            f"{result['fraction_restored_at_first_query']:.1%} transferred, "
+            f"{result['rows_matched_at_first_query']} rows matched, "
+            f"{result['first_answer_seconds'] * 1000:.1f} ms",
+            result["fraction_restored_at_first_query"] < FRACTION_CEILING
+            and result["rows_matched_at_first_query"] > 0,
+        ),
         Gate(
             "digest identity across replica/disk-snapshot/legacy",
             "identical, every route on its own rung",
-            f"{len(routes)} routes, "
+            f"{len(result['methods'])} routes, "
             + ("one digest" if identical else f"DIVERGED (off its rung: {off_rung})"),
             identical,
-        )
-    )
+        ),
+    ]
     # The local disk-snapshot rung reads tmpfs — a memcpy, not a disk.
     # The paper-scale claim runs on the calibrated model, where the
     # shared 200 MB/s spindle meets a 4-stream 10 GbE pull.
@@ -224,9 +198,9 @@ def run(rows: int = ROWS, backends: Sequence[str] = BACKENDS) -> dict:
         "E18",
         gates,
         rows=rows,
-        compressed_bytes=results[0]["compressed_bytes"],
-        backends=results,
-        digest_routes=routes,
+        compressed_bytes=result["compressed_bytes"],
+        restarts=result,
+        digest_routes=sorted(result["methods"]),
         digests_identical=identical,
         sim=sim,
     )

@@ -74,9 +74,6 @@ class Aggregator:
     def leaves(self) -> list[LeafServer]:
         return list(self._leaves)
 
-    def register(self, leaf: LeafServer) -> None:
-        self._leaves.append(leaf)
-
     def query(self, query: Query) -> QueryResult:
         """Run ``query`` on every leaf currently willing to answer.
 
@@ -135,10 +132,6 @@ class AggregatorTree:
         if not machine_aggregators:
             raise ValueError("an aggregation tree needs at least one aggregator")
         self._aggregators = list(machine_aggregators)
-
-    @property
-    def fan_out(self) -> int:
-        return len(self._aggregators)
 
     def query(self, query: Query) -> QueryResult:
         partials = []

@@ -59,9 +59,6 @@ class RetentionEnforcer:
     policies: dict[str, RetentionPolicy] = field(default_factory=dict)
     default_policy: RetentionPolicy | None = None
 
-    def set_policy(self, table: str, policy: RetentionPolicy) -> None:
-        self.policies[table] = policy
-
     def policy_for(self, table: str) -> RetentionPolicy | None:
         return self.policies.get(table, self.default_policy)
 

@@ -44,13 +44,6 @@ class FragmentationStats:
             return 0.0
         return 1.0 - self.largest_free_block / self.free_bytes
 
-    @property
-    def external_waste(self) -> float:
-        """Fraction of free space unusable for a largest-hole request."""
-        if self.capacity == 0:
-            return 0.0
-        return (self.free_bytes - self.largest_free_block) / self.capacity
-
 
 class ShmAllocator:
     """First-fit allocator over a fixed-size arena with coalescing free.

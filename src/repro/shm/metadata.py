@@ -124,8 +124,11 @@ class LeafMetadata:
         self._segment.write_at(len(fixed), payload)
 
     def _read_fixed(self) -> tuple[int, bool, int]:
-        view = self._segment.read_at(0, _FIXED.size)
-        magic, meta_version, layout_version, valid, payload_len = _FIXED.unpack(view)
+        # Parse errors below must not carry a live view in their traceback:
+        # the caller's fallback unlinks this segment, and an exported
+        # pointer makes the unmap fail.
+        with self._segment.read_at(0, _FIXED.size) as view:
+            magic, meta_version, layout_version, valid, payload_len = _FIXED.unpack(view)
         if magic != METADATA_MAGIC:
             raise CorruptionError(f"bad leaf metadata magic 0x{magic:08x}")
         if meta_version != METADATA_VERSION:
@@ -159,7 +162,7 @@ class LeafMetadata:
         _, __, payload_len = self._read_fixed()
         if _FIXED.size + payload_len > self._segment.size:
             raise CorruptionError("leaf metadata payload length out of bounds")
-        reader = BufferReader(self._segment.read_at(_FIXED.size, payload_len))
+        reader = BufferReader(bytes(self._segment.read_at(_FIXED.size, payload_len)))
         count = reader.read_varint()
         records = []
         for _ in range(count):

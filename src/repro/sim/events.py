@@ -30,9 +30,6 @@ class EventQueue:
         heapq.heappush(self._heap, (self._now + delay, self._seq, callback))
         self._seq += 1
 
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
-        self.schedule(when - self._now, callback)
-
     @property
     def pending(self) -> int:
         return len(self._heap)

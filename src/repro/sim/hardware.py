@@ -85,11 +85,9 @@ class HardwareProfile:
     snapshot_chain_links: int = 8
 
     # Parallel legacy replay.  Row decode + block sealing are pure-Python
-    # CPU work: thread workers share one GIL (same ceiling story as
-    # ``gil_copy_streams``), process workers scale to the translate
+    # CPU work, so the pool is of processes, which scale to the translate
     # cores.  The parent's serial share — the raw chunk scan and the
     # in-order merge — bounds the speedup (Amdahl).
-    gil_replay_streams: float = 1.0
     replay_serial_fraction: float = 0.08
 
     # Replica recovery tier: a restarting leaf pulls its sealed blocks
@@ -243,25 +241,19 @@ class HardwareProfile:
         (5% churn, 8-link chains) give ~5.7x, the floor E17 asserts."""
         return 1e9 / self.incremental_sync_bytes(1e9, churn, chain_links)
 
-    def effective_replay_streams(self, workers: int, backend: str = "process") -> float:
-        """Truly-concurrent replay streams ``workers`` workers achieve.
-
-        Decode and seal are CPU-bound pure Python: thread workers are
-        capped by the GIL at ``gil_replay_streams``, process workers by
-        the machine's translate cores."""
+    def effective_replay_streams(self, workers: int) -> float:
+        """Truly-concurrent replay streams ``workers`` worker processes
+        achieve: decode and seal are CPU-bound, so the machine's translate
+        cores cap them."""
         if workers < 1:
             raise ValueError("need at least one worker")
-        if backend == "thread":
-            return min(float(workers), self.gil_replay_streams)
-        if backend == "process":
-            return min(float(workers), self.translate_cores)
-        raise ValueError(f"unknown replay backend {backend!r}")
+        return min(float(workers), self.translate_cores)
 
-    def parallel_replay_speedup(self, workers: int, backend: str = "process") -> float:
+    def parallel_replay_speedup(self, workers: int) -> float:
         """Speedup of the legacy translate stage with ``workers`` replay
         workers: Amdahl over the parent's serial chunk scan and merge,
         with the parallel share divided across the effective streams."""
-        streams = self.effective_replay_streams(workers, backend)
+        streams = self.effective_replay_streams(workers)
         serial = self.replay_serial_fraction
         return 1.0 / (serial + (1.0 - serial) / streams)
 
@@ -343,17 +335,6 @@ class HardwareProfile:
         return (
             self.shm_shutdown_seconds(concurrent_on_machine)
             + self.shm_restore_seconds(concurrent_on_machine)
-            + self.process_restart_overhead_s
-        )
-
-    def shm_lazy_restart_seconds(self, concurrent_on_machine: int = 1) -> float:
-        """One leaf's *unavailability* window with serve-while-restoring:
-        the shutdown copy still happens up front, but the restore side
-        collapses to the directory publish — the copy-back overlaps with
-        query service instead of blocking it."""
-        return (
-            self.shm_shutdown_seconds(concurrent_on_machine)
-            + self.lazy_publish_overhead_s
             + self.process_restart_overhead_s
         )
 

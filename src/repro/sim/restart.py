@@ -42,12 +42,11 @@ def simulate_leaf_restart(
     method: str = "shm",
     concurrent_on_machine: int = 1,
     replay_workers: int = 1,
-    replay_backend: str = "process",
 ) -> LeafRestartBreakdown:
     """Timing for one leaf restarting with ``k`` peers on its machine.
 
     ``replay_workers`` > 1 fans the legacy translate stage across a
-    replay pool (``method="disk"`` only): the CPU-bound decode+seal work
+    process pool (``method="disk"`` only): the CPU-bound decode+seal work
     shrinks by :meth:`HardwareProfile.parallel_replay_speedup`, the disk
     read and fixed overheads do not.
     """
@@ -55,9 +54,7 @@ def simulate_leaf_restart(
     if method == "disk":
         translate = profile.translate_seconds(nbytes, concurrent_on_machine)
         if replay_workers > 1:
-            translate /= profile.parallel_replay_speedup(
-                replay_workers, replay_backend
-            )
+            translate /= profile.parallel_replay_speedup(replay_workers)
         return LeafRestartBreakdown(
             method="disk",
             read_seconds=profile.disk_read_seconds(nbytes, concurrent_on_machine),

@@ -27,15 +27,6 @@ class ColumnType(IntEnum):
     STRING = 3
     STRING_VECTOR = 4
 
-    def python_type(self) -> type:
-        """The Python type a value of this column type must be."""
-        return {
-            ColumnType.INT64: int,
-            ColumnType.FLOAT64: float,
-            ColumnType.STRING: str,
-            ColumnType.STRING_VECTOR: list,
-        }[self]
-
     def validate(self, value: ColumnValue) -> None:
         """Raise ``TypeError`` unless ``value`` is valid for this type."""
         if self is ColumnType.INT64:

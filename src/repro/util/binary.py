@@ -123,18 +123,10 @@ class BufferWriter:
         """Write a UTF-8 string with a varint byte-length prefix."""
         self.write_len_prefixed(text.encode("utf-8"))
 
-    def reserve_u32(self) -> int:
-        offset = self.offset
-        self._buf += b"\x00\x00\x00\x00"
-        return offset
-
     def reserve_u64(self) -> int:
         offset = self.offset
         self._buf += b"\x00" * 8
         return offset
-
-    def patch_u32(self, offset: int, value: int) -> None:
-        _U32.pack_into(self._buf, offset, value)
 
     def patch_u64(self, offset: int, value: int) -> None:
         _U64.pack_into(self._buf, offset, value)

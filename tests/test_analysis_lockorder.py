@@ -40,6 +40,14 @@ class TestGoodFixture:
         assert run("lockorder_good.py") == []
 
 
+class TestInheritance:
+    def test_subclass_hook_under_the_base_lock_is_a_region(self):
+        """A hook the base calls under its lock blocks every other user of
+        that lock when it sleeps, whichever class defines it."""
+        found = {(f.code, f.symbol) for f in run("inheritance.py")}
+        assert found == {("RL702", "Source._hook:time.sleep")}
+
+
 class TestRealTree:
     CONCURRENCY_FILES = (
         "src/repro/core/lazyrestore.py",
@@ -66,13 +74,16 @@ class TestRealTree:
         assert [f for f in findings if f.code == "RL701"] == []
 
     def test_only_the_designed_blocking_call_remains(self, repo_root):
-        """The fault-in budget wait is the paper's designed backpressure
-        point (baselined, once, for every source); nothing else blocks
-        under a lock.  The directory attach no longer does: a source
-        publishes before its handle is shared, without the lock."""
+        """The budget waits are the paper's designed backpressure points
+        (baselined): a fault-in's block window, for every source, and the
+        shm drain's table window, a hook the driver calls under its lock.
+        Nothing else blocks under a lock.  The directory attach no longer
+        does: a source publishes before its handle is shared, without
+        the lock."""
         findings = self._check(repo_root, *self.CONCURRENCY_FILES)
         assert {f.symbol for f in findings if f.code == "RL702"} == {
             "RestoreDriver._fault_block:self._budget.acquire",
+            "LazyRestore._read_blocks:self._budget.acquire",
         }
 
     def test_aggregator_handles_the_gate_race(self, repo_root):

@@ -29,6 +29,28 @@ class TestGoodFixture:
         assert run("locks_good.py") == []
 
 
+class TestInheritance:
+    def test_subclass_is_held_to_the_base_lock(self):
+        """A subclass reading base-class shared state outside the lock is
+        RL302; subclass hooks the base calls under its lock are clean."""
+        found = {(f.code, f.line, f.symbol) for f in run("inheritance.py")}
+        assert found == {("RL302", 34, "Source.peek:pending")}
+
+    def test_driver_hooks_are_lock_held(self, repo_root):
+        """The restore driver's source hooks run under RestoreDriver._lock;
+        only the directory publish, which runs before the handle is
+        shared, touches the sources' state outside it."""
+        modules = load_files(
+            [
+                repo_root / "src/repro/core/lazyrestore.py",
+                repo_root / "src/repro/core/replicarestore.py",
+            ],
+            root=repo_root,
+        )
+        methods = {f.symbol.split(":")[0] for f in locks.check(modules)}
+        assert methods == {"LazyRestore._publish_directory"}
+
+
 class TestRealTree:
     def test_memtrack_is_clean(self, repo_root):
         """MemoryTracker's _after_change rides the lock-held closure."""

@@ -31,9 +31,9 @@ class TestBaseline:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "baseline.json"
-        Baseline([BaselineEntry("RL101", "a.py", "S", "j")]).save(path)
+        Baseline([BaselineEntry("RL401", "a.py", "S", "j")]).save(path)
         loaded = Baseline.load(path)
-        assert loaded.entries == [BaselineEntry("RL101", "a.py", "S", "j")]
+        assert loaded.entries == [BaselineEntry("RL401", "a.py", "S", "j")]
 
     def test_version_mismatch_is_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
@@ -71,13 +71,13 @@ class TestBaseline:
         findings = [
             finding(path="src/b.py", line=5),
             finding(path="src/a.py", line=9, code="RL702"),
-            finding(path="src/a.py", line=9, code="RL601"),
+            finding(path="src/a.py", line=9, code="RL401"),
             finding(path="src/a.py", line=2),
         ]
         ordered = sort_findings(findings)
         assert [(f.path, f.line, f.code) for f in ordered] == [
             ("src/a.py", 2, "RL302"),
-            ("src/a.py", 9, "RL601"),
+            ("src/a.py", 9, "RL401"),
             ("src/a.py", 9, "RL702"),
             ("src/b.py", 5, "RL302"),
         ]
@@ -98,19 +98,12 @@ class TestRunLint:
         codes = {f.code for f in result.match.new}
         assert result.failed
         # the baselined families are exactly these
-        assert codes == {
-            "RL201",
-            "RL204",
-            "RL302",
-            "RL502",
-            "RL503",
-            "RL702",
-        }
+        assert codes == {"RL301", "RL302", "RL702"}
 
     def test_checker_filter_scopes_baseline_staleness(self, repo_root):
         """Running one checker must not report the others' baseline
         entries as stale."""
-        result = run_lint(repo_root, checkers=["layout-drift"])
+        result = run_lint(repo_root, checkers=["segment-lifecycle"])
         assert result.match.stale == []
         assert not result.failed
 
@@ -132,7 +125,7 @@ class TestRendering:
         result = run_lint(repo_root)
         text = render_text(result)
         assert "0 new" in text
-        assert "7 checkers" in text
+        assert "3 checkers" in text
 
 
 class TestCli:
@@ -146,12 +139,8 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["checkers"] == [
-            "layout-drift",
-            "state-machine",
             "guarded-by",
             "segment-lifecycle",
-            "fallback-routing",
-            "resource-balance",
             "lock-order",
         ]
 
@@ -176,7 +165,7 @@ class TestCli:
         )
         assert rc == 0
         written = Baseline.load(target)
-        assert len(written.entries) == 16
+        assert len(written.entries) == 14
         assert all(e.justification == "TODO: justify or fix" for e in written.entries)
 
     def test_unknown_checker_exits_two(self, repo_root, capsys):

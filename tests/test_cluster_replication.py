@@ -141,8 +141,7 @@ class TestWireRoundTripProperty:
             server.close()
 
 
-def synced_state(tmp_path, clock):
-    """A leafmap, its synced backup, and a block server mirroring it."""
+def populated(clock):
     leafmap = LeafMap(clock=clock, rows_per_block=32)
     leafmap.get_or_create("events").add_rows(
         [
@@ -154,6 +153,12 @@ def synced_state(tmp_path, clock):
         [{"time": 2000 + i, "count": i} for i in range(150)]
     )
     leafmap.seal_all()
+    return leafmap
+
+
+def synced_state(tmp_path, clock):
+    """A leafmap, its synced backup, and a block server mirroring it."""
+    leafmap = populated(clock)
     backup = DiskBackup(tmp_path / "backup")
     backup.sync_leafmap(leafmap)
     server = ReplicaBlockServer(lambda: snapshot_leafmap(leafmap))
@@ -255,6 +260,45 @@ class TestReplicaFaultSweep:
         assert report.fell_back_from_replica
         assert report.fell_back_to_legacy
         assert report.method is RecoveryMethod.DISK
+        assert restored.snapshot_rows() == source.snapshot_rows()
+        assert tracker.in_region("shm") == 0
+        assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
+
+    @pytest.mark.parametrize("serving", [False, True])
+    def test_shm_fault_lands_on_replica_rung(
+        self, serving, shm_namespace, tmp_path, clock
+    ):
+        """Figure 5(b)'s middle rung: a fault mid-copy out of shared memory
+        walks to the live standby before any disk rung, blocking
+        (MEMORY_RECOVERY -> REPLICA_RECOVERY) or serving (MEMORY_SERVING ->
+        REPLICA_RECOVERY)."""
+        source, backup, server = synced_state(tmp_path, clock)
+        tracker = MemoryTracker()
+        fired = []
+
+        def explode(p: str) -> None:
+            if p == "restore:fault_block" and not fired:
+                fired.append(p)
+                raise CorruptionError("injected shm fault")
+
+        try:
+            engine = make_engine(shm_namespace, backup, server, clock, tracker)
+            engine.backup_to_shm(populated(clock))
+            engine._fault = explode
+            restored = LeafMap(clock=clock, rows_per_block=32)
+            if serving:
+                handle = engine.begin_lazy_restore(restored)
+                handle.drain()
+                report = handle.report
+            else:
+                report = engine.restore(restored)
+        finally:
+            server.close()
+        assert fired
+        assert report.fell_back_to_disk and not report.fell_back_from_replica
+        assert report.method is RecoveryMethod.REPLICA
+        first = "memory_serving" if serving else "memory_recovery"
+        assert report.leaf_states[-3:] == [first, "replica_recovery", "alive"]
         assert restored.snapshot_rows() == source.snapshot_rows()
         assert tracker.in_region("shm") == 0
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)

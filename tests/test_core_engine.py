@@ -460,6 +460,18 @@ class TestDiscard:
         assert not engine.shm_state_exists()
         assert engine.discard_shm() is False
 
+    def test_unreadable_metadata_is_still_unlinked(self, dirty_shm_namespace, backup, clock):
+        """Metadata too corrupt to list its table segments still goes:
+        the orphans keep their namespaced names for the next backup to
+        reclaim, but the leaf's fixed location must not stay squatted."""
+        engine = engine_for(dirty_shm_namespace, backup, clock)
+        engine.backup_to_shm(make_leafmap(clock))
+        meta = LeafMetadata.attach(dirty_shm_namespace, "0")
+        meta._segment.write_at(0, b"\x00\x00\x00\x00")  # clobber the magic
+        meta.close()
+        assert engine.discard_shm() is True
+        assert not engine.shm_state_exists()
+
     def test_stale_state_discarded_by_next_backup(self, shm_namespace, backup, clock):
         engine = engine_for(shm_namespace, backup, clock)
         engine.backup_to_shm(make_leafmap(clock))

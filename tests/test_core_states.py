@@ -123,6 +123,29 @@ class TestExhaustiveTransitions:
         assert len(machine.history) == 2
 
 
+def closure(start, edges):
+    """Every state reachable from ``start`` along ``edges``."""
+    seen, frontier = set(start), list(start)
+    while frontier:
+        for dst in edges.get(frontier.pop(), ()):
+            if dst not in seen:
+                seen.add(dst)
+                frontier.append(dst)
+    return seen
+
+
+@pytest.mark.parametrize("machine_cls", list(LEGAL))
+def test_every_state_is_entered_and_can_finish(machine_cls):
+    """The machine's own table, not LEGAL: every declared state is
+    reachable from the initial one, and every state can still reach a
+    terminal — no rung is a dead end a restart could get stuck in."""
+    machine = machine_cls()
+    edges, terminal = machine._transitions, machine._terminal
+    assert closure({machine.state}, edges) == set(STATE_ENUMS[machine_cls])
+    for state in STATE_ENUMS[machine_cls]:
+        assert closure({state}, edges) & terminal, f"{state} cannot finish"
+
+
 class TestTerminalStates:
     def test_backup_machines_end_in_terminal(self):
         leaf = LeafBackupMachine()

@@ -1,8 +1,8 @@
 """Parallel legacy replay: digest identity, fallback paths, budget balance.
 
 ``replay_leafmap`` must be a drop-in sibling of ``recover_leafmap``:
-identical recovered rows, blocks, and watermarks on every input, on both
-the thread and the process backend — only wall-clock may differ.  These
+identical recovered rows, blocks, and watermarks on every input — only
+wall-clock may differ.  These
 tests pin that equivalence on the partitioned fast path, the exact
 (cutoff / byte-cap) path, and through the engine's legacy rung, plus the
 footprint-budget accounting on success and on injected failure.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.columnstore.leafmap import LeafMap
+from repro.columnstore.rowblock import RowBlock
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.util.budget import FootprintBudget
 from repro.disk.backup import DiskBackup
@@ -68,20 +69,16 @@ def assert_equivalent(a: LeafMap, b: LeafMap) -> None:
 
 
 class TestDigestIdentity:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_partitioned_matches_serial(self, tmp_path, clock, backend, workers):
+    def test_partitioned_matches_serial(self, tmp_path, clock, workers):
         backup, _ = build_backup(tmp_path, clock)
         serial = serial_recovery(backup, clock)
         parallel = LeafMap(clock=clock, rows_per_block=64)
-        count = replay_leafmap(backup, parallel, workers=workers, backend=backend)
+        count = replay_leafmap(backup, parallel, workers=workers)
         assert count == 5 * 700
         assert_equivalent(serial, parallel)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_cutoff_table_takes_exact_path_and_matches(
-        self, tmp_path, clock, backend
-    ):
+    def test_cutoff_table_takes_exact_path_and_matches(self, tmp_path, clock):
         """An expiry cutoff thins the stream mid-chunk: header row counts
         overstate survivors, so the table must replay exactly."""
         backup, leafmap = build_backup(tmp_path, clock)
@@ -90,13 +87,12 @@ class TestDigestIdentity:
         serial = serial_recovery(backup, clock)
         assert serial.get_table("events").row_count == 5 * 700 - 1400
         parallel = LeafMap(clock=clock, rows_per_block=64)
-        replay_leafmap(backup, parallel, workers=3, backend=backend)
+        replay_leafmap(backup, parallel, workers=3)
         assert_equivalent(serial, parallel)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("cutoff", [1700, 2400, 4400])
     def test_count_trimmed_table_is_partitioned_over_its_tail(
-        self, tmp_path, clock, monkeypatch, backend, cutoff
+        self, tmp_path, clock, monkeypatch, cutoff
     ):
         """Expiry the live table ran is a count in the manifest: it cuts
         the chunk stream at its head, mid-chunk, so the surviving tail
@@ -116,7 +112,7 @@ class TestDigestIdentity:
 
         monkeypatch.setattr(replay, "_replay_table_exact", exact_path)
         parallel = LeafMap(clock=clock, rows_per_block=64)
-        replay_leafmap(backup, parallel, workers=3, backend=backend)
+        replay_leafmap(backup, parallel, workers=3)
         assert_equivalent(serial, parallel)
         # What the workers were handed: 5 / 4 / 1 of the five chunks.
         chunks, skip = surviving_chunks(backup, "events")
@@ -172,7 +168,8 @@ class TestPartitionWorker:
     def test_skip_take_selects_exact_rows(self, tmp_path, clock):
         backup, _ = build_backup(tmp_path, clock, syncs=2, rows_per_sync=100)
         chunks = self.payloads(backup)
-        blocks = _replay_partition(chunks, 30, 120, 64, 1 << 30, 1.0, False)
+        packed = _replay_partition(chunks, 30, 120, 64, 1 << 30, 1.0)
+        blocks = [RowBlock.unpack(p) for p in packed]
         assert [b.row_count for b in blocks] == [64, 56]
         times = [r["time"] for b in blocks for r in b.to_rows()]
         assert times == list(range(1030, 1150))
@@ -180,17 +177,18 @@ class TestPartitionWorker:
     def test_byte_cap_binding_returns_none(self, tmp_path, clock):
         backup, _ = build_backup(tmp_path, clock, syncs=1, rows_per_sync=100)
         chunks = self.payloads(backup)
-        assert _replay_partition(chunks, 0, 100, 64, 64, 1.0, False) is None
+        assert _replay_partition(chunks, 0, 100, 64, 64, 1.0) is None
 
     def test_packed_round_trip(self, tmp_path, clock):
-        from repro.columnstore.rowblock import RowBlock
-
-        backup, _ = build_backup(tmp_path, clock, syncs=1, rows_per_sync=100)
+        """Blocks cross back from a worker packed: unpacked, they are the
+        blocks sealing the same rows in-process gives."""
+        backup, leafmap = build_backup(tmp_path, clock, syncs=1, rows_per_sync=100)
         chunks = self.payloads(backup)
-        packed = _replay_partition(chunks, 0, 100, 64, 1 << 30, 1.0, True)
-        plain = _replay_partition(chunks, 0, 100, 64, 1 << 30, 1.0, False)
+        packed = _replay_partition(chunks, 0, 100, 64, 1 << 30, 1.0)
+        rows = leafmap.get_table("events").to_rows()
+        sealed = [RowBlock.from_rows(rows[i : i + 64], created_at=1.0) for i in (0, 64)]
         assert [RowBlock.unpack(p).to_rows() for p in packed] == [
-            b.to_rows() for b in plain
+            b.to_rows() for b in sealed
         ]
 
 
@@ -208,8 +206,7 @@ class SmallBlockLeafMap(LeafMap):
 
 
 class TestByteCapFallback:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_wide_rows_fall_back_to_exact_and_match(self, tmp_path, clock, backend):
+    def test_wide_rows_fall_back_to_exact_and_match(self, tmp_path, clock):
         """Rows fat enough that the byte cap seals before the row count:
         the partitioned premise is wrong, the exact path must win out."""
         backup = DiskBackup(tmp_path / "backup", snapshots=False)
@@ -224,7 +221,7 @@ class TestByteCapFallback:
         serial = SmallBlockLeafMap(clock=clock, rows_per_block=500)
         recover_leafmap(backup, serial)
         parallel = SmallBlockLeafMap(clock=clock, rows_per_block=500)
-        replay_leafmap(backup, parallel, workers=3, backend=backend)
+        replay_leafmap(backup, parallel, workers=3)
         assert_equivalent(serial, parallel)
 
 
@@ -290,8 +287,9 @@ class TestArguments:
         restored = LeafMap(clock=clock, rows_per_block=64)
         with pytest.raises(ValueError, match="worker"):
             replay_leafmap(backup, restored, workers=0)
-        with pytest.raises(ValueError, match="backend"):
-            replay_leafmap(backup, restored, backend="greenlet")
+        # The pool is processes; no argument switches a thread pool back on.
+        with pytest.raises(TypeError, match="backend"):
+            replay_leafmap(backup, restored, backend="thread")
 
     def test_requires_empty_leafmap(self, tmp_path, clock):
         backup, _ = build_backup(tmp_path, clock, syncs=1)
@@ -306,10 +304,7 @@ class TestArguments:
 
 
 class TestEngineIntegration:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_legacy_rung_fans_out_and_matches_serial(
-        self, shm_namespace, tmp_path, clock, backend
-    ):
+    def test_legacy_rung_fans_out_and_matches_serial(self, shm_namespace, tmp_path, clock):
         backup, leafmap = build_backup(tmp_path, clock)
         snapshot = leafmap.snapshot_rows()
         restored = LeafMap(clock=clock, rows_per_block=64)
@@ -319,7 +314,6 @@ class TestEngineIntegration:
             backup=backup,
             clock=clock,
             replay_workers=3,
-            replay_backend=backend,
         ).restore(restored)
         assert report.method is RecoveryMethod.DISK
         assert report.rows == 5 * 700

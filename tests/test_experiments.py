@@ -22,8 +22,6 @@ from repro.core.engine import RestartEngine
 from repro.experiments import e1, e12, e13, e15, e16, e17, e18
 from repro.query.query import Query
 
-THREAD = ("thread",)
-
 #: experiment -> (tiny run() arguments, the CLI line that runs the same)
 TINY = {
     e1: ({"rows": 2000}, ["bench-restart", "--rows", "2000"]),
@@ -45,7 +43,7 @@ TINY = {
         ["bench-restart", "--rows", "1000", "--workers", "2", "--incremental"],
     ),
     e18: (
-        {"rows": 2000, "backends": THREAD},
+        {"rows": 2000},
         ["bench-restart", "--rows", "2000", "--replica-tier"],
     ),
 }
@@ -86,13 +84,8 @@ class TestRunShape:
         for entry in payload["gates"]:
             assert set(entry) == {f.name for f in fields(experiments.Gate)}
             assert isinstance(entry["ok"], bool) and isinstance(entry["enforced"], bool)
-        # A thread-only E18 run produces the benchmark's gates minus
-        # the process-replay ones, in the same order.
-        names = [entry["name"] for entry in payload["gates"]]
-        assert names == [name for name in module.GATES if name in names]
-        assert set(module.GATES) - set(names) <= {
-            name for name in module.GATES if "process" in name
-        }
+        # Every run produces the benchmark's gates, in the same order.
+        assert [entry["name"] for entry in payload["gates"]] == list(module.GATES)
 
         # The benchmark's opt-in writer and the CLI's --json are one
         # function: same keys, whichever path asked for the file.
@@ -185,8 +178,8 @@ class TestBenchRestartArguments:
             ["--incremental", "--replica-tier"],
             ["--disk-tier", "--serve-while-restoring"],
             ["--workers", "2", "--disk-tier"],
-            ["--workers", "2", "--backend", "process"],
-            ["--serve-while-restoring", "--backend", "both"],
+            ["--workers", "2", "--serve-while-restoring"],
+            ["--workers", "2", "--replica-tier"],
         ],
     )
     def test_two_modes_are_rejected(self, flags, capsys):

@@ -209,28 +209,21 @@ class TestHardwareCalibration:
             profile.incremental_sync_bytes(1e9, chain_links=0)
 
     def test_parallel_replay_amdahl_model(self):
-        """Replay decode threads share the GIL (1 stream); forked
-        workers scale to the translate cores, less the serial fraction
-        (chunk scan + merge)."""
+        """Replay worker processes scale to the translate cores, less the
+        serial fraction (chunk scan + merge)."""
         profile = paper_profile()
         for workers in (1, 2, 4, 8):
-            assert profile.effective_replay_streams(workers, "thread") == 1.0
-            assert profile.effective_replay_streams(workers, "process") == (
+            assert profile.effective_replay_streams(workers) == (
                 min(workers, profile.translate_cores)
             )
-            assert profile.parallel_replay_speedup(workers, "thread") == (
-                pytest.approx(1.0)
-            )
-        assert profile.parallel_replay_speedup(1, "process") == pytest.approx(1.0)
-        four = profile.parallel_replay_speedup(4, "process")
+        assert profile.parallel_replay_speedup(1) == pytest.approx(1.0)
+        four = profile.parallel_replay_speedup(4)
         assert four == pytest.approx(1.0 / (0.08 + 0.92 / 4))
         assert four >= 2.0
         # Past the core count the serial fraction is the whole story.
-        assert profile.parallel_replay_speedup(8, "process") == pytest.approx(four)
+        assert profile.parallel_replay_speedup(8) == pytest.approx(four)
         with pytest.raises(ValueError):
             profile.effective_replay_streams(0)
-        with pytest.raises(ValueError):
-            profile.effective_replay_streams(4, "fiber")
 
     def test_replay_workers_shrink_disk_translate_only(self):
         """simulate_leaf_restart's replay_workers fan out the translate
@@ -239,19 +232,13 @@ class TestHardwareCalibration:
         profile = paper_profile()
         serial = simulate_leaf_restart(profile, "disk", 1)
         fanned = simulate_leaf_restart(profile, "disk", 1, replay_workers=4)
-        speedup = profile.parallel_replay_speedup(4, "process")
+        speedup = profile.parallel_replay_speedup(4)
         assert fanned.translate_seconds == pytest.approx(
             serial.translate_seconds / speedup
         )
         assert fanned.read_seconds == serial.read_seconds
         assert fanned.overhead_seconds == serial.overhead_seconds
         assert fanned.total_seconds < serial.total_seconds
-        threaded = simulate_leaf_restart(
-            profile, "disk", 1, replay_workers=4, replay_backend="thread"
-        )
-        assert threaded.translate_seconds == pytest.approx(
-            serial.translate_seconds
-        )
         snap = simulate_leaf_restart(profile, "disk_snapshot", 1)
         snap_fanned = simulate_leaf_restart(
             profile, "disk_snapshot", 1, replay_workers=4
