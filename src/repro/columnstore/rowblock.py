@@ -208,6 +208,15 @@ class RowBlock:
             return False
         return True
 
+    def within(self, start_time: int | None, end_time: int | None) -> bool:
+        """Whether every row's timestamp falls in ``[start, end)`` (an
+        open bound is satisfied): the other answer the header's min/max
+        gives, which lets a query skip the block's time column entirely.
+        """
+        return (start_time is None or start_time <= self.min_time) and (
+            end_time is None or self.max_time < end_time
+        )
+
     def release_column(self, name: str) -> int:
         """Drop one column's heap buffer, returning its size.
 

@@ -26,6 +26,7 @@ from repro.query.aggregate import merge_leaf_results
 from repro.query.execute import LeafExecution, execute_on_leaf, execute_on_leaf_rows
 from repro.query.query import Aggregation, Filter, Query
 from repro.sim import paper_profile
+from repro.types import TIME_COLUMN
 from repro.util.clock import ManualClock
 from repro.workloads import service_requests
 
@@ -43,11 +44,14 @@ FIRST_SECOND = 1_390_000_000
 
 GROUPED = "grouped-aggregation"
 FILTERED = "filtered-count"
+BUCKETS = "time-window-buckets"
 
 SAME_ANSWERS = "vectorized and row executors: same finalized grouped answers (count/avg/p99)"
+NO_TIME_DECODE = "full-range grouped query decodes no time column"
 GATES = (
     "vectorized vs row-at-a-time grouped aggregation",
     SAME_ANSWERS,
+    NO_TIME_DECODE,
     "grouped aggregation latency",
     "blocks pruned by time predicate",
     "decoded-column cache hit rate (warm dashboard)",
@@ -74,7 +78,7 @@ def queries(rows: int) -> dict[str, Query]:
                 Filter("tags", "contains", "prod"),
             ),
         ),
-        "time-window-buckets": Query(
+        BUCKETS: Query(
             "service_requests",
             aggregations=(Aggregation("count"), Aggregation("max", "latency_ms")),
             start_time=FIRST_SECOND,
@@ -110,6 +114,7 @@ def run(rows: int = ROWS, cache_mb: int = CACHE_MB, repeats: int = REPEATS) -> d
             lambda: execute_on_leaf_rows(leafmap, query), repeats
         )
         cache.clear()
+        lookups_before = cache.stats().column_lookups.get(TIME_COLUMN, 0)
         cold_s, _ = timed(lambda: execute_on_leaf(leafmap, query))
         warm_s, executions[name] = timed(
             lambda: execute_on_leaf(leafmap, query), repeats
@@ -120,6 +125,8 @@ def run(rows: int = ROWS, cache_mb: int = CACHE_MB, repeats: int = REPEATS) -> d
             "vector_cold_ms": cold_s * 1000,
             "vector_warm_ms": warm_s * 1000,
             "speedup": ratio(row_s, warm_s),
+            # cold and warm runs together
+            "time_lookups": cache.stats().column_lookups.get(TIME_COLUMN, 0) - lookups_before,
         }
     stats = cache.stats()
 
@@ -165,6 +172,13 @@ def run(rows: int = ROWS, cache_mb: int = CACHE_MB, repeats: int = REPEATS) -> d
             "equal (avg to 1e-9: per-block sums)",
             f"{len(fast)} groups, {'equal' if same else 'DIFFERENT'}",
             same and len(fast) > 0,
+        ),
+        Gate(
+            NO_TIME_DECODE,
+            "0 time lookups, cold + warm (> 0 with buckets)",
+            f"{results[GROUPED]['time_lookups']} grouped, "
+            f"{results[BUCKETS]['time_lookups']} {BUCKETS}",
+            results[GROUPED]["time_lookups"] == 0 and results[BUCKETS]["time_lookups"] > 0,
         ),
         Gate(
             "grouped aggregation latency",

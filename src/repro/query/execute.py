@@ -10,12 +10,12 @@ Two executors share that contract:
   time: the surviving blocks are gathered into maximal runs of
   consecutive blocks whose referenced columns (time ∪ filters ∪
   group_by ∪ aggregation columns) have the same presence and type, each
-  (block, column) is decoded to :class:`DecodedColumn` arrays — through
-  the leaf's decoded-column cache when one is attached, block by block —
-  and the grouping and reducing kernels of ``repro.query.kernels`` run
-  once per run (predicate masks stay per block).  No row dicts are
-  ever materialized for sealed blocks; only the (at most one block's
-  worth of) unsealed write-buffer rows take the row path.  How blocks
+  (block, column) the answer needs is decoded to :class:`DecodedColumn`
+  arrays (through the leaf's decoded-column cache, block by block; a
+  block wholly inside the time range never decodes its time column),
+  and the kernels of ``repro.query.kernels`` run once per run (predicate
+  masks stay per block).  No row dicts are ever materialized for sealed
+  blocks; only the unsealed write-buffer rows take the row path.  How blocks
   fall into runs never shows in an answer: each block's sums still
   accumulate from zero in row order and fold in block order.
 - :func:`execute_on_leaf_rows` is the original row-at-a-time loop, kept
@@ -217,8 +217,11 @@ def _execute_run(
         # raise).  Mirror that at block granularity — filter errors here
         # are type-level, so "evaluated for any surviving row" and
         # "evaluated at all" raise identically, and alike for every
-        # block of a run.
-        mask = kernels.time_mask(col(i, TIME_COLUMN).values, query.start_time, query.end_time)
+        # block of a run.  A block inside the time range needs no time column.
+        if block.within(query.start_time, query.end_time):
+            mask = np.ones(block.row_count, dtype=bool)
+        else:
+            mask = kernels.time_mask(col(i, TIME_COLUMN).values, query.start_time, query.end_time)
         execution.rows_scanned += int(np.count_nonzero(mask))
         for filt in query.filters:
             if not mask.any():

@@ -2,10 +2,11 @@
 
 Scuba's column compression bit-packs integer payloads (dictionary ids,
 zigzagged deltas) down to the minimum width that fits the largest value in
-the column (paper, Section 2.1).  The packing here is vectorized with
-numpy: values are spread into a ``(n, width)`` bit matrix and packed with
-``numpy.packbits`` so that encoding a million-value column stays in the
-millisecond range.
+the column (paper, Section 2.1).  Both directions are vectorized with
+numpy.  Packing spreads the values into a ``(n, width)`` bit matrix and
+packs it with ``numpy.packbits``.  Unpacking, which every query decode
+pays, reads each value out of the two 64-bit words it falls in: a few
+operations per *value*, not per bit.
 """
 
 from __future__ import annotations
@@ -46,22 +47,43 @@ def pack_uints(values: np.ndarray, width: int) -> bytes:
 
 
 def unpack_uints(data: bytes | memoryview, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_uints`; returns a ``uint64`` array of
-    ``count`` values."""
+    """Inverse of :func:`pack_uints`; returns a fresh, writable ``uint64``
+    array of ``count`` values.
+
+    ``width`` is read from stored bytes by every caller, so a width out of
+    ``[1, 64]`` is corruption, as is a payload too short for ``count``
+    values.  Value ``i`` occupies bits ``[i * width, (i + 1) * width)``,
+    which lie within the stream's big-endian 64-bit words ``j = (i *
+    width) >> 6`` and ``j + 1``: shift word ``j`` left by ``o = (i *
+    width) & 63``, OR in word ``j + 1`` shifted right by ``64 - o``, and
+    keep the top ``width`` bits.
+    """
     if width < 1 or width > 64:
-        raise ValueError(f"bit width must be in [1, 64], got {width}")
+        raise CorruptionError(f"bit width must be in [1, 64], got {width}")
     if count == 0:
         return np.empty(0, dtype=np.uint64)
-    needed_bits = width * count
-    needed_bytes = (needed_bits + 7) // 8
+    needed_bytes = (width * count + 7) // 8
     if len(data) < needed_bytes:
         raise CorruptionError(
             f"bit-packed payload too short: need {needed_bytes} bytes for "
             f"{count} values of {width} bits, have {len(data)}"
         )
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8, count=needed_bytes), count=needed_bits
-    )
-    bit_matrix = bits.reshape(count, width).astype(np.uint64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return (bit_matrix << shifts[None, :]).sum(axis=1, dtype=np.uint64)
+    raw = np.frombuffer(data, dtype=np.uint8, count=needed_bytes)
+    if width == 1:
+        return np.unpackbits(raw, count=count).astype(np.uint64)
+    # Zero-padded to whole words, with one more so the last value has a ``j + 1``.
+    padded = np.zeros((needed_bytes // 8 + 2) * 8, dtype=np.uint8)
+    padded[:needed_bytes] = raw
+    words = padded.view(">u8").astype(np.uint64)
+    bit = np.arange(0, count * width, width, dtype=np.int64)
+    offset = (bit & 63).view(np.uint64)
+    bit >>= 6
+    values = words[bit]
+    values <<= offset
+    bit += 1
+    low = words[bit]
+    np.subtract(np.uint64(64), offset, out=offset)
+    low >>= offset  # numpy shifts a uint64 by 64 to 0: nothing spills at o = 0
+    values |= low
+    values >>= np.uint64(64 - width)
+    return values

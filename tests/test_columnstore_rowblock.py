@@ -97,6 +97,15 @@ class TestTimePruning:
         assert block.overlaps(990, 1005)
         assert not block.overlaps(1500, 1600)
 
+    def test_within(self):
+        block = RowBlock.from_rows(rows_fixture(), created_at=0.0)  # 1000..1019
+        assert block.within(None, None)
+        assert block.within(1000, 1020)
+        assert block.within(None, 1020) and block.within(1000, None)
+        assert not block.within(1001, None)
+        assert not block.within(None, 1019)
+        assert not block.within(990, 1005)
+
 
 class TestPackUnpack:
     def test_roundtrip(self):

@@ -10,15 +10,21 @@ failure into a disk fallback, which test_core_engine covers; here we
 fuzz the parsers themselves.
 """
 
+import dataclasses
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.columnstore.rbc import RowBlockColumn, build_rbc
+from repro.columnstore.rbc import RowBlockColumn, build_rbc, build_rbc_from_encoded
 from repro.columnstore.rowblock import RowBlock
 from repro.columnstore.schema import Schema
-from repro.errors import ReproError
+from repro.compression.base import CompressionFlags
+from repro.compression.pipeline import encode_column
+from repro.errors import CorruptionError, ReproError
 from repro.shm.layout import read_segment_header
 from repro.types import ColumnType
+from repro.util.binary import BufferReader, decode_varint
 
 ACCEPTABLE = (ReproError,)
 
@@ -118,6 +124,71 @@ class TestPackedBlockFuzz:
         cold = outcome()
         RowBlock.unpack(good)
         assert outcome() == cold
+
+
+def _int_dictionary_width_at(data):
+    n_dict, offset = decode_varint(data)
+    return offset + 8 * n_dict  # past the distinct i64 values
+
+
+def _vector_id_width_at(data):
+    reader = BufferReader(data)
+    reader.read_u8()  # the lengths' width
+    reader.read_varint()  # flattened item count
+    reader.read_len_prefixed()  # packed lengths
+    return reader.offset
+
+
+#: Every bit-packed stream a column decode reads a width byte for:
+#: (ctype, values, the flag the encoder must pick, where the width byte is).
+BIT_PACKED_STREAMS = {
+    "int-plain": (
+        ColumnType.INT64,
+        [(i * 7919) % 1000 for i in range(40)],
+        CompressionFlags.ZIGZAG,
+        lambda data: 0,
+    ),
+    "int-delta": (ColumnType.INT64, list(range(1000, 1040)), CompressionFlags.DELTA, lambda data: 8),
+    "int-dictionary": (
+        ColumnType.INT64,
+        [200, 503] * 20,
+        CompressionFlags.DICT,
+        _int_dictionary_width_at,
+    ),
+    "string-ids": (ColumnType.STRING, ["a", "b"] * 20, CompressionFlags.DICT, lambda data: 0),
+    "vector-lengths": (
+        ColumnType.STRING_VECTOR,
+        [["x", "y"], ["x"]] * 10,
+        CompressionFlags.DICT,
+        lambda data: 0,
+    ),
+    "vector-ids": (
+        ColumnType.STRING_VECTOR,
+        [["x", "y"], ["x"]] * 10,
+        CompressionFlags.DICT,
+        _vector_id_width_at,
+    ),
+}
+
+
+class TestHostileBitWidth:
+    """A CRC-valid column whose stored bit width is out of [1, 64] is
+    corruption, not a caller's ``ValueError`` escaping from a query."""
+
+    @pytest.mark.parametrize("width", [0, 65])
+    @pytest.mark.parametrize("stream", BIT_PACKED_STREAMS)
+    def test_width_byte_raises_corruption(self, stream, width):
+        ctype, values, flag, width_at = BIT_PACKED_STREAMS[stream]
+        encoded = encode_column(ctype, values)
+        assert flag in encoded.flags
+        data = bytearray(encoded.data)
+        data[width_at(data)] = width
+        column = RowBlockColumn(build_rbc_from_encoded(dataclasses.replace(encoded, data=bytes(data))))
+        column.verify()
+        with pytest.raises(CorruptionError, match="bit width"):
+            column.decoded(ctype)
+        with pytest.raises(CorruptionError, match="bit width"):
+            column.values(ctype)
 
 
 class TestSegmentHeaderFuzz:

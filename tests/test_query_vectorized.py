@@ -574,10 +574,11 @@ class TestRunAtATime:
             after = cache.stats().column_lookups
             lookups = {name: after[name] - before.get(name, 0) for name in after}
             assert execution.blocks_pruned == 2
-            # time: once per unpruned block (2, 3, 4, 5 and the gap block 6);
+            # Restated: time is looked up only on a block that straddles a
+            # bound (the gap block 6; blocks 2-5 lie inside the range);
             # everything else: once per block whose time mask is non-empty,
             # although latency is a filter and two aggregations.
-            assert lookups == {"time": 5, "status": 4, "latency": 4, "endpoint": 4}
+            assert lookups == {"time": 1, "status": 4, "latency": 4, "endpoint": 4}
         # A block no row of which survives the first filter is not asked
         # for its other columns.
         query = Query(
@@ -593,17 +594,67 @@ class TestRunAtATime:
         assert after["status"] - before["status"] == 7
         assert after["latency"] - before["latency"] == 6
         assert after["endpoint"] - before["endpoint"] == 6
-        # count ignores its column: naming a real one decodes nothing.
+        # count ignores its column: naming a real one decodes nothing, and
+        # over the full range not even the time column.
         execute_on_leaf(
             leafmap, Query("service_requests", aggregations=(Aggregation("count", "status"),))
         )
         final = cache.stats().column_lookups
         assert {name: final[name] - after[name] for name in final} == {
-            "time": 7,
+            "time": 0,
             "status": 0,
             "latency": 0,
             "endpoint": 0,
         }
+
+
+class TestCoveredBlocks:
+    """A block whose min/max lie inside the query's range gets an all-true
+    time mask without its time column; answers match the row oracle."""
+
+    @staticmethod
+    def decodes(query, times=range(1000, 1012), rows_per_block=4):
+        """``(execution, time lookups)`` of ``query`` on a fresh cache;
+        blocks of ``times`` hold [1000, 1003], [1004, 1007], [1008, 1011]."""
+        cache = DecodedColumnCache(1 << 20)
+        leafmap = LeafMap(
+            clock=ManualClock(0.0), rows_per_block=rows_per_block, column_cache=cache
+        )
+        leafmap.get_or_create("service_requests").add_rows(
+            {"time": t, "latency": float(t % 5)} for t in times
+        )
+        query = Query("service_requests", aggregations=(Aggregation("sum", "latency"),), **query)
+        fast, _ = assert_equivalent(leafmap, query)
+        return fast, cache.stats().column_lookups.get("time", 0)
+
+    @pytest.mark.parametrize(
+        "bounds, time_lookups",
+        [
+            ({"start_time": 1004, "end_time": 1008}, 0),  # min == start, max == end - 1
+            ({"start_time": 1004, "end_time": 1007}, 1),  # max == end: straddles
+            ({"start_time": 1005, "end_time": 1008}, 1),  # min < start: straddles
+            ({"start_time": 1003, "end_time": 1009}, 2),  # both neighbours straddle
+            ({"start_time": None, "end_time": 1008}, 0),  # open start
+            ({"start_time": 1004, "end_time": None}, 0),  # open end
+            ({"start_time": None, "end_time": 1006}, 1),
+            ({"start_time": 1002, "end_time": None}, 1),
+        ],
+    )
+    def test_bounds(self, bounds, time_lookups):
+        assert self.decodes(bounds)[1] == time_lookups
+
+    def test_buckets_still_decode_time(self):
+        fast, lookups = self.decodes({"bucket_seconds": 4})
+        assert lookups == 3
+        assert len(fast.partial) == 3
+
+    def test_full_range_count_decodes_nothing(self):
+        cache = DecodedColumnCache(1 << 20)
+        leafmap = make_map(rows=100, cache=cache)
+        fast, _ = assert_equivalent(leafmap, Query("service_requests"))
+        assert fast.rows_scanned == 100
+        assert cache.stats().column_lookups == {}
+        assert len(cache) == 0
 
 
 class TestCombineGroups:

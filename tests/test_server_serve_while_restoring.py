@@ -344,11 +344,13 @@ class TestExpiryAndCacheDuringRestore:
         lazy = seeded_down_leaf(shm_namespace, tmp_path, clock, leaf_id="lzy")
         lazy.start(serve_while_restoring=True, sweep=False)
         # Fault in the oldest data so adopted blocks sit in the cache...
+        # (restated: a count over blocks wholly inside the window decodes
+        # nothing, so the warm-up sums a column to put entries there)
         old_window = Query(
             "events",
             start_time=1000,
             end_time=1100,
-            aggregations=(Aggregation("count", None),),
+            aggregations=(Aggregation("count", None), Aggregation("sum", "v")),
         )
         assert lazy.query(old_window).rows_matched == 100
         assert len(lazy.column_cache) > 0
