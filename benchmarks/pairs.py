@@ -2,14 +2,16 @@
 """Alternating parent/change pairs of the restart ledger, and the verdict.
 
     python benchmarks/pairs.py --parent ../parent --change . \\
-        --workload crash_snapshot --seeds 200-209
+        --workload crash_snapshot --seeds 200-209 [--watch query_ms_p95]
 
 ``--parent`` and ``--change`` are two checkouts, for example a
 ``git worktree`` of the parent commit and this tree.  For each seed the
 command runs ``benchmarks/ledger/run.py`` once in each tree, each in a
 fresh process, alternating which tree goes first (even positions: the
-parent).  Every run measures for ``run_seconds`` of the change tree's
-``BENCHMARK.json``.
+parent), and prints the ``--watch`` metric of the pair.  Every run
+measures for ``run_seconds`` of the change tree's ``BENCHMARK.json``.
+``--workload`` takes a comma list; each workload gets its own pairs and
+its own table.
 
 Then, per end-to-end metric: each side's median with its quartiles,
 change / parent, and how many pairs the change won (ties count for
@@ -79,28 +81,21 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return wins, "within bound"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seed_range, required=True, help="e.g. 200-209")
-    args = parser.parse_args(argv)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+def compare(trees: dict[str, Path], workload: str, seeds: list[int], spec: dict,
+            watch: str) -> bool:
+    """Run and print one workload's pairs; True if the change failed more ops."""
     seconds = spec["run_seconds"]
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for index, seed in enumerate(args.seeds):
+    for index, seed in enumerate(seeds):
         order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
         for side in order:
-            runs[side].append(run_once(trees[side], args.workload, seed, seconds))
-        cold = [runs[side][-1]["metrics"]["query_cold_ms"]["value"] for side in ("parent", "change")]
-        print(f"seed {seed} ({order[0]} first): query_cold_ms {cold[0]:.3f} -> {cold[1]:.3f}",
-              flush=True)
+            runs[side].append(run_once(trees[side], workload, seed, seconds))
+        seen = [runs[side][-1]["metrics"][watch]["value"] for side in ("parent", "change")]
+        print(f"{workload} seed {seed} ({order[0]} first): {watch} "
+              f"{seen[0]:.4g} -> {seen[1]:.4g}", flush=True)
 
-    pairs = len(args.seeds)
-    print(f"\n{args.workload}: {pairs} pairs, seeds {args.seeds[0]}..{args.seeds[-1]}, "
+    pairs = len(seeds)
+    print(f"\n{workload}: {pairs} pairs, seeds {seeds[0]}..{seeds[-1]}, "
           f"{seconds:g} s per run")
     print(f"{'metric':26s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} "
           f"{'change/parent':>13s} {'wins':>6s}  verdict")
@@ -119,8 +114,29 @@ def main(argv: list[str] | None = None) -> int:
     failed = {side: sum(run["failed"] for run in runs[side]) for side in runs}
     attempted = {side: sum(run["attempted"] for run in runs[side]) for side in runs}
     print(f"failed ops: parent {failed['parent']}/{attempted['parent']}, "
-          f"change {failed['change']}/{attempted['change']}")
-    return 1 if failed["change"] > failed["parent"] else 0
+          f"change {failed['change']}/{attempted['change']}\n", flush=True)
+    return failed["change"] > failed["parent"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True, help="one or a comma list")
+    parser.add_argument("--seeds", type=seed_range, required=True, help="e.g. 200-209")
+    parser.add_argument("--watch", default="query_cold_ms", metavar="METRIC",
+                        help="the metric printed per pair (default: query_cold_ms)")
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    names = {metric["name"] for metric in spec["end_to_end"]}
+    if args.watch not in names:
+        parser.error(f"--watch {args.watch}: not an end-to-end metric of BENCHMARK.json")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    worse = [
+        compare(trees, workload, args.seeds, spec, args.watch)
+        for workload in args.workload.split(",")
+    ]
+    return 1 if any(worse) else 0
 
 
 if __name__ == "__main__":

@@ -181,7 +181,7 @@ def cmd_bench_query(args: argparse.Namespace) -> int:
               f"({q['speedup']:.1f}x)")
     cache = p["cache"]
     print(f"cache: {cache['entries']} entries, {cache['nbytes'] / 1e6:.2f} MB, "
-          f"hit rate {cache['hit_rate']:.1%}")
+          f"hit rate {cache['hit_rate']:.1%}, {cache['refused']} refused")
     return finish(p, args.json)
 
 

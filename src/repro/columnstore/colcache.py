@@ -8,10 +8,14 @@ arrays back in a dict lookup.
 
 Design constraints, in paper order:
 
-- **Byte-capped LRU.**  Decoded arrays are the *uncompressed* data, so
-  an unbounded cache would silently undo the 30x compression win.  The
-  cap is enforced on a tracked byte total; eviction is
-  least-recently-used at entry granularity.
+- **Byte-capped, oldest data out first.**  Decoded arrays are the
+  *uncompressed* data, so an unbounded cache would silently undo the 30x
+  compression win.  The victim is the lowest rank ``(block.max_time,
+  block.uid, name)``, not the least recently used entry: a grouped query
+  scans every block, and an LRU smaller than that scan evicts each entry
+  just before its reuse.  Ranked by age, a cyclic scan keeps the newest
+  blocks, which dashboards re-read and expiry takes last.  A candidate
+  that could only make room by evicting newer data is refused.
 - **Charged to the leaf's** :class:`~repro.util.memtrack.MemoryTracker`
   (region ``"cache"``), so the Section 4.4 footprint claim stays
   checkable: the cache's bytes are visible next to heap and shm, and the
@@ -30,8 +34,8 @@ Design constraints, in paper order:
 
 from __future__ import annotations
 
+import bisect
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from typing import TYPE_CHECKING, Iterable
@@ -62,6 +66,8 @@ class CacheStats:
     misses: int
     evictions: int
     invalidations: int
+    #: Admissions declined: fitting would have evicted newer data.
+    refused: int
     #: Lifetime lookups per column name — the demand signal the lazy
     #: restore's background sweep orders its fault-ins by.
     column_lookups: dict[str, int] = dataclass_field(default_factory=dict)
@@ -73,7 +79,7 @@ class CacheStats:
 
 
 class DecodedColumnCache:
-    """Byte-capped LRU cache of decoded row block columns."""
+    """Byte-capped cache of decoded row block columns; evicts the oldest data."""
 
     def __init__(
         self,
@@ -85,55 +91,49 @@ class DecodedColumnCache:
         self.capacity_bytes = capacity_bytes
         self._tracker = tracker
         self._lock = threading.RLock()
-        self._entries: OrderedDict[tuple[int, str], DecodedColumn] = OrderedDict()
-        self._by_block: dict[int, set[str]] = {}
+        self._entries: dict[tuple[int, str], DecodedColumn] = {}
+        #: One rank ``(max_time, uid, name)`` per entry, ascending: the
+        #: eviction order.  ``rank[1:]`` is the entry's key.
+        self._ranks: list[tuple[int, int, str]] = []
         self._nbytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
+        self._refused = 0
         #: Lookups per column *name* (not per block): the heat signal.
         #: Deliberately not reset by clear() — restores empty the cache,
         #: but what was hot before the restart is exactly what the lazy
         #: restore's sweep wants to fault in first.
         self._column_lookups: dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    # Lookup / insert
-    # ------------------------------------------------------------------
-
     def get(self, block: "RowBlock", name: str) -> DecodedColumn | None:
         """The cached decode of ``block``'s column ``name``, or None."""
         with self._lock:
             self._column_lookups[name] = self._column_lookups.get(name, 0) + 1
             entry = self._entries.get((block.uid, name))
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end((block.uid, name))
-            self._hits += 1
+            self._hits += entry is not None
+            self._misses += entry is None
             return entry
 
     def put(self, block: "RowBlock", name: str, decoded: DecodedColumn) -> None:
-        """Insert a decode result, evicting LRU entries past the cap.
-
-        An entry larger than the whole cap is not cached at all (it
-        would only evict everything and then be evicted itself).
-        """
+        """Insert a decode result, evicting the oldest data past the cap.
+        An entry larger than the whole cap is not cached at all."""
         nbytes = decoded.nbytes
         if nbytes > self.capacity_bytes:
             return
+        key = (block.uid, name)
+        rank = (block.max_time, *key)
         with self._lock:
-            key = (block.uid, name)
             if key in self._entries:
-                self._entries.move_to_end(key)
+                return
+            if not self._make_room(rank, nbytes):
+                self._refused += 1
                 return
             self._entries[key] = decoded
-            self._by_block.setdefault(block.uid, set()).add(name)
+            bisect.insort(self._ranks, rank)
             self._nbytes += nbytes
             self._charge(nbytes)
-            while self._nbytes > self.capacity_bytes:
-                self._evict_oldest()
 
     def get_or_decode(self, block: "RowBlock", name: str) -> DecodedColumn:
         """Cached decode of one column, decoding on miss.
@@ -149,10 +149,6 @@ class DecodedColumnCache:
         self.put(block, name, decoded)
         return decoded
 
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-
     def invalidate_blocks(self, uids: Iterable[int]) -> int:
         """Drop every entry of the given block uids; returns bytes freed.
 
@@ -160,16 +156,16 @@ class DecodedColumnCache:
         ``take_blocks``, ``replace_blocks``) — the cache must never hold
         decoded data for blocks the store no longer owns.
         """
+        gone = set(uids)
         with self._lock:
-            freed = 0
-            for uid in uids:
-                names = self._by_block.pop(uid, None)
-                if not names:
-                    continue
-                for name in names:
-                    entry = self._entries.pop((uid, name))
-                    freed += entry.nbytes
+            kept, freed = [], 0
+            for rank in self._ranks:
+                if rank[1] in gone:
+                    freed += self._entries.pop(rank[1:]).nbytes
                     self._invalidations += 1
+                else:
+                    kept.append(rank)
+            self._ranks = kept
             if freed:
                 self._nbytes -= freed
                 self._discharge(freed)
@@ -186,15 +182,11 @@ class DecodedColumnCache:
             freed = self._nbytes
             self._invalidations += len(self._entries)
             self._entries.clear()
-            self._by_block.clear()
+            self._ranks.clear()
             self._nbytes = 0
             if freed:
                 self._discharge(freed)
             return freed
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
 
     def __len__(self) -> int:
         with self._lock:
@@ -220,6 +212,7 @@ class DecodedColumnCache:
                 misses=self._misses,
                 evictions=self._evictions,
                 invalidations=self._invalidations,
+                refused=self._refused,
                 column_lookups=dict(self._column_lookups),
             )
 
@@ -227,17 +220,23 @@ class DecodedColumnCache:
     # Internals (lock already held by every caller)
     # ------------------------------------------------------------------
 
-    def _evict_oldest(self) -> None:
-        key, entry = self._entries.popitem(last=False)
-        uid, name = key
-        names = self._by_block.get(uid)
-        if names is not None:
-            names.discard(name)
-            if not names:
-                del self._by_block[uid]
-        self._nbytes -= entry.nbytes
-        self._evictions += 1
-        self._discharge(entry.nbytes)
+    def _make_room(self, rank: tuple[int, int, str], nbytes: int) -> bool:
+        """Evict the oldest entries until ``nbytes`` more fit.  False, with
+        nothing evicted, when that would evict data newer than ``rank``."""
+        excess = self._nbytes + nbytes - self.capacity_bytes
+        victims = 0
+        while excess > 0:  # stays in range: evicting all frees >= nbytes
+            if self._ranks[victims] > rank:
+                return False
+            excess -= self._entries[self._ranks[victims][1:]].nbytes
+            victims += 1
+        if victims:
+            freed = sum(self._entries.pop(old[1:]).nbytes for old in self._ranks[:victims])
+            del self._ranks[:victims]
+            self._evictions += victims
+            self._nbytes -= freed
+            self._discharge(freed)
+        return True
 
     def _charge(self, nbytes: int) -> None:
         if self._tracker is not None:

@@ -6,10 +6,12 @@ array-shaped :class:`DecodedColumn` and runs numpy kernels over it
 (``repro.query.kernels``).  Three shapes cover the four column types:
 
 - ``NUMERIC`` — INT64/FLOAT64 values as one contiguous numpy array.
-- ``DICT`` — STRING values as ``codes`` (one int64 id per row) plus the
-  ``entries`` lookup table, in dictionary order.  Dictionary-encoded
-  columns keep their stored ids; raw/LZ string columns are factorized at
-  decode time so every string column presents the same id-space shape.
+- ``DICT`` — STRING values as ``codes`` (one id per row, in the
+  narrowest unsigned dtype that indexes ``entries``: uint8 up to 256
+  entries) plus the ``entries`` lookup table, in dictionary order.
+  Dictionary-encoded columns keep their stored ids; raw/LZ string columns
+  are factorized at decode time so every string column presents the same
+  id-space shape.
 - ``VECTOR`` — STRING_VECTOR values as flattened ``codes`` plus an
   ``offsets`` array of ``n_rows + 1`` row boundaries (CSR layout) and
   the shared ``entries`` table.
@@ -50,7 +52,10 @@ class DecodedColumn:
     kind: DecodedKind
     #: NUMERIC: the values (int64 or float64), length ``n_rows``.
     values: np.ndarray | None = None
-    #: DICT: one entry id per row.  VECTOR: flattened entry ids.
+    #: DICT: one entry id per row.  VECTOR: flattened entry ids.  Either
+    #: way the narrowest unsigned dtype that holds ``len(entries) - 1``;
+    #: kernels widen them to intp before indexing with them (numpy's own
+    #: conversion of a uint8/uint16 index array costs more than the cast).
     codes: np.ndarray | None = None
     #: VECTOR only: ``n_rows + 1`` boundaries into ``codes`` (CSR).
     offsets: np.ndarray | None = None

@@ -203,19 +203,16 @@ def decode_column(ctype: ColumnType, encoded: EncodedColumn) -> list[ColumnValue
     raise TypeError(f"unknown column type: {ctype!r}")
 
 
+def _code_dtype(n_entries: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every id of ``n_entries``."""
+    return np.min_scalar_type(max(n_entries - 1, 0))
+
+
 def _factorize_strings(values: list[str]) -> tuple[np.ndarray, list[str]]:
     """Assign first-appearance ids to ``values`` (raw string columns)."""
-    codes = np.empty(len(values), dtype=np.int64)
     index: dict[str, int] = {}
-    entries: list[str] = []
-    for i, value in enumerate(values):
-        slot = index.get(value)
-        if slot is None:
-            slot = len(entries)
-            index[value] = slot
-            entries.append(value)
-        codes[i] = slot
-    return codes, entries
+    codes = [index.setdefault(value, len(index)) for value in values]
+    return np.array(codes, dtype=_code_dtype(len(index))), list(index)
 
 
 def decode_column_arrays(ctype: ColumnType, encoded: EncodedColumn) -> DecodedColumn:
@@ -225,6 +222,9 @@ def decode_column_arrays(ctype: ColumnType, encoded: EncodedColumn) -> DecodedCo
     their codecs already produce, and string columns keep their id space
     (dictionary-encoded ids verbatim; raw columns factorized here) so
     predicates compare against the dictionary once instead of per row.
+    Ids come in the narrowest unsigned dtype that holds the dictionary
+    (one byte per row for up to 256 entries), so a cached column is
+    charged what it needs, not eight bytes a row.
     Every array is a fresh heap copy — nothing aliases the encoded
     buffer, so the result may outlive its row block (cache-safe).
     """
@@ -239,11 +239,11 @@ def decode_column_arrays(ctype: ColumnType, encoded: EncodedColumn) -> DecodedCo
     if ctype is ColumnType.STRING:
         if CompressionFlags.DICT in encoded.flags:
             entries, ids = _parse_dict_strings(encoded)
-            return DecodedColumn.dictionary(ids.astype(np.int64), entries)
+            return DecodedColumn.dictionary(ids.astype(_code_dtype(len(entries))), entries)
         return DecodedColumn.dictionary(*_factorize_strings(_decode_raw_strings(encoded)))
     if ctype is ColumnType.STRING_VECTOR:
         entries, lengths, ids = _parse_string_vectors(encoded)
         offsets = np.zeros(encoded.n_items + 1, dtype=np.int64)
         np.cumsum(lengths.astype(np.int64), out=offsets[1:])
-        return DecodedColumn.vector(ids.astype(np.int64), offsets, entries)
+        return DecodedColumn.vector(ids.astype(_code_dtype(len(entries))), offsets, entries)
     raise TypeError(f"unknown column type: {ctype!r}")

@@ -128,7 +128,7 @@ def _dict_mask(filt: Filter, decoded: DecodedColumn) -> np.ndarray:
     if not decoded.entries:
         return np.zeros(len(decoded), dtype=bool)
     verdicts = [filt.matches({filt.column: entry}) for entry in decoded.entries]
-    return np.array(verdicts, dtype=bool)[decoded.codes]
+    return np.array(verdicts, dtype=bool)[decoded.codes.astype(np.intp)]
 
 
 def _vector_mask(filt: Filter, decoded: DecodedColumn) -> np.ndarray:
@@ -195,7 +195,7 @@ def factorize_column(
     parts = []
     for col, sel in zip(columns, sels):
         remap = [ids.setdefault(entry, len(ids)) for entry in col.entries]
-        parts.append(np.array(remap, dtype=np.int64)[col.codes[sel]])
+        parts.append(np.array(remap, dtype=np.int64)[col.codes[sel].astype(np.intp)])
     return np.concatenate(parts), list(ids)
 
 

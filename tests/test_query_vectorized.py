@@ -803,7 +803,10 @@ class TestDecodedColumnCache:
             for lhs, rhs in zip(cached.partial[key], plain.partial[key]):
                 assert lhs.to_dict() == rhs.to_dict()
 
-    def test_byte_cap_evicts_lru(self):
+    def test_byte_cap_is_held(self):
+        # (restated: this was test_byte_cap_evicts_lru, whose
+        # `evictions > 0 or len > 0` held for any cache; the eviction
+        # policy itself is tested in test_columnstore_colcache.py)
         cache = DecodedColumnCache(0)
         leafmap = make_map(cache=cache)
         execute_on_leaf(leafmap, self.query())
@@ -814,8 +817,9 @@ class TestDecodedColumnCache:
         small = DecodedColumnCache(2000)
         leafmap = make_map(cache=small)
         execute_on_leaf(leafmap, self.query())
-        assert small.nbytes <= 2000
-        assert small.stats().evictions > 0 or len(small) > 0
+        stats = small.stats()
+        assert 0 < stats.nbytes <= 2000
+        assert stats.evictions > 0  # the query's columns are ~2.8 KB
 
     def test_tracker_charged_and_discharged(self):
         tracker = MemoryTracker()
