@@ -175,7 +175,8 @@ def cmd_bench_query(args: argparse.Namespace) -> int:
 
     p = e13.run(rows=args.rows, cache_mb=args.cache_mb, repeats=args.repeats)
     _print_header(p)
-    for q in p["queries"]:
+    buffer = p["buffer_query"]
+    for q in [*p["queries"], {**buffer, "query": f"write buffer ({buffer['rows']} rows)"}]:
         print(f"{q['query']:24s} row {q['row_ms']:8.1f} ms | vectorized cold "
               f"{q['vector_cold_ms']:7.1f} ms, warm {q['vector_warm_ms']:7.1f} ms "
               f"({q['speedup']:.1f}x)")

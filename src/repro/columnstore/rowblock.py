@@ -49,7 +49,37 @@ _KEY_COLUMN = struct.Struct("<QI")  # RBC length, stored footer CRC
 _BLOCK_UIDS = itertools.count(1)
 
 
-class RowBlock:
+class TimeRange:
+    """Min/max-timestamp pruning, for anything with ``min_time`` and
+    ``max_time``: a sealed row block, and the write buffer's view."""
+
+    min_time: int
+    max_time: int
+
+    def overlaps(self, start_time: int | None, end_time: int | None) -> bool:
+        """Whether any row's timestamp could fall in ``[start, end)``.
+
+        This is the min/max pruning the paper describes: "the minimum and
+        maximum timestamps are used to decide whether to even look at a
+        row block when processing a query."
+        """
+        if start_time is not None and self.max_time < start_time:
+            return False
+        if end_time is not None and self.min_time >= end_time:
+            return False
+        return True
+
+    def within(self, start_time: int | None, end_time: int | None) -> bool:
+        """Whether every row's timestamp falls in ``[start, end)`` (an
+        open bound is satisfied): the other answer the header's min/max
+        gives, which lets a query skip the block's time column entirely.
+        """
+        return (start_time is None or start_time <= self.min_time) and (
+            end_time is None or self.max_time < end_time
+        )
+
+
+class RowBlock(TimeRange):
     """An immutable sealed row block in heap format."""
 
     def __init__(
@@ -194,28 +224,6 @@ class RowBlock:
             {name: columns[name][i] for name in self.schema.names}
             for i in range(self.row_count)
         ]
-
-    def overlaps(self, start_time: int | None, end_time: int | None) -> bool:
-        """Whether any row's timestamp could fall in ``[start, end)``.
-
-        This is the min/max pruning the paper describes: "the minimum and
-        maximum timestamps are used to decide whether to even look at a
-        row block when processing a query."
-        """
-        if start_time is not None and self.max_time < start_time:
-            return False
-        if end_time is not None and self.min_time >= end_time:
-            return False
-        return True
-
-    def within(self, start_time: int | None, end_time: int | None) -> bool:
-        """Whether every row's timestamp falls in ``[start, end)`` (an
-        open bound is satisfied): the other answer the header's min/max
-        gives, which lets a query skip the block's time column entirely.
-        """
-        return (start_time is None or start_time <= self.min_time) and (
-            end_time is None or self.max_time < end_time
-        )
 
     def release_column(self, name: str) -> int:
         """Drop one column's heap buffer, returning its size.

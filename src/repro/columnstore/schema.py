@@ -38,7 +38,7 @@ def infer_column_type(value: ColumnValue) -> ColumnType:
 
 #: The exact Python type of an ordinary value of each scalar column
 #: type.  Subclasses, bools and lists take the general, per-value path.
-_EXACT_TYPES = {int: ColumnType.INT64, float: ColumnType.FLOAT64, str: ColumnType.STRING}
+EXACT_TYPES = {int: ColumnType.INT64, float: ColumnType.FLOAT64, str: ColumnType.STRING}
 
 
 class Schema:
@@ -64,7 +64,7 @@ class Schema:
         columns: dict[str, ColumnType] = {}
         for row in rows:
             for name, value in row.items():
-                ctype = _EXACT_TYPES.get(type(value)) or infer_column_type(value)
+                ctype = EXACT_TYPES.get(type(value)) or infer_column_type(value)
                 known = columns.get(name)
                 if known is None:
                     columns[name] = ctype
@@ -120,7 +120,7 @@ class Schema:
         ctype = self.type_of(name)
         default = ctype.default()
         out: list[ColumnValue] = [row.get(name, default) for row in rows]
-        if all(_EXACT_TYPES.get(kind) is ctype for kind in set(map(type, out))):
+        if all(EXACT_TYPES.get(kind) is ctype for kind in set(map(type, out))):
             return out  # nothing to copy, convert or reject
         for index, value in enumerate(out):
             if isinstance(value, list):

@@ -247,3 +247,24 @@ def decode_column_arrays(ctype: ColumnType, encoded: EncodedColumn) -> DecodedCo
         np.cumsum(lengths.astype(np.int64), out=offsets[1:])
         return DecodedColumn.vector(ids.astype(_code_dtype(len(entries))), offsets, entries)
     raise TypeError(f"unknown column type: {ctype!r}")
+
+
+def column_arrays(ctype: ColumnType, values: list[ColumnValue]) -> DecodedColumn:
+    """``decode_column_arrays(ctype, encode_column(ctype, values))``
+    without the round trip: the array form of values not yet sealed.
+
+    Same kinds and code dtypes; strings get first-appearance ids, which
+    is what the dictionary encoder assigns too.  Every array is fresh.
+    """
+    if ctype is ColumnType.INT64:
+        return DecodedColumn.numeric(np.array(values, dtype=np.int64))
+    if ctype is ColumnType.FLOAT64:
+        return DecodedColumn.numeric(np.array(values, dtype=np.float64))
+    if ctype is ColumnType.STRING:
+        return DecodedColumn.dictionary(*_factorize_strings(values))
+    if ctype is ColumnType.STRING_VECTOR:
+        codes, entries = _factorize_strings([item for vector in values for item in vector])
+        offsets = np.zeros(len(values) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, values), np.int64, len(values)), out=offsets[1:])
+        return DecodedColumn.vector(codes, offsets, entries)
+    raise TypeError(f"unknown column type: {ctype!r}")

@@ -14,10 +14,11 @@ Two executors share that contract:
   arrays (through the leaf's decoded-column cache, block by block; a
   block wholly inside the time range never decodes its time column),
   and the kernels of ``repro.query.kernels`` run once per run (predicate
-  masks stay per block).  No row dicts are ever materialized for sealed
-  blocks; only the unsealed write-buffer rows take the row path.  How blocks
-  fall into runs never shows in an answer: each block's sums still
-  accumulate from zero in row order and fold in block order.
+  masks stay per block).  No row dicts are ever materialized.  The
+  unsealed write buffer is one more block (``Table.buffer_block``, read as
+  it will seal), run last and alone.  How blocks fall into runs never
+  shows in an answer: each block's sums still accumulate from zero in row
+  order and fold in block order — so sealing the buffer moves no bit.
 - :func:`execute_on_leaf_rows` is the original row-at-a-time loop, kept
   as the differential-testing oracle: for any query the two must
   produce equal partials, scan counts, and errors.
@@ -34,6 +35,7 @@ import numpy as np
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
+from repro.columnstore.table import BufferBlock
 from repro.compression.decoded import DecodedColumn, DecodedKind
 from repro.errors import QueryError
 from repro.query import kernels
@@ -90,19 +92,12 @@ def execute_on_leaf(
     execution.blocks_pruned = len(table.blocks) - len(unpruned)
     for run in _runs(unpruned, _needed_columns(query)):
         _execute_run(execution, query, run, cache)
-    # Fold the write buffer as its own partial and merge it, exactly as
-    # a sealed block's sums fold in.  This keeps aggregate floats
-    # bit-stable across sealing: the buffer's rows accumulate from zero
-    # in row order either way (``np.bincount`` adds in input order), so
-    # a restart that seals the buffer does not move any rounding.
-    buffered = LeafExecution(partial={})
-    for row in table.iter_buffer_rows(query.start_time, query.end_time):
-        _fold_row(buffered, query, row)
-    execution.rows_scanned += buffered.rows_scanned
-    execution.rows_matched += buffered.rows_matched
-    for key, states in buffered.partial.items():
-        for mine, theirs in zip(_states_for(execution, query, key), states):
-            mine.merge(theirs)
+    # The buffer runs last and alone, so its sums fold onto the carried
+    # totals where its block's will once sealed.  It is never counted as
+    # pruned, and never cached: its view memoizes its columns itself.
+    buffer = table.buffer_block()
+    if buffer is not None and buffer.overlaps(query.start_time, query.end_time):
+        _execute_run(execution, query, [buffer], None)
     return execution
 
 
@@ -117,15 +112,14 @@ def execute_on_leaf_rows(leafmap: LeafMap, query: Query) -> LeafExecution:
     if query.table not in leafmap:
         return execution
     table = leafmap.get_table(query.table)
-    for block in table.blocks:
+    buffer = table.buffer_block()
+    for block in [*table.blocks, *([buffer] if buffer else [])]:
         if not block.overlaps(query.start_time, query.end_time):
-            execution.blocks_pruned += 1
+            execution.blocks_pruned += int(block is not buffer)  # a buffer never counts
             continue
         for row in block.to_rows():
             if _in_range(row[TIME_COLUMN], query.start_time, query.end_time):
                 _fold_row(execution, query, row)
-    for row in table.iter_buffer_rows(query.start_time, query.end_time):
-        _fold_row(execution, query, row)
     return execution
 
 
@@ -193,7 +187,7 @@ def _runs(blocks: list[RowBlock], needed: list[str]) -> Iterator[list[RowBlock]]
 def _execute_run(
     execution: LeafExecution,
     query: Query,
-    blocks: list[RowBlock],
+    blocks: list[RowBlock] | list[BufferBlock],
     cache: DecodedColumnCache | None,
 ) -> None:
     @functools.cache
@@ -295,7 +289,7 @@ def _execute_run(
 
 
 # ----------------------------------------------------------------------
-# Row-path fold (oracle and write buffer)
+# Row-path fold (the oracle)
 # ----------------------------------------------------------------------
 
 

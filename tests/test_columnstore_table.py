@@ -1,9 +1,15 @@
 """Tests for tables: sealing, expiry, scans, and the restart hooks."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.columnstore.rowblock import RowBlock
 from repro.columnstore.table import Table, estimate_row_bytes
+from repro.compression.decoded import DecodedKind
 from repro.errors import SchemaError
+from repro.types import ColumnType
 from repro.util.clock import ManualClock
 
 
@@ -69,6 +75,114 @@ class TestIngest:
     def test_bad_rows_per_block_rejected(self):
         with pytest.raises(ValueError):
             Table("x", rows_per_block=0)
+
+    def test_type_conflicting_row_is_refused_and_the_table_keeps_sealing(self):
+        # It used to be appended, and every later add then raised at seal
+        # while the buffer grew past both caps.
+        table = make_table(rows_per_block=3)
+        table.add_row({"time": 0, "a": 1})
+        with pytest.raises(SchemaError, match="seen as both INT64 and STRING"):
+            table.add_row({"time": 1, "b": 2.0, "a": "x"})
+        assert (table.buffered_row_count, table.total_rows_ingested) == (1, 1)
+        assert "b" not in table.buffer_block().schema  # nothing of it stays
+        table.add_rows({"time": t, "a": t} for t in range(2, 6))
+        assert (table.block_count, table.buffered_row_count) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "row", [{"time": 1, "flag": True}, {"time": 1, "": 2}, {"time": 1, "d": {"k": 1}}]
+    )
+    def test_unsealable_row_is_refused(self, row):
+        table = make_table()
+        with pytest.raises(SchemaError):
+            table.add_row(row)
+        assert table.buffered_row_count == 0
+
+
+VALUES = {
+    ColumnType.INT64: st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    ColumnType.FLOAT64: st.floats(width=64),
+    ColumnType.STRING: st.one_of(st.sampled_from(["", "x", "yy"]), st.text(max_size=4)),
+    ColumnType.STRING_VECTOR: st.lists(st.sampled_from(["p", "q", ""]), max_size=3),
+}
+
+
+@st.composite
+def buffered_rows(draw):
+    """Rows over up to five typed columns, each row holding any subset of
+    them in any order, with ``time`` anywhere among them."""
+    types = draw(
+        st.dictionaries(st.sampled_from("abcde"), st.sampled_from(list(ColumnType)), max_size=5)
+    )
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        names = draw(st.lists(st.sampled_from(sorted(types)), unique=True)) if types else []
+        items = [(name, draw(VALUES[types[name]])) for name in names]
+        items.insert(draw(st.integers(0, len(items))), ("time", draw(st.integers(0, 10**6))))
+        rows.append(dict(items))
+    return rows
+
+
+def assert_same_arrays(built, decoded):
+    assert built.kind is decoded.kind
+    if built.kind is DecodedKind.NUMERIC:
+        assert built.values.dtype == decoded.values.dtype
+        assert np.array_equal(built.values, decoded.values, equal_nan=True)
+        return
+    assert built.codes.dtype == decoded.codes.dtype
+    assert [built.entries[c] for c in built.codes] == [decoded.entries[c] for c in decoded.codes]
+    if built.kind is DecodedKind.VECTOR:
+        assert np.array_equal(built.offsets, decoded.offsets)
+
+
+class TestBufferView:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=buffered_rows())
+    def test_seal_and_view_match_a_block_sealed_from_the_rows(self, rows):
+        """The add-time schema seals byte for byte what ``from_rows``
+        seals (so ``content_key`` and the stored bytes cannot move), and
+        the buffer's view reads exactly as that block does."""
+        table = make_table(rows_per_block=10**6)
+        table.add_rows(rows)
+        assert table.nbytes == sum(map(estimate_row_bytes, rows))
+        view = table.buffer_block()
+        sealed = table.seal_buffer()
+        reference = RowBlock.from_rows(rows, created_at=100.0)
+        assert sealed.pack() == reference.pack()
+        assert sealed.content_key() == reference.content_key()
+        assert view.schema == sealed.schema
+        assert (view.row_count, view.min_time, view.max_time) == (
+            sealed.row_count,
+            sealed.min_time,
+            sealed.max_time,
+        )
+        assert repr(view.to_rows()) == repr(sealed.to_rows())  # NaN-safe
+        for name in sealed.schema:
+            assert_same_arrays(view.decoded_column(name), sealed.decoded_column(name))
+
+    def test_view_is_memoized_until_the_next_add_or_seal(self):
+        table = make_table()
+        assert table.buffer_block() is None
+        table.add_rows({"time": t, "a": t} for t in range(3))
+        view = table.buffer_block()
+        assert table.buffer_block() is view
+        assert view.decoded_column("a") is view.decoded_column("a")
+        table.add_row({"time": 3, "a": 3, "b": "x"})
+        fresh = table.buffer_block()
+        assert fresh is not view and fresh.row_count == 4 and "b" in fresh.schema
+        assert view.row_count == 3 and "b" not in view.schema  # a snapshot
+        assert fresh.decoded_column("a").values.tolist() == [0, 1, 2, 3]
+        table.seal_buffer()
+        assert table.buffer_block() is None
+
+    def test_view_fills_omitted_values_with_defaults(self):
+        table = make_table()
+        table.add_rows([{"time": 5, "g": "a", "v": 4.0}, {"time": 2}])
+        view = table.buffer_block()
+        assert (view.min_time, view.max_time) == (2, 5)
+        assert view.to_rows()[1] == {"time": 2, "g": "", "v": 0.0}
+        assert view.decoded_column("v").values.tolist() == [4.0, 0.0]
+        # ... while scans keep the rows as they were added.
+        assert list(table.iter_buffer_rows())[1] == {"time": 2}
 
 
 class TestExpiry:

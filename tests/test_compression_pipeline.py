@@ -1,10 +1,13 @@
 """Tests for the per-type compression pipelines."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import CompressionFlags, decode_column, encode_column
+from repro.compression.decoded import DecodedKind
+from repro.compression.pipeline import column_arrays, decode_column_arrays
 from repro.types import ColumnType
 
 
@@ -105,3 +108,52 @@ class TestPipelineGeneral:
     def test_vector_roundtrip_property(self, values):
         encoded = encode_column(ColumnType.STRING_VECTOR, values)
         assert decode_column(ColumnType.STRING_VECTOR, encoded) == values
+
+
+#: (type, values) of every column type, at sizes that reach both string
+#: encodings (dictionary, and raw for near-unique values).
+TYPED_VALUES = st.one_of(
+    st.tuples(
+        st.just(ColumnType.INT64),
+        st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=60),
+    ),
+    st.tuples(st.just(ColumnType.FLOAT64), st.lists(st.floats(width=64), max_size=60)),
+    st.tuples(
+        st.just(ColumnType.STRING),
+        st.lists(st.one_of(st.sampled_from("abc"), st.text(max_size=6)), max_size=300),
+    ),
+    st.tuples(
+        st.just(ColumnType.STRING_VECTOR),
+        st.lists(st.lists(st.sampled_from(["x", "y", "", "zz"]), max_size=4), max_size=40),
+    ),
+)
+
+
+class TestColumnArrays:
+    """``column_arrays`` is the decode of the encode, without either."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(TYPED_VALUES)
+    def test_equals_the_decode_of_the_encode(self, typed):
+        ctype, values = typed
+        built = column_arrays(ctype, values)
+        decoded = decode_column_arrays(ctype, encode_column(ctype, values))
+        assert built.kind is decoded.kind
+        assert len(built) == len(decoded) == len(values)
+        if built.kind is DecodedKind.NUMERIC:
+            assert built.values.dtype == decoded.values.dtype
+            assert np.array_equal(built.values, decoded.values, equal_nan=True)
+            return
+        assert built.codes.dtype == decoded.codes.dtype
+        assert [built.entries[code] for code in built.codes] == [
+            decoded.entries[code] for code in decoded.codes
+        ]
+        if built.kind is DecodedKind.VECTOR:
+            assert np.array_equal(built.offsets, decoded.offsets)
+            assert built.offsets.dtype == decoded.offsets.dtype
+
+    def test_arrays_are_fresh(self):
+        values = [1, 2, 3]
+        column = column_arrays(ColumnType.INT64, values)
+        values[0] = 99
+        assert column.values.tolist() == [1, 2, 3]

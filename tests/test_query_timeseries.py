@@ -111,7 +111,11 @@ class TestOrderBy:
             Query("t", order_by="sum(nope)")
 
     def test_none_values_sort_last_in_descending(self):
-        leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=64)
+        # (restated: the rows used to share a write buffer, where a row
+        # that omits ``v`` read as absent; the buffer now reads as it will
+        # seal, ``v`` = 0.0, so the None comes from a block that lacks
+        # ``v`` entirely — one row a block)
+        leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=1)
         table = leafmap.get_or_create("t")
         table.add_rows([{"time": 0, "g": "with", "v": 5.0}, {"time": 1, "g": "without"}])
         query = Query(

@@ -326,6 +326,66 @@ class TestDifferentialProperty:
         assert_equivalent(make_map(rows), build_query(**parts))
 
 
+@st.composite
+def gappy_rows(draw):
+    """Rows each of which may omit any of ``g`` (str), ``n`` (int) and
+    ``v`` (float)."""
+    rows = []
+    for i in range(draw(st.integers(min_value=1, max_value=60))):
+        row = {"time": 1000 + i}
+        if draw(st.booleans()):
+            row["g"] = draw(st.sampled_from(["a", "b", ""]))
+        if draw(st.booleans()):
+            row["n"] = draw(st.integers(min_value=-3, max_value=3))
+        if draw(st.booleans()):
+            row["v"] = draw(st.sampled_from([0.1, 0.2, 1e16, -3.5, 0.0]))
+        rows.append(row)
+    return rows
+
+
+class TestSealingMovesNoAnswer:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=gappy_rows(),
+        rows_per_block=st.sampled_from([4, 25, 1000]),
+        group_by=st.sets(st.sampled_from(["g", "n", "ghost"]), max_size=2).map(tuple),
+        filters=st.lists(
+            st.one_of(
+                st.builds(Filter, st.just("g"), st.sampled_from(["eq", "ne"]), st.just("")),
+                st.builds(Filter, st.just("v"), st.sampled_from(["lt", "ge"]), st.just(0.15)),
+            ),
+            max_size=1,
+        ).map(tuple),
+        start=st.one_of(st.none(), st.integers(min_value=995, max_value=1060)),
+    )
+    def test_partials_are_bit_identical_before_and_after_seal_all(
+        self, rows, rows_per_block, group_by, filters, start
+    ):
+        """A buffered row that omits a column reads as it will seal — the
+        type's default — so ``seal_all`` changes no partial, no scan
+        count, on either executor (it used to read as absent: group key
+        None, filter False, skipped by ``avg``)."""
+        leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=rows_per_block)
+        leafmap.get_or_create("t").add_rows(rows)
+        query = Query(
+            "t",
+            aggregations=tuple(
+                Aggregation(func, "v") for func in ("sum", "avg", "min", "max", "p50")
+            )
+            + (Aggregation("count"),),
+            group_by=group_by,
+            filters=filters,
+            start_time=start,
+        )
+        executors = (execute_on_leaf, execute_on_leaf_rows)
+        before = [executor(leafmap, query) for executor in executors]
+        leafmap.seal_all()
+        after = [executor(leafmap, query) for executor in executors]
+        for old, new in zip(before, after):
+            assert old.partial == new.partial
+            assert (old.rows_scanned, old.rows_matched) == (new.rows_scanned, new.rows_matched)
+
+
 def one_block_map(block):
     leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=10**6)
     leafmap.get_or_create("service_requests").replace_blocks([block])

@@ -1,5 +1,8 @@
 """Tests for the leaf server lifecycle and data plane."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.engine import RecoveryMethod
@@ -199,6 +202,57 @@ class TestDataPlane:
         reborn = make_leaf(shm_namespace, tmp_path, clock)
         reborn.start()
         assert reborn.leafmap.row_count == 70
+
+    def test_queries_during_adds_see_whole_batches(self, shm_namespace, tmp_path, clock):
+        """One thread adds batches (sealing some, buffering the rest) while
+        another queries: every answer counts the rows before some add and
+        after it — never part of a batch — and nothing raises."""
+        leaf = make_leaf(shm_namespace, tmp_path, clock)
+        leaf.start()
+        leaf.add_rows("events", ROWS[:30])
+        batch, batches = 7, 40
+        query = Query("events", aggregations=(Aggregation("count"), Aggregation("avg", "v")))
+        counts, errors = [], []
+        asked = threading.Event()  # the writer starts after the first answer
+
+        def add() -> None:
+            try:
+                asked.wait()
+                for b in range(batches):
+                    leaf.add_rows(
+                        "events",
+                        [{"time": 2000 + b * batch + i, "v": float(i)} for i in range(batch)],
+                    )
+            except Exception as exc:  # reported below, with the reader's
+                errors.append(exc)
+
+        def ask() -> None:
+            try:
+                while not counts or writer.is_alive():
+                    counts.append(leaf.query(query).partial[()][0].count)
+                    asked.set()
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                asked.set()
+
+        writer = threading.Thread(target=add)
+        reader = threading.Thread(target=ask)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: interleave more
+        try:
+            writer.start()
+            reader.start()
+            writer.join(timeout=60)
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert errors == []
+        assert all(30 <= c <= 30 + batch * batches and (c - 30) % batch == 0 for c in counts)
+        assert counts == sorted(counts)
+        final = leaf.query(query).partial[()][0].count
+        assert final == 30 + batch * batches
 
     def test_expire_requires_alive(self, shm_namespace, tmp_path, clock):
         leaf = make_leaf(shm_namespace, tmp_path, clock)
