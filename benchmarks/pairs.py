@@ -2,14 +2,16 @@
 """Alternating parent/change pairs of the restart ledger, and the verdict.
 
     python benchmarks/pairs.py --parent ../parent --change . \\
-        --workload crash_snapshot --seeds 200-209 [--watch query_ms_p95]
+        --workload crash_snapshot --seeds 200-209 \\
+        [--watch ingest_rows_per_s,restored_ms]
 
 ``--parent`` and ``--change`` are two checkouts, for example a
 ``git worktree`` of the parent commit and this tree.  For each seed the
 command runs ``benchmarks/ledger/run.py`` once in each tree, each in a
 fresh process, alternating which tree goes first (even positions: the
-parent), and prints the ``--watch`` metric of the pair.  Every run
-measures for ``run_seconds`` of the change tree's ``BENCHMARK.json``.
+parent), and prints the pair's ``--watch`` metrics (a comma list).
+Every run measures for ``run_seconds`` of the change tree's
+``BENCHMARK.json``.
 ``--workload`` takes a comma list; each workload gets its own pairs and
 its own table.
 
@@ -82,7 +84,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
 
 
 def compare(trees: dict[str, Path], workload: str, seeds: list[int], spec: dict,
-            watch: str) -> bool:
+            watch: list[str]) -> bool:
     """Run and print one workload's pairs; True if the change failed more ops."""
     seconds = spec["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -90,9 +92,12 @@ def compare(trees: dict[str, Path], workload: str, seeds: list[int], spec: dict,
         order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
         for side in order:
             runs[side].append(run_once(trees[side], workload, seed, seconds))
-        seen = [runs[side][-1]["metrics"][watch]["value"] for side in ("parent", "change")]
-        print(f"{workload} seed {seed} ({order[0]} first): {watch} "
-              f"{seen[0]:.4g} -> {seen[1]:.4g}", flush=True)
+        parent, change = (runs[side][-1]["metrics"] for side in ("parent", "change"))
+        seen = ", ".join(
+            f"{name} {parent[name]['value']:.4g} -> {change[name]['value']:.4g}"
+            for name in watch
+        )
+        print(f"{workload} seed {seed} ({order[0]} first): {seen}", flush=True)
 
     pairs = len(seeds)
     print(f"\n{workload}: {pairs} pairs, seeds {seeds[0]}..{seeds[-1]}, "
@@ -124,16 +129,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True, help="one or a comma list")
     parser.add_argument("--seeds", type=seed_range, required=True, help="e.g. 200-209")
-    parser.add_argument("--watch", default="query_cold_ms", metavar="METRIC",
-                        help="the metric printed per pair (default: query_cold_ms)")
+    parser.add_argument("--watch", default="query_cold_ms", metavar="METRIC[,METRIC]",
+                        help="the metrics printed per pair (default: query_cold_ms)")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     names = {metric["name"] for metric in spec["end_to_end"]}
-    if args.watch not in names:
-        parser.error(f"--watch {args.watch}: not an end-to-end metric of BENCHMARK.json")
+    watch = args.watch.split(",")
+    for name in watch:
+        if name not in names:
+            parser.error(f"--watch {name}: not an end-to-end metric of BENCHMARK.json")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     worse = [
-        compare(trees, workload, args.seeds, spec, args.watch)
+        compare(trees, workload, args.seeds, spec, watch)
         for workload in args.workload.split(",")
     ]
     return 1 if any(worse) else 0

@@ -9,6 +9,7 @@ owning one.  Every schema contains the required ``time`` column.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import CorruptionError, SchemaError
@@ -120,8 +121,15 @@ class Schema:
         ctype = self.type_of(name)
         default = ctype.default()
         out: list[ColumnValue] = [row.get(name, default) for row in rows]
-        if all(EXACT_TYPES.get(kind) is ctype for kind in set(map(type, out))):
+        kinds = set(map(type, out))
+        if all(EXACT_TYPES.get(kind) is ctype for kind in kinds):
             return out  # nothing to copy, convert or reject
+        if (
+            ctype is ColumnType.STRING_VECTOR
+            and kinds == {list}
+            and set(map(type, chain.from_iterable(out))) <= {str}
+        ):
+            return list(map(list, out))  # copied: never alias caller-owned lists
         for index, value in enumerate(out):
             if isinstance(value, list):
                 value = list(value)  # never alias caller-owned lists

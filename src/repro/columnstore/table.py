@@ -8,7 +8,7 @@ to either age or size limits" (paper, Section 2).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.rowblock import ROWS_PER_BLOCK, RowBlock, TimeRange
@@ -40,6 +40,28 @@ def estimate_row_bytes(row: Mapping[str, ColumnValue]) -> int:
         else:
             total += 8
     return total
+
+
+class _RowShape(NamedTuple):
+    """What a row's full check leaves behind for the rows shaped like it."""
+
+    names: tuple
+    #: Each value's exact type, in column order.
+    kinds: tuple
+    #: The estimate's part that does not depend on the values.
+    fixed_bytes: int
+    strings: tuple[str, ...]
+    vectors: tuple[str, ...]
+
+    def bytes_of(self, row: Mapping[str, ColumnValue]) -> int:
+        """``estimate_row_bytes(row)`` for a row of this shape."""
+        nbytes = self.fixed_bytes
+        for name in self.strings:
+            nbytes += len(row[name])
+        for name in self.vectors:
+            value = row[name]
+            nbytes += sum(map(len, value)) + 4 * len(value)
+        return nbytes
 
 
 class BufferBlock(TimeRange):
@@ -107,8 +129,10 @@ class Table:
         self._buffer: list[dict[str, ColumnValue]] = []
         self._buffer_bytes = 0
         #: The buffer's column types in first-seen order (its seal-time
-        #: schema), its time range, and its memoized block view.
+        #: schema), the shape of its last row, its time range, and its
+        #: memoized block view.
         self._buffer_types: dict[str, ColumnType] = {}
+        self._buffer_shape: _RowShape | None = None
         self._buffer_min_time = self._buffer_max_time = 0
         self._buffer_view: BufferBlock | None = None
         #: Rows ever ingested / ever expired — monotone counters the
@@ -125,8 +149,42 @@ class Table:
 
         The row's column types are checked against the buffer's first: a
         row the buffer could not seal raises :class:`SchemaError` and is
-        not appended, so it cannot wedge every later seal.
+        not appended, so it cannot wedge every later seal.  A row shaped
+        like the last one accepted into this buffer — the same column
+        names in the same order, each value of the same exact type —
+        passed those checks already and skips them.
         """
+        shape = self._buffer_shape
+        names = tuple(row)
+        kinds = tuple(map(type, row.values()))
+        if shape is not None and shape.names == names and shape.kinds == kinds:
+            nbytes = shape.bytes_of(row)
+        else:
+            shape, nbytes = self._check_row(row, names, kinds)
+        time_value = row[TIME_COLUMN]
+        if not self._buffer:
+            self._buffer_min_time = self._buffer_max_time = time_value
+        elif time_value < self._buffer_min_time:
+            self._buffer_min_time = time_value
+        elif time_value > self._buffer_max_time:
+            self._buffer_max_time = time_value
+        self._buffer.append(dict(row))
+        self._buffer_bytes += nbytes
+        self._buffer_shape = shape
+        self._buffer_view = None
+        self.total_rows_ingested += 1
+        if (
+            len(self._buffer) >= self._rows_per_block
+            or self._buffer_bytes >= self._max_block_bytes
+        ):
+            self.seal_buffer()
+
+    def _check_row(
+        self, row: Mapping[str, ColumnValue], names: tuple, kinds: tuple
+    ) -> tuple[_RowShape, int]:
+        """The full walk: check every field of ``row`` against the
+        buffer's types and record its new columns; returns the row's
+        shape and its byte estimate."""
         if TIME_COLUMN not in row:
             raise SchemaError(f"row lacks the required '{TIME_COLUMN}' column")
         time_value = row[TIME_COLUMN]
@@ -134,7 +192,9 @@ class Table:
             raise SchemaError(f"'{TIME_COLUMN}' must be an integer unix timestamp")
         types = self._buffer_types
         new_columns: dict[str, ColumnType] = {}
-        nbytes = 0  # estimate_row_bytes(row), in the same pass
+        fixed_bytes = 0
+        strings: list[str] = []
+        vectors: list[str] = []
         for name, value in row.items():
             ctype = _ROW_TYPES.get(type(value)) or infer_column_type(value)
             known = types.get(name)
@@ -146,29 +206,18 @@ class Table:
                 if type(name) is not str or not name:
                     raise SchemaError(f"column names must be non-empty strings: {name!r}")
                 new_columns[name] = ctype
+            fixed_bytes += len(name) + 8
             if ctype is _STRING:
-                nbytes += len(name) + 8 + len(value)
+                strings.append(name)
             elif ctype is _VECTOR:
-                nbytes += len(name) + 8 + sum(map(len, value)) + 4 * len(value)
+                vectors.append(name)
             else:
-                nbytes += len(name) + 16
+                fixed_bytes += 8
+        shape = _RowShape(names, kinds, fixed_bytes, tuple(strings), tuple(vectors))
+        nbytes = shape.bytes_of(row)  # a vector item without a len raises here
         if new_columns:
             types.update(new_columns)
-        if not self._buffer:
-            self._buffer_min_time = self._buffer_max_time = time_value
-        elif time_value < self._buffer_min_time:
-            self._buffer_min_time = time_value
-        elif time_value > self._buffer_max_time:
-            self._buffer_max_time = time_value
-        self._buffer.append(dict(row))
-        self._buffer_bytes += nbytes
-        self._buffer_view = None
-        self.total_rows_ingested += 1
-        if (
-            len(self._buffer) >= self._rows_per_block
-            or self._buffer_bytes >= self._max_block_bytes
-        ):
-            self.seal_buffer()
+        return shape, nbytes
 
     def add_rows(self, rows: Iterable[Mapping[str, ColumnValue]]) -> int:
         """Append many rows; returns the number added."""
@@ -189,6 +238,7 @@ class Table:
         self._buffer = []
         self._buffer_bytes = 0
         self._buffer_types = {}
+        self._buffer_shape = None
         self._buffer_view = None
         return block
 

@@ -15,28 +15,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CorruptionError
-from repro.util.binary import BufferWriter, decode_varint
+from repro.util.binary import decode_varint, len_prefixed_many
 from repro.util.bits import pack_uints, required_bit_width, unpack_uints
 
 
 def dictionary_encode(values: list[str]) -> tuple[bytes, bytes, int]:
     """Encode ``values`` as ``(dictionary_bytes, id_bytes, n_dict_items)``."""
-    ids = np.empty(len(values), dtype=np.uint64)
-    index: dict[str, int] = {}
-    writer = BufferWriter()
-    for i, value in enumerate(values):
-        slot = index.get(value)
-        if slot is None:
-            slot = len(index)
-            index[value] = slot
-            writer.write_str(value)
-        ids[i] = slot
-    n_dict = len(index)
-    if len(values) == 0:
+    if not values:
         return b"", b"", 0
-    width = required_bit_width(max(0, n_dict - 1))
-    id_bytes = bytes([width]) + pack_uints(ids, width)
-    return writer.getvalue(), id_bytes, n_dict
+    index: dict[str, int] = {}
+    ids = np.array([index.setdefault(value, len(index)) for value in values], dtype=np.uint64)
+    width = required_bit_width(len(index) - 1)
+    return b"".join(len_prefixed_many(index)), bytes([width]) + pack_uints(ids, width), len(index)
 
 
 def decode_dictionary_entries(dictionary: bytes | memoryview, n_dict: int) -> list[str]:

@@ -31,7 +31,7 @@ from repro.compression.intcodec import decode_int64_payload, encode_int64_payloa
 from repro.compression.lzs import lz_compress, lz_decompress
 from repro.errors import CorruptionError
 from repro.types import ColumnType, ColumnValue
-from repro.util.binary import BufferReader, BufferWriter
+from repro.util.binary import BufferReader, BufferWriter, len_prefixed_many
 from repro.util.bits import pack_uints, required_bit_width, unpack_uints
 
 #: A string column whose distinct/total ratio exceeds this is stored raw
@@ -53,10 +53,7 @@ def _encode_strings(values: list[str]) -> EncodedColumn:
     n = len(values)
     distinct = len(set(values)) if n else 0
     if n and distinct / n > _DICT_CARDINALITY_CUTOFF:
-        writer = BufferWriter()
-        for value in values:
-            writer.write_str(value)
-        raw = writer.getvalue()
+        raw = b"".join(len_prefixed_many(values))
         compressed = lz_compress(raw)
         if len(compressed) < len(raw):
             return EncodedColumn(CompressionFlags.LZ, n, 0, b"", compressed)

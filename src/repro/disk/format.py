@@ -60,6 +60,8 @@ from repro.util.binary import (
     BufferWriter,
     decode_varint,
     encode_varint,
+    len_prefixed,
+    len_prefixed_many,
 )
 from repro.util.checksum import crc32_of
 
@@ -148,11 +150,6 @@ def _decode_row(reader: BufferReader) -> dict[str, ColumnValue]:
     return row
 
 
-def _len_prefixed(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return encode_varint(len(raw)) + raw
-
-
 def encode_chunk_rows(rows: Iterable[Mapping[str, ColumnValue]]) -> tuple[int, bytes]:
     """Encode rows as one chunk payload; returns ``(row count, payload)``.
 
@@ -176,11 +173,11 @@ def encode_chunk_rows(rows: Iterable[Mapping[str, ColumnValue]]) -> tuple[int, b
     counts: dict[int, bytes] = {}
 
     def name_prefix(cache: dict[str, bytes], ctype: ColumnType, name: str) -> bytes:
-        prefix = cache[name] = _len_prefixed(name) + bytes((int(ctype),))
+        prefix = cache[name] = len_prefixed(name) + bytes((int(ctype),))
         return prefix
 
     def string(text: str) -> bytes:
-        encoded = strings[text] = _len_prefixed(text)
+        encoded = strings[text] = len_prefixed(text)
         return encoded
 
     def count(n: int) -> bytes:
@@ -259,7 +256,7 @@ def encode_chunk_block(block: RowBlock, skip: int = 0) -> tuple[int, bytes]:
             values = [raw[i : i + 8] for i in range(0, len(raw), 8)]
         else:
             decoded = block.decoded_column(name)
-            entries = [_len_prefixed(entry) for entry in decoded.entries]
+            entries = len_prefixed_many(decoded.entries)
             values = [entries[code] for code in decoded.codes.tolist()]
             if decoded.offsets is not None:  # CSR: count + items per row
                 spans = decoded.offsets.tolist()
@@ -271,7 +268,7 @@ def encode_chunk_block(block: RowBlock, skip: int = 0) -> tuple[int, bytes]:
                 f"column '{name}' decodes to {len(values)} values; row block "
                 f"header says {block.row_count} rows"
             )
-        prefix = _len_prefixed(name) + bytes((int(ctype),))
+        prefix = len_prefixed(name) + bytes((int(ctype),))
         cells.append([prefix + value for value in values[skip:]])
     return len(cells[0]), b"".join(map(b"".join, zip(*cells)))
 

@@ -108,6 +108,34 @@ class TestSchema:
             Schema.from_rows(rows)
         assert Schema.from_rows(rows[:1] + [{"time": Level.HIGH}]).type_of("time") is ColumnType.INT64
 
+    def test_string_vector_fast_path_copies_and_the_rest_is_checked(self):
+        """Vectors that are exact lists of exact strs are copied as they
+        stand; a list subclass or a non-str item meets the per-value path,
+        which copies the first and rejects the second as it always did."""
+
+        class Tags(list):
+            pass
+
+        class Name(str):
+            pass
+
+        schema = Schema({"time": ColumnType.INT64, "tags": ColumnType.STRING_VECTOR})
+        shared = ["a", "b"]
+        rows = [{"time": 1, "tags": shared}, {"time": 2}, {"time": 3, "tags": shared}]
+        values = schema.column_values("tags", rows)
+        assert values == [["a", "b"], [], ["a", "b"]]
+        assert all(type(v) is list for v in values)
+        assert len({id(v) for v in values} | {id(shared)}) == 4  # nothing aliased
+        for odd in (Tags(["x"]), ["x", Name("y")]):
+            got = schema.column_values("tags", rows + [{"time": 4, "tags": odd}])
+            assert got[-1] == list(odd) and type(got[-1]) is list and got[-1] is not odd
+        for bad in (["x", 1], Tags(["x", b"y"]), ["x", None]):
+            with pytest.raises(TypeError, match="requires a list of str"):
+                schema.column_values("tags", rows + [{"time": 4, "tags": bad}])
+        scalar = Schema({"time": ColumnType.INT64, "n": ColumnType.INT64})
+        with pytest.raises(TypeError, match="INT64 column requires int"):
+            scalar.column_values("n", [{"time": 1, "n": ["x"]}])
+
     def test_serialize_roundtrip(self):
         schema = Schema(
             {"time": ColumnType.INT64, "host": ColumnType.STRING,

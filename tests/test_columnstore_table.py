@@ -185,6 +185,144 @@ class TestBufferView:
         assert list(table.iter_buffer_rows())[1] == {"time": 2}
 
 
+class Name(str):
+    pass
+
+
+class Tags(list):
+    pass
+
+
+#: How a row drawn from one of the repeating shapes is broken, if at all.
+BREAKS = ["none"] * 6 + [
+    "new column", "conflict", "bool", "str subclass", "omit", "seal",
+    "list subclass", "int in vector",
+]
+
+
+def _break(draw, row, types, how):
+    """Apply one of ``BREAKS`` to ``row`` (a fresh dict); the column it
+    touches is drawn among those it applies to, if there are any."""
+    def pick(kinds):
+        names = [n for n in row if n != "time" and types.get(n) in kinds]
+        return draw(st.sampled_from(names)) if names else None
+
+    if how == "new column":
+        ctype = draw(st.sampled_from(list(ColumnType)))
+        row[draw(st.sampled_from("uvw"))] = draw(VALUES[ctype])
+    elif how == "conflict" and (name := pick(set(ColumnType))):
+        ctype = draw(st.sampled_from([t for t in ColumnType if t is not types[name]]))
+        row[name] = draw(VALUES[ctype])
+    elif how == "bool" and (name := pick({ColumnType.INT64})):
+        row[name] = True
+    elif how == "str subclass" and (name := pick({ColumnType.STRING})):
+        row[name] = Name(row[name])
+    elif how == "omit" and (name := pick(set(ColumnType))):
+        del row[name]
+    elif how == "list subclass" and (name := pick({ColumnType.STRING_VECTOR})):
+        row[name] = Tags(row[name])
+    elif how == "int in vector" and (name := pick({ColumnType.STRING_VECTOR})):
+        row[name] = row[name] + [1]
+    return row
+
+
+@st.composite
+def shaped_runs(draw):
+    """A run of adds drawn from two or three repeating row shapes (column
+    order included, ``time`` anywhere), broken now and then by a row or
+    a seal from ``BREAKS``.  Shapes may disagree on a column's type."""
+    shapes = []
+    for _ in range(draw(st.integers(2, 3))):
+        columns = draw(
+            st.lists(
+                st.tuples(st.sampled_from("abcdef"), st.sampled_from(list(ColumnType))),
+                max_size=4,
+                unique_by=lambda column: column[0],
+            )
+        )
+        columns.insert(draw(st.integers(0, len(columns))), ("time", ColumnType.INT64))
+        shapes.append(columns)
+    ops = []
+    for _ in range(draw(st.integers(1, 40))):
+        how = draw(st.sampled_from(BREAKS))
+        if how == "seal":
+            ops.append("seal")
+            continue
+        shape = draw(st.sampled_from(shapes))
+        row = {
+            name: draw(st.integers(0, 10**6) if name == "time" else VALUES[ctype])
+            for name, ctype in shape
+        }
+        ops.append(_break(draw, row, dict(shape), how))
+    return ops
+
+
+def _outcome(table, row):
+    try:
+        table.add_row(row)
+    except Exception as exc:  # the outcome, whatever it is, is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestRowShape:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=shaped_runs(), rows_per_block=st.integers(2, 12))
+    def test_fast_path_matches_the_full_walk(self, ops, rows_per_block):
+        """A row shaped like the last one skips the per-field checks; the
+        twin table forgets the shape before every add, so it walks every
+        row.  Both accept and refuse the same rows with the same errors,
+        estimate the same bytes, and seal what ``from_rows`` seals."""
+        fast, walked = make_table(rows_per_block), make_table(rows_per_block)
+        pending = []
+        for op in ops:
+            blocks_before = fast.block_count
+            if op == "seal":
+                fast.seal_buffer()
+                walked.seal_buffer()
+            else:
+                walked._buffer_shape = None
+                outcome = _outcome(fast, op)
+                assert outcome == _outcome(walked, op)
+                if outcome is None:
+                    pending.append(op)
+            if fast.block_count > blocks_before:
+                expected = RowBlock.from_rows(pending, created_at=100.0).pack()
+                assert fast.blocks[-1].pack() == walked.blocks[-1].pack() == expected
+                pending = []
+            buffered = list(fast.iter_buffer_rows())
+            assert buffered == pending == list(walked.iter_buffer_rows())
+            assert fast.nbytes == walked.nbytes
+            assert fast.nbytes == fast.sealed_nbytes + sum(map(estimate_row_bytes, buffered))
+        assert fast.block_count == walked.block_count
+
+    def test_a_row_shaped_like_the_last_skips_the_walk(self, monkeypatch):
+        table = make_table(rows_per_block=5)
+        walks = []
+        full_walk = Table._check_row
+        monkeypatch.setattr(
+            Table, "_check_row", lambda self, *a: walks.append(a[0]) or full_walk(self, *a)
+        )
+        rows = [{"time": t, "s": "x" * t, "v": ["p"] * t} for t in range(7)]
+        table.add_rows(rows)
+        assert walks == [rows[0], rows[5]]  # the first row of each buffer
+        table.add_row({"v": ["q"], "time": 6, "s": ""})  # same columns, another order
+        table.add_row({"time": 7, "s": Name("y"), "v": []})  # a str subclass
+        for _ in range(2):  # a refused row leaves no shape behind
+            with pytest.raises(SchemaError, match="seen as both STRING and FLOAT64"):
+                table.add_row({"time": 8, "s": 1.5, "v": []})
+        table.add_row({"time": 8, "s": Name("z"), "v": []})
+        assert len(walks) == 6
+
+    def test_int_in_a_vector_is_refused_on_either_path(self):
+        table = make_table()
+        table.add_row({"time": 1, "v": ["a"]})
+        with pytest.raises(TypeError, match="has no len"):
+            table.add_row({"time": 2, "v": ["a", 1]})  # the shape matches
+        assert table.buffered_row_count == 1
+        assert table.nbytes == estimate_row_bytes({"time": 1, "v": ["a"]})
+
+
 class TestExpiry:
     def test_expire_before_drops_whole_blocks(self):
         table = make_table(rows_per_block=10)

@@ -99,8 +99,28 @@ class TestCommand:
         assert "crash_snapshot seed 2 (change first): query_ms_p95 3 -> 2" in out
         assert "\ncrash_snapshot: 2 pairs" in out and "\nupgrade_shm: 2 pairs" in out
 
+    def test_watch_takes_a_comma_list(self, change_tree, monkeypatch, capsys):
+        spec = json.loads((change_tree / "BENCHMARK.json").read_text())
+
+        def run_once(tree, workload, seed, seconds):
+            side = 2.0 if tree == change_tree.resolve() else 3.0
+            metrics = {
+                m["name"]: {"value": side * (10 if m["name"] == "restored_ms" else 1)}
+                for m in spec["end_to_end"]
+            }
+            return {"metrics": metrics, "failed": 0, "attempted": 5}
+
+        monkeypatch.setattr(pairs, "run_once", run_once)
+        args = ["--parent", str(change_tree.parent), "--change", str(change_tree),
+                "--workload", "crash_snapshot", "--seeds", "4",
+                "--watch", "ingest_rows_per_s,restored_ms"]
+        assert pairs.main(args) == 0
+        assert ("crash_snapshot seed 4 (parent first): "
+                "ingest_rows_per_s 3 -> 2, restored_ms 30 -> 20\n") in capsys.readouterr().out
+
     def test_watch_must_be_an_end_to_end_metric(self, change_tree):
-        with pytest.raises(SystemExit) as excinfo:
-            pairs.main(["--parent", ".", "--change", str(change_tree), "--workload", "w",
-                        "--seeds", "1", "--watch", "columnstore.colcache.hit_rate"])
-        assert excinfo.value.code == 2
+        for watch in ("columnstore.colcache.hit_rate", "query_ms_p50,columnstore.colcache.hit_rate"):
+            with pytest.raises(SystemExit) as excinfo:
+                pairs.main(["--parent", ".", "--change", str(change_tree), "--workload", "w",
+                            "--seeds", "1", "--watch", watch])
+            assert excinfo.value.code == 2
