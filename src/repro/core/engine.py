@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.columnstore.leafmap import LeafMap
 from repro.core.states import (
@@ -121,69 +121,141 @@ class RecoveryMethod(Enum):
     DISK = "disk"
 
 
+class RestartEvent(NamedTuple):
+    """One step of a restart, at the engine clock's reading ``at``.
+
+    ``kind`` is one of: ``enter`` the leaf state ``what``; ``skip`` the
+    rung ``what`` at its entry check, for ``reason``; ``fall`` from the
+    rung ``what`` mid-attempt, the error as ``reason`` and the counts
+    what the attempt managed; ``table`` ``what`` is home, with its
+    counts; ``first_query`` served (on table ``what``), with the
+    ``bytes`` restored by then.
+    """
+
+    at: float
+    kind: str
+    what: str
+    reason: str | None = None
+    tables: int = 0
+    blocks: int = 0
+    rows: int = 0
+    bytes: int = 0
+
+
+#: The rung each working state of Figure 5's leaf machines is on.
+_RUNG_OF = {
+    "copy_to_shm": RecoveryMethod.SHARED_MEMORY,
+    "memory_recovery": RecoveryMethod.SHARED_MEMORY,
+    "memory_serving": RecoveryMethod.SHARED_MEMORY,
+    "replica_recovery": RecoveryMethod.REPLICA,
+    "disk_snapshot_recovery": RecoveryMethod.DISK_SNAPSHOT,
+    "disk_recovery": RecoveryMethod.DISK,
+}
+
+
 @dataclass
 class RestartReport:
-    """What one shutdown or restore did."""
+    """What one shutdown or restore did: its walk through Figure 5 as
+    ``events``, and the live counters of the rung it is on (a fall keeps
+    what its attempt managed, then restarts them from zero)."""
 
-    method: RecoveryMethod | None
+    events: list[RestartEvent] = field(default_factory=list)
     tables: int = 0
     row_blocks: int = 0
     rbc_copies: int = 0
     bytes_copied: int = 0
     rows: int = 0
-    duration_seconds: float = 0.0
     segment_grows: int = 0
-    fell_back_to_disk: bool = False
-    fell_back_to_legacy: bool = False
     peak_tracked_bytes: int = 0
-    leaf_states: list[str] = field(default_factory=list)
-    #: Why the recovery ladder stepped down a rung (``None`` = no fall).
-    failure_reason: str | None = None
-    #: What a failed shared memory attempt managed before falling back —
-    #: preserved so availability artifacts don't under-report work done.
-    memory_attempt_tables: int = 0
-    memory_attempt_row_blocks: int = 0
-    memory_attempt_bytes: int = 0
-    memory_attempt_rows: int = 0
-    #: The replica rung was entered and died on a wire fault; the disk
-    #: rungs finished the restore.  The attempt counters record how far
-    #: the wire pull got before the fall.
-    fell_back_from_replica: bool = False
-    replica_attempt_row_blocks: int = 0
-    replica_attempt_bytes: int = 0
     #: Serve-while-restoring: set on reports produced by a lazy restore.
     lazy: bool = False
     bytes_total: int = 0
     blocks_total: int = 0
     queries_served_during_restore: int = 0
-    bytes_restored_at_first_query: int | None = None
+    #: Stamps the events; not data.
+    clock: Clock = field(default_factory=SystemClock, init=False, repr=False, compare=False)
 
-    def fall(self, rung: RecoveryMethod, exc: BaseException) -> None:
-        """``rung`` died mid-attempt; the ladder steps down from it.
+    @classmethod
+    def begin(cls, clock: Clock, initial: Enum, lazy: bool = False) -> "RestartReport":
+        """A timeline opening in a leaf machine's ``initial`` state."""
+        report = cls(lazy=lazy)
+        report.clock = clock
+        report.note("enter", initial)
+        return report
 
-        What the attempt managed moves to the rung's ``*_attempt_*``
-        fields, the live counters restart from zero for the rung below,
-        the rung's flag goes up, and the *first* fall's reason is kept —
-        it is the one that says why the leaf is not on its best rung.
-        Everything else on the report (the serve-while-restoring totals,
-        earlier falls) stays.
-        """
-        if rung is RecoveryMethod.SHARED_MEMORY:
-            self.fell_back_to_disk = True
-            self.memory_attempt_tables = self.tables
-            self.memory_attempt_row_blocks = self.row_blocks
-            self.memory_attempt_bytes = self.bytes_copied
-            self.memory_attempt_rows = self.rows
-        elif rung is RecoveryMethod.REPLICA:
-            self.fell_back_from_replica = True
-            self.replica_attempt_row_blocks = self.row_blocks
-            self.replica_attempt_bytes = self.bytes_copied
-        else:
-            self.fell_back_to_legacy = True
+    def note(self, kind: str, what, reason=None, tables=0, blocks=0, rows=0, bytes=0) -> None:
+        """Append one event, stamped now; ``what`` may be an enum member."""
+        what = getattr(what, "value", what)
+        self.events.append(
+            RestartEvent(self.clock.now(), kind, what, reason, tables, blocks, rows, bytes)
+        )
+
+    def enter(self, state: Enum) -> None:
+        """Move to ``state``, or raise StateError if Figure 5 has no such edge."""
+        machine = LeafBackupMachine if isinstance(state, LeafBackupState) else LeafRestoreMachine
+        machine.check(type(state)(self.leaf_states[-1]), state)
+        self.note("enter", state)
+
+    def fall_back(self, exc: BaseException, rung: RecoveryMethod | None = None) -> None:
+        """The rung the walk is on died mid-attempt (or ``rung``, whose
+        handshake fell before it was entered): note what it managed, then
+        restart the live counters for the rung below."""
+        rung = rung or _RUNG_OF[self.leaf_states[-1]]
+        reason = f"{type(exc).__name__}: {exc}"
+        self.note("fall", rung, reason, self.tables, self.row_blocks, self.rows, self.bytes_copied)
         self.tables = self.row_blocks = self.rbc_copies = 0
         self.bytes_copied = self.rows = 0
-        if self.failure_reason is None:
-            self.failure_reason = f"{type(exc).__name__}: {exc}"
+
+    def table_home(self, name: str, blocks: int, rows: int, nbytes: int) -> None:
+        """One more table restored: ``blocks`` row blocks holding ``rows``
+        rows in ``nbytes`` heap bytes."""
+        self.tables += 1
+        self.note("table", name, blocks=blocks, rows=rows, bytes=nbytes)
+
+    def attempt(self, rung: RecoveryMethod) -> RestartEvent | None:
+        """``rung``'s ``fall`` event, or ``None`` if it did not fall."""
+        return next((e for e in self.events if e.kind == "fall" and e.what == rung.value), None)
+
+    @property
+    def leaf_states(self) -> list[str]:
+        return [event.what for event in self.events if event.kind == "enter"]
+
+    @property
+    def method(self) -> RecoveryMethod | None:
+        """The rung the walk went ALIVE (or EXIT) from; ``None`` before."""
+        states = self.leaf_states
+        if len(states) > 1 and states[-1] in ("alive", "exit"):
+            return _RUNG_OF[states[-2]]
+        return None
+
+    @property
+    def duration_seconds(self) -> float:
+        return self.events[-1].at - self.events[0].at if self.events else 0.0
+
+    @property
+    def failure_reason(self) -> str | None:
+        """Why the leaf is not on its best rung: the first fall's reason."""
+        return next((e.reason for e in self.events if e.kind == "fall"), None)
+
+    @property
+    def fell_back_to_disk(self) -> bool:
+        """Shared memory, or a replica rung the leaf had entered, fell (a
+        replica handshake that fell never entered its rung)."""
+        return self.attempt(RecoveryMethod.SHARED_MEMORY) is not None or (
+            self.fell_back_from_replica and "replica_recovery" in self.leaf_states
+        )
+
+    @property
+    def fell_back_to_legacy(self) -> bool:
+        return self.attempt(RecoveryMethod.DISK_SNAPSHOT) is not None
+
+    @property
+    def fell_back_from_replica(self) -> bool:
+        return self.attempt(RecoveryMethod.REPLICA) is not None
+
+    @property
+    def bytes_restored_at_first_query(self) -> int | None:
+        return next((e.bytes for e in self.events if e.kind == "first_query"), None)
 
 
 class RestartEngine:
@@ -302,8 +374,7 @@ class RestartEngine:
         tracker without copying anything — the accounting counterpart of
         a worker process taking the heap down with it on exit."""
         if self._engine_heap:
-            self.tracker.free("heap", self._engine_heap, at=self.clock.now())
-            self._engine_heap = 0
+            self._track_heap_free(self._engine_heap)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -321,27 +392,35 @@ class RestartEngine:
         meta.close()
         return True
 
-    def _attach_valid_shm(self, discard_invalid: bool = True) -> LeafMetadata | None:
+    def _attach_valid_shm(
+        self, discard_invalid: bool = True, report: RestartReport | None = None
+    ) -> LeafMetadata | None:
         """Attach this leaf's metadata iff memory recovery may trust it.
 
         Trusted means the valid bit is set and the stored layout version
         is this build's; metadata too corrupt to say counts as invalid.
-        An untrusted state is closed — or, with ``discard_invalid``,
-        deleted through the tracker: Figure 7's "if valid bit is false:
-        delete shared memory segments, recover from disk" — and ``None``
-        comes back.  The mapping never outlives an unexpected failure
-        here: shared memory is not reclaimed by process exit.
+        An untrusted state is a skip on ``report``, with why, and is
+        closed — or, with ``discard_invalid``, deleted through the
+        tracker: Figure 7's "if valid bit is false: delete shared memory
+        segments, recover from disk" — and ``None`` comes back.  The
+        mapping never outlives an unexpected failure here: shared memory
+        is not reclaimed by process exit.
         """
         if not self.shm_state_exists():
             return None
         meta = LeafMetadata.attach(self.namespace, self.leaf_id)
         try:
             try:
-                valid = meta.valid and meta.layout_version == self.layout_version
-            except (CorruptionError, LayoutVersionError):
-                valid = False
-            if valid:
-                return meta
+                if not meta.valid:
+                    why = "valid bit is false"
+                elif meta.layout_version != self.layout_version:
+                    why = f"layout version {meta.layout_version}, not {self.layout_version}"
+                else:
+                    return meta
+            except (CorruptionError, LayoutVersionError) as exc:
+                why = f"unreadable metadata: {type(exc).__name__}: {exc}"
+            if report is not None:
+                report.note("skip", RecoveryMethod.SHARED_MEMORY, why)
             if discard_invalid:
                 self._discard_shm_tracked(meta)
         except Exception:
@@ -393,10 +472,8 @@ class RestartEngine:
         valid bit stays false and the exception propagates; whatever
         segments were created are discarded by the next restore.
         """
-        start = self.clock.now()
-        leaf = LeafBackupMachine()
-        leaf.transition(LeafBackupState.COPY_TO_SHM)
-        report = RestartReport(method=RecoveryMethod.SHARED_MEMORY)
+        report = RestartReport.begin(self.clock, LeafBackupState.ALIVE)
+        report.enter(LeafBackupState.COPY_TO_SHM)
         self._fault("backup:start")
         # Drop cached decoded columns first: they are derived data the
         # shutdown never copies, and holding them through the copy loop
@@ -436,10 +513,8 @@ class RestartEngine:
             meta.set_valid(True)
         finally:
             meta.close()
-        leaf.transition(LeafBackupState.EXIT)
-        report.leaf_states = [state.value for state in leaf.history]
-        report.duration_seconds = self.clock.now() - start
         report.peak_tracked_bytes = self.tracker.peak_total
+        report.enter(LeafBackupState.EXIT)
         return report
 
     def _copy_table_out(
@@ -452,6 +527,7 @@ class RestartEngine:
         """Copy one table into its segment, counting the copies (and any
         segment regrow) on ``report``."""
         blocks = table.take_blocks()
+        rows = sum(block.row_count for block in blocks)
         name = self._segment_base_name(table_index)
         size = max(64, self._size_estimator(table.name, blocks))
         grows = 0
@@ -508,6 +584,8 @@ class RestartEngine:
                 rows_expired=table.total_rows_expired,
             )
             segment.close()
+            # Home in shared memory: ``bytes`` are what its segment holds.
+            report.note("table", table.name, blocks=len(blocks), rows=rows, bytes=writer.used_bytes)
             return record
         finally:
             if held:
@@ -603,24 +681,21 @@ class RestartEngine:
         # (the cache's heat counters survive the clear).
         leafmap.drop_column_cache()
         self._fault("restore:start")
-        report = RestartReport(method=None, lazy=serving)
-        leaf = LeafRestoreMachine()
+        report = RestartReport.begin(self.clock, LeafRestoreState.INIT, lazy=serving)
         meta = None
         if memory_recovery_enabled:
-            meta = self._attach_valid_shm(discard_invalid=False)
+            meta = self._attach_valid_shm(discard_invalid=False, report=report)
         if meta is not None:
-            return LazyRestore(
-                self, leafmap, report, leaf, on_disk_fallback, meta
-            )._serve()
+            return LazyRestore(self, leafmap, report, on_disk_fallback, meta)._serve()
         # Also covers the race where the valid bit dropped between the
         # caller's shm_state_valid() check and this attach: the leaf
         # predicted a memory recovery but gets the rungs below.
-        session = self._open_replica_session(report, leaf)
-        handle = ReplicaRestore(self, leafmap, report, leaf, on_disk_fallback, session)
+        session = self._open_replica_session(report)
+        handle = ReplicaRestore(self, leafmap, report, on_disk_fallback, session)
         if session is not None:
             return handle._serve()
         # No replica, or its handshake just fell: the disk rungs run
-        # blocking (``try_replica`` is off on this class).
+        # blocking.
         self._discard_untrusted_shm()
         handle._recover_blocking_disk()
         return handle
@@ -659,31 +734,24 @@ class RestartEngine:
                 self._track_heap_free(nbytes)
             leafmap.drop_table(table_name)
 
-    def _recover_from_disk(
-        self,
-        leafmap: LeafMap,
-        report: RestartReport,
-        leaf: LeafRestoreMachine,
-        try_replica: bool = True,
-    ) -> None:
+    def _recover_from_disk(self, leafmap: LeafMap, report: RestartReport) -> None:
         """The lower recovery ladder: replica, snapshot tier, then legacy.
 
-        Owns the leaf-machine transitions for these rungs — through to
-        ALIVE — so the report's state history records exactly which
-        tiers ran.  ``try_replica`` is cleared by callers that already
-        burned a replica session (a wire fault must not retry the wire).
+        Walks ``report`` through these rungs to ALIVE, so its timeline
+        records exactly which tiers ran.  The replica rung is tried only
+        by a leaf coming down from shared memory: every other way here
+        has had its one replica attempt (a wire fault never retries the
+        wire).
         """
-        if try_replica:
-            session = self._open_replica_session(report, leaf)
+        if _RUNG_OF.get(report.leaf_states[-1]) is RecoveryMethod.SHARED_MEMORY:
+            session = self._open_replica_session(report)
             if session is not None:
                 from repro.core.replicarestore import ReplicaRestore
 
                 # The same wire driver that serves, drained where it
-                # stands on this ladder's report and machine; a fault
-                # inside it walks the disk rungs below by itself.
-                ReplicaRestore(
-                    self, leafmap, report, leaf, None, session
-                )._serve().drain()
+                # stands on this ladder's report; a fault inside it
+                # walks the disk rungs below by itself.
+                ReplicaRestore(self, leafmap, report, None, session)._serve().drain()
                 return
         if self.backup is None:
             raise RecoveryError(
@@ -691,10 +759,9 @@ class RestartEngine:
                 "disk backup configured"
             )
         if self._snapshot_tier_usable():
-            leaf.transition(LeafRestoreState.DISK_SNAPSHOT_RECOVERY)
+            report.enter(LeafRestoreState.DISK_SNAPSHOT_RECOVERY)
             try:
                 self._restore_from_snapshots(leafmap, report)
-                report.method = RecoveryMethod.DISK_SNAPSHOT
             except Exception as exc:
                 # Stale generation, torn file, layout mismatch, or any
                 # decode failure: the whole leaf routes down to legacy
@@ -702,34 +769,35 @@ class RestartEngine:
                 # through the tracker first, so a half-trusted snapshot
                 # can never co-mingle with replayed state.
                 self._drop_restored_tables(leafmap)
-                report.fall(RecoveryMethod.DISK_SNAPSHOT, exc)
-        if report.method is None:
-            leaf.transition(LeafRestoreState.DISK_RECOVERY)
-            if self.replay_workers > 1:
-                report.rows = replay_leafmap(
-                    self.backup,
-                    leafmap,
-                    workers=self.replay_workers,
-                    budget=self.budget,
-                    clock=self.clock,
-                )
+                report.fall_back(exc)
             else:
-                report.rows = recover_leafmap(self.backup, leafmap)
-            report.tables = len(leafmap)
-            report.row_blocks = sum(table.block_count for table in leafmap)
-            for table in leafmap:
-                self._track_heap_alloc(table.nbytes)
-            report.method = RecoveryMethod.DISK
-        leaf.transition(LeafRestoreState.ALIVE)
+                report.enter(LeafRestoreState.ALIVE)
+                return
+        report.enter(LeafRestoreState.DISK_RECOVERY)
+        if self.replay_workers > 1:
+            report.rows = replay_leafmap(
+                self.backup,
+                leafmap,
+                workers=self.replay_workers,
+                budget=self.budget,
+                clock=self.clock,
+            )
+        else:
+            report.rows = recover_leafmap(self.backup, leafmap)
+        report.row_blocks = sum(table.block_count for table in leafmap)
+        for table in leafmap:
+            nbytes = table.nbytes
+            self._track_heap_alloc(nbytes)
+            report.table_home(table.name, table.block_count, table.row_count, nbytes)
+        report.enter(LeafRestoreState.ALIVE)
 
-    def _open_replica_session(self, report: RestartReport, leaf: LeafRestoreMachine):
+    def _open_replica_session(self, report: RestartReport):
         """Enter the replica rung: HELLO/CATALOG with this leaf's
-        standby, fault hook wired in, ``leaf`` in REPLICA_RECOVERY.
+        standby, fault hook wired in, ``report`` in REPLICA_RECOVERY.
 
-        ``None`` when no replica is configured, none is alive, or the
-        handshake fails *in any way* (dead peer, version-skewed or
-        malformed catalog: anything odd means "no replica") — that last
-        case is a fall from the rung, recorded on ``report``; the caller
+        ``None`` when no replica is configured, none answers (a skip), or
+        the handshake fails *in any way* (a fall: dead peer, skewed or
+        malformed catalog, anything odd means "no replica"); the caller
         picks the rung below either way.
         """
         if self.replica_source is None:
@@ -738,11 +806,13 @@ class RestartEngine:
             self._fault("replica:handshake")
             session = self.replica_source()
         except Exception as exc:
-            report.fall(RecoveryMethod.REPLICA, exc)
+            report.fall_back(exc, RecoveryMethod.REPLICA)
             return None
-        if session is not None:
-            session.fault = self._fault
-            leaf.transition(LeafRestoreState.REPLICA_RECOVERY)
+        if session is None:
+            report.note("skip", RecoveryMethod.REPLICA, "no standby session")
+            return None
+        session.fault = self._fault
+        report.enter(LeafRestoreState.REPLICA_RECOVERY)
         return session
 
     def _snapshot_tier_usable(self) -> bool:
@@ -780,11 +850,12 @@ class RestartEngine:
             cutoff = self.backup.pending_expire_cutoff(table_name)
             if cutoff:
                 table.expire_before(cutoff)
-            self._track_heap_alloc(table.sealed_nbytes)
-            report.tables += 1
+            nbytes = table.sealed_nbytes
+            self._track_heap_alloc(nbytes)
             report.row_blocks += table.block_count
             report.rbc_copies += sum(len(block.schema) for block in table.blocks)
-            report.bytes_copied += table.sealed_nbytes
+            report.bytes_copied += nbytes
             report.rows += table.row_count
+            report.table_home(table_name, table.block_count, table.row_count, nbytes)
             machine.transition(TableRestoreState.ALIVE)
             self._fault("restore:snapshot_table")

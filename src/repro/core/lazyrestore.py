@@ -53,13 +53,8 @@ from typing import Callable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
-from repro.core.engine import RecoveryMethod, RestartEngine, RestartReport
-from repro.core.states import (
-    LeafRestoreMachine,
-    LeafRestoreState,
-    TableRestoreMachine,
-    TableRestoreState,
-)
+from repro.core.engine import RestartEngine, RestartReport
+from repro.core.states import LeafRestoreState, TableRestoreMachine, TableRestoreState
 from repro.shm.layout import BlockExtent, read_block_headers
 from repro.shm.metadata import LeafMetadata
 from repro.shm.segment import ShmSegment
@@ -88,9 +83,10 @@ class RestoreProgress:
 class _TableState:
     """Per-table bookkeeping: the directory slice plus adoption slots."""
 
-    def __init__(self, name: str, machine: TableRestoreMachine, descriptors) -> None:
+    def __init__(self, name: str, entered: TableRestoreState, descriptors) -> None:
         self.name = name
-        self.machine = machine  # entered on the source's rung
+        self.machine = TableRestoreMachine()
+        self.machine.transition(entered)
         #: Directory index -> descriptor (the segment's ``BlockExtent``, or the
         #: wire catalog's ``WireBlock``) of every block not yet faulted in.
         self.pending = {desc.index: desc for desc in descriptors}
@@ -102,6 +98,7 @@ class _TableState:
         #: uid missing from the table means the block left (expiry).
         self.installed: set[int] = set()
         self.columns = {column for desc in descriptors for column in desc.columns}
+        self.nbytes = 0  # heap bytes of the restored blocks
 
     @property
     def complete(self) -> bool:
@@ -138,12 +135,6 @@ class RestoreDriver:
     #: Where pending blocks fault in from; the leaf server picks its
     #: serving status off this.
     source: str
-    #: The rung: what a finished restore reports, and which
-    #: ``*_attempt_*`` fields :meth:`RestartReport.fall` fills on a fault.
-    method: RecoveryMethod
-    #: Whether the ladder below may still try the replica rung after a
-    #: fault here (a burned wire session is never retried).
-    try_replica = True
     #: Fault point fired each time a table is home.
     adopt_fault: str
     #: Bytes a source holds against the budget for a whole table's copy
@@ -155,23 +146,18 @@ class RestoreDriver:
         engine: RestartEngine,
         leafmap: LeafMap,
         report: RestartReport,
-        machine: LeafRestoreMachine,
         on_disk_fallback: Callable[[], None] | None,
     ) -> None:
         self._engine = engine
         self._leafmap = leafmap
-        #: Live while restoring: totals, first-query reading and query
-        #: count are kept on the report itself; a fall keeps them (and
-        #: the object) and only restarts the per-rung counters.  Report
-        #: and machine are the ladder's: a wire driver entered below a
-        #: fallen shm one carries on with both.
+        #: Live while restoring, and the ladder's: a fall keeps it (and its
+        #: totals), and a wire driver entered below a fallen shm one walks
+        #: on along the same timeline.
         self.report = report
-        self._machine = machine
         self._on_disk_fallback = on_disk_fallback
         self._lock = threading.RLock()
         self._tables: dict[str, _TableState] = {}  # in publish order
         self._budget = engine.budget
-        self._start = engine.clock.now()
         self._expire_cutoff: int | None = None
         self.done = False
         self.error: BaseException | None = None
@@ -240,17 +226,12 @@ class RestoreDriver:
             self._maybe_finish()  # an empty leaf is restored by definition
         return self
 
-    def _add_table(
-        self,
-        name: str,
-        machine: TableRestoreMachine,
-        descriptors,
-        rows_ingested: int,
-        rows_expired: int,
-    ) -> None:
+    def _add_table(self, name: str, descriptors, rows_ingested: int, rows_expired: int) -> None:
         """Index one table's blocks and create it (empty) in the leaf map."""
         with self._lock:
-            state = _TableState(name, machine, descriptors)
+            # Figure 5(d): a table restores in the state its leaf is in.
+            entered = TableRestoreState(self.report.leaf_states[-1])
+            state = _TableState(name, entered, descriptors)
             self._tables[name] = state
             self.report.bytes_total += sum(desc.size for desc in descriptors)
             self.report.blocks_total += len(state.slots)
@@ -264,7 +245,9 @@ class RestoreDriver:
         """Nothing of this table is pending any more (lock held)."""
         self._release_table(state)
         state.machine.transition(TableRestoreState.ALIVE)
-        self.report.tables += 1
+        home = state.restored_blocks()
+        rows = sum(block.row_count for block in home)
+        self.report.table_home(state.name, len(home), rows, state.nbytes)
         self._engine._fault(self.adopt_fault)
 
     # ------------------------------------------------------------------
@@ -300,9 +283,9 @@ class RestoreDriver:
                     # ladder succeeded: the data is now fully resident,
                     # so the query proceeds against it.
                     return faulted
-                self._maybe_finish()
             if self.report.bytes_restored_at_first_query is None:
-                self.report.bytes_restored_at_first_query = self._bytes_restored
+                self.report.note("first_query", table, bytes=self._bytes_restored)
+            self._maybe_finish()
             return faulted
 
     def sweep_one(self) -> bool:
@@ -408,6 +391,7 @@ class RestoreDriver:
                 engine._track_heap_alloc(nbytes)
                 del state.pending[desc.index]
                 state.slots[desc.index] = block
+                state.nbytes += nbytes
                 self._bytes_restored += desc.size
                 self._blocks_restored += 1
                 report.row_blocks += 1
@@ -442,6 +426,7 @@ class RestoreDriver:
             if block.uid in state.installed and block.uid not in present:
                 state.dropped.add(index)
                 state.slots[index] = None
+                state.nbytes -= block.nbytes
         restored = state.restored_blocks()
         table.install_restored_blocks(restored)
         state.installed = {block.uid for block in restored}
@@ -455,8 +440,7 @@ class RestoreDriver:
         except Exception as exc:
             self._fallback(exc)
             return
-        self.report.method = self.method
-        self._machine.transition(LeafRestoreState.ALIVE)
+        self.report.enter(LeafRestoreState.ALIVE)
         self._go_alive()
 
     # ------------------------------------------------------------------
@@ -548,20 +532,15 @@ class RestoreDriver:
         if self._on_disk_fallback is not None:
             self._on_disk_fallback()
         try:
-            self._engine._recover_from_disk(
-                into, self.report, self._machine, try_replica=self.try_replica
-            )
+            self._engine._recover_from_disk(into, self.report)
         except Exception as exc:
             self.error = exc
             self.done = True
             raise
 
     def _go_alive(self) -> None:
-        """The winning rung took the machine to ALIVE: close the books."""
-        engine = self._engine
-        self.report.duration_seconds = engine.clock.now() - self._start
-        self.report.peak_tracked_bytes = engine.tracker.peak_total
-        self.report.leaf_states = [state.value for state in self._machine.history]
+        """The winning rung walked the report to ALIVE: close the books."""
+        self.report.peak_tracked_bytes = self._engine.tracker.peak_total
         self._leafmap.restorer = None
         self.done = True
 
@@ -569,9 +548,9 @@ class RestoreDriver:
         """Route the leaf down the ladder after a mid-restore fault.
 
         All-or-nothing: every adopted block leaves the heap through the
-        tracker, the source is discarded, the attempt's counters move
-        to the rung's ``*_attempt_*`` fields, and rows added during the
-        serving window are carried across into the replayed tables.
+        tracker, the source is discarded, the attempt's counters go on
+        the rung's ``fall`` event, and rows added during the serving
+        window are carried across into the replayed tables.
         """
         engine = self._engine
         leafmap = self._leafmap
@@ -581,8 +560,7 @@ class RestoreDriver:
             # The failed decode's dead frames may hold slices of the
             # source's mapping, which would pin it past the close below.
             traceback.clear_frames(exc.__traceback__)
-            self.report.fall(self.method, exc)
-            self.report.fell_back_to_disk = True
+            self.report.fall_back(exc)
             # Pull adopted blocks back out of the live tables, keeping
             # the data that arrived during the serving window: blocks
             # sealed from new adds and the open write buffers stay.
@@ -632,7 +610,6 @@ class LazyRestore(RestoreDriver):
     """The shared-memory source: this leaf's own segments."""
 
     source = "shm"
-    method = RecoveryMethod.SHARED_MEMORY
     adopt_fault = "restore:table"
 
     # benchmarks/ledger/layers.py wraps these two through vars(LazyRestore)
@@ -641,16 +618,8 @@ class LazyRestore(RestoreDriver):
     fault_in_query = RestoreDriver.fault_in_query
     sweep_one = RestoreDriver.sweep_one
 
-    def __init__(
-        self,
-        engine,
-        leafmap,
-        report,
-        machine,
-        on_disk_fallback,
-        meta: LeafMetadata,
-    ) -> None:
-        super().__init__(engine, leafmap, report, machine, on_disk_fallback)
+    def __init__(self, engine, leafmap, report, on_disk_fallback, meta: LeafMetadata) -> None:
+        super().__init__(engine, leafmap, report, on_disk_fallback)
         self._meta: LeafMetadata | None = meta  # attached, valid, ours to close
         self._segments: dict[str, ShmSegment] = {}
         self._views: dict[str, memoryview] = {}  # each segment's used bytes
@@ -666,9 +635,9 @@ class LazyRestore(RestoreDriver):
         serving leaf can start in directory-scan time.  Crash safety is
         Figure 7's: the valid bit goes down *first*.
         """
+        self.report.enter(LeafRestoreState.MEMORY_RECOVERY)
         engine = self._engine
         assert self._meta is not None
-        self._machine.transition(LeafRestoreState.MEMORY_RECOVERY)
         self._meta.set_valid(False)  # interrupted restores must go to disk
         engine._fault("restore:after_invalidate")
         # A fresh process's tracker has no "shm" region yet; charge the
@@ -689,18 +658,10 @@ class LazyRestore(RestoreDriver):
             self._charged[record.table_name] = record.used_bytes
             self._low[record.table_name] = 0
             _, extents = read_block_headers(view)
-            machine = TableRestoreMachine()
-            machine.transition(TableRestoreState.MEMORY_RECOVERY)
-            self._add_table(
-                record.table_name,
-                machine,
-                extents,
-                record.rows_ingested,
-                record.rows_expired,
-            )
+            self._add_table(record.table_name, extents, record.rows_ingested, record.rows_expired)
         engine._fault("restore:publish_directory")
         if self.report.lazy:
-            self._machine.transition(LeafRestoreState.MEMORY_SERVING)
+            self.report.enter(LeafRestoreState.MEMORY_SERVING)
 
     def _read_block(self, desc: BlockExtent) -> memoryview:
         self._engine._fault("restore:fault_block")

@@ -12,8 +12,8 @@ session's pipelined streams.
 
 The ladder position is between the shm tier and the disk rungs: the
 engine routes here only when shared memory is unusable, and any wire
-fault routes the whole leaf down the *local disk* rungs —
-``try_replica = False``, a burned session is not retried.  Crash safety
+fault routes the whole leaf down the *local disk* rungs — a burned
+session is not retried.  Crash safety
 needs no valid-bit dance: this leaf's shm was already invalid (or
 absent), and the replica's sealed blocks are pinned by its session
 snapshot, so a kill mid-restore leaves nothing half-trusted.
@@ -24,9 +24,7 @@ from __future__ import annotations
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable, Iterator, Protocol, Sequence
 
-from repro.core.engine import RecoveryMethod
 from repro.core.lazyrestore import RestoreDriver
-from repro.core.states import TableRestoreMachine, TableRestoreState
 
 
 class CatalogBlock(Protocol):
@@ -76,8 +74,6 @@ class ReplicaRestore(RestoreDriver):
     (``None``: no replica — the handle only carries the disk rungs)."""
 
     source = "replica"
-    method = RecoveryMethod.REPLICA
-    try_replica = False
     adopt_fault = "replica:adopt"
 
     # benchmarks/ledger/layers.py wraps these two through
@@ -87,15 +83,9 @@ class ReplicaRestore(RestoreDriver):
     sweep_one = RestoreDriver.sweep_one
 
     def __init__(
-        self,
-        engine,
-        leafmap,
-        report,
-        machine,
-        on_disk_fallback,
-        session: ReplicaSession | None,
+        self, engine, leafmap, report, on_disk_fallback, session: ReplicaSession | None
     ) -> None:
-        super().__init__(engine, leafmap, report, machine, on_disk_fallback)
+        super().__init__(engine, leafmap, report, on_disk_fallback)
         self._session = session
 
     def _publish_directory(self) -> None:
@@ -110,11 +100,7 @@ class ReplicaRestore(RestoreDriver):
         # before serving off the wire.
         engine._discard_untrusted_shm()
         for wire in self._session.tables:
-            machine = TableRestoreMachine()
-            machine.transition(TableRestoreState.REPLICA_RECOVERY)
-            self._add_table(
-                wire.name, machine, wire.blocks, wire.rows_ingested, wire.rows_expired
-            )
+            self._add_table(wire.name, wire.blocks, wire.rows_ingested, wire.rows_expired)
         engine._fault("restore:publish_directory")
 
     def _read_block(self, desc: CatalogBlock) -> bytes:

@@ -87,18 +87,17 @@ S = TypeVar("S", bound=Enum)
 
 
 class StateMachine(Generic[S]):
-    """A state holder that only permits an explicit transition set."""
+    """A state holder that only permits an explicit transition set,
+    drawn by each subclass as class attributes: the ``_initial`` state,
+    the ``_transitions`` it permits and its ``_terminal`` states."""
 
-    def __init__(
-        self,
-        initial: S,
-        transitions: dict[S, set[S]],
-        terminal: set[S],
-    ) -> None:
-        self._state = initial
-        self._transitions = transitions
-        self._terminal = terminal
-        self.history: list[S] = [initial]
+    _initial: S
+    _transitions: dict[S, set[S]]
+    _terminal: set[S]
+
+    def __init__(self) -> None:
+        self._state = self._initial
+        self.history: list[S] = [self._initial]
 
     @property
     def state(self) -> S:
@@ -108,16 +107,17 @@ class StateMachine(Generic[S]):
     def is_terminal(self) -> bool:
         return self._state in self._terminal
 
-    def can_transition(self, target: S) -> bool:
-        return target in self._transitions.get(self._state, set())
+    @classmethod
+    def check(cls, source: S, target: S) -> None:
+        """Raise :class:`StateError` unless ``source → target`` is drawn."""
+        if target not in cls._transitions.get(source, ()):
+            raise StateError(
+                f"{cls.__name__}: illegal transition {source.value} → {target.value}"
+            )
 
     def transition(self, target: S) -> S:
         """Move to ``target`` or raise :class:`StateError`."""
-        if not self.can_transition(target):
-            raise StateError(
-                f"{type(self).__name__}: illegal transition "
-                f"{self._state.value} → {target.value}"
-            )
+        self.check(self._state, target)
         self._state = target
         self.history.append(target)
         return target
@@ -135,99 +135,87 @@ class StateMachine(Generic[S]):
 class LeafBackupMachine(StateMachine[LeafBackupState]):
     """Figure 5(a)."""
 
-    def __init__(self) -> None:
-        super().__init__(
-            LeafBackupState.ALIVE,
-            {
-                LeafBackupState.ALIVE: {LeafBackupState.COPY_TO_SHM},
-                LeafBackupState.COPY_TO_SHM: {LeafBackupState.EXIT},
-            },
-            terminal={LeafBackupState.EXIT},
-        )
+    _initial = LeafBackupState.ALIVE
+    _transitions = {
+        LeafBackupState.ALIVE: {LeafBackupState.COPY_TO_SHM},
+        LeafBackupState.COPY_TO_SHM: {LeafBackupState.EXIT},
+    }
+    _terminal = {LeafBackupState.EXIT}
 
 
 class LeafRestoreMachine(StateMachine[LeafRestoreState]):
     """Figure 5(b)."""
 
-    def __init__(self) -> None:
-        super().__init__(
-            LeafRestoreState.INIT,
-            {
-                LeafRestoreState.INIT: {
-                    LeafRestoreState.MEMORY_RECOVERY,
-                    LeafRestoreState.REPLICA_RECOVERY,  # no shm, replica up
-                    LeafRestoreState.DISK_SNAPSHOT_RECOVERY,  # no shm state
-                    LeafRestoreState.DISK_RECOVERY,  # memory recovery disabled
-                },
-                LeafRestoreState.MEMORY_RECOVERY: {
-                    LeafRestoreState.ALIVE,
-                    LeafRestoreState.MEMORY_SERVING,  # directory published
-                    LeafRestoreState.REPLICA_RECOVERY,  # exception
-                    LeafRestoreState.DISK_SNAPSHOT_RECOVERY,  # exception
-                    LeafRestoreState.DISK_RECOVERY,  # exception
-                },
-                LeafRestoreState.MEMORY_SERVING: {
-                    LeafRestoreState.ALIVE,  # every block faulted in
-                    LeafRestoreState.REPLICA_RECOVERY,  # fault-in error
-                    LeafRestoreState.DISK_SNAPSHOT_RECOVERY,  # fault-in error
-                    LeafRestoreState.DISK_RECOVERY,  # fault-in error
-                },
-                LeafRestoreState.REPLICA_RECOVERY: {
-                    LeafRestoreState.ALIVE,  # every block pulled off the wire
-                    LeafRestoreState.DISK_SNAPSHOT_RECOVERY,  # wire fault
-                    LeafRestoreState.DISK_RECOVERY,  # wire fault
-                },
-                LeafRestoreState.DISK_SNAPSHOT_RECOVERY: {
-                    LeafRestoreState.ALIVE,
-                    LeafRestoreState.DISK_RECOVERY,  # stale/torn snapshot
-                },
-                LeafRestoreState.DISK_RECOVERY: {LeafRestoreState.ALIVE},
-            },
-            terminal={LeafRestoreState.ALIVE},
-        )
+    _initial = LeafRestoreState.INIT
+    _transitions = {
+        LeafRestoreState.INIT: {
+            LeafRestoreState.MEMORY_RECOVERY,
+            LeafRestoreState.REPLICA_RECOVERY,  # no shm, replica up
+            LeafRestoreState.DISK_SNAPSHOT_RECOVERY,  # no shm state
+            LeafRestoreState.DISK_RECOVERY,  # memory recovery disabled
+        },
+        LeafRestoreState.MEMORY_RECOVERY: {
+            LeafRestoreState.ALIVE,
+            LeafRestoreState.MEMORY_SERVING,  # directory published
+            LeafRestoreState.REPLICA_RECOVERY,  # exception
+            LeafRestoreState.DISK_SNAPSHOT_RECOVERY,  # exception
+            LeafRestoreState.DISK_RECOVERY,  # exception
+        },
+        LeafRestoreState.MEMORY_SERVING: {
+            LeafRestoreState.ALIVE,  # every block faulted in
+            LeafRestoreState.REPLICA_RECOVERY,  # fault-in error
+            LeafRestoreState.DISK_SNAPSHOT_RECOVERY,  # fault-in error
+            LeafRestoreState.DISK_RECOVERY,  # fault-in error
+        },
+        LeafRestoreState.REPLICA_RECOVERY: {
+            LeafRestoreState.ALIVE,  # every block pulled off the wire
+            LeafRestoreState.DISK_SNAPSHOT_RECOVERY,  # wire fault
+            LeafRestoreState.DISK_RECOVERY,  # wire fault
+        },
+        LeafRestoreState.DISK_SNAPSHOT_RECOVERY: {
+            LeafRestoreState.ALIVE,
+            LeafRestoreState.DISK_RECOVERY,  # stale/torn snapshot
+        },
+        LeafRestoreState.DISK_RECOVERY: {LeafRestoreState.ALIVE},
+    }
+    _terminal = {LeafRestoreState.ALIVE}
 
 
 class TableBackupMachine(StateMachine[TableBackupState]):
     """Figure 5(c) — one extra PREPARE state relative to the leaf."""
 
-    def __init__(self) -> None:
-        super().__init__(
-            TableBackupState.ALIVE,
-            {
-                TableBackupState.ALIVE: {TableBackupState.PREPARE},
-                TableBackupState.PREPARE: {TableBackupState.COPY_TO_SHM},
-                TableBackupState.COPY_TO_SHM: {TableBackupState.DONE},
-            },
-            terminal={TableBackupState.DONE},
-        )
+    _initial = TableBackupState.ALIVE
+    _transitions = {
+        TableBackupState.ALIVE: {TableBackupState.PREPARE},
+        TableBackupState.PREPARE: {TableBackupState.COPY_TO_SHM},
+        TableBackupState.COPY_TO_SHM: {TableBackupState.DONE},
+    }
+    _terminal = {TableBackupState.DONE}
 
 
 class TableRestoreMachine(StateMachine[TableRestoreState]):
     """Figure 5(d) — identical shape to the leaf restore machine."""
 
-    def __init__(self) -> None:
-        super().__init__(
-            TableRestoreState.INIT,
-            {
-                TableRestoreState.INIT: {
-                    TableRestoreState.MEMORY_RECOVERY,
-                    TableRestoreState.REPLICA_RECOVERY,
-                    TableRestoreState.DISK_SNAPSHOT_RECOVERY,
-                    TableRestoreState.DISK_RECOVERY,
-                },
-                TableRestoreState.REPLICA_RECOVERY: {
-                    TableRestoreState.ALIVE,
-                },
-                TableRestoreState.MEMORY_RECOVERY: {
-                    TableRestoreState.ALIVE,
-                    TableRestoreState.DISK_SNAPSHOT_RECOVERY,
-                    TableRestoreState.DISK_RECOVERY,
-                },
-                TableRestoreState.DISK_SNAPSHOT_RECOVERY: {
-                    TableRestoreState.ALIVE,
-                    TableRestoreState.DISK_RECOVERY,
-                },
-                TableRestoreState.DISK_RECOVERY: {TableRestoreState.ALIVE},
-            },
-            terminal={TableRestoreState.ALIVE},
-        )
+    _initial = TableRestoreState.INIT
+    _transitions = {
+        TableRestoreState.INIT: {
+            TableRestoreState.MEMORY_RECOVERY,
+            TableRestoreState.REPLICA_RECOVERY,
+            TableRestoreState.DISK_SNAPSHOT_RECOVERY,
+            TableRestoreState.DISK_RECOVERY,
+        },
+        TableRestoreState.REPLICA_RECOVERY: {
+            TableRestoreState.ALIVE,
+        },
+        TableRestoreState.MEMORY_RECOVERY: {
+            TableRestoreState.ALIVE,
+            TableRestoreState.DISK_SNAPSHOT_RECOVERY,
+            TableRestoreState.DISK_RECOVERY,
+        },
+        TableRestoreState.DISK_SNAPSHOT_RECOVERY: {
+            TableRestoreState.ALIVE,
+            TableRestoreState.DISK_RECOVERY,
+        },
+        TableRestoreState.DISK_RECOVERY: {TableRestoreState.ALIVE},
+    }
+    _terminal = {TableRestoreState.ALIVE}

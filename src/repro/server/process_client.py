@@ -111,7 +111,7 @@ class LeafProcess:
         """Start the worker process and have it recover its data.
 
         Returns the start report: ``{"method": "shared_memory"|"disk",
-        "rows": ..., "seconds": ...}``.
+        "rows": ..., "seconds": ..., "timeline": [RestartEvent._asdict()]}``.
         """
         if self.running:
             raise LeafProcessError(f"leaf {self.config.leaf_id} is already running")

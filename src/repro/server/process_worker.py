@@ -77,6 +77,7 @@ def _handle(leaf: LeafServer, request: dict) -> dict:
             "rows": report.rows,
             "tables": report.tables,
             "seconds": time.perf_counter() - started,
+            "timeline": [event._asdict() for event in report.events],
         }
     if op == "status":
         return {

@@ -325,9 +325,40 @@ class TestReplicaFaultSweep:
         finally:
             server.close()
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
-        assert report.replica_attempt_row_blocks > 0
-        assert report.replica_attempt_bytes > 0
+        attempt = report.attempt(RecoveryMethod.REPLICA)
+        assert attempt.blocks > 0
+        assert attempt.bytes > 0
         assert restored.snapshot_rows() == source.snapshot_rows()
+
+    @pytest.mark.parametrize(
+        "point, entered", [("replica:handshake", False), ("replica:stream", True)]
+    )
+    def test_only_a_fall_from_inside_the_rung_is_a_fall_to_disk(
+        self, point, entered, shm_namespace, tmp_path, clock
+    ):
+        """``fell_back_to_disk`` says a rung the leaf had entered fell: a
+        handshake that fell never entered REPLICA_RECOVERY, so it sets
+        ``fell_back_from_replica`` alone; a stream fault out of the
+        published wire driver sets both."""
+        source, backup, server = synced_state(tmp_path, clock)
+
+        def explode(p: str) -> None:
+            if p == point:
+                raise CorruptionError(f"injected {point} fault")
+
+        try:
+            engine = make_engine(shm_namespace, backup, server, clock, MemoryTracker())
+            engine._fault = explode
+            report = engine.restore(LeafMap(clock=clock, rows_per_block=32))
+        finally:
+            server.close()
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert report.fell_back_from_replica
+        assert report.fell_back_to_disk is entered
+        assert ("replica_recovery" in report.leaf_states) is entered
+        assert report.attempt(RecoveryMethod.REPLICA).reason == (
+            f"CorruptionError: injected {point} fault"
+        )
 
     def test_connection_killed_mid_stream_by_server_close(
         self, shm_namespace, tmp_path, clock

@@ -19,6 +19,7 @@ from repro.disk.backup import DiskBackup
 from repro.disk.shmformat import write_table_shm_format
 from repro.errors import CorruptionError
 from repro.shm.layout import SHM_LAYOUT_VERSION
+from repro.shm.metadata import LeafMetadata
 from repro.util.memtrack import MemoryTracker
 from tests.conftest import make_leafmap, restart_spanning_chain
 
@@ -338,10 +339,11 @@ class TestFallbackAccounting:
         assert report.failure_reason == "CorruptionError: wedged segment"
         # restore:table fires after the first table completed, so the
         # attempt got exactly one table in before dying.
-        assert report.memory_attempt_tables == 1
-        assert report.memory_attempt_row_blocks == 3
-        assert report.memory_attempt_rows == 120
-        assert report.memory_attempt_bytes > 0
+        attempt = report.attempt(RecoveryMethod.SHARED_MEMORY)
+        assert attempt.tables == 1
+        assert attempt.blocks == 3
+        assert attempt.rows == 120
+        assert attempt.bytes > 0
         # The winning tier's own counters cover the whole leaf and are
         # not polluted by the attempt's partial work.
         assert report.tables == 2
@@ -392,3 +394,81 @@ class TestFallbackAccounting:
         assert not engine.shm_state_exists()
         assert tracker.in_region("shm") == 0
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
+
+
+class TestTimelineCoversTheRestart:
+    """The report's clock starts when the restore does: a slow answer
+    from the standby catalog is part of the restart it delays."""
+
+    @pytest.mark.parametrize("answer", ["none", "raise"])
+    def test_slow_replica_source_counts_toward_duration(
+        self, answer, shm_namespace, tmp_path, clock
+    ):
+        backup, snapshot = synced_backup(tmp_path, clock)
+
+        def slow_source():
+            clock.advance(5.0)
+            if answer == "raise":
+                raise ConnectionRefusedError("standby is gone")
+            return None
+
+        engine = RestartEngine(
+            "0",
+            namespace=shm_namespace,
+            backup=backup,
+            clock=clock,
+            replica_source=slow_source,
+        )
+        restored = LeafMap(clock=clock, rows_per_block=50)
+        report = engine.restore(restored)
+        assert report.duration_seconds == 5.0
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert restored.snapshot_rows() == snapshot
+        replica = [e for e in report.events if e.what == "replica"]
+        if answer == "none":
+            assert [e.kind for e in replica] == ["skip"]
+            assert report.failure_reason is None
+        else:
+            (fall,) = replica
+            assert fall.kind == "fall"
+            assert fall.reason == "ConnectionRefusedError: standby is gone"
+            assert report.failure_reason == fall.reason
+        # Neither answer entered the rung, so neither is a fall to disk.
+        assert not report.fell_back_to_disk
+        assert report.leaf_states == ["init", "disk_snapshot_recovery", "alive"]
+
+    @pytest.mark.parametrize("untrusted", ["valid_bit", "layout_version"])
+    def test_untrusted_shm_is_a_skip_with_its_reason(
+        self, untrusted, shm_namespace, tmp_path, clock
+    ):
+        """Shared memory that exists but cannot be trusted leaves a trace:
+        one ``skip`` of the rung and why, no fall."""
+        backup = DiskBackup(tmp_path / "backup")
+        leafmap = make_leafmap(clock)
+        leafmap.seal_all()
+        snapshot = leafmap.snapshot_rows()
+        RestartEngine("0", namespace=shm_namespace, backup=backup, clock=clock).backup_to_shm(
+            leafmap
+        )
+        layout = SHM_LAYOUT_VERSION
+        if untrusted == "valid_bit":
+            meta = LeafMetadata.attach(shm_namespace, "0")
+            meta.set_valid(False)
+            meta.close()
+        else:
+            layout += 1
+        engine = RestartEngine(
+            "0", namespace=shm_namespace, backup=backup, clock=clock, layout_version=layout
+        )
+        restored = LeafMap(clock=clock, rows_per_block=50)
+        report = engine.restore(restored)
+        (skip,) = [event for event in report.events if event.kind == "skip"]
+        assert skip.what == "shared_memory"
+        assert skip.reason == (
+            "valid bit is false"
+            if untrusted == "valid_bit"
+            else f"layout version {SHM_LAYOUT_VERSION}, not {layout}"
+        )
+        assert report.failure_reason is None and not report.fell_back_to_disk
+        assert restored.snapshot_rows() == snapshot
+        assert not engine.shm_state_exists()

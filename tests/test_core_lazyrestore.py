@@ -23,6 +23,7 @@ from repro.cluster.replication import ReplicaBlockServer, snapshot_leafmap
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import FAULT_POINTS, RecoveryMethod, RestartEngine
+from repro.core.states import LeafRestoreMachine, LeafRestoreState
 from repro.util.budget import FootprintBudget
 from repro.errors import CorruptionError, RecoveryError
 from repro.query.execute import execute_on_leaf
@@ -130,13 +131,6 @@ class Rig:
         if fault_hook is not None:
             engine._fault = fault_hook
         return engine
-
-    def attempt_row_blocks(self, report) -> int:
-        """How far the failed rung got, from the rung's own fields."""
-        if self.source == "shm":
-            return report.memory_attempt_row_blocks
-        assert report.fell_back_from_replica
-        return report.replica_attempt_row_blocks
 
     def close(self):
         if self.server is not None:
@@ -411,14 +405,14 @@ class TestFallback:
         assert report.fell_back_to_disk
         assert report.failure_reason == "CorruptionError: injected block fault"
         # A burned source is not retried: the disk rungs finish the job
-        # (try_replica=False — one wire session was ever opened).
+        # (one wire session was ever opened).
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
         assert len(rig.sessions) == (rig.source == "replica")
         # The attempt's partial progress survives on the report, and so
         # do the serving-window totals.
-        assert rig.attempt_row_blocks(report) == 1
+        assert report.attempt(rig.method).blocks == 1
         if rig.source == "shm":
-            assert report.memory_attempt_rows == 50
+            assert report.attempt(rig.method).rows == 50
         assert report.queries_served_during_restore == 2
         assert report.blocks_total == 3
         assert report.bytes_total == handle.progress().bytes_total > 0
@@ -748,6 +742,30 @@ class TestBlockingIsServingPlusDrain:
         else:
             assert report.method is rig.method
             assert report.failure_reason is None
+        self.assert_timeline(report, restored, rig, point if fired else None)
+
+    @staticmethod
+    def assert_timeline(report, restored, rig, point):
+        """The walk as it happened: ordered in time, a legal Figure 5
+        path to ALIVE, one fall from the source's rung when ``point``
+        fired, and every table home once on the rung that won."""
+        times = [event.at for event in report.events]
+        assert times == sorted(times)
+        states = [LeafRestoreState(state) for state in report.leaf_states]
+        assert states[0] is LeafRestoreState.INIT
+        assert states[-1] is LeafRestoreState.ALIVE
+        for source, target in zip(states, states[1:]):
+            LeafRestoreMachine.check(source, target)
+        falls = [event for event in report.events if event.kind == "fall"]
+        if point is None:
+            assert falls == []
+        else:
+            (fall,) = falls
+            assert fall.what == rig.method.value
+            assert fall.reason == f"CorruptionError: injected {point} fault"
+        won = report.events[report.events.index(falls[-1]) + 1 :] if falls else report.events
+        homes = [event.what for event in won if event.kind == "table"]
+        assert sorted(homes) == sorted(restored.table_names)
 
     def test_second_fall_keeps_the_first_reason(self, entry, rig, clock):
         snapshot = rig.seed()

@@ -87,6 +87,28 @@ class TestServeLoop:
         assert len(responses) == 3
         leaf.engine.discard_shm()
 
+    def test_start_replies_with_the_restart_timeline(self, shm_namespace, tmp_path, clock):
+        leaf = make_leaf(shm_namespace, tmp_path, clock)
+        run_ops(
+            leaf,
+            [
+                {"op": "start"},
+                {"op": "add_rows", "table": "t", "rows": [{"time": i} for i in range(40)]},
+                {"op": "add_rows", "table": "u", "rows": [{"time": 7}]},
+                {"op": "shutdown", "use_shm": True},
+            ],
+        )
+        _, (start,) = run_ops(make_leaf(shm_namespace, tmp_path, clock), [{"op": "start"}])
+        assert start["method"] == "shared_memory"
+        timeline = start["timeline"]
+        assert json.loads(json.dumps(timeline)) == timeline
+        entered = [event["what"] for event in timeline if event["kind"] == "enter"]
+        assert entered == ["init", "memory_recovery", "alive"]
+        homes = [event for event in timeline if event["kind"] == "table"]
+        assert sorted(event["what"] for event in homes) == ["t", "u"]
+        t, u = sorted(homes, key=lambda event: event["what"])
+        assert (t["blocks"], t["rows"], u["rows"]) == (3, 40, 1)  # 16 rows per block
+
     def test_crash_exits_70_without_reply(self, shm_namespace, tmp_path, clock):
         leaf = make_leaf(shm_namespace, tmp_path, clock)
         code, responses = run_ops(leaf, [{"op": "start"}, {"op": "crash"}])
