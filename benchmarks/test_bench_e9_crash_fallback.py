@@ -14,6 +14,8 @@ import pytest
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk.backup import DiskBackup
+from repro.shm.metadata import LeafMetadata
+from repro.shm.segment import ShmSegment
 from repro.workloads import error_logs
 
 N_ROWS = 12_000
@@ -35,25 +37,34 @@ def backup(tmp_path, clock):
     return backup
 
 
-def crash_point(point):
-    def hook(name):
-        if name == point:
-            raise RuntimeError(f"injected crash at {name}")
+def crash_once(monkeypatch, owner, name, when=lambda *args: True):
+    """``owner.name`` raises the first time it is called with arguments
+    ``when`` accepts, and runs as before otherwise."""
+    real = getattr(owner, name)
+    crashed = []
 
-    return hook
+    def crash(self, *args):
+        if not crashed and when(*args):
+            crashed.append(name)
+            raise RuntimeError(f"injected crash at {owner.__name__}.{name}")
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, name, crash)
 
 
-def test_crash_before_valid_bit(benchmark, shm_namespace, backup, clock, record_result):
+def test_crash_before_valid_bit(
+    benchmark, shm_namespace, backup, clock, record_result, monkeypatch
+):
     """Old process dies mid-copy: next boot must go to disk."""
 
     def setup():
         leafmap = build_leafmap(clock)
-        engine = RestartEngine(
-            "c", namespace=shm_namespace, backup=backup, clock=clock,
-            fault_hook=crash_point("backup:before_valid"),
-        )
-        with pytest.raises(RuntimeError):
-            engine.backup_to_shm(leafmap)
+        engine = RestartEngine("c", namespace=shm_namespace, backup=backup, clock=clock)
+        with monkeypatch.context() as patch:
+            # Every table is copied; the valid bit never goes up.
+            crash_once(patch, LeafMetadata, "set_valid", lambda valid: valid)
+            with pytest.raises(RuntimeError):
+                engine.backup_to_shm(leafmap)
         return (), {}
 
     def run():
@@ -73,7 +84,7 @@ def test_crash_before_valid_bit(benchmark, shm_namespace, backup, clock, record_
 
 
 def test_crash_during_restore_falls_back(
-    benchmark, shm_namespace, backup, clock, record_result
+    benchmark, shm_namespace, backup, clock, record_result, monkeypatch
 ):
     """Interrupted restore: valid bit already false => same-process
     fallback to disk (Figure 5(b) exception edge)."""
@@ -87,10 +98,11 @@ def test_crash_during_restore_falls_back(
 
     def run():
         restored = LeafMap(clock=clock, rows_per_block=ROWS_PER_BLOCK)
-        report = RestartEngine(
-            "r", namespace=shm_namespace, backup=backup, clock=clock,
-            fault_hook=crash_point("restore:table"),
-        ).restore(restored)
+        engine = RestartEngine("r", namespace=shm_namespace, backup=backup, clock=clock)
+        with monkeypatch.context() as patch:
+            # The table is home; its segment's unlink is the first to raise.
+            crash_once(patch, ShmSegment, "unlink")
+            report = engine.restore(restored)
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
         assert report.fell_back_to_disk
         assert restored.row_count == N_ROWS

@@ -132,15 +132,8 @@ def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
     return bytes(buf)
 
 
-def recv_frame(
-    sock: socket.socket,
-    mid_payload_fault: Callable[[], None] | None = None,
-) -> tuple[int, bytes]:
-    """Read one frame, validating magic, version, and payload CRC.
-
-    ``mid_payload_fault`` fires between the header and the payload — the
-    injection point for a connection dying mid-block.
-    """
+def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
+    """Read one frame, validating magic, version, and payload CRC."""
     header = _recv_exact(sock, _FRAME.size)
     magic, version, kind, length, crc = _FRAME.unpack(header)
     if magic != WIRE_MAGIC:
@@ -149,8 +142,6 @@ def recv_frame(
         raise ReplicaWireError(f"unsupported wire version {version}")
     if length > MAX_PAYLOAD:
         raise ReplicaWireError(f"frame payload {length} exceeds cap")
-    if mid_payload_fault is not None:
-        mid_payload_fault()
     payload = _recv_exact(sock, length) if length else b""
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise ReplicaWireError("frame payload checksum mismatch")
@@ -247,33 +238,34 @@ def _catalog_payload(token: str, tables: TableSnapshot) -> bytes:
 
 
 def _parse_catalog(payload: bytes) -> tuple[str, tuple[WireTable, ...]]:
-    doc = json.loads(payload)
-    tables = []
-    for entry in doc["tables"]:
-        name = entry["name"]
-        blocks = tuple(
-            WireBlock(
-                table=name,
-                index=index,
-                size=size,
-                row_count=row_count,
-                min_time=min_time,
-                max_time=max_time,
-                columns=tuple(columns),
-            )
-            for index, (size, row_count, min_time, max_time, columns) in (
-                enumerate(entry["blocks"])
-            )
-        )
-        tables.append(
-            WireTable(
-                name=name,
-                rows_ingested=entry["rows_ingested"],
-                rows_expired=entry["rows_expired"],
-                blocks=blocks,
-            )
-        )
-    return doc["session"], tuple(tables)
+    """The session token and tables of a CATALOG frame; a payload that
+    is not a well-formed catalog is a :class:`ReplicaWireError`."""
+    try:
+        doc = json.loads(payload)
+        token = doc["session"]
+        tables = tuple(_parse_table(entry) for entry in doc["tables"])
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise ReplicaWireError(f"malformed replica catalog: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(token, str):
+        raise ReplicaWireError("malformed replica catalog: session token is not a string")
+    return token, tables
+
+
+def _parse_table(entry: dict) -> WireTable:
+    name, ingested, expired = entry["name"], entry["rows_ingested"], entry["rows_expired"]
+    blocks = []
+    for index, (size, row_count, min_time, max_time, columns) in enumerate(entry["blocks"]):
+        if not (
+            all(type(count) is int and count >= 0 for count in (size, row_count))
+            and all(type(time) in (int, float) for time in (min_time, max_time))
+            and type(columns) is list
+            and all(type(column) is str for column in columns)
+        ):
+            raise TypeError(f"block {index} of table {name!r} has a field of the wrong type")
+        blocks.append(WireBlock(name, index, size, row_count, min_time, max_time, tuple(columns)))
+    if not (type(name) is str and all(type(n) is int and n >= 0 for n in (ingested, expired))):
+        raise TypeError(f"table {name!r} has a field of the wrong type")
+    return WireTable(name, ingested, expired, tuple(blocks))
 
 
 # ----------------------------------------------------------------------
@@ -452,10 +444,6 @@ class ReplicaFetchSession:
     runs ``streams`` fetches concurrently.  Any wire failure marks the
     whole session broken (the rung is all-or-nothing), closes the bad
     connection, and raises :class:`ReplicaWireError`.
-
-    ``fault`` is the engine's fault-injection hook; the session fires
-    ``replica:stream`` at the start of each fetch and ``replica:block``
-    between a BLOCK frame's header and payload.
     """
 
     def __init__(
@@ -463,17 +451,14 @@ class ReplicaFetchSession:
         address: tuple[str, int],
         streams: int = DEFAULT_STREAMS,
         timeout: float = 10.0,
-        fault: Callable[[str], None] | None = None,
     ) -> None:
         self.streams = max(1, int(streams))
         self._timeout = timeout
-        #: Fault-injection hook; the owning engine re-points this at its
-        #: own ``_fault`` so wire phases share the engine's hook table.
-        self.fault = fault if fault is not None else (lambda point: None)
         self._sockets: list[socket.socket] = []
         self._pool: queue.Queue[socket.socket] = queue.Queue()
         self._closed = False
-        self._broken = False
+        #: The first failure on any stream; the session is condemned.
+        self._failure: BaseException | None = None
         self.token = ""
         self.tables: tuple[WireTable, ...] = ()
         try:
@@ -512,11 +497,11 @@ class ReplicaFetchSession:
         send_frame(sock, FRAME_HELLO, json.dumps(request).encode())
         kind, payload = recv_frame(sock)
         _raise_on_error(kind, payload, FRAME_CATALOG)
+        token, tables = _parse_catalog(payload)
         if opening:
-            token, tables = _parse_catalog(payload)
             self.token = token
             self.tables = tables
-        elif json.loads(payload).get("session") != self.token:
+        elif token != self.token:
             raise ReplicaWireError("replica session token mismatch")
         self._pool.put(sock)
 
@@ -524,39 +509,44 @@ class ReplicaFetchSession:
         """Every block in the session catalog, in table/directory order."""
         return [block for table in self.tables for block in table.blocks]
 
-    def fetch(self, table: str, index: int) -> bytes:
-        """One GET/BLOCK exchange; returns the packed block payload."""
-        self.fault("replica:stream")
-        if self._broken or self._closed:
-            raise ReplicaWireError("replica session already failed")
+    def _borrow(self) -> socket.socket:
+        """A pooled connection.  A condemned session raises the failure
+        that condemned it, whichever stream saw it, as a future does."""
+        if self._failure is not None:
+            raise self._failure
+        if self._closed:
+            raise ReplicaWireError("replica session closed")
         try:
-            conn = self._pool.get(timeout=self._timeout)
+            return self._pool.get(timeout=self._timeout)
         except queue.Empty:
             raise ReplicaWireError("no replica stream available") from None
-        ok = False
+
+    def _condemn(self, conn: socket.socket, exc: BaseException) -> None:
+        """The conn may hold half a frame: it never returns to the pool,
+        and one bad stream condemns the session."""
+        if self._failure is None:
+            self._failure = exc
+        try:
+            conn.close()
+        except OSError:
+            pass
+
+    def fetch(self, table: str, index: int) -> bytes:
+        """One GET/BLOCK exchange; returns the packed block payload."""
+        conn = self._borrow()
         try:
             send_frame(
                 conn,
                 FRAME_GET,
                 json.dumps({"table": table, "index": index}).encode(),
             )
-            kind, payload = recv_frame(
-                conn, mid_payload_fault=lambda: self.fault("replica:block")
-            )
+            kind, payload = recv_frame(conn)
             _raise_on_error(kind, payload, FRAME_BLOCK)
-            ok = True
-            return payload
-        finally:
-            if ok:
-                self._pool.put(conn)
-            else:
-                # The conn may hold half a frame; it never returns to the
-                # pool, and one bad stream condemns the session.
-                self._broken = True
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+        except BaseException as exc:
+            self._condemn(conn, exc)
+            raise
+        self._pool.put(conn)
+        return payload
 
     def fetch_many(
         self,
@@ -576,14 +566,7 @@ class ReplicaFetchSession:
         """
         if not requests:
             return
-        self.fault("replica:stream")
-        if self._broken or self._closed:
-            raise ReplicaWireError("replica session already failed")
-        try:
-            conn = self._pool.get(timeout=self._timeout)
-        except queue.Empty:
-            raise ReplicaWireError("no replica stream available") from None
-        ok = False
+        conn = self._borrow()
         try:
             pending: deque[tuple[str, int]] = deque()
             for table, index in requests:
@@ -597,16 +580,10 @@ class ReplicaFetchSession:
                     self._receive_block(conn, pending, handler)
             while pending:
                 self._receive_block(conn, pending, handler)
-            ok = True
-        finally:
-            if ok:
-                self._pool.put(conn)
-            else:
-                self._broken = True
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+        except BaseException as exc:
+            self._condemn(conn, exc)
+            raise
+        self._pool.put(conn)
 
     def _receive_block(
         self,
@@ -614,9 +591,7 @@ class ReplicaFetchSession:
         pending: deque,
         handler: Callable[[str, int, bytes], None],
     ) -> None:
-        kind, payload = recv_frame(
-            conn, mid_payload_fault=lambda: self.fault("replica:block")
-        )
+        kind, payload = recv_frame(conn)
         _raise_on_error(kind, payload, FRAME_BLOCK)
         table, index = pending.popleft()
         handler(table, index, payload)
@@ -625,7 +600,7 @@ class ReplicaFetchSession:
         if self._closed:
             return
         self._closed = True
-        if self.token and not self._broken:
+        if self.token and self._failure is None:
             try:
                 conn = self._pool.get_nowait()
                 send_frame(

@@ -56,8 +56,9 @@ time, never correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from repro.columnstore.leafmap import LeafMap
@@ -87,30 +88,6 @@ from repro.shm.segment import ShmSegment, segment_exists
 from repro.util.budget import FootprintBudget
 from repro.util.clock import Clock, SystemClock
 from repro.util.memtrack import MemoryTracker
-
-#: Fault-injection hook points, called as ``fault_hook(point_name)``.
-#: Tests raise from the hook to simulate crashes at protocol boundaries.
-FAULT_POINTS = (
-    "backup:start",
-    "backup:table",
-    "backup:before_valid",
-    "restore:start",
-    "restore:after_invalidate",
-    "restore:in_window",
-    "restore:table",
-    "restore:snapshot_table",
-    "restore:before_finish",
-    # The restore driver's boundaries, blocking or serving (the shm
-    # source fires both, the wire source the first):
-    "restore:publish_directory",
-    "restore:fault_block",
-    # Replica-rung protocol phases (the wire source, blocking or serving):
-    "replica:handshake",
-    "replica:stream",
-    "replica:block",
-    "replica:adopt",
-)
-
 
 class RecoveryMethod(Enum):
     """How a restore obtained its data."""
@@ -280,9 +257,6 @@ class RestartEngine:
         ``f(table_name, blocks) -> bytes`` used at segment-creation time.
         The default is exact; tests inject a lowballing estimator to
         exercise the "grow the table segment if needed" path.
-    fault_hook:
-        ``f(point_name)`` called at protocol boundaries; tests raise from
-        it to simulate crashes.
     budget:
         Optional machine-wide :class:`~repro.util.budget.FootprintBudget`.
         When set, the engine reserves each copy window (a table segment
@@ -316,7 +290,6 @@ class RestartEngine:
         tracker: MemoryTracker | None = None,
         clock: Clock | None = None,
         size_estimator: Callable[[str, list], int] | None = None,
-        fault_hook: Callable[[str], None] | None = None,
         budget: FootprintBudget | None = None,
         disk_snapshot_tier: bool = True,
         replay_workers: int = 1,
@@ -334,8 +307,7 @@ class RestartEngine:
         self.tracker = tracker or MemoryTracker()
         self.clock = clock or SystemClock()
         self.budget = budget
-        self._size_estimator = size_estimator or table_segment_size
-        self._fault = fault_hook or (lambda point: None)
+        self._size_estimator = size_estimator
         #: Heap bytes this engine has reported to the (possibly shared)
         #: tracker.  ``tracker.in_region("heap")`` is machine-wide when
         #: leaves share a tracker; the backup deficit seeding below must
@@ -474,7 +446,6 @@ class RestartEngine:
         """
         report = RestartReport.begin(self.clock, LeafBackupState.ALIVE)
         report.enter(LeafBackupState.COPY_TO_SHM)
-        self._fault("backup:start")
         # Drop cached decoded columns first: they are derived data the
         # shutdown never copies, and holding them through the copy loop
         # would inflate the footprint the Section 4.4 invariant bounds.
@@ -503,13 +474,10 @@ class RestartEngine:
                 if self.backup is not None:
                     self.backup.sync_table(table)
                 machine.transition(TableBackupState.COPY_TO_SHM)
-                records.append(self._copy_table_out(table, index, deadline, report))
-                meta.set_records(records)
+                records.append(self._copy_table_out(table, index, meta, records, deadline, report))
                 report.tables += 1
                 leafmap.drop_table(table_name)
                 machine.transition(TableBackupState.DONE)
-                self._fault("backup:table")
-            self._fault("backup:before_valid")
             meta.set_valid(True)
         finally:
             meta.close()
@@ -521,32 +489,49 @@ class RestartEngine:
         self,
         table,
         table_index: int,
+        meta: LeafMetadata,
+        records: list[TableSegmentRecord],
         deadline: CooperativeDeadline | None,
         report: RestartReport,
     ) -> TableSegmentRecord:
         """Copy one table into its segment, counting the copies (and any
-        segment regrow) on ``report``."""
+        segment regrow) on ``report``.
+
+        "add table segment to the leaf metadata" comes before the
+        segment exists: ``meta`` names it after ``records`` first, so a
+        shutdown killed anywhere in the copy leaves nothing the next
+        boot's discard cannot see.
+        """
         blocks = table.take_blocks()
         rows = sum(block.row_count for block in blocks)
-        name = self._segment_base_name(table_index)
-        size = max(64, self._size_estimator(table.name, blocks))
+        used = table_segment_size(table.name, blocks)
+        record = TableSegmentRecord(
+            table_name=table.name,
+            segment_name=self._segment_base_name(table_index),
+            used_bytes=used,
+            rows_ingested=table.total_rows_ingested,
+            rows_expired=table.total_rows_expired,
+        )
+        estimate = self._size_estimator(table.name, blocks) if self._size_estimator else used
+        size = max(64, estimate)
         grows = 0
         held = 0
+        segment = None
+        charged = 0  # shm bytes this copy has put on the tracker
         try:
             while True:
-                # A previous backup of this leaf that was killed mid-copy
-                # can leave an orphan segment that its (never-written)
-                # metadata record does not reference; the name is ours,
-                # so reclaim it.
-                if segment_exists(name):
-                    ShmSegment.attach(name).unlink()
+                # Metadata too corrupt to walk leaves its segments behind
+                # when it is discarded; the name is ours, so reclaim it.
+                if segment_exists(record.segment_name):
+                    ShmSegment.attach(record.segment_name).unlink()
+                meta.set_records([*records, record])
                 # This table's copy window — the span where segment and
                 # heap coexist — is in flight against the machine-wide
                 # budget until the copy loop has drained the heap side.
                 if self.budget is not None:
                     self.budget.acquire(size)
                     held = size
-                segment = ShmSegment.create(name, size)
+                segment = ShmSegment.create(record.segment_name, size)
                 writer = TableSegmentWriter(segment, table.name, blocks)
                 try:
                     events = writer.copy_events()
@@ -562,40 +547,46 @@ class RestartEngine:
                     # use the whole-budget admission instead of
                     # deadlocking on itself.
                     segment.unlink()
+                    segment = None
                     if held:
                         self.budget.release(held)
                         held = 0
                     grows += 1
                     report.segment_grows += 1
                     name = f"{self._segment_base_name(table_index)}-g{grows}"
-                    size = table_segment_size(table.name, blocks)
+                    record = replace(record, segment_name=name)
+                    size = used
             if first_event is None:
                 # A table without blocks is its preamble alone.
-                self.tracker.allocate("shm", writer.used_bytes, at=self.clock.now())
+                self.tracker.allocate("shm", used, at=self.clock.now())
+                charged = used
             else:
-                self._apply_copy_event(blocks, first_event, deadline, report)
-            for event in events:
-                self._apply_copy_event(blocks, event, deadline, report)
-            record = TableSegmentRecord(
-                table_name=table.name,
-                segment_name=segment.name,
-                used_bytes=writer.used_bytes,
-                rows_ingested=table.total_rows_ingested,
-                rows_expired=table.total_rows_expired,
-            )
+                for event in chain((first_event,), events):
+                    # §4.4's "allocate, copy, free": the segment is charged
+                    # as its bytes land (tmpfs backs a page only once it
+                    # is written), each RBC before its heap buffer goes.
+                    self.tracker.allocate("shm", event.landed, at=self.clock.now())
+                    charged += event.landed
+                    self._apply_copy_event(blocks, event, deadline, report)
             segment.close()
             # Home in shared memory: ``bytes`` are what its segment holds.
-            report.note("table", table.name, blocks=len(blocks), rows=rows, bytes=writer.used_bytes)
+            report.note("table", table.name, blocks=len(blocks), rows=rows, bytes=used)
             return record
+        except BaseException:
+            # A copy that raises gives back its segment and what it has
+            # charged: the record already claims all ``used`` bytes, and
+            # on a shared tracker the next boot's discard would free them
+            # from the sibling leaves.  A killed copy leaves the record.
+            if segment is not None:
+                segment.unlink()
+            if charged:
+                self.tracker.free("shm", charged, at=self.clock.now())
+            raise
         finally:
             if held:
                 self.budget.release(held)
 
     def _apply_copy_event(self, blocks, event, deadline, report) -> None:
-        # §4.4's "allocate, copy, free": the segment is charged as its
-        # bytes land (tmpfs backs a page only once it is written), each
-        # RBC before its heap buffer goes.
-        self.tracker.allocate("shm", event.landed, at=self.clock.now())
         if deadline is not None:
             deadline.check()
         block = blocks[event.block_index]
@@ -668,7 +659,7 @@ class RestartEngine:
 
         ``serving`` says which entry point was called and changes only
         what the report must say (``lazy``, the MEMORY_SERVING state);
-        the driver, its source and every fault point are the same.
+        the driver, its source and every side effect are the same.
         """
         from repro.core.lazyrestore import LazyRestore
         from repro.core.replicarestore import ReplicaRestore
@@ -680,7 +671,6 @@ class RestartEngine:
         # it still holds describes dead blocks.  Restores start cold
         # (the cache's heat counters survive the clear).
         leafmap.drop_column_cache()
-        self._fault("restore:start")
         report = RestartReport.begin(self.clock, LeafRestoreState.INIT, lazy=serving)
         meta = None
         if memory_recovery_enabled:
@@ -793,7 +783,7 @@ class RestartEngine:
 
     def _open_replica_session(self, report: RestartReport):
         """Enter the replica rung: HELLO/CATALOG with this leaf's
-        standby, fault hook wired in, ``report`` in REPLICA_RECOVERY.
+        standby, ``report`` in REPLICA_RECOVERY.
 
         ``None`` when no replica is configured, none answers (a skip), or
         the handshake fails *in any way* (a fall: dead peer, skewed or
@@ -803,7 +793,6 @@ class RestartEngine:
         if self.replica_source is None:
             return None
         try:
-            self._fault("replica:handshake")
             session = self.replica_source()
         except Exception as exc:
             report.fall_back(exc, RecoveryMethod.REPLICA)
@@ -811,7 +800,6 @@ class RestartEngine:
         if session is None:
             report.note("skip", RecoveryMethod.REPLICA, "no standby session")
             return None
-        session.fault = self._fault
         report.enter(LeafRestoreState.REPLICA_RECOVERY)
         return session
 
@@ -851,11 +839,14 @@ class RestartEngine:
             if cutoff:
                 table.expire_before(cutoff)
             nbytes = table.sealed_nbytes
-            self._track_heap_alloc(nbytes)
+            try:
+                self._track_heap_alloc(nbytes)
+            except BaseException:
+                leafmap.drop_table(table_name)  # uncharged: the fall must not free it
+                raise
             report.row_blocks += table.block_count
             report.rbc_copies += sum(len(block.schema) for block in table.blocks)
             report.bytes_copied += nbytes
             report.rows += table.row_count
             report.table_home(table_name, table.block_count, table.row_count, nbytes)
             machine.transition(TableRestoreState.ALIVE)
-            self._fault("restore:snapshot_table")

@@ -135,8 +135,6 @@ class RestoreDriver:
     #: Where pending blocks fault in from; the leaf server picks its
     #: serving status off this.
     source: str
-    #: Fault point fired each time a table is home.
-    adopt_fault: str
     #: Bytes a source holds against the budget for a whole table's copy
     #: window; a block decoded inside one reserves nothing of its own.
     _window = 0
@@ -171,7 +169,7 @@ class RestoreDriver:
 
     def _publish_directory(self) -> None:
         """Enter the rung and :meth:`_add_table` every table, moving no
-        payload; fire ``restore:publish_directory`` when it is up."""
+        payload."""
         raise NotImplementedError
 
     def _read_block(self, desc):
@@ -248,7 +246,6 @@ class RestoreDriver:
         home = state.restored_blocks()
         rows = sum(block.row_count for block in home)
         self.report.table_home(state.name, len(home), rows, state.nbytes)
-        self._engine._fault(self.adopt_fault)
 
     # ------------------------------------------------------------------
     # Fault-in
@@ -610,7 +607,6 @@ class LazyRestore(RestoreDriver):
     """The shared-memory source: this leaf's own segments."""
 
     source = "shm"
-    adopt_fault = "restore:table"
 
     # benchmarks/ledger/layers.py wraps these two through vars(LazyRestore)
     # so that a wire restore's spans read zero here: keep them in this
@@ -639,7 +635,6 @@ class LazyRestore(RestoreDriver):
         engine = self._engine
         assert self._meta is not None
         self._meta.set_valid(False)  # interrupted restores must go to disk
-        engine._fault("restore:after_invalidate")
         # A fresh process's tracker has no "shm" region yet; charge the
         # segments the fault-ins are about to consume (their used bytes,
         # as the copy-out did) so the footprint sums hold.  The charge
@@ -659,12 +654,10 @@ class LazyRestore(RestoreDriver):
             self._low[record.table_name] = 0
             _, extents = read_block_headers(view)
             self._add_table(record.table_name, extents, record.rows_ingested, record.rows_expired)
-        engine._fault("restore:publish_directory")
         if self.report.lazy:
             self.report.enter(LeafRestoreState.MEMORY_SERVING)
 
     def _read_block(self, desc: BlockExtent) -> memoryview:
-        self._engine._fault("restore:fault_block")
         return self._views[desc.table][desc.offset : desc.offset + desc.size]
 
     def _read_blocks(self, descs: list) -> Iterator[tuple]:
@@ -681,7 +674,6 @@ class LazyRestore(RestoreDriver):
                 window = len(self._views[name])
                 self._budget.acquire(window)
                 self._window = window
-            self._engine._fault("restore:in_window")
             yield from self._each(blocks)
 
     def _release_blocks(self, state: _TableState) -> None:
@@ -696,8 +688,8 @@ class LazyRestore(RestoreDriver):
         self._low[name] = low
         released = self._segments[name].release_pages(pending[low].offset)
         if released:
-            self._charged[name] -= released
             self._engine.tracker.free("shm", released, at=self._engine.clock.now())
+            self._charged[name] -= released
 
     def _release_table(self, state: _TableState) -> None:
         """ "delete the table shared memory segment" the moment its table
@@ -707,12 +699,20 @@ class LazyRestore(RestoreDriver):
         self._close_window()
 
     def _unlink_segment(self, name: str) -> None:
-        """Unmap and delete one segment, freeing what it still charges."""
+        """Unmap and delete one segment, then free what it still charges.
+        A step is struck off only once it has happened, so the discard
+        can call this again for a segment a fault left half gone: its
+        charge goes exactly once, or a shared tracker loses another
+        leaf's."""
         engine = self._engine
-        self._views.pop(name).release()  # an exported view pins the mmap
-        segment = self._segments.pop(name)
-        engine.tracker.free("shm", self._charged.pop(name), at=engine.clock.now())
-        segment.unlink()
+        view = self._views.pop(name, None)
+        if view is not None:
+            view.release()  # an exported view pins the mmap
+        if name in self._segments:
+            self._segments[name].unlink()
+            del self._segments[name]
+        engine.tracker.free("shm", self._charged[name], at=engine.clock.now())
+        del self._charged[name]
 
     def _close_window(self) -> None:
         if self._window:
@@ -732,7 +732,6 @@ class LazyRestore(RestoreDriver):
 
     def _finish_source(self) -> None:
         """Every segment is gone with its table: consume the metadata."""
-        self._engine._fault("restore:before_finish")
         assert self._meta is not None
         self._meta.unlink()
         self._meta = None

@@ -52,8 +52,6 @@ class ReplicaSession(Protocol):
     streams: int
     #: The catalog pinned at the handshake.
     tables: Sequence[CatalogTable]
-    #: Fault-injection hook; the engine points it at its own.
-    fault: Callable[[str], None]
 
     def fetch(self, table: str, index: int) -> bytes:
         """One block's packed bytes; raises on any wire fault."""
@@ -74,7 +72,6 @@ class ReplicaRestore(RestoreDriver):
     (``None``: no replica — the handle only carries the disk rungs)."""
 
     source = "replica"
-    adopt_fault = "replica:adopt"
 
     # benchmarks/ledger/layers.py wraps these two through
     # vars(ReplicaRestore) so that a shm restore's spans read zero here:
@@ -94,14 +91,12 @@ class ReplicaRestore(RestoreDriver):
         No payload moves here — the catalog rode the HELLO reply — so
         the leaf starts serving in one wire round-trip.
         """
-        engine = self._engine
         # This leaf's own shm state, if any, is untrusted — the engine
         # only routes here when it is.  Discard it through the tracker
         # before serving off the wire.
-        engine._discard_untrusted_shm()
+        self._engine._discard_untrusted_shm()
         for wire in self._session.tables:
             self._add_table(wire.name, wire.blocks, wire.rows_ingested, wire.rows_expired)
-        engine._fault("restore:publish_directory")
 
     def _read_block(self, desc: CatalogBlock) -> bytes:
         return self._session.fetch(desc.table, desc.index)
@@ -139,8 +134,8 @@ class ReplicaRestore(RestoreDriver):
                 if share
             ]
             done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-            # In submission order: a stream that found the session already
-            # failed started after the one whose fault is the reason.
+            # Any one will do: a stream that found the session condemned
+            # raised the failure that condemned it.
             failed = next((f for f in futures if f in done and f.exception() is not None), None)
             if failed is not None:
                 raise failed.exception()

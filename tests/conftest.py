@@ -163,6 +163,20 @@ def grow_table(leafmap, n, start, table="events"):
     return start + n
 
 
+def two_table_leaf(directory, clock, tables=("events", "metrics")):
+    """Two tables, three sealed blocks each, synced; then one more block
+    each, sealed and not yet synced.  Returns ``(backup, leafmap, pre)``
+    with ``pre`` the rows as last synced."""
+    backup = DiskBackup(directory)
+    leafmap = make_leafmap(clock, tables=tables, rows=150)
+    sealed_sync(backup, leafmap)
+    pre = leafmap.snapshot_rows()
+    for index, name in enumerate(tables):
+        grow_table(leafmap, 50, 20_000 + index * 10_000, table=name)
+    leafmap.seal_all()
+    return backup, leafmap, pre
+
+
 def restart_spanning_chain(directory, clock, tables=("events",)):
     """A backup whose chains are six links long and written by two
     processes: base + two deltas, then a crash, a ``DISK_SNAPSHOT``

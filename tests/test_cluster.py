@@ -9,6 +9,7 @@ from repro.cluster.dashboard import Dashboard, render_dashboard
 from repro.cluster.rollover import RolloverCoordinator
 from repro.query.query import Aggregation, Query
 from repro.server.aggregator import Aggregator
+from tests.crashpoints import Recorder
 
 
 def make_cluster(shm_namespace, tmp_path, clock, n_machines=3, leaves=2, seed=11):
@@ -188,7 +189,7 @@ class TestDashboard:
 
 class TestRolloverStragglers:
     def test_failed_shm_copy_falls_back_and_rollover_completes(
-        self, shm_namespace, tmp_path, clock
+        self, shm_namespace, tmp_path, clock, monkeypatch
     ):
         """One leaf's copy dies mid-shutdown (the watchdog-kill case):
         the coordinator counts a straggler, the leaf recovers from disk,
@@ -198,16 +199,16 @@ class TestRolloverStragglers:
         cluster.sync_all()
         victim = next(leaf for leaf in cluster.leaves if leaf.leafmap.row_count)
 
-        original_fault = victim.engine._fault
-        def explode(point):
-            if point == "backup:before_valid":
-                raise RuntimeError("copy overran the deadline")
-        victim.engine._fault = explode
+        # The victim's copy is done, its valid bit never goes up.
+        Recorder(monkeypatch).fail(
+            kind="set_valid",
+            target=f"-leaf-{victim.leaf_id}-meta=True",
+            exc=RuntimeError("copy overran the deadline"),
+        )
 
         result = RolloverCoordinator(
             cluster, new_version="v2", batch_fraction=0.5, use_shm=True
         ).run()
-        victim.engine._fault = original_fault
         assert result.stragglers == 1
         assert all(leaf.version == "v2" for leaf in cluster.leaves)
         assert cluster.query(COUNT).rows[0].values["count(*)"] == 600

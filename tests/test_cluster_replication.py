@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import Cluster
 from repro.cluster.replication import (
     FRAME_BLOCK,
+    FRAME_GET,
+    FRAME_HELLO,
     ReplicaBlockServer,
     ReplicaFetchSession,
     recv_frame,
@@ -47,6 +49,7 @@ from repro.util.checksum import rows_digest
 from repro.util.clock import ManualClock
 from repro.util.memtrack import MemoryTracker
 from repro.workloads import service_requests
+from tests.crashpoints import Recorder
 
 # Rows exercising every codec: dictionary (strings), float, int, list.
 row_strategy = st.fixed_dictionaries(
@@ -179,12 +182,18 @@ def make_engine(shm_namespace, backup, server, clock, tracker, streams=2):
     return engine
 
 
-FAULT_POINTS = (
-    "replica:handshake",
-    "replica:stream",
-    "replica:block",
-    "replica:adopt",
-)
+#: Wire windows, by the side effect a raise replaces: the HELLO, the
+#: first GET, a BLOCK frame between its header and its payload (the
+#: third payload: two catalogs come first, one per stream), and the
+#: first block adopted after the first table ("events") is home.
+WIRE_WINDOWS = {
+    "replica:handshake": lambda source: dict(kind="send", target=str(FRAME_HELLO)),
+    "replica:stream": lambda source: dict(kind="send", target=str(FRAME_GET)),
+    "replica:block": lambda source: dict(kind="recv", target="payload", nth=3),
+    "replica:adopt": lambda source: dict(
+        kind="allocate", target="heap", nth=source.get_table("events").block_count + 1
+    ),
+}
 
 
 class TestReplicaFaultSweep:
@@ -204,27 +213,21 @@ class TestReplicaFaultSweep:
         assert tracker.in_region("shm") == 0
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
 
-    @pytest.mark.parametrize("point", FAULT_POINTS)
+    @pytest.mark.parametrize("point", list(WIRE_WINDOWS))
     def test_fault_lands_on_snapshot_rung_at_baseline(
-        self, point, shm_namespace, tmp_path, clock
+        self, point, shm_namespace, tmp_path, clock, monkeypatch
     ):
         source, backup, server = synced_state(tmp_path, clock)
         tracker = MemoryTracker()
-        fired = []
-
-        def explode(p: str) -> None:
-            if p == point and not fired:
-                fired.append(p)
-                raise CorruptionError(f"injected {point} fault")
-
+        recorder = Recorder(monkeypatch)
+        recorder.fail(**WIRE_WINDOWS[point](source))
         try:
             engine = make_engine(shm_namespace, backup, server, clock, tracker)
-            engine._fault = explode
             restored = LeafMap(clock=clock, rows_per_block=32)
             report = engine.restore(restored)
         finally:
             server.close()
-        assert fired, "the injected fault never fired"
+        assert recorder.fired, "the injected fault never fired"
         assert report.fell_back_from_replica
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
         assert report.failure_reason and "injected" in report.failure_reason
@@ -234,29 +237,23 @@ class TestReplicaFaultSweep:
         assert tracker.in_region("shm") == 0
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
 
-    @pytest.mark.parametrize("point", FAULT_POINTS)
+    @pytest.mark.parametrize("point", list(WIRE_WINDOWS))
     def test_fault_with_torn_snapshot_lands_on_legacy(
-        self, point, shm_namespace, tmp_path, clock
+        self, point, shm_namespace, tmp_path, clock, monkeypatch
     ):
         source, backup, server = synced_state(tmp_path, clock)
         victim = backup.snapshot_path("events")
         victim.write_bytes(victim.read_bytes()[:64])
         tracker = MemoryTracker()
-        fired = []
-
-        def explode(p: str) -> None:
-            if p == point and not fired:
-                fired.append(p)
-                raise CorruptionError(f"injected {point} fault")
-
+        recorder = Recorder(monkeypatch)
+        recorder.fail(**WIRE_WINDOWS[point](source))
         try:
             engine = make_engine(shm_namespace, backup, server, clock, tracker)
-            engine._fault = explode
             restored = LeafMap(clock=clock, rows_per_block=32)
             report = engine.restore(restored)
         finally:
             server.close()
-        assert fired
+        assert recorder.fired
         assert report.fell_back_from_replica
         assert report.fell_back_to_legacy
         assert report.method is RecoveryMethod.DISK
@@ -266,7 +263,7 @@ class TestReplicaFaultSweep:
 
     @pytest.mark.parametrize("serving", [False, True])
     def test_shm_fault_lands_on_replica_rung(
-        self, serving, shm_namespace, tmp_path, clock
+        self, serving, shm_namespace, tmp_path, clock, monkeypatch
     ):
         """Figure 5(b)'s middle rung: a fault mid-copy out of shared memory
         walks to the live standby before any disk rung, blocking
@@ -274,17 +271,12 @@ class TestReplicaFaultSweep:
         REPLICA_RECOVERY)."""
         source, backup, server = synced_state(tmp_path, clock)
         tracker = MemoryTracker()
-        fired = []
-
-        def explode(p: str) -> None:
-            if p == "restore:fault_block" and not fired:
-                fired.append(p)
-                raise CorruptionError("injected shm fault")
-
         try:
             engine = make_engine(shm_namespace, backup, server, clock, tracker)
             engine.backup_to_shm(populated(clock))
-            engine._fault = explode
+            # The first block out of shared memory dies before it is charged.
+            recorder = Recorder(monkeypatch)
+            recorder.fail(kind="allocate", target="heap")
             restored = LeafMap(clock=clock, rows_per_block=32)
             if serving:
                 handle = engine.begin_lazy_restore(restored)
@@ -294,7 +286,7 @@ class TestReplicaFaultSweep:
                 report = engine.restore(restored)
         finally:
             server.close()
-        assert fired
+        assert recorder.fired
         assert report.fell_back_to_disk and not report.fell_back_from_replica
         assert report.method is RecoveryMethod.REPLICA
         first = "memory_serving" if serving else "memory_recovery"
@@ -303,30 +295,24 @@ class TestReplicaFaultSweep:
         assert tracker.in_region("shm") == 0
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
 
-    def test_post_adopt_fault_preserves_attempt_counters(
-        self, shm_namespace, tmp_path, clock
+    def test_late_fault_keeps_the_attempt_counters(
+        self, shm_namespace, tmp_path, clock, monkeypatch
     ):
         """A fault after the first table adopted must surface how far the
         wire attempt got before the rungs below discarded it."""
         source, backup, server = synced_state(tmp_path, clock)
         tracker = MemoryTracker()
-        fired = []
-
-        def explode(p: str) -> None:
-            if p == "replica:adopt" and not fired:
-                fired.append(p)
-                raise CorruptionError("injected post-adopt fault")
-
+        Recorder(monkeypatch).fail(**WIRE_WINDOWS["replica:adopt"](source))
         try:
             engine = make_engine(shm_namespace, backup, server, clock, tracker)
-            engine._fault = explode
             restored = LeafMap(clock=clock, rows_per_block=32)
             report = engine.restore(restored)
         finally:
             server.close()
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
         attempt = report.attempt(RecoveryMethod.REPLICA)
-        assert attempt.blocks > 0
+        assert attempt.tables == 1
+        assert attempt.blocks == source.get_table("events").block_count
         assert attempt.bytes > 0
         assert restored.snapshot_rows() == source.snapshot_rows()
 
@@ -334,21 +320,18 @@ class TestReplicaFaultSweep:
         "point, entered", [("replica:handshake", False), ("replica:stream", True)]
     )
     def test_only_a_fall_from_inside_the_rung_is_a_fall_to_disk(
-        self, point, entered, shm_namespace, tmp_path, clock
+        self, point, entered, shm_namespace, tmp_path, clock, monkeypatch
     ):
         """``fell_back_to_disk`` says a rung the leaf had entered fell: a
         handshake that fell never entered REPLICA_RECOVERY, so it sets
         ``fell_back_from_replica`` alone; a stream fault out of the
         published wire driver sets both."""
         source, backup, server = synced_state(tmp_path, clock)
-
-        def explode(p: str) -> None:
-            if p == point:
-                raise CorruptionError(f"injected {point} fault")
-
+        Recorder(monkeypatch).fail(
+            **WIRE_WINDOWS[point](source), exc=CorruptionError(f"injected {point} fault")
+        )
         try:
             engine = make_engine(shm_namespace, backup, server, clock, MemoryTracker())
-            engine._fault = explode
             report = engine.restore(LeafMap(clock=clock, rows_per_block=32))
         finally:
             server.close()
@@ -406,12 +389,10 @@ class TestReplicaFaultSweep:
         primary.sync_to_disk()
         baseline = rows_digest(primary.leafmap.snapshot_rows())
 
-        def explode(point: str) -> None:
-            if point == "replica:handshake":
-                raise ReplicaWireError("injected handshake fault")
+        def dead_standby():
+            raise ReplicaWireError("injected handshake fault")
 
-        primary.engine.replica_source = lambda: None
-        primary.engine._fault = explode
+        primary.engine.replica_source = dead_standby
         primary.crash()
         primary.start(serve_while_restoring=True, sweep=False)
         primary.wait_restored()

@@ -1,10 +1,12 @@
 """Tests for the restart engine: Figures 6 and 7, the valid-bit
 protocol, fallback, growth, deadline kills, and the footprint bound."""
 
+import os
+
 import pytest
 
 from repro.columnstore.leafmap import LeafMap
-from repro.core.engine import FAULT_POINTS, RecoveryMethod, RestartEngine
+from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.core.watchdog import CooperativeDeadline
 from repro.errors import RecoveryError, ShutdownTimeout
 from repro.shm.layout import SHM_LAYOUT_VERSION
@@ -12,6 +14,7 @@ from repro.shm.metadata import LeafMetadata
 from repro.util.memtrack import MemoryTracker
 
 from tests.conftest import make_leafmap
+from tests.crashpoints import InjectedFault, Recorder, in_child
 
 
 def engine_for(namespace, backup, clock, **kwargs):
@@ -199,140 +202,128 @@ class TestDiskFallback:
         assert restored.snapshot_rows() == snapshot
 
 
+def boot_after_backup_crash(namespace, backup, clock, tracker, snapshot):
+    """The next boot after a shutdown that raised: never shared memory,
+    the synced rows back, and the shm region given back in full — the
+    raising process's tracker is the machine's, and keeps only its heap
+    until it dies."""
+    restored = fresh_map(clock)
+    report = engine_for(namespace, backup, clock, tracker=tracker).restore(restored)
+    assert report.method is not RecoveryMethod.SHARED_MEMORY
+    assert restored.snapshot_rows() == snapshot
+    assert tracker.in_region("shm") == 0
+    assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
+    return report
+
+
 class TestFaultInjection:
-    @pytest.mark.parametrize(
-        "point", [p for p in FAULT_POINTS if p.startswith("backup")]
-    )
+    #: A raise in the shutdown, by the side effect it replaces, and the
+    #: rung the next boot lands on.
+    BACKUP_POINTS = {
+        # Before anything: only the pre-crash sync, taken with a live
+        # buffer (no snapshot), is on disk.
+        "backup:start": (dict(at=0), RecoveryMethod.DISK),
+        # Mid-copy: the table's PREPARE sync left a fresh snapshot, and
+        # its segment already holds bytes.
+        "backup:table": (dict(kind="allocate", target="shm"), RecoveryMethod.DISK_SNAPSHOT),
+        "backup:before_valid": (
+            dict(kind="set_valid", target="=True"),
+            RecoveryMethod.DISK_SNAPSHOT,
+        ),
+    }
+
+    @pytest.mark.parametrize("point", list(BACKUP_POINTS))
     def test_crash_during_backup_routes_next_boot_to_disk(
-        self, dirty_shm_namespace, backup, clock, point
+        self, shm_namespace, backup, clock, monkeypatch, point
     ):
-        namespace = dirty_shm_namespace
+        effect, landing = self.BACKUP_POINTS[point]
         leafmap = make_leafmap(clock)
         backup.sync_leafmap(leafmap)
         snapshot = leafmap.snapshot_rows()
-
-        def hook(name):
-            if name == point:
-                raise RuntimeError(f"crash at {name}")
-
-        engine = RestartEngine(
-            "0", namespace=namespace, backup=backup, clock=clock, fault_hook=hook
-        )
-        with pytest.raises(RuntimeError):
-            engine.backup_to_shm(leafmap)
+        tracker = MemoryTracker()
+        engine = engine_for(shm_namespace, backup, clock, tracker=tracker)
+        with monkeypatch.context() as patch:
+            Recorder(patch, namespace=shm_namespace).fail(**effect)
+            with pytest.raises(InjectedFault):
+                engine.backup_to_shm(leafmap)
         assert not engine.shm_state_valid()
-        restored = fresh_map(clock)
-        report = RestartEngine(
-            "0", namespace=namespace, backup=backup, clock=clock
-        ).restore(restored)
-        # Never shared memory after a backup crash.  Which disk rung runs
-        # depends on how far the backup got: a crash before any PREPARE
-        # leaves the pre-crash sync (taken with a live buffer, so no
-        # snapshot); a crash after PREPARE left a fresh snapshot behind.
-        expected = {
-            "backup:start": RecoveryMethod.DISK,
-            "backup:table": RecoveryMethod.DISK_SNAPSHOT,
-            "backup:before_valid": RecoveryMethod.DISK_SNAPSHOT,
-        }
-        assert report.method is expected[point]
-        assert restored.snapshot_rows() == snapshot
+        engine.forget_heap()  # the process dies with its heap
+        report = boot_after_backup_crash(shm_namespace, backup, clock, tracker, snapshot)
+        assert report.method is landing
 
     def test_crash_at_restore_entry_leaves_shm_valid(
-        self, dirty_shm_namespace, backup, clock
+        self, shm_namespace, backup, clock, monkeypatch
     ):
-        """A death before the restore touches the metadata (e.g. the new
+        """A death before the restore's first side effect (e.g. the new
         binary failing to boot) leaves the valid bit set, so the boot
         after that still recovers from shared memory."""
-        namespace = dirty_shm_namespace
         leafmap = make_leafmap(clock)
         leafmap.seal_all()
         snapshot = leafmap.snapshot_rows()
-        RestartEngine("0", namespace=namespace, backup=backup, clock=clock).backup_to_shm(
-            leafmap
-        )
-
-        def hook(name):
-            if name == "restore:start":
-                raise RuntimeError("died before touching shared memory")
-
-        with pytest.raises(RuntimeError):
-            RestartEngine(
-                "0", namespace=namespace, backup=backup, clock=clock, fault_hook=hook
-            ).restore(fresh_map(clock))
-        follow_up = RestartEngine("0", namespace=namespace, backup=backup, clock=clock)
+        engine_for(shm_namespace, backup, clock).backup_to_shm(leafmap)
+        with monkeypatch.context() as patch:
+            recorder = Recorder(patch)
+            recorder.before(lambda effect: os._exit(0), at=0)
+            assert in_child(lambda: engine_for(shm_namespace, backup, clock).restore(fresh_map(clock))) == 0
+        follow_up = engine_for(shm_namespace, backup, clock)
         assert follow_up.shm_state_valid()
         restored = fresh_map(clock)
         assert follow_up.restore(restored).method is RecoveryMethod.SHARED_MEMORY
         assert restored.snapshot_rows() == snapshot
 
-    @pytest.mark.parametrize(
-        "point",
-        [
-            p
-            for p in FAULT_POINTS
-            # restore:start fires before shm is touched; restore:snapshot_table
-            # only fires on the disk ladder (covered in test_core_engine_tiers);
-            # the publish/fault_block points only fire on the lazy path
-            # (covered in test_server_serve_while_restoring).
-            if p.startswith("restore")
-            and p not in (
-                "restore:start",
-                "restore:snapshot_table",
-                "restore:publish_directory",
-                "restore:fault_block",
-            )
-        ],
-    )
+    RESTORE_POINTS = {
+        "restore:after_invalidate": dict(at=1),
+        "restore:in_window": dict(kind="allocate", target="heap"),
+        "restore:table": dict(kind="unlink", target="-t0"),
+        "restore:before_finish": dict(kind="unlink", target="-meta"),
+    }
+
+    @pytest.mark.parametrize("point", list(RESTORE_POINTS))
     def test_crash_during_restore_falls_back_to_disk(
-        self, dirty_shm_namespace, backup, clock, point
+        self, shm_namespace, backup, clock, monkeypatch, point
     ):
-        namespace = dirty_shm_namespace
+        """Any raise after the valid bit went down lands on disk, in this
+        process: the invalidate, the first block's charge, the table's
+        segment leaving, the metadata leaving."""
         leafmap = make_leafmap(clock)
         leafmap.seal_all()
         backup.sync_leafmap(leafmap)
         snapshot = leafmap.snapshot_rows()
-        RestartEngine("0", namespace=namespace, backup=backup, clock=clock).backup_to_shm(
-            leafmap
-        )
-
-        def hook(name):
-            if name == point:
-                raise RuntimeError(f"crash at {name}")
-
+        engine_for(shm_namespace, backup, clock).backup_to_shm(leafmap)
         restored = fresh_map(clock)
-        report = RestartEngine(
-            "0", namespace=namespace, backup=backup, clock=clock, fault_hook=hook
-        ).restore(restored)
+        with monkeypatch.context() as patch:
+            recorder = Recorder(patch)
+            recorder.fail(**self.RESTORE_POINTS[point])
+            report = engine_for(shm_namespace, backup, clock).restore(restored)
+        assert recorder.fired is not None
         # The sync point left a fresh snapshot, so the fallback lands on
         # the fast disk tier — with the same recovered rows.
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
         assert report.fell_back_to_disk
         assert restored.snapshot_rows() == snapshot
-        assert not RestartEngine("0", namespace=namespace).shm_state_exists()
+        assert not RestartEngine("0", namespace=shm_namespace).shm_state_exists()
 
     def test_interrupted_restore_leaves_valid_false(
-        self, dirty_shm_namespace, backup, clock
+        self, shm_namespace, backup, clock, monkeypatch
     ):
         """Figure 7: 'If this code path is interrupted, the valid bit
         will be false on the next restart.'  We verify the bit is
-        cleared *before* any table copy happens."""
-        namespace = dirty_shm_namespace
+        cleared *before* any other side effect of the restore."""
         leafmap = make_leafmap(clock)
         backup.sync_leafmap(leafmap)
-        RestartEngine("0", namespace=namespace, backup=backup, clock=clock).backup_to_shm(
-            leafmap
-        )
+        engine_for(shm_namespace, backup, clock).backup_to_shm(leafmap)
         observed = {}
 
-        def hook(name):
-            if name == "restore:after_invalidate":
-                meta = LeafMetadata.attach(namespace, "0")
-                observed["valid"] = meta.valid
-                meta.close()
+        def look(effect):
+            meta = LeafMetadata.attach(shm_namespace, "0")
+            observed["valid"] = meta.valid
+            meta.close()
 
-        RestartEngine(
-            "0", namespace=namespace, backup=backup, clock=clock, fault_hook=hook
-        ).restore(fresh_map(clock))
+        with monkeypatch.context() as patch:
+            recorder = Recorder(patch)
+            recorder.before(look, at=1)
+            engine_for(shm_namespace, backup, clock).restore(fresh_map(clock))
+        assert recorder.effects[0].kind == "set_valid"
         assert observed["valid"] is False
 
 
@@ -370,24 +361,34 @@ class TestSegmentGrowth:
 
 
 class TestDeadline:
-    def test_deadline_kill_falls_back_to_disk(self, dirty_shm_namespace, backup, clock):
-        namespace = dirty_shm_namespace
+    def test_deadline_kill_falls_back_to_disk(self, shm_namespace, backup, clock):
+        """The watchdog's ShutdownTimeout lands mid-copy, on the fifth
+        check: the segment it was filling is already named in the
+        metadata, so the next boot's discard takes it and its charge."""
         leafmap = make_leafmap(clock, rows=200)
         backup.sync_leafmap(leafmap)
         snapshot = leafmap.snapshot_rows()
-        deadline = CooperativeDeadline(timeout=0.001, clock=clock)
-        clock.advance(1.0)  # already expired when copies begin
-        engine = RestartEngine("0", namespace=namespace, backup=backup, clock=clock)
+        deadline = CooperativeDeadline(timeout=1.0, clock=clock)
+        checks = []
+        real_check = deadline.check
+
+        def check():
+            checks.append(1)
+            if len(checks) == 5:
+                clock.advance(2.0)
+            real_check()
+
+        deadline.check = check
+        tracker = MemoryTracker()
+        engine = engine_for(shm_namespace, backup, clock, tracker=tracker)
         with pytest.raises(ShutdownTimeout):
             engine.backup_to_shm(leafmap, deadline=deadline)
+        assert len(checks) == 5
         assert not engine.shm_state_valid()
-        restored = fresh_map(clock)
-        report = RestartEngine(
-            "0", namespace=namespace, backup=backup, clock=clock
-        ).restore(restored)
+        engine.forget_heap()
+        report = boot_after_backup_crash(shm_namespace, backup, clock, tracker, snapshot)
         # 200 rows seal evenly, so the pre-kill sync wrote a snapshot.
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
-        assert restored.snapshot_rows() == snapshot
 
     def test_generous_deadline_passes(self, shm_namespace, backup, clock):
         leafmap = make_leafmap(clock)

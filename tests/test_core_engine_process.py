@@ -10,6 +10,9 @@ import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 
@@ -94,6 +97,7 @@ class TestCrossProcessRestart:
         namespace = shm_namespace
         backup_dir = tmp_path / "backup"
         dying_process = f"""
+            import os
             import sys
             from repro import DiskBackup, LeafServer, ManualClock
 
@@ -107,12 +111,13 @@ class TestCrossProcessRestart:
             leaf.start()
             leaf.add_rows("events", [{{"time": i}} for i in range(300)])
             leaf.sync_to_disk()
-            # Simulate the kill: run the copy but die before the commit.
-            def die(point):
-                if point == "backup:before_valid":
-                    import os
-                    os._exit(9)
-            leaf.engine._fault = die
+            # The kill: the copy runs, the process dies before the commit.
+            sys.path.insert(0, {str(REPO_ROOT)!r})
+            from _pytest.monkeypatch import MonkeyPatch
+            from tests.crashpoints import Recorder
+
+            recorder = Recorder(MonkeyPatch())
+            recorder.before(lambda effect: os._exit(9), kind="set_valid", target="=True")
             leaf.shutdown(use_shm=True)
         """
         result = subprocess.run(

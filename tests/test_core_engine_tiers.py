@@ -22,6 +22,7 @@ from repro.shm.layout import SHM_LAYOUT_VERSION
 from repro.shm.metadata import LeafMetadata
 from repro.util.memtrack import MemoryTracker
 from tests.conftest import make_leafmap, restart_spanning_chain
+from tests.crashpoints import Recorder
 
 
 def synced_backup(tmp_path, clock, tables=("events",)):
@@ -178,20 +179,23 @@ class TestFallbackAccounting:
 
     Heap bytes of whatever a failed tier installed must be freed, shared
     memory must be fully consumed, and the final heap charge must equal
-    exactly the bytes of the recovered tables — for every restore-side
-    fault point.  (``restore:start`` fires before any state change and
-    propagates; it is covered in test_core_engine.)
+    exactly the bytes of the recovered tables.  (tests/test_crashpoints.py
+    raises at every side effect of each rung; these are the windows
+    with a story.)
     """
 
-    SHM_POINTS = (
-        "restore:after_invalidate",
-        "restore:table",
-        "restore:before_finish",
-    )
+    #: Raises in the shm restore, by the side effect they replace: the
+    #: one after the invalidate, the first table's segment leaving, the
+    #: metadata leaving.
+    SHM_POINTS = {
+        "restore:after_invalidate": dict(at=1),
+        "restore:table": dict(kind="unlink", target="-t0"),
+        "restore:before_finish": dict(kind="unlink", target="-meta"),
+    }
 
-    @pytest.mark.parametrize("point", SHM_POINTS)
+    @pytest.mark.parametrize("point", list(SHM_POINTS))
     def test_shm_fault_lands_on_snapshot_tier_at_baseline(
-        self, point, shm_namespace, tmp_path, clock
+        self, point, shm_namespace, tmp_path, clock, monkeypatch
     ):
         backup = DiskBackup(tmp_path / "backup")
         leafmap = make_leafmap(clock, tables=("events", "metrics"))
@@ -208,17 +212,11 @@ class TestFallbackAccounting:
         engine.backup_to_shm(leafmap)  # PREPARE syncs -> snapshots fresh
         assert tracker.in_region("heap") == 0
 
-        fired = []
-
-        def explode(p: str) -> None:
-            if p == point and not fired:
-                fired.append(p)
-                raise CorruptionError("injected restore fault")
-
-        engine._fault = explode
+        recorder = Recorder(monkeypatch)
+        recorder.fail(**self.SHM_POINTS[point])
         restored = LeafMap(clock=clock, rows_per_block=50)
         report = engine.restore(restored)
-        assert fired, "the injected fault never fired"
+        assert recorder.fired, "the injected fault never fired"
         assert report.fell_back_to_disk
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
         assert restored.snapshot_rows() == snapshot
@@ -229,21 +227,17 @@ class TestFallbackAccounting:
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
 
     def test_snapshot_fault_lands_on_legacy_at_baseline(
-        self, shm_namespace, tmp_path, clock
+        self, shm_namespace, tmp_path, clock, monkeypatch
     ):
-        """A fault *inside* the snapshot tier (after its first table) must
-        free that table's heap bytes before legacy replay recharges them."""
+        """A fault *inside* the snapshot tier (charging its second table)
+        must free the first table's heap bytes, and not the second's,
+        before legacy replay recharges them."""
         backup, snapshot = synced_backup(
             tmp_path, clock, tables=("events", "metrics")
         )
         tracker = MemoryTracker()
-        fired = []
-
-        def explode(p: str) -> None:
-            if p == "restore:snapshot_table" and not fired:
-                fired.append(p)
-                raise CorruptionError("injected snapshot-tier fault")
-
+        recorder = Recorder(monkeypatch)
+        recorder.fail(kind="allocate", target="heap", nth=2)
         restored = LeafMap(clock=clock, rows_per_block=50)
         report = RestartEngine(
             "7",
@@ -251,9 +245,8 @@ class TestFallbackAccounting:
             backup=backup,
             tracker=tracker,
             clock=clock,
-            fault_hook=explode,
         ).restore(restored)
-        assert fired
+        assert recorder.fired
         assert report.method is RecoveryMethod.DISK
         assert report.fell_back_to_legacy
         assert restored.snapshot_rows() == snapshot
@@ -283,13 +276,10 @@ class TestFallbackAccounting:
             classmethod(lambda cls, buf, copy=True: (unpacked.append(1), real(cls, buf, copy))[1]),
         )
         tracker = MemoryTracker()
-        fired = []
-
-        def explode(p: str) -> None:
-            if p == fault and not fired:
-                fired.append(p)
-                raise CorruptionError("injected snapshot-tier fault")
-
+        recorder = Recorder(monkeypatch)
+        if fault is not None:
+            # The second table's charge: the first is home.
+            recorder.fail(kind="allocate", target="heap", nth=2)
         restored = LeafMap(clock=clock, rows_per_block=50)
         report = RestartEngine(
             "7",
@@ -297,14 +287,13 @@ class TestFallbackAccounting:
             backup=DiskBackup(backup.directory),
             tracker=tracker,
             clock=clock,
-            fault_hook=explode,
         ).restore(restored)
         if fault is None:
             assert report.method is RecoveryMethod.DISK_SNAPSHOT
             # 13 blocks per table sit in the chain files, 2 of them dead.
             assert len(unpacked) == sum(t.block_count for t in restored) == 22
         else:
-            assert fired
+            assert recorder.fired
             assert report.method is RecoveryMethod.DISK
             assert report.fell_back_to_legacy
         assert restored.snapshot_rows() == snapshot
@@ -312,7 +301,7 @@ class TestFallbackAccounting:
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
 
     def test_partial_attempt_counters_survive_fallback(
-        self, shm_namespace, tmp_path, clock
+        self, shm_namespace, tmp_path, clock, monkeypatch
     ):
         """A failed memory attempt's partial progress and its failure
         reason must stay on the final report — the disk rungs restart
@@ -325,20 +314,15 @@ class TestFallbackAccounting:
         )
         engine.backup_to_shm(leafmap)
 
-        fired = []
-
-        def explode(p: str) -> None:
-            if p == "restore:table" and not fired:
-                fired.append(p)
-                raise CorruptionError("wedged segment")
-
-        engine._fault = explode
+        # The fourth block's charge: the first table (three blocks) is
+        # home, so the attempt got exactly one table in before dying.
+        Recorder(monkeypatch).fail(
+            kind="allocate", target="heap", nth=4, exc=CorruptionError("wedged segment")
+        )
         restored = LeafMap(clock=clock, rows_per_block=50)
         report = engine.restore(restored)
         assert report.fell_back_to_disk
         assert report.failure_reason == "CorruptionError: wedged segment"
-        # restore:table fires after the first table completed, so the
-        # attempt got exactly one table in before dying.
         attempt = report.attempt(RecoveryMethod.SHARED_MEMORY)
         assert attempt.tables == 1
         assert attempt.blocks == 3
@@ -350,7 +334,7 @@ class TestFallbackAccounting:
         assert report.rows == 240
 
     def test_double_fallback_shm_then_torn_snapshot_to_legacy(
-        self, shm_namespace, tmp_path, clock
+        self, shm_namespace, tmp_path, clock, monkeypatch
     ):
         """The full ladder in one restart: memory recovery dies mid-copy,
         the snapshot tier finds a torn file, legacy replay wins — and the
@@ -371,14 +355,7 @@ class TestFallbackAccounting:
         path = backup.snapshot_path("events")
         path.write_bytes(path.read_bytes()[:50])
 
-        fired = []
-
-        def explode(p: str) -> None:
-            if p == "restore:table" and not fired:
-                fired.append(p)
-                raise CorruptionError("injected mid-copy fault")
-
-        engine._fault = explode
+        Recorder(monkeypatch).fail(kind="unlink", target="-t0")
         restored = LeafMap(clock=clock, rows_per_block=50)
         report = engine.restore(restored)
         assert report.method is RecoveryMethod.DISK

@@ -22,8 +22,8 @@ import pytest
 from repro.cluster.replication import ReplicaBlockServer, snapshot_leafmap
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.leafmap import LeafMap
-from repro.core.engine import FAULT_POINTS, RecoveryMethod, RestartEngine
-from repro.core.states import LeafRestoreMachine, LeafRestoreState
+from repro.core.engine import RecoveryMethod, RestartEngine
+from repro.core.lazyrestore import RestoreDriver
 from repro.util.budget import FootprintBudget
 from repro.errors import CorruptionError, RecoveryError
 from repro.query.execute import execute_on_leaf
@@ -34,6 +34,7 @@ from repro.shm.segment import ShmSegment
 from repro.util.memtrack import MemoryTracker
 
 from tests.conftest import SHM_DIR, make_leafmap
+from tests.crashpoints import Recorder
 from tests.test_cluster_replication import make_engine
 
 
@@ -90,8 +91,6 @@ class Rig:
             if shm
             else ["init", "replica_recovery", "alive"]
         )
-        #: The fault point inside one block's fault-in.
-        self.block_fault = "restore:fault_block" if shm else "replica:block"
 
     def seed(self, leafmap=None, tables=("events",), rows=120, tracker=None):
         """Populate the source; returns the rows a restore must yield."""
@@ -107,7 +106,7 @@ class Rig:
             self.server = ReplicaBlockServer(lambda: snapshot_leafmap(leafmap))
         return snapshot
 
-    def engine(self, tracker=None, budget=None, fault_hook=None):
+    def engine(self, tracker=None, budget=None):
         if self.source == "shm":
             return engine_for(
                 self.namespace,
@@ -115,7 +114,6 @@ class Rig:
                 self.clock,
                 tracker=tracker,
                 budget=budget,
-                fault_hook=fault_hook,
             )
         engine = make_engine(
             self.namespace, self.backup, self.server, self.clock, tracker
@@ -128,8 +126,6 @@ class Rig:
 
         engine.replica_source = recording_source
         engine.budget = budget
-        if fault_hook is not None:
-            engine._fault = fault_hook
         return engine
 
     def close(self):
@@ -359,16 +355,24 @@ class TestAccounting:
             assert 0 < budget.peak_in_flight < handle.progress().bytes_total
 
 
+def fail_block(monkeypatch, nth=1):
+    """The ``nth`` block adopted from now on dies before it is charged,
+    on either source: the fault-in every query, sweep and drain does."""
+    recorder = Recorder(monkeypatch)
+    recorder.fail(kind="allocate", target="heap", nth=nth, exc=CorruptionError("injected block fault"))
+    return recorder
+
+
 class TestFallback:
-    def test_fault_at_publish_runs_the_ladder_inside_begin(self, rig, clock):
+    def test_fault_at_publish_runs_the_ladder_inside_begin(self, rig, clock, monkeypatch):
         snapshot = rig.seed()
         tracker = MemoryTracker()
 
-        def explode(point):
-            if point == "restore:publish_directory":
-                raise CorruptionError("injected publish fault")
+        def explode(*args):
+            raise CorruptionError("injected publish fault")
 
-        engine = rig.engine(tracker=tracker, fault_hook=explode)
+        monkeypatch.setattr(RestoreDriver, "_add_table", explode)
+        engine = rig.engine(tracker=tracker)
         restored = fresh_map(clock)
         handle = engine.begin_lazy_restore(restored)
         assert handle.done
@@ -382,22 +386,14 @@ class TestFallback:
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
         assert not engine.shm_state_exists()
 
-    def test_fault_mid_fault_in_routes_down_the_ladder(self, rig, clock):
+    def test_fault_mid_fault_in_routes_down_the_ladder(self, rig, clock, monkeypatch):
         snapshot = rig.seed()
         tracker = MemoryTracker()
-        fired = []
-
-        def explode(point):
-            if point == rig.block_fault and len(fired) == 1:
-                fired.append(point)
-                raise CorruptionError("injected block fault")
-            if point == rig.block_fault:
-                fired.append(point)
-
-        engine = rig.engine(tracker=tracker, fault_hook=explode)
+        engine = rig.engine(tracker=tracker)
         restored = fresh_map(clock)
         handle = engine.begin_lazy_restore(restored)
-        # One block faults in cleanly, the second one dies mid-decode.
+        fail_block(monkeypatch, nth=2)
+        # One block faults in cleanly, the second one dies mid-adopt.
         assert handle.fault_in_query("events", 1000, 1050) == 1
         handle.fault_in_query("events", None, None)
         assert handle.done
@@ -421,15 +417,11 @@ class TestFallback:
         assert tracker.in_region("shm") == 0
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
 
-    def test_serving_window_adds_survive_the_fallback(self, rig, clock):
+    def test_serving_window_adds_survive_the_fallback(self, rig, clock, monkeypatch):
         rig.seed()
-
-        def explode(point):
-            if point == rig.block_fault:
-                raise CorruptionError("injected block fault")
-
         restored = fresh_map(clock)
-        handle = rig.engine(fault_hook=explode).begin_lazy_restore(restored)
+        handle = rig.engine().begin_lazy_restore(restored)
+        fail_block(monkeypatch)
         assert not handle.done
         # Rows that arrive while the leaf is serving must not be lost
         # when the restore falls back to replaying the backup.
@@ -446,18 +438,14 @@ class TestFallback:
         times = [row["time"] for row in rows]
         assert times == sorted(times)
 
-    def test_ladder_failure_surfaces_and_marks_the_handle(self, rig, clock):
+    def test_ladder_failure_surfaces_and_marks_the_handle(self, rig, clock, monkeypatch):
         # No backup configured: when the lazy restore faults, the disk
         # ladder has nowhere to go and the error must surface.
         rig.backup = None
         rig.seed()
-
-        def explode(point):
-            if point == rig.block_fault:
-                raise CorruptionError("injected block fault")
-
         restored = fresh_map(clock)
-        handle = rig.engine(fault_hook=explode).begin_lazy_restore(restored)
+        handle = rig.engine().begin_lazy_restore(restored)
+        fail_block(monkeypatch)
         with pytest.raises(RecoveryError):
             handle.fault_in_query("events", None, None)
         assert handle.done
@@ -614,30 +602,6 @@ def run_entry(entry, engine, leafmap, **kwargs):
     return handle.report
 
 
-#: Which restore-side fault points a clean restore on each source passes
-#: through (docs/ARCHITECTURE.md section 11 has the same table).  They
-#: are the same for both entries: blocking is serving plus ``drain()``.
-FIRES = {
-    "shm": {
-        "restore:start",
-        "restore:after_invalidate",
-        "restore:publish_directory",
-        "restore:in_window",
-        "restore:fault_block",
-        "restore:table",
-        "restore:before_finish",
-    },
-    "replica": {
-        "restore:start",
-        "replica:handshake",
-        "restore:publish_directory",
-        "replica:stream",
-        "replica:block",
-        "replica:adopt",
-    },
-}
-
-
 @pytest.mark.parametrize("entry", ENTRIES)
 class TestBlockingIsServingPlusDrain:
     """``restore()`` and ``begin_lazy_restore()`` + ``drain()`` are one
@@ -703,82 +667,15 @@ class TestBlockingIsServingPlusDrain:
             largest = max(block.nbytes for table in restored for block in table.blocks)
             assert resident <= tracker.peak_total <= resident + largest + mmap.PAGESIZE
 
-    @pytest.mark.parametrize(
-        "point", [p for p in FAULT_POINTS if not p.startswith("backup")]
-    )
-    def test_fault_at_every_point_lands_alive_on_the_rung_below(
-        self, entry, point, rig, clock
-    ):
-        snapshot = rig.seed(tables=("events", "metrics"))
-        tracker = MemoryTracker()
-        fired = []
-
-        def explode(name):
-            if name == point and not fired:
-                fired.append(name)
-                raise CorruptionError(f"injected {name} fault")
-
-        engine = rig.engine(tracker=tracker, fault_hook=explode)
-        restored = fresh_map(clock)
-        if point == "restore:start":
-            # Fires before any state change, and propagates.
-            with pytest.raises(CorruptionError):
-                run_entry(entry, engine, restored)
-            assert engine.shm_state_valid() == (rig.source == "shm")
-            engine.discard_shm()
-            return
-        report = run_entry(entry, engine, restored)
-        assert bool(fired) == (point in FIRES[rig.source])
-        assert report.leaf_states[-1] == "alive"
-        assert restored.snapshot_rows() == snapshot
-        assert restored.restorer is None
-        assert tracker.in_region("shm") == 0
-        assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
-        assert not engine.shm_state_exists()
-        if fired:
-            assert report.method is RecoveryMethod.DISK_SNAPSHOT
-            assert report.failure_reason == f"CorruptionError: injected {point} fault"
-            assert report.fell_back_from_replica == (rig.source == "replica")
-        else:
-            assert report.method is rig.method
-            assert report.failure_reason is None
-        self.assert_timeline(report, restored, rig, point if fired else None)
-
-    @staticmethod
-    def assert_timeline(report, restored, rig, point):
-        """The walk as it happened: ordered in time, a legal Figure 5
-        path to ALIVE, one fall from the source's rung when ``point``
-        fired, and every table home once on the rung that won."""
-        times = [event.at for event in report.events]
-        assert times == sorted(times)
-        states = [LeafRestoreState(state) for state in report.leaf_states]
-        assert states[0] is LeafRestoreState.INIT
-        assert states[-1] is LeafRestoreState.ALIVE
-        for source, target in zip(states, states[1:]):
-            LeafRestoreMachine.check(source, target)
-        falls = [event for event in report.events if event.kind == "fall"]
-        if point is None:
-            assert falls == []
-        else:
-            (fall,) = falls
-            assert fall.what == rig.method.value
-            assert fall.reason == f"CorruptionError: injected {point} fault"
-        won = report.events[report.events.index(falls[-1]) + 1 :] if falls else report.events
-        homes = [event.what for event in won if event.kind == "table"]
-        assert sorted(homes) == sorted(restored.table_names)
-
-    def test_second_fall_keeps_the_first_reason(self, entry, rig, clock):
+    def test_second_fall_keeps_the_first_reason(self, entry, rig, clock, monkeypatch):
         snapshot = rig.seed()
-
-        def explode(name):
-            if name in (rig.block_fault, "restore:snapshot_table"):
-                raise CorruptionError(f"injected {name} fault")
-
+        engine = rig.engine()
+        # The first block's charge, then the snapshot rung's first table's.
+        recorder = fail_block(monkeypatch)
+        recorder.fail(kind="allocate", target="heap", exc=CorruptionError("injected snapshot fault"))
         restored = fresh_map(clock)
-        report = run_entry(entry, rig.engine(fault_hook=explode), restored)
+        report = run_entry(entry, engine, restored)
         assert report.method is RecoveryMethod.DISK
         assert report.fell_back_to_legacy
-        assert report.failure_reason == (
-            f"CorruptionError: injected {rig.block_fault} fault"
-        )
+        assert report.failure_reason == "CorruptionError: injected block fault"
         assert restored.snapshot_rows() == snapshot

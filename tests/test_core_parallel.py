@@ -22,11 +22,13 @@ import time
 import pytest
 
 from repro.core.engine import RecoveryMethod
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, ShutdownTimeout
 from repro.server.machine import Machine
 from repro.server.parallel import ParallelRestartCoordinator
 from repro.shm.layout import table_segment_size
 from repro.util.budget import FootprintBudget
+from repro.util.clock import ManualClock
+from tests.crashpoints import Recorder
 
 LEAVES = 8
 
@@ -298,7 +300,7 @@ class TestMachineFootprintBudget:
 
 class TestFailureIsolation:
     def test_midrestore_failure_does_not_poison_siblings(
-        self, shm_namespace, tmp_path, clock
+        self, shm_namespace, tmp_path, clock, monkeypatch
     ):
         """One leaf dies mid-restore (after its first table): it must
         fall back to disk by itself while the other seven restore from
@@ -307,19 +309,18 @@ class TestFailureIsolation:
         snapshots = [leaf.leafmap.snapshot_rows() for leaf in machine.leaves]
         victim = machine.leaves[3]
 
-        fired = []
-
-        def explode(point: str) -> None:
-            if point == "restore:table" and not fired:
-                fired.append(point)
-                raise CorruptionError("injected mid-restore failure")
-
-        victim.engine._fault = explode
         coordinator = ParallelRestartCoordinator(machine.leaves)
         outcomes = coordinator.shutdown_all()
         assert all(o.ok for o in outcomes)
+        # The victim's first table is home: its segment goes, and raises.
+        recorder = Recorder(monkeypatch)
+        recorder.fail(
+            kind="unlink",
+            target=f"-leaf-{victim.leaf_id}-t0",
+            exc=CorruptionError("injected mid-restore failure"),
+        )
         outcomes = coordinator.start_all()
-        assert fired, "the injected fault never fired"
+        assert recorder.fired, "the injected fault never fired"
         assert all(o.ok for o in outcomes), "no leaf may surface the failure"
         by_leaf = {o.leaf_id: o for o in outcomes}
         assert by_leaf[victim.leaf_id].report.method is RecoveryMethod.DISK_SNAPSHOT
@@ -336,12 +337,47 @@ class TestFailureIsolation:
             assert leaf.leafmap.snapshot_rows() == snapshot
             assert not leaf.engine.shm_state_exists()
 
+    def test_shutdown_timeout_midcopy_spares_siblings(
+        self, shm_namespace, tmp_path, clock, monkeypatch
+    ):
+        """One leaf overruns its deadline mid-copy of its first table on
+        a shared tracker: its next boot must not free more shm than that
+        copy charged, so every sibling still restores from shared
+        memory and the machine's shm region ends empty."""
+        machine = make_machine(shm_namespace, tmp_path, clock, leaves=4)
+        snapshots = [leaf.leafmap.snapshot_rows() for leaf in machine.leaves]
+        # One worker restores the victim first, while every sibling
+        # still holds its whole shm charge for an over-free to take.
+        victim = machine.leaves[0]
+        # The deadline reads the leaf's clock: give the victim its own,
+        # and move it past the deadline as its first segment appears.
+        victim.clock = ManualClock(clock.now())
+        recorder = Recorder(monkeypatch)
+        recorder.before(
+            lambda effect: victim.clock.advance(120.0),
+            kind="create",
+            target=f"-leaf-{victim.leaf_id}-t0",
+        )
+        report = machine.restart_all(workers=1, deadline_seconds=60.0)
+        by_leaf = {o.leaf_id: o for o in report.shutdown}
+        assert isinstance(by_leaf[victim.leaf_id].error, ShutdownTimeout)
+        restored = {o.leaf_id: o for o in report.restore}
+        assert all(o.ok for o in report.restore)
+        assert restored[victim.leaf_id].report.method is RecoveryMethod.DISK_SNAPSHOT
+        for leaf, snapshot in zip(machine.leaves, snapshots):
+            if leaf is not victim:
+                assert restored[leaf.leaf_id].report.method is (
+                    RecoveryMethod.SHARED_MEMORY
+                )
+            assert leaf.leafmap.snapshot_rows() == snapshot
+        assert machine.tracker.in_region("shm") == 0
+
 
 class TestBudgetHandback:
     @pytest.mark.parametrize("serving", [False, True])
     @pytest.mark.parametrize("failing", [False, True])
     def test_engines_get_their_budgets_back(
-        self, shm_namespace, tmp_path, clock, serving, failing
+        self, shm_namespace, tmp_path, clock, monkeypatch, serving, failing
     ):
         """The machine-wide budget is on loan for a phase: afterwards
         every engine holds whatever it held before — its own budget or
@@ -353,12 +389,11 @@ class TestBudgetHandback:
         before = [leaf.engine.budget for leaf in machine.leaves]
         victim = machine.leaves[2]
 
-        def explode(point: str) -> None:
-            if point == "restore:start":  # before the ladder: nothing catches it
-                raise RuntimeError("injected start failure")
+        def explode(*args):
+            raise RuntimeError("injected start failure")
 
-        if failing:
-            victim.engine._fault = explode
+        if failing:  # before the ladder: nothing catches it
+            monkeypatch.setattr(victim.engine, "_begin_restore", explode)
         budget = FootprintBudget(max_segment_bytes(machine))
         coordinator = ParallelRestartCoordinator(machine.leaves, budget=budget)
         report = coordinator.restart_all(serve_while_restoring=serving)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import json
-import os
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +23,12 @@ from repro.core.engine import RecoveryMethod
 from repro.disk.backup import DiskBackup, _unsynced_chunk
 from repro.disk.format import encode_chunk_rows, read_table_chunks, write_chunk
 from repro.disk.recovery import recover_leafmap, recover_leafmap_snapshots
-from repro.server.leaf import LeafServer, LeafStatus
-from repro.util.checksum import rows_digest
+from repro.server.leaf import LeafServer
 from repro.util.clock import ManualClock
 from tests.conftest import grow_table as grow
-from tests.conftest import make_leafmap, sealed_sync
+from tests.conftest import make_leafmap, sealed_sync, two_table_leaf
+from tests.crashpoints import Recorder
+from tests.test_crashpoints import Sweep
 
 TABLES = ("events", "metrics")
 
@@ -220,74 +221,26 @@ class TestLogCommitMark:
         assert legacy_rows(backup.directory, clock) == leafmap.snapshot_rows()
 
 
-class IoCalls:
-    """``os.fsync`` / ``os.replace`` as the backup calls them, in order,
-    with a fault to inject after (``die_after``) or instead of
-    (``fail_at``) the n-th call of one kind."""
-
-    class Died(BaseException):
-        """The process is gone: nothing after this reaches the disk."""
-
-    def __init__(self, monkeypatch):
-        self.calls: list[tuple[str, str]] = []
-        self.die_after: tuple[str, int] | None = None
-        self.fail_at: tuple[str, int] | None = None
-        self.dead = False
-        real_fsync, real_replace = os.fsync, os.replace
-
-        def fsync(fd):
-            self._enter("fsync", os.readlink(f"/proc/self/fd/{fd}"))
-            real_fsync(fd)
-            self._leave("fsync")
-
-        def replace(src, dst):
-            self._enter("replace", str(dst))
-            real_replace(src, dst)
-            self._leave("replace")
-
-        monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(os, "replace", replace)
-
-    def count(self, kind):
-        return sum(1 for k, _ in self.calls if k == kind)
-
-    def _enter(self, kind, target):
-        if self.dead:
-            raise self.Died
-        self.calls.append((kind, os.path.basename(target)))
-        if self.fail_at == (kind, self.count(kind)):
-            self.fail_at = None
-            raise OSError(f"injected: {kind} of {target} failed")
-
-    def _leave(self, kind):
-        if self.die_after == (kind, self.count(kind)):
-            self.dead = True
-            raise self.Died
+def io_calls(recorder):
+    """The recorded fsyncs and renames, as ``(kind, file name)``."""
+    return [(kind, Path(target).name) for kind, target in recorder.of("fsync", "replace")]
 
 
-def two_table_leaf(directory, clock):
-    """Two tables, three sealed blocks each, synced; then one more block
-    each, sealed and not yet synced.  Returns ``(backup, leafmap, pre)``
-    with ``pre`` the rows as last synced."""
-    backup = DiskBackup(directory)
-    leafmap = make_leafmap(clock, tables=TABLES, rows=150)
-    sealed_sync(backup, leafmap)
-    pre = leafmap.snapshot_rows()
-    for index, name in enumerate(TABLES):
-        grow(leafmap, 50, 20_000 + index * 10_000, table=name)
-    leafmap.seal_all()
-    return backup, leafmap, pre
+def injected(kind, nth):
+    """What a failing ``kind`` call raises, at its ``nth`` call."""
+    return dict(kind=kind, nth=nth, exc=OSError(f"injected: {kind} {nth} failed"))
 
 
-#: One two-table leaf sync, in order: (kind, n-th of its kind).
+#: Durable steps of one two-table leaf sync (:class:`Sync`'s cycle), by
+#: their index among its side effects.
 STEPS = {
-    "log_fsync_t1": ("fsync", 1),
-    "chain_rename_t1": ("replace", 1),
-    "log_fsync_t2": ("fsync", 3),
-    "chain_rename_t2": ("replace", 2),
-    "snapshots_dir_fsync": ("fsync", 5),
-    "manifest_tmp_fsync": ("fsync", 6),
-    "manifest_rename": ("replace", 3),
+    "log_fsync_t1": 0,
+    "chain_rename_t1": 2,
+    "log_fsync_t2": 3,
+    "chain_rename_t2": 5,
+    "snapshots_dir_fsync": 6,
+    "manifest_tmp_fsync": 8,
+    "manifest_rename": 9,
 }
 
 
@@ -296,10 +249,19 @@ class TestOnePublishPerLeafSync:
         self, tmp_path, clock, monkeypatch
     ):
         backup, leafmap, _ = two_table_leaf(tmp_path / "b", clock)
-        io_calls = IoCalls(monkeypatch)
+        recorder = Recorder(monkeypatch, root=tmp_path)
         published = backup.stats.manifests_published
         backup.sync_leafmap(leafmap)
-        assert io_calls.calls == [
+        assert [recorder.effects[step] for step in STEPS.values()] == [
+            ("fsync", "b/events.scuba"),
+            ("replace", "b/snapshots/events.d2.shmdisk"),
+            ("fsync", "b/metrics.scuba"),
+            ("replace", "b/snapshots/metrics.d2.shmdisk"),
+            ("fsync", "b/snapshots"),
+            ("fsync", "b/manifest.tmp"),
+            ("replace", "b/manifest.json"),
+        ]
+        assert io_calls(recorder) == [
             ("fsync", "events.scuba"),
             ("fsync", "events.d2.tmp"),
             ("replace", "events.d2.shmdisk"),
@@ -313,19 +275,19 @@ class TestOnePublishPerLeafSync:
         ]
         assert backup.stats.manifests_published == published + 1
         # Nothing changed: nothing written, nothing published.
-        del io_calls.calls[:]
+        recorder.reset()
         backup.sync_leafmap(leafmap)
-        assert io_calls.calls == []
+        assert recorder.effects == []
         assert backup.stats.manifests_published == published + 1
 
     def test_sync_table_is_the_same_transaction_over_one_table(
         self, tmp_path, clock, monkeypatch
     ):
         backup, leafmap, _ = two_table_leaf(tmp_path / "b", clock)
-        io_calls = IoCalls(monkeypatch)
+        recorder = Recorder(monkeypatch, root=tmp_path)
         backup.sync_table(leafmap.get_table("events"))
-        assert (io_calls.count("fsync"), io_calls.count("replace")) == (5, 2)
-        assert io_calls.calls[-2:] == [("replace", "manifest.json"), ("fsync", "b")]
+        assert (len(recorder.of("fsync")), len(recorder.of("replace"))) == (5, 2)
+        assert io_calls(recorder)[-2:] == [("replace", "manifest.json"), ("fsync", "b")]
 
     @pytest.mark.parametrize("incremental", [True, False])
     def test_legacy_only_and_full_rewrite_go_through_the_same_path(
@@ -334,10 +296,9 @@ class TestOnePublishPerLeafSync:
         leafmap = make_leafmap(clock, tables=TABLES)
         legacy = DiskBackup(tmp_path / "legacy", snapshots=False)
         full = DiskBackup(tmp_path / "full", incremental=incremental)
-        io_calls = IoCalls(monkeypatch)
+        recorder = Recorder(monkeypatch, root=tmp_path)
         legacy.sync_leafmap(leafmap)
-        assert (io_calls.count("fsync"), io_calls.count("replace")) == (2 + 2, 1)
-        del io_calls.calls[:]
+        assert (len(recorder.of("fsync")), len(recorder.of("replace"))) == (2 + 2, 1)
         sealed_sync(full, leafmap)
         grow(leafmap, 50, 5000)
         sealed_sync(full, leafmap)
@@ -391,8 +352,7 @@ class TestWritePhaseFault:
     ):
         backup, leafmap, pre = two_table_leaf(tmp_path / "b", clock)
         post = leafmap.snapshot_rows()
-        io_calls = IoCalls(monkeypatch)
-        io_calls.fail_at = fault
+        Recorder(monkeypatch, root=tmp_path).fail(**injected(*fault))
         with pytest.raises(OSError, match="injected"):
             backup.sync_leafmap(leafmap)
         assert (backup.synced_rows("events"), backup.synced_rows("metrics")) == (200, 150)
@@ -425,11 +385,11 @@ class TestWritePhaseFault:
         leafmap = make_leafmap(clock, tables=TABLES, rows=150)
         leafmap.seal_all()
         post = leafmap.snapshot_rows()
-        io_calls = IoCalls(monkeypatch)
-        io_calls.fail_at = ("fsync", 4)
+        recorder = Recorder(monkeypatch, root=tmp_path)
+        recorder.fail(**injected("fsync", 4))
         with pytest.raises(OSError, match="injected"):
             backup.sync_leafmap(leafmap)
-        assert io_calls.calls[3:5] == [("fsync", "metrics.scuba"), ("fsync", "metrics.tmp")]
+        assert io_calls(recorder)[3:5] == [("fsync", "metrics.scuba"), ("fsync", "metrics.tmp")]
         assert backup.table_names == ["events"]
         assert log_chunk_sizes(backup, "metrics") == [150]
 
@@ -453,14 +413,14 @@ class TestWritePhaseFault:
         same manager's next sync point — with nothing new to write —
         still fsyncs the directory before it vouches for the files."""
         backup, leafmap, pre = two_table_leaf(tmp_path / "b", clock)
-        io_calls = IoCalls(monkeypatch)
-        io_calls.fail_at = ("fsync", 5)
+        recorder = Recorder(monkeypatch, root=tmp_path)
+        recorder.fail(**injected("fsync", 5))
         with pytest.raises(OSError, match="injected"):
             backup.sync_leafmap(leafmap)
         assert legacy_rows(backup.directory, clock) == pre
-        del io_calls.calls[:]
+        recorder.reset()
         backup.sync_leafmap(leafmap)
-        assert io_calls.calls == [
+        assert io_calls(recorder) == [
             ("fsync", "snapshots"),
             ("fsync", "manifest.tmp"),
             ("replace", "manifest.json"),
@@ -471,46 +431,19 @@ class TestWritePhaseFault:
 
 
 class TestDeathAtEveryStep:
-    """Kill the process after each durable step of a two-table sync.  A
-    fresh manager must come up ALIVE with every table either as it was
-    before the sync or as it is after — on both disk rungs the same
-    state, and the retried sync must land the rest exactly once."""
+    """Kill the process right after each durable step of a two-table
+    sync: the sync cycle of tests/test_crashpoints.py, which dies after
+    every one of its side effects, named here.  A fresh process comes up
+    ALIVE with each table as it was before the sync or as it is after —
+    on both disk rungs the same — and its retried sync lands the rest
+    exactly once."""
 
     @pytest.mark.parametrize("step", list(STEPS))
     def test_restart_sees_pre_or_post_per_table(
         self, tmp_path, clock, monkeypatch, shm_namespace, step
     ):
-        backup, leafmap, pre = two_table_leaf(tmp_path / "b", clock)
-        post = leafmap.snapshot_rows()
-        io_calls = IoCalls(monkeypatch)
-        io_calls.die_after = STEPS[step]
-        with pytest.raises(IoCalls.Died):
-            backup.sync_leafmap(leafmap)
-        assert io_calls.dead
-        monkeypatch.undo()
-
-        leaf, report = restart(backup.directory, clock, shm_namespace)
-        assert leaf.status is LeafStatus.ALIVE
-        assert report.method in (RecoveryMethod.DISK_SNAPSHOT, RecoveryMethod.DISK)
-        restored = leaf.leafmap.snapshot_rows()
+        sweep = Sweep("sync", monkeypatch, shm_namespace, tmp_path, clock)
+        cycle = sweep.run("die", lambda recorder: recorder.die_after(at=STEPS[step]))
         # Only the manifest rename publishes; before it both tables are
         # as they were, after it both are as the sync left them.
-        assert restored == (post if step == "manifest_rename" else pre)
-        assert legacy_rows(backup.directory, clock) == restored
-        for name in TABLES:
-            assert len(restored[name]) == leaf.backup.synced_rows(name)
-
-        # The new process takes the same rows again and syncs.
-        for name in TABLES:
-            have = len(restored[name])
-            leaf.add_rows(name, post[name][have:])
-        leaf.leafmap.seal_all()
-        leaf.sync_to_disk()
-        assert rows_digest(leaf.leafmap.snapshot_rows()) == rows_digest(post)
-        assert legacy_rows(backup.directory, clock) == post
-        for name in TABLES:
-            assert log_chunk_sizes(leaf.backup, name) == [150, 50]
-        chained = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), chained)
-        assert chained.snapshot_rows() == post
-        leaf.crash()
+        assert cycle.rows == (cycle.post if step == "manifest_rename" else cycle.pre)

@@ -11,6 +11,7 @@ fuzz the parsers themselves.
 """
 
 import dataclasses
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +22,7 @@ from repro.columnstore.rowblock import RowBlock
 from repro.columnstore.schema import Schema
 from repro.compression.base import CompressionFlags
 from repro.compression.pipeline import encode_column
-from repro.errors import CorruptionError, ReproError
+from repro.errors import CorruptionError, ReplicaWireError, ReproError
 from repro.shm.layout import read_segment_header
 from repro.types import ColumnType
 from repro.util.binary import BufferReader, decode_varint
@@ -290,3 +291,86 @@ class TestMetadataFuzz:
                 pass
         finally:
             segment.unlink()
+
+
+def sample_catalog():
+    from repro.cluster.replication import _catalog_payload, snapshot_leafmap
+    from repro.columnstore.leafmap import LeafMap
+
+    leafmap = LeafMap(rows_per_block=16)
+    leafmap.get_or_create("events").add_rows(
+        {"time": i, "host": f"h{i % 3}", "v": float(i)} for i in range(40)
+    )
+    leafmap.get_or_create("metrics").add_rows({"time": i, "count": i} for i in range(20))
+    leafmap.seal_all()
+    return _catalog_payload("s1", snapshot_leafmap(leafmap))
+
+
+def parse_catalog_frame(payload):
+    """``payload`` as a well-framed CATALOG — valid magic, version and
+    CRC — read and parsed the way a restarting leaf's HELLO does."""
+    import socket
+
+    from repro.cluster.replication import FRAME_CATALOG, _parse_catalog, recv_frame, send_frame
+
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        sender = threading.Thread(target=send_frame, args=(theirs, FRAME_CATALOG, payload))
+        sender.start()
+        kind, received = recv_frame(ours)
+        sender.join()
+    assert (kind, received) == (FRAME_CATALOG, payload)
+    try:
+        return _parse_catalog(received)
+    except ReplicaWireError:
+        return None
+
+
+class TestCatalogFuzz:
+    """A standby's CATALOG reply is the one wire payload parsed as a
+    document.  Hostile but well-framed bytes — truncated, flipped,
+    random, or valid JSON of the wrong shape — fail as a
+    ReplicaWireError, the error the replica rung reads as "no replica"."""
+
+    def test_the_sample_parses(self):
+        token, tables = parse_catalog_frame(sample_catalog())
+        assert token == "s1"
+        assert [table.name for table in tables] == ["events", "metrics"]
+        assert [len(table.blocks) for table in tables] == [3, 2]
+
+    def test_every_truncation(self):
+        payload = sample_catalog()
+        for cut in range(len(payload)):
+            parse_catalog_frame(payload[:cut])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_byte_flips(self, data):
+        buf = bytearray(sample_catalog())
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            index = data.draw(st.integers(min_value=0, max_value=len(buf) - 1))
+            buf[index] = data.draw(st.integers(min_value=0, max_value=255))
+        parse_catalog_frame(bytes(buf))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(min_size=0, max_size=200))
+    def test_random_payloads(self, payload):
+        parse_catalog_frame(payload)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(
+                st.sampled_from(["session", "tables", "name", "rows_ingested", "rows_expired", "blocks"]),
+                inner,
+                max_size=6,
+            ),
+            max_leaves=20,
+        )
+    )
+    def test_json_of_the_wrong_shape(self, doc):
+        import json
+
+        parse_catalog_frame(json.dumps(doc).encode())

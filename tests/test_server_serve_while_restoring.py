@@ -19,6 +19,7 @@ from repro.query.query import Aggregation, Query
 from repro.server.leaf import LeafServer, LeafStatus
 from repro.server.machine import Machine
 from repro.util.checksum import rows_digest
+from tests.crashpoints import Recorder
 
 ROWS = [
     {"time": 1000 + i, "host": f"h{i % 3}", "v": float(i % 17)}
@@ -179,24 +180,27 @@ class TestFallbackStatusLadder:
 
     @pytest.mark.parametrize("serve", [False, True])
     def test_status_flips_exactly_at_the_fallback_boundary(
-        self, shm_namespace, tmp_path, clock, serve
+        self, shm_namespace, tmp_path, clock, serve, monkeypatch
     ):
         reborn = seeded_down_leaf(shm_namespace, tmp_path, clock)
         statuses = {}
 
-        def hook(point):
-            if point == "restore:after_invalidate":
-                statuses[point] = reborn.status
-                raise CorruptionError("injected fault")
-            if point == "restore:snapshot_table":
-                statuses.setdefault(point, reborn.status)
+        def invalidate(effect):
+            statuses["invalidate"] = reborn.status
+            raise CorruptionError("injected fault")
 
-        reborn.engine._fault = hook
-        report = reborn.start(serve_while_restoring=serve, sweep=False)
-        assert statuses["restore:after_invalidate"] is (
-            LeafStatus.RECOVERING_MEMORY
+        recorder = Recorder(monkeypatch)
+        recorder.before(invalidate, kind="set_valid", target="=False")
+        # The fall came before any block: the first heap charge is the
+        # snapshot rung's.
+        recorder.before(
+            lambda effect: statuses.setdefault("snapshot", reborn.status),
+            kind="allocate",
+            target="heap",
         )
-        assert statuses["restore:snapshot_table"] is LeafStatus.RECOVERING_DISK
+        report = reborn.start(serve_while_restoring=serve, sweep=False)
+        assert statuses["invalidate"] is LeafStatus.RECOVERING_MEMORY
+        assert statuses["snapshot"] is LeafStatus.RECOVERING_DISK
         assert report.fell_back_to_disk
         assert report.failure_reason == "CorruptionError: injected fault"
         assert reborn.status is LeafStatus.ALIVE
@@ -240,11 +244,16 @@ class TestPhaseSweep:
         reborn.wait_restored()
         assert rows_digest(reborn.leafmap.snapshot_rows()) == blocking_digest
 
-    @pytest.mark.parametrize(
-        "point", ["restore:publish_directory", "restore:fault_block"]
-    )
+    #: A fault while the directory goes up (its first side effect, the
+    #: invalidate), or in a block's fault-in (its heap charge).
+    WINDOWS = {
+        "restore:publish_directory": dict(kind="set_valid", target="=False"),
+        "restore:fault_block": dict(kind="allocate", target="heap"),
+    }
+
+    @pytest.mark.parametrize("point", list(WINDOWS))
     def test_faulted_lazy_restore_still_answers_identically(
-        self, shm_namespace, tmp_path, clock, point
+        self, shm_namespace, tmp_path, clock, point, monkeypatch
     ):
         """A fault at either lazy-only boundary routes the leaf down the
         disk ladder; the query in flight (or the next one) still answers
@@ -255,21 +264,15 @@ class TestPhaseSweep:
         blocking_digest = rows_digest(reborn.leafmap.snapshot_rows())
         reborn.shutdown(use_shm=True)
 
-        fired = []
-
-        def hook(p):
-            if p == point and not fired:
-                fired.append(p)
-                raise CorruptionError("injected fault")
-
-        reborn.engine._fault = hook
+        recorder = Recorder(monkeypatch)
+        recorder.fail(**self.WINDOWS[point])
         report = reborn.start(serve_while_restoring=True, sweep=False)
         if point == "restore:publish_directory":
             # The ladder already ran blocking inside start().
             assert reborn.status is LeafStatus.ALIVE
             assert report.fell_back_to_disk
         answer = partial_dict(reborn.query(FULL_QUERY))
-        assert fired, "the injected fault never fired"
+        assert recorder.fired, "the injected fault never fired"
         assert answer == baseline
         final = reborn.wait_restored()
         assert final.fell_back_to_disk
