@@ -16,7 +16,7 @@ from repro.disk.backup import DiskBackup
 from repro.ingest.scribe import ScribeLog
 from repro.ingest.tailer import Tailer
 from repro.query.query import Query, QueryResult
-from repro.server.aggregator import Aggregator, AggregatorTree
+from repro.server.aggregator import Aggregator
 from repro.server.leaf import DEFAULT_CAPACITY_BYTES, LeafServer
 from repro.server.machine import DEFAULT_LEAVES_PER_MACHINE, Machine
 from repro.types import ColumnValue
@@ -60,14 +60,11 @@ class Cluster:
         ]
         self.scribe = ScribeLog()
         self._tailers: dict[str, Tailer] = {}
-        # Figure 1's two-level structure: the root aggregator merges one
-        # pre-merged partial per machine aggregator.
-        self.root_aggregator = AggregatorTree(
+        # Figure 1's two-level structure: the root aggregator over the
+        # machine aggregators, each over its machine's leaves.
+        self.root_aggregator = Aggregator(
             [machine.aggregator for machine in self.machines]
         )
-        #: A flat aggregator over every leaf, kept for equivalence tests
-        #: (tree and flat merges must agree).
-        self.flat_aggregator = Aggregator(self.leaves)
         #: Table-level replication (the replica recovery tier).  Each
         #: primary gets a standby leaf hosted on the *next* machine —
         #: surviving a machine-wide outage of the primary's host — in
@@ -103,7 +100,6 @@ class Cluster:
                     )
             for machine in self.machines:
                 machine.aggregator.replica_router = self.replica_catalog.replica_for
-            self.flat_aggregator.replica_router = self.replica_catalog.replica_for
 
     # ------------------------------------------------------------------
     # Topology

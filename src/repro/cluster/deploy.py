@@ -21,8 +21,8 @@ from pathlib import Path
 
 from repro.cluster.dashboard import Dashboard
 from repro.core.watchdog import DEFAULT_SHUTDOWN_DEADLINE_SECONDS
-from repro.query.aggregate import merge_leaf_results
 from repro.query.query import Query, QueryResult
+from repro.server.aggregator import Aggregator
 from repro.server.process_client import LeafProcess, LeafProcessConfig
 from repro.util.clock import Clock, SystemClock
 
@@ -69,6 +69,8 @@ class ProcessDeployment:
             )
             for index in range(n_leaves)
         ]
+        #: The process-level aggregator: the running workers answer.
+        self.aggregator = Aggregator(self.leaves)
 
     # ------------------------------------------------------------------
     # Fleet lifecycle
@@ -87,14 +89,8 @@ class ProcessDeployment:
     def running_leaves(self) -> list[LeafProcess]:
         return [leaf for leaf in self.leaves if leaf.running]
 
-    # ------------------------------------------------------------------
-    # Query fan-out (a process-level aggregator)
-    # ------------------------------------------------------------------
-
     def query(self, query: Query) -> QueryResult:
-        partials = [leaf.query_partial(query) for leaf in self.running_leaves]
-        result = merge_leaf_results(query, partials, leaves_total=len(self.leaves))
-        return result
+        return self.aggregator.query(query)
 
     def ingest(self, table: str, rows: list[dict], batch_rows: int = 500) -> int:
         """Round-robin batches over running leaves (a minimal tailer)."""

@@ -9,7 +9,7 @@
         create table shared memory segment
         add table segment to the leaf metadata
         for each row block
-            grow the table segment in size if needed
+            grow the table segment in size if needed    (*)
             for each row block column
                 copy data from heap to the table segment
                 delete row block column from heap
@@ -32,6 +32,10 @@
         truncate the table shared memory segment if needed
         delete the table shared memory segment
     delete the metadata shared memory segment
+
+(*) Never here: a sealed table's segment size is known exactly before
+the copy (``table_segment_size``), so the estimate is the size and the
+segment is created once, at its final length.
 
 If the restore path is interrupted, the valid bit is already false, so
 the *next* restart goes to disk — the crash-safety property of the
@@ -56,9 +60,8 @@ time, never correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Callable, NamedTuple
 
 from repro.columnstore.leafmap import LeafMap
@@ -80,7 +83,6 @@ from repro.errors import (
     CorruptionError,
     LayoutVersionError,
     RecoveryError,
-    ShmError,
 )
 from repro.shm.layout import SHM_LAYOUT_VERSION, TableSegmentWriter, table_segment_size
 from repro.shm.metadata import LeafMetadata, TableSegmentRecord
@@ -142,7 +144,6 @@ class RestartReport:
     rbc_copies: int = 0
     bytes_copied: int = 0
     rows: int = 0
-    segment_grows: int = 0
     peak_tracked_bytes: int = 0
     #: Serve-while-restoring: set on reports produced by a lazy restore.
     lazy: bool = False
@@ -253,10 +254,6 @@ class RestartEngine:
     layout_version:
         The shared memory layout this build writes and reads.  A stored
         version that differs forces disk recovery (paper, Section 4.2).
-    size_estimator:
-        ``f(table_name, blocks) -> bytes`` used at segment-creation time.
-        The default is exact; tests inject a lowballing estimator to
-        exercise the "grow the table segment if needed" path.
     budget:
         Optional machine-wide :class:`~repro.util.budget.FootprintBudget`.
         When set, the engine reserves each copy window (a table segment
@@ -289,7 +286,6 @@ class RestartEngine:
         layout_version: int = SHM_LAYOUT_VERSION,
         tracker: MemoryTracker | None = None,
         clock: Clock | None = None,
-        size_estimator: Callable[[str, list], int] | None = None,
         budget: FootprintBudget | None = None,
         disk_snapshot_tier: bool = True,
         replay_workers: int = 1,
@@ -307,7 +303,6 @@ class RestartEngine:
         self.tracker = tracker or MemoryTracker()
         self.clock = clock or SystemClock()
         self.budget = budget
-        self._size_estimator = size_estimator
         #: Heap bytes this engine has reported to the (possibly shared)
         #: tracker.  ``tracker.in_region("heap")`` is machine-wide when
         #: leaves share a tracker; the backup deficit seeding below must
@@ -340,6 +335,23 @@ class RestartEngine:
             self._track_heap_alloc(drift)
         elif drift < 0:
             self._track_heap_free(-drift)
+
+    def _charge_shm(self, segment: str, nbytes: int) -> None:
+        self.tracker.charge("shm", segment, nbytes, at=self.clock.now())
+
+    def _release_shm(self, segment: str, nbytes: int | None = None) -> None:
+        """Give back ``nbytes`` of what ``segment`` holds in "shm" (all of
+        it by default).  The "shm" region is charged per segment — by
+        the copy-out as bytes land, by a restore's publish for what the
+        record lacks — so a segment leaves with exactly its own charge,
+        and a shared tracker's other leaves keep theirs."""
+        self.tracker.discharge("shm", segment, nbytes, at=self.clock.now())
+
+    def _unlink_shm(self, segment: str) -> None:
+        """Delete ``segment`` if it exists, and free its charge."""
+        if segment_exists(segment):
+            ShmSegment.attach(segment).unlink()
+        self._release_shm(segment)
 
     def forget_heap(self) -> None:
         """Drop this engine's heap charge from the (possibly shared)
@@ -413,14 +425,7 @@ class RestartEngine:
         """Unlink any shared memory state this leaf left behind."""
         if not self.shm_state_exists():
             return False
-        meta = LeafMetadata.attach(self.namespace, self.leaf_id)
-        try:
-            meta.unlink_all()
-        except (CorruptionError, LayoutVersionError):
-            # Unreadable metadata: drop the metadata segment itself; any
-            # orphan table segments keep their namespaced names and are
-            # cleaned by the next backup that reuses them.
-            meta.unlink()
+        self._discard_shm_tracked(LeafMetadata.attach(self.namespace, self.leaf_id))
         return True
 
     def _segment_base_name(self, table_index: int) -> str:
@@ -494,8 +499,8 @@ class RestartEngine:
         deadline: CooperativeDeadline | None,
         report: RestartReport,
     ) -> TableSegmentRecord:
-        """Copy one table into its segment, counting the copies (and any
-        segment regrow) on ``report``.
+        """Copy one table into its segment, counting the copies on
+        ``report``.
 
         "add table segment to the leaf metadata" comes before the
         segment exists: ``meta`` names it after ``records`` first, so a
@@ -505,82 +510,49 @@ class RestartEngine:
         blocks = table.take_blocks()
         rows = sum(block.row_count for block in blocks)
         used = table_segment_size(table.name, blocks)
+        name = self._segment_base_name(table_index)
         record = TableSegmentRecord(
             table_name=table.name,
-            segment_name=self._segment_base_name(table_index),
+            segment_name=name,
             used_bytes=used,
             rows_ingested=table.total_rows_ingested,
             rows_expired=table.total_rows_expired,
         )
-        estimate = self._size_estimator(table.name, blocks) if self._size_estimator else used
-        size = max(64, estimate)
-        grows = 0
+        size = max(64, used)
         held = 0
         segment = None
-        charged = 0  # shm bytes this copy has put on the tracker
         try:
-            while True:
-                # Metadata too corrupt to walk leaves its segments behind
-                # when it is discarded; the name is ours, so reclaim it.
-                if segment_exists(record.segment_name):
-                    ShmSegment.attach(record.segment_name).unlink()
-                meta.set_records([*records, record])
-                # This table's copy window — the span where segment and
-                # heap coexist — is in flight against the machine-wide
-                # budget until the copy loop has drained the heap side.
-                if self.budget is not None:
-                    self.budget.acquire(size)
-                    held = size
-                segment = ShmSegment.create(record.segment_name, size)
-                writer = TableSegmentWriter(segment, table.name, blocks)
-                try:
-                    events = writer.copy_events()
-                    # copy_events validates capacity before the first write,
-                    # so a too-small estimate fails here with nothing copied.
-                    first_event = next(events, None)
-                    break
-                except ShmError:
-                    # "grow the table segment in size if needed": POSIX
-                    # segments cannot grow in place, so retire the small
-                    # one and go round with the exact size.  Its
-                    # reservation goes first, so an oversized regrow can
-                    # use the whole-budget admission instead of
-                    # deadlocking on itself.
-                    segment.unlink()
-                    segment = None
-                    if held:
-                        self.budget.release(held)
-                        held = 0
-                    grows += 1
-                    report.segment_grows += 1
-                    name = f"{self._segment_base_name(table_index)}-g{grows}"
-                    record = replace(record, segment_name=name)
-                    size = used
-            if first_event is None:
-                # A table without blocks is its preamble alone.
-                self.tracker.allocate("shm", used, at=self.clock.now())
-                charged = used
-            else:
-                for event in chain((first_event,), events):
-                    # §4.4's "allocate, copy, free": the segment is charged
-                    # as its bytes land (tmpfs backs a page only once it
-                    # is written), each RBC before its heap buffer goes.
-                    self.tracker.allocate("shm", event.landed, at=self.clock.now())
-                    charged += event.landed
-                    self._apply_copy_event(blocks, event, deadline, report)
+            # Metadata too corrupt to walk leaves its segments behind
+            # when it is discarded; the name is ours, so reclaim it.
+            self._unlink_shm(name)
+            meta.set_records([*records, record])
+            # This table's copy window — the span where segment and heap
+            # coexist — is in flight against the machine-wide budget
+            # until the copy loop has drained the heap side.
+            if self.budget is not None:
+                self.budget.acquire(size)
+                held = size
+            segment = ShmSegment.create(name, size)
+            for event in TableSegmentWriter(segment, table.name, blocks).copy_events():
+                # §4.4's "allocate, copy, free": the segment is charged as
+                # its bytes land (tmpfs backs a page only once it is
+                # written), each RBC before its heap buffer goes.
+                self._charge_shm(name, event.landed)
+                self._apply_copy_event(blocks, event, deadline, report)
+            if not blocks:
+                self._charge_shm(name, used)  # its preamble alone
             segment.close()
             # Home in shared memory: ``bytes`` are what its segment holds.
             report.note("table", table.name, blocks=len(blocks), rows=rows, bytes=used)
             return record
         except BaseException:
             # A copy that raises gives back its segment and what it has
-            # charged: the record already claims all ``used`` bytes, and
-            # on a shared tracker the next boot's discard would free them
-            # from the sibling leaves.  A killed copy leaves the record.
+            # charged, so the record that already claims all ``used``
+            # bytes is never freed against a sibling leaf's charge.  A
+            # killed copy leaves the record.
             if segment is not None:
                 segment.unlink()
-            if charged:
-                self.tracker.free("shm", charged, at=self.clock.now())
+            self._release_shm(name)
             raise
         finally:
             if held:
@@ -695,24 +667,17 @@ class RestartEngine:
 
         The bare ``meta.unlink_all()`` frees the segments from the OS but
         leaves the "shm" region (possibly shared machine-wide) charged
-        forever.  Here each table segment that still exists is freed from
-        the region — by its used bytes, what the copy-out charged — before
-        unlinking; the min() guard covers engines whose tracker never
-        charged these segments (fresh process, region empty).
+        forever.  Here each table segment leaves with exactly what the
+        tracker holds for it — nothing, in a fresh process — so the
+        other leaves on a shared tracker keep theirs.
         """
         try:
             records = meta.records
         except (CorruptionError, LayoutVersionError):
             meta.unlink()
             return
-        now = self.clock.now()
         for record in records:
-            if not segment_exists(record.segment_name):
-                continue
-            ShmSegment.attach(record.segment_name).unlink()
-            tracked = min(record.used_bytes, self.tracker.in_region("shm"))
-            if tracked:
-                self.tracker.free("shm", tracked, at=now)
+            self._unlink_shm(record.segment_name)
         meta.unlink()
 
     def _drop_restored_tables(self, leafmap: LeafMap) -> None:

@@ -619,8 +619,6 @@ class LazyRestore(RestoreDriver):
         self._meta: LeafMetadata | None = meta  # attached, valid, ours to close
         self._segments: dict[str, ShmSegment] = {}
         self._views: dict[str, memoryview] = {}  # each segment's used bytes
-        #: Each mapped segment's "shm" charge: used bytes, less released pages.
-        self._charged: dict[str, int] = {}
         self._low: dict[str, int] = {}  # per table, nothing below is pending
 
     def _publish_directory(self) -> None:
@@ -635,22 +633,18 @@ class LazyRestore(RestoreDriver):
         engine = self._engine
         assert self._meta is not None
         self._meta.set_valid(False)  # interrupted restores must go to disk
-        # A fresh process's tracker has no "shm" region yet; charge the
-        # segments the fault-ins are about to consume (their used bytes,
-        # as the copy-out did) so the footprint sums hold.  The charge
-        # rides the directory attach below — one attach per segment, not
-        # a separate probe pass.  A failure mid-loop leaves some segments
-        # uncharged, which _discard_shm_tracked's min() guard absorbs on
-        # the fallback (which also closes what is mapped).
-        charge_shm = engine.tracker.in_region("shm") == 0
         for record in self._meta.records:
             segment = ShmSegment.attach(record.segment_name)
             self._segments[record.table_name] = segment
             view = segment.read_at(0, record.used_bytes)
             self._views[record.table_name] = view
-            if charge_shm:
-                engine.tracker.allocate("shm", record.used_bytes, at=engine.clock.now())
-            self._charged[record.table_name] = record.used_bytes
+            # The fault-ins are about to consume the segment's used bytes:
+            # charge whatever of them the tracker does not hold (all of
+            # them, in a fresh process; none after this machine's own
+            # copy-out), so the footprint sums hold.
+            lacking = record.used_bytes - engine.tracker.charged(record.segment_name)
+            if lacking > 0:
+                engine._charge_shm(record.segment_name, lacking)
             self._low[record.table_name] = 0
             _, extents = read_block_headers(view)
             self._add_table(record.table_name, extents, record.rows_ingested, record.rows_expired)
@@ -686,10 +680,10 @@ class LazyRestore(RestoreDriver):
         while low not in pending:
             low += 1
         self._low[name] = low
-        released = self._segments[name].release_pages(pending[low].offset)
+        segment = self._segments[name]
+        released = segment.release_pages(pending[low].offset)
         if released:
-            self._engine.tracker.free("shm", released, at=self._engine.clock.now())
-            self._charged[name] -= released
+            self._engine._release_shm(segment.name, released)
 
     def _release_table(self, state: _TableState) -> None:
         """ "delete the table shared memory segment" the moment its table
@@ -701,18 +695,14 @@ class LazyRestore(RestoreDriver):
     def _unlink_segment(self, name: str) -> None:
         """Unmap and delete one segment, then free what it still charges.
         A step is struck off only once it has happened, so the discard
-        can call this again for a segment a fault left half gone: its
-        charge goes exactly once, or a shared tracker loses another
-        leaf's."""
-        engine = self._engine
+        can finish a segment a fault left half gone."""
         view = self._views.pop(name, None)
         if view is not None:
             view.release()  # an exported view pins the mmap
-        if name in self._segments:
-            self._segments[name].unlink()
-            del self._segments[name]
-        engine.tracker.free("shm", self._charged[name], at=engine.clock.now())
-        del self._charged[name]
+        segment = self._segments[name]
+        segment.unlink()
+        del self._segments[name]
+        self._engine._release_shm(segment.name)
 
     def _close_window(self) -> None:
         if self._window:
@@ -738,10 +728,9 @@ class LazyRestore(RestoreDriver):
 
     def _discard_source(self) -> None:
         """Delete the shm state through the tracker: it is untrusted.  What
-        this restore mapped goes by what it still charges, the rest by the
-        metadata's walk."""
+        this restore mapped goes first, the rest by the metadata's walk."""
         meta, self._meta = self._meta, None
-        for name in list(self._charged):
+        for name in list(self._segments):
             self._unlink_segment(name)
         self._close_source()
         self._engine._discard_shm_tracked(meta)

@@ -28,10 +28,7 @@ from repro.disk.recovery import (
 )
 from repro.disk.shmformat import (
     ShmSnapshot,
-    read_table_shm_format,
     read_table_snapshot,
-    recover_leafmap_shm_format,
-    write_leafmap_shm_format,
     write_table_shm_format,
 )
 
@@ -40,14 +37,11 @@ __all__ = [
     "ShmSnapshot",
     "iter_snapshot_tables",
     "read_table_chunks",
-    "read_table_shm_format",
     "read_table_snapshot",
     "recover_leafmap",
-    "recover_leafmap_shm_format",
     "recover_leafmap_snapshots",
     "recover_table_rows",
     "write_chunk",
     "write_file_header",
-    "write_leafmap_shm_format",
     "write_table_shm_format",
 ]

@@ -44,7 +44,6 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
 from repro.errors import CorruptionError, LayoutVersionError
 from repro.shm.layout import read_segment_header  # format reuse, not shm I/O
@@ -184,31 +183,6 @@ def write_table_shm_format(
     return path
 
 
-def write_leafmap_shm_format(
-    directory: str | Path, leafmap: LeafMap, *, generation: int = 0
-) -> list[Path]:
-    """Snapshot every table of a leaf in the shm disk format.
-
-    Only sealed blocks are captured, so the embedded ingest watermark
-    excludes still-buffered rows: recovering the snapshot and re-syncing
-    must not skip them.
-    """
-    paths = [
-        write_table_shm_format(
-            directory,
-            table.name,
-            table.blocks,
-            generation=generation,
-            rows_ingested=table.total_rows_ingested - table.buffered_row_count,
-            rows_expired=table.total_rows_expired,
-        )
-        for table in leafmap
-    ]
-    if paths:
-        fsync_directory(directory)
-    return paths
-
-
 def read_table_snapshot(
     path: str | Path, skip: Collection[int] = ()
 ) -> ShmSnapshot:
@@ -267,45 +241,3 @@ def read_table_snapshot(
         rows_expired=rows_expired,
         flags=flags,
     )
-
-
-def read_table_shm_format(path: str | Path) -> tuple[str, list[RowBlock]]:
-    """Read one shm-format file back into heap row blocks."""
-    snap = read_table_snapshot(path)
-    return snap.table_name, snap.blocks
-
-
-def recover_leafmap_shm_format(
-    directory: str | Path, leafmap: LeafMap, backup=None
-) -> int:
-    """Rebuild a leaf map from a directory of shm-format files.
-
-    Restores both monotone watermarks from each snapshot so subsequent
-    :meth:`DiskBackup.sync_table` deltas line up, and — when ``backup``
-    (any object with an ``expire_cutoff(name)`` method) is given —
-    re-applies the manifest expiry cutoff so rows expired after the
-    snapshot was taken do not resurrect.  Returns the rows present after
-    the cutoff.
-    """
-    total = 0
-    for path in sorted(Path(directory).glob("*.shmdisk")):
-        snap = read_table_snapshot(path)
-        if snap.is_delta:
-            # Deltas are meaningful only through their manifest chain;
-            # a bare directory walk must not install one as a full table.
-            continue
-        table = leafmap.get_or_create(snap.table_name)
-        table.replace_blocks(snap.blocks)
-        table.total_rows_ingested = snap.rows_ingested
-        table.total_rows_expired = snap.rows_expired
-        if backup is not None:
-            pending = getattr(backup, "pending_expire_cutoff", None)
-            cutoff = (
-                pending(snap.table_name)
-                if pending is not None
-                else backup.expire_cutoff(snap.table_name)
-            )
-            if cutoff:
-                table.expire_before(cutoff)
-        total += table.row_count
-    return total

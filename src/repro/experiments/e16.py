@@ -27,7 +27,6 @@ from repro.experiments import (
     workspace,
 )
 from repro.server.machine import Machine
-from repro.server.parallel import ParallelRestartCoordinator
 from repro.sim import paper_profile, simulate_leaf_restart
 from repro.workloads import service_requests
 
@@ -53,18 +52,15 @@ def _digests(machine: Machine) -> list[str]:
 def _blocking_baseline(machine: Machine, label: str):
     """Blocking restart (unavailable until the last byte), the digests it
     produces, and the leaves shut down again the same way."""
-    coordinator = ParallelRestartCoordinator(machine.leaves)
-    blocking = coordinator.restart_all()
+    blocking = machine.restart_all()
     require(
         not blocking.failures,
         f"[{label}] blocking restart failed: "
         + "; ".join(str(o.error) for o in blocking.failures),
     )
     digests = _digests(machine)
-    require(
-        all(o.ok for o in coordinator.shutdown_all()), f"[{label}] shutdown failed"
-    )
-    return coordinator, blocking, digests
+    machine.shutdown_all()
+    return blocking, digests
 
 
 def run(rows: int = ROWS, leaves: int = LEAVES) -> dict:
@@ -92,7 +88,7 @@ def run(rows: int = ROWS, leaves: int = LEAVES) -> dict:
     with workspace() as (tmp, namespace):
         machine = build(tmp, namespace, "query")
         data_bytes = machine.nbytes
-        _, blocking, digests = _blocking_baseline(machine, "query")
+        blocking, digests = _blocking_baseline(machine, "query")
 
         # Bring each leaf to serving and query it before the sweep runs
         # (``sweep=False`` keeps the reading deterministic).
@@ -152,14 +148,11 @@ def run(rows: int = ROWS, leaves: int = LEAVES) -> dict:
         # Availability must not depend on query traffic: sweep thread
         # on, no queries, every leaf still ends ALIVE and identical.
         machine = build(tmp, namespace, "sweep")
-        coordinator, blocking, digests = _blocking_baseline(machine, "sweep")
-        serving_s, outcomes = timed(
-            lambda: coordinator.start_all(serve_while_restoring=True)
-        )
-        fill_s, _ = timed(coordinator.wait_restored_all)
+        blocking, digests = _blocking_baseline(machine, "sweep")
+        serving_s, _ = timed(lambda: machine.start_all(serve_while_restoring=True))
+        fill_s, _ = timed(machine.wait_restored_all)
         idle_ok = (
-            all(o.ok for o in outcomes)
-            and all(
+            all(
                 leaf.restore_progress().fraction_restored == 1.0
                 for leaf in machine.leaves
             )

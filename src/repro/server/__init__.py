@@ -8,9 +8,9 @@ arrive from the leaves."
 
 from repro.server.aggregator import Aggregator
 from repro.server.leaf import LeafServer, LeafStatus
-from repro.server.machine import DEFAULT_LEAVES_PER_MACHINE, Machine
-from repro.server.parallel import (
-    ParallelRestartCoordinator,
+from repro.server.machine import (
+    DEFAULT_LEAVES_PER_MACHINE,
+    Machine,
     ParallelRestartReport,
     RestartOutcome,
 )
@@ -25,7 +25,6 @@ __all__ = [
     "LeafServer",
     "LeafStatus",
     "Machine",
-    "ParallelRestartCoordinator",
     "ParallelRestartReport",
     "RestartOutcome",
     "RetentionEnforcer",

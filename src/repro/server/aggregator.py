@@ -9,42 +9,62 @@ restarts tolerable in the first place.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import StateError
-from repro.query.aggregate import merge_leaf_results, merge_partials
+from repro.query.aggregate import LeafPartial, merge_leaf_results
 from repro.query.execute import LeafExecution
 from repro.query.query import Query, QueryResult
 from repro.server.leaf import LeafServer
 
 
-class Aggregator:
-    """Fans one query out over a set of leaves and merges the partials.
+@dataclass
+class _Share:
+    """What a fan-out has gathered so far: the answering leaves'
+    partials in member order, and the counts the result reports."""
 
-    Aggregators compose into a tree (:class:`AggregatorTree`): a machine
-    aggregator merges its local leaves' partials, and a root aggregator
-    merges the machine-level partials — Figure 1's "Query aggregator /
-    Leaf" structure.
+    partials: list[LeafPartial] = field(default_factory=list)
+    leaves_total: int = 0
+    rows_scanned: int = 0
+    blocks_pruned: int = 0
+
+
+class Aggregator:
+    """Fans one query out over its members and merges the partials.
+
+    A member is a leaf — anything with ``accepts_queries`` and a
+    ``query`` returning a :class:`LeafExecution`: an in-process
+    :class:`~repro.server.leaf.LeafServer` or a worker process's
+    :class:`~repro.server.process_client.LeafProcess` — or a child
+    aggregator.  Aggregators compose into a tree that way: a machine
+    aggregator over its local leaves, a root aggregator over the machine
+    aggregators — Figure 1's "Query aggregator / Leaf" structure.  A
+    child hands up its leaves' partials, counts and scan statistics
+    rather than a finished answer, and the root folds every partial in
+    member order, so a tree answers bit for bit as the flat aggregator
+    over the same leaves does.
 
     With a ``replica_router`` (``leaf_id -> LeafServer | None``) set, a
     leaf that cannot answer — mid-restart, down — has its share of the
     query answered by its table-level replica instead, so results during
-    a restart window stay *complete* rather than partial.
+    a restart window stay *complete* rather than partial.  A child
+    aggregator's leaves fail over through the child's router.
     """
 
     def __init__(
         self,
-        leaves: list[LeafServer],
+        members: list,
         replica_router: Callable[[str], LeafServer | None] | None = None,
     ) -> None:
-        self._leaves = list(leaves)
+        if not members:
+            raise ValueError("an aggregator needs at least one member")
+        self.members = list(members)
         self.replica_router = replica_router
         #: How many leaf-queries were answered by a replica stand-in.
         self.failovers = 0
 
-    def _execute_with_failover(
-        self, leaf: LeafServer, query: Query
-    ) -> LeafExecution | None:
+    def _execute_with_failover(self, leaf, query: Query) -> LeafExecution | None:
         """Run ``query`` on ``leaf``, or on its replica when it cannot.
 
         Returns ``None`` only when neither the primary nor a routed
@@ -70,9 +90,21 @@ class Aggregator:
         self.failovers += 1
         return execution
 
-    @property
-    def leaves(self) -> list[LeafServer]:
-        return list(self._leaves)
+    def _gather(self, query: Query, share: _Share) -> None:
+        """Add every member's answer to ``share``, in member order."""
+        for member in self.members:
+            if isinstance(member, Aggregator):
+                member._gather(query, share)
+                continue
+            share.leaves_total += 1
+            execution = self._execute_with_failover(member, query)
+            if execution is None:
+                # No primary and no replica stand-in: the leaf
+                # contributes nothing and coverage reflects it.
+                continue
+            share.partials.append(execution.partial)
+            share.rows_scanned += execution.rows_scanned
+            share.blocks_pruned += execution.blocks_pruned
 
     def query(self, query: Query) -> QueryResult:
         """Run ``query`` on every leaf currently willing to answer.
@@ -80,68 +112,12 @@ class Aggregator:
         Leaves that are down or mid-memory-recovery simply do not
         contribute; the result's ``coverage`` reflects that.
         """
-        partials = []
-        responded = 0
-        rows_scanned = 0
-        blocks_pruned = 0
-        for leaf in self._leaves:
-            execution = self._execute_with_failover(leaf, query)
-            if execution is None:
-                # No primary and no replica stand-in: the leaf
-                # contributes nothing and coverage reflects it.
-                continue
-            partials.append(execution.partial)
-            responded += 1
-            rows_scanned += execution.rows_scanned
-            blocks_pruned += execution.blocks_pruned
-        result = merge_leaf_results(
+        share = _Share()
+        self._gather(query, share)
+        return merge_leaf_results(
             query,
-            partials,
-            leaves_total=len(self._leaves),
-            rows_scanned=rows_scanned,
-            blocks_pruned=blocks_pruned,
+            share.partials,
+            leaves_total=share.leaves_total,
+            rows_scanned=share.rows_scanned,
+            blocks_pruned=share.blocks_pruned,
         )
-        result.leaves_responded = responded
-        return result
-
-    def query_partial(self, query: Query):
-        """This aggregator's *mergeable* partial (for tree composition).
-
-        Returns ``(partial, leaves_responded, leaves_total)`` where the
-        partial is the merge of the live leaves' partials — the same
-        shape a single leaf produces, so upper tree levels are oblivious
-        to fan-in depth.
-        """
-        executions = [self._execute_with_failover(leaf, query) for leaf in self._leaves]
-        partials = [execution.partial for execution in executions if execution is not None]
-        return merge_partials(partials), len(partials), len(self._leaves)
-
-
-class AggregatorTree:
-    """A two-level aggregation tree: root over per-machine aggregators.
-
-    "The aggregator servers distribute a query to all leaves and then
-    aggregate the results as they arrive" — with hundreds of machines
-    the root does not talk to every leaf directly; each machine's
-    aggregator pre-merges its eight leaves and the root merges one
-    partial per machine.  Results are identical to a flat merge (the
-    aggregation states are associative), which the tests assert.
-    """
-
-    def __init__(self, machine_aggregators: list[Aggregator]) -> None:
-        if not machine_aggregators:
-            raise ValueError("an aggregation tree needs at least one aggregator")
-        self._aggregators = list(machine_aggregators)
-
-    def query(self, query: Query) -> QueryResult:
-        partials = []
-        responded = 0
-        total = 0
-        for aggregator in self._aggregators:
-            partial, leaf_responded, leaf_total = aggregator.query_partial(query)
-            partials.append(partial)
-            responded += leaf_responded
-            total += leaf_total
-        result = merge_leaf_results(query, partials, leaves_total=total)
-        result.leaves_responded = responded
-        return result

@@ -20,7 +20,8 @@ from pathlib import Path
 
 from repro.core.watchdog import DEFAULT_SHUTDOWN_DEADLINE_SECONDS, wait_or_kill
 from repro.errors import ReproError
-from repro.query.aggregate import LeafPartial, partial_from_wire
+from repro.query.aggregate import partial_from_wire
+from repro.query.execute import LeafExecution
 from repro.query.query import Query
 
 
@@ -102,6 +103,11 @@ class LeafProcess:
     @property
     def running(self) -> bool:
         return self._proc is not None and self._proc.poll() is None
+
+    @property
+    def accepts_queries(self) -> bool:
+        """A running worker answers queries (the aggregator's gate)."""
+        return self.running
 
     @property
     def pid(self) -> int | None:
@@ -261,9 +267,13 @@ class LeafProcess:
     def add_rows(self, table: str, rows: list[dict]) -> int:
         return self.request({"op": "add_rows", "table": table, "rows": rows})["added"]
 
-    def query_partial(self, query: Query) -> LeafPartial:
+    def query(self, query: Query) -> LeafExecution:
         response = self.request({"op": "query", "query": query.to_dict()})
-        return partial_from_wire(response["partial"])
+        return LeafExecution(
+            partial_from_wire(response["partial"]),
+            rows_scanned=response["rows_scanned"],
+            blocks_pruned=response["blocks_pruned"],
+        )
 
     def sync(self) -> int:
         return self.request({"op": "sync"})["rows_synced"]

@@ -179,7 +179,7 @@ class HardwareProfile:
 
         ``"process"`` streams are real leaf processes — the paper's
         deployment, one interpreter each — so every worker is a stream;
-        ``"thread"`` workers (the in-process coordinator's pool) share
+        ``"thread"`` workers (an in-process ``Machine``'s pool) share
         one GIL, capping the machine at ``gil_copy_streams`` no matter
         the pool width.
         """

@@ -53,6 +53,12 @@ class MemoryTracker:
 
     regions: dict[str, int] = field(default_factory=dict)
     peak_total: int = 0
+    #: Bytes held per named allocation (a shared memory segment), for
+    #: owners that must give back exactly what a name was charged: a
+    #: leaf freeing its segment never takes a sibling's bytes, and an
+    #: owner that finds a name already charged does not charge it twice.
+    #: A name has one owner at a time (a segment, its leaf).
+    charges: dict[str, int] = field(default_factory=dict)
     _history: list[tuple[float, int]] = field(default_factory=list)
     # The lambda defers the `threading.RLock` lookup to instance
     # creation, so a sanitizer that patches `threading` after this
@@ -86,6 +92,31 @@ class MemoryTracker:
             self._after_change(at)
         if _audit_hook is not None:
             _audit_hook("free", region, nbytes, id(self))
+
+    def charge(self, region: str, name: str, nbytes: int, at: float | None = None) -> None:
+        """Allocate ``nbytes`` in ``region`` on ``name``'s behalf."""
+        self.allocate(region, nbytes, at)
+        with self._lock:
+            self.charges[name] = self.charges.get(name, 0) + nbytes
+
+    def discharge(
+        self, region: str, name: str, nbytes: int | None = None, at: float | None = None
+    ) -> None:
+        """Free ``nbytes`` of ``name``'s charge in ``region`` — all of it
+        by default — struck off only once the region has them back."""
+        held = self.charged(name)
+        nbytes = held if nbytes is None else nbytes
+        if nbytes:
+            self.free(region, nbytes, at)
+        with self._lock:
+            if held > nbytes:
+                self.charges[name] = held - nbytes
+            else:
+                self.charges.pop(name, None)
+
+    def charged(self, name: str) -> int:
+        with self._lock:
+            return self.charges.get(name, 0)
 
     def _after_change(self, at: float | None) -> None:
         total = self.total

@@ -55,7 +55,7 @@ class TestRealTree:
         "src/repro/core/engine.py",
         "src/repro/server/leaf.py",
         "src/repro/server/aggregator.py",
-        "src/repro/server/parallel.py",
+        "src/repro/server/machine.py",
         "src/repro/util/budget.py",
         "src/repro/util/memtrack.py",
     )

@@ -165,7 +165,7 @@ class TestCli:
         )
         assert rc == 0
         written = Baseline.load(target)
-        assert len(written.entries) == 14
+        assert len(written.entries) == 13
         assert all(e.justification == "TODO: justify or fix" for e in written.entries)
 
     def test_unknown_checker_exits_two(self, repo_root, capsys):

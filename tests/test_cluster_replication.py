@@ -42,6 +42,7 @@ from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk.backup import DiskBackup
 from repro.errors import CorruptionError, ReplicaWireError
 from repro.query.query import Aggregation, Query
+from repro.server.aggregator import Aggregator
 from repro.server.leaf import LeafServer, LeafStatus
 from repro.shm.layout import packed_block_chunks
 from repro.shm.metadata import LeafMetadata
@@ -579,8 +580,10 @@ class TestClusterFailover:
             assert victim.last_restart_report.method is RecoveryMethod.REPLICA
             after = cluster.query(COUNT)
             assert total_count(after) == n_rows
-            # The flat aggregator shares the same router.
-            flat = cluster.flat_aggregator.query(COUNT)
+            # A flat aggregator with the same router agrees.
+            flat = Aggregator(
+                cluster.leaves, replica_router=cluster.replica_catalog.replica_for
+            ).query(COUNT)
             assert total_count(flat) == n_rows
         finally:
             cluster.close()

@@ -327,39 +327,6 @@ class TestFaultInjection:
         assert observed["valid"] is False
 
 
-class TestSegmentGrowth:
-    def test_lowball_estimate_grows(self, shm_namespace, backup, clock):
-        leafmap = make_leafmap(clock)
-        leafmap.seal_all()
-        snapshot = leafmap.snapshot_rows()
-        engine = RestartEngine(
-            "0",
-            namespace=shm_namespace,
-            backup=backup,
-            clock=clock,
-            size_estimator=lambda name, blocks: 8,
-        )
-        report = engine.backup_to_shm(leafmap)
-        assert report.segment_grows >= 1
-        restored = fresh_map(clock)
-        out = engine_for(shm_namespace, backup, clock).restore(restored)
-        assert out.method is RecoveryMethod.SHARED_MEMORY
-        assert restored.snapshot_rows() == snapshot
-
-    def test_overestimate_needs_no_growth(self, shm_namespace, backup, clock):
-        leafmap = make_leafmap(clock)
-        engine = RestartEngine(
-            "0",
-            namespace=shm_namespace,
-            backup=backup,
-            clock=clock,
-            size_estimator=lambda name, blocks: 1 << 22,
-        )
-        report = engine.backup_to_shm(leafmap)
-        assert report.segment_grows == 0
-        engine_for(shm_namespace, backup, clock).restore(fresh_map(clock))
-
-
 class TestDeadline:
     def test_deadline_kill_falls_back_to_disk(self, shm_namespace, backup, clock):
         """The watchdog's ShutdownTimeout lands mid-copy, on the fifth

@@ -24,7 +24,7 @@ import pytest
 from repro.core.engine import RecoveryMethod
 from repro.errors import CorruptionError, ShutdownTimeout
 from repro.server.machine import Machine
-from repro.server.parallel import ParallelRestartCoordinator
+from repro.shm.metadata import LeafMetadata
 from repro.shm.layout import table_segment_size
 from repro.util.budget import FootprintBudget
 from repro.util.clock import ManualClock
@@ -33,8 +33,10 @@ from tests.crashpoints import Recorder
 LEAVES = 8
 
 
-def make_machine(shm_namespace, tmp_path, clock, leaves=LEAVES):
-    machine = Machine(
+def new_machine(shm_namespace, tmp_path, clock, leaves=LEAVES):
+    """Leaves on one shared tracker; a second call is the same machine
+    restarted: new leaves and tracker, the same namespace and backups."""
+    return Machine(
         "m0",
         tmp_path,
         leaves_per_machine=leaves,
@@ -43,6 +45,10 @@ def make_machine(shm_namespace, tmp_path, clock, leaves=LEAVES):
         rows_per_block=32,
         shared_tracker=True,
     )
+
+
+def make_machine(shm_namespace, tmp_path, clock, leaves=LEAVES):
+    machine = new_machine(shm_namespace, tmp_path, clock, leaves)
     machine.start_all()
     for index, leaf in enumerate(machine.leaves):
         # Distinct data per leaf so a cross-wired restore cannot pass.
@@ -87,6 +93,9 @@ class TestFootprintBudget:
         assert budget.in_flight == 90
         budget.release(60)
         assert budget.in_flight == 30
+        assert budget.peak_in_flight == 90
+        budget.release(30)
+        assert budget.in_flight == 0
         assert budget.peak_in_flight == 90
 
     def test_blocks_until_release(self):
@@ -167,19 +176,25 @@ class TestFootprintBudget:
         assert budget.in_flight == 0
         assert budget.peak_in_flight == 50
 
-    def test_abandoned_ticket_does_not_block_the_line(self):
-        """A waiter that dies inside its wait gives its ticket up: the
-        next acquire in line is admitted as soon as it fits."""
+    def test_abandoned_ticket_does_not_block_the_line(self, monkeypatch):
+        """A waiter that dies inside its wait loop gives its ticket up:
+        the next acquire in line is admitted as soon as it fits."""
         budget = FootprintBudget(10)
         budget.acquire(10)
+        served, checks = budget._served, []
 
-        def interrupted():
-            raise KeyboardInterrupt
+        def interrupted(ticket, nbytes):
+            # The first check queues the ticket; the loop's re-check,
+            # on the waiter's wake-up, is where it dies.
+            checks.append(ticket)
+            if len(checks) > 1:
+                raise KeyboardInterrupt
+            return served(ticket, nbytes)
 
-        real_wait, budget._cond.wait = budget._cond.wait, interrupted
-        with pytest.raises(KeyboardInterrupt):
-            budget.acquire(5)
-        budget._cond.wait = real_wait
+        with monkeypatch.context() as patch:
+            patch.setattr(budget, "_served", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                budget.acquire(5)
         admitted = threading.Event()
 
         def later():
@@ -193,6 +208,8 @@ class TestFootprintBudget:
         assert admitted.wait(2.0), "the abandoned ticket wedged the queue"
         thread.join()
         assert budget.in_flight == 5
+        budget.release(5)
+        assert budget.in_flight == 0
 
     def test_reserve_context_manager_releases_on_error(self):
         budget = FootprintBudget(10)
@@ -230,13 +247,12 @@ class TestParallelRestartEquivalence:
 
     def test_valid_bit_set_by_parallel_backup(self, shm_namespace, tmp_path, clock):
         machine = make_machine(shm_namespace, tmp_path, clock, leaves=4)
-        coordinator = ParallelRestartCoordinator(machine.leaves)
-        outcomes = coordinator.shutdown_all()
+        outcomes = machine.shutdown_all()
         assert all(o.ok for o in outcomes)
         # Every leaf's valid bit is set — each would restore from memory.
         for leaf in machine.leaves:
             assert leaf.engine.shm_state_valid()
-        outcomes = coordinator.start_all()
+        outcomes = machine.start_all()
         assert all(o.ok for o in outcomes)
         for leaf in machine.leaves:
             assert not leaf.engine.shm_state_exists()
@@ -262,11 +278,10 @@ class TestMachineFootprintBudget:
         # small enough that 8 unbudgeted windows would blow through it.
         limit = max(max_segment_bytes(machine), data_bytes // 3)
         budget = FootprintBudget(limit)
-        coordinator = ParallelRestartCoordinator(machine.leaves, budget=budget)
         tracker = machine.tracker
         assert tracker is not None
 
-        outcomes = coordinator.shutdown_all()
+        outcomes = machine.shutdown_all(budget_bytes=budget)
         assert all(o.ok for o in outcomes)
         shm_total = tracker.in_region("shm")
         assert shm_total >= data_bytes
@@ -275,7 +290,7 @@ class TestMachineFootprintBudget:
         # windows.  Segment preambles make shm_total the data term.
         assert tracker.peak_total <= shm_total + limit
 
-        outcomes = coordinator.start_all()
+        outcomes = machine.start_all(budget_bytes=budget)
         assert all(o.ok for o in outcomes)
         assert tracker.in_region("shm") == 0
         assert tracker.in_region("heap") >= data_bytes
@@ -309,8 +324,7 @@ class TestFailureIsolation:
         snapshots = [leaf.leafmap.snapshot_rows() for leaf in machine.leaves]
         victim = machine.leaves[3]
 
-        coordinator = ParallelRestartCoordinator(machine.leaves)
-        outcomes = coordinator.shutdown_all()
+        outcomes = machine.shutdown_all()
         assert all(o.ok for o in outcomes)
         # The victim's first table is home: its segment goes, and raises.
         recorder = Recorder(monkeypatch)
@@ -319,7 +333,7 @@ class TestFailureIsolation:
             target=f"-leaf-{victim.leaf_id}-t0",
             exc=CorruptionError("injected mid-restore failure"),
         )
-        outcomes = coordinator.start_all()
+        outcomes = machine.start_all()
         assert recorder.fired, "the injected fault never fired"
         assert all(o.ok for o in outcomes), "no leaf may surface the failure"
         by_leaf = {o.leaf_id: o for o in outcomes}
@@ -395,9 +409,8 @@ class TestBudgetHandback:
         if failing:  # before the ladder: nothing catches it
             monkeypatch.setattr(victim.engine, "_begin_restore", explode)
         budget = FootprintBudget(max_segment_bytes(machine))
-        coordinator = ParallelRestartCoordinator(machine.leaves, budget=budget)
-        report = coordinator.restart_all(serve_while_restoring=serving)
-        coordinator.wait_restored_all(timeout=30)
+        report = machine.restart_all(budget_bytes=budget, serve_while_restoring=serving)
+        machine.wait_restored_all(timeout=30)
         assert [o.leaf_id for o in report.failures] == (
             [victim.leaf_id] if failing else []
         )
@@ -408,3 +421,54 @@ class TestBudgetHandback:
         assert own.in_flight == 0
         if failing:  # never restored: its valid shm image is still there
             assert victim.engine.discard_shm()
+
+
+class TestSharedTrackerCharges:
+    """A shared tracker's "shm" region is charged per segment, so a leaf
+    gives back exactly its own segments' bytes, whatever its siblings
+    hold."""
+
+    def test_fresh_machine_serves_every_leaf_from_shm(
+        self, shm_namespace, tmp_path, clock
+    ):
+        """Every leaf's publish charges its own segments: before, only
+        the first leaf's did (the region was no longer empty), and the
+        second leaf's first release underflowed it, leaving its
+        metadata segment behind."""
+        machine = make_machine(shm_namespace, tmp_path, clock, leaves=2)
+        snapshots = [leaf.leafmap.snapshot_rows() for leaf in machine.leaves]
+        machine.shutdown_all()
+        fresh = new_machine(shm_namespace, tmp_path, clock, leaves=2)
+        for leaf in fresh.leaves:
+            leaf.start(serve_while_restoring=True, sweep=False)
+        assert fresh.tracker.in_region("shm") > 0
+        for leaf, snapshot in zip(fresh.leaves, snapshots):
+            assert leaf.wait_restored().method is RecoveryMethod.SHARED_MEMORY
+            assert leaf.leafmap.snapshot_rows() == snapshot
+            assert not leaf.engine.shm_state_exists()
+        assert fresh.tracker.in_region("shm") == 0
+
+    def test_discarding_invalid_state_spares_a_serving_sibling(
+        self, shm_namespace, tmp_path, clock
+    ):
+        """A leaf that discards its own untrusted segments frees only
+        what the tracker holds for them (nothing, in a fresh process):
+        before, it freed the whole region, the serving sibling's charge,
+        and the sibling's next release raised."""
+        machine = make_machine(shm_namespace, tmp_path, clock, leaves=2)
+        snapshots = [leaf.leafmap.snapshot_rows() for leaf in machine.leaves]
+        machine.shutdown_all()
+        fresh = new_machine(shm_namespace, tmp_path, clock, leaves=2)
+        serving, invalid = fresh.leaves
+        meta = LeafMetadata.attach(shm_namespace, invalid.leaf_id)
+        meta.set_valid(False)
+        meta.close()
+        serving.start(serve_while_restoring=True, sweep=False)
+        charged = fresh.tracker.in_region("shm")
+        assert invalid.start().method is RecoveryMethod.DISK_SNAPSHOT
+        assert fresh.tracker.in_region("shm") == charged
+        assert serving.wait_restored().method is RecoveryMethod.SHARED_MEMORY
+        for leaf, snapshot in zip(fresh.leaves, snapshots):
+            assert leaf.leafmap.snapshot_rows() == snapshot
+            assert not leaf.engine.shm_state_exists()
+        assert fresh.tracker.in_region("shm") == 0

@@ -6,11 +6,8 @@ from hypothesis import strategies as st
 
 from repro.columnstore.leafmap import LeafMap
 from repro.disk.shmformat import (
-    read_table_shm_format,
     read_table_snapshot,
-    recover_leafmap_shm_format,
     snapshot_filename,
-    write_leafmap_shm_format,
     write_table_shm_format,
 )
 from repro.errors import ChecksumMismatchError, CorruptionError
@@ -30,18 +27,24 @@ class TestShmDiskFormat:
         leafmap = make_map()
         blocks = leafmap.get_table("events").blocks
         path = write_table_shm_format(tmp_path, "events", blocks)
-        name, recovered = read_table_shm_format(path)
-        assert name == "events"
-        assert [b.to_rows() for b in recovered] == [b.to_rows() for b in blocks]
+        snap = read_table_snapshot(path)
+        assert snap.table_name == "events"
+        assert [b.to_rows() for b in snap.blocks] == [b.to_rows() for b in blocks]
 
     def test_leafmap_roundtrip(self, tmp_path):
+        """One file per table, each read back into its own table."""
         leafmap = make_map()
         leafmap.get_or_create("other").add_rows([{"time": 9}])
         leafmap.seal_all()
-        write_leafmap_shm_format(tmp_path, leafmap)
+        paths = [
+            write_table_shm_format(tmp_path, table.name, table.blocks)
+            for table in leafmap
+        ]
         recovered = LeafMap(clock=ManualClock(0.0), rows_per_block=10)
-        total = recover_leafmap_shm_format(tmp_path, recovered)
-        assert total == 26
+        for path in paths:
+            snap = read_table_snapshot(path)
+            recovered.get_or_create(snap.table_name).replace_blocks(snap.blocks)
+        assert recovered.row_count == 26
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
     def test_checksum_detects_corruption(self, tmp_path):
@@ -53,7 +56,7 @@ class TestShmDiskFormat:
         raw[-1] ^= 0x01  # anywhere in the body; the envelope CRC covers it all
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumMismatchError):
-            read_table_shm_format(path)
+            read_table_snapshot(path)
 
     def test_truncation_detected(self, tmp_path):
         leafmap = make_map()
@@ -63,7 +66,7 @@ class TestShmDiskFormat:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CorruptionError):
-            read_table_shm_format(path)
+            read_table_snapshot(path)
 
     def test_bad_magic_detected(self, tmp_path):
         leafmap = make_map()
@@ -74,12 +77,12 @@ class TestShmDiskFormat:
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptionError):
-            read_table_shm_format(path)
+            read_table_snapshot(path)
 
     def test_empty_table(self, tmp_path):
         path = write_table_shm_format(tmp_path, "bare", [])
-        name, blocks = read_table_shm_format(path)
-        assert name == "bare" and blocks == []
+        snap = read_table_snapshot(path)
+        assert snap.table_name == "bare" and snap.blocks == []
 
 
 class TestSnapshotEnvelope:

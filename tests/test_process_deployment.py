@@ -35,7 +35,7 @@ class TestLeafProcess:
         report = leaf.spawn()
         assert report["method"] == "disk"  # empty first boot
         leaf.add_rows("events", [{"time": i, "v": float(i)} for i in range(600)])
-        partial = leaf.query_partial(COUNT)
+        partial = leaf.query(COUNT).partial
         assert partial[()][0].finalize() == 600
         assert leaf.shutdown(use_shm=False) is True  # shm path covered below
         assert not leaf.running
@@ -49,7 +49,7 @@ class TestLeafProcess:
         report = reborn.spawn()
         assert report["method"] == "shared_memory"
         assert report["rows"] == 400
-        assert reborn.query_partial(COUNT)[()][0].finalize() == 400
+        assert reborn.query(COUNT).partial[()][0].finalize() == 400
         reborn.shutdown(use_shm=False)
 
     def test_killed_worker_forces_disk_recovery(self, shm_namespace, tmp_path):
@@ -155,7 +155,7 @@ class TestLeafProcess:
         )
         assert after["version"] == "v2"
         assert leaf.digest() == digest
-        assert leaf.query_partial(COUNT)[()][0].finalize() == 350
+        assert leaf.query(COUNT).partial[()][0].finalize() == 350
         leaf.shutdown(use_shm=False)
 
 

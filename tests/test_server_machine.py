@@ -12,7 +12,7 @@ class TestMachine:
             clock=clock, rows_per_block=32,
         )
         assert len(machine.leaves) == 3
-        assert machine.aggregator.leaves == machine.leaves
+        assert machine.aggregator.members == machine.leaves
         assert all(leaf.machine_id == "m0" for leaf in machine.leaves)
 
     def test_leaf_ids_embed_machine(self, shm_namespace, tmp_path, clock):

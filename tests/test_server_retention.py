@@ -7,7 +7,7 @@ from repro.query.aggregate import merge_leaf_results
 from repro.query.execute import execute_on_leaf
 from repro.query.query import Aggregation, Query
 from repro.query.render import render_table, render_timeseries
-from repro.server.aggregator import Aggregator, AggregatorTree
+from repro.server.aggregator import Aggregator
 from repro.server.leaf import LeafServer
 from repro.server.retention import (
     RetentionEnforcer,
@@ -126,13 +126,8 @@ class TestAggregatorTree:
             group_by=("g",),
         )
         flat = Aggregator(leaves).query(query)
-        tree = AggregatorTree(
-            [Aggregator(leaves[:2]), Aggregator(leaves[2:])]
-        ).query(query)
-        assert [(r.group, r.values) for r in flat.rows] == [
-            (r.group, r.values) for r in tree.rows
-        ]
-        assert tree.leaves_total == flat.leaves_total
+        tree = Aggregator([Aggregator(leaves[:2]), Aggregator(leaves[2:])]).query(query)
+        assert tree == flat
 
     def test_tree_partiality_counts_leaves(self, shm_namespace, tmp_path, clock):
         leaves = [
@@ -140,14 +135,14 @@ class TestAggregatorTree:
         ]
         leaves[0].add_rows("t", [{"time": 1}])
         leaves[0].crash()
-        tree = AggregatorTree([Aggregator(leaves[:2]), Aggregator(leaves[2:])])
+        tree = Aggregator([Aggregator(leaves[:2]), Aggregator(leaves[2:])])
         result = tree.query(Query("t"))
         assert result.leaves_responded == 3
         assert result.leaves_total == 4
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
-            AggregatorTree([])
+            Aggregator([])
 
 
 class TestRendering:
