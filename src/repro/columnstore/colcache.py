@@ -30,6 +30,10 @@ Design constraints, in paper order:
   only under ``self._lock`` (reprolint's RL3xx checker enforces this).
   Decoding itself happens *outside* the lock so concurrent queries
   don't serialize on decompression.
+
+A query reads through one entry point, :meth:`DecodedColumnCache.get_many`:
+one column of a whole run of blocks per call, one lock round for the
+lookups and one for the inserts.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import bisect
 import threading
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.compression.decoded import DecodedColumn
 
@@ -116,38 +120,31 @@ class DecodedColumnCache:
             self._misses += entry is None
             return entry
 
-    def put(self, block: "RowBlock", name: str, decoded: DecodedColumn) -> None:
-        """Insert a decode result, evicting the oldest data past the cap.
-        An entry larger than the whole cap is not cached at all."""
-        nbytes = decoded.nbytes
-        if nbytes > self.capacity_bytes:
-            return
-        key = (block.uid, name)
-        rank = (block.max_time, *key)
-        with self._lock:
-            if key in self._entries:
-                return
-            if not self._make_room(rank, nbytes):
-                self._refused += 1
-                return
-            self._entries[key] = decoded
-            bisect.insort(self._ranks, rank)
-            self._nbytes += nbytes
-            self._charge(nbytes)
+    def get_many(self, blocks: Sequence["RowBlock"], name: str) -> list[DecodedColumn]:
+        """Column ``name`` of each of ``blocks``, decoding the misses.
 
-    def get_or_decode(self, block: "RowBlock", name: str) -> DecodedColumn:
-        """Cached decode of one column, decoding on miss.
-
-        The decode runs outside the lock, so two threads missing on the
-        same key may both decode; the second insert is dropped by
-        :meth:`put` — wasted work, never a wrong answer.
+        The one lookup entry point of a query: one lock round looks every
+        block up, counted as that many :meth:`get` calls would count.  The
+        misses decode outside the lock and go in newest first, so when the
+        cap binds it is the oldest of them that is refused, not a newer
+        one that is evicted.  Two threads missing on the same key may both
+        decode; the second insert is dropped — wasted work, never a wrong
+        answer.
         """
-        cached = self.get(block, name)
-        if cached is not None:
-            return cached
-        decoded = block.decoded_column(name)
-        self.put(block, name, decoded)
-        return decoded
+        with self._lock:
+            self._column_lookups[name] = self._column_lookups.get(name, 0) + len(blocks)
+            found = [self._entries.get((block.uid, name)) for block in blocks]
+            missing = [i for i, entry in enumerate(found) if entry is None]
+            self._hits += len(found) - len(missing)
+            self._misses += len(missing)
+        for i in missing:
+            found[i] = blocks[i].decoded_column(name)
+        if missing:
+            missing.sort(key=lambda i: (blocks[i].max_time, blocks[i].uid), reverse=True)
+            with self._lock:
+                for i in missing:
+                    self._admit(blocks[i], name, found[i])
+        return found
 
     def invalidate_blocks(self, uids: Iterable[int]) -> int:
         """Drop every entry of the given block uids; returns bytes freed.
@@ -219,6 +216,24 @@ class DecodedColumnCache:
     # ------------------------------------------------------------------
     # Internals (lock already held by every caller)
     # ------------------------------------------------------------------
+
+    def _admit(self, block: "RowBlock", name: str, decoded: DecodedColumn) -> None:
+        """Insert a decode result, evicting the oldest data past the cap.
+        An entry larger than the whole cap is not cached at all."""
+        nbytes = decoded.nbytes
+        if nbytes > self.capacity_bytes:
+            return
+        key = (block.uid, name)
+        if key in self._entries:
+            return
+        rank = (block.max_time, *key)
+        if not self._make_room(rank, nbytes):
+            self._refused += 1
+            return
+        self._entries[key] = decoded
+        bisect.insort(self._ranks, rank)
+        self._nbytes += nbytes
+        self._charge(nbytes)
 
     def _make_room(self, rank: tuple[int, int, str], nbytes: int) -> bool:
         """Evict the oldest entries until ``nbytes`` more fit.  False, with

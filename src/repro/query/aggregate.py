@@ -166,9 +166,7 @@ def partial_to_wire(partial: LeafPartial) -> list[dict]:
 def partial_from_wire(wire: list[dict]) -> LeafPartial:
     """Inverse of :func:`partial_to_wire`."""
     return {
-        _group_key(entry["group"]): [
-            AggState.from_dict(state) for state in entry["states"]
-        ]
+        _group_key(entry["group"]): [AggState.from_dict(state) for state in entry["states"]]
         for entry in wire
     }
 
@@ -208,25 +206,14 @@ def merge_leaf_results(
     records it against ``leaves_total`` so callers can see partiality.
     """
     rows = [
-        ResultRow(
-            group=group,
-            values={
-                agg.label: state.finalize()
-                for agg, state in zip(query.aggregations, states)
-            },
-        )
+        ResultRow(group, {agg.label: s.finalize() for agg, s in zip(query.aggregations, states)})
         for group, states in merge_partials(partials).items()
     ]
+    rows.sort(key=lambda row: _sort_key(row.group))
     if query.order_by is not None:
-        # Top-k ordering by an aggregate value; ties and None-valued
-        # aggregates fall back to group-key order for determinism.
-        rows.sort(key=lambda row: _sort_key(row.group))
-        rows.sort(
-            key=lambda row: _order_key(row.values[query.order_by]),
-            reverse=query.descending,
-        )
-    else:
-        rows.sort(key=lambda row: _sort_key(row.group))
+        # Top-k ordering by an aggregate value; the sort is stable (also
+        # reversed), so ties and None values stay in group-key order.
+        rows.sort(key=lambda row: _order_key(row.values[query.order_by]), reverse=query.descending)
     if query.limit is not None:
         rows = rows[: query.limit]
     return QueryResult(
@@ -245,6 +232,4 @@ def _sort_key(group: tuple) -> tuple:
 
 def _order_key(value) -> tuple:
     """Sort key for order_by values; None sorts below any number."""
-    if value is None:
-        return (0, 0.0)
-    return (1, float(value))
+    return (0, 0.0) if value is None else (1, float(value))

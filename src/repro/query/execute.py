@@ -9,16 +9,18 @@ Two executors share that contract:
 - :func:`execute_on_leaf` (the default) is **vectorized**, a *run* at a
   time: the surviving blocks are gathered into maximal runs of
   consecutive blocks whose referenced columns (time ∪ filters ∪
-  group_by ∪ aggregation columns) have the same presence and type, each
-  (block, column) the answer needs is decoded to :class:`DecodedColumn`
-  arrays (through the leaf's decoded-column cache, block by block; a
-  block wholly inside the time range never decodes its time column),
-  and the kernels of ``repro.query.kernels`` run once per run (predicate
-  masks stay per block).  No row dicts are ever materialized.  The
-  unsealed write buffer is one more block (``Table.buffer_block``, read as
-  it will seal), run last and alone.  How blocks fall into runs never
-  shows in an answer: each block's sums still accumulate from zero in row
-  order and fold in block order — so sealing the buffer moves no bit.
+  group_by ∪ aggregation columns) have the same presence and type, and
+  a run is fetched, masked and reduced as one.  Each column it needs
+  comes in one decoded-column cache round for the run's blocks that
+  still matter; one time mask covers the blocks that straddle a bound (a
+  block wholly inside the range has no mask and never decodes its time
+  column); each filter runs over the blocks some row of which survives;
+  the kernels of ``repro.query.kernels`` run once per run.  No row dicts
+  are ever materialized.  The unsealed write buffer is one more block
+  (``Table.buffer_block``, read as it will seal), run last and alone.
+  How blocks fall into runs never shows in an answer: each block's sums
+  still accumulate from zero in row order and fold in block order — so
+  sealing the buffer moves no bit.
 - :func:`execute_on_leaf_rows` is the original row-at-a-time loop, kept
   as the differential-testing oracle: for any query the two must
   produce equal partials, scan counts, and errors.
@@ -26,7 +28,6 @@ Two executors share that contract:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -61,10 +62,7 @@ class LeafExecution:
 
 
 def execute_on_leaf(
-    leafmap: LeafMap,
-    query: Query,
-    cache: DecodedColumnCache | None = None,
-    vectorized: bool = True,
+    leafmap: LeafMap, query: Query, cache: DecodedColumnCache | None = None
 ) -> LeafExecution:
     """Run ``query`` against one leaf's data.
 
@@ -72,23 +70,15 @@ def execute_on_leaf(
     tables are spread over many leaves and any given leaf may have none
     of a small table's rows.
 
-    ``cache`` overrides the table's attached decoded-column cache;
-    ``vectorized=False`` routes to the row-at-a-time oracle.
+    ``cache`` overrides the table's attached decoded-column cache.
     """
-    if not vectorized:
-        return execute_on_leaf_rows(leafmap, query)
     execution = LeafExecution(partial={})
     _fault_in_for_query(leafmap, query.table, query.start_time, query.end_time)
     if query.table not in leafmap:
         return execution
     table = leafmap.get_table(query.table)
-    if cache is None:
-        cache = table.cache
-    unpruned = [
-        block
-        for block in table.blocks
-        if block.overlaps(query.start_time, query.end_time)
-    ]
+    cache = table.cache if cache is None else cache
+    unpruned = [b for b in table.blocks if b.overlaps(query.start_time, query.end_time)]
     execution.blocks_pruned = len(table.blocks) - len(unpruned)
     for run in _runs(unpruned, _needed_columns(query)):
         _execute_run(execution, query, run, cache)
@@ -190,102 +180,111 @@ def _execute_run(
     blocks: list[RowBlock] | list[BufferBlock],
     cache: DecodedColumnCache | None,
 ) -> None:
-    @functools.cache
-    def col(i: int, name: str) -> DecodedColumn | None:
-        # Lazy decode, one cache lookup per (block, column): a block
-        # whose time mask comes up empty never pays for its filter
-        # columns, one no row of which survives never for the rest.
-        if name not in blocks[i].schema:
-            return None
-        if cache is not None:
-            return cache.get_or_decode(blocks[i], name)
-        return blocks[i].decoded_column(name)
+    def get_many(picked: list, name: str) -> list[DecodedColumn]:
+        if cache is None:
+            return [block.decoded_column(name) for block in picked]
+        return cache.get_many(picked, name)
 
-    grouped_on = [agg.column for agg in query.aggregations if agg.func != "count"]
-    live: list[int] = []  # the blocks some row of which survives ...
-    sels: list[np.ndarray] = []  # ... and which rows of each
-    for i, block in enumerate(blocks):
-        # Predicates stay per-block masks (string verdicts are per
-        # dictionary).  The row path short-circuits: once no row
-        # survives, the next filter is never evaluated (and so cannot
-        # raise).  Mirror that at block granularity — filter errors here
-        # are type-level, so "evaluated for any surviving row" and
-        # "evaluated at all" raise identically, and alike for every
-        # block of a run.  A block inside the time range needs no time column.
-        if block.within(query.start_time, query.end_time):
-            mask = np.ones(block.row_count, dtype=bool)
-        else:
-            mask = kernels.time_mask(col(i, TIME_COLUMN).values, query.start_time, query.end_time)
-        execution.rows_scanned += int(np.count_nonzero(mask))
-        for filt in query.filters:
-            if not mask.any():
-                break
-            mask &= kernels.filter_mask(filt, col(i, filt.column), block.row_count)
-        rows = np.flatnonzero(mask)
-        if rows.size:
-            live.append(i)
-            sels.append(rows)
-            # Ask for the block's other columns now, while its time and
-            # filter columns are the cache's most recent: the cache sees
-            # a query block by block, as it always has.
-            for name in (*query.group_by, *grouped_on):
-                col(i, name)
-    if not live:
+    fetched: dict[tuple[str, int], DecodedColumn] = {}
+
+    def fetch(name: str, indices: list[int]) -> list[DecodedColumn | None]:
+        """Column ``name`` of the run's blocks ``indices``, None where the
+        schema lacks it (alike for a whole run): one cache round for the
+        blocks not fetched before, so no (block, column) is looked up twice."""
+        todo = [i for i in indices if (name, i) not in fetched]
+        if todo and name in blocks[0].schema:
+            got = get_many([blocks[i] for i in todo], name)
+            fetched.update(((name, i), column) for i, column in zip(todo, got))
+        return [fetched.get((name, i)) for i in indices]
+
+    # Time: a block's surviving rows are a mask, or None for every row.  A
+    # block inside the range needs neither its time column nor a mask;
+    # the straddling ones share one time_mask over their joined times.
+    start, end = query.start_time, query.end_time
+    masks: list[np.ndarray | None] = [None] * len(blocks)
+    straddling = [i for i, block in enumerate(blocks) if not block.within(start, end)]
+    if straddling:
+        times = [column.values for column in fetch(TIME_COLUMN, straddling)]
+        joined = kernels.time_mask(np.concatenate(times), start, end)
+        for i, mask in zip(straddling, np.split(joined, np.cumsum([t.size for t in times[:-1]]))):
+            masks[i] = mask
+        execution.rows_scanned += int(np.count_nonzero(joined))
+    execution.rows_scanned += sum(b.row_count for b, m in zip(blocks, masks) if m is None)
+    alive = [i for i, mask in enumerate(masks) if mask is None or mask.any()]
+    # Filters, in query order, over the blocks some row of which survives
+    # (string verdicts per dictionary).  As in the row path, a filter no
+    # row reaches is never evaluated, so cannot raise; filter errors are
+    # type-level, alike for every block of a run, so evaluating a block at
+    # a time raises what the row path raises first.
+    for filt in query.filters:
+        for i, column in zip(alive, fetch(filt.column, alive)):
+            verdict = kernels.filter_mask(filt, column, blocks[i].row_count)
+            masks[i] = verdict if masks[i] is None else masks[i] & verdict
+        alive = [i for i in alive if masks[i].any()]
+    if not alive:
         return
-    matched = sum(rows.size for rows in sels)
+    # Group-by and aggregation columns, for the live blocks only.
+    for name in (*query.group_by, *(a.column for a in query.aggregations if a.func != "count")):
+        fetch(name, alive)
+    # A block every row of which survives is read in place, unindexed.
+    sizes = [blocks[i].row_count if masks[i] is None else np.count_nonzero(masks[i]) for i in alive]
+    sels = [
+        kernels.EVERY_ROW if size == blocks[i].row_count else np.flatnonzero(masks[i])
+        for i, size in zip(alive, sizes)
+    ]
+    matched = int(sum(sizes))
     execution.rows_matched += matched
 
-    def gather(name: str) -> np.ndarray:
+    def gather(name: str, dtype: type | None = None) -> np.ndarray:
         """A numeric column's selected values, run-wide."""
-        return np.concatenate([col(i, name).values[rows] for i, rows in zip(live, sels)])
+        parts = [column.values[sel] for column, sel in zip(fetch(name, alive), sels)]
+        return np.concatenate(parts, dtype=dtype)
 
     factors = []
     if query.bucket_seconds is not None:
         selected = gather(TIME_COLUMN)
         factors.append(kernels.factorize_values(selected - selected % query.bucket_seconds))
     for name in query.group_by:
-        factors.append(kernels.factorize_column([col(i, name) for i in live], sels))
+        factors.append(kernels.factorize_column(fetch(name, alive), sels, matched))
     gids, keys = kernels.combine_groups(factors, matched)
     run_states = [_states_for(execution, query, key) for key in keys]
     group_sizes = np.bincount(gids, minlength=len(keys))
     counts = group_sizes.tolist()
-    valued: list[int] = []  # the aggregations that reduce a numeric column's values
+    valued: dict[str, list[int]] = {}  # numeric column -> the aggregations that reduce it
     for index, agg in enumerate(query.aggregations):
         if agg.func == "count":
             for states, count in zip(run_states, counts):
                 states[index].count += count
             continue
-        first = col(live[0], agg.column)
+        first = fetch(agg.column, alive)[0]
         if first is None:
             # Missing column: the row path updates with None, a no-op —
             # the group still exists, its state stays at count 0.
             continue
         if first.kind is not DecodedKind.NUMERIC:
             typename = "str" if first.kind is DecodedKind.DICT else "list"
-            raise QueryError(
-                f"aggregation '{agg.func}' requires numeric values, got {typename}"
-            )
-        valued.append(index)
+            raise QueryError(f"aggregation '{agg.func}' requires numeric values, got {typename}")
+        valued.setdefault(agg.column, []).append(index)
     if not valued:
         return  # a query that only counts needs no sort
-    block_of = np.repeat(np.arange(len(live)), [rows.size for rows in sels])
+    # One reduction per column serves all its aggregations: their totals
+    # took the same values in the same order, so are equal.
+    block_of = np.repeat(np.arange(len(alive)), sizes)
     columns = [
-        (
-            gather(query.aggregations[index].column).astype(np.float64),
-            np.array([states[index].total for states in run_states]),
-        )
-        for index in valued
+        (gather(name, np.float64), np.array([states[indices[0]].total for states in run_states]))
+        for name, indices in valued.items()
     ]
     starts, reduced = kernels.grouped_reduce(gids, group_sizes, block_of, columns)
-    for index, (sums, mins, maxs, ordered) in zip(valued, reduced):
-        # A percentile keeps its group's slice of the sorted values; any
-        # other state gets none (an empty view would pin the array).
-        sampled = query.aggregations[index].func.startswith("p")
-        per_group = zip(counts, starts.tolist(), sums.tolist(), mins.tolist(), maxs.tolist())
-        for states, (count, start, total, low, high) in zip(run_states, per_group):
-            states[index].total = total
-            chunks = (ordered[start : start + count],) if sampled else ()
-            states[index].absorb(count, low, high, chunks)
+    for indices, (sums, mins, maxs, ordered) in zip(valued.values(), reduced):
+        per_group = list(zip(counts, starts.tolist(), sums.tolist(), mins.tolist(), maxs.tolist()))
+        for index in indices:
+            # A percentile keeps its group's slice of the sorted values; any
+            # other state gets none (an empty view would pin the array).
+            sampled = query.aggregations[index].func.startswith("p")
+            for states, (count, first_row, total, low, high) in zip(run_states, per_group):
+                states[index].total = total
+                chunks = (ordered[first_row : first_row + count],) if sampled else ()
+                states[index].absorb(count, low, high, chunks)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Every kernel here mirrors the row path (``Filter.matches`` plus the
 per-row fold in ``execute.py``) exactly — same verdicts, same error
 types, same error messages — just evaluated a *run* of same-schema
-blocks at a time (a block at a time for predicates on strings):
+blocks at a time (a block at a time for filter predicates):
 
 - Time-range and filter predicates produce boolean masks.  String
   predicates are evaluated once per *dictionary entry* (reusing
@@ -12,9 +12,9 @@ blocks at a time (a block at a time for predicates on strings):
   integer space, as Python compares an int with a float.
 - Group-by columns are factorized to small integer codes over the whole
   run (each block's dictionary remapped into one run-wide id space);
-  multi-column keys combine by mixed radix (``code0 * n1 + code1``) and
-  one ``np.unique`` over that 1-D int64, the key tuples decoded from the
-  distinct values only.
+  multi-column keys combine by mixed radix (``code0 * n1 + code1``),
+  made dense by counting the ids that occur (``np.unique`` when the
+  radix dwarfs the rows), the key tuples decoded from those ids only.
 - Grouped reductions share one stable sort by group per run.  Sums keep
   the rounding contract of ``execute.py``: each block's rows add up
   from zero in row order, the block sums fold into the running total in
@@ -34,6 +34,10 @@ from repro.query.aggregate import canonical
 from repro.query.query import Filter
 
 _I64 = np.iinfo(np.int64)
+
+#: The selection of a block every row of which is selected: indexing
+#: with it is a view, where an index array would copy.
+EVERY_ROW = slice(None)
 _COMPARE = {op: getattr(operator, op) for op in ("eq", "ne", "lt", "le", "gt", "ge")}
 
 
@@ -171,19 +175,20 @@ def factorize_values(values: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def factorize_column(
-    columns: list[DecodedColumn | None], sels: list[np.ndarray]
+    columns: list[DecodedColumn | None], sels: list[np.ndarray | slice], n_selected: int
 ) -> tuple[np.ndarray, list]:
     """Factorize one group-by column over the selected rows of a run.
 
     ``columns[i]`` is the column in the run's i-th block and ``sels[i]``
-    the selected row positions there; every block of a run holds the
+    the selected row positions there (:data:`EVERY_ROW` for all of
+    them), ``n_selected`` rows in all; every block of a run holds the
     column with the same presence and type.  A column missing from the
     schema groups every row under the key element ``None``, as
     ``row.get`` does in the row path.
     """
     first = columns[0]
     if first is None:
-        return np.zeros(sum(sel.size for sel in sels), dtype=np.int64), [None]
+        return np.zeros(n_selected, dtype=np.int64), [None]
     if first.kind is DecodedKind.NUMERIC:
         return factorize_values(np.concatenate([c.values[sel] for c, sel in zip(columns, sels)]))
     if first.kind is DecodedKind.VECTOR:
@@ -205,10 +210,10 @@ def combine_groups(
     """Combine per-column factorizations into one group id per row.
 
     Returns ``(gids, keys)`` where ``gids[i]`` indexes ``keys`` and
-    every group id in ``range(len(keys))`` occurs at least once.  The
-    ids are mixed-radix numbers over the factors' codes, made dense by
-    one ``np.unique`` (and once more before a radix product that would
-    overflow int64).
+    every group id in ``range(len(keys))`` occurs at least once, keys in
+    ascending mixed-radix order.  The ids are mixed-radix numbers over
+    the factors' codes, made dense once at the end (and once more before
+    a radix product that would overflow int64).
     """
     gids = np.zeros(n_selected, dtype=np.int64)
     keys: list[tuple] = [()]
@@ -216,18 +221,30 @@ def combine_groups(
     radix = 1
     for codes, labels in factors:
         if radix * len(labels) > _I64.max:
-            gids, keys = _densify(gids, keys, pending)
+            gids, keys = _densify(gids, keys, pending, radix)
             pending, radix = [], len(keys)
         gids = gids * len(labels) + codes
         radix *= len(labels)
         pending.append(labels)
-    return _densify(gids, keys, pending) if pending else (gids, keys)
+    return _densify(gids, keys, pending, radix) if pending else (gids, keys)
 
 
-def _densify(gids: np.ndarray, keys: list[tuple], pending: list[list]) -> tuple[np.ndarray, list]:
-    """Renumber mixed-radix ids densely, decoding only the ids that occur:
-    ``keys`` labels the most significant digit, ``pending`` the rest."""
-    uniq, gids = np.unique(gids, return_inverse=True)
+def _densify(
+    gids: np.ndarray, keys: list[tuple], pending: list[list], radix: int
+) -> tuple[np.ndarray, list]:
+    """Renumber mixed-radix ids below ``radix`` densely, decoding only the
+    ids that occur: ``keys`` labels the most significant digit,
+    ``pending`` the rest.  A radix no larger than the rows (or 2**16)
+    counts which ids occur and renumbers by a cumulative sum — no sort,
+    and nothing to do when every id occurs; a larger one takes
+    ``np.unique``.  Both number the ids that occur in ascending order."""
+    if radix <= max(gids.size, 1 << 16):
+        occurs = np.bincount(gids, minlength=radix).astype(bool)
+        uniq = np.flatnonzero(occurs)
+        if uniq.size < radix:
+            gids = (np.cumsum(occurs) - 1)[gids]
+    else:
+        uniq, gids = np.unique(gids, return_inverse=True)
     digits = []
     for labels in reversed(pending):
         uniq, codes = np.divmod(uniq, len(labels))
@@ -267,7 +284,7 @@ def grouped_reduce(
     order = np.argsort(narrow, kind="stable")
     sorted_gids, sorted_blocks = gids[order], block_of[order]
     new_pair = np.ones(order.size, dtype=bool)  # first row of each (group, block) pair
-    new_pair[1:] = np.diff(sorted_gids).astype(bool) | np.diff(sorted_blocks).astype(bool)
+    new_pair[1:] = (sorted_gids[1:] != sorted_gids[:-1]) | (sorted_blocks[1:] != sorted_blocks[:-1])
     pair_of = np.cumsum(new_pair) - 1
     fold_into = np.concatenate((np.arange(counts.size), sorted_gids[new_pair]))
     starts = np.cumsum(counts) - counts

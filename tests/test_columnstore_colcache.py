@@ -42,9 +42,10 @@ class Block:
 
 
 def fill(cache: DecodedColumnCache, blocks: list[Block]) -> None:
+    """Look each block's columns up one block at a time."""
     for block in blocks:
         for name in block.sizes:
-            cache.get_or_decode(block, name)
+            cache.get_many([block], name)
 
 
 def balanced(cache: DecodedColumnCache, tracker: MemoryTracker) -> bool:
@@ -85,7 +86,7 @@ class TestScanResistance:
         before = cache.stats()
         region = tracker.in_region(CACHE_REGION)
         old = Block(5, {"a": 64})
-        decoded = cache.get_or_decode(old, "a")
+        (decoded,) = cache.get_many([old], "a")
         assert len(decoded) == 8  # the caller still gets its answer
         after = cache.stats()
         assert after.refused == before.refused + 1
@@ -102,11 +103,11 @@ class TestScanResistance:
         cache = DecodedColumnCache(128)
         small_old, big_new = Block(1, {"a": 16}), Block(3, {"a": 112})
         fill(cache, [small_old, big_new])
-        cache.get_or_decode(Block(2, {"a": 64}), "a")
+        cache.get_many([Block(2, {"a": 64})], "a")
         stats = cache.stats()
         assert (stats.refused, stats.evictions, stats.entries) == (1, 0, 2)
         # Newer than everything: the oldest entries go, oldest first.
-        cache.get_or_decode(Block(4, {"a": 64}), "a")
+        cache.get_many([Block(4, {"a": 64})], "a")
         assert cache.get(small_old, "a") is None and cache.get(big_new, "a") is None
         assert cache.stats().evictions == 2
 
@@ -145,6 +146,71 @@ class TestRanks:
         assert (len(cache), cache.stats().refused) == (1, 0)
 
 
+class TestGetMany:
+    def test_counts_equal_one_get_per_block(self):
+        blocks = [Block(t, {"a": 64, "b": 32}) for t in range(6)]
+        caches = [DecodedColumnCache(1 << 20) for _ in range(2)]
+        for cache in caches:
+            fill(cache, blocks[::2])
+        run, twin = caches
+        for name in "ab":
+            decoded = run.get_many(blocks, name)
+            assert [len(d) for d in decoded] == [b.sizes[name] // 8 for b in blocks]
+            for block in blocks:
+                twin.get(block, name)
+        got, expected = run.stats(), twin.stats()
+        assert (got.hits, got.misses, got.column_lookups) == (
+            expected.hits,
+            expected.misses,
+            expected.column_lookups,
+        )
+        # fill: 3 blocks x 2 columns missed; then per column 3 hits, 3 misses
+        assert (got.hits, got.misses) == (6, 6 + 6)
+        assert run.get_many([], "a") == [] and run.stats().column_lookups["a"] == 9
+
+    def test_hits_come_back_as_cached_in_block_order(self):
+        cache = DecodedColumnCache(1 << 20)
+        blocks = [Block(t, {"a": 8 * (t + 1)}) for t in range(4)]
+        fill(cache, blocks[1:3])
+        cached = [cache.get(b, "a") for b in blocks[1:3]]
+        decoded = cache.get_many(blocks, "a")
+        assert decoded[1:3] == cached and all(a is b for a, b in zip(decoded[1:3], cached))
+        assert [len(d) for d in decoded] == [1, 2, 3, 4]
+
+    def test_full_cache_refuses_the_runs_oldest_miss(self):
+        """Newest first: the run's newer miss takes the free room and its
+        older miss is refused, where one block at a time would have let
+        the older one in and then evicted it for the newer."""
+        tracker = MemoryTracker()
+        cache = DecodedColumnCache(128, tracker=tracker)
+        kept = Block(5, {"a": 64})
+        fill(cache, [kept])
+        old, newer = Block(1, {"a": 64}), Block(3, {"a": 64})
+        cache.get_many([old, newer], "a")
+        stats = cache.stats()
+        assert (stats.refused, stats.evictions, stats.entries) == (1, 0, 2)
+        assert cache.get(old, "a") is None
+        assert cache.get(kept, "a") is not None and cache.get(newer, "a") is not None
+        assert balanced(cache, tracker)
+        # One block at a time, the same lookups cost an eviction.
+        twin = DecodedColumnCache(128)
+        fill(twin, [kept, old, newer])
+        assert (twin.stats().refused, twin.stats().evictions) == (0, 1)
+
+    def test_tracker_charges_balance_through_evictions(self):
+        tracker = MemoryTracker()
+        cache = DecodedColumnCache(5 * 64, tracker=tracker)
+        for start in range(0, 24, 3):
+            run = [Block(start + k, {"a": 64, "b": 32}) for k in range(3)]
+            for name in "ab":
+                cache.get_many(run, name)
+                assert balanced(cache, tracker)
+                assert cache.nbytes <= cache.capacity_bytes
+        assert cache.stats().evictions > 0
+        cache.clear()
+        assert tracker.in_region(CACHE_REGION) == 0
+
+
 class Model:
     """The policy restated from scratch: keep entries in a dict, sort
     them afresh on every admission, evict older ones until the
@@ -158,12 +224,18 @@ class Model:
     def rank(self, key):
         return (self.entries[key][0], *key)
 
-    def get_or_decode(self, block: Block, name: str) -> None:
+    def get_many(self, blocks: list[Block], name: str) -> None:
+        """Look every block up, then admit the misses newest first."""
+        missing = [block for block in blocks if (block.uid, name) not in self.entries]
+        self.hits += len(blocks) - len(missing)
+        self.misses += len(missing)
+        for block in sorted(missing, key=lambda b: (b.max_time, b.uid), reverse=True):
+            self.admit(block, name)
+
+    def admit(self, block: Block, name: str) -> None:
         key = (block.uid, name)
         if key in self.entries:
-            self.hits += 1
             return
-        self.misses += 1
         size = block.sizes[name]
         if size > self.capacity:
             return
@@ -188,7 +260,11 @@ class Model:
 
 
 OPS = st.one_of(
-    st.tuples(st.just("get"), st.integers(0, 5), st.sampled_from("ab")),
+    st.tuples(
+        st.just("get"),
+        st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+        st.sampled_from("ab"),
+    ),
     st.tuples(st.just("invalidate"), st.sets(st.integers(0, 5), max_size=3)),
     st.tuples(st.just("clear")),
 )
@@ -211,9 +287,9 @@ class TestAgainstModel:
         model = Model(capacity)
         for op in ops:
             if op[0] == "get":
-                block = blocks[op[1]]
-                cache.get_or_decode(block, op[2])
-                model.get_or_decode(block, op[2])
+                run = [blocks[i] for i in op[1]]
+                cache.get_many(run, op[2])
+                model.get_many(run, op[2])
             elif op[0] == "invalidate":
                 uids = {blocks[i].uid for i in op[1]}
                 cache.invalidate_blocks(uids)
@@ -247,9 +323,10 @@ class TestThreads:
         def reader(offset):
             try:
                 for i in range(400):
-                    block = blocks[(offset + 5 * i) % len(blocks)]
-                    decoded = cache.get_or_decode(block, "ab"[i % 2])
-                    assert decoded.nbytes == block.sizes["ab"[i % 2]]
+                    run = [blocks[(offset + 5 * i + k) % len(blocks)] for k in range(i % 4 + 1)]
+                    name = "ab"[i % 2]
+                    for block, decoded in zip(run, cache.get_many(run, name)):
+                        assert decoded.nbytes == block.sizes[name]
             except Exception as exc:  # surfaced by the main thread
                 errors.append(exc)
 
@@ -351,5 +428,5 @@ class TestNarrowCodes:
         table = leafmap.get_or_create("t")
         table.add_rows({"time": 100 + i, "s": f"/api/{i % 8}"} for i in range(512))
         (block,) = table.blocks
-        decoded = cache.get_or_decode(block, "s")
+        (decoded,) = cache.get_many([block], "s")
         assert cache.nbytes == decoded.nbytes == 512 + sum(len(e) + 50 for e in decoded.entries)

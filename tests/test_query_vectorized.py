@@ -229,13 +229,6 @@ class TestDifferentialExplicit:
             )
             assert fast.rows_matched == matched, filt
 
-    def test_vectorized_false_routes_to_row_path(self):
-        query = Query("service_requests", group_by=("endpoint",))
-        by_flag = execute_on_leaf(make_map(), query, vectorized=False)
-        oracle = execute_on_leaf_rows(make_map(), query)
-        assert by_flag.partial.keys() == oracle.partial.keys()
-        assert by_flag.rows_scanned == oracle.rows_scanned
-
 
 FILTER_STRATEGY = st.one_of(
     st.builds(
@@ -603,6 +596,114 @@ class TestRunAtATime:
             execute_on_leaf_rows(leafmap, query)
         assert str(fast_err.value) == str(slow_err.value)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        block_times=st.lists(
+            st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_straddling_mask_over_the_run_equals_per_block_masks(self, data, block_times):
+        """One time_mask over the straddling blocks' joined times, split
+        back by block, selects what each block's own mask selects — with
+        bounds on block edges, where a block flips between inside,
+        straddling and pruned."""
+        leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=10**6)
+        table = leafmap.get_or_create("service_requests")
+        for times in block_times:  # unsorted within a block: gaps and overlaps
+            table.add_rows({"time": 1000 + t, "latency": float(t % 7)} for t in times)
+            table.seal_buffer()
+        edges = sorted(
+            {1000 + t + d for times in block_times for t in (min(times), max(times)) for d in (0, 1)}
+        )
+        bound = st.one_of(st.none(), st.sampled_from(edges))
+        start, end = data.draw(bound), data.draw(bound)
+        query = Query(
+            "service_requests",
+            aggregations=(Aggregation("count"), Aggregation("sum", "latency")),
+            start_time=start,
+            end_time=end,
+        )
+        calls = []
+        inner = kernels.time_mask
+
+        def recording(times, start_time, end_time):
+            calls.append(times.size)
+            return inner(times, start_time, end_time)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "time_mask", recording)
+            whole = assert_partition_invariant(leafmap, query)
+            del calls[:]
+            execute_on_leaf(leafmap, query)
+        assert_equivalent(leafmap, query)
+        straddling = [
+            b for b in table.blocks if b.overlaps(start, end) and not b.within(start, end)
+        ]
+        assert calls == ([sum(b.row_count for b in straddling)] if straddling else [])
+        per_block = sum(
+            int(np.count_nonzero(inner(b.decoded_column("time").values, start, end)))
+            for b in table.blocks
+            if b.overlaps(start, end)
+        )
+        assert whole.rows_scanned == per_block
+
+    def test_run_inside_the_range_without_filters_reads_every_row_in_place(self, monkeypatch):
+        runs = count_runs(monkeypatch)
+        leafmap = make_map(rows=100)
+        leafmap.seal_all()
+        query = Query(
+            "service_requests",
+            aggregations=(Aggregation("count"), Aggregation("avg", "latency")),
+            group_by=("endpoint",),
+            start_time=1000,
+            end_time=1100,
+        )
+        selections = []
+        factorize = kernels.factorize_column
+
+        def recording(columns, sels, n_selected):
+            selections.extend(sels)
+            return factorize(columns, sels, n_selected)
+
+        monkeypatch.setattr(kernels, "time_mask", None)  # a call would raise
+        monkeypatch.setattr(kernels, "factorize_column", recording)
+        fast = execute_on_leaf(leafmap, query)
+        assert runs == [4]
+        # No block is masked or gathered through an index array.
+        assert len(selections) == 4 and all(sel is kernels.EVERY_ROW for sel in selections)
+        assert fast.rows_scanned == fast.rows_matched == 100
+        monkeypatch.undo()
+        slow = execute_on_leaf_rows(leafmap, query)
+        assert fast.partial == slow.partial
+        assert_equivalent(leafmap, query)
+
+    def test_aggregations_on_one_column_share_one_reduction(self, monkeypatch):
+        widths = []
+        inner = kernels.grouped_reduce
+
+        def recording(gids, counts, block_of, columns):
+            widths.append(len(columns))
+            return inner(gids, counts, block_of, columns)
+
+        monkeypatch.setattr(kernels, "grouped_reduce", recording)
+        query = Query(
+            "service_requests",
+            aggregations=tuple(
+                Aggregation(func, column)
+                for func, column in (
+                    ("avg", "latency"), ("p90", "latency"), ("sum", "status"), ("max", "latency")
+                )
+            ),
+            group_by=("endpoint",),
+        )
+        leafmap = make_map()
+        leafmap.seal_all()
+        assert_equivalent(leafmap, query)
+        assert widths == [2]  # latency and status, once each
+
     def test_cache_lookups_do_not_grow(self):
         cache = DecodedColumnCache(1 << 20)
         leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=4, column_cache=cache)
@@ -717,6 +818,25 @@ class TestCoveredBlocks:
         assert len(cache) == 0
 
 
+FACTOR_SIZES = [1, 2, 3, 7, 256, 1 << 16, (1 << 16) + 1, 1 << 30]
+
+
+@st.composite
+def factor_sets(draw):
+    """Random factorizations of a few rows: label counts around the
+    dense threshold (2**16) and wide enough that three of them overflow
+    int64; the codes leave most ids absent."""
+    n_rows = draw(st.integers(min_value=0, max_value=40))
+    factors = []
+    for n_labels in draw(st.lists(st.sampled_from(FACTOR_SIZES), max_size=4)):
+        pool = st.integers(min_value=0, max_value=n_labels - 1)
+        # a few distinct codes, repeated, so ids recur and others are absent
+        distinct = draw(st.lists(pool, min_size=1, max_size=4))
+        codes = draw(st.lists(st.sampled_from(distinct), min_size=n_rows, max_size=n_rows))
+        factors.append((np.array(codes, dtype=np.int64), range(10, 10 + n_labels)))
+    return n_rows, factors
+
+
 class TestCombineGroups:
     def test_mixed_radix_ids_decode_to_the_key_tuples(self):
         first = (np.array([1, 0, 1, 1, 0]), ["a", "b"])
@@ -734,6 +854,29 @@ class TestCombineGroups:
         gids, keys = kernels.combine_groups([(c, wide) for c in codes], 4)
         assert keys == [(5, 1, 3), (7, 1, 3), (7, 1, 4), (7, 1 << 29, 3)]
         assert gids.tolist() == [1, 3, 0, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(factor_sets())
+    def test_same_ids_and_keys_as_np_unique(self, factor_set):
+        n_rows, factors = factor_set
+        gids, keys = kernels.combine_groups(factors, n_rows)
+        if not factors:
+            assert keys == [()] and gids.tolist() == [0] * n_rows
+            return
+        stacked = np.stack([codes for codes, _ in factors], axis=1)
+        uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        assert gids.tolist() == inverse.ravel().tolist()
+        assert keys == [
+            tuple(labels[code] for (_, labels), code in zip(factors, row)) for row in uniq.tolist()
+        ]
+
+    @pytest.mark.parametrize("n_labels", [1 << 16, (1 << 16) + 1])
+    def test_every_id_present_or_absent_at_the_threshold(self, n_labels):
+        for codes in (np.arange(n_labels), np.array([n_labels - 1, 0, n_labels - 1])):
+            gids, keys = kernels.combine_groups([(codes, range(n_labels))], codes.size)
+            uniq, inverse = np.unique(codes, return_inverse=True)
+            assert np.array_equal(gids, inverse)
+            assert keys == [(label,) for label in uniq.tolist()]
 
 
 def nan_map(leaf_rows=8, rows_per_block=4, first=0):
