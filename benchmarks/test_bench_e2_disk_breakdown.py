@@ -4,16 +4,17 @@ Paper (§1): "Reading about 120 GB of data from disk takes 20-25 minutes;
 reading that data in its disk format and translating it to its in-memory
 format takes 2.5-3 hours" — i.e. translation dominates by ~7x.
 
-Measured for real by splitting our disk recovery into its two phases:
-parsing the row-format chunks (the read) and rebuilding compressed row
-blocks (the translate).
+Measured for real by splitting our disk recovery into the two phases
+legacy replay runs: parsing the row-format chunks into column runs (the
+read) and cutting those at seal boundaries into compressed row blocks
+(the translate).
 """
 
 import pytest
 
 from repro.columnstore.leafmap import LeafMap
 from repro.disk.backup import DiskBackup
-from repro.disk.recovery import recover_table_rows
+from repro.disk.recovery import chunk_runs, surviving_chunks
 from repro.sim import paper_profile
 from repro.workloads import service_requests
 
@@ -34,13 +35,18 @@ def synced_backup(tmp_path_factory):
     return backup
 
 
+def read_runs(backup):
+    """The surviving chunks, each decoded to column runs."""
+    return list(chunk_runs(*surviving_chunks(backup, TABLE)))
+
+
 def test_read_phase(benchmark, synced_backup, record_result):
-    """Parse the disk format into rows (no columnar translation)."""
+    """Parse the disk format into column runs (no compression)."""
 
     def run():
-        rows = list(recover_table_rows(synced_backup, TABLE))
-        assert len(rows) == N_ROWS
-        return rows
+        runs = read_runs(synced_backup)
+        assert sum(r.n_rows for r in runs) == N_ROWS
+        return runs
 
     benchmark(run)
     record_result("E2", "read phase (scaled)", "20-25 min @ 120 GB",
@@ -48,15 +54,14 @@ def test_read_phase(benchmark, synced_backup, record_result):
 
 
 def test_translate_phase(benchmark, synced_backup, clock, record_result):
-    """Columnarize + compress already-read rows (the dominant cost)."""
-    rows = list(recover_table_rows(synced_backup, TABLE))
+    """Seal already-read runs into compressed blocks: the paper's
+    dominant cost, which in this implementation measures below the read
+    (EXPERIMENTS.md, E2)."""
+    runs = read_runs(synced_backup)
 
     def run():
-        leafmap = LeafMap(clock=clock, rows_per_block=ROWS_PER_BLOCK)
-        table = leafmap.create_table(TABLE)
-        table.add_rows(rows)
-        table.seal_buffer()
-        assert table.row_count == N_ROWS
+        table = LeafMap(clock=clock, rows_per_block=ROWS_PER_BLOCK).create_table(TABLE)
+        assert table.add_runs(runs) == N_ROWS
 
     benchmark(run)
     record_result("E2", "translate phase (scaled)", "~2.2-2.6 h @ 120 GB",

@@ -120,21 +120,35 @@ class RowBlock(TimeRange):
         """
         if not rows:
             raise ValueError("a row block must contain at least one row")
-        if len(rows) > ROWS_PER_BLOCK:
-            raise CapacityError(
-                f"{len(rows)} rows exceed the {ROWS_PER_BLOCK}-row block cap"
-            )
         if schema is None:
             schema = Schema.from_rows(rows)
-        times = [row[TIME_COLUMN] for row in rows]
-        rbcs = {
-            name: build_rbc(ctype, schema.column_values(name, rows))
-            for name, ctype in schema.items()
-        }
+        columns = {name: schema.column_values(name, rows) for name in schema.names}
+        return cls.from_columns(schema, columns, created_at)
+
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Schema,
+        columns: Mapping[str, list[ColumnValue]],
+        created_at: float,
+    ) -> "RowBlock":
+        """Seal one value list per ``schema`` column into a row block.
+
+        Each list holds every row's value, of the column's type, a value
+        a row lacked already filled with the default: what
+        :meth:`from_rows` extracts from rows, and what legacy replay
+        decodes the row log into.
+        """
+        times = columns[TIME_COLUMN]
+        if not times:
+            raise ValueError("a row block must contain at least one row")
+        if len(times) > ROWS_PER_BLOCK:
+            raise CapacityError(f"{len(times)} rows exceed the {ROWS_PER_BLOCK}-row block cap")
+        rbcs = {name: build_rbc(ctype, columns[name]) for name, ctype in schema.items()}
         return cls(
             schema,
             rbcs,
-            row_count=len(rows),
+            row_count=len(times),
             min_time=min(times),
             max_time=max(times),
             created_at=created_at,

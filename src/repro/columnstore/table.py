@@ -4,10 +4,17 @@ New rows land in a row-oriented write buffer; once 65,536 rows (or the
 1 GB pre-compression cap) accumulate, the buffer is sealed into a
 compressed :class:`RowBlock`.  Tables also delete data "as it expires due
 to either age or size limits" (paper, Section 2).
+
+Legacy replay seals rows it read back from disk as column runs
+(:meth:`Table.add_runs`, :func:`seal_groups`) at the boundaries, and
+with the errors, that :meth:`Table.add_row` applies to rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate, compress
+from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from repro.columnstore.colcache import DecodedColumnCache
@@ -28,6 +35,16 @@ _ROW_TYPES = {**EXACT_TYPES, list: ColumnType.STRING_VECTOR}
 _STRING, _VECTOR = ColumnType.STRING, ColumnType.STRING_VECTOR
 
 
+def _vector_bytes(value: list[str]) -> int:
+    return sum(map(len, value)) + 4 * len(value)
+
+
+def _fixed_bytes(name: str, ctype: ColumnType) -> int:
+    """A column's part of ``estimate_row_bytes`` that does not depend on
+    its value: the name, 8, and a number's 8."""
+    return len(name) + (8 if ctype is _STRING or ctype is _VECTOR else 16)
+
+
 def estimate_row_bytes(row: Mapping[str, ColumnValue]) -> int:
     """Rough pre-compression size of one row, for the 1 GB block cap."""
     total = 0
@@ -36,10 +53,147 @@ def estimate_row_bytes(row: Mapping[str, ColumnValue]) -> int:
         if isinstance(value, str):
             total += len(value)
         elif isinstance(value, list):
-            total += sum(len(item) + 4 for item in value)
+            total += _vector_bytes(value)
         else:
             total += 8
     return total
+
+
+_NO_TIME = f"row lacks the required '{TIME_COLUMN}' column"
+_BAD_TIME = f"'{TIME_COLUMN}' must be an integer unix timestamp"
+
+
+def _column_error(name: object, ctype: ColumnType, known: ColumnType | None) -> SchemaError:
+    """Why a column ``name`` of ``ctype`` cannot join a buffer that has
+    it as ``known`` (``None``: a new column)."""
+    if known is not None:
+        return SchemaError(f"column '{name}' seen as both {known.name} and {ctype.name}")
+    return SchemaError(f"column names must be non-empty strings: {name!r}")
+
+
+class ColumnRun(NamedTuple):
+    """Consecutive rows whose columns agree on type: the columns in
+    first-seen order, each a value list with the type's default where a
+    row lacks the column.  What legacy replay decodes the row log into
+    and :meth:`Table.add_runs` seals.
+
+    ``layouts`` is ``None`` when every row carries every column in this
+    order; otherwise each row's columns, in its own order, as positions
+    in ``names`` (a position a row repeats: the name it repeats).
+    """
+
+    names: tuple[str, ...]
+    types: tuple[ColumnType, ...]
+    columns: list[list[ColumnValue]]
+    n_rows: int
+    layouts: list[tuple[int, ...]] | None = None
+
+    def column(self, name: str) -> list[ColumnValue] | None:
+        """One column's values; ``None`` when the run lacks it."""
+        return self.columns[self.names.index(name)] if name in self.names else None
+
+    def rows(self) -> list[dict[str, ColumnValue]]:
+        """The run's rows, as dicts."""
+        names, columns = self.names, self.columns
+        if not names:
+            return [{} for _ in range(self.n_rows)]
+        if self.layouts is None:
+            return [dict(zip(names, values)) for values in zip(*columns)]
+        return [{names[j]: columns[j][i] for j in ls} for i, ls in enumerate(self.layouts)]
+
+    def select(self, keep: list[bool]) -> "ColumnRun":
+        """The run's rows where ``keep`` is true."""
+        layouts = self.layouts and list(compress(self.layouts, keep))
+        columns = [list(compress(column, keep)) for column in self.columns]
+        return ColumnRun(self.names, self.types, columns, sum(keep), layouts)
+
+
+def _row_bytes(run: ColumnRun) -> list[int]:
+    """``estimate_row_bytes`` of each row of ``run``: its part that does
+    not depend on the values follows from the columns the row carries,
+    and a default it holds for a column it lacks adds nothing."""
+    per_column = list(map(_fixed_bytes, run.names, run.types))
+    if run.layouts is None:
+        sizes = [sum(per_column)] * run.n_rows
+    else:
+        fixed = {ls: sum(map(per_column.__getitem__, set(ls))) for ls in set(run.layouts)}
+        sizes = list(map(fixed.__getitem__, run.layouts))
+    for ctype, column in zip(run.types, run.columns):
+        if ctype is _STRING:
+            sizes = list(map(add, sizes, map(len, column)))
+        elif ctype is _VECTOR:
+            sizes = list(map(add, sizes, map(_vector_bytes, column)))
+    return sizes
+
+
+def seal_groups(
+    runs: Iterable[ColumnRun], rows_per_block: int, max_block_bytes: int
+) -> Iterator[tuple[Schema, dict[str, list[ColumnValue]], int, int]]:
+    """Cut ``runs`` into the row blocks :meth:`Table.add_rows` would seal
+    from their rows, as ``(schema, columns, rows, estimated bytes)``,
+    ready for :meth:`RowBlock.from_columns`.
+
+    The same boundaries: a block seals after the row that brings it to
+    ``rows_per_block`` rows or ``max_block_bytes`` estimated bytes, and
+    its schema is its rows' columns in first-seen order.  The same
+    :class:`SchemaError`s, from the same row: rows are checked a layout
+    at a time, where one first occurs in the block (a layout that passed
+    there passes again).
+    """
+    types: dict[str, ColumnType] = {}
+    parts: list[tuple[ColumnRun, int, int, set[int]]] = []
+    n_rows = n_bytes = 0
+    for run in runs:
+        ends = list(accumulate(_row_bytes(run)))  # ends[i]: the run's rows [0, i]
+        time = run.names.index(TIME_COLUMN) if TIME_COLUMN in run.names else -1
+        lo = 0
+        while lo < run.n_rows:
+            start = ends[lo - 1] if lo else 0
+            hi = min(run.n_rows, lo + rows_per_block - n_rows)
+            hi = min(hi, bisect_left(ends, max_block_bytes - n_bytes + start, lo, hi) + 1)
+            layouts = dict.fromkeys(run.layouts[lo:hi]) if run.layouts else [range(len(run.names))]
+            for layout in layouts:
+                if time not in layout:
+                    raise SchemaError(_NO_TIME)
+                if run.types[time] is not ColumnType.INT64:
+                    raise SchemaError(_BAD_TIME)
+                for j in layout:
+                    name, ctype = run.names[j], run.types[j]
+                    known = types.get(name)
+                    if known is not ctype:
+                        if known is not None or not name:
+                            raise _column_error(name, ctype, known)
+                        types[name] = ctype
+            parts.append((run, lo, hi, set().union(*layouts)))
+            n_rows += hi - lo
+            n_bytes += ends[hi - 1] - start
+            lo = hi
+            if n_rows >= rows_per_block or n_bytes >= max_block_bytes:
+                yield Schema(types), _block_columns(types, parts, n_rows), n_rows, n_bytes
+                types, parts, n_rows, n_bytes = {}, [], 0, 0
+    if parts:
+        yield Schema(types), _block_columns(types, parts, n_rows), n_rows, n_bytes
+
+
+def _block_columns(
+    types: dict[str, ColumnType],
+    parts: list[tuple[ColumnRun, int, int, set[int]]],
+    n_rows: int,
+) -> dict[str, list[ColumnValue]]:
+    """One block's columns from its runs' rows ``[lo, hi)``, of the
+    columns present there; a value a row lacks, the type's default."""
+    columns: dict[str, list[ColumnValue]] = {name: [] for name in types}
+    at = 0
+    for run, lo, hi, present in parts:
+        for j in present:
+            values = columns[run.names[j]]
+            if len(values) < at:
+                values += [types[run.names[j]].default()] * (at - len(values))
+            values += run.columns[j][lo:hi]
+        at += hi - lo
+    for name, values in columns.items():
+        values += [types[name].default()] * (n_rows - len(values))
+    return columns
 
 
 class _RowShape(NamedTuple):
@@ -186,10 +340,10 @@ class Table:
         buffer's types and record its new columns; returns the row's
         shape and its byte estimate."""
         if TIME_COLUMN not in row:
-            raise SchemaError(f"row lacks the required '{TIME_COLUMN}' column")
+            raise SchemaError(_NO_TIME)
         time_value = row[TIME_COLUMN]
         if not isinstance(time_value, int) or isinstance(time_value, bool):
-            raise SchemaError(f"'{TIME_COLUMN}' must be an integer unix timestamp")
+            raise SchemaError(_BAD_TIME)
         types = self._buffer_types
         new_columns: dict[str, ColumnType] = {}
         fixed_bytes = 0
@@ -199,20 +353,14 @@ class Table:
             ctype = _ROW_TYPES.get(type(value)) or infer_column_type(value)
             known = types.get(name)
             if known is not ctype:  # a new column, or a conflict
-                if known is not None:
-                    raise SchemaError(
-                        f"column '{name}' seen as both {known.name} and {ctype.name}"
-                    )
-                if type(name) is not str or not name:
-                    raise SchemaError(f"column names must be non-empty strings: {name!r}")
+                if known is not None or type(name) is not str or not name:
+                    raise _column_error(name, ctype, known)
                 new_columns[name] = ctype
-            fixed_bytes += len(name) + 8
+            fixed_bytes += _fixed_bytes(name, ctype)
             if ctype is _STRING:
                 strings.append(name)
             elif ctype is _VECTOR:
                 vectors.append(name)
-            else:
-                fixed_bytes += 8
         shape = _RowShape(names, kinds, fixed_bytes, tuple(strings), tuple(vectors))
         nbytes = shape.bytes_of(row)  # a vector item without a len raises here
         if new_columns:
@@ -225,6 +373,21 @@ class Table:
         for row in rows:
             self.add_row(row)
             count += 1
+        return count
+
+    def add_runs(self, runs: Iterable[ColumnRun]) -> int:
+        """Append ``runs``' rows as sealed row blocks, cut where
+        :meth:`add_rows` and a last :meth:`seal_buffer` would cut them on
+        an empty buffer (:func:`seal_groups`; this buffer is sealed
+        first); returns the number added."""
+        self.seal_buffer()
+        count = 0
+        for schema, columns, n_rows, _ in seal_groups(
+            runs, self._rows_per_block, self._max_block_bytes
+        ):
+            self._blocks.append(RowBlock.from_columns(schema, columns, self._clock.now()))
+            count += n_rows
+        self.total_rows_ingested += count
         return count
 
     def seal_buffer(self) -> RowBlock | None:

@@ -24,7 +24,7 @@ from repro.disk.recovery import (
     iter_snapshot_tables,
     recover_leafmap,
     recover_leafmap_snapshots,
-    recover_table_rows,
+    recover_table_runs,
 )
 from repro.disk.shmformat import (
     ShmSnapshot,
@@ -40,7 +40,7 @@ __all__ = [
     "read_table_snapshot",
     "recover_leafmap",
     "recover_leafmap_snapshots",
-    "recover_table_rows",
+    "recover_table_runs",
     "write_chunk",
     "write_file_header",
     "write_table_shm_format",

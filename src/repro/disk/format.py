@@ -38,7 +38,10 @@ header's payload length are corruption, and raise.
 Two encoders write the same payload bytes, compared before deflating:
 :func:`encode_chunk_rows` from row dicts and :func:`encode_chunk_block`
 from a sealed row block, column by column — a sync point's source, so it
-never rebuilds rows to persist them.
+never rebuilds rows to persist them.  The one decoder,
+:func:`decode_chunk_columns`, reads a payload back column by column too:
+as runs of rows whose columns agree on type, which replay seals without
+building a row.  :func:`decode_chunk_rows` materializes those runs.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping
 
 from repro.columnstore.rbc import RowBlockColumn
 from repro.columnstore.rowblock import RowBlock
+from repro.columnstore.table import ColumnRun
 from repro.compression.base import CompressionFlags
 from repro.compression.lzs import lz_compress, lz_decompress
 from repro.compression.pipeline import raw_string_payload
@@ -82,6 +86,7 @@ MAX_CHUNK_BYTES = 1 << 31
 # The type codes as plain ints, for the chunk decoder's per-field branch.
 _INT64, _FLOAT64 = int(ColumnType.INT64), int(ColumnType.FLOAT64)
 _STRING, _STRING_VECTOR = int(ColumnType.STRING), int(ColumnType.STRING_VECTOR)
+_COLUMN_TYPES = {int(ctype): ctype for ctype in ColumnType}
 _NUMERIC_DTYPES = {ColumnType.INT64: "<i8", ColumnType.FLOAT64: "<f8"}
 
 
@@ -222,9 +227,10 @@ def _raw_string_cells(column: RowBlockColumn) -> list[bytes]:
     cells, pos = [], 0
     try:
         for _ in range(column.n_items):
-            start = pos
-            _, pos = _read_str(raw, pos, len(raw))
-            cells.append(raw[start:pos])
+            start, stop = _str_span(raw, pos, len(raw))
+            raw[start:stop].decode("utf-8")
+            cells.append(raw[pos:stop])
+            pos = stop
     except (IndexError, UnicodeDecodeError) as exc:
         raise CorruptionError(f"raw string column damaged at offset {pos}: {exc}") from exc
     if pos != len(raw):
@@ -338,84 +344,179 @@ def read_chunk_payloads(
         yield n_rows, payload
 
 
-def _read_str(buf: bytes, pos: int, end: int) -> tuple[str, int]:
-    """One varint-length-prefixed UTF-8 string at ``pos``; ``(text, next)``."""
+def _str_span(buf: bytes, pos: int, end: int) -> tuple[int, int]:
+    """Where the varint-length-prefixed string at ``pos`` starts and stops."""
     length = buf[pos]
     pos += 1
     if length >= 0x80:
         length, pos = decode_varint(buf, pos - 1)
-    stop = pos + length
-    if stop > end:
+    if pos + length > end:
         raise CorruptionError(f"string of {length} bytes at offset {pos} overruns its chunk")
-    return buf[pos:stop].decode("utf-8"), stop
+    return pos, pos + length
 
 
-def decode_chunk_rows(payload: bytes, n_rows: int) -> list[dict[str, ColumnValue]]:
-    """Decode one intact chunk payload into its rows.
+class _RunReader:
+    """The run a chunk's rows are read into: its columns in first-seen
+    order, and per row its values and where they go (its layout)."""
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+        self.types: list[ColumnType] = []
+        self.positions: dict[bytes, int] = {}  # by a field's name-and-type bytes
+        self.rows: list[list[ColumnValue]] = []
+        self.row_layouts: list[tuple[int, ...]] = []
+
+    def layout(self, prefixes: list[bytes]) -> tuple[int, ...] | None:
+        """Where a row whose fields have these name-and-type bytes puts
+        its values, its new columns added; ``None`` when it types a
+        column otherwise than the run.  A name the row repeats takes its
+        first position and its last type, as the row's dict does."""
+        try:
+            return tuple(map(self.positions.__getitem__, prefixes))
+        except KeyError:
+            pass
+        names = [(p[1:-1] if p[0] < 0x80 else p[decode_varint(p)[1] : -1]).decode() for p in prefixes]
+        row = dict(zip(names, (_COLUMN_TYPES[p[-1]] for p in prefixes)))
+        index, types = self.index, self.types
+        if any(types[index[name]] is not ctype for name, ctype in row.items() if name in index):
+            return None
+        for name, ctype in row.items():
+            if name not in index:
+                index[name] = len(types)
+                types.append(ctype)
+        for prefix, name in zip(prefixes, names):
+            if types[index[name]] is _COLUMN_TYPES[prefix[-1]]:
+                self.positions[prefix] = index[name]
+        return tuple(index[name] for name in names)
+
+    def run(self) -> ColumnRun:
+        rows, layouts, n = self.rows, self.row_layouts, len(self.rows)
+        names, types = tuple(self.index), tuple(self.types)
+        if layouts[0] == tuple(range(len(names))) and layouts.count(layouts[0]) == n:
+            return ColumnRun(names, types, [list(column) for column in zip(*rows)], n)
+        columns = [[ctype.default()] * n for ctype in types]
+        for i, (layout, values) in enumerate(zip(layouts, rows)):
+            for j, value in zip(layout, values):
+                columns[j][i] = value
+        return ColumnRun(names, types, columns, n, layouts)
+
+
+def decode_chunk_columns(payload: bytes, n_rows: int, skip: int = 0) -> list[ColumnRun]:
+    """Decode one intact chunk payload, less its first ``skip`` rows, into
+    the maximal runs of consecutive rows whose columns agree on type.
 
     Row for row what :func:`_decode_row` reads through a
     :class:`BufferReader` (the tests hold the two together, on damaged
-    payloads too), as one loop over the payload bytes: replay decodes
-    every surviving row of a leaf, and a dozen bounds-checked method
-    calls per field were most of its time.  Lengths and counts below 128
-    are one byte, the varint decoder is the fallback.  A slice past the
-    end would be silently short, so string ends are checked; any other
-    overrun surfaces as ``IndexError`` / ``struct.error`` and is
+    payloads too), as one loop over the payload bytes.  A row is matched
+    against the previous row's name-and-type bytes and read value by
+    value: no name is decoded, no dict built.  From the first field that
+    does not match, the row's own bytes are read, and a column name is
+    decoded once per run.  The ``skip`` dead rows are read the same
+    way — every length, count and type code checked — but none of their
+    values is built.  A slice past the end would be silently short, so
+    string ends are checked; any other overrun surfaces as
+    ``IndexError`` / ``struct.error`` (or as trailing bytes) and is
     reported, like bad UTF-8, as the :class:`CorruptionError` it is.
     """
     buf = bytes(payload)
     end = len(buf)
     pos = 0
-    rows: list[dict[str, ColumnValue]] = []
-    unpack_i64, unpack_f64 = I64.unpack_from, F64.unpack_from
+    runs: list[ColumnRun] = []
+    unpack_i64, unpack_f64, startswith = I64.unpack_from, F64.unpack_from, buf.startswith
+    reader = _RunReader()
+    # The previous row's field count bytes and fields, and its layout.
+    header: bytes | None = None
+    fields: list[tuple[bytes, int, int]] = []
+    layout: tuple[int, ...] | None = None
     try:
-        for _ in range(n_rows):
-            n_cols = buf[pos]
-            pos += 1
-            if n_cols >= 0x80:
-                n_cols, pos = decode_varint(buf, pos - 1)
-            row: dict[str, ColumnValue] = {}
-            for _ in range(n_cols):
-                length = buf[pos]
+        for index in range(n_rows):
+            live = index >= skip
+            # ``shape`` stays None while the row matches the previous one.
+            shape: list[bytes] | None = None
+            if header is not None and startswith(header, pos):
+                pos += len(header)
+                n_cols = len(fields)
+            else:
+                start = pos
+                n_cols = buf[pos]  # below 128, a length or count is one byte
                 pos += 1
-                if length >= 0x80:
-                    length, pos = decode_varint(buf, pos - 1)
-                stop = pos + length
-                if stop > end:
-                    raise CorruptionError(f"column name at offset {pos} overruns its chunk")
-                name = buf[pos:stop].decode("utf-8")
-                type_code = buf[stop]
-                pos = stop + 1
-                if type_code == _INT64:
-                    row[name] = unpack_i64(buf, pos)[0]
+                if n_cols >= 0x80:
+                    n_cols, pos = decode_varint(buf, pos - 1)
+                shape = [buf[start:pos]]
+            values: list[ColumnValue] = []
+            for i in range(n_cols):
+                if shape is None:
+                    prefix, size, type_code = fields[i]
+                    if startswith(prefix, pos):
+                        pos += size
+                    else:
+                        shape = [header, *(f[0] for f in fields[:i])]
+                if shape is not None:
+                    start, length = pos, buf[pos]
+                    pos += 1
+                    if length >= 0x80:
+                        length, pos = decode_varint(buf, pos - 1)
+                    pos += length + 1
+                    if pos > end:
+                        raise CorruptionError(f"column name at offset {start} overruns its chunk")
+                    type_code = buf[pos - 1]
+                    shape.append(buf[start:pos])
+                if type_code == _STRING:
+                    length = buf[pos]
+                    pos += 1
+                    if length >= 0x80:
+                        length, pos = decode_varint(buf, pos - 1)
+                    stop = pos + length
+                    if stop > end:
+                        raise CorruptionError(f"string at offset {pos} overruns its chunk")
+                    if live:
+                        values.append(buf[pos:stop].decode("utf-8"))
+                    pos = stop
+                elif type_code == _INT64 or type_code == _FLOAT64:
+                    if live:
+                        unpack = unpack_i64 if type_code == _INT64 else unpack_f64
+                        values.append(unpack(buf, pos)[0])
                     pos += 8
-                elif type_code == _FLOAT64:
-                    row[name] = unpack_f64(buf, pos)[0]
-                    pos += 8
-                elif type_code == _STRING:
-                    row[name], pos = _read_str(buf, pos, end)
                 elif type_code == _STRING_VECTOR:
                     count = buf[pos]
                     pos += 1
                     if count >= 0x80:
                         count, pos = decode_varint(buf, pos - 1)
                     items: list[str] = []
-                    row[name] = items
                     for _ in range(count):
-                        item, pos = _read_str(buf, pos, end)
-                        items.append(item)
+                        start, pos = _str_span(buf, pos, end)
+                        if live:
+                            items.append(buf[start:pos].decode("utf-8"))
+                    if live:
+                        values.append(items)
                 else:
-                    raise CorruptionError(
-                        f"unknown column type code {type_code} for column '{name}'"
-                    )
-            rows.append(row)
+                    raise CorruptionError(f"unknown column type code {type_code}")
+            if shape is not None:  # another field sequence than the previous row's
+                header, fields = shape[0], [(p, len(p), p[-1]) for p in shape[1:]]
+                layout = reader.layout(shape[1:])
+                if layout is None:  # a type the run has otherwise: the next run
+                    if reader.rows:
+                        runs.append(reader.run())
+                    reader = _RunReader()
+                    layout = reader.layout(shape[1:])
+            if live:
+                reader.rows.append(values)
+                reader.row_layouts.append(layout)
+        if reader.rows:
+            runs.append(reader.run())
     except (IndexError, struct.error) as exc:
         raise CorruptionError(f"chunk payload truncated at offset {pos}") from exc
     except UnicodeDecodeError as exc:
         raise CorruptionError(f"invalid UTF-8 in string field: {exc}") from exc
     if pos != end:
         raise CorruptionError("trailing bytes inside a chunk payload")
-    return rows
+    return runs
+
+
+def decode_chunk_rows(payload: bytes, n_rows: int) -> list[dict[str, ColumnValue]]:
+    """Decode one intact chunk payload into its rows: the runs of
+    :func:`decode_chunk_columns`, materialized."""
+    return [row for run in decode_chunk_columns(payload, n_rows) for row in run.rows()]
 
 
 def read_table_chunks(fh: BinaryIO) -> Iterator[list[dict[str, ColumnValue]]]:

@@ -2,24 +2,27 @@
 
 This is the slow path the paper is escaping: every row is read in disk
 format and *translated* into the in-memory format (columnarized,
-compressed, serialized into row block columns).  The translation runs
-through exactly the same ``Table.add_row`` / ``RowBlock.from_rows`` code
-as live ingestion, so its cost asymmetry against the shared-memory
-restore is real in this implementation, not simulated.
+compressed, serialized into row block columns).  The log is decoded
+into column runs (:func:`~repro.disk.format.decode_chunk_columns`) and
+the translation runs through the same seal boundaries and codecs as
+live ingestion (``Table.add_runs``, ``RowBlock.from_columns``), so its
+cost asymmetry against the shared-memory restore is real in this
+implementation, not simulated.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
+from repro.columnstore.table import ColumnRun
 from repro.disk.backup import DiskBackup
-from repro.disk.format import decode_chunk_rows, read_chunk_payloads
+from repro.disk.format import decode_chunk_columns, read_chunk_payloads
 from repro.disk.shmformat import ShmSnapshot, read_table_snapshot
 from repro.errors import CorruptionError, RecoveryError, SnapshotStaleError
-from repro.types import TIME_COLUMN, ColumnValue
+from repro.types import TIME_COLUMN
 
 
 def surviving_chunks(
@@ -36,8 +39,11 @@ def surviving_chunks(
     first ``skip`` rows of ``chunks[0]`` are dead.  A dead chunk is still
     read and CRC-checked (:func:`read_chunk_payloads`: the file's
     validity does not depend on what survives), but whether its rows
-    would decode is never asked.  A manifest from before the count was
-    tracked keeps every chunk; its replay filters rows by timestamp.
+    would decode is never asked.  The ``skip`` dead rows get the same
+    rule one level down: :func:`decode_chunk_columns` walks them (the
+    live rows start where they end) and builds none of their values.  A
+    manifest from before the count was tracked keeps every chunk; its
+    replay filters rows by timestamp.
     Nothing past the manifest's ``log_bytes`` is read, and nothing at all
     when it says no rows were synced: no publish vouched.
     """
@@ -58,10 +64,17 @@ def surviving_chunks(
     return list(window), (0 if keep is None else max(0, held - keep))
 
 
-def recover_table_rows(
-    backup: DiskBackup, table_name: str
-) -> Iterator[dict[str, ColumnValue]]:
-    """Yield a table's surviving rows (expiry watermark applied).
+def chunk_runs(chunks: Iterable[tuple[int, bytes]], skip: int = 0) -> Iterator[ColumnRun]:
+    """The column runs of ``chunks``' rows less the first ``skip``,
+    decoded one chunk at a time."""
+    for n_rows, payload in chunks:
+        yield from decode_chunk_columns(payload, n_rows, skip)
+        skip = 0
+
+
+def recover_table_runs(backup: DiskBackup, table_name: str) -> Iterator[ColumnRun]:
+    """Yield a table's surviving rows as column runs (expiry watermark
+    applied).
 
     When the manifest carries the live table's expired-row count, the
     expiry is re-applied by *count*: the trailing ``synced_rows -
@@ -70,7 +83,7 @@ def recover_table_rows(
     that the live table kept inside a straddling block — and only the
     chunks holding them are decoded (:func:`surviving_chunks`).
     Manifests from before the count was tracked fall back to filtering
-    rows by the timestamp cutoff.
+    rows by the timestamp cutoff (a row without one reads 0).
     """
     chunks, skip = surviving_chunks(backup, table_name)
     if backup.rows_expired(table_name) is not None:
@@ -80,13 +93,11 @@ def recover_table_rows(
         cutoff = backup.unapplied_expire_cutoff(table_name)
     else:
         cutoff = backup.expire_cutoff(table_name)
-    for n_rows, payload in chunks:
-        rows = decode_chunk_rows(payload, n_rows)
-        del rows[:skip]
-        skip = 0
-        for row in rows:
-            if row.get(TIME_COLUMN, 0) >= cutoff:
-                yield row
+    for run in chunk_runs(chunks, skip):
+        if cutoff:
+            run = run.select([t >= cutoff for t in run.column(TIME_COLUMN) or [0] * run.n_rows])
+        if run.n_rows:
+            yield run
 
 
 def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
@@ -287,8 +298,7 @@ def recover_leafmap(
     total = 0
     for table_name in backup.table_names:
         table = leafmap.create_table(table_name)
-        count = table.add_rows(recover_table_rows(backup, table_name))
-        table.seal_buffer()
+        count = table.add_runs(recover_table_runs(backup, table_name))
         # Restore the backup watermarks so future incremental syncs line up.
         table.total_rows_ingested = backup.synced_rows(table_name)
         table.total_rows_expired = backup.synced_rows(table_name) - count

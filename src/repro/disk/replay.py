@@ -1,28 +1,28 @@
 """Parallel legacy replay: the worst recovery rung, fanned across workers.
 
 Single-stream legacy replay (``recover_leafmap``) pays its time in two
-row-at-a-time loops: decoding the disk chunks and sealing the decoded
-rows into compressed blocks (``RowBlock.from_rows``).  Both are
-CPU-bound pure-Python work, so this module fans *both* across a worker
-pool: the parent scans each table file once for raw chunk payloads
-(header row counts, no row decode), partitions the global row stream at
-exact seal boundaries into chunk-aligned spans, and each worker decodes
-its span's chunks, seals its groups, and returns finished blocks.  The
-parent merges partitions back in seal order, so the result is
-bit-identical to single-stream replay: the same rows grouped at the
-same boundaries into blocks in the same order, and recovery digests
-match.
+loops: decoding the disk chunks into column runs and sealing those into
+compressed blocks (``seal_groups``, ``RowBlock.from_columns``).  Both
+are CPU-bound pure-Python work, so this module fans *both* across a
+worker pool: the parent scans each table file once for raw chunk
+payloads (header row counts, no row decode), partitions the global row
+stream at exact seal boundaries into chunk-aligned spans, and each
+worker decodes its span's chunks, seals its groups, and returns
+finished blocks.  The parent merges partitions back in seal order, so
+the result is bit-identical to single-stream replay: the same rows
+grouped at the same boundaries into blocks in the same order, and
+recovery digests match.
 
 The partitioner can place boundaries without decoding rows only while
 the row-count threshold is the binding seal constraint — the normal
 case; the pre-compression byte cap is 1 GB.  Every worker re-checks
 that assumption against its actual rows; if the byte cap would have
 sealed a group early anywhere, the whole table is redone through the
-exact single-stream grouping (:func:`iter_seal_groups`) with only the
-sealing fanned out — slower, never wrong.  The same exact path handles
-tables with a timestamp cutoff still to apply, where chunk-header row
-counts overstate the surviving stream; expiry the live table already
-ran is a count, and only moves where the stream starts.
+exact single-stream grouping (``seal_groups`` in the parent) with only
+the sealing fanned out — slower, never wrong.  The same exact path
+handles tables with a timestamp cutoff still to apply, where
+chunk-header row counts overstate the surviving stream; expiry the live
+table already ran is a count, and only moves where the stream starts.
 
 The pool is of processes because of the GIL: a thread pool time-slices
 one interpreter, so it only adds hand-off cost to the serial replay.
@@ -43,16 +43,17 @@ from __future__ import annotations
 import multiprocessing
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import accumulate
+from typing import Callable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
-from repro.columnstore.table import Table, estimate_row_bytes
+from repro.columnstore.schema import Schema
+from repro.columnstore.table import ColumnRun, Table, seal_groups
 from repro.disk.backup import DiskBackup
-from repro.disk.format import decode_chunk_rows
-from repro.disk.recovery import recover_table_rows, surviving_chunks
-from repro.errors import RecoveryError, SchemaError
-from repro.types import TIME_COLUMN, ColumnValue
+from repro.disk.recovery import chunk_runs, recover_table_runs, surviving_chunks
+from repro.errors import RecoveryError
+from repro.types import ColumnValue
 from repro.util.budget import FootprintBudget
 from repro.util.clock import Clock, SystemClock
 
@@ -62,53 +63,25 @@ from repro.util.clock import Clock, SystemClock
 _PARTITIONS_PER_WORKER = 3
 
 
-def _validate_time(row: Mapping[str, ColumnValue]) -> None:
-    """The ``Table.add_row`` row checks, verbatim — replay must reject
-    exactly what live ingestion (and therefore serial replay) rejects."""
-    if TIME_COLUMN not in row:
-        raise SchemaError(f"row lacks the required '{TIME_COLUMN}' column")
-    time_value = row[TIME_COLUMN]
-    if not isinstance(time_value, int) or isinstance(time_value, bool):
-        raise SchemaError(f"'{TIME_COLUMN}' must be an integer unix timestamp")
-
-
-def iter_seal_groups(
-    rows: Iterable[Mapping[str, ColumnValue]],
-    rows_per_block: int,
-    max_block_bytes: int,
-) -> Iterator[tuple[list[dict[str, ColumnValue]], int]]:
-    """Yield ``(rows, estimated_bytes)`` groups at exact seal boundaries.
-
-    Mirrors :meth:`Table.add_row` precisely — same validation, same
-    row-count and pre-compression byte thresholds checked *after* each
-    append — so the groups are the blocks single-stream replay would
-    seal, in the same order.  Any drift here breaks the digest-identity
-    guarantee, which is why the thresholds are taken from the target
-    table rather than re-defaulted.
-    """
-    buffer: list[dict[str, ColumnValue]] = []
-    buffer_bytes = 0
-    for row in rows:
-        _validate_time(row)
-        buffer.append(dict(row))
-        buffer_bytes += estimate_row_bytes(row)
-        if len(buffer) >= rows_per_block or buffer_bytes >= max_block_bytes:
-            yield buffer, buffer_bytes
-            buffer = []
-            buffer_bytes = 0
-    if buffer:
-        yield buffer, buffer_bytes
-
-
 # ----------------------------------------------------------------------
 # Worker tasks (module-level: the pool pickles references)
 # ----------------------------------------------------------------------
 
 
-def _seal_group(rows: list[dict[str, ColumnValue]], created_at: float) -> bytes:
+def _seal_group(schema: Schema, columns: dict[str, list[ColumnValue]], created_at: float) -> bytes:
     # Blocks cross the process boundary in their contiguous packed form;
     # the parent unpacks (and re-uids) them on arrival.
-    return RowBlock.from_rows(rows, created_at=created_at).pack()
+    return RowBlock.from_columns(schema, columns, created_at).pack()
+
+
+def _span_runs(chunks: list[tuple[int, bytes]], skip: int, take: int) -> Iterator[ColumnRun]:
+    """The column runs of the ``take`` rows from row ``skip`` of ``chunks``."""
+    for run in chunk_runs(chunks, skip):
+        if run.n_rows >= take:
+            yield run.select([True] * take + [False] * (run.n_rows - take))
+            return
+        take -= run.n_rows
+        yield run
 
 
 def _replay_partition(
@@ -129,27 +102,12 @@ def _replay_partition(
     then wrong for this table, and the caller falls back to exact
     single-stream grouping.
     """
-    rows: list[dict[str, ColumnValue]] = []
-    for n_rows, payload in chunks:
-        rows.extend(decode_chunk_rows(payload, n_rows))
-        if len(rows) >= skip + take:
-            break
-    rows = rows[skip : skip + take]
     blocks: list[bytes] = []
-    buffer: list[dict[str, ColumnValue]] = []
-    buffer_bytes = 0
-    for row in rows:
-        _validate_time(row)
-        buffer.append(row)
-        buffer_bytes += estimate_row_bytes(row)
-        if buffer_bytes >= max_block_bytes and len(buffer) < rows_per_block:
+    groups = seal_groups(_span_runs(chunks, skip, take), rows_per_block, max_block_bytes)
+    for schema, columns, n_rows, nbytes in groups:
+        if nbytes >= max_block_bytes and n_rows < rows_per_block:
             return None  # byte cap binds: count-based boundaries are wrong
-        if len(buffer) >= rows_per_block:
-            blocks.append(_seal_group(buffer, created_at))
-            buffer = []
-            buffer_bytes = 0
-    if buffer:
-        blocks.append(_seal_group(buffer, created_at))
+        blocks.append(_seal_group(schema, columns, created_at))
     return blocks
 
 
@@ -219,9 +177,9 @@ def _replay_table_exact(
 
     Used when count-based partitioning cannot hold — an expiry cutoff
     thins the stream mid-chunk, or the byte cap sealed a group early.
-    The parent streams rows once through :func:`iter_seal_groups` and
-    fans only ``RowBlock.from_rows`` out; correct for every input, but
-    the serial decode bounds its speedup.
+    The parent streams the column runs once through ``seal_groups`` and
+    fans only ``RowBlock.from_columns`` out; correct for every input,
+    but the serial decode bounds its speedup.
     """
     sub = _Submitter(executor, budget)
     blocks: list[RowBlock] = []
@@ -231,14 +189,14 @@ def _replay_table_exact(
         blocks.append(RowBlock.unpack(sub.drain_oldest()))
 
     try:
-        groups = iter_seal_groups(
-            recover_table_rows(backup, table.name),
+        groups = seal_groups(
+            recover_table_runs(backup, table.name),
             table.rows_per_block,
             table.max_block_bytes,
         )
-        for rows, nbytes in groups:
-            sub.submit(nbytes, _seal_group, rows, clock.now())
-            count += len(rows)
+        for schema, columns, n_rows, nbytes in groups:
+            sub.submit(nbytes, _seal_group, schema, columns, clock.now())
+            count += n_rows
             while len(sub) >= window:
                 drain_oldest()
         while len(sub):
@@ -273,13 +231,10 @@ def _replay_table_partitioned(
         return 0
     rpb = table.rows_per_block
     n_groups = -(-total // rpb)
+    # At most workers * _PARTITIONS_PER_WORKER partitions: all in flight.
     per_part = max(1, -(-n_groups // (workers * _PARTITIONS_PER_WORKER))) * rpb
     # Chunk index of each stream row: starts[i] = first row of chunk i.
-    starts: list[int] = []
-    acc = 0
-    for n in counts:
-        starts.append(acc)
-        acc += n
+    starts = list(accumulate(counts, initial=0))
     sub = _Submitter(executor, budget)
     blocks: list[RowBlock] = []
     results: list = []
@@ -303,16 +258,17 @@ def _replay_table_partitioned(
                 table.max_block_bytes,
                 clock.now(),
             )
-            while len(sub) >= workers * _PARTITIONS_PER_WORKER:
-                results.append(sub.drain_oldest())
-        while len(sub):
+        while len(sub) and None not in results:
             results.append(sub.drain_oldest())
     except BaseException:
         sub.abandon()
         raise
+    if None in results:
+        # The byte cap bound: every later partition started at a wrong
+        # boundary, so what it returns or raises does not count.
+        sub.abandon()
+        return None
     for result in results:
-        if result is None:
-            return None  # byte cap bound somewhere: redo exactly
         blocks.extend(RowBlock.unpack(b) for b in result)
     table.replace_blocks(blocks)
     return total

@@ -12,12 +12,17 @@ from repro.disk.format import (
     write_chunk,
     write_file_header,
 )
-from repro.disk.recovery import recover_leafmap, recover_table_rows, surviving_chunks
+from repro.disk.recovery import recover_leafmap, recover_table_runs, surviving_chunks
 from repro.errors import CorruptionError, RecoveryError
 from repro.types import TIME_COLUMN
 from repro.util.checksum import crc32_of
 from repro.util.clock import ManualClock
 from tests.conftest import restart_spanning_chain
+
+
+def surviving_rows(backup, name):
+    """The rows legacy replay seals: ``recover_table_runs``, materialized."""
+    return [row for run in recover_table_runs(backup, name) for row in run.rows()]
 
 
 def make_map(rows=30):
@@ -92,7 +97,7 @@ class TestRecovery:
         assert second.get_table("events").row_count == 31
 
     def test_missing_table_file_yields_nothing(self, backup):
-        assert list(recover_table_rows(backup, "ghost")) == []
+        assert surviving_rows(backup, "ghost") == []
 
     def test_recovery_of_empty_backup(self, backup):
         recovered = LeafMap(clock=ManualClock(0.0))
@@ -127,9 +132,11 @@ def decode_everything_then_trim(backup, name):
 
 def count_decodes(monkeypatch):
     calls = []
-    real = recovery.decode_chunk_rows
+    real = recovery.decode_chunk_columns
     monkeypatch.setattr(
-        recovery, "decode_chunk_rows", lambda payload, n: (calls.append(n), real(payload, n))[1]
+        recovery,
+        "decode_chunk_columns",
+        lambda payload, n, skip=0: (calls.append(n), real(payload, n, skip))[1],
     )
     return calls
 
@@ -142,7 +149,7 @@ class TestSurvivingTail:
         chunked_log(backup)
         backup.record_expiry("events", 0, rows_expired=180)  # two chunks survive
         calls = count_decodes(monkeypatch)
-        rows = list(recover_table_rows(backup, "events"))
+        rows = surviving_rows(backup, "events")
         assert len(calls) <= 3 and calls == [10, 10]
         assert [row["time"] for row in rows] == list(range(280, 300))
 
@@ -157,7 +164,7 @@ class TestSurvivingTail:
         assert sum(n for n, _ in chunks) - skip == keep
         assert len(chunks) == -(-keep // 10) and 0 <= skip < 10
         calls = count_decodes(monkeypatch)
-        assert list(recover_table_rows(backup, "events")) == decode_everything_then_trim(
+        assert surviving_rows(backup, "events") == decode_everything_then_trim(
             backup, "events"
         )
         assert len(calls) == len(chunks)
@@ -170,7 +177,7 @@ class TestSurvivingTail:
         path = backup.table_file("events")
         path.write_bytes(path.read_bytes()[:-3])
         backup.record_expiry("events", 0, rows_expired=expired)
-        rows = list(recover_table_rows(backup, "events"))
+        rows = surviving_rows(backup, "events")
         assert rows == decode_everything_then_trim(backup, "events")
         assert [row["time"] for row in rows] == list(range(290 - survivors, 290))
 
@@ -182,7 +189,7 @@ class TestSurvivingTail:
         raw[40] ^= 0xFF  # inside the first chunk's payload
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptionError, match="checksum"):
-            list(recover_table_rows(backup, "events"))
+            surviving_rows(backup, "events")
         with pytest.raises(CorruptionError, match="checksum"):
             recover_leafmap(backup, LeafMap(clock=ManualClock(0.0), rows_per_block=7))
 
@@ -199,12 +206,12 @@ class TestSurvivingTail:
             write_chunk(fh, [{"time": 100 + i} for i in range(10)])
         entry = backup._entry("events")
         entry.update(synced_rows=15, rows_expired=5)
-        assert [row["time"] for row in recover_table_rows(backup, "events")] == list(
+        assert [row["time"] for row in surviving_rows(backup, "events")] == list(
             range(100, 110)
         )
         entry.update(rows_expired=4)
         with pytest.raises(CorruptionError):
-            list(recover_table_rows(backup, "events"))
+            surviving_rows(backup, "events")
 
     def test_restart_spanning_log_recovers_the_same_rows(self, tmp_path, clock):
         """Count trim and an unapplied intent together, on a log two
@@ -213,7 +220,7 @@ class TestSurvivingTail:
         for name in ("events", "metrics"):
             assert backup.rows_expired(name) == 100
             assert backup.unapplied_expire_cutoff(name) != 0
-            rows = list(recover_table_rows(backup, name))
+            rows = surviving_rows(backup, name)
             assert rows == decode_everything_then_trim(backup, name)
             assert len(rows) == leafmap.get_table(name).row_count
 

@@ -20,6 +20,7 @@ from repro.disk.format import (
     DEFLATED_CHUNK_MAGIC,
     _decode_row,
     _encode_row,
+    decode_chunk_columns,
     decode_chunk_rows,
     encode_chunk_block,
     encode_chunk_rows,
@@ -29,6 +30,7 @@ from repro.disk.format import (
     write_file_header,
 )
 from repro.errors import CorruptionError
+from repro.types import ColumnType
 from repro.util.binary import BufferReader, BufferWriter
 from repro.util.checksum import crc32_of
 
@@ -405,20 +407,96 @@ WIDE_ROWS = [
 ]
 
 
+def columns_decode(payload: bytes, n_rows: int, skip: int = 0):
+    """:func:`decode_chunk_columns`' runs, materialized to rows."""
+    return [row for run in decode_chunk_columns(payload, n_rows, skip) for row in run.rows()]
+
+
+def reference_tail(skip: int):
+    """The reference decode of a chunk, less its first ``skip`` rows."""
+    return lambda payload, n_rows: reference_decode(payload, n_rows)[skip:]
+
+
+def skipping(skip: int):
+    return lambda payload, n_rows: columns_decode(payload, n_rows, skip)
+
+
+#: A row that repeats a column name, by hand (a dict cannot): the name
+#: keeps its first position and takes its last value and type.
+REPEATED_NAME = (
+    b"\x03"
+    + b"\x01a" + bytes((int(ColumnType.INT64),)) + struct.pack("<q", 7)
+    + b"\x01b" + bytes((int(ColumnType.STRING),)) + b"\x01x"
+    + b"\x01a" + bytes((int(ColumnType.STRING),)) + b"\x02yz"
+)
+
+
 class TestDecoderMatchesReference:
-    """The one-loop chunk decoder against the retained per-row reader."""
+    """The one-loop chunk decoder against the retained per-row reader:
+    :func:`decode_chunk_rows` is :func:`decode_chunk_columns`
+    materialized, and every case also runs with dead head rows to skip."""
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=rows_strategy)
-    def test_rows_equal_reference(self, rows):
+    @given(rows=rows_strategy, data=st.data())
+    def test_rows_equal_reference(self, rows, data):
         count, payload = encode_chunk_rows(rows)
         decoded = outcome(decode_chunk_rows, payload, count)
         assert decoded is not CorruptionError
         assert decoded == outcome(reference_decode, payload, count)
+        skip = data.draw(st.integers(0, count), label="skip")
+        assert outcome(skipping(skip), payload, count) == outcome(
+            reference_tail(skip), payload, count
+        )
 
     def test_multi_byte_lengths_and_counts(self):
         count, payload = encode_chunk_rows(WIDE_ROWS)
         assert decode_chunk_rows(payload, count) == reference_decode(payload, count) == WIDE_ROWS
+        for skip in range(count + 1):
+            assert columns_decode(payload, count, skip) == WIDE_ROWS[skip:]
+
+    def test_runs_end_where_a_type_changes(self):
+        """A run ends — mid-chunk — only where a column changes type; rows
+        that order their columns otherwise or lack one stay in it, each
+        with its layout, and the run holds its values column by column."""
+        rows = [
+            {"time": 1, "host": "a"},
+            {"time": 2, "host": "b"},
+            {"host": "c", "time": 3},
+            {"time": 4, "host": 5},
+            {"time": 5, "host": 6},
+            {"time": 6},
+            {"time": 7, "host": "d"},
+        ]
+        count, payload = encode_chunk_rows(rows)
+        runs = decode_chunk_columns(payload, count)
+        assert [(run.names, run.n_rows, run.layouts) for run in runs] == [
+            (("time", "host"), 3, [(0, 1), (0, 1), (1, 0)]),
+            (("time", "host"), 3, [(0, 1), (0, 1), (0,)]),
+            (("time", "host"), 1, None),
+        ]
+        assert runs[0].types == (ColumnType.INT64, ColumnType.STRING)
+        assert runs[1].types == (ColumnType.INT64, ColumnType.INT64)
+        assert runs[1].columns == [[4, 5, 6], [5, 6, 0]]
+        assert [row for run in runs for row in run.rows()] == rows
+        assert [list(row) for run in runs for row in run.rows()] == [list(row) for row in rows]
+        assert [run.n_rows for run in decode_chunk_columns(payload, count, skip=3)] == [3, 1]
+
+    def test_repeated_column_name(self):
+        payload = REPEATED_NAME * 2
+        want = [{"a": "yz", "b": "x"}] * 2
+        assert columns_decode(payload, 2) == reference_decode(payload, 2) == want
+        (run,) = decode_chunk_columns(payload, 2)
+        assert (run.names, run.types) == (("a", "b"), (ColumnType.STRING, ColumnType.STRING))
+        assert columns_decode(payload, 2, skip=1) == [{"a": "yz", "b": "x"}]
+        # The row's first ``a`` is an INT64 the dict drops: a later row
+        # whose ``a`` is one types the run's STRING column otherwise.
+        payload = REPEATED_NAME + encode_chunk_rows([{"a": 7}])[1]
+        runs = decode_chunk_columns(payload, 2)
+        assert [(run.names, run.types) for run in runs] == [
+            (("a", "b"), (ColumnType.STRING, ColumnType.STRING)),
+            (("a",), (ColumnType.INT64,)),
+        ]
+        assert columns_decode(payload, 2) == [{"a": "yz", "b": "x"}, {"a": 7}]
 
     @pytest.mark.parametrize("rows", [rows_fixture(), WIDE_ROWS[1:]], ids=["small", "wide"])
     def test_every_truncation_and_byte_flip_agrees(self, rows):
@@ -440,13 +518,24 @@ class TestDecoderMatchesReference:
             assert outcome(decode_chunk_rows, damaged, n_rows) == want
             failures += want is CorruptionError
         assert 0 < failures < len(cases)
+        # Dead rows are walked, not decoded: a truncation anywhere still
+        # raises (a flipped byte in a dead string need not).
+        for skip in (1, count):
+            for cut in range(len(payload)):
+                assert outcome(skipping(skip), payload[:cut], count) is CorruptionError
+            assert outcome(skipping(skip), payload, count) == outcome(
+                reference_tail(skip), payload, count
+            )
 
     @settings(max_examples=150, deadline=None)
     @given(payload=st.binary(max_size=200), n_rows=st.integers(min_value=0, max_value=6))
     def test_arbitrary_bytes_agree(self, payload, n_rows):
-        assert outcome(decode_chunk_rows, payload, n_rows) == outcome(
-            reference_decode, payload, n_rows
-        )
+        want = outcome(reference_decode, payload, n_rows)
+        assert outcome(decode_chunk_rows, payload, n_rows) == want
+        if want is not CorruptionError:
+            assert outcome(skipping(1), payload, n_rows) == outcome(
+                reference_tail(1), payload, n_rows
+            )
 
 
 class TestTornWrites:

@@ -10,23 +10,33 @@ footprint-budget accounting on success and on injected failure.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
+from repro.columnstore.table import Table, seal_groups
 from repro.core.engine import RecoveryMethod, RestartEngine
-from repro.util.budget import FootprintBudget
-from repro.disk.backup import DiskBackup
-from repro.disk.format import read_chunk_payloads
 from repro.disk import replay
-from repro.disk.recovery import recover_leafmap, surviving_chunks
-from repro.disk.replay import (
-    _replay_partition,
-    iter_seal_groups,
-    replay_leafmap,
+from repro.disk.backup import DiskBackup
+from repro.disk.format import (
+    decode_chunk_columns,
+    encode_chunk_rows,
+    read_chunk_payloads,
+    write_chunk,
+    write_file_header,
 )
-from repro.errors import CorruptionError, RecoveryError
+from repro.disk.recovery import recover_leafmap, surviving_chunks
+from repro.disk.replay import _replay_partition, replay_leafmap
+from repro.errors import CorruptionError, RecoveryError, SchemaError
+from repro.types import ColumnType
+from repro.util.budget import FootprintBudget
 from repro.util.checksum import rows_digest
+from repro.util.clock import ManualClock
 
 
 def build_backup(tmp_path, clock, *, syncs=5, rows_per_sync=700, rows_per_block=64):
@@ -143,21 +153,170 @@ class TestDigestIdentity:
         assert_equivalent(serial, parallel)
 
 
+#: The two types each column may take: two shapes that disagree put a
+#: type conflict in any block that holds rows of both.
+COLUMN_TYPES = {
+    "host": (ColumnType.STRING, ColumnType.STRING_VECTOR),
+    "v": (ColumnType.FLOAT64, ColumnType.INT64),
+    "tags": (ColumnType.STRING_VECTOR, ColumnType.STRING),
+}
+VALUES = {
+    ColumnType.INT64: st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    ColumnType.FLOAT64: st.floats(allow_nan=False),
+    ColumnType.STRING: st.sampled_from(["", "a", "web-01", "naïve ☃", "x" * 40]),
+    ColumnType.STRING_VECTOR: st.lists(st.sampled_from(["", "é", "prod"]), max_size=3),
+}
+
+
+@st.composite
+def row_shapes(draw):
+    """``time``'s type (``None``: the rows lack it) and the other columns'."""
+    time_type = draw(st.sampled_from([ColumnType.INT64] * 8 + [None, ColumnType.FLOAT64]))
+    columns = []
+    for name in draw(st.lists(st.sampled_from(sorted(COLUMN_TYPES)), unique=True, max_size=3)):
+        columns.append((name, draw(st.sampled_from(COLUMN_TYPES[name]))))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        columns.append(("", ColumnType.STRING))
+    return time_type, columns
+
+
+@st.composite
+def logged_rows(draw):
+    """Runs of rows that share a shape, the shape changing between runs
+    (and so inside a block), a row now and then lacking one of its
+    shape's columns or carrying ``time`` last; times mostly ascending, a
+    few going back."""
+    shapes = draw(st.lists(row_shapes(), min_size=1, max_size=3))
+    rows = []
+    for index, count in draw(
+        st.lists(
+            st.tuples(st.integers(0, len(shapes) - 1), st.integers(1, 12)),
+            min_size=1,
+            max_size=6,
+        )
+    ):
+        time_type, columns = shapes[index]
+        for _ in range(count):
+            row = {}
+            if time_type is not None:
+                step = draw(st.integers(-3, 9))
+                row["time"] = 100 + len(rows) * 4 + step
+                if time_type is ColumnType.FLOAT64:
+                    row["time"] = float(row["time"])
+            for name, ctype in columns:
+                if draw(st.integers(0, 5)):
+                    row[name] = draw(VALUES[ctype])
+            if "time" in row and not draw(st.integers(0, 5)):
+                row["time"] = row.pop("time")
+            rows.append(row)
+    return rows
+
+
+TYPE_CHANGE = [{"time": 100, "v": 1.5}, {"time": 101, "v": 2.5}, {"time": 102, "v": 3}]
+HOSTS = [{"time": 100 + i, "host": "a", "tags": ["ab"]} for i in range(9)]
+OPTIONAL = [{"time": 100 + i, **({"host": "abc"} if i % 2 else {})} for i in range(6)]
+MISALIGNED = [
+    {"time": 100 + i, "v": 1.5 if i < 6 else 2, **({"host": "x" * 300} if i == 1 else {})}
+    for i in range(12)
+]
+
+
+def sealed_by_add_rows(rows, rows_per_block, max_block_bytes, cutoff):
+    """The oracle: live ingest of the rows the cutoff keeps."""
+    table = Table(
+        "events",
+        clock=ManualClock(0.0),
+        rows_per_block=rows_per_block,
+        max_block_bytes=max_block_bytes,
+    )
+    try:
+        table.add_rows(row for row in rows if not cutoff or row.get("time", 0) >= cutoff)
+    except SchemaError as exc:
+        return str(exc)
+    table.seal_buffer()
+    return [(block.pack(), block.created_at) for block in table.blocks]
+
+
+def sealed_by_replay(root, rows, chunk_sizes, rows_per_block, max_block_bytes, cutoff, workers):
+    """The rows written to a row log in chunks, then replayed: serially
+    (``workers=0``) or through the pool."""
+    backup = DiskBackup(root, snapshots=False)
+    with open(backup.table_file("events"), "wb") as fh:
+        write_file_header(fh)
+        start = 0
+        for size in chunk_sizes:
+            if start < len(rows):
+                write_chunk(fh, rows[start : start + size])
+                start += size
+        write_chunk(fh, rows[start:])
+    backup._entry("events").update(synced_rows=len(rows), expire_before=cutoff)
+    leafmap = SmallBlockLeafMap(clock=ManualClock(0.0), rows_per_block=rows_per_block)
+    leafmap.max_block_bytes = max_block_bytes
+    try:
+        if workers:
+            replay_leafmap(backup, leafmap, workers=workers, clock=ManualClock(0.0))
+        else:
+            recover_leafmap(backup, leafmap)
+    except SchemaError as exc:
+        return str(exc)
+    return [(block.pack(), block.created_at) for block in leafmap.get_table("events").blocks]
+
+
+def runs_of(rows):
+    """``rows`` as the column runs replay reads back from one chunk."""
+    return decode_chunk_columns(encode_chunk_rows(rows)[1], len(rows))
+
+
 class TestSealGroups:
     def test_groups_mirror_table_seal_boundaries(self, clock):
         rows = [{"time": 1000 + i, "host": f"h{i}"} for i in range(137)]
-        groups = list(iter_seal_groups(rows, 50, 1 << 30))
-        assert [len(g) for g, _ in groups] == [50, 50, 37]
+        groups = list(seal_groups(runs_of(rows), 50, 1 << 30))
+        assert [n_rows for _, _, n_rows, _ in groups] == [50, 50, 37]
 
     def test_byte_cap_seals_early(self):
         rows = [{"time": 1000 + i, "host": "x" * 200} for i in range(40)]
-        groups = list(iter_seal_groups(rows, 50, 1000))
+        groups = list(seal_groups(runs_of(rows), 50, 1000))
         assert len(groups) > 1
-        assert all(len(g) < 50 for g, _ in groups)
+        assert all(n_rows < 50 for _, _, n_rows, _ in groups)
 
     def test_invalid_row_raises_like_live_ingest(self):
-        with pytest.raises(Exception, match="time"):
-            list(iter_seal_groups([{"host": "a"}], 50, 1 << 30))
+        with pytest.raises(SchemaError, match="time"):
+            list(seal_groups(runs_of([{"host": "a"}]), 50, 1 << 30))
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        rows=logged_rows(),
+        chunk_sizes=st.lists(st.integers(1, 10), max_size=6),
+        rows_per_block=st.integers(1, 8),
+        max_block_bytes=st.one_of(st.integers(20, 300), st.just(1 << 30)),
+        cutoff=st.sampled_from([0, 0, 130]),
+    )
+    # ``v`` turns from FLOAT64 to INT64 at a block boundary, then inside a block.
+    @example(rows=TYPE_CHANGE, chunk_sizes=[3], rows_per_block=2, max_block_bytes=1 << 30, cutoff=0)
+    @example(rows=TYPE_CHANGE, chunk_sizes=[3], rows_per_block=3, max_block_bytes=1 << 30, cutoff=0)
+    # 51 estimated bytes a row: the cap is met exactly by the fourth.
+    @example(rows=HOSTS, chunk_sizes=[5], rows_per_block=8, max_block_bytes=204, cutoff=0)
+    # 20 and 35 estimated bytes a row in turn: the cap binds at the third.
+    @example(rows=OPTIONAL, chunk_sizes=[6], rows_per_block=8, max_block_bytes=60, cutoff=0)
+    # The cap binds in the first partition; the second, cut at the wrong
+    # boundary, holds a type change that the true blocks do not.
+    @example(rows=MISALIGNED, chunk_sizes=[12], rows_per_block=4, max_block_bytes=300, cutoff=0)
+    def test_replay_seals_what_add_rows_seals(
+        self, rows, chunk_sizes, rows_per_block, max_block_bytes, cutoff
+    ):
+        """Every replay route cuts the log at ``Table.add_row``'s
+        boundaries — row count, byte cap, a block's union schema with
+        defaults — and raises its errors: a row without ``time`` or with
+        a float one, an empty column name, a type that changes inside a
+        block (across blocks it may).  The cutoff drops rows first."""
+        want = sealed_by_add_rows(rows, rows_per_block, max_block_bytes, cutoff)
+        args = (rows, chunk_sizes, rows_per_block, max_block_bytes, cutoff)
+        with tempfile.TemporaryDirectory() as root:
+            for workers in (0, 1, 2):
+                got = sealed_by_replay(Path(root) / str(workers), *args, workers)
+                assert got == want, f"workers={workers}"
 
 
 class TestPartitionWorker:
@@ -199,9 +358,11 @@ class SmallBlockLeafMap(LeafMap):
     default), so pin it on every created table — including the ones the
     recovery paths create internally."""
 
+    max_block_bytes = 4096
+
     def create_table(self, name):
         table = super().create_table(name)
-        table._max_block_bytes = 4096
+        table._max_block_bytes = self.max_block_bytes
         return table
 
 
@@ -268,8 +429,6 @@ class TestBudgetBalance:
         # Rewrite the chunk with rows lacking the time column; CRCs are
         # regenerated, so the parent's scan succeeds and only the
         # worker's row validation trips.
-        from repro.disk.format import write_chunk, write_file_header
-
         path = backup.table_file("events")
         with open(path, "wb") as fh:
             write_file_header(fh)
