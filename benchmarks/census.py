@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Call census: which ``src/repro`` functions does nothing ever enter?
 
-Runs what exercises the program — tier-1, every
-``benchmarks/test_bench_*.py``, the CI CLI smoke lines, the examples,
-the ledger smoke and ``repro lint`` — with a ``sys.setprofile`` hook
-that every Python process they start inherits through a generated
-``sitecustomize``.  Each process appends a function's ``file:line`` the
+Runs what exercises the program — tier-1, CI's ``--reprosan`` suites,
+every ``benchmarks/test_bench_*.py``, the CI CLI smoke lines, the
+examples, the ledger smoke and ``repro lint`` — with a
+``sys.setprofile`` hook that every Python process they start inherits
+through a generated ``sitecustomize``.  Each process appends a function's ``file:line`` the
 first time it is entered, so a killed or forked worker loses nothing it
 already reported.  Then it lists every ``def`` under ``src/repro`` that
 no run entered, and whether its name appears anywhere else in ``src/``,
@@ -16,7 +16,20 @@ no run entered, and whether its name appears anywhere else in ``src/``,
     python benchmarks/census.py --json census.json    # machine-readable
 
 A never-entered definition is a candidate, not a verdict: delete it,
-move it to ``tests/`` (an oracle), or justify it in one line.
+move it to ``tests/`` (an oracle), or justify it in one line.  The ones
+kept, each with its line:
+
+- ``Clock.now``, ``ReplicaSession.fetch``/``fetch_many``/``close``:
+  ``Protocol`` stubs; the classes that satisfy them run their own.
+- ``RestoreDriver._publish_directory``/``_read_block``/``_read_blocks``/
+  ``_close_source``: hooks every source overrides; the base raises, so
+  a source that forgets one fails on its first restore.
+- ``_SanLock.__getattr__``, ``_SanCondition.acquire``/``release``/
+  ``notify``/``__getattr__``: the sanitizer's wrappers keep the whole
+  ``threading`` API, so a lock call no test takes today still runs
+  under ``--reprosan``.
+- ``Schema.__repr__``, ``ShmSegment.__repr__``, ``LeafProcess.__repr__``:
+  what a failed assertion or a debugger shows for these objects.
 """
 
 from __future__ import annotations
@@ -46,8 +59,27 @@ CI_CLI = (
     "bench-query --rows 20000",
 )
 PYTEST = (PY, "-m", "pytest", "-q", "-p", "no:cacheprovider")
+#: CI's ``reprosan`` job: the suites it runs under the sanitizer
+REPROSAN_TESTS = (
+    "test_columnstore_colcache",
+    "test_query_vectorized",
+    "test_core_engine",
+    "test_core_engine_tiers",
+    "test_server_leaf",
+    "test_core_lazyrestore",
+    "test_server_serve_while_restoring",
+    "test_cluster_replication",
+    "test_crashpoints",
+    "test_core_parallel",
+    "test_server_machine",
+    "test_disk_replay",
+)
 RUNS = {
     "tier1": [(*PYTEST, "tests")],
+    "reprosan": [(
+        *PYTEST, "--reprosan", f"--reprosan-report={os.devnull}",
+        *(f"tests/{name}.py" for name in REPROSAN_TESTS),
+    )],
     "bench": [(*PYTEST, *sorted(str(p) for p in ROOT.glob("benchmarks/test_bench_*.py")))],
     "cli": [(PY, "-m", "repro", *line.split()) for line in CI_CLI],
     "examples": [(PY, str(p)) for p in sorted(ROOT.glob("examples/*.py"))],

@@ -7,12 +7,11 @@ function so the runner and the CLI ``--checker`` filter share one list.
 
 from __future__ import annotations
 
-from repro.analysis.checkers import lifecycle, lockorder, locks
+from repro.analysis.checkers import lockorder, locks
 
 CHECKERS = {
     locks.CHECKER: locks.check,
-    lifecycle.CHECKER: lifecycle.check,
     lockorder.CHECKER: lockorder.check,
 }
 
-__all__ = ["CHECKERS", "lifecycle", "lockorder", "locks"]
+__all__ = ["CHECKERS", "lockorder", "locks"]

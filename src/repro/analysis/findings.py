@@ -9,11 +9,10 @@ function or file re-raises it for review.
 Codes are stable, grep-able identifiers grouped by checker:
 
 - ``RL3xx`` guarded-by lock discipline
-- ``RL4xx`` segment/handle lifecycle leaks
 - ``RL7xx`` lock order, blocking-under-lock, and status atomicity
 
-(RL1xx, RL2xx, RL5xx and RL6xx were retired with their checkers; the
-codes are not reused.)
+(RL1xx, RL2xx, RL4xx, RL5xx and RL6xx were retired with their
+checkers; the codes are not reused.)
 """
 
 from __future__ import annotations

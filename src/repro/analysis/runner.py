@@ -99,7 +99,6 @@ def run_lint(
 
 _CODE_PREFIX = {
     "guarded-by": "RL3",
-    "segment-lifecycle": "RL4",
     "lock-order": "RL7",
 }
 

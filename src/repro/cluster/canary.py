@@ -65,10 +65,6 @@ class CanaryDeployment:
         self.baseline_version = versions.pop()
         self._deployed = False
 
-    @property
-    def canary_machines(self) -> list[Machine]:
-        return list(self._canaries)
-
     def _restart_machine_to(self, machine: Machine, version: str) -> None:
         """Restart a machine's leaves one at a time through shared
         memory (the §4.2 one-leaf-per-machine rule)."""

@@ -600,19 +600,20 @@ class ReplicaFetchSession:
         if self._closed:
             return
         self._closed = True
-        if self.token and self._failure is None:
-            try:
+        try:
+            if self.token and self._failure is None:
                 conn = self._pool.get_nowait()
                 send_frame(
                     conn, FRAME_BYE, json.dumps({"session": self.token}).encode()
                 )
-            except (queue.Empty, ReplicaWireError):
-                pass
-        for sock in self._sockets:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        except (queue.Empty, ReplicaWireError):
+            pass
+        finally:
+            for sock in self._sockets:
+                try:
+                    sock.close()
+                except OSError:
+                    pass
 
 
 # ----------------------------------------------------------------------

@@ -41,10 +41,6 @@ class RolloverResult:
     restart_reports: list[RestartReport] = field(default_factory=list)
     min_availability: float = 1.0
 
-    @property
-    def mean_availability(self) -> float:
-        return self.dashboard.mean_availability()
-
 
 class RolloverCoordinator:
     """Upgrades every leaf of a cluster to a new binary version."""

@@ -146,14 +146,6 @@ class RowBlockColumn:
         self._data_offset = data_offset
         self._footer_offset = footer_offset
 
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    @property
-    def nbytes(self) -> int:
-        """Total buffer size in bytes."""
-        return len(self._buf)
-
     @property
     def buffer(self) -> memoryview:
         """The whole underlying buffer (the thing one ``memcpy`` moves)."""

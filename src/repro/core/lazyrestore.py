@@ -178,9 +178,8 @@ class RestoreDriver:
 
     def _read_blocks(self, descs: list) -> Iterator[tuple]:
         """``(descriptor, decoded block)`` for everything a drain still
-        wants, tables hottest first: a source that can do better than
-        one :meth:`_read_block` at a time batches here."""
-        return self._each(descs)
+        wants, tables hottest first."""
+        raise NotImplementedError
 
     def _release_blocks(self, state: _TableState) -> None:
         """A block is home, its table not yet: let go of whatever of the

@@ -389,11 +389,6 @@ class LeafServer:
         return self.status is LeafStatus.ALIVE
 
     @property
-    def rows_per_block(self) -> int | None:
-        """The block size this leaf's maps are built with (None = default)."""
-        return self._rows_per_block
-
-    @property
     def accepts_adds(self) -> bool:
         return self.status in (
             LeafStatus.ALIVE,

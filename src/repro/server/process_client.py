@@ -109,10 +109,6 @@ class LeafProcess:
         """A running worker answers queries (the aggregator's gate)."""
         return self.running
 
-    @property
-    def pid(self) -> int | None:
-        return self._proc.pid if self._proc else None
-
     def spawn(self, memory_recovery_enabled: bool = True) -> dict:
         """Start the worker process and have it recover its data.
 
@@ -217,6 +213,7 @@ class LeafProcess:
             stderr = ""
             if self._proc.stderr is not None:
                 stderr = self._proc.stderr.read() or ""
+            self.kill()
             raise LeafProcessError(
                 f"leaf {self.config.leaf_id} died mid-request: {stderr.strip()[-500:]}"
             )
@@ -279,5 +276,5 @@ class LeafProcess:
         return self.request({"op": "sync"})["rows_synced"]
 
     def __repr__(self) -> str:
-        state = f"pid={self.pid}" if self.running else "stopped"
+        state = f"pid={self._proc.pid}" if self.running else "stopped"
         return f"LeafProcess(leaf_id={self.config.leaf_id!r}, {state})"

@@ -104,9 +104,6 @@ class BufferWriter:
     def __init__(self) -> None:
         self._buf = bytearray()
 
-    def __len__(self) -> int:
-        return len(self._buf)
-
     @property
     def offset(self) -> int:
         """Current write position (== number of bytes written so far)."""

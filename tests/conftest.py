@@ -3,6 +3,9 @@
 Every test that touches shared memory gets a unique namespace, and the
 fixture asserts at teardown that no segment with that namespace survived
 — leaked segments are real bugs in lifetime management, not test noise.
+Every test also fails if it leaves a segment handle open in this process
+(:func:`shm_handles`); files, sockets and pipes are covered by the
+``error::ResourceWarning`` filter in ``pyproject.toml``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import pytest
 
 from repro.columnstore.leafmap import LeafMap
 from repro.disk.backup import DiskBackup
+from repro.shm.segment import ShmSegment
 from repro.util.clock import ManualClock
 
 SHM_DIR = Path("/dev/shm")
@@ -70,6 +74,38 @@ def _reprosan_guard(request):
     yield
     record = san.end_test()
     assert not record["problems"], "reprosan: " + "; ".join(record["problems"])
+
+
+def open_handles(handles):
+    """The names of the segment handles in ``handles`` still open."""
+    return [handle.name for handle in handles if not handle._closed]
+
+
+@pytest.fixture(autouse=True)
+def shm_handles(monkeypatch):
+    """Fail a test that leaves a :class:`ShmSegment` handle open; yields
+    the handles built so far.
+
+    Every handle built during the test (``LeafMetadata`` wraps one, so
+    its handles count too) is kept here by a strong reference.  That
+    reference is the point: without it CPython's ``SharedMemory.__del__``
+    closes a dropped handle as soon as its refcount reaches zero, and a
+    leak on any path the test does not hold on to goes unseen.  The
+    leaked handles are closed at teardown so the next test starts clean.
+    """
+    handles = []
+    init = ShmSegment.__init__
+
+    def tracked_init(self, raw):
+        init(self, raw)
+        handles.append(self)
+
+    monkeypatch.setattr(ShmSegment, "__init__", tracked_init)
+    yield handles
+    leaked = open_handles(handles)
+    for handle in handles:
+        handle.close()
+    assert not leaked, f"shared memory handles left open: {leaked}"
 
 
 @pytest.fixture

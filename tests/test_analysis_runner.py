@@ -31,9 +31,9 @@ class TestBaseline:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "baseline.json"
-        Baseline([BaselineEntry("RL401", "a.py", "S", "j")]).save(path)
+        Baseline([BaselineEntry("RL301", "a.py", "S", "j")]).save(path)
         loaded = Baseline.load(path)
-        assert loaded.entries == [BaselineEntry("RL401", "a.py", "S", "j")]
+        assert loaded.entries == [BaselineEntry("RL301", "a.py", "S", "j")]
 
     def test_version_mismatch_is_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
@@ -71,13 +71,13 @@ class TestBaseline:
         findings = [
             finding(path="src/b.py", line=5),
             finding(path="src/a.py", line=9, code="RL702"),
-            finding(path="src/a.py", line=9, code="RL401"),
+            finding(path="src/a.py", line=9, code="RL301"),
             finding(path="src/a.py", line=2),
         ]
         ordered = sort_findings(findings)
         assert [(f.path, f.line, f.code) for f in ordered] == [
             ("src/a.py", 2, "RL302"),
-            ("src/a.py", 9, "RL401"),
+            ("src/a.py", 9, "RL301"),
             ("src/a.py", 9, "RL702"),
             ("src/b.py", 5, "RL302"),
         ]
@@ -103,7 +103,7 @@ class TestRunLint:
     def test_checker_filter_scopes_baseline_staleness(self, repo_root):
         """Running one checker must not report the others' baseline
         entries as stale."""
-        result = run_lint(repo_root, checkers=["segment-lifecycle"])
+        result = run_lint(repo_root, checkers=["lock-order"])
         assert result.match.stale == []
         assert not result.failed
 
@@ -125,7 +125,7 @@ class TestRendering:
         result = run_lint(repo_root)
         text = render_text(result)
         assert "0 new" in text
-        assert "3 checkers" in text
+        assert "2 checkers" in text
 
 
 class TestCli:
@@ -140,7 +140,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["checkers"] == [
             "guarded-by",
-            "segment-lifecycle",
             "lock-order",
         ]
 

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import replication
 from repro.cluster.cluster import Cluster
 from repro.cluster.replication import (
     FRAME_BLOCK,
@@ -142,6 +143,25 @@ class TestWireRoundTripProperty:
                 assert got[desc.index] == table.blocks[desc.index].pack()
         finally:
             session.close()
+            server.close()
+
+    def test_close_closes_every_socket_when_the_bye_send_raises(self, monkeypatch):
+        """A BYE that fails with anything but a wire error (the crash
+        sweep's injected ``send`` fault) must not skip the closes."""
+        leafmap = build_map({"events": [{"time": i} for i in range(8)]})
+        server = ReplicaBlockServer(lambda: snapshot_leafmap(leafmap))
+        session = ReplicaFetchSession(server.address, streams=3)
+        try:
+
+            def failing_send(*args):
+                raise RuntimeError("injected send fault")
+
+            monkeypatch.setattr(replication, "send_frame", failing_send)
+            with pytest.raises(RuntimeError, match="injected"):
+                session.close()
+            assert len(session._sockets) == 3
+            assert all(sock.fileno() == -1 for sock in session._sockets)
+        finally:
             server.close()
 
 

@@ -67,7 +67,7 @@ class TestLeafProcess:
         from repro.core.watchdog import wait_or_kill
 
         assert wait_or_kill(leaf._proc, timeout=1.0) is False
-        leaf._proc = None
+        leaf.kill()
         reborn = make_leaf(shm_namespace, tmp_path)
         report = reborn.spawn()
         assert report["method"] == "disk"
@@ -103,7 +103,7 @@ class TestLeafProcess:
         leaf.add_rows("events", [{"time": 1000 + i} for i in range(50)])
         with pytest.raises(LeafProcessError):
             leaf.request({"op": "crash"})
-        leaf._proc = None
+        assert leaf._proc is None, "the dead worker was not reaped"
         reborn = make_leaf(shm_namespace, tmp_path)
         report = reborn.spawn()
         assert report["method"] == "disk"

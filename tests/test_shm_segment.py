@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ShmError
 from repro.shm.segment import ShmSegment, segment_exists
+from tests.conftest import open_handles
 
 
 class TestSegmentBasics:
@@ -150,3 +151,44 @@ class TestCrossProcessPersistence:
             timeout=60,
         )
         assert result.stdout.strip() == "123456"
+
+
+def leak_forever(name):
+    segment = ShmSegment.attach(name)  # never closed
+    return segment.size
+
+
+def leak_on_raise(name, sink):
+    segment = ShmSegment.attach(name)
+    sink(bytes(segment.read_at(0, 8)))  # raises before the close
+    segment.close()
+
+
+class TestHandleGuard:
+    """The per-test guard in conftest.py sees a handle the code drops
+    without closing, on the normal path and on an exception edge."""
+
+    @pytest.fixture
+    def existing(self, shm_namespace):
+        name = f"{shm_namespace}-guard"
+        ShmSegment.create(name, 16).close()
+        yield name
+        ShmSegment.attach(name).unlink()
+
+    def _assert_reported_then_close(self, shm_handles, name):
+        assert open_handles(shm_handles) == [name]
+        for handle in shm_handles:
+            handle.close()
+        assert open_handles(shm_handles) == []
+
+    def test_reports_a_handle_never_closed(self, existing, shm_handles):
+        assert leak_forever(existing) == 16
+        self._assert_reported_then_close(shm_handles, existing)
+
+    def test_reports_a_handle_leaked_on_raise(self, existing, shm_handles):
+        def sink(data):
+            raise ValueError("consumer failed")
+
+        with pytest.raises(ValueError):
+            leak_on_raise(existing, sink)
+        self._assert_reported_then_close(shm_handles, existing)
