@@ -10,6 +10,10 @@ the *contiguous* layout of Figure 4, where the header, schema, column
 offset table, and all RBC payloads occupy a single buffer — the form used
 inside shared memory segments and by the shm-format disk files of
 experiment E12.
+
+Live ingest and legacy replay both seal through
+:meth:`RowBlock.from_columns`; :meth:`RowBlock.from_rows`, the same seal
+over row dicts, is the reference the tests hold them to.
 """
 
 from __future__ import annotations
@@ -112,11 +116,9 @@ class RowBlock(TimeRange):
         created_at: float,
         schema: Schema | None = None,
     ) -> "RowBlock":
-        """Seal ``rows`` into a compressed row block.
-
-        This is the expensive "translate to in-memory format" step: every
-        column is extracted, compressed, and serialized into its RBC
-        buffer.
+        """Seal ``rows`` into a compressed row block: each column is
+        extracted, then :meth:`from_columns` runs the expensive
+        "translate to in-memory format" step.
         """
         if not rows:
             raise ValueError("a row block must contain at least one row")
@@ -135,9 +137,9 @@ class RowBlock(TimeRange):
         """Seal one value list per ``schema`` column into a row block.
 
         Each list holds every row's value, of the column's type, a value
-        a row lacked already filled with the default: what
-        :meth:`from_rows` extracts from rows, and what legacy replay
-        decodes the row log into.
+        a row lacked already filled with the default: what a table's
+        open block gathers from its column runs, live or replayed, and
+        what :meth:`from_rows` extracts from rows.
         """
         times = columns[TIME_COLUMN]
         if not times:

@@ -42,6 +42,28 @@ def infer_column_type(value: ColumnValue) -> ColumnType:
 EXACT_TYPES = {int: ColumnType.INT64, float: ColumnType.FLOAT64, str: ColumnType.STRING}
 
 
+def checked_column(ctype: ColumnType, values: list[ColumnValue]) -> list[ColumnValue]:
+    """``values`` checked against ``ctype`` (:meth:`ColumnType.validate`),
+    lists copied (never alias caller-owned lists) and FLOAT64 ints made
+    floats; ``values`` itself when there is nothing to copy or convert."""
+    kinds = set(map(type, values))
+    if all(EXACT_TYPES.get(kind) is ctype for kind in kinds):
+        return values
+    if (
+        ctype is ColumnType.STRING_VECTOR
+        and kinds == {list}
+        and set(map(type, chain.from_iterable(values))) <= {str}
+    ):
+        return list(map(list, values))
+    out = []
+    for value in values:
+        value = list(value) if isinstance(value, list) else value
+        ctype.validate(value)
+        widen = ctype is ColumnType.FLOAT64 and isinstance(value, int)
+        out.append(float(value) if widen else value)
+    return out
+
+
 class Schema:
     """An ordered, immutable name→type mapping with wire serialization."""
 
@@ -117,27 +139,11 @@ class Schema:
         self, name: str, rows: Iterable[Mapping[str, ColumnValue]]
     ) -> list[ColumnValue]:
         """Extract one column from ``rows``, filling gaps with the type's
-        default value (rows need not all carry every column)."""
+        default value (rows need not all carry every column), checked by
+        :func:`checked_column`."""
         ctype = self.type_of(name)
         default = ctype.default()
-        out: list[ColumnValue] = [row.get(name, default) for row in rows]
-        kinds = set(map(type, out))
-        if all(EXACT_TYPES.get(kind) is ctype for kind in kinds):
-            return out  # nothing to copy, convert or reject
-        if (
-            ctype is ColumnType.STRING_VECTOR
-            and kinds == {list}
-            and set(map(type, chain.from_iterable(out))) <= {str}
-        ):
-            return list(map(list, out))  # copied: never alias caller-owned lists
-        for index, value in enumerate(out):
-            if isinstance(value, list):
-                value = list(value)  # never alias caller-owned lists
-            ctype.validate(value)
-            if ctype is ColumnType.FLOAT64 and isinstance(value, int):
-                value = float(value)
-            out[index] = value
-        return out
+        return checked_column(ctype, [row.get(name, default) for row in rows])
 
     def serialize(self, writer: BufferWriter) -> None:
         """Append the wire form: varint count then (name, type) pairs."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.columnstore.table import Table, estimate_row_bytes
+from repro.columnstore.table import Table
 from repro.types import ColumnType
 
 
@@ -82,9 +82,7 @@ def table_stats(table: Table) -> TableStats:
         ColumnStats(name, column_types[name], compressed, raw)
         for name, (compressed, raw) in sorted(per_column.items())
     ]
-    buffer_estimate = sum(
-        estimate_row_bytes(row) for row in table.scan()
-    ) if not blocks and table.buffered_row_count else 0
+    buffer_estimate = 0 if blocks else table.nbytes - table.sealed_nbytes
     return TableStats(
         name=table.name,
         row_count=table.row_count,

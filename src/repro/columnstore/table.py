@@ -1,13 +1,12 @@
 """Tables: a vector of sealed row blocks plus an open write buffer.
 
-New rows land in a row-oriented write buffer; once 65,536 rows (or the
-1 GB pre-compression cap) accumulate, the buffer is sealed into a
-compressed :class:`RowBlock`.  Tables also delete data "as it expires due
-to either age or size limits" (paper, Section 2).
-
-Legacy replay seals rows it read back from disk as column runs
-(:meth:`Table.add_runs`, :func:`seal_groups`) at the boundaries, and
-with the errors, that :meth:`Table.add_row` applies to rows.
+New rows are read into column runs (:class:`RunBuilder`), which the write
+buffer holds as they are; once 65,536 rows (or the 1 GB pre-compression
+cap) accumulate, the buffer is sealed into a compressed :class:`RowBlock`.
+Live ingest and legacy replay hand their runs to the same open block: one
+check of what a block may hold, one byte estimate, one cut, one seal.
+Tables also delete data "as it expires due to either age or size limits"
+(paper, Section 2).
 """
 
 from __future__ import annotations
@@ -15,11 +14,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate, compress
 from operator import add
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.rowblock import ROWS_PER_BLOCK, RowBlock, TimeRange
-from repro.columnstore.schema import EXACT_TYPES, Schema, infer_column_type
+from repro.columnstore.schema import Schema, checked_column, infer_column_type
 from repro.compression.base import MAX_ROWBLOCK_BYTES
 from repro.compression.decoded import DecodedColumn
 from repro.compression.pipeline import column_arrays
@@ -27,55 +26,50 @@ from repro.errors import SchemaError
 from repro.types import TIME_COLUMN, ColumnType, ColumnValue
 from repro.util.clock import Clock, SystemClock
 
-#: The column type of an ordinary value, by its exact Python type (any
-#: other value takes ``infer_column_type``).
-_ROW_TYPES = {**EXACT_TYPES, list: ColumnType.STRING_VECTOR}
-#: Bound once: looking members up on the enum class for every value made
-#: the loop in ``add_row`` ~1.6x slower.
 _STRING, _VECTOR = ColumnType.STRING, ColumnType.STRING_VECTOR
-
-
-def _vector_bytes(value: list[str]) -> int:
-    return sum(map(len, value)) + 4 * len(value)
-
-
-def _fixed_bytes(name: str, ctype: ColumnType) -> int:
-    """A column's part of ``estimate_row_bytes`` that does not depend on
-    its value: the name, 8, and a number's 8."""
-    return len(name) + (8 if ctype is _STRING or ctype is _VECTOR else 16)
-
-
-def estimate_row_bytes(row: Mapping[str, ColumnValue]) -> int:
-    """Rough pre-compression size of one row, for the 1 GB block cap."""
-    total = 0
-    for name, value in row.items():
-        total += len(name) + 8
-        if isinstance(value, str):
-            total += len(value)
-        elif isinstance(value, list):
-            total += _vector_bytes(value)
-        else:
-            total += 8
-    return total
-
-
-_NO_TIME = f"row lacks the required '{TIME_COLUMN}' column"
-_BAD_TIME = f"'{TIME_COLUMN}' must be an integer unix timestamp"
+_NUMBERS = (ColumnType.INT64, ColumnType.FLOAT64)
 
 
 def _column_error(name: object, ctype: ColumnType, known: ColumnType | None) -> SchemaError:
-    """Why a column ``name`` of ``ctype`` cannot join a buffer that has
+    """Why a column ``name`` of ``ctype`` cannot join a block that has
     it as ``known`` (``None``: a new column)."""
     if known is not None:
         return SchemaError(f"column '{name}' seen as both {known.name} and {ctype.name}")
     return SchemaError(f"column names must be non-empty strings: {name!r}")
 
 
+def _admit(
+    types: Mapping[str, ColumnType], names: Sequence[str], ctypes: Sequence, layout: Iterable[int]
+) -> dict[str, ColumnType]:
+    """The columns a row adds to a block whose columns are ``types``:
+    the one check of what a block may hold.  The row carries
+    ``names[j]`` of ``ctypes[j]`` for each ``j`` in ``layout``, in its
+    own order.  Raises :class:`SchemaError` — or the error a value had
+    instead of a type — for the first field that cannot join, after the
+    time column's checks."""
+    time = names.index(TIME_COLUMN) if TIME_COLUMN in names else -1
+    if time not in layout:
+        raise SchemaError(f"row lacks the required '{TIME_COLUMN}' column")
+    if ctypes[time] is not ColumnType.INT64:
+        raise SchemaError(f"'{TIME_COLUMN}' must be an integer unix timestamp")
+    new: dict[str, ColumnType] = {}
+    for j in layout:
+        name, ctype = names[j], ctypes[j]
+        known = types.get(name, new.get(name))
+        if known is not ctype:
+            if isinstance(ctype, Exception):
+                raise ctype
+            if known is not None or type(name) is not str or not name:
+                raise _column_error(name, ctype, known)
+            new[name] = ctype
+    return new
+
+
 class ColumnRun(NamedTuple):
     """Consecutive rows whose columns agree on type: the columns in
     first-seen order, each a value list with the type's default where a
-    row lacks the column.  What legacy replay decodes the row log into
-    and :meth:`Table.add_runs` seals.
+    row lacks the column.  What the write buffer holds, and what legacy
+    replay decodes the row log into.
 
     ``layouts`` is ``None`` when every row carries every column in this
     order; otherwise each row's columns, in its own order, as positions
@@ -92,14 +86,16 @@ class ColumnRun(NamedTuple):
         """One column's values; ``None`` when the run lacks it."""
         return self.columns[self.names.index(name)] if name in self.names else None
 
-    def rows(self) -> list[dict[str, ColumnValue]]:
-        """The run's rows, as dicts."""
+    def rows(self, lo: int = 0, hi: int | None = None) -> list[dict[str, ColumnValue]]:
+        """The run's rows ``[lo, hi)``, as dicts: each as it was read,
+        its columns in its own order and a column it lacks missing."""
+        hi = self.n_rows if hi is None else hi
         names, columns = self.names, self.columns
         if not names:
-            return [{} for _ in range(self.n_rows)]
+            return [{} for _ in range(lo, hi)]
         if self.layouts is None:
-            return [dict(zip(names, values)) for values in zip(*columns)]
-        return [{names[j]: columns[j][i] for j in ls} for i, ls in enumerate(self.layouts)]
+            return [dict(zip(names, values)) for values in zip(*(c[lo:hi] for c in columns))]
+        return [{names[j]: columns[j][i] for j in self.layouts[i]} for i in range(lo, hi)]
 
     def select(self, keep: list[bool]) -> "ColumnRun":
         """The run's rows where ``keep`` is true."""
@@ -108,11 +104,131 @@ class ColumnRun(NamedTuple):
         return ColumnRun(self.names, self.types, columns, sum(keep), layouts)
 
 
+class RunBuilder:
+    """Rows read into column runs, in order — by the row-log decoder and
+    by :meth:`Table.add_rows`: per row its values in its own order and
+    where they go in the run (its layout, which each reader caches in
+    ``layouts`` by its own key for the row's names and types).  A row
+    that types a column otherwise than its run starts the next one.
+    """
+
+    def __init__(self) -> None:
+        self.runs: list[ColumnRun] = []
+        self._begin()
+
+    def _begin(self) -> None:
+        self.layouts: dict[Hashable, tuple[int, ...]] = {}
+        self._types: dict[str, ColumnType] = {}  # the run's columns, in first-seen order
+        self._rows: list[list[ColumnValue]] = []
+        self._row_layouts: list[tuple[int, ...]] = []
+
+    def place(
+        self, key: Hashable, names: Sequence[str], types: Sequence[ColumnType]
+    ) -> tuple[int, ...]:
+        """Where a row with these fields puts its values, cached under
+        ``key``: its new columns join the run, or the next run begins
+        when it types a column otherwise.  A name the row repeats takes
+        its first position and its last type, as the row's dict does."""
+        row = dict(zip(names, types))
+        if any(self._types.get(name, ctype) is not ctype for name, ctype in row.items()):
+            self._close()
+        self._types.update(row)
+        index = {name: j for j, name in enumerate(self._types)}
+        layout = self.layouts[key] = tuple(map(index.__getitem__, names))
+        return layout
+
+    def add(self, values: list[ColumnValue], layout: tuple[int, ...]) -> None:
+        self._rows.append(values)
+        self._row_layouts.append(layout)
+
+    def finish(self) -> list[ColumnRun]:
+        self._close()
+        return self.runs
+
+    def _close(self) -> None:
+        rows, layouts, n = self._rows, self._row_layouts, len(self._rows)
+        if n:
+            names, types = tuple(self._types), tuple(self._types.values())
+            if layouts[0] == tuple(range(len(names))) and layouts.count(layouts[0]) == n:
+                run = ColumnRun(names, types, [list(column) for column in zip(*rows)], n)
+            else:
+                columns = [[ctype.default()] * n for ctype in types]
+                for i, (layout, values) in enumerate(zip(layouts, rows)):
+                    for j, value in zip(layout, values):
+                        columns[j][i] = value
+                run = ColumnRun(names, types, columns, n, layouts)
+            self.runs.append(run)
+        self._begin()
+
+
+def _field_type(name: object, value: ColumnValue) -> ColumnType | Exception:
+    """A row field's column type; the error instead, when its value has
+    none or its name is not a string (:func:`_admit` raises it)."""
+    try:
+        ctype = infer_column_type(value)
+    except SchemaError as exc:
+        return exc
+    return ctype if isinstance(name, str) else _column_error(name, ctype, None)
+
+
+def _batch_runs(
+    rows: Iterable[Mapping[str, ColumnValue]],
+) -> tuple[list[ColumnRun], Mapping | Exception | None]:
+    """``rows`` read into column runs, vectors copied, up to the first
+    that cannot be: ``(runs, refused)``, ``refused`` that row (a value
+    without a column type, a name not a string, a vector item not one),
+    what reading it raised, or ``None``."""
+    builder = RunBuilder()
+    refused: Mapping | Exception | None = None
+    try:
+        for row in rows:
+            names, values = tuple(row), list(row.values())
+            key = (names, tuple(map(type, values)))
+            layout = builder.layouts.get(key)
+            if layout is None:
+                types = list(map(_field_type, names, values))
+                if any(isinstance(ctype, Exception) for ctype in types):
+                    refused = row
+                    break
+                layout = builder.place(key, names, types)
+            builder.add(values, layout)
+    except Exception as exc:  # the rows before it are still added
+        refused = exc
+    runs = builder.finish()
+    for at, run in enumerate(runs):
+        try:
+            for j, ctype in enumerate(run.types):
+                if ctype is _VECTOR:
+                    run.columns[j] = checked_column(ctype, run.columns[j])
+        except TypeError:  # which row has a vector item that is not a string?
+            read = run.rows()  # the first that fails read alone (one row: that row)
+            bad = next(i for i, r in enumerate(read) if len(read) == 1 or _batch_runs([r])[1])
+            runs[at:] = _batch_runs(read[:bad])[0]
+            return runs, read[bad]
+    return runs, refused
+
+
+def _refuse(types: Mapping[str, ColumnType], refused: Mapping | Exception) -> None:
+    """Raise why a block of ``types`` refuses a row :func:`_batch_runs`
+    did: the first field :func:`_admit` does not let in, else what the
+    row's byte estimate (a vector item without a ``len``) or its check
+    raises."""
+    if isinstance(refused, Exception):
+        raise refused
+    names, values = tuple(refused), list(refused.values())
+    ctypes = tuple(map(_field_type, names, values))
+    _admit(types, names, ctypes, range(len(names)))
+    _row_bytes(ColumnRun(names, ctypes, [[value] for value in values], 1))
+    for ctype, value in zip(ctypes, values):
+        checked_column(ctype, [value])
+
+
 def _row_bytes(run: ColumnRun) -> list[int]:
-    """``estimate_row_bytes`` of each row of ``run``: its part that does
-    not depend on the values follows from the columns the row carries,
-    and a default it holds for a column it lacks adds nothing."""
-    per_column = list(map(_fixed_bytes, run.names, run.types))
+    """Each row's rough pre-compression size, for the 1 GB block cap: per
+    column it carries, the name's length, 8, and the value's — a
+    string's length, a vector's items' lengths and 4 an item, a number's
+    8.  A default a row holds for a column it lacks adds nothing."""
+    per_column = [len(n) + (16 if t in _NUMBERS else 8) for n, t in zip(run.names, run.types)]
     if run.layouts is None:
         sizes = [sum(per_column)] * run.n_rows
     else:
@@ -122,100 +238,87 @@ def _row_bytes(run: ColumnRun) -> list[int]:
         if ctype is _STRING:
             sizes = list(map(add, sizes, map(len, column)))
         elif ctype is _VECTOR:
-            sizes = list(map(add, sizes, map(_vector_bytes, column)))
+            sizes = [size + sum(map(len, v)) + 4 * len(v) for size, v in zip(sizes, column)]
     return sizes
+
+
+#: A block's schema, columns, row count and estimated bytes: ready to seal.
+Group = tuple[Schema, dict[str, list[ColumnValue]], int, int]
+_Part = tuple[ColumnRun, int, int]  # a run's rows [lo, hi)
+
+
+class _OpenBlock:
+    """The rows of the next row block, before it seals: slices of column
+    runs, the block's column types in first-seen order (its schema), and
+    its row count and estimated bytes."""
+
+    def __init__(self, rows_per_block: int, max_block_bytes: int) -> None:
+        self.rows_per_block, self.max_block_bytes = rows_per_block, max_block_bytes
+        self.types: dict[str, ColumnType] = {}
+        self.parts: list[_Part] = []
+        self.n_rows = self.n_bytes = 0
+
+    def add(self, run: ColumnRun) -> Iterator[Group]:
+        """Append ``run``'s rows; yield each block they fill (at the row
+        that brings it to ``rows_per_block`` rows or ``max_block_bytes``
+        estimated bytes) and go on in the next.  Rows are checked a layout
+        at a time, where one first occurs in the block (a layout that
+        passed there passes again); the first row that cannot join raises
+        (:func:`_admit`), the rows before it kept."""
+        ends = list(accumulate(_row_bytes(run)))  # ends[i]: the run's rows [0, i]
+        lo = 0
+        while lo < run.n_rows:
+            start = ends[lo - 1] if lo else 0
+            hi = min(run.n_rows, lo + self.rows_per_block - self.n_rows)
+            hi = min(hi, bisect_left(ends, self.max_block_bytes - self.n_bytes + start, lo, hi) + 1)
+            layouts = dict.fromkeys(run.layouts[lo:hi]) if run.layouts else [range(len(run.names))]
+            try:
+                for layout in layouts:
+                    self.types.update(_admit(self.types, run.names, run.types, layout))
+            except SchemaError:
+                hi = run.layouts.index(layout, lo) if run.layouts else lo
+                raise
+            finally:
+                if hi > lo:
+                    self.parts.append((run, lo, hi))
+                    self.n_rows += hi - lo
+                    self.n_bytes += ends[hi - 1] - start
+            lo = hi
+            if self.n_rows >= self.rows_per_block or self.n_bytes >= self.max_block_bytes:
+                yield self.take()
+
+    def take(self) -> Group:
+        """The block as it stands, and an empty one opened."""
+        columns = {name: _block_column(self.parts, name, t) for name, t in self.types.items()}
+        group = Schema(self.types), columns, self.n_rows, self.n_bytes
+        self.types, self.parts, self.n_rows, self.n_bytes = {}, [], 0, 0
+        return group
+
+
+def _block_column(parts: list[_Part], name: str, ctype: ColumnType) -> list[ColumnValue]:
+    """One column of a block of ``parts`` (a run holds the default where a
+    row lacks it; a run that types it otherwise has no row that has it)."""
+    values: list[ColumnValue] = []
+    for run, lo, hi in parts:
+        j = run.names.index(name) if name in run.names else -1
+        if j >= 0 and run.types[j] is ctype:
+            values += run.columns[j][lo:hi]
+        else:
+            values += [ctype.default()] * (hi - lo)
+    return values
 
 
 def seal_groups(
     runs: Iterable[ColumnRun], rows_per_block: int, max_block_bytes: int
-) -> Iterator[tuple[Schema, dict[str, list[ColumnValue]], int, int]]:
-    """Cut ``runs`` into the row blocks :meth:`Table.add_rows` would seal
-    from their rows, as ``(schema, columns, rows, estimated bytes)``,
-    ready for :meth:`RowBlock.from_columns`.
-
-    The same boundaries: a block seals after the row that brings it to
-    ``rows_per_block`` rows or ``max_block_bytes`` estimated bytes, and
-    its schema is its rows' columns in first-seen order.  The same
-    :class:`SchemaError`s, from the same row: rows are checked a layout
-    at a time, where one first occurs in the block (a layout that passed
-    there passes again).
-    """
-    types: dict[str, ColumnType] = {}
-    parts: list[tuple[ColumnRun, int, int, set[int]]] = []
-    n_rows = n_bytes = 0
+) -> Iterator[Group]:
+    """Cut ``runs`` into the row blocks :meth:`Table.add_runs` seals from
+    them (:meth:`_OpenBlock.add`, the last block as it stands), with the
+    same errors from the same row."""
+    block = _OpenBlock(rows_per_block, max_block_bytes)
     for run in runs:
-        ends = list(accumulate(_row_bytes(run)))  # ends[i]: the run's rows [0, i]
-        time = run.names.index(TIME_COLUMN) if TIME_COLUMN in run.names else -1
-        lo = 0
-        while lo < run.n_rows:
-            start = ends[lo - 1] if lo else 0
-            hi = min(run.n_rows, lo + rows_per_block - n_rows)
-            hi = min(hi, bisect_left(ends, max_block_bytes - n_bytes + start, lo, hi) + 1)
-            layouts = dict.fromkeys(run.layouts[lo:hi]) if run.layouts else [range(len(run.names))]
-            for layout in layouts:
-                if time not in layout:
-                    raise SchemaError(_NO_TIME)
-                if run.types[time] is not ColumnType.INT64:
-                    raise SchemaError(_BAD_TIME)
-                for j in layout:
-                    name, ctype = run.names[j], run.types[j]
-                    known = types.get(name)
-                    if known is not ctype:
-                        if known is not None or not name:
-                            raise _column_error(name, ctype, known)
-                        types[name] = ctype
-            parts.append((run, lo, hi, set().union(*layouts)))
-            n_rows += hi - lo
-            n_bytes += ends[hi - 1] - start
-            lo = hi
-            if n_rows >= rows_per_block or n_bytes >= max_block_bytes:
-                yield Schema(types), _block_columns(types, parts, n_rows), n_rows, n_bytes
-                types, parts, n_rows, n_bytes = {}, [], 0, 0
-    if parts:
-        yield Schema(types), _block_columns(types, parts, n_rows), n_rows, n_bytes
-
-
-def _block_columns(
-    types: dict[str, ColumnType],
-    parts: list[tuple[ColumnRun, int, int, set[int]]],
-    n_rows: int,
-) -> dict[str, list[ColumnValue]]:
-    """One block's columns from its runs' rows ``[lo, hi)``, of the
-    columns present there; a value a row lacks, the type's default."""
-    columns: dict[str, list[ColumnValue]] = {name: [] for name in types}
-    at = 0
-    for run, lo, hi, present in parts:
-        for j in present:
-            values = columns[run.names[j]]
-            if len(values) < at:
-                values += [types[run.names[j]].default()] * (at - len(values))
-            values += run.columns[j][lo:hi]
-        at += hi - lo
-    for name, values in columns.items():
-        values += [types[name].default()] * (n_rows - len(values))
-    return columns
-
-
-class _RowShape(NamedTuple):
-    """What a row's full check leaves behind for the rows shaped like it."""
-
-    names: tuple
-    #: Each value's exact type, in column order.
-    kinds: tuple
-    #: The estimate's part that does not depend on the values.
-    fixed_bytes: int
-    strings: tuple[str, ...]
-    vectors: tuple[str, ...]
-
-    def bytes_of(self, row: Mapping[str, ColumnValue]) -> int:
-        """``estimate_row_bytes(row)`` for a row of this shape."""
-        nbytes = self.fixed_bytes
-        for name in self.strings:
-            nbytes += len(row[name])
-        for name in self.vectors:
-            value = row[name]
-            nbytes += sum(map(len, value)) + 4 * len(value)
-        return nbytes
+        yield from block.add(run)
+    if block.n_rows:
+        yield block.take()
 
 
 class BufferBlock(TimeRange):
@@ -227,32 +330,26 @@ class BufferBlock(TimeRange):
     Each column is built on first use, once; no cache holds it.
     """
 
-    def __init__(
-        self,
-        rows: list[dict[str, ColumnValue]],
-        schema: Schema,
-        min_time: int,
-        max_time: int,
-    ) -> None:
-        self._rows = rows
+    def __init__(self, parts: list[_Part], schema: Schema) -> None:
+        self._parts = parts
         self.schema = schema
-        self.row_count = len(rows)
-        self.min_time = min_time
-        self.max_time = max_time
+        times = _block_column(parts, TIME_COLUMN, ColumnType.INT64)
+        self.row_count, self.min_time, self.max_time = len(times), min(times), max(times)
         self._columns: dict[str, DecodedColumn] = {}
 
     def decoded_column(self, name: str) -> DecodedColumn:
         """One column in array form, as its sealed block would decode it."""
         column = self._columns.get(name)
         if column is None:
-            values = self.schema.column_values(name, self._rows)
-            column = self._columns[name] = column_arrays(self.schema.type_of(name), values)
+            ctype = self.schema.type_of(name)
+            values = _block_column(self._parts, name, ctype)
+            column = self._columns[name] = column_arrays(ctype, values)
         return column
 
     def to_rows(self) -> list[dict[str, ColumnValue]]:
         """Every row as its sealed block would materialize it."""
-        defaults = {name: ctype.default() for name, ctype in self.schema.items()}
-        return [{**defaults, **row} for row in self._rows]
+        columns = [_block_column(self._parts, name, ctype) for name, ctype in self.schema.items()]
+        return [dict(zip(self.schema.names, values)) for values in zip(*columns)]
 
 
 class Table:
@@ -276,18 +373,10 @@ class Table:
             raise ValueError("rows_per_block must be positive")
         self.name = name
         self._clock = clock or SystemClock()
-        self._rows_per_block = rows_per_block
-        self._max_block_bytes = max_block_bytes
         self._cache = cache
         self._blocks: list[RowBlock] = []
-        self._buffer: list[dict[str, ColumnValue]] = []
-        self._buffer_bytes = 0
-        #: The buffer's column types in first-seen order (its seal-time
-        #: schema), the shape of its last row, its time range, and its
-        #: memoized block view.
-        self._buffer_types: dict[str, ColumnType] = {}
-        self._buffer_shape: _RowShape | None = None
-        self._buffer_min_time = self._buffer_max_time = 0
+        #: The write buffer: the open block, and its memoized block view.
+        self._open = _OpenBlock(rows_per_block, max_block_bytes)
         self._buffer_view: BufferBlock | None = None
         #: Rows ever ingested / ever expired — monotone counters the
         #: incremental disk backup uses as sync watermarks.
@@ -298,110 +387,52 @@ class Table:
     # Ingest
     # ------------------------------------------------------------------
 
-    def add_row(self, row: Mapping[str, ColumnValue]) -> None:
-        """Append one row; seals a row block when a cap is reached.
-
-        The row's column types are checked against the buffer's first: a
-        row the buffer could not seal raises :class:`SchemaError` and is
-        not appended, so it cannot wedge every later seal.  A row shaped
-        like the last one accepted into this buffer — the same column
-        names in the same order, each value of the same exact type —
-        passed those checks already and skips them.
-        """
-        shape = self._buffer_shape
-        names = tuple(row)
-        kinds = tuple(map(type, row.values()))
-        if shape is not None and shape.names == names and shape.kinds == kinds:
-            nbytes = shape.bytes_of(row)
-        else:
-            shape, nbytes = self._check_row(row, names, kinds)
-        time_value = row[TIME_COLUMN]
-        if not self._buffer:
-            self._buffer_min_time = self._buffer_max_time = time_value
-        elif time_value < self._buffer_min_time:
-            self._buffer_min_time = time_value
-        elif time_value > self._buffer_max_time:
-            self._buffer_max_time = time_value
-        self._buffer.append(dict(row))
-        self._buffer_bytes += nbytes
-        self._buffer_shape = shape
-        self._buffer_view = None
-        self.total_rows_ingested += 1
-        if (
-            len(self._buffer) >= self._rows_per_block
-            or self._buffer_bytes >= self._max_block_bytes
-        ):
-            self.seal_buffer()
-
-    def _check_row(
-        self, row: Mapping[str, ColumnValue], names: tuple, kinds: tuple
-    ) -> tuple[_RowShape, int]:
-        """The full walk: check every field of ``row`` against the
-        buffer's types and record its new columns; returns the row's
-        shape and its byte estimate."""
-        if TIME_COLUMN not in row:
-            raise SchemaError(_NO_TIME)
-        time_value = row[TIME_COLUMN]
-        if not isinstance(time_value, int) or isinstance(time_value, bool):
-            raise SchemaError(_BAD_TIME)
-        types = self._buffer_types
-        new_columns: dict[str, ColumnType] = {}
-        fixed_bytes = 0
-        strings: list[str] = []
-        vectors: list[str] = []
-        for name, value in row.items():
-            ctype = _ROW_TYPES.get(type(value)) or infer_column_type(value)
-            known = types.get(name)
-            if known is not ctype:  # a new column, or a conflict
-                if known is not None or type(name) is not str or not name:
-                    raise _column_error(name, ctype, known)
-                new_columns[name] = ctype
-            fixed_bytes += _fixed_bytes(name, ctype)
-            if ctype is _STRING:
-                strings.append(name)
-            elif ctype is _VECTOR:
-                vectors.append(name)
-        shape = _RowShape(names, kinds, fixed_bytes, tuple(strings), tuple(vectors))
-        nbytes = shape.bytes_of(row)  # a vector item without a len raises here
-        if new_columns:
-            types.update(new_columns)
-        return shape, nbytes
-
     def add_rows(self, rows: Iterable[Mapping[str, ColumnValue]]) -> int:
-        """Append many rows; returns the number added."""
-        count = 0
-        for row in rows:
-            self.add_row(row)
-            count += 1
+        """Append rows, read into column runs; seals a row block each
+        time a cap is reached.  Returns the number added.
+
+        A row a block could not hold — a value without a column type, a
+        column it types otherwise than the open block, no integer
+        ``time``, a vector item that is not a string — raises
+        (:class:`SchemaError`, or ``TypeError`` for the vector item), and
+        neither it nor any row after it is added; the rows before it are.
+        """
+        runs, refused = _batch_runs(rows)
+        count = self._add(runs)
+        if refused is not None:
+            _refuse(self._open.types, refused)
         return count
 
     def add_runs(self, runs: Iterable[ColumnRun]) -> int:
-        """Append ``runs``' rows as sealed row blocks, cut where
-        :meth:`add_rows` and a last :meth:`seal_buffer` would cut them on
-        an empty buffer (:func:`seal_groups`; this buffer is sealed
-        first); returns the number added."""
+        """Append ``runs``' rows as sealed row blocks, cut as :meth:`add_rows`
+        cuts them on an empty buffer (this buffer seals first, the last
+        block after); returns the number added."""
         self.seal_buffer()
-        count = 0
-        for schema, columns, n_rows, _ in seal_groups(
-            runs, self._rows_per_block, self._max_block_bytes
-        ):
-            self._blocks.append(RowBlock.from_columns(schema, columns, self._clock.now()))
-            count += n_rows
-        self.total_rows_ingested += count
+        count = self._add(runs)
+        self.seal_buffer()
         return count
+
+    def _add(self, runs: Iterable[ColumnRun]) -> int:
+        """Append ``runs`` to the open block, sealing each block they
+        fill; counts the rows added as ingested, an error's too."""
+        before, sealed = self._open.n_rows, 0
+        try:
+            for run in runs:
+                for group in self._open.add(run):
+                    sealed += self._seal(group).row_count
+        finally:
+            added = sealed + self._open.n_rows - before
+            self.total_rows_ingested += added
+            self._buffer_view = None
+        return added
 
     def seal_buffer(self) -> RowBlock | None:
         """Compress the write buffer into a row block; no-op when empty."""
-        if not self._buffer:
-            return None
-        block = RowBlock.from_rows(
-            self._buffer, created_at=self._clock.now(), schema=Schema(self._buffer_types)
-        )
+        return self._seal(self._open.take()) if self._open.n_rows else None
+
+    def _seal(self, group: Group) -> RowBlock:
+        block = RowBlock.from_columns(*group[:2], self._clock.now())
         self._blocks.append(block)
-        self._buffer = []
-        self._buffer_bytes = 0
-        self._buffer_types = {}
-        self._buffer_shape = None
         self._buffer_view = None
         return block
 
@@ -450,12 +481,12 @@ class Table:
     @property
     def rows_per_block(self) -> int:
         """The row-count seal threshold (parallel replay must match it)."""
-        return self._rows_per_block
+        return self._open.rows_per_block
 
     @property
     def max_block_bytes(self) -> int:
         """The pre-compression byte seal threshold."""
-        return self._max_block_bytes
+        return self._open.max_block_bytes
 
     @property
     def block_count(self) -> int:
@@ -464,7 +495,7 @@ class Table:
     @property
     def row_count(self) -> int:
         """Rows across sealed blocks and the open buffer."""
-        return sum(block.row_count for block in self._blocks) + len(self._buffer)
+        return sum(block.row_count for block in self._blocks) + self._open.n_rows
 
     @property
     def sealed_nbytes(self) -> int:
@@ -473,24 +504,19 @@ class Table:
     @property
     def nbytes(self) -> int:
         """Compressed sealed bytes plus the buffer's rough estimate."""
-        return self.sealed_nbytes + self._buffer_bytes
+        return self.sealed_nbytes + self._open.n_bytes
 
     @property
     def buffered_row_count(self) -> int:
-        return len(self._buffer)
+        return self._open.n_rows
 
     def buffer_block(self) -> BufferBlock | None:
         """The write buffer as a block (None when it is empty), memoized
         until the next add or seal so its columns are built once.  As
         with every mutation here, the caller serializes adds against
         queries (a leaf does, under its data-plane lock)."""
-        if self._buffer_view is None and self._buffer:
-            self._buffer_view = BufferBlock(
-                list(self._buffer),
-                Schema(self._buffer_types),
-                self._buffer_min_time,
-                self._buffer_max_time,
-            )
+        if self._buffer_view is None and self._open.n_rows:
+            self._buffer_view = BufferBlock(list(self._open.parts), Schema(self._open.types))
         return self._buffer_view
 
     def scan(
@@ -509,22 +535,21 @@ class Table:
             for row in block.to_rows():
                 if _time_in_range(row[TIME_COLUMN], start_time, end_time):
                     yield row
-        for row in self._buffer:
+        for row in self.iter_buffer_rows():
             if _time_in_range(row[TIME_COLUMN], start_time, end_time):
-                yield dict(row)
+                yield row
 
     def iter_buffer_rows(self) -> Iterator[dict[str, ColumnValue]]:
-        """Yield (copies of) the unsealed write-buffer rows as they were
-        added (a column a row omits stays missing): what the row-format
-        log stores.  Queries read :meth:`buffer_block` instead.
-        """
-        for row in self._buffer:
-            yield dict(row)
+        """Yield the unsealed rows as they were added (their columns in
+        their own order, a column a row omits missing): what the row-format
+        log stores.  Queries read :meth:`buffer_block` instead."""
+        for run, lo, hi in self._open.parts:
+            yield from run.rows(lo, hi)
 
     def to_rows(self) -> list[dict[str, ColumnValue]]:
         """Every row in the table (for equality checks in tests)."""
         rows = [row for block in self._blocks for row in block.to_rows()]
-        rows.extend(dict(row) for row in self._buffer)
+        rows.extend(self.iter_buffer_rows())
         return rows
 
     # ------------------------------------------------------------------

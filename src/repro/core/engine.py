@@ -72,12 +72,10 @@ from repro.core.states import (
     LeafRestoreState,
     TableBackupMachine,
     TableBackupState,
-    TableRestoreMachine,
-    TableRestoreState,
 )
 from repro.core.watchdog import CooperativeDeadline
 from repro.disk.backup import DiskBackup
-from repro.disk.recovery import iter_snapshot_tables, recover_leafmap
+from repro.disk.recovery import recover_leafmap, recover_leafmap_snapshots
 from repro.disk.replay import replay_leafmap
 from repro.errors import (
     CorruptionError,
@@ -786,23 +784,13 @@ class RestartEngine:
     def _restore_from_snapshots(
         self, leafmap: LeafMap, report: RestartReport
     ) -> None:
-        """DISK_SNAPSHOT_RECOVERY: bulk-unpack every table's snapshot."""
+        """DISK_SNAPSHOT_RECOVERY: bulk-unpack every table's snapshot
+        (:func:`recover_leafmap_snapshots`), charging each table to the
+        heap as it lands."""
         assert self.backup is not None
-        for table_name, snap in iter_snapshot_tables(self.backup):
-            machine = TableRestoreMachine()
-            machine.transition(TableRestoreState.DISK_SNAPSHOT_RECOVERY)
-            table = leafmap.create_table(table_name)
-            table.replace_blocks(snap.blocks)
-            table.total_rows_ingested = snap.rows_ingested
-            table.total_rows_expired = snap.rows_expired
-            # "Any needed deletions are made after recovery" — expiry
-            # recorded after the snapshot was taken is re-applied here,
-            # before the blocks are charged to the heap.  A cutoff the
-            # snapshot already reflects stays un-applied, else rows that
-            # were buffered at record time would over-expire.
-            cutoff = self.backup.pending_expire_cutoff(table_name)
-            if cutoff:
-                table.expire_before(cutoff)
+
+        def installed(table_name: str, rows: int) -> None:
+            table = leafmap.get_table(table_name)
             nbytes = table.sealed_nbytes
             try:
                 self._track_heap_alloc(nbytes)
@@ -812,6 +800,7 @@ class RestartEngine:
             report.row_blocks += table.block_count
             report.rbc_copies += sum(len(block.schema) for block in table.blocks)
             report.bytes_copied += nbytes
-            report.rows += table.row_count
-            report.table_home(table_name, table.block_count, table.row_count, nbytes)
-            machine.transition(TableRestoreState.ALIVE)
+            report.rows += rows
+            report.table_home(table_name, table.block_count, rows, nbytes)
+
+        recover_leafmap_snapshots(self.backup, leafmap, progress=installed)

@@ -21,7 +21,6 @@ from repro.disk.format import (
     write_file_header,
 )
 from repro.disk.recovery import (
-    iter_snapshot_tables,
     recover_leafmap,
     recover_leafmap_snapshots,
     recover_table_runs,
@@ -35,7 +34,6 @@ from repro.disk.shmformat import (
 __all__ = [
     "DiskBackup",
     "ShmSnapshot",
-    "iter_snapshot_tables",
     "read_table_chunks",
     "read_table_snapshot",
     "recover_leafmap",

@@ -40,8 +40,10 @@ Two encoders write the same payload bytes, compared before deflating:
 from a sealed row block, column by column — a sync point's source, so it
 never rebuilds rows to persist them.  The one decoder,
 :func:`decode_chunk_columns`, reads a payload back column by column too:
-as runs of rows whose columns agree on type, which replay seals without
-building a row.  :func:`decode_chunk_rows` materializes those runs.
+as runs of rows whose columns agree on type (the
+:class:`~repro.columnstore.table.RunBuilder` live ingest reads rows
+with), which replay seals without building a row.
+:func:`decode_chunk_rows` materializes those runs.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping
 
 from repro.columnstore.rbc import RowBlockColumn
 from repro.columnstore.rowblock import RowBlock
-from repro.columnstore.table import ColumnRun
+from repro.columnstore.table import ColumnRun, RunBuilder
 from repro.compression.base import CompressionFlags
 from repro.compression.lzs import lz_compress, lz_decompress
 from repro.compression.pipeline import raw_string_payload
@@ -60,8 +62,6 @@ from repro.types import ColumnType, ColumnValue
 from repro.util.binary import (
     F64,
     I64,
-    BufferReader,
-    BufferWriter,
     decode_varint,
     encode_varint,
     len_prefixed,
@@ -105,67 +105,16 @@ def read_file_header(fh: BinaryIO) -> None:
         raise CorruptionError(f"unreadable disk format version {version}")
 
 
-def _encode_row(writer: BufferWriter, row: Mapping[str, ColumnValue]) -> None:
-    writer.write_varint(len(row))
-    for name, value in row.items():
-        writer.write_str(name)
-        if isinstance(value, bool):
-            raise CorruptionError("boolean values cannot be persisted")
-        if isinstance(value, int):
-            writer.write_u8(int(ColumnType.INT64))
-            writer.write_i64(value)
-        elif isinstance(value, float):
-            writer.write_u8(int(ColumnType.FLOAT64))
-            writer.write_f64(value)
-        elif isinstance(value, str):
-            writer.write_u8(int(ColumnType.STRING))
-            writer.write_str(value)
-        elif isinstance(value, list):
-            writer.write_u8(int(ColumnType.STRING_VECTOR))
-            writer.write_varint(len(value))
-            for item in value:
-                writer.write_str(item)
-        else:
-            raise CorruptionError(
-                f"unsupported value type {type(value).__name__} for column '{name}'"
-            )
-
-
-def _decode_row(reader: BufferReader) -> dict[str, ColumnValue]:
-    n_cols = reader.read_varint()
-    row: dict[str, ColumnValue] = {}
-    for _ in range(n_cols):
-        name = reader.read_str()
-        type_code = reader.read_u8()
-        try:
-            ctype = ColumnType(type_code)
-        except ValueError as exc:
-            raise CorruptionError(
-                f"unknown column type code {type_code} for column '{name}'"
-            ) from exc
-        if ctype is ColumnType.INT64:
-            row[name] = reader.read_i64()
-        elif ctype is ColumnType.FLOAT64:
-            row[name] = reader.read_f64()
-        elif ctype is ColumnType.STRING:
-            row[name] = reader.read_str()
-        else:
-            count = reader.read_varint()
-            row[name] = [reader.read_str() for _ in range(count)]
-    return row
-
-
 def encode_chunk_rows(rows: Iterable[Mapping[str, ColumnValue]]) -> tuple[int, bytes]:
     """Encode rows as one chunk payload; returns ``(row count, payload)``.
 
-    Byte for byte what :func:`_encode_row` writes row after row (the
-    tests hold the two together), built faster: a chunk repeats a
-    handful of column names on every row and, in real tables, a small
-    set of string values, so each distinct name prefix (name + type
-    code) and each distinct string is encoded once per chunk, and the
-    payload is one join of the pieces.  The caches only ever hold
-    non-empty byte strings, which is what lets ``get(...) or`` stand for
-    "missing".
+    Byte for byte the payload layout above, row after row, built fast:
+    a chunk repeats a handful of column names on every row and, in real
+    tables, a small set of string values, so each distinct name prefix
+    (name + type code) and each distinct string is encoded once per
+    chunk, and the payload is one join of the pieces.  The caches only
+    ever hold non-empty byte strings, which is what lets ``get(...) or``
+    stand for "missing".
     """
     pieces: list[bytes] = []
     append = pieces.append
@@ -355,65 +304,18 @@ def _str_span(buf: bytes, pos: int, end: int) -> tuple[int, int]:
     return pos, pos + length
 
 
-class _RunReader:
-    """The run a chunk's rows are read into: its columns in first-seen
-    order, and per row its values and where they go (its layout)."""
-
-    def __init__(self) -> None:
-        self.index: dict[str, int] = {}
-        self.types: list[ColumnType] = []
-        self.positions: dict[bytes, int] = {}  # by a field's name-and-type bytes
-        self.rows: list[list[ColumnValue]] = []
-        self.row_layouts: list[tuple[int, ...]] = []
-
-    def layout(self, prefixes: list[bytes]) -> tuple[int, ...] | None:
-        """Where a row whose fields have these name-and-type bytes puts
-        its values, its new columns added; ``None`` when it types a
-        column otherwise than the run.  A name the row repeats takes its
-        first position and its last type, as the row's dict does."""
-        try:
-            return tuple(map(self.positions.__getitem__, prefixes))
-        except KeyError:
-            pass
-        names = [(p[1:-1] if p[0] < 0x80 else p[decode_varint(p)[1] : -1]).decode() for p in prefixes]
-        row = dict(zip(names, (_COLUMN_TYPES[p[-1]] for p in prefixes)))
-        index, types = self.index, self.types
-        if any(types[index[name]] is not ctype for name, ctype in row.items() if name in index):
-            return None
-        for name, ctype in row.items():
-            if name not in index:
-                index[name] = len(types)
-                types.append(ctype)
-        for prefix, name in zip(prefixes, names):
-            if types[index[name]] is _COLUMN_TYPES[prefix[-1]]:
-                self.positions[prefix] = index[name]
-        return tuple(index[name] for name in names)
-
-    def run(self) -> ColumnRun:
-        rows, layouts, n = self.rows, self.row_layouts, len(self.rows)
-        names, types = tuple(self.index), tuple(self.types)
-        if layouts[0] == tuple(range(len(names))) and layouts.count(layouts[0]) == n:
-            return ColumnRun(names, types, [list(column) for column in zip(*rows)], n)
-        columns = [[ctype.default()] * n for ctype in types]
-        for i, (layout, values) in enumerate(zip(layouts, rows)):
-            for j, value in zip(layout, values):
-                columns[j][i] = value
-        return ColumnRun(names, types, columns, n, layouts)
-
-
 def decode_chunk_columns(payload: bytes, n_rows: int, skip: int = 0) -> list[ColumnRun]:
     """Decode one intact chunk payload, less its first ``skip`` rows, into
     the maximal runs of consecutive rows whose columns agree on type.
 
-    Row for row what :func:`_decode_row` reads through a
-    :class:`BufferReader` (the tests hold the two together, on damaged
-    payloads too), as one loop over the payload bytes.  A row is matched
-    against the previous row's name-and-type bytes and read value by
-    value: no name is decoded, no dict built.  From the first field that
-    does not match, the row's own bytes are read, and a column name is
-    decoded once per run.  The ``skip`` dead rows are read the same
-    way — every length, count and type code checked — but none of their
-    values is built.  A slice past the end would be silently short, so
+    One loop over the payload bytes, its damage reported as a per-row
+    reader would report it.  A row is matched against the previous
+    row's name-and-type bytes and read value by value: no name is
+    decoded, no dict built.  From the first field that does not match,
+    the row's own bytes are read, and its names are decoded once per run
+    (the run caches its layout by those bytes).  The ``skip`` dead rows
+    are read the same way — every length, count and type code checked —
+    but none of their values is built.  A slice past the end would be silently short, so
     string ends are checked; any other overrun surfaces as
     ``IndexError`` / ``struct.error`` (or as trailing bytes) and is
     reported, like bad UTF-8, as the :class:`CorruptionError` it is.
@@ -421,9 +323,8 @@ def decode_chunk_columns(payload: bytes, n_rows: int, skip: int = 0) -> list[Col
     buf = bytes(payload)
     end = len(buf)
     pos = 0
-    runs: list[ColumnRun] = []
     unpack_i64, unpack_f64, startswith = I64.unpack_from, F64.unpack_from, buf.startswith
-    reader = _RunReader()
+    builder = RunBuilder()
     # The previous row's field count bytes and fields, and its layout.
     header: bytes | None = None
     fields: list[tuple[bytes, int, int]] = []
@@ -493,24 +394,21 @@ def decode_chunk_columns(payload: bytes, n_rows: int, skip: int = 0) -> list[Col
                     raise CorruptionError(f"unknown column type code {type_code}")
             if shape is not None:  # another field sequence than the previous row's
                 header, fields = shape[0], [(p, len(p), p[-1]) for p in shape[1:]]
-                layout = reader.layout(shape[1:])
-                if layout is None:  # a type the run has otherwise: the next run
-                    if reader.rows:
-                        runs.append(reader.run())
-                    reader = _RunReader()
-                    layout = reader.layout(shape[1:])
+                prefixes = tuple(shape[1:])
+                layout = builder.layouts.get(prefixes)
+                if layout is None:
+                    names = [p[decode_varint(p)[1] : -1].decode() for p in prefixes]
+                    types = [_COLUMN_TYPES[p[-1]] for p in prefixes]
+                    layout = builder.place(prefixes, names, types)
             if live:
-                reader.rows.append(values)
-                reader.row_layouts.append(layout)
-        if reader.rows:
-            runs.append(reader.run())
+                builder.add(values, layout)
     except (IndexError, struct.error) as exc:
         raise CorruptionError(f"chunk payload truncated at offset {pos}") from exc
     except UnicodeDecodeError as exc:
         raise CorruptionError(f"invalid UTF-8 in string field: {exc}") from exc
     if pos != end:
         raise CorruptionError("trailing bytes inside a chunk payload")
-    return runs
+    return builder.finish()
 
 
 def decode_chunk_rows(payload: bytes, n_rows: int) -> list[dict[str, ColumnValue]]:

@@ -237,21 +237,6 @@ def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
     )
 
 
-def iter_snapshot_tables(backup: DiskBackup) -> Iterator[tuple[str, ShmSnapshot]]:
-    """Yield ``(table_name, snapshot)`` for every backed-up table, or raise.
-
-    This is the snapshot tier's validity gate: each table's chain —
-    a single base for pre-incremental backups, base plus deltas
-    otherwise — is materialized by :func:`materialize_chain`, which
-    validates every link before its blocks are trusted.  Any failure
-    raises and the caller routes the whole leaf down to legacy replay.
-    Partial trust is deliberately impossible: mixing tiers within one
-    leaf would make the recovered-state provenance unauditable.
-    """
-    for table_name in backup.table_names:
-        yield table_name, materialize_chain(backup, table_name)
-
-
 def recover_leafmap_snapshots(
     backup: DiskBackup,
     leafmap: LeafMap,
@@ -264,15 +249,22 @@ def recover_leafmap_snapshots(
     restored from the snapshot and the manifest expiry cutoff is
     re-applied ("any needed deletions are made after recovery"), so the
     result is indistinguishable from a legacy replay of the same state.
+    The snapshot tier's validity gate: :func:`materialize_chain` checks
+    every link before its blocks are trusted, and any failure raises, so
+    the caller routes the whole leaf down to legacy replay (one leaf
+    never mixes tiers).
     """
     if len(leafmap):
         raise RecoveryError("disk recovery requires an empty leaf map")
     total = 0
-    for table_name, snap in iter_snapshot_tables(backup):
+    for table_name in backup.table_names:
+        snap = materialize_chain(backup, table_name)
         table = leafmap.create_table(table_name)
         table.replace_blocks(snap.blocks)
         table.total_rows_ingested = snap.rows_ingested
         table.total_rows_expired = snap.rows_expired
+        # Pending only: a cutoff the snapshot already reflects would
+        # over-expire the rows that were buffered when it was recorded.
         cutoff = backup.pending_expire_cutoff(table_name)
         if cutoff:
             table.expire_before(cutoff)

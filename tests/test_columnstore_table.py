@@ -1,16 +1,19 @@
 """Tests for tables: sealing, expiry, scans, and the restart hooks."""
 
+from itertools import takewhile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnstore.rowblock import RowBlock
-from repro.columnstore.table import Table, estimate_row_bytes
+from repro.columnstore.table import Table
 from repro.compression.decoded import DecodedKind
 from repro.errors import SchemaError
 from repro.types import ColumnType
 from repro.util.clock import ManualClock
+from tests.oracles import SealOracle, estimate_row_bytes
 
 
 def make_table(rows_per_block=10, **kwargs):
@@ -41,14 +44,14 @@ class TestIngest:
     def test_time_required(self):
         table = make_table()
         with pytest.raises(SchemaError):
-            table.add_row({"host": "a"})
+            table.add_rows([{"host": "a"}])
 
     def test_time_must_be_int(self):
         table = make_table()
         with pytest.raises(SchemaError):
-            table.add_row({"time": "not-a-timestamp"})
+            table.add_rows([{"time": "not-a-timestamp"}])
         with pytest.raises(SchemaError):
-            table.add_row({"time": True})
+            table.add_rows([{"time": True}])
 
     def test_seal_empty_buffer_is_noop(self):
         table = make_table()
@@ -64,9 +67,10 @@ class TestIngest:
     def test_rows_are_copied_on_add(self):
         table = make_table()
         row = {"time": 1, "tags": ["a"]}
-        table.add_row(row)
+        table.add_rows([row])
         row["time"] = 999
-        assert next(table.scan())["time"] == 1
+        row["tags"].append("b")
+        assert next(table.scan()) == {"time": 1, "tags": ["a"]}
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
@@ -80,9 +84,8 @@ class TestIngest:
         # It used to be appended, and every later add then raised at seal
         # while the buffer grew past both caps.
         table = make_table(rows_per_block=3)
-        table.add_row({"time": 0, "a": 1})
         with pytest.raises(SchemaError, match="seen as both INT64 and STRING"):
-            table.add_row({"time": 1, "b": 2.0, "a": "x"})
+            table.add_rows([{"time": 0, "a": 1}, {"time": 1, "b": 2.0, "a": "x"}, {"time": 2}])
         assert (table.buffered_row_count, table.total_rows_ingested) == (1, 1)
         assert "b" not in table.buffer_block().schema  # nothing of it stays
         table.add_rows({"time": t, "a": t} for t in range(2, 6))
@@ -94,8 +97,21 @@ class TestIngest:
     def test_unsealable_row_is_refused(self, row):
         table = make_table()
         with pytest.raises(SchemaError):
-            table.add_row(row)
+            table.add_rows([row])
         assert table.buffered_row_count == 0
+
+    def test_rows_before_one_that_cannot_be_read_are_kept(self):
+        table = make_table()
+        with pytest.raises(TypeError):
+            table.add_rows(iter([{"time": 1}, None, {"time": 2}]))
+        assert list(table.iter_buffer_rows()) == [{"time": 1}]
+
+    def test_int_in_a_vector_is_refused(self):
+        table = make_table()
+        with pytest.raises(TypeError, match="has no len"):
+            table.add_rows([{"time": 1, "v": ["a"]}, {"time": 2, "v": ["a", 1]}])
+        assert table.buffered_row_count == 1
+        assert table.nbytes == estimate_row_bytes({"time": 1, "v": ["a"]})
 
 
 VALUES = {
@@ -166,7 +182,7 @@ class TestBufferView:
         view = table.buffer_block()
         assert table.buffer_block() is view
         assert view.decoded_column("a") is view.decoded_column("a")
-        table.add_row({"time": 3, "a": 3, "b": "x"})
+        table.add_rows([{"time": 3, "a": 3, "b": "x"}])
         fresh = table.buffer_block()
         assert fresh is not view and fresh.row_count == 4 and "b" in fresh.schema
         assert view.row_count == 3 and "b" not in view.schema  # a snapshot
@@ -257,70 +273,44 @@ def shaped_runs(draw):
     return ops
 
 
-def _outcome(table, row):
-    try:
-        table.add_row(row)
-    except Exception as exc:  # the outcome, whatever it is, is what is compared
-        return type(exc), str(exc)
-    return None
-
-
-class TestRowShape:
+class TestIngestMatchesTheOracle:
     @settings(max_examples=150, deadline=None)
-    @given(ops=shaped_runs(), rows_per_block=st.integers(2, 12))
-    def test_fast_path_matches_the_full_walk(self, ops, rows_per_block):
-        """A row shaped like the last one skips the per-field checks; the
-        twin table forgets the shape before every add, so it walks every
-        row.  Both accept and refuse the same rows with the same errors,
-        estimate the same bytes, and seal what ``from_rows`` seals."""
-        fast, walked = make_table(rows_per_block), make_table(rows_per_block)
-        pending = []
-        for op in ops:
-            blocks_before = fast.block_count
-            if op == "seal":
-                fast.seal_buffer()
-                walked.seal_buffer()
-            else:
-                walked._buffer_shape = None
-                outcome = _outcome(fast, op)
-                assert outcome == _outcome(walked, op)
-                if outcome is None:
-                    pending.append(op)
-            if fast.block_count > blocks_before:
-                expected = RowBlock.from_rows(pending, created_at=100.0).pack()
-                assert fast.blocks[-1].pack() == walked.blocks[-1].pack() == expected
-                pending = []
-            buffered = list(fast.iter_buffer_rows())
-            assert buffered == pending == list(walked.iter_buffer_rows())
-            assert fast.nbytes == walked.nbytes
-            assert fast.nbytes == fast.sealed_nbytes + sum(map(estimate_row_bytes, buffered))
-        assert fast.block_count == walked.block_count
-
-    def test_a_row_shaped_like_the_last_skips_the_walk(self, monkeypatch):
-        table = make_table(rows_per_block=5)
-        walks = []
-        full_walk = Table._check_row
-        monkeypatch.setattr(
-            Table, "_check_row", lambda self, *a: walks.append(a[0]) or full_walk(self, *a)
-        )
-        rows = [{"time": t, "s": "x" * t, "v": ["p"] * t} for t in range(7)]
-        table.add_rows(rows)
-        assert walks == [rows[0], rows[5]]  # the first row of each buffer
-        table.add_row({"v": ["q"], "time": 6, "s": ""})  # same columns, another order
-        table.add_row({"time": 7, "s": Name("y"), "v": []})  # a str subclass
-        for _ in range(2):  # a refused row leaves no shape behind
-            with pytest.raises(SchemaError, match="seen as both STRING and FLOAT64"):
-                table.add_row({"time": 8, "s": 1.5, "v": []})
-        table.add_row({"time": 8, "s": Name("z"), "v": []})
-        assert len(walks) == 6
-
-    def test_int_in_a_vector_is_refused_on_either_path(self):
-        table = make_table()
-        table.add_row({"time": 1, "v": ["a"]})
-        with pytest.raises(TypeError, match="has no len"):
-            table.add_row({"time": 2, "v": ["a", 1]})  # the shape matches
-        assert table.buffered_row_count == 1
-        assert table.nbytes == estimate_row_bytes({"time": 1, "v": ["a"]})
+    @given(ops=shaped_runs(), rows_per_block=st.integers(2, 12), data=st.data())
+    def test_batches_seal_what_from_rows_seals(self, ops, rows_per_block, data):
+        """Rows added in batches of any size are refused, kept, estimated
+        and sealed as ``SealOracle`` adds them one at a time: a refused
+        row raises the oracle's exception type, the rows before it in its
+        batch stay and the rest do not; every block packs as
+        ``RowBlock.from_rows`` of its rows; the buffer reads back the rows
+        as added, their keys in order."""
+        table, oracle = make_table(rows_per_block), SealOracle(rows_per_block)
+        while ops:
+            if ops[0] == "seal":
+                table.seal_buffer()
+                oracle.seal()
+                ops = ops[1:]
+                continue
+            size = data.draw(st.integers(1, 8))
+            batch = list(takewhile(lambda op: op != "seal", ops[:size]))
+            ops = ops[len(batch) :]
+            refusals = []
+            for row in batch:
+                refusals.append(oracle.add(row))
+                if refusals[-1]:
+                    break
+            before = table.total_rows_ingested
+            try:
+                assert table.add_rows(batch) == len(batch)
+                error = None
+            except (SchemaError, TypeError) as exc:
+                error = type(exc)
+            assert error == refusals[-1]
+            assert table.total_rows_ingested - before == len(refusals) - (error is not None)
+            assert [b.pack() for b in table.blocks] == [b.pack() for b in oracle.blocks]
+            buffered = list(table.iter_buffer_rows())
+            assert buffered == oracle.pending
+            assert list(map(list, buffered)) == list(map(list, oracle.pending))
+            assert table.nbytes == table.sealed_nbytes + sum(map(estimate_row_bytes, buffered))
 
 
 class TestExpiry:
@@ -368,7 +358,7 @@ class TestScan:
 
     def test_scan_rows_are_copies(self):
         table = make_table()
-        table.add_row({"time": 1})
+        table.add_rows([{"time": 1}])
         row = next(table.scan())
         row["time"] = 42
         assert next(table.scan())["time"] == 1
@@ -392,6 +382,8 @@ class TestRestartHooks:
 
 class TestEstimate:
     def test_estimate_counts_strings_and_vectors(self):
-        small = estimate_row_bytes({"time": 1})
-        big = estimate_row_bytes({"time": 1, "s": "x" * 100, "v": ["y" * 50] * 3})
-        assert big > small + 200
+        small, big = make_table(), make_table()
+        small.add_rows([{"time": 1}])
+        big.add_rows([{"time": 1, "s": "x" * 100, "v": ["y" * 50] * 3}])
+        assert small.nbytes == 4 + 16
+        assert big.nbytes == small.nbytes + (1 + 8 + 100) + (1 + 8 + 3 * (50 + 4))

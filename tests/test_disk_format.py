@@ -18,8 +18,6 @@ from repro.compression.pipeline import raw_string_payload
 from repro.disk.format import (
     CHUNK_MAGIC,
     DEFLATED_CHUNK_MAGIC,
-    _decode_row,
-    _encode_row,
     decode_chunk_columns,
     decode_chunk_rows,
     encode_chunk_block,
@@ -33,6 +31,7 @@ from repro.errors import CorruptionError
 from repro.types import ColumnType
 from repro.util.binary import BufferReader, BufferWriter
 from repro.util.checksum import crc32_of
+from tests.oracles import decode_row, encode_row
 
 
 def rows_fixture():
@@ -95,7 +94,7 @@ def reference_payload(rows) -> bytes:
     """The chunk payload as the per-row reference encoder writes it."""
     writer = BufferWriter()
     for row in rows:
-        _encode_row(writer, row)
+        encode_row(writer, row)
     return writer.getvalue()
 
 
@@ -173,14 +172,14 @@ class TestEncoderIsByteIdentical:
     def test_unsupported_type_rejected_like_the_reference(self, value):
         row = {"time": 0, "odd": value}
         with pytest.raises(CorruptionError, match="unsupported value type"):
-            _encode_row(BufferWriter(), row)
+            encode_row(BufferWriter(), row)
         with pytest.raises(CorruptionError, match="unsupported value type"):
             encode_chunk_rows([row])
 
     def test_out_of_range_int_rejected_like_the_reference(self):
         row = {"time": 2**63}
         with pytest.raises(struct.error):
-            _encode_row(BufferWriter(), row)
+            encode_row(BufferWriter(), row)
         with pytest.raises(struct.error):
             encode_chunk_rows([row])
 
@@ -383,7 +382,7 @@ class TestTranscoderRejectsWhatToRowsRejects:
 def reference_decode(payload: bytes, n_rows: int):
     """The chunk's rows as the per-row reference decoder reads them."""
     reader = BufferReader(payload)
-    rows = [_decode_row(reader) for _ in range(n_rows)]
+    rows = [decode_row(reader) for _ in range(n_rows)]
     if reader.remaining:
         raise CorruptionError("trailing bytes inside a chunk payload")
     return rows

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
-from repro.columnstore.table import Table, seal_groups
+from repro.columnstore.table import seal_groups
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk import replay
 from repro.disk.backup import DiskBackup
@@ -37,6 +37,7 @@ from repro.types import ColumnType
 from repro.util.budget import FootprintBudget
 from repro.util.checksum import rows_digest
 from repro.util.clock import ManualClock
+from tests.oracles import SealOracle
 
 
 def build_backup(tmp_path, clock, *, syncs=5, rows_per_sync=700, rows_per_block=64):
@@ -221,20 +222,15 @@ MISALIGNED = [
 ]
 
 
-def sealed_by_add_rows(rows, rows_per_block, max_block_bytes, cutoff):
-    """The oracle: live ingest of the rows the cutoff keeps."""
-    table = Table(
-        "events",
-        clock=ManualClock(0.0),
-        rows_per_block=rows_per_block,
-        max_block_bytes=max_block_bytes,
-    )
-    try:
-        table.add_rows(row for row in rows if not cutoff or row.get("time", 0) >= cutoff)
-    except SchemaError as exc:
-        return str(exc)
-    table.seal_buffer()
-    return [(block.pack(), block.created_at) for block in table.blocks]
+def sealed_by_oracle(rows, rows_per_block, max_block_bytes, cutoff):
+    """The oracle: the rows the cutoff keeps, sealed one at a time
+    through ``RowBlock.from_rows``; ``SchemaError`` if one is refused."""
+    oracle = SealOracle(rows_per_block, max_block_bytes, created_at=0.0)
+    for row in rows:
+        if (not cutoff or row.get("time", 0) >= cutoff) and oracle.add(row):
+            return SchemaError
+    oracle.seal()
+    return [(block.pack(), block.created_at) for block in oracle.blocks]
 
 
 def sealed_by_replay(root, rows, chunk_sizes, rows_per_block, max_block_bytes, cutoff, workers):
@@ -257,8 +253,8 @@ def sealed_by_replay(root, rows, chunk_sizes, rows_per_block, max_block_bytes, c
             replay_leafmap(backup, leafmap, workers=workers, clock=ManualClock(0.0))
         else:
             recover_leafmap(backup, leafmap)
-    except SchemaError as exc:
-        return str(exc)
+    except SchemaError:
+        return SchemaError
     return [(block.pack(), block.created_at) for block in leafmap.get_table("events").blocks]
 
 
@@ -306,12 +302,13 @@ class TestSealGroups:
     def test_replay_seals_what_add_rows_seals(
         self, rows, chunk_sizes, rows_per_block, max_block_bytes, cutoff
     ):
-        """Every replay route cuts the log at ``Table.add_row``'s
-        boundaries — row count, byte cap, a block's union schema with
-        defaults — and raises its errors: a row without ``time`` or with
-        a float one, an empty column name, a type that changes inside a
-        block (across blocks it may).  The cutoff drops rows first."""
-        want = sealed_by_add_rows(rows, rows_per_block, max_block_bytes, cutoff)
+        """Every replay route cuts the log where the oracle seals rows
+        one at a time through ``RowBlock.from_rows`` — row count, byte
+        cap, a block's union schema with defaults — and refuses what it
+        refuses: a row without ``time`` or with a float one, an empty
+        column name, a type that changes inside a block (across blocks
+        it may).  The cutoff drops rows first."""
+        want = sealed_by_oracle(rows, rows_per_block, max_block_bytes, cutoff)
         args = (rows, chunk_sizes, rows_per_block, max_block_bytes, cutoff)
         with tempfile.TemporaryDirectory() as root:
             for workers in (0, 1, 2):
@@ -362,7 +359,7 @@ class SmallBlockLeafMap(LeafMap):
 
     def create_table(self, name):
         table = super().create_table(name)
-        table._max_block_bytes = self.max_block_bytes
+        table._open.max_block_bytes = self.max_block_bytes
         return table
 
 

@@ -185,7 +185,7 @@ class TestIncrementalChainProperty:
                     # A size drop leaves no cutoff for recovery to
                     # re-apply, so the snapshot learns of it only with
                     # the next generation: make sure one follows.
-                    table.add_row(_full_row(t))
+                    table.add_rows([_full_row(t)])
                     t += 1
             elif op[0] == "restart":
                 leafmap.seal_all()

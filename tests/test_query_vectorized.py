@@ -523,7 +523,7 @@ class TestRunAtATime:
                 }
                 if block != 2:
                     row["extra"] = i % 2
-                table.add_row(row)
+                table.add_rows([row])
         return leafmap
 
     def test_schema_evolution_splits_runs(self, monkeypatch):
