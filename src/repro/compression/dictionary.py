@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CorruptionError
-from repro.util.binary import decode_varint, len_prefixed_many
+from repro.util.binary import len_prefixed_many, read_len_prefixed_many
 from repro.util.bits import pack_uints, required_bit_width, unpack_uints
 
 
@@ -29,30 +29,6 @@ def dictionary_encode(values: list[str]) -> tuple[bytes, bytes, int]:
     return b"".join(len_prefixed_many(index)), bytes([width]) + pack_uints(ids, width), len(index)
 
 
-def decode_dictionary_entries(dictionary: bytes | memoryview, n_dict: int) -> list[str]:
-    """Parse the dictionary section back into its entries, in one pass."""
-    buf = bytes(dictionary)
-    entries, pos = [], 0
-    try:
-        for _ in range(n_dict):
-            length, pos = decode_varint(buf, pos)
-            end = pos + length
-            if end > len(buf):
-                raise CorruptionError(
-                    f"dictionary entry of {length} bytes at offset {pos} overruns "
-                    f"the {len(buf)}-byte section"
-                )
-            entries.append(buf[pos:end].decode("utf-8"))
-            pos = end
-    except UnicodeDecodeError as exc:
-        raise CorruptionError(f"invalid UTF-8 in string field: {exc}") from exc
-    if pos != len(buf):
-        raise CorruptionError(
-            f"{len(buf) - pos} trailing bytes after {n_dict} dictionary entries"
-        )
-    return entries
-
-
 def dictionary_decode(
     dictionary: bytes | memoryview,
     id_bytes: bytes | memoryview,
@@ -62,7 +38,7 @@ def dictionary_decode(
     """Invert :func:`dictionary_encode`."""
     if n_items == 0:
         return []
-    entries = decode_dictionary_entries(dictionary, n_dict)
+    entries = read_len_prefixed_many(dictionary, n_dict)
     id_view = memoryview(id_bytes)
     if len(id_view) < 1:
         raise CorruptionError("dictionary id stream missing its width byte")

@@ -19,10 +19,7 @@ import numpy as np
 
 from repro.compression.base import MAX_ROWBLOCK_BYTES, CompressionFlags, EncodedColumn
 from repro.compression.decoded import DecodedColumn
-from repro.compression.dictionary import (
-    decode_dictionary_entries,
-    dictionary_encode,
-)
+from repro.compression.dictionary import dictionary_encode
 from repro.compression.floatcodec import (
     decode_float64_payload,
     encode_float64_payload,
@@ -31,7 +28,7 @@ from repro.compression.intcodec import decode_int64_payload, encode_int64_payloa
 from repro.compression.lzs import lz_compress, lz_decompress
 from repro.errors import CorruptionError
 from repro.types import ColumnType, ColumnValue
-from repro.util.binary import BufferReader, BufferWriter, len_prefixed_many
+from repro.util.binary import BufferReader, BufferWriter, len_prefixed_many, read_len_prefixed_many
 from repro.util.bits import pack_uints, required_bit_width, unpack_uints
 
 #: A string column whose distinct/total ratio exceeds this is stored raw
@@ -69,7 +66,7 @@ def _parse_dict_strings(encoded: EncodedColumn) -> tuple[list[str], np.ndarray]:
     dictionary = encoded.dictionary
     if CompressionFlags.DICT_LZ in encoded.flags:
         dictionary = lz_decompress(dictionary, MAX_ROWBLOCK_BYTES)
-    entries = decode_dictionary_entries(dictionary, encoded.n_dict_items)
+    entries = read_len_prefixed_many(dictionary, encoded.n_dict_items)
     if encoded.n_items == 0:
         return entries, np.empty(0, dtype=np.uint64)
     data = memoryview(encoded.data)
@@ -91,11 +88,7 @@ def raw_string_payload(encoded: EncodedColumn) -> bytes | memoryview:
 
 
 def _decode_raw_strings(encoded: EncodedColumn) -> list[str]:
-    reader = BufferReader(raw_string_payload(encoded))
-    values = [reader.read_str() for _ in range(encoded.n_items)]
-    if reader.remaining:
-        raise CorruptionError("trailing bytes after raw string column payload")
-    return values
+    return read_len_prefixed_many(raw_string_payload(encoded), encoded.n_items)
 
 
 def _decode_strings(encoded: EncodedColumn) -> list[str]:
@@ -130,7 +123,7 @@ def _parse_string_vectors(
     dictionary = encoded.dictionary
     if CompressionFlags.DICT_LZ in encoded.flags:
         dictionary = lz_decompress(dictionary, MAX_ROWBLOCK_BYTES)
-    entries = decode_dictionary_entries(dictionary, encoded.n_dict_items)
+    entries = read_len_prefixed_many(dictionary, encoded.n_dict_items)
     if encoded.n_items == 0:
         empty = np.empty(0, dtype=np.uint64)
         return entries, empty, empty

@@ -66,6 +66,7 @@ from repro.util.binary import (
     encode_varint,
     len_prefixed,
     len_prefixed_many,
+    read_len_prefixed_many,
 )
 from repro.util.checksum import crc32_of
 
@@ -171,20 +172,10 @@ def encode_chunk_rows(rows: Iterable[Mapping[str, ColumnValue]]) -> tuple[int, b
 
 def _raw_string_cells(column: RowBlockColumn) -> list[bytes]:
     """A raw/LZ string column's values as the len-prefixed slices its
-    payload already holds, checked as ``decode_column`` checks them."""
-    raw = bytes(raw_string_payload(column.to_encoded(copy=False)))
-    cells, pos = [], 0
-    try:
-        for _ in range(column.n_items):
-            start, stop = _str_span(raw, pos, len(raw))
-            raw[start:stop].decode("utf-8")
-            cells.append(raw[pos:stop])
-            pos = stop
-    except (IndexError, UnicodeDecodeError) as exc:
-        raise CorruptionError(f"raw string column damaged at offset {pos}: {exc}") from exc
-    if pos != len(raw):
-        raise CorruptionError("trailing bytes after raw string column payload")
-    return cells
+    payload already holds, checked as ``decode_column`` checks them (one
+    walker, :func:`~repro.util.binary.read_len_prefixed_many`, reads both)."""
+    payload = raw_string_payload(column.to_encoded(copy=False))
+    return read_len_prefixed_many(payload, column.n_items, cells=True)
 
 
 def encode_chunk_block(block: RowBlock, skip: int = 0) -> tuple[int, bytes]:
@@ -193,26 +184,30 @@ def encode_chunk_block(block: RowBlock, skip: int = 0) -> tuple[int, bytes]:
 
     Byte for byte what :func:`encode_chunk_rows` writes for those dicts
     (schema order, defaults included — the tests hold the two together),
-    built a *column* at a time: each column becomes a list of per-row
-    cells ``name prefix + type byte + value bytes`` and one join
-    interleaves them.  Numbers are one ``tobytes`` sliced in eights, a
-    dictionary entry is encoded once and indexed by the stored ids, raw
-    string bytes are copied as they stand.  Columns are decoded past the
+    built a *column* at a time into one flat list of ``1 + 2k`` slots a
+    row: the field count, then each column's name prefix and value.  A
+    column's prefixes and values each fill their slots with one strided
+    slice assignment, and one join writes the payload; no cell is
+    concatenated.  Numbers are one ``astype`` viewed as 8-byte items, a
+    dictionary entry is encoded once and indexed by the stored ids,
+    raw string cells are the payload's own slices, and a vector row is
+    its count joined to its items.  Columns are decoded past the
     decoded-column cache (a sync must not evict what queries keep hot).
     """
-    cells = [[encode_varint(len(block.schema))] * max(0, block.row_count - skip)]
-    for name, ctype in block.schema.items():
+    n_rows = max(0, block.row_count - skip)
+    width = 1 + 2 * len(block.schema)
+    flat = [encode_varint(len(block.schema))] * (width * n_rows)
+    for slot, (name, ctype) in enumerate(block.schema.items(), start=1):
         column = RowBlockColumn(block.rbc_buffer(name))
         if ctype is ColumnType.STRING and CompressionFlags.DICT not in column.flags:
             values = _raw_string_cells(column)
         elif ctype in _NUMERIC_DTYPES:
             numbers = block.decoded_column(name).values.astype(_NUMERIC_DTYPES[ctype])
-            raw = numbers.tobytes()
-            values = [raw[i : i + 8] for i in range(0, len(raw), 8)]
+            values = numbers.view("V8").tolist()
         else:
             decoded = block.decoded_column(name)
             entries = len_prefixed_many(decoded.entries)
-            values = [entries[code] for code in decoded.codes.tolist()]
+            values = list(map(entries.__getitem__, decoded.codes.tolist()))
             if decoded.offsets is not None:  # CSR: count + items per row
                 spans = decoded.offsets.tolist()
                 spans = list(zip(spans, spans[1:]))
@@ -223,9 +218,9 @@ def encode_chunk_block(block: RowBlock, skip: int = 0) -> tuple[int, bytes]:
                 f"column '{name}' decodes to {len(values)} values; row block "
                 f"header says {block.row_count} rows"
             )
-        prefix = len_prefixed(name) + bytes((int(ctype),))
-        cells.append([prefix + value for value in values[skip:]])
-    return len(cells[0]), b"".join(map(b"".join, zip(*cells)))
+        flat[2 * slot - 1 :: width] = [len_prefixed(name) + bytes((int(ctype),))] * n_rows
+        flat[2 * slot :: width] = values[skip:]
+    return n_rows, b"".join(flat)
 
 
 def write_chunk_payload(fh: BinaryIO, count: int, payload: bytes) -> int:

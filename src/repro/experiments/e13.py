@@ -18,7 +18,12 @@ A leaf whose rows all sit in its write buffer (one block's worth) checks
 that the newest rows take the vectorized path too: the buffer is read
 in array form, ``BUFFER_SPEEDUP_FLOOR`` faster than row-at-a-time.
 
-A second leaf, cut into ``SCAN_BLOCKS`` blocks, checks that the cache
+A leaf cut into the ledger's 512-row blocks, where ``host`` is
+near-unique per block and stored raw (varint-length-prefixed values,
+no dictionary), checks that a group-by on a raw string column gives the
+row path's answer; its cold latency goes in the payload.
+
+Another leaf, cut into ``SCAN_BLOCKS`` blocks, checks that the cache
 survives the scans a dashboard mixes with its refreshes: with the cache
 at a quarter of the grouped query's working set, a full-range grouped
 query and a newest-block window query run in a loop, and the window
@@ -31,6 +36,8 @@ import math
 
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.leafmap import LeafMap
+from repro.columnstore.rbc import RowBlockColumn
+from repro.compression import CompressionFlags
 from repro.experiments import Gate, build_payload, ratio, timed
 from repro.query.aggregate import merge_leaf_results
 from repro.query.execute import LeafExecution, execute_on_leaf, execute_on_leaf_rows
@@ -58,6 +65,10 @@ GROUPED = "grouped-aggregation"
 FILTERED = "filtered-count"
 BUCKETS = "time-window-buckets"
 
+#: The raw-string leaf's block size: the ledger's, at which ``host``
+#: (~4,000 distinct values) is near-unique per block and stored raw.
+RAW_ROWS_PER_BLOCK = 512
+
 #: The scan-resistance leaf: its block count, its cache as a fraction
 #: of the grouped query's working set, the warm loops after a cold one,
 #: and the loop's hit-rate floor (~ the cache fraction for a policy that
@@ -71,10 +82,12 @@ SAME_ANSWERS = "vectorized and row executors: same finalized grouped answers (co
 BUFFERED = "vectorized vs row-at-a-time on a one-block write buffer"
 NO_TIME_DECODE = "full-range grouped query decodes no time column"
 SCAN_RESISTANT = "scan-resistant cache: newest-block query stays warm between full scans"
+RAW_STRING = "group-by on a raw string column (host): same answers as the row path"
 GATES = (
     "vectorized vs row-at-a-time grouped aggregation",
     SAME_ANSWERS,
     BUFFERED,
+    RAW_STRING,
     NO_TIME_DECODE,
     "grouped aggregation latency",
     "blocks pruned by time predicate",
@@ -139,6 +152,41 @@ def buffer_query(rows: int, grouped: Query, repeats: int) -> dict:
         # One block, summed from zero in row order either way: exact.
         "same_answers": finalized(grouped, fast) == finalized(grouped, slow)
         and fast.rows_scanned == buffered,
+    }
+
+
+def raw_string_query(rows: int, repeats: int) -> dict:
+    """A count and max per ``host`` over 512-row blocks, which store
+    ``host`` raw: row-at-a-time, then vectorized cold and warm."""
+    cache = DecodedColumnCache(CACHE_MB << 20)
+    leafmap = LeafMap(
+        clock=ManualClock(0.0), rows_per_block=RAW_ROWS_PER_BLOCK, column_cache=cache
+    )
+    table = leafmap.get_or_create("service_requests")
+    table.add_rows(service_requests(rows))
+    leafmap.seal_all()
+    query = Query(
+        "service_requests",
+        aggregations=(Aggregation("count"), Aggregation("max", "latency_ms")),
+        group_by=("host",),
+    )
+    row_s, slow = timed(lambda: execute_on_leaf_rows(leafmap, query), repeats)
+    cold_s, _ = timed(lambda: execute_on_leaf(leafmap, query))
+    warm_s, fast = timed(lambda: execute_on_leaf(leafmap, query), repeats)
+    answer = finalized(query, fast)
+    return {
+        "rows": rows,
+        "blocks": len(table.blocks),
+        "raw_blocks": sum(
+            CompressionFlags.DICT not in RowBlockColumn(block.rbc_buffer("host")).flags
+            for block in table.blocks
+        ),
+        "groups": len(answer),
+        "row_ms": row_s * 1000,
+        "vector_cold_ms": cold_s * 1000,
+        "vector_warm_ms": warm_s * 1000,
+        # Counts and maxima: exact on both paths.
+        "same_answers": answer == finalized(query, slow) and fast.rows_scanned == rows,
     }
 
 
@@ -231,6 +279,7 @@ def run(rows: int = ROWS, cache_mb: int = CACHE_MB, repeats: int = REPEATS) -> d
     )
 
     buffer = buffer_query(rows, queries(rows)[GROUPED], repeats)
+    raw = raw_string_query(rows, repeats)
     scan = scan_loop(rows, queries(rows)[GROUPED])
 
     # The 4-orders-of-magnitude claim, from the calibrated model: whole
@@ -271,6 +320,15 @@ def run(rows: int = ROWS, cache_mb: int = CACHE_MB, repeats: int = REPEATS) -> d
             f"{buffer['vector_warm_ms']:.2f} ms over {buffer['rows']:,} buffered rows), "
             f"{'same' if buffer['same_answers'] else 'DIFFERENT'}",
             buffer["speedup"] >= BUFFER_SPEEDUP_FLOOR and buffer["same_answers"],
+        ),
+        Gate(
+            RAW_STRING,
+            "equal, every block storing host raw",
+            f"{raw['groups']:,} groups, {'equal' if raw['same_answers'] else 'DIFFERENT'}; "
+            f"{raw['raw_blocks']} of {raw['blocks']} blocks raw; cold "
+            f"{raw['vector_cold_ms']:.1f} ms, warm {raw['vector_warm_ms']:.1f} ms, "
+            f"row path {raw['row_ms']:.0f} ms",
+            raw["same_answers"] and raw["groups"] > 0 and raw["raw_blocks"] == raw["blocks"],
         ),
         Gate(
             NO_TIME_DECODE,
@@ -327,6 +385,7 @@ def run(rows: int = ROWS, cache_mb: int = CACHE_MB, repeats: int = REPEATS) -> d
             "refused": stats.refused,
         },
         buffer_query=buffer,
+        raw_string_query=raw,
         scan_loop=scan,
         pruning={
             "blocks_pruned": narrow.blocks_pruned,

@@ -1,5 +1,7 @@
 """Binary encoding primitives: little-endian struct helpers, varints,
-zigzag transforms, and cursor-style buffer reader/writer classes.
+zigzag transforms, the string wire form (:func:`len_prefixed_many`
+writes it, :func:`read_len_prefixed_many` walks a run of it), and
+cursor-style buffer reader/writer classes.
 
 All multi-byte integers in the repro on-disk / in-shared-memory formats are
 little-endian, matching the x86 servers the paper ran on.  Every pointer
@@ -58,6 +60,57 @@ def len_prefixed_many(texts: Iterable[str]) -> list[bytes]:
 def len_prefixed(text: str) -> bytes:
     """One string in its wire form (see :func:`len_prefixed_many`)."""
     return len_prefixed_many((text,))[0]
+
+
+def read_len_prefixed_many(buf: bytes | memoryview, n: int, cells: bool = False) -> list:
+    """The read twin of :func:`len_prefixed_many`: the ``n`` strings that
+    fill ``buf`` end to end, as ``str`` values or, with ``cells``, as
+    their wire-form ``bytes`` slices (length prefix included).
+
+    One local loop: a length below 128 is its one byte, and
+    :func:`decode_varint` runs only for longer ones.  Raises
+    :class:`CorruptionError` on a truncated length or value, on bytes
+    left after the ``n``-th string and on invalid UTF-8; a value that
+    overruns the buffer leaves the walk past its end.  An ASCII
+    buffer is decoded once and sliced.  Cells are checked by one decode
+    of the whole buffer when every length was one byte: each byte
+    outside a value is then ASCII, and no multi-byte sequence holds an
+    ASCII byte.  A longer length's bytes can complete a value's
+    truncated sequence, so then each value is checked on its own.
+    """
+    buf = bytes(buf)
+    end = len(buf)
+    source = buf.decode("ascii") if not cells and buf.isascii() else buf
+    out: list = []
+    append = out.append
+    pos, one_byte = 0, True
+    try:
+        for _ in range(n):
+            start, length = pos, buf[pos]
+            pos += 1
+            if length >= 0x80:
+                length, pos = decode_varint(buf, start)
+                one_byte = False
+            stop = pos + length
+            append(source[start if cells else pos : stop])
+            pos = stop
+    except IndexError as exc:
+        raise CorruptionError(f"{n} strings overrun {end} bytes") from exc
+    if pos != end:  # past it: a slice overran (and came back short)
+        raise CorruptionError(f"{n} strings take {pos} bytes; the buffer holds {end}")
+    try:
+        if source is not buf:
+            return out
+        if not cells:
+            return list(map(bytes.decode, out))
+        if one_byte:
+            buf.decode("utf-8")
+        else:
+            for cell in out:
+                cell[decode_varint(cell)[1] :].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptionError(f"invalid UTF-8 in string field: {exc}") from exc
+    return out
 
 
 def decode_varint(buf: bytes | memoryview, offset: int = 0) -> tuple[int, int]:

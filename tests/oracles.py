@@ -2,8 +2,10 @@
 
 Each is the plain, row-at-a-time statement of a rule that ``src/``
 implements faster: the row-log row codec (``disk.format``'s chunk
-encoders and decoder), a row's byte estimate, and live sealing built on
-``Schema.from_rows`` and ``RowBlock.from_rows`` alone.
+encoders and decoder), a run of len-prefixed strings read one
+``read_str`` at a time (``util.binary.read_len_prefixed_many``), a
+row's byte estimate, and live sealing built on ``Schema.from_rows`` and
+``RowBlock.from_rows`` alone.
 """
 
 from __future__ import annotations
@@ -67,6 +69,21 @@ def decode_row(reader: BufferReader) -> dict[str, ColumnValue]:
             count = reader.read_varint()
             row[name] = [reader.read_str() for _ in range(count)]
     return row
+
+
+def read_strings(buf: bytes, n: int, cells: bool = False) -> list:
+    """The ``n`` len-prefixed strings that fill ``buf``, read one
+    ``read_str`` at a time: their values, or with ``cells`` the bytes
+    each one was read from."""
+    reader = BufferReader(buf)
+    out = []
+    for _ in range(n):
+        start = reader.offset
+        value = reader.read_str()
+        out.append(bytes(buf[start : reader.offset]) if cells else value)
+    if reader.remaining:
+        raise CorruptionError(f"{reader.remaining} trailing bytes after {n} strings")
+    return out
 
 
 def estimate_row_bytes(row: Mapping[str, ColumnValue]) -> int:

@@ -15,6 +15,7 @@ from repro.compression.floatcodec import (
 )
 from repro.compression.intcodec import decode_int64_payload, encode_int64_payload
 from repro.errors import CorruptionError
+from tests.test_disk_format import damaged_strings
 
 
 class TestIntCodec:
@@ -149,6 +150,13 @@ class TestDictionary:
     def test_roundtrip_property(self, values):
         dictionary, ids, n = dictionary_encode(values)
         assert dictionary_decode(dictionary, ids, n, len(values)) == values
+
+    @damaged_strings
+    def test_damaged_section_raises(self, section):
+        """The damaged twelve-string sections the column tests use."""
+        _, ids, n = dictionary_encode([f"u{i}" for i in range(12)])
+        with pytest.raises(CorruptionError):
+            dictionary_decode(section, ids, n, n)
 
 
 class TestIntDictionary:

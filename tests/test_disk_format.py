@@ -29,7 +29,7 @@ from repro.disk.format import (
 )
 from repro.errors import CorruptionError
 from repro.types import ColumnType
-from repro.util.binary import BufferReader, BufferWriter
+from repro.util.binary import BufferReader, BufferWriter, encode_varint
 from repro.util.checksum import crc32_of
 from tests.oracles import decode_row, encode_row
 
@@ -307,6 +307,33 @@ def inflated(buf: bytes) -> bytes:
     return zlib.decompress(deflated(buf), -15)
 
 
+def string_run(*values: bytes) -> bytes:
+    """``values`` behind their varint lengths, as a string column or
+    dictionary section writes them, valid UTF-8 or not."""
+    return b"".join(encode_varint(len(value)) + value for value in values)
+
+
+U = [f"u{i}".encode() for i in range(12)]
+#: Twelve strings, damaged one way each: the last one missing, a value
+#: cut short, a length varint cut at the end, a last length one past
+#: the end, a byte after the last value; bad UTF-8 ending a value before
+#: a one-byte length, and before a 130-byte value's length, whose first
+#: byte (0x82) completes the cut sequence: the whole section decodes,
+#: the value does not.
+DAMAGED_STRINGS = {
+    "eleven_strings": string_run(*U[:11]),
+    "truncated_value": string_run(*U)[:-2],
+    "truncated_length_varint": string_run(*U[:11]) + b"\x82",
+    "overrun_by_one": string_run(*U[:11]) + b"\x04u11",
+    "trailing_bytes": string_run(*U) + b"\x00",
+    "bad_utf8_before_short_length": string_run(*U[:3], b"u3\xe2\x98", *U[4:]),
+    "bad_utf8_before_long_length": string_run(*U[:3], b"u3\xe2\x98", b"x" * 130, *U[5:]),
+}
+damaged_strings = pytest.mark.parametrize(
+    "section", DAMAGED_STRINGS.values(), ids=DAMAGED_STRINGS.keys()
+)
+
+
 class TestTranscoderRejectsWhatToRowsRejects:
     @pytest.mark.parametrize(
         "damage",
@@ -363,6 +390,30 @@ class TestTranscoderRejectsWhatToRowsRejects:
         """The same column deflated: damage to the stream itself, or to
         what it inflates to, is refused by both paths alike."""
         block = damaged_block(damage, flags=CompressionFlags.LZ)
+        with pytest.raises(CorruptionError):
+            block.to_rows()
+        with pytest.raises(CorruptionError):
+            encode_chunk_block(block)
+
+    @damaged_strings
+    @pytest.mark.parametrize("flags", [CompressionFlags.RAW, CompressionFlags.LZ])
+    def test_damaged_string_values(self, section, flags):
+        """Twelve damaged values as a raw or deflated column."""
+        data = section if flags == CompressionFlags.RAW else lz_compress(section)
+        block = damaged_block(lambda buf: reencoded(buf, data=data), flags)
+        with pytest.raises(CorruptionError):
+            block.to_rows()
+        with pytest.raises(CorruptionError):
+            encode_chunk_block(block)
+
+    @damaged_strings
+    def test_damaged_dictionary_section(self, section):
+        """The same twelve strings as a dictionary column's entries."""
+        rows = [{"time": i, "d": f"d{i % 12}"} for i in range(48)]
+        block = RowBlock.from_rows(rows, created_at=0.0)
+        rbc = bytes(block.rbc_buffer("d"))
+        assert string_flags(block, "d") == CompressionFlags.DICT | CompressionFlags.BITPACK
+        block = with_column(block, "d", reencoded(rbc, dictionary=section))
         with pytest.raises(CorruptionError):
             block.to_rows()
         with pytest.raises(CorruptionError):

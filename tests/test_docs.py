@@ -6,20 +6,30 @@ backticked dotted name under ``repro.`` imports or resolves by
 A path may be a glob (``*``, ``**``, ``{a,b}``; a ``<placeholder>``
 reads as ``*``) that must match something, or one the repository's
 ``.gitignore`` ignores: what a run writes, absent from a checkout.
+
+A backticked command line, ``repro <subcommand> ...`` or ``python -m
+repro <subcommand> ...``, names a subcommand of ``repro.cli.build_parser()``
+(or a glob matching one) and only flags that subcommand takes.
 """
 
+import argparse
+import fnmatch
 import importlib
 import re
+import shlex
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser
+
 ROOT = Path(__file__).resolve().parents[1]
 TICKED = re.compile(r"`([^`\n]+)`")
 NAME = re.compile(r"repro(\.\w+)+")
 PATH = re.compile(r"(src|tests|benchmarks|docs|examples)/\S*")
+COMMAND = re.compile(r"(?:python -m )?repro ([a-z][\w*-]*)((?: .*)?)")
 
 
 def _git(*args: str) -> subprocess.CompletedProcess:
@@ -82,3 +92,34 @@ def test_backticked_paths_exist():
             if not _exists(path) and not _ignored(path):
                 missing.append(f"{name}:{line}: `{token}`")
     assert not missing, "\n".join(missing)
+
+
+def _subcommands() -> dict[str, set[str]]:
+    """Each subcommand of ``repro.cli.build_parser()`` and the flags it takes."""
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        for name, parser in subparsers.choices.items()
+    }
+
+
+def test_backticked_command_lines_parse():
+    subcommands = _subcommands()
+    wrong = []
+    for name, line, token in _mentions():
+        command = COMMAND.fullmatch(token)
+        if command:
+            matched = fnmatch.filter(subcommands, command.group(1))
+            flags = set().union(*(subcommands[sub] for sub in matched))
+            unknown = [
+                arg
+                for arg in shlex.split(command.group(2))
+                if arg.startswith("-") and arg.split("=")[0] not in flags
+            ]
+            if not matched or unknown:
+                wrong.append(f"{name}:{line}: `{token}`")
+    assert not wrong, "\n".join(wrong)

@@ -1,7 +1,7 @@
 """Tests for varints, zigzag, and the buffer reader/writer."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
@@ -10,9 +10,12 @@ from repro.util.binary import (
     BufferWriter,
     decode_varint,
     encode_varint,
+    len_prefixed_many,
+    read_len_prefixed_many,
     zigzag_decode,
     zigzag_encode,
 )
+from tests.oracles import read_strings
 
 
 class TestVarint:
@@ -140,3 +143,45 @@ class TestBufferReader:
         writer = BufferWriter()
         writer.write_str(text)
         assert BufferReader(writer.getvalue()).read_str() == text
+
+
+@st.composite
+def string_sections(draw) -> bytes:
+    """Arbitrary bytes, or written strings (short, past 128 bytes, not
+    ASCII) cut, grown or with one byte replaced."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    texts = st.one_of(st.text(max_size=6), st.text(min_size=120, max_size=140))
+    buf = b"".join(len_prefixed_many(draw(st.lists(texts, max_size=5))))
+    cut = draw(st.integers(min_value=0, max_value=len(buf)))
+    damage = draw(st.sampled_from(["none", "cut", "grow", "replace"]))
+    if damage == "cut":
+        return buf[:cut]
+    if damage == "grow":
+        return buf[:cut] + draw(st.binary(min_size=1, max_size=2)) + buf[cut:]
+    if damage == "replace" and cut < len(buf):
+        return buf[:cut] + bytes([draw(st.integers(0, 255))]) + buf[cut + 1 :]
+    return buf
+
+
+def outcome(read, buf: bytes, n: int, cells: bool):
+    try:
+        return read(buf, n, cells)
+    except CorruptionError:
+        return CorruptionError
+
+
+class TestReadLenPrefixedMany:
+    @settings(max_examples=500, deadline=None)
+    @given(buf=string_sections(), n=st.integers(min_value=0, max_value=6), cells=st.booleans())
+    def test_agrees_with_read_str(self, buf, n, cells):
+        """Values or cells equal to a ``read_str`` loop's, or both raise."""
+        assert outcome(read_len_prefixed_many, buf, n, cells) == outcome(
+            read_strings, buf, n, cells
+        )
+
+    def test_cells_are_the_written_bytes(self):
+        texts = ["", "web01", "naïve ☃", "x" * 200]
+        cells = len_prefixed_many(texts)
+        assert read_len_prefixed_many(b"".join(cells), 4, cells=True) == cells
+        assert read_len_prefixed_many(memoryview(b"".join(cells)), 4) == texts
