@@ -440,30 +440,25 @@ class Table:
     # Expiry (age and size limits)
     # ------------------------------------------------------------------
 
-    def expire_before(self, cutoff_time: int) -> int:
-        """Drop sealed row blocks entirely older than ``cutoff_time``.
+    def expire(self, cutoff_time: int | None = None, max_bytes: int | None = None) -> int:
+        """Drop the oldest sealed row blocks while each is aged out (its
+        *maximum* timestamp below ``cutoff_time``, block-granular as in
+        Scuba) or the sealed blocks exceed ``max_bytes``; returns rows
+        dropped.
 
-        Expiry is block-granular, as in Scuba: a block survives until its
-        *maximum* timestamp has aged out.  Returns rows dropped.
+        The walk stops at the first block that survives, so a late block
+        waits for the blocks ingested before it: expiry only ever drops
+        a prefix of ingest order, and ``total_rows_expired`` alone says
+        which rows are gone.
         """
-        kept: list[RowBlock] = []
-        dropped: list[RowBlock] = []
-        for block in self._blocks:
-            if block.max_time < cutoff_time:
-                dropped.append(block)
-            else:
-                kept.append(block)
-        self._blocks = kept
-        self._invalidate_cached(dropped)
-        dropped_rows = sum(block.row_count for block in dropped)
-        self.total_rows_expired += dropped_rows
-        return dropped_rows
-
-    def enforce_size_limit(self, max_bytes: int) -> int:
-        """Drop oldest row blocks until compressed size fits ``max_bytes``."""
-        dropped: list[RowBlock] = []
-        while self._blocks and self.sealed_nbytes > max_bytes:
-            dropped.append(self._blocks.pop(0))
+        blocks, size, n = self._blocks, self.sealed_nbytes, 0
+        while n < len(blocks) and (
+            (cutoff_time is not None and blocks[n].max_time < cutoff_time)
+            or (max_bytes is not None and size > max_bytes)
+        ):
+            size -= blocks[n].nbytes
+            n += 1
+        dropped, self._blocks = blocks[:n], blocks[n:]
         self._invalidate_cached(dropped)
         dropped_rows = sum(block.row_count for block in dropped)
         self.total_rows_expired += dropped_rows
@@ -569,9 +564,7 @@ class Table:
         installs the growing restored prefix *in directory order* ahead
         of any blocks sealed from rows added during the restore, and
         leaves cached decodes alone — already-adopted blocks stay
-        resident, so their entries are still valid.  Blocks that left
-        the table since adoption (expiry, size limits) must be omitted
-        from ``restored`` by the caller; they are not resurrected here.
+        resident, so their entries are still valid.
         """
         restored_uids = {block.uid for block in restored}
         tail = [b for b in self._blocks if b.uid not in restored_uids]

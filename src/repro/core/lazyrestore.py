@@ -40,6 +40,12 @@ whole leaf down the same ladder with tracker balances intact — adopted
 blocks leave the heap region, surviving segments leave the shm region —
 while rows added *during* a serving window are carried across the
 fallback.
+
+Nothing else changes a table's restored blocks while they come in:
+expiry runs only on an ALIVE leaf (Figure 5 caption: "any needed
+deletions are made after recovery"), so the directory a restore
+publishes is exactly what it installs, and the count the source carried
+is the table's ``total_rows_expired`` until the leaf is up.
 """
 
 from __future__ import annotations
@@ -91,12 +97,6 @@ class _TableState:
         #: wire catalog's ``WireBlock``) of every block not yet faulted in.
         self.pending = {desc.index: desc for desc in descriptors}
         self.slots: list[RowBlock | None] = [None] * len(self.pending)
-        #: Directory indexes gone for good (expired while pending, or
-        #: adopted and then expired) — never faulted, never reinstalled.
-        self.dropped: set[int] = set()
-        #: Uids this restorer last installed into the table; an installed
-        #: uid missing from the table means the block left (expiry).
-        self.installed: set[int] = set()
         self.columns = {column for desc in descriptors for column in desc.columns}
         self.nbytes = 0  # heap bytes of the restored blocks
 
@@ -105,11 +105,7 @@ class _TableState:
         return not self.pending
 
     def restored_blocks(self) -> list[RowBlock]:
-        return [
-            block
-            for index, block in enumerate(self.slots)
-            if block is not None and index not in self.dropped
-        ]
+        return [block for block in self.slots if block is not None]
 
 
 class RestoreDriver:
@@ -156,7 +152,6 @@ class RestoreDriver:
         self._lock = threading.RLock()
         self._tables: dict[str, _TableState] = {}  # in publish order
         self._budget = engine.budget
-        self._expire_cutoff: int | None = None
         self.done = False
         self.error: BaseException | None = None
         # Packed bytes / blocks faulted in so far (guarded by self._lock).
@@ -371,10 +366,11 @@ class RestoreDriver:
 
         Each is charged to the heap and counted on the report; a table
         whose last block this was is done — its source released — before
-        the next block is read, and every table touched is reconciled
-        once at the end.  Any failure on the way (read, decode, adopt,
-        release) routes the leaf down the ladder via :meth:`_fallback`;
-        the caller sees ``done``.  Returns the number of blocks adopted.
+        the next block is read, and every table touched gets its restored
+        blocks reinstalled once at the end.  Any failure on the way (read,
+        decode, adopt, release) routes the leaf down the ladder via
+        :meth:`_fallback`; the caller sees ``done``.  Returns the number
+        of blocks adopted.
         """
         engine = self._engine
         report = self.report
@@ -400,32 +396,17 @@ class RestoreDriver:
                 else:
                     self._release_blocks(state)
             for state in touched.values():
-                self._reconcile(state)
+                # Directory order first, then blocks sealed from rows
+                # added during the serving window, so aggregate floats
+                # merge in the same order however the blocks arrived.
+                # Nothing else leaves a table in the window: expiry waits
+                # for ALIVE.
+                self._leafmap.get_table(state.name).install_restored_blocks(
+                    state.restored_blocks()
+                )
         except Exception as exc:
             self._fallback(exc)
         return adopted
-
-    def _reconcile(self, state: _TableState) -> None:
-        """Reinstall the restored prefix into the live table (lock held).
-
-        Keeps directory order first, then blocks sealed from rows added
-        during the serving window, so aggregate floats merge in the same
-        order however the blocks arrived and the results stay
-        digest-identical.  Adopted blocks that have since left the table
-        (expiry, size limits) are detected here and never resurrected.
-        """
-        table = self._leafmap.get_table(state.name)
-        present = {block.uid for block in table.blocks}
-        for index, block in enumerate(state.slots):
-            if block is None or index in state.dropped:
-                continue
-            if block.uid in state.installed and block.uid not in present:
-                state.dropped.add(index)
-                state.slots[index] = None
-                state.nbytes -= block.nbytes
-        restored = state.restored_blocks()
-        table.install_restored_blocks(restored)
-        state.installed = {block.uid for block in restored}
 
     def _maybe_finish(self) -> None:
         """Every block is in: settle the source, go ALIVE (lock held)."""
@@ -438,49 +419,6 @@ class RestoreDriver:
             return
         self.report.enter(LeafRestoreState.ALIVE)
         self._go_alive()
-
-    # ------------------------------------------------------------------
-    # Expiry during the serving window
-    # ------------------------------------------------------------------
-
-    def expire_before(self, cutoff_time: int) -> int:
-        """Drop pending blocks entirely older than ``cutoff_time``.
-
-        The adopted half of each table expires through the normal
-        ``Table.expire_before``; this handles the not-yet-faulted half
-        (their rows count as expired without ever touching the heap, or
-        the wire) and remembers the cutoff so a later disk fallback
-        re-applies it to replayed data.  Returns rows dropped from
-        pending blocks.
-        """
-        with self._lock:
-            if self.done:
-                return 0
-            if self._expire_cutoff is None or cutoff_time > self._expire_cutoff:
-                self._expire_cutoff = cutoff_time
-            dropped_rows = 0
-            try:
-                for state in self._tables.values():
-                    expired = [
-                        index
-                        for index, desc in state.pending.items()
-                        if desc.max_time < cutoff_time
-                    ]
-                    table = self._leafmap.get_table(state.name)
-                    for index in expired:
-                        desc = state.pending.pop(index)
-                        state.dropped.add(index)
-                        self.report.bytes_total -= desc.size
-                        self.report.blocks_total -= 1
-                        dropped_rows += desc.row_count
-                        table.total_rows_expired += desc.row_count
-                    self._reconcile(state)
-                    if expired and state.complete:
-                        self._table_done(state)
-            except Exception as exc:
-                self._fallback(exc)
-            self._maybe_finish()
-            return dropped_rows
 
     # ------------------------------------------------------------------
     # Introspection
@@ -572,7 +510,6 @@ class RestoreDriver:
                 if adopted:
                     engine._track_heap_free(sum(b.nbytes for b in adopted))
                 state.slots = [None] * len(state.slots)
-                state.installed = set()
             self._discard_source()
             leafmap.restorer = None
             # Replay into a scratch map, then graft the replayed blocks
@@ -583,8 +520,6 @@ class RestoreDriver:
             for recovered in scratch:
                 table = leafmap.get_or_create(recovered.name)
                 table.install_restored_blocks(recovered.blocks)
-                if self._expire_cutoff is not None:
-                    table.expire_before(self._expire_cutoff)
             self._go_alive()
 
     def abandon(self) -> None:

@@ -10,15 +10,21 @@ accepts.
 On-disk state, inside one directory per leaf::
 
     manifest.json           per table: ``synced_rows`` / ``log_bytes`` (rows
-                            and log bytes vouched for), expiry cutoff and
-                            count, sync/snapshot generations, ``chain``
+                            and log bytes vouched for), ``rows_expired``,
+                            sync/snapshot generations, ``chain``
     <table>.scuba           legacy row-format file (append-only chunks)
     snapshots/<table>.shmdisk   shm-format snapshot (Section 6 fast tier)
 
-The expiry cutoff is a manifest watermark rather than a file rewrite:
-recovery replays the chunks and drops rows whose timestamp is below the
-cutoff, mirroring how Scuba re-applies deletions after recovery
-("Any needed deletions are made after recovery", Figure 5 caption).
+Expiry is one number, not a file rewrite.  A live table only ever drops
+its oldest blocks (``Table.expire``), so the rows it has lost are the
+first ``rows_expired`` of its ingest order, and that count is all the
+manifest records.  Every recovery rung trims it — legacy replay keeps
+the log's trailing ``synced_rows - rows_expired`` rows, snapshot
+recovery drops the chain's leading blocks that cover the count past its
+tip's — mirroring how Scuba makes deletions after recovery ("Any needed
+deletions are made after recovery", Figure 5 caption).  A manifest from
+before the count was kept carries an ``expire_before`` cutoff instead,
+which legacy replay applies as a timestamp filter.
 
 The snapshot side implements the paper's Section 6 plan: at a sync point
 whose table has no buffered rows, the table's sealed blocks are also
@@ -189,8 +195,8 @@ class DiskBackup:
     of one leaf's tables.
 
     ``incremental=False`` forces the pre-chain behavior — every snapshot
-    point rewrites the table as a single base — which is the benchmark
-    baseline (E17) and an escape hatch, not a recommended mode.
+    point rewrites the table as a single base — which tests compare the
+    chain against; it is not a recommended mode.
     """
 
     def __init__(
@@ -295,7 +301,7 @@ class DiskBackup:
     def _entry(self, table_name: str) -> dict:
         return self._manifest.setdefault(
             table_name,
-            {"synced_rows": 0, "expire_before": 0, "sync_gen": 0, "snapshot_gen": 0},
+            {"synced_rows": 0, "sync_gen": 0, "snapshot_gen": 0},
         )
 
     def table_file(self, table_name: str) -> Path:
@@ -321,58 +327,18 @@ class DiskBackup:
         return self._manifest.get(table_name, {}).get("log_bytes")
 
     def expire_cutoff(self, table_name: str) -> int:
+        """The timestamp cutoff a manifest from before :meth:`rows_expired`
+        recorded instead of a count (0 = none)."""
         return self._manifest.get(table_name, {}).get("expire_before", 0)
 
     def rows_expired(self, table_name: str) -> int | None:
-        """The live table's expired-row count as of the last record/sync.
+        """How many of the table's oldest rows (in ingest order) the live
+        table had expired at the last record or sync.
 
         ``None`` for manifests written before the count was tracked;
-        legacy replay then falls back to filtering rows by the timestamp
-        cutoff instead of trimming by count.
+        legacy replay then filters rows by :meth:`expire_cutoff`.
         """
         return self._manifest.get(table_name, {}).get("rows_expired")
-
-    def unapplied_expire_cutoff(self, table_name: str) -> int:
-        """A recorded cutoff the live table has not applied (pure intent).
-
-        Recorded via :meth:`record_expiry` *without* a row count, these
-        are deletion intents in the paper's sense — "any needed
-        deletions are made after recovery" — and every recovery route
-        must make them, no matter how fresh its source state is.
-        """
-        entry = self._manifest.get(table_name, {})
-        cutoff = entry.get("expire_before", 0)
-        if cutoff > entry.get("expire_applied", 0):
-            return cutoff
-        return 0
-
-    def pending_expire_cutoff(self, table_name: str) -> int:
-        """The expiry cutoff snapshot recovery still needs to re-apply.
-
-        An intent-only cutoff (never applied live) is always pending.
-        An applied cutoff is pending only when it was recorded at or
-        after the generation the snapshot chain was taken at — i.e. the
-        snapshot predates the live expiry run.  A cutoff applied
-        *before* the snapshot generation is already reflected in the
-        snapshot's blocks; re-applying it would over-expire rows that
-        were still buffered when the cutoff ran and only sealed (and
-        snapshotted) afterwards; writing a snapshot link therefore moves
-        a same-generation ``expire_gen`` below it.  Manifests without an
-        ``expire_gen`` predate the distinction and keep the
-        always-re-apply behavior.
-        """
-        entry = self._manifest.get(table_name)
-        if not entry:
-            return 0
-        cutoff = entry.get("expire_before", 0)
-        if not cutoff:
-            return 0
-        if cutoff > entry.get("expire_applied", 0):
-            return cutoff
-        gen = entry.get("expire_gen")
-        if gen is None or gen >= entry.get("snapshot_gen", 0):
-            return cutoff
-        return 0
 
     def sync_generation(self, table_name: str) -> int:
         """Monotone counter bumped whenever a table's synced state changes."""
@@ -501,11 +467,9 @@ class DiskBackup:
         if changed:
             entry["synced_rows"] = max(total, expired)
             entry["sync_gen"] = entry.get("sync_gen", 0) + 1
-        # Keep the replay trim count in step with the live table: it
-        # tells legacy replay how many leading ingest positions the live
-        # table had already dropped.
-        known_expired = entry.get("rows_expired")
-        if known_expired is None or expired > known_expired:
+        # Keep the trim count in step with the live table: it tells every
+        # recovery rung how many leading ingest positions are gone.
+        if expired > entry.get("rows_expired", -1):
             entry["rows_expired"] = expired
             changed = True
         if self.snapshots_enabled and table.buffered_row_count == 0:
@@ -513,9 +477,9 @@ class DiskBackup:
             tip_expired = self.snapshot_chain(table.name)[-1].get("rows_expired") if valid else None
             if tip_expired is not None and expired > tip_expired:
                 # Blocks left the table since the tip link and nothing else
-                # moved.  A size-limit drop leaves no cutoff for a restore
-                # to re-apply, so trusting the tip would resurrect them:
-                # a new generation, whose manifest-only link drops them.
+                # moved.  Recovery would trim them by count; a new
+                # generation, whose manifest-only link drops them, keeps
+                # the chain's drop list (and compaction's churn) whole.
                 entry["sync_gen"] += 1
                 valid = False
             if valid:
@@ -550,14 +514,6 @@ class DiskBackup:
             # chunk-worthy rows (empty table); give it a real generation.
             gen = 1
             entry["sync_gen"] = gen
-        if entry.get("expire_gen", -1) >= gen:
-            # The link about to be written holds the table as every
-            # *applied* cutoff left it.  One recorded at this same
-            # generation (rows still buffered at a sync, then the expiry
-            # run, then this seal + sync) would otherwise read as
-            # recorded "at or after" the snapshot and be re-applied to
-            # rows it had spared.
-            entry["expire_gen"] = gen - 1
         name = table.name
         blocks = table.blocks
         keys = [block.content_key() for block in blocks]
@@ -707,41 +663,17 @@ class DiskBackup:
         with self.publish_once():
             return sum(self.sync_table(table) for table in leafmap)
 
-    def record_expiry(
-        self,
-        table_name: str,
-        cutoff_time: int,
-        rows_expired: int | None = None,
-    ) -> None:
-        """Advance a table's expiry watermark (never backwards).
+    def record_expiry(self, table_name: str, rows_expired: int) -> None:
+        """Record the table's expired-row count (never backwards).
 
-        Does not invalidate the snapshot: a cutoff still pending against
-        the snapshot generation is re-applied after snapshot recovery,
-        exactly as it is after legacy replay.  Callers that just ran
-        ``Table.expire_before`` pass the table's ``total_rows_expired``
-        so legacy replay can trim by *count*, reproducing the live
-        table's block-granular expiry exactly — including rows below the
-        cutoff that survive inside a straddling block.
+        Does not invalidate the snapshot: recovery drops the chain's
+        leading blocks that cover the count past the tip's, as legacy
+        replay drops the log's leading rows.
         """
         entry = self._entry(table_name)
-        changed = False
-        if cutoff_time > entry["expire_before"]:
-            entry["expire_before"] = cutoff_time
-            changed = True
-        if rows_expired is not None:
-            current = entry.get("rows_expired")
-            if current is None or rows_expired > current:
-                entry["rows_expired"] = rows_expired
-                changed = True
-            if cutoff_time > entry.get("expire_applied", 0):
-                entry["expire_applied"] = cutoff_time
-                changed = True
-            if changed:
-                # The live table just ran this cutoff, so the record is
-                # pending against any snapshot taken at or before the
-                # current sync generation — and folded into any later
-                # one.
-                entry["expire_gen"] = entry.get("sync_gen", 0)
+        changed = rows_expired > entry.get("rows_expired", -1)
+        if changed:
+            entry["rows_expired"] = rows_expired
         with self.publish_once():
             self._dirty |= changed
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
-from repro.columnstore.table import ColumnRun
+from repro.columnstore.table import ColumnRun, Table
 from repro.disk.backup import DiskBackup
 from repro.disk.format import decode_chunk_columns, read_chunk_payloads
 from repro.disk.shmformat import ShmSnapshot, read_table_snapshot
@@ -73,31 +73,34 @@ def chunk_runs(chunks: Iterable[tuple[int, bytes]], skip: int = 0) -> Iterator[C
 
 
 def recover_table_runs(backup: DiskBackup, table_name: str) -> Iterator[ColumnRun]:
-    """Yield a table's surviving rows as column runs (expiry watermark
-    applied).
+    """Yield a table's surviving rows as column runs (expiry applied).
 
-    When the manifest carries the live table's expired-row count, the
-    expiry is re-applied by *count*: the trailing ``synced_rows -
-    rows_expired`` log rows survive, which reproduces the live table's
-    block-granular expiry exactly — including rows below the cutoff
-    that the live table kept inside a straddling block — and only the
-    chunks holding them are decoded (:func:`surviving_chunks`).
+    The live table's expiry is re-applied by *count*: the trailing
+    ``synced_rows - rows_expired`` log rows survive, which reproduces
+    the live table's prefix-of-blocks expiry exactly — including late
+    rows below any cutoff that waited behind a newer block — and only
+    the chunks holding them are decoded (:func:`surviving_chunks`).
     Manifests from before the count was tracked fall back to filtering
     rows by the timestamp cutoff (a row without one reads 0).
     """
     chunks, skip = surviving_chunks(backup, table_name)
-    if backup.rows_expired(table_name) is not None:
-        # A deletion intent recorded but never run live is made here,
-        # on top of the count trim, exactly as the paper's Figure 5
-        # caption requires.
-        cutoff = backup.unapplied_expire_cutoff(table_name)
-    else:
-        cutoff = backup.expire_cutoff(table_name)
+    cutoff = 0 if backup.rows_expired(table_name) is not None else backup.expire_cutoff(table_name)
     for run in chunk_runs(chunks, skip):
         if cutoff:
             run = run.select([t >= cutoff for t in run.column(TIME_COLUMN) or [0] * run.n_rows])
         if run.n_rows:
             yield run
+
+
+def restore_watermarks(backup: DiskBackup, table: Table, count: int) -> None:
+    """Line a replayed table's ingest/expiry counters up with the backup
+    so later syncs do: its ``count`` rows are the last ingested.  Expiry
+    that ran past the synced rows (blocks sealed and dropped before any
+    sync) stays counted; otherwise the next sync's rows would fall under
+    the manifest's trim."""
+    ingested = max(backup.synced_rows(table.name), backup.rows_expired(table.name) or 0)
+    table.total_rows_ingested = ingested
+    table.total_rows_expired = ingested - count
 
 
 def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
@@ -237,6 +240,23 @@ def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
     )
 
 
+def _drop_expired(table_name: str, blocks: list[RowBlock], rows: int) -> list[RowBlock]:
+    """``blocks`` less the leading blocks that hold exactly ``rows`` rows:
+    what the live table expired after the chain's tip.  A count that
+    does not end on a block boundary (or runs past the chain) describes
+    some other table — a :class:`CorruptionError`."""
+    n = 0
+    while rows > 0 and n < len(blocks):
+        rows -= blocks[n].row_count
+        n += 1
+    if rows != 0:
+        raise CorruptionError(
+            f"table '{table_name}': expired-row count does not end on a "
+            "block boundary of its snapshot chain"
+        )
+    return blocks[n:]
+
+
 def recover_leafmap_snapshots(
     backup: DiskBackup,
     leafmap: LeafMap,
@@ -246,10 +266,11 @@ def recover_leafmap_snapshots(
 
     The fast disk tier: each table is a file read plus bulk
     ``RowBlock.unpack`` — no row-by-row translation.  Watermarks are
-    restored from the snapshot and the manifest expiry cutoff is
-    re-applied ("any needed deletions are made after recovery"), so the
-    result is indistinguishable from a legacy replay of the same state.
-    The snapshot tier's validity gate: :func:`materialize_chain` checks
+    restored from the snapshot, and rows the live table expired after
+    the chain's tip are dropped by count (:func:`_drop_expired`: "any
+    needed deletions are made after recovery"), so the result is
+    indistinguishable from a legacy replay of the same state.  The
+    snapshot tier's validity gate: :func:`materialize_chain` checks
     every link before its blocks are trusted, and any failure raises, so
     the caller routes the whole leaf down to legacy replay (one leaf
     never mixes tiers).
@@ -258,16 +279,15 @@ def recover_leafmap_snapshots(
         raise RecoveryError("disk recovery requires an empty leaf map")
     total = 0
     for table_name in backup.table_names:
+        expired = backup.rows_expired(table_name)
+        if expired is None:  # a manifest from before the count: replay filters
+            raise CorruptionError(f"table '{table_name}': no expired-row count to trim by")
         snap = materialize_chain(backup, table_name)
+        blocks = _drop_expired(table_name, snap.blocks, expired - snap.rows_expired)
         table = leafmap.create_table(table_name)
-        table.replace_blocks(snap.blocks)
+        table.replace_blocks(blocks)
         table.total_rows_ingested = snap.rows_ingested
-        table.total_rows_expired = snap.rows_expired
-        # Pending only: a cutoff the snapshot already reflects would
-        # over-expire the rows that were buffered when it was recorded.
-        cutoff = backup.pending_expire_cutoff(table_name)
-        if cutoff:
-            table.expire_before(cutoff)
+        table.total_rows_expired = expired
         total += table.row_count
         if progress is not None:
             progress(table_name, table.row_count)
@@ -291,9 +311,7 @@ def recover_leafmap(
     for table_name in backup.table_names:
         table = leafmap.create_table(table_name)
         count = table.add_runs(recover_table_runs(backup, table_name))
-        # Restore the backup watermarks so future incremental syncs line up.
-        table.total_rows_ingested = backup.synced_rows(table_name)
-        table.total_rows_expired = backup.synced_rows(table_name) - count
+        restore_watermarks(backup, table, count)
         total += count
         if progress is not None:
             progress(table_name, count)

@@ -51,7 +51,12 @@ from repro.columnstore.rowblock import RowBlock
 from repro.columnstore.schema import Schema
 from repro.columnstore.table import ColumnRun, Table, seal_groups
 from repro.disk.backup import DiskBackup
-from repro.disk.recovery import chunk_runs, recover_table_runs, surviving_chunks
+from repro.disk.recovery import (
+    chunk_runs,
+    recover_table_runs,
+    restore_watermarks,
+    surviving_chunks,
+)
 from repro.errors import RecoveryError
 from repro.types import ColumnValue
 from repro.util.budget import FootprintBudget
@@ -301,12 +306,10 @@ def replay_leafmap(
         for table_name in backup.table_names:
             table = leafmap.create_table(table_name)
             count: int | None = None
-            # A count trim cuts the chunk stream at its head only.
-            thinned = backup.unapplied_expire_cutoff(table_name) != 0 or (
-                backup.rows_expired(table_name) is None
-                and backup.expire_cutoff(table_name) != 0
-            )
-            if not thinned:
+            # A count trim cuts the chunk stream at its head only; a
+            # manifest from before the count filters rows by time.
+            by_time = backup.rows_expired(table_name) is None and backup.expire_cutoff(table_name)
+            if not by_time:
                 count = _replay_table_partitioned(
                     backup, table, executor, budget, clock, workers
                 )
@@ -319,10 +322,7 @@ def replay_leafmap(
                     clock,
                     window=workers * 2,
                 )
-            # Restore the backup watermarks so future syncs line up,
-            # exactly as single-stream replay does.
-            table.total_rows_ingested = backup.synced_rows(table_name)
-            table.total_rows_expired = backup.synced_rows(table_name) - count
+            restore_watermarks(backup, table, count)
             total += count
             if progress is not None:
                 progress(table_name, count)

@@ -258,7 +258,7 @@ def run(rows: int = ROWS, workers: int = WORKERS) -> dict:
         whole = DiskBackup(
             shutil.copytree(backup.directory, tmp / "legacy-whole"), snapshots=False
         )
-        table.enforce_size_limit(table.sealed_nbytes // 4)
+        table.expire(max_bytes=table.sealed_nbytes // 4)
         backup.sync_leafmap(log_map)
         whole_s = trimmed_s = math.inf
         for _ in range(SURVIVOR_PAIRS):

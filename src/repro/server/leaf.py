@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.columnstore.colcache import (
     DEFAULT_CACHE_BYTES,
@@ -38,6 +38,7 @@ from repro.columnstore.colcache import (
     DecodedColumnCache,
 )
 from repro.columnstore.leafmap import LeafMap
+from repro.columnstore.table import Table
 from repro.core.engine import RestartEngine, RestartReport
 from repro.core.watchdog import CooperativeDeadline
 from repro.disk.backup import DiskBackup
@@ -483,33 +484,36 @@ class LeafServer:
 
     def expire(self, retention_seconds: int) -> int:
         """Age-based expiry across all tables; returns rows dropped."""
+        return self.expire_tables(
+            lambda table, now: table.expire(now - retention_seconds)
+        )
+
+    def expire_tables(self, expire: Callable[[Table, int], object]) -> int:
+        """Run ``expire(table, now)`` on every table and record each
+        table's expired-row count, all in one manifest; returns rows
+        dropped.
+
+        ALIVE only: Scuba "stops deleting expired table data once
+        shutdown starts" and makes "any needed deletions [...] after
+        recovery" (Figure 5 caption), so a serving restore refuses it as
+        DOWN does.  The status check shares the critical section with
+        the expiry: checked outside, a concurrent stop() could land
+        between check and loop.
+        """
         with self._lock:
-            # The status check must share the critical section with the
-            # expiry itself: checked outside, a concurrent stop() could
-            # land between check and loop and we would expire into a
-            # leafmap that is mid-backup.
-            if self.status not in (
-                LeafStatus.ALIVE,
-                LeafStatus.RECOVERING_MEMORY_SERVING,
-                LeafStatus.RECOVERING_REPLICA_SERVING,
-            ):
+            if self.status is not LeafStatus.ALIVE:
                 raise StateError(
                     f"leaf {self.leaf_id} cannot expire data in status "
                     f"{self.status.value}"
                 )
-            cutoff = int(self.clock.now()) - retention_seconds
+            now = int(self.clock.now())
             dropped = 0
-            # One expiry run is one manifest, however many tables moved.
             with self.backup.publish_once():
                 for table in self.leafmap:
-                    dropped += table.expire_before(cutoff)
-                    self.backup.record_expiry(
-                        table.name, cutoff, rows_expired=table.total_rows_expired
-                    )
-            if self._restorer is not None:
-                # Blocks that aged out before ever faulting in are simply
-                # never decoded — expiry reaches into the pending set too.
-                dropped += self._restorer.expire_before(cutoff)
+                    before = table.total_rows_expired
+                    expire(table, now)
+                    dropped += table.total_rows_expired - before
+                    self.backup.record_expiry(table.name, table.total_rows_expired)
             return dropped
 
     def __repr__(self) -> str:

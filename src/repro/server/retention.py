@@ -3,15 +3,18 @@
 "They also delete data as it expires due to either age or size limits"
 (paper, Section 2).  A :class:`RetentionPolicy` couples the two limits;
 :class:`RetentionEnforcer` applies per-table policies across a set of
-leaves, recording expiry watermarks in each leaf's disk backup so that a
-disk recovery re-applies the deletions ("Any needed deletions are made
-after recovery", Figure 5 caption).
+leaves through :meth:`LeafServer.expire_tables`, the path age expiry
+takes too: each drop removes the table's oldest blocks, and the table's
+expired-row count is recorded in the leaf's disk backup, so every
+recovery rung trims the same rows ("Any needed deletions are made after
+recovery", Figure 5 caption).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.columnstore.table import Table
 from repro.errors import StateError
 from repro.server.leaf import LeafServer
 
@@ -63,36 +66,30 @@ class RetentionEnforcer:
         return self.policies.get(table, self.default_policy)
 
     def enforce_on_leaf(self, leaf: LeafServer) -> RetentionReport:
-        """One pass over one leaf; raises if the leaf is mid-shutdown
-        per the table state machine rules — callers wanting the skip
-        behaviour use :meth:`enforce`."""
+        """One pass over one leaf, under its lock and in one manifest;
+        raises :class:`StateError` unless the leaf is ALIVE — callers
+        wanting the skip behaviour use :meth:`enforce`."""
         report = RetentionReport()
-        now = int(leaf.clock.now())
-        for table in leaf.leafmap:
+
+        def expire(table: Table, now: int) -> None:
             policy = self.policy_for(table.name)
             if policy is None:
-                continue
+                return
             report.tables_touched += 1
             if policy.max_age_seconds is not None:
-                cutoff = now - policy.max_age_seconds
-                dropped = table.expire_before(cutoff)
-                report.rows_dropped_by_age += dropped
-                leaf.backup.record_expiry(
-                    table.name, cutoff, rows_expired=table.total_rows_expired
-                )
+                report.rows_dropped_by_age += table.expire(now - policy.max_age_seconds)
             if policy.max_bytes_per_leaf is not None:
-                report.rows_dropped_by_size += table.enforce_size_limit(
-                    policy.max_bytes_per_leaf
+                report.rows_dropped_by_size += table.expire(
+                    max_bytes=policy.max_bytes_per_leaf
                 )
+
+        leaf.expire_tables(expire)
         return report
 
     def enforce(self, leaves: list[LeafServer]) -> RetentionReport:
         """Enforce everywhere; non-ALIVE leaves are skipped, not failed."""
         total = RetentionReport()
         for leaf in leaves:
-            if not leaf.is_alive:
-                total.leaves_skipped += 1
-                continue
             try:
                 report = self.enforce_on_leaf(leaf)
             except StateError:

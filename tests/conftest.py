@@ -241,8 +241,9 @@ def restart_spanning_chain(directory, clock, tables=("events",)):
         for t_index, name in enumerate(tables):
             if round_index == 0:
                 cutoff = 1100 + t_index * 10_000  # the first two blocks
-                reborn.get_table(name).expire_before(cutoff)
-                backup.record_expiry(name, cutoff)
+                table = reborn.get_table(name)
+                table.expire(cutoff)
+                backup.record_expiry(name, table.total_rows_expired)
             grow_table(reborn, 60, start + t_index * 10_000, table=name)
         start += 1000
         sealed_sync(backup, reborn)

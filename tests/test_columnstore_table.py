@@ -61,7 +61,7 @@ class TestIngest:
         table = make_table()
         table.add_rows({"time": i} for i in range(25))
         assert table.total_rows_ingested == 25
-        table.expire_before(100)
+        table.expire(100)
         assert table.total_rows_ingested == 25
 
     def test_rows_are_copied_on_add(self):
@@ -317,7 +317,7 @@ class TestExpiry:
     def test_expire_before_drops_whole_blocks(self):
         table = make_table(rows_per_block=10)
         table.add_rows({"time": i} for i in range(30))
-        dropped = table.expire_before(10)  # first block: times 0..9
+        dropped = table.expire(10)  # first block: times 0..9
         assert dropped == 10
         assert table.row_count == 20
         assert table.total_rows_expired == 10
@@ -325,17 +325,29 @@ class TestExpiry:
     def test_expire_keeps_partially_live_blocks(self):
         table = make_table(rows_per_block=10)
         table.add_rows({"time": i} for i in range(10))
-        assert table.expire_before(5) == 0  # block max_time=9 >= 5
+        assert table.expire(5) == 0  # block max_time=9 >= 5
         assert table.row_count == 10
 
     def test_size_limit_drops_oldest(self):
         table = make_table(rows_per_block=10)
         table.add_rows({"time": i, "pad": f"p{i % 4}"} for i in range(40))
         per_block = table.sealed_nbytes // 4
-        dropped = table.enforce_size_limit(per_block * 2)
+        dropped = table.expire(max_bytes=per_block * 2)
         assert dropped >= 10
         remaining_times = [r["time"] for r in table.to_rows()]
         assert min(remaining_times) >= 10  # oldest went first
+
+    def test_a_late_block_waits_for_the_blocks_before_it(self):
+        """Expiry drops a prefix: an aged-out block behind a live one
+        stays until that one goes, so the count alone names the rows."""
+        table = make_table(rows_per_block=10)
+        for start in (100, 50, 300):
+            table.add_rows({"time": start + i} for i in range(10))
+        assert table.expire(70) == 0
+        assert [block.max_time for block in table.blocks] == [109, 59, 309]
+        assert table.expire(110) == 20
+        assert [block.max_time for block in table.blocks] == [309]
+        assert table.total_rows_expired == 20
 
 
 class TestScan:

@@ -90,7 +90,7 @@ class TestBackupRestore:
         leafmap = make_leafmap(clock, rows=120)
         table = leafmap.get_table("events")
         table.seal_buffer()
-        table.expire_before(1000 + 50)
+        table.expire(1000 + 50)
         expired = table.total_rows_expired
         engine_for(shm_namespace, backup, clock).backup_to_shm(leafmap)
         restored = fresh_map(clock)

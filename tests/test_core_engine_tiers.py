@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.replication import ReplicaBlockServer, ReplicaFetchSession, snapshot_leafmap
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk.backup import DiskBackup
 from repro.disk.shmformat import write_table_shm_format
 from repro.errors import CorruptionError
 from repro.shm.layout import SHM_LAYOUT_VERSION
+from repro.server.leaf import LeafServer
 from repro.shm.metadata import LeafMetadata
+from repro.util.checksum import rows_digest
 from repro.util.memtrack import MemoryTracker
 from tests.conftest import make_leafmap, restart_spanning_chain
 from tests.crashpoints import Recorder
@@ -132,11 +135,11 @@ class TestSnapshotTier:
     def test_expiry_after_snapshot_is_reapplied(
         self, shm_namespace, tmp_path, clock
     ):
-        """record_expiry does not invalidate the snapshot; the cutoff is
-        re-applied after recovery, matching legacy replay at the block
-        boundary (block 0 holds times 1000-1049)."""
+        """record_expiry does not invalidate the snapshot; the count is
+        trimmed after recovery, matching legacy replay (block 0 holds 50
+        rows)."""
         backup, _ = synced_backup(tmp_path, clock)
-        backup.record_expiry("events", 1050)
+        backup.record_expiry("events", 50)
         assert backup.snapshots_ready()
         restored = LeafMap(clock=clock, rows_per_block=50)
         report = RestartEngine(
@@ -153,6 +156,42 @@ class TestSnapshotTier:
             disk_snapshot_tier=False,
         ).restore(legacy)
         assert restored.snapshot_rows() == legacy.snapshot_rows()
+
+    def test_expired_count_off_a_block_boundary_falls_to_legacy(
+        self, shm_namespace, tmp_path, clock
+    ):
+        """A count the chain's leading blocks cannot cover exactly is
+        corruption: the leaf lands on legacy replay, which trims it."""
+        backup, _ = synced_backup(tmp_path, clock)
+        backup.record_expiry("events", 30)
+        restored = LeafMap(clock=clock, rows_per_block=50)
+        report = RestartEngine(
+            "0", namespace=shm_namespace, backup=backup, clock=clock
+        ).restore(restored)
+        assert report.method is RecoveryMethod.DISK
+        assert report.fell_back_to_legacy
+        assert "block boundary" in report.failure_reason
+        assert report.rows == 90
+
+    def test_a_manifest_without_the_count_filters_by_time_on_legacy(
+        self, shm_namespace, tmp_path, clock
+    ):
+        """A manifest from before the expired-row count carries only a
+        cutoff: the snapshot rung has nothing to trim by, and legacy
+        replay filters the rows by time."""
+        backup, snapshot = synced_backup(tmp_path, clock)
+        entry = backup._entry("events")
+        del entry["rows_expired"]
+        entry["expire_before"] = 1030
+        restored = LeafMap(clock=clock, rows_per_block=50)
+        report = RestartEngine(
+            "0", namespace=shm_namespace, backup=backup, clock=clock
+        ).restore(restored)
+        assert report.method is RecoveryMethod.DISK
+        assert "no expired-row count" in report.failure_reason
+        assert restored.snapshot_rows() == {
+            "events": [row for row in snapshot["events"] if row["time"] >= 1030]
+        }
 
     def test_multi_table_tier_is_all_or_nothing(
         self, shm_namespace, tmp_path, clock
@@ -449,3 +488,65 @@ class TestTimelineCoversTheRestart:
         assert report.failure_reason is None and not report.fell_back_to_disk
         assert restored.snapshot_rows() == snapshot
         assert not engine.shm_state_exists()
+
+
+class TestLateBlockExpiryOnEveryRung:
+    """Blocks with max times 109, 59 (late) and 309, an expiry run, a
+    crash: every rung restores the live table.  At cutoff 70 the late
+    block alone is aged out and waits behind the oldest one, so nothing
+    goes; at 110 both lead the table and go.  Legacy replay used to
+    trim a per-block drop by count and hand back the wrong block."""
+
+    @pytest.mark.parametrize("cutoff, dropped", [(70, 0), (110, 20)])
+    @pytest.mark.parametrize(
+        "rung", ["shm", "replica", "snapshot", "legacy-1", "legacy-2"]
+    )
+    def test_every_rung_returns_the_live_digest(
+        self, rung, cutoff, dropped, shm_namespace, tmp_path, clock
+    ):
+        leaf = LeafServer(
+            "0",
+            backup=DiskBackup(tmp_path / "backup"),
+            namespace=shm_namespace,
+            clock=clock,
+            rows_per_block=10,
+        )
+        leaf.start()
+        for start in (100, 50, 300):
+            leaf.add_rows("events", [{"time": start + i, "host": f"h{i % 3}"} for i in range(10)])
+        leaf.sync_to_disk()
+        assert leaf.expire(int(clock.now()) - cutoff) == dropped
+        live = rows_digest(leaf.leafmap.snapshot_rows())
+        server = None
+        if rung == "shm":
+            leaf.shutdown(use_shm=True)
+        else:
+            if rung == "replica":  # a standby mirroring the live table
+                standby = leaf.leafmap
+                server = ReplicaBlockServer(lambda: snapshot_leafmap(standby))
+            leaf.crash()
+        try:
+            engine = RestartEngine(
+                "0",
+                namespace=shm_namespace,
+                backup=DiskBackup(tmp_path / "backup"),
+                clock=clock,
+                disk_snapshot_tier=not rung.startswith("legacy"),
+                replay_workers=int(rung[-1]) if rung.startswith("legacy") else 1,
+            )
+            if server is not None:
+                address = server.address
+                engine.replica_source = lambda: ReplicaFetchSession(address, streams=1)
+            restored = LeafMap(clock=clock, rows_per_block=10)
+            report = engine.restore(restored)
+        finally:
+            if server is not None:
+                server.close()
+        assert report.method is {
+            "shm": RecoveryMethod.SHARED_MEMORY,
+            "replica": RecoveryMethod.REPLICA,
+            "snapshot": RecoveryMethod.DISK_SNAPSHOT,
+        }.get(rung, RecoveryMethod.DISK)
+        assert not report.fell_back_to_legacy
+        assert rows_digest(restored.snapshot_rows()) == live
+        assert restored.get_table("events").total_rows_expired == dropped

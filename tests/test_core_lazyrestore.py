@@ -453,46 +453,6 @@ class TestFallback:
         assert restored.restorer is None
 
 
-class TestExpiry:
-    def test_expire_drops_pending_blocks_without_faulting_them(
-        self, rig, clock, tmp_path
-    ):
-        rig.seed()
-        restored = fresh_map(clock)
-        handle = rig.engine().begin_lazy_restore(restored)
-        before = handle.progress()
-        dropped = handle.expire_before(1050)  # block [1000, 1049] entirely
-        assert dropped == 50
-        after = handle.progress()
-        assert after.blocks_total == before.blocks_total - 1
-        assert after.bytes_total < before.bytes_total
-        assert after.blocks_restored == 0  # expired, never read or decoded
-        handle.drain()
-        assert handle.report.method is rig.method
-        assert handle.report.row_blocks == 2
-
-        # Control: blocking restore, then the same expiry.
-        from repro.disk.backup import DiskBackup
-
-        control_map = make_leafmap(clock)
-        control_map.seal_all()
-        control_engine = RestartEngine(
-            "ctl",
-            namespace=rig.namespace,
-            backup=DiskBackup(tmp_path / "control"),
-            clock=clock,
-        )
-        control_engine.backup_to_shm(control_map)
-        control = fresh_map(clock)
-        control_engine.restore(control)
-        control.get_table("events").expire_before(1050)
-        assert restored.snapshot_rows() == control.snapshot_rows()
-        assert (
-            restored.get_table("events").total_rows_expired
-            == control.get_table("events").total_rows_expired
-        )
-
-
 class TestPagesGoBack:
     """§4.4's flat footprint on the way back in: a segment's pages are
     handed back as the blocks above them come home, not when the whole

@@ -230,7 +230,12 @@ class Sync:
 
 
 class Expire:
-    """One expiry run over a live two-table leaf: one manifest."""
+    """One expiry run over a live two-table leaf: one manifest.
+
+    The data is out of order: ``metrics``' second block is older than
+    its first, so it ages out first and waits — expiry drops only a
+    prefix — while ``events`` loses its first block.
+    """
 
     def setup(self, world):
         self.leaf = LeafServer(
@@ -242,15 +247,17 @@ class Expire:
         )
         self.leaf.start()
         now = int(world.clock.now())
-        for index, name in enumerate(TABLES):
-            self.leaf.add_rows(name, ({"time": now - 1000 + i + index} for i in range(120)))
+        self.leaf.add_rows("events", ({"time": now - 1000 + i} for i in range(120)))
+        late = [*range(50, 100), *range(50), *range(100, 120)]
+        self.leaf.add_rows("metrics", ({"time": now - 1000 + i + 1} for i in late))
         self.leaf.sync_to_disk()
         self.pre = self.leaf.leafmap.snapshot_rows()
-        # Each table's first block ends before the cutoff, and only it.
-        self.post = {name: rows[50:] for name, rows in self.pre.items()}
+        # Only events' first block ends before the cutoff and leads its
+        # table; metrics' late block is behind a live one.
+        self.post = {"events": self.pre["events"][50:], "metrics": self.pre["metrics"]}
 
     def run(self, world):
-        assert self.leaf.expire(RETENTION) == 2 * 50
+        assert self.leaf.expire(RETENTION) == 50
 
     def finish(self, world, outcome):
         assert outcome != "clean" or self.leaf.leafmap.snapshot_rows() == self.post

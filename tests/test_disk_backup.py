@@ -1,5 +1,7 @@
 """Tests for the disk backup manager and legacy recovery."""
 
+from functools import partial
+
 import pytest
 
 from repro.columnstore.leafmap import LeafMap
@@ -13,8 +15,8 @@ from repro.disk.format import (
     write_file_header,
 )
 from repro.disk.recovery import recover_leafmap, recover_table_runs, surviving_chunks
+from repro.disk.replay import replay_leafmap
 from repro.errors import CorruptionError, RecoveryError
-from repro.types import TIME_COLUMN
 from repro.util.checksum import crc32_of
 from repro.util.clock import ManualClock
 from tests.conftest import restart_spanning_chain
@@ -48,14 +50,15 @@ class TestSync:
     def test_sync_after_expiry_without_new_rows(self, backup):
         leafmap = make_map()
         backup.sync_leafmap(leafmap)
-        leafmap.get_table("events").expire_before(110)
-        backup.record_expiry("events", 110)
+        table = leafmap.get_table("events")
+        table.expire(110)
+        backup.record_expiry("events", table.total_rows_expired)
         assert backup.sync_leafmap(leafmap) == 0
 
     def test_expiry_watermark_never_regresses(self, backup):
         backup.record_expiry("events", 100)
         backup.record_expiry("events", 50)
-        assert backup.expire_cutoff("events") == 100
+        assert backup.rows_expired("events") == 100
 
 
 class TestRecovery:
@@ -71,12 +74,35 @@ class TestRecovery:
     def test_recovery_applies_expiry_watermark(self, backup):
         leafmap = make_map()
         backup.sync_leafmap(leafmap)
-        leafmap.get_table("events").expire_before(110)
-        backup.record_expiry("events", 110)
+        table = leafmap.get_table("events")
+        table.expire(110)
+        backup.record_expiry("events", table.total_rows_expired)
         recovered = LeafMap(clock=ManualClock(0.0), rows_per_block=10)
         recover_leafmap(backup, recovered)
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
         assert min(r["time"] for r in recovered.get_table("events").to_rows()) >= 110
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_expiry_past_the_synced_rows_spares_later_rows(self, backup, workers):
+        """A block sealed and expired before any sync counts as expired
+        in the manifest; the replayed table keeps counting it, so the
+        rows a later sync lands are not trimmed in its place."""
+        recover = (
+            recover_leafmap if not workers else partial(replay_leafmap, workers=workers)
+        )
+        leafmap = make_map(rows=10)
+        backup.sync_leafmap(leafmap)
+        table = leafmap.get_table("events")
+        table.add_rows({"time": 200 + i} for i in range(10))  # sealed, never synced
+        assert table.expire(1000) == 20
+        backup.record_expiry("events", table.total_rows_expired)
+        recovered = LeafMap(clock=ManualClock(0.0), rows_per_block=10)
+        assert recover(DiskBackup(backup.directory), recovered) == 0
+        recovered.get_table("events").add_rows({"time": 300 + i} for i in range(10))
+        backup.sync_leafmap(recovered)
+        again = LeafMap(clock=ManualClock(0.0), rows_per_block=10)
+        assert recover(DiskBackup(backup.directory), again) == 10
+        assert again.snapshot_rows() == recovered.snapshot_rows()
 
     def test_recovery_requires_empty_map(self, backup):
         leafmap = make_map()
@@ -120,14 +146,12 @@ def chunked_log(backup, chunks=20, rows_per_chunk=10):
 
 def decode_everything_then_trim(backup, name):
     """What recovery did before it skipped dead chunks: every chunk
-    decoded, the trailing ``synced - expired`` rows kept, the unapplied
-    intent filtered on top."""
+    decoded, the trailing ``synced - expired`` rows kept."""
     keep = max(0, backup.synced_rows(name) - backup.rows_expired(name))
     with open(backup.table_file(name), "rb") as fh:
         rows = [row for chunk in read_table_chunks(fh) for row in chunk]
     del rows[: max(0, len(rows) - keep)]
-    intent = backup.unapplied_expire_cutoff(name)
-    return [row for row in rows if row.get(TIME_COLUMN, 0) >= intent]
+    return rows
 
 
 def count_decodes(monkeypatch):
@@ -147,7 +171,7 @@ class TestSurvivingTail:
 
     def test_dead_chunks_are_not_decoded(self, backup, monkeypatch):
         chunked_log(backup)
-        backup.record_expiry("events", 0, rows_expired=180)  # two chunks survive
+        backup.record_expiry("events", 180)  # two chunks survive
         calls = count_decodes(monkeypatch)
         rows = surviving_rows(backup, "events")
         assert len(calls) <= 3 and calls == [10, 10]
@@ -158,7 +182,7 @@ class TestSurvivingTail:
         """``keep`` mid-chunk, on a chunk boundary, everything, one row,
         nothing (and an over-count, clamped to nothing)."""
         chunked_log(backup)
-        backup.record_expiry("events", 0, rows_expired=expired)
+        backup.record_expiry("events", expired)
         keep = max(0, 200 - expired)
         chunks, skip = surviving_chunks(backup, "events")
         assert sum(n for n, _ in chunks) - skip == keep
@@ -176,14 +200,14 @@ class TestSurvivingTail:
         chunked_log(backup)
         path = backup.table_file("events")
         path.write_bytes(path.read_bytes()[:-3])
-        backup.record_expiry("events", 0, rows_expired=expired)
+        backup.record_expiry("events", expired)
         rows = surviving_rows(backup, "events")
         assert rows == decode_everything_then_trim(backup, "events")
         assert [row["time"] for row in rows] == list(range(290 - survivors, 290))
 
     def test_crc_damage_in_a_dead_chunk_still_raises(self, backup):
         chunked_log(backup)
-        backup.record_expiry("events", 0, rows_expired=180)
+        backup.record_expiry("events", 180)
         path = backup.table_file("events")
         raw = bytearray(path.read_bytes())
         raw[40] ^= 0xFF  # inside the first chunk's payload
@@ -214,12 +238,10 @@ class TestSurvivingTail:
             surviving_rows(backup, "events")
 
     def test_restart_spanning_log_recovers_the_same_rows(self, tmp_path, clock):
-        """Count trim and an unapplied intent together, on a log two
-        processes wrote."""
+        """The count trim, on a log two processes wrote."""
         backup, leafmap = restart_spanning_chain(tmp_path / "b", clock, tables=("events", "metrics"))
         for name in ("events", "metrics"):
             assert backup.rows_expired(name) == 100
-            assert backup.unapplied_expire_cutoff(name) != 0
             rows = surviving_rows(backup, name)
             assert rows == decode_everything_then_trim(backup, name)
             assert len(rows) == leafmap.get_table(name).row_count
@@ -321,12 +343,12 @@ class TestSnapshots:
         assert not backup.snapshots_ready()
 
     def test_record_expiry_keeps_snapshot_trusted(self, backup):
-        """Expiry is a manifest watermark re-applied after recovery; it
-        must not force a snapshot rewrite."""
+        """Expiry is a manifest count trimmed after recovery; it must not
+        force a snapshot rewrite."""
         leafmap = make_map()
         leafmap.seal_all()
         backup.sync_leafmap(leafmap)
-        backup.record_expiry("events", 110)
+        backup.record_expiry("events", 10)
         assert backup.snapshot_valid("events")
 
     def test_drop_and_wipe_remove_snapshot_files(self, backup):

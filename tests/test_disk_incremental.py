@@ -76,8 +76,8 @@ class TestDeltaChain:
         # the sync point sees expiry outpacing the watermark.
         grow(leafmap, 50, 5000)
         leafmap.seal_all()
-        leafmap.get_table("events").expire_before(10_000)
-        backup.record_expiry("events", 10_000)
+        leafmap.get_table("events").expire(10_000)
+        backup.record_expiry("events", leafmap.get_table("events").total_rows_expired)
         files_before = sorted(backup.snapshot_dir.iterdir())
         backup.sync_leafmap(leafmap)
         chain = backup.snapshot_chain("events")
@@ -111,8 +111,8 @@ class TestDeltaChain:
         start = grow(leafmap, 50, 5000)
         sealed_sync(backup, leafmap)
         # Expire the original three blocks: churn 3/4 > 0.4.
-        leafmap.get_table("events").expire_before(2000)
-        backup.record_expiry("events", 2000)
+        leafmap.get_table("events").expire(2000)
+        backup.record_expiry("events", leafmap.get_table("events").total_rows_expired)
         start = grow(leafmap, 50, start)
         sealed_sync(backup, leafmap)
         assert backup.stats.compactions == 1
@@ -347,7 +347,7 @@ class TestContentKeyedChain:
         assert keys[0] == keys[2] != keys[1]
         backup.sync_leafmap(leafmap)
 
-        table.enforce_size_limit(table.sealed_nbytes - table.blocks[0].nbytes)
+        table.expire(max_bytes=table.sealed_nbytes - table.blocks[0].nbytes)
         table.add_rows(twin)
         manager = DiskBackup(backup.directory, compact_churn=1.0)
         manager.sync_leafmap(leafmap)
@@ -450,7 +450,7 @@ class TestSizeDropReachesTheChain:
         leafmap = make_leafmap(clock)  # three blocks
         sealed_sync(backup, leafmap)
         table = leafmap.get_table("events")
-        dropped = table.enforce_size_limit(table.sealed_nbytes - 1)
+        dropped = table.expire(max_bytes=table.sealed_nbytes - 1)
         assert dropped == 50 and table.block_count == 2
         before = backup.stats.snapshot_bytes_written
         backup.sync_leafmap(leafmap)  # no ingest since the drop
@@ -479,22 +479,21 @@ class TestSizeDropReachesTheChain:
 class TestAppliedCutoffSharesTheSnapshotGeneration:
     """A row synced while still buffered (log only, no snapshot), an
     expiry run that spares it *because* it is buffered, then seal +
-    sync: cutoff and first snapshot link are recorded at one sync
+    sync: the run and the first snapshot link share one sync
     generation, and the link — written after the run — already holds
-    what the run left.  Re-applying the cutoff used to expire the row
-    on the snapshot rung only."""
+    what the run left.  Re-applying a recorded cutoff used to expire the
+    row on the snapshot rung only; a count past the tip's is zero."""
 
     def test_chain_equals_legacy_equals_live(self, backup, clock):
         leafmap = LeafMap(clock=clock, rows_per_block=16)
         table = leafmap.get_or_create("events")
         table.add_rows([{"time": 0, "host": "h0", "value": 0.0}])
         backup.sync_leafmap(leafmap)
-        table.expire_before(1)
-        backup.record_expiry("events", 1, rows_expired=table.total_rows_expired)
+        table.expire(1)
+        backup.record_expiry("events", table.total_rows_expired)
         sealed_sync(backup, leafmap)
         assert table.row_count == 1 and backup.snapshot_valid("events")
         assert backup.sync_generation("events") == 1
-        assert backup.pending_expire_cutoff("events") == 0
 
         live = rows_digest(leafmap.snapshot_rows())
         reopened = DiskBackup(backup.directory)
@@ -505,10 +504,10 @@ class TestAppliedCutoffSharesTheSnapshotGeneration:
         assert rows_digest(chained.snapshot_rows()) == live
         assert rows_digest(legacy.snapshot_rows()) == live
 
-        # A cutoff the live table runs *after* the link is still pending.
-        assert table.expire_before(5) == 1
-        backup.record_expiry("events", 5, rows_expired=table.total_rows_expired)
-        assert backup.pending_expire_cutoff("events") == 5
+        # A run *after* the link is trimmed by its count.
+        assert table.expire(5) == 1
+        backup.record_expiry("events", table.total_rows_expired)
+        assert backup.rows_expired("events") == 1
         chained = LeafMap(clock=clock, rows_per_block=16)
         recover_leafmap_snapshots(DiskBackup(backup.directory), chained)
         assert chained.row_count == leafmap.row_count == 0
@@ -624,8 +623,8 @@ def chained_backup(tmp_path, clock):
     sealed_sync(backup, leafmap)
     grow(leafmap, 60, 5000)
     sealed_sync(backup, leafmap)
-    leafmap.get_table("events").expire_before(1100)  # drops blocks 0..1
-    backup.record_expiry("events", 1100)
+    leafmap.get_table("events").expire(1100)  # drops blocks 0..1
+    backup.record_expiry("events", leafmap.get_table("events").total_rows_expired)
     grow(leafmap, 60, 6000)
     sealed_sync(backup, leafmap)
     chain = backup.snapshot_chain("events")

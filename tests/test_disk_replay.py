@@ -90,11 +90,13 @@ class TestDigestIdentity:
         assert_equivalent(serial, parallel)
 
     def test_cutoff_table_takes_exact_path_and_matches(self, tmp_path, clock):
-        """An expiry cutoff thins the stream mid-chunk: header row counts
-        overstate survivors, so the table must replay exactly."""
-        backup, leafmap = build_backup(tmp_path, clock)
-        leafmap.get_table("events").expire_before(2400)
-        backup.record_expiry("events", 2400)
+        """A manifest from before the expired-row count carries a cutoff,
+        which thins the stream mid-chunk: header row counts overstate
+        survivors, so the table must replay exactly."""
+        backup, _ = build_backup(tmp_path, clock)
+        entry = backup._entry("events")
+        del entry["rows_expired"]
+        entry["expire_before"] = 2400
         serial = serial_recovery(backup, clock)
         assert serial.get_table("events").row_count == 5 * 700 - 1400
         parallel = LeafMap(clock=clock, rows_per_block=64)
@@ -111,8 +113,8 @@ class TestDigestIdentity:
         serial-decode path."""
         backup, leafmap = build_backup(tmp_path, clock)
         table = leafmap.get_table("events")
-        table.expire_before(cutoff)
-        backup.record_expiry("events", cutoff, rows_expired=table.total_rows_expired)
+        table.expire(cutoff)
+        backup.record_expiry("events", table.total_rows_expired)
         assert 0 < table.total_rows_expired < 5 * 700
         serial = serial_recovery(backup, clock)
         assert serial.get_table("events").row_count == 5 * 700 - table.total_rows_expired

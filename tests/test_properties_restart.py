@@ -3,10 +3,11 @@
 Invariant 3 of DESIGN.md: for *any* table contents, heap → shared memory
 → heap and heap → disk → heap reproduce exactly the same rows, in order.
 The incremental-chain property extends it: for any interleaving of
-ingest, seal, expiry, sync, and *restart* — whatever chain of base,
-deltas, manifest-only links, and compactions that produces, written by
-however many processes — recovering through the chain equals recovering
-a fresh full snapshot of the same state.  And the chain is re-joined,
+ingest (late data too), seal, expiry, sync, and *restart* — whatever
+chain of base, deltas, manifest-only links, and compactions that
+produces, written by however many processes — recovering through the
+chain, through a fresh full snapshot of the same state, and through
+legacy replay of the row log all equal the live table.  And the chain is re-joined,
 not rewritten: a restart through any rung that hands back the same
 sealed bytes costs the next sync no block bytes at all.
 """
@@ -21,7 +22,7 @@ from repro.cluster.replication import ReplicaCatalog
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk.backup import DiskBackup, _chain_delta, _live_chain_keys
-from repro.disk.recovery import recover_leafmap_snapshots
+from repro.disk.recovery import recover_leafmap, recover_leafmap_snapshots
 from repro.disk.shmformat import read_table_snapshot
 from repro.server.leaf import LeafServer
 from repro.util.checksum import rows_digest
@@ -107,16 +108,17 @@ class TestRestartEquivalenceProperty:
         assert legacy.snapshot_rows() == snapshot
 
 
-# One workload step: ingest a batch, seal, expire a prefix, take a sync
-# point, ingest the same whole block twice (two blocks with one content
-# key), drop the oldest block by size (perhaps one of two twins), or
-# restart — a trusted sync
-# point, then a new process that rebuilds the table from the chain and
-# carries on under a manager that never wrote it.  Tiny chain thresholds
+# One workload step: ingest a batch, ingest a late batch (rows older than
+# the newest block), seal, expire a prefix, take a sync point, ingest the
+# same whole block twice (two blocks with one content key), drop the
+# oldest block by size (perhaps one of two twins), or restart — a trusted
+# sync point, then a new process that rebuilds the table from the chain
+# and carries on under a manager that never wrote it.  Tiny chain thresholds
 # on the backup force base rewrites, delta appends, and mid-sequence
 # compactions to all occur within a few steps of each other.
 op_strategy = st.one_of(
     st.tuples(st.just("add"), st.integers(min_value=1, max_value=40)),
+    st.tuples(st.just("late"), st.integers(min_value=1, max_value=40)),
     st.just(("seal",)),
     st.just(("sync",)),
     st.tuples(st.just("expire"), st.floats(min_value=0.0, max_value=1.0)),
@@ -148,6 +150,11 @@ class TestIncrementalChainProperty:
     # (still buffered), then the closing seal + sync: the cutoff and the
     # snapshot link share a generation, and the link must win.
     @example(ops=[("add", 1), ("sync",), ("expire", 1.0)])
+    # A late block between two newer ones, expired at a cutoff it alone
+    # is below: the live table keeps all three (the oldest block still
+    # stands before it), and a count trim must not eat the oldest block's
+    # rows in its place.
+    @example(ops=[("add", 16), ("late", 4), ("seal",), ("add", 16), ("expire", 0.25)])
     def test_chain_recovery_equals_fresh_full_snapshot(
         self, ops, tmp_path_factory
     ):
@@ -165,6 +172,8 @@ class TestIncrementalChainProperty:
             if op[0] == "add":
                 table.add_rows(_full_row(t + i) for i in range(op[1]))
                 t += op[1]
+            elif op[0] == "late":
+                table.add_rows(_full_row(t // 4 + i) for i in range(op[1]))
             elif op[0] == "seal":
                 leafmap.seal_all()
             elif op[0] == "sync":
@@ -179,14 +188,8 @@ class TestIncrementalChainProperty:
                 assert first.content_key() == second.content_key()
             elif op[0] == "trim":
                 if table.block_count:
-                    table.enforce_size_limit(
-                        table.sealed_nbytes - table.blocks[0].nbytes
-                    )
-                    # A size drop leaves no cutoff for recovery to
-                    # re-apply, so the snapshot learns of it only with
-                    # the next generation: make sure one follows.
-                    table.add_rows([_full_row(t)])
-                    t += 1
+                    table.expire(max_bytes=table.sealed_nbytes - table.blocks[0].nbytes)
+                    backup.record_expiry("events", table.total_rows_expired)
             elif op[0] == "restart":
                 leafmap.seal_all()
                 backup.sync_leafmap(leafmap)
@@ -202,11 +205,8 @@ class TestIncrementalChainProperty:
                 live = _live_chain_keys(backup.snapshot_chain("events"))
                 assert _chain_delta(live, keys)[0] == len(keys)
             else:
-                cutoff = int(op[1] * t)
-                table.expire_before(cutoff)
-                backup.record_expiry(
-                    "events", cutoff, rows_expired=table.total_rows_expired
-                )
+                table.expire(int(op[1] * t))
+                backup.record_expiry("events", table.total_rows_expired)
         # Close the sequence at a trusted sync point.
         leafmap.seal_all()
         backup.sync_leafmap(leafmap)
@@ -226,6 +226,11 @@ class TestIncrementalChainProperty:
         full = LeafMap(clock=clock, rows_per_block=16)
         recover_leafmap_snapshots(full_backup, full)
         assert rows_digest(full.snapshot_rows()) == expected
+
+        # Legacy replay of the row log trims the same count.
+        legacy = LeafMap(clock=clock, rows_per_block=16)
+        recover_leafmap(DiskBackup(backup.directory), legacy)
+        assert rows_digest(legacy.snapshot_rows()) == expected
 
         # Watermarks restored identically on both routes.
         assert (

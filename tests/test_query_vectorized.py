@@ -1040,7 +1040,7 @@ class TestDecodedColumnCache:
         execute_on_leaf(leafmap, self.query())
         before = len(cache)
         table = leafmap.get_table("service_requests")
-        dropped = table.expire_before(1000 + 2 * ROWS_PER_BLOCK)
+        dropped = table.expire(1000 + 2 * ROWS_PER_BLOCK)
         assert dropped > 0
         assert len(cache) < before
         assert cache.stats().invalidations > 0
@@ -1068,7 +1068,7 @@ class TestDecodedColumnCache:
         leafmap = make_map(cache=cache)
         execute_on_leaf(leafmap, self.query())
         table = leafmap.get_table("service_requests")
-        table.enforce_size_limit(0)
+        table.expire(max_bytes=0)
         # All sealed blocks gone; only buffer-backed entries could
         # remain, and no entries are made for buffer rows.
         assert len(cache) == 0

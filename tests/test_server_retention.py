@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.columnstore.leafmap import LeafMap
+from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk.backup import DiskBackup
+from repro.errors import StateError
 from repro.query.aggregate import merge_leaf_results
 from repro.query.execute import execute_on_leaf
 from repro.query.query import Aggregation, Query
@@ -13,6 +16,7 @@ from repro.server.retention import (
     RetentionEnforcer,
     RetentionPolicy,
 )
+from repro.util.checksum import rows_digest
 
 
 def make_leaf(shm_namespace, tmp_path, clock, leaf_id="0"):
@@ -50,7 +54,7 @@ class TestEnforcement:
         report = enforcer.enforce([leaf])
         assert report.rows_dropped_by_age == 40
         assert leaf.leafmap.row_count == 10
-        assert leaf.backup.expire_cutoff("events") == now - 3600
+        assert leaf.backup.rows_expired("events") == 40
 
     def test_size_limit_drops_oldest(self, shm_namespace, tmp_path, clock):
         leaf = make_leaf(shm_namespace, tmp_path, clock)
@@ -59,9 +63,62 @@ class TestEnforcement:
         table = leaf.leafmap.get_table("big")
         limit = table.sealed_nbytes // 2
         enforcer = RetentionEnforcer({"big": RetentionPolicy(max_bytes_per_leaf=limit)})
+        published = leaf.backup.stats.manifests_published
         report = enforcer.enforce([leaf])
         assert report.rows_dropped_by_size > 0
         assert table.sealed_nbytes <= limit
+        # A size drop is recorded as the same count, in one manifest.
+        assert leaf.backup.rows_expired("big") == report.rows_dropped_by_size
+        assert leaf.backup.stats.manifests_published == published + 1
+
+    def test_age_and_size_drops_are_one_count_every_rung_trims(
+        self, shm_namespace, tmp_path, clock
+    ):
+        """Both limits drop the oldest blocks, so the count recorded for
+        them both is all a disk recovery needs — on either disk rung."""
+        leaf = make_leaf(shm_namespace, tmp_path, clock)
+        now = int(clock.now())
+        leaf.add_rows("events", [{"time": now - 5000 + i} for i in range(40)])
+        leaf.add_rows("events", [{"time": now - 10 + i, "pad": "x" * 40} for i in range(60)])
+        leaf.leafmap.seal_all()
+        leaf.sync_to_disk()
+        table = leaf.leafmap.get_table("events")
+        newest_two = sum(block.nbytes for block in table.blocks[-2:])
+        policy = RetentionPolicy(max_age_seconds=3600, max_bytes_per_leaf=newest_two)
+        report = RetentionEnforcer({"events": policy}).enforce([leaf])
+        assert (report.rows_dropped_by_age, report.rows_dropped_by_size) == (40, 20)
+        assert leaf.backup.rows_expired("events") == 60
+        digest = rows_digest(leaf.leafmap.snapshot_rows())
+        leaf.crash()
+        for snapshot_tier in (True, False):
+            restored = LeafMap(clock=clock, rows_per_block=20)
+            report = RestartEngine(
+                "0",
+                namespace=shm_namespace,
+                backup=DiskBackup(tmp_path / "leaf-0"),
+                clock=clock,
+                disk_snapshot_tier=snapshot_tier,
+            ).restore(restored)
+            assert report.method is (
+                RecoveryMethod.DISK_SNAPSHOT if snapshot_tier else RecoveryMethod.DISK
+            )
+            assert rows_digest(restored.snapshot_rows()) == digest
+
+    def test_enforce_on_a_serving_leaf_is_refused(self, shm_namespace, tmp_path, clock):
+        """The enforcer takes the leaf's own path: a serving restore
+        refuses it under the lock, and :meth:`enforce` counts a skip."""
+        leaf = make_leaf(shm_namespace, tmp_path, clock)
+        now = int(clock.now())
+        leaf.add_rows("events", [{"time": now - 5000 + i} for i in range(40)])
+        leaf.shutdown(use_shm=True)
+        leaf.start(serve_while_restoring=True, sweep=False)
+        enforcer = RetentionEnforcer({"events": RetentionPolicy(max_age_seconds=60)})
+        with pytest.raises(StateError):
+            enforcer.enforce_on_leaf(leaf)
+        assert enforcer.enforce([leaf]).leaves_skipped == 1
+        leaf.wait_restored()
+        assert enforcer.enforce([leaf]).rows_dropped_by_age == 40
+        leaf.crash()
 
     def test_default_policy_applies_to_unlisted_tables(
         self, shm_namespace, tmp_path, clock

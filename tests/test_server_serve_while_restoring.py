@@ -151,18 +151,19 @@ class TestServingWindow:
         )
         assert again.leafmap.row_count == 240
 
-    def test_expiry_allowed_and_reaches_pending_blocks(
-        self, shm_namespace, tmp_path, clock
-    ):
+    def test_expiry_waits_for_alive(self, shm_namespace, tmp_path, clock):
+        """Figure 5 caption: deletions stop once shutdown starts and are
+        made after recovery — a serving leaf refuses them, and the ALIVE
+        leaf then drops the same two oldest blocks."""
         reborn = seeded_down_leaf(shm_namespace, tmp_path, clock)
         reborn.start(serve_while_restoring=True, sweep=False)
-        # Fault in the newest block, leave the old ones pending; then
-        # expire everything older than time 1100 — two pending blocks.
         reborn.query(NARROW_QUERY)
         retention = int(clock.now()) - 1100
-        dropped = reborn.expire(retention)
-        assert dropped == 100
+        with pytest.raises(StateError):
+            reborn.expire(retention)
         reborn.wait_restored()
+        assert reborn.leafmap.row_count == 240
+        assert reborn.expire(retention) == 100
         assert reborn.leafmap.row_count == 140
         table = reborn.leafmap.get_table("events")
         assert table.total_rows_expired == 100
@@ -324,9 +325,10 @@ class TestExpiryAndCacheDuringRestore:
     """Regression: the decoded-column cache vs the fault-in path.
 
     Blocks adopted mid-restore populate the cache as queries decode
-    them; when expiry then drops those blocks — adopted or still
-    pending — the cache must shed their entries and every later answer
-    must match a leaf that did the same thing with a blocking restore.
+    them; when expiry — refused while the restore serves — then drops
+    those blocks, the cache must shed their entries and every later
+    answer must match a leaf that did the same thing with a blocking
+    restore.
     """
 
     def test_seal_lazy_restore_expire_requery_digest(
@@ -357,11 +359,13 @@ class TestExpiryAndCacheDuringRestore:
         )
         assert lazy.query(old_window).rows_matched == 100
         assert len(lazy.column_cache) > 0
-        # ...then expire exactly those blocks out from under the restore.
+        # ...then, once the leaf is ALIVE, expire exactly those blocks.
+        with pytest.raises(StateError):
+            lazy.expire(retention)
+        lazy.wait_restored()
         assert lazy.expire(retention) == 100
         lazy_answer = partial_dict(lazy.query(FULL_QUERY))
         assert lazy_answer == control_answer
-        lazy.wait_restored()
         assert rows_digest(lazy.leafmap.snapshot_rows()) == control_digest
         # And the expired blocks' decodes are gone from the cache.
         assert lazy.column_cache.stats().invalidations > 0

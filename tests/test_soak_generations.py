@@ -59,10 +59,8 @@ class TestManyGenerations:
             if generation >= 2:
                 cutoff = base + (generation - 2) * 100
                 for table in leaf.leafmap:
-                    table.expire_before(cutoff)
-                    leaf.backup.record_expiry(
-                        table.name, cutoff, rows_expired=table.total_rows_expired
-                    )
+                    table.expire(cutoff)
+                    leaf.backup.record_expiry(table.name, table.total_rows_expired)
             leaf.sync_to_disk()
             leaf.shutdown(use_shm=True)
             leaf = LeafServer(

@@ -7,10 +7,14 @@ deflated chunk kind and kept reading the old one.  Each test below plays
 the older build's part — its version numbers written where it wrote
 them — and checks that the new build refuses that rung at its version
 check, not at a decode, and lands on the rung below with the same rows.
+The expiry record changed too (a count alone, no cutoff), but the new
+build reads what the older one wrote, so that row bumps nothing and
+stays on its rung.
 """
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -27,6 +31,7 @@ from repro.columnstore import rbc
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk import backup as backup_module
+from repro.disk.backup import DiskBackup
 from repro.disk.format import CHUNK_MAGIC, DEFLATED_CHUNK_MAGIC
 from repro.disk.replay import replay_leafmap
 from repro.shm import layout
@@ -107,6 +112,39 @@ class TestSnapshotRung:
         assert report.fell_back_to_legacy
         assert f"layout version {OLD_LAYOUT_VERSION}" in report.failure_reason
         assert restored == digest
+
+
+class TestExpiryRecord:
+    @pytest.mark.parametrize("snapshot_tier", [True, False], ids=["snapshot", "legacy"])
+    def test_older_builds_cutoff_fields_restore_the_same_rows(
+        self, shm_namespace, backup, clock, snapshot_tier
+    ):
+        """The older build recorded an expiry run as a cutoff too —
+        ``expire_before``, ``expire_applied`` and ``expire_gen`` next to
+        ``rows_expired``.  This build reads the count and leaves the
+        rest, so the manifest stays readable and no version moves: one
+        whose chain predates its last expiry run restores the same rows
+        on the snapshot rung and on legacy replay."""
+        leafmap, _ = old_leaf(clock, backup)
+        table = leafmap.get_table("events")
+        cutoff = 1000 + 128  # the first two blocks: a prefix, in order
+        assert table.expire(cutoff) == 128
+        backup.record_expiry("events", table.total_rows_expired)
+        path = backup.directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = manifest["events"]
+        entry.update(expire_before=cutoff, expire_applied=cutoff, expire_gen=entry["sync_gen"])
+        path.write_text(json.dumps(manifest))
+        reopened = DiskBackup(backup.directory)
+        assert reopened.snapshots_ready()
+        _, report, restored = restore(
+            shm_namespace, reopened, clock, disk_snapshot_tier=snapshot_tier
+        )
+        assert report.method is (
+            RecoveryMethod.DISK_SNAPSHOT if snapshot_tier else RecoveryMethod.DISK
+        )
+        assert not report.fell_back_to_legacy
+        assert restored == rows_digest(leafmap.snapshot_rows())
 
 
 def write_old_chunk(fh, count: int, payload: bytes) -> int:
