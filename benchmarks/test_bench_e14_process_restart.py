@@ -7,37 +7,39 @@ and the JSON control channel — everything a real deploy pays besides
 the data copy itself.
 
 ``test_upgrade_handoff_old_to_new_process`` is the paper's rollover in
-miniature: the serving process shuts down into shared memory and is
-replaced — in place via ``os.execv`` (same pid, new image) and via the
-supervisor (new pid) — with a new ``--version``, and the data's content
-digest must cross the swap untouched.  Set ``BENCH_E14_JSON`` to a path
-to archive the measurements (CI uploads it as ``BENCH_e14.json``).
+miniature: the one rollover loop shuts the serving process down into
+shared memory, waits for it to die (§4.3's wait-or-kill) and starts a
+new process on a new ``--version``, and the data's content digest must
+cross the swap untouched.  Set ``BENCH_E14_JSON`` to a path to archive
+the measurements (CI uploads it as ``BENCH_e14.json``).
 """
 
 import time
 
 import pytest
 
+from repro.cluster.deploy import ProcessDeployment
+from repro.cluster.rollover import RolloverCoordinator
+from repro.core.engine import RecoveryMethod
 from repro.experiments import write_payload
 from repro.server.process_client import LeafProcess, LeafProcessConfig
 
 N_ROWS = 8_000
 
 
-def config(shm_namespace, tmp_path, leaf_id="b", supervised=False):
+def config(shm_namespace, tmp_path, leaf_id="b"):
     return LeafProcessConfig(
         leaf_id=leaf_id,
         backup_dir=tmp_path / f"leaf-{leaf_id}",
         namespace=shm_namespace,
         rows_per_block=2048,
-        supervised=supervised,
     )
 
 
 @pytest.mark.slow
 def test_process_restart_via_shared_memory(benchmark, shm_namespace, tmp_path, record_result):
     seed = LeafProcess(config(shm_namespace, tmp_path))
-    seed.spawn()
+    seed.start()
     seed.add_rows("events", [{"time": i, "v": float(i % 7)} for i in range(N_ROWS)])
     seed.shutdown(use_shm=True)
 
@@ -46,15 +48,15 @@ def test_process_restart_via_shared_memory(benchmark, shm_namespace, tmp_path, r
 
     def run():
         leaf = LeafProcess(config(shm_namespace, tmp_path))
-        report = leaf.spawn()
-        assert report["method"] == "shared_memory"
-        assert report["rows"] == N_ROWS
+        report = leaf.start()
+        assert report.method is RecoveryMethod.SHARED_MEMORY
+        assert report.rows == N_ROWS
         leaf.shutdown(use_shm=True)  # leave state for the next round
 
     benchmark.pedantic(run, setup=setup, rounds=5)
     # Consume the final generation's segments.
     final = LeafProcess(config(shm_namespace, tmp_path))
-    final.spawn()
+    final.start()
     final.shutdown(use_shm=False)
     record_result("E14", "process restart via shm (incl. spawn)", "seconds at scale",
                   f"{benchmark.stats['mean']:.2f} s wall (scaled)")
@@ -63,17 +65,17 @@ def test_process_restart_via_shared_memory(benchmark, shm_namespace, tmp_path, r
 @pytest.mark.slow
 def test_process_restart_via_disk(benchmark, shm_namespace, tmp_path, record_result):
     seed = LeafProcess(config(shm_namespace, tmp_path, leaf_id="d"))
-    seed.spawn()
+    seed.start()
     seed.add_rows("events", [{"time": i, "v": float(i % 7)} for i in range(N_ROWS)])
     seed.shutdown(use_shm=False)
 
     def run():
         leaf = LeafProcess(config(shm_namespace, tmp_path, leaf_id="d"))
-        report = leaf.spawn()
+        report = leaf.start()
         # A clean shutdown seals and syncs every table, so the disk path
         # now takes the shm-format snapshot tier (E12) by default.
-        assert report["method"] == "disk_snapshot"
-        assert report["rows"] == N_ROWS
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert report.rows == N_ROWS
         leaf.shutdown(use_shm=False)
 
     benchmark.pedantic(run, rounds=5)
@@ -84,51 +86,46 @@ def test_process_restart_via_disk(benchmark, shm_namespace, tmp_path, record_res
 
 @pytest.mark.slow
 def test_upgrade_handoff_old_to_new_process(shm_namespace, tmp_path, record_result):
-    """The real rollover handoff, both mechanisms, checksums matching."""
-    results = {}
-    for mode, supervised, leaf_id in (("execv", False, "x"), ("exit", True, "s")):
-        leaf = LeafProcess(
-            config(shm_namespace, tmp_path, leaf_id=leaf_id, supervised=supervised),
-            request_timeout=60.0,
-        )
-        leaf.spawn()
+    """The real rollover handoff, old process to new, checksums matching."""
+    deployment = ProcessDeployment(
+        tmp_path, n_leaves=1, namespace=shm_namespace, rows_per_block=2048
+    )
+    (leaf,) = deployment.leaves
+    try:
+        leaf.start()
         leaf.add_rows(
             "events", [{"time": i, "v": float(i % 11)} for i in range(N_ROWS)]
         )
         before = leaf.status()
         digest = leaf.digest()
         started = time.perf_counter()
-        handoff = leaf.restart(mode=mode, version="v2")
+        result = RolloverCoordinator([deployment], "v2").run()
         seconds = time.perf_counter() - started
         after = leaf.status()
-        assert handoff["handoff"]["used_shm"] is True
-        assert handoff["start"]["method"] == "shared_memory"
-        assert handoff["start"]["rows"] == N_ROWS
-        assert after["incarnation"] != before["incarnation"]
-        if mode == "execv":
-            assert after["pid"] == before["pid"], "execv keeps the pid"
-        else:
-            assert after["pid"] != before["pid"], "the supervisor respawns"
+        (report,) = result.restart_reports
+        assert report.method is RecoveryMethod.SHARED_MEMORY
+        assert report.rows == N_ROWS
+        assert after["pid"] != before["pid"], "the rollover starts a new process"
         assert after["version"] == "v2"
         assert leaf.digest() == digest, "the upgrade must not change the data"
-        leaf.shutdown(use_shm=False)
-        results[mode] = {
-            "seconds": seconds,
-            "pid_before": before["pid"],
-            "pid_after": after["pid"],
-            "incarnation_changed": True,
-            "version_after": after["version"],
-            "bytes_copied": handoff["handoff"]["bytes_copied"],
-            "digest_matched": True,
-        }
-        record_result(
-            "E14",
-            f"old->new process upgrade handoff ({mode} mode)",
-            "2-3 min slot at scale",
-            f"{seconds:.2f} s wall (scaled), digest matched, "
-            f"pid {before['pid']} -> {after['pid']}",
-        )
-    write_payload({"experiment": "E14", "rows": N_ROWS, "handoffs": results})
+    finally:
+        deployment.stop_all()
+    handoff = {
+        "seconds": seconds,
+        "pid_before": before["pid"],
+        "pid_after": after["pid"],
+        "version_after": after["version"],
+        "rows": report.rows,
+        "digest_matched": True,
+    }
+    record_result(
+        "E14",
+        "old->new process upgrade handoff",
+        "2-3 min slot at scale",
+        f"{seconds:.2f} s wall (scaled), digest matched, "
+        f"pid {before['pid']} -> {after['pid']}",
+    )
+    write_payload({"experiment": "E14", "rows": N_ROWS, "handoffs": {"controller": handoff}})
 
 
 @pytest.mark.slow
@@ -141,9 +138,9 @@ def test_data_copy_dominates_at_scale(benchmark, shm_namespace, tmp_path, record
 
     def run():
         leaf = LeafProcess(config(shm_namespace, tmp_path, leaf_id="o"))
-        report = leaf.spawn()  # empty leaf: pure process overhead
+        report = leaf.start()  # empty leaf: pure process overhead
         leaf.shutdown(use_shm=False)
-        return report["seconds"]
+        return report.duration_seconds
 
     benchmark(run)
     record_result("E14", "pure process overhead (empty leaf)", "n/a",

@@ -76,16 +76,9 @@ def main() -> None:
 
         print("\n== meanwhile, ops upgrades the Scuba cluster itself ==")
         coordinator = RolloverCoordinator(
-            cluster, new_version="v2", batch_fraction=0.25, use_shm=True
+            cluster.machines, new_version="v2", batch_fraction=0.25, use_shm=True
         )
-        batch_number = 0
-        while True:
-            batch = coordinator.select_batch()
-            if not batch:
-                break
-            batch_number += 1
-            for leaf in batch:
-                leaf.shutdown(use_shm=True)
+        for batch_number, batch in enumerate(coordinator.batches(), start=1):
             # Queries DURING the batch: partial coverage, spike still visible.
             detected = check_for_spike(
                 cluster, f"mid-rollover batch {batch_number} "
@@ -107,9 +100,6 @@ def main() -> None:
                 * 50,
                 batch_rows=10,
             )
-            for leaf in batch:
-                leaf.version = "v2"
-                leaf.start()
 
         print("\n== rollover finished ==")
         assert all(leaf.version == "v2" for leaf in cluster.leaves)

@@ -20,6 +20,7 @@ import uuid
 from repro import Aggregation, Query
 from repro.cluster.deploy import ProcessDeployment
 from repro.cluster.monitor import RolloverMonitor, format_progress
+from repro.cluster.rollover import RolloverCoordinator
 from repro.query.render import render_timeseries
 from repro.shm.inspect import format_leaf_info, inspect_leaf
 from repro.workloads import service_requests
@@ -42,7 +43,7 @@ def main() -> None:
         )
         try:
             for report in deployment.start_all():
-                print(f"  leaf up via {report['method']}")
+                print(f"  leaf up via {report.method.value}")
             deployment.ingest(
                 "service_requests", list(service_requests(12_000)), batch_rows=1000
             )
@@ -60,15 +61,16 @@ def main() -> None:
             info = inspect_leaf(NAMESPACE, "0")
             print(format_leaf_info(info))
             assert info.recoverable
-            deployment.leaves[0].spawn()
+            deployment.leaves[0].start()
 
             print("\n== full rolling upgrade v1 -> v2, one leaf at a time ==")
-            result = deployment.rolling_upgrade("v2", batch_fraction=1 / N_LEAVES)
+            # The workers share this host: the rollover sees one machine.
+            result = RolloverCoordinator([deployment], "v2").run()
             monitor = RolloverMonitor(result.dashboard, stall_seconds=300)
             print(format_progress(monitor.progress()))
-            print(f"  clean shutdowns: {result.clean_shutdowns}, "
-                  f"killed: {result.killed}, recovered via: {result.recovered_via}")
-            assert result.recovered_via == {"shared_memory": N_LEAVES}
+            print(f"  stragglers: {result.stragglers}, "
+                  f"recovered via: {result.by_rung}")
+            assert result.by_rung == {"shared_memory": N_LEAVES}
 
             print("\n== the same time series after the upgrade ==")
             after = deployment.query(SERIES_QUERY)

@@ -48,12 +48,12 @@ def main() -> None:
         print("\n== rollover v1 -> v2 via SHARED MEMORY, 2 leaves at a time ==")
         t0 = time.perf_counter()
         result = RolloverCoordinator(
-            cluster, new_version="v2", batch_fraction=2 / 24, use_shm=True
+            cluster.machines, new_version="v2", batch_fraction=2 / 24, use_shm=True
         ).run()
         shm_wall = time.perf_counter() - t0
         print(f"{result.leaves_restarted} leaves in {result.batches} batches, "
               f"{shm_wall:.2f}s wall, min availability "
-              f"{result.min_availability:.1%}")
+              f"{result.min_availability:.1%}, back via {result.by_rung}")
         print(render_dashboard(result.dashboard, width=48, max_rows=8))
 
         assert snapshot_dashboards(cluster) == before, "data changed across upgrade!"
@@ -62,7 +62,7 @@ def main() -> None:
         print("\n== rollover v2 -> v3 via DISK RECOVERY (the old way) ==")
         t0 = time.perf_counter()
         result = RolloverCoordinator(
-            cluster, new_version="v3", batch_fraction=2 / 24, use_shm=False
+            cluster.machines, new_version="v3", batch_fraction=2 / 24, use_shm=False
         ).run()
         disk_wall = time.perf_counter() - t0
         print(f"{result.leaves_restarted} leaves in {result.batches} batches, "

@@ -9,7 +9,7 @@ many servers run the old version, are mid-rollover, and run the new one
 from repro.cluster.canary import CanaryDeployment, CanaryResult
 from repro.cluster.cluster import Cluster
 from repro.cluster.dashboard import Dashboard, DashboardSample, render_dashboard
-from repro.cluster.deploy import ProcessDeployment, ProcessRolloverResult
+from repro.cluster.deploy import ProcessDeployment
 from repro.cluster.monitor import RolloverMonitor, RolloverProgress, format_progress
 from repro.cluster.replication import (
     ReplicaBlockServer,
@@ -30,7 +30,6 @@ __all__ = [
     "Dashboard",
     "DashboardSample",
     "ProcessDeployment",
-    "ProcessRolloverResult",
     "RolloverCoordinator",
     "RolloverMonitor",
     "RolloverProgress",

@@ -5,11 +5,12 @@ software builds on a handful of machines, which we could not do if it
 took longer.  We can add more logging, test bug fixes, and try new
 software designs — and then revert the changes if we wish."
 
-:class:`CanaryDeployment` upgrades the leaves of a few machines to an
+:class:`CanaryDeployment` rolls the leaves of a few machines over to an
 experimental version through shared memory, runs caller-supplied
 validation against the mixed-version cluster, and either promotes the
-build to the whole fleet or reverts the canaries — each transition being
-just another fast restart, which is why the workflow is viable at all.
+build to the other machines or reverts the canaries — each transition
+just another :class:`~repro.cluster.rollover.RolloverCoordinator` run,
+which is why the workflow is viable at all.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.rollover import RolloverCoordinator
 from repro.errors import StateError
 from repro.server.machine import Machine
 
@@ -65,20 +67,11 @@ class CanaryDeployment:
         self.baseline_version = versions.pop()
         self._deployed = False
 
-    def _restart_machine_to(self, machine: Machine, version: str) -> None:
-        """Restart a machine's leaves one at a time through shared
-        memory (the §4.2 one-leaf-per-machine rule)."""
-        for leaf in machine.leaves:
-            leaf.shutdown(use_shm=True)
-            leaf.version = version
-            leaf.start()
-
     def deploy(self) -> None:
         """Put the experimental build on the canary machines."""
         if self._deployed:
             raise StateError("canary is already deployed")
-        for machine in self._canaries:
-            self._restart_machine_to(machine, self.experimental_version)
+        RolloverCoordinator(self._canaries, self.experimental_version).run()
         self._deployed = True
 
     def evaluate(
@@ -106,14 +99,11 @@ class CanaryDeployment:
             else:
                 result.validations_failed += 1
         if result.healthy and promote_on_success:
-            for machine in self.cluster.machines:
-                if machine in self._canaries:
-                    continue
-                self._restart_machine_to(machine, self.experimental_version)
+            others = [m for m in self.cluster.machines if m not in self._canaries]
+            RolloverCoordinator(others, self.experimental_version).run()
             result.outcome = "promoted"
         else:
-            for machine in self._canaries:
-                self._restart_machine_to(machine, self.baseline_version)
+            RolloverCoordinator(self._canaries, self.baseline_version).run()
             result.outcome = "reverted"
         self._deployed = False
         return result

@@ -1,145 +1,214 @@
-"""Rolling cluster restarts (paper, Sections 1, 4.5 and 6).
+"""Rolling upgrades (paper, Sections 4.3, 4.5 and 6).
 
 "To maintain high availability of data without replication, we typically
 restart only 2% of Scuba servers at a time" — with the additional rule
 that at most one leaf per machine restarts at once, so every restarting
 leaf gets its machine's full disk (or memory) bandwidth.
 
-:class:`RolloverCoordinator` drives a real in-process cluster through a
-version upgrade.  Wall-clock timings of these scaled-down rollovers feed
-the measured side of experiments E1/E3; the full-scale timings come from
-:mod:`repro.sim`, which replays the same policy against the paper's
-hardware profile.
+:class:`RolloverCoordinator` is the one deploy loop.  It walks *members*
+grouped by machine, where a member is an in-process
+:class:`~repro.server.leaf.LeafServer` or a worker process
+(:class:`~repro.server.process_client.LeafProcess`): each batch is shut
+down — §4.3's deadline turns an overrun into a kill, and a kill only
+into a straggler — then relabelled with the new version and started.  A
+:class:`~repro.cluster.cluster.Cluster` hands in its machines, a
+:class:`~repro.cluster.deploy.ProcessDeployment` itself as one machine
+(its workers share one host), and a canary the machines it runs on.
+The full-scale timings of the same policy come from :mod:`repro.sim`,
+which takes its batch size from :func:`batch_size`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator, Protocol, Sequence
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.dashboard import Dashboard
-from repro.core.engine import RestartReport
-from repro.core.watchdog import CooperativeDeadline
-from repro.server.leaf import LeafServer, LeafStatus
+from repro.core.engine import RecoveryMethod, RestartReport
+from repro.core.watchdog import DEFAULT_SHUTDOWN_DEADLINE_SECONDS
+from repro.errors import StateError
+from repro.util.clock import Clock
 
 #: Paper: "we typically restart only 2% of the servers at a time".
 DEFAULT_BATCH_FRACTION = 0.02
 
 
+def batch_size(members: int, fraction: float) -> int:
+    """How many of ``members`` one batch restarts: ``fraction`` of them
+    rounded down, but at least one.  The 1e-9 keeps a product that float
+    error puts just below a whole number (100 × 0.29) on it."""
+    if not 0 < fraction <= 1:
+        raise ValueError("batch fraction must be in (0, 1]")
+    return max(1, math.floor(members * fraction + 1e-9))
+
+
+class Member(Protocol):
+    """A leaf as the rollover sees it, in process or in its own process."""
+
+    version: str
+
+    @property
+    def accepts_queries(self) -> bool: ...
+
+    def shutdown(self, use_shm: bool, deadline_seconds: float | None) -> object: ...
+
+    def start(self) -> RestartReport: ...
+
+
+class Host(Protocol):
+    """A machine: members sharing one box's bandwidth, and its clock."""
+
+    clock: Clock
+
+    @property
+    def leaves(self) -> Sequence[Member]: ...
+
+
 @dataclass
 class RolloverResult:
-    """Summary of one completed rollover."""
+    """Summary of one completed rollover, read from its start reports."""
 
     new_version: str
     use_shm: bool
-    leaves_restarted: int = 0
     batches: int = 0
-    stragglers: int = 0  # shm copies that failed; recovered from disk
     wall_seconds: float = 0.0
     dashboard: Dashboard = field(default_factory=Dashboard)
+    #: Every member's start report, in restart order.
     restart_reports: list[RestartReport] = field(default_factory=list)
-    min_availability: float = 1.0
+
+    @property
+    def leaves_restarted(self) -> int:
+        return len(self.restart_reports)
+
+    @property
+    def by_rung(self) -> dict[str, int]:
+        """Recovery method → leaves that came back on it."""
+        return dict(Counter(report.method.value for report in self.restart_reports))
+
+    @property
+    def falls(self) -> dict[str, int]:
+        """Fall reason → how often a rung fell for it."""
+        return dict(
+            Counter(
+                event.reason
+                for report in self.restart_reports
+                for event in report.events
+                if event.kind == "fall"
+            )
+        )
+
+    @property
+    def stragglers(self) -> int:
+        """Leaves an shm rollover restarted that did not land on shared
+        memory: killed at the deadline, failed copies, crashed leaves."""
+        if not self.use_shm:
+            return 0
+        return self.leaves_restarted - self.by_rung.get(
+            RecoveryMethod.SHARED_MEMORY.value, 0
+        )
+
+    @property
+    def min_availability(self) -> float:
+        return self.dashboard.min_availability
 
 
 class RolloverCoordinator:
-    """Upgrades every leaf of a cluster to a new binary version."""
+    """Upgrades every member of ``machines`` to ``new_version``."""
 
     def __init__(
         self,
-        cluster: Cluster,
+        machines: Sequence[Host],
         new_version: str,
         batch_fraction: float = DEFAULT_BATCH_FRACTION,
         use_shm: bool = True,
-        shutdown_deadline_seconds: float | None = None,
+        shutdown_deadline_seconds: float | None = DEFAULT_SHUTDOWN_DEADLINE_SECONDS,
     ) -> None:
-        if not 0 < batch_fraction <= 1:
-            raise ValueError("batch fraction must be in (0, 1]")
-        self.cluster = cluster
+        if not machines:
+            raise ValueError("a rollover needs at least one machine")
+        self.machines = [list(machine.leaves) for machine in machines]
+        self.clock = machines[0].clock
         self.new_version = new_version
-        self.batch_fraction = batch_fraction
+        self.batch_size = batch_size(sum(map(len, self.machines)), batch_fraction)
         self.use_shm = use_shm
-        #: Optional §4.3 deadline applied to each shm shutdown.  A copy
-        #: that overruns (or fails for any reason) is treated like a
-        #: kill: the leaf comes back from disk and the rollover goes on.
+        #: §4.3: a shutdown still running after this is killed, and the
+        #: member comes back from disk; ``None`` waits for ever.
         self.shutdown_deadline_seconds = shutdown_deadline_seconds
+        self.result = RolloverResult(new_version=new_version, use_shm=use_shm)
 
-    @property
-    def batch_size(self) -> int:
-        return max(1, math.ceil(len(self.cluster.leaves) * self.batch_fraction))
+    def select_batch(self) -> list[Member]:
+        """The next members to restart.
 
-    def select_batch(self) -> list[LeafServer]:
-        """The next leaves to restart.
-
-        At most ``batch_size`` leaves still on the old version, at most
-        one per machine — the rule that multiplies effective recovery
-        bandwidth by the number of leaves per machine (Sections 2, 6).
+        At most ``batch_size`` members still on the old version, at most
+        one per machine, and none from a machine with a member in flight
+        (down on the new version) — the rule that multiplies effective
+        recovery bandwidth by the leaves per machine (Sections 2, 6).  A
+        member that is already down goes before its serving siblings.
         """
-        batch: list[LeafServer] = []
-        for machine in self.cluster.machines:
-            if len(batch) >= self.batch_size:
+        batch: list[Member] = []
+        for members in self.machines:
+            if len(batch) == self.batch_size:
                 break
-            if machine.restarting_leaves:
-                continue  # this machine is already busy
-            for leaf in machine.leaves:
-                if leaf.version != self.new_version and leaf.is_alive:
-                    batch.append(leaf)
-                    break
+            pending = [m for m in members if m.version != self.new_version]
+            in_flight = any(
+                not m.accepts_queries for m in members if m.version == self.new_version
+            )
+            if pending and not in_flight:
+                batch.append(min(pending, key=lambda m: m.accepts_queries))
         return batch
 
-    def _sample(self, dashboard: Dashboard) -> None:
-        old = 0
-        rolling = 0
-        new = 0
-        for leaf in self.cluster.leaves:
-            if leaf.status in (LeafStatus.DOWN, LeafStatus.SHUTTING_DOWN) or (
-                not leaf.is_alive
-            ):
-                rolling += 1
-            elif leaf.version == self.new_version:
-                new += 1
-            else:
-                old += 1
-        dashboard.record(
-            self.cluster.clock.now(), old, rolling, new, self.cluster.availability
-        )
+    def batches(self) -> Iterator[list[Member]]:
+        """Run the rollover, yielding each batch while it is down — so a
+        caller can query or ingest around it — and filling ``result``."""
+        result = self.result
+        started = self.clock.now()
+        self._sample()
+        while batch := self.select_batch():
+            result.batches += 1
+            # The batch is on distinct machines: its shutdowns overlap in
+            # production; here they run back to back, which keeps the
+            # dashboard's shape (the sim models true concurrency).
+            for member in batch:
+                if not member.accepts_queries:
+                    continue  # already down: started below, no shutdown
+                try:
+                    member.shutdown(
+                        use_shm=self.use_shm,
+                        deadline_seconds=self.shutdown_deadline_seconds,
+                    )
+                except Exception:
+                    pass  # the deploy script's kill: the start uses disk
+            self._sample()
+            yield batch
+            for member in batch:
+                member.version = self.new_version
+                result.restart_reports.append(member.start())
+            self._sample()
+        result.wall_seconds = self.clock.now() - started
+        stuck = sum(m.version != self.new_version for ms in self.machines for m in ms)
+        if stuck:
+            raise StateError(
+                f"rollover to {self.new_version} stalled with {stuck} "
+                "member(s) behind: their machine has a member down on it"
+            )
 
     def run(self) -> RolloverResult:
         """Perform the full rollover, one batch at a time."""
-        result = RolloverResult(new_version=self.new_version, use_shm=self.use_shm)
-        start = self.cluster.clock.now()
-        self._sample(result.dashboard)
-        while True:
-            batch = self.select_batch()
-            if not batch:
-                break
-            result.batches += 1
-            # Shut the whole batch down (each on a distinct machine),
-            # then restart each — the shutdowns overlap in production;
-            # in-process we do them back to back, which preserves the
-            # dashboard's shape (the sim layer models true concurrency).
-            for leaf in batch:
-                deadline = None
-                if self.use_shm and self.shutdown_deadline_seconds is not None:
-                    deadline = CooperativeDeadline(
-                        self.shutdown_deadline_seconds, clock=self.cluster.clock
-                    )
-                try:
-                    report = leaf.shutdown(use_shm=self.use_shm, deadline=deadline)
-                except Exception:
-                    # The deploy script's kill: heap is gone, valid bit
-                    # unset; the replacement restarts from disk below.
-                    result.stragglers += 1
-                    report = None
-                if report is not None:
-                    result.restart_reports.append(report)
-            self._sample(result.dashboard)
-            for leaf in batch:
-                leaf.version = self.new_version
-                report = leaf.start()
-                result.restart_reports.append(report)
-                result.leaves_restarted += 1
-            self._sample(result.dashboard)
-        result.wall_seconds = self.cluster.clock.now() - start
-        result.min_availability = result.dashboard.min_availability
-        return result
+        for _ in self.batches():
+            pass
+        return self.result
+
+    def _sample(self) -> None:
+        members = [m for ms in self.machines for m in ms]
+        rolling = sum(not m.accepts_queries for m in members)
+        new = sum(
+            m.accepts_queries and m.version == self.new_version for m in members
+        )
+        self.result.dashboard.record(
+            self.clock.now(),
+            len(members) - rolling - new,
+            rolling,
+            new,
+            1.0 - rolling / len(members),
+        )

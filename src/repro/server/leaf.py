@@ -310,15 +310,22 @@ class LeafServer:
     def shutdown(
         self,
         use_shm: bool = True,
-        deadline: CooperativeDeadline | None = None,
+        deadline_seconds: float | None = None,
     ) -> RestartReport | None:
         """Clean shutdown: stop new work, flush, and (optionally) copy
         everything to shared memory.
 
         With ``use_shm=False`` the leaf only flushes its backup — the
         pre-paper behaviour whose restart pays the full disk recovery.
-        Returns the backup report (None for the disk-only path).
+        A copy still running ``deadline_seconds`` (on the leaf's clock)
+        after the call is aborted, as §4.3's kill would.  Returns the
+        backup report (None for the disk-only path).
         """
+        deadline = (
+            CooperativeDeadline(deadline_seconds, clock=self.clock)
+            if deadline_seconds is not None
+            else None
+        )
         # A shutdown issued mid-serve-while-restoring first drains the
         # restore (outside the lock — the sweep thread needs it).
         with self._lock:

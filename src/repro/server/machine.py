@@ -5,8 +5,8 @@ execution [...] More importantly for recovery, eight servers mean that we
 can restart the servers one at a time, while the other seven servers
 continue to execute queries."  (paper, Section 2)
 
-The machine is the unit at which the rollover coordinator enforces "at
-most one leaf per machine restarting", at which the simulator models
+The machine is the unit at which the rollover enforces "at most one leaf
+per machine restarting", at which the simulator models
 disk and memory bandwidth contention, and at which a *planned machine
 event* — kernel upgrade, host move, power-down — restarts every leaf
 together.  Doing those sequentially would multiply the 3–4 s per-leaf
@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.engine import RestartReport
-from repro.core.watchdog import CooperativeDeadline
 from repro.disk.backup import DiskBackup
 from repro.server.aggregator import Aggregator
 from repro.server.leaf import DEFAULT_CAPACITY_BYTES, LeafServer
@@ -192,15 +191,11 @@ class Machine:
         contract is per leaf ("we kill the leaf server if it has not shut
         down after 3 minutes"), not per machine."""
 
-        def one(leaf: LeafServer) -> RestartReport | None:
-            deadline = (
-                CooperativeDeadline(timeout=deadline_seconds, clock=leaf.clock)
-                if deadline_seconds is not None
-                else None
-            )
-            return leaf.shutdown(use_shm=use_shm, deadline=deadline)
-
-        return self._each_leaf(one, workers, budget)
+        return self._each_leaf(
+            lambda leaf: leaf.shutdown(use_shm=use_shm, deadline_seconds=deadline_seconds),
+            workers,
+            budget,
+        )
 
     def _start_phase(self, memory_recovery_enabled, serve_while_restoring, workers, budget):
         return self._each_leaf(
@@ -282,11 +277,6 @@ class Machine:
         if budget is not None:
             report.peak_in_flight_bytes = budget.peak_in_flight
         return report
-
-    @property
-    def restarting_leaves(self) -> list[LeafServer]:
-        """Leaves currently not alive (the rollover safety check)."""
-        return [leaf for leaf in self.leaves if not leaf.is_alive]
 
     @property
     def nbytes(self) -> int:

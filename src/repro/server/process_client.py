@@ -4,7 +4,9 @@
 JSON-line protocol, and implements the deploy script's shutdown loop
 (paper, §4.3): send the shutdown command, wait for the process to die,
 kill it if it overruns the deadline — in which case the valid bit was
-never set and the replacement restarts from disk.
+never set and the replacement restarts from disk.  Its ``version``,
+``accepts_queries``, ``shutdown`` and ``start`` are the rollover's member
+protocol, the same as :class:`~repro.server.leaf.LeafServer`'s.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.engine import RestartEvent, RestartReport
 from repro.core.watchdog import DEFAULT_SHUTDOWN_DEADLINE_SECONDS, wait_or_kill
 from repro.errors import ReproError
 from repro.query.aggregate import partial_from_wire
@@ -31,15 +34,7 @@ class LeafProcessError(ReproError):
 
 @dataclass
 class LeafProcessConfig:
-    """Everything needed to (re)spawn one leaf worker.
-
-    With ``supervised=True`` the spawn goes through
-    :mod:`repro.server.supervisor`: the worker runs as the supervisor's
-    child (inheriting its stdio, so this controller's pipes survive
-    respawns) and a restart request — exit code 75 or a
-    ``restart.requested`` file in the backup dir — replaces it with a
-    genuinely new process, optionally under a new version.
-    """
+    """Everything needed to (re)spawn one leaf worker."""
 
     leaf_id: str
     backup_dir: str | Path
@@ -47,10 +42,12 @@ class LeafProcessConfig:
     version: str = "v1"
     rows_per_block: int | None = None
     capacity_bytes: int = 64 << 20
-    supervised: bool = False
 
-    def worker_args(self) -> list[str]:
+    def argv(self) -> list[str]:
         args = [
+            sys.executable,
+            "-m",
+            "repro.server.process_worker",
             "--leaf-id",
             str(self.leaf_id),
             "--backup-dir",
@@ -65,24 +62,6 @@ class LeafProcessConfig:
         if self.rows_per_block is not None:
             args += ["--rows-per-block", str(self.rows_per_block)]
         return args
-
-    def argv(self) -> list[str]:
-        if self.supervised:
-            return [
-                sys.executable,
-                "-m",
-                "repro.server.supervisor",
-                "--restart-dir",
-                str(self.backup_dir),
-                "--",
-                *self.worker_args(),
-            ]
-        return [
-            sys.executable,
-            "-m",
-            "repro.server.process_worker",
-            *self.worker_args(),
-        ]
 
 
 class LeafProcess:
@@ -109,14 +88,21 @@ class LeafProcess:
         """A running worker answers queries (the aggregator's gate)."""
         return self.running
 
-    def spawn(self, memory_recovery_enabled: bool = True) -> dict:
-        """Start the worker process and have it recover its data.
+    @property
+    def version(self) -> str:
+        """The binary version this worker runs — or will, once started."""
+        return self.config.version
 
-        Returns the start report: ``{"method": "shared_memory"|"disk",
-        "rows": ..., "seconds": ..., "timeline": [RestartEvent._asdict()]}``.
-        """
+    @version.setter
+    def version(self, version: str) -> None:
+        self.config.version = version
+
+    def start(self) -> RestartReport:
+        """Start the worker process and have it recover its data; returns
+        its restart report, rebuilt from the reply's timeline."""
         if self.running:
             raise LeafProcessError(f"leaf {self.config.leaf_id} is already running")
+        self.kill()  # reap a worker that died on its own
         self._proc = subprocess.Popen(
             self.config.argv(),
             stdin=subprocess.PIPE,
@@ -125,17 +111,21 @@ class LeafProcess:
             text=True,
         )
         self._unread = b""
-        return self.request(
-            {"op": "start", "memory_recovery_enabled": memory_recovery_enabled}
+        reply = self.request({"op": "start"})
+        return RestartReport(
+            events=[RestartEvent(**event) for event in reply["timeline"]],
+            tables=reply["tables"],
+            rows=reply["rows"],
         )
 
     def shutdown(
         self,
         use_shm: bool = True,
-        deadline_seconds: float = DEFAULT_SHUTDOWN_DEADLINE_SECONDS,
+        deadline_seconds: float | None = DEFAULT_SHUTDOWN_DEADLINE_SECONDS,
     ) -> bool:
         """The §4.3 deploy loop: ask for a clean shutdown, wait, kill on
-        overrun.  Returns True if the process exited on its own."""
+        overrun (``None`` waits for ever).  Returns True if the process
+        exited on its own."""
         if not self.running:
             raise LeafProcessError(f"leaf {self.config.leaf_id} is not running")
         assert self._proc is not None and self._proc.stdin is not None
@@ -147,38 +137,6 @@ class LeafProcess:
         self._drain()
         self._proc = None
         return clean
-
-    def restart(
-        self,
-        mode: str = "execv",
-        version: str | None = None,
-        use_shm: bool = True,
-        memory_recovery_enabled: bool = True,
-    ) -> dict:
-        """The in-place upgrade handoff: shm shutdown, process swap,
-        recover on the same pipes.
-
-        ``mode="execv"`` re-execs the worker in place (same pid, new
-        image); ``mode="exit"`` has it exit 75 for the supervisor to
-        respawn (new pid) — which requires ``supervised=True``.  Either
-        way this controller's stdin/stdout survive, so the method simply
-        sends ``restart``, then ``start``s the successor and returns its
-        report.  ``version`` relabels the successor — the upgrade.
-        """
-        if mode == "exit" and not self.config.supervised:
-            raise LeafProcessError(
-                "restart mode 'exit' needs a supervisor to respawn the "
-                "worker (spawn with supervised=True)"
-            )
-        payload: dict = {"op": "restart", "mode": mode, "use_shm": use_shm}
-        if version is not None:
-            payload["version"] = version
-            self.config.version = version  # future respawns keep it
-        handoff = self.request(payload)
-        start = self.request(
-            {"op": "start", "memory_recovery_enabled": memory_recovery_enabled}
-        )
-        return {"handoff": handoff, "start": start}
 
     def kill(self) -> None:
         """Simulate a hard crash: SIGKILL, no shutdown protocol."""

@@ -17,23 +17,17 @@ Requests::
     {"op": "sync"}
     {"op": "expire", "retention_seconds": 86400}
     {"op": "shutdown", "use_shm": true}        # replies, then exits 0
-    {"op": "restart", "mode": "execv", "version": "v2"}  # shm handoff, then
-                                               # re-exec (or exit 75 for the
-                                               # supervisor, mode "exit")
     {"op": "crash"}                            # exits 70 without replying
     {"op": "hang"}                             # stops reading (watchdog test)
 
 Responses: ``{"ok": true, ...}`` or ``{"ok": false, "error": "..."}``.
 
-``status`` reports the process's ``pid`` and a random per-image
-``incarnation`` token, so a controller can prove a restart really
-replaced the process image: after ``restart`` the incarnation always
-changes, and in supervised mode the pid does too.
+``status`` reports the process's ``pid``, so a controller can see that
+an upgrade really replaced the process.
 
 A malformed request gets an error response; an unexpected internal error
 also gets an error response (the worker keeps serving) — only
-``shutdown``/``restart``/``crash`` end the process (``restart`` with
-mode ``execv`` "ends" it by replacing the image in place).
+``shutdown``/``crash`` end the process.
 """
 
 from __future__ import annotations
@@ -43,31 +37,17 @@ import json
 import os
 import sys
 import time
-import uuid
 
 from repro.disk.backup import DiskBackup
 from repro.query.aggregate import partial_to_wire
 from repro.query.query import Query
 from repro.server.leaf import LeafServer
-from repro.server.restart_manager import (
-    RESTART_EXIT_CODE,
-    reexec_worker,
-    request_restart,
-    rewrite_version,
-)
 from repro.util.checksum import rows_digest
-
-#: Regenerated every time this module is (re)imported — i.e. once per
-#: process image.  Survives nothing: not fork alone (same import), but
-#: any exec or fresh spawn gets a new one, which is exactly the "is this
-#: really a new process image?" witness the restart protocol needs.
-_INCARNATION = uuid.uuid4().hex[:12]
 
 
 def _handle(leaf: LeafServer, request: dict) -> dict:
     op = request.get("op")
     if op == "start":
-        started = time.perf_counter()
         report = leaf.start(
             memory_recovery_enabled=request.get("memory_recovery_enabled", True)
         )
@@ -76,7 +56,6 @@ def _handle(leaf: LeafServer, request: dict) -> dict:
             "method": report.method.value,
             "rows": report.rows,
             "tables": report.tables,
-            "seconds": time.perf_counter() - started,
             "timeline": [event._asdict() for event in report.events],
         }
     if op == "status":
@@ -88,7 +67,6 @@ def _handle(leaf: LeafServer, request: dict) -> dict:
             "used_bytes": leaf.used_bytes,
             "free_memory": leaf.free_memory,
             "pid": os.getpid(),
-            "incarnation": _INCARNATION,
         }
     if op == "digest":
         snapshot = leaf.leafmap.snapshot_rows()
@@ -115,20 +93,10 @@ def _handle(leaf: LeafServer, request: dict) -> dict:
     raise ValueError(f"unknown op {op!r}")
 
 
-def serve(leaf: LeafServer, stdin=None, stdout=None, reexec=None) -> int:
-    """Serve requests until shutdown/restart/crash/EOF; returns the exit
-    code.
-
-    ``reexec``, when given, is a ``f(version_or_none)`` that replaces
-    this process image in place (``os.execv``); ``main`` wires it to
-    :func:`~repro.server.restart_manager.reexec_worker`.  Without it a
-    ``restart`` request in execv mode degrades to the exit-code path,
-    which keeps the in-process tests exec-free.
-    """
+def serve(leaf: LeafServer, stdin=None, stdout=None) -> int:
+    """Serve requests until shutdown/crash/EOF; returns the exit code."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
-    # readline, not file iteration: iteration may read ahead, and any
-    # buffered-but-unserved request would be lost across an execv.
     for line in iter(stdin.readline, ""):
         line = line.strip()
         if not line:
@@ -155,35 +123,6 @@ def serve(leaf: LeafServer, stdin=None, stdout=None, reexec=None) -> int:
             except Exception as exc:  # failed copy == dirty death
                 _reply(stdout, {"ok": False, "error": str(exc)})
                 return 1
-        if op == "restart":
-            # The rollover handoff: shared-memory shutdown, then either
-            # replace this image in place (execv: same pid, new image,
-            # pipes survive) or exit RESTART_EXIT_CODE for the
-            # supervisor to respawn (new pid, optionally new version).
-            mode = request.get("mode", "execv")
-            version = request.get("version")
-            try:
-                report = leaf.shutdown(use_shm=request.get("use_shm", True))
-            except Exception as exc:
-                _reply(stdout, {"ok": False, "error": str(exc)})
-                return 1
-            _reply(
-                stdout,
-                {
-                    "ok": True,
-                    "mode": mode,
-                    "used_shm": report is not None,
-                    "bytes_copied": report.bytes_copied if report else 0,
-                    "pid": os.getpid(),
-                    "incarnation": _INCARNATION,
-                },
-            )
-            if mode == "execv" and reexec is not None:
-                reexec(version)  # never returns in production
-            if mode != "execv" and version is not None:
-                # Tell the supervisor which version to respawn as.
-                request_restart(leaf.backup.directory, version=version)
-            return RESTART_EXIT_CODE
         if op == "crash":
             return 70  # die without replying, heap evaporates
         if op == "hang":
@@ -209,8 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--version", default="v1")
     parser.add_argument("--rows-per-block", type=int, default=None)
     parser.add_argument("--capacity-bytes", type=int, default=64 << 20)
-    raw_args = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(raw_args)
+    args = parser.parse_args(argv)
     leaf = LeafServer(
         args.leaf_id,
         backup=DiskBackup(args.backup_dir),
@@ -219,14 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         rows_per_block=args.rows_per_block,
         version=args.version,
     )
-
-    def reexec(version: str | None) -> None:
-        worker_args = raw_args
-        if version is not None:
-            worker_args = rewrite_version(worker_args, version)
-        reexec_worker(worker_args)
-
-    return serve(leaf, reexec=reexec)
+    return serve(leaf)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Policy, per the paper:
 
 - at most ``batch_fraction`` (default 2%) of all leaves restarting at any
-  instant,
+  instant, rounded down as the in-process rollover rounds it
+  (:func:`repro.cluster.rollover.batch_size`),
 - at most one leaf per machine restarting at a time (each restarting
   leaf gets the machine's full disk/memory bandwidth),
 - a restart *slot* is the leaf's offline window plus the coordinator's
@@ -20,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.cluster.dashboard import Dashboard
+from repro.cluster.rollover import batch_size as rollover_batch_size
 from repro.sim.events import EventQueue
 from repro.sim.hardware import HardwareProfile
 
@@ -70,13 +72,11 @@ def simulate_rollover(
     """
     if strategy not in ("shm", "disk"):
         raise ValueError(f"unknown rollover strategy '{strategy}'")
-    if not 0 < batch_fraction <= 1:
-        raise ValueError("batch fraction must be in (0, 1]")
     if not 0 <= shm_failure_rate <= 1:
         raise ValueError("shm failure rate must be a fraction")
     leaves_per_machine = profile.leaves_per_machine
     total_leaves = n_machines * leaves_per_machine
-    batch_size = max(1, round(total_leaves * batch_fraction))
+    batch_size = rollover_batch_size(total_leaves, batch_fraction)
 
     if strategy == "disk":
         offline = profile.disk_restart_seconds(concurrent_on_machine=1)

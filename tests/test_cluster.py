@@ -6,9 +6,12 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.dashboard import Dashboard, render_dashboard
-from repro.cluster.rollover import RolloverCoordinator
+from repro.cluster.rollover import RolloverCoordinator, batch_size
+from repro.core.engine import RecoveryMethod
+from repro.errors import StateError
 from repro.query.query import Aggregation, Query
 from repro.server.aggregator import Aggregator
+from repro.server.leaf import LeafStatus
 from tests.crashpoints import Recorder
 
 
@@ -97,16 +100,36 @@ class TestRollover:
         ingest_some(cluster)
         cluster.sync_all()
         result = RolloverCoordinator(
-            cluster, new_version="v2", batch_fraction=0.2, use_shm=True
+            cluster.machines, new_version="v2", batch_fraction=0.2, use_shm=True
         ).run()
         assert result.leaves_restarted == 6
         assert all(leaf.version == "v2" for leaf in cluster.leaves)
         assert cluster.query(COUNT).rows[0].values["count(*)"] == 1200
+        assert result.by_rung == {"shared_memory": 6}
+        assert result.stragglers == 0 and result.falls == {}
+
+    def test_crashed_leaf_is_upgraded_with_its_siblings(
+        self, shm_namespace, tmp_path, clock
+    ):
+        """A leaf found crashed is started on the new version without a
+        shutdown, from its disk rung, and its machine's healthy leaves
+        still roll over: all six end ALIVE on v2."""
+        cluster = make_cluster(shm_namespace, tmp_path, clock, n_machines=2, leaves=3)
+        ingest_some(cluster)
+        cluster.sync_all()
+        victim = cluster.machines[0].leaves[1]
+        victim.crash()
+        result = RolloverCoordinator(cluster.machines, new_version="v2").run()
+        rung = victim.last_restart_report.method
+        assert rung in (RecoveryMethod.DISK_SNAPSHOT, RecoveryMethod.DISK)
+        assert result.by_rung == {"shared_memory": 5, rung.value: 1}
+        assert result.stragglers == 1
+        assert max(s.rolling_over for s in result.dashboard.samples) == 1
         assert all(
-            report.method.value == "shared_memory"
-            for report in result.restart_reports
-            if report.leaf_states and report.leaf_states[0] == "init"
+            leaf.status is LeafStatus.ALIVE and leaf.version == "v2"
+            for leaf in cluster.leaves
         )
+        assert cluster.query(COUNT).rows[0].values["count(*)"] == 1200
 
     def test_disk_rollover_also_preserves_synced_data(
         self, shm_namespace, tmp_path, clock
@@ -115,22 +138,40 @@ class TestRollover:
         ingest_some(cluster)
         cluster.sync_all()
         RolloverCoordinator(
-            cluster, new_version="v2", batch_fraction=0.2, use_shm=False
+            cluster.machines, new_version="v2", batch_fraction=0.2, use_shm=False
         ).run()
         assert cluster.query(COUNT).rows[0].values["count(*)"] == 1200
+
+    def test_member_down_on_the_new_version_holds_its_machine(
+        self, shm_namespace, tmp_path, clock
+    ):
+        """A member down on the new version is in flight: its machine's
+        old members wait, and the rollover says so rather than return."""
+        cluster = make_cluster(shm_namespace, tmp_path, clock, n_machines=2, leaves=2)
+        held, other = cluster.machines
+        held.leaves[0].crash()
+        held.leaves[0].version = "v2"
+        with pytest.raises(StateError, match="stalled with 1 member"):
+            RolloverCoordinator(cluster.machines, new_version="v2").run()
+        assert held.leaves[1].version == "v1" and held.leaves[1].accepts_queries
+        assert all(leaf.version == "v2" for leaf in other.leaves)
 
     def test_at_most_one_leaf_per_machine_restarts(
         self, shm_namespace, tmp_path, clock
     ):
         cluster = make_cluster(shm_namespace, tmp_path, clock, n_machines=2, leaves=4)
-        coordinator = RolloverCoordinator(cluster, new_version="v2", batch_fraction=0.9)
+        coordinator = RolloverCoordinator(
+            cluster.machines, new_version="v2", batch_fraction=0.9
+        )
         batch = coordinator.select_batch()
         machines = [cluster.machine_of(leaf).machine_id for leaf in batch]
         assert len(machines) == len(set(machines))  # invariant 7
 
     def test_batch_size_respects_fraction(self, shm_namespace, tmp_path, clock):
         cluster = make_cluster(shm_namespace, tmp_path, clock, n_machines=5, leaves=2)
-        coordinator = RolloverCoordinator(cluster, new_version="v2", batch_fraction=0.2)
+        coordinator = RolloverCoordinator(
+            cluster.machines, new_version="v2", batch_fraction=0.2
+        )
         assert coordinator.batch_size == 2
         assert len(coordinator.select_batch()) <= 2
 
@@ -140,7 +181,7 @@ class TestRollover:
         cluster = make_cluster(shm_namespace, tmp_path, clock, n_machines=5, leaves=2)
         ingest_some(cluster, 500)
         result = RolloverCoordinator(
-            cluster, new_version="v2", batch_fraction=0.2
+            cluster.machines, new_version="v2", batch_fraction=0.2
         ).run()
         floor = 1 - 0.2 - 1e-9
         assert result.min_availability >= floor
@@ -149,7 +190,30 @@ class TestRollover:
     def test_bad_fraction_rejected(self, shm_namespace, tmp_path, clock):
         cluster = make_cluster(shm_namespace, tmp_path, clock)
         with pytest.raises(ValueError):
-            RolloverCoordinator(cluster, "v2", batch_fraction=0.0)
+            RolloverCoordinator(cluster.machines, "v2", batch_fraction=0.0)
+
+
+class TestBatchSize:
+    #: Every batch fraction the suite and the examples roll over with.
+    FRACTIONS = (0.02, 0.05, 0.1, 0.2, 0.25, 0.29, 0.34, 0.5, 0.9, 1 / 3, 2 / 24, 1.0)
+
+    def test_a_batch_never_exceeds_its_fraction(self):
+        for n in range(1, 65):
+            for fraction in self.FRACTIONS:
+                size = batch_size(n, fraction)
+                assert 1 <= size <= max(1, n * fraction) + 1e-9, (n, fraction)
+                assert size == 1 or size + 1 > n * fraction, (n, fraction)
+
+    def test_float_error_does_not_lose_a_member(self):
+        assert batch_size(100, 0.29) == 29  # 100 * 0.29 == 28.999…
+        assert batch_size(3, 0.34) == 1
+        assert batch_size(240, 0.02) == 4
+        assert batch_size(800, 0.02) == 16
+
+    def test_bad_fraction_rejected(self):
+        for fraction in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError):
+                batch_size(10, fraction)
 
 
 class TestDashboard:
@@ -207,9 +271,11 @@ class TestRolloverStragglers:
         )
 
         result = RolloverCoordinator(
-            cluster, new_version="v2", batch_fraction=0.5, use_shm=True
+            cluster.machines, new_version="v2", batch_fraction=0.5, use_shm=True
         ).run()
         assert result.stragglers == 1
+        assert result.by_rung[victim.last_restart_report.method.value] == 1
+        assert result.by_rung["shared_memory"] == 5
         assert all(leaf.version == "v2" for leaf in cluster.leaves)
         assert cluster.query(COUNT).rows[0].values["count(*)"] == 600
         # The victim's shutdown synced (and snapshotted) before the copy

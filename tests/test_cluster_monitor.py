@@ -108,7 +108,7 @@ class TestFormatting:
         )
         cluster.start_all()
         cluster.ingest("t", [{"time": i} for i in range(200)], batch_rows=50)
-        result = RolloverCoordinator(cluster, "v2", batch_fraction=0.5).run()
+        result = RolloverCoordinator(cluster.machines, "v2", batch_fraction=0.5).run()
         progress = RolloverMonitor(result.dashboard).progress()
         assert progress.fraction_done == 1.0
         assert not progress.stalled

@@ -39,7 +39,7 @@ class TestFullStory:
             for name, scenario in SCENARIOS.items()
         }
         result = RolloverCoordinator(
-            cluster, new_version="v2", batch_fraction=0.2, use_shm=True
+            cluster.machines, new_version="v2", batch_fraction=0.2, use_shm=True
         ).run()
         assert result.leaves_restarted == 6
         after = {
@@ -58,22 +58,15 @@ class TestFullStory:
         populate_cluster(cluster, rows_per_scenario=200, scenarios=["requests"])
         cluster.sync_all()
         coordinator = RolloverCoordinator(
-            cluster, new_version="v2", batch_fraction=0.2, use_shm=True
+            cluster.machines, new_version="v2", batch_fraction=0.2, use_shm=True
         )
         table = SCENARIOS["requests"].table
         extra = 0
-        while True:
-            batch = coordinator.select_batch()
-            if not batch:
-                break
-            for leaf in batch:
-                leaf.shutdown(use_shm=True)
+        for _ in coordinator.batches():
             # Mid-batch: some leaves are down; ingest must still work.
             rows = [{"time": 2_000_000_000 + extra + i, "endpoint": "/mid"} for i in range(50)]
             extra += cluster.ingest(table, rows, batch_rows=10)
-            for leaf in batch:
-                leaf.version = "v2"
-                leaf.start()
+        assert coordinator.result.leaves_restarted == 6
         assert extra > 0
         count = cluster.query(
             Query(table, aggregations=(Aggregation("count"),))
@@ -116,7 +109,7 @@ class TestFullStory:
         first = [(r.group, r.values) for r in cluster.query(query).rows]
         for version in ("v2", "v3"):
             RolloverCoordinator(
-                cluster, new_version=version, batch_fraction=0.5, use_shm=True
+                cluster.machines, new_version=version, batch_fraction=0.5, use_shm=True
             ).run()
         third = [(r.group, r.values) for r in cluster.query(query).rows]
         assert first == third

@@ -84,10 +84,11 @@ class TestDeployEdges:
 
     def test_bad_batch_fraction(self, shm_namespace, tmp_path):
         from repro.cluster.deploy import ProcessDeployment
+        from repro.cluster.rollover import RolloverCoordinator
 
         deployment = ProcessDeployment(tmp_path, 1, namespace=shm_namespace)
         with pytest.raises(ValueError):
-            deployment.rolling_upgrade("v2", batch_fraction=0)
+            RolloverCoordinator([deployment], "v2", batch_fraction=0)
 
 
 class TestDashboardEdges:

@@ -5,12 +5,7 @@ import json
 
 from repro.disk.backup import DiskBackup
 from repro.server.leaf import LeafServer
-from repro.server.process_worker import _INCARNATION, serve
-from repro.server.restart_manager import (
-    RESTART_EXIT_CODE,
-    check_restart,
-    read_restart_version,
-)
+from repro.server.process_worker import serve
 from repro.util.checksum import rows_digest
 
 
@@ -147,15 +142,12 @@ class TestServeLoop:
         assert not responses[1]["ok"] and "SchemaError" in responses[1]["error"]
         assert responses[2]["ok"]
 
-    def test_status_reports_pid_and_incarnation(
-        self, shm_namespace, tmp_path, clock
-    ):
+    def test_status_reports_the_pid(self, shm_namespace, tmp_path, clock):
         import os
 
         leaf = make_leaf(shm_namespace, tmp_path, clock)
         code, responses = run_ops(leaf, [{"op": "start"}, {"op": "status"}])
         assert responses[1]["pid"] == os.getpid()
-        assert responses[1]["incarnation"] == _INCARNATION
 
     def test_digest_matches_snapshot_hash(self, shm_namespace, tmp_path, clock):
         leaf = make_leaf(shm_namespace, tmp_path, clock)
@@ -171,64 +163,6 @@ class TestServeLoop:
         digest = responses[-1]
         assert digest["rows"] == 2
         assert digest["digest"] == rows_digest(leaf.leafmap.snapshot_rows())
-
-    def test_restart_replies_then_exits_with_restart_code(
-        self, shm_namespace, tmp_path, clock
-    ):
-        """``restart`` without a reexec hook degrades to the exit-code
-        path: shm handoff done, reply sent, RESTART_EXIT_CODE returned
-        for the supervisor."""
-        leaf = make_leaf(shm_namespace, tmp_path, clock)
-        code, responses = run_ops(
-            leaf,
-            [
-                {"op": "start"},
-                {"op": "add_rows", "table": "t", "rows": [{"time": 1}]},
-                {"op": "restart", "mode": "exit"},
-                {"op": "status"},  # never processed: serve returned
-            ],
-        )
-        assert code == RESTART_EXIT_CODE
-        assert len(responses) == 3
-        handoff = responses[-1]
-        assert handoff["ok"] and handoff["used_shm"] is True
-        assert handoff["incarnation"] == _INCARNATION
-        leaf.engine.discard_shm()
-
-    def test_restart_exit_mode_records_the_version_request(
-        self, shm_namespace, tmp_path, clock
-    ):
-        leaf = make_leaf(shm_namespace, tmp_path, clock)
-        code, responses = run_ops(
-            leaf,
-            [
-                {"op": "start"},
-                {"op": "restart", "mode": "exit", "version": "v4",
-                 "use_shm": False},
-            ],
-        )
-        assert code == RESTART_EXIT_CODE
-        assert check_restart(leaf.backup.directory)
-        assert read_restart_version(leaf.backup.directory) == "v4"
-
-    def test_restart_execv_mode_calls_the_reexec_hook(
-        self, shm_namespace, tmp_path, clock
-    ):
-        leaf = make_leaf(shm_namespace, tmp_path, clock)
-        calls = []
-        stdin = io.StringIO(
-            json.dumps({"op": "start"}) + "\n"
-            + json.dumps({"op": "restart", "mode": "execv", "version": "v2",
-                          "use_shm": False}) + "\n"
-        )
-        stdout = io.StringIO()
-        code = serve(leaf, stdin=stdin, stdout=stdout, reexec=calls.append)
-        assert calls == ["v2"]
-        # The real hook never returns (os.execv); the stub does, and the
-        # worker then falls through to the supervisor exit path.
-        assert code == RESTART_EXIT_CODE
-        # execv mode does not need the request file: the pipes survive.
-        assert not check_restart(leaf.backup.directory)
 
     def test_blank_lines_skipped(self, shm_namespace, tmp_path, clock):
         leaf = make_leaf(shm_namespace, tmp_path, clock)

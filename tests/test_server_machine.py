@@ -22,16 +22,16 @@ class TestMachine:
         )
         assert [leaf.leaf_id for leaf in machine.leaves] == ["7.0", "7.1"]
 
-    def test_start_all_and_restarting_leaves(self, shm_namespace, tmp_path, clock):
+    def test_start_all_brings_every_leaf_up(self, shm_namespace, tmp_path, clock):
         machine = Machine(
             "m1", tmp_path, leaves_per_machine=2, namespace=shm_namespace,
             clock=clock, rows_per_block=32,
         )
-        assert len(machine.restarting_leaves) == 2  # INIT state
+        assert not any(leaf.accepts_queries for leaf in machine.leaves)  # INIT
         machine.start_all()
-        assert machine.restarting_leaves == []
+        assert all(leaf.accepts_queries for leaf in machine.leaves)
         machine.leaves[0].crash()
-        assert machine.restarting_leaves == [machine.leaves[0]]
+        assert [leaf.accepts_queries for leaf in machine.leaves] == [False, True]
 
     def test_nbytes_aggregates(self, shm_namespace, tmp_path, clock):
         machine = Machine(
