@@ -5,11 +5,10 @@ local disk: a sibling leaf on another machine that holds the same
 sealed, compressed blocks.  This module is that wire path:
 
 - :class:`ReplicaBlockServer` — a replica exposes its sealed blocks
-  over a tiny framed TCP protocol.  Blocks are served in RBC wire
-  format straight from the table (``to_encoded(copy=False)`` buffers
-  behind :func:`~repro.shm.layout.packed_block_chunks`) — the replica
-  never re-encodes, and the payload is byte-identical to
-  :meth:`RowBlock.pack`.
+  over a tiny framed TCP protocol.  A BLOCK frame sends the block's own
+  chunks (:meth:`RowBlock.packed_chunks`: its packed preamble, then its
+  RBC buffers as the table holds them) — the replica never re-encodes,
+  and the payload is byte-identical to :meth:`RowBlock.pack`.
 - :class:`ReplicaFetchSession` — the restarting side: N concurrent
   connections pinned to one server-side session (a consistent snapshot
   of the replica's sealed blocks), so a pipelined multi-stream fetch
@@ -55,9 +54,8 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Callable
 
-from repro.columnstore.rowblock import RowBlock
+from repro.columnstore.rowblock import RowBlock, TimeRange
 from repro.errors import ReplicaWireError, StateError
-from repro.shm.layout import packed_block_chunks, packed_block_size
 
 if TYPE_CHECKING:
     from repro.columnstore.leafmap import LeafMap
@@ -163,7 +161,7 @@ def _raise_on_error(kind: int, payload: bytes, expected: int) -> None:
 
 
 @dataclass(frozen=True)
-class WireBlock:
+class WireBlock(TimeRange):
     """One sealed block as described by a session catalog."""
 
     table: str
@@ -173,13 +171,6 @@ class WireBlock:
     min_time: int
     max_time: int
     columns: tuple[str, ...]
-
-    def overlaps(self, start_time: int | None, end_time: int | None) -> bool:
-        if start_time is not None and self.max_time < start_time:
-            return False
-        if end_time is not None and self.min_time >= end_time:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -224,7 +215,7 @@ def _catalog_payload(token: str, tables: TableSnapshot) -> bytes:
                 "rows_expired": expired,
                 "blocks": [
                     [
-                        packed_block_size(block),
+                        len(block.packed_preamble()) + block.nbytes,
                         block.row_count,
                         block.min_time,
                         block.max_time,
@@ -388,7 +379,7 @@ class ReplicaBlockServer:
                 conn, FRAME_ERROR, f"no block {table}[{index}]".encode()
             )
             return
-        chunks = packed_block_chunks(entry[0][index])
+        chunks = entry[0][index].packed_chunks()
         send_frame(conn, FRAME_BLOCK, *chunks)
         with self._lock:
             self.blocks_served += 1

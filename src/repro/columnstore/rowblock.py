@@ -8,8 +8,10 @@ In heap format the RBC buffers are separate allocations referenced by a
 vector (one level of indirection).  ``pack``/``unpack`` convert to and from
 the *contiguous* layout of Figure 4, where the header, schema, column
 offset table, and all RBC payloads occupy a single buffer — the form used
-inside shared memory segments and by the shm-format disk files of
-experiment E12.
+inside shared memory segments, by the shm-format disk files of experiment
+E12 and on the replica wire.  This module is where that layout is encoded
+(:meth:`RowBlock.packed_preamble`) and where its header is checked
+(:func:`read_packed_header`).
 
 Live ingest and legacy replay both seal through
 :meth:`RowBlock.from_columns`; :meth:`RowBlock.from_rows`, the same seal
@@ -55,7 +57,9 @@ _BLOCK_UIDS = itertools.count(1)
 
 class TimeRange:
     """Min/max-timestamp pruning, for anything with ``min_time`` and
-    ``max_time``: a sealed row block, and the write buffer's view."""
+    ``max_time``: a sealed row block, the write buffer's view, and a
+    restore directory's entries (a segment's extents, a wire catalog's
+    blocks)."""
 
     min_time: int
     max_time: int
@@ -177,7 +181,7 @@ class RowBlock(TimeRange):
             raise SchemaError(f"row block has no column '{name}'") from None
 
     def rbc_buffers(self) -> Iterable[tuple[str, bytes]]:
-        """(name, buffer) pairs in schema order — the shutdown copy loop."""
+        """(name, buffer) pairs in schema order — the packed layout's RBC order."""
         for name in self.schema.names:
             yield name, self._rbcs[name]
 
@@ -264,74 +268,64 @@ class RowBlock(TimeRange):
     # Contiguous (shared memory / new disk) layout
     # ------------------------------------------------------------------
 
-    def pack(self) -> bytes:
-        """Serialize to the contiguous Figure-4 layout.
+    def packed_preamble(self) -> bytes:
+        """The bytes of the contiguous Figure-4 layout before the RBCs:
+        ``header | schema | column offset table``.
 
-        ``header | schema | column offset table | RBC0 .. RBCk`` — the
-        offset table replaces the heap's per-column pointer vector, which
-        is the "one level of indirection" the shared memory layout loses.
+        The header's size field and the offset table already count the
+        block's RBCs, which follow in schema order (:meth:`packed_chunks`).
+        The offset table replaces the heap's per-column pointer vector,
+        which is the "one level of indirection" the shared memory layout
+        loses.  This is the only encoder of the layout: the shm copy-out,
+        the snapshot file and the replica wire all start from it.
         """
         writer = BufferWriter()
-        writer.write_bytes(b"\x00" * PACK_HEADER.size)  # patched below
         self.schema.serialize(writer)
         names = self.schema.names
         writer.write_varint(len(names))
-        offset_slots = [writer.reserve_u64() for _ in names]
-        for slot, name in zip(offset_slots, names):
-            writer.patch_u64(slot, writer.offset)
-            writer.write_bytes(self._rbcs[name])
-        buf = bytearray(writer.getvalue())
-        PACK_HEADER.pack_into(
-            buf,
-            0,
+        cursor = PACK_HEADER.size + writer.offset + 8 * len(names)
+        for name in names:
+            writer.write_u64(cursor)
+            cursor += len(self._rbcs[name])
+        header = PACK_HEADER.pack(
             ROWBLOCK_MAGIC,
             ROWBLOCK_VERSION,
             0,
-            len(buf),
+            cursor,
             self.row_count,
             self.min_time,
             self.max_time,
             self.created_at,
         )
-        return bytes(buf)
+        return header + writer.getvalue()
+
+    def packed_chunks(self) -> list[bytes]:
+        """:meth:`pack` as chunks: the preamble, then the block's own RBC
+        buffers — no payload byte is copied to build them."""
+        return [self.packed_preamble(), *(self._rbcs[name] for name in self.schema.names)]
+
+    def pack(self) -> bytes:
+        """Serialize to the contiguous Figure-4 layout:
+        ``header | schema | column offset table | RBC0 .. RBCk``."""
+        return b"".join(self.packed_chunks())
 
     @classmethod
-    def unpack(cls, buf: bytes | memoryview, copy: bool = True) -> "RowBlock":
+    def unpack(cls, buf: bytes | memoryview) -> "RowBlock":
         """Parse a contiguous row block back into heap format.
 
         This is the restore hot path, so it stays deliberately thin: each
         RBC is located from its header's size field and materialized with
         **one bulk ``bytes()``** — no intermediate
         :class:`~repro.columnstore.rbc.RowBlockColumn` is constructed and
-        no section is re-copied.  Structural and checksum validation is
-        the job of :meth:`verify` (the restart engine calls it on every
-        restored block) and of the decoders at query time.
-
-        With ``copy=False`` the column buffers are ``memoryview`` slices
-        over ``buf`` — a zero-copy *attach* rather than a materialization.
-        The caller then owns the lifetime problem: the views (and any
-        block built from them) die with the underlying buffer, so this
-        form is for transient reads (inspection, re-serialization) — not
-        for blocks that must outlive a shared memory segment.
+        no section is re-copied, so the block owns its bytes and outlives
+        the buffer it came from (a segment, a file, a frame).  Structural
+        and checksum validation is the job of :meth:`verify` (the restart
+        engine calls it on every restored block) and of the decoders at
+        query time.
         """
-        if len(buf) < PACK_HEADER.size:
-            raise CorruptionError("packed row block shorter than its header")
         view = memoryview(buf)
-        magic, version, _, total, row_count, min_time, max_time, created_at = (
-            PACK_HEADER.unpack(view[: PACK_HEADER.size])
-        )
-        if magic != ROWBLOCK_MAGIC:
-            raise CorruptionError(f"bad row block magic 0x{magic:08x}")
-        if version != ROWBLOCK_VERSION:
-            raise LayoutVersionError(
-                f"row block layout version {version} not readable by this build"
-            )
-        if total != len(view):
-            raise CorruptionError(
-                f"packed row block claims {total} bytes but buffer holds {len(view)}"
-            )
-        reader = BufferReader(view, offset=PACK_HEADER.size)
-        schema = Schema.deserialize(reader)
+        row_count, min_time, max_time, created_at, schema, reader = read_packed_header(view)
+        total = len(view)
         n_columns = reader.read_varint()
         if n_columns != len(schema):
             raise CorruptionError(
@@ -348,6 +342,41 @@ class RowBlock(TimeRange):
                     f"column '{name}' extent {offset}+{size} overruns the "
                     f"{total}-byte packed row block"
                 )
-            sliced = view[offset : offset + size]
-            rbcs[name] = bytes(sliced) if copy else sliced
+            rbcs[name] = bytes(view[offset : offset + size])
         return cls(schema, rbcs, row_count, min_time, max_time, created_at)
+
+
+def read_packed_header(
+    view: memoryview,
+) -> tuple[int, int, int, float, Schema, BufferReader]:
+    """Check a packed row block's header against its extent and parse
+    its schema: the one reader of ``PACK_HEADER``.
+
+    ``view`` spans exactly one packed block — its extent in a segment or
+    a snapshot body, or a BLOCK frame's payload.  Returns the header's
+    row count, min/max timestamps and creation time, the schema, and a
+    reader positioned at the column offset table.  A short view, a bad
+    magic or a size field that disagrees with the extent raises
+    :class:`CorruptionError`; another layout version raises
+    :class:`LayoutVersionError`.
+    """
+    if len(view) < PACK_HEADER.size:
+        raise CorruptionError(
+            f"packed row block extent of {len(view)} bytes is shorter than its header"
+        )
+    magic, version, _, total, row_count, min_time, max_time, created_at = (
+        PACK_HEADER.unpack_from(view)
+    )
+    if magic != ROWBLOCK_MAGIC:
+        raise CorruptionError(f"bad row block magic 0x{magic:08x}")
+    if version != ROWBLOCK_VERSION:
+        raise LayoutVersionError(
+            f"row block layout version {version}; this build reads {ROWBLOCK_VERSION}"
+        )
+    if total != len(view):
+        raise CorruptionError(
+            f"packed row block claims {total} bytes; its extent holds {len(view)}"
+        )
+    reader = BufferReader(view, offset=PACK_HEADER.size)
+    schema = Schema.deserialize(reader)
+    return row_count, min_time, max_time, created_at, schema, reader

@@ -65,6 +65,8 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from repro.columnstore.leafmap import LeafMap
+from repro.core.lazyrestore import LazyRestore
+from repro.core.replicarestore import ReplicaRestore
 from repro.core.states import (
     LeafBackupMachine,
     LeafBackupState,
@@ -631,9 +633,6 @@ class RestartEngine:
         what the report must say (``lazy``, the MEMORY_SERVING state);
         the driver, its source and every side effect are the same.
         """
-        from repro.core.lazyrestore import LazyRestore
-        from repro.core.replicarestore import ReplicaRestore
-
         if len(leafmap):
             raise RecoveryError("restore requires an empty leaf map")
         # A leaf restarting after a crash may hand over a fresh leaf map
@@ -699,8 +698,6 @@ class RestartEngine:
         if _RUNG_OF.get(report.leaf_states[-1]) is RecoveryMethod.SHARED_MEMORY:
             session = self._open_replica_session(report)
             if session is not None:
-                from repro.core.replicarestore import ReplicaRestore
-
                 # The same wire driver that serves, drained where it
                 # stands on this ladder's report; a fault inside it
                 # walks the disk rungs below by itself.

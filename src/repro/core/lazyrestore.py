@@ -55,15 +55,18 @@ import traceback
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
-from repro.core.engine import RestartEngine, RestartReport
 from repro.core.states import LeafRestoreState, TableRestoreMachine, TableRestoreState
 from repro.shm.layout import BlockExtent, read_block_headers
 from repro.shm.metadata import LeafMetadata
 from repro.shm.segment import ShmSegment
+
+if TYPE_CHECKING:
+    # Annotations only: the engine imports this module at its top.
+    from repro.core.engine import RestartEngine, RestartReport
 
 
 @dataclass(frozen=True)
@@ -353,7 +356,7 @@ class RestoreDriver:
             held = len(payload)
             self._budget.acquire(held)
         try:
-            block = RowBlock.unpack(payload, copy=True)
+            block = RowBlock.unpack(payload)
             block.verify()
         finally:
             del payload  # a live slice would pin the source's mapping

@@ -6,7 +6,10 @@ memory format described in this paper as the disk format, instead."
 
 This module implements that future-work plan: a table is written to disk
 as exactly the contiguous buffer that would go into its shared memory
-segment (header, schema, column offset table, raw RBC payloads).
+segment (header, schema, column offset table, raw RBC payloads).  The
+body is written from the same image the shm copy-out writes
+(:func:`~repro.shm.layout.table_segment_image`, then each block's own
+RBCs), chunk by chunk, so no whole table is ever joined in memory.
 Recovery is then a read plus per-column buffer copies — no row-by-row
 re-translation — and experiment E12 measures the speedup.
 
@@ -46,8 +49,7 @@ from pathlib import Path
 
 from repro.columnstore.rowblock import RowBlock
 from repro.errors import CorruptionError, LayoutVersionError
-from repro.shm.layout import read_segment_header  # format reuse, not shm I/O
-from repro.util.binary import BufferWriter
+from repro.shm.layout import read_segment_header, table_segment_image  # format reuse, not shm I/O
 from repro.util.checksum import crc32_of, verify_crc32
 
 SHMDISK_MAGIC = 0x4644_4D53  # "SMDF"
@@ -120,18 +122,6 @@ def fsync_directory(directory: str | Path) -> None:
         os.close(fd)
 
 
-def _pack_table(table_name: str, blocks: list[RowBlock]) -> bytes:
-    """The segment-content bytes for a table (same shape as Figure 4)."""
-    from repro.shm.layout import _segment_preamble  # shared, format-defining
-
-    preamble, _, __ = _segment_preamble(table_name, blocks)
-    writer = BufferWriter()
-    writer.write_bytes(preamble)
-    for block in blocks:
-        writer.write_bytes(block.pack())
-    return writer.getvalue()
-
-
 def write_table_shm_format(
     directory: str | Path,
     table_name: str,
@@ -160,7 +150,11 @@ def write_table_shm_format(
     directory.mkdir(parents=True, exist_ok=True)
     if rows_ingested is None:
         rows_ingested = rows_expired + sum(block.row_count for block in blocks)
-    body = _pack_table(table_name, blocks)
+    image = table_segment_image(table_name, blocks)
+    body = [image.preamble]
+    for block, block_preamble in zip(blocks, image.block_preambles):
+        body.append(block_preamble)
+        body.extend(buf for _, buf in block.rbc_buffers())
     path = directory / (filename or snapshot_filename(table_name))
     tmp = path.with_suffix(".tmp")
     with open(tmp, "wb") as fh:
@@ -169,14 +163,14 @@ def write_table_shm_format(
                 SHMDISK_MAGIC,
                 SHMDISK_FORMAT_VERSION,
                 flags,
-                crc32_of(body),
-                len(body),
+                crc32_of(*body),
+                image.size,
                 generation,
                 rows_ingested,
                 rows_expired,
             )
         )
-        fh.write(body)
+        fh.writelines(body)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

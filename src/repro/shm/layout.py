@@ -15,6 +15,15 @@ indirection relative to the heap layout::
     u64 block size    x n
     packed row blocks, back to back (RowBlock.pack layout)
 
+:func:`table_segment_image` is the one encoder of this layout: it returns
+the segment preamble and each block's packed preamble
+(:meth:`RowBlock.packed_preamble`), and the RBCs follow from the blocks
+themselves.  The shm copy-out here and the snapshot file of
+:mod:`repro.disk.shmformat` both write that image, so a snapshot body is
+byte for byte the used bytes of a segment.  Reading goes through
+:func:`read_segment_header` and, per block,
+:func:`~repro.columnstore.rowblock.read_packed_header`.
+
 Writing is *streamed one row block column at a time* so the shutdown path
 can free each heap RBC right after copying it (paper, Section 4.4) — the
 :class:`TableSegmentWriter` yields a :class:`CopyEvent` per RBC and the
@@ -25,15 +34,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from repro.columnstore.rowblock import (
-    PACK_HEADER,
-    ROWBLOCK_MAGIC,
-    ROWBLOCK_VERSION,
-    RowBlock,
-)
-from repro.columnstore.schema import Schema
+from repro.columnstore.rowblock import RowBlock, TimeRange, read_packed_header
 from repro.errors import CorruptionError, LayoutVersionError, ShmError
 from repro.shm.segment import ShmSegment
 from repro.util.binary import BufferReader, BufferWriter
@@ -48,101 +51,40 @@ TABLE_SEGMENT_MAGIC = 0x4C425453  # "STBL"
 _SEG_FIXED = struct.Struct("<IHHQ")
 
 
-def _block_preamble(block: RowBlock) -> tuple[bytes, list[bytes]]:
-    """The packed-row-block bytes that precede the RBC payloads.
+class TableImage(NamedTuple):
+    """A table segment's bytes, save the RBC payloads: the segment
+    preamble, then per block its packed preamble, which its RBCs follow
+    in schema order.  ``size`` is the segment's used bytes."""
 
-    Returns ``(preamble, rbc_buffers)`` where the preamble already has
-    its header and column offset table patched for a block that starts
-    at offset 0; the block is position-independent, so a nonzero start
-    needs no fixup (offsets are block-relative... they are absolute
-    within the packed block buffer, which itself is addressed by the
-    segment's block offset table).
+    preamble: bytes
+    block_preambles: list[bytes]
+    size: int
+
+
+def table_segment_image(table_name: str, blocks: list[RowBlock]) -> TableImage:
+    """The one encoder of a table segment's layout.
+
+    It holds no RBC buffer, so a copy-out that takes each RBC from its
+    block as it copies it can free that RBC right after (Section 4.4).
     """
+    block_preambles = [block.packed_preamble() for block in blocks]
+    sizes = [len(pre) + block.nbytes for pre, block in zip(block_preambles, blocks)]
     writer = BufferWriter()
-    writer.write_bytes(b"\x00" * PACK_HEADER.size)
-    block.schema.serialize(writer)
-    names = block.schema.names
-    writer.write_varint(len(names))
-    offset_slots = [writer.reserve_u64() for _ in names]
-    rbcs = [block.rbc_buffer(name) for name in names]
-    cursor = writer.offset
-    for slot, rbc in zip(offset_slots, rbcs):
-        writer.patch_u64(slot, cursor)
-        cursor += len(rbc)
-    total = cursor
-    preamble = bytearray(writer.getvalue())
-    PACK_HEADER.pack_into(
-        preamble,
-        0,
-        ROWBLOCK_MAGIC,
-        ROWBLOCK_VERSION,
-        0,
-        total,
-        block.row_count,
-        block.min_time,
-        block.max_time,
-        block.created_at,
-    )
-    return bytes(preamble), rbcs
-
-
-def packed_block_chunks(block: RowBlock) -> list[bytes]:
-    """``block.pack()`` as zero-copy chunks: preamble + raw RBC buffers.
-
-    Concatenating the chunks reproduces the contiguous packed-block
-    image byte for byte, so a receiver can hand the joined payload to
-    :meth:`RowBlock.unpack`.  The RBC chunks are the block's own encoded
-    buffers (``to_encoded(copy=False)``), which is what lets the replica
-    wire path serve sealed blocks without re-encoding them.
-    """
-    preamble, rbcs = _block_preamble(block)
-    return [preamble, *rbcs]
-
-
-def packed_block_size(block: RowBlock) -> int:
-    """Exact size of ``block`` in the contiguous layout, without packing."""
-    writer = BufferWriter()
-    block.schema.serialize(writer)
-    schema_bytes = writer.offset
-    n = len(block.schema)
-    writer2 = BufferWriter()
-    writer2.write_varint(n)
-    return (
-        PACK_HEADER.size
-        + schema_bytes
-        + writer2.offset
-        + 8 * n
-        + sum(len(buf) for _, buf in block.rbc_buffers())
-    )
-
-
-def _segment_preamble(table_name: str, blocks: list[RowBlock]) -> tuple[bytes, list[int], list[int]]:
-    """Header + offset/size tables; returns (bytes, offsets, sizes)."""
-    sizes = [packed_block_size(block) for block in blocks]
-    writer = BufferWriter()
-    writer.write_bytes(b"\x00" * _SEG_FIXED.size)
     writer.write_str(table_name)
     writer.write_varint(len(blocks))
-    offset_slots = [writer.reserve_u64() for _ in blocks]
-    size_slots = [writer.reserve_u64() for _ in blocks]
-    cursor = writer.offset
-    offsets = []
-    for slot, size_slot, size in zip(offset_slots, size_slots, sizes):
-        writer.patch_u64(slot, cursor)
-        writer.patch_u64(size_slot, size)
-        offsets.append(cursor)
+    cursor = _SEG_FIXED.size + writer.offset + 16 * len(blocks)
+    for size in sizes:
+        writer.write_u64(cursor)
         cursor += size
-    preamble = bytearray(writer.getvalue())
-    _SEG_FIXED.pack_into(
-        preamble, 0, TABLE_SEGMENT_MAGIC, SHM_LAYOUT_VERSION, 0, cursor
-    )
-    return bytes(preamble), offsets, sizes
+    for size in sizes:
+        writer.write_u64(size)
+    fixed = _SEG_FIXED.pack(TABLE_SEGMENT_MAGIC, SHM_LAYOUT_VERSION, 0, cursor)
+    return TableImage(fixed + writer.getvalue(), block_preambles, cursor)
 
 
 def table_segment_size(table_name: str, blocks: list[RowBlock]) -> int:
     """Exact content size a table segment needs for ``blocks``."""
-    preamble, _, sizes = _segment_preamble(table_name, blocks)
-    return len(preamble) + sum(sizes)
+    return table_segment_image(table_name, blocks).size
 
 
 @dataclass(frozen=True)
@@ -181,48 +123,42 @@ class TableSegmentWriter:
 
     def copy_events(self) -> Iterator[CopyEvent]:
         """Write everything; yield after each RBC so the caller can free
-        the corresponding heap buffer before the next copy."""
-        preamble, offsets, sizes = _segment_preamble(self._table_name, self._blocks)
-        self.used_bytes = len(preamble) + sum(sizes)
+        the corresponding heap buffer before the next copy.  Each RBC is
+        taken from its block only as it is copied, so nothing here keeps
+        a freed buffer alive."""
+        image = table_segment_image(self._table_name, self._blocks)
+        self.used_bytes = image.size
         if self.used_bytes > self._segment.size:
             raise ShmError(
                 f"table '{self._table_name}' needs {self.used_bytes} bytes; "
                 f"segment '{self._segment.name}' holds {self._segment.size}"
             )
-        self._segment.write_at(0, preamble)
+        cursor = self._segment.write_at(0, image.preamble)
         yielded = 0  # bytes already reported; blocks follow the preamble back to back
-        for index, (block, block_offset) in enumerate(zip(self._blocks, offsets)):
-            block_preamble, rbcs = _block_preamble(block)
-            cursor = self._segment.write_at(block_offset, block_preamble)
+        for index, (block, block_preamble) in enumerate(zip(self._blocks, image.block_preambles)):
+            cursor = self._segment.write_at(cursor, block_preamble)
             names = block.schema.names
-            for col_index, (name, rbc) in enumerate(zip(names, rbcs)):
-                cursor = self.write_rbc(cursor, rbc)
+            for col_index, name in enumerate(names):
+                start, cursor = cursor, self.write_rbc(cursor, block.rbc_buffer(name))
                 landed, yielded = cursor - yielded, cursor
                 yield CopyEvent(
                     block_index=index,
                     column_name=name,
-                    nbytes=len(rbc),
+                    nbytes=cursor - start,
                     landed=landed,
                     last_in_block=col_index == len(names) - 1,
                 )
-            if cursor != block_offset + sizes[index]:
-                raise ShmError(
-                    f"block {index} of table '{self._table_name}' wrote "
-                    f"{cursor - block_offset} bytes; expected {sizes[index]}"
-                )
-
-    def copy_all(self) -> int:
-        """Non-streaming convenience: run the whole copy, return used bytes."""
-        for _ in self.copy_events():
-            pass
-        return self.used_bytes
 
 
 def write_table_to_segment(
     segment: ShmSegment, table_name: str, blocks: list[RowBlock]
 ) -> int:
-    """Copy ``blocks`` into ``segment``; returns the content length."""
-    return TableSegmentWriter(segment, table_name, blocks).copy_all()
+    """Copy ``blocks`` into ``segment``, freeing nothing; returns the
+    content length."""
+    writer = TableSegmentWriter(segment, table_name, blocks)
+    for _ in writer.copy_events():
+        pass
+    return writer.used_bytes
 
 
 def read_segment_header(view: memoryview) -> tuple[str, list[tuple[int, int]]]:
@@ -250,11 +186,8 @@ def read_segment_header(view: memoryview) -> tuple[str, list[tuple[int, int]]]:
     reader = BufferReader(view, offset=_SEG_FIXED.size)
     table_name = reader.read_str()
     n_blocks = reader.read_varint()
-    entries = []
-    for _ in range(n_blocks):
-        entries.append(reader.read_u64())
-    sizes = [reader.read_u64() for _ in range(n_blocks)]
-    pairs = list(zip(entries, sizes))
+    offsets = [reader.read_u64() for _ in range(n_blocks)]
+    pairs = list(zip(offsets, [reader.read_u64() for _ in range(n_blocks)]))
     for offset, size in pairs:
         if offset + size > used:
             raise CorruptionError("row block extent outside the segment's used bytes")
@@ -262,7 +195,7 @@ def read_segment_header(view: memoryview) -> tuple[str, list[tuple[int, int]]]:
 
 
 @dataclass(frozen=True)
-class BlockExtent:
+class BlockExtent(TimeRange):
     """One sealed block's location and header facts inside a segment:
     what a restore's block directory holds before the block is read."""
 
@@ -275,13 +208,6 @@ class BlockExtent:
     max_time: int
     created_at: float
     columns: tuple[str, ...]
-
-    def overlaps(self, start: int | None, end: int | None) -> bool:
-        if start is not None and self.max_time < start:
-            return False
-        if end is not None and self.min_time >= end:
-            return False
-        return True
 
 
 def read_block_headers(view: memoryview) -> tuple[str, list[BlockExtent]]:
@@ -299,25 +225,9 @@ def read_block_headers(view: memoryview) -> tuple[str, list[BlockExtent]]:
     extents: list[BlockExtent] = []
     schema = columns = None
     for index, (offset, size) in enumerate(pairs):
-        if size < PACK_HEADER.size:
-            raise CorruptionError("row block extent smaller than its header")
-        magic, version, _, total, row_count, min_time, max_time, created_at = (
-            PACK_HEADER.unpack_from(view, offset)
+        row_count, min_time, max_time, created_at, parsed, _ = read_packed_header(
+            view[offset : offset + size]
         )
-        if magic != ROWBLOCK_MAGIC:
-            raise CorruptionError(f"bad row block magic 0x{magic:08x}")
-        if version != ROWBLOCK_VERSION:
-            raise LayoutVersionError(
-                f"row block version {version}; this build reads "
-                f"{ROWBLOCK_VERSION}"
-            )
-        if total != size:
-            raise CorruptionError(
-                f"row block header claims {total} bytes; the segment's "
-                f"offset table says {size}"
-            )
-        reader = BufferReader(view[offset : offset + size], offset=PACK_HEADER.size)
-        parsed = Schema.deserialize(reader)
         if parsed is not schema:  # neighbours share one parsed schema
             schema, columns = parsed, tuple(parsed.names)
         extents.append(
@@ -336,21 +246,16 @@ def read_block_headers(view: memoryview) -> tuple[str, list[BlockExtent]]:
     return table_name, extents
 
 
-def iter_blocks_from_segment(
-    view: memoryview, copy: bool = True
-) -> Iterator[tuple[str, RowBlock]]:
+def iter_blocks_from_segment(view: memoryview) -> Iterator[tuple[str, RowBlock]]:
     """Yield ``(table_name, row_block)`` pairs (the restore direction).
 
     Each block is materialized by ``RowBlock.unpack``'s fast path: the
     block region is sliced as a ``memoryview`` (no copy) and every RBC
-    leaves the segment with exactly one bulk ``bytes()``.  With
-    ``copy=False`` even that copy is skipped and the blocks *attach* to
-    the segment — valid only while ``view`` stays alive, and the views
-    must be dropped before the segment can be closed or unlinked.
+    leaves the segment with exactly one bulk ``bytes()``.
     """
     table_name, pairs = read_segment_header(view)
     for offset, size in pairs:
-        yield table_name, RowBlock.unpack(view[offset : offset + size], copy=copy)
+        yield table_name, RowBlock.unpack(view[offset : offset + size])
 
 
 def read_table_from_segment(
@@ -359,12 +264,7 @@ def read_table_from_segment(
     """Read a whole table segment back into heap row blocks."""
     view = segment.buf if used_bytes is None else segment.read_at(0, used_bytes)
     try:
-        blocks = []
-        table_name = ""
-        for table_name, block in iter_blocks_from_segment(view):
-            blocks.append(block)
-        if not blocks:
-            table_name = read_segment_header(view)[0]
-        return table_name, blocks
+        table_name = read_segment_header(view)[0]
+        return table_name, [block for _, block in iter_blocks_from_segment(view)]
     finally:
         view.release()

@@ -45,7 +45,6 @@ from repro.errors import CorruptionError, ReplicaWireError
 from repro.query.query import Aggregation, Query
 from repro.server.aggregator import Aggregator
 from repro.server.leaf import LeafServer, LeafStatus
-from repro.shm.layout import packed_block_chunks
 from repro.shm.metadata import LeafMetadata
 from repro.util.checksum import rows_digest
 from repro.util.clock import ManualClock
@@ -95,13 +94,13 @@ class TestWireRoundTripProperty:
             for table in leafmap:
                 for block in table.blocks:
                     packed = block.pack()
-                    chunks = packed_block_chunks(block)
+                    chunks = block.packed_chunks()
                     assert b"".join(bytes(c) for c in chunks) == packed
                     send_frame(server, FRAME_BLOCK, *chunks)
                     kind, payload = recv_frame(client)
                     assert kind == FRAME_BLOCK
                     assert payload == packed
-                    remote = RowBlock.unpack(payload, copy=True)
+                    remote = RowBlock.unpack(payload)
                     remote.verify()
                     assert remote.pack() == packed
                     assert remote.to_rows() == block.to_rows()

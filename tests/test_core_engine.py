@@ -2,6 +2,8 @@
 protocol, fallback, growth, deadline kills, and the footprint bound."""
 
 import os
+import random
+import tracemalloc
 
 import pytest
 
@@ -418,6 +420,39 @@ class TestFootprint:
         # heap while its copy is in flight — far below 2x the dataset.
         assert tracker.peak_total <= segment_total + max_table_bytes
         assert tracker.peak_total < 2 * data_bytes
+
+    def test_copy_out_frees_real_heap_bytes_as_it_goes(
+        self, shm_namespace, clock, monkeypatch
+    ):
+        """The tracker counts charges; this counts bytes.  §4.4's "delete
+        row block column from heap" must free the RBC itself, so nothing
+        on the copy path may keep a copied RBC alive: by the last copy
+        the traced heap is down by (nearly) the whole table."""
+        rng = random.Random(7)
+        levels = []
+        real = RestartEngine._apply_copy_event
+
+        def spy(self, *args):
+            real(self, *args)
+            levels.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(RestartEngine, "_apply_copy_event", spy)
+        tracemalloc.start()
+        try:
+            leafmap = LeafMap(clock=clock, rows_per_block=2500)
+            leafmap.get_or_create("events").add_rows(
+                {"time": i, "host": f"{rng.getrandbits(48):012x}", "v": rng.random()}
+                for i in range(20_000)
+            )
+            leafmap.seal_all()
+            sealed = leafmap.get_table("events").sealed_nbytes
+            engine = RestartEngine("0", namespace=shm_namespace, clock=clock)
+            engine.backup_to_shm(leafmap)
+        finally:
+            tracemalloc.stop()
+        engine.discard_shm()
+        assert sealed > 200_000
+        assert levels[0] - levels[-1] >= 0.75 * sealed
 
 
 class TestDiscard:

@@ -143,3 +143,17 @@ class TestCrossProcessRestart:
         # The dying process sealed and synced before the kill, so its
         # replacement gets the snapshot tier — still disk, never shm.
         assert out == ["disk_snapshot", "300"]
+
+
+class TestFreshInterpreter:
+    def test_engine_import_loads_the_restore_drivers(self):
+        """A new binary pays the restore drivers' import at start-up, not
+        inside its first restore."""
+        out = run_child(
+            """
+            import sys
+            import repro.core.engine
+            print(sorted(m for m in sys.modules if m.endswith("restore")))
+            """
+        )
+        assert out.strip() == "['repro.core.lazyrestore', 'repro.core.replicarestore']"

@@ -312,7 +312,7 @@ class TestFallbackAccounting:
         monkeypatch.setattr(
             RowBlock,
             "unpack",
-            classmethod(lambda cls, buf, copy=True: (unpacked.append(1), real(cls, buf, copy))[1]),
+            classmethod(lambda cls, buf: (unpacked.append(1), real(cls, buf))[1]),
         )
         tracker = MemoryTracker()
         recorder = Recorder(monkeypatch)

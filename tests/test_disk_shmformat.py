@@ -5,12 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnstore.leafmap import LeafMap
+from repro.columnstore.rowblock import RowBlock
 from repro.disk.shmformat import (
+    _FILE_HEADER,
     read_table_snapshot,
     snapshot_filename,
     write_table_shm_format,
 )
 from repro.errors import ChecksumMismatchError, CorruptionError
+from repro.shm.layout import table_segment_size, write_table_to_segment
+from repro.shm.segment import ShmSegment
 from repro.util.clock import ManualClock
 
 
@@ -83,6 +87,31 @@ class TestShmDiskFormat:
         path = write_table_shm_format(tmp_path, "bare", [])
         snap = read_table_snapshot(path)
         assert snap.table_name == "bare" and snap.blocks == []
+
+    @pytest.mark.parametrize("case", ["empty", "one_block", "mixed_schemas"])
+    def test_body_is_the_segment_image(self, tmp_path, shm_namespace, case):
+        """§6's claim: the snapshot body is, byte for byte, what a table
+        segment holds for the same blocks."""
+        blocks = {
+            "empty": [],
+            "one_block": make_map().get_table("events").blocks[:1],
+            "mixed_schemas": [
+                *make_map().get_table("events").blocks,
+                RowBlock.from_rows(
+                    [{"time": 30 + i, "count": i, "tags": ["a"]} for i in range(5)],
+                    created_at=3.0,
+                ),
+            ],
+        }[case]
+        size = table_segment_size("events", blocks)
+        segment = ShmSegment.create(f"{shm_namespace}-img", size)
+        try:
+            used = write_table_to_segment(segment, "events", blocks)
+            image = bytes(segment.buf[:used])
+        finally:
+            segment.unlink()
+        raw = write_table_shm_format(tmp_path, "events", blocks).read_bytes()
+        assert raw[_FILE_HEADER.size :] == image
 
 
 class TestSnapshotEnvelope:

@@ -3,14 +3,12 @@
 import pytest
 
 from repro.columnstore.leafmap import LeafMap
-from repro.columnstore.rowblock import PACK_HEADER, RowBlock
+from repro.columnstore.rowblock import PACK_HEADER, ROWBLOCK_VERSION, RowBlock
 from repro.columnstore.schema import Schema
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.errors import CorruptionError, LayoutVersionError, ShmError
 from repro.shm.layout import (
     TableSegmentWriter,
-    packed_block_chunks,
-    packed_block_size,
     read_block_headers,
     read_segment_header,
     read_table_from_segment,
@@ -36,7 +34,9 @@ def make_blocks(n_blocks=3, rows=20):
 class TestSizes:
     def test_packed_block_size_is_exact(self):
         block = make_blocks(1)[0]
-        assert packed_block_size(block) == len(block.pack())
+        chunks = block.packed_chunks()
+        assert b"".join(chunks) == block.pack()
+        assert len(block.packed_preamble()) + block.nbytes == len(block.pack())
 
     def test_table_segment_size_is_exact(self, shm_namespace):
         blocks = make_blocks()
@@ -155,6 +155,42 @@ class TestHeaderValidation:
             segment.unlink()
 
 
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            ("too_short", CorruptionError),
+            ("bad_magic", CorruptionError),
+            ("other_version", LayoutVersionError),
+            ("size_mismatch", CorruptionError),
+        ],
+    )
+    def test_damaged_block_header_is_refused_by_both_readers(
+        self, shm_namespace, damage, error
+    ):
+        """The directory scan and the unpack read a packed header through
+        one check, so each damage is refused by both, the same way."""
+        segment = self._segment_with_table(shm_namespace, "h")
+        try:
+            image = bytearray(bytes(segment.buf))
+        finally:
+            segment.unlink()
+        _, [(offset, size)] = read_segment_header(memoryview(bytes(image)))
+        if damage == "too_short":
+            size = PACK_HEADER.size - 1
+            image[offset - 8 : offset] = size.to_bytes(8, "little")  # the size table
+        elif damage == "bad_magic":
+            image[offset] ^= 0xFF
+        elif damage == "other_version":
+            image[offset + 4 : offset + 6] = (ROWBLOCK_VERSION + 1).to_bytes(2, "little")
+        else:
+            image[offset + 8 : offset + 16] = (size + 8).to_bytes(8, "little")
+        with pytest.raises(error) as scanned:
+            read_block_headers(memoryview(bytes(image)))
+        with pytest.raises(error) as unpacked:
+            RowBlock.unpack(bytes(image[offset : offset + size]))
+        assert type(scanned.value) is type(unpacked.value) is error
+
+
 class TestSchemaParsedOnce:
     """A table's blocks repeat their neighbour's schema, so it is parsed
     once and byte-compared after.  The shortcut must never stand in for
@@ -182,7 +218,7 @@ class TestSchemaParsedOnce:
         _, extents = read_block_headers(memoryview(image))
         assert [e.columns for e in extents] == intact
         second = extents[1]
-        good_payload = b"".join(packed_block_chunks(blocks[0]))
+        good_payload = blocks[0].pack()
 
         def outcome(parse):
             try:
