@@ -283,7 +283,6 @@ class ReplicaBlockServer:
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
         self._lock = threading.Lock()
         self._sessions: dict[str, TableSnapshot] = {}
-        self._catalogs: dict[str, bytes] = {}
         self._conns: set[socket.socket] = set()
         self._tokens = count(1)
         self._closed = False
@@ -362,7 +361,6 @@ class ReplicaBlockServer:
             token = f"s{next(self._tokens)}"
             catalog = _catalog_payload(token, session)
             self._sessions[token] = session
-            self._catalogs[token] = catalog
             self.sessions_opened += 1
         send_frame(conn, FRAME_CATALOG, catalog)
         return session
@@ -393,7 +391,6 @@ class ReplicaBlockServer:
         if token:
             with self._lock:
                 self._sessions.pop(token, None)
-                self._catalogs.pop(token, None)
 
     def close(self) -> None:
         with self._lock:
@@ -419,7 +416,6 @@ class ReplicaBlockServer:
                 pass
         with self._lock:
             self._sessions.clear()
-            self._catalogs.clear()
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ offset table, and all RBC payloads occupy a single buffer — the form used
 inside shared memory segments, by the shm-format disk files of experiment
 E12 and on the replica wire.  This module is where that layout is encoded
 (:meth:`RowBlock.packed_preamble`) and where its header is checked
-(:func:`read_packed_header`).
+(:func:`check_packed_header`, and :func:`read_packed_header` with the
+schema).
 
 Live ingest and legacy replay both seal through
 :meth:`RowBlock.from_columns`; :meth:`RowBlock.from_rows`, the same seal
@@ -346,17 +347,14 @@ class RowBlock(TimeRange):
         return cls(schema, rbcs, row_count, min_time, max_time, created_at)
 
 
-def read_packed_header(
-    view: memoryview,
-) -> tuple[int, int, int, float, Schema, BufferReader]:
-    """Check a packed row block's header against its extent and parse
-    its schema: the one reader of ``PACK_HEADER``.
+def check_packed_header(view: memoryview) -> tuple[int, int, int, float]:
+    """Check a packed row block's header against its extent: the one
+    reader of ``PACK_HEADER``.
 
     ``view`` spans exactly one packed block — its extent in a segment or
     a snapshot body, or a BLOCK frame's payload.  Returns the header's
-    row count, min/max timestamps and creation time, the schema, and a
-    reader positioned at the column offset table.  A short view, a bad
-    magic or a size field that disagrees with the extent raises
+    row count, min/max timestamps and creation time.  A short view, a
+    bad magic or a size field that disagrees with the extent raises
     :class:`CorruptionError`; another layout version raises
     :class:`LayoutVersionError`.
     """
@@ -377,6 +375,16 @@ def read_packed_header(
         raise CorruptionError(
             f"packed row block claims {total} bytes; its extent holds {len(view)}"
         )
+    return row_count, min_time, max_time, created_at
+
+
+def read_packed_header(
+    view: memoryview,
+) -> tuple[int, int, int, float, Schema, BufferReader]:
+    """:func:`check_packed_header`, then parse the block's schema: the
+    header's four fields, the schema, and a reader positioned at the
+    column offset table."""
+    row_count, min_time, max_time, created_at = check_packed_header(view)
     reader = BufferReader(view, offset=PACK_HEADER.size)
     schema = Schema.deserialize(reader)
     return row_count, min_time, max_time, created_at, schema, reader

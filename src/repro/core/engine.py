@@ -34,8 +34,9 @@
     delete the metadata shared memory segment
 
 (*) Never here: a sealed table's segment size is known exactly before
-the copy (``table_segment_size``), so the estimate is the size and the
-segment is created once, at its final length.
+the copy (its ``table_segment_image``, built once and then written),
+so the estimate is the size and the segment is created once, at its
+final length.
 
 If the restore path is interrupted, the valid bit is already false, so
 the *next* restart goes to disk — the crash-safety property of the
@@ -84,7 +85,7 @@ from repro.errors import (
     LayoutVersionError,
     RecoveryError,
 )
-from repro.shm.layout import SHM_LAYOUT_VERSION, TableSegmentWriter, table_segment_size
+from repro.shm.layout import SHM_LAYOUT_VERSION, TableSegmentWriter, table_segment_image
 from repro.shm.metadata import LeafMetadata, TableSegmentRecord
 from repro.shm.segment import ShmSegment, segment_exists
 from repro.util.budget import FootprintBudget
@@ -509,7 +510,8 @@ class RestartEngine:
         """
         blocks = table.take_blocks()
         rows = sum(block.row_count for block in blocks)
-        used = table_segment_size(table.name, blocks)
+        image = table_segment_image(table.name, blocks)
+        used = image.size
         name = self._segment_base_name(table_index)
         record = TableSegmentRecord(
             table_name=table.name,
@@ -533,7 +535,7 @@ class RestartEngine:
                 self.budget.acquire(size)
                 held = size
             segment = ShmSegment.create(name, size)
-            for event in TableSegmentWriter(segment, table.name, blocks).copy_events():
+            for event in TableSegmentWriter(segment, table.name, blocks, image).copy_events():
                 # §4.4's "allocate, copy, free": the segment is charged as
                 # its bytes land (tmpfs backs a page only once it is
                 # written), each RBC before its heap buffer goes.
@@ -708,7 +710,8 @@ class RestartEngine:
                 f"leaf {self.leaf_id}: no valid shared memory state and no "
                 "disk backup configured"
             )
-        if self._snapshot_tier_usable():
+        why = self._snapshot_tier_skip()
+        if why is None:
             report.enter(LeafRestoreState.DISK_SNAPSHOT_RECOVERY)
             try:
                 self._restore_from_snapshots(leafmap, report)
@@ -723,6 +726,8 @@ class RestartEngine:
             else:
                 report.enter(LeafRestoreState.ALIVE)
                 return
+        elif self.backup.table_names:  # a brand-new leaf passes over nothing
+            report.note("skip", RecoveryMethod.DISK_SNAPSHOT, why)
         report.enter(LeafRestoreState.DISK_RECOVERY)
         if self.replay_workers > 1:
             report.rows = replay_leafmap(
@@ -763,20 +768,30 @@ class RestartEngine:
         report.enter(LeafRestoreState.REPLICA_RECOVERY)
         return session
 
-    def _snapshot_tier_usable(self) -> bool:
-        """Pre-check before entering the snapshot tier at all.
+    def _snapshot_tier_skip(self) -> str | None:
+        """Why the snapshot tier is not entered at all, or ``None`` to
+        enter it.
 
-        The manifest must vouch for every table's snapshot, and this
-        build's declared layout version must be the one snapshot bodies
-        are written in — a build whose shm layout diverged must not
-        consume shm-format bytes from disk any more than from /dev/shm.
+        The tier must be enabled, this build's declared layout version
+        must be the one snapshot bodies are written in — a build whose
+        shm layout diverged must not consume shm-format bytes from disk
+        any more than from /dev/shm — and the manifest must vouch for
+        every table's chain (:meth:`DiskBackup.snapshot_fault`), of
+        which there must be at least one.  The first reason found is
+        the one returned.
         """
-        return (
-            self.disk_snapshot_tier
-            and self.layout_version == SHM_LAYOUT_VERSION
-            and self.backup is not None
-            and self.backup.snapshots_ready()
-        )
+        assert self.backup is not None
+        if not self.disk_snapshot_tier:
+            return "snapshot tier disabled"
+        if self.layout_version != SHM_LAYOUT_VERSION:
+            return f"layout version {SHM_LAYOUT_VERSION}, not {self.layout_version}"
+        if not self.backup.table_names:
+            return "no table backed up"
+        for name in self.backup.table_names:
+            fault = self.backup.snapshot_fault(name)
+            if fault is not None:
+                return f"table '{name}': {fault}"
+        return None
 
     def _restore_from_snapshots(
         self, leafmap: LeafMap, report: RestartReport

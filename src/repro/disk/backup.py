@@ -20,11 +20,12 @@ its oldest blocks (``Table.expire``), so the rows it has lost are the
 first ``rows_expired`` of its ingest order, and that count is all the
 manifest records.  Every recovery rung trims it — legacy replay keeps
 the log's trailing ``synced_rows - rows_expired`` rows, snapshot
-recovery drops the chain's leading blocks that cover the count past its
-tip's — mirroring how Scuba makes deletions after recovery ("Any needed
-deletions are made after recovery", Figure 5 caption).  A manifest from
-before the count was kept carries an ``expire_before`` cutoff instead,
-which legacy replay applies as a timestamp filter.
+recovery skips the chain's leading blocks that hold the first
+``rows_expired`` rows — mirroring how Scuba makes deletions after
+recovery ("Any needed deletions are made after recovery", Figure 5
+caption).  A manifest from before the count was kept carries an
+``expire_before`` cutoff instead, which legacy replay applies as a
+timestamp filter.
 
 The snapshot side implements the paper's Section 6 plan: at a sync point
 whose table has no buffered rows, the table's sealed blocks are also
@@ -36,30 +37,36 @@ recovery ladder routes that table down to legacy replay.
 
 Snapshots are *incremental*: instead of rewriting the whole table at
 every generation, a sync point appends a **delta** file carrying only
-the blocks sealed since the previous generation, plus a manifest *chain
-link* recording which earlier chain blocks expired.  The manifest chain
+the blocks sealed since the previous generation.  The manifest chain
 (base + ordered deltas, each keyed to the generation it was taken at) is
-what recovery materializes; each block ever written into the chain gets
-a per-table monotone sequence number so deltas can name expired blocks
-durably.  When the chain grows past ``max_chain_links`` or expiry churn
-crosses ``compact_churn``, the next snapshot *compacts*: it folds the
-chain back into a single fresh base and deletes the obsolete delta
-files.  A sync point whose generation already matches the chain tip
-writes nothing at all.
+what recovery materializes.  A link records only what it appends —
+``{gen, file, kind, blocks, keys, rows_ingested, rows_expired}`` — and
+the ingest positions it spans: a base ``[its rows_expired, its
+rows_ingested)``, a delta ``[the previous link's rows_ingested, its
+rows_ingested)``.  Two watermarks describe the chain, so expiry below
+the sync watermark writes nothing: recovery trims the chain's head by
+the manifest's count, as legacy replay trims the log's.  When the chain
+grows past ``max_chain_links`` or the dead share of its blocks crosses
+``compact_churn``, the next snapshot *compacts*: it folds the chain back
+into a single fresh base and deletes the obsolete delta files.  A sync
+point whose generation already matches the chain tip writes nothing at
+all.
 
-What is already in the chain is decided by **content keys**, not by
-anything a process holds in memory: every link records, under
-``"keys"``, the :meth:`RowBlock.content_key` of each block it appended,
-and a snapshot point aligns the manifest's live ``(sequence, key)`` list
-against the table's blocks in order.  The keys are made of what a sealed
-block stores (header fields, per-column length and footer CRC), so any
-restart that hands back the same sealed bytes — shared memory, a
-replica, the snapshot chain itself — and a reopened or
-:meth:`DiskBackup.reload`-ed manager all *extend* the chain they find,
-writing only blocks it does not hold.  A legacy replay
-re-seals every row into new blocks, shares nothing with the chain, and
-honestly costs one fresh base; so does a manifest written before keys
-existed.
+What is already in the chain is decided by count and by **content
+keys**, not by anything a process holds in memory: every link records,
+under ``"keys"``, the :meth:`RowBlock.content_key` of each block it
+appended.  The table's leading blocks that hold exactly the rows
+between its expired count and the tip's ``rows_ingested`` are the ones
+the chain holds, and their keys must equal the chain's last keys, in
+order.  The keys are made of what a sealed block stores (header fields,
+per-column length and footer CRC), so any restart that hands back the
+same sealed bytes — shared memory, a replica, the snapshot chain itself
+— and a reopened or :meth:`DiskBackup.reload`-ed manager all *extend*
+the chain they find, writing only blocks it does not hold.  A legacy
+replay re-seals every row into new blocks, shares nothing with the
+chain, and honestly costs one fresh base; so does a chain an older
+build wrote (:func:`written_by_older_build`), which recovery does not
+read either.
 
 The row-format side is delta-proportional too: a sync point transcodes
 only the blocks that hold rows past the watermark, column by column
@@ -122,6 +129,8 @@ class SnapshotStats:
     snapshot_points: int = 0
     bases_written: int = 0
     deltas_written: int = 0
+    #: Always 0: no link is written without a file.  Kept because the
+    #: restart ledger reports every counter of this class.
     manifest_only_links: int = 0
     skipped_unchanged: int = 0
     compactions: int = 0
@@ -136,45 +145,28 @@ class SnapshotStats:
         return self.snapshot_bytes_written / self.live_bytes_at_sync
 
 
-def _live_chain_keys(chain: list[dict]) -> list[tuple[int, str]] | None:
-    """The chain's surviving blocks as ``(sequence, content key)``, oldest
-    first; ``None`` when a link does not say (a manifest written before
-    links recorded keys), which the caller answers with a fresh base."""
-    live: dict[int, str] = {}
-    for link in chain:
-        keys = link.get("keys")
-        if keys is None or len(keys) != link.get("blocks"):
-            return None
-        for seq in link.get("dropped", ()):
-            live.pop(seq, None)
-        live.update(enumerate(keys, start=link.get("start_seq", 0)))
-    # Sequences only grow along the chain, so insertion order is theirs.
-    return list(live.items())
+def written_by_older_build(entry: dict) -> bool:
+    """Whether a table's manifest entry records its chain the way an
+    older build did: no expired-row count, or a link with a drop list,
+    without a file, or without int ``rows_ingested`` / ``rows_expired``
+    / ``blocks`` and a list of ``keys``.
 
-
-def _chain_delta(
-    live: list[tuple[int, str]], keys: list[str]
-) -> tuple[int, list[int]]:
-    """Align the chain's live blocks with the table's: ``(kept, dropped)``.
-
-    A table only ever drops sealed blocks and appends new ones at the
-    tail, so its block list is a subsequence of the chain's live list
-    followed by blocks the chain has not seen.  One ordered pass finds
-    it: ``keys[:kept]`` matched chain blocks in order, every unmatched
-    chain block's sequence is in ``dropped``, and ``keys[kept:]`` is
-    what the next link must append.  The match is by position, not by
-    lookup, so blocks with equal content stay distinct; and whatever
-    the input, survivors followed by the appended tail *is* the table's
-    block list — a surprising order can cost bytes, never correctness.
+    Such a chain is never read (the table lands on legacy replay with
+    the same rows) and never extended (the next snapshot is a base).
     """
-    kept = 0
-    dropped: list[int] = []
-    for seq, key in live:
-        if kept < len(keys) and keys[kept] == key:
-            kept += 1
-        else:
-            dropped.append(seq)
-    return kept, dropped
+    if not isinstance(entry.get("rows_expired"), int):
+        return True
+    for link in entry.get("chain") or ():
+        if (
+            link.get("dropped")
+            or link.get("file") is None
+            or not isinstance(link.get("rows_ingested"), int)
+            or not isinstance(link.get("rows_expired"), int)
+            or not isinstance(link.get("blocks"), int)
+            or not isinstance(link.get("keys"), list)
+        ):
+            return True
+    return False
 
 
 def _unsynced_chunk(table: Table, offset: int) -> tuple[int, bytes]:
@@ -349,34 +341,9 @@ class DiskBackup:
         return self._manifest.get(table_name, {}).get("snapshot_gen", 0)
 
     def snapshot_chain(self, table_name: str) -> list[dict]:
-        """The table's snapshot chain links (base first), possibly empty.
-
-        Manifests written before chains existed carry a bare
-        ``snapshot_gen``; those synthesize a single-link chain over the
-        legacy base file, with per-link metadata left ``None`` so the
-        chain reader falls back to the file envelope's own values.
-        """
-        entry = self._manifest.get(table_name)
-        if entry is None:
-            return []
-        chain = entry.get("chain")
-        if chain is not None:
-            return chain
-        gen = entry.get("snapshot_gen", 0)
-        if gen <= 0:
-            return []
-        return [
-            {
-                "gen": gen,
-                "file": snapshot_filename(table_name),
-                "kind": "base",
-                "start_seq": 0,
-                "blocks": None,
-                "dropped": [],
-                "rows_ingested": None,
-                "rows_expired": None,
-            }
-        ]
+        """The table's snapshot chain links (base first), possibly empty
+        — so for a manifest from before chains, which recovery replays."""
+        return self._manifest.get(table_name, {}).get("chain") or []
 
     def chain_files(self, table_name: str) -> list[Path]:
         """Paths of every file the table's chain references, base first."""
@@ -386,15 +353,37 @@ class DiskBackup:
             if link.get("file") is not None
         ]
 
+    def snapshot_fault(self, table_name: str) -> str | None:
+        """Why the table's snapshot chain may not be trusted for
+        recovery, or ``None`` when it may."""
+        entry = self._manifest.get(table_name, {})
+        gen, sync_gen = entry.get("snapshot_gen", 0), entry.get("sync_gen", 0)
+        if gen <= 0 or gen != sync_gen:
+            return f"snapshot generation {gen} does not match sync generation {sync_gen}"
+        return self._chain_fault(table_name, entry)
+
+    def _chain_fault(self, table_name: str, entry: dict) -> str | None:
+        """What is wrong with ``entry``'s chain as a record of its
+        snapshot generation, or ``None``: the generation check left to
+        the caller, which is the sync that may be about to move it."""
+        chain = entry.get("chain")
+        if not chain:
+            return "no snapshot chain"
+        if chain[-1].get("gen") != entry.get("snapshot_gen"):
+            return (
+                f"chain tip generation {chain[-1].get('gen')}; manifest "
+                f"expects {entry.get('snapshot_gen')}"
+            )
+        if written_by_older_build(entry):
+            return "chain written by an older build"
+        for path in self.chain_files(table_name):
+            if not path.exists():
+                return f"chain file '{path.name}' missing"
+        return None
+
     def snapshot_valid(self, table_name: str) -> bool:
         """Whether the table's snapshot chain may be trusted for recovery."""
-        gen = self.snapshot_generation(table_name)
-        if gen <= 0 or gen != self.sync_generation(table_name):
-            return False
-        chain = self.snapshot_chain(table_name)
-        if not chain or chain[-1].get("gen") != gen:
-            return False
-        return all(path.exists() for path in self.chain_files(table_name))
+        return self.snapshot_fault(table_name) is None
 
     def snapshots_ready(self) -> bool:
         """Whether the snapshot recovery tier covers *every* backed-up table."""
@@ -473,18 +462,9 @@ class DiskBackup:
             entry["rows_expired"] = expired
             changed = True
         if self.snapshots_enabled and table.buffered_row_count == 0:
-            valid = self.snapshot_valid(table.name)
-            tip_expired = self.snapshot_chain(table.name)[-1].get("rows_expired") if valid else None
-            if tip_expired is not None and expired > tip_expired:
-                # Blocks left the table since the tip link and nothing else
-                # moved.  Recovery would trim them by count; a new
-                # generation, whose manifest-only link drops them, keeps
-                # the chain's drop list (and compaction's churn) whole.
-                entry["sync_gen"] += 1
-                valid = False
-            if valid:
-                # The chain tip already carries this sync generation:
-                # nothing changed, so a no-op sync point writes nothing.
+            if self.snapshot_valid(table.name):
+                # The chain tip already carries this sync generation, and
+                # expiry since it is the manifest's count: nothing to write.
                 self.stats.skipped_unchanged += 1
             else:
                 self._write_snapshot(table, entry)
@@ -499,14 +479,15 @@ class DiskBackup:
     def _write_snapshot(self, table: Table, entry: dict) -> None:
         """Advance the table's snapshot chain to the current generation.
 
-        Appends a delta link when the chain can be extended
-        (:meth:`_chain_extension`), otherwise folds everything into a
-        new base.  Files land (atomically, fsynced) *before* the
-        manifest records their generation: a crash between the two
-        leaves files whose generation the manifest does not vouch for,
-        which the validity check routes down — never a trusted-but-wrong
-        chain.  :meth:`publish_once` then owes the directory fsync, the
-        manifest and the unlink of the files this made obsolete.
+        Appends a delta of the blocks the chain does not hold when the
+        chain can be extended (:meth:`_chain_extension`), otherwise folds
+        everything into a new base.  Files land (atomically, fsynced)
+        *before* the manifest records their generation: a crash between
+        the two leaves files whose generation the manifest does not vouch
+        for, which the validity check routes down — never a
+        trusted-but-wrong chain.  :meth:`publish_once` then owes the
+        directory fsync, the manifest and the unlink of the files this
+        made obsolete.
         """
         gen = entry.get("sync_gen", 0)
         if gen == 0:
@@ -521,137 +502,85 @@ class DiskBackup:
         rows_expired = table.total_rows_expired
         self.stats.snapshot_points += 1
         self.stats.live_bytes_at_sync += table.sealed_nbytes
-        extension = self._chain_extension(name, entry, keys, gen)
-        if extension is None:
-            self._write_base(name, entry, blocks, keys, gen, rows_ingested, rows_expired)
-            return
-        kept, dropped = extension
-        appended = blocks[kept:]
-        link = {
-            "gen": gen,
-            "file": None,
-            "kind": "delta",
-            "start_seq": entry.get("next_seq", 0),
-            "blocks": len(appended),
-            "keys": keys[kept:],
-            "dropped": dropped,
-            "rows_ingested": rows_ingested,
-            "rows_expired": rows_expired,
-        }
-        if appended:
-            path = write_table_shm_format(
-                self.snapshot_dir,
-                name,
-                appended,
-                generation=gen,
-                rows_ingested=rows_ingested,
-                rows_expired=rows_expired,
-                flags=SNAPSHOT_FLAG_DELTA,
-                filename=delta_filename(name, gen),
-            )
-            self._chain_dir_dirty = True
-            link["file"] = path.name
+        kept = self._chain_extension(name, entry, blocks, keys, rows_expired)
+        chain, kept = ([], 0) if kept is None else (entry["chain"], kept)
+        path = write_table_shm_format(
+            self.snapshot_dir,
+            name,
+            blocks[kept:],
+            generation=gen,
+            rows_ingested=rows_ingested,
+            rows_expired=rows_expired,
+            flags=SNAPSHOT_FLAG_DELTA if chain else 0,
+            filename=delta_filename(name, gen) if chain else None,
+        )
+        self._chain_dir_dirty = True
+        self.stats.snapshot_bytes_written += path.stat().st_size
+        if chain:
             self.stats.deltas_written += 1
-            self.stats.snapshot_bytes_written += path.stat().st_size
         else:
-            # Pure-expiry generation: the drop list alone describes it.
-            self.stats.manifest_only_links += 1
-        entry["next_seq"] = link["start_seq"] + len(appended)
+            self.stats.bases_written += 1
+            self._stale += [old for old in self.chain_files(name) if old != path]
         # Not an append: a failed write phase discards ``entry``, a
         # shallow copy, and must leave the old chain list as it was.
-        entry["chain"] = [*entry["chain"], link]
+        entry["chain"] = [
+            *chain,
+            {
+                "gen": gen,
+                "file": path.name,
+                "kind": "delta" if chain else "base",
+                "blocks": len(blocks) - kept,
+                "keys": keys[kept:],
+                "rows_ingested": rows_ingested,
+                "rows_expired": rows_expired,
+            },
+        ]
         entry["snapshot_gen"] = gen
 
     def _chain_extension(
-        self, name: str, entry: dict, keys: list[str], gen: int
-    ) -> tuple[int, list[int]] | None:
-        """How the chain on disk extends to a table whose blocks have
-        ``keys``: ``(kept, dropped)`` as :func:`_chain_delta` aligns
-        them, or ``None`` when a fresh base is due instead.
-
-        The chain extends when the manifest vouches for its tip at an
-        older generation, every link records content keys, every file is
-        present, and the table still shares blocks with it.  A base is
-        due on the first snapshot, for a manifest from before keys
-        existed, for a table legacy replay re-sealed (nothing resident
-        is in the chain, so a delta would carry the whole table behind a
-        chain of dead files), and — counted as a compaction — when the
-        chain is too long or churn is past the threshold.
-        """
-        chain = entry.get("chain")
-        if not (
-            self.incremental
-            and chain
-            and entry.get("snapshot_gen", 0) == chain[-1].get("gen") < gen
-            and all(path.exists() for path in self.chain_files(name))
-        ):
-            return None
-        live = _live_chain_keys(chain)
-        if live is None:
-            return None
-        kept, dropped = _chain_delta(live, keys)
-        if live and keys and not kept:
-            return None
-        if self._should_compact(entry, chain, len(keys) - kept, dropped):
-            self.stats.compactions += 1
-            return None
-        return kept, dropped
-
-    def _should_compact(
-        self,
-        entry: dict,
-        chain: list[dict],
-        n_appended: int,
-        dropped: list[int],
-    ) -> bool:
-        """Whether the next link should instead fold the chain."""
-        if len(chain) + 1 > self.max_chain_links:
-            return True
-        total_seqs = entry.get("next_seq", 0) + n_appended
-        dropped_total = len(dropped) + sum(
-            len(link.get("dropped", ())) for link in chain
-        )
-        return total_seqs > 0 and dropped_total / total_seqs > self.compact_churn
-
-    def _write_base(
         self,
         name: str,
         entry: dict,
         blocks: list[RowBlock],
         keys: list[str],
-        gen: int,
-        rows_ingested: int,
         rows_expired: int,
-    ) -> None:
-        """Write a fresh single-link base chain."""
-        old_files = self.chain_files(name)
-        path = write_table_shm_format(
-            self.snapshot_dir,
-            name,
-            blocks,
-            generation=gen,
-            rows_ingested=rows_ingested,
-            rows_expired=rows_expired,
-        )
-        self._chain_dir_dirty = True
-        self.stats.bases_written += 1
-        self.stats.snapshot_bytes_written += path.stat().st_size
-        entry["chain"] = [
-            {
-                "gen": gen,
-                "file": path.name,
-                "kind": "base",
-                "start_seq": 0,
-                "blocks": len(blocks),
-                "keys": keys,
-                "dropped": [],
-                "rows_ingested": rows_ingested,
-                "rows_expired": rows_expired,
-            }
-        ]
-        entry["next_seq"] = len(blocks)
-        entry["snapshot_gen"] = gen
-        self._stale += [old for old in old_files if old != path]
+    ) -> int | None:
+        """How many of a table's leading ``blocks`` (content ``keys``,
+        ``rows_expired`` rows gone) the chain on disk already holds, or
+        ``None`` when a fresh base is due instead.
+
+        Those blocks hold exactly the ingest positions from the table's
+        expired count up to the tip's ``rows_ingested``, and their keys
+        must be the chain's last keys in order — a match by position, so
+        blocks with equal content stay distinct.  The chain extends when
+        the manifest vouches for its tip at an older generation
+        (:meth:`_chain_fault`) and the table still shares a block with
+        it.  A base is due on the first snapshot, for a chain an older
+        build wrote, for a table legacy replay re-sealed (nothing
+        resident is in the chain, so a delta would carry the whole table
+        behind a chain of dead files), and — counted as a compaction —
+        when the chain is too long or its dead blocks pass the churn
+        threshold.
+        """
+        if not self.incremental or self._chain_fault(name, entry) is not None:
+            return None
+        chain = entry["chain"]
+        rows = chain[-1]["rows_ingested"] - rows_expired
+        kept = 0
+        while rows > 0 and kept < len(blocks):
+            rows -= blocks[kept].row_count
+            kept += 1
+        held = [key for link in chain for key in link["keys"]]
+        dead = len(held) - kept
+        if rows or dead < 0 or keys[:kept] != held[dead:] or (held and not kept):
+            return None
+        total = len(held) + len(keys) - kept
+        if len(chain) + 1 > self.max_chain_links or (
+            total and dead / total > self.compact_churn
+        ):
+            self.stats.compactions += 1
+            return None
+        return kept
 
     def sync_leafmap(self, leafmap: LeafMap) -> int:
         """Sync every table as one transaction; returns rows written.
@@ -666,9 +595,9 @@ class DiskBackup:
     def record_expiry(self, table_name: str, rows_expired: int) -> None:
         """Record the table's expired-row count (never backwards).
 
-        Does not invalidate the snapshot: recovery drops the chain's
-        leading blocks that cover the count past the tip's, as legacy
-        replay drops the log's leading rows.
+        Does not invalidate the snapshot: recovery skips the chain's
+        leading blocks that hold the first ``rows_expired`` rows, as
+        legacy replay drops the log's leading rows.
         """
         entry = self._entry(table_name)
         changed = rows_expired > entry.get("rows_expired", -1)

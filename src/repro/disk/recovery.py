@@ -104,96 +104,55 @@ def restore_watermarks(backup: DiskBackup, table: Table, count: int) -> None:
 
 
 def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
-    """Fold a table's snapshot chain (base + deltas) into one snapshot.
+    """Fold a table's snapshot chain (base + deltas) into one snapshot,
+    less the rows the manifest's ``rows_expired`` count says are gone.
 
-    Every link is validated before its blocks are trusted: the chain must
-    open with a base and continue with strictly newer delta generations,
-    the tip must carry the manifest's current sync generation, each
-    referenced file must exist, decode cleanly, agree with its link on
-    generation / kind / block count / table name, and every dropped
-    sequence number must name a block the chain actually holds.  Any
-    failure raises — :class:`SnapshotStaleError` for generation or
-    missing-file problems, :class:`CorruptionError` /
-    :class:`LayoutVersionError` for torn, inconsistent, or incompatible
-    content — and the caller routes the whole leaf down to legacy
-    replay.
+    The manifest must vouch for the chain first
+    (:meth:`DiskBackup.snapshot_fault`: generation, tip, files present,
+    not written by an older build), or this raises
+    :class:`SnapshotStaleError`.  Then every link is checked before its
+    blocks are trusted: the chain opens with a base and continues with
+    strictly newer delta generations, and each file decodes cleanly and
+    agrees with its link on generation / kind / table name / block count
+    and on the rows it holds — a base spans ingest positions ``[its
+    rows_expired, its rows_ingested)``, a delta ``[the previous link's
+    rows_ingested, its rows_ingested)``.  A failure raises
+    :class:`CorruptionError` / :class:`LayoutVersionError`, and the
+    caller routes the whole leaf down to legacy replay.
 
-    The manifest alone says which blocks a later link drops, so that set
-    is resolved first and those blocks are never unpacked: a long chain
-    costs its file reads and CRCs, not a decode of blocks that are
-    already dead.  The links' content keys are the *write* side's
-    business and are not re-derived here — the file CRC and the
-    generation / kind / count checks already vouch for the bytes.
+    Expiry is a prefix of the ingest order, so each file is told how
+    many of its leading rows are dead (:func:`read_table_snapshot`'s
+    ``skip_rows``) and never unpacks those blocks: a long chain costs
+    its file reads and CRCs, not a decode of blocks that are already
+    dead.  A count that does not end on a block boundary describes some
+    other table and raises.  The links' content keys are the *write*
+    side's business and are not re-derived here — the file CRC and the
+    checks above already vouch for the bytes.
     """
-    expected = backup.snapshot_generation(table_name)
-    if expected <= 0 or expected != backup.sync_generation(table_name):
-        raise SnapshotStaleError(
-            f"table '{table_name}': snapshot generation {expected} does not "
-            f"match sync generation {backup.sync_generation(table_name)}"
-        )
+    fault = backup.snapshot_fault(table_name)
+    if fault is not None:
+        raise SnapshotStaleError(f"table '{table_name}': {fault}")
     chain = backup.snapshot_chain(table_name)
-    if not chain:
-        raise SnapshotStaleError(f"table '{table_name}': no snapshot chain")
-    if chain[-1].get("gen") != expected:
-        raise SnapshotStaleError(
-            f"table '{table_name}': chain tip generation "
-            f"{chain[-1].get('gen')}; manifest expects {expected}"
-        )
-    doomed = {
-        seq
-        for link in chain
-        for seq in link.get("dropped", ())
-        if isinstance(seq, int)
-    }
-    #: sequence -> block; ``None`` stands for a doomed block that was
-    #: not unpacked.  Sequences never repeat (checked per link below) and
-    #: a drop must find its block here, so each ``None`` is deleted by
-    #: the link that dooms it — or that link raises.
-    live: dict[int, RowBlock | None] = {}
-    next_seq = 0
+    expired = backup.rows_expired(table_name)
+    blocks: list[RowBlock] = []
     prev_gen = 0
-    tip: ShmSnapshot | None = None
+    start = chain[0]["rows_expired"]
     for index, link in enumerate(chain):
-        kind = link.get("kind")
+        kind, gen, filename = link.get("kind"), link.get("gen"), link["file"]
         if (index == 0) != (kind == "base"):
             raise CorruptionError(
                 f"table '{table_name}': chain link {index} has kind "
                 f"'{kind}' out of position"
             )
-        gen = link.get("gen")
         if not isinstance(gen, int) or gen <= prev_gen:
             raise CorruptionError(
                 f"table '{table_name}': chain generations not strictly "
                 f"increasing at link {index}"
             )
         prev_gen = gen
-        for seq in link.get("dropped", ()):
-            if seq not in live:
-                raise CorruptionError(
-                    f"table '{table_name}': chain link {index} drops "
-                    f"unknown block sequence {seq}"
-                )
-            del live[seq]
-        filename = link.get("file")
-        if filename is None:
-            if kind == "base" or link.get("blocks"):
-                raise CorruptionError(
-                    f"table '{table_name}': chain link {index} declares "
-                    "blocks but references no file"
-                )
-            continue
-        path = backup.snapshot_dir / filename
-        if not path.exists():
-            raise SnapshotStaleError(
-                f"table '{table_name}': chain file '{filename}' missing"
-            )
-        start = link.get("start_seq", 0)
-        if not isinstance(start, int) or start < next_seq:
-            raise CorruptionError(
-                f"table '{table_name}': chain link {index} reuses block "
-                f"sequence {start}"
-            )
-        snap = read_table_snapshot(path, skip={seq - start for seq in doomed})
+        span = link["rows_ingested"] - start
+        skip = min(max(expired - start, 0), span)
+        snap = read_table_snapshot(backup.snapshot_dir / filename, skip)
         if snap.generation != gen:
             raise SnapshotStaleError(
                 f"table '{table_name}': chain file '{filename}' carries "
@@ -210,51 +169,28 @@ def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
                 f"{'a delta' if snap.is_delta else 'a base'} but its link "
                 f"says kind '{kind}'"
             )
-        declared = link.get("blocks")
-        if declared is not None and declared != len(snap.blocks):
+        if snap.skipped_blocks + len(snap.blocks) != link["blocks"]:
             raise CorruptionError(
                 f"table '{table_name}': chain file '{filename}' holds "
-                f"{len(snap.blocks)} blocks; chain link says {declared}"
+                f"{snap.skipped_blocks + len(snap.blocks)} blocks; chain "
+                f"link says {link['blocks']}"
             )
-        live.update(enumerate(snap.blocks, start=start))
-        next_seq = start + len(snap.blocks)
-        tip = snap
-    last = chain[-1]
-    rows_ingested = last.get("rows_ingested")
-    rows_expired = last.get("rows_expired")
-    if rows_ingested is None or rows_expired is None:
-        # Legacy single-link chains synthesized from a bare
-        # ``snapshot_gen`` leave the watermarks to the file envelope.
-        if tip is None:
+        if skip + snap.row_count != span:
             raise CorruptionError(
-                f"table '{table_name}': chain carries no watermarks"
+                f"table '{table_name}': chain file '{filename}' holds "
+                f"{skip + snap.row_count} rows; its link spans {span}"
             )
-        rows_ingested = tip.rows_ingested
-        rows_expired = tip.rows_expired
+        blocks += snap.blocks
+        start = link["rows_ingested"]
     return ShmSnapshot(
         table_name=table_name,
-        blocks=[live[seq] for seq in sorted(live)],
-        generation=expected,
-        rows_ingested=rows_ingested,
-        rows_expired=rows_expired,
+        blocks=blocks,
+        generation=prev_gen,
+        # Rows sealed and expired after the tip, never synced: the
+        # count runs past the chain, as replay's watermarks allow.
+        rows_ingested=max(start, expired),
+        rows_expired=expired,
     )
-
-
-def _drop_expired(table_name: str, blocks: list[RowBlock], rows: int) -> list[RowBlock]:
-    """``blocks`` less the leading blocks that hold exactly ``rows`` rows:
-    what the live table expired after the chain's tip.  A count that
-    does not end on a block boundary (or runs past the chain) describes
-    some other table — a :class:`CorruptionError`."""
-    n = 0
-    while rows > 0 and n < len(blocks):
-        rows -= blocks[n].row_count
-        n += 1
-    if rows != 0:
-        raise CorruptionError(
-            f"table '{table_name}': expired-row count does not end on a "
-            "block boundary of its snapshot chain"
-        )
-    return blocks[n:]
 
 
 def recover_leafmap_snapshots(
@@ -265,46 +201,34 @@ def recover_leafmap_snapshots(
     """Rebuild every table from its shm-format snapshot; returns row count.
 
     The fast disk tier: each table is a file read plus bulk
-    ``RowBlock.unpack`` — no row-by-row translation.  Watermarks are
-    restored from the snapshot, and rows the live table expired after
-    the chain's tip are dropped by count (:func:`_drop_expired`: "any
-    needed deletions are made after recovery"), so the result is
-    indistinguishable from a legacy replay of the same state.  The
-    snapshot tier's validity gate: :func:`materialize_chain` checks
-    every link before its blocks are trusted, and any failure raises, so
-    the caller routes the whole leaf down to legacy replay (one leaf
-    never mixes tiers).
+    ``RowBlock.unpack`` — no row-by-row translation.  The chain comes
+    back already trimmed by the manifest's expired count, watermarks
+    included (:func:`materialize_chain`: "any needed deletions are made
+    after recovery"), so the result is indistinguishable from a legacy
+    replay of the same state.  The snapshot tier's validity gate:
+    :func:`materialize_chain` checks every link before its blocks are
+    trusted, and any failure raises, so the caller routes the whole leaf
+    down to legacy replay (one leaf never mixes tiers).  ``progress``
+    (if given) is called as ``progress(table_name, rows)`` after each
+    table lands.
     """
     if len(leafmap):
         raise RecoveryError("disk recovery requires an empty leaf map")
     total = 0
     for table_name in backup.table_names:
-        expired = backup.rows_expired(table_name)
-        if expired is None:  # a manifest from before the count: replay filters
-            raise CorruptionError(f"table '{table_name}': no expired-row count to trim by")
         snap = materialize_chain(backup, table_name)
-        blocks = _drop_expired(table_name, snap.blocks, expired - snap.rows_expired)
         table = leafmap.create_table(table_name)
-        table.replace_blocks(blocks)
+        table.replace_blocks(snap.blocks)
         table.total_rows_ingested = snap.rows_ingested
-        table.total_rows_expired = expired
+        table.total_rows_expired = snap.rows_expired
         total += table.row_count
         if progress is not None:
             progress(table_name, table.row_count)
     return total
 
 
-def recover_leafmap(
-    backup: DiskBackup,
-    leafmap: LeafMap,
-    progress: Callable[[str, int], None] | None = None,
-) -> int:
-    """Rebuild every backed-up table into ``leafmap``; returns row count.
-
-    ``progress`` (if given) is called as ``progress(table_name, rows)``
-    after each table completes, which is how a restarting leaf reports
-    its gradually-increasing data coverage to the aggregators.
-    """
+def recover_leafmap(backup: DiskBackup, leafmap: LeafMap) -> int:
+    """Rebuild every backed-up table into ``leafmap``; returns row count."""
     if len(leafmap):
         raise RecoveryError("disk recovery requires an empty leaf map")
     total = 0
@@ -313,6 +237,4 @@ def recover_leafmap(
         count = table.add_runs(recover_table_runs(backup, table_name))
         restore_watermarks(backup, table, count)
         total += count
-        if progress is not None:
-            progress(table_name, count)
     return total

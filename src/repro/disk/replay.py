@@ -44,7 +44,7 @@ import multiprocessing
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from itertools import accumulate
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
@@ -285,14 +285,13 @@ def replay_leafmap(
     workers: int = 4,
     budget: FootprintBudget | None = None,
     clock: Clock | None = None,
-    progress: Callable[[str, int], None] | None = None,
 ) -> int:
     """Rebuild every backed-up table via parallel legacy replay.
 
     A drop-in sibling of :func:`~repro.disk.recovery.recover_leafmap`:
     same empty-leafmap precondition, same watermark restoration, same
-    ``progress`` callback, same return value — and the same recovered
-    rows, block for block.  Only wall-clock differs.
+    return value — and the same recovered rows, block for block.  Only
+    wall-clock differs.
     """
     if workers < 1:
         raise ValueError("replay needs at least one worker")
@@ -324,6 +323,4 @@ def replay_leafmap(
                 )
             restore_watermarks(backup, table, count)
             total += count
-            if progress is not None:
-                progress(table_name, count)
     return total

@@ -43,11 +43,10 @@ from __future__ import annotations
 
 import os
 import struct
-from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.columnstore.rowblock import RowBlock
+from repro.columnstore.rowblock import RowBlock, check_packed_header
 from repro.errors import CorruptionError, LayoutVersionError
 from repro.shm.layout import read_segment_header, table_segment_image  # format reuse, not shm I/O
 from repro.util.checksum import crc32_of, verify_crc32
@@ -68,10 +67,10 @@ _KNOWN_FLAGS = SNAPSHOT_FLAG_DELTA
 
 @dataclass(frozen=True)
 class ShmSnapshot:
-    """One table's shm-format disk snapshot (or delta), fully decoded.
+    """One table's shm-format disk snapshot (or delta), decoded.
 
-    ``blocks`` holds ``None`` at exactly the positions the reader was
-    told to ``skip`` (see :func:`read_table_snapshot`).
+    ``blocks`` are the blocks past the ``skipped_blocks`` leading ones
+    the reader was told are dead (see :func:`read_table_snapshot`).
     """
 
     table_name: str
@@ -80,6 +79,7 @@ class ShmSnapshot:
     rows_ingested: int
     rows_expired: int
     flags: int = 0
+    skipped_blocks: int = 0
 
     @property
     def is_delta(self) -> bool:
@@ -177,19 +177,18 @@ def write_table_shm_format(
     return path
 
 
-def read_table_snapshot(
-    path: str | Path, skip: Collection[int] = ()
-) -> ShmSnapshot:
+def read_table_snapshot(path: str | Path, skip_rows: int = 0) -> ShmSnapshot:
     """Read and validate one shm-format file (CRC, versions, bounds).
 
     Raises :class:`CorruptionError` for torn/truncated files and
     :class:`LayoutVersionError` when either the file envelope or the
     embedded segment layout was written by an incompatible build.
 
-    ``skip`` names block positions in the file the caller already knows
-    to be dead (a later chain link dropped them): the whole file is
-    still read and checksummed, but those blocks are not unpacked and
-    come back as ``None``.
+    ``skip_rows`` is how many of the file's leading rows the caller
+    already knows are dead (the table expired them): the whole file is
+    still read and checksummed, but the leading blocks that hold them
+    are only counted, by their headers, never unpacked.  A count that
+    does not end on a block boundary raises :class:`CorruptionError`.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _FILE_HEADER.size:
@@ -223,10 +222,19 @@ def read_table_snapshot(
     # preamble parser defines every offset — including the empty-table
     # case — and validates the embedded layout version for free.
     table_name, pairs = read_segment_header(body)
-    blocks = [
-        None if index in skip else RowBlock.unpack(body[offset : offset + size])
-        for index, (offset, size) in enumerate(pairs)
-    ]
+    skipped = 0
+    blocks = []
+    for offset, size in pairs:
+        view = body[offset : offset + size]
+        if skipped < skip_rows:
+            skipped += check_packed_header(view)[0]
+        else:
+            blocks.append(RowBlock.unpack(view))
+    if skipped != skip_rows:
+        raise CorruptionError(
+            f"{skip_rows} expired rows do not end on a block boundary of "
+            f"snapshot file '{Path(path).name}'"
+        )
     return ShmSnapshot(
         table_name=table_name,
         blocks=blocks,
@@ -234,4 +242,5 @@ def read_table_snapshot(
         rows_ingested=rows_ingested,
         rows_expired=rows_expired,
         flags=flags,
+        skipped_blocks=len(pairs) - len(blocks),
     )

@@ -105,12 +105,19 @@ class TableSegmentWriter:
     """Streams a table into a segment, one RBC ``memcpy`` at a time."""
 
     def __init__(
-        self, segment: ShmSegment, table_name: str, blocks: list[RowBlock]
+        self,
+        segment: ShmSegment,
+        table_name: str,
+        blocks: list[RowBlock],
+        image: TableImage | None = None,
     ) -> None:
         self._segment = segment
         self._table_name = table_name
         self._blocks = blocks
-        self.used_bytes = 0
+        #: ``blocks``' image, unless the caller already built it to size
+        #: the segment.
+        self._image = table_segment_image(table_name, blocks) if image is None else image
+        self.used_bytes = self._image.size
 
     def write_rbc(self, offset: int, rbc: bytes | bytearray | memoryview) -> int:
         """Bulk-write one row block column straight from its heap buffer.
@@ -126,8 +133,7 @@ class TableSegmentWriter:
         the corresponding heap buffer before the next copy.  Each RBC is
         taken from its block only as it is copied, so nothing here keeps
         a freed buffer alive."""
-        image = table_segment_image(self._table_name, self._blocks)
-        self.used_bytes = image.size
+        image = self._image
         if self.used_bytes > self._segment.size:
             raise ShmError(
                 f"table '{self._table_name}' needs {self.used_bytes} bytes; "

@@ -217,7 +217,8 @@ def restart_spanning_chain(directory, clock, tables=("events",)):
     """A backup whose chains are six links long and written by two
     processes: base + two deltas, then a crash, a ``DISK_SNAPSHOT``
     restore into a new leaf map under a reopened manager, and three more
-    deltas from that one (the first of them drops two base blocks).
+    deltas from that one (before the first of them, expiry takes two
+    base blocks: the links from there on carry the larger count).
 
     Returns ``(backup, leafmap)``, both the second process's.
     """
@@ -250,7 +251,7 @@ def restart_spanning_chain(directory, clock, tables=("events",)):
     for name in tables:
         chain = backup.snapshot_chain(name)
         assert [link["kind"] for link in chain] == ["base"] + ["delta"] * 5
-        assert chain[3]["dropped"] == [0, 1]
+        assert [link["rows_expired"] for link in chain] == [0, 0, 0, 100, 100, 100]
     assert backup.stats.bases_written == 0, "the restart must not cost a base"
     assert backup.snapshots_ready()
     return backup, reborn

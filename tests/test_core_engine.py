@@ -38,6 +38,35 @@ class TestBackupRestore:
         assert report.method is RecoveryMethod.SHARED_MEMORY
         assert restored.snapshot_rows() == snapshot
 
+    def test_copy_out_builds_each_table_image_once(
+        self, shm_namespace, backup, clock, monkeypatch
+    ):
+        """The image that sizes a table's segment is the one written into
+        it: one ``table_segment_image`` per table, not one to size and
+        one to copy."""
+        from repro.core import engine as engine_module
+        from repro.shm import layout
+
+        calls = []
+        real = layout.table_segment_image
+
+        def spy(table_name, blocks):
+            calls.append(table_name)
+            return real(table_name, blocks)
+
+        monkeypatch.setattr(layout, "table_segment_image", spy)
+        monkeypatch.setattr(engine_module, "table_segment_image", spy, raising=False)
+        leafmap = make_leafmap(clock, tables=("events", "errors"), rows=160)
+        leafmap.seal_all()
+        snapshot = leafmap.snapshot_rows()
+        engine_for(shm_namespace, backup, clock).backup_to_shm(leafmap)
+        assert sorted(calls) == ["errors", "events"]
+        monkeypatch.undo()
+        restored = fresh_map(clock)
+        report = engine_for(shm_namespace, backup, clock).restore(restored)
+        assert report.method is RecoveryMethod.SHARED_MEMORY
+        assert restored.snapshot_rows() == snapshot
+
     def test_backup_empties_the_leafmap(self, shm_namespace, backup, clock):
         leafmap = make_leafmap(clock)
         engine = engine_for(shm_namespace, backup, clock)

@@ -177,8 +177,9 @@ class TestSnapshotTier:
         self, shm_namespace, tmp_path, clock
     ):
         """A manifest from before the expired-row count carries only a
-        cutoff: the snapshot rung has nothing to trim by, and legacy
-        replay filters the rows by time."""
+        cutoff: the snapshot rung has nothing to trim by, so it is
+        passed over as an older build's, and legacy replay filters the
+        rows by time."""
         backup, snapshot = synced_backup(tmp_path, clock)
         entry = backup._entry("events")
         del entry["rows_expired"]
@@ -188,7 +189,9 @@ class TestSnapshotTier:
             "0", namespace=shm_namespace, backup=backup, clock=clock
         ).restore(restored)
         assert report.method is RecoveryMethod.DISK
-        assert "no expired-row count" in report.failure_reason
+        assert report.failure_reason is None
+        (skip,) = [event for event in report.events if event.kind == "skip"]
+        assert skip.reason == "table 'events': chain written by an older build"
         assert restored.snapshot_rows() == {
             "events": [row for row in snapshot["events"] if row["time"] >= 1030]
         }
@@ -453,12 +456,39 @@ class TestTimelineCoversTheRestart:
         assert not report.fell_back_to_disk
         assert report.leaf_states == ["init", "disk_snapshot_recovery", "alive"]
 
+    def test_a_passed_over_snapshot_rung_is_a_skip_naming_the_table(
+        self, shm_namespace, tmp_path, clock
+    ):
+        """A sync that left rows buffered leaves the chain behind the
+        sync generation: the restart notes why it went straight to
+        legacy replay.  A brand-new leaf has nothing to skip."""
+        backup, _ = synced_backup(tmp_path, clock, tables=("events", "metrics"))
+        leafmap = make_leafmap(clock, tables=("events", "metrics"))
+        leafmap.get_table("metrics").add_rows([{"time": 9000, "host": "h0"}])
+        backup.sync_leafmap(leafmap)
+        report = RestartEngine(
+            "0", namespace=shm_namespace, backup=DiskBackup(backup.directory), clock=clock
+        ).restore(LeafMap(clock=clock, rows_per_block=50))
+        assert report.method is RecoveryMethod.DISK
+        (skip,) = [event for event in report.events if event.kind == "skip"]
+        assert (skip.what, skip.reason) == (
+            "disk_snapshot",
+            "table 'metrics': snapshot generation 1 does not match sync generation 2",
+        )
+        report = RestartEngine(
+            "1", namespace=shm_namespace, backup=DiskBackup(tmp_path / "new"), clock=clock
+        ).restore(LeafMap(clock=clock, rows_per_block=50))
+        assert report.method is RecoveryMethod.DISK
+        assert [event.kind for event in report.events if event.kind == "skip"] == []
+
     @pytest.mark.parametrize("untrusted", ["valid_bit", "layout_version"])
     def test_untrusted_shm_is_a_skip_with_its_reason(
         self, untrusted, shm_namespace, tmp_path, clock
     ):
         """Shared memory that exists but cannot be trusted leaves a trace:
-        one ``skip`` of the rung and why, no fall."""
+        one ``skip`` of the rung and why, no fall.  A layout this build
+        does not read is no more trusted in a snapshot file: the disk
+        snapshot rung is skipped for the same reason."""
         backup = DiskBackup(tmp_path / "backup")
         leafmap = make_leafmap(clock)
         leafmap.seal_all()
@@ -478,26 +508,30 @@ class TestTimelineCoversTheRestart:
         )
         restored = LeafMap(clock=clock, rows_per_block=50)
         report = engine.restore(restored)
-        (skip,) = [event for event in report.events if event.kind == "skip"]
-        assert skip.what == "shared_memory"
-        assert skip.reason == (
-            "valid bit is false"
-            if untrusted == "valid_bit"
-            else f"layout version {SHM_LAYOUT_VERSION}, not {layout}"
-        )
+        skips = [(event.what, event.reason) for event in report.events if event.kind == "skip"]
+        if untrusted == "valid_bit":
+            assert skips == [("shared_memory", "valid bit is false")]
+        else:
+            why = f"layout version {SHM_LAYOUT_VERSION}, not {layout}"
+            assert skips == [("shared_memory", why), ("disk_snapshot", why)]
         assert report.failure_reason is None and not report.fell_back_to_disk
         assert restored.snapshot_rows() == snapshot
         assert not engine.shm_state_exists()
 
 
 class TestLateBlockExpiryOnEveryRung:
-    """Blocks with max times 109, 59 (late) and 309, an expiry run, a
-    crash: every rung restores the live table.  At cutoff 70 the late
-    block alone is aged out and waits behind the oldest one, so nothing
-    goes; at 110 both lead the table and go.  Legacy replay used to
-    trim a per-block drop by count and hand back the wrong block."""
+    """Blocks with max times 109, 59 (late) and 309 synced as a base,
+    409 and 509 as a delta, an expiry run, a crash: every rung restores
+    the live table.  At cutoff 70 the late block alone is aged out and
+    waits behind the oldest one, so nothing goes; at 110 both lead the
+    table and go, and the count ends inside the base; at 310 it ends at
+    the base/delta boundary, at 410 inside the delta.  Legacy replay
+    used to trim a per-block drop by count and hand back the wrong
+    block."""
 
-    @pytest.mark.parametrize("cutoff, dropped", [(70, 0), (110, 20)])
+    @pytest.mark.parametrize(
+        "cutoff, dropped", [(70, 0), (110, 20), (310, 30), (410, 40)]
+    )
     @pytest.mark.parametrize(
         "rung", ["shm", "replica", "snapshot", "legacy-1", "legacy-2"]
     )
@@ -512,9 +546,12 @@ class TestLateBlockExpiryOnEveryRung:
             rows_per_block=10,
         )
         leaf.start()
-        for start in (100, 50, 300):
-            leaf.add_rows("events", [{"time": start + i, "host": f"h{i % 3}"} for i in range(10)])
-        leaf.sync_to_disk()
+        for starts in ((100, 50, 300), (400, 500)):
+            for start in starts:
+                leaf.add_rows("events", [{"time": start + i, "host": f"h{i % 3}"} for i in range(10)])
+            leaf.sync_to_disk()
+        chain = leaf.backup.snapshot_chain("events")
+        assert [(link["kind"], link["blocks"]) for link in chain] == [("base", 3), ("delta", 2)]
         assert leaf.expire(int(clock.now()) - cutoff) == dropped
         live = rows_digest(leaf.leafmap.snapshot_rows())
         server = None

@@ -62,32 +62,49 @@ class TestDeltaChain:
         assert backup.stats.write_amplification < 1.0
 
     def test_pure_expiry_sync_is_manifest_only(self, tmp_path, clock):
-        """A generation that only drops blocks writes no file at all:
-        the chain link's drop list describes it completely.
-
-        A pure-expiry generation empties the table (expiry consumes a
-        prefix, and it must pass the sync watermark to bump), which is
-        100% churn — so this link shape only survives when churn folding
-        is tuned off."""
+        """Expiry below the sync watermark is the manifest's count alone:
+        the sync writes no link and no file, and recovery trims the
+        chain's head by the count.  Expiry past the watermark — rows
+        sealed and expired before any sync — leaves the chain nothing
+        the table holds, and the sync writes a base."""
         backup = DiskBackup(tmp_path / "b", compact_churn=1.0)
         leafmap = make_leafmap(clock)
         sealed_sync(backup, leafmap)
-        # New rows sealed and then expired *before* ever being synced:
-        # the sync point sees expiry outpacing the watermark.
-        grow(leafmap, 50, 5000)
-        leafmap.seal_all()
-        leafmap.get_table("events").expire(10_000)
-        backup.record_expiry("events", leafmap.get_table("events").total_rows_expired)
+        table = leafmap.get_table("events")
+        assert table.expire(1050) == 50  # the first block, synced
+        chain = backup.snapshot_chain("events")
         files_before = sorted(backup.snapshot_dir.iterdir())
         backup.sync_leafmap(leafmap)
-        chain = backup.snapshot_chain("events")
-        assert chain[-1]["file"] is None
-        assert chain[-1]["dropped"] == [0, 1, 2]
-        assert backup.stats.manifest_only_links == 1
+        assert backup.snapshot_chain("events") == chain
+        assert (backup.rows_expired("events"), chain[-1]["rows_expired"]) == (50, 0)
+        assert backup.stats.skipped_unchanged == 1
         assert sorted(backup.snapshot_dir.iterdir()) == files_before
         recovered = LeafMap(clock=clock, rows_per_block=50)
         recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
+
+        grow(leafmap, 50, 5000)
+        leafmap.seal_all()
+        table.expire(10_000)
+        # Recorded before the sync, the count runs past the chain's tip:
+        # recovery keeps nothing, and its watermarks agree with replay's.
+        backup.record_expiry("events", table.total_rows_expired)
+        for recover in (recover_leafmap_snapshots, recover_leafmap):
+            recovered = LeafMap(clock=clock, rows_per_block=50)
+            recover(DiskBackup(backup.directory), recovered)
+            restored = recovered.get_table("events")
+            assert (restored.row_count, restored.total_rows_ingested) == (0, 170)
+        backup.sync_leafmap(leafmap)
+        chain = backup.snapshot_chain("events")
+        assert [(link["kind"], link["blocks"]) for link in chain] == [("base", 0)]
+        assert (chain[0]["rows_expired"], chain[0]["rows_ingested"]) == (170, 170)
+        assert backup.stats.bases_written == 2
+        assert backup.stats.manifest_only_links == 0
+        assert sorted(backup.snapshot_dir.iterdir()) == [backup.snapshot_path("events")]
+        recovered = LeafMap(clock=clock, rows_per_block=50)
+        recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
+        assert recovered.row_count == 0
+        assert recovered.get_table("events").total_rows_expired == 170
 
     def test_chain_compacts_at_max_links(self, tmp_path, clock):
         backup = DiskBackup(tmp_path / "b", max_chain_links=3)
@@ -124,7 +141,7 @@ class TestDeltaChain:
 
     def test_noop_sync_skips_snapshot_write(self, backup, clock):
         """Satellite fix: an unchanged sync generation writes nothing —
-        no base, no delta, no manifest-only link, no manifest save."""
+        no base, no delta, no manifest save."""
         leafmap = make_leafmap(clock)
         sealed_sync(backup, leafmap)
         points = backup.stats.snapshot_points
@@ -235,25 +252,6 @@ class TestDeltaChain:
         backup.wipe()
         assert not backup.snapshot_dir.exists()
 
-    def test_legacy_manifest_chain_synthesis(self, backup, clock):
-        """A pre-chain manifest (bare ``snapshot_gen``, single base file)
-        must still recover through the chain reader."""
-        leafmap = make_leafmap(clock)
-        sealed_sync(backup, leafmap)
-        manifest_path = backup.directory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        for entry in manifest.values():
-            entry.pop("chain", None)
-            entry.pop("next_seq", None)
-        manifest_path.write_text(json.dumps(manifest))
-        reopened = DiskBackup(backup.directory)
-        assert reopened.snapshot_valid("events")
-        snap = materialize_chain(reopened, "events")
-        assert snap.row_count == 120
-        recovered = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(reopened, recovered)
-        assert recovered.snapshot_rows() == leafmap.snapshot_rows()
-
 
 class TestContentKeyedChain:
     """The chain is re-joined by content key, positionally."""
@@ -262,8 +260,9 @@ class TestContentKeyedChain:
         self, backup, clock
     ):
         """Version skew: a manifest written before links recorded keys
-        reads back unchanged, and since nothing says what its blocks
-        are, the next snapshot is one fresh base — with keys."""
+        is an older build's chain — never read, so the leaf replays the
+        row log to the same rows — and since nothing says what its
+        blocks are, the next snapshot is one fresh base, with keys."""
         leafmap = make_leafmap(clock)
         sealed_sync(backup, leafmap)
         grow(leafmap, 60, 5000)
@@ -275,9 +274,11 @@ class TestContentKeyedChain:
         manifest_path.write_text(json.dumps(manifest))
 
         old = DiskBackup(backup.directory)
-        assert old.snapshot_valid("events")
+        assert old.snapshot_fault("events") == "chain written by an older build"
+        with pytest.raises(SnapshotStaleError, match="older build"):
+            materialize_chain(old, "events")
         recovered = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(old, recovered)
+        recover_leafmap(old, recovered)
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
         grow(recovered, 60, 6000)
@@ -353,38 +354,54 @@ class TestContentKeyedChain:
         manager.sync_leafmap(leafmap)
         chain = manager.snapshot_chain("events")
         assert [link["kind"] for link in chain] == ["base", "delta"]
-        # [A, B, A] -> [B, A, A]: the older twin goes, the younger one
-        # is matched where it stands, and only the new block is written.
-        assert chain[1]["dropped"] == [0]
+        # [A, B, A] -> [B, A, A]: the count takes the older twin, the
+        # younger one is matched where it stands, and only the new block
+        # is written.
         assert chain[1]["keys"] == [keys[0]]
+        assert (chain[1]["rows_expired"], chain[1]["rows_ingested"]) == (10, 40)
         recovered = LeafMap(clock=clock, rows_per_block=10)
         recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
     @pytest.mark.parametrize(
-        "live, keys, kept, dropped",
-        [
-            ([], [], 0, []),
-            ([], ["a"], 0, []),
-            ([(0, "a"), (1, "b")], ["a", "b"], 2, []),
-            ([(0, "a"), (1, "b")], ["a", "b", "c"], 2, []),
-            ([(0, "a"), (1, "b"), (2, "c")], ["b", "c", "d"], 2, [0]),
-            ([(0, "a"), (1, "b"), (2, "c")], ["a", "c"], 2, [1]),
-            ([(0, "a"), (1, "b")], [], 0, [0, 1]),
-            ([(0, "a"), (1, "b")], ["x", "y"], 0, [0, 1]),
-            # Equal keys: matched in order, never twice.
-            ([(4, "a"), (5, "a"), (6, "b")], ["a", "b"], 2, [5]),
-            ([(4, "a"), (5, "a")], ["a", "a", "a"], 2, []),
-            ([(4, "a"), (5, "b"), (6, "a")], ["a", "a"], 2, [5]),
-        ],
+        "case, kept",
+        [("kept", 3), ("expired_head", 2), ("resealed", None), ("twins", 2)],
     )
-    def test_chain_delta_alignment(self, live, keys, kept, dropped):
-        from repro.disk.backup import _chain_delta
+    def test_chain_extension_matches_by_position(self, case, kept, tmp_path, clock):
+        """The chain holds the table's leading blocks that hold the rows
+        from its expired count to the tip's ``rows_ingested``, if their
+        keys are the chain's last keys in order: all three blocks; two
+        after the first expired; none of a legacy replay's re-sealed
+        blocks (a base); and of [A, B, A] less its head, B and the
+        younger A where they stand."""
+        backup = DiskBackup(tmp_path / "b", compact_churn=1.0)
+        leafmap = LeafMap(clock=clock, rows_per_block=10)
+        table = leafmap.get_or_create("events")
+        first = [{"time": 100 + i, "host": "a"} for i in range(10)]
+        table.add_rows(first)
+        table.add_rows({"time": 200 + i, "host": "b"} for i in range(10))
+        table.add_rows(first if case == "twins" else [{"time": 300 + i, "host": "c"} for i in range(10)])
+        backup.sync_leafmap(leafmap)
+        if case == "resealed":
+            clock.advance(30.0)
+            leafmap = LeafMap(clock=clock, rows_per_block=10)
+            recover_leafmap(backup, leafmap)
+            table = leafmap.get_table("events")
+        elif case != "kept":
+            table.expire(max_bytes=table.sealed_nbytes - table.blocks[0].nbytes)
+        table.add_rows({"time": 400 + i, "host": "d"} for i in range(10))
+        blocks = table.blocks
+        keys = [block.content_key() for block in blocks]
+        entry = backup._entry("events")
+        assert backup._chain_extension("events", entry, blocks, keys, table.total_rows_expired) == kept
 
-        assert _chain_delta(live, keys) == (kept, dropped)
-        # Whatever the alignment, survivors + appended is the table.
-        survivors = [key for seq, key in live if seq not in dropped]
-        assert survivors + keys[kept:] == keys
+        backup.sync_leafmap(leafmap)
+        chain = backup.snapshot_chain("events")
+        assert chain[-1]["keys"] == keys[kept or 0 :]
+        assert [link["kind"] for link in chain] == (["base"] if kept is None else ["base", "delta"])
+        recovered = LeafMap(clock=clock, rows_per_block=10)
+        recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
+        assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
     def test_second_sync_decodes_only_the_new_block(
         self, backup, clock, monkeypatch
@@ -440,7 +457,8 @@ class TestContentKeyedChain:
 class TestSizeDropReachesTheChain:
     """A size-limit drop leaves no expiry cutoff behind, so with no
     ingest after it nothing used to tell the chain: the tip stayed
-    trusted and ``DISK_SNAPSHOT`` brought the dropped blocks back."""
+    trusted and ``DISK_SNAPSHOT`` brought the dropped blocks back.  The
+    manifest's count tells it now, and the chain is not touched."""
 
     @pytest.mark.parametrize("snapshots", [True, False], ids=["disk_snapshot", "disk"])
     def test_drop_then_sync_then_crash_restores_the_live_table(
@@ -454,12 +472,12 @@ class TestSizeDropReachesTheChain:
         assert dropped == 50 and table.block_count == 2
         before = backup.stats.snapshot_bytes_written
         backup.sync_leafmap(leafmap)  # no ingest since the drop
+        assert backup.rows_expired("events") == 50
         if snapshots:
-            tip = backup.snapshot_chain("events")[-1]
-            assert (tip["file"], tip["dropped"], tip["rows_expired"]) == (None, [0], 50)
-            assert backup.stats.manifest_only_links == 1
+            (link,) = backup.snapshot_chain("events")
+            assert (link["kind"], link["rows_expired"]) == ("base", 0)
+            assert backup.stats.manifest_only_links == 0
             assert backup.stats.snapshot_bytes_written == before, "zero block bytes"
-            backup.sync_leafmap(leafmap)  # and now the tip is current
             assert backup.stats.skipped_unchanged == 1
 
         restored = LeafMap(clock=clock, rows_per_block=50)
@@ -617,7 +635,8 @@ class TestDirectoryFsync:
 
 
 def chained_backup(tmp_path, clock):
-    """A backup whose 'events' chain is base + delta + delta with drops."""
+    """A backup whose 'events' chain is base + delta + delta, the last
+    written after expiry took two base blocks."""
     backup = DiskBackup(tmp_path / "backup")
     leafmap = make_leafmap(clock)  # blocks at times 1000..1119
     sealed_sync(backup, leafmap)
@@ -629,7 +648,7 @@ def chained_backup(tmp_path, clock):
     sealed_sync(backup, leafmap)
     chain = backup.snapshot_chain("events")
     assert [link["kind"] for link in chain] == ["base", "delta", "delta"]
-    assert chain[-1]["dropped"], "sweep needs a link with drops"
+    assert chain[-1]["rows_expired"] == 100, "sweep needs a trimmed head"
     assert backup.snapshots_ready()
     return backup, leafmap.snapshot_rows()
 
@@ -688,13 +707,20 @@ class TestChainReadFaultSweep:
         if case == "kind_out_of_position":
             return _patch_manifest(backup, lambda e: e["chain"][1].update(kind="base"))
         if case == "unknown_dropped_seq":
+            # An older build's drop list: the chain is never read.
             return _patch_manifest(
-                backup, lambda e: e["chain"][1]["dropped"].append(999)
+                backup, lambda e: e["chain"][1].update(dropped=[999])
             )
-        if case == "reused_seq":
+        if case == "span_mismatch":
+            # The link's row span disagrees with the rows its file holds.
             return _patch_manifest(
-                backup, lambda e: e["chain"][1].update(start_seq=0)
+                backup,
+                lambda e: e["chain"][1].update(rows_ingested=e["chain"][1]["rows_ingested"] + 1),
             )
+        if case == "mid_block_count":
+            # The manifest's count ends inside a block: it describes some
+            # other table, and legacy replay trims exactly that count.
+            return _patch_manifest(backup, lambda e: e.update(rows_expired=e["rows_expired"] + 1))
         if case == "block_count_mismatch":
             return _patch_manifest(
                 backup,
@@ -712,7 +738,7 @@ class TestChainReadFaultSweep:
 
     # The manifest itself refuses to vouch for these (snapshot_valid is
     # false), so the engine never enters the snapshot tier.
-    UNTRUSTED = ("missing_base", "missing_delta", "tip_gen_mismatch")
+    UNTRUSTED = ("missing_base", "missing_delta", "tip_gen_mismatch", "unknown_dropped_seq")
     # These pass the validity pre-check and fail mid-read: the tier is
     # entered and the whole leaf falls back.
     FAULTED = (
@@ -721,11 +747,13 @@ class TestChainReadFaultSweep:
         "stale_tip_delta",
         "nonmonotone_gens",
         "kind_out_of_position",
-        "unknown_dropped_seq",
-        "reused_seq",
+        "span_mismatch",
+        "mid_block_count",
         "block_count_mismatch",
         "flag_kind_mismatch",
     )
+    #: Rows the manifest's count takes past the live table's.
+    TRIMMED = {"mid_block_count": 1}
     CASES = UNTRUSTED + FAULTED
 
     @pytest.mark.parametrize("case", CASES)
@@ -740,6 +768,9 @@ class TestChainReadFaultSweep:
     ):
         """The same sweep over a six-link chain two processes wrote."""
         self.falls_back_to_legacy(restarted_chain, case, shm_namespace, tmp_path, clock)
+
+    def expected(self, snapshot, case):
+        return {"events": snapshot["events"][self.TRIMMED.get(case, 0) :]}
 
     def falls_back_to_legacy(self, build, case, shm_namespace, tmp_path, clock):
         backup, snapshot = build(tmp_path, clock)
@@ -763,7 +794,7 @@ class TestChainReadFaultSweep:
         else:
             assert not backup.snapshot_valid("events")
             assert report.leaf_states == ["init", "disk_recovery", "alive"]
-        assert restored.snapshot_rows() == snapshot
+        assert restored.snapshot_rows() == self.expected(snapshot, case)
         assert tracker.in_region("shm") == 0
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)
 
@@ -796,5 +827,5 @@ class TestChainReadFaultSweep:
         ).restore(restored)
         assert report.method is RecoveryMethod.DISK
         assert report.fell_back_to_legacy == (case in self.FAULTED)
-        assert restored.snapshot_rows() == snapshot
+        assert restored.snapshot_rows() == self.expected(snapshot, case)
         assert tracker.in_region("heap") == sum(t.nbytes for t in restored)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.cluster.replication import ReplicaCatalog
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
-from repro.disk.backup import DiskBackup, _chain_delta, _live_chain_keys
+from repro.disk.backup import DiskBackup
 from repro.disk.recovery import recover_leafmap, recover_leafmap_snapshots
 from repro.disk.shmformat import read_table_snapshot
 from repro.server.leaf import LeafServer
@@ -201,9 +201,13 @@ class TestIncrementalChainProperty:
                 assert rows_digest(leafmap.snapshot_rows()) == before
                 # Re-joined: the new process finds every resident block
                 # in the chain it did not write, in order.
+                # The chain's tip spans the table past its expired count,
+                # and its last keys are the table's.
                 keys = [block.content_key() for block in table.blocks]
-                live = _live_chain_keys(backup.snapshot_chain("events"))
-                assert _chain_delta(live, keys)[0] == len(keys)
+                chain = backup.snapshot_chain("events")
+                held = [key for link in chain for key in link["keys"]]
+                assert held[len(held) - len(keys) :] == keys
+                assert chain[-1]["rows_ingested"] - table.total_rows_expired == table.row_count
             else:
                 table.expire(int(op[1] * t))
                 backup.record_expiry("events", table.total_rows_expired)
@@ -344,7 +348,7 @@ class TestRestartRejoinsChain:
         assert (stats.bases_written, stats.deltas_written) == (0, 1)
         chain = reborn.backup.snapshot_chain("events")
         assert [link["kind"] for link in chain] == ["base"] + ["delta"] * 5
-        assert chain[-1]["dropped"] == []
+        assert chain[-1]["keys"] == [fresh.content_key()]
         delta_path = reborn.backup.snapshot_dir / chain[-1]["file"]
         assert stats.snapshot_bytes_written == delta_path.stat().st_size
         assert [b.pack() for b in read_table_snapshot(delta_path).blocks] == [fresh.pack()]

@@ -9,7 +9,10 @@ them — and checks that the new build refuses that rung at its version
 check, not at a decode, and lands on the rung below with the same rows.
 The expiry record changed too (a count alone, no cutoff), but the new
 build reads what the older one wrote, so that row bumps nothing and
-stays on its rung.
+stays on its rung.  So did the snapshot chain's manifest record (a link
+records what it appends, no drop lists or sequence numbers): the
+snapshot files are unchanged and nothing is bumped, but a chain an older
+build recorded lands on legacy replay, and the next sync writes a base.
 """
 
 from __future__ import annotations
@@ -111,6 +114,87 @@ class TestSnapshotRung:
         assert report.method is RecoveryMethod.DISK
         assert report.fell_back_to_legacy
         assert f"layout version {OLD_LAYOUT_VERSION}" in report.failure_reason
+        assert restored == digest
+
+
+    def test_a_parent_shaped_chain_lands_on_legacy_and_the_next_sync_writes_a_base(
+        self, shm_namespace, backup, clock
+    ):
+        """The older build numbered every chain block (``start_seq``,
+        ``next_seq``), listed expired blocks in ``dropped``, and wrote a
+        link without a file for a generation that only expired.  This
+        build never reads such a chain: legacy replay restores the same
+        rows, the next sync writes a base, and the restart after that
+        takes the snapshot rung."""
+        leafmap, _ = old_leaf(clock, backup)
+        ingest(leafmap, 2000, 128)
+        leafmap.seal_all()
+        backup.sync_leafmap(leafmap)
+        assert leafmap.get_table("events").expire(1128) == 128  # two base blocks
+        digest = rows_digest(leafmap.snapshot_rows())
+        path = backup.directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest.values():
+            seq = 0
+            for link in entry["chain"]:
+                link.update(start_seq=seq, dropped=[])
+                seq += link["blocks"]
+            entry["next_seq"] = seq
+        events = manifest["events"]
+        gen = events["sync_gen"] + 1
+        events["chain"].append(
+            {
+                "gen": gen,
+                "file": None,
+                "kind": "delta",
+                "start_seq": events["next_seq"],
+                "blocks": 0,
+                "keys": [],
+                "dropped": [0, 1],
+                "rows_ingested": events["chain"][-1]["rows_ingested"],
+                "rows_expired": 128,
+            }
+        )
+        events.update(sync_gen=gen, snapshot_gen=gen, rows_expired=128)
+        path.write_text(json.dumps(manifest))
+
+        reopened = DiskBackup(backup.directory)
+        _, report, restored = restore(shm_namespace, reopened, clock)
+        assert report.method is RecoveryMethod.DISK
+        (skip,) = [event for event in report.events if event.kind == "skip"]
+        assert skip.reason == "table 'events': chain written by an older build"
+        assert restored == digest
+
+        replayed = LeafMap(clock=clock, rows_per_block=64)
+        RestartEngine("0", namespace=shm_namespace, backup=reopened, clock=clock).restore(replayed)
+        reopened.sync_leafmap(replayed)
+        (link,) = reopened.snapshot_chain("events")
+        assert link["kind"] == "base" and "dropped" not in link
+        # Empty drop lists are the same record as none: that chain reads.
+        assert reopened.snapshot_valid("metrics")
+        _, report, restored = restore(shm_namespace, DiskBackup(backup.directory), clock)
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert restored == digest
+
+    def test_a_bare_snapshot_gen_manifest_lands_on_legacy_replay(
+        self, shm_namespace, backup, clock
+    ):
+        """The build before chains recorded one ``snapshot_gen`` and a
+        single base file.  Nothing is made up for it: the snapshot rung
+        is passed over and the row log replays the same rows."""
+        _, digest = old_leaf(clock, backup)
+        path = backup.directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest.values():
+            del entry["chain"]
+        path.write_text(json.dumps(manifest))
+        reopened = DiskBackup(backup.directory)
+        assert reopened.snapshot_generation("events") == reopened.sync_generation("events")
+        _, report, restored = restore(shm_namespace, reopened, clock)
+        assert report.method is RecoveryMethod.DISK
+        assert not report.fell_back_to_legacy
+        (skip,) = [event for event in report.events if event.kind == "skip"]
+        assert skip.reason == "table 'events': no snapshot chain"
         assert restored == digest
 
 
