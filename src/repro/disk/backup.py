@@ -105,6 +105,8 @@ from repro.errors import RecoveryError
 
 _MANIFEST = "manifest.json"
 _SNAPSHOT_DIR = "snapshots"
+#: Entry keys an older build wrote that the ``rows_expired`` count replaced.
+_SUPERSEDED_KEYS = {"next_seq", "expire_before", "expire_applied", "expire_gen"}
 
 #: Chain-growth bound: a snapshot chain longer than this is folded back
 #: into a single base at the next snapshot point (recovery cost stays
@@ -460,6 +462,11 @@ class DiskBackup:
         # recovery rung how many leading ingest positions are gone.
         if expired > entry.get("rows_expired", -1):
             entry["rows_expired"] = expired
+            changed = True
+        # With the count recorded, an older build's cutoff and block
+        # numbering are read by nothing: stop carrying them forward.
+        for key in _SUPERSEDED_KEYS & entry.keys():
+            del entry[key]
             changed = True
         if self.snapshots_enabled and table.buffered_row_count == 0:
             if self.snapshot_valid(table.name):

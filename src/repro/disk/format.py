@@ -42,14 +42,20 @@ never rebuilds rows to persist them.  The one decoder,
 :func:`decode_chunk_columns`, reads a payload back column by column too:
 as runs of rows whose columns agree on type (the
 :class:`~repro.columnstore.table.RunBuilder` live ingest reads rows
-with), which replay seals without building a row.
-:func:`decode_chunk_rows` materializes those runs.
+with), which replay seals without building a row.  A chunk whose rows
+all repeat the first row's name-and-type bytes — every chunk a sync
+writes from sealed blocks — is read a column at a time in numpy; any
+other goes to one loop over the payload bytes, which is also the only
+reader that reports damage.  :func:`decode_chunk_rows` materializes
+those runs.
 """
 
 from __future__ import annotations
 
 import struct
 from typing import BinaryIO, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from repro.columnstore.rbc import RowBlockColumn
 from repro.columnstore.rowblock import RowBlock
@@ -299,12 +305,131 @@ def _str_span(buf: bytes, pos: int, end: int) -> tuple[int, int]:
     return pos, pos + length
 
 
+def _spans(arr: np.ndarray, pos: np.ndarray, end: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Where the one-byte-length strings at ``pos`` start and stop;
+    ``None`` on a long length or an overrun."""
+    if int(pos.max()) >= end or (lengths := arr[pos]).max() >= 0x80:
+        return None
+    lo = pos + 1
+    hi = lo + lengths
+    return None if int(hi.max()) > end else (lo, hi)
+
+
+def _one_shape_runs(buf: bytes, n_rows: int, skip: int) -> list[ColumnRun] | None:
+    """The chunk read a column at a time, when every row carries the
+    first row's name-and-type bytes (a sync writes every chunk from one
+    block's schema); ``None`` on anything else, for the row loop.
+
+    Row starts are where the field count and the first name prefix
+    occur, and there must be ``n_rows`` of them.  Each field is then one
+    numpy step over every row's position: its prefix checked, a number
+    gathered as 8 bytes, a string's or vector's one-byte length read.
+    Each row must end where the next starts, so the walk is the row
+    loop's, and only then are values built, for the live rows alone.  A
+    string cell whose bytes are ASCII is a slice of the payload decoded
+    once as latin-1.
+    """
+    end = len(buf)
+    if n_rows < 1 or end < 3 or not 0 < buf[0] < 0x80 or buf[1] >= 0x80:
+        return None
+    key = buf[: buf[1] + 3]  # the field count and the first name prefix
+    if len(key) < buf[1] + 3:
+        return None
+    arr = np.frombuffer(buf, np.uint8)
+    starts = np.flatnonzero(arr[: end - len(key) + 1] == key[0])
+    for j in range(1, len(key)):
+        if len(starts) < n_rows:
+            return None
+        starts = starts[arr[starts + j] == key[j]]
+    if len(starts) != n_rows or starts[0] != 0:
+        return None
+    # The walk: every field's positions on every row, before any value.
+    pos = starts + 1
+    fields: list[tuple[bytes, ColumnType, tuple[np.ndarray, ...]]] = []
+    for _ in range(buf[0]):
+        at = int(pos[0])
+        if at >= end or buf[at] >= 0x80:
+            return None
+        prefix = buf[at : at + buf[at] + 2]
+        if len(prefix) < buf[at] + 2 or int(pos.max()) + len(prefix) > end:
+            return None
+        row_prefixes = arr[pos[:, None] + np.arange(len(prefix))]
+        if not (row_prefixes == np.frombuffer(prefix, np.uint8)).all():
+            return None
+        pos = pos + len(prefix)
+        ctype = _COLUMN_TYPES.get(prefix[-1])
+        if ctype in _NUMERIC_DTYPES:
+            if int(pos.max()) + 8 > end:
+                return None
+            fields.append((prefix, ctype, (pos,)))
+            pos = pos + 8
+        elif ctype is ColumnType.STRING:
+            if (span := _spans(arr, pos, end)) is None:
+                return None
+            fields.append((prefix, ctype, span))
+            pos = span[1]
+        elif ctype is ColumnType.STRING_VECTOR:
+            if (span := _spans(arr, pos, end)) is None:  # the counts, as lengths
+                return None
+            counts, pos = span[1] - span[0], span[0]
+            width = int(counts.max())
+            los, his = np.zeros((2, n_rows, width), np.int64)
+            for k in range(width):
+                has = counts > k
+                if (span := _spans(arr, pos[has], end)) is None:
+                    return None
+                los[has, k], his[has, k] = span
+                pos[has] = span[1]
+            fields.append((prefix, ctype, (counts, los, his)))
+        else:
+            return None
+    if pos[-1] != end or not np.array_equal(pos[:-1], starts[1:]):
+        return None
+
+    # The build: the live rows' values, a column at a time.
+    live = slice(max(skip, 0), None)
+    n_live = len(starts[live])
+    text, non_ascii = buf.decode("latin-1"), np.flatnonzero(arr >= 0x80)
+
+    def cells(lo: np.ndarray, hi: np.ndarray) -> list[str]:
+        lo_list, hi_list = lo.tolist(), hi.tolist()
+        out = [text[a:b] for a, b in zip(lo_list, hi_list)]
+        odd = non_ascii.searchsorted(lo) != non_ascii.searchsorted(hi)
+        for j in np.flatnonzero(odd).tolist():  # a cell holding a byte >= 0x80
+            out[j] = buf[lo_list[j] : hi_list[j]].decode("utf-8")
+        return out
+
+    columns: list[list[ColumnValue]] = []
+    try:
+        names = [prefix[1:-1].decode() for prefix, _, _ in fields]
+        if len(set(names)) < len(names):
+            return None
+        for _, ctype, found in fields:
+            if ctype in _NUMERIC_DTYPES:
+                numbers = arr[found[0][live, None] + np.arange(8)]
+                columns.append(numbers.view(_NUMERIC_DTYPES[ctype]).ravel().tolist())
+            elif ctype is ColumnType.STRING:
+                columns.append(cells(found[0][live], found[1][live]))
+            else:
+                counts, los, his = found
+                mask = np.arange(los.shape[1]) < counts[live, None]
+                items = cells(los[live][mask], his[live][mask])
+                bounds = np.cumsum(counts[live]).tolist()
+                columns.append([items[a:b] for a, b in zip([0, *bounds], bounds)])
+    except UnicodeDecodeError:
+        return None
+    types = tuple(ctype for _, ctype, _ in fields)
+    return [ColumnRun(tuple(names), types, columns, n_live)] if n_live else []
+
+
 def decode_chunk_columns(payload: bytes, n_rows: int, skip: int = 0) -> list[ColumnRun]:
     """Decode one intact chunk payload, less its first ``skip`` rows, into
     the maximal runs of consecutive rows whose columns agree on type.
 
-    One loop over the payload bytes, its damage reported as a per-row
-    reader would report it.  A row is matched against the previous
+    A one-shape chunk is read a column at a time (:func:`_one_shape_runs`);
+    otherwise, or if that pass finds anything odd, one loop over the
+    payload bytes reads it, its damage reported as a per-row reader
+    would report it.  A row is matched against the previous
     row's name-and-type bytes and read value by value: no name is
     decoded, no dict built.  From the first field that does not match,
     the row's own bytes are read, and its names are decoded once per run
@@ -316,6 +441,9 @@ def decode_chunk_columns(payload: bytes, n_rows: int, skip: int = 0) -> list[Col
     reported, like bad UTF-8, as the :class:`CorruptionError` it is.
     """
     buf = bytes(payload)
+    runs = _one_shape_runs(buf, n_rows, skip)
+    if runs is not None:
+        return runs
     end = len(buf)
     pos = 0
     unpack_i64, unpack_f64, startswith = I64.unpack_from, F64.unpack_from, buf.startswith

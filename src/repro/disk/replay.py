@@ -3,7 +3,9 @@
 Single-stream legacy replay (``recover_leafmap``) pays its time in two
 loops: decoding the disk chunks into column runs and sealing those into
 compressed blocks (``seal_groups``, ``RowBlock.from_columns``).  Both
-are CPU-bound pure-Python work, so this module fans *both* across a
+are CPU-bound — the decode numpy over the payload plus a Python slice
+per string cell (a one-shape chunk; a byte loop otherwise), the seal
+Python around the column codecs — so this module fans *both* across a
 worker pool: the parent scans each table file once for raw chunk
 payloads (header row counts, no row decode), partitions the global row
 stream at exact seal boundaries into chunk-aligned spans, and each

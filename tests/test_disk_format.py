@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rbc import RowBlockColumn, build_rbc_from_encoded
 from repro.columnstore.rowblock import RowBlock
 from repro.compression import CompressionFlags
 from repro.compression.lzs import lz_compress
 from repro.compression.pipeline import raw_string_payload
+from repro.disk import format as disk_format
+from repro.disk.backup import DiskBackup
 from repro.disk.format import (
     CHUNK_MAGIC,
     DEFLATED_CHUNK_MAGIC,
@@ -27,10 +30,17 @@ from repro.disk.format import (
     write_chunk,
     write_file_header,
 )
+from repro.disk.recovery import recover_leafmap
 from repro.errors import CorruptionError
 from repro.types import ColumnType
 from repro.util.binary import BufferReader, BufferWriter, encode_varint
-from repro.util.checksum import crc32_of
+from repro.util.checksum import crc32_of, rows_digest
+from repro.workloads.generators import (
+    ads_revenue,
+    code_regressions,
+    error_logs,
+    service_requests,
+)
 from tests.oracles import decode_row, encode_row
 
 
@@ -548,13 +558,24 @@ class TestDecoderMatchesReference:
         ]
         assert columns_decode(payload, 2) == [{"a": "yz", "b": "x"}, {"a": 7}]
 
-    @pytest.mark.parametrize("rows", [rows_fixture(), WIDE_ROWS[1:]], ids=["small", "wide"])
-    def test_every_truncation_and_byte_flip_agrees(self, rows):
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            encode_chunk_rows(rows_fixture()),
+            encode_chunk_rows(WIDE_ROWS[1:]),
+            encode_chunk_rows(list(service_requests(12))),
+            encode_chunk_block(RowBlock.from_rows(list(service_requests(12, seed=5)), 0.0)),
+        ],
+        ids=["small", "wide", "one-shape", "one-shape-block"],
+    )
+    def test_every_truncation_and_byte_flip_agrees(self, chunk):
         """Damage inside an intact CRC (or a wrong header row count) must
         surface as ``CorruptionError`` exactly when the reference says
         so — never ``IndexError`` / ``struct.error`` /
-        ``UnicodeDecodeError`` — and otherwise decode to the same rows."""
-        count, payload = encode_chunk_rows(rows)
+        ``UnicodeDecodeError`` — and otherwise decode to the same rows.
+        The one-shape cases hold the column-at-a-time pass, which reads
+        them first, to the same rule."""
+        count, payload = chunk
         cases = [(payload[:cut], count) for cut in range(len(payload))]
         cases += [(payload, n) for n in (0, count - 1, count + 1, 1 << 40)]
         for index in range(len(payload)):
@@ -586,6 +607,112 @@ class TestDecoderMatchesReference:
             assert outcome(skipping(1), payload, n_rows) == outcome(
                 reference_tail(1), payload, n_rows
             )
+
+
+ONE_SHAPE_VALUES = {
+    int: st.one_of(
+        st.sampled_from([-(2**63), 2**63 - 1, 0]),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    ),
+    float: st.one_of(st.sampled_from([float("nan"), -0.0, float("inf")]), st.floats()),
+    str: st.one_of(st.sampled_from(["", "naïve ☃", "x" * 128, "é" * 70]), string_strategy),
+    list: st.one_of(
+        st.sampled_from([[], ["é", "x" * 200], ["a"] * 130]), st.lists(string_strategy, max_size=4)
+    ),
+}
+
+
+def with_repeated_name(rows):
+    """The chunk with every row's first field written again at its end:
+    the same dicts, by hand (a dict cannot repeat a name)."""
+    pieces = []
+    for row in rows:
+        first = next(iter(row))
+        fields = encode_chunk_rows([row])[1][1:]
+        again = encode_chunk_rows([{first: row[first]}])[1][1:]
+        pieces.append(encode_varint(len(row) + 1) + fields + again)
+    return b"".join(pieces)
+
+
+@pytest.fixture
+def no_row_loop(monkeypatch):
+    """Fail the test if the decoder falls back to its row loop, the one
+    reader that builds a :class:`RunBuilder`."""
+
+    def refuse():
+        raise AssertionError("a one-shape chunk fell back to the row loop")
+
+    monkeypatch.setattr(disk_format, "RunBuilder", refuse)
+
+
+class TestOneShapePass:
+    """Chunks whose rows all carry the first row's name-and-type bytes
+    are read a column at a time; they decode exactly as the reference
+    reads them, and the ledger's tables never reach the row loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        schema=st.lists(
+            st.tuples(name_strategy, st.sampled_from(list(ONE_SHAPE_VALUES))),
+            min_size=1,
+            max_size=5,
+            unique_by=lambda field: field[0],
+        ),
+        n_rows=st.integers(min_value=1, max_value=12),
+        repeat=st.booleans(),
+        data=st.data(),
+    )
+    def test_one_shape_chunks_equal_reference(self, schema, n_rows, repeat, data):
+        """Non-ASCII strings, 128-byte and longer strings, empty and
+        130-item vectors, NaN, -0.0 and the int64 extremes, with and
+        without a name every row repeats, with and without dead rows."""
+        rows = [
+            {name: data.draw(ONE_SHAPE_VALUES[kind], label=name) for name, kind in schema}
+            for _ in range(n_rows)
+        ]
+        payload = with_repeated_name(rows) if repeat else encode_chunk_rows(rows)[1]
+        want = outcome(reference_decode, payload, n_rows)
+        assert want is not CorruptionError
+        assert outcome(decode_chunk_rows, payload, n_rows) == want
+        # A repeated name is one column of the run, as the row's dict has it.
+        (run,) = decode_chunk_columns(payload, n_rows)
+        assert len(set(run.names)) == len(run.names) == len(schema)
+        skip = data.draw(st.integers(0, n_rows), label="skip")
+        assert outcome(skipping(skip), payload, n_rows) == outcome(
+            reference_tail(skip), payload, n_rows
+        )
+
+    def test_specials_take_the_pass(self, no_row_loop):
+        rows = [
+            {"time": -(2**63), "s": "naïve ☃", "v": float("nan"), "tags": []},
+            {"time": 2**63 - 1, "s": "", "v": -0.0, "tags": ["é", "x" * 127]},
+        ]
+        count, payload = encode_chunk_rows(rows)
+        (run,) = decode_chunk_columns(payload, count)
+        assert run.layouts is None and run.names == ("time", "s", "v", "tags")
+        assert repr(run.rows()) == repr(rows)
+        assert decode_chunk_columns(payload, count, skip=count) == []
+
+    @pytest.mark.parametrize(
+        "generate", [service_requests, error_logs, ads_revenue, code_regressions]
+    )
+    def test_ledger_tables_never_reach_the_row_loop(self, generate, clock, tmp_path, no_row_loop):
+        """A crash-shaped log of each workload's table — sealed blocks
+        transcoded at two syncs, rows still buffered at each — replays
+        through the column-at-a-time pass alone, to the same rows."""
+        leafmap = LeafMap(clock=clock, rows_per_block=64)
+        table = leafmap.get_or_create("t")
+        backup = DiskBackup(tmp_path / "backup")
+        rows = list(generate(300))
+        for batch in (rows[:140], rows[140:]):
+            table.add_rows(batch)
+            backup.sync_leafmap(leafmap)
+        assert table.buffered_row_count
+        table.expire(rows[100]["time"])  # dead head rows to skip
+        backup.sync_leafmap(leafmap)
+        replayed = LeafMap(clock=clock, rows_per_block=64)
+        assert recover_leafmap(backup, replayed) == table.row_count
+        assert rows_digest(replayed.snapshot_rows()) == rows_digest(leafmap.snapshot_rows())
 
 
 class TestTornWrites:

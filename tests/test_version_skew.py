@@ -121,11 +121,12 @@ class TestSnapshotRung:
         self, shm_namespace, backup, clock
     ):
         """The older build numbered every chain block (``start_seq``,
-        ``next_seq``), listed expired blocks in ``dropped``, and wrote a
-        link without a file for a generation that only expired.  This
-        build never reads such a chain: legacy replay restores the same
-        rows, the next sync writes a base, and the restart after that
-        takes the snapshot rung."""
+        ``next_seq``), listed expired blocks in ``dropped``, wrote a
+        link without a file for a generation that only expired, and kept
+        an expiry cutoff next to the count.  This build never reads such
+        a chain: legacy replay restores the same rows, the next sync
+        writes a base and drops the keys the count replaced, and the
+        restart after that takes the snapshot rung."""
         leafmap, _ = old_leaf(clock, backup)
         ingest(leafmap, 2000, 128)
         leafmap.seal_all()
@@ -139,7 +140,7 @@ class TestSnapshotRung:
             for link in entry["chain"]:
                 link.update(start_seq=seq, dropped=[])
                 seq += link["blocks"]
-            entry["next_seq"] = seq
+            entry.update(next_seq=seq, expire_before=1, expire_applied=1, expire_gen=1)
         events = manifest["events"]
         gen = events["sync_gen"] + 1
         events["chain"].append(
@@ -170,6 +171,9 @@ class TestSnapshotRung:
         reopened.sync_leafmap(replayed)
         (link,) = reopened.snapshot_chain("events")
         assert link["kind"] == "base" and "dropped" not in link
+        superseded = {"next_seq", "expire_before", "expire_applied", "expire_gen"}
+        for entry in json.loads(path.read_text()).values():
+            assert not superseded & entry.keys()
         # Empty drop lists are the same record as none: that chain reads.
         assert reopened.snapshot_valid("metrics")
         _, report, restored = restore(shm_namespace, DiskBackup(backup.directory), clock)
@@ -205,10 +209,11 @@ class TestExpiryRecord:
     ):
         """The older build recorded an expiry run as a cutoff too —
         ``expire_before``, ``expire_applied`` and ``expire_gen`` next to
-        ``rows_expired``.  This build reads the count and leaves the
-        rest, so the manifest stays readable and no version moves: one
-        whose chain predates its last expiry run restores the same rows
-        on the snapshot rung and on legacy replay."""
+        ``rows_expired``.  This build reads the count and ignores the
+        rest (its next sync drops it), so the manifest stays readable
+        and no version moves: one whose chain predates its last expiry
+        run restores the same rows on the snapshot rung and on legacy
+        replay."""
         leafmap, _ = old_leaf(clock, backup)
         table = leafmap.get_table("events")
         cutoff = 1000 + 128  # the first two blocks: a prefix, in order
