@@ -89,6 +89,11 @@ class LeafMap:
                 block.uid for block in table.blocks
             )
 
+    def empty_like(self) -> "LeafMap":
+        """An empty map whose tables seal as this one's do, and without a
+        cache: a table moved here by :meth:`adopt_table` takes this one's."""
+        return LeafMap(self._clock, self._rows_per_block)
+
     def adopt_table(self, table: Table) -> None:
         """Install a recovered table object (restore path)."""
         if table.name in self._tables:

@@ -48,7 +48,8 @@ The restore loop itself lives once, in
 :class:`~repro.core.lazyrestore.RestoreDriver`: ``restore`` puts the
 driver on the best usable source (this leaf's segments, else a standby
 over the wire) and drains it.  This module keeps the entry points, the
-shm validity check and discard, and the ladder below the driver.
+shm validity check and discard, and the ladder below the driver, which
+recovers into a fresh leaf map for the driver to land.
 
 "Recover from disk" is itself a two-rung ladder (paper, Section 6): if
 every backed-up table has a trusted shm-format snapshot — generation
@@ -66,7 +67,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from repro.columnstore.leafmap import LeafMap
-from repro.core.lazyrestore import LazyRestore
+from repro.core.lazyrestore import LazyRestore, RestoreDriver
 from repro.core.replicarestore import ReplicaRestore
 from repro.core.states import (
     LeafBackupMachine,
@@ -78,7 +79,7 @@ from repro.core.states import (
 )
 from repro.core.watchdog import CooperativeDeadline
 from repro.disk.backup import DiskBackup
-from repro.disk.recovery import recover_leafmap, recover_leafmap_snapshots
+from repro.disk.recovery import materialize_chain, recover_leafmap
 from repro.disk.replay import replay_leafmap
 from repro.errors import (
     CorruptionError,
@@ -311,11 +312,11 @@ class RestartEngine:
         self._engine_heap = 0
 
     def _track_heap_alloc(self, nbytes: int) -> None:
-        self.tracker.allocate("heap", nbytes, at=self.clock.now())
+        self.tracker.allocate("heap", nbytes)
         self._engine_heap += nbytes
 
     def _track_heap_free(self, nbytes: int) -> None:
-        self.tracker.free("heap", nbytes, at=self.clock.now())
+        self.tracker.free("heap", nbytes)
         self._engine_heap = max(0, self._engine_heap - nbytes)
 
     def _reconcile_heap(self, resident: int) -> None:
@@ -338,7 +339,7 @@ class RestartEngine:
             self._track_heap_free(-drift)
 
     def _charge_shm(self, segment: str, nbytes: int) -> None:
-        self.tracker.charge("shm", segment, nbytes, at=self.clock.now())
+        self.tracker.charge("shm", segment, nbytes)
 
     def _release_shm(self, segment: str, nbytes: int | None = None) -> None:
         """Give back ``nbytes`` of what ``segment`` holds in "shm" (all of
@@ -346,7 +347,7 @@ class RestartEngine:
         the copy-out as bytes land, by a restore's publish for what the
         record lacks — so a segment leaves with exactly its own charge,
         and a shared tracker's other leaves keep theirs."""
-        self.tracker.discharge("shm", segment, nbytes, at=self.clock.now())
+        self.tracker.discharge("shm", segment, nbytes)
 
     def _unlink_shm(self, segment: str) -> None:
         """Delete ``segment`` if it exists, and free its charge."""
@@ -652,13 +653,13 @@ class RestartEngine:
         # caller's shm_state_valid() check and this attach: the leaf
         # predicted a memory recovery but gets the rungs below.
         session = self._open_replica_session(report)
-        handle = ReplicaRestore(self, leafmap, report, on_disk_fallback, session)
         if session is not None:
-            return handle._serve()
+            return ReplicaRestore(self, leafmap, report, on_disk_fallback, session)._serve()
         # No replica, or its handshake just fell: the disk rungs run
-        # blocking.
+        # blocking, and land through the driver with no source.
         self._discard_untrusted_shm()
-        handle._recover_blocking_disk()
+        handle = RestoreDriver(self, leafmap, report, on_disk_fallback)
+        handle._land_from_below()
         return handle
 
     def _discard_shm_tracked(self, meta: LeafMetadata) -> None:
@@ -679,17 +680,9 @@ class RestartEngine:
             self._unlink_shm(record.segment_name)
         meta.unlink()
 
-    def _drop_restored_tables(self, leafmap: LeafMap) -> None:
-        """Drop partially-restored tables, returning their heap bytes."""
-        for table_name in list(leafmap.table_names):
-            table = leafmap.get_table(table_name)
-            nbytes = table.sealed_nbytes
-            if nbytes:
-                self._track_heap_free(nbytes)
-            leafmap.drop_table(table_name)
-
     def _recover_from_disk(self, leafmap: LeafMap, report: RestartReport) -> None:
-        """The lower recovery ladder: replica, snapshot tier, then legacy.
+        """The lower recovery ladder: replica, snapshot tier, then legacy,
+        into the fresh map ``leafmap`` (the driver lands it).
 
         Walks ``report`` through these rungs to ALIVE, so its timeline
         records exactly which tiers ran.  The replica rung is tried only
@@ -714,23 +707,29 @@ class RestartEngine:
         if why is None:
             report.enter(LeafRestoreState.DISK_SNAPSHOT_RECOVERY)
             try:
-                self._restore_from_snapshots(leafmap, report)
+                # Every chain is read (materialize_chain checks each link)
+                # and charged before any table exists: a fall here has
+                # nothing to unwind.
+                snaps = [materialize_chain(self.backup, name) for name in self.backup.table_names]
+                self._track_heap_alloc(sum(b.nbytes for snap in snaps for b in snap.blocks))
             except Exception as exc:
                 # Stale generation, torn file, layout mismatch, or any
                 # decode failure: the whole leaf routes down to legacy
-                # replay.  Whatever the snapshot tier installed leaves
-                # through the tracker first, so a half-trusted snapshot
-                # can never co-mingle with replayed state.
-                self._drop_restored_tables(leafmap)
+                # replay, so one leaf never mixes tiers.
                 report.fall_back(exc)
             else:
-                report.enter(LeafRestoreState.ALIVE)
+                for snap in snaps:
+                    table = leafmap.create_table(snap.table_name)
+                    table.replace_blocks(snap.blocks)
+                    table.total_rows_ingested = snap.rows_ingested
+                    table.total_rows_expired = snap.rows_expired
+                self._tables_home(leafmap, report)
                 return
         elif self.backup.table_names:  # a brand-new leaf passes over nothing
             report.note("skip", RecoveryMethod.DISK_SNAPSHOT, why)
         report.enter(LeafRestoreState.DISK_RECOVERY)
         if self.replay_workers > 1:
-            report.rows = replay_leafmap(
+            replay_leafmap(
                 self.backup,
                 leafmap,
                 workers=self.replay_workers,
@@ -738,12 +737,21 @@ class RestartEngine:
                 clock=self.clock,
             )
         else:
-            report.rows = recover_leafmap(self.backup, leafmap)
-        report.row_blocks = sum(table.block_count for table in leafmap)
+            recover_leafmap(self.backup, leafmap)
+        self._track_heap_alloc(sum(table.sealed_nbytes for table in leafmap))
+        self._tables_home(leafmap, report)
+
+    @staticmethod
+    def _tables_home(leafmap: LeafMap, report: RestartReport) -> None:
+        """A disk rung's tables are in ``leafmap`` and charged: count
+        them on ``report``, note each one home, and go ALIVE."""
         for table in leafmap:
-            nbytes = table.nbytes
-            self._track_heap_alloc(nbytes)
-            report.table_home(table.name, table.block_count, table.row_count, nbytes)
+            blocks, rows, nbytes = table.blocks, table.row_count, table.sealed_nbytes
+            report.row_blocks += len(blocks)
+            report.rbc_copies += sum(len(block.schema) for block in blocks)
+            report.bytes_copied += nbytes
+            report.rows += rows
+            report.table_home(table.name, len(blocks), rows, nbytes)
         report.enter(LeafRestoreState.ALIVE)
 
     def _open_replica_session(self, report: RestartReport):
@@ -792,27 +800,3 @@ class RestartEngine:
             if fault is not None:
                 return f"table '{name}': {fault}"
         return None
-
-    def _restore_from_snapshots(
-        self, leafmap: LeafMap, report: RestartReport
-    ) -> None:
-        """DISK_SNAPSHOT_RECOVERY: bulk-unpack every table's snapshot
-        (:func:`recover_leafmap_snapshots`), charging each table to the
-        heap as it lands."""
-        assert self.backup is not None
-
-        def installed(table_name: str, rows: int) -> None:
-            table = leafmap.get_table(table_name)
-            nbytes = table.sealed_nbytes
-            try:
-                self._track_heap_alloc(nbytes)
-            except BaseException:
-                leafmap.drop_table(table_name)  # uncharged: the fall must not free it
-                raise
-            report.row_blocks += table.block_count
-            report.rbc_copies += sum(len(block.schema) for block in table.blocks)
-            report.bytes_copied += nbytes
-            report.rows += rows
-            report.table_home(table_name, table.block_count, rows, nbytes)
-
-        recover_leafmap_snapshots(self.backup, leafmap, progress=installed)

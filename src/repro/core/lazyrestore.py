@@ -28,7 +28,9 @@ is that pass, once:
 A rung supplies only where a pending block's bytes are:
 :class:`LazyRestore` (this module) reads them out of the leaf's own shm
 segments, :class:`~repro.core.replicarestore.ReplicaRestore` fetches
-them from a standby over the wire.
+them from a standby over the wire.  A plain :class:`RestoreDriver`, with
+no source, is what a leaf with neither gets: it only lands the disk
+rungs.
 
 Crash safety is Figure 7's, unchanged: the valid bit goes down *before*
 the directory is published (and the wire rung only runs when shm was
@@ -39,7 +41,9 @@ the next boot walks the disk ladder.  Any fault mid-restore routes the
 whole leaf down the same ladder with tracker balances intact — adopted
 blocks leave the heap region, surviving segments leave the shm region —
 while rows added *during* a serving window are carried across the
-fallback.
+fallback.  The rungs below recover into a fresh leaf map, and one
+landing step moves each table into the live one with the counters of
+what was recovered (:meth:`RestoreDriver._land_from_below`).
 
 Nothing else changes a table's restored blocks while they come in:
 expiry runs only on an ALIVE leaf (Figure 5 caption: "any needed
@@ -454,26 +458,48 @@ class RestoreDriver:
             )
 
     # ------------------------------------------------------------------
-    # The ladder below: no source, fallback, abandonment
+    # The ladder below: one landing, fallback, abandonment
     # ------------------------------------------------------------------
 
-    def _recover_blocking_disk(self) -> None:
-        """No usable source: run the ordinary ladder below, blocking."""
-        with self._lock:
-            self._run_ladder(self._leafmap)
-            self._go_alive()
+    def _land_from_below(self) -> None:
+        """Flip the leaf to its disk status, recover from the rungs below
+        into a fresh leaf map, and move each table into the live one: the
+        one landing, for a leaf with no usable source and for
+        :meth:`_fallback` alike.  The rungs' failure is final (``error``
+        set, re-raised), and leaves the live map as it was.
 
-    def _run_ladder(self, into: LeafMap) -> None:
-        """Flip the leaf to its disk status and recover ``into`` from the
-        rungs below; their failure is final (``error`` set, re-raised)."""
-        if self._on_disk_fallback is not None:
-            self._on_disk_fallback()
-        try:
-            self._engine._recover_from_disk(into, self.report)
-        except Exception as exc:
-            self.error = exc
-            self.done = True
-            raise
+        A table the live map lacks is adopted whole.  A published table
+        holds only its serving-window rows by now; the recovered blocks
+        go under them (they are strictly older), and its counters become
+        the recovery's with the window's rows ingested on top.  One the
+        rungs below lack keeps its window rows, or goes if it has none.
+        """
+        leafmap = self._leafmap
+        with self._lock:
+            if self._on_disk_fallback is not None:
+                self._on_disk_fallback()
+            recovered = leafmap.empty_like()
+            try:
+                self._engine._recover_from_disk(recovered, self.report)
+            except Exception as exc:
+                self.error = exc
+                self.done = True
+                raise
+            for table in list(leafmap):
+                window = table.row_count
+                if table.name in recovered:
+                    below = recovered.get_table(table.name)
+                    table.install_restored_blocks(below.blocks)
+                    table.total_rows_ingested = below.total_rows_ingested + window
+                    table.total_rows_expired = below.total_rows_expired
+                elif window:
+                    table.total_rows_ingested, table.total_rows_expired = window, 0
+                else:
+                    leafmap.drop_table(table.name)
+            for table in recovered:
+                if table.name not in leafmap:
+                    leafmap.adopt_table(table)
+            self._go_alive()
 
     def _go_alive(self) -> None:
         """The winning rung walked the report to ALIVE: close the books."""
@@ -487,7 +513,7 @@ class RestoreDriver:
         All-or-nothing: every adopted block leaves the heap through the
         tracker, the source is discarded, the attempt's counters go on
         the rung's ``fall`` event, and rows added during the serving
-        window are carried across into the replayed tables.
+        window are carried across by :meth:`_land_from_below`.
         """
         engine = self._engine
         leafmap = self._leafmap
@@ -515,15 +541,7 @@ class RestoreDriver:
                 state.slots = [None] * len(state.slots)
             self._discard_source()
             leafmap.restorer = None
-            # Replay into a scratch map, then graft the replayed blocks
-            # *under* each live table's new data — the replayed rows are
-            # strictly older, so directory order is preserved.
-            scratch = LeafMap(clock=engine.clock, rows_per_block=leafmap.rows_per_block)
-            self._run_ladder(scratch)
-            for recovered in scratch:
-                table = leafmap.get_or_create(recovered.name)
-                table.install_restored_blocks(recovered.blocks)
-            self._go_alive()
+            self._land_from_below()
 
     def abandon(self) -> None:
         """Drop the source without consuming anything (crash path).

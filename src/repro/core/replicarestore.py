@@ -68,8 +68,7 @@ class ReplicaSession(Protocol):
 
 
 class ReplicaRestore(RestoreDriver):
-    """The wire source: a standby leaf's sealed blocks, one session
-    (``None``: no replica — the handle only carries the disk rungs)."""
+    """The wire source: a standby leaf's sealed blocks, one session."""
 
     source = "replica"
 
@@ -79,9 +78,7 @@ class ReplicaRestore(RestoreDriver):
     fault_in_query = RestoreDriver.fault_in_query
     sweep_one = RestoreDriver.sweep_one
 
-    def __init__(
-        self, engine, leafmap, report, on_disk_fallback, session: ReplicaSession | None
-    ) -> None:
+    def __init__(self, engine, leafmap, report, on_disk_fallback, session: ReplicaSession) -> None:
         super().__init__(engine, leafmap, report, on_disk_fallback)
         self._session = session
 

@@ -22,7 +22,6 @@ from repro.disk.format import (
 )
 from repro.disk.recovery import (
     recover_leafmap,
-    recover_leafmap_snapshots,
     recover_table_runs,
 )
 from repro.disk.shmformat import (
@@ -37,7 +36,6 @@ __all__ = [
     "read_table_chunks",
     "read_table_snapshot",
     "recover_leafmap",
-    "recover_leafmap_snapshots",
     "recover_table_runs",
     "write_chunk",
     "write_file_header",

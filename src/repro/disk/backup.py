@@ -205,6 +205,7 @@ class DiskBackup:
             raise ValueError("max_chain_links must be positive")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.snapshot_dir = self.directory / _SNAPSHOT_DIR
         self.snapshots_enabled = snapshots
         self.incremental = incremental
         self.max_chain_links = max_chain_links
@@ -301,10 +302,6 @@ class DiskBackup:
     def table_file(self, table_name: str) -> Path:
         return self.directory / f"{safe_table_stem(table_name)}.scuba"
 
-    @property
-    def snapshot_dir(self) -> Path:
-        return self.directory / _SNAPSHOT_DIR
-
     def snapshot_path(self, table_name: str) -> Path:
         return self.snapshot_dir / snapshot_filename(table_name)
 
@@ -378,9 +375,14 @@ class DiskBackup:
             )
         if written_by_older_build(entry):
             return "chain written by an older build"
-        for path in self.chain_files(table_name):
-            if not path.exists():
-                return f"chain file '{path.name}' missing"
+        try:
+            present = set(os.listdir(self.snapshot_dir))
+        except FileNotFoundError:
+            present = set()
+        for link in chain:
+            name = link.get("file")
+            if name is not None and name not in present:
+                return f"chain file '{name}' missing"
         return None
 
     def snapshot_valid(self, table_name: str) -> bool:

@@ -13,7 +13,7 @@ implementation, not simulated.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
@@ -191,40 +191,6 @@ def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
         rows_ingested=max(start, expired),
         rows_expired=expired,
     )
-
-
-def recover_leafmap_snapshots(
-    backup: DiskBackup,
-    leafmap: LeafMap,
-    progress: Callable[[str, int], None] | None = None,
-) -> int:
-    """Rebuild every table from its shm-format snapshot; returns row count.
-
-    The fast disk tier: each table is a file read plus bulk
-    ``RowBlock.unpack`` — no row-by-row translation.  The chain comes
-    back already trimmed by the manifest's expired count, watermarks
-    included (:func:`materialize_chain`: "any needed deletions are made
-    after recovery"), so the result is indistinguishable from a legacy
-    replay of the same state.  The snapshot tier's validity gate:
-    :func:`materialize_chain` checks every link before its blocks are
-    trusted, and any failure raises, so the caller routes the whole leaf
-    down to legacy replay (one leaf never mixes tiers).  ``progress``
-    (if given) is called as ``progress(table_name, rows)`` after each
-    table lands.
-    """
-    if len(leafmap):
-        raise RecoveryError("disk recovery requires an empty leaf map")
-    total = 0
-    for table_name in backup.table_names:
-        snap = materialize_chain(backup, table_name)
-        table = leafmap.create_table(table_name)
-        table.replace_blocks(snap.blocks)
-        table.total_rows_ingested = snap.rows_ingested
-        table.total_rows_expired = snap.rows_expired
-        total += table.row_count
-        if progress is not None:
-            progress(table_name, table.row_count)
-    return total
 
 
 def recover_leafmap(backup: DiskBackup, leafmap: LeafMap) -> int:

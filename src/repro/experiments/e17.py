@@ -38,9 +38,11 @@ from itertools import islice
 from pathlib import Path
 
 from repro.columnstore.leafmap import LeafMap
+from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk.backup import DiskBackup
-from repro.disk.recovery import recover_leafmap, recover_leafmap_snapshots
+from repro.disk.recovery import recover_leafmap
 from repro.disk.replay import replay_leafmap
+from repro.errors import RecoveryError
 from repro.experiments import (
     Gate,
     build_payload,
@@ -113,13 +115,24 @@ def _recover(recover, rows_per_block: int = ROWS_PER_BLOCK, repeats: int = 1):
     return best, count, digests
 
 
-def _from_chain(backup: DiskBackup):
+def _from_chain(backup: DiskBackup, namespace: str):
     """Snapshot-chain recovery as a process that never wrote these files
-    sees them: through a fresh manager on the same directory."""
-    return partial(recover_leafmap_snapshots, DiskBackup(backup.directory))
+    sees it: a restart through a fresh manager on the same directory,
+    which must land on ``DISK_SNAPSHOT``."""
+
+    def restore(leafmap: LeafMap) -> int:
+        engine = RestartEngine("e17", namespace=namespace, backup=DiskBackup(backup.directory))
+        report = engine.restore(leafmap)
+        if report.method is not RecoveryMethod.DISK_SNAPSHOT:
+            raise RecoveryError(f"chain restore fell: {report.failure_reason}")
+        return report.rows
+
+    return restore
 
 
-def _synced_rounds(root: Path, flavours, rows: int, per_round: int, restart_after=None):
+def _synced_rounds(
+    root: Path, flavours, rows: int, per_round: int, namespace: str, restart_after=None
+):
     """One leaf map appended to for ``ROUNDS`` rounds, synced in lockstep to
     one backup per flavour; returns it, the backups, each flavour's
     steady-state bytes / bases / deltas / manifests (after the base
@@ -164,7 +177,7 @@ def _synced_rounds(root: Path, flavours, rows: int, per_round: int, restart_afte
             before = digest(leafmap)
             backups = managers()  # the next process
             leafmap = LeafMap(rows_per_block=ROWS_PER_BLOCK)
-            recover_leafmap_snapshots(backups["incremental"], leafmap)
+            _from_chain(backups["incremental"], namespace)(leafmap)
             identical = digest(leafmap) == before
             table = leafmap.get_table("service_requests")
         # Append-mostly: each sync point seals only the new rows, so the
@@ -200,9 +213,9 @@ def run(rows: int = ROWS, workers: int = WORKERS) -> dict:
     workers = max(1, workers)
     per_round = max(256, rows // 16)
     rounds = [per_round] * ROUNDS
-    with workspace() as (tmp, _):
+    with workspace() as (tmp, namespace):
         leafmap, backups, totals, _ = _synced_rounds(
-            tmp / "lockstep", FLAVOURS, rows, per_round
+            tmp / "lockstep", FLAVOURS, rows, per_round, namespace
         )
         steady = {name: flavour["bytes"] for name, flavour in totals.items()}
         manifests = {flavour["manifests"] for flavour in totals.values()}
@@ -214,7 +227,7 @@ def run(rows: int = ROWS, workers: int = WORKERS) -> dict:
             f"{name}:{route}": _recover(recover)[2]
             for name, backup in backups.items()
             for route, recover in {
-                "chain": _from_chain(backup),
+                "chain": _from_chain(backup, namespace),
                 **_replays(backup, workers),
             }.items()
         }
@@ -223,7 +236,7 @@ def run(rows: int = ROWS, workers: int = WORKERS) -> dict:
         # The same rounds with a crash in the middle: what two processes
         # wrote must restore to what the second one holds.
         restarted, restart_backups, totals, identical = _synced_rounds(
-            tmp / "restart", ("full", "incremental"), rows, per_round, RESTART_AFTER
+            tmp / "restart", ("full", "incremental"), rows, per_round, namespace, RESTART_AFTER
         )
         restart_leg = {
             "restart_after_round": RESTART_AFTER,
@@ -232,7 +245,7 @@ def run(rows: int = ROWS, workers: int = WORKERS) -> dict:
             ),
             "digests_identical": identical
             and all(
-                _recover(_from_chain(b))[2] == {digest(restarted)}
+                _recover(_from_chain(b, namespace))[2] == {digest(restarted)}
                 for b in restart_backups.values()
             ),
             **{

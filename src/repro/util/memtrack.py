@@ -59,7 +59,6 @@ class MemoryTracker:
     #: owner that finds a name already charged does not charge it twice.
     #: A name has one owner at a time (a segment, its leaf).
     charges: dict[str, int] = field(default_factory=dict)
-    _history: list[tuple[float, int]] = field(default_factory=list)
     # The lambda defers the `threading.RLock` lookup to instance
     # creation, so a sanitizer that patches `threading` after this
     # module is imported still instruments the tracker's lock.
@@ -67,17 +66,17 @@ class MemoryTracker:
         default_factory=lambda: threading.RLock(), repr=False, compare=False
     )
 
-    def allocate(self, region: str, nbytes: int, at: float | None = None) -> None:
+    def allocate(self, region: str, nbytes: int) -> None:
         """Record ``nbytes`` newly allocated in ``region``."""
         if nbytes < 0:
             raise ValueError(f"cannot allocate a negative size ({nbytes})")
         with self._lock:
             self.regions[region] = self.regions.get(region, 0) + nbytes
-            self._after_change(at)
+            self._after_change()
         if _audit_hook is not None:
             _audit_hook("allocate", region, nbytes, id(self))
 
-    def free(self, region: str, nbytes: int, at: float | None = None) -> None:
+    def free(self, region: str, nbytes: int) -> None:
         """Record ``nbytes`` freed from ``region``."""
         if nbytes < 0:
             raise ValueError(f"cannot free a negative size ({nbytes})")
@@ -89,25 +88,23 @@ class MemoryTracker:
                     f"holds {current}"
                 )
             self.regions[region] = current - nbytes
-            self._after_change(at)
+            self._after_change()
         if _audit_hook is not None:
             _audit_hook("free", region, nbytes, id(self))
 
-    def charge(self, region: str, name: str, nbytes: int, at: float | None = None) -> None:
+    def charge(self, region: str, name: str, nbytes: int) -> None:
         """Allocate ``nbytes`` in ``region`` on ``name``'s behalf."""
-        self.allocate(region, nbytes, at)
+        self.allocate(region, nbytes)
         with self._lock:
             self.charges[name] = self.charges.get(name, 0) + nbytes
 
-    def discharge(
-        self, region: str, name: str, nbytes: int | None = None, at: float | None = None
-    ) -> None:
+    def discharge(self, region: str, name: str, nbytes: int | None = None) -> None:
         """Free ``nbytes`` of ``name``'s charge in ``region`` — all of it
         by default — struck off only once the region has them back."""
         held = self.charged(name)
         nbytes = held if nbytes is None else nbytes
         if nbytes:
-            self.free(region, nbytes, at)
+            self.free(region, nbytes)
         with self._lock:
             if held > nbytes:
                 self.charges[name] = held - nbytes
@@ -118,12 +115,10 @@ class MemoryTracker:
         with self._lock:
             return self.charges.get(name, 0)
 
-    def _after_change(self, at: float | None) -> None:
+    def _after_change(self) -> None:
         total = self.total
         if total > self.peak_total:
             self.peak_total = total
-        if at is not None:
-            self._history.append((at, total))
 
     @property
     def total(self) -> int:
@@ -134,12 +129,6 @@ class MemoryTracker:
     def in_region(self, region: str) -> int:
         with self._lock:
             return self.regions.get(region, 0)
-
-    @property
-    def history(self) -> list[tuple[float, int]]:
-        """(timestamp, total bytes) samples, when timestamps were supplied."""
-        with self._lock:
-            return list(self._history)
 
     def reset_peak(self) -> None:
         """Restart peak tracking from the current total."""

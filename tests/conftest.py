@@ -213,6 +213,31 @@ def two_table_leaf(directory, clock, tables=("events", "metrics")):
     return backup, leafmap, pre
 
 
+def restore_from_chain(backup, leafmap):
+    """Restore the empty ``leafmap`` from ``backup``'s snapshot chains as
+    a restart does; it must land on ``DISK_SNAPSHOT``.  Returns the
+    report."""
+    from repro.core.engine import RecoveryMethod, RestartEngine
+
+    namespace = f"reprotest-{uuid.uuid4().hex[:10]}"  # holds no segment
+    report = RestartEngine("chain", namespace=namespace, backup=backup).restore(leafmap)
+    assert report.method is RecoveryMethod.DISK_SNAPSHOT, report.failure_reason
+    check_counters(leafmap)
+    return report
+
+
+def check_counters(leafmap):
+    """Each table's ingest and expiry counters account for exactly the
+    rows it holds."""
+    for table in leafmap:
+        assert table.total_rows_ingested - table.total_rows_expired == table.row_count, (
+            table.name,
+            table.total_rows_ingested,
+            table.total_rows_expired,
+            table.row_count,
+        )
+
+
 def restart_spanning_chain(directory, clock, tables=("events",)):
     """A backup whose chains are six links long and written by two
     processes: base + two deltas, then a crash, a ``DISK_SNAPSHOT``
@@ -222,8 +247,6 @@ def restart_spanning_chain(directory, clock, tables=("events",)):
 
     Returns ``(backup, leafmap)``, both the second process's.
     """
-    from repro.disk.recovery import recover_leafmap_snapshots
-
     backup = DiskBackup(directory)
     leafmap = make_leafmap(clock, tables=tables)  # per table: 3 blocks
     sealed_sync(backup, leafmap)
@@ -236,7 +259,7 @@ def restart_spanning_chain(directory, clock, tables=("events",)):
 
     backup = DiskBackup(directory)  # the next process
     reborn = LeafMap(clock=clock, rows_per_block=50)
-    recover_leafmap_snapshots(backup, reborn)
+    restore_from_chain(backup, reborn)
     assert reborn.snapshot_rows() == leafmap.snapshot_rows()
     for round_index in range(3):
         for t_index, name in enumerate(tables):

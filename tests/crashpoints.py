@@ -220,11 +220,11 @@ class Recorder:
             part = "header" if nbytes == replication._FRAME.size else "payload"
             return on_wire("recv", part, lambda: real_recv(sock, nbytes))
 
-        def allocate(tracker, region, nbytes, at=None):
-            return record("allocate", region, lambda: real_allocate(tracker, region, nbytes, at))
+        def allocate(tracker, region, nbytes):
+            return record("allocate", region, lambda: real_allocate(tracker, region, nbytes))
 
-        def free(tracker, region, nbytes, at=None):
-            return record("free", region, lambda: real_free(tracker, region, nbytes, at))
+        def free(tracker, region, nbytes):
+            return record("free", region, lambda: real_free(tracker, region, nbytes))
 
         monkeypatch.setattr(ShmSegment, "create", classmethod(create))
         monkeypatch.setattr(ShmSegment, "unlink", unlink)

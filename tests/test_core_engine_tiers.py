@@ -18,13 +18,14 @@ from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk.backup import DiskBackup
 from repro.disk.shmformat import write_table_shm_format
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, ReplicaWireError
 from repro.shm.layout import SHM_LAYOUT_VERSION
 from repro.server.leaf import LeafServer
 from repro.shm.metadata import LeafMetadata
+from repro.shm.segment import ShmSegment
 from repro.util.checksum import rows_digest
 from repro.util.memtrack import MemoryTracker
-from tests.conftest import make_leafmap, restart_spanning_chain
+from tests.conftest import check_counters, make_leafmap, restart_spanning_chain
 from tests.crashpoints import Recorder
 
 
@@ -271,15 +272,15 @@ class TestFallbackAccounting:
     def test_snapshot_fault_lands_on_legacy_at_baseline(
         self, shm_namespace, tmp_path, clock, monkeypatch
     ):
-        """A fault *inside* the snapshot tier (charging its second table)
-        must free the first table's heap bytes, and not the second's,
-        before legacy replay recharges them."""
+        """A fault *inside* the snapshot tier (its one heap charge, made
+        once every chain is read and before any table exists) leaves
+        nothing charged for legacy replay to double."""
         backup, snapshot = synced_backup(
             tmp_path, clock, tables=("events", "metrics")
         )
         tracker = MemoryTracker()
         recorder = Recorder(monkeypatch)
-        recorder.fail(kind="allocate", target="heap", nth=2)
+        recorder.fail(kind="allocate", target="heap")
         restored = LeafMap(clock=clock, rows_per_block=50)
         report = RestartEngine(
             "7",
@@ -301,9 +302,9 @@ class TestFallbackAccounting:
     ):
         """The snapshot tier over chains two processes wrote: unfaulted
         it unpacks only the blocks still alive (the manifest says which
-        are dead before any file is read); faulted after its first table
-        it frees that table and lands on legacy replay — tracker
-        balanced either way."""
+        are dead before any file is read); faulted at its one heap
+        charge, after every chain is read, it lands on legacy replay —
+        tracker balanced either way."""
         from repro.columnstore.rowblock import RowBlock
 
         backup, leafmap = restart_spanning_chain(
@@ -320,8 +321,8 @@ class TestFallbackAccounting:
         tracker = MemoryTracker()
         recorder = Recorder(monkeypatch)
         if fault is not None:
-            # The second table's charge: the first is home.
-            recorder.fail(kind="allocate", target="heap", nth=2)
+            # The snapshot rung's one charge: both chains are read.
+            recorder.fail(kind="allocate", target="heap")
         restored = LeafMap(clock=clock, rows_per_block=50)
         report = RestartEngine(
             "7",
@@ -587,3 +588,82 @@ class TestLateBlockExpiryOnEveryRung:
         assert not report.fell_back_to_legacy
         assert rows_digest(restored.snapshot_rows()) == live
         assert restored.get_table("events").total_rows_expired == dropped
+
+
+class TestFallLandsTheRecoveredCounters:
+    """A fall from a top rung lands each table with the counters of the
+    rung below it, plus the rows added since: the next sync writes
+    exactly the rows the log lacks, and the crash after it loses none.
+    A table used to keep the top rung's counters (or none at all, when
+    that rung never published it), so the sync wrote too few rows."""
+
+    def leaf(self, namespace, directory, clock):
+        return LeafServer(
+            "0",
+            backup=DiskBackup(directory),
+            namespace=namespace,
+            clock=clock,
+            rows_per_block=64,
+        )
+
+    @staticmethod
+    def rows(start, n):
+        return [{"time": start + i, "host": f"h{i % 5}"} for i in range(n)]
+
+    def test_unreadable_second_segment(self, shm_namespace, tmp_path, clock):
+        leaf = self.leaf(shm_namespace, tmp_path, clock)
+        leaf.start()
+        for name in ("events", "metrics"):
+            leaf.add_rows(name, self.rows(0, 512))
+        leaf.shutdown(use_shm=True)  # PREPARE syncs each table
+        with ShmSegment.attach(f"{shm_namespace}-leaf-0-t1") as segment:
+            segment.write_at(0, b"\x00" * 4)  # the metrics segment's magic
+        leaf = self.leaf(shm_namespace, tmp_path, clock)
+        report = leaf.start()
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert report.failure_reason.startswith("CorruptionError")
+        check_counters(leaf.leafmap)
+        leaf.add_rows("metrics", self.rows(1000, 300))
+        assert leaf.sync_to_disk() == 300
+        leaf.crash()
+        leaf = self.leaf(shm_namespace, tmp_path, clock)
+        leaf.start()
+        assert leaf.leafmap.row_count == 1324
+        check_counters(leaf.leafmap)
+        leaf.crash()
+
+    def test_replica_drain_dies_mid_pull(self, shm_namespace, tmp_path, clock, monkeypatch):
+        """The standby mirrored 512 rows the primary never synced."""
+        rows = self.rows(0, 1536)
+        leaf = self.leaf(shm_namespace, tmp_path, clock)
+        leaf.start()
+        leaf.add_rows("events", rows[:1024])
+        leaf.sync_to_disk()
+        leaf.add_rows("events", rows[1024:])
+        leaf.crash()
+        standby = LeafMap(clock=clock, rows_per_block=64)
+        standby.get_or_create("events").add_rows(rows)
+        server = ReplicaBlockServer(lambda: snapshot_leafmap(standby))
+
+        def dies(session, requests, handler):
+            raise ReplicaWireError("injected: the standby is gone mid-pull")
+
+        monkeypatch.setattr(ReplicaFetchSession, "fetch_many", dies)
+        try:
+            leaf = self.leaf(shm_namespace, tmp_path, clock)
+            address = server.address
+            leaf.engine.replica_source = lambda: ReplicaFetchSession(address, streams=1)
+            report = leaf.start()
+        finally:
+            server.close()
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert report.fell_back_from_replica
+        check_counters(leaf.leafmap)
+        leaf.add_rows("events", self.rows(5000, 256))
+        assert leaf.sync_to_disk() == 256
+        leaf.crash()
+        leaf = self.leaf(shm_namespace, tmp_path, clock)
+        assert leaf.start().method is RecoveryMethod.DISK_SNAPSHOT
+        assert leaf.leafmap.row_count == 1280
+        check_counters(leaf.leafmap)
+        leaf.crash()

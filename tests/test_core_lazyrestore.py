@@ -630,7 +630,7 @@ class TestBlockingIsServingPlusDrain:
     def test_second_fall_keeps_the_first_reason(self, entry, rig, clock, monkeypatch):
         snapshot = rig.seed()
         engine = rig.engine()
-        # The first block's charge, then the snapshot rung's first table's.
+        # The first block's charge, then the snapshot rung's one charge.
         recorder = fail_block(monkeypatch)
         recorder.fail(kind="allocate", target="heap", exc=CorruptionError("injected snapshot fault"))
         restored = fresh_map(clock)

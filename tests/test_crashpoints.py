@@ -35,7 +35,7 @@ from repro.server.leaf import LeafServer
 from repro.util.budget import FootprintBudget
 from repro.util.memtrack import MemoryTracker
 
-from tests.conftest import SHM_DIR, make_leafmap, sealed_sync, two_table_leaf
+from tests.conftest import SHM_DIR, check_counters, make_leafmap, sealed_sync, two_table_leaf
 from tests.crashpoints import InjectedFault, Recorder, in_child
 
 TABLES = ("events", "metrics")
@@ -116,6 +116,7 @@ def check_alive(world, engine, restored, report, expected):
     """The state after a boot (or a restore that survived its fault)."""
     check_timeline(report, restored)
     assert restored.snapshot_rows() == expected
+    check_counters(restored)
     assert engine.tracker.in_region("shm") == 0
     assert engine.tracker.in_region("heap") == sum(table.nbytes for table in restored)
     assert world.leftovers() == []
@@ -211,6 +212,7 @@ class Sync:
         replayed = fresh_map(world.clock)
         assert world.engine().restore(replayed).method is RecoveryMethod.DISK
         assert replayed.snapshot_rows() == rows
+        check_counters(replayed)
         world.snapshot_tier = True
         # The new process takes the same rows again; the retried sync
         # lands each exactly once, on both disk rungs.
@@ -224,6 +226,7 @@ class Sync:
             reread = fresh_map(world.clock)
             world.engine().restore(reread)
             assert reread.snapshot_rows() == self.post
+            check_counters(reread)
         for name in TABLES:
             with open(engine.backup.table_file(name), "rb") as fh:
                 assert [len(chunk) for chunk in read_table_chunks(fh)] == [150, 50]

@@ -20,16 +20,12 @@ from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk import shmformat
 from repro.disk.backup import DiskBackup
-from repro.disk.recovery import (
-    materialize_chain,
-    recover_leafmap,
-    recover_leafmap_snapshots,
-)
+from repro.disk.recovery import materialize_chain, recover_leafmap
 from repro.errors import CorruptionError, SnapshotStaleError
 from repro.util.checksum import rows_digest
 from repro.util.memtrack import MemoryTracker
 from tests.conftest import grow_table as grow
-from tests.conftest import make_leafmap, restart_spanning_chain, sealed_sync
+from tests.conftest import make_leafmap, restart_spanning_chain, restore_from_chain, sealed_sync
 
 
 class TestDeltaChain:
@@ -80,7 +76,7 @@ class TestDeltaChain:
         assert backup.stats.skipped_unchanged == 1
         assert sorted(backup.snapshot_dir.iterdir()) == files_before
         recovered = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
+        restore_from_chain(DiskBackup(backup.directory), recovered)
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
         grow(leafmap, 50, 5000)
@@ -89,7 +85,7 @@ class TestDeltaChain:
         # Recorded before the sync, the count runs past the chain's tip:
         # recovery keeps nothing, and its watermarks agree with replay's.
         backup.record_expiry("events", table.total_rows_expired)
-        for recover in (recover_leafmap_snapshots, recover_leafmap):
+        for recover in (restore_from_chain, recover_leafmap):
             recovered = LeafMap(clock=clock, rows_per_block=50)
             recover(DiskBackup(backup.directory), recovered)
             restored = recovered.get_table("events")
@@ -102,7 +98,7 @@ class TestDeltaChain:
         assert backup.stats.manifest_only_links == 0
         assert sorted(backup.snapshot_dir.iterdir()) == [backup.snapshot_path("events")]
         recovered = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
+        restore_from_chain(DiskBackup(backup.directory), recovered)
         assert recovered.row_count == 0
         assert recovered.get_table("events").total_rows_expired == 170
 
@@ -136,7 +132,7 @@ class TestDeltaChain:
         chain = backup.snapshot_chain("events")
         assert [link["kind"] for link in chain] == ["base"]
         recovered = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
+        restore_from_chain(DiskBackup(backup.directory), recovered)
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
     def test_noop_sync_skips_snapshot_write(self, backup, clock):
@@ -193,7 +189,7 @@ class TestDeltaChain:
             == (manager.snapshot_dir / chain[-1]["file"]).stat().st_size
         )
         recovered = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
+        restore_from_chain(DiskBackup(backup.directory), recovered)
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
     def test_incremental_disabled_always_rewrites(self, tmp_path, clock):
@@ -221,7 +217,7 @@ class TestDeltaChain:
             "delta",
         ]
         recovered = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(reopened, recovered)
+        restore_from_chain(reopened, recovered)
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
     def test_missing_delta_file_invalidates_chain(self, backup, clock):
@@ -360,7 +356,7 @@ class TestContentKeyedChain:
         assert chain[1]["keys"] == [keys[0]]
         assert (chain[1]["rows_expired"], chain[1]["rows_ingested"]) == (10, 40)
         recovered = LeafMap(clock=clock, rows_per_block=10)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
+        restore_from_chain(DiskBackup(backup.directory), recovered)
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
     @pytest.mark.parametrize(
@@ -400,7 +396,7 @@ class TestContentKeyedChain:
         assert chain[-1]["keys"] == keys[kept or 0 :]
         assert [link["kind"] for link in chain] == (["base"] if kept is None else ["base", "delta"])
         recovered = LeafMap(clock=clock, rows_per_block=10)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), recovered)
+        restore_from_chain(DiskBackup(backup.directory), recovered)
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
     def test_second_sync_decodes_only_the_new_block(
@@ -516,7 +512,7 @@ class TestAppliedCutoffSharesTheSnapshotGeneration:
         live = rows_digest(leafmap.snapshot_rows())
         reopened = DiskBackup(backup.directory)
         chained = LeafMap(clock=clock, rows_per_block=16)
-        recover_leafmap_snapshots(reopened, chained)
+        restore_from_chain(reopened, chained)
         legacy = LeafMap(clock=clock, rows_per_block=16)
         recover_leafmap(reopened, legacy)
         assert rows_digest(chained.snapshot_rows()) == live
@@ -527,7 +523,7 @@ class TestAppliedCutoffSharesTheSnapshotGeneration:
         backup.record_expiry("events", table.total_rows_expired)
         assert backup.rows_expired("events") == 1
         chained = LeafMap(clock=clock, rows_per_block=16)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), chained)
+        restore_from_chain(DiskBackup(backup.directory), chained)
         assert chained.row_count == leafmap.row_count == 0
 
 
@@ -604,7 +600,7 @@ class TestDirectoryFsync:
         backup, leafmap = restart_spanning_chain(tmp_path / "backup", clock)
         before = (backup.directory / "manifest.json").read_bytes()
         vouched = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), vouched)
+        restore_from_chain(DiskBackup(backup.directory), vouched)
         grow(leafmap, 60, 9000)
         leafmap.seal_all()
 
@@ -630,7 +626,7 @@ class TestDirectoryFsync:
         assert (reopened.stats.bases_written, reopened.stats.deltas_written) == (0, 1)
         assert len(reopened.snapshot_chain("events")) == 7
         final = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), final)
+        restore_from_chain(DiskBackup(backup.directory), final)
         assert final.snapshot_rows() == leafmap.snapshot_rows()
 
 

@@ -22,11 +22,11 @@ from repro.columnstore.table import Table
 from repro.core.engine import RecoveryMethod
 from repro.disk.backup import DiskBackup, _unsynced_chunk
 from repro.disk.format import encode_chunk_rows, read_table_chunks, write_chunk
-from repro.disk.recovery import recover_leafmap, recover_leafmap_snapshots
+from repro.disk.recovery import recover_leafmap
 from repro.server.leaf import LeafServer
 from repro.util.clock import ManualClock
 from tests.conftest import grow_table as grow
-from tests.conftest import make_leafmap, sealed_sync, two_table_leaf
+from tests.conftest import make_leafmap, restore_from_chain, sealed_sync, two_table_leaf
 from tests.crashpoints import Recorder
 from tests.test_crashpoints import Sweep
 
@@ -370,7 +370,7 @@ class TestWritePhaseFault:
         assert log_chunk_sizes(backup, "metrics") == [150, 50]
         assert legacy_rows(backup.directory, clock) == post
         chained = LeafMap(clock=clock, rows_per_block=50)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), chained)
+        restore_from_chain(DiskBackup(backup.directory), chained)
         assert chained.snapshot_rows() == post
 
     def test_a_first_sync_that_fails_leaves_the_table_unnamed(

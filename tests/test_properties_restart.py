@@ -22,11 +22,12 @@ from repro.cluster.replication import ReplicaCatalog
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk.backup import DiskBackup
-from repro.disk.recovery import recover_leafmap, recover_leafmap_snapshots
+from repro.disk.recovery import recover_leafmap
 from repro.disk.shmformat import read_table_snapshot
 from repro.server.leaf import LeafServer
 from repro.util.checksum import rows_digest
 from repro.util.clock import ManualClock
+from tests.conftest import check_counters, restore_from_chain
 
 # Rows with every column type, ragged on purpose.
 row_strategy = st.fixed_dictionaries(
@@ -73,6 +74,7 @@ class TestRestartEquivalenceProperty:
         report = RestartEngine("0", namespace=namespace, clock=clock).restore(restored)
         assert report.method is RecoveryMethod.SHARED_MEMORY
         assert restored.snapshot_rows() == snapshot
+        check_counters(restored)
 
     @settings(
         max_examples=15,
@@ -96,6 +98,7 @@ class TestRestartEquivalenceProperty:
         # must be identical either way.
         assert report.method in (RecoveryMethod.DISK, RecoveryMethod.DISK_SNAPSHOT)
         assert restored.snapshot_rows() == snapshot
+        check_counters(restored)
         legacy = LeafMap(clock=clock, rows_per_block=16)
         legacy_report = RestartEngine(
             "0",
@@ -106,6 +109,7 @@ class TestRestartEquivalenceProperty:
         ).restore(legacy)
         assert legacy_report.method is RecoveryMethod.DISK
         assert legacy.snapshot_rows() == snapshot
+        check_counters(legacy)
 
 
 # One workload step: ingest a batch, ingest a late batch (rows older than
@@ -196,7 +200,7 @@ class TestIncrementalChainProperty:
                 before = rows_digest(leafmap.snapshot_rows())
                 backup = manager()
                 leafmap = LeafMap(clock=clock, rows_per_block=16)
-                recover_leafmap_snapshots(backup, leafmap)
+                restore_from_chain(backup, leafmap)
                 table = leafmap.get_or_create("events")
                 assert rows_digest(leafmap.snapshot_rows()) == before
                 # Re-joined: the new process finds every resident block
@@ -219,7 +223,7 @@ class TestIncrementalChainProperty:
 
         # Chain recovery, through a reopened manager (manifest reload).
         chained = LeafMap(clock=clock, rows_per_block=16)
-        recover_leafmap_snapshots(DiskBackup(backup.directory), chained)
+        restore_from_chain(DiskBackup(backup.directory), chained)
         assert rows_digest(chained.snapshot_rows()) == expected
 
         # A fresh full (non-incremental) snapshot of the same state.
@@ -228,13 +232,14 @@ class TestIncrementalChainProperty:
         )
         full_backup.sync_leafmap(leafmap)
         full = LeafMap(clock=clock, rows_per_block=16)
-        recover_leafmap_snapshots(full_backup, full)
+        restore_from_chain(full_backup, full)
         assert rows_digest(full.snapshot_rows()) == expected
 
         # Legacy replay of the row log trims the same count.
         legacy = LeafMap(clock=clock, rows_per_block=16)
         recover_leafmap(DiskBackup(backup.directory), legacy)
         assert rows_digest(legacy.snapshot_rows()) == expected
+        check_counters(legacy)
 
         # Watermarks restored identically on both routes.
         assert (
@@ -331,6 +336,7 @@ class TestRestartRejoinsChain:
             report = reborn.start()
         assert report.method is self.RUNGS[rung]
         assert rows_digest(reborn.leafmap.snapshot_rows()) == expected
+        check_counters(reborn.leafmap)
         stats = reborn.backup.stats
 
         # Nothing changed: the sync point is a no-op, and every resident
@@ -359,6 +365,7 @@ class TestRestartRejoinsChain:
         final = self.leaf("0", namespace, directory, clock)
         assert final.start().method is RecoveryMethod.DISK_SNAPSHOT
         assert rows_digest(final.leafmap.snapshot_rows()) == expected
+        check_counters(final.leafmap)
         final.crash()
         if catalog is not None:
             standby.crash()
@@ -381,6 +388,7 @@ class TestRestartRejoinsChain:
         reborn = self.leaf("0", shm_namespace, tmp_path, clock)
         assert reborn.start().method is RecoveryMethod.DISK
         assert rows_digest(reborn.leafmap.snapshot_rows()) == expected
+        check_counters(reborn.leafmap)
         reborn.sync_to_disk()
         stats = reborn.backup.stats
         assert (stats.bases_written, stats.deltas_written) == (1, 0)
@@ -391,4 +399,5 @@ class TestRestartRejoinsChain:
         final = self.leaf("0", shm_namespace, tmp_path, clock)
         assert final.start().method is RecoveryMethod.DISK_SNAPSHOT
         assert rows_digest(final.leafmap.snapshot_rows()) == expected
+        check_counters(final.leafmap)
         final.crash()

@@ -78,12 +78,6 @@ class TestMemoryTracker:
         with pytest.raises(ValueError):
             tracker.free("heap", -1)
 
-    def test_history_records_timestamps(self):
-        tracker = MemoryTracker()
-        tracker.allocate("heap", 10, at=1.0)
-        tracker.allocate("heap", 10, at=2.0)
-        assert tracker.history == [(1.0, 10), (2.0, 20)]
-
     def test_reset_peak(self):
         tracker = MemoryTracker()
         tracker.allocate("heap", 100)
