@@ -3,7 +3,7 @@
 
 Runs what exercises the program — tier-1, CI's ``--reprosan`` suites,
 every ``benchmarks/test_bench_*.py``, the CI CLI smoke lines, the
-examples, the ledger smoke and ``repro lint`` — with a
+examples and the ledger smoke — with a
 ``sys.setprofile`` hook that every Python process they start inherits
 through a generated ``sitecustomize``.  Each process appends a function's ``file:line`` the
 first time it is entered, so a killed or forked worker loses nothing it
@@ -12,7 +12,7 @@ no run entered, and whether its name appears anywhere else in ``src/``,
 ``tests/``, ``benchmarks/`` or ``examples/``.
 
     python benchmarks/census.py                       # all runs (slow)
-    python benchmarks/census.py --only tier1 lint     # a subset
+    python benchmarks/census.py --only tier1 cli      # a subset
     python benchmarks/census.py --json census.json    # machine-readable
 
 A never-entered definition is a candidate, not a verdict: delete it,
@@ -25,9 +25,10 @@ kept, each with its line:
   ``_close_source``: hooks every source overrides; the base raises, so
   a source that forgets one fails on its first restore.
 - ``_SanLock.__getattr__``, ``_SanCondition.acquire``/``release``/
-  ``notify``/``__getattr__``: the sanitizer's wrappers keep the whole
-  ``threading`` API, so a lock call no test takes today still runs
-  under ``--reprosan``.
+  ``notify``/``__getattr__``, ``_Watched.__delete__``: the sanitizer's
+  wrappers keep the whole ``threading`` API and a watched attribute's
+  whole protocol, so a lock call or a ``del`` no test makes today still
+  runs under ``--reprosan``.
 - ``Schema.__repr__``, ``ShmSegment.__repr__``, ``LeafProcess.__repr__``:
   what a failed assertion or a debugger shows for these objects.
 """
@@ -73,6 +74,8 @@ REPROSAN_TESTS = (
     "test_core_parallel",
     "test_server_machine",
     "test_disk_replay",
+    "test_server_retention",
+    "test_disk_incremental",
 )
 RUNS = {
     "tier1": [(*PYTEST, "tests")],
@@ -84,7 +87,6 @@ RUNS = {
     "cli": [(PY, "-m", "repro", *line.split()) for line in CI_CLI],
     "examples": [(PY, str(p)) for p in sorted(ROOT.glob("examples/*.py"))],
     "ledger": [(*PYTEST, "--noconftest", "benchmarks/ledger/test_ledger_smoke.py")],
-    "lint": [(PY, "-m", "repro", "lint")],
 }
 
 SITECUSTOMIZE = """\

@@ -1,45 +1,55 @@
-"""reprosan — runtime lock-order and resource-balance sanitizer.
+"""reprosan — the runtime lock verifier.
 
-The RL7xx checker reasons about lock order statically; ``reprosan``
-watches it, and the footprint budget's balance, while the tests
-actually run, so the two views of lock order can cross-check each
-other:
+The paper serves queries while a leaf restarts (§4.3), so three lock
+domains nest: the leaf's data-plane lock, the restore driver's lock and
+the machine-wide footprint budget.  ``reprosan`` checks that nesting
+while the tests run, and only then: ``install()`` is called by
+``pytest --reprosan`` (``tests/conftest.py``) and nowhere else.
 
-- **Lock order.**  ``install()`` patches ``threading.Lock`` / ``RLock``
-  / ``Condition`` with factories that hand instrumented wrappers to
-  callers inside the ``repro`` package (everything else — pytest, the
-  stdlib — still gets the real primitive).  Each wrapper is named by
-  its *creation site* (``relpath:lineno``), so every instance of, say,
-  ``LeafServer._lock`` shares one node in the runtime acquisition
-  graph.  Whenever a thread acquires a lock while holding others, an
-  ordering edge is recorded; a cycle in that graph is a deadlock
-  candidate observed for real, not inferred.
+- **Lockset.**  An Eraser-style lockset (Savage et al., *Eraser: A
+  Dynamic Data Race Detector*, TOCS 1997) over the attributes of the
+  classes in :data:`WATCHED`, each of which builds a repro lock in
+  ``__init__``.  An attribute is *exclusive* to the first thread that
+  touches it.  The first access from a second thread makes it *shared*,
+  and from then on every access narrows its candidate lockset to the
+  repro locks held at that access.  A shared attribute that has been
+  written since and whose lockset is empty fails the test: no one lock
+  guarded every access.  No race has to happen, and state touched
+  before the object is shared (a restore's directory publish) is never
+  refined at all.  Reading an attribute that holds a mutable container
+  counts as a write: its contents change through the reference.  Only
+  accesses made by ``repro`` code count; tests poke at internals freely.
+- **Blocking calls.**  ``os.fsync``, ``os.replace``, ``time.sleep``,
+  socket ``recv``, ``Event.wait``, ``Future.result`` and a wait on
+  another repro condition, called by ``repro`` code while any repro
+  lock is held, fail the test: every other user of that lock queues
+  behind the call.
+- **Lock order.**  Every repro lock is named by its creation site
+  (``relpath:lineno``), and acquiring one while holding another records
+  an edge between the two sites.  A cycle in that graph is a deadlock
+  candidate observed for real, and it fails the test that closed it.
+- **Budget residue.**  :class:`~repro.util.budget.FootprintBudget`'s
+  ``acquire``/``release`` are wrapped at the class: a test that ends
+  with budget bytes acquired and never released fails.  Tracker
+  balances (:func:`repro.util.memtrack.set_audit_hook`) are recorded in
+  the report but not enforced: live data stays charged at test end.
 
-- **Resource balance.**  The tracker's audit seam
-  (:func:`repro.util.memtrack.set_audit_hook`) reports every
-  allocate/free, and :class:`~repro.util.budget.FootprintBudget`'s
-  ``acquire``/``release`` are wrapped at the class.  Per test, budget
-  bytes must balance: nonzero *residue* (acquired but never released)
-  fails the test.  Tracker balances are recorded in the report for
-  inspection but not enforced — live data legitimately stays charged
-  at test end.
-
-The pytest side lives in ``tests/conftest.py`` (``--reprosan``); the
-JSON report it writes feeds ``repro lint --san-report`` which
-:func:`cross_check`s the observed edges against the RL7xx static graph.
+:data:`ALLOWED` is where the lockset and the blocking-call audit look
+away, one reason per entry.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
+import socket
 import sys
 import threading
+import time
+from importlib import import_module
 from pathlib import Path
 
-#: Same-site lock pairs (two instances created at one line, e.g. two
-#: leaves' coarse locks) are not ordered against each other: the graph
-#: is keyed by creation site, so such an edge would be a self-loop that
-#: says nothing about cross-site ordering.
 _REPRO_PREFIX = "repro"
 
 #: Captured at import, before any patching: the sanitizer's own state
@@ -47,9 +57,100 @@ _REPRO_PREFIX = "repro"
 #: recurse into recording edges about the recorder.
 _REAL_RLOCK = threading.RLock
 
+#: The classes whose attributes the lockset watches (subclasses
+#: included): the ones that build a repro lock in ``__init__``.
+WATCHED = (
+    "repro.server.leaf:LeafServer",
+    "repro.core.lazyrestore:RestoreDriver",
+    "repro.columnstore.colcache:DecodedColumnCache",
+    "repro.util.budget:FootprintBudget",
+    "repro.util.memtrack:MemoryTracker",
+    "repro.cluster.replication:ReplicaBlockServer",
+    "repro.cluster.replication:ReplicaCatalog",
+)
+
+#: ``qualname -> (kind, reason)``.  A ``"blocks"`` entry lets a repro
+#: lock stay held across a blocking call made anywhere below that
+#: function; a ``"reads"`` entry takes that function's own reads out of
+#: the lockset (its writes still count).
+ALLOWED: dict[str, tuple[str, str]] = {
+    "RestoreDriver._fault_block": (
+        "blocks",
+        "the paper's footprint backpressure: a fault-in waits for its "
+        "block's copy window atomically with the adoption it guards; "
+        "budget holders release from other leaves' locks, never this one",
+    ),
+    "LazyRestore._read_blocks": (
+        "blocks",
+        "the same backpressure per table: a drain holds one table's copy "
+        "window, segment and heap copies coexisting until the segment goes",
+    ),
+    "LeafServer.sync_to_disk": (
+        "blocks",
+        "until item 5: a sync holds the leaf lock across the transcode, "
+        "writes, fsyncs and manifest publish",
+    ),
+    "LeafServer.expire_tables": (
+        "blocks",
+        "until item 5: an expiry holds the leaf lock across its manifest "
+        "publish",
+    ),
+    "LeafServer._shutdown_locked": (
+        "blocks",
+        "the paper's PREPARE (Figure 5): the last sync and the copy to "
+        "shared memory run under the leaf lock, so no add or query lands "
+        "between them",
+    ),
+    "LeafServer.start": (
+        "blocks",
+        "a leaf in memory recovery accepts nothing (Figure 5): a blocking "
+        "boot holds the leaf lock through its whole ladder, a replica "
+        "handshake and the disk rungs included",
+    ),
+    "RestoreDriver._land_from_below": (
+        "blocks",
+        "a fall walks the rungs below under the driver lock: queries that "
+        "would fault in wait for the leaf to land, as after a blocking boot",
+    ),
+    "ReplicaRestore._read_block": (
+        "blocks",
+        "a serving fault-in fetches the one block its query is waiting for; "
+        "the round trip is that query's own wait",
+    ),
+    "ReplicaRestore._read_blocks": (
+        "blocks",
+        "a drain is a blocking restore's whole pull: the driver lock is "
+        "held while the fetch streams run, as the shm drain holds it "
+        "while it copies",
+    ),
+    "LeafServer.is_alive": (
+        "reads",
+        "a health probe reads one enum, GIL-atomic and staleness-tolerant; "
+        "taking the lock would block it behind a restart or a sync",
+    ),
+    "LeafServer.accepts_adds": (
+        "reads",
+        "an advisory gate (accepts_queries too): add_rows and query "
+        "re-check it under the lock, the lock-free read only pre-filters",
+    ),
+    "LeafServer.used_bytes": (
+        "reads",
+        "a monitoring read for the tailers and the aggregator (free_memory "
+        "too); a stale byte count is acceptable, a probe blocking behind "
+        "a sync is not",
+    ),
+}
+
+_CONTAINERS = (dict, list, set, bytearray)
+_MISSING = object()
+#: Where a watched object keeps its attributes' lockset state.
+_SHADOW = "__reprosan__"
+
 
 def _is_repro_module(name: str) -> bool:
-    return name == _REPRO_PREFIX or name.startswith(_REPRO_PREFIX + ".")
+    return (
+        name == _REPRO_PREFIX or name.startswith(_REPRO_PREFIX + ".")
+    ) and name != __name__
 
 
 class _SanLock:
@@ -82,10 +183,7 @@ class _SanLock:
 
     def __getattr__(self, name):
         # `locked`, `_is_owned`, `_release_save`, `_acquire_restore`...
-        # delegate so a real Condition can drive a wrapped RLock.  The
-        # save/restore pair bypasses instrumentation during a wait; the
-        # waiting thread is blocked, so its held-stack cannot be read
-        # inconsistently in the meantime.
+        # delegate so a real Condition can drive a wrapped RLock.
         return getattr(self._real, name)
 
 
@@ -118,14 +216,16 @@ class _SanCondition:
         self._san._note_release(self)
         return self._real.__exit__(*exc)
 
-    # wait()/wait_for() release the lock internally, but the waiting
-    # thread is blocked (and a wait_for predicate runs with the lock
-    # re-held), so leaving the condition on the held-stack is accurate
-    # for every observable acquisition.
+    # wait()/wait_for() release this condition internally, so the wait
+    # is blocking only for the *other* repro locks the thread holds.
+    # The condition stays on the held-stack: the waiting thread is
+    # blocked, and a wait_for predicate runs with the lock re-held.
     def wait(self, timeout: float | None = None):
+        self._san._check_blocking("Condition.wait", waiting_on=self)
         return self._real.wait(timeout)
 
     def wait_for(self, predicate, timeout: float | None = None):
+        self._san._check_blocking("Condition.wait", waiting_on=self)
         return self._real.wait_for(predicate, timeout)
 
     def notify(self, n: int = 1) -> None:
@@ -136,6 +236,54 @@ class _SanCondition:
 
     def __getattr__(self, name):
         return getattr(self._real, name)
+
+
+_LOCKS = (_SanLock, _SanCondition)
+
+
+class _Shadow:
+    """One attribute's Eraser state on one object."""
+
+    __slots__ = ("thread", "lockset", "written", "reported")
+
+    def __init__(self, thread: int) -> None:
+        self.thread: int | None = thread  # the owner while exclusive
+        self.lockset: frozenset | None = None  # refined once shared
+        self.written = False  # written since it became shared
+        self.reported = False
+
+
+class _Watched:
+    """A data descriptor standing in for one instance attribute of a
+    watched class: the value stays in the instance ``__dict__``, and
+    every get, set and delete is an access for the lockset."""
+
+    __slots__ = ("san", "owner", "name", "default")
+
+    def __init__(self, san: "Sanitizer", owner: str, name: str, default) -> None:
+        self.san = san
+        self.owner = owner
+        self.name = name
+        self.default = default
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self if self.default is _MISSING else self.default
+        value = obj.__dict__.get(self.name, _MISSING)
+        if value is _MISSING:
+            if self.default is _MISSING:
+                raise AttributeError(self.name)
+            value = self.default
+        self.san._access(obj, self, isinstance(value, _CONTAINERS))
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+        self.san._access(obj, self, True)
+
+    def __delete__(self, obj) -> None:
+        del obj.__dict__[self.name]
+        self.san._access(obj, self, True)
 
 
 class Sanitizer:
@@ -150,18 +298,34 @@ class Sanitizer:
         #: (src_site, dst_site) -> {"count", "first_test", "thread"}
         self.edges: dict[tuple[str, str], dict] = {}
         self.tests: list[dict] = []
+        #: Problems seen outside any test (a fixture's teardown).
+        self.unattributed: list[str] = []
         self._current: dict | None = None
         self._reported_cycles: set[str] = set()
-        self._saved: dict = {}
+        #: code object -> its qualname when repro code, else None
+        self._qualnames: dict = {}
+        self._undo: list = []
         self._installed = False
 
-    # -- creation-site filtering ---------------------------------------
+    # -- who is calling -------------------------------------------------
+
+    def _repro_qualname(self, frame) -> str | None:
+        """The qualname of ``frame``'s function when it is repro code."""
+        code = frame.f_code
+        try:
+            return self._qualnames[code]
+        except KeyError:
+            pass
+        qualname = None
+        if _is_repro_module(frame.f_globals.get("__name__", "")):
+            qualname = code.co_qualname
+        self._qualnames[code] = qualname
+        return qualname
 
     def _caller_site(self) -> str | None:
         # Frame 0 = this method, 1 = the patched factory, 2 = the caller.
         frame = sys._getframe(2)
-        module = frame.f_globals.get("__name__", "")
-        if not _is_repro_module(module):
+        if self._repro_qualname(frame) is None:
             return None
         try:
             rel = (
@@ -207,18 +371,141 @@ class Sanitizer:
                     "first_test": test,
                     "thread": threading.current_thread().name,
                 }
-                if self._current is not None:
-                    self._current["new_edges"].append([src, dst])
             info["count"] += 1
+
+    def _problem(self, text: str) -> None:
+        with self._state_lock:
+            if self._current is None:
+                self.unattributed.append(text)
+            else:
+                self._current["problems"].append(text)
+
+    # -- lockset --------------------------------------------------------
+
+    def watch(self, cls: type) -> None:
+        """Watch ``cls``'s (and its subclasses') instance attributes:
+        each one becomes a :class:`_Watched` descriptor on ``cls`` the
+        first time an instance built by a wrapped ``__init__`` has it."""
+        classes = [cls]
+        for klass in classes:
+            classes.extend(klass.__subclasses__())
+        for klass in classes:
+            if "__init__" in vars(klass):
+                self._wrap_init(klass, cls)
+
+    def _wrap_init(self, klass: type, root: type) -> None:
+        init = vars(klass)["__init__"]
+        san = self
+
+        def __init__(obj, *args, **kwargs):
+            init(obj, *args, **kwargs)
+            if type(obj).__init__ is __init__:  # the outermost one has run
+                san._cover(root, obj)
+
+        __init__.__wrapped__ = init
+        klass.__init__ = __init__
+        self._undo.append(lambda: setattr(klass, "__init__", init))
+
+    def _cover(self, root: type, obj) -> None:
+        for name, value in list(vars(obj).items()):
+            if name == _SHADOW or isinstance(value, _LOCKS):
+                continue
+            current = root.__dict__.get(name, _MISSING)
+            if hasattr(current, "__get__"):  # watched already, or a method
+                continue
+            setattr(root, name, _Watched(self, root.__qualname__, name, current))
+            self._undo.append(lambda name=name, current=current: (
+                delattr(root, name)
+                if current is _MISSING
+                else setattr(root, name, current)
+            ))
+
+    def _access(self, obj, attr: _Watched, write: bool) -> None:
+        # Frame 0 = this method, 1 = the descriptor, 2 = the accessor.
+        frame = sys._getframe(2)
+        qualname = self._repro_qualname(frame)
+        if qualname is None:
+            return
+        if not write and ALLOWED.get(qualname, ("",))[0] == "reads":
+            return
+        shadows = obj.__dict__.get(_SHADOW)
+        if shadows is None:
+            shadows = obj.__dict__[_SHADOW] = {}
+        me = threading.get_ident()
+        shadow = shadows.get(attr.name)
+        if shadow is None:
+            shadows[attr.name] = _Shadow(me)
+            return
+        if shadow.thread == me or shadow.reported:
+            return
+        held = frozenset(self._held())
+        with self._state_lock:
+            if shadow.thread is not None:
+                shadow.thread = None  # a second thread: shared from here
+                shadow.lockset = held
+            else:
+                shadow.lockset &= held
+            shadow.written |= write
+            if not shadow.written or shadow.lockset or shadow.reported:
+                return
+            shadow.reported = True
+        self._problem(
+            f"lockset: {attr.owner}.{attr.name} is shared and written, and "
+            f"no one lock guards every access (last: "
+            f"{'write' if write else 'read'} in {qualname}, "
+            f"{frame.f_code.co_filename}:{frame.f_lineno}, thread "
+            f"{threading.current_thread().name})"
+        )
+
+    # -- blocking calls -------------------------------------------------
+
+    def _check_blocking(self, call: str, waiting_on=None) -> None:
+        held = getattr(self._tls, "held", None)
+        if not held or all(lock is waiting_on for lock in held):
+            return
+        # Frame 0 = this method, 1 = the patched call, 2 = its caller.
+        frame = sys._getframe(2)
+        if frame.f_globals.get("__name__") == "threading":
+            return  # Thread.start's handshake with the thread it starts
+        path = []  # the repro functions on the stack, innermost first
+        while frame is not None:
+            qualname = self._repro_qualname(frame)
+            if qualname is not None:
+                if ALLOWED.get(qualname, ("",))[0] == "blocks":
+                    return
+                path.append(qualname)
+            frame = frame.f_back
+        if not path:
+            return  # not repro code (a test holding a lock on purpose)
+        locks = sorted({lock.site for lock in held if lock is not waiting_on})
+        self._problem(
+            f"blocking call: {call} in {' < '.join(path)} while holding "
+            f"{', '.join(locks)}"
+        )
+
+    def _patch(self, owner, name: str, call: str) -> None:
+        real = getattr(owner, name)
+        own = vars(owner).get(name, _MISSING)  # else inherited
+        san = self
+
+        def blocking(*args, **kwargs):
+            san._check_blocking(call)
+            return real(*args, **kwargs)
+
+        blocking.__wrapped__ = real
+        setattr(owner, name, blocking)
+        self._undo.append(
+            lambda: delattr(owner, name) if own is _MISSING else setattr(owner, name, own)
+        )
 
     # -- budget / tracker audit ----------------------------------------
 
-    def _note_budget(self, label: str, obj_id: int, delta: int) -> None:
+    def _note_budget(self, obj_id: int, delta: int) -> None:
         with self._state_lock:
             if self._current is None:
                 return
             balances = self._current["budget"]
-            key = f"{label}@{obj_id:x}"
+            key = f"FootprintBudget@{obj_id:x}"
             balances[key] = balances.get(key, 0) + delta
 
     def _tracker_hook(self, event: str, region: str, nbytes: int, obj_id: int) -> None:
@@ -236,20 +523,19 @@ class Sanitizer:
         with self._state_lock:
             self._current = {
                 "nodeid": nodeid,
-                "new_edges": [],
+                "problems": [],
                 "budget": {},
                 "tracker": {},
             }
 
     def end_test(self) -> dict:
-        """Close the current test record and return its problems."""
+        """Close the current test record and return it; its
+        ``problems`` fail the test."""
         with self._state_lock:
-            record = self._current or {
-                "nodeid": "?",
-                "new_edges": [],
-                "budget": {},
-                "tracker": {},
-            }
+            record = self._current
+            if record is None:
+                self.begin_test("?")
+                record = self._current
             self._current = None
             residue = {k: v for k, v in record["budget"].items() if v > 0}
             new_cycles = [
@@ -257,7 +543,7 @@ class Sanitizer:
                 if c not in self._reported_cycles
             ]
             self._reported_cycles.update(new_cycles)
-            problems = []
+            problems = record["problems"]
             for key, bytes_left in sorted(residue.items()):
                 problems.append(
                     f"budget residue: {key} ends the test holding "
@@ -267,28 +553,27 @@ class Sanitizer:
                 problems.append(f"lock-order cycle observed: {cycle}")
             record["budget_residue"] = residue
             record["cycles"] = new_cycles
-            record["problems"] = problems
             self.tests.append(record)
             return record
 
     # -- patching -------------------------------------------------------
 
     def install(self) -> "Sanitizer":
+        """Patch the lock factories, the blocking calls and the budget,
+        and watch the :data:`WATCHED` classes."""
         if self._installed:
             return self
+        if sys.version_info < (3, 11):
+            raise RuntimeError("reprosan names functions by co_qualname (Python 3.11+)")
         from repro.util import memtrack
         from repro.util.budget import FootprintBudget
 
         san = self
+        real_lock = threading.Lock
+        real_rlock = threading.RLock
+        real_condition = threading.Condition
         orig_acquire = FootprintBudget.acquire
         orig_release = FootprintBudget.release
-        self._saved = {
-            "Lock": threading.Lock,
-            "RLock": threading.RLock,
-            "Condition": threading.Condition,
-            "FootprintBudget.acquire": orig_acquire,
-            "FootprintBudget.release": orig_release,
-        }
 
         def make_lock_factory(real, wrapper):
             def factory(*args, **kwargs):
@@ -299,10 +584,6 @@ class Sanitizer:
                 return wrapper(san, obj, site)
 
             return factory
-
-        real_lock = threading.Lock
-        real_rlock = threading.RLock
-        real_condition = threading.Condition
 
         def condition_factory(lock=None):
             site = san._caller_site()
@@ -315,36 +596,48 @@ class Sanitizer:
                 return obj
             return _SanCondition(san, obj, site)
 
-        threading.Lock = make_lock_factory(real_lock, _SanLock)
-        threading.RLock = make_lock_factory(real_rlock, _SanLock)
-        threading.Condition = condition_factory
-
         def acquire(obj, nbytes):
             orig_acquire(obj, nbytes)
-            san._note_budget("FootprintBudget", id(obj), nbytes)
+            san._note_budget(id(obj), nbytes)
 
         def release(obj, nbytes):
             orig_release(obj, nbytes)
-            san._note_budget("FootprintBudget", id(obj), -nbytes)
+            san._note_budget(id(obj), -nbytes)
 
+        threading.Lock = make_lock_factory(real_lock, _SanLock)
+        threading.RLock = make_lock_factory(real_rlock, _SanLock)
+        threading.Condition = condition_factory
         FootprintBudget.acquire = acquire
         FootprintBudget.release = release
-        self._saved["audit_hook"] = memtrack.set_audit_hook(self._tracker_hook)
+        previous_hook = memtrack.set_audit_hook(self._tracker_hook)
+
+        def restore_factories():
+            threading.Lock = real_lock
+            threading.RLock = real_rlock
+            threading.Condition = real_condition
+            FootprintBudget.acquire = orig_acquire
+            FootprintBudget.release = orig_release
+            memtrack.set_audit_hook(previous_hook)
+
+        self._undo.append(restore_factories)
+        self._patch(os, "fsync", "os.fsync")
+        self._patch(os, "replace", "os.replace")
+        self._patch(time, "sleep", "time.sleep")
+        self._patch(socket.socket, "recv", "socket.recv")
+        self._patch(socket.socket, "recv_into", "socket.recv_into")
+        self._patch(threading.Event, "wait", "Event.wait")
+        self._patch(concurrent.futures.Future, "result", "Future.result")
+        for name in WATCHED:
+            module, _, cls = name.partition(":")
+            self.watch(getattr(import_module(module), cls))
         self._installed = True
         return self
 
     def uninstall(self) -> None:
         if not self._installed:
             return
-        from repro.util import memtrack
-        from repro.util.budget import FootprintBudget
-
-        threading.Lock = self._saved["Lock"]
-        threading.RLock = self._saved["RLock"]
-        threading.Condition = self._saved["Condition"]
-        FootprintBudget.acquire = self._saved["FootprintBudget.acquire"]
-        FootprintBudget.release = self._saved["FootprintBudget.release"]
-        memtrack.set_audit_hook(self._saved["audit_hook"])
+        while self._undo:
+            self._undo.pop()()
         self._installed = False
         global _active
         if _active is self:
@@ -355,13 +648,14 @@ class Sanitizer:
     def report(self) -> dict:
         with self._state_lock:
             return {
-                "version": 1,
+                "version": 2,
                 "root": str(self.root),
                 "edges": [
                     {"src": src, "dst": dst, **info}
                     for (src, dst), info in sorted(self.edges.items())
                 ],
                 "cycles": find_cycles(set(self.edges)),
+                "unattributed": self.unattributed,
                 "tests": self.tests,
                 "summary": {
                     "tests": len(self.tests),
@@ -415,94 +709,4 @@ def find_cycles(edges: set[tuple[str, str]]) -> list[str]:
     return sorted(cycles)
 
 
-# ----------------------------------------------------------------------
-# Static cross-check (`repro lint --san-report`)
-# ----------------------------------------------------------------------
-
-
-def _static_site_map(modules) -> dict[str, list[tuple[int, int, str]]]:
-    """relpath -> [(first_line, last_line, "Class.attr")] for every
-    statically-known lock creation site.
-
-    A runtime creation site is a single frame line; the static construct
-    can span several (a multi-line dataclass ``field(...)``), so sites
-    map through line *ranges*.
-    """
-    import ast
-
-    from repro.analysis.classes import own_lock_sites
-
-    return {
-        module.relpath: [
-            (node.lineno, node.end_lineno or node.lineno, f"{cls.name}.{attr}")
-            for cls in ast.walk(module.tree)
-            if isinstance(cls, ast.ClassDef)
-            for attr, node in own_lock_sites(cls)
-        ]
-        for module in modules
-    }
-
-
-def _translate(site: str, site_map: dict) -> str:
-    path, _, line = site.rpartition(":")
-    try:
-        lineno = int(line)
-    except ValueError:
-        return site
-    for first, last, node in site_map.get(path, ()):
-        if first <= lineno <= last:
-            return node
-    return site
-
-
-def cross_check(report: dict, modules) -> dict:
-    """Compare a reprosan JSON report against the RL7xx static graph.
-
-    Returns a dict with ``cycles`` (observed at runtime — always a
-    failure), ``inversions`` (a runtime edge whose *reverse* is the only
-    statically-known order between the pair — the static and dynamic
-    views disagree, someone is wrong), ``unpredicted`` (observed but
-    unknown to RL7xx — informational: usually name-resolution blind
-    spots), and ``unobserved`` (static edges the test run never
-    exercised — coverage, not correctness).
-    """
-    from repro.analysis.checkers.lockorder import collect_edges
-
-    site_map = _static_site_map(modules)
-    static_edges = {(e.src, e.dst) for e in collect_edges(modules)}
-
-    runtime: set[tuple[str, str]] = set()
-    for edge in report.get("edges", ()):
-        src = _translate(edge["src"], site_map)
-        dst = _translate(edge["dst"], site_map)
-        if src != dst:
-            runtime.add((src, dst))
-
-    cycles = find_cycles(runtime)
-    inversions = sorted(
-        f"{src} -> {dst}"
-        for src, dst in runtime
-        if (dst, src) in static_edges and (src, dst) not in static_edges
-    )
-    unpredicted = sorted(
-        f"{src} -> {dst}" for src, dst in runtime - static_edges
-    )
-    unobserved = sorted(
-        f"{src} -> {dst}" for src, dst in static_edges - runtime
-    )
-    return {
-        "runtime_edges": sorted(f"{s} -> {d}" for s, d in runtime),
-        "cycles": cycles,
-        "inversions": inversions,
-        "unpredicted": unpredicted,
-        "unobserved": unobserved,
-        "ok": not cycles and not inversions,
-    }
-
-
-__all__ = [
-    "Sanitizer",
-    "install",
-    "find_cycles",
-    "cross_check",
-]
+__all__ = ["ALLOWED", "WATCHED", "Sanitizer", "install", "find_cycles"]

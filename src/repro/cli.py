@@ -8,7 +8,6 @@ Commands:
 - ``bench-restart``  — a real scaled disk-vs-shm restart on this machine
 - ``bench-query``    — vectorized vs row-at-a-time query execution (E13)
 - ``leaf-worker``    — run one leaf server process (the deployment unit)
-- ``lint``           — reprolint, the AST-based restart-invariant verifier
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from repro.cluster.dashboard import render_dashboard
 from repro.sim.availability import weekly_availability
@@ -186,70 +184,6 @@ def cmd_bench_query(args: argparse.Namespace) -> int:
     return finish(p, args.json)
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import render_json, render_text, run_lint, write_baseline
-
-    try:
-        result = run_lint(
-            root=args.root,
-            checkers=args.checker or None,
-            baseline_path=args.baseline,
-            allow_todo=args.allow_todo,
-        )
-    except ValueError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    if args.update_baseline:
-        from repro.analysis.runner import DEFAULT_BASELINE
-
-        path = args.baseline or (args.root + "/" + DEFAULT_BASELINE)
-        write_baseline(result, path)
-        print(
-            f"baseline written to {path} "
-            f"({len({f.key for f in result.findings})} entries) — "
-            f"fill in the TODO justifications before committing"
-        )
-        return 0
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_text(result, verbose=args.verbose))
-    exit_code = 1 if result.failed else 0
-    if args.san_report:
-        import json as _json
-
-        from repro.analysis.loader import DEFAULT_SCAN_DIRS, load_modules
-        from repro.analysis.reprosan import cross_check
-
-        try:
-            report = _json.loads(Path(args.san_report).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"repro lint: cannot read --san-report: {exc}", file=sys.stderr)
-            return 2
-        modules = load_modules(Path(args.root), DEFAULT_SCAN_DIRS)
-        checked = cross_check(report, modules)
-        print()
-        print(
-            f"reprosan cross-check: {len(checked['runtime_edges'])} runtime "
-            f"edges, {len(checked['cycles'])} cycles, "
-            f"{len(checked['inversions'])} inversions vs the static graph"
-        )
-        for cycle in checked["cycles"]:
-            print(f"  cycle observed at runtime: {cycle}")
-        for inversion in checked["inversions"]:
-            print(
-                f"  order inversion: runtime took {inversion} but the "
-                f"static graph only knows the reverse"
-            )
-        for edge in checked["unpredicted"]:
-            print(f"  note: runtime edge not in the static graph: {edge}")
-        for edge in checked["unobserved"]:
-            print(f"  note: static edge not exercised by the test run: {edge}")
-        if not checked["ok"]:
-            exit_code = 1
-    return exit_code
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -325,49 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         "repro.server.process_worker)",
         add_help=False,
     )
-
-    p = sub.add_parser(
-        "lint", help="verify restart invariants with the reprolint checkers"
-    )
-    p.add_argument("--root", default=".", help="repository root to scan")
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="format"
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="accepted-findings file (default: src/repro/analysis/baseline.json "
-        "under --root, when present)",
-    )
-    p.add_argument(
-        "--checker",
-        action="append",
-        metavar="NAME",
-        help="run only this checker (repeatable); default: all",
-    )
-    p.add_argument(
-        "--allow-todo",
-        action="store_true",
-        help="downgrade TODO-justified baseline entries from error to warning",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="accept the current findings into the baseline file",
-    )
-    p.add_argument(
-        "--san-report",
-        default=None,
-        metavar="FILE",
-        help="cross-check a reprosan JSON report (pytest --reprosan) "
-        "against the RL7xx static lock graph",
-    )
-    p.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="also list baselined findings with their justifications",
-    )
-    p.set_defaults(func=cmd_lint)
     return parser
 
 

@@ -27,7 +27,8 @@ Design constraints, in paper order:
   :meth:`invalidate_blocks` at every point a block exits.
 - **Lock-guarded.**  Queries may run concurrently with expiry and with
   lifecycle transitions on other threads; every attribute is touched
-  only under ``self._lock`` (reprolint's RL3xx checker enforces this).
+  only under ``self._lock`` (the ``pytest --reprosan`` lockset checks
+  this at runtime).
   Decoding itself happens *outside* the lock so concurrent queries
   don't serialize on decompression.
 

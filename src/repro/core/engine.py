@@ -64,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count, takewhile
 from typing import Callable, NamedTuple
 
 from repro.columnstore.leafmap import LeafMap
@@ -525,8 +526,8 @@ class RestartEngine:
         held = 0
         segment = None
         try:
-            # Metadata too corrupt to walk leaves its segments behind
-            # when it is discarded; the name is ours, so reclaim it.
+            # A segment past a gap in the numbering survives a discard
+            # of unwalkable metadata; the name is ours, so reclaim it.
             self._unlink_shm(name)
             meta.set_records([*records, record])
             # This table's copy window — the span where segment and heap
@@ -672,12 +673,14 @@ class RestartEngine:
         other leaves on a shared tracker keep theirs.
         """
         try:
-            records = meta.records
+            names = [record.segment_name for record in meta.records]
         except (CorruptionError, LayoutVersionError):
-            meta.unlink()
-            return
-        for record in records:
-            self._unlink_shm(record.segment_name)
+            # Metadata it cannot walk (torn, or another build's) still
+            # leaves this leaf's segments findable: they are named by
+            # table index, from 0 up in copy order.
+            names = list(takewhile(segment_exists, map(self._segment_base_name, count())))
+        for name in names:
+            self._unlink_shm(name)
         meta.unlink()
 
     def _recover_from_disk(self, leafmap: LeafMap, report: RestartReport) -> None:

@@ -107,11 +107,12 @@ def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
     """Fold a table's snapshot chain (base + deltas) into one snapshot,
     less the rows the manifest's ``rows_expired`` count says are gone.
 
-    The manifest must vouch for the chain first
-    (:meth:`DiskBackup.snapshot_fault`: generation, tip, files present,
-    not written by an older build), or this raises
-    :class:`SnapshotStaleError`.  Then every link is checked before its
-    blocks are trusted: the chain opens with a base and continues with
+    Precondition: the manifest vouches for the chain
+    (:meth:`DiskBackup.snapshot_fault` is ``None``: generation, tip,
+    files present, not written by an older build).  The engine checks
+    that for every table before it enters the snapshot rung, and this
+    does not check it again.  Every link is checked before its blocks
+    are trusted: the chain opens with a base and continues with
     strictly newer delta generations, and each file decodes cleanly and
     agrees with its link on generation / kind / table name / block count
     and on the rows it holds — a base spans ingest positions ``[its
@@ -129,9 +130,6 @@ def materialize_chain(backup: DiskBackup, table_name: str) -> ShmSnapshot:
     side's business and are not re-derived here — the file CRC and the
     checks above already vouch for the bytes.
     """
-    fault = backup.snapshot_fault(table_name)
-    if fault is not None:
-        raise SnapshotStaleError(f"table '{table_name}': {fault}")
     chain = backup.snapshot_chain(table_name)
     expired = backup.rows_expired(table_name)
     blocks: list[RowBlock] = []

@@ -405,14 +405,8 @@ class LeafServer:
             LeafStatus.RECOVERING_REPLICA_SERVING,
         )
 
-    @property
-    def accepts_queries(self) -> bool:
-        return self.status in (
-            LeafStatus.ALIVE,
-            LeafStatus.RECOVERING_DISK,
-            LeafStatus.RECOVERING_MEMORY_SERVING,
-            LeafStatus.RECOVERING_REPLICA_SERVING,
-        )
+    #: The same statuses take queries (Figure 5).
+    accepts_queries = accepts_adds
 
     @property
     def used_bytes(self) -> int:
@@ -421,7 +415,7 @@ class LeafServer:
     @property
     def free_memory(self) -> int:
         """What the leaf reports when a tailer asks (paper, Section 2)."""
-        return max(0, self.capacity_bytes - self.leafmap.nbytes)
+        return max(0, self.capacity_bytes - self.used_bytes)
 
     def add_rows(
         self, table: str, rows: Iterable[Mapping[str, ColumnValue]]

@@ -46,7 +46,7 @@ class FootprintBudget:
         self._next_ticket = 0
         self._now_serving = 0
         self._abandoned: set[int] = set()
-        self.peak_in_flight = 0
+        self._peak = 0
         self.blocked_acquires = 0
 
     def _admissible(self, nbytes: int) -> bool:
@@ -85,8 +85,8 @@ class FootprintBudget:
             self._now_serving = ticket + 1
             self._advance()
             self._in_flight += nbytes
-            if self._in_flight > self.peak_in_flight:
-                self.peak_in_flight = self._in_flight
+            if self._in_flight > self._peak:
+                self._peak = self._in_flight
             # The next ticket may be admissible right away (small request
             # behind a small admission); wake the line to check.
             self._cond.notify_all()
@@ -106,6 +106,11 @@ class FootprintBudget:
         with self._cond:
             return self._in_flight
 
+    @property
+    def peak_in_flight(self) -> int:
+        with self._cond:
+            return self._peak
+
     @contextmanager
     def reserve(self, nbytes: int) -> Iterator[None]:
         self.acquire(nbytes)
@@ -118,5 +123,5 @@ class FootprintBudget:
         with self._cond:
             return (
                 f"FootprintBudget(limit={self.limit_bytes}, "
-                f"in_flight={self._in_flight}, peak={self.peak_in_flight})"
+                f"in_flight={self._in_flight}, peak={self._peak})"
             )

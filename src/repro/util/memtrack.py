@@ -52,7 +52,7 @@ class MemoryTracker:
     """
 
     regions: dict[str, int] = field(default_factory=dict)
-    peak_total: int = 0
+    _peak: int = 0
     #: Bytes held per named allocation (a shared memory segment), for
     #: owners that must give back exactly what a name was charged: a
     #: leaf freeing its segment never takes a sibling's bytes, and an
@@ -117,8 +117,14 @@ class MemoryTracker:
 
     def _after_change(self) -> None:
         total = self.total
-        if total > self.peak_total:
-            self.peak_total = total
+        if total > self._peak:
+            self._peak = total
+
+    @property
+    def peak_total(self) -> int:
+        """The most bytes ever allocated at once across all regions."""
+        with self._lock:
+            return self._peak
 
     @property
     def total(self) -> int:
@@ -133,4 +139,4 @@ class MemoryTracker:
     def reset_peak(self) -> None:
         """Restart peak tracking from the current total."""
         with self._lock:
-            self.peak_total = self.total
+            self._peak = self.total

@@ -25,7 +25,7 @@ SHM_DIR = Path("/dev/shm")
 
 
 # ----------------------------------------------------------------------
-# reprosan — runtime lock-order / resource-balance sanitizer
+# reprosan — the runtime lock verifier
 # ----------------------------------------------------------------------
 
 
@@ -36,14 +36,14 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="instrument repro locks, budgets, and trackers; fail tests "
-        "on observed lock-order cycles or unreleased budget bytes",
+        "on a lockset violation, a blocking call under a repro lock, an "
+        "observed lock-order cycle or unreleased budget bytes",
     )
     group.addoption(
         "--reprosan-report",
         default="reprosan.json",
         metavar="FILE",
-        help="where to write the sanitizer JSON report "
-        "(feeds `repro lint --san-report`)",
+        help="where to write the sanitizer JSON report",
     )
 
 

@@ -1,24 +1,26 @@
-"""Behavioral regression tests for the bugs reprolint's first run found.
+"""Behavioral regression tests for the lock bugs the lock checkers found.
 
-Each test pins the *functional* behavior of a fix; the lint-level
-guarantee (the finding stays gone) is pinned by
-``test_analysis_runner.TestRunLint.test_repo_is_clean_against_checked_in_baseline``.
+Each test pins the *functional* behavior of a fix, by a scripted
+interleaving where the bug needs one; the CI ``reprosan`` job keeps the
+lock discipline around them checked at runtime.
 """
 
 import threading
 
 import pytest
 
-from repro.util.budget import FootprintBudget
 from repro.disk.backup import DiskBackup
 from repro.errors import StateError
+from repro.query.query import Aggregation, Query
+from repro.server.aggregator import Aggregator
 from repro.server.leaf import LeafServer, LeafStatus
+from repro.util.budget import FootprintBudget
 
 
-def make_leaf(shm_namespace, tmp_path, clock):
+def make_leaf(shm_namespace, tmp_path, clock, leaf_id="0"):
     return LeafServer(
-        "0",
-        backup=DiskBackup(tmp_path / "leaf-0"),
+        leaf_id,
+        backup=DiskBackup(tmp_path / f"leaf-{leaf_id}"),
         namespace=shm_namespace,
         clock=clock,
         rows_per_block=50,
@@ -108,3 +110,33 @@ class TestExpireStatusGate:
         assert not errors
         assert leaf.status is LeafStatus.DOWN
         assert leaf.used_bytes == 0
+
+
+class TestAggregatorGateRace:
+    def test_a_leaf_down_between_the_gate_and_the_query_fails_over(
+        self, shm_namespace, tmp_path, clock
+    ):
+        """Check-then-act on ``accepts_queries``: the leaf passes the
+        lock-free gate and is down by the time ``query`` takes its lock.
+        The re-check under the lock raises, and the aggregator answers
+        that share from the replica instead of failing the query."""
+        primary = make_leaf(shm_namespace, tmp_path, clock)
+        replica = make_leaf(shm_namespace, tmp_path, clock, leaf_id="1")
+        rows = [{"time": 1000 + i, "v": float(i)} for i in range(10)]
+        for leaf in (primary, replica):
+            leaf.start()
+            leaf.add_rows("events", rows)
+        query = primary.query
+
+        def query_after_a_crash(q):
+            primary.crash()  # lands between the gate and the lock
+            return query(q)
+
+        primary.query = query_after_a_crash
+        aggregator = Aggregator([primary], replica_router=lambda leaf_id: replica)
+        result = aggregator.query(
+            Query(table="events", aggregations=(Aggregation("count"),))
+        )
+        assert result.leaves_responded == result.leaves_total == 1
+        assert result.rows[0].values["count(*)"] == 10
+        assert aggregator.failovers == 1

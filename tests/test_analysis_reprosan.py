@@ -1,19 +1,21 @@
-"""reprosan — the runtime sanitizer itself.
+"""reprosan — the runtime lock verifier itself.
 
 These tests drive the Sanitizer directly (install/uninstall per test)
-rather than through the pytest plugin; the plugin path is exercised by
-the CI `reprosan` job running the concurrency suite under --reprosan.
+over toy classes rather than through the pytest plugin; the plugin path
+is exercised by the CI `reprosan` job running the concurrency suite
+under --reprosan.  Toy code is compiled as a ``repro`` module, because
+the sanitizer only instruments and audits repro code.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.analysis import reprosan
-from repro.analysis.loader import load_files
-from repro.analysis.reprosan import Sanitizer, cross_check, find_cycles
+from repro.analysis.reprosan import ALLOWED, Sanitizer, find_cycles
 
 
 @pytest.fixture
@@ -23,15 +25,69 @@ def san(repo_root):
     sanitizer.uninstall()
 
 
+def _repro_namespace(source: str) -> dict:
+    """Run ``source`` as if it were a module of the repro package."""
+    namespace = {"threading": threading, "time": time, "__name__": "repro._santest"}
+    exec(source, namespace)
+    return namespace
+
+
 def _make_locks():
-    """Two instrumented locks — this module is not a repro module, so
-    impersonate one the way repro code creates locks."""
-    namespace = {"threading": threading, "__name__": "repro._santest"}
-    exec(
-        "a = threading.Lock()\nb = threading.Lock()\ncond = threading.Condition()",
-        namespace,
+    """Two instrumented locks and a condition, created by repro code."""
+    namespace = _repro_namespace(
+        "a = threading.Lock()\nb = threading.Lock()\ncond = threading.Condition()"
     )
     return namespace["a"], namespace["b"], namespace["cond"]
+
+
+TOY = '''
+class Toy:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.count = 0
+        self.items = {}
+
+    def bump(self):
+        with self._lock:
+            self.count += 1
+
+    def bump_unlocked(self):
+        self.count += 1
+
+    def peek(self):
+        return self.count
+
+    def put_unlocked(self, key):
+        self.items[key] = 1
+
+    def nap(self):
+        with self._lock:
+            time.sleep(0)
+
+    def nap_unlocked(self):
+        time.sleep(0)
+'''
+
+
+@pytest.fixture
+def toy(san):
+    """The toy class, watched by ``san``."""
+    cls = _repro_namespace(TOY)["Toy"]
+    san.watch(cls)
+    return cls
+
+
+def in_thread(fn, *args):
+    thread = threading.Thread(target=fn, args=args)
+    thread.start()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+def problems(san, name, body):
+    san.begin_test(name)
+    body()
+    return san.end_test()["problems"]
 
 
 class TestLockInstrumentation:
@@ -79,9 +135,7 @@ class TestLockInstrumentation:
         assert record["problems"] == []
 
     def test_reentrant_rlock_is_not_a_self_edge(self, san):
-        namespace = {"threading": threading, "__name__": "repro._santest"}
-        exec("r = threading.RLock()", namespace)
-        r = namespace["r"]
+        r = _repro_namespace("r = threading.RLock()")["r"]
         with r:
             with r:
                 pass
@@ -102,6 +156,166 @@ class TestLockInstrumentation:
             cond.notify_all()
         thread.join(timeout=5.0)
         assert not thread.is_alive()
+
+
+class TestLockset:
+    def test_unlocked_write_after_sharing_fails(self, san, toy):
+        """No race has to happen: the two threads run one after the
+        other, and no one lock guarded both writes."""
+        obj = toy()
+
+        def body():
+            in_thread(obj.bump)
+            obj.bump_unlocked()
+
+        found = problems(san, "t::unlocked", body)
+        assert len(found) == 1
+        assert "lockset: Toy.count" in found[0]
+        assert "Toy.bump_unlocked" in found[0]
+
+    def test_one_lock_for_every_access_is_clean(self, san, toy):
+        obj = toy()
+
+        def body():
+            for _ in range(2):
+                in_thread(obj.bump)
+            obj.bump()
+
+        assert problems(san, "t::locked", body) == []
+
+    def test_state_touched_before_sharing_needs_no_lock(self, san, toy):
+        obj = toy()
+
+        def body():
+            obj.bump_unlocked()  # still exclusive to this thread
+            in_thread(obj.bump)
+            obj.bump()
+
+        assert problems(san, "t::exclusive", body) == []
+
+    def test_read_shared_state_needs_no_lock(self, san, toy):
+        obj = toy()
+
+        def body():
+            in_thread(obj.peek)
+            obj.peek()
+
+        assert problems(san, "t::read-shared", body) == []
+
+    def test_container_access_counts_as_a_write(self, san, toy):
+        obj = toy()
+
+        def body():
+            in_thread(obj.put_unlocked, "a")
+            obj.put_unlocked("b")
+
+        found = problems(san, "t::container", body)
+        assert len(found) == 1 and "lockset: Toy.items" in found[0]
+
+    def test_an_allowed_read_leaves_the_lockset_alone(self, san, toy, monkeypatch):
+        monkeypatch.setitem(ALLOWED, "Toy.peek", ("reads", "a monitoring read"))
+        obj = toy()
+
+        def body():
+            in_thread(obj.bump)
+            obj.peek()
+            obj.bump()
+
+        assert problems(san, "t::allowed", body) == []
+        monkeypatch.delitem(ALLOWED, "Toy.peek")
+        obj = toy()
+
+        def unallowed():
+            in_thread(obj.bump)
+            obj.peek()
+            obj.bump()
+
+        assert problems(san, "t::unallowed", unallowed)
+
+    def test_accesses_by_test_code_do_not_count(self, san, toy):
+        obj = toy()
+
+        def body():
+            in_thread(obj.bump)
+            obj.count += 1  # this module is not repro code
+            obj.bump()
+
+        assert problems(san, "t::test-code", body) == []
+
+    def test_uninstall_restores_the_class(self, repo_root):
+        sanitizer = Sanitizer(root=repo_root).install()
+        cls = _repro_namespace(TOY)["Toy"]
+        init = cls.__init__
+        sanitizer.watch(cls)
+        obj = cls()
+        assert isinstance(vars(cls)["count"], reprosan._Watched)
+        sanitizer.uninstall()
+        assert cls.__init__ is init and "count" not in vars(cls)
+        obj.bump()
+        assert obj.count == 1
+
+
+class TestBlockingCalls:
+    def test_a_sleep_under_a_repro_lock_fails(self, san, toy):
+        obj = toy()
+        found = problems(san, "t::nap", obj.nap)
+        assert len(found) == 1
+        assert found[0].startswith("blocking call: time.sleep in Toy.nap ")
+
+    def test_a_sleep_without_a_lock_is_clean(self, san, toy):
+        assert problems(san, "t::nap-free", toy().nap_unlocked) == []
+
+    def test_an_allowed_site_may_block(self, san, toy, monkeypatch):
+        monkeypatch.setitem(ALLOWED, "Toy.nap", ("blocks", "a designed wait"))
+        assert problems(san, "t::allowed-nap", toy().nap) == []
+
+    def test_waiting_on_the_only_held_condition_is_not_blocking(self, san):
+        _, _, cond = _make_locks()
+
+        def body():
+            with cond:
+                cond.wait(timeout=0)
+
+        assert problems(san, "t::cond", body) == []
+
+    def test_waiting_under_another_repro_lock_fails(self, san):
+        a, _, cond = _make_locks()
+        namespace = _repro_namespace(
+            "def wait_under(a, cond):\n"
+            "    with a, cond:\n"
+            "        cond.wait(timeout=0)\n"
+        )
+        found = problems(san, "t::cond-under", lambda: namespace["wait_under"](a, cond))
+        assert len(found) == 1 and "Condition.wait in wait_under" in found[0]
+
+    def test_test_code_holding_a_repro_lock_is_ignored(self, san):
+        a, _, _ = _make_locks()
+
+        def body():
+            with a:
+                time.sleep(0)
+
+        assert problems(san, "t::test-holds", body) == []
+
+
+class TestAllowList:
+    def test_every_entry_names_a_function_and_gives_a_reason(self):
+        """At most 13 entries (the static baseline's count when it went),
+        each naming a method that exists: a renamed one fails here, not
+        silently in the audit."""
+        from repro.core.engine import LazyRestore, ReplicaRestore, RestoreDriver
+        from repro.server.leaf import LeafServer
+
+        classes = {
+            cls.__name__: cls
+            for cls in (LeafServer, RestoreDriver, LazyRestore, ReplicaRestore)
+        }
+        assert len(ALLOWED) <= 13
+        for qualname, (kind, reason) in ALLOWED.items():
+            owner, _, name = qualname.partition(".")
+            assert name in vars(classes[owner]), qualname
+            assert kind in ("blocks", "reads"), qualname
+            assert len(reason) > 20, qualname
 
 
 class TestResourceAudit:
@@ -149,92 +363,21 @@ class TestFindCycles:
         assert find_cycles({("a", "b"), ("b", "c"), ("a", "c")}) == []
 
 
-class TestCrossCheck:
-    def _modules(self, repo_root):
-        return load_files(
-            [
-                repo_root / "src/repro/server/leaf.py",
-                repo_root / "src/repro/core/lazyrestore.py",
-                repo_root / "src/repro/util/budget.py",
-                repo_root / "src/repro/util/memtrack.py",
-            ],
-            root=repo_root,
-        )
-
-    def test_runtime_edges_translate_to_static_nodes(self, repo_root):
-        modules = self._modules(repo_root)
-        # Find the real creation sites from the source so the test does
-        # not hard-code line numbers.
-        leaf = next(m for m in modules if m.relpath.endswith("leaf.py"))
-        restore = next(m for m in modules if m.relpath.endswith("lazyrestore.py"))
-        leaf_line = next(
-            i + 1 for i, text in enumerate(leaf.text.splitlines())
-            if "self._lock = threading.RLock()" in text
-        )
-        restore_line = next(
-            i + 1 for i, text in enumerate(restore.text.splitlines())
-            if "self._lock = threading.RLock()" in text
-        )
-        report = {
-            "edges": [
-                {
-                    "src": f"src/repro/server/leaf.py:{leaf_line}",
-                    "dst": f"src/repro/core/lazyrestore.py:{restore_line}",
-                    "count": 3,
-                }
-            ]
-        }
-        checked = cross_check(report, modules)
-        assert checked["runtime_edges"] == [
-            "LeafServer._lock -> RestoreDriver._lock"
-        ]
-        assert checked["ok"]
-        assert checked["cycles"] == []
-
-    def test_inverted_runtime_edge_flagged(self, repo_root):
-        modules = self._modules(repo_root)
-        leaf = next(m for m in modules if m.relpath.endswith("leaf.py"))
-        restore = next(m for m in modules if m.relpath.endswith("lazyrestore.py"))
-        leaf_line = next(
-            i + 1 for i, text in enumerate(leaf.text.splitlines())
-            if "self._lock = threading.RLock()" in text
-        )
-        restore_line = next(
-            i + 1 for i, text in enumerate(restore.text.splitlines())
-            if "self._lock = threading.RLock()" in text
-        )
-        report = {
-            "edges": [
-                {
-                    "src": f"src/repro/core/lazyrestore.py:{restore_line}",
-                    "dst": f"src/repro/server/leaf.py:{leaf_line}",
-                    "count": 1,
-                }
-            ]
-        }
-        checked = cross_check(report, modules)
-        assert checked["inversions"] == [
-            "RestoreDriver._lock -> LeafServer._lock"
-        ]
-        assert not checked["ok"]
-
-    def test_unknown_sites_pass_through(self, repo_root):
-        modules = self._modules(repo_root)
-        report = {"edges": [{"src": "x.py:1", "dst": "y.py:2", "count": 1}]}
-        checked = cross_check(report, modules)
-        assert checked["runtime_edges"] == ["x.py:1 -> y.py:2"]
-        assert "x.py:1 -> y.py:2" in checked["unpredicted"]
-
-
 class TestInstallLifecycle:
     def test_install_is_idempotent_and_uninstall_restores(self, repo_root):
+        from repro.server.leaf import LeafServer
+
         real_lock = threading.Lock
+        real_init = LeafServer.__init__
         first = reprosan.install(root=repo_root)
         second = reprosan.install(root=repo_root)
         assert first is second
         assert threading.Lock is not real_lock
+        assert LeafServer.__init__ is not real_init
         first.uninstall()
         assert threading.Lock is real_lock
+        assert LeafServer.__init__ is real_init
+        assert time.sleep.__module__ == "time"
         # a fresh install after uninstall gets a new sanitizer
         third = reprosan.install(root=repo_root)
         assert third is not first

@@ -15,7 +15,7 @@ from repro.shm.layout import SHM_LAYOUT_VERSION
 from repro.shm.metadata import LeafMetadata
 from repro.util.memtrack import MemoryTracker
 
-from tests.conftest import make_leafmap
+from tests.conftest import SHM_DIR, make_leafmap
 from tests.crashpoints import InjectedFault, Recorder, in_child
 
 
@@ -493,9 +493,8 @@ class TestDiscard:
         assert engine.discard_shm() is False
 
     def test_unreadable_metadata_is_still_unlinked(self, dirty_shm_namespace, backup, clock):
-        """Metadata too corrupt to list its table segments still goes:
-        the orphans keep their namespaced names for the next backup to
-        reclaim, but the leaf's fixed location must not stay squatted."""
+        """Metadata too corrupt to list its table segments still goes,
+        and so do the segments: they are found by their names."""
         engine = engine_for(dirty_shm_namespace, backup, clock)
         engine.backup_to_shm(make_leafmap(clock))
         meta = LeafMetadata.attach(dirty_shm_namespace, "0")
@@ -503,6 +502,8 @@ class TestDiscard:
         meta.close()
         assert engine.discard_shm() is True
         assert not engine.shm_state_exists()
+        assert not [p for p in SHM_DIR.iterdir() if p.name.startswith(dirty_shm_namespace)]
+        assert engine.tracker.in_region("shm") == 0
 
     def test_stale_state_discarded_by_next_backup(self, shm_namespace, backup, clock):
         engine = engine_for(shm_namespace, backup, clock)

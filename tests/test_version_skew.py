@@ -13,6 +13,9 @@ stays on its rung.  So did the snapshot chain's manifest record (a link
 records what it appends, no drop lists or sequence numbers): the
 snapshot files are unchanged and nothing is bumped, but a chain an older
 build recorded lands on legacy replay, and the next sync writes a base.
+Two constants no change has bumped yet have rows too, so a bump finds
+its refusal already tested: ``SHMDISK_FORMAT_VERSION`` (the snapshot
+file envelope) and ``METADATA_VERSION`` (the leaf metadata block).
 """
 
 from __future__ import annotations
@@ -34,16 +37,20 @@ from repro.columnstore import rbc
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.disk import backup as backup_module
+from repro.disk import shmformat
 from repro.disk.backup import DiskBackup
 from repro.disk.format import CHUNK_MAGIC, DEFLATED_CHUNK_MAGIC
 from repro.disk.replay import replay_leafmap
-from repro.shm import layout
+from repro.shm import layout, metadata
 from repro.util.checksum import crc32_of, rows_digest
 from repro.util.memtrack import MemoryTracker
+from tests.conftest import SHM_DIR, check_counters
 
 OLD_RBC_VERSION = rbc.RBC_VERSION - 1
 OLD_LAYOUT_VERSION = layout.SHM_LAYOUT_VERSION - 1
 OLD_WIRE_VERSION = WIRE_VERSION - 1
+OLD_SHMDISK_FORMAT_VERSION = shmformat.SHMDISK_FORMAT_VERSION - 1
+OLD_METADATA_VERSION = metadata.METADATA_VERSION - 1
 
 
 def ingest(leafmap: LeafMap, start: int, count: int) -> None:
@@ -71,6 +78,7 @@ def restore(namespace, backup, clock, tracker=None, **kwargs):
         "0", namespace=namespace, backup=backup, clock=clock, tracker=tracker, **kwargs
     )
     report = engine.restore(restored)
+    check_counters(restored)
     return engine, report, rows_digest(restored.snapshot_rows())
 
 
@@ -97,6 +105,28 @@ class TestSharedMemoryRung:
         assert not engine.shm_state_exists()
         assert tracker.in_region("shm") == 0
 
+    def test_old_metadata_version_lands_on_the_snapshot_rung(
+        self, shm_namespace, backup, clock, monkeypatch
+    ):
+        """The old build's metadata block carries its own version: the
+        valid-bit check refuses it at that field, every segment is
+        unlinked from /dev/shm through the tracker, and the disk
+        snapshot serves the same rows."""
+        leafmap, digest = old_leaf(clock, backup)
+        monkeypatch.setattr(metadata, "METADATA_VERSION", OLD_METADATA_VERSION)
+        tracker = MemoryTracker()
+        RestartEngine(
+            "0", namespace=shm_namespace, backup=backup, clock=clock, tracker=tracker
+        ).backup_to_shm(leafmap)
+        monkeypatch.undo()
+        assert tracker.in_region("shm") > 0
+        engine, report, restored = restore(shm_namespace, backup, clock, tracker=tracker)
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert restored == digest
+        assert not engine.shm_state_exists()
+        assert tracker.in_region("shm") == 0
+        assert not [p for p in SHM_DIR.iterdir() if p.name.startswith(shm_namespace)]
+
 
 class TestSnapshotRung:
     def test_old_rbc_version_snapshot_chain_falls_to_legacy_replay(
@@ -114,6 +144,26 @@ class TestSnapshotRung:
         assert report.method is RecoveryMethod.DISK
         assert report.fell_back_to_legacy
         assert f"layout version {OLD_LAYOUT_VERSION}" in report.failure_reason
+        assert restored == digest
+
+    def test_old_file_format_chain_falls_to_legacy_replay(
+        self, shm_namespace, backup, clock, monkeypatch
+    ):
+        """Chain files whose envelope says the old format version: the
+        manifest still vouches for the chain, the first file read
+        refuses it at its version field, and the row log replays every
+        row with the counters lined up."""
+        monkeypatch.setattr(shmformat, "SHMDISK_FORMAT_VERSION", OLD_SHMDISK_FORMAT_VERSION)
+        leafmap, digest = old_leaf(clock, backup)
+        assert backup.snapshots_ready()
+        monkeypatch.undo()
+        _, report, restored = restore(shm_namespace, backup, clock)
+        assert report.method is RecoveryMethod.DISK
+        assert report.fell_back_to_legacy
+        assert (
+            f"shm-format disk file version {OLD_SHMDISK_FORMAT_VERSION}"
+            in report.failure_reason
+        )
         assert restored == digest
 
 
