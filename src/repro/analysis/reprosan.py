@@ -1,24 +1,25 @@
 """reprosan — the runtime lock verifier.
 
-The paper serves queries while a leaf restarts (§4.3), so three lock
-domains nest: the leaf's data-plane lock, the restore driver's lock and
-the machine-wide footprint budget.  ``reprosan`` checks that nesting
-while the tests run, and only then: ``install()`` is called by
-``pytest --reprosan`` (``tests/conftest.py``) and nowhere else.
+The paper serves queries while a leaf restarts (§4.3), so two lock
+domains nest: the leaf's data-plane lock, which also guards the restore
+driver it runs, and the machine-wide footprint budget.  ``reprosan``
+checks that nesting while the tests run, and only then: ``install()``
+is called by ``pytest --reprosan`` (``tests/conftest.py``) and nowhere
+else.
 
 - **Lockset.**  An Eraser-style lockset (Savage et al., *Eraser: A
   Dynamic Data Race Detector*, TOCS 1997) over the attributes of the
-  classes in :data:`WATCHED`, each of which builds a repro lock in
-  ``__init__``.  An attribute is *exclusive* to the first thread that
-  touches it.  The first access from a second thread makes it *shared*,
-  and from then on every access narrows its candidate lockset to the
-  repro locks held at that access.  A shared attribute that has been
-  written since and whose lockset is empty fails the test: no one lock
-  guarded every access.  No race has to happen, and state touched
-  before the object is shared (a restore's directory publish) is never
-  refined at all.  Reading an attribute that holds a mutable container
-  counts as a write: its contents change through the reference.  Only
-  accesses made by ``repro`` code count; tests poke at internals freely.
+  classes in :data:`WATCHED`.  An attribute is *exclusive* to the first
+  thread that touches it.  The first access from a second thread makes
+  it *shared*, and from then on every access narrows its candidate
+  lockset to the repro locks held at that access.  A shared attribute
+  that has been written since and whose lockset is empty fails the
+  test: no one lock guarded every access.  No race has to happen, and
+  state touched before the object is shared (a restore's directory
+  publish) is never refined at all.  Reading an attribute that holds a
+  mutable container counts as a write: its contents change through the
+  reference.  Only accesses made by ``repro`` code count; tests poke at
+  internals freely.
 - **Blocking calls.**  ``os.fsync``, ``os.replace``, ``time.sleep``,
   socket ``recv``, ``Event.wait``, ``Future.result`` and a wait on
   another repro condition, called by ``repro`` code while any repro
@@ -58,7 +59,10 @@ _REPRO_PREFIX = "repro"
 _REAL_RLOCK = threading.RLock
 
 #: The classes whose attributes the lockset watches (subclasses
-#: included): the ones that build a repro lock in ``__init__``.
+#: included): the ones that build a repro lock in ``__init__``, and the
+#: restore driver, which builds none: its owner's lock guards it, and
+#: watching it is what checks that the leaf's lock covers every driver
+#: attribute a second thread touches.
 WATCHED = (
     "repro.server.leaf:LeafServer",
     "repro.core.lazyrestore:RestoreDriver",
@@ -109,7 +113,7 @@ ALLOWED: dict[str, tuple[str, str]] = {
     ),
     "RestoreDriver._land_from_below": (
         "blocks",
-        "a fall walks the rungs below under the driver lock: queries that "
+        "a fall walks the rungs below under the leaf lock: queries that "
         "would fault in wait for the leaf to land, as after a blocking boot",
     ),
     "ReplicaRestore._read_block": (
@@ -119,7 +123,7 @@ ALLOWED: dict[str, tuple[str, str]] = {
     ),
     "ReplicaRestore._read_blocks": (
         "blocks",
-        "a drain is a blocking restore's whole pull: the driver lock is "
+        "a drain is a blocking restore's whole pull: the leaf lock is "
         "held while the fetch streams run, as the shm drain holds it "
         "while it copies",
     ),

@@ -113,11 +113,6 @@ class LeafMap:
         return self.column_cache.clear()
 
     @property
-    def fully_resident(self) -> bool:
-        """False while a lazy restore still has blocks waiting to fault in."""
-        return self.restorer is None or self.restorer.done
-
-    @property
     def nbytes(self) -> int:
         """Total bytes across every table (sealed plus buffered)."""
         return sum(table.nbytes for table in self._tables.values())

@@ -15,10 +15,6 @@ from repro.core.states import (
     LeafRestoreMachine,
     LeafRestoreState,
     StateMachine,
-    TableBackupMachine,
-    TableBackupState,
-    TableRestoreMachine,
-    TableRestoreState,
 )
 from repro.core.watchdog import CooperativeDeadline, wait_or_kill
 
@@ -32,9 +28,5 @@ __all__ = [
     "RestartEngine",
     "RestartReport",
     "StateMachine",
-    "TableBackupMachine",
-    "TableBackupState",
-    "TableRestoreMachine",
-    "TableRestoreState",
     "wait_or_kill",
 ]

@@ -75,8 +75,6 @@ from repro.core.states import (
     LeafBackupState,
     LeafRestoreMachine,
     LeafRestoreState,
-    TableBackupMachine,
-    TableBackupState,
 )
 from repro.core.watchdog import CooperativeDeadline
 from repro.disk.backup import DiskBackup
@@ -152,6 +150,8 @@ class RestartReport:
     lazy: bool = False
     bytes_total: int = 0
     blocks_total: int = 0
+    #: Packed bytes of ``bytes_total`` faulted in so far; a fall keeps it.
+    bytes_restored: int = 0
     queries_served_during_restore: int = 0
     #: Stamps the events; not data.
     clock: Clock = field(default_factory=SystemClock, init=False, repr=False, compare=False)
@@ -233,6 +233,14 @@ class RestartReport:
     @property
     def fell_back_from_replica(self) -> bool:
         return self.attempt(RecoveryMethod.REPLICA) is not None
+
+    @property
+    def fraction_restored(self) -> float:
+        """How much of the published block directory is home (1.0 when
+        nothing was published)."""
+        if self.bytes_total <= 0:
+            return 1.0
+        return self.bytes_restored / self.bytes_total
 
     @property
     def bytes_restored_at_first_query(self) -> int | None:
@@ -473,19 +481,16 @@ class RestartEngine:
             # reproducible across the shutdown/restore pair.
             for index, table_name in enumerate(list(leafmap.table_names)):
                 table = leafmap.get_table(table_name)
-                machine = TableBackupMachine()
-                machine.transition(TableBackupState.PREPARE)
-                # PREPARE: reject new work, finish in-flight work, flush
-                # to disk.  In this single-threaded engine that reduces
-                # to sealing the write buffer and syncing the backup.
+                # Figure 5(c)'s PREPARE: reject new work, finish
+                # in-flight work, flush to disk.  In this single-threaded
+                # engine that reduces to sealing the write buffer and
+                # syncing the backup.
                 table.seal_buffer()
                 if self.backup is not None:
                     self.backup.sync_table(table)
-                machine.transition(TableBackupState.COPY_TO_SHM)
                 records.append(self._copy_table_out(table, index, meta, records, deadline, report))
                 report.tables += 1
                 leafmap.drop_table(table_name)
-                machine.transition(TableBackupState.DONE)
             meta.set_valid(True)
         finally:
             meta.close()

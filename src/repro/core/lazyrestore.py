@@ -54,16 +54,14 @@ is the table's ``total_rows_expired`` until the leaf is up.
 
 from __future__ import annotations
 
-import threading
 import traceback
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
-from repro.core.states import LeafRestoreState, TableRestoreMachine, TableRestoreState
+from repro.core.states import LeafRestoreState
 from repro.shm.layout import BlockExtent, read_block_headers
 from repro.shm.metadata import LeafMetadata
 from repro.shm.segment import ShmSegment
@@ -73,33 +71,11 @@ if TYPE_CHECKING:
     from repro.core.engine import RestartEngine, RestartReport
 
 
-@dataclass(frozen=True)
-class RestoreProgress:
-    """A consistent snapshot of how far a lazy restore has come."""
-
-    bytes_total: int
-    bytes_restored: int
-    blocks_total: int
-    blocks_restored: int
-    queries_served: int
-    bytes_restored_at_first_query: int | None
-    done: bool
-    fell_back_to_disk: bool
-
-    @property
-    def fraction_restored(self) -> float:
-        if self.bytes_total <= 0:
-            return 1.0
-        return self.bytes_restored / self.bytes_total
-
-
 class _TableState:
     """Per-table bookkeeping: the directory slice plus adoption slots."""
 
-    def __init__(self, name: str, entered: TableRestoreState, descriptors) -> None:
+    def __init__(self, name: str, descriptors) -> None:
         self.name = name
-        self.machine = TableRestoreMachine()
-        self.machine.transition(entered)
         #: Directory index -> descriptor (the segment's ``BlockExtent``, or the
         #: wire catalog's ``WireBlock``) of every block not yet faulted in.
         self.pending = {desc.index: desc for desc in descriptors}
@@ -120,10 +96,15 @@ class RestoreDriver:
 
     Create through :meth:`RestartEngine.begin_lazy_restore` (serve while
     the blocks come in) or :meth:`RestartEngine.restore` (the same
-    driver, drained before it returns).  All public methods are safe to
-    call under the leaf server's lock; internal state is additionally
-    guarded by ``self._lock`` so engine-level tests can drive a restorer
-    without a leaf around it.
+    driver, drained before it returns).  Its report is the only record
+    of how far it has come.
+
+    The driver keeps no lock: its owner's guards it.  Every call a leaf
+    server makes — the start, a query's fault-in, the sweep, the inline
+    drain, ``crash``'s abandon — holds ``LeafServer._lock``, and
+    :meth:`RestartEngine.restore` drives its handle on one thread.  A
+    wire drain's fetch threads call only :meth:`_fault_block`, which
+    reads ``_budget`` and ``_window`` and writes neither.
 
     A source subclass sets the labels below and implements
     :meth:`_publish_directory`, :meth:`_read_block` and
@@ -132,7 +113,6 @@ class RestoreDriver:
     :meth:`_finish_source` and :meth:`_discard_source` where batching a
     drain's reads, letting go of what adopted blocks or one table held,
     or consuming or discarding the source is more than the default).
-    Every hook but the publish runs with the lock held.
     """
 
     #: Where pending blocks fault in from; the leaf server picks its
@@ -156,14 +136,10 @@ class RestoreDriver:
         #: on along the same timeline.
         self.report = report
         self._on_disk_fallback = on_disk_fallback
-        self._lock = threading.RLock()
         self._tables: dict[str, _TableState] = {}  # in publish order
         self._budget = engine.budget
         self.done = False
         self.error: BaseException | None = None
-        # Packed bytes / blocks faulted in so far (guarded by self._lock).
-        self._bytes_restored = 0
-        self._blocks_restored = 0
 
     # ------------------------------------------------------------------
     # What a source supplies
@@ -212,38 +188,31 @@ class RestoreDriver:
         Anything odd before the directory is up — the source's own
         fault, or a surprise on the way to it — discards the source and
         walks the ladder below *inside* this call; the handle then comes
-        back already done.  The publish itself (segment attaches, for
-        shm) takes no lock: nobody else holds this handle yet.
+        back already done.
         """
         try:
             self._publish_directory()
         except Exception as exc:
             self._fallback(exc)
             return self
-        with self._lock:
-            self._leafmap.restorer = self
-            self._maybe_finish()  # an empty leaf is restored by definition
+        self._leafmap.restorer = self
+        self._maybe_finish()  # an empty leaf is restored by definition
         return self
 
     def _add_table(self, name: str, descriptors, rows_ingested: int, rows_expired: int) -> None:
         """Index one table's blocks and create it (empty) in the leaf map."""
-        with self._lock:
-            # Figure 5(d): a table restores in the state its leaf is in.
-            entered = TableRestoreState(self.report.leaf_states[-1])
-            state = _TableState(name, entered, descriptors)
-            self._tables[name] = state
-            self.report.bytes_total += sum(desc.size for desc in descriptors)
-            self.report.blocks_total += len(state.slots)
-            table = self._leafmap.create_table(name)
-            table.total_rows_ingested = rows_ingested
-            table.total_rows_expired = rows_expired
-            if state.complete:  # an empty table is restored by definition
-                self._table_done(state)
+        state = self._tables[name] = _TableState(name, descriptors)
+        self.report.bytes_total += sum(desc.size for desc in descriptors)
+        self.report.blocks_total += len(state.slots)
+        table = self._leafmap.create_table(name)
+        table.total_rows_ingested = rows_ingested
+        table.total_rows_expired = rows_expired
+        if state.complete:  # an empty table is restored by definition
+            self._table_done(state)
 
     def _table_done(self, state: _TableState) -> None:
-        """Nothing of this table is pending any more (lock held)."""
+        """Nothing of this table is pending any more."""
         self._release_table(state)
-        state.machine.transition(TableRestoreState.ALIVE)
         home = state.restored_blocks()
         rows = sum(block.row_count for block in home)
         self.report.table_home(state.name, len(home), rows, state.nbytes)
@@ -263,28 +232,28 @@ class RestoreDriver:
         few minutes answers after faulting a handful of recent blocks.
         Returns the number of blocks faulted in.
         """
-        with self._lock:
+        if self.done:
+            return 0
+        report = self.report
+        report.queries_served_during_restore += 1
+        faulted = 0
+        state = self._tables.get(table)
+        if state is not None:
+            touched = [
+                desc
+                for _, desc in sorted(state.pending.items())
+                if desc.overlaps(start, end)
+            ]
+            faulted = self._fault_in(self._each(touched))
             if self.done:
-                return 0
-            self.report.queries_served_during_restore += 1
-            faulted = 0
-            state = self._tables.get(table)
-            if state is not None:
-                touched = [
-                    desc
-                    for _, desc in sorted(state.pending.items())
-                    if desc.overlaps(start, end)
-                ]
-                faulted = self._fault_in(self._each(touched))
-                if self.done:
-                    # A fault routed this leaf down the ladder and the
-                    # ladder succeeded: the data is now fully resident,
-                    # so the query proceeds against it.
-                    return faulted
-            if self.report.bytes_restored_at_first_query is None:
-                self.report.note("first_query", table, bytes=self._bytes_restored)
-            self._maybe_finish()
-            return faulted
+                # A fault routed this leaf down the ladder and the
+                # ladder succeeded: the data is now fully resident,
+                # so the query proceeds against it.
+                return faulted
+        if report.bytes_restored_at_first_query is None:
+            report.note("first_query", table, bytes=report.bytes_restored)
+        self._maybe_finish()
+        return faulted
 
     def sweep_one(self) -> bool:
         """Fault in one pending block, hottest table first.
@@ -295,20 +264,19 @@ class RestoreDriver:
         traffic shifts; ties (and a cold cache) fall back to publish
         order, which is the segment order of Figure 7.
         """
-        with self._lock:
-            if self.done:
-                return False
-            tables = self._pending_by_heat()
-            if not tables:
-                self._maybe_finish()
-                return False
-            pending = tables[0].pending
-            # Oldest block first within a table.
-            self._fault_in(self._each([pending[min(pending)]]))
-            if self.done:
-                return False  # fell back to disk; nothing left to sweep
+        if self.done:
+            return False
+        tables = self._pending_by_heat()
+        if not tables:
             self._maybe_finish()
-            return True
+            return False
+        pending = tables[0].pending
+        # Oldest block first within a table.
+        self._fault_in(self._each([pending[min(pending)]]))
+        if self.done:
+            return False  # fell back to disk; nothing left to sweep
+        self._maybe_finish()
+        return True
 
     def drain(self) -> None:
         """Fault in everything still pending, one table at a time.
@@ -317,19 +285,18 @@ class RestoreDriver:
         loop, for each table, for each row block, copy to the heap and
         let the source's copy go, is this pass with nobody asking.
         """
-        with self._lock:
-            if self.done:
-                return
-            pending = [
-                desc
-                for state in self._pending_by_heat()
-                for _, desc in sorted(state.pending.items())
-            ]
-            self._fault_in(self._read_blocks(pending))
-            self._maybe_finish()
+        if self.done:
+            return
+        pending = [
+            desc
+            for state in self._pending_by_heat()
+            for _, desc in sorted(state.pending.items())
+        ]
+        self._fault_in(self._read_blocks(pending))
+        self._maybe_finish()
 
     def _pending_by_heat(self) -> list[_TableState]:
-        """Tables with blocks still pending, hottest first (lock held)."""
+        """Tables with blocks still pending, hottest first."""
         cache = self._leafmap.column_cache
         heat = cache.column_heat() if cache is not None else {}
         pending = [state for state in self._tables.values() if not state.complete]
@@ -369,7 +336,7 @@ class RestoreDriver:
         return block
 
     def _fault_in(self, arrivals: Iterator[tuple]) -> int:
-        """Adopt decoded blocks as they arrive (lock held).
+        """Adopt decoded blocks as they arrive.
 
         Each is charged to the heap and counted on the report; a table
         whose last block this was is done — its source released — before
@@ -391,8 +358,7 @@ class RestoreDriver:
                 del state.pending[desc.index]
                 state.slots[desc.index] = block
                 state.nbytes += nbytes
-                self._bytes_restored += desc.size
-                self._blocks_restored += 1
+                report.bytes_restored += desc.size
                 report.row_blocks += 1
                 report.rbc_copies += len(block.schema)
                 report.bytes_copied += nbytes
@@ -416,7 +382,7 @@ class RestoreDriver:
         return adopted
 
     def _maybe_finish(self) -> None:
-        """Every block is in: settle the source, go ALIVE (lock held)."""
+        """Every block is in: settle the source, go ALIVE."""
         if self.done or any(state.pending for state in self._tables.values()):
             return
         try:
@@ -428,36 +394,6 @@ class RestoreDriver:
         self._go_alive()
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def iter_pending(self, table: str | None = None) -> Iterator:
-        """Yield (a snapshot of) the descriptors not yet faulted in."""
-        with self._lock:
-            names = [table] if table is not None else list(self._tables)
-            snapshot = [
-                state.pending[index]
-                for name in names
-                if (state := self._tables.get(name)) is not None
-                for index in sorted(state.pending)
-            ]
-        return iter(snapshot)
-
-    def progress(self) -> RestoreProgress:
-        with self._lock:
-            report = self.report
-            return RestoreProgress(
-                bytes_total=report.bytes_total,
-                bytes_restored=self._bytes_restored,
-                blocks_total=report.blocks_total,
-                blocks_restored=self._blocks_restored,
-                queries_served=report.queries_served_during_restore,
-                bytes_restored_at_first_query=report.bytes_restored_at_first_query,
-                done=self.done,
-                fell_back_to_disk=report.fell_back_to_disk,
-            )
-
-    # ------------------------------------------------------------------
     # The ladder below: one landing, fallback, abandonment
     # ------------------------------------------------------------------
 
@@ -465,8 +401,8 @@ class RestoreDriver:
         """Flip the leaf to its disk status, recover from the rungs below
         into a fresh leaf map, and move each table into the live one: the
         one landing, for a leaf with no usable source and for
-        :meth:`_fallback` alike.  The rungs' failure is final (``error``
-        set, re-raised), and leaves the live map as it was.
+        :meth:`_fallback` alike.  The rungs' failure propagates and
+        leaves the live map as it was.
 
         A table the live map lacks is adopted whole.  A published table
         holds only its serving-window rows by now; the recovered blocks
@@ -475,31 +411,25 @@ class RestoreDriver:
         rungs below lack keeps its window rows, or goes if it has none.
         """
         leafmap = self._leafmap
-        with self._lock:
-            if self._on_disk_fallback is not None:
-                self._on_disk_fallback()
-            recovered = leafmap.empty_like()
-            try:
-                self._engine._recover_from_disk(recovered, self.report)
-            except Exception as exc:
-                self.error = exc
-                self.done = True
-                raise
-            for table in list(leafmap):
-                window = table.row_count
-                if table.name in recovered:
-                    below = recovered.get_table(table.name)
-                    table.install_restored_blocks(below.blocks)
-                    table.total_rows_ingested = below.total_rows_ingested + window
-                    table.total_rows_expired = below.total_rows_expired
-                elif window:
-                    table.total_rows_ingested, table.total_rows_expired = window, 0
-                else:
-                    leafmap.drop_table(table.name)
-            for table in recovered:
-                if table.name not in leafmap:
-                    leafmap.adopt_table(table)
-            self._go_alive()
+        if self._on_disk_fallback is not None:
+            self._on_disk_fallback()
+        recovered = leafmap.empty_like()
+        self._engine._recover_from_disk(recovered, self.report)
+        for table in list(leafmap):
+            window = table.row_count
+            if table.name in recovered:
+                below = recovered.get_table(table.name)
+                table.install_restored_blocks(below.blocks)
+                table.total_rows_ingested = below.total_rows_ingested + window
+                table.total_rows_expired = below.total_rows_expired
+            elif window:
+                table.total_rows_ingested, table.total_rows_expired = window, 0
+            else:
+                leafmap.drop_table(table.name)
+        for table in recovered:
+            if table.name not in leafmap:
+                leafmap.adopt_table(table)
+        self._go_alive()
 
     def _go_alive(self) -> None:
         """The winning rung walked the report to ALIVE: close the books."""
@@ -513,13 +443,14 @@ class RestoreDriver:
         All-or-nothing: every adopted block leaves the heap through the
         tracker, the source is discarded, the attempt's counters go on
         the rung's ``fall`` event, and rows added during the serving
-        window are carried across by :meth:`_land_from_below`.
+        window are carried across by :meth:`_land_from_below`.  If that
+        fails too, the restore is over: ``error`` is set and re-raised.
         """
+        if self.done:
+            return
         engine = self._engine
         leafmap = self._leafmap
-        with self._lock:
-            if self.done:
-                return
+        try:
             # The failed decode's dead frames may hold slices of the
             # source's mapping, which would pin it past the close below.
             traceback.clear_frames(exc.__traceback__)
@@ -542,6 +473,9 @@ class RestoreDriver:
             self._discard_source()
             leafmap.restorer = None
             self._land_from_below()
+        except Exception as failure:
+            self.error, self.done = failure, True
+            raise
 
     def abandon(self) -> None:
         """Drop the source without consuming anything (crash path).
@@ -550,12 +484,11 @@ class RestoreDriver:
         leaves: invalid shm the next boot discards before walking the
         ladder (a wire session pinned only the standby's snapshot).
         """
-        with self._lock:
-            if self.done:
-                return
-            self._close_source()
-            self._leafmap.restorer = None
-            self.done = True
+        if self.done:
+            return
+        self._close_source()
+        self._leafmap.restorer = None
+        self.done = True
 
 
 class LazyRestore(RestoreDriver):
@@ -691,4 +624,4 @@ class LazyRestore(RestoreDriver):
         self._engine._discard_shm_tracked(meta)
 
 
-__all__ = ["LazyRestore", "RestoreDriver", "RestoreProgress"]
+__all__ = ["LazyRestore", "RestoreDriver"]

@@ -4,7 +4,7 @@
 indicates whether the leaf and table are working on a restart and
 determines which actions are permissible."
 
-Four machines:
+Two machines, each a transition table:
 
 (a) leaf backup:   ALIVE → COPY_TO_SHM → EXIT
 (b) leaf restore:  INIT → MEMORY_RECOVERY → ALIVE
@@ -30,20 +30,23 @@ Four machines:
                    REPLICA_RECOVERY → ALIVE                   (all blocks pulled)
                    REPLICA_RECOVERY → DISK_SNAPSHOT_RECOVERY  (wire fault)
                    REPLICA_RECOVERY → DISK_RECOVERY           (wire fault)
-(c) table backup:  ALIVE → PREPARE → COPY_TO_SHM → DONE
-    (PREPARE rejects new requests, kills deletes in progress, waits for
-    adds/queries in flight, flushes data to disk)
-(d) table restore: identical shape to (b).
 
-:class:`StateMachine` enforces that *only* the drawn transitions happen;
-anything else raises :class:`~repro.errors.StateError`, which is the
-property test target for invariant 6.
+Figure 5's table machines, (c) and (d), are not kept: a table's backup
+is one straight-line PREPARE → copy → drop in
+:meth:`~repro.core.engine.RestartEngine.backup_to_shm`, and a table's
+restore is its leaf's rung; each table home is a ``table`` event on the
+leaf's :class:`~repro.core.engine.RestartReport`.
+
+The one place a state changes is :meth:`RestartReport.enter
+<repro.core.engine.RestartReport.enter>`, which asks
+:meth:`StateMachine.check` whether Figure 5 draws the edge; anything
+else raises :class:`~repro.errors.StateError`, which is the property
+test target for invariant 6.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Generic, TypeVar
 
 from repro.errors import StateError
 
@@ -67,86 +70,33 @@ class LeafRestoreState(Enum):
     ALIVE = "alive"
 
 
-class TableBackupState(Enum):
-    ALIVE = "alive"
-    PREPARE = "prepare"
-    COPY_TO_SHM = "copy_to_shm"
-    DONE = "done"
+class StateMachine:
+    """An explicit transition set, drawn by each subclass as its
+    ``_transitions``: a state maps to the states it may move to."""
 
-
-class TableRestoreState(Enum):
-    INIT = "init"
-    MEMORY_RECOVERY = "memory_recovery"
-    REPLICA_RECOVERY = "replica_recovery"
-    DISK_SNAPSHOT_RECOVERY = "disk_snapshot_recovery"
-    DISK_RECOVERY = "disk_recovery"
-    ALIVE = "alive"
-
-
-S = TypeVar("S", bound=Enum)
-
-
-class StateMachine(Generic[S]):
-    """A state holder that only permits an explicit transition set,
-    drawn by each subclass as class attributes: the ``_initial`` state,
-    the ``_transitions`` it permits and its ``_terminal`` states."""
-
-    _initial: S
-    _transitions: dict[S, set[S]]
-    _terminal: set[S]
-
-    def __init__(self) -> None:
-        self._state = self._initial
-        self.history: list[S] = [self._initial]
-
-    @property
-    def state(self) -> S:
-        return self._state
-
-    @property
-    def is_terminal(self) -> bool:
-        return self._state in self._terminal
+    _transitions: dict[Enum, set[Enum]]
 
     @classmethod
-    def check(cls, source: S, target: S) -> None:
+    def check(cls, source: Enum, target: Enum) -> None:
         """Raise :class:`StateError` unless ``source → target`` is drawn."""
         if target not in cls._transitions.get(source, ()):
             raise StateError(
                 f"{cls.__name__}: illegal transition {source.value} → {target.value}"
             )
 
-    def transition(self, target: S) -> S:
-        """Move to ``target`` or raise :class:`StateError`."""
-        self.check(self._state, target)
-        self._state = target
-        self.history.append(target)
-        return target
 
-    def require(self, *states: S) -> None:
-        """Raise unless currently in one of ``states`` (action gating)."""
-        if self._state not in states:
-            allowed = ", ".join(s.value for s in states)
-            raise StateError(
-                f"{type(self).__name__}: operation requires state in "
-                f"[{allowed}], currently {self._state.value}"
-            )
-
-
-class LeafBackupMachine(StateMachine[LeafBackupState]):
+class LeafBackupMachine(StateMachine):
     """Figure 5(a)."""
 
-    _initial = LeafBackupState.ALIVE
     _transitions = {
         LeafBackupState.ALIVE: {LeafBackupState.COPY_TO_SHM},
         LeafBackupState.COPY_TO_SHM: {LeafBackupState.EXIT},
     }
-    _terminal = {LeafBackupState.EXIT}
 
 
-class LeafRestoreMachine(StateMachine[LeafRestoreState]):
+class LeafRestoreMachine(StateMachine):
     """Figure 5(b)."""
 
-    _initial = LeafRestoreState.INIT
     _transitions = {
         LeafRestoreState.INIT: {
             LeafRestoreState.MEMORY_RECOVERY,
@@ -178,44 +128,3 @@ class LeafRestoreMachine(StateMachine[LeafRestoreState]):
         },
         LeafRestoreState.DISK_RECOVERY: {LeafRestoreState.ALIVE},
     }
-    _terminal = {LeafRestoreState.ALIVE}
-
-
-class TableBackupMachine(StateMachine[TableBackupState]):
-    """Figure 5(c) — one extra PREPARE state relative to the leaf."""
-
-    _initial = TableBackupState.ALIVE
-    _transitions = {
-        TableBackupState.ALIVE: {TableBackupState.PREPARE},
-        TableBackupState.PREPARE: {TableBackupState.COPY_TO_SHM},
-        TableBackupState.COPY_TO_SHM: {TableBackupState.DONE},
-    }
-    _terminal = {TableBackupState.DONE}
-
-
-class TableRestoreMachine(StateMachine[TableRestoreState]):
-    """Figure 5(d) — identical shape to the leaf restore machine."""
-
-    _initial = TableRestoreState.INIT
-    _transitions = {
-        TableRestoreState.INIT: {
-            TableRestoreState.MEMORY_RECOVERY,
-            TableRestoreState.REPLICA_RECOVERY,
-            TableRestoreState.DISK_SNAPSHOT_RECOVERY,
-            TableRestoreState.DISK_RECOVERY,
-        },
-        TableRestoreState.REPLICA_RECOVERY: {
-            TableRestoreState.ALIVE,
-        },
-        TableRestoreState.MEMORY_RECOVERY: {
-            TableRestoreState.ALIVE,
-            TableRestoreState.DISK_SNAPSHOT_RECOVERY,
-            TableRestoreState.DISK_RECOVERY,
-        },
-        TableRestoreState.DISK_SNAPSHOT_RECOVERY: {
-            TableRestoreState.ALIVE,
-            TableRestoreState.DISK_RECOVERY,
-        },
-        TableRestoreState.DISK_RECOVERY: {TableRestoreState.ALIVE},
-    }
-    _terminal = {TableRestoreState.ALIVE}

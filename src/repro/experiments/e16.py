@@ -104,14 +104,14 @@ def run(rows: int = ROWS, leaves: int = LEAVES) -> dict:
 
             seconds, answer = timed(serve_and_ask)
             first_answer_s = max(first_answer_s, seconds)
-            progress = leaf.restore_progress()
-            worst_fraction = max(worst_fraction, progress.fraction_restored)
-            queries_served += progress.queries_served
+            report = leaf.last_restart_report
+            worst_fraction = max(worst_fraction, report.fraction_restored)
+            queries_served += report.queries_served_during_restore
             matched.append(answer.rows_matched)
             leaf.wait_restored()
         rows_matched = min(matched)
         fully_restored = all(
-            leaf.restore_progress().fraction_restored == 1.0
+            leaf.last_restart_report.fraction_restored == 1.0
             for leaf in machine.leaves
         )
         digests_match = _digests(machine) == digests
@@ -153,7 +153,7 @@ def run(rows: int = ROWS, leaves: int = LEAVES) -> dict:
         fill_s, _ = timed(machine.wait_restored_all)
         idle_ok = (
             all(
-                leaf.restore_progress().fraction_restored == 1.0
+                leaf.last_restart_report.fraction_restored == 1.0
                 for leaf in machine.leaves
             )
             and _digests(machine) == digests

@@ -127,7 +127,7 @@ def _restart_through_every_route(root, namespace, data, dashboard) -> dict:
             return leaf.query(dashboard)
 
         first_answer_s, answer = timed(first_answer)
-        fraction = leaf.restore_progress().fraction_restored
+        fraction = leaf.last_restart_report.fraction_restored
         leaf.wait_restored()
         landed("replica-serving", RecoveryMethod.REPLICA)
     finally:

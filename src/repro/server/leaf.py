@@ -112,13 +112,15 @@ class LeafServer:
             column_cache=self.column_cache,
         )
         self.status = LeafStatus.INIT
+        #: The latest shutdown's or start's report; a serving start's is
+        #: live, the record of how far its restore has come.
         self.last_restart_report: RestartReport | None = None
-        #: The in-progress lazy restore (serve-while-restoring) and its
-        #: background sweep thread; both None outside that window.
+        #: The serving restore this leaf has not settled yet, and its
+        #: background sweep thread.  A restore that failed stays here
+        #: until the next start or crash, for :meth:`wait_restored` to
+        #: re-raise its ``error``.
         self._restorer = None
         self._sweep_thread: threading.Thread | None = None
-        self._restore_error: BaseException | None = None
-        self._final_progress = None
         #: One coarse lock serializes the data plane against lifecycle
         #: transitions.  The paper's PREPARE state "waits for ADD/QUERY
         #: requests in progress to complete" before the copy starts —
@@ -151,9 +153,11 @@ class LeafServer:
         leaf publishes the block directory, moves to
         ``RECOVERING_MEMORY_SERVING``, and returns *before* the bytes are
         restored: queries fault in what they touch and a background sweep
-        fills the remainder hottest-first.  The returned report is the
-        live in-progress object; call :meth:`wait_restored` for the final
-        one.  ``sweep=False`` suppresses the background fill thread —
+        fills the remainder hottest-first.  The returned report, the
+        ``last_restart_report`` from here on, is live: its
+        ``fraction_restored`` is how far the restore has come until
+        :meth:`wait_restored` finishes it.  ``sweep=False`` suppresses
+        the background fill thread —
         only queries fault blocks in until ``wait_restored`` drains the
         rest inline; benchmarks and phase-controlled tests use it to
         take deterministic progress readings.
@@ -162,14 +166,14 @@ class LeafServer:
         at the moment the engine actually falls back to disk — never
         earlier — so a leaf that attempted memory recovery advertises
         ``RECOVERING_MEMORY`` (rejecting work, per Figure 5) right up to
-        the fallback boundary.
+        the fallback boundary.  A start whose whole ladder fails leaves
+        the leaf ``DOWN`` and raises.
         """
         with self._lock:
             if self.status not in (LeafStatus.INIT, LeafStatus.DOWN):
                 raise StateError(f"cannot start a leaf in status {self.status.value}")
             self.leafmap = self._new_leafmap()
-            self._restore_error = None
-            self._final_progress = None
+            self._restorer = None
             will_use_memory = memory_recovery_enabled and self.engine.shm_state_valid()
             self.status = (
                 LeafStatus.RECOVERING_MEMORY
@@ -184,28 +188,31 @@ class LeafServer:
                 # instant it starts accepting them.
                 self.status = LeafStatus.RECOVERING_DISK
 
-            if not serve_while_restoring:
-                report = self.engine.restore(
-                    self.leafmap,
-                    memory_recovery_enabled=memory_recovery_enabled,
-                    on_disk_fallback=on_disk_fallback,
-                )
-                self.last_restart_report = report
-                self.status = LeafStatus.ALIVE
+            restorer = None
+            try:
+                if serve_while_restoring:
+                    restorer = self.engine.begin_lazy_restore(
+                        self.leafmap,
+                        memory_recovery_enabled=memory_recovery_enabled,
+                        on_disk_fallback=on_disk_fallback,
+                    )
+                    report = restorer.report
+                else:
+                    report = self.engine.restore(
+                        self.leafmap,
+                        memory_recovery_enabled=memory_recovery_enabled,
+                        on_disk_fallback=on_disk_fallback,
+                    )
+            except Exception:
+                # The whole ladder failed: nothing the leaf could serve.
+                self._settle_locked(alive=False)
+                raise
+            self.last_restart_report = report
+            if restorer is None or restorer.done:
+                # Blocking, or an empty leaf, a disk-only boot, or a
+                # publish failure that already ran the ladder.
+                self._settle_locked(alive=True)
                 return report
-
-            restorer = self.engine.begin_lazy_restore(
-                self.leafmap,
-                memory_recovery_enabled=memory_recovery_enabled,
-                on_disk_fallback=on_disk_fallback,
-            )
-            if restorer.done:
-                # Empty leaf, disk-only boot, or a publish failure that
-                # already ran the ladder — nothing left to serve lazily.
-                self.last_restart_report = restorer.report
-                self._final_progress = restorer.progress()
-                self.status = LeafStatus.ALIVE
-                return restorer.report
             self._restorer = restorer
             # The engine hands back whichever restorer its ladder chose;
             # the serving status advertises where pending blocks come
@@ -218,52 +225,42 @@ class LeafServer:
             if sweep:
                 self._sweep_thread = threading.Thread(
                     target=self._sweep_loop,
+                    args=(restorer,),
                     name=f"leaf-{self.leaf_id}-restore-sweep",
                     daemon=True,
                 )
                 self._sweep_thread.start()
-            return restorer.report
+            return report
 
-    def _sweep_loop(self) -> None:
+    def _settle_locked(self, alive: bool) -> None:
+        """A restore is over: the leaf goes ALIVE, or DOWN with nothing
+        of the attempt left on the heap or the tracker, as after a
+        crash.  Every way a start, a sweep or a drain ends comes here."""
+        if alive:
+            self._restorer = None
+            self.status = LeafStatus.ALIVE
+            return
+        self.column_cache.clear()
+        self.leafmap = self._new_leafmap()
+        # A dead process takes its heap with it: the engine's charge
+        # must not stay on the (machine-shared) tracker.
+        self.engine.forget_heap()
+        self.status = LeafStatus.DOWN
+
+    def _sweep_loop(self, restorer) -> None:
         """Background fill: one block per lock acquisition, hottest table
         first, so queries interleave freely with the sweep."""
         while True:
             with self._lock:
-                restorer = self._restorer
-                if restorer is None:
-                    # crash() abandoned the restore out from under us.
-                    return
-                if restorer.done:
-                    break
+                if self._restorer is not restorer:
+                    return  # crash() abandoned it, or a drain settled it
                 try:
-                    restorer.sweep_one()
-                except Exception as exc:
-                    # The whole ladder failed; the leaf cannot come up.
-                    self._restore_error = exc
-                    self._restorer = None
-                    self.status = LeafStatus.DOWN
+                    swept = restorer.sweep_one()
+                except Exception:
+                    swept = False  # the ladder failed; the error is the driver's
+                if not swept:
+                    self._settle_locked(alive=restorer.error is None)
                     return
-        with self._lock:
-            self._finalize_restore_locked()
-
-    def _finalize_restore_locked(self) -> None:
-        restorer = self._restorer
-        if restorer is None:
-            return
-        self._restorer = None
-        self._final_progress = restorer.progress()
-        if restorer.error is not None:
-            self._restore_error = restorer.error
-            self.status = LeafStatus.DOWN
-            return
-        self.last_restart_report = restorer.report
-        if self.status in (
-            LeafStatus.RECOVERING_MEMORY_SERVING,
-            LeafStatus.RECOVERING_REPLICA_SERVING,
-            LeafStatus.RECOVERING_DISK,
-            LeafStatus.RECOVERING_MEMORY,
-        ):
-            self.status = LeafStatus.ALIVE
 
     def wait_restored(self, timeout: float | None = None) -> RestartReport | None:
         """Block until a serve-while-restoring boot has every block in.
@@ -290,22 +287,11 @@ class LeafServer:
                 # the restore between thread iterations): drain inline.
                 try:
                     restorer.drain()
-                except Exception as exc:
-                    self._restore_error = exc
-                    self._restorer = None
-                    self.status = LeafStatus.DOWN
-                else:
-                    self._finalize_restore_locked()
-            if self._restore_error is not None:
-                raise self._restore_error
+                finally:
+                    self._settle_locked(alive=restorer.error is None)
+                if restorer.error is not None:
+                    raise restorer.error
             return self.last_restart_report
-
-    def restore_progress(self):
-        """Live (or final) serve-while-restoring progress counters."""
-        with self._lock:
-            if self._restorer is not None:
-                return self._restorer.progress()
-            return self._final_progress
 
     def shutdown(
         self,
@@ -375,18 +361,12 @@ class LeafServer:
         disk (the paper never trusts shared memory after a crash).
         """
         with self._lock:
-            restorer = self._restorer
+            restorer, self._restorer = self._restorer, None
             if restorer is not None:
                 # The valid bit is already down; abandoning just drops
                 # our handles so the dead process leaks nothing locally.
-                self._restorer = None
                 restorer.abandon()
-            self.column_cache.clear()
-            self.leafmap = self._new_leafmap()
-            # A dead process takes its heap with it: the engine's charge
-            # must not stay on the (machine-shared) tracker.
-            self.engine.forget_heap()
-            self.status = LeafStatus.DOWN
+            self._settle_locked(alive=False)
 
     # ------------------------------------------------------------------
     # Data plane

@@ -153,26 +153,25 @@ class TestDirectoryPublish:
         handle = engine.begin_lazy_restore(restored)
         try:
             assert not handle.done
-            progress = handle.progress()
-            assert progress.bytes_restored == 0
-            assert progress.blocks_restored == 0
-            assert progress.blocks_total == 3  # 120 rows / 50 per block
-            assert progress.fraction_restored == 0.0
+            report = handle.report
+            assert report.bytes_restored == 0
+            assert report.row_blocks == 0
+            assert report.blocks_total == 3  # 120 rows / 50 per block
+            assert report.bytes_total > 0
+            assert report.fraction_restored == 0.0
             # The directory is the leaf's view: tables exist, counters
             # carried over, but no payload bytes were copied.
             assert restored.restorer is handle
-            assert not restored.fully_resident
             table = restored.get_table("events")
             assert table.block_count == 0
             assert table.total_rows_ingested == 120
-            pending = list(handle.iter_pending("events"))
-            assert len(pending) == 3
-            assert sum(desc.row_count for desc in pending) == 120
-            assert pending[0].min_time == 1000
-            assert handle.report.lazy
+            assert report.lazy
             # Crash safety: the valid bit went down before the publish.
             assert engine.shm_state_exists()
             assert not engine.shm_state_valid()
+            # The directory holds each block's time range: the first
+            # block starts at the first row.
+            assert handle.fault_in_query("events", 1000, 1001) == 1
         finally:
             handle.drain()
 
@@ -192,7 +191,7 @@ class TestDirectoryPublish:
             RecoveryMethod.DISK_SNAPSHOT,
             RecoveryMethod.DISK,
         )
-        assert restored.fully_resident
+        assert restored.restorer is None
         assert restored.snapshot_rows() == snapshot
 
     def test_corrupt_block_header_falls_back_with_the_decoders_reason(
@@ -231,12 +230,12 @@ class TestFaultIn:
         # Block boundaries: [1000, 1049], [1050, 1099], [1100, 1119].
         execution = execute_on_leaf(restored, count_query(1000, 1050))
         assert execution.rows_matched == 50
-        progress = handle.progress()
-        assert progress.blocks_restored == 1
-        assert progress.queries_served == 1
-        assert progress.bytes_restored_at_first_query is not None
-        assert progress.bytes_restored_at_first_query < progress.bytes_total
-        assert len(list(handle.iter_pending("events"))) == 2
+        report = handle.report
+        assert report.row_blocks == 1
+        assert report.queries_served_during_restore == 1
+        assert report.bytes_restored_at_first_query == report.bytes_restored
+        assert 0 < report.bytes_restored < report.bytes_total
+        assert report.blocks_total - report.row_blocks == 2
         handle.drain()
 
     def test_fault_in_query_counts_and_is_idempotent(self, rig, clock):
@@ -266,7 +265,7 @@ class TestFaultIn:
         assert report.leaf_states == rig.leaf_states
         assert restored.snapshot_rows() == snapshot
         assert restored.restorer is None
-        assert restored.fully_resident
+        assert report.fraction_restored == 1.0
         assert not engine.shm_state_exists()
 
     def test_sweep_prefers_the_hot_table(self, rig, clock):
@@ -294,8 +293,9 @@ class TestFaultIn:
             cache.get(probe_table.blocks[0], "h")
 
         assert handle.sweep_one() and handle.sweep_one()
-        assert list(handle.iter_pending("hot")) == []
-        assert len(list(handle.iter_pending("cold"))) == 2
+        homes = [event.what for event in handle.report.events if event.kind == "table"]
+        assert homes == ["hot"]
+        assert handle.report.row_blocks == 2
         handle.drain()
         assert restored.snapshot_rows() == snapshot
 
@@ -330,7 +330,7 @@ class TestAccounting:
         # Each block's copy window was reserved and released one at a
         # time — the peak is one block, not the whole leaf — and nothing
         # is left held.
-        assert 0 < budget.peak_in_flight < handle.progress().bytes_total
+        assert 0 < budget.peak_in_flight < handle.report.bytes_total
         assert budget.in_flight == 0
 
     def test_drain_reserves_what_coexists(self, rig, clock):
@@ -352,7 +352,7 @@ class TestAccounting:
         if rig.source == "shm":
             assert budget.peak_in_flight == max(windows) < sum(windows)
         else:
-            assert 0 < budget.peak_in_flight < handle.progress().bytes_total
+            assert 0 < budget.peak_in_flight < handle.report.bytes_total
 
 
 def fail_block(monkeypatch, nth=1):
@@ -411,7 +411,7 @@ class TestFallback:
             assert report.attempt(rig.method).rows == 50
         assert report.queries_served_during_restore == 2
         assert report.blocks_total == 3
-        assert report.bytes_total == handle.progress().bytes_total > 0
+        assert 0 < report.bytes_restored < report.bytes_total
         assert restored.snapshot_rows() == snapshot
         assert restored.restorer is None
         assert tracker.in_region("shm") == 0
@@ -451,6 +451,29 @@ class TestFallback:
         assert handle.done
         assert handle.error is not None
         assert restored.restorer is None
+
+    @pytest.mark.parametrize("end", ["drain", "fall"])
+    def test_the_report_is_the_progress(self, end, rig, clock, monkeypatch):
+        """``fraction_restored`` reads 0.0 at publish and 1.0 once
+        drained; a fall keeps the bytes its source had reached."""
+        rig.seed()
+        handle = rig.engine().begin_lazy_restore(fresh_map(clock))
+        report = handle.report
+        assert report.bytes_total > 0
+        assert report.fraction_restored == 0.0
+        if end == "fall":
+            assert handle.fault_in_query("events", 1000, 1050) == 1
+            reached = report.bytes_restored
+            fail_block(monkeypatch)
+        handle.drain()
+        assert handle.done and handle.error is None
+        if end == "drain":
+            assert report.bytes_restored == report.bytes_total
+            assert report.fraction_restored == 1.0
+        else:
+            assert report.fell_back_to_disk
+            assert 0 < report.bytes_restored == reached < report.bytes_total
+            assert report.fraction_restored == reached / report.bytes_total
 
 
 class TestPagesGoBack:

@@ -1,5 +1,6 @@
 """Tests for the leaf server lifecycle and data plane."""
 
+import shutil
 import sys
 import threading
 
@@ -7,10 +8,11 @@ import pytest
 
 from repro.core.engine import RecoveryMethod
 from repro.disk.backup import DiskBackup
-from repro.errors import StateError
+from repro.errors import CorruptionError, StateError
 from repro.query.query import Aggregation, Query
 from repro.server.leaf import LeafServer, LeafStatus
 from repro.util.memtrack import MemoryTracker
+from tests.conftest import SHM_DIR
 
 
 def make_leaf(shm_namespace, tmp_path, clock, leaf_id="0", **kwargs):
@@ -145,6 +147,46 @@ class TestLifecycle:
         assert True in grew and False in grew, "the test must drift both ways"
         leaf.crash()
         assert tracker.total == 0
+
+    @pytest.mark.parametrize("serving", [False, True], ids=["blocking", "serving"])
+    def test_a_start_whose_whole_ladder_fails_ends_down(
+        self, serving, shm_namespace, tmp_path, clock
+    ):
+        """No shm after a crash, no snapshot chain, and the log corrupt
+        mid-file: every rung fails.  The start raises and leaves the leaf
+        DOWN, not accepting adds into an empty, unrestored map, and a
+        start after the log is mended comes up whole."""
+        tracker = MemoryTracker()
+        leaf = make_leaf(shm_namespace, tmp_path, clock, tracker=tracker)
+        leaf.start()
+        rows = [{"time": 1000 + i, "host": f"h{i % 3}", "v": float(i)} for i in range(150)]
+        leaf.add_rows("events", rows[:100])
+        leaf.sync_to_disk()
+        leaf.add_rows("events", rows[100:])
+        leaf.sync_to_disk()  # a second chunk, so the first is mid-file
+        leaf.crash()
+        log = leaf.backup.table_file("events")
+        intact = log.read_bytes()
+        # The first stored byte: an 8-byte file header, then the first
+        # chunk's 28-byte header.  Its CRC now fails mid-file.
+        flipped = bytearray(intact)
+        flipped[8 + 28] ^= 0xFF
+        log.write_bytes(bytes(flipped))
+        shutil.rmtree(leaf.backup.snapshot_dir)
+
+        with pytest.raises(CorruptionError):
+            leaf.start(serve_while_restoring=serving)
+        assert leaf.status is LeafStatus.DOWN
+        with pytest.raises(StateError):
+            leaf.add_rows("events", rows[:1])
+        assert tracker.total == 0
+        assert not [p for p in SHM_DIR.iterdir() if p.name.startswith(shm_namespace)]
+
+        log.write_bytes(intact)
+        leaf.start(serve_while_restoring=serving)
+        leaf.wait_restored()
+        assert leaf.status is LeafStatus.ALIVE
+        assert leaf.leafmap.row_count == 150
 
     def test_shutdown_requires_alive(self, shm_namespace, tmp_path, clock):
         leaf = make_leaf(shm_namespace, tmp_path, clock)

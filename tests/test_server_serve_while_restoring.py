@@ -10,6 +10,9 @@ path against the decoded-column cache.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.engine import RecoveryMethod
@@ -77,18 +80,20 @@ class TestServingWindow:
         assert reborn.status is LeafStatus.RECOVERING_MEMORY_SERVING
         assert report.lazy
         assert reborn.accepts_adds and reborn.accepts_queries
-        progress = reborn.restore_progress()
-        assert progress.fraction_restored < 1.0
+        # The live report is the leaf's record of the restore.
+        assert reborn.last_restart_report is report
+        assert report.fraction_restored == 0.0
 
         narrow = reborn.query(NARROW_QUERY)
         assert narrow.rows_matched == 40
-        assert reborn.restore_progress().fraction_restored < 1.0
+        assert 0.0 < report.fraction_restored < 1.0
         reborn.add_rows("events", [{"time": 2000, "host": "late", "v": 1.0}])
 
         final = reborn.wait_restored()
+        assert final is report
         assert reborn.status is LeafStatus.ALIVE
         assert final.method is RecoveryMethod.SHARED_MEMORY
-        assert reborn.restore_progress().fraction_restored == 1.0
+        assert final.fraction_restored == 1.0
         assert reborn.leafmap.row_count == 241
 
     def test_lazy_restore_digest_matches_blocking_restore(
@@ -279,6 +284,65 @@ class TestPhaseSweep:
         assert final.fell_back_to_disk
         assert reborn.status is LeafStatus.ALIVE
         assert rows_digest(reborn.leafmap.snapshot_rows()) == blocking_digest
+
+    def test_queries_racing_the_sweep_answer_identically(
+        self, shm_namespace, tmp_path, clock
+    ):
+        """The restore driver keeps no lock of its own: the leaf's lock
+        is all that keeps query fault-ins and the sweep thread from
+        adopting a block twice or missing one.  Four query threads race
+        the sweep with frequent thread switches; every answer, and the
+        leaf once restored, equal the blocking restore's."""
+        rows = [
+            {"time": 1000 + i, "host": f"h{i % 3}", "v": float(i % 17)}
+            for i in range(2000)
+        ]
+        leaf = make_leaf(shm_namespace, tmp_path, clock)
+        leaf.start()
+        leaf.add_rows("events", rows)
+        leaf.shutdown(use_shm=True)
+        windows = [
+            Query(
+                "events",
+                start_time=start,
+                end_time=start + 50,
+                aggregations=(Aggregation("count", None), Aggregation("sum", "v")),
+            )
+            for start in range(1000, 3000, 50)  # one block each
+        ]
+        leaf.start()
+        baseline = [partial_dict(leaf.query(window)) for window in windows]
+        blocking_digest = rows_digest(leaf.leafmap.snapshot_rows())
+        leaf.shutdown(use_shm=True)
+
+        report = leaf.start(serve_while_restoring=True)  # sweep thread on
+        mismatches, errors = [], []
+
+        def ask(offset):
+            try:
+                for k in range(len(windows)):
+                    at = (offset + 7 * k) % len(windows)
+                    if partial_dict(leaf.query(windows[at])) != baseline[at]:
+                        mismatches.append(at)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=ask, args=(10 * i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: interleave more
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+        assert leaf.wait_restored(timeout=60) is report
+        assert report.row_blocks == report.blocks_total == len(windows)
+        assert report.fraction_restored == 1.0
+        assert rows_digest(leaf.leafmap.snapshot_rows()) == blocking_digest
 
     def test_machine_restart_serving_digest_identical(
         self, shm_namespace, tmp_path, clock
