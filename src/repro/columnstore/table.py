@@ -1,24 +1,28 @@
 """Tables: a vector of sealed row blocks plus an open write buffer.
 
-New rows are read into column runs (:class:`RunBuilder`), which the write
-buffer holds as they are; once 65,536 rows (or the 1 GB pre-compression
-cap) accumulate, the buffer is sealed into a compressed :class:`RowBlock`.
-Live ingest and legacy replay hand their runs to the same open block: one
-check of what a block may hold, one byte estimate, one cut, one seal.
-Tables also delete data "as it expires due to either age or size limits"
-(paper, Section 2).
+New rows are read into column runs, which the write buffer holds as they
+are; once 65,536 rows (or the 1 GB pre-compression cap) accumulate, the
+buffer is sealed into a compressed :class:`RowBlock`.  A batch whose
+rows are dicts of one shape (the same keys in the same order, each
+column one exact type) is read in whole-batch passes into one run; any
+other batch, a generator included, is read a row at a time
+(:class:`RunBuilder`, the row-log decoder's reader too).  Live ingest and
+legacy replay hand their runs to the same open block: one check of what
+a block may hold, one byte estimate summed a column at a time, one cut,
+one seal.  Tables also delete data "as it expires due to either age or
+size limits" (paper, Section 2).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import add
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.columnstore.colcache import DecodedColumnCache
 from repro.columnstore.rowblock import ROWS_PER_BLOCK, RowBlock, TimeRange
-from repro.columnstore.schema import Schema, checked_column, infer_column_type
+from repro.columnstore.schema import EXACT_TYPES, Schema, checked_column, infer_column_type
 from repro.compression.base import MAX_ROWBLOCK_BYTES
 from repro.compression.decoded import DecodedColumn
 from repro.compression.pipeline import column_arrays
@@ -171,13 +175,48 @@ def _field_type(name: object, value: ColumnValue) -> ColumnType | Exception:
     return ctype if isinstance(name, str) else _column_error(name, ctype, None)
 
 
+def _one_shape_run(rows: Iterable[Mapping[str, ColumnValue]]) -> ColumnRun | None:
+    """``rows`` read in whole-batch passes as one layout-free run, vectors
+    copied; ``None``, for the row loop, unless they are a list or tuple
+    of dicts that all carry the first one's keys in its order, each key
+    a non-empty string, and each column holds one exact type's values
+    (:data:`EXACT_TYPES`, or lists of strings)."""
+    if type(rows) not in (list, tuple) or not rows or set(map(type, rows)) != {dict}:
+        return None
+    names = tuple(rows[0])
+    if not names or not all(type(name) is str and name for name in names):
+        return None
+    if not all(map(names.__eq__, map(tuple, rows))):  # stops at the first row that differs
+        return None
+    columns = list(map(list, zip(*map(dict.values, rows))))
+    types = []
+    for j, column in enumerate(columns):
+        kinds = set(map(type, column))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        ctype = EXACT_TYPES.get(kind) or (_VECTOR if kind is list else None)
+        if ctype is None:
+            return None
+        if ctype is _VECTOR:
+            try:
+                columns[j] = checked_column(ctype, column)
+            except TypeError:  # an item that is not a string
+                return None
+        types.append(ctype)
+    return ColumnRun(names, tuple(types), columns, len(rows))
+
+
 def _batch_runs(
     rows: Iterable[Mapping[str, ColumnValue]],
 ) -> tuple[list[ColumnRun], Mapping | Exception | None]:
     """``rows`` read into column runs, vectors copied, up to the first
     that cannot be: ``(runs, refused)``, ``refused`` that row (a value
     without a column type, a name not a string, a vector item not one),
-    what reading it raised, or ``None``."""
+    what reading it raised, or ``None``.  A one-shape batch is read in
+    whole-batch passes (:func:`_one_shape_run`); anything else, one row
+    at a time."""
+    run = _one_shape_run(rows)
+    if run is not None:
+        return [run], None
     builder = RunBuilder()
     refused: Mapping | Exception | None = None
     try:
@@ -218,28 +257,46 @@ def _refuse(types: Mapping[str, ColumnType], refused: Mapping | Exception) -> No
     names, values = tuple(refused), list(refused.values())
     ctypes = tuple(map(_field_type, names, values))
     _admit(types, names, ctypes, range(len(names)))
-    _row_bytes(ColumnRun(names, ctypes, [[value] for value in values], 1))
+    _run_bytes(ColumnRun(names, ctypes, [[value] for value in values], 1), 0, 1)
     for ctype, value in zip(ctypes, values):
         checked_column(ctype, [value])
 
 
-def _row_bytes(run: ColumnRun) -> list[int]:
-    """Each row's rough pre-compression size, for the 1 GB block cap: per
-    column it carries, the name's length, 8, and the value's — a
-    string's length, a vector's items' lengths and 4 an item, a number's
-    8.  A default a row holds for a column it lacks adds nothing."""
+def _fixed_bytes(run: ColumnRun, lo: int, hi: int) -> list[int]:
+    """Each of rows ``[lo, hi)``'s size less its values' lengths: per
+    column it carries, the name's length and 8, and 8 more for a number."""
     per_column = [len(n) + (16 if t in _NUMBERS else 8) for n, t in zip(run.names, run.types)]
     if run.layouts is None:
-        sizes = [sum(per_column)] * run.n_rows
-    else:
-        fixed = {ls: sum(map(per_column.__getitem__, set(ls))) for ls in set(run.layouts)}
-        sizes = list(map(fixed.__getitem__, run.layouts))
+        return [sum(per_column)] * (hi - lo)
+    layouts = run.layouts[lo:hi]
+    fixed = {ls: sum(map(per_column.__getitem__, set(ls))) for ls in set(layouts)}
+    return list(map(fixed.__getitem__, layouts))
+
+
+def _row_bytes(run: ColumnRun, lo: int, hi: int) -> list[int]:
+    """Each of rows ``[lo, hi)``'s rough pre-compression size, for the 1 GB
+    block cap: :func:`_fixed_bytes`, and per column the row carries, its
+    value's length — a string's, or a vector's items' lengths and 4 an
+    item.  A default a row holds for a column it lacks adds nothing."""
+    sizes = _fixed_bytes(run, lo, hi)
     for ctype, column in zip(run.types, run.columns):
         if ctype is _STRING:
-            sizes = list(map(add, sizes, map(len, column)))
+            sizes = list(map(add, sizes, map(len, column[lo:hi])))
         elif ctype is _VECTOR:
-            sizes = [size + sum(map(len, v)) + 4 * len(v) for size, v in zip(sizes, column)]
+            sizes = [size + sum(map(len, v)) + 4 * len(v) for size, v in zip(sizes, column[lo:hi])]
     return sizes
+
+
+def _run_bytes(run: ColumnRun, lo: int, hi: int) -> int:
+    """``sum(_row_bytes(run, lo, hi))``, summed a column at a time."""
+    total = sum(_fixed_bytes(run, lo, hi))
+    for ctype, column in zip(run.types, run.columns):
+        if ctype is _STRING:
+            total += sum(map(len, column[lo:hi]))
+        elif ctype is _VECTOR:
+            values = column[lo:hi]
+            total += sum(map(len, chain.from_iterable(values))) + 4 * sum(map(len, values))
+    return total
 
 
 #: A block's schema, columns, row count and estimated bytes: ready to seal.
@@ -261,28 +318,33 @@ class _OpenBlock:
     def add(self, run: ColumnRun) -> Iterator[Group]:
         """Append ``run``'s rows; yield each block they fill (at the row
         that brings it to ``rows_per_block`` rows or ``max_block_bytes``
-        estimated bytes) and go on in the next.  Rows are checked a layout
-        at a time, where one first occurs in the block (a layout that
-        passed there passes again); the first row that cannot join raises
-        (:func:`_admit`), the rows before it kept."""
-        ends = list(accumulate(_row_bytes(run)))  # ends[i]: the run's rows [0, i]
+        estimated bytes) and go on in the next.  A slice's bytes are
+        summed a column at a time; each row's size is built only when the
+        slice reaches the byte cap, to find the row that does.  Rows are
+        checked a layout at a time, where one first occurs in the block (a
+        layout that passed there passes again); the first row that cannot
+        join raises (:func:`_admit`), the rows before it kept."""
         lo = 0
         while lo < run.n_rows:
-            start = ends[lo - 1] if lo else 0
             hi = min(run.n_rows, lo + self.rows_per_block - self.n_rows)
-            hi = min(hi, bisect_left(ends, self.max_block_bytes - self.n_bytes + start, lo, hi) + 1)
+            nbytes, room = _run_bytes(run, lo, hi), self.max_block_bytes - self.n_bytes
+            if nbytes >= room:
+                ends = list(accumulate(_row_bytes(run, lo, hi)))  # ends[i]: rows [lo, lo + i]
+                cut = bisect_left(ends, room)
+                hi, nbytes = lo + cut + 1, ends[cut]
             layouts = dict.fromkeys(run.layouts[lo:hi]) if run.layouts else [range(len(run.names))]
             try:
                 for layout in layouts:
                     self.types.update(_admit(self.types, run.names, run.types, layout))
             except SchemaError:
                 hi = run.layouts.index(layout, lo) if run.layouts else lo
+                nbytes = _run_bytes(run, lo, hi)
                 raise
             finally:
                 if hi > lo:
                     self.parts.append((run, lo, hi))
                     self.n_rows += hi - lo
-                    self.n_bytes += ends[hi - 1] - start
+                    self.n_bytes += nbytes
             lo = hi
             if self.n_rows >= self.rows_per_block or self.n_bytes >= self.max_block_bytes:
                 yield self.take()

@@ -252,8 +252,8 @@ class LeafServer:
         first, so queries interleave freely with the sweep."""
         while True:
             with self._lock:
-                if self._restorer is not restorer:
-                    return  # crash() abandoned it, or a drain settled it
+                if self._restorer is not restorer or self.status is LeafStatus.DOWN:
+                    return  # crash() abandoned it, or a drain or a query settled it
                 try:
                     swept = restorer.sweep_one()
                 except Exception:
@@ -282,15 +282,15 @@ class LeafServer:
                 self._sweep_thread = None
         with self._lock:
             restorer = self._restorer
-            if restorer is not None:
+            if restorer is not None and self.status is not LeafStatus.DOWN:
                 # No sweep thread (``sweep=False``, or a query finished
                 # the restore between thread iterations): drain inline.
                 try:
                     restorer.drain()
                 finally:
                     self._settle_locked(alive=restorer.error is None)
-                if restorer.error is not None:
-                    raise restorer.error
+            if restorer is not None and restorer.error is not None:
+                raise restorer.error
             return self.last_restart_report
 
     def shutdown(
@@ -409,14 +409,23 @@ class LeafServer:
             return self.leafmap.get_or_create(table).add_rows(rows)
 
     def query(self, query: Query) -> LeafExecution:
-        """Answer one query from local data."""
+        """Answer one query from local data.  A query whose fault-in
+        fell and whose ladder below failed too raises the restore's error
+        and leaves the leaf DOWN, as a failed start does."""
         with self._lock:
             if not self.accepts_queries:
                 raise StateError(
                     f"leaf {self.leaf_id} rejects queries in status "
                     f"{self.status.value}"
                 )
-            return execute_on_leaf(self.leafmap, query)
+            try:
+                return execute_on_leaf(self.leafmap, query)
+            except Exception:
+                restorer = self._restorer
+                if restorer is not None and restorer.error is not None:
+                    # Its fault-in fell and the ladder below failed too.
+                    self._settle_locked(alive=False)
+                raise
 
     def sealed_snapshot(self) -> dict[str, tuple[list, int, int]]:
         """A point-in-time view of every table's blocks, all sealed.

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnstore import table as table_module
 from repro.columnstore.rowblock import RowBlock
 from repro.columnstore.table import Table
 from repro.compression.decoded import DecodedKind
 from repro.errors import SchemaError
 from repro.types import ColumnType
 from repro.util.clock import ManualClock
+from repro.workloads import error_logs, service_requests
 from tests.oracles import SealOracle, estimate_row_bytes
 
 
@@ -217,8 +219,9 @@ BREAKS = ["none"] * 6 + [
 
 
 def _break(draw, row, types, how):
-    """Apply one of ``BREAKS`` to ``row`` (a fresh dict); the column it
-    touches is drawn among those it applies to, if there are any."""
+    """Apply one of ``BREAKS`` or ``PERTURBATIONS`` to ``row`` (a fresh
+    dict); the column it touches is drawn among those it applies to, if
+    there are any."""
     def pick(kinds):
         names = [n for n in row if n != "time" and types.get(n) in kinds]
         return draw(st.sampled_from(names)) if names else None
@@ -231,12 +234,31 @@ def _break(draw, row, types, how):
         row[name] = draw(VALUES[ctype])
     elif how == "bool" and (name := pick({ColumnType.INT64})):
         row[name] = True
+    elif how == "int in float" and (name := pick({ColumnType.FLOAT64})):
+        row[name] = draw(st.integers(-5, 5))
+    elif how == "float in int" and (name := pick({ColumnType.INT64})):
+        row[name] = float(row[name] % 1000)
     elif how == "str subclass" and (name := pick({ColumnType.STRING})):
         row[name] = Name(row[name])
     elif how == "omit" and (name := pick(set(ColumnType))):
         del row[name]
+    elif how == "swapped keys" and len(row) > 1:
+        # Of one type where two keys share it: values read by position
+        # alone would then still type-check.
+        names = list(row)
+        pairs = [(i, j) for j in range(len(names)) for i in range(j)]
+        alike = [(i, j) for i, j in pairs if types.get(names[i]) is types.get(names[j])]
+        i, j = draw(st.sampled_from(alike or pairs))
+        names[i], names[j] = names[j], names[i]
+        row = {name: row[name] for name in names}
+    elif how == "non-str key":
+        row[draw(st.sampled_from([7, b"k", None]))] = 1
+    elif how == "empty key":
+        row[""] = 1
     elif how == "list subclass" and (name := pick({ColumnType.STRING_VECTOR})):
         row[name] = Tags(row[name])
+    elif how == "tuple vector" and (name := pick({ColumnType.STRING_VECTOR})):
+        row[name] = tuple(row[name])
     elif how == "int in vector" and (name := pick({ColumnType.STRING_VECTOR})):
         row[name] = row[name] + [1]
     return row
@@ -311,6 +333,171 @@ class TestIngestMatchesTheOracle:
             assert buffered == oracle.pending
             assert list(map(list, buffered)) == list(map(list, oracle.pending))
             assert table.nbytes == table.sealed_nbytes + sum(map(estimate_row_bytes, buffered))
+
+
+#: How one row of a one-shape batch is perturbed, if at all (:func:`_break`).
+PERTURBATIONS = ["none"] * 3 + [
+    "bool", "int in float", "float in int", "omit", "new column", "swapped keys",
+    "non-str key", "empty key", "int in vector", "tuple vector", "list subclass",
+    "str subclass",
+]
+
+
+@st.composite
+def one_shape_batches(draw):
+    """One to three batches over one drawn shape (``time`` anywhere),
+    each with at most one row perturbed at a drawn position; a batch may
+    be a tuple."""
+    columns = draw(
+        st.lists(
+            st.tuples(st.sampled_from("abcdef"), st.sampled_from(list(ColumnType))),
+            max_size=5,
+            unique_by=lambda column: column[0],
+        )
+    )
+    columns.insert(draw(st.integers(0, len(columns))), ("time", ColumnType.INT64))
+    types = dict(columns)
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = [
+            {
+                name: draw(st.integers(0, 10**6) if name == "time" else VALUES[ctype])
+                for name, ctype in columns
+            }
+            for _ in range(draw(st.integers(1, 12)))
+        ]
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at] = _break(draw, rows[at], types, draw(st.sampled_from(PERTURBATIONS)))
+        batches.append(tuple(rows) if draw(st.booleans()) else rows)
+    return batches
+
+
+def _outcome(table, batch):
+    """What ``table.add_rows(batch)`` returned or raised: ``(count,
+    exception type, message)``."""
+    try:
+        return table.add_rows(batch), None, None
+    except (SchemaError, TypeError) as exc:
+        return None, type(exc), str(exc)
+
+
+@pytest.fixture
+def no_row_loop(monkeypatch):
+    """Fail the test if an add reaches the row loop, the one reader of
+    a batch that builds a :class:`RunBuilder`."""
+
+    def refuse():
+        raise AssertionError("a one-shape batch fell back to the row loop")
+
+    monkeypatch.setattr(table_module, "RunBuilder", refuse)
+
+
+class TestOneShapeRead:
+    """A list or tuple of dicts with one shape is read in whole-batch
+    passes; it adds exactly what the row loop adds, and anything else —
+    every perturbation of ``PERTURBATIONS`` — is read by the row loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batches=one_shape_batches(),
+        rows_per_block=st.integers(2, 12),
+        max_block_bytes=st.sampled_from([1 << 30, 60, 150, 400]),
+    )
+    def test_adds_what_the_row_loop_adds(self, batches, rows_per_block, max_block_bytes):
+        """Same runs, sealed bytes, estimate, ingest count, exception
+        (type and message) and kept rows as ``add_rows`` forced through
+        the row loop."""
+        tables = [
+            make_table(rows_per_block, max_block_bytes=max_block_bytes) for _ in range(2)
+        ]
+        for batch in batches:
+            runs, refused = table_module._batch_runs(batch)
+            outcome = _outcome(tables[0], batch)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(table_module, "_one_shape_run", lambda rows: None)
+                loop_runs, loop_refused = table_module._batch_runs(batch)
+                assert outcome == _outcome(tables[1], batch)
+            assert runs == loop_runs
+            assert type(refused) is type(loop_refused) and repr(refused) == repr(loop_refused)
+            fast_table, loop_table = tables
+            assert [b.pack() for b in fast_table.blocks] == [b.pack() for b in loop_table.blocks]
+            buffered = list(fast_table.iter_buffer_rows())
+            kept = list(loop_table.iter_buffer_rows())
+            assert buffered == kept and list(map(list, buffered)) == list(map(list, kept))
+            assert fast_table.nbytes == loop_table.nbytes
+            assert fast_table.nbytes == fast_table.sealed_nbytes + sum(
+                map(estimate_row_bytes, buffered)
+            )
+            assert fast_table.total_rows_ingested == loop_table.total_rows_ingested
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"time": 1, 7: 1},
+            {"time": 1, None: "x"},
+            {"time": 1, "": 1},
+            {"time": 1, Name("a"): 1},
+            {"time": True, "a": 1},
+            {"time": 1.5},
+            {"a": 1},
+        ],
+    )
+    def test_a_batch_of_one_bad_shape_fails_as_in_the_row_loop(self, row):
+        """Every row alike, the one row unfit: the same error, nothing kept."""
+        batch = [dict(row) for _ in range(3)]
+        fast, loop = make_table(), make_table()
+        outcome = _outcome(fast, batch)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(table_module, "_one_shape_run", lambda rows: None)
+            assert outcome == _outcome(loop, batch)
+        assert outcome[1] is SchemaError
+        assert fast.buffered_row_count == fast.total_rows_ingested == 0
+
+    def test_keys_of_one_type_swapped_take_the_row_loop(self):
+        """Read by position alone, the swapped row would still
+        type-check; it keeps its own key order and its values."""
+        rows = [{"time": 0, "a": 1, "s": "x"}, {"a": 2, "time": 1, "s": "y"}]
+        table = make_table()
+        assert table_module._one_shape_run(rows) is None
+        table.add_rows(rows)
+        assert list(map(list, table.iter_buffer_rows())) == list(map(list, rows))
+        assert list(table.iter_buffer_rows()) == rows
+
+    @pytest.mark.parametrize("generate", [service_requests, error_logs])
+    def test_ledger_batches_never_reach_the_row_loop(self, generate, no_row_loop):
+        """512-row batches made as the ledger makes them (a list from the
+        generator, one slot's start time and seed) take the one-shape
+        read, and add the rows they were made of."""
+        table = make_table(rows_per_block=512)
+        for slot in range(3):
+            rows = list(generate(512, start_time=1_390_000_000 + slot * 600, seed=slot))
+            assert table.add_rows(rows) == 512
+            assert table.blocks[-1].to_rows() == rows
+        assert (table.block_count, table.total_rows_ingested) == (3, 3 * 512)
+
+    def test_a_generator_takes_the_row_loop(self, no_row_loop):
+        """A generator is read once, by the row loop, so that the rows
+        before a failure are kept."""
+        table = make_table()
+        with pytest.raises(AssertionError, match="row loop"):
+            table.add_rows({"time": t} for t in range(3))
+
+    def test_an_odd_row_near_the_start_stops_the_shape_check(self, monkeypatch):
+        """The shape check reads the rows' keys up to the first row that
+        differs, and no further."""
+        read = []
+
+        def keys(row):
+            if isinstance(row, dict):
+                read.append(row["time"])
+            return tuple_(row)
+
+        tuple_ = tuple
+        monkeypatch.setattr(table_module, "tuple", keys, raising=False)
+        rows = [{"time": 0, "a": 1}, {"a": 1, "time": 1}]
+        rows += [{"time": t, "a": 1} for t in range(2, 50)]
+        assert table_module._one_shape_run(rows) is None
+        assert set(read) == {0, 1}
 
 
 class TestExpiry:

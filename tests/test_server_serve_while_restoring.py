@@ -10,11 +10,13 @@ path against the decoded-column cache.
 
 from __future__ import annotations
 
+import shutil
 import sys
 import threading
 
 import pytest
 
+from repro.columnstore.rowblock import RowBlock
 from repro.core.engine import RecoveryMethod
 from repro.disk.backup import DiskBackup
 from repro.errors import CorruptionError, StateError
@@ -22,6 +24,8 @@ from repro.query.query import Aggregation, Query
 from repro.server.leaf import LeafServer, LeafStatus
 from repro.server.machine import Machine
 from repro.util.checksum import rows_digest
+from repro.util.memtrack import MemoryTracker
+from tests.conftest import SHM_DIR
 from tests.crashpoints import Recorder
 
 ROWS = [
@@ -219,6 +223,59 @@ class TestFallbackStatusLadder:
         assert not leaf.accepts_queries
         with pytest.raises(StateError):
             leaf.query(FULL_QUERY)
+
+    def test_a_query_whose_fault_in_and_ladder_fail_ends_down(
+        self, shm_namespace, tmp_path, clock, monkeypatch
+    ):
+        """A query faults a block in, the decode fails, and every rung
+        below fails too (no snapshot chain, the log corrupt mid-file).
+        The query raises and the leaf is DOWN at once, not accepting adds
+        into its emptied map until a sweep or ``wait_restored`` notices;
+        ``wait_restored`` still re-raises the restore's error."""
+        tracker = MemoryTracker()
+        leaf = make_leaf(shm_namespace, tmp_path, clock, tracker=tracker)
+        leaf.start()
+        rows = ROWS[:150]
+        leaf.add_rows("events", rows[:100])
+        leaf.sync_to_disk()
+        leaf.add_rows("events", rows[100:])
+        leaf.sync_to_disk()  # a second chunk, so the first is mid-file
+        leaf.shutdown(use_shm=True)
+        reborn = make_leaf(shm_namespace, tmp_path, clock, tracker=tracker)
+        reborn.start(serve_while_restoring=True, sweep=False)
+        assert reborn.status is LeafStatus.RECOVERING_MEMORY_SERVING
+
+        log = reborn.backup.table_file("events")
+        flipped = bytearray(log.read_bytes())
+        flipped[8 + 28] ^= 0xFF  # the first chunk's first stored byte
+        log.write_bytes(bytes(flipped))
+        shutil.rmtree(reborn.backup.snapshot_dir)
+
+        def broken_unpack(payload):
+            raise CorruptionError("injected decode fault")
+
+        monkeypatch.setattr(RowBlock, "unpack", staticmethod(broken_unpack))
+        settled = []
+        settle = reborn._settle_locked
+
+        def counted_settle(alive):
+            settled.append(alive)
+            settle(alive)
+
+        monkeypatch.setattr(reborn, "_settle_locked", counted_settle)
+        restorer = reborn._restorer
+        with pytest.raises(CorruptionError):
+            reborn.query(FULL_QUERY)
+        assert reborn.status is LeafStatus.DOWN
+        with pytest.raises(StateError):
+            reborn.add_rows("events", rows[:1])
+        assert tracker.total == 0
+        assert not [p for p in SHM_DIR.iterdir() if p.name.startswith(shm_namespace)]
+        reborn._sweep_loop(restorer)  # a sweep thread that runs afterwards
+        with pytest.raises(CorruptionError):
+            reborn.wait_restored()
+        assert reborn.status is LeafStatus.DOWN
+        assert settled == [False]  # settled once, by the query
 
 
 class TestPhaseSweep:
