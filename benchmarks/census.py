@@ -14,6 +14,13 @@ no run entered, and whether its name appears anywhere else in ``src/``,
     python benchmarks/census.py                       # all runs (slow)
     python benchmarks/census.py --only tier1 cli      # a subset
     python benchmarks/census.py --json census.json    # machine-readable
+    python benchmarks/census.py --only bench cli examples ledger
+
+The last line leaves the tests out: it lists what the benchmark, the
+experiments, the CLI and the examples never enter, so a def on it is
+entered by tests alone, if at all.  A run that
+fails enters fewer defs than it would have, so every failed run is
+printed with its exit code above the list, and the census exits 1.
 
 A never-entered definition is a candidate, not a verdict: delete it,
 move it to ``tests/`` (an oracle), or justify it in one line.  The ones
@@ -194,6 +201,11 @@ def main(argv: list[str] | None = None) -> int:
     missed = [d for d in defs if not any((d["file"], line) in hits for line in d["lines"])]
     for d in missed:
         d["references"] = None if d["name"].startswith("__") else references(d["name"])
+    failed = {label: code for label, code in codes.items() if code}
+    if failed:
+        print(f"\n{len(failed)} of {len(codes)} runs failed (they entered less):")
+    for label, code in failed.items():
+        print(f"  exit {code}: {label}")
     print(f"\n{len(missed)} of {len(defs)} src/ defs never entered "
           f"({', '.join(args.only)}):")
     for d in missed:
@@ -207,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
                 {k: d[k] for k in ("path", "line", "qualname", "references")} for d in missed
             ],
         }, indent=2) + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import random
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.cluster.replication import DEFAULT_STREAMS, ReplicaCatalog
+from repro.cluster.replication import ReplicaCatalog
 from repro.disk.backup import DiskBackup
 from repro.ingest.scribe import ScribeLog
 from repro.ingest.tailer import Tailer
@@ -38,7 +38,6 @@ class Cluster:
         version: str = "v1",
         rng: random.Random | None = None,
         replication: bool = False,
-        replica_streams: int = DEFAULT_STREAMS,
     ) -> None:
         if n_machines < 1:
             raise ValueError("a cluster needs at least one machine")
@@ -73,7 +72,7 @@ class Cluster:
         self.replica_catalog: ReplicaCatalog | None = None
         self.replica_leaves: list[LeafServer] = []
         if replication:
-            self.replica_catalog = ReplicaCatalog(streams=replica_streams)
+            self.replica_catalog = ReplicaCatalog()
             root = Path(backup_root)
             n = len(self.machines)
             for index, machine in enumerate(self.machines):

@@ -54,11 +54,11 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Callable
 
-from repro.columnstore.rowblock import RowBlock, TimeRange
+from repro.columnstore.leafmap import TableSnapshot, snapshot_leafmap
+from repro.columnstore.rowblock import TimeRange
 from repro.errors import ReplicaWireError, StateError
 
 if TYPE_CHECKING:
-    from repro.columnstore.leafmap import LeafMap
     from repro.server.leaf import LeafServer
 
 WIRE_MAGIC = 0x50455252  # "RREP"
@@ -181,27 +181,6 @@ class WireTable:
     rows_ingested: int
     rows_expired: int
     blocks: tuple[WireBlock, ...]
-
-
-#: name -> (sealed blocks, total_rows_ingested, total_rows_expired)
-TableSnapshot = dict[str, tuple[list[RowBlock], int, int]]
-
-
-def snapshot_leafmap(leafmap: LeafMap) -> TableSnapshot:
-    """A point-in-time view of every table's sealed blocks.
-
-    Blocks are immutable once sealed and the lists are copies, so the
-    returned snapshot stays consistent while the source keeps ingesting
-    or expiring.
-    """
-    return {
-        table.name: (
-            table.blocks,
-            table.total_rows_ingested,
-            table.total_rows_expired,
-        )
-        for table in leafmap
-    }
 
 
 def _catalog_payload(token: str, tables: TableSnapshot) -> bytes:
@@ -492,10 +471,6 @@ class ReplicaFetchSession:
             raise ReplicaWireError("replica session token mismatch")
         self._pool.put(sock)
 
-    def blocks(self) -> list[WireBlock]:
-        """Every block in the session catalog, in table/directory order."""
-        return [block for table in self.tables for block in table.blocks]
-
     def _borrow(self) -> socket.socket:
         """A pooled connection.  A condemned session raises the failure
         that condemned it, whichever stream saw it, as a future does."""
@@ -539,11 +514,10 @@ class ReplicaFetchSession:
         self,
         requests: list[tuple[str, int]],
         handler: Callable[[str, int, bytes], None],
-        window: int = DEFAULT_WINDOW,
     ) -> None:
         """Windowed pipelined GETs on one borrowed connection.
 
-        Keeps up to ``window`` GET frames in flight ahead of the
+        Keeps up to :data:`DEFAULT_WINDOW` GET frames in flight ahead of the
         responses and calls ``handler(table, index, payload)`` as each
         BLOCK frame lands — one stream pays the request/response round
         trip once per window instead of once per block.  Responses
@@ -563,7 +537,7 @@ class ReplicaFetchSession:
                     json.dumps({"table": table, "index": index}).encode(),
                 )
                 pending.append((table, index))
-                if len(pending) >= window:
+                if len(pending) >= DEFAULT_WINDOW:
                     self._receive_block(conn, pending, handler)
             while pending:
                 self._receive_block(conn, pending, handler)

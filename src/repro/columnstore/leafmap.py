@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.columnstore.colcache import DecodedColumnCache
+from repro.columnstore.rowblock import RowBlock
 from repro.columnstore.table import Table
 from repro.errors import SchemaError
 from repro.util.clock import Clock, SystemClock
@@ -47,11 +48,6 @@ class LeafMap:
 
     def __len__(self) -> int:
         return len(self._tables)
-
-    @property
-    def rows_per_block(self) -> int | None:
-        """The block size this map's tables seal at (``None`` = default)."""
-        return self._rows_per_block
 
     @property
     def table_names(self) -> list[str]:
@@ -129,3 +125,24 @@ class LeafMap:
     def snapshot_rows(self) -> dict[str, list[dict]]:
         """table name → all rows; used to assert restart equivalence."""
         return {name: table.to_rows() for name, table in self._tables.items()}
+
+
+#: name -> (sealed blocks, total_rows_ingested, total_rows_expired)
+TableSnapshot = dict[str, tuple[list[RowBlock], int, int]]
+
+
+def snapshot_leafmap(leafmap: LeafMap) -> TableSnapshot:
+    """A point-in-time view of every table's sealed blocks.
+
+    Blocks are immutable once sealed and the lists are copies, so the
+    returned snapshot stays consistent while the source keeps ingesting
+    or expiring.
+    """
+    return {
+        table.name: (
+            table.blocks,
+            table.total_rows_ingested,
+            table.total_rows_expired,
+        )
+        for table in leafmap
+    }

@@ -166,29 +166,22 @@ class RowBlockColumn:
             raise CorruptionError(f"bad RBC end magic 0x{end_magic:08x}")
         verify_crc32(crc, self._buf[: self._footer_offset])
 
-    def to_encoded(self, copy: bool = True) -> EncodedColumn:
+    def to_encoded(self) -> EncodedColumn:
         """Reconstruct the :class:`EncodedColumn` this buffer was built from.
 
-        With ``copy=False`` the dictionary and data fields are
-        ``memoryview`` sections over this buffer instead of detached
-        ``bytes`` — no copy at all.  Every decoder accepts views, so the
-        zero-copy form is safe whenever the caller consumes the encoded
-        column before the underlying buffer goes away (the decode path
-        does exactly that).
+        The dictionary and data fields are ``memoryview`` sections over
+        this buffer, not detached ``bytes`` — no copy at all.  Every
+        decoder accepts views, so this is safe whenever the caller
+        consumes the encoded column before the underlying buffer goes
+        away (the decode path does exactly that).
         """
         return EncodedColumn(
-            self.flags,
-            self.n_items,
-            self.n_dict_items,
-            bytes(self.dictionary) if copy else self.dictionary,
-            bytes(self.data) if copy else self.data,
+            self.flags, self.n_items, self.n_dict_items, self.dictionary, self.data
         )
 
     def values(self, ctype: ColumnType) -> list[ColumnValue]:
         """Decode the column back to Python values."""
-        # The encoded sections are consumed inside decode_column, so the
-        # zero-copy form avoids two throwaway buffer copies per decode.
-        return decode_column(ctype, self.to_encoded(copy=False))
+        return decode_column(ctype, self.to_encoded())
 
     def decoded(self, ctype: ColumnType) -> DecodedColumn:
         """Decode straight to the array form the vectorized kernels use.
@@ -196,11 +189,7 @@ class RowBlockColumn:
         The result's arrays are fresh heap copies — safe to cache past
         the lifetime of this buffer (e.g. an shm view).
         """
-        return decode_column_arrays(ctype, self.to_encoded(copy=False))
-
-    def copy_bytes(self) -> bytes:
-        """A detached copy of the buffer (e.g. heap copy of an shm view)."""
-        return bytes(self._buf)
+        return decode_column_arrays(ctype, self.to_encoded())
 
 
 def rbc_stored_crc(buf: bytes | memoryview) -> int:

@@ -18,25 +18,24 @@ from repro.compression.lzs import lz_compress, lz_decompress
 from repro.errors import CorruptionError
 
 
-def shuffle_bytes(raw: bytes, item_size: int = 8) -> bytes:
-    """Transpose ``raw`` (n items of ``item_size`` bytes) byte-plane-wise."""
-    if len(raw) % item_size:
+def shuffle_bytes(raw: bytes) -> bytes:
+    """Transpose ``raw`` (n 8-byte items) byte-plane-wise."""
+    if len(raw) % 8:
         raise ValueError(
-            f"buffer of {len(raw)} bytes is not a whole number of "
-            f"{item_size}-byte items"
+            f"buffer of {len(raw)} bytes is not a whole number of 8-byte items"
         )
-    matrix = np.frombuffer(raw, dtype=np.uint8).reshape(-1, item_size)
+    matrix = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 8)
     return matrix.T.tobytes()
 
 
-def unshuffle_bytes(shuffled: bytes | memoryview, item_size: int = 8) -> bytes:
+def unshuffle_bytes(shuffled: bytes | memoryview) -> bytes:
     """Invert :func:`shuffle_bytes`."""
-    if len(shuffled) % item_size:
+    if len(shuffled) % 8:
         raise CorruptionError(
             f"shuffled buffer of {len(shuffled)} bytes is not a whole "
-            f"number of {item_size}-byte items"
+            "number of 8-byte items"
         )
-    matrix = np.frombuffer(shuffled, dtype=np.uint8).reshape(item_size, -1)
+    matrix = np.frombuffer(shuffled, dtype=np.uint8).reshape(8, -1)
     return matrix.T.tobytes()
 
 

@@ -52,12 +52,12 @@ shm validity check and discard, and the ladder below the driver, which
 recovers into a fresh leaf map for the driver to land.
 
 "Recover from disk" is itself a two-rung ladder (paper, Section 6): if
-every backed-up table has a trusted shm-format snapshot — generation
-matching the manifest watermark, CRC intact, layout version readable —
-the engine bulk-unpacks the snapshots (DISK_SNAPSHOT_RECOVERY) instead
-of replaying the legacy row format.  Any validity failure routes the
-whole leaf down to legacy replay; a stale or torn snapshot can cost
-time, never correctness.
+the backup keeps snapshots and every backed-up table has a trusted
+shm-format snapshot — generation matching the manifest watermark, CRC
+intact, layout version readable — the engine bulk-unpacks the
+snapshots (DISK_SNAPSHOT_RECOVERY) instead of replaying the legacy row
+format.  Any validity failure routes the whole leaf down to legacy
+replay; a stale or torn snapshot can cost time, never correctness.
 """
 
 from __future__ import annotations
@@ -261,7 +261,10 @@ class RestartEngine:
     backup:
         The :class:`DiskBackup` used by disk recovery and by the
         PREPARE-state flush.  Optional: without it, a failed memory
-        recovery raises instead of falling back.
+        recovery raises instead of falling back.  A backup opened with
+        ``snapshots=False`` offers no snapshot chain to read either, so
+        disk recovery skips the snapshot tier and replays the legacy
+        row format.
     layout_version:
         The shared memory layout this build writes and reads.  A stored
         version that differs forces disk recovery (paper, Section 4.2).
@@ -271,10 +274,6 @@ class RestartEngine:
         during backup, a table's heap rematerialization during restore)
         against it before starting the copy, so concurrent engines on
         one machine queue instead of stacking their in-flight bytes.
-    disk_snapshot_tier:
-        Whether disk recovery may take the shm-format snapshot fast path
-        when every table's snapshot is trusted.  Disable to force legacy
-        row-format replay (benchmark baselines, paranoia mode).
     replay_workers:
         How the legacy rung runs when it is reached: more than one
         worker fans the row-sealing work across a process pool
@@ -298,7 +297,6 @@ class RestartEngine:
         tracker: MemoryTracker | None = None,
         clock: Clock | None = None,
         budget: FootprintBudget | None = None,
-        disk_snapshot_tier: bool = True,
         replay_workers: int = 1,
         replica_source: Callable[[], object] | None = None,
     ) -> None:
@@ -308,7 +306,6 @@ class RestartEngine:
         self.namespace = namespace
         self.backup = backup
         self.layout_version = layout_version
-        self.disk_snapshot_tier = disk_snapshot_tier
         self.replay_workers = replay_workers
         self.replica_source = replica_source
         self.tracker = tracker or MemoryTracker()
@@ -427,7 +424,7 @@ class RestartEngine:
     def _discard_untrusted_shm(self) -> None:
         """Figure 7's "if valid bit is false: delete shared memory
         segments" — what a restore does before recovering from anywhere
-        else; a state that is still trusted stays for a later boot."""
+        else."""
         meta = self._attach_valid_shm()
         if meta is not None:
             meta.close()
@@ -588,14 +585,13 @@ class RestartEngine:
     def restore(
         self,
         leafmap: LeafMap,
-        memory_recovery_enabled: bool = True,
         on_disk_fallback: Callable[[], None] | None = None,
     ) -> RestartReport:
         """Restore this leaf's data into an empty ``leafmap``.
 
-        Attempts shared memory recovery when it is enabled and the valid
-        bit is set; otherwise — or on any exception mid-copy — falls back
-        down the ladder, per Figure 5(b): the restore driver, drained.
+        Attempts shared memory recovery when the valid bit is set;
+        otherwise — or on any exception mid-copy — falls back down the
+        ladder, per Figure 5(b): the restore driver, drained.
 
         ``on_disk_fallback`` is invoked at the fallback boundary, before
         any disk rung runs.  The leaf server hooks its status flip here:
@@ -604,16 +600,13 @@ class RestartEngine:
         status for an entire legacy replay would turn a seconds-long
         outage into a minutes-long one.
         """
-        handle = self._begin_restore(
-            leafmap, memory_recovery_enabled, on_disk_fallback, serving=False
-        )
+        handle = self._begin_restore(leafmap, on_disk_fallback, serving=False)
         handle.drain()
         return handle.report
 
     def begin_lazy_restore(
         self,
         leafmap: LeafMap,
-        memory_recovery_enabled: bool = True,
         on_disk_fallback: Callable[[], None] | None = None,
     ):
         """Start a serve-while-restoring restore; returns a
@@ -629,13 +622,9 @@ class RestartEngine:
         neither source the disk rungs run blocking inside this call and
         the handle comes back already done.
         """
-        return self._begin_restore(
-            leafmap, memory_recovery_enabled, on_disk_fallback, serving=True
-        )
+        return self._begin_restore(leafmap, on_disk_fallback, serving=True)
 
-    def _begin_restore(
-        self, leafmap, memory_recovery_enabled, on_disk_fallback, serving
-    ):
+    def _begin_restore(self, leafmap, on_disk_fallback, serving):
         """Put a restore driver on the best usable source.
 
         ``serving`` says which entry point was called and changes only
@@ -650,9 +639,7 @@ class RestartEngine:
         # (the cache's heat counters survive the clear).
         leafmap.drop_column_cache()
         report = RestartReport.begin(self.clock, LeafRestoreState.INIT, lazy=serving)
-        meta = None
-        if memory_recovery_enabled:
-            meta = self._attach_valid_shm(discard_invalid=False, report=report)
+        meta = self._attach_valid_shm(discard_invalid=False, report=report)
         if meta is not None:
             return LazyRestore(self, leafmap, report, on_disk_fallback, meta)._serve()
         # Also covers the race where the valid bit dropped between the
@@ -671,11 +658,10 @@ class RestartEngine:
     def _discard_shm_tracked(self, meta: LeafMetadata) -> None:
         """Unlink a leaf's shm state *through the tracker*.
 
-        The bare ``meta.unlink_all()`` frees the segments from the OS but
-        leaves the "shm" region (possibly shared machine-wide) charged
-        forever.  Here each table segment leaves with exactly what the
-        tracker holds for it — nothing, in a fresh process — so the
-        other leaves on a shared tracker keep theirs.
+        Each table segment leaves with exactly what the tracker holds for
+        it — nothing, in a fresh process — so the "shm" region (possibly
+        shared machine-wide) is never left charged for a segment that is
+        gone, and the other leaves on a shared tracker keep theirs.
         """
         try:
             names = [record.segment_name for record in meta.records]
@@ -788,7 +774,7 @@ class RestartEngine:
         """Why the snapshot tier is not entered at all, or ``None`` to
         enter it.
 
-        The tier must be enabled, this build's declared layout version
+        The backup must keep snapshots, this build's declared layout version
         must be the one snapshot bodies are written in — a build whose
         shm layout diverged must not consume shm-format bytes from disk
         any more than from /dev/shm — and the manifest must vouch for
@@ -797,8 +783,8 @@ class RestartEngine:
         the one returned.
         """
         assert self.backup is not None
-        if not self.disk_snapshot_tier:
-            return "snapshot tier disabled"
+        if not self.backup.snapshots_enabled:
+            return "backup keeps no snapshots"
         if self.layout_version != SHM_LAYOUT_VERSION:
             return f"layout version {SHM_LAYOUT_VERSION}, not {self.layout_version}"
         if not self.backup.table_names:

@@ -188,16 +188,17 @@ class DiskBackup:
     """Manages the legacy-format backup (and shm-format snapshot chains)
     of one leaf's tables.
 
-    ``incremental=False`` forces the pre-chain behavior — every snapshot
-    point rewrites the table as a single base — which tests compare the
-    chain against; it is not a recommended mode.
+    ``snapshots=False`` keeps the legacy row format alone: no sync point
+    writes a chain, and disk recovery reads none (the restart engine
+    skips the snapshot tier and replays the log).  ``max_chain_links=1``
+    is the pre-chain behavior — every snapshot point rewrites the table
+    as a single base.
     """
 
     def __init__(
         self,
         directory: str | Path,
         snapshots: bool = True,
-        incremental: bool = True,
         max_chain_links: int = DEFAULT_MAX_CHAIN_LINKS,
         compact_churn: float = DEFAULT_COMPACT_CHURN,
     ) -> None:
@@ -207,7 +208,6 @@ class DiskBackup:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.snapshot_dir = self.directory / _SNAPSHOT_DIR
         self.snapshots_enabled = snapshots
-        self.incremental = incremental
         self.max_chain_links = max_chain_links
         self.compact_churn = compact_churn
         self.stats = SnapshotStats()
@@ -571,7 +571,7 @@ class DiskBackup:
         when the chain is too long or its dead blocks pass the churn
         threshold.
         """
-        if not self.incremental or self._chain_fault(name, entry) is not None:
+        if self._chain_fault(name, entry) is not None:
             return None
         chain = entry["chain"]
         rows = chain[-1]["rows_ingested"] - rows_expired

@@ -180,7 +180,7 @@ def _raw_string_cells(column: RowBlockColumn) -> list[bytes]:
     """A raw/LZ string column's values as the len-prefixed slices its
     payload already holds, checked as ``decode_column`` checks them (one
     walker, :func:`~repro.util.binary.read_len_prefixed_many`, reads both)."""
-    payload = raw_string_payload(column.to_encoded(copy=False))
+    payload = raw_string_payload(column.to_encoded())
     return read_len_prefixed_many(payload, column.n_items, cells=True)
 
 

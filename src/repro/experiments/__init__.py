@@ -109,11 +109,11 @@ def digest(leafmap: LeafMap) -> str:
 
 
 def engine_restore(
-    backup, namespace: str, rows_per_block: int, **engine_kwargs
+    backup, namespace: str, rows_per_block: int
 ) -> tuple[RestartReport, LeafMap]:
     """Restore a fresh leaf map through the restart engine's ladder."""
     restored = LeafMap(rows_per_block=rows_per_block)
-    engine = RestartEngine("leaf", namespace=namespace, backup=backup, **engine_kwargs)
+    engine = RestartEngine("leaf", namespace=namespace, backup=backup)
     return engine.restore(restored), restored
 
 

@@ -6,8 +6,10 @@ memory recovery takes 2-3 minutes per server — roughly a 60x gap.
 Measured twice: for real on a scaled-down leaf, where the same code
 paths show the same ordering, and through the calibrated cost model at
 full 120 GB scale, where the absolute numbers land in the paper's
-ranges.  The disk leg pins the snapshot fast tier (E12) off: the paper's
-baseline is legacy row-format replay.
+ranges.  The disk leg reads the backup directory through a second
+manager opened with ``snapshots=False``, which offers the engine no
+snapshot chain (E12's fast tier): the paper's baseline is legacy
+row-format replay.
 """
 
 from __future__ import annotations
@@ -49,12 +51,14 @@ def run(rows: int = ROWS) -> dict:
         data_bytes = sum(t.sealed_nbytes for t in leafmap)
         backup.sync_leafmap(leafmap)
 
-        restore = partial(engine_restore, backup, namespace, ROWS_PER_BLOCK)
         engine = RestartEngine("leaf", namespace=namespace, backup=backup)
         copy_out_s, _ = timed(lambda: engine.backup_to_shm(leafmap))
-        shm_s, (shm_report, from_shm) = timed(restore)
+        shm_s, (shm_report, from_shm) = timed(
+            partial(engine_restore, backup, namespace, ROWS_PER_BLOCK)
+        )
+        legacy = DiskBackup(tmp, snapshots=False)
         disk_s, (disk_report, from_disk) = timed(
-            partial(restore, disk_snapshot_tier=False)
+            partial(engine_restore, legacy, namespace, ROWS_PER_BLOCK)
         )
 
     profile = paper_profile()

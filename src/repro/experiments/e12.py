@@ -8,7 +8,8 @@ format will speed up disk recovery significantly."
 
 Measured for real, end to end through the restart engine's recovery
 ladder: the same synced leaf restored via (a) legacy row-format replay
-(``disk_snapshot_tier=False``) and (b) the shm-format snapshot tier, plus
+(through a second manager on the directory, opened with
+``snapshots=False``) and (b) the shm-format snapshot tier, plus
 the torn-snapshot fallback path and the cost model's 120 GB projection.
 """
 
@@ -58,8 +59,9 @@ def run(rows: int = ROWS) -> dict:
         expected = leafmap.snapshot_rows()
 
         restore = partial(engine_restore, backup, namespace, ROWS_PER_BLOCK)
+        legacy = DiskBackup(tmp, snapshots=False)
         legacy_s, (legacy_report, _) = timed(
-            partial(restore, disk_snapshot_tier=False), REPEATS
+            partial(engine_restore, legacy, namespace, ROWS_PER_BLOCK), REPEATS
         )
         snapshot_s, (snapshot_report, fast) = timed(restore, REPEATS)
         snapshot_identical = fast.snapshot_rows() == expected

@@ -77,8 +77,10 @@ REPLAY_SPEEDUP_FLOOR = 2.0
 SURVIVOR_TIME_CEILING = 0.5
 SURVIVOR_LIVE_RANGE = (0.15, 0.30)
 
+#: ``full`` keeps a one-link chain, so every snapshot point rewrites the
+#: table as one base (each counted as a compaction).
 FLAVOURS = {
-    "full": {"incremental": False},
+    "full": {"max_chain_links": 1},
     "incremental": {},
     "compacted": {"max_chain_links": 2},
 }

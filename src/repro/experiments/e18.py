@@ -7,7 +7,9 @@ wire session.  E18 measures that rung against the two disk rungs on the
 same fully-synced dataset: one primary leaf, mirrored to a standby,
 restarts through the wire pull, the local disk snapshot and legacy
 replay in ``ROUNDS`` alternating rounds, then once more serving queries
-mid-transfer.
+mid-transfer.  A route is forced by what the leaf finds: the wire routes
+attach a replica source, and the legacy route switches the backup's
+snapshots off, so the engine finds no chain to read.
 
 - The wire pull beats legacy replay by >= 2x, measured on each route's
   median round (CPU-bound decode against wire-bound transfer, so the
@@ -52,7 +54,7 @@ ROUNDS = 3
 #: over the disk-snapshot rung (modelled at paper scale).
 SPEEDUP_FLOOR = 2.0
 
-#: name -> (replica source attached, snapshot tier on, rung it must land on)
+#: name -> (replica source attached, backup snapshots read, rung it must land on)
 ROUTES = {
     "replica": (True, True, RecoveryMethod.REPLICA),
     "disk_snapshot": (False, True, RecoveryMethod.DISK_SNAPSHOT),
@@ -107,10 +109,10 @@ def _restart_through_every_route(root, namespace, data, dashboard) -> dict:
         catalog.mirror(leaf.leaf_id, "service_requests", data)
         source = catalog.session_source(leaf.leaf_id)
         for _ in range(ROUNDS):
-            for name, (wire, snapshot_tier, rung) in ROUTES.items():
+            for name, (wire, snapshots, rung) in ROUTES.items():
                 leaf.crash()
                 leaf.engine.replica_source = source if wire else None
-                leaf.engine.disk_snapshot_tier = snapshot_tier
+                leaf.backup.snapshots_enabled = snapshots
                 seconds, _ = timed(leaf.start)
                 rounds[name].append(seconds)
                 landed(name, rung)
@@ -119,7 +121,7 @@ def _restart_through_every_route(root, namespace, data, dashboard) -> dict:
         # on demand ahead of the transfer (``sweep=False`` keeps the
         # fraction reading deterministic).
         leaf.engine.replica_source = source
-        leaf.engine.disk_snapshot_tier = True
+        leaf.backup.snapshots_enabled = True
         leaf.crash()
 
         def first_answer():

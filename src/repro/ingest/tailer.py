@@ -146,13 +146,10 @@ class Tailer:
         )
         return delivered
 
-    def drain(self, max_batches: int | None = None) -> int:
-        """Pump until the backlog is empty (or ``max_batches`` sent)."""
+    def drain(self) -> int:
+        """Pump until the backlog is empty."""
         total = 0
-        batches = 0
         while self.backlog > 0:
-            if max_batches is not None and batches >= max_batches:
-                break
             sent = self.pump_once()
             if sent == 0:
                 # Below both thresholds: force the time-based flush by
@@ -176,5 +173,4 @@ class Tailer:
                     self.stats.rows_per_leaf.get(leaf.leaf_id, 0) + sent
                 )
             total += sent
-            batches += 1
         return total

@@ -37,7 +37,7 @@ from repro.columnstore.colcache import (
     CacheStats,
     DecodedColumnCache,
 )
-from repro.columnstore.leafmap import LeafMap
+from repro.columnstore.leafmap import LeafMap, snapshot_leafmap
 from repro.columnstore.table import Table
 from repro.core.engine import RestartEngine, RestartReport
 from repro.core.watchdog import CooperativeDeadline
@@ -140,14 +140,15 @@ class LeafServer:
 
     def start(
         self,
-        memory_recovery_enabled: bool = True,
         serve_while_restoring: bool = False,
         sweep: bool = True,
     ) -> RestartReport:
         """Boot the leaf: restore from shared memory or disk.
 
-        A brand-new leaf (no shared memory, no backup files) comes up
-        empty via the disk path.
+        The rung is what the leaf finds, as in Figure 7: a valid shared
+        memory image, else a standby's wire session, else the disk
+        backup; no argument picks it.  A brand-new leaf (no shared
+        memory, no backup files) comes up empty via the disk path.
 
         With ``serve_while_restoring=True`` and valid shared memory, the
         leaf publishes the block directory, moves to
@@ -174,10 +175,9 @@ class LeafServer:
                 raise StateError(f"cannot start a leaf in status {self.status.value}")
             self.leafmap = self._new_leafmap()
             self._restorer = None
-            will_use_memory = memory_recovery_enabled and self.engine.shm_state_valid()
             self.status = (
                 LeafStatus.RECOVERING_MEMORY
-                if will_use_memory
+                if self.engine.shm_state_valid()
                 else LeafStatus.RECOVERING_DISK
             )
 
@@ -192,16 +192,12 @@ class LeafServer:
             try:
                 if serve_while_restoring:
                     restorer = self.engine.begin_lazy_restore(
-                        self.leafmap,
-                        memory_recovery_enabled=memory_recovery_enabled,
-                        on_disk_fallback=on_disk_fallback,
+                        self.leafmap, on_disk_fallback=on_disk_fallback
                     )
                     report = restorer.report
                 else:
                     report = self.engine.restore(
-                        self.leafmap,
-                        memory_recovery_enabled=memory_recovery_enabled,
-                        on_disk_fallback=on_disk_fallback,
+                        self.leafmap, on_disk_fallback=on_disk_fallback
                     )
             except Exception:
                 # The whole ladder failed: nothing the leaf could serve.
@@ -439,14 +435,7 @@ class LeafServer:
         """
         with self._lock:
             self.leafmap.seal_all()
-            return {
-                table.name: (
-                    table.blocks,
-                    table.total_rows_ingested,
-                    table.total_rows_expired,
-                )
-                for table in self.leafmap
-            }
+            return snapshot_leafmap(self.leafmap)
 
     @property
     def cache_stats(self) -> CacheStats:

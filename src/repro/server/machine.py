@@ -197,12 +197,9 @@ class Machine:
             budget,
         )
 
-    def _start_phase(self, memory_recovery_enabled, serve_while_restoring, workers, budget):
+    def _start_phase(self, serve_while_restoring, workers, budget):
         return self._each_leaf(
-            lambda leaf: leaf.start(
-                memory_recovery_enabled=memory_recovery_enabled,
-                serve_while_restoring=serve_while_restoring,
-            ),
+            lambda leaf: leaf.start(serve_while_restoring=serve_while_restoring),
             workers,
             budget,
         )
@@ -218,7 +215,6 @@ class Machine:
 
     def start_all(
         self,
-        memory_recovery_enabled: bool = True,
         serve_while_restoring: bool = False,
         budget_bytes: FootprintBudget | int | None = None,
     ) -> list[RestartOutcome]:
@@ -230,7 +226,7 @@ class Machine:
         :meth:`wait_restored_all` to drain.
         """
         return _loud(
-            self._start_phase(memory_recovery_enabled, serve_while_restoring, None, budget_bytes)
+            self._start_phase(serve_while_restoring, None, budget_bytes)
         )
 
     def wait_restored_all(self, timeout: float | None = None) -> list[RestartOutcome]:
@@ -243,7 +239,6 @@ class Machine:
         workers: int | None = None,
         budget_bytes: FootprintBudget | int | None = None,
         use_shm: bool = True,
-        memory_recovery_enabled: bool = True,
         deadline_seconds: float | None = None,
         serve_while_restoring: bool = False,
     ) -> ParallelRestartReport:
@@ -270,9 +265,7 @@ class Machine:
         report.shutdown = self._shutdown_phase(use_shm, deadline_seconds, workers, budget)
         report.shutdown_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        report.restore = self._start_phase(
-            memory_recovery_enabled, serve_while_restoring, workers, budget
-        )
+        report.restore = self._start_phase(serve_while_restoring, workers, budget)
         report.restore_seconds = time.perf_counter() - started
         if budget is not None:
             report.peak_in_flight_bytes = budget.peak_in_flight

@@ -9,7 +9,7 @@ Protocol: one JSON object per line in, one per line out.
 
 Requests::
 
-    {"op": "start", "memory_recovery_enabled": true}
+    {"op": "start"}
     {"op": "status"}
     {"op": "digest"}                           # sha256 of all rows
     {"op": "add_rows", "table": "events", "rows": [...]}
@@ -48,9 +48,7 @@ from repro.util.checksum import rows_digest
 def _handle(leaf: LeafServer, request: dict) -> dict:
     op = request.get("op")
     if op == "start":
-        report = leaf.start(
-            memory_recovery_enabled=request.get("memory_recovery_enabled", True)
-        )
+        report = leaf.start()
         return {
             "ok": True,
             "method": report.method.value,

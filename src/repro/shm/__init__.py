@@ -19,7 +19,6 @@ the paper's Boost::Interprocess mmap API) and defines:
 from repro.shm.inspect import LeafShmInfo, format_leaf_info, inspect_leaf
 from repro.shm.layout import (
     SHM_LAYOUT_VERSION,
-    read_table_from_segment,
     table_segment_size,
     write_table_to_segment,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "ShmSegment",
     "TableSegmentRecord",
     "metadata_segment_name",
-    "read_table_from_segment",
     "segment_exists",
     "table_segment_size",
     "write_table_to_segment",

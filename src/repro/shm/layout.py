@@ -262,15 +262,3 @@ def iter_blocks_from_segment(view: memoryview) -> Iterator[tuple[str, RowBlock]]
     table_name, pairs = read_segment_header(view)
     for offset, size in pairs:
         yield table_name, RowBlock.unpack(view[offset : offset + size])
-
-
-def read_table_from_segment(
-    segment: ShmSegment, used_bytes: int | None = None
-) -> tuple[str, list[RowBlock]]:
-    """Read a whole table segment back into heap row blocks."""
-    view = segment.buf if used_bytes is None else segment.read_at(0, used_bytes)
-    try:
-        table_name = read_segment_header(view)[0]
-        return table_name, [block for _, block in iter_blocks_from_segment(view)]
-    finally:
-        view.release()

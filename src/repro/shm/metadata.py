@@ -186,13 +186,3 @@ class LeafMetadata:
     def unlink(self) -> None:
         self._segment.unlink()
 
-    def unlink_all(self) -> None:
-        """Unlink every table segment this metadata references, then the
-        metadata segment itself (the "delete shared memory segments"
-        steps in Figures 6 and 7)."""
-        for record in self.records:
-            try:
-                ShmSegment.attach(record.segment_name).unlink()
-            except ShmError:
-                pass  # already gone; deletion must be idempotent
-        self.unlink()

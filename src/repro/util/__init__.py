@@ -10,8 +10,6 @@ from repro.util.binary import (
     BufferWriter,
     decode_varint,
     encode_varint,
-    zigzag_decode,
-    zigzag_encode,
 )
 from repro.util.bits import pack_uints, required_bit_width, unpack_uints
 from repro.util.budget import FootprintBudget
@@ -34,6 +32,4 @@ __all__ = [
     "required_bit_width",
     "unpack_uints",
     "verify_crc32",
-    "zigzag_decode",
-    "zigzag_encode",
 ]

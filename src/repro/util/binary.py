@@ -1,5 +1,5 @@
 """Binary encoding primitives: little-endian struct helpers, varints,
-zigzag transforms, the string wire form (:func:`len_prefixed_many`
+the string wire form (:func:`len_prefixed_many`
 writes it, :func:`read_len_prefixed_many` walks a run of it), and
 cursor-style buffer reader/writer classes.
 
@@ -18,8 +18,6 @@ from typing import Iterable
 from repro.errors import CorruptionError
 
 _U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 #: Public: the row-format chunk encoder packs these two directly.
 I64 = struct.Struct("<q")
@@ -135,24 +133,8 @@ def decode_varint(buf: bytes | memoryview, offset: int = 0) -> tuple[int, int]:
         shift += 7
 
 
-def zigzag_encode(value: int) -> int:
-    """Map a signed integer onto an unsigned one with small magnitudes
-    staying small (0→0, -1→1, 1→2, -2→3 ...)."""
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
-
-
-def zigzag_decode(value: int) -> int:
-    """Inverse of :func:`zigzag_encode`."""
-    return (value >> 1) ^ -(value & 1)
-
-
 class BufferWriter:
-    """An append-only binary writer with offset patching.
-
-    ``reserve_*`` methods return the offset of a placeholder that can be
-    filled in later with ``patch_*`` — used for headers whose section
-    offsets are only known after the sections are written.
-    """
+    """An append-only binary writer."""
 
     def __init__(self) -> None:
         self._buf = bytearray()
@@ -167,12 +149,6 @@ class BufferWriter:
 
     def write_u8(self, value: int) -> None:
         self._buf += _U8.pack(value)
-
-    def write_u16(self, value: int) -> None:
-        self._buf += _U16.pack(value)
-
-    def write_u32(self, value: int) -> None:
-        self._buf += _U32.pack(value)
 
     def write_u64(self, value: int) -> None:
         self._buf += _U64.pack(value)
@@ -194,14 +170,6 @@ class BufferWriter:
     def write_str(self, text: str) -> None:
         """Write a UTF-8 string with a varint byte-length prefix."""
         self._buf += len_prefixed(text)
-
-    def reserve_u64(self) -> int:
-        offset = self.offset
-        self._buf += b"\x00" * 8
-        return offset
-
-    def patch_u64(self, offset: int, value: int) -> None:
-        _U64.pack_into(self._buf, offset, value)
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
@@ -253,12 +221,6 @@ class BufferReader:
 
     def read_u8(self) -> int:
         return _U8.unpack(self._take(1))[0]
-
-    def read_u16(self) -> int:
-        return _U16.unpack(self._take(2))[0]
-
-    def read_u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
 
     def read_u64(self) -> int:
         return _U64.unpack(self._take(8))[0]

@@ -14,8 +14,6 @@ rather than growing by one window per concurrent copy.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 
 class FootprintBudget:
@@ -110,14 +108,6 @@ class FootprintBudget:
     def peak_in_flight(self) -> int:
         with self._cond:
             return self._peak
-
-    @contextmanager
-    def reserve(self, nbytes: int) -> Iterator[None]:
-        self.acquire(nbytes)
-        try:
-            yield
-        finally:
-            self.release(nbytes)
 
     def __repr__(self) -> str:
         with self._cond:

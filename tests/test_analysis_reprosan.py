@@ -336,8 +336,8 @@ class TestResourceAudit:
 
         san.begin_test("t::balanced")
         budget = FootprintBudget(limit_bytes=1 << 20)
-        with budget.reserve(4096):
-            pass
+        budget.acquire(4096)
+        budget.release(4096)
         record = san.end_test()
         assert record["budget_residue"] == {}
         assert record["problems"] == []

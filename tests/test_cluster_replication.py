@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.cluster import replication
 from repro.cluster.cluster import Cluster
 from repro.cluster.replication import (
+    DEFAULT_WINDOW,
     FRAME_BLOCK,
     FRAME_GET,
     FRAME_HELLO,
@@ -112,21 +113,24 @@ class TestWireRoundTripProperty:
             server.close()
 
     def test_session_fetch_matches_pack_over_tcp(self):
-        """The full server/session path, dictionary + float columns."""
+        """The full server/session path, dictionary + float columns.
+        More blocks than one window, so ``fetch_many`` receives inside
+        its send loop as well as after it."""
         leafmap = build_map(
             {
                 "events": [
                     {"time": i, "host": f"h{i % 3}", "value": i / 7}
-                    for i in range(64)
+                    for i in range(16 * (DEFAULT_WINDOW + 8))
                 ]
             }
         )
         server = ReplicaBlockServer(lambda: snapshot_leafmap(leafmap))
         session = ReplicaFetchSession(server.address, streams=3)
         try:
-            blocks = session.blocks()
+            (wire,) = session.tables
+            blocks = wire.blocks
             table = leafmap.get_table("events")
-            assert len(blocks) == table.block_count
+            assert len(blocks) == table.block_count > DEFAULT_WINDOW
             for desc in blocks:
                 payload = session.fetch(desc.table, desc.index)
                 assert payload == table.blocks[desc.index].pack()
@@ -136,7 +140,6 @@ class TestWireRoundTripProperty:
             session.fetch_many(
                 [(d.table, d.index) for d in blocks],
                 lambda _t, i, p: got.__setitem__(i, p),
-                window=4,
             )
             for desc in blocks:
                 assert got[desc.index] == table.blocks[desc.index].pack()

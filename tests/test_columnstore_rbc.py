@@ -68,13 +68,6 @@ class TestPositionIndependence:
             ColumnType.STRING
         )
 
-    def test_copy_bytes_detaches(self):
-        buf = bytearray(sample_rbc())
-        column = RowBlockColumn(buf)
-        copy = column.copy_bytes()
-        buf[HEADER_SIZE] ^= 0xFF
-        assert copy != bytes(buf)
-
 
 class TestValidation:
     def test_bad_magic(self):

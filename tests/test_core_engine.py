@@ -141,40 +141,6 @@ class TestDiskFallback:
         engine_for(shm_namespace, backup, clock).restore(restored)
         assert restored.snapshot_rows() == snapshot
 
-    def test_memory_recovery_disabled_goes_to_disk(self, shm_namespace, backup, clock):
-        leafmap = make_leafmap(clock)
-        leafmap.seal_all()
-        backup.sync_leafmap(leafmap)
-        engine_for(shm_namespace, backup, clock).backup_to_shm(leafmap)
-        restored = fresh_map(clock)
-        report = engine_for(shm_namespace, backup, clock).restore(
-            restored, memory_recovery_enabled=False
-        )
-        # The sealed-and-synced state has a fresh snapshot, so the disk
-        # path takes the fast tier.
-        assert report.method is RecoveryMethod.DISK_SNAPSHOT
-        assert report.leaf_states == ["init", "disk_snapshot_recovery", "alive"]
-        # The untouched (still valid) shm state remains for a later boot.
-        assert engine_for(shm_namespace, backup, clock).shm_state_valid()
-        engine_for(shm_namespace, backup, clock).discard_shm()
-
-    def test_memory_recovery_and_snapshot_tier_disabled_goes_to_legacy(
-        self, shm_namespace, backup, clock
-    ):
-        leafmap = make_leafmap(clock)
-        leafmap.seal_all()
-        backup.sync_leafmap(leafmap)
-        snapshot = leafmap.snapshot_rows()
-        engine_for(shm_namespace, backup, clock).backup_to_shm(leafmap)
-        restored = fresh_map(clock)
-        report = engine_for(
-            shm_namespace, backup, clock, disk_snapshot_tier=False
-        ).restore(restored, memory_recovery_enabled=False)
-        assert report.method is RecoveryMethod.DISK
-        assert report.leaf_states == ["init", "disk_recovery", "alive"]
-        assert restored.snapshot_rows() == snapshot
-        engine_for(shm_namespace, backup, clock).discard_shm()
-
     def test_invalid_bit_forces_disk_and_cleans_segments(
         self, shm_namespace, backup, clock
     ):

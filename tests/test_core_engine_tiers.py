@@ -16,6 +16,7 @@ import pytest
 from repro.cluster.replication import ReplicaBlockServer, ReplicaFetchSession, snapshot_leafmap
 from repro.columnstore.leafmap import LeafMap
 from repro.core.engine import RecoveryMethod, RestartEngine
+from repro.disk import recovery
 from repro.disk.backup import DiskBackup
 from repro.disk.shmformat import write_table_shm_format
 from repro.errors import CorruptionError, ReplicaWireError
@@ -54,6 +55,37 @@ class TestSnapshotTier:
         assert report.tables == 1
         assert report.rows == 120
         assert restored.snapshot_rows() == snapshot
+
+    def test_a_backup_without_snapshots_reads_no_chain(
+        self, shm_namespace, tmp_path, clock, monkeypatch
+    ):
+        """A backup opened with ``snapshots=False`` offers no chain to
+        read, even one the manifest vouches for: the restart skips the
+        snapshot rung, says why, and replays the log.  It opens no chain
+        file and removes none."""
+        backup, snapshot = synced_backup(tmp_path, clock)
+        files = backup.chain_files("events")
+        opened = []
+        monkeypatch.setattr(
+            recovery, "read_table_snapshot", lambda *args: opened.append(args)
+        )
+        restored = LeafMap(clock=clock, rows_per_block=50)
+        report = RestartEngine(
+            "0",
+            namespace=shm_namespace,
+            backup=DiskBackup(backup.directory, snapshots=False),
+            clock=clock,
+        ).restore(restored)
+        assert report.method is RecoveryMethod.DISK
+        assert report.leaf_states == ["init", "disk_recovery", "alive"]
+        assert [(e.what, e.reason) for e in report.events if e.kind == "skip"] == [
+            ("disk_snapshot", "backup keeps no snapshots")
+        ]
+        assert restored.snapshot_rows() == snapshot
+        check_counters(restored)
+        assert opened == []
+        assert files and all(path.exists() for path in files)
+        assert DiskBackup(backup.directory).snapshots_ready()
 
     def test_torn_snapshot_file_falls_back_to_legacy(
         self, shm_namespace, tmp_path, clock
@@ -152,9 +184,8 @@ class TestSnapshotTier:
         RestartEngine(
             "0",
             namespace=shm_namespace,
-            backup=backup,
+            backup=DiskBackup(backup.directory, snapshots=False),
             clock=clock,
-            disk_snapshot_tier=False,
         ).restore(legacy)
         assert restored.snapshot_rows() == legacy.snapshot_rows()
 
@@ -567,9 +598,8 @@ class TestLateBlockExpiryOnEveryRung:
             engine = RestartEngine(
                 "0",
                 namespace=shm_namespace,
-                backup=DiskBackup(tmp_path / "backup"),
+                backup=DiskBackup(tmp_path / "backup", snapshots=not rung.startswith("legacy")),
                 clock=clock,
-                disk_snapshot_tier=not rung.startswith("legacy"),
                 replay_workers=int(rung[-1]) if rung.startswith("legacy") else 1,
             )
             if server is not None:

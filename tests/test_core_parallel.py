@@ -211,14 +211,6 @@ class TestFootprintBudget:
         budget.release(5)
         assert budget.in_flight == 0
 
-    def test_reserve_context_manager_releases_on_error(self):
-        budget = FootprintBudget(10)
-        with pytest.raises(RuntimeError):
-            with budget.reserve(7):
-                assert budget.in_flight == 7
-                raise RuntimeError("boom")
-        assert budget.in_flight == 0
-
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             FootprintBudget(0)

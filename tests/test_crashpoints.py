@@ -61,11 +61,10 @@ class World:
         engine = RestartEngine(
             "0",
             namespace=self.namespace,
-            backup=DiskBackup(self.directory),
+            backup=DiskBackup(self.directory, snapshots=self.snapshot_tier),
             tracker=tracker or MemoryTracker(),
             clock=self.clock,
             budget=budget,
-            disk_snapshot_tier=self.snapshot_tier,
         )
         if self.server is not None:
             address = self.server.address

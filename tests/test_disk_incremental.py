@@ -193,7 +193,10 @@ class TestDeltaChain:
         assert recovered.snapshot_rows() == leafmap.snapshot_rows()
 
     def test_incremental_disabled_always_rewrites(self, tmp_path, clock):
-        backup = DiskBackup(tmp_path / "b", incremental=False)
+        """A one-link chain is the pre-chain regime: every snapshot point
+        writes one whole base (a compaction after the first), no delta
+        file ever reaches the disk, and the base recovers the table."""
+        backup = DiskBackup(tmp_path / "b", max_chain_links=1)
         leafmap = make_leafmap(clock)
         sealed_sync(backup, leafmap)
         start = 5000
@@ -202,8 +205,13 @@ class TestDeltaChain:
             sealed_sync(backup, leafmap)
         assert backup.stats.bases_written == 4
         assert backup.stats.deltas_written == 0
-        assert len(backup.snapshot_chain("events")) == 1
+        assert backup.stats.compactions == 3
+        assert [link["kind"] for link in backup.snapshot_chain("events")] == ["base"]
+        assert sorted(backup.snapshot_dir.iterdir()) == backup.chain_files("events")
         assert backup.stats.write_amplification >= 1.0
+        recovered = LeafMap(clock=clock, rows_per_block=50)
+        restore_from_chain(DiskBackup(backup.directory), recovered)
+        assert rows_digest(recovered.snapshot_rows()) == rows_digest(leafmap.snapshot_rows())
 
     def test_chain_survives_manager_restart(self, backup, clock):
         leafmap = make_leafmap(clock)

@@ -20,7 +20,7 @@ from repro.columnstore.leafmap import LeafMap
 from repro.columnstore.rowblock import RowBlock
 from repro.columnstore.table import Table
 from repro.core.engine import RecoveryMethod
-from repro.disk.backup import DiskBackup, _unsynced_chunk
+from repro.disk.backup import DEFAULT_MAX_CHAIN_LINKS, DiskBackup, _unsynced_chunk
 from repro.disk.format import encode_chunk_rows, read_table_chunks, write_chunk
 from repro.disk.recovery import recover_leafmap
 from repro.server.leaf import LeafServer
@@ -295,7 +295,9 @@ class TestOnePublishPerLeafSync:
     ):
         leafmap = make_leafmap(clock, tables=TABLES)
         legacy = DiskBackup(tmp_path / "legacy", snapshots=False)
-        full = DiskBackup(tmp_path / "full", incremental=incremental)
+        full = DiskBackup(
+            tmp_path / "full", max_chain_links=DEFAULT_MAX_CHAIN_LINKS if incremental else 1
+        )
         recorder = Recorder(monkeypatch, root=tmp_path)
         legacy.sync_leafmap(leafmap)
         assert (len(recorder.of("fsync")), len(recorder.of("replace"))) == (2 + 2, 1)

@@ -103,9 +103,8 @@ class TestRestartEquivalenceProperty:
         legacy_report = RestartEngine(
             "0",
             namespace=namespace,
-            backup=backup,
+            backup=DiskBackup(backup.directory, snapshots=False),
             clock=clock,
-            disk_snapshot_tier=False,
         ).restore(legacy)
         assert legacy_report.method is RecoveryMethod.DISK
         assert legacy.snapshot_rows() == snapshot
@@ -226,11 +225,12 @@ class TestIncrementalChainProperty:
         restore_from_chain(DiskBackup(backup.directory), chained)
         assert rows_digest(chained.snapshot_rows()) == expected
 
-        # A fresh full (non-incremental) snapshot of the same state.
-        full_backup = DiskBackup(
-            tmp_path_factory.mktemp("hyp-full"), incremental=False
-        )
+        # A fresh full snapshot of the same state: a one-link chain
+        # writes one base per snapshot point and no delta.
+        full_backup = DiskBackup(tmp_path_factory.mktemp("hyp-full"), max_chain_links=1)
         full_backup.sync_leafmap(leafmap)
+        assert (full_backup.stats.bases_written, full_backup.stats.deltas_written) == (1, 0)
+        assert sorted(full_backup.snapshot_dir.iterdir()) == full_backup.chain_files("events")
         full = LeafMap(clock=clock, rows_per_block=16)
         restore_from_chain(full_backup, full)
         assert rows_digest(full.snapshot_rows()) == expected

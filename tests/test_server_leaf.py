@@ -193,17 +193,6 @@ class TestLifecycle:
         with pytest.raises(StateError):
             leaf.shutdown()
 
-    def test_memory_recovery_can_be_disabled(self, shm_namespace, tmp_path, clock):
-        leaf = make_leaf(shm_namespace, tmp_path, clock)
-        leaf.start()
-        leaf.add_rows("events", ROWS)
-        leaf.shutdown(use_shm=True)
-        reborn = make_leaf(shm_namespace, tmp_path, clock)
-        report = reborn.start(memory_recovery_enabled=False)
-        assert report.method is RecoveryMethod.DISK_SNAPSHOT
-        assert reborn.leafmap.row_count == 120
-        reborn.engine.discard_shm()  # stale-but-valid segments remain
-
 
 class TestDataPlane:
     def test_add_and_query(self, shm_namespace, tmp_path, clock):

@@ -90,17 +90,16 @@ class TestEnforcement:
         assert leaf.backup.rows_expired("events") == 60
         digest = rows_digest(leaf.leafmap.snapshot_rows())
         leaf.crash()
-        for snapshot_tier in (True, False):
+        for snapshots in (True, False):
             restored = LeafMap(clock=clock, rows_per_block=20)
             report = RestartEngine(
                 "0",
                 namespace=shm_namespace,
-                backup=DiskBackup(tmp_path / "leaf-0"),
+                backup=DiskBackup(tmp_path / "leaf-0", snapshots=snapshots),
                 clock=clock,
-                disk_snapshot_tier=snapshot_tier,
             ).restore(restored)
             assert report.method is (
-                RecoveryMethod.DISK_SNAPSHOT if snapshot_tier else RecoveryMethod.DISK
+                RecoveryMethod.DISK_SNAPSHOT if snapshots else RecoveryMethod.DISK
             )
             assert rows_digest(restored.snapshot_rows()) == digest
 

@@ -9,15 +9,24 @@ from repro.core.engine import RecoveryMethod, RestartEngine
 from repro.errors import CorruptionError, LayoutVersionError, ShmError
 from repro.shm.layout import (
     TableSegmentWriter,
+    iter_blocks_from_segment,
     read_block_headers,
     read_segment_header,
-    read_table_from_segment,
     table_segment_size,
     write_table_to_segment,
 )
 from repro.shm.metadata import LeafMetadata
 from repro.shm.segment import ShmSegment
 from repro.util.binary import BufferWriter
+
+
+def read_back(segment, used):
+    """``(table name, heap blocks)`` of a written table segment."""
+    view = segment.read_at(0, used)
+    try:
+        return read_segment_header(view)[0], [b for _, b in iter_blocks_from_segment(view)]
+    finally:
+        view.release()
 
 
 def make_blocks(n_blocks=3, rows=20):
@@ -56,7 +65,7 @@ class TestWriteRead:
         segment = ShmSegment.create(f"{shm_namespace}-a", size + 100)  # slack ok
         try:
             used = write_table_to_segment(segment, "events", blocks)
-            name, recovered = read_table_from_segment(segment, used)
+            name, recovered = read_back(segment, used)
             assert name == "events"
             assert [b.to_rows() for b in recovered] == [b.to_rows() for b in blocks]
         finally:
@@ -67,7 +76,7 @@ class TestWriteRead:
         segment = ShmSegment.create(f"{shm_namespace}-b", max(size, 1))
         try:
             used = write_table_to_segment(segment, "empty", [])
-            name, recovered = read_table_from_segment(segment, used)
+            name, recovered = read_back(segment, used)
             assert name == "empty" and recovered == []
         finally:
             segment.unlink()

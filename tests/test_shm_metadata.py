@@ -4,7 +4,6 @@ import pytest
 
 from repro.shm.layout import SHM_LAYOUT_VERSION
 from repro.shm.metadata import LeafMetadata, TableSegmentRecord, metadata_segment_name
-from repro.shm.segment import ShmSegment, segment_exists
 
 
 class TestMetadata:
@@ -75,26 +74,3 @@ class TestMetadata:
 
         with pytest.raises(ShmError):
             LeafMetadata.attach(shm_namespace, "nothing")
-
-    def test_unlink_all_removes_table_segments(self, shm_namespace):
-        seg_a = ShmSegment.create(f"{shm_namespace}-t0", 32)
-        seg_b = ShmSegment.create(f"{shm_namespace}-t1", 32)
-        seg_a.close()
-        seg_b.close()
-        meta = LeafMetadata.create(shm_namespace, "0", 1)
-        meta.set_records(
-            [
-                TableSegmentRecord("a", f"{shm_namespace}-t0", 32),
-                TableSegmentRecord("b", f"{shm_namespace}-t1", 32),
-            ]
-        )
-        meta.unlink_all()
-        assert not segment_exists(f"{shm_namespace}-t0")
-        assert not segment_exists(f"{shm_namespace}-t1")
-        assert not LeafMetadata.exists(shm_namespace, "0")
-
-    def test_unlink_all_tolerates_missing_segments(self, shm_namespace):
-        meta = LeafMetadata.create(shm_namespace, "0", 1)
-        meta.set_records([TableSegmentRecord("a", f"{shm_namespace}-gone", 32)])
-        meta.unlink_all()  # must not raise
-        assert not LeafMetadata.exists(shm_namespace, "0")

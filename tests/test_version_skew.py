@@ -274,11 +274,9 @@ class TestExpiryRecord:
         entry = manifest["events"]
         entry.update(expire_before=cutoff, expire_applied=cutoff, expire_gen=entry["sync_gen"])
         path.write_text(json.dumps(manifest))
-        reopened = DiskBackup(backup.directory)
+        reopened = DiskBackup(backup.directory, snapshots=snapshot_tier)
         assert reopened.snapshots_ready()
-        _, report, restored = restore(
-            shm_namespace, reopened, clock, disk_snapshot_tier=snapshot_tier
-        )
+        _, report, restored = restore(shm_namespace, reopened, clock)
         assert report.method is (
             RecoveryMethod.DISK_SNAPSHOT if snapshot_tier else RecoveryMethod.DISK
         )
