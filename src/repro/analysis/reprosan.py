@@ -108,8 +108,9 @@ ALLOWED: dict[str, tuple[str, str]] = {
     "LeafServer.start": (
         "blocks",
         "a leaf in memory recovery accepts nothing (Figure 5): a blocking "
-        "boot holds the leaf lock through its whole ladder, a replica "
-        "handshake and the disk rungs included",
+        "boot holds the leaf lock through its whole ladder, the replica "
+        "handshake (one connection; a drain joins the other streams) and "
+        "the disk rungs included",
     ),
     "RestoreDriver._land_from_below": (
         "blocks",

@@ -108,18 +108,6 @@ class Cluster:
     def leaves(self) -> list[LeafServer]:
         return [leaf for machine in self.machines for leaf in machine.leaves]
 
-    def leaf_by_id(self, leaf_id: str) -> LeafServer:
-        for leaf in self.leaves:
-            if leaf.leaf_id == leaf_id:
-                return leaf
-        raise KeyError(f"no leaf with id '{leaf_id}'")
-
-    def machine_of(self, leaf: LeafServer) -> Machine:
-        for machine in self.machines:
-            if leaf in machine.leaves:
-                return machine
-        raise KeyError(f"leaf {leaf.leaf_id} belongs to no machine")
-
     def start_all(self) -> None:
         for machine in self.machines:
             machine.start_all()
@@ -188,13 +176,3 @@ class Cluster:
         """Release replication resources (block servers, sockets)."""
         if self.replica_catalog is not None:
             self.replica_catalog.close()
-
-    def total_rows(self) -> int:
-        return sum(leaf.leafmap.row_count for leaf in self.leaves)
-
-    def version_counts(self) -> dict[str, int]:
-        """Leaves per binary version (the dashboard's horizontal axis)."""
-        counts: dict[str, int] = {}
-        for leaf in self.leaves:
-            counts[leaf.version] = counts.get(leaf.version, 0) + 1
-        return counts

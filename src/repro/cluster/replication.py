@@ -50,6 +50,7 @@ import struct
 import threading
 import zlib
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Callable
@@ -160,9 +161,11 @@ def _raise_on_error(kind: int, payload: bytes, expected: int) -> None:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WireBlock(TimeRange):
-    """One sealed block as described by a session catalog."""
+    """One sealed block as described by a session catalog.  Not frozen,
+    as :class:`~repro.shm.layout.BlockExtent` is not: a handshake builds
+    one per block."""
 
     table: str
     index: int
@@ -194,7 +197,7 @@ def _catalog_payload(token: str, tables: TableSnapshot) -> bytes:
                 "rows_expired": expired,
                 "blocks": [
                     [
-                        len(block.packed_preamble()) + block.nbytes,
+                        block.packed_size,
                         block.row_count,
                         block.min_time,
                         block.max_time,
@@ -403,7 +406,8 @@ class ReplicaBlockServer:
 
 
 class ReplicaFetchSession:
-    """N connections pinned to one replica session.
+    """Up to N connections pinned to one replica session: the opening
+    one connects with the session, the rest with :meth:`open_streams`.
 
     ``fetch`` is thread-safe: callers borrow a connection from the pool,
     run one GET/BLOCK exchange, and return it — the pipelined restore
@@ -427,35 +431,41 @@ class ReplicaFetchSession:
         self._failure: BaseException | None = None
         self.token = ""
         self.tables: tuple[WireTable, ...] = ()
+        self._address = address
         try:
-            self._join(address, opening=True)
-            extras = self.streams - 1
-            if extras:
-                # Joining streams are independent connects acknowledged
-                # with a two-frame handshake; opening them concurrently
-                # keeps session setup at ~one round trip regardless of
-                # the stream count.
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(
-                    max_workers=extras, thread_name_prefix="replica-join"
-                ) as pool:
-                    joins = [
-                        pool.submit(self._join, address, False)
-                        for _ in range(extras)
-                    ]
-                    for join in joins:
-                        join.result()
+            self._join(opening=True)
         except BaseException:
             self.close()
             raise
 
-    def _join(self, address: tuple[str, int], opening: bool) -> None:
+    def open_streams(self) -> None:
+        """Connect the joining streams, up to ``streams`` in all.
+
+        A drain calls this before it pulls; a serving restore's fault-ins
+        share the opening connection, so a restart that never drains
+        opens exactly one.  Joining streams are independent connects
+        acknowledged with a two-frame handshake; opening them
+        concurrently keeps the join at ~one round trip regardless of the
+        stream count.
+        """
+        if self._failure is not None:
+            raise self._failure
+        if self._closed:
+            raise ReplicaWireError("replica session closed")
+        extras = self.streams - len(self._sockets)
+        if extras <= 0:
+            return
+        with ThreadPoolExecutor(max_workers=extras, thread_name_prefix="replica-join") as pool:
+            joins = [pool.submit(self._join, False) for _ in range(extras)]
+            for join in joins:
+                join.result()
+
+    def _join(self, opening: bool) -> None:
         try:
-            sock = socket.create_connection(address, timeout=self._timeout)
+            sock = socket.create_connection(self._address, timeout=self._timeout)
         except OSError as exc:
             raise ReplicaWireError(
-                f"cannot reach replica at {address}: {exc}"
+                f"cannot reach replica at {self._address}: {exc}"
             ) from exc
         _no_delay(sock)
         self._sockets.append(sock)

@@ -35,6 +35,7 @@ Footer layout (8 bytes)::
 from __future__ import annotations
 
 import struct
+import zlib
 
 from repro.compression import (
     CompressionFlags,
@@ -44,7 +45,7 @@ from repro.compression import (
     decode_column_arrays,
     encode_column,
 )
-from repro.errors import CorruptionError, LayoutVersionError
+from repro.errors import ChecksumMismatchError, CorruptionError, LayoutVersionError
 from repro.types import ColumnType, ColumnValue
 from repro.util.checksum import crc32_of, verify_crc32
 
@@ -57,6 +58,9 @@ FOOTER_SIZE = 8
 
 _HEADER = struct.Struct("<IHHQQQQQQ")
 _FOOTER = struct.Struct("<II")
+#: The header's magic and total size: all a packed row block's reader
+#: needs to slice an RBC out of it (:meth:`RowBlock.unpack`).
+RBC_EXTENT = struct.Struct("<I4xQ")
 
 
 def build_rbc(ctype: ColumnType, values: list[ColumnValue]) -> bytes:
@@ -87,6 +91,61 @@ def build_rbc_from_encoded(encoded: EncodedColumn) -> bytes:
     return body + footer
 
 
+def _checked_header(buf: bytes | bytearray | memoryview) -> tuple[int, int, int, int, int, int]:
+    """An RBC header checked against the buffer it heads: the flags,
+    item counts and section offsets.  Raises :class:`CorruptionError` on
+    a short buffer, a bad magic, a total that is not the buffer's length,
+    sections out of order or a footer not at the end, and
+    :class:`LayoutVersionError` on another layout version."""
+    if len(buf) < HEADER_SIZE + FOOTER_SIZE:
+        raise CorruptionError(
+            f"buffer of {len(buf)} bytes is smaller than an empty RBC"
+        )
+    (
+        magic,
+        version,
+        flags,
+        total,
+        n_items,
+        n_dict,
+        dict_offset,
+        data_offset,
+        footer_offset,
+    ) = _HEADER.unpack_from(buf)
+    if magic != RBC_MAGIC:
+        raise CorruptionError(f"bad RBC magic 0x{magic:08x}")
+    if version != RBC_VERSION:
+        raise LayoutVersionError(
+            f"RBC layout version {version} not readable by this build "
+            f"(expects {RBC_VERSION})"
+        )
+    if total != len(buf):
+        raise CorruptionError(
+            f"RBC header claims {total} bytes but buffer holds {len(buf)}"
+        )
+    if not HEADER_SIZE <= dict_offset <= data_offset <= footer_offset <= total - FOOTER_SIZE:
+        raise CorruptionError("RBC section offsets out of order or out of bounds")
+    if footer_offset + FOOTER_SIZE != total:
+        raise CorruptionError("RBC footer is not at the end of the buffer")
+    return flags, n_items, n_dict, dict_offset, data_offset, footer_offset
+
+
+def verify_rbc(buf: bytes | memoryview) -> None:
+    """``RowBlockColumn(buf).verify()`` read in place: the same header
+    checks, end magic and checksum, raising the same errors, with no
+    view object per column.  The restore path checks every RBC of every
+    block it adopts through this."""
+    footer_offset = _checked_header(buf)[5]
+    crc, end_magic = _FOOTER.unpack_from(buf, footer_offset)
+    if end_magic != RBC_END_MAGIC:
+        raise CorruptionError(f"bad RBC end magic 0x{end_magic:08x}")
+    actual = zlib.crc32(memoryview(buf)[:footer_offset])
+    if actual != crc:
+        raise ChecksumMismatchError(
+            f"checksum mismatch: stored 0x{crc:08x}, computed 0x{actual:08x}"
+        )
+
+
 class RowBlockColumn:
     """A read-only view over an RBC buffer.
 
@@ -107,38 +166,8 @@ class RowBlockColumn:
     )
 
     def __init__(self, buf: bytes | bytearray | memoryview) -> None:
-        if len(buf) < HEADER_SIZE + FOOTER_SIZE:
-            raise CorruptionError(
-                f"buffer of {len(buf)} bytes is smaller than an empty RBC"
-            )
-        view = memoryview(buf)
-        (
-            magic,
-            version,
-            flags,
-            total,
-            n_items,
-            n_dict,
-            dict_offset,
-            data_offset,
-            footer_offset,
-        ) = _HEADER.unpack(view[:HEADER_SIZE])
-        if magic != RBC_MAGIC:
-            raise CorruptionError(f"bad RBC magic 0x{magic:08x}")
-        if version != RBC_VERSION:
-            raise LayoutVersionError(
-                f"RBC layout version {version} not readable by this build "
-                f"(expects {RBC_VERSION})"
-            )
-        if total != len(view):
-            raise CorruptionError(
-                f"RBC header claims {total} bytes but buffer holds {len(view)}"
-            )
-        if not HEADER_SIZE <= dict_offset <= data_offset <= footer_offset <= total - FOOTER_SIZE:
-            raise CorruptionError("RBC section offsets out of order or out of bounds")
-        if footer_offset + FOOTER_SIZE != total:
-            raise CorruptionError("RBC footer is not at the end of the buffer")
-        self._buf = view
+        flags, n_items, n_dict, dict_offset, data_offset, footer_offset = _checked_header(buf)
+        self._buf = memoryview(buf)
         self.flags = CompressionFlags(flags)
         self.n_items = n_items
         self.n_dict_items = n_dict
@@ -200,21 +229,3 @@ def rbc_stored_crc(buf: bytes | memoryview) -> int:
             f"buffer of {len(buf)} bytes is smaller than an empty RBC"
         )
     return _FOOTER.unpack_from(buf, len(buf) - FOOTER_SIZE)[0]
-
-
-def rbc_extent(view: memoryview, offset: int) -> int:
-    """Total size of the RBC starting at ``offset``, from its header.
-
-    This is the only field the restore fast path needs to slice an RBC
-    out of a packed block without constructing a :class:`RowBlockColumn`
-    (full validation happens later, in ``verify``/decode).
-    """
-    if offset + 16 > len(view):
-        raise CorruptionError("RBC header overruns its enclosing buffer")
-    magic = struct.unpack_from("<I", view, offset)[0]
-    if magic != RBC_MAGIC:
-        raise CorruptionError(f"bad RBC magic 0x{magic:08x}")
-    total = struct.unpack_from("<Q", view, offset + 8)[0]
-    if total < HEADER_SIZE + FOOTER_SIZE:
-        raise CorruptionError(f"RBC claims impossible total size {total}")
-    return total

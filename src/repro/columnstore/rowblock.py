@@ -27,16 +27,20 @@ import struct
 from typing import Iterable, Mapping
 
 from repro.columnstore.rbc import (
+    FOOTER_SIZE as RBC_FOOTER_SIZE,
+    HEADER_SIZE as RBC_HEADER_SIZE,
+    RBC_EXTENT,
+    RBC_MAGIC,
     RowBlockColumn,
     build_rbc,
-    rbc_extent,
     rbc_stored_crc,
+    verify_rbc,
 )
 from repro.columnstore.schema import Schema
 from repro.compression.decoded import DecodedColumn
 from repro.errors import CapacityError, CorruptionError, LayoutVersionError, SchemaError
 from repro.types import TIME_COLUMN, ColumnValue
-from repro.util.binary import BufferReader, BufferWriter
+from repro.util.binary import BufferReader, encode_varint
 
 #: Paper: "Each row block contains 65,536 rows that arrived consecutively."
 ROWS_PER_BLOCK = 65536
@@ -170,10 +174,6 @@ class RowBlock(TimeRange):
         """Compressed size: the sum of the RBC buffers."""
         return sum(len(buf) for buf in self._rbcs.values())
 
-    @property
-    def column_names(self) -> list[str]:
-        return self.schema.names
-
     def rbc_buffer(self, name: str) -> bytes:
         """The raw RBC buffer for one column (the unit of copying)."""
         try:
@@ -262,12 +262,27 @@ class RowBlock(TimeRange):
 
     def verify(self) -> None:
         """Checksum-verify every column buffer."""
+        rbcs = self._rbcs
         for name in self.schema.names:
-            RowBlockColumn(self._rbcs[name]).verify()
+            verify_rbc(rbcs[name])
 
     # ------------------------------------------------------------------
     # Contiguous (shared memory / new disk) layout
     # ------------------------------------------------------------------
+
+    @property
+    def packed_size(self) -> int:
+        """``len(self.pack())``, from what the block already knows: the
+        header, the schema's wire length, 8 bytes per column and the RBC
+        sizes — nothing is encoded."""
+        n_columns = len(self.schema)
+        return (
+            PACK_HEADER.size
+            + len(self.schema.wire)
+            + len(encode_varint(n_columns))
+            + 8 * n_columns
+            + self.nbytes
+        )
 
     def packed_preamble(self) -> bytes:
         """The bytes of the contiguous Figure-4 layout before the RBCs:
@@ -280,25 +295,21 @@ class RowBlock(TimeRange):
         loses.  This is the only encoder of the layout: the shm copy-out,
         the snapshot file and the replica wire all start from it.
         """
-        writer = BufferWriter()
-        self.schema.serialize(writer)
         names = self.schema.names
-        writer.write_varint(len(names))
-        cursor = PACK_HEADER.size + writer.offset + 8 * len(names)
-        for name in names:
-            writer.write_u64(cursor)
-            cursor += len(self._rbcs[name])
+        head = self.schema.wire + encode_varint(len(names))
+        first = PACK_HEADER.size + len(head) + 8 * len(names)
+        offsets = list(itertools.accumulate((len(self._rbcs[name]) for name in names), initial=first))
         header = PACK_HEADER.pack(
             ROWBLOCK_MAGIC,
             ROWBLOCK_VERSION,
             0,
-            cursor,
+            offsets.pop(),
             self.row_count,
             self.min_time,
             self.max_time,
             self.created_at,
         )
-        return header + writer.getvalue()
+        return header + head + struct.pack(f"<{len(names)}Q", *offsets)
 
     def packed_chunks(self) -> list[bytes]:
         """:meth:`pack` as chunks: the preamble, then the block's own RBC
@@ -332,18 +343,30 @@ class RowBlock(TimeRange):
             raise CorruptionError(
                 f"offset table has {n_columns} entries for a {len(schema)}-column schema"
             )
-        offsets = [reader.read_u64() for _ in range(n_columns)]
+        at = reader.offset
+        if at + 8 * n_columns > total:
+            raise CorruptionError(
+                f"{n_columns}-entry offset table at {at} overruns the "
+                f"{total}-byte packed row block"
+            )
+        offsets = struct.unpack_from(f"<{n_columns}Q", view, at)
+        first, last = PACK_HEADER.size, total - RBC_EXTENT.size
+        smallest = RBC_HEADER_SIZE + RBC_FOOTER_SIZE
+        extent = RBC_EXTENT.unpack_from
         rbcs: dict[str, bytes] = {}
         for name, offset in zip(schema.names, offsets):
-            if not PACK_HEADER.size <= offset < total:
+            if not first <= offset <= last:
                 raise CorruptionError(f"column '{name}' offset {offset} out of bounds")
-            size = rbc_extent(view, offset)
-            if offset + size > total:
+            magic, size = extent(view, offset)
+            end = offset + size
+            if magic != RBC_MAGIC:
+                raise CorruptionError(f"bad RBC magic 0x{magic:08x}")
+            if size < smallest or end > total:
                 raise CorruptionError(
-                    f"column '{name}' extent {offset}+{size} overruns the "
+                    f"column '{name}' extent {offset}+{size} does not fit the "
                     f"{total}-byte packed row block"
                 )
-            rbcs[name] = bytes(view[offset : offset + size])
+            rbcs[name] = bytes(view[offset:end])
         return cls(schema, rbcs, row_count, min_time, max_time, created_at)
 
 

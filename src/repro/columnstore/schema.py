@@ -9,6 +9,7 @@ owning one.  Every schema contains the required ``time`` column.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
@@ -145,12 +146,17 @@ class Schema:
         default = ctype.default()
         return checked_column(ctype, [row.get(name, default) for row in rows])
 
-    def serialize(self, writer: BufferWriter) -> None:
-        """Append the wire form: varint count then (name, type) pairs."""
+    @cached_property
+    def wire(self) -> bytes:
+        """The wire form: varint count then (name, type) pairs.  Built
+        once: a schema is immutable, and every packed copy of a block
+        (shared memory, snapshot file, wire frame, catalog size) needs it."""
+        writer = BufferWriter()
         writer.write_varint(len(self._columns))
         for name, ctype in self._columns.items():
             writer.write_str(name)
             writer.write_u8(int(ctype))
+        return writer.getvalue()
 
     #: ``(wire bytes, schema)`` of the last schema parsed.  A table's row
     #: blocks nearly always repeat their neighbour's schema, so a restore

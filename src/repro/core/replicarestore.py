@@ -6,9 +6,10 @@ directory and a :class:`ReplicaSession` (what ``RestartEngine``'s
 ``replica_source`` hands back; ``repro.cluster.replication`` implements
 it) is where a pending block's bytes are: the restarting leaf can start
 serving after one HELLO/CATALOG round-trip, each fault-in is a GET/BLOCK
-exchange followed by the driver's decode + verify + adopt, and a drain —
-all a blocking restore is — pulls everything still pending through the
-session's pipelined streams.
+exchange on that one connection followed by the driver's decode +
+verify + adopt, and a drain — all a blocking restore is — joins the
+session's other streams and pulls everything still pending through
+them, pipelined.
 
 The ladder position is between the shm tier and the disk rungs: the
 engine routes here only when shared memory is unusable, and any wire
@@ -52,6 +53,10 @@ class ReplicaSession(Protocol):
     streams: int
     #: The catalog pinned at the handshake.
     tables: Sequence[CatalogTable]
+
+    def open_streams(self) -> None:
+        """Connect the ``streams`` a drain drives; until then a session
+        holds the one connection its handshake opened."""
 
     def fetch(self, table: str, index: int) -> bytes:
         """One block's packed bytes; raises on any wire fault."""
@@ -101,15 +106,17 @@ class ReplicaRestore(RestoreDriver):
     def _read_blocks(self, descs: list) -> Iterator[tuple]:
         """Pipelined pull of everything a drain still wants.
 
-        ``session.streams`` fetch threads each run fetch → unpack →
-        verify (the CRC and decode work release the GIL, so the streams
-        genuinely overlap); nothing is handed on until every block is
+        The session's joining streams connect here, not at the
+        handshake; then ``session.streams`` fetch threads each run
+        fetch → unpack → verify (the CRC and decode work release the
+        GIL, so the streams genuinely overlap); nothing is handed on until every block is
         home, and then in catalog order, so tables install
         all-or-nothing.  ``descs`` comes hottest table first, so a fault
         that kills the session late still pulled the data queries want
         most.
         """
         session = self._session
+        session.open_streams()
         decoded: dict[tuple[str, int], object] = {}
 
         def on_block(table: str, index: int, payload: bytes) -> None:

@@ -247,7 +247,9 @@ class DiskBackup:
         # be durable, or a crash could leave a manifest that trusts a
         # snapshot which no longer matches it.
         with open(tmp, "w") as fh:
-            fh.write(json.dumps(self._manifest, indent=1, sort_keys=True))
+            # Compact: ``indent`` would select json's pure-Python encoder,
+            # and every reader parses either form.
+            fh.write(json.dumps(self._manifest, sort_keys=True, separators=(",", ":")))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self._manifest_path())
@@ -330,14 +332,6 @@ class DiskBackup:
         legacy replay then filters rows by :meth:`expire_cutoff`.
         """
         return self._manifest.get(table_name, {}).get("rows_expired")
-
-    def sync_generation(self, table_name: str) -> int:
-        """Monotone counter bumped whenever a table's synced state changes."""
-        return self._manifest.get(table_name, {}).get("sync_gen", 0)
-
-    def snapshot_generation(self, table_name: str) -> int:
-        """The sync generation the table's snapshot was taken at (0 = none)."""
-        return self._manifest.get(table_name, {}).get("snapshot_gen", 0)
 
     def snapshot_chain(self, table_name: str) -> list[dict]:
         """The table's snapshot chain links (base first), possibly empty

@@ -189,10 +189,3 @@ class QueryResult:
         if self.leaves_total == 0:
             return 1.0
         return self.leaves_responded / self.leaves_total
-
-    def row_for(self, *group: ColumnValue) -> ResultRow:
-        """Find the result row for a group key (test convenience)."""
-        for row in self.rows:
-            if row.group == tuple(group):
-                return row
-        raise KeyError(f"no result row for group {group!r}")

@@ -192,18 +192,25 @@ def read_segment_header(view: memoryview) -> tuple[str, list[tuple[int, int]]]:
     reader = BufferReader(view, offset=_SEG_FIXED.size)
     table_name = reader.read_str()
     n_blocks = reader.read_varint()
-    offsets = [reader.read_u64() for _ in range(n_blocks)]
-    pairs = list(zip(offsets, [reader.read_u64() for _ in range(n_blocks)]))
+    at = reader.offset
+    if at + 16 * n_blocks > len(view):
+        raise CorruptionError(f"{n_blocks}-block extent table overruns the segment")
+    table = struct.unpack_from(f"<{2 * n_blocks}Q", view, at)
+    pairs = list(zip(table[:n_blocks], table[n_blocks:]))
     for offset, size in pairs:
         if offset + size > used:
             raise CorruptionError("row block extent outside the segment's used bytes")
     return table_name, pairs
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockExtent(TimeRange):
     """One sealed block's location and header facts inside a segment:
-    what a restore's block directory holds before the block is read."""
+    what a restore's block directory holds before the block is read.
+
+    Nothing changes one once the directory is read.  It is not a frozen
+    dataclass because a directory builds one per block and a frozen
+    ``__init__`` costs several times a plain one."""
 
     table: str
     index: int  # position in the segment's block order

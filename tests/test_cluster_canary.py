@@ -1,6 +1,7 @@
 """Tests for canary deployments (§6's experimental-build workflow)."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,7 +29,7 @@ class TestCanaryLifecycle:
         cluster = make_cluster(shm_namespace, tmp_path, clock)
         canary = CanaryDeployment(cluster, "v2-exp", n_canary_machines=1)
         canary.deploy()
-        versions = cluster.version_counts()
+        versions = Counter(leaf.version for leaf in cluster.leaves)
         assert versions == {"v1": 4, "v2-exp": 2}
         # Data intact under the mixed fleet.
         assert cluster.query(COUNT).rows[0].values["count(*)"] == 600
@@ -40,7 +41,7 @@ class TestCanaryLifecycle:
         result = canary.evaluate([lambda c: False])  # validation fails
         assert result.outcome == "reverted"
         assert result.validations_failed == 1
-        assert cluster.version_counts() == {"v1": 6}
+        assert Counter(leaf.version for leaf in cluster.leaves) == {"v1": 6}
         assert cluster.query(COUNT).rows[0].values["count(*)"] == 600
 
     def test_promote_on_success(self, shm_namespace, tmp_path, clock):
@@ -53,7 +54,7 @@ class TestCanaryLifecycle:
 
         result = canary.evaluate([data_still_complete], promote_on_success=True)
         assert result.outcome == "promoted"
-        assert cluster.version_counts() == {"v2-exp": 6}
+        assert Counter(leaf.version for leaf in cluster.leaves) == {"v2-exp": 6}
         assert cluster.query(COUNT).rows[0].values["count(*)"] == 600
 
     def test_default_is_revert_even_on_success(self, shm_namespace, tmp_path, clock):
@@ -62,7 +63,7 @@ class TestCanaryLifecycle:
         canary.deploy()
         result = canary.evaluate([lambda c: True])
         assert result.outcome == "reverted"
-        assert cluster.version_counts() == {"v1": 6}
+        assert Counter(leaf.version for leaf in cluster.leaves) == {"v1": 6}
 
     def test_raising_validation_counts_as_failure(self, shm_namespace, tmp_path, clock):
         cluster = make_cluster(shm_namespace, tmp_path, clock)

@@ -34,6 +34,8 @@ from repro.cluster.replication import (
     FRAME_HELLO,
     ReplicaBlockServer,
     ReplicaFetchSession,
+    _catalog_payload,
+    _parse_catalog,
     recv_frame,
     send_frame,
     snapshot_leafmap,
@@ -88,8 +90,13 @@ class TestWireRoundTripProperty:
     )
     @given(tables=tables_strategy)
     def test_framed_block_is_byte_identical(self, tables):
-        """Sealed block -> wire frame -> remote decode is the identity."""
+        """Sealed block -> wire frame -> remote decode is the identity,
+        and the catalog's size for every block is its packed length."""
         leafmap = build_map(tables)
+        _, catalog = _parse_catalog(_catalog_payload("s1", snapshot_leafmap(leafmap)))
+        for wire in catalog:
+            blocks = leafmap.get_table(wire.name).blocks
+            assert [desc.size for desc in wire.blocks] == [len(b.pack()) for b in blocks]
         client, server = socket.socketpair()
         try:
             for table in leafmap:
@@ -154,6 +161,10 @@ class TestWireRoundTripProperty:
         server = ReplicaBlockServer(lambda: snapshot_leafmap(leafmap))
         session = ReplicaFetchSession(server.address, streams=3)
         try:
+            # Drain first, as a blocking restore does: every stream joins.
+            session.open_streams()
+            (wire,) = session.tables
+            session.fetch_many([(d.table, d.index) for d in wire.blocks], lambda *_: None)
 
             def failing_send(*args):
                 raise RuntimeError("injected send fault")
@@ -533,6 +544,58 @@ def total_count(result) -> int:
     return result.rows[0].values["count(*)"]
 
 
+class TestStreams:
+    """A session connects once at its handshake; only a drain joins the
+    other ``streams``, so a serving restart holds one standby connection
+    and a blocking one pulls over all of them."""
+
+    @staticmethod
+    def recording_engine(shm_namespace, backup, server, clock, sessions):
+        engine = make_engine(shm_namespace, backup, server, clock, MemoryTracker())
+
+        def open_session():
+            sessions.append(ReplicaFetchSession(server.address, streams=3))
+            return sessions[-1]
+
+        engine.replica_source = open_session
+        return engine
+
+    def test_serving_restore_holds_one_connection_until_a_drain(
+        self, shm_namespace, tmp_path, clock
+    ):
+        source, backup, server = synced_state(tmp_path, clock)
+        sessions = []
+        try:
+            engine = self.recording_engine(shm_namespace, backup, server, clock, sessions)
+            restored = LeafMap(clock=clock, rows_per_block=32)
+            handle = engine.begin_lazy_restore(restored)
+            (session,) = sessions
+            assert len(session._sockets) == len(server._conns) == 1
+            assert handle.fault_in_query("events", 1000, 1040) > 0
+            assert handle.sweep_one()
+            assert len(session._sockets) == len(server._conns) == 1
+            handle.drain()
+        finally:
+            server.close()
+        assert handle.report.method is RecoveryMethod.REPLICA
+        assert len(session._sockets) == 3
+        assert restored.snapshot_rows() == source.snapshot_rows()
+
+    def test_blocking_restore_pulls_over_every_stream(self, shm_namespace, tmp_path, clock):
+        source, backup, server = synced_state(tmp_path, clock)
+        sessions = []
+        try:
+            engine = self.recording_engine(shm_namespace, backup, server, clock, sessions)
+            restored = LeafMap(clock=clock, rows_per_block=32)
+            report = engine.restore(restored)
+        finally:
+            server.close()
+        (session,) = sessions
+        assert report.method is RecoveryMethod.REPLICA
+        assert len(session._sockets) == 3
+        assert restored.snapshot_rows() == source.snapshot_rows()
+
+
 class TestClusterFailover:
     def test_mirror_keeps_standby_digest_identical(self, tmp_path):
         namespace = f"reprorep-{uuid.uuid4().hex[:8]}"
@@ -573,7 +636,7 @@ class TestClusterFailover:
             assert total_count(before) == n_rows
 
             victim = cluster.leaves[0]
-            machine = cluster.machine_of(victim)
+            (machine,) = [m for m in cluster.machines if victim in m.leaves]
             victim.crash()
 
             # Down: the aggregator must substitute the standby.

@@ -1,18 +1,25 @@
 """Tests for row blocks (paper, Figure 2)."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnstore.rowblock import ROWS_PER_BLOCK, RowBlock
+from repro.columnstore.rbc import RowBlockColumn
+from repro.columnstore.rowblock import PACK_HEADER, ROWS_PER_BLOCK, RowBlock, read_packed_header
 from repro.columnstore.schema import Schema
+from repro.compression.base import CompressionFlags
 from repro.errors import (
     CapacityError,
+    ChecksumMismatchError,
     CorruptionError,
     LayoutVersionError,
+    ReproError,
     SchemaError,
 )
 from repro.types import ColumnType
+from repro.workloads import error_logs, service_requests
 
 
 def rows_fixture(n=20, t0=1000):
@@ -161,3 +168,78 @@ class TestPackUnpack:
     def test_roundtrip_property(self, rows):
         block = RowBlock.from_rows(rows, created_at=1.0)
         assert RowBlock.unpack(block.pack()).to_rows() == block.to_rows()
+
+
+def packed_samples():
+    """Packed blocks of both ledger tables, one whose raw-string column
+    is deflated (``LZ``) and one with a string-vector column."""
+    ids = [{"time": i, "req": f"request-{i * 7919:09d}-payload"} for i in range(48)]
+    vectors = [{"time": i, "tags": ["a", "bb", "ccc"][: i % 4]} for i in range(48)]
+    blocks = {
+        "service_requests": RowBlock.from_rows(list(service_requests(48, seed=3)), 1.0),
+        "error_logs": RowBlock.from_rows(list(error_logs(48, seed=4)), 2.0),
+        "lz_raw_string": RowBlock.from_rows(ids, 3.0),
+        "string_vector": RowBlock.from_rows(vectors, 4.0),
+    }
+    assert RowBlockColumn(blocks["lz_raw_string"].rbc_buffer("req")).flags == CompressionFlags.LZ
+    assert blocks["string_vector"].schema.type_of("tags") is ColumnType.STRING_VECTOR
+    return {name: block.pack() for name, block in blocks.items()}
+
+
+def oracle_unpack_verify(buf) -> None:
+    """The packed layout read one field at a time, every RBC sliced by
+    its header's size and checked by a :class:`RowBlockColumn` before
+    any checksum: what ``RowBlock.unpack`` then ``verify`` must match."""
+    view = memoryview(buf)
+    *_, schema, reader = read_packed_header(view)
+    if reader.read_varint() != len(schema):
+        raise CorruptionError("offset table does not match the schema")
+    offsets = [reader.read_u64() for _ in schema]
+    columns = []
+    for offset in offsets:
+        if not PACK_HEADER.size <= offset <= len(view) - 16:
+            raise CorruptionError(f"offset {offset} out of bounds")
+        (size,) = struct.unpack_from("<Q", view, offset + 8)
+        columns.append(RowBlockColumn(view[offset : offset + size]))
+    for column in columns:
+        column.verify()
+
+
+def outcome(check, buf):
+    try:
+        check(buf)
+    except ReproError as exc:
+        return type(exc)
+    return None
+
+
+def fast_unpack_verify(buf) -> None:
+    RowBlock.unpack(buf).verify()
+
+
+class TestDecodeEquivalence:
+    """``RowBlock.unpack`` + ``verify`` read the packed bytes in place;
+    under every truncation and every single-byte flip they raise exactly
+    when the per-column :class:`RowBlockColumn` path does, with the same
+    exception class."""
+
+    @pytest.mark.parametrize("name", ["service_requests", "error_logs", "lz_raw_string", "string_vector"])
+    def test_every_truncation_and_byte_flip(self, name):
+        packed = packed_samples()[name]
+        assert outcome(fast_unpack_verify, packed) is outcome(oracle_unpack_verify, packed) is None
+        mutants = [packed[:cut] for cut in range(len(packed))]
+        for at in range(len(packed)):
+            for mask in (0x01, 0xFF):
+                flipped = bytearray(packed)
+                flipped[at] ^= mask
+                mutants.append(bytes(flipped))
+        raised = set()
+        for mutant in mutants:
+            expected = outcome(oracle_unpack_verify, mutant)
+            assert outcome(fast_unpack_verify, mutant) is expected, (len(mutant), expected)
+            raised.add(expected)
+        assert {CorruptionError, ChecksumMismatchError, LayoutVersionError} <= raised
+
+    def test_packed_size_is_the_packed_length(self):
+        for name, packed in packed_samples().items():
+            assert RowBlock.unpack(packed).packed_size == len(packed), name

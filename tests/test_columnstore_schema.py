@@ -5,7 +5,7 @@ import pytest
 from repro.columnstore.schema import Schema, infer_column_type
 from repro.errors import SchemaError
 from repro.types import ColumnType
-from repro.util.binary import BufferReader, BufferWriter
+from repro.util.binary import BufferReader
 
 
 class TestInference:
@@ -141,9 +141,7 @@ class TestSchema:
             {"time": ColumnType.INT64, "host": ColumnType.STRING,
              "tags": ColumnType.STRING_VECTOR}
         )
-        writer = BufferWriter()
-        schema.serialize(writer)
-        assert Schema.deserialize(BufferReader(writer.getvalue())) == schema
+        assert Schema.deserialize(BufferReader(schema.wire)) == schema
 
     def test_equality_is_order_sensitive(self):
         a = Schema({"time": ColumnType.INT64, "x": ColumnType.STRING})

@@ -286,9 +286,8 @@ class TestSnapshots:
         leafmap.seal_all()
         backup.sync_leafmap(leafmap)
         assert backup.snapshot_path("events").exists()
-        assert backup.snapshot_generation("events") == backup.sync_generation(
-            "events"
-        )
+        entry = backup._manifest["events"]
+        assert entry["snapshot_gen"] == entry["sync_gen"]
         assert backup.snapshot_valid("events")
         assert backup.snapshots_ready()
 
@@ -305,27 +304,26 @@ class TestSnapshots:
         leafmap = make_map()
         leafmap.seal_all()
         backup.sync_leafmap(leafmap)
-        gen_before = backup.snapshot_generation("events")
+        gen_before = backup._manifest["events"]["snapshot_gen"]
         leafmap.get_table("events").add_rows([{"time": 500}])
         backup.sync_leafmap(leafmap)  # buffered -> sync_gen moved past snapshot
-        assert backup.sync_generation("events") > backup.snapshot_generation(
-            "events"
-        )
+        entry = backup._manifest["events"]
+        assert entry["sync_gen"] > entry["snapshot_gen"]
         assert not backup.snapshot_valid("events")
         leafmap.seal_all()
         backup.sync_leafmap(leafmap)
         assert backup.snapshot_valid("events")
-        assert backup.snapshot_generation("events") > gen_before
+        assert backup._manifest["events"]["snapshot_gen"] > gen_before
 
     def test_sync_gen_bumps_on_every_synced_change(self, backup):
         leafmap = make_map()
         backup.sync_leafmap(leafmap)
-        gen = backup.sync_generation("events")
+        gen = backup._manifest["events"]["sync_gen"]
         backup.sync_leafmap(leafmap)  # no change -> no bump
-        assert backup.sync_generation("events") == gen
+        assert backup._manifest["events"]["sync_gen"] == gen
         leafmap.get_table("events").add_rows([{"time": 800}])
         backup.sync_leafmap(leafmap)
-        assert backup.sync_generation("events") == gen + 1
+        assert backup._manifest["events"]["sync_gen"] == gen + 1
 
     def test_empty_table_gets_a_trusted_snapshot(self, backup):
         leafmap = LeafMap(clock=ManualClock(0.0), rows_per_block=10)
@@ -379,7 +377,7 @@ class TestSnapshots:
             entry.pop("snapshot_gen", None)
         manifest_path.write_text(json.dumps(manifest))
         reopened = DiskBackup(backup.directory)
-        assert reopened.sync_generation("events") == 0
+        assert reopened._manifest["events"]["sync_gen"] == 0
         assert not reopened.snapshot_valid("events")
         assert not reopened.snapshots_ready()
         # And the next sealed sync upgrades it to a trusted snapshot.
@@ -393,6 +391,6 @@ class TestSnapshots:
         backup.sync_leafmap(leafmap)
         reopened = DiskBackup(backup.directory)
         assert reopened.snapshots_ready()
-        assert reopened.snapshot_generation("events") == backup.snapshot_generation(
-            "events"
+        assert reopened._manifest["events"]["snapshot_gen"] == (
+            backup._manifest["events"]["snapshot_gen"]
         )

@@ -443,7 +443,7 @@ class TestContentKeyedChain:
         assert decoded == [
             (table.blocks[-1], name)
             for table in leafmap
-            for name in table.blocks[-1].column_names
+            for name in table.blocks[-1].schema.names
         ]
         assert cache.stats() == hot
         # With rows still buffered: the one straddled block, no more.
@@ -513,7 +513,7 @@ class TestAppliedCutoffSharesTheSnapshotGeneration:
         backup.record_expiry("events", table.total_rows_expired)
         sealed_sync(backup, leafmap)
         assert table.row_count == 1 and backup.snapshot_valid("events")
-        assert backup.sync_generation("events") == 1
+        assert backup._manifest["events"]["sync_gen"] == 1
 
         live = rows_digest(leafmap.snapshot_rows())
         reopened = DiskBackup(backup.directory)

@@ -357,7 +357,7 @@ class TestWritePhaseFault:
         with pytest.raises(OSError, match="injected"):
             backup.sync_leafmap(leafmap)
         assert (backup.synced_rows("events"), backup.synced_rows("metrics")) == (200, 150)
-        assert backup.sync_generation("metrics") == 1
+        assert backup._manifest["metrics"]["sync_gen"] == 1
         assert backup.stats.manifests_published == 2
 
         mixed = {"events": post["events"], "metrics": pre["metrics"]}

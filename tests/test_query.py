@@ -308,14 +308,6 @@ class TestMerge:
         assert len(result.rows) == 2
         assert result.rows[0].group == ("/api/0",)
 
-    def test_row_for_lookup(self):
-        query = Query("requests", group_by=("endpoint",))
-        execution = execute_on_leaf(make_map(), query)
-        result = merge_leaf_results(query, [execution.partial], 1)
-        assert result.row_for("/api/1").values["count(*)"] == 50
-        with pytest.raises(KeyError):
-            result.row_for("/api/9")
-
     def test_merge_does_not_mutate_partials(self):
         query = Query("requests")
         execution = execute_on_leaf(make_map(100), query)

@@ -17,7 +17,6 @@ from repro.shm.layout import (
 )
 from repro.shm.metadata import LeafMetadata
 from repro.shm.segment import ShmSegment
-from repro.util.binary import BufferWriter
 
 
 def read_back(segment, used):
@@ -208,9 +207,7 @@ class TestSchemaParsedOnce:
 
     @staticmethod
     def schema_span(block):
-        writer = BufferWriter()
-        block.schema.serialize(writer)
-        return range(PACK_HEADER.size, PACK_HEADER.size + writer.offset)
+        return range(PACK_HEADER.size, PACK_HEADER.size + len(block.schema.wire))
 
     def test_flipped_schema_byte_in_a_later_block_is_never_masked(
         self, shm_namespace

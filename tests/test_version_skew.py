@@ -13,6 +13,9 @@ stays on its rung.  So did the snapshot chain's manifest record (a link
 records what it appends, no drop lists or sequence numbers): the
 snapshot files are unchanged and nothing is bumped, but a chain an older
 build recorded lands on legacy replay, and the next sync writes a base.
+The manifest is now published compact where the older build indented
+it; its content is the same and JSON reads either, so that row bumps
+nothing and stays on its rung.
 Two constants no change has bumped yet have rows too, so a bump finds
 its refusal already tested: ``SHMDISK_FORMAT_VERSION`` (the snapshot
 file envelope) and ``METADATA_VERSION`` (the leaf metadata block).
@@ -243,7 +246,8 @@ class TestSnapshotRung:
             del entry["chain"]
         path.write_text(json.dumps(manifest))
         reopened = DiskBackup(backup.directory)
-        assert reopened.snapshot_generation("events") == reopened.sync_generation("events")
+        entry = reopened._manifest["events"]
+        assert entry["snapshot_gen"] == entry["sync_gen"]
         _, report, restored = restore(shm_namespace, reopened, clock)
         assert report.method is RecoveryMethod.DISK
         assert not report.fell_back_to_legacy
@@ -281,6 +285,36 @@ class TestExpiryRecord:
             RecoveryMethod.DISK_SNAPSHOT if snapshot_tier else RecoveryMethod.DISK
         )
         assert not report.fell_back_to_legacy
+        assert restored == rows_digest(leafmap.snapshot_rows())
+
+
+class TestManifestEncoding:
+    def test_an_indented_manifest_loads_and_the_next_publish_is_compact(
+        self, shm_namespace, backup, clock
+    ):
+        """The older build published its manifest with ``indent=1``; this
+        one writes it compact, through json's C encoder.  The content is
+        the same and every reader parses either form, so nothing bumps:
+        the indented manifest restores on the snapshot rung, and the next
+        publish rewrites it compact with only its change in it."""
+        leafmap, digest = old_leaf(clock, backup)
+        path = backup.directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        reopened = DiskBackup(backup.directory)
+        _, report, restored = restore(shm_namespace, reopened, clock)
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+        assert restored == digest
+
+        table = leafmap.get_table("events")
+        assert table.expire(1000 + 64) == 64
+        reopened.record_expiry("events", table.total_rows_expired)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        manifest["events"]["rows_expired"] = 64
+        assert json.loads(text) == manifest
+        _, report, restored = restore(shm_namespace, DiskBackup(backup.directory), clock)
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
         assert restored == rows_digest(leafmap.snapshot_rows())
 
 
