@@ -12,7 +12,7 @@ inside shared memory segments, by the shm-format disk files of experiment
 E12 and on the replica wire.  This module is where that layout is encoded
 (:meth:`RowBlock.packed_preamble`) and where its header is checked
 (:func:`check_packed_header`, and :func:`read_packed_header` with the
-schema).
+schema, whose :class:`PackedHeader` the body read starts from).
 
 Live ingest and legacy replay both seal through
 :meth:`RowBlock.from_columns`; :meth:`RowBlock.from_rows`, the same seal
@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from repro.columnstore.rbc import (
     FOOTER_SIZE as RBC_FOOTER_SIZE,
@@ -40,7 +40,7 @@ from repro.columnstore.schema import Schema
 from repro.compression.decoded import DecodedColumn
 from repro.errors import CapacityError, CorruptionError, LayoutVersionError, SchemaError
 from repro.types import TIME_COLUMN, ColumnValue
-from repro.util.binary import BufferReader, encode_varint
+from repro.util.binary import BufferReader, decode_varint, encode_varint
 
 #: Paper: "Each row block contains 65,536 rows that arrived consecutively."
 ROWS_PER_BLOCK = 65536
@@ -322,28 +322,35 @@ class RowBlock(TimeRange):
         return b"".join(self.packed_chunks())
 
     @classmethod
-    def unpack(cls, buf: bytes | memoryview) -> "RowBlock":
+    def unpack(cls, buf: bytes | memoryview, header: PackedHeader | None = None) -> "RowBlock":
         """Parse a contiguous row block back into heap format.
 
-        This is the restore hot path, so it stays deliberately thin: each
-        RBC is located from its header's size field and materialized with
-        **one bulk ``bytes()``** — no intermediate
-        :class:`~repro.columnstore.rbc.RowBlockColumn` is constructed and
-        no section is re-copied, so the block owns its bytes and outlives
-        the buffer it came from (a segment, a file, a frame).  Structural
-        and checksum validation is the job of :meth:`verify` (the restart
-        engine calls it on every restored block) and of the decoders at
-        query time.
+        This is the restore hot path, so it stays deliberately thin: the
+        header read (:func:`read_packed_header`), then the body: each RBC
+        is located from the column offset table and its own header's
+        size field and materialized with **one bulk ``bytes()``** — no
+        intermediate :class:`~repro.columnstore.rbc.RowBlockColumn` is
+        constructed and no section is re-copied, so the block owns its
+        bytes and outlives the buffer it came from (a segment, a file, a
+        frame).  Structural and checksum validation is the job of
+        :meth:`verify` (the restart engine calls it on every restored
+        block) and of the decoders at query time.
+
+        ``header``, when given, is these same bytes' header as a reader
+        already checked it — a segment directory's
+        :class:`~repro.shm.layout.BlockExtent` carries its fields — and
+        only the body is read.
         """
         view = memoryview(buf)
-        row_count, min_time, max_time, created_at, schema, reader = read_packed_header(view)
+        if header is None:
+            header = read_packed_header(view)
+        schema = header.schema
         total = len(view)
-        n_columns = reader.read_varint()
+        n_columns, at = decode_varint(view, header.table_at)
         if n_columns != len(schema):
             raise CorruptionError(
                 f"offset table has {n_columns} entries for a {len(schema)}-column schema"
             )
-        at = reader.offset
         if at + 8 * n_columns > total:
             raise CorruptionError(
                 f"{n_columns}-entry offset table at {at} overruns the "
@@ -367,7 +374,9 @@ class RowBlock(TimeRange):
                     f"{total}-byte packed row block"
                 )
             rbcs[name] = bytes(view[offset:end])
-        return cls(schema, rbcs, row_count, min_time, max_time, created_at)
+        return cls(
+            schema, rbcs, header.row_count, header.min_time, header.max_time, header.created_at
+        )
 
 
 def check_packed_header(view: memoryview) -> tuple[int, int, int, float]:
@@ -401,13 +410,22 @@ def check_packed_header(view: memoryview) -> tuple[int, int, int, float]:
     return row_count, min_time, max_time, created_at
 
 
-def read_packed_header(
-    view: memoryview,
-) -> tuple[int, int, int, float, Schema, BufferReader]:
-    """:func:`check_packed_header`, then parse the block's schema: the
-    header's four fields, the schema, and a reader positioned at the
-    column offset table."""
+class PackedHeader(NamedTuple):
+    """A packed row block's header as :func:`read_packed_header` reads
+    it: what the body read (:meth:`RowBlock.unpack`) starts from."""
+
+    row_count: int
+    min_time: int
+    max_time: int
+    created_at: float
+    schema: Schema
+    #: Offset of the column offset table (its entry count) in the block.
+    table_at: int
+
+
+def read_packed_header(view: memoryview) -> PackedHeader:
+    """:func:`check_packed_header`, then parse the block's schema."""
     row_count, min_time, max_time, created_at = check_packed_header(view)
     reader = BufferReader(view, offset=PACK_HEADER.size)
     schema = Schema.deserialize(reader)
-    return row_count, min_time, max_time, created_at, schema, reader
+    return PackedHeader(row_count, min_time, max_time, created_at, schema, reader.offset)

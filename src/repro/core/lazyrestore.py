@@ -311,8 +311,9 @@ class RestoreDriver:
         for desc in descs:
             yield desc, self._fault_block(self._read_block(desc))
 
-    def _fault_block(self, payload) -> RowBlock:
-        """Decode and verify one block's packed bytes into the heap.
+    def _fault_block(self, payload, header=None) -> RowBlock:
+        """Decode and verify one block's packed bytes into the heap
+        (only their body, given the ``header`` a directory read of them).
 
         The block's copy window — source bytes and fresh heap copy
         coexisting — is reserved against the machine-wide budget for the
@@ -327,7 +328,7 @@ class RestoreDriver:
             held = len(payload)
             self._budget.acquire(held)
         try:
-            block = RowBlock.unpack(payload)
+            block = RowBlock.unpack(payload, header)
             block.verify()
         finally:
             del payload  # a live slice would pin the source's mapping
@@ -541,6 +542,13 @@ class LazyRestore(RestoreDriver):
 
     def _read_block(self, desc: BlockExtent) -> memoryview:
         return self._views[desc.table][desc.offset : desc.offset + desc.size]
+
+    def _each(self, descs) -> Iterator[tuple]:
+        """The extent is the block's header: the directory checked those
+        bytes, in a mapping this leaf owns with the valid bit already
+        down, so the decode reads only the body."""
+        for desc in descs:
+            yield desc, self._fault_block(self._read_block(desc), desc)
 
     def _read_blocks(self, descs: list) -> Iterator[tuple]:
         """Each table's blocks inside that table's copy window.

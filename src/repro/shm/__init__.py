@@ -2,12 +2,12 @@
 
 Shared memory lets a Scuba process communicate with its replacement even
 though their lifetimes do not overlap.  This package wraps POSIX shared
-memory (via :mod:`multiprocessing.shared_memory`, the Python analogue of
-the paper's Boost::Interprocess mmap API) and defines:
+memory (``shm_open`` plus :class:`mmap.mmap`, the Python analogue of the
+paper's Boost::Interprocess mmap API) and defines:
 
-- :class:`ShmSegment` — a named segment whose lifetime *we* manage (the
-  stdlib resource tracker is told to leave it alone, since outliving the
-  creating process is the whole point),
+- :class:`ShmSegment` — a named segment whose lifetime *we* manage: no
+  helper process is told of it, since outliving the creating process is
+  the whole point,
 - :class:`LeafMetadata` — the per-leaf metadata block at a fixed,
   derivable name: valid bit, layout version, and the table segment names,
 - the contiguous table layout of Figure 4 (:mod:`repro.shm.layout`),

@@ -22,7 +22,9 @@ themselves.  The shm copy-out here and the snapshot file of
 :mod:`repro.disk.shmformat` both write that image, so a snapshot body is
 byte for byte the used bytes of a segment.  Reading goes through
 :func:`read_segment_header` and, per block,
-:func:`~repro.columnstore.rowblock.read_packed_header`.
+:func:`~repro.columnstore.rowblock.read_packed_header` — once: a
+restore's directory (:func:`read_block_headers`) keeps each block's
+parsed header for its fault-in.
 
 Writing is *streamed one row block column at a time* so the shutdown path
 can free each heap RBC right after copying it (paper, Section 4.4) — the
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from repro.columnstore.rowblock import RowBlock, TimeRange, read_packed_header
+from repro.columnstore.schema import Schema
 from repro.errors import CorruptionError, LayoutVersionError, ShmError
 from repro.shm.segment import ShmSegment
 from repro.util.binary import BufferReader, BufferWriter
@@ -208,6 +211,10 @@ class BlockExtent(TimeRange):
     """One sealed block's location and header facts inside a segment:
     what a restore's block directory holds before the block is read.
 
+    It carries every :class:`~repro.columnstore.rowblock.PackedHeader`
+    field, so ``RowBlock.unpack(payload, extent)`` reads only the body
+    of a block whose header the directory already checked.
+
     Nothing changes one once the directory is read.  It is not a frozen
     dataclass because a directory builds one per block and a frozen
     ``__init__`` costs several times a plain one."""
@@ -220,6 +227,8 @@ class BlockExtent(TimeRange):
     min_time: int
     max_time: int
     created_at: float
+    schema: Schema
+    table_at: int  # the column offset table's offset inside the block
     columns: tuple[str, ...]
 
 
@@ -231,14 +240,16 @@ def read_block_headers(view: memoryview) -> tuple[str, list[BlockExtent]]:
     RBC payload is copied or decoded — so publishing a directory over a
     large segment costs a header scan, not a restore.  Header corruption
     surfaces here, before the leaf starts serving against the directory;
-    payload corruption still surfaces at fault-in time
-    (``RowBlock.verify``).
+    payload corruption still surfaces at fault-in time (the body read of
+    ``RowBlock.unpack`` and ``RowBlock.verify``).  This is the one read
+    of a segment block's header: its fault-in hands the extent to the
+    unpack.
     """
     table_name, pairs = read_segment_header(view)
     extents: list[BlockExtent] = []
     schema = columns = None
     for index, (offset, size) in enumerate(pairs):
-        row_count, min_time, max_time, created_at, parsed, _ = read_packed_header(
+        row_count, min_time, max_time, created_at, parsed, table_at = read_packed_header(
             view[offset : offset + size]
         )
         if parsed is not schema:  # neighbours share one parsed schema
@@ -253,6 +264,8 @@ def read_block_headers(view: memoryview) -> tuple[str, list[BlockExtent]]:
                 min_time=min_time,
                 max_time=max_time,
                 created_at=created_at,
+                schema=schema,
+                table_at=table_at,
                 columns=columns,
             )
         )

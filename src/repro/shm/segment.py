@@ -1,18 +1,23 @@
 """Named shared memory segments with explicitly-managed lifetimes.
 
-``multiprocessing.shared_memory.SharedMemory`` registers every created
-segment with the stdlib resource tracker, which *unlinks it when the
-creating process exits* — precisely the behaviour a restart-persistence
-mechanism must avoid.  :class:`ShmSegment` unregisters from the tracker
-at creation, making segment lifetime a deliberate responsibility of the
-restart engine (create at shutdown, unlink after a successful restore or
-a failed validity check), exactly as in the paper.
+A segment is a POSIX shared memory object — a name under the leading
+slash, mode ``0o600`` — opened with ``shm_open`` from ``_posixshmem``
+(the C module ``multiprocessing.shared_memory`` itself calls) and mapped
+with :class:`mmap.mmap`; the descriptor is closed once the mapping
+exists.  Nothing else is registered anywhere: ``SharedMemory`` would
+hand every name to the stdlib's resource-tracker helper process, which
+*unlinks it when the creating process exits* — precisely the behaviour
+a restart-persistence mechanism must avoid.  Segment lifetime is the
+restart engine's deliberate responsibility instead (create at shutdown,
+unlink after a successful restore or a failed validity check), exactly
+as in the paper.
 """
 
 from __future__ import annotations
 
+import _posixshmem
 import mmap
-from multiprocessing import resource_tracker, shared_memory
+import os
 
 from repro.errors import ShmError
 
@@ -20,36 +25,22 @@ from repro.errors import ShmError
 #: the platform has none, :meth:`ShmSegment.release_pages` frees nothing.
 _MADV_REMOVE = getattr(mmap, "MADV_REMOVE", None)
 
-
-def _untrack(name: str) -> None:
-    """Tell the resource tracker to forget a segment we manage ourselves."""
-    try:
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary by version
-        pass
+_MODE = 0o600
 
 
-def _retrack(name: str) -> None:
-    """Re-register a segment right before unlinking it.
-
-    ``SharedMemory.unlink`` unregisters from the resource tracker; since
-    creation unregistered already, the pair must be balanced or the
-    tracker daemon logs spurious KeyErrors.
-    """
-    try:
-        resource_tracker.register(f"/{name}", "shared_memory")
-    except Exception:  # pragma: no cover
-        pass
+def _path(name: str) -> str:
+    return f"/{name}"
 
 
 def segment_exists(name: str) -> bool:
-    """Whether a shared memory segment with ``name`` currently exists."""
+    """Whether a shared memory segment with ``name`` currently exists.
+
+    The name is opened and closed again; nothing is mapped."""
     try:
-        segment = shared_memory.SharedMemory(name=name, create=False)
+        fd = _posixshmem.shm_open(_path(name), os.O_RDWR, mode=_MODE)
     except FileNotFoundError:
         return False
-    _untrack(name)
-    segment.close()
+    os.close(fd)
     return True
 
 
@@ -62,8 +53,11 @@ class ShmSegment:
     process exit until someone unlinks it.
     """
 
-    def __init__(self, raw: shared_memory.SharedMemory) -> None:
-        self._raw = raw
+    def __init__(self, name: str, mapping: mmap.mmap) -> None:
+        self._name = name
+        self._mmap = mapping
+        self._buf = memoryview(mapping)
+        self._size = len(mapping)
         self._closed = False
         self._released = 0  # pages [0, this) given back by release_pages
 
@@ -71,37 +65,52 @@ class ShmSegment:
     def create(cls, name: str, size: int) -> "ShmSegment":
         if size <= 0:
             raise ShmError(f"segment size must be positive, got {size}")
+        flags = os.O_CREAT | os.O_EXCL | os.O_RDWR
         try:
-            raw = shared_memory.SharedMemory(name=name, create=True, size=size)
+            fd = _posixshmem.shm_open(_path(name), flags, mode=_MODE)
         except FileExistsError as exc:
             raise ShmError(f"shared memory segment '{name}' already exists") from exc
         except OSError as exc:
             raise ShmError(f"cannot create segment '{name}' of {size} bytes: {exc}") from exc
-        _untrack(raw.name)
-        return cls(raw)
+        try:
+            os.ftruncate(fd, size)
+            mapping = mmap.mmap(fd, size)
+        except BaseException as exc:
+            _posixshmem.shm_unlink(_path(name))  # a failed create leaves no name
+            if not isinstance(exc, OSError):
+                raise
+            raise ShmError(f"cannot create segment '{name}' of {size} bytes: {exc}") from exc
+        finally:
+            os.close(fd)
+        return cls(name, mapping)
 
     @classmethod
     def attach(cls, name: str) -> "ShmSegment":
+        """Map an existing segment whole.  An empty one cannot be mapped
+        and raises ``ValueError``."""
         try:
-            raw = shared_memory.SharedMemory(name=name, create=False)
+            fd = _posixshmem.shm_open(_path(name), os.O_RDWR, mode=_MODE)
         except FileNotFoundError as exc:
             raise ShmError(f"no shared memory segment named '{name}'") from exc
-        _untrack(raw.name)
-        return cls(raw)
+        try:
+            mapping = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        return cls(name, mapping)
 
     @property
     def name(self) -> str:
-        return self._raw.name
+        return self._name
 
     @property
     def size(self) -> int:
-        return self._raw.size
+        return self._size
 
     @property
     def buf(self) -> memoryview:
         if self._closed:
             raise ShmError(f"segment '{self.name}' is closed in this process")
-        return self._raw.buf
+        return self._buf
 
     def write_at(self, offset: int, data: bytes | bytearray | memoryview) -> int:
         """Copy ``data`` into the segment; returns the offset past it.
@@ -130,37 +139,47 @@ class ShmSegment:
     def release_pages(self, end: int) -> int:
         """Give the whole pages below offset ``end`` back to the system.
 
-        ``madvise(MADV_REMOVE)`` on the stdlib's own mapping
-        (``SharedMemory._mmap``) frees their tmpfs backing and reads of
-        them return zeros from then on, so only a reader done with every
-        byte below ``end`` may call this.  Returns the bytes newly freed:
-        0, with no syscall, unless ``end`` crossed a page boundary since
-        the last call, and 0 where pages cannot be punched.
+        ``madvise(MADV_REMOVE)`` on this handle's mapping frees their
+        tmpfs backing and reads of them return zeros from then on, so
+        only a reader done with every byte below ``end`` may call this.
+        Returns the bytes newly freed: 0, with no syscall, unless ``end``
+        crossed a page boundary since the last call, and 0 where pages
+        cannot be punched.
         """
         end = min(end, self.size) // mmap.PAGESIZE * mmap.PAGESIZE
         if end <= self._released or _MADV_REMOVE is None:
             return 0
         try:
-            self._raw._mmap.madvise(_MADV_REMOVE, self._released, end - self._released)
+            self._mmap.madvise(_MADV_REMOVE, self._released, end - self._released)
         except OSError:
             return 0
         released, self._released = end - self._released, end
         return released
 
     def close(self) -> None:
-        """Unmap from this process (the segment itself lives on)."""
-        if not self._closed:
-            self._raw.close()
-            self._closed = True
+        """Unmap from this process (the segment itself lives on).
+
+        A view still exported from :meth:`read_at` or :attr:`buf` pins
+        the mapping: the close raises ``BufferError`` and the handle
+        stays open, to be closed once the view is released."""
+        if self._closed:
+            return
+        self._buf.release()
+        try:
+            self._mmap.close()
+        except BufferError:
+            self._buf = memoryview(self._mmap)
+            raise
+        self._closed = True
 
     def unlink(self) -> None:
-        """Remove the segment from the system."""
+        """Unmap, then remove the segment from the system; already gone
+        is fine."""
         self.close()
-        _retrack(self._raw.name)
         try:
-            self._raw.unlink()
+            _posixshmem.shm_unlink(_path(self._name))
         except FileNotFoundError:
-            _untrack(self._raw.name)
+            pass
 
     def __enter__(self) -> "ShmSegment":
         return self

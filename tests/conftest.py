@@ -88,16 +88,16 @@ def shm_handles(monkeypatch):
 
     Every handle built during the test (``LeafMetadata`` wraps one, so
     its handles count too) is kept here by a strong reference.  That
-    reference is the point: without it CPython's ``SharedMemory.__del__``
-    closes a dropped handle as soon as its refcount reaches zero, and a
+    reference is the point: without it CPython unmaps a dropped handle's
+    mapping as soon as its refcount reaches zero, and a
     leak on any path the test does not hold on to goes unseen.  The
     leaked handles are closed at teardown so the next test starts clean.
     """
     handles = []
     init = ShmSegment.__init__
 
-    def tracked_init(self, raw):
-        init(self, raw)
+    def tracked_init(self, *args):
+        init(self, *args)
         handles.append(self)
 
     monkeypatch.setattr(ShmSegment, "__init__", tracked_init)

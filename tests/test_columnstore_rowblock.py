@@ -18,7 +18,9 @@ from repro.errors import (
     ReproError,
     SchemaError,
 )
+from repro.shm.layout import read_block_headers, table_segment_image
 from repro.types import ColumnType
+from repro.util.binary import BufferReader
 from repro.workloads import error_logs, service_requests
 
 
@@ -191,7 +193,8 @@ def oracle_unpack_verify(buf) -> None:
     its header's size and checked by a :class:`RowBlockColumn` before
     any checksum: what ``RowBlock.unpack`` then ``verify`` must match."""
     view = memoryview(buf)
-    *_, schema, reader = read_packed_header(view)
+    *_, schema, table_at = read_packed_header(view)
+    reader = BufferReader(view, offset=table_at)
     if reader.read_varint() != len(schema):
         raise CorruptionError("offset table does not match the schema")
     offsets = [reader.read_u64() for _ in schema]
@@ -217,6 +220,44 @@ def fast_unpack_verify(buf) -> None:
     RowBlock.unpack(buf).verify()
 
 
+def ledger_segment(table: str) -> bytes:
+    """The used bytes of a table segment holding three blocks of a
+    ledger table, as the shm copy-out lays them out."""
+    rows = {"service_requests": service_requests, "error_logs": error_logs}[table](96, seed=5)
+    rows = list(rows)
+    blocks = [RowBlock.from_rows(rows[at : at + 32], float(at)) for at in range(0, 96, 32)]
+    return table_segment_image(table, blocks).preamble + b"".join(b.pack() for b in blocks)
+
+
+def reread_unpack_verify(segment) -> list[RowBlock]:
+    """The directory, then each block unpacked from its bytes alone."""
+    view = memoryview(segment)
+    _, extents = read_block_headers(view)
+    blocks = [RowBlock.unpack(view[e.offset : e.offset + e.size]) for e in extents]
+    for block in blocks:
+        block.verify()
+    return blocks
+
+
+def extent_unpack_verify(segment) -> list[RowBlock]:
+    """The directory, then each block's body read from its extent."""
+    view = memoryview(segment)
+    _, extents = read_block_headers(view)
+    blocks = [RowBlock.unpack(view[e.offset : e.offset + e.size], e) for e in extents]
+    for block in blocks:
+        block.verify()
+    return blocks
+
+
+def route_outcome(route, segment):
+    """The class a route raises, or the content keys of the blocks it
+    rebuilds."""
+    try:
+        return tuple(block.content_key() for block in route(segment))
+    except ReproError as exc:
+        return type(exc)
+
+
 class TestDecodeEquivalence:
     """``RowBlock.unpack`` + ``verify`` read the packed bytes in place;
     under every truncation and every single-byte flip they raise exactly
@@ -238,6 +279,27 @@ class TestDecodeEquivalence:
             expected = outcome(oracle_unpack_verify, mutant)
             assert outcome(fast_unpack_verify, mutant) is expected, (len(mutant), expected)
             raised.add(expected)
+        assert {CorruptionError, ChecksumMismatchError, LayoutVersionError} <= raised
+
+    @pytest.mark.parametrize("table", ["service_requests", "error_logs"])
+    def test_directory_fed_unpack_matches_a_second_header_read(self, table):
+        """A segment restore reads each block's header once, at the
+        directory, and hands the extent to ``unpack``: under every byte
+        flip in every packed block it raises exactly when reading the
+        header again does, same class, and clean it rebuilds the same
+        blocks."""
+        segment = ledger_segment(table)
+        keys = route_outcome(reread_unpack_verify, segment)
+        assert len(keys) == 3 and route_outcome(extent_unpack_verify, segment) == keys
+        _, extents = read_block_headers(memoryview(segment))
+        raised = set()
+        for at in (at for e in extents for at in range(e.offset, e.offset + e.size)):
+            for mask in (0x01, 0xFF):
+                flipped = bytearray(segment)
+                flipped[at] ^= mask
+                expected = route_outcome(reread_unpack_verify, flipped)
+                assert route_outcome(extent_unpack_verify, flipped) == expected, (at, mask)
+                raised.add(expected)
         assert {CorruptionError, ChecksumMismatchError, LayoutVersionError} <= raised
 
     def test_packed_size_is_the_packed_length(self):

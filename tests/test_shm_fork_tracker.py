@@ -1,22 +1,25 @@
-"""Resource-tracker balance for ShmSegment across process boundaries.
+"""ShmSegment lifetimes across process boundaries, with no helper process.
 
-``multiprocessing.shared_memory`` registers every segment with the
-stdlib resource tracker, whose job is to unlink "leaked" segments when
-the registering process exits — exactly what a restart-persistence
-mechanism must prevent.  :class:`ShmSegment` untracks on create/attach
-and retracks right before unlink, and that bookkeeping has to stay
-balanced *per process*: a forked worker that creates, attaches, or
-closes segments must neither let its tracker unlink data the parent
-still needs, nor leave the pair unbalanced (which shows up as
-``resource_tracker`` noise on stderr at interpreter exit).
+``multiprocessing.shared_memory`` hands every segment to the stdlib's
+resource-tracker helper process, whose job is to unlink "leaked"
+segments when the registering process exits — exactly what a
+restart-persistence mechanism must prevent.  :class:`ShmSegment` opens
+and maps its POSIX object itself, so no process but the ones that call
+``unlink`` ever removes one: a forked worker that creates, attaches or
+closes segments leaves the parent's data alone, an interpreter that
+exits (cleanly or killed) leaves its segments for the next one, and no
+interpreter in a shared memory restart ever starts the tracker (or
+prints its ``resource_tracker`` noise on stderr at exit).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,17 @@ def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+def run_script(body: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a fresh interpreter that imports this checkout."""
+    return subprocess.run(
+        [sys.executable, "-c", body],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
 
 
 class TestForkedChildren:
@@ -92,7 +106,7 @@ class TestForkedChildren:
         proc.join(30)
         assert proc.exitcode == 0
         assert not segment_exists(name)
-        segment.unlink()  # FileNotFoundError is swallowed and re-untracked
+        segment.unlink()  # already gone: nothing to do
 
 
 class TestTrackerNoiseAtExit:
@@ -100,18 +114,9 @@ class TestTrackerNoiseAtExit:
     tracker prints 'leaked shared_memory objects' / KeyError warnings at
     exit when the register/unregister pairing is off."""
 
-    def run_script(self, body: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-c", body],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=child_env(),
-        )
-
     def test_create_without_unlink_is_silent(self, shm_namespace):
         name = f"{shm_namespace}.deliberate"
-        result = self.run_script(
+        result = run_script(
             "from repro.shm.segment import ShmSegment\n"
             f"segment = ShmSegment.create({name!r}, 32)\n"
             "segment.close()\n"
@@ -123,10 +128,10 @@ class TestTrackerNoiseAtExit:
         ShmSegment.attach(name).unlink()
 
     def test_create_then_unlink_is_silent(self, shm_namespace):
-        """The retrack-before-unlink dance must leave the tracker with a
-        balanced ledger — no KeyError from a double unregister."""
+        """An unlink tells no tracker anything: no KeyError from a
+        double unregister."""
         name = f"{shm_namespace}.balanced"
-        result = self.run_script(
+        result = run_script(
             "from repro.shm.segment import ShmSegment\n"
             f"segment = ShmSegment.create({name!r}, 32)\n"
             "segment.unlink()\n"
@@ -139,7 +144,7 @@ class TestTrackerNoiseAtExit:
         name = f"{shm_namespace}.attached"
         segment = ShmSegment.create(name, 32)
         segment.write_at(0, b"x" * 32)
-        result = self.run_script(
+        result = run_script(
             "from repro.shm.segment import ShmSegment\n"
             f"view = ShmSegment.attach({name!r})\n"
             "assert bytes(view.read_at(0, 32)) == b'x' * 32\n"
@@ -149,3 +154,95 @@ class TestTrackerNoiseAtExit:
         assert "resource_tracker" not in result.stderr, result.stderr
         assert segment_exists(name)
         segment.unlink()
+
+
+#: Printed by a script's last line: whether this interpreter ever
+#: started the stdlib's resource tracker.
+TRACKER_PROBE = textwrap.dedent(
+    """
+    import sys
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    print("tracker pid:", None if tracker is None else tracker._resource_tracker._pid)
+    """
+)
+
+
+def run_probed(body: str) -> subprocess.CompletedProcess:
+    return run_script(textwrap.dedent(body) + TRACKER_PROBE)
+
+
+class TestNoHelperProcess:
+    """A shared memory restart is the engine's segments and nothing
+    else: no interpreter starts the stdlib's resource tracker, so none
+    writes to one, and nothing unlinks a segment behind the engine."""
+
+    def test_segment_calls_and_a_leaf_restart_start_no_tracker(
+        self, shm_namespace, tmp_path
+    ):
+        result = run_probed(
+            f"""
+            from pathlib import Path
+            from repro.core.engine import RecoveryMethod
+            from repro.disk.backup import DiskBackup
+            from repro.server.leaf import LeafServer
+            from repro.shm.segment import ShmSegment, segment_exists
+
+            name = {shm_namespace + ".probe"!r}
+            segment = ShmSegment.create(name, 64)
+            segment.write_at(0, b"a name and a mapping")
+            segment.close()
+            segment = ShmSegment.attach(name)
+            assert bytes(segment.read_at(0, 20)) == b"a name and a mapping"
+            segment.unlink()
+            assert not segment_exists(name)
+
+            def leaf():
+                backup = DiskBackup(Path({str(tmp_path)!r}))
+                return LeafServer("0", backup=backup, namespace={shm_namespace!r}, rows_per_block=50)
+
+            rows = [{{"time": 1000 + i, "host": f"h{{i % 3}}"}} for i in range(120)]
+            first = leaf()
+            first.start()
+            first.add_rows("events", rows)
+            first.shutdown(use_shm=True)
+            second = leaf()
+            report = second.start()
+            assert report.method is RecoveryMethod.SHARED_MEMORY, report.method
+            assert second.leafmap.row_count == 120
+            second.shutdown(use_shm=False)
+            """
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[-1] == "tracker pid: None"
+
+    def test_a_segment_whose_creator_was_killed_attaches_in_the_next_interpreter(
+        self, shm_namespace
+    ):
+        name = f"{shm_namespace}.killed"
+        creator = run_probed(
+            f"""
+            import os
+            import signal
+            from repro.shm.segment import ShmSegment
+
+            segment = ShmSegment.create({name!r}, 64)
+            segment.write_at(0, b"outlived a SIGKILL")
+            os.kill(os.getpid(), signal.SIGKILL)
+            """
+        )
+        assert creator.returncode == -signal.SIGKILL
+        assert segment_exists(name)
+        reader = run_probed(
+            f"""
+            from repro.shm.segment import ShmSegment
+
+            segment = ShmSegment.attach({name!r})
+            assert bytes(segment.read_at(0, 18)) == b"outlived a SIGKILL"
+            segment.unlink()
+            """
+        )
+        assert reader.returncode == 0, reader.stderr
+        assert reader.stderr == ""
+        assert reader.stdout.splitlines()[-1] == "tracker pid: None"
+        assert not segment_exists(name)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ShmError
 from repro.shm.segment import ShmSegment, segment_exists
-from tests.conftest import open_handles
+from tests.conftest import SHM_DIR, open_handles
 
 
 class TestSegmentBasics:
@@ -91,6 +91,37 @@ class TestSegmentBasics:
         assert segment_exists(name)
         segment.unlink()
         assert not segment_exists(name)
+
+    def test_create_makes_a_0600_object_under_the_name(self, shm_namespace):
+        name = f"{shm_namespace}-mode"
+        segment = ShmSegment.create(name, 8)
+        try:
+            assert (SHM_DIR / name).stat().st_mode & 0o777 == 0o600
+            assert (SHM_DIR / name).stat().st_size == segment.size == 8
+        finally:
+            segment.unlink()
+
+    def test_an_empty_object_exists_but_cannot_be_attached(self, shm_namespace):
+        name = f"{shm_namespace}-empty"
+        (SHM_DIR / name).touch(mode=0o600)
+        try:
+            assert segment_exists(name)
+            with pytest.raises(ValueError):
+                ShmSegment.attach(name)
+        finally:
+            (SHM_DIR / name).unlink()
+
+    def test_a_live_view_pins_the_mapping_until_released(self, shm_namespace):
+        segment = ShmSegment.create(f"{shm_namespace}-pinned", 8)
+        segment.write_at(0, b"pinned")
+        view = segment.read_at(0, 6)
+        with pytest.raises(BufferError):
+            segment.close()
+        assert bytes(segment.read_at(0, 6)) == b"pinned"  # still open
+        view.release()
+        segment.unlink()
+        with pytest.raises(ShmError):
+            segment.read_at(0, 1)
 
     def test_context_manager_closes_not_unlinks(self, shm_namespace):
         name = f"{shm_namespace}-i"

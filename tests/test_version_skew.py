@@ -16,6 +16,12 @@ build recorded lands on legacy replay, and the next sync writes a base.
 The manifest is now published compact where the older build indented
 it; its content is the same and JSON reads either, so that row bumps
 nothing and stays on its rung.
+Segments are now opened and mapped without the stdlib's
+``SharedMemory`` and its resource tracker; a segment is the same POSIX
+object, name and bytes either way, so the older build's segments
+attach, read and unlink in this build and this build's in the older
+one.  That row bumps nothing and is the paper's case: the old binary
+writes, the new one reads.
 Two constants no change has bumped yet have rows too, so a bump finds
 its refusal already tested: ``SHMDISK_FORMAT_VERSION`` (the snapshot
 file envelope) and ``METADATA_VERSION`` (the leaf metadata block).
@@ -26,6 +32,9 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 
 import pytest
@@ -45,6 +54,7 @@ from repro.disk.backup import DiskBackup
 from repro.disk.format import CHUNK_MAGIC, DEFLATED_CHUNK_MAGIC
 from repro.disk.replay import replay_leafmap
 from repro.shm import layout, metadata
+from repro.shm.segment import ShmSegment, segment_exists
 from repro.util.checksum import crc32_of, rows_digest
 from repro.util.memtrack import MemoryTracker
 from tests.conftest import SHM_DIR, check_counters
@@ -129,6 +139,77 @@ class TestSharedMemoryRung:
         assert not engine.shm_state_exists()
         assert tracker.in_region("shm") == 0
         assert not [p for p in SHM_DIR.iterdir() if p.name.startswith(shm_namespace)]
+
+
+def older_build(body: str) -> None:
+    """Run ``body`` after the older build's segment calls: the stdlib's
+    ``SharedMemory``, each name unregistered from its resource tracker at
+    create and attach, and registered again right before an unlink."""
+    prelude = textwrap.dedent(
+        """
+        from multiprocessing import resource_tracker, shared_memory
+
+        def untrack(raw):
+            resource_tracker.unregister(raw._name, "shared_memory")
+
+        def create(name, size):
+            raw = shared_memory.SharedMemory(name=name, create=True, size=size)
+            untrack(raw)
+            return raw
+
+        def attach(name):
+            raw = shared_memory.SharedMemory(name=name, create=False)
+            untrack(raw)
+            return raw
+
+        def unlink(raw):
+            raw.close()
+            resource_tracker.register(raw._name, "shared_memory")
+            raw.unlink()
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(body)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+
+
+class TestSegmentHandles:
+    PAYLOAD = b"written by one build, read by the other"
+
+    def test_an_older_builds_segment_attaches_reads_and_unlinks(self, shm_namespace):
+        name = f"{shm_namespace}.old-writes"
+        older_build(
+            f"""
+            raw = create({name!r}, 64)
+            raw.buf[:{len(self.PAYLOAD)}] = {self.PAYLOAD!r}
+            raw.close()
+            """
+        )
+        segment = ShmSegment.attach(name)
+        assert segment.size == 64
+        assert bytes(segment.read_at(0, len(self.PAYLOAD))) == self.PAYLOAD
+        segment.unlink()
+        assert not segment_exists(name)
+
+    def test_this_builds_segment_attaches_reads_and_unlinks_in_the_older_one(
+        self, shm_namespace
+    ):
+        name = f"{shm_namespace}.new-writes"
+        segment = ShmSegment.create(name, 64)
+        segment.write_at(0, self.PAYLOAD)
+        segment.close()
+        older_build(
+            f"""
+            raw = attach({name!r})
+            assert bytes(raw.buf[:{len(self.PAYLOAD)}]) == {self.PAYLOAD!r}
+            unlink(raw)
+            """
+        )
+        assert not segment_exists(name)
 
 
 class TestSnapshotRung:
