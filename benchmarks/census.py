@@ -83,6 +83,7 @@ REPROSAN_TESTS = (
     "test_disk_replay",
     "test_server_retention",
     "test_disk_incremental",
+    "test_util_memtrack",
 )
 RUNS = {
     "tier1": [(*PYTEST, "tests")],

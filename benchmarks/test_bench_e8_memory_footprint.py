@@ -9,9 +9,13 @@ shutdown and restart."
 
 Measured through the engine's logical memory tracker: the gradual
 strategy peaks at ~1x the data (+ one row block in flight and the
-part-page under the next: shutdown charges each RBC as it lands, the
-restore hands pages back as the blocks above them come home), while the
-naive copy-everything-then-free strategy peaks at ~2x.
+part-page under the next), while the naive copy-everything-then-free
+strategy peaks at ~2x.  The shutdown still copies one RBC per memcpy,
+but charges shm for a block's landed bytes and frees its heap bytes
+once per row block, so its transient is one block plus the preambles;
+the restore hands pages back as the blocks above them come home, so
+its transient is one block plus a part-page.  Both sit inside the gate
+of one block and one page.
 """
 
 import mmap

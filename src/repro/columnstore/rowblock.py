@@ -108,6 +108,8 @@ class RowBlock(TimeRange):
             raise SchemaError("row block columns do not match the schema")
         self.schema = schema
         self._rbcs = rbcs
+        #: Compressed size: the sum of the RBC buffers, which never change.
+        self.nbytes = sum(map(len, rbcs.values()))
         self.row_count = row_count
         self.min_time = min_time
         self.max_time = max_time
@@ -168,11 +170,6 @@ class RowBlock(TimeRange):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        """Compressed size: the sum of the RBC buffers."""
-        return sum(len(buf) for buf in self._rbcs.values())
 
     def rbc_buffer(self, name: str) -> bytes:
         """The raw RBC buffer for one column (the unit of copying)."""
@@ -245,20 +242,6 @@ class RowBlock(TimeRange):
             {name: columns[name][i] for name in self.schema.names}
             for i in range(self.row_count)
         ]
-
-    def release_column(self, name: str) -> int:
-        """Drop one column's heap buffer, returning its size.
-
-        Used only by the restart engine's shutdown loop: after an RBC has
-        been copied into shared memory its heap bytes are freed
-        immediately (paper, Figure 6).  The block is unusable for queries
-        afterwards.
-        """
-        try:
-            buf = self._rbcs.pop(name)
-        except KeyError:
-            raise SchemaError(f"row block has no column '{name}'") from None
-        return len(buf)
 
     def verify(self) -> None:
         """Checksum-verify every column buffer."""

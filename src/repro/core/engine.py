@@ -12,7 +12,7 @@
             grow the table segment in size if needed    (*)
             for each row block column
                 copy data from heap to the table segment
-                delete row block column from heap
+                delete row block column from heap       (**)
             delete row block from heap
         delete table from heap
     set valid bit to true
@@ -37,6 +37,12 @@
 the copy (its ``table_segment_image``, built once and then written),
 so the estimate is the size and the segment is created once, at its
 final length.
+
+(**) Per row block here: each RBC is still one ``memcpy`` from its heap
+buffer, but the block's heap bytes go — and the tracker is charged and
+freed — once per block, after its last RBC has landed.  The footprint
+then peaks at the data plus one block plus the preambles written so
+far, the one-block transient experiment E8 bounds.
 
 If the restore path is interrupted, the valid bit is already false, so
 the *next* restart goes to disk — the crash-safety property of the
@@ -469,6 +475,13 @@ class RestartEngine:
         # pre-seed the tracker still get consistent footprint numbers.
         leafmap.seal_all()
         self._reconcile_heap(sum(table.sealed_nbytes for table in leafmap))
+        # Figure 5(c)'s PREPARE: reject new work, finish in-flight work,
+        # flush to disk.  In this single-threaded engine that is the seal
+        # above and one sync of every table, before any table leaves the
+        # heap: a shutdown killed mid-copy falls back to a disk that
+        # already holds every row.
+        if self.backup is not None:
+            self.backup.sync_leafmap(leafmap)
         if self.shm_state_exists():
             self.discard_shm()  # stale state from an unlinked predecessor
         meta = LeafMetadata.create(self.namespace, self.leaf_id, self.layout_version)
@@ -478,13 +491,6 @@ class RestartEngine:
             # reproducible across the shutdown/restore pair.
             for index, table_name in enumerate(list(leafmap.table_names)):
                 table = leafmap.get_table(table_name)
-                # Figure 5(c)'s PREPARE: reject new work, finish
-                # in-flight work, flush to disk.  In this single-threaded
-                # engine that reduces to sealing the write buffer and
-                # syncing the backup.
-                table.seal_buffer()
-                if self.backup is not None:
-                    self.backup.sync_table(table)
                 records.append(self._copy_table_out(table, index, meta, records, deadline, report))
                 report.tables += 1
                 leafmap.drop_table(table_name)
@@ -514,6 +520,8 @@ class RestartEngine:
         """
         blocks = table.take_blocks()
         rows = sum(block.row_count for block in blocks)
+        rbcs = sum(len(block.schema) for block in blocks)
+        copied = sum(block.nbytes for block in blocks)
         image = table_segment_image(table.name, blocks)
         used = image.size
         name = self._segment_base_name(table_index)
@@ -539,16 +547,25 @@ class RestartEngine:
                 self.budget.acquire(size)
                 held = size
             segment = ShmSegment.create(name, size)
-            for event in TableSegmentWriter(segment, table.name, blocks, image).copy_events():
-                # §4.4's "allocate, copy, free": the segment is charged as
-                # its bytes land (tmpfs backs a page only once it is
-                # written), each RBC before its heap buffer goes.
-                self._charge_shm(name, event.landed)
-                self._apply_copy_event(blocks, event, deadline, report)
+            writer = TableSegmentWriter(segment, table.name, blocks, image)
+            for index, nbytes, landed in writer.copy_events():
+                # §4.4's "allocate, copy, free", a row block per step:
+                # the segment is charged as its bytes land (tmpfs backs
+                # a page only once it is written), then the block leaves
+                # the heap — "delete row block from heap".
+                self._charge_shm(name, landed)
+                blocks[index] = None
+                self._track_heap_free(nbytes)
+                if deadline is not None:
+                    deadline.check()
             if not blocks:
                 self._charge_shm(name, used)  # its preamble alone
             segment.close()
             # Home in shared memory: ``bytes`` are what its segment holds.
+            report.rbc_copies += rbcs
+            report.bytes_copied += copied
+            report.rows += rows
+            report.row_blocks += len(blocks)
             report.note("table", table.name, blocks=len(blocks), rows=rows, bytes=used)
             return record
         except BaseException:
@@ -563,20 +580,6 @@ class RestartEngine:
         finally:
             if held:
                 self.budget.release(held)
-
-    def _apply_copy_event(self, blocks, event, deadline, report) -> None:
-        if deadline is not None:
-            deadline.check()
-        block = blocks[event.block_index]
-        freed = block.release_column(event.column_name)
-        self._track_heap_free(freed)
-        report.rbc_copies += 1
-        report.bytes_copied += event.nbytes
-        if event.last_in_block:
-            # "delete row block from heap"
-            report.rows += block.row_count
-            report.row_blocks += 1
-            blocks[event.block_index] = None
 
     # ------------------------------------------------------------------
     # Restore (Figure 7)

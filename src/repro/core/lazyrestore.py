@@ -351,9 +351,11 @@ class RestoreDriver:
         report = self.report
         adopted = 0
         touched: dict[str, _TableState] = {}
+        state = None
         try:
             for desc, block in arrivals:
-                state = touched[desc.table] = self._tables[desc.table]
+                if state is None or state.name != desc.table:  # neighbours mostly share a table
+                    state = touched[desc.table] = self._tables[desc.table]
                 nbytes = block.nbytes
                 engine._track_heap_alloc(nbytes)
                 del state.pending[desc.index]
@@ -361,7 +363,7 @@ class RestoreDriver:
                 state.nbytes += nbytes
                 report.bytes_restored += desc.size
                 report.row_blocks += 1
-                report.rbc_copies += len(block.schema)
+                report.rbc_copies += len(desc.columns)
                 report.bytes_copied += nbytes
                 report.rows += block.row_count
                 adopted += 1

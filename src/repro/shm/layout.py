@@ -26,10 +26,14 @@ byte for byte the used bytes of a segment.  Reading goes through
 restore's directory (:func:`read_block_headers`) keeps each block's
 parsed header for its fault-in.
 
-Writing is *streamed one row block column at a time* so the shutdown path
-can free each heap RBC right after copying it (paper, Section 4.4) — the
-:class:`TableSegmentWriter` yields a :class:`CopyEvent` per RBC and the
-restart engine interleaves its heap frees with the iteration.
+The copy-out is *streamed one row block at a time* so the shutdown path
+can free each heap block right after copying it (paper, Section 4.4):
+the :class:`TableSegmentWriter` writes a block's preamble and then its
+RBCs back to back — each RBC still one ``memcpy`` straight from its heap
+buffer, as §4.4 words it — and yields one :class:`CopyEvent` per block.
+The restart engine charges the block's landed bytes to shared memory and
+frees its heap bytes once per event, so the tracked footprint never
+exceeds the data plus one block plus the preambles written so far.
 """
 
 from __future__ import annotations
@@ -90,22 +94,21 @@ def table_segment_size(table_name: str, blocks: list[RowBlock]) -> int:
     return table_segment_image(table_name, blocks).size
 
 
-@dataclass(frozen=True)
-class CopyEvent:
-    """One row-block-column copy completed by :class:`TableSegmentWriter`."""
+class CopyEvent(NamedTuple):
+    """One row block copied by :class:`TableSegmentWriter`."""
 
     block_index: int
-    column_name: str
+    #: The block's RBC bytes, each copied with one ``write_rbc``.
     nbytes: int
-    #: Bytes this step put in the segment: the RBC plus any preamble
-    #: (the table's, a block's) written just before it.  Summed over a
-    #: table's events this is its ``used_bytes``.
+    #: Bytes this step put in the segment: the block's RBCs plus the
+    #: preambles (the table's, the block's) written just before them.
+    #: Summed over a table's events this is its ``used_bytes``.
     landed: int
-    last_in_block: bool
 
 
 class TableSegmentWriter:
-    """Streams a table into a segment, one RBC ``memcpy`` at a time."""
+    """Streams a table into a segment, one row block per step and one
+    RBC ``memcpy`` at a time."""
 
     def __init__(
         self,
@@ -132,10 +135,10 @@ class TableSegmentWriter:
         return self._segment.write_at(offset, rbc)
 
     def copy_events(self) -> Iterator[CopyEvent]:
-        """Write everything; yield after each RBC so the caller can free
-        the corresponding heap buffer before the next copy.  Each RBC is
-        taken from its block only as it is copied, so nothing here keeps
-        a freed buffer alive."""
+        """Write everything; yield after each row block so the caller can
+        free that block's heap buffers before the next one is copied.
+        Each block is taken from the list only as it is copied, and
+        nothing here holds it once its step is yielded."""
         image = self._image
         if self.used_bytes > self._segment.size:
             raise ShmError(
@@ -144,19 +147,20 @@ class TableSegmentWriter:
             )
         cursor = self._segment.write_at(0, image.preamble)
         yielded = 0  # bytes already reported; blocks follow the preamble back to back
-        for index, (block, block_preamble) in enumerate(zip(self._blocks, image.block_preambles)):
-            cursor = self._segment.write_at(cursor, block_preamble)
-            names = block.schema.names
-            for col_index, name in enumerate(names):
-                start, cursor = cursor, self.write_rbc(cursor, block.rbc_buffer(name))
-                landed, yielded = cursor - yielded, cursor
-                yield CopyEvent(
-                    block_index=index,
-                    column_name=name,
-                    nbytes=cursor - start,
-                    landed=landed,
-                    last_in_block=col_index == len(names) - 1,
-                )
+        for index, block_preamble in enumerate(image.block_preambles):
+            start = self._segment.write_at(cursor, block_preamble)
+            cursor = self._write_rbcs(start, self._blocks[index])
+            landed, yielded = cursor - yielded, cursor
+            yield CopyEvent(index, cursor - start, landed)
+
+    def _write_rbcs(self, cursor: int, block: RowBlock) -> int:
+        """Write ``block``'s RBCs from ``cursor`` in schema order, one
+        :meth:`write_rbc` each; returns the offset past the last.  A
+        frame of its own, so the suspended generator holds no reference
+        to a block its caller is about to free."""
+        for _, rbc in block.rbc_buffers():
+            cursor = self.write_rbc(cursor, rbc)
+        return cursor
 
 
 def write_table_to_segment(

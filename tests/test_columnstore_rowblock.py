@@ -85,14 +85,13 @@ class TestAccess:
     def test_verify_clean(self):
         RowBlock.from_rows(rows_fixture(), created_at=0.0).verify()
 
-    def test_release_column(self):
+    def test_nbytes_is_the_sum_of_the_rbcs(self):
+        """Stored once at construction, and a block never changes: the
+        sealed block and its unpacked copy agree with their buffers."""
         block = RowBlock.from_rows(rows_fixture(), created_at=0.0)
-        size = len(block.rbc_buffer("host"))
-        assert block.release_column("host") == size
-        with pytest.raises(SchemaError):
-            block.rbc_buffer("host")
-        with pytest.raises(SchemaError):
-            block.release_column("host")
+        for each in (block, RowBlock.unpack(block.pack())):
+            assert each.nbytes == sum(len(buf) for _, buf in each.rbc_buffers()) > 0
+            assert len(each.packed_preamble()) + each.nbytes == each.packed_size
 
 
 class TestTimePruning:

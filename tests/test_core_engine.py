@@ -1,6 +1,7 @@
 """Tests for the restart engine: Figures 6 and 7, the valid-bit
 protocol, fallback, growth, deadline kills, and the footprint bound."""
 
+import mmap
 import os
 import random
 import tracemalloc
@@ -16,7 +17,7 @@ from repro.shm.metadata import LeafMetadata
 from repro.util.memtrack import MemoryTracker
 
 from tests.conftest import SHM_DIR, make_leafmap
-from tests.crashpoints import InjectedFault, Recorder, in_child
+from tests.crashpoints import Effect, InjectedFault, Recorder, in_child
 
 
 def engine_for(namespace, backup, clock, **kwargs):
@@ -248,6 +249,29 @@ class TestFaultInjection:
         report = boot_after_backup_crash(shm_namespace, backup, clock, tracker, snapshot)
         assert report.method is landing
 
+    def test_copy_out_killed_early_loses_no_table(
+        self, shm_namespace, backup, clock, monkeypatch
+    ):
+        """PREPARE syncs every table before the first leaves the heap.
+        A caller that drives the engine with rows it never synced, and
+        is killed at table 0's first shm charge, finds every table's
+        rows on disk at the next boot — not only table 0's."""
+        leafmap = make_leafmap(clock, tables=("events", "errors", "metrics"), rows=150)
+        snapshot = leafmap.snapshot_rows()
+        tracker = MemoryTracker()
+        engine = engine_for(shm_namespace, backup, clock, tracker=tracker)
+        with monkeypatch.context() as patch:
+            recorder = Recorder(patch, namespace=shm_namespace)
+            recorder.fail(kind="allocate", target="shm")
+            with pytest.raises(InjectedFault):
+                engine.backup_to_shm(leafmap)
+        assert recorder.fired == Effect("allocate", "shm")
+        assert not recorder.of("free")  # nothing had left the heap
+        engine.forget_heap()  # the process dies with its heap
+        report = boot_after_backup_crash(shm_namespace, backup, clock, tracker, snapshot)
+        # 150 rows seal evenly, so the one sync wrote every snapshot.
+        assert report.method is RecoveryMethod.DISK_SNAPSHOT
+
     def test_crash_at_restore_entry_leaves_shm_valid(
         self, shm_namespace, backup, clock, monkeypatch
     ):
@@ -325,29 +349,38 @@ class TestFaultInjection:
 
 
 class TestDeadline:
-    def test_deadline_kill_falls_back_to_disk(self, shm_namespace, backup, clock):
-        """The watchdog's ShutdownTimeout lands mid-copy, on the fifth
-        check: the segment it was filling is already named in the
-        metadata, so the next boot's discard takes it and its charge."""
-        leafmap = make_leafmap(clock, rows=200)
-        backup.sync_leafmap(leafmap)
-        snapshot = leafmap.snapshot_rows()
-        deadline = CooperativeDeadline(timeout=1.0, clock=clock)
+    @staticmethod
+    def counted(deadline, clock, expire_at=None):
+        """Count ``deadline``'s checks; at check ``expire_at`` the clock
+        jumps past its timeout first."""
         checks = []
         real_check = deadline.check
 
         def check():
             checks.append(1)
-            if len(checks) == 5:
+            if len(checks) == expire_at:
                 clock.advance(2.0)
             real_check()
 
         deadline.check = check
+        return checks
+
+    def test_deadline_kill_falls_back_to_disk(self, shm_namespace, backup, clock):
+        """The deadline is checked once per row block copied, so the
+        watchdog's ShutdownTimeout lands mid-table, after the third of
+        its four blocks: the segment it was filling is already named in
+        the metadata, so the next boot's discard takes it and its
+        charge."""
+        leafmap = make_leafmap(clock, rows=200)  # one table, four 50-row blocks
+        backup.sync_leafmap(leafmap)
+        snapshot = leafmap.snapshot_rows()
+        deadline = CooperativeDeadline(timeout=1.0, clock=clock)
+        checks = self.counted(deadline, clock, expire_at=3)
         tracker = MemoryTracker()
         engine = engine_for(shm_namespace, backup, clock, tracker=tracker)
         with pytest.raises(ShutdownTimeout):
             engine.backup_to_shm(leafmap, deadline=deadline)
-        assert len(checks) == 5
+        assert len(checks) == 3
         assert not engine.shm_state_valid()
         engine.forget_heap()
         report = boot_after_backup_crash(shm_namespace, backup, clock, tracker, snapshot)
@@ -355,10 +388,13 @@ class TestDeadline:
         assert report.method is RecoveryMethod.DISK_SNAPSHOT
 
     def test_generous_deadline_passes(self, shm_namespace, backup, clock):
-        leafmap = make_leafmap(clock)
+        leafmap = make_leafmap(clock, tables=("events", "errors"))
         deadline = CooperativeDeadline(timeout=3600.0, clock=clock)
+        checks = self.counted(deadline, clock)
         engine = engine_for(shm_namespace, backup, clock)
-        engine.backup_to_shm(leafmap, deadline=deadline)
+        report = engine.backup_to_shm(leafmap, deadline=deadline)
+        assert len(checks) == report.row_blocks == 6  # once per block, not per RBC
+        assert report.rbc_copies == 4 * report.row_blocks
         engine_for(shm_namespace, backup, clock).restore(fresh_map(clock))
 
 
@@ -416,22 +452,54 @@ class TestFootprint:
         assert tracker.peak_total <= segment_total + max_table_bytes
         assert tracker.peak_total < 2 * data_bytes
 
+    def test_copy_out_moves_a_block_per_step(self, shm_namespace, backup, clock, monkeypatch):
+        """E8's flat-footprint bound at tier 1.  The copy-out charges a
+        row block's landed bytes to shm and frees its heap bytes once
+        each, so across the shutdown the tracked total stays within the
+        segments' bytes plus the largest block — at the ledger's
+        512-row blocks, within the data plus the largest block plus a
+        page (which holds the preambles)."""
+        from repro.shm.layout import table_segment_size
+
+        leafmap = make_leafmap(
+            clock, rows_per_block=512, tables=("a", "b", "c", "d"), rows=2048
+        )
+        leafmap.seal_all()
+        blocks = [block for table in leafmap for block in table.blocks]
+        data_bytes = sum(block.nbytes for block in blocks)
+        largest = max(block.nbytes for block in blocks)
+        segment_total = sum(table_segment_size(t.name, t.blocks) for t in leafmap)
+        tracker = MemoryTracker()
+        engine = engine_for(shm_namespace, backup, clock, tracker=tracker)
+        with monkeypatch.context() as patch:
+            recorder = Recorder(patch, namespace=shm_namespace)
+            report = engine.backup_to_shm(leafmap)
+        assert report.row_blocks == len(blocks) == 16
+        assert recorder.of("allocate").count(Effect("allocate", "shm")) == len(blocks)
+        assert recorder.of("free") == [Effect("free", "heap")] * len(blocks)
+        assert tracker.peak_total <= segment_total + largest
+        assert tracker.peak_total <= data_bytes + largest + mmap.PAGESIZE
+        assert tracker.in_region("shm") == segment_total
+        assert tracker.in_region("heap") == 0
+        engine.discard_shm()
+
     def test_copy_out_frees_real_heap_bytes_as_it_goes(
         self, shm_namespace, clock, monkeypatch
     ):
         """The tracker counts charges; this counts bytes.  §4.4's "delete
-        row block column from heap" must free the RBC itself, so nothing
-        on the copy path may keep a copied RBC alive: by the last copy
-        the traced heap is down by (nearly) the whole table."""
+        row block from heap" must free the block itself, so nothing on
+        the copy path may keep a copied block alive past the next one's
+        copy: by the last block's heap free the traced heap is down by
+        (nearly) the whole table."""
         rng = random.Random(7)
         levels = []
-        real = RestartEngine._apply_copy_event
+        real = RestartEngine._track_heap_free
 
-        def spy(self, *args):
-            real(self, *args)
+        def spy(self, nbytes):
+            real(self, nbytes)
             levels.append(tracemalloc.get_traced_memory()[0])
 
-        monkeypatch.setattr(RestartEngine, "_apply_copy_event", spy)
+        monkeypatch.setattr(RestartEngine, "_track_heap_free", spy)
         tracemalloc.start()
         try:
             leafmap = LeafMap(clock=clock, rows_per_block=2500)

@@ -80,18 +80,23 @@ class TestWriteRead:
         finally:
             segment.unlink()
 
-    def test_streamed_copy_yields_one_event_per_rbc(self, shm_namespace):
+    def test_streamed_copy_yields_one_event_per_block(self, shm_namespace):
+        """A step is a whole row block: its RBC bytes, and what landed
+        with it (the preambles), summing to the segment's used bytes."""
         blocks = make_blocks(2, rows=10)
-        n_columns = len(blocks[0].schema)
         segment = ShmSegment.create(
             f"{shm_namespace}-c", table_segment_size("t", blocks)
         )
         try:
             writer = TableSegmentWriter(segment, "t", blocks)
             events = list(writer.copy_events())
-            assert len(events) == 2 * n_columns
-            assert sum(1 for e in events if e.last_in_block) == 2
-            assert {e.block_index for e in events} == {0, 1}
+            assert [e.block_index for e in events] == [0, 1]
+            assert [e.nbytes for e in events] == [b.nbytes for b in blocks]
+            assert sum(e.landed for e in events) == writer.used_bytes
+            for event, block in zip(events, blocks):
+                assert event.landed > event.nbytes  # its preamble came with it
+            name, recovered = read_back(segment, writer.used_bytes)
+            assert [b.pack() for b in recovered] == [b.pack() for b in blocks]
         finally:
             segment.unlink()
 
