@@ -84,6 +84,7 @@ REPROSAN_TESTS = (
     "test_server_retention",
     "test_disk_incremental",
     "test_util_memtrack",
+    "test_version_skew",
 )
 RUNS = {
     "tier1": [(*PYTEST, "tests")],

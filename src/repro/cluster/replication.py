@@ -22,19 +22,28 @@ little-endian header ``(magic, version, kind, payload_len, crc32)``.
 The CRC covers the payload, so a torn or bit-flipped frame surfaces as
 :class:`~repro.errors.ReplicaWireError` — which the recovery ladder
 treats exactly like a stale snapshot: abandon the rung all-or-nothing
-and fall to the local disk rungs.
+and fall to the local disk rungs.  A frame leaves in one gathered write
+(``sendmsg`` of its header and chunks, never joined), and each
+connection reads its frames out of its own receive buffer
+(:class:`FrameReader`), so a window of pipelined frames arrives in few
+receives.
 
-Protocol::
+Protocol (``WIRE_VERSION`` 3)::
 
     client                              server
     ------                              ------
     HELLO {"open": true}          ->
                                   <-    CATALOG {"session": t, "tables": [...]}
     HELLO {"session": t}          ->    (each extra stream joins the session)
-                                  <-    CATALOG {"session": t, ...}
-    GET {"table": n, "index": i}  ->
+                                  <-    CATALOG {"session": t, "tables": []}
+    GET <u32 table, u32 index>    ->    (a window of GETs is one write)
                                   <-    BLOCK <packed block bytes>
     BYE {"session": t}            ->    (server drops the session)
+
+A GET names its table by ordinal: the table's position in the session
+catalog, which lists tables in name order.  A GET of the wrong length,
+or one that names no table or no block, gets an ERROR frame and the
+connection goes on serving.
 
 Opening a session snapshots the replica's sealed blocks (Python
 references pin them even if the replica expires data afterwards), so
@@ -44,6 +53,7 @@ every stream of one restore pulls from the same consistent image.
 from __future__ import annotations
 
 import json
+import os
 import queue
 import socket
 import struct
@@ -63,13 +73,23 @@ if TYPE_CHECKING:
     from repro.server.leaf import LeafServer
 
 WIRE_MAGIC = 0x50455252  # "RREP"
-#: 2: BLOCK frames carry ``RBC_VERSION`` 2 (raw deflate) payloads, so a
-#: standby of the other build is refused at its first frame.
-WIRE_VERSION = 2
+#: 3: a GET's payload is binary (:data:`_GET`), not JSON.  2: BLOCK
+#: frames carry ``RBC_VERSION`` 2 (raw deflate) payloads.  A peer of
+#: another version is refused at its first frame.
+WIRE_VERSION = 3
 #: magic, version, kind, payload length, payload crc32
 _FRAME = struct.Struct("<IHHII")
+#: A GET's payload: the table's ordinal in the session catalog (the
+#: catalog lists tables in name order), then the block's index.
+_GET = struct.Struct("<II")
 #: Sanity cap on one frame's payload — a block is at most a few MB.
 MAX_PAYLOAD = 1 << 31
+#: A connection's receive buffer.  One receive asks for all of its free
+#: space, so a pipelined run of frames lands in few receives; a frame
+#: larger than the buffer grows it as its bytes arrive.
+RECV_BUFFER = 1 << 18
+#: The most buffers one ``sendmsg`` takes.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 FRAME_HELLO = 1
 FRAME_CATALOG = 2
@@ -82,7 +102,7 @@ FRAME_BYE = 6
 DEFAULT_STREAMS = 4
 
 #: GET frames kept in flight ahead of the responses on one stream.
-#: Requests are ~60 bytes, so a full window in the server's receive
+#: Requests are 24 bytes, so a full window in the server's receive
 #: buffer is negligible while it amortizes the per-block round trip
 #: across the whole run of blocks.
 DEFAULT_WINDOW = 32
@@ -103,57 +123,131 @@ def _no_delay(sock: socket.socket) -> None:
         pass  # not a TCP socket (tests may pass a socketpair)
 
 
-def send_frame(sock: socket.socket, kind: int, *chunks) -> None:
-    """Write one frame; chunks are sent back-to-back without joining."""
-    length = sum(len(c) for c in chunks)
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(chunk, crc)
-    header = _FRAME.pack(WIRE_MAGIC, WIRE_VERSION, kind, length, crc & 0xFFFFFFFF)
+def _send_buffers(sock: socket.socket, buffers: list) -> None:
+    """Write ``buffers`` back to back: the one write every frame goes
+    through.  One ``sendmsg`` gathers them without joining; it is called
+    again only when the kernel took fewer bytes than asked or the list
+    is longer than ``_IOV_MAX``."""
+    at, end = 0, len(buffers)
     try:
-        sock.sendall(header)
-        for chunk in chunks:
-            sock.sendall(chunk)
+        while at < end:
+            sent = sock.sendmsg(buffers[at : at + _IOV_MAX])
+            while at < end and sent >= len(buffers[at]):
+                sent -= len(buffers[at])
+                at += 1
+            if sent:
+                buffers = [memoryview(buffers[at])[sent:], *buffers[at + 1 :]]
+                at, end = 0, len(buffers)
     except OSError as exc:
         raise ReplicaWireError(f"replica stream send failed: {exc}") from exc
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < nbytes:
-        try:
-            chunk = sock.recv(min(nbytes - len(buf), 1 << 20))
-        except OSError as exc:
-            raise ReplicaWireError(f"replica stream recv failed: {exc}") from exc
-        if not chunk:
-            raise ReplicaWireError("replica connection closed mid-frame")
-        buf += chunk
-    return bytes(buf)
+def send_frame(sock: socket.socket, kind: int, *chunks) -> int:
+    """Write one frame in one gathered write; its chunks are never
+    joined.  Returns the payload's length."""
+    length = crc = 0
+    for chunk in chunks:
+        length += len(chunk)
+        crc = zlib.crc32(chunk, crc)
+    _send_buffers(sock, [_FRAME.pack(WIRE_MAGIC, WIRE_VERSION, kind, length, crc), *chunks])
+    return length
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    """Read one frame, validating magic, version, and payload CRC."""
-    header = _recv_exact(sock, _FRAME.size)
-    magic, version, kind, length, crc = _FRAME.unpack(header)
-    if magic != WIRE_MAGIC:
-        raise ReplicaWireError(f"bad frame magic 0x{magic:08x}")
-    if version != WIRE_VERSION:
-        raise ReplicaWireError(f"unsupported wire version {version}")
-    if length > MAX_PAYLOAD:
-        raise ReplicaWireError(f"frame payload {length} exceeds cap")
-    payload = _recv_exact(sock, length) if length else b""
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise ReplicaWireError("frame payload checksum mismatch")
-    return kind, payload
+def _get_frame(ordinal: int, index: int) -> bytes:
+    """A whole GET frame for block ``index`` of the catalog's table
+    number ``ordinal``."""
+    payload = _GET.pack(ordinal, index)
+    header = _FRAME.pack(WIRE_MAGIC, WIRE_VERSION, FRAME_GET, _GET.size, zlib.crc32(payload))
+    return header + payload
 
 
-def _raise_on_error(kind: int, payload: bytes, expected: int) -> None:
+class FrameReader:
+    """One connection's frames, read out of its own receive buffer.
+
+    The reader is its socket's only reader.  A receive asks for all of
+    the buffer's free space, so a window of GETs (at the server) or of
+    BLOCKs (at the client) arrives in few receives, and each frame is
+    parsed where it landed.  A payload is a view of the buffer, valid
+    until the reader's next read.
+    """
+
+    __slots__ = ("sock", "_view", "_start", "_end")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self._view = memoryview(bytearray(RECV_BUFFER))
+        #: The unread bytes are ``_view[_start:_end]``.
+        self._start = self._end = 0
+
+    def read_frame(self) -> tuple[int, memoryview | bytes]:
+        """Read one frame, validating magic, version, the payload cap
+        and the payload CRC."""
+        magic, version, kind, length, crc = _FRAME.unpack(_recv_exact(self, _FRAME.size))
+        if magic != WIRE_MAGIC:
+            raise ReplicaWireError(f"bad frame magic 0x{magic:08x}")
+        if version != WIRE_VERSION:
+            raise ReplicaWireError(f"unsupported wire version {version}")
+        if length > MAX_PAYLOAD:
+            raise ReplicaWireError(f"frame payload {length} exceeds cap")
+        payload = _recv_exact(self, length) if length else b""
+        if zlib.crc32(payload) != crc:
+            raise ReplicaWireError("frame payload checksum mismatch")
+        return kind, payload
+
+    def _fill(self, nbytes: int) -> None:
+        """Receive until ``nbytes`` unread bytes are buffered.
+
+        The unread tail moves to the front first when the room after it
+        is short.  A frame larger than the buffer grows it at most
+        twofold each time the buffer fills, so a stated length alone
+        never grows it past twice what the peer has sent."""
+        held = self._end - self._start
+        if len(self._view) - self._start < nbytes:
+            self._view[:held] = self._view[self._start : self._end]
+            self._start, self._end = 0, held
+        recv_into = self.sock.recv_into
+        while self._end - self._start < nbytes:
+            if self._end == len(self._view):
+                grown = memoryview(bytearray(min(nbytes, 2 * len(self._view))))
+                grown[: self._end] = self._view[: self._end]
+                self._view = grown
+            try:
+                got = recv_into(self._view[self._end :])
+            except OSError as exc:
+                raise ReplicaWireError(f"replica stream recv failed: {exc}") from exc
+            if not got:
+                raise ReplicaWireError("replica connection closed mid-frame")
+            self._end += got
+
+
+def _recv_exact(reader: FrameReader, nbytes: int) -> memoryview:
+    """The next ``nbytes`` of the reader's stream, out of its buffer;
+    the buffer is filled only when it holds fewer."""
+    if reader._end - reader._start < nbytes:
+        reader._fill(nbytes)
+    start = reader._start
+    reader._start = start + nbytes
+    return reader._view[start : start + nbytes]
+
+
+def _raise_on_error(kind: int, payload, expected: int) -> None:
     if kind == FRAME_ERROR:
         raise ReplicaWireError(
-            f"replica refused: {payload.decode('utf-8', 'replace')}"
+            f"replica refused: {bytes(payload).decode('utf-8', 'replace')}"
         )
     if kind != expected:
         raise ReplicaWireError(f"expected frame kind {expected}, got {kind}")
+
+
+def _session_token(payload) -> str | None:
+    """The session token a HELLO or BYE names, ``""`` if it names none;
+    ``None`` if the payload is not such a request."""
+    try:
+        request = json.loads(bytes(payload))
+    except (ValueError, RecursionError):
+        return None
+    token = request.get("session", "") if isinstance(request, dict) else None
+    return token if isinstance(token, str) else None
 
 
 # ----------------------------------------------------------------------
@@ -210,11 +304,11 @@ def _catalog_payload(token: str, tables: TableSnapshot) -> bytes:
     return json.dumps(doc).encode()
 
 
-def _parse_catalog(payload: bytes) -> tuple[str, tuple[WireTable, ...]]:
+def _parse_catalog(payload) -> tuple[str, tuple[WireTable, ...]]:
     """The session token and tables of a CATALOG frame; a payload that
     is not a well-formed catalog is a :class:`ReplicaWireError`."""
     try:
-        doc = json.loads(payload)
+        doc = json.loads(bytes(payload))
         token = doc["session"]
         tables = tuple(_parse_table(entry) for entry in doc["tables"])
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
@@ -264,7 +358,8 @@ class ReplicaBlockServer:
         self._sock = socket.create_server((host, 0))
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
         self._lock = threading.Lock()
-        self._sessions: dict[str, TableSnapshot] = {}
+        #: token -> the session's block lists, in catalog order
+        self._sessions: dict[str, tuple[list, ...]] = {}
         self._conns: set[socket.socket] = set()
         self._tokens = count(1)
         self._closed = False
@@ -296,21 +391,20 @@ class ReplicaBlockServer:
             ).start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        session: TableSnapshot | None = None
+        #: The pinned session's block lists, in catalog order.
+        tables: tuple[list, ...] | None = None
+        reader = FrameReader(conn)
         try:
             with conn:
                 while True:
-                    kind, payload = recv_frame(conn)
-                    if kind == FRAME_BYE:
+                    kind, payload = reader.read_frame()
+                    if kind == FRAME_GET:
+                        self._handle_get(conn, tables, payload)
+                    elif kind == FRAME_HELLO:
+                        tables = self._handle_hello(conn, payload)
+                    elif kind == FRAME_BYE:
                         self._drop_session(payload)
                         return
-                    if kind == FRAME_HELLO:
-                        session = self._handle_hello(conn, payload)
-                    elif kind == FRAME_GET:
-                        if session is None:
-                            send_frame(conn, FRAME_ERROR, b"GET before HELLO")
-                        else:
-                            self._handle_get(conn, session, payload)
                     else:
                         send_frame(
                             conn, FRAME_ERROR, f"bad frame kind {kind}".encode()
@@ -321,15 +415,15 @@ class ReplicaBlockServer:
             with self._lock:
                 self._conns.discard(conn)
 
-    def _handle_hello(
-        self, conn: socket.socket, payload: bytes
-    ) -> TableSnapshot | None:
-        request = json.loads(payload)
-        token = request.get("session")
+    def _handle_hello(self, conn: socket.socket, payload) -> tuple[list, ...] | None:
+        token = _session_token(payload)
+        if token is None:
+            send_frame(conn, FRAME_ERROR, b"malformed HELLO")
+            return None
         if token:
             with self._lock:
-                session = self._sessions.get(token)
-            if session is None:
+                tables = self._sessions.get(token)
+            if tables is None:
                 send_frame(conn, FRAME_ERROR, f"unknown session {token}".encode())
                 return None
             # A joining stream already has the catalog from the opening
@@ -337,39 +431,37 @@ class ReplicaBlockServer:
             # join round trip at two small frames.
             brief = json.dumps({"session": token, "tables": []}).encode()
             send_frame(conn, FRAME_CATALOG, brief)
-            return session
+            return tables
         session = self._snapshot_source()
+        tables = tuple(session[name][0] for name in sorted(session))
         with self._lock:
             token = f"s{next(self._tokens)}"
             catalog = _catalog_payload(token, session)
-            self._sessions[token] = session
+            self._sessions[token] = tables
             self.sessions_opened += 1
         send_frame(conn, FRAME_CATALOG, catalog)
-        return session
+        return tables
 
-    def _handle_get(
-        self, conn: socket.socket, session: TableSnapshot, payload: bytes
-    ) -> None:
-        request = json.loads(payload)
-        table = request.get("table")
-        index = request.get("index", -1)
-        entry = session.get(table)
-        if entry is None or not 0 <= index < len(entry[0]):
-            send_frame(
-                conn, FRAME_ERROR, f"no block {table}[{index}]".encode()
-            )
+    def _handle_get(self, conn: socket.socket, tables: tuple[list, ...] | None, payload) -> None:
+        """Answer one GET with its block, or with an ERROR frame when it
+        comes before a HELLO, has the wrong length, or names no block."""
+        if tables is None:
+            send_frame(conn, FRAME_ERROR, b"GET before HELLO")
             return
-        chunks = entry[0][index].packed_chunks()
-        send_frame(conn, FRAME_BLOCK, *chunks)
+        if len(payload) != _GET.size:
+            send_frame(conn, FRAME_ERROR, f"GET of {len(payload)} bytes".encode())
+            return
+        ordinal, index = _GET.unpack(payload)
+        if ordinal >= len(tables) or index >= len(tables[ordinal]):
+            send_frame(conn, FRAME_ERROR, f"no block {index} in table {ordinal}".encode())
+            return
+        sent = send_frame(conn, FRAME_BLOCK, *tables[ordinal][index].packed_chunks())
         with self._lock:
             self.blocks_served += 1
-            self.bytes_served += sum(len(c) for c in chunks)
+            self.bytes_served += sent
 
-    def _drop_session(self, payload: bytes) -> None:
-        try:
-            token = json.loads(payload).get("session") if payload else None
-        except ValueError:
-            token = None
+    def _drop_session(self, payload) -> None:
+        token = _session_token(payload)
         if token:
             with self._lock:
                 self._sessions.pop(token, None)
@@ -409,11 +501,12 @@ class ReplicaFetchSession:
     """Up to N connections pinned to one replica session: the opening
     one connects with the session, the rest with :meth:`open_streams`.
 
-    ``fetch`` is thread-safe: callers borrow a connection from the pool,
-    run one GET/BLOCK exchange, and return it — the pipelined restore
-    runs ``streams`` fetches concurrently.  Any wire failure marks the
-    whole session broken (the rung is all-or-nothing), closes the bad
-    connection, and raises :class:`ReplicaWireError`.
+    ``fetch`` is thread-safe: callers borrow a connection (its socket
+    and its :class:`FrameReader`) from the pool, run one GET/BLOCK
+    exchange, and return it — the pipelined restore runs ``streams``
+    fetches concurrently.  Any wire failure marks the whole session
+    broken (the rung is all-or-nothing), closes the bad connection, and
+    raises :class:`ReplicaWireError`.
     """
 
     def __init__(
@@ -425,12 +518,14 @@ class ReplicaFetchSession:
         self.streams = max(1, int(streams))
         self._timeout = timeout
         self._sockets: list[socket.socket] = []
-        self._pool: queue.Queue[socket.socket] = queue.Queue()
+        self._pool: queue.Queue[FrameReader] = queue.Queue()
         self._closed = False
         #: The first failure on any stream; the session is condemned.
         self._failure: BaseException | None = None
         self.token = ""
         self.tables: tuple[WireTable, ...] = ()
+        #: table name -> its ordinal in the catalog, as a GET names it
+        self._ordinals: dict[str, int] = {}
         self._address = address
         try:
             self._join(opening=True)
@@ -469,19 +564,21 @@ class ReplicaFetchSession:
             ) from exc
         _no_delay(sock)
         self._sockets.append(sock)
+        reader = FrameReader(sock)
         request = {"open": True} if opening else {"session": self.token}
         send_frame(sock, FRAME_HELLO, json.dumps(request).encode())
-        kind, payload = recv_frame(sock)
+        kind, payload = reader.read_frame()
         _raise_on_error(kind, payload, FRAME_CATALOG)
         token, tables = _parse_catalog(payload)
         if opening:
             self.token = token
             self.tables = tables
+            self._ordinals = {table.name: at for at, table in enumerate(tables)}
         elif token != self.token:
             raise ReplicaWireError("replica session token mismatch")
-        self._pool.put(sock)
+        self._pool.put(reader)
 
-    def _borrow(self) -> socket.socket:
+    def _borrow(self) -> FrameReader:
         """A pooled connection.  A condemned session raises the failure
         that condemned it, whichever stream saw it, as a future does."""
         if self._failure is not None:
@@ -493,79 +590,79 @@ class ReplicaFetchSession:
         except queue.Empty:
             raise ReplicaWireError("no replica stream available") from None
 
-    def _condemn(self, conn: socket.socket, exc: BaseException) -> None:
+    def _condemn(self, reader: FrameReader, exc: BaseException) -> None:
         """The conn may hold half a frame: it never returns to the pool,
         and one bad stream condemns the session."""
         if self._failure is None:
             self._failure = exc
         try:
-            conn.close()
+            reader.sock.close()
         except OSError:
             pass
 
+    def _gets(self, requests: list[tuple[str, int]]) -> bytes:
+        """The GET frames for ``requests``, back to back."""
+        ordinals = self._ordinals
+        try:
+            return b"".join(_get_frame(ordinals[table], index) for table, index in requests)
+        except KeyError as exc:
+            raise ReplicaWireError(f"no table {exc} in the session catalog") from None
+
     def fetch(self, table: str, index: int) -> bytes:
         """One GET/BLOCK exchange; returns the packed block payload."""
-        conn = self._borrow()
+        reader = self._borrow()
         try:
-            send_frame(
-                conn,
-                FRAME_GET,
-                json.dumps({"table": table, "index": index}).encode(),
-            )
-            kind, payload = recv_frame(conn)
+            _send_buffers(reader.sock, [self._gets([(table, index)])])
+            kind, payload = reader.read_frame()
             _raise_on_error(kind, payload, FRAME_BLOCK)
+            # The connection goes back to the pool: the payload leaves
+            # its buffer.
+            payload = bytes(payload)
         except BaseException as exc:
-            self._condemn(conn, exc)
+            self._condemn(reader, exc)
             raise
-        self._pool.put(conn)
+        self._pool.put(reader)
         return payload
 
     def fetch_many(
         self,
         requests: list[tuple[str, int]],
-        handler: Callable[[str, int, bytes], None],
+        handler: Callable[[str, int, memoryview], None],
     ) -> None:
         """Windowed pipelined GETs on one borrowed connection.
 
-        Keeps up to :data:`DEFAULT_WINDOW` GET frames in flight ahead of the
-        responses and calls ``handler(table, index, payload)`` as each
-        BLOCK frame lands — one stream pays the request/response round
-        trip once per window instead of once per block.  Responses
-        arrive in request order (the server answers each connection
-        sequentially).  Failure semantics match :meth:`fetch`: any wire
-        error condemns the connection and the session.
+        Keeps up to :data:`DEFAULT_WINDOW` GET frames in flight ahead of
+        the responses, topping the window up in one write whenever half
+        of it has been answered, and calls ``handler(table, index,
+        payload)`` as each BLOCK frame lands — one stream pays the
+        request/response round trip once per window instead of once per
+        block.  The payload is a view of the connection's receive
+        buffer, valid until ``handler`` returns.  Responses arrive in
+        request order (the server answers each connection sequentially).
+        Failure semantics match :meth:`fetch`: any wire error condemns
+        the connection and the session.
         """
         if not requests:
             return
-        conn = self._borrow()
+        reader = self._borrow()
         try:
             pending: deque[tuple[str, int]] = deque()
-            for table, index in requests:
-                send_frame(
-                    conn,
-                    FRAME_GET,
-                    json.dumps({"table": table, "index": index}).encode(),
-                )
-                pending.append((table, index))
-                if len(pending) >= DEFAULT_WINDOW:
-                    self._receive_block(conn, pending, handler)
-            while pending:
-                self._receive_block(conn, pending, handler)
+            sent = 0
+            while pending or sent < len(requests):
+                room = DEFAULT_WINDOW - len(pending)
+                if sent < len(requests) and 2 * room >= DEFAULT_WINDOW:
+                    window = requests[sent : sent + room]
+                    _send_buffers(reader.sock, [self._gets(window)])
+                    pending.extend(window)
+                    sent += len(window)
+                kind, payload = reader.read_frame()
+                _raise_on_error(kind, payload, FRAME_BLOCK)
+                table, index = pending.popleft()
+                handler(table, index, payload)
         except BaseException as exc:
-            self._condemn(conn, exc)
+            self._condemn(reader, exc)
             raise
-        self._pool.put(conn)
-
-    def _receive_block(
-        self,
-        conn: socket.socket,
-        pending: deque,
-        handler: Callable[[str, int, bytes], None],
-    ) -> None:
-        kind, payload = recv_frame(conn)
-        _raise_on_error(kind, payload, FRAME_BLOCK)
-        table, index = pending.popleft()
-        handler(table, index, payload)
+        self._pool.put(reader)
 
     def close(self) -> None:
         if self._closed:
@@ -573,9 +670,9 @@ class ReplicaFetchSession:
         self._closed = True
         try:
             if self.token and self._failure is None:
-                conn = self._pool.get_nowait()
+                reader = self._pool.get_nowait()
                 send_frame(
-                    conn, FRAME_BYE, json.dumps({"session": self.token}).encode()
+                    reader.sock, FRAME_BYE, json.dumps({"session": self.token}).encode()
                 )
         except (queue.Empty, ReplicaWireError):
             pass
@@ -690,7 +787,9 @@ __all__ = [
     "FRAME_ERROR",
     "FRAME_GET",
     "FRAME_HELLO",
+    "FrameReader",
     "MAX_PAYLOAD",
+    "RECV_BUFFER",
     "ReplicaBlockServer",
     "ReplicaCatalog",
     "ReplicaFetchSession",
@@ -699,7 +798,6 @@ __all__ = [
     "WireTable",
     "WIRE_MAGIC",
     "WIRE_VERSION",
-    "recv_frame",
     "send_frame",
     "snapshot_leafmap",
 ]

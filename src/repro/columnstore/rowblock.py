@@ -104,7 +104,7 @@ class RowBlock(TimeRange):
         max_time: int,
         created_at: float,
     ) -> None:
-        if set(rbcs) != set(schema.names):
+        if rbcs.keys() != schema.keys():
             raise SchemaError("row block columns do not match the schema")
         self.schema = schema
         self._rbcs = rbcs

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, KeysView, Mapping
 
 from repro.errors import CorruptionError, SchemaError
 from repro.types import TIME_COLUMN, ColumnType, ColumnValue
@@ -132,6 +132,11 @@ class Schema:
             return self._columns[name]
         except KeyError:
             raise SchemaError(f"unknown column '{name}'") from None
+
+    def keys(self) -> KeysView[str]:
+        """The column names as a set-like view (compares with a dict's
+        keys without building a set)."""
+        return self._columns.keys()
 
     def items(self) -> Iterable[tuple[str, ColumnType]]:
         return self._columns.items()

@@ -312,6 +312,9 @@ class _OpenBlock:
     def __init__(self, rows_per_block: int, max_block_bytes: int) -> None:
         self.rows_per_block, self.max_block_bytes = rows_per_block, max_block_bytes
         self.types: dict[str, ColumnType] = {}
+        #: The last sealed block's schema: the next block of the same
+        #: shape shares it, and with it its wire bytes, built once.
+        self.schema: Schema | None = None
         self.parts: list[_Part] = []
         self.n_rows = self.n_bytes = 0
 
@@ -352,7 +355,9 @@ class _OpenBlock:
     def take(self) -> Group:
         """The block as it stands, and an empty one opened."""
         columns = {name: _block_column(self.parts, name, t) for name, t in self.types.items()}
-        group = Schema(self.types), columns, self.n_rows, self.n_bytes
+        if self.schema is None or list(self.schema.items()) != list(self.types.items()):
+            self.schema = Schema(self.types)
+        group = self.schema, columns, self.n_rows, self.n_bytes
         self.types, self.parts, self.n_rows, self.n_bytes = {}, [], 0, 0
         return group
 

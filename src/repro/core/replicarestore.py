@@ -64,10 +64,11 @@ class ReplicaSession(Protocol):
     def fetch_many(
         self,
         requests: list[tuple[str, int]],
-        handler: Callable[[str, int, bytes], None],
+        handler: Callable[[str, int, memoryview], None],
     ) -> None:
         """Pipelined ``fetch`` of ``requests`` in order on one
-        connection, ``handler(table, index, payload)`` per block."""
+        connection, ``handler(table, index, payload)`` per block; the
+        payload may be a view that is valid only during the call."""
 
     def close(self) -> None: ...
 
@@ -119,7 +120,7 @@ class ReplicaRestore(RestoreDriver):
         session.open_streams()
         decoded: dict[tuple[str, int], object] = {}
 
-        def on_block(table: str, index: int, payload: bytes) -> None:
+        def on_block(table: str, index: int, payload: memoryview) -> None:
             decoded[table, index] = self._fault_block(payload)
 
         # Strided slices keep the heat order: every stream starts on the

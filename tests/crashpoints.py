@@ -14,10 +14,14 @@ kind                                target
 ``fsync``, ``replace``,             the path, relative to ``root``
 ``unlink_file``                     (only paths under ``root`` count)
 ``manifest``                        the backup directory, as above
-``send``                            the wire frame kind
+``send``                            the wire frame kind of the first
+                                    frame in one write (a window of
+                                    GETs is one write)
 ``recv``                            ``header`` (the fixed frame header's
-                                    size) or ``payload``: a frame is
-                                    two effects
+                                    size) or ``payload``, taken from the
+                                    connection's receive buffer: a frame
+                                    is two effects, whether or not a
+                                    receive had to fill the buffer
 ``allocate``, ``free``              the tracker region
 ==================================  ====================================
 
@@ -174,7 +178,7 @@ class Recorder:
         real_fsync, real_replace = os.fsync, os.replace
         real_path_unlink = Path.unlink
         real_manifest = DiskBackup._save_manifest
-        real_send, real_recv = replication.send_frame, replication._recv_exact
+        real_send, real_recv = replication._send_buffers, replication._recv_exact
         real_allocate, real_free = MemoryTracker.allocate, MemoryTracker.free
 
         def create(cls, name, size):
@@ -213,12 +217,13 @@ class Recorder:
                 return call()  # the block server's side of the conversation
             return record(kind, target, call)
 
-        def send_frame(sock, frame_kind, *chunks):
-            return on_wire("send", str(frame_kind), lambda: real_send(sock, frame_kind, *chunks))
+        def send_buffers(sock, buffers):
+            frame_kind = replication._FRAME.unpack_from(buffers[0])[2]
+            return on_wire("send", str(frame_kind), lambda: real_send(sock, buffers))
 
-        def recv_exact(sock, nbytes):
+        def recv_exact(reader, nbytes):
             part = "header" if nbytes == replication._FRAME.size else "payload"
-            return on_wire("recv", part, lambda: real_recv(sock, nbytes))
+            return on_wire("recv", part, lambda: real_recv(reader, nbytes))
 
         def allocate(tracker, region, nbytes):
             return record("allocate", region, lambda: real_allocate(tracker, region, nbytes))
@@ -234,7 +239,7 @@ class Recorder:
         monkeypatch.setattr(os, "replace", replace)
         monkeypatch.setattr(Path, "unlink", path_unlink)
         monkeypatch.setattr(DiskBackup, "_save_manifest", save_manifest)
-        monkeypatch.setattr(replication, "send_frame", send_frame)
+        monkeypatch.setattr(replication, "_send_buffers", send_buffers)
         monkeypatch.setattr(replication, "_recv_exact", recv_exact)
         monkeypatch.setattr(MemoryTracker, "allocate", allocate)
         monkeypatch.setattr(MemoryTracker, "free", free)

@@ -1,10 +1,14 @@
 """The replica recovery tier: wire protocol, ladder fallback, failover.
 
-Four angles on the new rung:
+Five angles on the new rung:
 
 - **Wire round trip** (property): a sealed block crossing the framed
   protocol arrives byte-identical to ``RowBlock.pack`` — dictionary and
   float codecs included — for arbitrary table contents.
+- **Framing**: one gathered write per frame (a window of GETs is one),
+  a reader that yields the same frames however the bytes are split,
+  and a standby that answers every request it cannot read with an
+  ERROR frame and goes on serving.
 - **Fault sweep**: the connection dies at every protocol phase
   (handshake, mid-stream, mid-block, post-adopt) and the leaf must land
   on the local disk rungs all-or-nothing: tracker balanced, partial
@@ -18,8 +22,12 @@ Four angles on the new rung:
 from __future__ import annotations
 
 import socket
+import struct
 import threading
+import time
 import uuid
+import zlib
+from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,13 +38,20 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.replication import (
     DEFAULT_WINDOW,
     FRAME_BLOCK,
+    FRAME_CATALOG,
+    FRAME_ERROR,
     FRAME_GET,
     FRAME_HELLO,
+    MAX_PAYLOAD,
+    RECV_BUFFER,
+    WIRE_MAGIC,
+    WIRE_VERSION,
+    FrameReader,
     ReplicaBlockServer,
     ReplicaFetchSession,
     _catalog_payload,
+    _get_frame,
     _parse_catalog,
-    recv_frame,
     send_frame,
     snapshot_leafmap,
 )
@@ -54,6 +69,9 @@ from repro.util.clock import ManualClock
 from repro.util.memtrack import MemoryTracker
 from repro.workloads import service_requests
 from tests.crashpoints import Recorder
+
+#: A GET's payload: the catalog's table ordinal, then the block index.
+GET = replication._GET
 
 # Rows exercising every codec: dictionary (strings), float, int, list.
 row_strategy = st.fixed_dictionaries(
@@ -91,21 +109,32 @@ class TestWireRoundTripProperty:
     @given(tables=tables_strategy)
     def test_framed_block_is_byte_identical(self, tables):
         """Sealed block -> wire frame -> remote decode is the identity,
-        and the catalog's size for every block is its packed length."""
+        the frame is one gathered write of its header and ``pack()``'s
+        bytes, and the catalog's size for every block is its packed
+        length."""
         leafmap = build_map(tables)
         _, catalog = _parse_catalog(_catalog_payload("s1", snapshot_leafmap(leafmap)))
         for wire in catalog:
             blocks = leafmap.get_table(wire.name).blocks
             assert [desc.size for desc in wire.blocks] == [len(b.pack()) for b in blocks]
         client, server = socket.socketpair()
+        reader = FrameReader(client)
         try:
             for table in leafmap:
                 for block in table.blocks:
                     packed = block.pack()
                     chunks = block.packed_chunks()
                     assert b"".join(bytes(c) for c in chunks) == packed
+                    # One gathered write: the header, then pack()'s bytes.
+                    written = Capture()
+                    send_frame(written, FRAME_BLOCK, *chunks)
+                    assert written.calls == [1 + len(chunks)]
+                    assert written.data == struct.pack(
+                        "<IHHII", WIRE_MAGIC, WIRE_VERSION, FRAME_BLOCK, len(packed),
+                        zlib.crc32(packed),
+                    ) + packed
                     send_frame(server, FRAME_BLOCK, *chunks)
-                    kind, payload = recv_frame(client)
+                    kind, payload = reader.read_frame()
                     assert kind == FRAME_BLOCK
                     assert payload == packed
                     remote = RowBlock.unpack(payload)
@@ -176,6 +205,234 @@ class TestWireRoundTripProperty:
             assert all(sock.fileno() == -1 for sock in session._sockets)
         finally:
             server.close()
+
+
+class Capture:
+    """A socket that takes every ``sendmsg`` whole, or at most ``limit``
+    bytes of it, and keeps what it took."""
+
+    def __init__(self, limit: int | None = None) -> None:
+        self.limit = limit
+        self.data = bytearray()
+        self.calls: list[int] = []
+
+    def sendmsg(self, buffers) -> int:
+        self.calls.append(len(buffers))
+        joined = b"".join(bytes(b) for b in buffers)[: self.limit]
+        self.data += joined
+        return len(joined)
+
+
+class Scripted:
+    """A socket whose receives return the ``pieces`` given, in order
+    (a piece longer than the receive's room spills into the next), and
+    then end of stream."""
+
+    def __init__(self, pieces) -> None:
+        self.pieces = deque(bytes(p) for p in pieces if p)
+        self.recvs = 0
+
+    def recv_into(self, view) -> int:
+        self.recvs += 1
+        if not self.pieces:
+            return 0
+        piece = self.pieces.popleft()
+        taken = min(len(view), len(piece))
+        view[:taken] = piece[:taken]
+        if taken < len(piece):
+            self.pieces.appendleft(piece[taken:])
+        return taken
+
+
+def frames_of(*frames) -> bytes:
+    """``(kind, payload)`` frames as the bytes one connection carries."""
+    out = Capture()
+    for kind, payload in frames:
+        send_frame(out, kind, payload)
+    return bytes(out.data)
+
+
+#: A joining stream's HELLO, then two GETs: what a server reads.
+STREAM = (
+    (FRAME_HELLO, b'{"session": "s1"}'),
+    (FRAME_GET, GET.pack(0, 1)),
+    (FRAME_GET, GET.pack(1, 7)),
+)
+
+
+def read_all(sock, count: int) -> list[tuple[int, bytes]]:
+    reader = FrameReader(sock)
+    return [(kind, bytes(payload)) for kind, payload in (reader.read_frame() for _ in range(count))]
+
+
+class TestFraming:
+    """One gathered write per frame, and a reader that yields the same
+    frames however the bytes arrive."""
+
+    def test_get_frames_are_the_catalog_ordinal_and_the_index(self):
+        assert _get_frame(0, 1) + _get_frame(1, 7) == frames_of(*STREAM[1:])
+
+    def test_one_byte_per_receive(self):
+        stream = frames_of(*STREAM)
+        sock = Scripted(stream[i : i + 1] for i in range(len(stream)))
+        assert read_all(sock, 3) == list(STREAM)
+        assert sock.recvs == len(stream)
+
+    def test_everything_in_one_receive(self):
+        sock = Scripted([frames_of(*STREAM)])
+        assert read_all(sock, 3) == list(STREAM)
+        assert sock.recvs == 1
+
+    def test_a_stream_cut_at_every_offset(self):
+        stream = frames_of(*STREAM)
+        for cut in range(len(stream) + 1):
+            assert read_all(Scripted([stream[:cut], stream[cut:]]), 3) == list(STREAM), cut
+
+    def test_a_frame_cut_short_raises(self):
+        stream = frames_of(*STREAM)
+        for cut in range(len(stream)):
+            with pytest.raises(ReplicaWireError, match="closed mid-frame"):
+                read_all(Scripted([stream[:cut]]), 3)
+
+    def test_a_frame_larger_than_the_buffer_grows_it(self):
+        big = bytes(range(256)) * (3 * RECV_BUFFER // 256 + 1)
+        stream = frames_of((FRAME_BLOCK, big), *STREAM)
+        sock = Scripted(stream[i : i + 65536] for i in range(0, len(stream), 65536))
+        assert read_all(sock, 4) == [(FRAME_BLOCK, big), *STREAM]
+
+    def test_a_stated_length_alone_allocates_nothing(self):
+        """The cap is checked before the buffer grows, and below the cap
+        the buffer grows only with bytes that arrived."""
+        over = struct.pack("<IHHII", WIRE_MAGIC, WIRE_VERSION, FRAME_BLOCK, MAX_PAYLOAD + 1, 0)
+        with pytest.raises(ReplicaWireError, match="exceeds cap"):
+            read_all(Scripted([over]), 1)
+        under = struct.pack("<IHHII", WIRE_MAGIC, WIRE_VERSION, FRAME_BLOCK, MAX_PAYLOAD, 0)
+        reader = FrameReader(Scripted([under, b"x" * 100]))
+        with pytest.raises(ReplicaWireError, match="closed mid-frame"):
+            reader.read_frame()
+        assert len(reader._view) == RECV_BUFFER
+
+    @pytest.mark.parametrize("limit", [1, 7, 4096])
+    def test_partial_sends_and_long_buffer_lists(self, limit, monkeypatch):
+        """The write loops until the kernel took every byte, and splits a
+        list longer than ``_IOV_MAX``."""
+        monkeypatch.setattr(replication, "_IOV_MAX", 3)
+        chunks = [bytes([i]) * (i * 5) for i in range(10)]
+        whole, partial = Capture(), Capture(limit)
+        send_frame(whole, FRAME_BLOCK, *chunks)
+        send_frame(partial, FRAME_BLOCK, *chunks)
+        assert partial.data == whole.data
+        assert max(partial.calls) <= 3
+
+
+class TestPerFrameCost:
+    """Socket calls per frame, counted: a frame is one write, a window
+    of GETs is one write, and a pipelined pull receives fewer times than
+    it gets frames."""
+
+    class Counting:
+        """A socket that counts its writes and receives; its receives
+        wait (up to a few seconds) until ``ready()`` holds."""
+
+        def __init__(self, sock, ready=lambda: True) -> None:
+            self.sock, self.ready = sock, ready
+            self.writes = self.recvs = 0
+
+        def sendmsg(self, buffers) -> int:
+            self.writes += 1
+            return self.sock.sendmsg(buffers)
+
+        def recv_into(self, view) -> int:
+            self.recvs += 1
+            deadline = time.monotonic() + 5
+            while not self.ready() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return self.sock.recv_into(view)
+
+    def test_a_block_frame_is_one_write(self):
+        leafmap = build_map({"events": [{"time": i, "host": f"h{i % 3}", "v": i / 3} for i in range(16)]})
+        (block,) = leafmap.get_table("events").blocks
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            counting = self.Counting(theirs)
+            send_frame(counting, FRAME_BLOCK, *block.packed_chunks())
+            assert counting.writes == 1 < len(block.packed_chunks())
+            kind, payload = FrameReader(ours).read_frame()
+        assert (kind, payload) == (FRAME_BLOCK, block.pack())
+
+    def test_a_window_of_gets_is_one_write_and_its_blocks_few_receives(self):
+        leafmap = build_map({"events": [{"time": i, "host": f"h{i % 3}"} for i in range(16 * 24)]})
+        blocks = leafmap.get_table("events").blocks
+        assert len(blocks) == 24 <= DEFAULT_WINDOW
+        server = ReplicaBlockServer(lambda: snapshot_leafmap(leafmap))
+        session = ReplicaFetchSession(server.address, streams=1)
+        try:
+            (reader,) = session._pool.queue
+            # The first receive waits until every BLOCK left the server,
+            # so each receive takes what the kernel holds.
+            counting = reader.sock = self.Counting(
+                reader.sock, lambda: server.blocks_served == len(blocks)
+            )
+            got = []
+            session.fetch_many(
+                [("events", i) for i in range(len(blocks))],
+                lambda _t, i, payload: got.append((i, bytes(payload))),
+            )
+            assert got == [(i, block.pack()) for i, block in enumerate(blocks)]
+            assert counting.writes == 1
+            assert counting.recvs < len(blocks)
+        finally:
+            session.close()
+            server.close()
+
+
+class TestHostileRequests:
+    """A request the server cannot read gets an ERROR frame, and the
+    same connection then serves a valid GET: no stream thread dies."""
+
+    @pytest.fixture
+    def excepthooks(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(threading, "excepthook", seen.append)
+        return seen
+
+    def test_bad_gets_and_hellos_get_error_frames(self, excepthooks):
+        leafmap = build_map(
+            {"alpha": [{"time": i} for i in range(40)], "beta": [{"time": i} for i in range(20)]}
+        )
+        server = ReplicaBlockServer(lambda: snapshot_leafmap(leafmap))
+        try:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                reader = FrameReader(sock)
+
+                def ask(kind, payload) -> tuple[int, bytes]:
+                    send_frame(sock, kind, payload)
+                    got, body = reader.read_frame()
+                    return got, bytes(body)
+
+                assert ask(FRAME_GET, GET.pack(0, 0)) == (FRAME_ERROR, b"GET before HELLO")
+                for hello in (b"\xff", b"[]", b"{", b'{"session": ["s1"]}'):
+                    assert ask(FRAME_HELLO, hello) == (FRAME_ERROR, b"malformed HELLO")
+                assert ask(FRAME_HELLO, b'{"open": true}')[0] == FRAME_CATALOG
+                tables = [leafmap.get_table(name).blocks for name in ("alpha", "beta")]
+                for payload in (
+                    b"\xff",  # too short (and not JSON)
+                    b"[]",
+                    GET.pack(0, 0)[:-1],
+                    GET.pack(0, 0) + b"\x00",  # too long
+                    GET.pack(2, 0),  # no third table
+                    GET.pack(1, len(tables[1])),  # past the table's last block
+                    GET.pack(2**32 - 1, 2**32 - 1),
+                ):
+                    kind, body = ask(FRAME_GET, payload)
+                    assert kind == FRAME_ERROR, payload
+                kind, body = ask(FRAME_GET, GET.pack(1, len(tables[1]) - 1))
+                assert (kind, body) == (FRAME_BLOCK, tables[1][-1].pack())
+                kind, body = ask(FRAME_GET, GET.pack(0, 1))
+                assert (kind, body) == (FRAME_BLOCK, tables[0][1].pack())
+        finally:
+            server.close()
+        assert excepthooks == []
 
 
 def populated(clock):

@@ -1,5 +1,6 @@
 """Tests for tables: sealing, expiry, scans, and the restart hooks."""
 
+import hashlib
 from itertools import takewhile
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.columnstore import table as table_module
 from repro.columnstore.rowblock import RowBlock
+from repro.columnstore.schema import Schema
 from repro.columnstore.table import Table
 from repro.compression.decoded import DecodedKind
 from repro.errors import SchemaError
@@ -586,3 +588,52 @@ class TestEstimate:
         big.add_rows([{"time": 1, "s": "x" * 100, "v": ["y" * 50] * 3}])
         assert small.nbytes == 4 + 16
         assert big.nbytes == small.nbytes + (1 + 8 + 100) + (1 + 8 + 3 * (50 + 4))
+
+
+class TestSealedSchemas:
+    """Consecutive blocks of one shape share one :class:`Schema`, so its
+    wire bytes are built once, and pack exactly as blocks that each held
+    their own schema did."""
+
+    #: sha256 of the four blocks below, packed back to back, as a build
+    #: that gave every block its own schema packed them.
+    PACKED_SHA256 = "6ccce7fe9c3641cb8e5132a6b9b869a325e34e0e9c1a251c1a19c741c430e7f9"
+
+    def test_one_shape_shares_a_schema_and_packs_the_same_bytes(self):
+        table = make_table(rows_per_block=64)
+        table.add_rows(list(service_requests(64 * 3, seed=7)))
+        table.add_rows([{"time": 10**6 + i, "host": f"h{i}", "extra": i} for i in range(64)])
+        blocks = table.blocks
+        assert len(blocks) == 4
+        assert blocks[1].schema is blocks[0].schema and blocks[2].schema is blocks[0].schema
+        assert blocks[3].schema is not blocks[0].schema
+        assert blocks[3].schema.names == ["time", "host", "extra"]
+        for block in blocks:
+            own = RowBlock(
+                Schema(dict(block.schema.items())),
+                dict(block._rbcs),
+                block.row_count,
+                block.min_time,
+                block.max_time,
+                block.created_at,
+            )
+            assert own.pack() == block.pack()
+        packed = b"".join(block.pack() for block in blocks)
+        assert hashlib.sha256(packed).hexdigest() == self.PACKED_SHA256
+
+    def test_a_block_whose_columns_are_not_the_schema_is_refused(self):
+        table = make_table(rows_per_block=4)
+        table.add_rows({"time": i, "a": i} for i in range(4))
+        (block,) = table.blocks
+        rbcs = dict(block._rbcs)
+        fields = block.row_count, block.min_time, block.max_time, block.created_at
+        for columns in (
+            {"time": rbcs["time"]},
+            {**rbcs, "b": rbcs["a"]},
+            {"time": rbcs["time"], "b": rbcs["a"]},
+        ):
+            with pytest.raises(SchemaError, match="do not match the schema"):
+                RowBlock(block.schema, columns, *fields)
+        assert RowBlock(block.schema, {"a": rbcs["a"], "time": rbcs["time"]}, *fields).pack() == (
+            block.pack()
+        )

@@ -311,13 +311,13 @@ def parse_catalog_frame(payload):
     CRC — read and parsed the way a restarting leaf's HELLO does."""
     import socket
 
-    from repro.cluster.replication import FRAME_CATALOG, _parse_catalog, recv_frame, send_frame
+    from repro.cluster.replication import FRAME_CATALOG, FrameReader, _parse_catalog, send_frame
 
     ours, theirs = socket.socketpair()
     with ours, theirs:
         sender = threading.Thread(target=send_frame, args=(theirs, FRAME_CATALOG, payload))
         sender.start()
-        kind, received = recv_frame(ours)
+        kind, received = FrameReader(ours).read_frame()
         sender.join()
     assert (kind, received) == (FRAME_CATALOG, payload)
     try:

@@ -22,6 +22,14 @@ object, name and bytes either way, so the older build's segments
 attach, read and unlink in this build and this build's in the older
 one.  That row bumps nothing and is the paper's case: the old binary
 writes, the new one reads.
+A GET now names its block in binary (the table's ordinal in the
+session catalog, then the block index) where the older build sent JSON,
+so ``WIRE_VERSION`` went 2 → 3 and nothing else moved: ``RBC_VERSION``,
+``SHM_LAYOUT_VERSION`` and the disk formats are the same.  The wire
+rows run both ways: an older standby is refused at its first frame and
+the leaf lands on the snapshot rung, and an older primary's HELLO to
+this build's standby has its connection closed, after which the
+standby serves the next current session.
 Two constants no change has bumped yet have rows too, so a bump finds
 its refusal already tested: ``SHMDISK_FORMAT_VERSION`` (the snapshot
 file envelope) and ``METADATA_VERSION`` (the leaf metadata block).
@@ -41,9 +49,12 @@ import pytest
 
 from repro.cluster.replication import (
     FRAME_CATALOG,
+    FRAME_HELLO,
     WIRE_MAGIC,
     WIRE_VERSION,
+    ReplicaBlockServer,
     ReplicaFetchSession,
+    snapshot_leafmap,
 )
 from repro.columnstore import rbc
 from repro.columnstore.leafmap import LeafMap
@@ -460,6 +471,39 @@ class OldStandby:
 
 
 class TestReplicaRung:
+    def test_old_wire_version_hello_is_closed_and_the_standby_serves_on(
+        self, backup, clock, monkeypatch
+    ):
+        """An older primary's HELLO, stamped with its wire version, gets
+        its connection closed without a stream thread's traceback; the
+        same standby then serves a current session."""
+        hooks = []
+        monkeypatch.setattr(threading, "excepthook", hooks.append)
+        leafmap, _ = old_leaf(clock, backup)
+        server = ReplicaBlockServer(lambda: snapshot_leafmap(leafmap))
+        try:
+            hello = b'{"open": true}'
+            header = struct.Struct("<IHHII").pack(
+                WIRE_MAGIC, OLD_WIRE_VERSION, FRAME_HELLO, len(hello), crc32_of(hello)
+            )
+            with socket.create_connection(server.address, timeout=10) as old:
+                old.sendall(header + hello)
+                assert old.recv(1 << 16) == b""  # closed, nothing sent
+            session = ReplicaFetchSession(server.address, streams=1)
+            try:
+                names = [table.name for table in session.tables]
+                assert names == sorted(leafmap.table_names)
+                block = leafmap.get_table("metrics").blocks[-1]
+                index = leafmap.get_table("metrics").block_count - 1
+                assert session.fetch("metrics", index) == block.pack()
+            finally:
+                session.close()
+        finally:
+            server.close()
+        assert server.sessions_opened == 1
+        assert hooks == []
+
+
     def test_old_wire_version_standby_is_refused_and_the_leaf_lands_on_disk(
         self, shm_namespace, backup, clock
     ):
